@@ -23,7 +23,8 @@
 // A third mode guards against hot-path regressions (`make bench-guard`):
 // it prints the old->new ns/op delta of every benchmark the two ledgers
 // share, then compares the "after" runs and exits non-zero when a guarded
-// benchmark's ns/op regressed past -guard-limit or the warm path-cache
+// benchmark's ns/op regressed past -guard-limit, an embed-path benchmark's
+// allocs/op rose more than 5%, or the warm path-cache
 // embed lost its speedup floor:
 //
 //	dagsfc-bench -guard-old BENCH_PR8.json -guard-new BENCH_PR9.json -guard-serve-old BENCH_PR7.json
@@ -125,6 +126,19 @@ var guardedBenchmarks = []string{
 	"BenchmarkEmbedMBBEWorkers/workers=1",
 }
 
+// allocGuardedBenchmarks are the embed-path benchmarks whose allocs/op must
+// not rise more than allocGuardLimit over the baseline ledger: the whole
+// MBBE embed cold and warm, one layer's candidate generation, and the BBE
+// embed. The counts repeat exactly on this code, so the limit is tight.
+var allocGuardedBenchmarks = []string{
+	"BenchmarkEmbedMBBEWorkers/workers=1",
+	"BenchmarkEmbedMBBECached",
+	"BenchmarkLayerExtensions",
+	"BenchmarkEmbedBBE",
+}
+
+const allocGuardLimit = 0.05
+
 // cachedSpeedupFloor is the minimum warm-cache speedup the candidate must
 // demonstrate: EmbedMBBECached must be at least this factor faster than
 // the uncached EmbedMBBEWorkers/workers=1 in the same ledger.
@@ -185,15 +199,21 @@ func guardBench(oldPath, newPath string, limit float64, serveOldPath string) err
 	}
 
 	var failures []string
-	for _, name := range guardedBenchmarks {
-		oldRes, ok := byName(oldRun, name)
-		if !ok {
+	// pair looks a guarded benchmark up in both ledgers: one the baseline
+	// predates is skipped, one the candidate lost is a failure.
+	pair := func(name string) (oldRes, newRes benchfmt.Result, ok bool) {
+		if oldRes, ok = byName(oldRun, name); !ok {
 			fmt.Printf("guard: %-40s absent from baseline %s; skipping\n", name, oldPath)
-			continue
+			return
 		}
-		newRes, ok := byName(newRun, name)
-		if !ok {
+		if newRes, ok = byName(newRun, name); !ok {
 			failures = append(failures, fmt.Sprintf("%s: missing from candidate %s", name, newPath))
+		}
+		return
+	}
+	for _, name := range guardedBenchmarks {
+		oldRes, newRes, ok := pair(name)
+		if !ok {
 			continue
 		}
 		ratio := newRes.NsPerOp / oldRes.NsPerOp
@@ -205,6 +225,19 @@ func guardBench(oldPath, newPath string, limit float64, serveOldPath string) err
 		}
 		fmt.Printf("guard: %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
 			name, oldRes.NsPerOp, newRes.NsPerOp, (ratio-1)*100, verdict)
+	}
+	for _, name := range allocGuardedBenchmarks {
+		oldRes, newRes, ok := pair(name)
+		if !ok {
+			continue
+		}
+		verdict := "ok"
+		if benchfmt.AllocsRegressed(oldRes, newRes, allocGuardLimit) {
+			verdict = "REGRESSED"
+			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op (limit %+.0f%%)",
+				name, oldRes.AllocsPerOp, newRes.AllocsPerOp, allocGuardLimit*100))
+		}
+		fmt.Printf("guard: %-40s %12d -> %12d allocs/op  %s\n", name, oldRes.AllocsPerOp, newRes.AllocsPerOp, verdict)
 	}
 
 	uncached, okU := byName(newRun, "BenchmarkEmbedMBBEWorkers/workers=1")

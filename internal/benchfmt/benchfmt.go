@@ -113,6 +113,18 @@ func parseLine(fields []string) (Result, error) {
 	return res, nil
 }
 
+// AllocsRegressed reports whether cand allocates more objects per op than
+// base by more than limit, a fraction of base's count. Allocation counts
+// repeat exactly from run to run on deterministic code, so the limit can
+// sit far below what ns/op needs. A result recorded without -benchmem
+// (AllocsPerOp < 0) never regresses: there is nothing to compare.
+func AllocsRegressed(base, cand Result, limit float64) bool {
+	if base.AllocsPerOp < 0 || cand.AllocsPerOp < 0 {
+		return false
+	}
+	return float64(cand.AllocsPerOp) > float64(base.AllocsPerOp)*(1+limit)
+}
+
 // Run is one labelled benchmark sweep.
 type Run struct {
 	Label   string   `json:"label"`

@@ -122,3 +122,26 @@ func TestFileRoundTripAndSetRun(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v ok=%v", r, ok)
 	}
 }
+
+func TestAllocsRegressed(t *testing.T) {
+	res := func(allocs int64) Result { return Result{AllocsPerOp: allocs} }
+	cases := []struct {
+		name       string
+		base, cand int64
+		want       bool
+	}{
+		{"equal", 200, 200, false},
+		{"fewer", 7256, 212, false},
+		{"within the limit", 200, 210, false},
+		{"past the limit", 200, 211, true},
+		{"from zero", 0, 1, true},
+		{"zero stays zero", 0, 0, false},
+		{"baseline lacks -benchmem", -1, 9999, false},
+		{"candidate lacks -benchmem", 200, -1, false},
+	}
+	for _, c := range cases {
+		if got := AllocsRegressed(res(c.base), res(c.cand), 0.05); got != c.want {
+			t.Errorf("%s: AllocsRegressed(%d -> %d, 5%%) = %v, want %v", c.name, c.base, c.cand, got, c.want)
+		}
+	}
+}

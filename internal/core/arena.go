@@ -1,10 +1,16 @@
 package core
 
-import "dagsfc/internal/network"
+import (
+	"slices"
+	"unsafe"
+
+	"dagsfc/internal/graph"
+	"dagsfc/internal/network"
+)
 
 // slab is a reusable bump allocator: alloc carves capacity-capped windows
 // out of large chunks, and reset rewinds the cursor so the same chunks
-// serve the next run — the steady-state allocation count for search-tree
+// serve the next run — the steady-state allocation count for search
 // memory drops to zero once the chunks have grown to a run's working set.
 // Not safe for concurrent use; each worker slot owns one set of slabs.
 type slab[T any] struct {
@@ -17,20 +23,18 @@ type slab[T any] struct {
 // a power-of-two chunk that fits.
 const slabMinChunk = 1024
 
-// alloc returns a zeroed window of n elements with capacity exactly n, so
-// a later append reallocates instead of clobbering a neighbouring window.
-// Windows are zeroed because reset clears every carved chunk and chunks
-// are born from make; a window is never re-carved before the next reset.
-func (s *slab[T]) alloc(n int) []T {
-	if n == 0 {
-		return nil
-	}
+// reserve returns an empty window with capacity of at least n at the carve
+// cursor, without advancing it: the caller appends up to n elements and
+// hands the result to commit, which carves exactly what was written. This
+// is how a window whose length is only bounded up front (a path walk, a
+// merged edge list) takes no more slab than it ends up using. Nothing else
+// may be carved from the slab between a reserve and the commit or abandon
+// that must end it.
+func (s *slab[T]) reserve(n int) []T {
 	for {
 		if s.ci < len(s.chunks) {
 			if c := s.chunks[s.ci]; s.off+n <= len(c) {
-				out := c[s.off : s.off+n : s.off+n]
-				s.off += n
-				return out
+				return c[s.off:s.off:len(c)]
 			}
 			s.ci++
 			s.off = 0
@@ -44,34 +48,152 @@ func (s *slab[T]) alloc(n int) []T {
 	}
 }
 
-// reset rewinds the slab and zeroes every chunk it carved from, releasing
-// retained pointers to the collector and restoring the zeroed-window
-// invariant for the next run.
+// commit carves w — the window reserve returned, grown by appends within
+// its capacity — and returns it capped to its length, so a later append
+// reallocates instead of clobbering a neighbouring window. An empty w
+// yields nil.
+func (s *slab[T]) commit(w []T) []T {
+	if len(w) == 0 {
+		return nil
+	}
+	if &w[0] != &s.chunks[s.ci][s.off] {
+		panic("core: slab window outgrew its reservation")
+	}
+	s.off += len(w)
+	return w[:len(w):len(w)]
+}
+
+// abandon gives up a reservation without carving it, zeroing whatever was
+// appended so the slab beyond the cursor stays zeroed.
+func (s *slab[T]) abandon(w []T) { clear(w) }
+
+// alloc returns a zeroed window of n elements with capacity exactly n.
+// Windows are zeroed because chunks are born from make, reset clears
+// everything carved, and nothing beyond the cursor is left written; a
+// window is never re-carved before the next reset.
+func (s *slab[T]) alloc(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return s.commit(s.reserve(n)[:n])
+}
+
+// one carves a single zeroed element. The slab is chunked, never moved, so
+// the pointer stays valid until the next reset.
+func (s *slab[T]) one() *T { return &s.alloc(1)[0] }
+
+// reset rewinds the slab and zeroes what it carved — the chunks it moved
+// past and the carved prefix of the current one — releasing retained
+// pointers to the collector and restoring the zeroed-window invariant for
+// the next run.
 func (s *slab[T]) reset() {
-	for i := 0; i <= s.ci && i < len(s.chunks); i++ {
+	for i := 0; i < s.ci && i < len(s.chunks); i++ {
 		clear(s.chunks[i])
+	}
+	if s.ci < len(s.chunks) {
+		clear(s.chunks[s.ci][:s.off])
 	}
 	s.ci, s.off = 0, 0
 }
 
-// searchMem is the per-worker-slot arena behind runSearch: every
-// allocation a search tree retains for the life of a run — the TreeNode
-// blocks, the Available and Prev windows, the node list and the by-node
-// index — comes from these slabs when a searchConfig carries one. It is
-// reset (not freed) when the run's scratch slots are released, after the
-// Result has been assembled; nothing in a Result aliases this memory.
+// bytes reports the memory the slab's chunks pin.
+func (s *slab[T]) bytes() int {
+	var zero T
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n * int(unsafe.Sizeof(zero))
+}
+
+// searchMem is the per-worker-slot arena behind an embedding run. Every
+// allocation the search retains until the run ends comes from these slabs:
+// the search trees (TreeNode blocks, Available/Prev/Next windows, node
+// lists, by-node indexes) and the candidates (extension and subSolution
+// structs, their node, path, instance-use and edge-use windows, the
+// MiniPath path edges, and the per-start and per-parent candidate lists).
+//
+// Ownership: only the worker goroutine that holds the slot carves from
+// it (the calling goroutine uses slot 0 between fan-outs). Reads cross
+// slots freely — an extension built on slot k is screened by parents on
+// other slots — which is safe because carved windows are immutable once
+// published at a fan-in and because every slot of a run is reset
+// together, in releaseScratchSlots, after the Result has been assembled.
+// assemble deep-copies the winning chain to the heap, so nothing
+// reachable from a Result aliases this memory.
 type searchMem struct {
+	trees slab[SearchTree]
 	nodes slab[TreeNode]
 	vnfs  slab[network.VNFID]
 	links slab[TreeLink]
 	ptrs  slab[*TreeNode]
 	idx   slab[int32]
+
+	exts     slab[extension]
+	subs     slab[subSolution]
+	extPtrs  slab[*extension]
+	subPtrs  slab[*subSolution]
+	nodeIDs  slab[graph.NodeID]
+	paths    slab[graph.Path]
+	edges    slab[graph.EdgeID]
+	instUses slab[InstanceUseKey]
+	edgeUses slab[edgeUse]
+
+	// Scratch buffers reused within and across runs: their contents are
+	// dead once the call that filled them returns, so they are ordinary
+	// growable slices rather than slab windows.
+	interEdges, innerEdges []graph.EdgeID // buildExtension's sort+merge inputs
+	extBuf                 []*extension   // a build's candidates before the exact-size carve
+	hosts                  [][]*TreeNode  // pairExtensions' per-VNF host lists
+	hostIdx                []int          // pairExtensions' assignment odometer
+	assignment             []*TreeNode    // pairExtensions' current allocation
+	interChoices           [][]graph.Path // instantiate's per-meta-path choices
+	innerChoices           [][]graph.Path
+	screens                []parentScreen // run's per-parent screening slots
+	leaves                 []leafCand     // run's closed leaves
+}
+
+// slabs lists every slab of the arena: the one place reset and bytes learn
+// about a new one.
+func (m *searchMem) slabs() [15]interface {
+	reset()
+	bytes() int
+} {
+	return [...]interface {
+		reset()
+		bytes() int
+	}{
+		&m.trees, &m.nodes, &m.vnfs, &m.links, &m.ptrs, &m.idx,
+		&m.exts, &m.subs, &m.extPtrs, &m.subPtrs, &m.nodeIDs, &m.paths, &m.edges, &m.instUses, &m.edgeUses,
+	}
 }
 
 func (m *searchMem) reset() {
-	m.nodes.reset()
-	m.vnfs.reset()
-	m.links.reset()
-	m.ptrs.reset()
-	m.idx.reset()
+	for _, s := range m.slabs() {
+		s.reset()
+	}
+	// The scratch buffers hold pointers into the slabs just cleared (and
+	// into heap-born paths); drop them so a pooled arena pins nothing.
+	clear(m.extBuf[:cap(m.extBuf)])
+	clear(m.hosts[:cap(m.hosts)])
+	clear(m.assignment[:cap(m.assignment)])
+	clear(m.interChoices[:cap(m.interChoices)])
+	clear(m.innerChoices[:cap(m.innerChoices)])
+	clear(m.screens[:cap(m.screens)])
+	clear(m.leaves[:cap(m.leaves)])
+}
+
+// bytes reports the memory the arena's slabs pin between runs.
+func (m *searchMem) bytes() int {
+	n := 0
+	for _, s := range m.slabs() {
+		n += s.bytes()
+	}
+	return n
+}
+
+// sized returns buf resliced to n elements, regrown if it lacks the
+// capacity; the elements are whatever the buffer last held.
+func sized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }

@@ -1,0 +1,359 @@
+package core
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"dagsfc/internal/graph"
+	"dagsfc/internal/network"
+)
+
+// TestResultSurvivesArenaReuse pins the ownership rule the candidate arena
+// rests on: a Result is a heap copy, so later runs that recycle the same
+// worker-slot arenas — here 60 embeds of other instances per mode — must
+// not change a solution handed out earlier. Run under -race this also
+// covers screeners reading extensions carved on other slots.
+func TestResultSurvivesArenaReuse(t *testing.T) {
+	delayBounded := MBBEOptions()
+	delayBounded.MaxDelay = 1e6 // never binding, but switches the hop variants on
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"mbbe", MBBEOptions()},
+		{"bbe", BBEOptions()},
+		{"mbbe+steiner", MBBESteinerOptions()},
+		{"mbbe+delay", delayBounded},
+	}
+	for _, mode := range modes {
+		for _, workers := range []int{1, 4} {
+			opts := mode.opts
+			opts.Workers = workers
+			p := randomProblem(rand.New(rand.NewSource(7)), 60, 6, 6)
+			res, err := Embed(p, opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", mode.name, workers, err)
+			}
+			before, err := json.Marshal(res.Solution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				q := randomProblem(rand.New(rand.NewSource(int64(100+i))), 60, 6, 6)
+				_, _ = Embed(q, opts) // infeasible draws still churn the arenas
+			}
+			after, err := json.Marshal(res.Solution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(before) != string(after) {
+				t.Fatalf("%s workers=%d: solution changed under later embeds\nbefore %s\nafter  %s",
+					mode.name, workers, before, after)
+			}
+			if err := Validate(p, res.Solution); err != nil {
+				t.Fatalf("%s workers=%d: solution no longer validates: %v", mode.name, workers, err)
+			}
+			p.Ledger = network.NewLedger(p.Net)
+			if _, err := Commit(p, res.Solution); err != nil {
+				t.Fatalf("%s workers=%d: solution no longer commits: %v", mode.name, workers, err)
+			}
+		}
+	}
+}
+
+// buildExtensionRef is the map-based extension pricing the sort-merge
+// version replaced, kept as the reference the differential test below
+// compares against.
+func buildExtensionRef(p *Problem, spec LayerSpec, nodes []graph.NodeID, endNode graph.NodeID,
+	interPaths, innerPaths []graph.Path) *extension {
+
+	ext := &extension{endNode: endNode, nodes: nodes, interPaths: interPaths, innerPaths: innerPaths}
+	for i, node := range nodes {
+		inst, ok := p.Net.Instance(node, spec.VNFs[i])
+		if !ok {
+			return nil
+		}
+		ext.instUse = append(ext.instUse, InstanceUseKey{node, spec.VNFs[i]})
+		ext.localCost += inst.Price * p.Size
+	}
+	if spec.Merger {
+		inst, ok := p.Net.Instance(endNode, p.Net.Catalog.Merger())
+		if !ok {
+			return nil
+		}
+		ext.instUse = append(ext.instUse, InstanceUseKey{endNode, p.Net.Catalog.Merger()})
+		ext.localCost += inst.Price * p.Size
+	}
+	interUnion := make(map[graph.EdgeID]bool)
+	for _, path := range interPaths {
+		for _, e := range path.Edges {
+			interUnion[e] = true
+		}
+	}
+	innerCount := make(map[graph.EdgeID]int)
+	for _, path := range innerPaths {
+		for _, e := range path.Edges {
+			innerCount[e]++
+		}
+	}
+	for e := range interUnion {
+		c := 1 + innerCount[e]
+		delete(innerCount, e)
+		ext.edgeUse = append(ext.edgeUse, edgeUse{edge: e, count: c})
+	}
+	for e, c := range innerCount {
+		ext.edgeUse = append(ext.edgeUse, edgeUse{edge: e, count: c})
+	}
+	sort.Slice(ext.edgeUse, func(i, j int) bool { return ext.edgeUse[i].edge < ext.edgeUse[j].edge })
+	for _, u := range ext.edgeUse {
+		ext.localCost += p.Net.G.Edge(u.edge).Price * float64(u.count) * p.Size
+	}
+	return ext
+}
+
+// TestBuildExtensionMatchesMapReference drives both pricings over random
+// path multisets — empty paths, links repeated within a path, links shared
+// between the inter and inner groups — and requires the same reuse counts
+// and the same cost to the last bit.
+func TestBuildExtensionMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := randomProblem(rng, 40, 8, 6)
+	p.Size = 1.7 // a non-trivial multiplier, so summation order would show
+	numEdges := p.Net.G.NumEdges()
+	randomPaths := func(n int) []graph.Path {
+		paths := make([]graph.Path, n)
+		pool := 1 + rng.Intn(8) // a small pool forces sharing and repeats
+		base := rng.Intn(numEdges)
+		for i := range paths {
+			paths[i].From = graph.NodeID(rng.Intn(p.Net.G.NumNodes()))
+			for hops := rng.Intn(5); hops > 0; hops-- {
+				paths[i].Edges = append(paths[i].Edges, graph.EdgeID((base+rng.Intn(pool))%numEdges))
+			}
+		}
+		return paths
+	}
+	m := &searchMem{}
+	shared := 0
+	for _, spec := range p.LayerSpecs() {
+		for trial := 0; trial < 300; trial++ {
+			nodes := make([]graph.NodeID, len(spec.VNFs))
+			for i, f := range spec.VNFs {
+				hosts := p.Net.NodesWith(f)
+				nodes[i] = hosts[rng.Intn(len(hosts))]
+			}
+			endNode := nodes[0]
+			var inner []graph.Path
+			if spec.Merger {
+				hosts := p.Net.NodesWith(p.Net.Catalog.Merger())
+				endNode = hosts[rng.Intn(len(hosts))]
+				inner = randomPaths(len(nodes))
+			}
+			inter := randomPaths(len(nodes))
+			want := buildExtensionRef(p, spec, nodes, endNode, inter, inner)
+			got := buildExtension(m, p, spec, nodes, endNode, inter, inner)
+			if want == nil || got == nil {
+				t.Fatalf("layer %d trial %d: nil extension (ref %v, got %v)", spec.Index, trial, want, got)
+			}
+			if len(want.edgeUse) != len(got.edgeUse) {
+				t.Fatalf("layer %d trial %d: edgeUse %v, want %v", spec.Index, trial, got.edgeUse, want.edgeUse)
+			}
+			for i := range want.edgeUse {
+				if want.edgeUse[i] != got.edgeUse[i] {
+					t.Fatalf("layer %d trial %d: edgeUse %v, want %v", spec.Index, trial, got.edgeUse, want.edgeUse)
+				}
+				if want.edgeUse[i].count > 1 {
+					shared++
+				}
+			}
+			if !reflect.DeepEqual(want.instUse, got.instUse) {
+				t.Fatalf("layer %d trial %d: instUse %v, want %v", spec.Index, trial, got.instUse, want.instUse)
+			}
+			if math.Float64bits(want.localCost) != math.Float64bits(got.localCost) {
+				t.Fatalf("layer %d trial %d: localCost %v, want %v", spec.Index, trial, got.localCost, want.localCost)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no trial produced a reused link; the generator lost its point")
+	}
+}
+
+// feasibleAfterRef is the map-based capacity check feasibleAfter replaced.
+func feasibleAfterRef(p *Problem, ledger *network.Ledger, ss *subSolution, ext *extension) bool {
+	counted := make(map[InstanceUseKey]int, len(ext.instUse))
+	for _, key := range ext.instUse {
+		counted[key]++
+	}
+	for key, n := range counted {
+		demand := float64(n+ss.chainInstanceUse(key)) * p.Rate
+		if ledger.InstanceResidual(key.Node, key.VNF) < demand-1e-9 {
+			return false
+		}
+	}
+	for _, u := range ext.edgeUse {
+		demand := float64(u.count+ss.chainEdgeUse(u.edge)) * p.Rate
+		if ledger.EdgeResidual(u.edge) < demand-1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFeasibleAfterMatchesMapReference checks the map-free capacity
+// screening against the reference under tight capacity, with instance keys
+// duplicated within an extension and along the parent chain.
+func TestFeasibleAfterMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	p := lineFixture() // every instance and link has capacity 10
+	p.Rate = 3         // so the fourth use of anything overflows
+	ledger := network.NewLedger(p.Net)
+	keys := []InstanceUseKey{{1, 1}, {2, 2}, {1, 3}, {3, 3}, {2, 4}}
+	randomExt := func() *extension {
+		ext := &extension{}
+		for n := rng.Intn(4); n > 0; n-- {
+			ext.instUse = append(ext.instUse, keys[rng.Intn(len(keys))])
+		}
+		for e := 0; e < p.Net.G.NumEdges(); e++ {
+			if c := rng.Intn(3); c > 0 {
+				ext.edgeUse = append(ext.edgeUse, edgeUse{edge: graph.EdgeID(e), count: c})
+			}
+		}
+		return ext
+	}
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 3000; trial++ {
+		chain := &subSolution{}
+		for depth := rng.Intn(3); depth > 0; depth-- {
+			chain = &subSolution{parent: chain, ext: randomExt()}
+		}
+		ext := randomExt()
+		want := feasibleAfterRef(p, ledger, chain, ext)
+		if got := feasibleAfter(p, ledger, chain, ext); got != want {
+			t.Fatalf("trial %d: feasibleAfter = %v, reference %v (instUse %v, edgeUse %v)",
+				trial, got, want, ext.instUse, ext.edgeUse)
+		}
+		outcomes[want]++
+	}
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Fatalf("capacity not tight enough to see both outcomes: %v", outcomes)
+	}
+}
+
+// TestEmbedSteadyStateAllocCeiling is the allocation budget of a whole
+// embed, the counterpart of graph's TestDijkstraWithZeroAllocs for the
+// layers above it: once the worker slot's arena has grown to the instance,
+// what an MBBE run still allocates is the Result, the run's bookkeeping and
+// its retained Dijkstra trees — not its candidates. Measured 163 on the
+// BenchmarkEmbedMBBE fixture; the ceiling leaves a quarter of headroom.
+func TestEmbedSteadyStateAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 204
+	p := benchProblem(t)
+	opts := MBBEOptions()
+	opts.Workers = 1
+	if _, err := Embed(p, opts); err != nil { // grow the arena
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Embed(p, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("steady-state Embed allocated %.0f objects per run, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("steady-state Embed: %.0f allocs/run (ceiling %d)", allocs, ceiling)
+}
+
+// TestReleaseDropsOversizedArena pins the pooling cap: an arena grown past
+// searchMemRetainBytes is replaced on release instead of being pooled,
+// while a right-sized one is kept and merely rewound.
+func TestReleaseDropsOversizedArena(t *testing.T) {
+	small, huge := acquireScratch(), acquireScratch()
+	small.mem.idx.alloc(10)
+	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
+	kept := small.mem
+	releaseScratchSlots([]*pooledScratch{small, huge})
+	if small.mem != kept || kept.idx.off != 0 {
+		t.Fatal("right-sized arena was not kept and rewound")
+	}
+	if got := huge.mem.bytes(); got != 0 {
+		t.Fatalf("oversized arena still pins %d bytes after release", got)
+	}
+}
+
+// dedupByEndNodeRef is the map-based end-node dedup the dense-window
+// version replaced.
+func dedupByEndNodeRef(next []*subSolution, src graph.NodeID, limitOpt int, delayBounded bool) []*subSolution {
+	groups := make(map[graph.NodeID][]*subSolution)
+	var order []graph.NodeID
+	for _, ss := range next {
+		end := ss.endNode(src)
+		if _, seen := groups[end]; !seen {
+			order = append(order, end)
+		}
+		groups[end] = append(groups[end], ss)
+	}
+	keep := make(map[*subSolution]bool)
+	for _, end := range order {
+		group := groups[end]
+		limit := min(limitOpt, len(group))
+		for _, ss := range group[:limit] {
+			keep[ss] = true
+		}
+		if delayBounded {
+			fastest := group[0]
+			for _, ss := range group[1:] {
+				if ss.cumDelay < fastest.cumDelay {
+					fastest = ss
+				}
+			}
+			if !keep[fastest] {
+				delete(keep, group[limit-1])
+				keep[fastest] = true
+			}
+		}
+	}
+	var kept []*subSolution
+	for _, ss := range next {
+		if keep[ss] {
+			kept = append(kept, ss)
+		}
+	}
+	return kept
+}
+
+// TestDedupByEndNodeMatchesMapReference compares the two dedups on random
+// cost-ordered frontiers, with and without the delay-diversity rule, ties
+// in delay included.
+func TestDedupByEndNodeMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	p := lineFixture()
+	for trial := 0; trial < 2000; trial++ {
+		e := &embedder{p: p, opts: Options{DedupByEndNode: 1 + rng.Intn(3)}}
+		if trial%2 == 1 {
+			e.opts.MaxDelay = 100
+		}
+		next := make([]*subSolution, rng.Intn(12))
+		for i := range next {
+			next[i] = &subSolution{
+				ext:      &extension{endNode: graph.NodeID(rng.Intn(p.Net.G.NumNodes()))},
+				cum:      float64(i),
+				cumDelay: float64(rng.Intn(4)),
+			}
+		}
+		want := dedupByEndNodeRef(next, p.Src, e.opts.DedupByEndNode, e.opts.MaxDelay > 0)
+		got := e.dedupByEndNode(slices.Clone(next), &searchMem{})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (limit %d, delay %v): kept %d candidates, reference %d",
+				trial, e.opts.DedupByEndNode, e.opts.MaxDelay > 0, len(got), len(want))
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 )
 
 // benchProblem draws one Table 2-scale instance.
-func benchProblem(b *testing.B) *Problem {
+func benchProblem(b testing.TB) *Problem {
 	b.Helper()
 	return randomProblem(rand.New(rand.NewSource(1)), 500, 10, 5)
 }
@@ -19,13 +19,15 @@ func benchProblem(b *testing.B) *Problem {
 func BenchmarkForwardSearch(b *testing.B) {
 	p := benchProblem(b)
 	required := p.LayerSpecs()[0].Required(p.Net.Catalog)
+	mem := &searchMem{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := runSearch(p, p.Src, searchConfig{required: required})
+		tree := runSearch(p, p.Src, searchConfig{mem: mem, required: required})
 		if !tree.Covered() {
 			b.Fatal("uncovered")
 		}
+		mem.reset()
 	}
 }
 
@@ -103,6 +105,21 @@ func BenchmarkEmbedMBBECached(b *testing.B) {
 	hits, _, _ := opts.PathCache.Stats()
 	if hits == 0 {
 		b.Fatal("warm benchmark never hit the cache")
+	}
+}
+
+// BenchmarkEmbedBBE is the plain BBE embed (tree-path enumeration, no
+// mini-path shortcut) on the same instance, sequential.
+func BenchmarkEmbedBBE(b *testing.B) {
+	p := benchProblem(b)
+	opts := BBEOptions()
+	opts.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Embed(p, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

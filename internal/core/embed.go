@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -430,22 +432,31 @@ func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
 	return ent.tree
 }
 
-// minCostPathCached returns a cheapest feasible path a→b via the memoized
-// tree rooted at a.
-func (e *embedder) minCostPathCached(a, b graph.NodeID) (graph.Path, bool) {
+// minCostPath returns a cheapest feasible path a→b via the memoized tree
+// rooted at a, its edges walked straight into an exact-size window of m.
+func (e *embedder) minCostPath(m *searchMem, a, b graph.NodeID) (graph.Path, bool) {
 	if a == b {
 		return graph.EmptyPath(a), true
 	}
-	return e.treeFor(a).PathTo(b)
+	// A tree path visits no node twice, so NumNodes-1 bounds its length.
+	edges, ok := e.treeFor(a).AppendPathTo(m.edges.reserve(e.p.Net.G.NumNodes()-1), b)
+	if !ok {
+		m.edges.abandon(edges)
+		return graph.Path{}, false
+	}
+	return graph.Path{From: a, Edges: m.edges.commit(edges)}, true
 }
 
-// minCostPathFromCached returns the same cheapest path traversed b→a (the
+// minCostPathFrom returns the same cheapest path traversed b→a (the
 // reverse walk), via the memoized tree rooted at a.
-func (e *embedder) minCostPathFromCached(a, b graph.NodeID) (graph.Path, bool) {
-	if a == b {
-		return graph.EmptyPath(a), true
+func (e *embedder) minCostPathFrom(m *searchMem, a, b graph.NodeID) (graph.Path, bool) {
+	path, ok := e.minCostPath(m, a, b)
+	if !ok {
+		return graph.Path{}, false
 	}
-	return e.treeFor(a).PathFrom(b)
+	slices.Reverse(path.Edges)
+	path.From = b
+	return path, true
 }
 
 type extKey struct {
@@ -461,13 +472,25 @@ type parentScreen struct {
 	considered, capRejected, delayRejected int
 }
 
+// leafCand is one leaf of the sub-solution tree closed to the destination.
+type leafCand struct {
+	ss    *subSolution
+	tail  graph.Path
+	total float64
+}
+
+func bySubCost(a, b *subSolution) int { return cmp.Compare(a.cum, b.cum) }
+
 func (e *embedder) run() (*Result, error) {
 	p := e.p
 	specs := p.LayerSpecs()
 	e.extCache = make(map[extKey][]*extension)
+	// Everything the serial parts of the run carve comes from slot 0's
+	// arena: between fan-outs the calling goroutine is the only one running.
+	m := e.scratch[0].mem
 
-	root := &subSolution{layer: 0}
-	frontier := []*subSolution{root}
+	frontier := m.subPtrs.alloc(1)
+	frontier[0] = m.subs.one() // the root: layer 0, no extension, no cost
 
 	for _, spec := range specs {
 		if err := e.ctx.Err(); err != nil {
@@ -478,16 +501,20 @@ func (e *embedder) run() (*Result, error) {
 		// across the worker pool); the screening loop below then only
 		// reads the cache.
 		e.buildLayerExtensions(spec, frontier)
-		screens := make([]parentScreen, len(frontier))
-		e.forEach(len(frontier), func(_, i int) {
-			e.screenParent(spec, frontier[i], &screens[i])
+		m.screens = append(m.screens[:0], make([]parentScreen, len(frontier))...)
+		screens := m.screens
+		e.forEach(len(frontier), func(slot, i int) {
+			e.screenParent(spec, frontier[i], &screens[i], e.scratch[slot].mem)
 		})
-		var next []*subSolution
-		considered, capRejected, delayRejected := 0, 0, 0
+		considered, capRejected, delayRejected, children := 0, 0, 0, 0
 		for i := range screens {
 			considered += screens[i].considered
 			capRejected += screens[i].capRejected
 			delayRejected += screens[i].delayRejected
+			children += len(screens[i].children)
+		}
+		next := m.subPtrs.alloc(children)[:0]
+		for i := range screens {
 			next = append(next, screens[i].children...)
 		}
 		e.stats.CapacityRejections += capRejected
@@ -501,51 +528,9 @@ func (e *embedder) run() (*Result, error) {
 		if len(next) == 0 {
 			return nil, fmt.Errorf("%w: layer %d has no feasible sub-solution", ErrNoEmbedding, spec.Index)
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i].cum < next[j].cum })
+		slices.SortFunc(next, bySubCost)
 		if e.opts.DedupByEndNode > 0 {
-			// Group cost-ordered candidates by end node, keep the cheapest
-			// DedupByEndNode of each group — in delay-bounded mode the
-			// group's fastest member always survives (same rationale as
-			// truncateWithDelayDiversity).
-			groups := make(map[graph.NodeID][]*subSolution)
-			var order []graph.NodeID
-			for _, ss := range next {
-				end := ss.endNode(p.Src)
-				if _, seen := groups[end]; !seen {
-					order = append(order, end)
-				}
-				groups[end] = append(groups[end], ss)
-			}
-			keep := make(map[*subSolution]bool)
-			for _, end := range order {
-				group := groups[end]
-				limit := e.opts.DedupByEndNode
-				if len(group) <= limit {
-					limit = len(group)
-				}
-				for _, ss := range group[:limit] {
-					keep[ss] = true
-				}
-				if e.opts.MaxDelay > 0 {
-					fastest := group[0]
-					for _, ss := range group[1:] {
-						if ss.cumDelay < fastest.cumDelay {
-							fastest = ss
-						}
-					}
-					if !keep[fastest] {
-						delete(keep, group[limit-1])
-						keep[fastest] = true
-					}
-				}
-			}
-			kept := next[:0]
-			for _, ss := range next {
-				if keep[ss] {
-					kept = append(kept, ss)
-				}
-			}
-			next = kept
+			next = e.dedupByEndNode(next, m)
 		}
 		if e.opts.MaxSubSolutionsPerLayer > 0 && len(next) > e.opts.MaxSubSolutionsPerLayer {
 			next = e.truncateWithDelayDiversity(next, e.opts.MaxSubSolutionsPerLayer)
@@ -561,16 +546,9 @@ func (e *embedder) run() (*Result, error) {
 
 	// Close every leaf to the destination with a min-cost path and keep
 	// the cheapest feasible complete solution (lines 9–11 of Algorithm 1).
-	tailFor := func(v graph.NodeID) (graph.Path, bool) { return e.minCostPathCached(v, p.Dst) }
-
-	type leafCand struct {
-		ss    *subSolution
-		tail  graph.Path
-		total float64
-	}
-	var cands []leafCand
+	cands := m.leaves[:0]
 	for _, leaf := range frontier {
-		tail, ok := tailFor(leaf.endNode(p.Src))
+		tail, ok := e.minCostPath(m, leaf.endNode(p.Src), p.Dst)
 		if !ok {
 			continue
 		}
@@ -586,8 +564,11 @@ func (e *embedder) run() (*Result, error) {
 		}
 		cands = append(cands, leafCand{ss: leaf, tail: tail, total: leaf.cum + tail.Cost(p.Net.G)*p.Size})
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].total < cands[j].total })
+	m.leaves = cands
+	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(a.total, b.total) })
 	for _, cand := range cands {
+		// Each attempt is its own heap copy of the chain: a Solution never
+		// aliases the arenas the candidates live in.
 		sol := assemble(cand.ss, p.SFC.Omega(), cand.tail)
 		if err := Validate(p, sol); err != nil {
 			continue
@@ -602,15 +583,56 @@ func (e *embedder) run() (*Result, error) {
 	return nil, fmt.Errorf("%w: no leaf reaches the destination feasibly", ErrNoEmbedding)
 }
 
+// dedupByEndNode groups the cost-ordered candidates by end node and keeps
+// the cheapest DedupByEndNode of each group; in delay-bounded mode the
+// group's fastest member always survives, displacing the costliest kept
+// one (same rationale as truncateWithDelayDiversity). Survivors keep their
+// cost order; next is filtered in place. Groups are tallied in dense
+// per-node windows of m.
+func (e *embedder) dedupByEndNode(next []*subSolution, m *searchMem) []*subSolution {
+	src, n := e.p.Src, e.p.Net.G.NumNodes()
+	delayBounded := e.opts.MaxDelay > 0
+	size := m.idx.alloc(n)
+	var fastest []*subSolution // per group: first member with the least delay
+	var fastestRank []int32    // and its position within the group
+	if delayBounded {
+		fastest, fastestRank = m.subPtrs.alloc(n), m.idx.alloc(n)
+	}
+	for _, ss := range next {
+		end := ss.endNode(src)
+		if delayBounded && (size[end] == 0 || ss.cumDelay < fastest[end].cumDelay) {
+			fastest[end], fastestRank[end] = ss, size[end]
+		}
+		size[end]++
+	}
+	rank := m.idx.alloc(n)
+	kept := next[:0]
+	for _, ss := range next {
+		end := ss.endNode(src)
+		r := rank[end]
+		rank[end]++
+		limit := min(int32(e.opts.DedupByEndNode), size[end])
+		keep := r < limit
+		if delayBounded && fastestRank[end] >= limit {
+			keep = r < limit-1 || r == fastestRank[end]
+		}
+		if keep {
+			kept = append(kept, ss)
+		}
+	}
+	return kept
+}
+
 // screenParent filters one parent's candidate extensions against the
 // delay bound and residual capacities, producing its cost-sorted (and
 // Xd-truncated) children. It only reads shared state — the extension
 // cache is complete for this layer and the ledger is read-only during a
-// run — so parents screen in parallel.
-func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen) {
+// run — so parents screen in parallel, each carving its children from the
+// arena m of the worker slot it runs on.
+func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen, m *searchMem) {
 	p := e.p
 	exts := e.extCache[extKey{layer: spec.Index, start: parent.endNode(p.Src)}]
-	var children []*subSolution
+	children := m.subPtrs.reserve(len(exts))
 	for _, ext := range exts {
 		out.considered++
 		if e.opts.MaxDelay > 0 && parent.cumDelay+ext.delay > e.opts.MaxDelay {
@@ -621,15 +643,18 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 			out.capRejected++
 			continue
 		}
-		children = append(children, &subSolution{
+		child := m.subs.one()
+		*child = subSolution{
 			parent:   parent,
 			ext:      ext,
 			layer:    spec.Index,
 			cum:      parent.cum + ext.localCost,
 			cumDelay: parent.cumDelay + ext.delay,
-		})
+		}
+		children = append(children, child)
 	}
-	sort.Slice(children, func(i, j int) bool { return children[i].cum < children[j].cum })
+	children = m.subPtrs.commit(children)
+	slices.SortFunc(children, bySubCost)
 	if e.opts.Xd > 0 && len(children) > e.opts.Xd {
 		children = e.truncateWithDelayDiversity(children, e.opts.Xd)
 	}
@@ -644,8 +669,9 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extens
 	sc := e.scratch[0]
 	b := &startBuild{start: start, sink: buildSink{record: e.opts.Observer != nil}}
 	e.runForward(b, spec, spec.Required(e.p.Net.Catalog), sc)
-	for _, pb := range b.pairs {
-		pb.exts = e.pairExtensions(&pb.sink, spec, b.start, b.fst, pb.merger, sc)
+	for i := range b.pairs {
+		pb := &b.pairs[i]
+		pb.exts = e.pairExtensions(pb, spec, sc)
 	}
 	return e.finishStart(spec, b)
 }
@@ -669,7 +695,7 @@ func (e *embedder) runForward(b *startBuild, spec LayerSpec, required []network.
 	}
 	b.fst = fst
 	if !spec.Merger {
-		b.exts = e.singleVNFExtensions(&b.sink, spec, b.start, fst, sc.Scratch)
+		b.exts = e.singleVNFExtensions(&b.sink, spec, b.start, fst, sc)
 		return
 	}
 	mergerID := p.Net.Catalog.Merger()
@@ -677,9 +703,10 @@ func (e *embedder) runForward(b *startBuild, spec LayerSpec, required []network.
 	if e.opts.MaxMergerCandidates > 0 && len(mergers) > e.opts.MaxMergerCandidates {
 		mergers = mergers[:e.opts.MaxMergerCandidates]
 	}
-	b.pairs = make([]*pairBuild, len(mergers))
+	b.inFST = fst.Contains
+	b.pairs = make([]pairBuild, len(mergers))
 	for i, m := range mergers {
-		b.pairs[i] = &pairBuild{owner: b, merger: m, sink: buildSink{record: b.sink.record}}
+		b.pairs[i] = pairBuild{owner: b, merger: m, sink: buildSink{record: b.sink.record}}
 	}
 }
 
@@ -689,15 +716,18 @@ func (e *embedder) runForward(b *startBuild, spec LayerSpec, required []network.
 // order), trim the concatenated candidates, and report the totals.
 func (e *embedder) finishStart(spec LayerSpec, b *startBuild) []*extension {
 	e.mergeSink(&b.sink)
-	exts := b.exts
-	for _, pb := range b.pairs {
-		e.mergeSink(&pb.sink)
-		exts = append(exts, pb.exts...)
+	generated := len(b.exts)
+	for i := range b.pairs {
+		e.mergeSink(&b.pairs[i].sink)
+		generated += len(b.pairs[i].exts)
 	}
 	if b.uncovered {
 		return nil
 	}
-	generated := len(exts)
+	exts := append(e.scratch[0].mem.extPtrs.alloc(generated)[:0], b.exts...)
+	for i := range b.pairs {
+		exts = append(exts, b.pairs[i].exts...)
+	}
 	exts = e.trimExtensions(exts)
 	e.observeExtensions(spec.Index, b.start, generated, len(exts))
 	return exts
@@ -771,7 +801,7 @@ func (e *embedder) annotateDelay(spec LayerSpec, ext *extension) {
 // and like there, the survivor is inserted on a copy at its cost-ordered
 // position, never spliced into the caller's backing array).
 func (e *embedder) trimExtensions(exts []*extension) []*extension {
-	sort.Slice(exts, func(i, j int) bool { return exts[i].localCost < exts[j].localCost })
+	slices.SortFunc(exts, func(a, b *extension) int { return cmp.Compare(a.localCost, b.localCost) })
 	max := e.opts.MaxExtensionsPerStart
 	if max <= 0 || len(exts) <= max {
 		return exts
@@ -796,14 +826,15 @@ func (e *embedder) trimExtensions(exts []*extension) []*extension {
 
 // singleVNFExtensions handles layers with a single VNF: no merger, no
 // backward search; the layer's end node is the VNF's node.
-func (e *embedder) singleVNFExtensions(sink *buildSink, spec LayerSpec, start graph.NodeID, fst *SearchTree, sc *graph.Scratch) []*extension {
-	p := e.p
+func (e *embedder) singleVNFExtensions(sink *buildSink, spec LayerSpec, start graph.NodeID, fst *SearchTree, sc *pooledScratch) []*extension {
+	m := sc.mem
 	f := spec.VNFs[0]
-	var exts []*extension
+	exts := m.extBuf[:0]
 	for _, tn := range fst.NodesWith(f) {
 		for _, inter := range e.interPaths(fst, tn, start, sc) {
-			ext := buildExtension(p, spec, []graph.NodeID{tn.Node}, tn.Node,
-				[]graph.Path{inter}, nil)
+			nodes, paths := m.nodeIDs.alloc(1), m.paths.alloc(1)
+			nodes[0], paths[0] = tn.Node, inter
+			ext := buildExtension(m, e.p, spec, nodes, tn.Node, paths, nil)
 			if ext != nil {
 				e.annotateDelay(spec, ext)
 				exts = append(exts, ext)
@@ -811,23 +842,35 @@ func (e *embedder) singleVNFExtensions(sink *buildSink, spec LayerSpec, start gr
 			}
 		}
 	}
-	return exts
+	return m.keepExtensions(exts)
+}
+
+// keepExtensions carves an exact-size copy of a finished build's candidate
+// list, handing the growable buffer it was collected in back for reuse.
+func (m *searchMem) keepExtensions(buf []*extension) []*extension {
+	out := m.extPtrs.alloc(len(buf))
+	copy(out, buf)
+	m.extBuf = buf[:0]
+	return out
 }
 
 // pairExtensions generates the candidate sub-solutions of one FST–BST pair
 // (§4.4.1): enumerate parallel-VNF allocations over the BST's nodes, then
 // instantiate inner-layer paths from the BST and inter-layer paths from
 // the FST. Stats and observer events go to the pair's private sink, so
-// pairs of one layer enumerate in parallel.
-func (e *embedder) pairExtensions(sink *buildSink, spec LayerSpec, start graph.NodeID, fst *SearchTree, mergerTN *TreeNode, sc *pooledScratch) []*extension {
+// pairs of one layer enumerate in parallel; the candidates are carved from
+// the arena of the slot sc the pair runs on.
+func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScratch) []*extension {
 	p := e.p
+	m := sc.mem
+	sink, start, fst, mergerTN := &pb.sink, pb.owner.start, pb.owner.fst, pb.merger
 	sink.searchStart(spec.Index, mergerTN.Node, false)
 	bst := runSearch(p, mergerTN.Node, searchConfig{
 		required: spec.VNFs,
-		within:   fst.Contains,
+		within:   pb.owner.inFST,
 		ledger:   e.ledger,
 		view:     e.searchView,
-		mem:      sc.mem,
+		mem:      m,
 	})
 	sink.stats.BackwardSearches++
 	sink.stats.TreeNodes += bst.Size()
@@ -839,122 +882,121 @@ func (e *embedder) pairExtensions(sink *buildSink, spec LayerSpec, start graph.N
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
 	// link-price estimate toward the merger.
 	avgLink := p.Net.AvgLinkPrice()
-	hosts := make([][]*TreeNode, len(spec.VNFs))
+	k := len(spec.VNFs)
+	m.hosts = sized(m.hosts, k)
+	hosts := m.hosts
 	for i, f := range spec.VNFs {
 		hs := bst.NodesWith(f)
 		if len(hs) == 0 {
 			return nil
 		}
-		f := f
-		sort.SliceStable(hs, func(a, b int) bool {
-			ia, _ := p.Net.Instance(hs[a].Node, f)
-			ib, _ := p.Net.Instance(hs[b].Node, f)
-			ka := ia.Price + float64(hs[a].Iteration-1)*avgLink
-			kb := ib.Price + float64(hs[b].Iteration-1)*avgLink
-			return ka < kb
+		slices.SortStableFunc(hs, func(a, b *TreeNode) int {
+			ia, _ := p.Net.Instance(a.Node, f)
+			ib, _ := p.Net.Instance(b.Node, f)
+			ka := ia.Price + float64(a.Iteration-1)*avgLink
+			kb := ib.Price + float64(b.Iteration-1)*avgLink
+			return cmp.Compare(ka, kb)
 		})
 		hosts[i] = hs
 	}
 
-	var exts []*extension
-	count := 0
-	assignment := make([]*TreeNode, len(spec.VNFs))
-	var enumerate func(i int)
-	enumerate = func(i int) {
-		if e.opts.MaxAssignmentsPerPair > 0 && count >= e.opts.MaxAssignmentsPerPair {
-			return
+	// Walk the allocations as an odometer over the host lists, the last
+	// VNF's host turning fastest — the order a depth-first enumeration
+	// visits them in.
+	m.assignment = sized(m.assignment, k)
+	m.hostIdx = sized(m.hostIdx, k)
+	assignment, idx := m.assignment, m.hostIdx
+	clear(idx)
+	exts := m.extBuf[:0]
+	for count := 0; e.opts.MaxAssignmentsPerPair <= 0 || count < e.opts.MaxAssignmentsPerPair; count++ {
+		for i := range assignment {
+			assignment[i] = hosts[i][idx[i]]
 		}
-		if i == len(spec.VNFs) {
-			count++
-			exts = append(exts, e.instantiate(sink, spec, start, fst, bst, mergerTN, assignment, sc.Scratch)...)
-			return
-		}
-		for _, h := range hosts[i] {
-			assignment[i] = h
-			enumerate(i + 1)
-			if e.opts.MaxAssignmentsPerPair > 0 && count >= e.opts.MaxAssignmentsPerPair {
-				return
+		exts = e.instantiate(exts, sink, spec, start, fst, bst, mergerTN, assignment, sc)
+		i := k - 1
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(hosts[i]) {
+				break
 			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			break
 		}
 	}
-	enumerate(0)
-	return exts
+	return m.keepExtensions(exts)
 }
 
-// instantiate creates the extension(s) for one concrete VNF allocation:
-// the base variant uses the first discovered real-path per meta-path (or
-// the min-cost path under MiniPath); in BBE mode, alternative real-paths
-// are explored one meta-path at a time to bound the cross-product the
-// paper's step (ii)/(iii) would otherwise generate.
-func (e *embedder) instantiate(sink *buildSink, spec LayerSpec, start graph.NodeID, fst, bst *SearchTree,
-	mergerTN *TreeNode, assignment []*TreeNode, sc *graph.Scratch) []*extension {
+// instantiate appends to exts the extension(s) for one concrete VNF
+// allocation: the base variant uses the first discovered real-path per
+// meta-path (or the min-cost path under MiniPath); in BBE mode, alternative
+// real-paths are explored one meta-path at a time to bound the
+// cross-product the paper's step (ii)/(iii) would otherwise generate.
+func (e *embedder) instantiate(exts []*extension, sink *buildSink, spec LayerSpec, start graph.NodeID, fst, bst *SearchTree,
+	mergerTN *TreeNode, assignment []*TreeNode, sc *pooledScratch) []*extension {
 
-	p := e.p
-	nodes := make([]graph.NodeID, len(assignment))
+	m := sc.mem
+	k := len(assignment)
+	nodes := m.nodeIDs.alloc(k)
 	for i, tn := range assignment {
 		nodes[i] = tn.Node
 	}
 
 	// Collect path choices per meta-path.
-	interChoices := make([][]graph.Path, len(assignment))
+	m.interChoices = sized(m.interChoices, k)
+	m.innerChoices = sized(m.innerChoices, k)
+	interChoices, innerChoices := m.interChoices, m.innerChoices
 	var steinerPaths []graph.Path
-	if e.opts.MulticastSteiner && len(assignment) > 1 {
+	if e.opts.MulticastSteiner && k > 1 {
 		steinerPaths = e.steinerInterPaths(start, nodes)
 	}
-	innerChoices := make([][]graph.Path, len(assignment))
 	for i, tn := range assignment {
 		fstTN := fst.NodeOf(tn.Node)
 		if fstTN == nil {
-			return nil // BST ⊆ FST by construction; defensive
+			return exts // BST ⊆ FST by construction; defensive
 		}
 		if steinerPaths != nil {
-			interChoices[i] = []graph.Path{steinerPaths[i]}
+			interChoices[i] = steinerPaths[i : i+1]
 		} else {
 			interChoices[i] = e.interPaths(fst, fstTN, start, sc)
 		}
 		innerChoices[i] = e.innerPaths(bst, tn, mergerTN.Node, sc)
 		if len(interChoices[i]) == 0 || len(innerChoices[i]) == 0 {
-			return nil
+			return exts
 		}
 	}
 
-	build := func(interIdx, innerIdx []int) *extension {
-		inter := make([]graph.Path, len(assignment))
-		inner := make([]graph.Path, len(assignment))
+	// build assembles the variant that takes choice v for inter-layer
+	// meta-path interAlt or inner-layer meta-path innerAlt (-1: none) and
+	// the first choice everywhere else.
+	build := func(interAlt, innerAlt, v int) {
+		inter, inner := m.paths.alloc(k), m.paths.alloc(k)
 		for i := range assignment {
-			inter[i] = interChoices[i][interIdx[i]]
-			inner[i] = innerChoices[i][innerIdx[i]]
+			inter[i], inner[i] = interChoices[i][0], innerChoices[i][0]
 		}
-		ext := buildExtension(p, spec, nodes, mergerTN.Node, inter, inner)
-		e.annotateDelay(spec, ext)
-		return ext
+		if interAlt >= 0 {
+			inter[interAlt] = interChoices[interAlt][v]
+		}
+		if innerAlt >= 0 {
+			inner[innerAlt] = innerChoices[innerAlt][v]
+		}
+		if ext := buildExtension(m, e.p, spec, nodes, mergerTN.Node, inter, inner); ext != nil {
+			e.annotateDelay(spec, ext)
+			exts = append(exts, ext)
+			sink.stats.Extensions++
+		}
 	}
 
-	base := make([]int, len(assignment))
-	var exts []*extension
-	if ext := build(base, base); ext != nil {
-		exts = append(exts, ext)
-		sink.stats.Extensions++
-	}
+	build(-1, -1, 0)
 	// One-at-a-time alternative path variants: BBE's tree-path choices,
 	// or the hop-minimal variants added in delay-bounded mode.
 	if !e.opts.MiniPath || e.opts.MaxDelay > 0 {
 		for i := range assignment {
 			for v := 1; v < len(interChoices[i]); v++ {
-				idx := append([]int(nil), base...)
-				idx[i] = v
-				if ext := build(idx, base); ext != nil {
-					exts = append(exts, ext)
-					sink.stats.Extensions++
-				}
+				build(i, -1, v)
 			}
 			for v := 1; v < len(innerChoices[i]); v++ {
-				idx := append([]int(nil), base...)
-				idx[i] = v
-				if ext := build(base, idx); ext != nil {
-					exts = append(exts, ext)
-					sink.stats.Extensions++
-				}
+				build(-1, i, v)
 			}
 		}
 	}
@@ -977,35 +1019,30 @@ func (e *embedder) steinerInterPaths(start graph.NodeID, targets []graph.NodeID)
 	return paths
 }
 
-// withHopVariant appends the fewest-hops path a→b to the choices in
-// delay-bounded mode, when it is strictly shorter than everything already
-// there: the min-cost path minimizes price, the hop variant minimizes
-// propagation delay, and the candidate generation explores both.
-func (e *embedder) withHopVariant(a, b graph.NodeID, choices []graph.Path, sc *graph.Scratch) []graph.Path {
-	if e.opts.MaxDelay <= 0 {
-		return choices
-	}
-	hop, ok := e.pathView.MinHopPathWith(sc, a, b)
-	if !ok {
-		return choices
-	}
-	for _, existing := range choices {
-		if existing.Len() <= hop.Len() {
-			return choices // cost path already as short
+// withHopVariant returns the path choices for the meta-path a→b given its
+// min-cost path: in delay-bounded mode the fewest-hops path joins them when
+// it is strictly shorter — the min-cost path minimizes price, the hop
+// variant minimizes propagation delay, and the candidate generation
+// explores both.
+func (e *embedder) withHopVariant(a, b graph.NodeID, path graph.Path, sc *pooledScratch) []graph.Path {
+	choices := append(sc.mem.paths.reserve(2), path)
+	if e.opts.MaxDelay > 0 {
+		if hop, ok := e.pathView.MinHopPathWith(sc.Scratch, a, b); ok && hop.Len() < path.Len() {
+			choices = append(choices, hop)
 		}
 	}
-	return append(choices, hop)
+	return sc.mem.paths.commit(choices)
 }
 
 // interPaths returns the inter-layer real-path choices from start to the
 // FST node tn, in start→node direction.
-func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID, sc *graph.Scratch) []graph.Path {
+func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID, sc *pooledScratch) []graph.Path {
 	if e.opts.MiniPath {
-		path, ok := e.minCostPathCached(start, tn.Node)
+		path, ok := e.minCostPath(sc.mem, start, tn.Node)
 		if !ok {
 			return nil
 		}
-		return e.withHopVariant(start, tn.Node, []graph.Path{path}, sc)
+		return e.withHopVariant(start, tn.Node, path, sc)
 	}
 	raw := fst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
 	out := make([]graph.Path, len(raw))
@@ -1017,16 +1054,15 @@ func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID,
 
 // innerPaths returns the inner-layer real-path choices from the BST node
 // tn to the merger node, in node→merger direction.
-func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.NodeID, sc *graph.Scratch) []graph.Path {
+func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.NodeID, sc *pooledScratch) []graph.Path {
 	if e.opts.MiniPath {
 		// One tree rooted at the merger serves every inner path of the
-		// pair; PathFrom walks the parent chain in node→merger direction
-		// directly — bit-identical to PathTo + Reverse without the copy.
-		path, ok := e.minCostPathFromCached(mergerNode, tn.Node)
+		// pair, walked in node→merger direction.
+		path, ok := e.minCostPathFrom(sc.mem, mergerNode, tn.Node)
 		if !ok {
 			return nil
 		}
-		return e.withHopVariant(tn.Node, mergerNode, []graph.Path{path}, sc)
+		return e.withHopVariant(tn.Node, mergerNode, path, sc)
 	}
 	return bst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
 }

@@ -70,14 +70,17 @@ func (e *embedder) mergeSink(s *buildSink) {
 // build. Phase A (runForward) fills fst/uncovered/exts/pairs; phase B
 // fills each pair's slot; finishStart merges everything in order.
 type startBuild struct {
-	start     graph.NodeID
-	sink      buildSink
-	fst       *SearchTree
+	start graph.NodeID
+	sink  buildSink
+	fst   *SearchTree
+	// inFST is fst.Contains, bound once for all of the start's backward
+	// searches rather than once per pair.
+	inFST     func(graph.NodeID) bool
 	uncovered bool
 	// exts holds the single-VNF candidates (non-merger layers); merger
 	// layers collect theirs per pair instead.
 	exts  []*extension
-	pairs []*pairBuild
+	pairs []pairBuild
 }
 
 // pairBuild is the owned slot for one FST–BST pair enumeration.
@@ -155,16 +158,22 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution)
 		}
 		e.runForward(builds[i], spec, required, e.scratch[slot])
 	})
-	var pairs []*pairBuild
+	npairs := 0
 	for _, b := range builds {
-		pairs = append(pairs, b.pairs...)
+		npairs += len(b.pairs)
+	}
+	pairs := make([]*pairBuild, 0, npairs)
+	for _, b := range builds {
+		for i := range b.pairs {
+			pairs = append(pairs, &b.pairs[i])
+		}
 	}
 	e.forEach(len(pairs), func(slot, i int) {
 		if e.ctx.Err() != nil {
 			return
 		}
 		pb := pairs[i]
-		pb.exts = e.pairExtensions(&pb.sink, spec, pb.owner.start, pb.owner.fst, pb.merger, e.scratch[slot])
+		pb.exts = e.pairExtensions(pb, spec, e.scratch[slot])
 	})
 	for _, b := range builds {
 		e.extCache[extKey{layer: spec.Index, start: b.start}] = e.finishStart(spec, b)

@@ -7,18 +7,25 @@ import (
 	"dagsfc/internal/telemetry"
 )
 
-// pooledScratch wraps a graph.Scratch with the slot's search-tree arena
-// and a reuse marker so the dagsfc_embed_scratch_reuse_total counter can
+// pooledScratch wraps a graph.Scratch with the slot's search arena and a
+// reuse marker so the dagsfc_embed_scratch_reuse_total counter can
 // distinguish warm checkouts from fresh allocations (sync.Pool itself does
 // not expose that).
 type pooledScratch struct {
 	*graph.Scratch
-	// mem is the slot's search-tree arena: runSearch carves every
-	// tree-retained allocation from it, and releaseScratchSlots resets it
-	// once the run's Result (which aliases none of that memory) is built.
+	// mem is the slot's arena: the run carves its search trees and its
+	// candidates from it, and releaseScratchSlots resets it once the run's
+	// Result (a heap copy that aliases none of that memory) is built.
 	mem  *searchMem
 	used bool
 }
+
+// searchMemRetainBytes caps the slab memory a slot may keep while pooled.
+// A paper-scale MBBE run grows its arena to under 1 MB and BBE to a few;
+// an arena past the cap was grown by a one-off huge search and is dropped
+// rather than pooled — the analogue of graph.PutScratch dropping oversized
+// scratches — so it cannot stay pinned behind later small runs.
+const searchMemRetainBytes = 8 << 20
 
 var embedScratchPool = sync.Pool{
 	New: func() any { return &pooledScratch{Scratch: graph.NewScratch(), mem: &searchMem{}} },
@@ -46,14 +53,20 @@ func acquireScratchSlots(n int) []*pooledScratch {
 }
 
 // releaseScratchSlots returns every slot to the pool, resetting each
-// slot's search-tree arena first. The caller must not touch the slots, any
-// scratch-aliasing search result, or any SearchTree built during the run
-// afterwards — the arena memory behind the trees is recycled here. Safe
-// only after every worker has joined and the Result has been assembled
-// (Results never alias tree memory).
+// slot's arena first (or dropping it, past searchMemRetainBytes). The
+// caller must not touch the slots, any scratch-aliasing search result, or
+// any search tree, extension or sub-solution built during the run
+// afterwards — the memory behind them is recycled here. Safe only after
+// every worker has joined and the Result has been assembled: candidates
+// carved on one slot are read from the others until then, which is why all
+// slots are reset together, here and nowhere else.
 func releaseScratchSlots(slots []*pooledScratch) {
 	for _, ps := range slots {
-		ps.mem.reset()
+		if ps.mem.bytes() > searchMemRetainBytes {
+			ps.mem = &searchMem{}
+		} else {
+			ps.mem.reset()
+		}
 		embedScratchPool.Put(ps)
 	}
 }

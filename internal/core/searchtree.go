@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 )
@@ -62,6 +64,9 @@ type SearchTree struct {
 	levelOff []int32
 	// covered reports whether the search found every required category.
 	covered bool
+	// mem is the arena the tree was carved from; NodesWith carves its
+	// result there too.
+	mem *searchMem
 }
 
 // Contains reports whether the tree discovered network node v.
@@ -107,18 +112,16 @@ func (t *SearchTree) Nodes(fn func(*TreeNode)) {
 }
 
 // NodesWith returns the tree nodes whose available set includes category f,
-// in discovery order (nearest first).
+// in discovery order (nearest first). The result is carved from the tree's
+// arena, so only the goroutine that owns that arena's slot may call it.
 func (t *SearchTree) NodesWith(f network.VNFID) []*TreeNode {
-	var out []*TreeNode
+	out := t.mem.ptrs.reserve(len(t.nodes))
 	for _, tn := range t.nodes {
-		for _, a := range tn.Available {
-			if a == f {
-				out = append(out, tn)
-				break
-			}
+		if slices.Contains(tn.Available, f) {
+			out = append(out, tn)
 		}
 	}
-	return out
+	return t.mem.ptrs.commit(out)
 }
 
 // PathToRoot returns one real-path from tn's network node back to the
@@ -188,40 +191,10 @@ type searchConfig struct {
 	// the ledger path (view compilation replays the residual float math
 	// exactly).
 	view *graph.CostView
-	// mem, when non-nil, supplies all tree-retained allocations from a
-	// reusable per-slot arena (see searchMem). Nil allocates plainly —
-	// the path tests and direct runSearch callers use.
+	// mem supplies every allocation the tree retains and the search's own
+	// working buffers (see searchMem): the embedder passes its worker
+	// slot's arena, direct callers a private &searchMem{}. Required.
 	mem *searchMem
-}
-
-// treeNodeArena hands out TreeNodes from fixed-size blocks: pointers stay
-// stable for the life of the tree while the allocation count drops from one
-// per node to one per block. Trees (and their nodes) are retained by the
-// sub-solution chain, so the arena is per-tree, not pooled.
-type treeNodeArena struct {
-	block []TreeNode
-}
-
-const treeNodeBlock = 64
-
-func (a *treeNodeArena) alloc() *TreeNode {
-	if len(a.block) == 0 {
-		a.block = make([]TreeNode, treeNodeBlock)
-	}
-	tn := &a.block[0]
-	a.block = a.block[1:]
-	return tn
-}
-
-// allocNode allocates one tree node from the slot's reusable slab when mem
-// is set, else from a's heap blocks. The slab path hands out single-node
-// windows (the slab is itself chunked, so pointers stay stable); both
-// paths inline, which matters — this runs once per discovered node.
-func allocNode(a *treeNodeArena, mem *searchMem) *TreeNode {
-	if mem != nil {
-		return &mem.nodes.alloc(1)[0]
-	}
-	return a.alloc()
 }
 
 // runSearch performs the paper's iterative breadth-first search from start
@@ -239,23 +212,21 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	arcs, off := g.CSR()
 
 	// The deduplicated, sorted coverage goal plus a parallel found mask;
-	// the sort makes every Available set come out sorted for free.
-	needed := append([]network.VNFID(nil), cfg.required...)
+	// the sort makes every Available set come out sorted for free. mem is
+	// hoisted to a local so the closures below don't capture (and
+	// heap-move) all of cfg.
+	mem := cfg.mem
+	needed := mem.vnfs.alloc(len(cfg.required))
+	copy(needed, cfg.required)
 	sortVNFs(needed)
 	needed = dedupSortedVNFs(needed)
-	found := make([]bool, len(needed))
+	found := mem.idx.alloc(len(needed))
 	missing := len(needed)
 
 	// available computes a node's serviceable categories into a hoisted
-	// buffer, then copies the exact-size result out of a chunked arena — no
-	// per-node over-capacity slice. With mem set, the chunks come from the
-	// slot's reusable slabs instead of the heap. mem is hoisted to a local
-	// so the closures below don't capture (and heap-move) all of cfg.
-	mem := cfg.mem
-	var a treeNodeArena
-	buf := make([]network.VNFID, 0, len(needed))
-	var vnfArena []network.VNFID
-	var linkArena []TreeLink
+	// buffer, then carves the exact-size result — no per-node
+	// over-capacity slice.
+	buf := mem.vnfs.alloc(len(needed))[:0]
 	available := func(v graph.NodeID) []network.VNFID {
 		buf = buf[:0]
 		for _, f := range needed {
@@ -263,42 +234,28 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 				buf = append(buf, f)
 			}
 		}
-		if len(buf) == 0 {
-			return nil
-		}
-		if mem != nil {
-			out := mem.vnfs.alloc(len(buf))
-			copy(out, buf)
-			return out
-		}
-		if len(vnfArena)+len(buf) > cap(vnfArena) {
-			vnfArena = make([]network.VNFID, 0, 16*cap(buf))
-		}
-		lo := len(vnfArena)
-		vnfArena = append(vnfArena, buf...)
-		return vnfArena[lo:len(vnfArena):len(vnfArena)]
+		out := mem.vnfs.alloc(len(buf))
+		copy(out, buf)
+		return out
 	}
-	// prevLink carves one-element Prev slices out of a chunk; the capacity
-	// cap makes a later append (extra adjacency) reallocate instead of
-	// clobbering a neighbor's entry.
-	prevLink := func(link TreeLink) []TreeLink {
-		if mem != nil {
-			out := mem.links.alloc(1)
-			out[0] = link
-			return out
+	// link appends one adjacency to a Prev or Next list. A tree node gains
+	// at most one entry per incident arc in either list, so the first
+	// append past a full window (a fresh Next list, or a Prev list leaving
+	// its one-element birth window) moves it to a window of the node's
+	// degree and no later append can outgrow that.
+	link := func(list []TreeLink, owner graph.NodeID, l TreeLink) []TreeLink {
+		if len(list) == cap(list) {
+			grown := mem.links.alloc(int(off[owner+1] - off[owner]))[:len(list)]
+			copy(grown, list)
+			list = grown
 		}
-		if len(linkArena) == cap(linkArena) {
-			linkArena = make([]TreeLink, 0, 64)
-		}
-		lo := len(linkArena)
-		linkArena = append(linkArena, link)
-		return linkArena[lo : lo+1 : lo+1]
+		return append(list, l)
 	}
 	markFound := func(avail []network.VNFID) {
 		for _, f := range avail {
 			for i, need := range needed {
-				if need == f && !found[i] {
-					found[i] = true
+				if need == f && found[i] == 0 {
+					found[i] = 1
 					missing--
 				}
 			}
@@ -309,26 +266,24 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	if cfg.maxNodes > 0 && cfg.maxNodes < capHint {
 		capHint = cfg.maxNodes
 	}
-	t := &SearchTree{}
-	if mem != nil {
-		// Both windows are safe as slab carve-outs: nodes never outgrows
-		// capHint (the idx dedup bounds appends by NumNodes and the budget
-		// check by maxNodes, whichever made capHint), and idx arrives
-		// zeroed by the slab invariant.
-		t.nodes = mem.ptrs.alloc(capHint)[:0]
-		t.idx = mem.idx.alloc(g.NumNodes())
-	} else {
-		t.nodes = make([]*TreeNode, 0, capHint)
-		t.idx = make([]int32, g.NumNodes())
-	}
-	root := allocNode(&a, mem)
+	// All three windows are safe as slab carve-outs: nodes never outgrows
+	// capHint (the idx dedup bounds appends by NumNodes and the budget check
+	// by maxNodes, whichever made capHint), every level holds at least one
+	// node bar the one provisionally open, and idx arrives zeroed by the
+	// slab invariant.
+	t := mem.trees.one()
+	t.mem = mem
+	t.nodes = mem.ptrs.alloc(capHint)[:0]
+	t.idx = mem.idx.alloc(g.NumNodes())
+	t.levelOff = mem.idx.alloc(capHint + 1)[:0]
+	root := mem.nodes.one()
 	root.Node = start
 	root.Available = available(start)
 	root.Iteration = 1
 	t.Root = root
 	t.nodes = append(t.nodes, root)
 	t.idx[start] = 1
-	t.levelOff = []int32{0}
+	t.levelOff = append(t.levelOff, 0)
 	markFound(root.Available)
 	if missing == 0 {
 		t.covered = true
@@ -339,9 +294,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 		cur := len(t.levelOff)
 		frontier := t.Level(cur)
 		// Open the next level: freezes the frontier's upper bound so the
-		// appends below cannot leak children into it. The frontier slice
-		// itself stays valid across reallocation of t.nodes — it aliases
-		// the old backing, and entries are never rewritten.
+		// appends below cannot leak children into it.
 		levelStart := len(t.nodes)
 		t.levelOff = append(t.levelOff, int32(levelStart))
 		for _, tn := range frontier {
@@ -363,8 +316,8 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 					// re-discover.
 					existing := t.nodes[i-1]
 					if existing.Iteration == tn.Iteration+1 {
-						existing.Prev = append(existing.Prev, TreeLink{To: tn, Edge: arc.Edge})
-						tn.Next = append(tn.Next, TreeLink{To: existing, Edge: arc.Edge})
+						existing.Prev = link(existing.Prev, existing.Node, TreeLink{To: tn, Edge: arc.Edge})
+						tn.Next = link(tn.Next, tn.Node, TreeLink{To: existing, Edge: arc.Edge})
 					}
 					continue
 				}
@@ -378,13 +331,14 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 					t.covered = missing == 0
 					return t
 				}
-				child := allocNode(&a, mem)
+				child := mem.nodes.one()
 				child.Father = tn
 				child.Node = arc.To
 				child.Available = available(arc.To)
 				child.Iteration = tn.Iteration + 1
-				child.Prev = prevLink(TreeLink{To: tn, Edge: arc.Edge})
-				tn.Next = append(tn.Next, TreeLink{To: child, Edge: arc.Edge})
+				child.Prev = mem.links.alloc(1)
+				child.Prev[0] = TreeLink{To: tn, Edge: arc.Edge}
+				tn.Next = link(tn.Next, tn.Node, TreeLink{To: child, Edge: arc.Edge})
 				// Binary-tree shape: first child hangs left, later nodes of
 				// the same iteration chain off the previous node's right.
 				if len(t.nodes) == levelStart {

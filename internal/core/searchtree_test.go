@@ -29,7 +29,7 @@ func searchFixture() *Problem {
 
 func TestForwardSearchStopsAtCoverage(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1, 2}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	if !tree.Covered() {
 		t.Fatal("search did not cover")
 	}
@@ -46,7 +46,7 @@ func TestForwardSearchStopsAtCoverage(t *testing.T) {
 
 func TestSearchRootCoverage(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 2, searchConfig{required: []network.VNFID{1}})
+	tree := runSearch(p, 2, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if !tree.Covered() || tree.Size() != 1 {
 		t.Fatalf("root-covered search expanded: size=%d covered=%v", tree.Size(), tree.Covered())
 	}
@@ -58,6 +58,7 @@ func TestSearchGraphExhaustedUncovered(t *testing.T) {
 	// never be found.
 	allowed := map[graph.NodeID]bool{0: true, 1: true, 2: true}
 	tree := runSearch(p, 0, searchConfig{
+		mem:      &searchMem{},
 		required: []network.VNFID{2},
 		within:   func(v graph.NodeID) bool { return allowed[v] },
 	})
@@ -71,7 +72,7 @@ func TestSearchGraphExhaustedUncovered(t *testing.T) {
 
 func TestSearchXmaxBudget(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1, 2}, maxNodes: 2})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}, maxNodes: 2})
 	if tree.Covered() {
 		t.Fatal("covered despite tiny budget")
 	}
@@ -87,7 +88,7 @@ func TestSearchAvailableRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ledger = ledger
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if tree.Covered() {
 		t.Fatal("exhausted instance counted as available")
 	}
@@ -100,7 +101,7 @@ func TestSearchEdgeCapacityBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ledger = ledger
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if tree.Covered() || tree.Size() != 1 {
 		t.Fatal("search crossed a saturated link")
 	}
@@ -108,7 +109,7 @@ func TestSearchEdgeCapacityBlocks(t *testing.T) {
 
 func TestSearchTreeBinaryShape(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1, 2}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	root := tree.Root
 	if root.Node != 0 || root.Iteration != 1 {
 		t.Fatalf("root = %+v", root)
@@ -137,7 +138,7 @@ func TestSearchTreeBinaryShape(t *testing.T) {
 
 func TestSearchTreePathToRoot(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1, 2}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	tn := tree.NodeOf(4)
 	if tn == nil {
 		t.Fatal("node 4 not discovered")
@@ -166,7 +167,7 @@ func TestSearchTreePathEnumeration(t *testing.T) {
 	net.MustAddInstance(3, 1, 1, 10)
 	p := &Problem{Net: net, Src: 0, Dst: 3, Rate: 1, Size: 1}
 
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	tn := tree.NodeOf(3)
 	if tn == nil {
 		t.Fatal("node 3 not found")
@@ -196,7 +197,7 @@ func TestNodesWithOrdersByDiscovery(t *testing.T) {
 	p := searchFixture()
 	// Both f(1)@2 (2 hops) and a closer deployment f(1)@1 (1 hop).
 	p.Net.MustAddInstance(1, 1, 99, 10)
-	tree := runSearch(p, 0, searchConfig{required: []network.VNFID{1, 2}})
+	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	hosts := tree.NodesWith(1)
 	if len(hosts) != 2 || hosts[0].Node != 1 || hosts[1].Node != 2 {
 		got := []graph.NodeID{}
@@ -211,8 +212,8 @@ func TestSearchDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 40, 5, 4)
 	req := p.LayerSpecs()[0].Required(p.Net.Catalog)
-	a := runSearch(p, p.Src, searchConfig{required: req})
-	b := runSearch(p, p.Src, searchConfig{required: req})
+	a := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
+	b := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
 	if a.Size() != b.Size() || a.Iterations() != b.Iterations() {
 		t.Fatal("identical searches diverged")
 	}

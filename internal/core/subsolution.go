@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
@@ -87,12 +87,19 @@ func (ss *subSolution) chainInstanceUse(key InstanceUseKey) int {
 // (rather than read off p) so the embedder's private view is used and p
 // is never mutated.
 func feasibleAfter(p *Problem, ledger *network.Ledger, ss *subSolution, ext *extension) bool {
-	// Instances: count duplicate uses within ext itself plus the chain.
-	counted := make(map[InstanceUseKey]int, len(ext.instUse))
-	for _, key := range ext.instUse {
-		counted[key]++
-	}
-	for key, n := range counted {
+	// Instances: count duplicate uses within ext itself plus the chain. A
+	// layer uses at most width+1 instances, so finding each key's first
+	// occurrence and multiplicity by scanning beats any index.
+	for i, key := range ext.instUse {
+		if slices.Index(ext.instUse, key) < i {
+			continue // checked at its first occurrence
+		}
+		n := 1
+		for _, later := range ext.instUse[i+1:] {
+			if later == key {
+				n++
+			}
+		}
 		demand := float64(n+ss.chainInstanceUse(key)) * p.Rate
 		if ledger.InstanceResidual(key.Node, key.VNF) < demand-1e-9 {
 			return false
@@ -107,83 +114,123 @@ func feasibleAfter(p *Problem, ledger *network.Ledger, ss *subSolution, ext *ext
 	return true
 }
 
-// buildExtension assembles and prices an extension from its parts.
-// interPaths run start→VNF node; innerPaths run VNF node→merger (nil for
-// single-VNF layers).
-func buildExtension(p *Problem, spec LayerSpec, nodes []graph.NodeID, endNode graph.NodeID,
+// buildExtension assembles and prices an extension from its parts, carving
+// the extension and everything it retains from m. interPaths run start→VNF
+// node; innerPaths run VNF node→merger (nil for single-VNF layers).
+func buildExtension(m *searchMem, p *Problem, spec LayerSpec, nodes []graph.NodeID, endNode graph.NodeID,
 	interPaths, innerPaths []graph.Path) *extension {
 
-	ext := &extension{
-		endNode:    endNode,
-		nodes:      nodes,
-		interPaths: interPaths,
-		innerPaths: innerPaths,
-	}
 	g := p.Net.G
+	var localCost float64
 	// VNF rents.
+	instUse := m.instUses.reserve(len(nodes) + 1)
 	for i, node := range nodes {
 		inst, ok := p.Net.Instance(node, spec.VNFs[i])
 		if !ok {
+			m.instUses.abandon(instUse)
 			return nil
 		}
-		ext.instUse = append(ext.instUse, InstanceUseKey{node, spec.VNFs[i]})
-		ext.localCost += inst.Price * p.Size
+		instUse = append(instUse, InstanceUseKey{node, spec.VNFs[i]})
+		localCost += inst.Price * p.Size
 	}
 	if spec.Merger {
 		inst, ok := p.Net.Instance(endNode, p.Net.Catalog.Merger())
 		if !ok {
+			m.instUses.abandon(instUse)
 			return nil
 		}
-		ext.instUse = append(ext.instUse, InstanceUseKey{endNode, p.Net.Catalog.Merger()})
-		ext.localCost += inst.Price * p.Size
+		instUse = append(instUse, InstanceUseKey{endNode, p.Net.Catalog.Merger()})
+		localCost += inst.Price * p.Size
 	}
-	// Inter-layer multicast: each link at most once for this layer.
-	interUnion := make(map[graph.EdgeID]bool)
+	// Inter-layer multicast pays each link at most once for this layer;
+	// inner-layer paths pay every traversal. Sorting both edge multisets
+	// and merging them yields the per-link reuse counts already ordered by
+	// edge ID — the order the prices must be summed in, since float
+	// addition in any input-dependent order would break run-to-run
+	// reproducibility in the last ULP.
+	inter := m.interEdges[:0]
 	for _, path := range interPaths {
-		for _, e := range path.Edges {
-			interUnion[e] = true
-		}
+		inter = append(inter, path.Edges...)
 	}
-	// Inner-layer: every traversal counts.
-	innerCount := make(map[graph.EdgeID]int)
+	slices.Sort(inter)
+	inter = slices.Compact(inter)
+	inner := m.innerEdges[:0]
 	for _, path := range innerPaths {
-		for _, e := range path.Edges {
-			innerCount[e]++
+		inner = append(inner, path.Edges...)
+	}
+	slices.Sort(inner)
+	m.interEdges, m.innerEdges = inter, inner
+
+	use := m.edgeUses.reserve(len(inter) + len(inner))
+	for len(inter) > 0 || len(inner) > 0 {
+		u := edgeUse{}
+		if len(inner) == 0 || (len(inter) > 0 && inter[0] <= inner[0]) {
+			u.edge, u.count = inter[0], 1
+			inter = inter[1:]
+		} else {
+			u.edge = inner[0]
 		}
+		for len(inner) > 0 && inner[0] == u.edge {
+			u.count++
+			inner = inner[1:]
+		}
+		use = append(use, u)
 	}
-	for e := range interUnion {
-		c := 1 + innerCount[e]
-		delete(innerCount, e)
-		ext.edgeUse = append(ext.edgeUse, edgeUse{edge: e, count: c})
+	for _, u := range use {
+		localCost += g.Edge(u.edge).Price * float64(u.count) * p.Size
 	}
-	for e, c := range innerCount {
-		ext.edgeUse = append(ext.edgeUse, edgeUse{edge: e, count: c})
-	}
-	// Sort before summing: float addition in map-iteration order would
-	// break run-to-run reproducibility in the last ULP.
-	sort.Slice(ext.edgeUse, func(i, j int) bool { return ext.edgeUse[i].edge < ext.edgeUse[j].edge })
-	for _, u := range ext.edgeUse {
-		ext.localCost += g.Edge(u.edge).Price * float64(u.count) * p.Size
-	}
+
+	ext := m.exts.one()
+	ext.endNode = endNode
+	ext.nodes = nodes
+	ext.interPaths = interPaths
+	ext.innerPaths = innerPaths
+	ext.localCost = localCost
+	ext.instUse = m.instUses.commit(instUse)
+	ext.edgeUse = m.edgeUses.commit(use)
 	return ext
 }
 
 // assemble converts a layer-ω sub-solution chain plus a tail path into a
-// Solution.
+// Solution. The chain lives in the run's arenas, which are recycled as soon
+// as the run returns, so every slice the Solution keeps is copied out here:
+// nothing reachable from a Result may alias slot memory.
 func assemble(ss *subSolution, omega int, tail graph.Path) *Solution {
-	s := &Solution{Layers: make([]LayerEmbedding, omega), TailPath: tail}
+	s := &Solution{Layers: make([]LayerEmbedding, omega), TailPath: clonePath(tail)}
 	for cur := ss; cur != nil; cur = cur.parent {
 		if cur.ext == nil {
 			continue
 		}
 		ext := cur.ext
-		le := LayerEmbedding{
-			Nodes:      ext.nodes,
+		s.Layers[cur.layer-1] = LayerEmbedding{
+			Nodes:      append([]graph.NodeID(nil), ext.nodes...),
 			MergerNode: ext.endNode,
-			InterPaths: ext.interPaths,
-			InnerPaths: ext.innerPaths,
+			InterPaths: clonePaths(ext.interPaths),
+			InnerPaths: clonePaths(ext.innerPaths),
 		}
-		s.Layers[cur.layer-1] = le
 	}
 	return s
+}
+
+// clonePath copies a path's edges to the heap, keeping a nil Edges nil and
+// an empty one empty: the two encode differently (null vs []).
+func clonePath(p graph.Path) graph.Path {
+	if p.Edges == nil {
+		return p
+	}
+	edges := make([]graph.EdgeID, len(p.Edges))
+	copy(edges, p.Edges)
+	return graph.Path{From: p.From, Edges: edges}
+}
+
+// clonePaths deep-copies a path list, nil staying nil.
+func clonePaths(paths []graph.Path) []graph.Path {
+	if paths == nil {
+		return nil
+	}
+	out := make([]graph.Path, len(paths))
+	for i, p := range paths {
+		out[i] = clonePath(p)
+	}
+	return out
 }

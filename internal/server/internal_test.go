@@ -321,9 +321,11 @@ func TestRepairNotChargedForAdmissionRejections(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		<-results // outcome irrelevant: they only existed to jam the queue
 	}
+	// The flow turns active in the commit loop; the repair controller
+	// appends its log entry a moment later, so wait for both.
 	waitCond(t, func() bool {
 		got, ok := srv.Flow(info.ID)
-		return ok && got.State == FlowStateActive && got.Repairs >= 1
+		return ok && got.State == FlowStateActive && got.Repairs >= 1 && len(srv.RepairLog()) > 0
 	})
 	log := srv.RepairLog()
 	last := log[len(log)-1]

@@ -619,15 +619,18 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	// before waiting on inflight, so an Add under the read lock with
 	// draining still false happens-before that Wait.
 	s.inflight.Add(1)
+	// Stamp before the send: once the job is in the queue a worker owns it
+	// (and reads enqueuedAt), so this goroutine must not touch it again.
+	enqueued := time.Now()
+	j.enqueuedAt = enqueued
 	select {
 	case s.admit <- j:
-		j.enqueuedAt = time.Now()
 		s.drainMu.RUnlock()
 		// Persist the ID high-water mark so a recovered server never
 		// re-issues this ID, even if this request ends up rejected.
 		s.walAdmit(j.id)
 		s.journal.Append(journal.Event{
-			Time: j.enqueuedAt, Type: journal.TypeEnqueue, Flow: j.id, Alg: alg,
+			Time: enqueued, Type: journal.TypeEnqueue, Flow: j.id, Alg: alg,
 		})
 		telemetry.SetServerQueueDepth(len(s.admit))
 	default:
@@ -854,12 +857,13 @@ func (s *Server) commitLoop() {
 				j.backup = nil
 				// Non-blocking: a full queue means the server is loaded
 				// enough that retrying would only add to the herd.
+				enqueued, attempt := time.Now(), j.retries
+				j.enqueuedAt = enqueued
 				select {
 				case s.admit <- j:
-					j.enqueuedAt = time.Now()
 					s.journal.Append(journal.Event{
-						Time: j.enqueuedAt, Type: journal.TypeEnqueue, Flow: j.id,
-						Attempt: j.retries, Detail: "conflict retry",
+						Time: enqueued, Type: journal.TypeEnqueue, Flow: j.id,
+						Attempt: attempt, Detail: "conflict retry",
 					})
 					telemetry.SetServerQueueDepth(len(s.admit))
 				default:

@@ -645,12 +645,13 @@ func (s *Server) admitRepairJob(j *job, detail string) error {
 		return ErrDraining
 	}
 	s.inflight.Add(1)
+	enqueued := time.Now() // stamped before the send, as in Submit
+	j.enqueuedAt = enqueued
 	select {
 	case s.admit <- j:
-		j.enqueuedAt = time.Now()
 		s.drainMu.RUnlock()
 		s.journal.Append(journal.Event{
-			Time: j.enqueuedAt, Type: journal.TypeEnqueue, Flow: j.id, Alg: j.alg,
+			Time: enqueued, Type: journal.TypeEnqueue, Flow: j.id, Alg: j.alg,
 			Detail: detail,
 		})
 		telemetry.SetServerQueueDepth(len(s.admit))

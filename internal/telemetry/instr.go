@@ -1,6 +1,10 @@
 package telemetry
 
-import "time"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // Shared metric names. Every embedding algorithm under comparison —
 // BBE/MBBE (internal/core), MINV/RANV (internal/baseline) and SA
@@ -195,21 +199,73 @@ type EmbedSample struct {
 	Workers int
 }
 
+// embedInstruments are one algorithm's RecordEmbed series, resolved once
+// per alg label: RecordEmbed runs on every embedding attempt, and going
+// through the registry each time means canonicalising the label set and
+// taking the registry lock once per series. The failure counter and the
+// worker gauge resolve lazily, on the first sample that needs them, so a
+// scrape lists exactly the series it would without the memo.
+type embedInstruments struct {
+	alg                                         Label
+	attempts, searchNodes, searches, candidates *Counter
+	latency                                     *Histogram
+	failures                                    atomic.Pointer[Counter]
+	workers                                     atomic.Pointer[Gauge]
+}
+
+var (
+	embedInstrMu sync.RWMutex
+	embedInstr   = map[string]*embedInstruments{}
+)
+
+func embedInstrumentsFor(alg string) *embedInstruments {
+	embedInstrMu.RLock()
+	in := embedInstr[alg]
+	embedInstrMu.RUnlock()
+	if in != nil {
+		return in
+	}
+	// The registry getters are idempotent, so two goroutines resolving the
+	// same alg at once end up with the same series; either copy may win.
+	r, l := Default(), L("alg", alg)
+	in = &embedInstruments{
+		alg:      l,
+		attempts: r.Counter(MetricEmbedAttempts, "Embedding attempts by algorithm.", l),
+		latency: r.Histogram(MetricEmbedLatency, "Wall-clock seconds per embedding attempt.",
+			DefLatencyBuckets(), l),
+		searchNodes: r.Counter(MetricSearchNodes, "Search states explored (tree nodes, candidates examined, or proposals).", l),
+		searches:    r.Counter(MetricSearches, "Searches run (FST/BST builds, Dijkstra calls, or tree builds).", l),
+		candidates:  r.Counter(MetricCandidates, "Candidate sub-solutions generated.", l),
+	}
+	embedInstrMu.Lock()
+	embedInstr[alg] = in
+	embedInstrMu.Unlock()
+	return in
+}
+
 // RecordEmbed records one embedding attempt on the Default registry.
 func RecordEmbed(s EmbedSample) {
-	r := Default()
-	alg := L("alg", s.Alg)
-	r.Counter(MetricEmbedAttempts, "Embedding attempts by algorithm.", alg).Inc()
+	in := embedInstrumentsFor(s.Alg)
+	in.attempts.Inc()
 	if s.Failed {
-		r.Counter(MetricEmbedFailures, "Embedding attempts that found no feasible solution.", alg).Inc()
+		c := in.failures.Load()
+		if c == nil {
+			c = Default().Counter(MetricEmbedFailures, "Embedding attempts that found no feasible solution.", in.alg)
+			in.failures.Store(c)
+		}
+		c.Inc()
 	}
-	r.Histogram(MetricEmbedLatency, "Wall-clock seconds per embedding attempt.",
-		DefLatencyBuckets(), alg).Observe(s.Elapsed.Seconds())
-	r.Counter(MetricSearchNodes, "Search states explored (tree nodes, candidates examined, or proposals).", alg).Add(float64(s.SearchNodes))
-	r.Counter(MetricSearches, "Searches run (FST/BST builds, Dijkstra calls, or tree builds).", alg).Add(float64(s.Searches))
-	r.Counter(MetricCandidates, "Candidate sub-solutions generated.", alg).Add(float64(s.Candidates))
+	in.latency.Observe(s.Elapsed.Seconds())
+	in.searchNodes.Add(float64(s.SearchNodes))
+	in.searches.Add(float64(s.Searches))
+	in.candidates.Add(float64(s.Candidates))
 	if s.Workers > 0 {
-		r.Gauge(MetricEmbedWorkers, "Worker-pool size of the most recent embedding attempt.", alg).Set(float64(s.Workers))
+		g := in.workers.Load()
+		if g == nil {
+			g = Default().Gauge(MetricEmbedWorkers, "Worker-pool size of the most recent embedding attempt.", in.alg)
+			in.workers.Store(g)
+		}
+		g.Set(float64(s.Workers))
 	}
 }
 

@@ -242,3 +242,37 @@ func TestRecordEmbedSharedNames(t *testing.T) {
 		t.Fatal("failures family missing")
 	}
 }
+
+// TestRecordEmbedSteadyStateZeroAllocs pins the memoised handles: once an
+// algorithm's series are resolved, recording an attempt — failures and
+// the worker gauge included — goes through no registry lookup and
+// allocates nothing. The lazily registered series must also stay lazy: a
+// scrape may not list a failure counter for an algorithm that never failed.
+func TestRecordEmbedSteadyStateZeroAllocs(t *testing.T) {
+	ok := EmbedSample{Alg: "zero-alloc-alg", Elapsed: time.Millisecond, SearchNodes: 3, Searches: 1, Candidates: 2, Workers: 2}
+	RecordEmbed(ok)
+	for _, fam := range Default().Snapshot().Families {
+		if fam.Name != MetricEmbedFailures {
+			continue
+		}
+		for _, s := range fam.Series {
+			for _, l := range s.Labels {
+				if l.Key == "alg" && l.Value == ok.Alg {
+					t.Fatal("failure counter registered before the first failure")
+				}
+			}
+		}
+	}
+	failed := ok
+	failed.Failed = true
+	RecordEmbed(failed)
+	if allocs := testing.AllocsPerRun(100, func() {
+		RecordEmbed(ok)
+		RecordEmbed(failed)
+	}); allocs != 0 {
+		t.Fatalf("steady-state RecordEmbed allocates %.1f objects per pair of samples, want 0", allocs)
+	}
+	if got := Default().Counter(MetricEmbedFailures, "", L("alg", ok.Alg)).Value(); got != 102 {
+		t.Fatalf("failure counter = %v after 102 failed samples", got)
+	}
+}
