@@ -55,32 +55,38 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR15.json
+BENCH_JSON ?= BENCH_PR16.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
+# The committed baselines were recorded at GOMAXPROCS 2, and the guard
+# refuses to compare results recorded at different procs: pin it, so a
+# ledger means the same thing on a 2-core sandbox and a 4-core CI runner.
+BENCH_CPU ?= 2
 # -timeout 30m: the serve-throughput family (plain + three fsync
 # policies) alone runs several minutes at the default benchtime, which
 # busts go test's 10m per-package default.
 bench-json:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -timeout 30m -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
 	@cat $(BENCH_RAW)
 	$(GO) run ./cmd/dagsfc-bench -parse-bench $(BENCH_RAW) -bench-label $(BENCH_LABEL) -bench-out $(BENCH_JSON)
 
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed) regressed more than
-# 20% against the committed PR10 baseline, if an embed-path benchmark
-# (MBBE embed cold and warm, layer extensions, BBE embed) allocates more
-# than 5% more objects per op, or if the warm path-cache embed lost its
-# 1.5x speedup floor. The 20% limit is wide on purpose — it absorbs
-# host-to-host ns/op noise while still catching real hot-path regressions;
-# allocation counts repeat exactly, so their limit is tight.
+# 20% against the committed PR15 baseline, if an embed-path benchmark
+# (MBBE embed cold, warm and serial, layer extensions, BBE embed) allocates
+# more than 5% more objects per op, or if the warm path-cache embed lost
+# its 1.5x speedup floor. It refuses outright (non-zero exit) to compare
+# two ledgers recorded at different GOMAXPROCS. The 20% limit is wide on
+# purpose — it absorbs host-to-host ns/op noise while still catching real
+# hot-path regressions; allocation counts repeat exactly, so their limit
+# is tight.
 # -guard-serve-old adds the durability-tax check: the serve throughput
 # with the WAL on but fsync off must stay within the same limit of the
-# pre-durability BenchmarkServeThroughput baseline.
-BENCH_GUARD_OLD ?= BENCH_PR10.json
-BENCH_GUARD_SERVE_OLD ?= BENCH_PR7.json
+# baseline's WAL-less BenchmarkServeThroughput.
+BENCH_GUARD_OLD ?= BENCH_PR15.json
+BENCH_GUARD_SERVE_OLD ?= BENCH_PR15.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON) -guard-serve-old $(BENCH_GUARD_SERVE_OLD)
 

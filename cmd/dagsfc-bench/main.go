@@ -133,6 +133,7 @@ var guardedBenchmarks = []string{
 var allocGuardedBenchmarks = []string{
 	"BenchmarkEmbedMBBEWorkers/workers=1",
 	"BenchmarkEmbedMBBECached",
+	"BenchmarkEmbedMBBESerial",
 	"BenchmarkLayerExtensions",
 	"BenchmarkEmbedBBE",
 }
@@ -148,8 +149,12 @@ const cachedSpeedupFloor = 1.5
 // pre-reserved backup must keep over re-embedding from scratch: in
 // BenchmarkFailoverLatency's Extra metrics, failover p99 times this
 // factor must not exceed the repair re-embed p50. If promotion ever gets
-// that slow, reserving double capacity for protection stops paying.
-const failoverSpeedupFloor = 5.0
+// that slow, reserving double capacity for protection stops paying. The
+// floor was 5 when a repair re-embed took ~1.3 ms; PRs 15 and 16 brought
+// that to ~0.53 ms with failover where it was (~0.1 ms p99), so the same
+// promotion now clears 5 by a few per cent of run-to-run noise. 3 still
+// fails on a promotion path that got slow, not on a re-embed that got fast.
+const failoverSpeedupFloor = 3.0
 
 // guardBench compares the "after" runs of two benchmark JSON ledgers and
 // fails if any guarded benchmark regressed past the limit, or if the
@@ -175,6 +180,16 @@ func guardBench(oldPath, newPath string, limit float64, serveOldPath string) err
 			}
 		}
 		return benchfmt.Result{}, false
+	}
+
+	// Refuse unlike runs before printing a single delta: every benchmark
+	// the two ledgers share must have run at the same GOMAXPROCS.
+	for _, newRes := range newRun.Results {
+		if oldRes, ok := byName(oldRun, newRes.Name); ok {
+			if err := benchfmt.CheckSameProcs(oldRes, newRes); err != nil {
+				return fmt.Errorf("%s vs %s: %w", oldPath, newPath, err)
+			}
+		}
 	}
 
 	// Informational deltas first: every benchmark both ledgers share, in
@@ -291,6 +306,9 @@ func guardBench(oldPath, newPath string, limit float64, serveOldPath string) err
 		case !okNew:
 			failures = append(failures, fmt.Sprintf("BenchmarkServeThroughputDurable/fsync=off missing from candidate %s", newPath))
 		default:
+			if err := benchfmt.CheckSameProcs(oldServe, newDurable); err != nil {
+				return fmt.Errorf("%s vs %s: %w", serveOldPath, newPath, err)
+			}
 			ratio := newDurable.NsPerOp / oldServe.NsPerOp
 			verdict := "ok"
 			if ratio > 1+limit {

@@ -216,6 +216,15 @@ func (logObserver) CandidatesFiltered(layer int, considered, capacityRejected, d
 		considered, capacityRejected, delayRejected)
 }
 
+func (logObserver) LayeredRun(run dagsfc.LayeredRun) {
+	fmt.Fprintf(os.Stderr, "  layered run over layers %d-%d: %d seeds, %d states settled, %d of %d exits kept",
+		run.First, run.Last, run.Seeds, run.Settled, run.Kept, run.Exits)
+	if run.Fallback != "" {
+		fmt.Fprintf(os.Stderr, "; falling back to the per-layer search (%s)", run.Fallback)
+	}
+	fmt.Fprintln(os.Stderr)
+}
+
 func (logObserver) LayerDone(spec dagsfc.LayerSpec, kept int, cheapest float64) {
 	fmt.Fprintf(os.Stderr, "layer %d done: kept %d sub-solutions, cheapest %.2f\n",
 		spec.Index, kept, cheapest)

@@ -146,7 +146,7 @@ func usedEdges(seed, st server.NetworkState) []int {
 // latency the server measured — the failover switch time, or the
 // strand-to-repaired time for the baseline rounds. Both distributions
 // land in the benchmark's Extra metrics, where the bench-guard enforces
-// failover p99 * 5 <= repair p50.
+// failover p99 * 3 <= repair p50.
 func BenchmarkFailoverLatency(b *testing.B) {
 	gen := netgen.Default()
 	gen.Nodes, gen.VNFKinds = 50, 10

@@ -121,6 +121,9 @@ type (
 	Stats = core.Stats
 	// LayerSpec is one layer's embedding obligation (used by Observer).
 	LayerSpec = core.LayerSpec
+	// LayeredRun summarises one run of single-VNF layers answered by the
+	// layered shortest-path kernel (used by Observer).
+	LayeredRun = core.LayeredRun
 	// Observer receives progress callbacks from an Embed run (set it on
 	// Options.Observer).
 	Observer = core.Observer

@@ -125,6 +125,19 @@ func AllocsRegressed(base, cand Result, limit float64) bool {
 	return float64(cand.AllocsPerOp) > float64(base.AllocsPerOp)*(1+limit)
 }
 
+// CheckSameProcs refuses to compare two results that ran at different
+// GOMAXPROCS: the server benchmarks scale with it and the embed benchmarks
+// pay for goroutine fan-out according to it, so a delta between such a
+// pair measures the machines, not the code.
+func CheckSameProcs(base, cand Result) error {
+	if base.Procs != cand.Procs {
+		return fmt.Errorf("benchfmt: %s ran at procs=%d in the baseline and procs=%d in the candidate; "+
+			"results at different GOMAXPROCS are not comparable (re-record one side with -cpu)",
+			cand.Name, base.Procs, cand.Procs)
+	}
+	return nil
+}
+
 // Run is one labelled benchmark sweep.
 type Run struct {
 	Label   string   `json:"label"`

@@ -145,3 +145,25 @@ func TestAllocsRegressed(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckSameProcs pins the guard's refusal to diff unlike runs: the
+// committed ledgers already disagree (BENCH_PR10.json was recorded at
+// procs 1, BENCH_PR15.json at procs 2), and a delta between such a pair
+// says nothing about the code.
+func TestCheckSameProcs(t *testing.T) {
+	base := Result{Name: "BenchmarkServeThroughput", Procs: 1, NsPerOp: 1.7e6}
+	cand := Result{Name: "BenchmarkServeThroughput", Procs: 2, NsPerOp: 1.1e6}
+	err := CheckSameProcs(base, cand)
+	if err == nil {
+		t.Fatal("procs 1 vs procs 2 accepted as comparable")
+	}
+	for _, want := range []string{"BenchmarkServeThroughput", "procs=1", "procs=2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	cand.Procs = 1
+	if err := CheckSameProcs(base, cand); err != nil {
+		t.Fatalf("equal procs refused: %v", err)
+	}
+}

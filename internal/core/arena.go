@@ -149,8 +149,11 @@ type searchMem struct {
 	assignment             []*TreeNode    // pairExtensions' current allocation
 	interChoices           [][]graph.Path // instantiate's per-meta-path choices
 	innerChoices           [][]graph.Path
-	screens                []parentScreen // run's per-parent screening slots
-	leaves                 []leafCand     // run's closed leaves
+	screens                []parentScreen      // run's per-parent screening slots
+	leaves                 []leafCand          // run's closed leaves
+	seeds                  []graph.LayeredSeed // layeredRun's entry points
+	rents                  [][]float64         // layeredRun's per-layer rent rows (the network's, not copies)
+	walk                   []int32             // materialise's backwards arc list
 }
 
 // slabs lists every slab of the arena: the one place reset and bytes learn
@@ -181,6 +184,7 @@ func (m *searchMem) reset() {
 	clear(m.innerChoices[:cap(m.innerChoices)])
 	clear(m.screens[:cap(m.screens)])
 	clear(m.leaves[:cap(m.leaves)])
+	clear(m.rents[:cap(m.rents)])
 }
 
 // bytes reports the memory the arena's slabs pin between runs.

@@ -42,6 +42,7 @@ func BenchmarkLayerExtensions(b *testing.B) {
 			ledger:   p.ledgerOrFresh(),
 			extCache: make(map[extKey][]*extension),
 			trees:    make(map[graph.NodeID]*treeEntry),
+			avgLink:  p.Net.AvgLinkPrice(),
 		}
 		e.costOpts = e.ledger.CostOptions(p.Rate)
 		e.pathView = p.Net.G.CompileView(e.costOpts)

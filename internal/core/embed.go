@@ -183,6 +183,12 @@ type Stats struct {
 	// delay bound.
 	CapacityRejections int
 	DelayRejections    int
+	// LayeredRuns counts the maximal runs of single-VNF layers handed to
+	// the layered shortest-path kernel (see layered.go); LayeredFallbacks
+	// those among them whose every proposal failed a capacity check, so
+	// the run was searched layer by layer instead.
+	LayeredRuns      int
+	LayeredFallbacks int
 }
 
 // add accumulates a worker's stats delta. Every field is an integer sum,
@@ -195,6 +201,8 @@ func (s *Stats) add(d Stats) {
 	s.SubSolutions += d.SubSolutions
 	s.CapacityRejections += d.CapacityRejections
 	s.DelayRejections += d.DelayRejections
+	s.LayeredRuns += d.LayeredRuns
+	s.LayeredFallbacks += d.LayeredFallbacks
 }
 
 // Result is a successful embedding: the solution, its priced breakdown and
@@ -230,6 +238,13 @@ func Embed(p *Problem, opts Options) (*Result, error) {
 // stops burning CPU at the next check instead of running the layer loop to
 // completion. A nil ctx means context.Background().
 func EmbedContext(ctx context.Context, p *Problem, opts Options) (*Result, error) {
+	return embedContext(ctx, p, opts, false)
+}
+
+// embedContext is EmbedContext with the one switch the differential tests
+// need and no caller may have: perLayer keeps single-VNF runs away from the
+// layered kernel, so the same options can be run both ways and compared.
+func embedContext(ctx context.Context, p *Problem, opts Options, perLayer bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -256,7 +271,7 @@ func EmbedContext(ctx context.Context, p *Problem, opts Options) (*Result, error
 		opts.Delay = delaymodel.Default()
 	}
 	e := &embedder{
-		p: p, opts: opts, workers: workers, ctx: ctx,
+		p: p, opts: opts, workers: workers, ctx: ctx, label: label, perLayer: perLayer,
 		ledger: p.ledgerOrFresh(),
 		trees:  make(map[graph.NodeID]*treeEntry),
 	}
@@ -316,6 +331,10 @@ func EmbedContext(ctx context.Context, p *Problem, opts Options) (*Result, error
 type embedder struct {
 	p    *Problem
 	opts Options
+	// label is the resolved telemetry "alg" label (opts.Label or "custom").
+	label string
+	// perLayer is embedContext's test-only switch.
+	perLayer bool
 	// ctx cancels the run between layers and fanned-out build jobs; never
 	// nil (EmbedContext defaults it to Background).
 	ctx context.Context
@@ -363,6 +382,10 @@ type embedder struct {
 	// admit arcs through; it aliases pathView when the run bans nothing.
 	pathView   *graph.CostView
 	searchView *graph.CostView
+	// avgLink is the substrate's mean link price, the hop-distance scale of
+	// pairExtensions' host ordering. Prices are static, so run sums it once
+	// (when the SFC has a parallel layer) instead of once per FST–BST pair.
+	avgLink float64
 }
 
 // acquireView returns a compiled cost view for opts: from the view cache
@@ -492,51 +515,42 @@ func (e *embedder) run() (*Result, error) {
 	frontier := m.subPtrs.alloc(1)
 	frontier[0] = m.subs.one() // the root: layer 0, no extension, no cost
 
-	for _, spec := range specs {
+	// With min-cost-path instantiation and no delay bound, a maximal run of
+	// single-VNF layers is one shortest path in a layered copy of the
+	// substrate: layeredRun answers it exactly. The per-layer search below
+	// serves everything else — parallel layers, BBE's real-path
+	// enumeration, delay-bounded mode — and a run whose every proposal
+	// failed a capacity check (perLayerUntil marks the end of such a run).
+	layered := e.opts.MiniPath && e.opts.MaxDelay == 0 && !e.perLayer
+	perLayerUntil := 0
+	if slices.ContainsFunc(specs, func(s LayerSpec) bool { return s.Merger }) {
+		e.avgLink = p.Net.AvgLinkPrice()
+	}
+	for i := 0; i < len(specs); i++ {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
+		spec := specs[i]
 		e.observeLayerStart(spec, len(frontier))
-		// Build every distinct start node's extensions up front (fanned
-		// across the worker pool); the screening loop below then only
-		// reads the cache.
-		e.buildLayerExtensions(spec, frontier)
-		m.screens = append(m.screens[:0], make([]parentScreen, len(frontier))...)
-		screens := m.screens
-		e.forEach(len(frontier), func(slot, i int) {
-			e.screenParent(spec, frontier[i], &screens[i], e.scratch[slot].mem)
-		})
-		considered, capRejected, delayRejected, children := 0, 0, 0, 0
-		for i := range screens {
-			considered += screens[i].considered
-			capRejected += screens[i].capRejected
-			delayRejected += screens[i].delayRejected
-			children += len(screens[i].children)
+		if layered && !spec.Merger && i >= perLayerUntil {
+			j := i + 1
+			for j < len(specs) && !specs[j].Merger {
+				j++
+			}
+			next, res, err := e.layeredRun(specs[i:j], frontier, j == len(specs))
+			if res != nil || err != nil {
+				return res, err
+			}
+			if next != nil {
+				frontier, i = next, j-1
+				continue
+			}
+			perLayerUntil = j
 		}
-		next := m.subPtrs.alloc(children)[:0]
-		for i := range screens {
-			next = append(next, screens[i].children...)
-		}
-		e.stats.CapacityRejections += capRejected
-		e.stats.DelayRejections += delayRejected
-		e.observeFiltered(spec.Index, considered, capRejected, delayRejected)
-		// A cancelled run skips build jobs, so an empty frontier here may
-		// mean "cancelled", not "infeasible" — report the cancellation.
-		if err := e.ctx.Err(); err != nil {
+		next, err := e.searchLayer(spec, frontier)
+		if err != nil {
 			return nil, err
 		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("%w: layer %d has no feasible sub-solution", ErrNoEmbedding, spec.Index)
-		}
-		slices.SortFunc(next, bySubCost)
-		if e.opts.DedupByEndNode > 0 {
-			next = e.dedupByEndNode(next, m)
-		}
-		if e.opts.MaxSubSolutionsPerLayer > 0 && len(next) > e.opts.MaxSubSolutionsPerLayer {
-			next = e.truncateWithDelayDiversity(next, e.opts.MaxSubSolutionsPerLayer)
-		}
-		e.stats.SubSolutions += len(next)
-		e.observeLayerDone(spec, len(next), next[0].cum)
 		frontier = next
 	}
 
@@ -567,20 +581,76 @@ func (e *embedder) run() (*Result, error) {
 	m.leaves = cands
 	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(a.total, b.total) })
 	for _, cand := range cands {
-		// Each attempt is its own heap copy of the chain: a Solution never
-		// aliases the arenas the candidates live in.
-		sol := assemble(cand.ss, p.SFC.Omega(), cand.tail)
-		if err := Validate(p, sol); err != nil {
-			continue
+		if res := e.complete(cand.ss, cand.tail); res != nil {
+			e.observeLeaf(res.Cost.Total())
+			return res, nil
 		}
-		cb, err := ComputeCost(p, sol)
-		if err != nil {
-			continue
-		}
-		e.observeLeaf(cb.Total())
-		return &Result{Solution: sol, Cost: cb, Stats: e.stats}, nil
 	}
 	return nil, fmt.Errorf("%w: no leaf reaches the destination feasibly", ErrNoEmbedding)
+}
+
+// complete turns a layer-ω sub-solution chain plus its tail path into the
+// run's Result, or nil when the validator or the cost model turns the
+// assembled solution down. Each attempt is its own heap copy of the chain:
+// a Solution never aliases the arenas the candidates live in.
+func (e *embedder) complete(leaf *subSolution, tail graph.Path) *Result {
+	sol := assemble(leaf, e.p.SFC.Omega(), tail)
+	if err := Validate(e.p, sol); err != nil {
+		return nil
+	}
+	cb, err := ComputeCost(e.p, sol)
+	if err != nil {
+		return nil
+	}
+	return &Result{Solution: sol, Cost: cb, Stats: e.stats}
+}
+
+// searchLayer embeds one layer the paper's way — forward/backward search
+// trees, candidate generation, per-parent screening — and returns the
+// cost-sorted, pruned sub-solutions that become the next frontier.
+func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subSolution, error) {
+	m := e.scratch[0].mem
+	// Build every distinct start node's extensions up front (fanned
+	// across the worker pool); the screening loop below then only
+	// reads the cache.
+	e.buildLayerExtensions(spec, frontier)
+	m.screens = append(m.screens[:0], make([]parentScreen, len(frontier))...)
+	screens := m.screens
+	e.forEach(len(frontier), func(slot, i int) {
+		e.screenParent(spec, frontier[i], &screens[i], e.scratch[slot].mem)
+	})
+	considered, capRejected, delayRejected, children := 0, 0, 0, 0
+	for i := range screens {
+		considered += screens[i].considered
+		capRejected += screens[i].capRejected
+		delayRejected += screens[i].delayRejected
+		children += len(screens[i].children)
+	}
+	next := m.subPtrs.alloc(children)[:0]
+	for i := range screens {
+		next = append(next, screens[i].children...)
+	}
+	e.stats.CapacityRejections += capRejected
+	e.stats.DelayRejections += delayRejected
+	e.observeFiltered(spec.Index, considered, capRejected, delayRejected)
+	// A cancelled run skips build jobs, so an empty frontier here may
+	// mean "cancelled", not "infeasible" — report the cancellation.
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(next) == 0 {
+		return nil, fmt.Errorf("%w: layer %d has no feasible sub-solution", ErrNoEmbedding, spec.Index)
+	}
+	slices.SortFunc(next, bySubCost)
+	if e.opts.DedupByEndNode > 0 {
+		next = e.dedupByEndNode(next, m)
+	}
+	if e.opts.MaxSubSolutionsPerLayer > 0 && len(next) > e.opts.MaxSubSolutionsPerLayer {
+		next = e.truncateWithDelayDiversity(next, e.opts.MaxSubSolutionsPerLayer)
+	}
+	e.stats.SubSolutions += len(next)
+	e.observeLayerDone(spec, len(next), next[0].cum)
+	return next, nil
 }
 
 // dedupByEndNode groups the cost-ordered candidates by end node and keeps
@@ -881,7 +951,7 @@ func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScrat
 
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
 	// link-price estimate toward the merger.
-	avgLink := p.Net.AvgLinkPrice()
+	avgLink := e.avgLink
 	k := len(spec.VNFs)
 	m.hosts = sized(m.hosts, k)
 	hosts := m.hosts

@@ -11,6 +11,25 @@ import "dagsfc/internal/graph"
 // Extension building is memoized per (layer, start node): SearchStart,
 // SearchDone and ExtensionsBuilt fire only when a layer's extensions are
 // actually built, not on cache hits for later parents sharing the start.
+//
+// Every layer gets exactly one LayerStart/LayerDone pair, in layer order.
+// A maximal run of single-VNF layers a–b that the layered kernel answers
+// (MiniPath set, no delay bound — see layered.go) is one search, not b−a+1
+// of them, and reports itself under its first layer:
+//
+//	LayerStart(a, parents)
+//	SearchStart(a, first seed, forward)   one per run
+//	SearchDone(a, first seed, forward, treeSize = states settled, covered = a walk was found)
+//	CandidatesFiltered(a, considered = walks proposed, capacityRejected = those feasibleAfter or Validate turned down, 0)
+//	LayeredRun(run)
+//	LayerDone(a, kept, cheapest)
+//	LayerStart(a+1, kept) LayerDone(a+1, kept, cheapest) … through b
+//
+// with kept the surviving walks and cheapest the least cumulative cost
+// among them at that layer; no ExtensionsBuilt fires. When every walk is
+// turned down (LayeredRun.Fallback is set) the sequence stops after
+// LayeredRun and the per-layer search continues layer a from its own
+// SearchStart — without a second LayerStart(a).
 type Observer interface {
 	// LayerStart fires when the search begins embedding a layer, with the
 	// number of parent sub-solutions whose extensions will be explored.
@@ -29,6 +48,10 @@ type Observer interface {
 	// combinations, capacityRejected those failing a capacity check,
 	// delayRejected those pruned by the delay bound.
 	CandidatesFiltered(layer int, considered, capacityRejected, delayRejected int)
+	// LayeredRun fires once per run of single-VNF layers searched by the
+	// layered kernel, after the run's CandidatesFiltered and before its
+	// first LayerDone.
+	LayeredRun(run LayeredRun)
 	// LayerDone fires when a layer's sub-solutions have been selected,
 	// with the cheapest cumulative cost of the survivors.
 	LayerDone(spec LayerSpec, kept int, cheapest float64)
@@ -45,6 +68,7 @@ type FuncObserver struct {
 	OnSearchDone         func(layer int, start graph.NodeID, forward bool, treeSize int, covered bool)
 	OnExtensionsBuilt    func(layer int, start graph.NodeID, generated, kept int)
 	OnCandidatesFiltered func(layer int, considered, capacityRejected, delayRejected int)
+	OnLayeredRun         func(run LayeredRun)
 	OnLayerDone          func(spec LayerSpec, kept int, cheapest float64)
 	OnLeaf               func(total float64)
 }
@@ -81,6 +105,13 @@ func (f FuncObserver) ExtensionsBuilt(layer int, start graph.NodeID, generated, 
 func (f FuncObserver) CandidatesFiltered(layer int, considered, capacityRejected, delayRejected int) {
 	if f.OnCandidatesFiltered != nil {
 		f.OnCandidatesFiltered(layer, considered, capacityRejected, delayRejected)
+	}
+}
+
+// LayeredRun implements Observer.
+func (f FuncObserver) LayeredRun(run LayeredRun) {
+	if f.OnLayeredRun != nil {
+		f.OnLayeredRun(run)
 	}
 }
 
@@ -134,6 +165,13 @@ func (m MultiObserver) ExtensionsBuilt(layer int, start graph.NodeID, generated,
 func (m MultiObserver) CandidatesFiltered(layer int, considered, capacityRejected, delayRejected int) {
 	for _, o := range m {
 		o.CandidatesFiltered(layer, considered, capacityRejected, delayRejected)
+	}
+}
+
+// LayeredRun implements Observer.
+func (m MultiObserver) LayeredRun(run LayeredRun) {
+	for _, o := range m {
+		o.LayeredRun(run)
 	}
 }
 

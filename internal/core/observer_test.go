@@ -50,7 +50,12 @@ func TestObserverCallbackSequence(t *testing.T) {
 	if leafTotal != res.Cost.Total() {
 		t.Fatalf("leaf callback total %v != result %v", leafTotal, res.Cost.Total())
 	}
-	// Two layers: start fwd [bwd...] done, twice, then leaf at the end.
+	// Two layers: start fwd [bwd...] done, twice, then leaf at the end. The
+	// first layer is a single-VNF run, so its one forward search is the
+	// layered kernel's; the parallel layer's is an FST.
+	if res.Stats.LayeredRuns != 1 || res.Stats.LayeredFallbacks != 0 {
+		t.Fatalf("layered runs/fallbacks = %d/%d, want 1/0", res.Stats.LayeredRuns, res.Stats.LayeredFallbacks)
+	}
 	if len(events) < 7 {
 		t.Fatalf("too few events: %v", events)
 	}
@@ -112,14 +117,76 @@ func hybridFixture() *Problem {
 // layer 2's at layer 1's end node (0, since f1 is at the source), and
 // layer 3's at layer 2's merger (2). The parallel layer runs exactly one
 // backward search because the forward tree {0,1,2} contains one merger
-// deployment.
+// deployment. Layers 1 and 3 are single-VNF runs: MBBE hands them to the
+// layered kernel (one search, one filter and one run event each, no
+// extensions event), BBE searches them layer by layer.
 func TestObserverExactSequenceHybridSFC(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want []string
+	}{
+		{"mbbe", MBBEOptions(), []string{
+			"layer-start 1 parents=1",
+			"search-start 1 fwd @0",
+			// All four layer-0 states plus the one exit: f1 is only at the
+			// source and the search runs on for 4 exits it cannot find.
+			"search-done 1 fwd @0 size=5 covered=true",
+			"filter 1 considered=1 cap=0 delay=0",
+			"run 1-1 terminal=false seeds=1 settled=5 kept=1/1 fallback=",
+			"layer-done 1 kept=1",
+			"layer-start 2 parents=1",
+			"search-start 2 fwd @0",
+			"search-done 2 fwd @0 size=3 covered=true", // {0,1} + merger at 2
+			"search-start 2 bwd @2",
+			"search-done 2 bwd @2 size=2 covered=true", // {2,1} covers f2,f3
+			"extensions 2 @0 1/1",
+			"filter 2 considered=1 cap=0 delay=0",
+			"layer-done 2 kept=1",
+			"layer-start 3 parents=1",
+			"search-start 3 fwd @2", // layer 2 ends at its merger
+			// Layer-0 copies of 2, 1, 3 and 0, then (3, layer 1): f4 and
+			// the destination are both node 3, where the search stops.
+			"search-done 3 fwd @2 size=5 covered=true",
+			"filter 3 considered=1 cap=0 delay=0",
+			"run 3-3 terminal=true seeds=1 settled=5 kept=1/1 fallback=",
+			"layer-done 3 kept=1",
+			"leaf",
+		}},
+		{"bbe", BBEOptions(), []string{
+			"layer-start 1 parents=1",
+			"search-start 1 fwd @0",
+			"search-done 1 fwd @0 size=1 covered=true", // f1 is at the source
+			"extensions 1 @0 1/1",
+			"filter 1 considered=1 cap=0 delay=0",
+			"layer-done 1 kept=1",
+			"layer-start 2 parents=1",
+			"search-start 2 fwd @0",
+			"search-done 2 fwd @0 size=3 covered=true",
+			"search-start 2 bwd @2",
+			"search-done 2 bwd @2 size=2 covered=true",
+			"extensions 2 @0 1/1",
+			"filter 2 considered=1 cap=0 delay=0",
+			"layer-done 2 kept=1",
+			"layer-start 3 parents=1",
+			"search-start 3 fwd @2",
+			"search-done 3 fwd @2 size=3 covered=true", // {2,1,3}, f4 at 3
+			"extensions 3 @2 1/1",
+			"filter 3 considered=1 cap=0 delay=0",
+			"layer-done 3 kept=1",
+			"leaf",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { observeExactSequence(t, tc.opts, tc.want) })
+	}
+}
+
+func observeExactSequence(t *testing.T, opts Options, want []string) {
 	p := hybridFixture()
 	var events []string
 	record := func(format string, args ...any) {
 		events = append(events, fmt.Sprintf(format, args...))
 	}
-	opts := MBBEOptions()
 	opts.Observer = FuncObserver{
 		OnLayerStart: func(spec LayerSpec, parents int) {
 			record("layer-start %d parents=%d", spec.Index, parents)
@@ -136,6 +203,10 @@ func TestObserverExactSequenceHybridSFC(t *testing.T) {
 		OnCandidatesFiltered: func(layer int, considered, capacityRejected, delayRejected int) {
 			record("filter %d considered=%d cap=%d delay=%d", layer, considered, capacityRejected, delayRejected)
 		},
+		OnLayeredRun: func(r LayeredRun) {
+			record("run %d-%d terminal=%v seeds=%d settled=%d kept=%d/%d fallback=%s",
+				r.First, r.Last, r.Terminal, r.Seeds, r.Settled, r.Kept, r.Exits, r.Fallback)
+		},
 		OnLayerDone: func(spec LayerSpec, kept int, cheapest float64) {
 			record("layer-done %d kept=%d", spec.Index, kept)
 		},
@@ -143,29 +214,6 @@ func TestObserverExactSequenceHybridSFC(t *testing.T) {
 	}
 	if _, err := Embed(p, opts); err != nil {
 		t.Fatal(err)
-	}
-	want := []string{
-		"layer-start 1 parents=1",
-		"search-start 1 fwd @0",
-		"search-done 1 fwd @0 size=1 covered=true", // f1 is at the source
-		"extensions 1 @0 1/1",
-		"filter 1 considered=1 cap=0 delay=0",
-		"layer-done 1 kept=1",
-		"layer-start 2 parents=1",
-		"search-start 2 fwd @0",
-		"search-done 2 fwd @0 size=3 covered=true", // {0,1} + merger at 2
-		"search-start 2 bwd @2",
-		"search-done 2 bwd @2 size=2 covered=true", // {2,1} covers f2,f3
-		"extensions 2 @0 1/1",
-		"filter 2 considered=1 cap=0 delay=0",
-		"layer-done 2 kept=1",
-		"layer-start 3 parents=1",
-		"search-start 3 fwd @2",                    // layer 2 ends at its merger
-		"search-done 3 fwd @2 size=3 covered=true", // {2,1,3}, f4 at 3
-		"extensions 3 @2 1/1",
-		"filter 3 considered=1 cap=0 delay=0",
-		"layer-done 3 kept=1",
-		"leaf",
 	}
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("callback sequence mismatch:\n got: %q\nwant: %q", events, want)

@@ -18,8 +18,13 @@ import (
 //	│  ├─ candidates (start, generated, kept)    ← candidate generation
 //	│  │  ├─ backward-search (start, tree_size, covered)
 //	│  │  └─ ...
-//	│  └─ filter (considered, capacity_rejected, delay_rejected)
+//	│  ├─ filter (considered, capacity_rejected, delay_rejected)
+//	│  └─ layered-run (layers, seeds, settled, exits, kept, fallback)
 //	└─ ...
+//
+// A run of single-VNF layers answered by the layered kernel shows its one
+// search, its filter and a layered-run event span under the run's first
+// layer; the run's later layers are rows with no children.
 //
 // Search spans are timed exactly (SearchStart→SearchDone); a candidates
 // span covers everything between a forward search finishing and its
@@ -126,6 +131,25 @@ func (t *TraceRecorder) CandidatesFiltered(layer int, considered, capacityReject
 	f.End()
 }
 
+// LayeredRun implements Observer.
+func (t *TraceRecorder) LayeredRun(run LayeredRun) {
+	t.closeCandidates()
+	if t.layer == nil {
+		return
+	}
+	r := t.layer.StartChild("layered-run")
+	r.SetAttr("layers", fmt.Sprintf("%d-%d", run.First, run.Last))
+	r.SetAttr("terminal", run.Terminal)
+	r.SetAttr("seeds", run.Seeds)
+	r.SetAttr("settled", run.Settled)
+	r.SetAttr("exits", run.Exits)
+	r.SetAttr("kept", run.Kept)
+	if run.Fallback != "" {
+		r.SetAttr("fallback", run.Fallback)
+	}
+	r.End()
+}
+
 // LayerDone implements Observer.
 func (t *TraceRecorder) LayerDone(spec LayerSpec, kept int, cheapest float64) {
 	t.closeCandidates()
@@ -163,6 +187,8 @@ func (t *TraceRecorder) Finish(res *Result, err error) {
 		root.SetAttr("backward_searches", res.Stats.BackwardSearches)
 		root.SetAttr("extensions", res.Stats.Extensions)
 		root.SetAttr("sub_solutions", res.Stats.SubSolutions)
+		root.SetAttr("layered_runs", res.Stats.LayeredRuns)
+		root.SetAttr("layered_fallbacks", res.Stats.LayeredFallbacks)
 	}
 	t.trace.Finish()
 }

@@ -159,3 +159,45 @@ func TestExactDeterministic(t *testing.T) {
 		t.Fatalf("costs differ: %v vs %v", a.Cost.Total(), b.Cost.Total())
 	}
 }
+
+// TestMBBEEqualsExactOnPureChains is the oracle behind "each run exactly
+// optimal": on a pure chain the whole SFC is one terminal run of MBBE's
+// layered kernel, whose answer is a shortest path in the layered substrate
+// — the optimum of the very model this package solves by dynamic
+// programming. Equality, not ≤: MBBE above exact would be a kernel bug,
+// MBBE below exact a solver bug. Capacity is ample, so no run falls back.
+func TestMBBEEqualsExactOnPureChains(t *testing.T) {
+	const chains = 240
+	for seed := int64(0); seed < chains; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		cfg := netgen.Default()
+		cfg.Nodes = 8 + rng.Intn(18) // ≤ 25
+		cfg.VNFKinds = 8
+		cfg.Connectivity = 2 + 2*rng.Float64()
+		net := netgen.MustGenerate(cfg, rng)
+		size := 1 + int(seed)%8
+		p := &core.Problem{
+			Net: net,
+			SFC: sfcgen.MustGenerate(sfcgen.Config{Size: size, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng),
+			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
+			Rate: 1, Size: 1 + float64(rng.Intn(3)),
+		}
+		opt, err := Embed(p, Limits{})
+		if err != nil {
+			t.Fatalf("seed %d: exact: %v", seed, err)
+		}
+		res, err := core.EmbedMBBE(p)
+		if err != nil {
+			t.Fatalf("seed %d: MBBE: %v", seed, err)
+		}
+		if err := core.Validate(p, res.Solution); err != nil {
+			t.Fatalf("seed %d: MBBE solution invalid: %v", seed, err)
+		}
+		if res.Stats.LayeredRuns != 1 || res.Stats.LayeredFallbacks != 0 {
+			t.Fatalf("seed %d: stats %+v, want one layered run and no fallback", seed, res.Stats)
+		}
+		if diff := res.Cost.Total() - opt.Cost.Total(); diff > 1e-9*opt.Cost.Total() || diff < -1e-9*opt.Cost.Total() {
+			t.Fatalf("seed %d (%d nodes, %v): MBBE %v, exact %v", seed, cfg.Nodes, p.SFC, res.Cost.Total(), opt.Cost.Total())
+		}
+	}
+}

@@ -10,19 +10,21 @@ type searchQueues struct {
 }
 
 // Scratch is reusable working memory for the search algorithms: the
-// Dijkstra tree arrays, the kernel priority queues, a compiled cost view
-// with its residual buffer, the BFS queue, and an epoch-stamped visited
-// set. A single Scratch serves any sequence of searches over any graphs
+// Dijkstra tree arrays, the layered search's per-state arrays, the kernel
+// priority queues, a compiled cost view with its residual buffer, the BFS
+// queue, and an epoch-stamped visited set. A single Scratch serves any sequence of searches over any graphs
 // (arrays grow to the largest graph seen and are reset sparsely), but it
 // is not safe for concurrent use — give each goroutine its own, e.g. one
 // per worker-pool slot.
 //
 // Results returned by the *With methods that alias scratch memory (the
-// *ShortestTree from DijkstraWith) are valid only until the next call with
-// the same Scratch; Path values are freshly allocated and safe to retain.
+// *ShortestTree from DijkstraWith, the *LayeredSearch from
+// LayeredDijkstraWith) are valid only until the next call with the same
+// Scratch; Path values are freshly allocated and safe to retain.
 type Scratch struct {
-	tree ShortestTree
-	q    searchQueues
+	tree    ShortestTree
+	layered LayeredSearch
+	q       searchQueues
 
 	// view is the scratch-owned compiled cost view (rebuilt per query by
 	// DijkstraWith); resBuf is the per-edge residual buffer view
@@ -44,9 +46,10 @@ type Scratch struct {
 	parentEdge []EdgeID
 	parentNode []NodeID
 
-	// lastN and lastA are the node and arc counts of the most recent search
-	// served, recorded so PutScratch can compare the scratch's grown
-	// capacity against the sizes actually in recent use.
+	// lastN and lastA are the node (for a layered search, state) and arc
+	// counts of the most recent search served, recorded so PutScratch can
+	// compare the scratch's grown capacity against the sizes actually in
+	// recent use.
 	lastN int
 	lastA int
 }
@@ -130,6 +133,9 @@ func noteScratchUse(n, arcs int) (nodeDemand, arcDemand int) {
 // arrays against arc demand).
 func keepScratch(s *Scratch, nodeDemand, arcDemand int) bool {
 	size := cap(s.tree.Dist)
+	if cap(s.layered.dist) > size {
+		size = cap(s.layered.dist)
+	}
 	if len(s.stamp) > size {
 		size = len(s.stamp)
 	}

@@ -10,6 +10,7 @@ package network
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"dagsfc/internal/graph"
 )
@@ -64,6 +65,9 @@ type instKey struct {
 }
 
 // Network is the target network: the priced graph plus the VNF deployment.
+//
+// Network must not be copied by value after first use (it caches the dense
+// rent rows behind an atomic pointer, like Graph's CSR view); use Clone.
 type Network struct {
 	G       *graph.Graph
 	Catalog Catalog
@@ -71,6 +75,7 @@ type Network struct {
 	instances map[instKey]*Instance
 	byVNF     map[VNFID][]graph.NodeID // V_i, in insertion order
 	byNode    map[graph.NodeID][]VNFID // F_v, in insertion order
+	rents     atomic.Pointer[[][]float64]
 }
 
 // New returns a network over g with the given catalog and no instances.
@@ -107,6 +112,7 @@ func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity floa
 	n.instances[key] = &Instance{Node: node, VNF: vnf, Price: price, Capacity: capacity}
 	n.byVNF[vnf] = append(n.byVNF[vnf], node)
 	n.byNode[node] = append(n.byNode[node], vnf)
+	n.rents.Store(nil) // deployment changed; any cached rent rows are stale
 	return nil
 }
 
@@ -142,6 +148,41 @@ func (n *Network) HasVNF(node graph.NodeID, vnf VNFID) bool {
 // NodesWith returns V_i: every node hosting category vnf, in deployment
 // order. The caller must not modify the returned slice.
 func (n *Network) NodesWith(vnf VNFID) []graph.NodeID { return n.byVNF[vnf] }
+
+// Rents returns category vnf's rental prices as one dense row over the
+// nodes: c_{v,vnf} where node v hosts the category, +Inf elsewhere (zero
+// everywhere for the dummy). Prices never change once deployed, so the
+// rows are built on first use and cached until the next AddInstance —
+// residual capacity is not part of them; ask the ledger. The caller must
+// not modify the returned slice. Concurrent readers are safe as long as no
+// instance is being added, matching every other accessor.
+func (n *Network) Rents(vnf VNFID) []float64 {
+	t := n.rents.Load()
+	if t == nil {
+		// Concurrent first readers may each build; the contents are
+		// identical, so last-store-wins is fine.
+		rows := n.buildRents()
+		t = &rows
+		n.rents.Store(t)
+	}
+	return (*t)[vnf]
+}
+
+func (n *Network) buildRents() [][]float64 {
+	nodes := n.G.NumNodes()
+	flat := make([]float64, (n.Catalog.N+2)*nodes)
+	for i := nodes; i < len(flat); i++ {
+		flat[i] = graph.Inf
+	}
+	rows := make([][]float64, n.Catalog.N+2)
+	for f := range rows {
+		rows[f] = flat[f*nodes : (f+1)*nodes : (f+1)*nodes]
+	}
+	for key, inst := range n.instances {
+		rows[key.vnf][key.node] = inst.Price
+	}
+	return rows
+}
 
 // VNFsAt returns F_v: the categories hosted on node, sorted ascending.
 func (n *Network) VNFsAt(node graph.NodeID) []VNFID {

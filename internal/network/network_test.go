@@ -125,3 +125,37 @@ func TestNetworkCloneIsDeep(t *testing.T) {
 		t.Fatal("graph shared between clone and original")
 	}
 }
+
+// TestRentsMatchInstances checks the dense rent rows against the instance
+// table they flatten, for every category including the dummy and the
+// merger, and that deploying another instance drops the cached rows — on
+// the network it was added to, not on a clone taken before.
+func TestRentsMatchInstances(t *testing.T) {
+	net := testNet(t)
+	check := func(n *Network) {
+		t.Helper()
+		for f := VNFID(0); f <= n.Catalog.Merger(); f++ {
+			row := n.Rents(f)
+			if len(row) != n.G.NumNodes() {
+				t.Fatalf("f(%d): row of %d entries, %d nodes", f, len(row), n.G.NumNodes())
+			}
+			for v, got := range row {
+				want := graph.Inf
+				if inst, ok := n.Instance(graph.NodeID(v), f); ok {
+					want = inst.Price
+				}
+				if got != want {
+					t.Fatalf("f(%d) on node %d: rent %v, want %v", f, v, got, want)
+				}
+			}
+		}
+	}
+	check(net)
+	clone := net.Clone()
+	net.MustAddInstance(3, 1, 7, 5)
+	check(net)
+	check(clone)
+	if clone.HasVNF(3, 1) || clone.Rents(1)[3] != graph.Inf {
+		t.Fatal("the clone sees an instance added to the original")
+	}
+}

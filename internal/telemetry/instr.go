@@ -21,6 +21,8 @@ const (
 	MetricSearchNodes    = "dagsfc_embed_search_nodes_total"
 	MetricSearches       = "dagsfc_embed_searches_total"
 	MetricCandidates     = "dagsfc_embed_candidates_total"
+	MetricLayeredRuns    = "dagsfc_embed_layered_runs_total"
+	MetricLayeredSettled = "dagsfc_embed_layered_settled_states"
 	MetricOnlineRequests = "dagsfc_online_requests_total"
 	MetricOnlineLatency  = "dagsfc_online_request_latency_seconds"
 )
@@ -211,6 +213,9 @@ type embedInstruments struct {
 	latency                                     *Histogram
 	failures                                    atomic.Pointer[Counter]
 	workers                                     atomic.Pointer[Gauge]
+	// layeredRuns is indexed by outcome: 0 exact, 1 fallback.
+	layeredRuns    [2]atomic.Pointer[Counter]
+	layeredSettled atomic.Pointer[Histogram]
 }
 
 var (
@@ -267,6 +272,39 @@ func RecordEmbed(s EmbedSample) {
 		}
 		g.Set(float64(s.Workers))
 	}
+}
+
+// layeredOutcomes are the outcome label values of MetricLayeredRuns, in
+// embedInstruments.layeredRuns order.
+var layeredOutcomes = [2]string{"exact", "fallback"}
+
+// RecordLayeredRun records one run of single-VNF layers an embedding
+// attempt handed to the layered shortest-path kernel: whether the kernel's
+// answer stood ("exact") or the per-layer search had to take the run over
+// ("fallback"), and how many states the search settled. Like RecordEmbed
+// it goes through handles memoised per alg label, so the steady state
+// allocates nothing.
+func RecordLayeredRun(alg string, fallback bool, settled int) {
+	in := embedInstrumentsFor(alg)
+	o := 0
+	if fallback {
+		o = 1
+	}
+	c := in.layeredRuns[o].Load()
+	if c == nil {
+		c = Default().Counter(MetricLayeredRuns,
+			"Runs of single-VNF layers searched by the layered shortest-path kernel, by outcome.",
+			in.alg, L("outcome", layeredOutcomes[o]))
+		in.layeredRuns[o].Store(c)
+	}
+	c.Inc()
+	h := in.layeredSettled.Load()
+	if h == nil {
+		h = Default().Histogram(MetricLayeredSettled,
+			"States settled per layered shortest-path search.", ExpBuckets(16, 2, 12), in.alg)
+		in.layeredSettled.Store(h)
+	}
+	h.Observe(float64(settled))
 }
 
 // RecordOnlineRequest records one online-harness request on the Default

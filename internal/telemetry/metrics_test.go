@@ -276,3 +276,71 @@ func TestRecordEmbedSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("failure counter = %v after 102 failed samples", got)
 	}
 }
+
+// TestRecordLayeredRunGolden pins the layered-kernel series as a scraper
+// sees them — family names, help text, the alg and outcome labels, the
+// settled-states buckets — and that the fallback series stays unlisted
+// until a fallback happens. The steady state allocates nothing.
+func TestRecordLayeredRunGolden(t *testing.T) {
+	const alg = "layered-golden-alg"
+	RecordLayeredRun(alg, false, 40)
+	RecordLayeredRun(alg, false, 3000)
+	render := func() string {
+		var snap Snapshot
+		for _, fam := range Default().Snapshot().Families {
+			if fam.Name != MetricLayeredRuns && fam.Name != MetricLayeredSettled {
+				continue
+			}
+			kept := fam
+			kept.Series = nil
+			for _, s := range fam.Series {
+				for _, l := range s.Labels {
+					if l.Key == "alg" && l.Value == alg {
+						kept.Series = append(kept.Series, s)
+					}
+				}
+			}
+			snap.Families = append(snap.Families, kept)
+		}
+		var b strings.Builder
+		if err := snap.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const exactOnly = `# HELP dagsfc_embed_layered_runs_total Runs of single-VNF layers searched by the layered shortest-path kernel, by outcome.
+# TYPE dagsfc_embed_layered_runs_total counter
+dagsfc_embed_layered_runs_total{alg="layered-golden-alg",outcome="exact"} 2
+`
+	const settled = `# HELP dagsfc_embed_layered_settled_states States settled per layered shortest-path search.
+# TYPE dagsfc_embed_layered_settled_states histogram
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="16"} 0
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="32"} 0
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="64"} 1
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="128"} 1
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="256"} 1
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="512"} 1
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="1024"} 1
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="2048"} 1
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="4096"} 2
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="8192"} 2
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="16384"} 2
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="32768"} 2
+dagsfc_embed_layered_settled_states_bucket{alg="layered-golden-alg",le="+Inf"} 2
+dagsfc_embed_layered_settled_states_sum{alg="layered-golden-alg"} 3040
+dagsfc_embed_layered_settled_states_count{alg="layered-golden-alg"} 2
+`
+	if got := render(); got != exactOnly+settled {
+		t.Fatalf("exposition drifted.\n--- got ---\n%s--- want ---\n%s", got, exactOnly+settled)
+	}
+	RecordLayeredRun(alg, true, 7)
+	if got := render(); !strings.Contains(got, `dagsfc_embed_layered_runs_total{alg="layered-golden-alg",outcome="fallback"} 1`+"\n") {
+		t.Fatalf("fallback series missing after a fallback:\n%s", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		RecordLayeredRun(alg, false, 40)
+		RecordLayeredRun(alg, true, 7)
+	}); allocs != 0 {
+		t.Fatalf("steady-state RecordLayeredRun allocates %.1f objects per pair of runs, want 0", allocs)
+	}
+}
