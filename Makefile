@@ -55,7 +55,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR16.json
+BENCH_JSON ?= BENCH_PR17.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -67,16 +67,17 @@ BENCH_CPU ?= 2
 # policies) alone runs several minutes at the default benchtime, which
 # busts go test's 10m per-package default.
 bench-json:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -timeout 30m -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -timeout 30m -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./internal/wal/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
 	@cat $(BENCH_RAW)
 	$(GO) run ./cmd/dagsfc-bench -parse-bench $(BENCH_RAW) -bench-label $(BENCH_LABEL) -bench-out $(BENCH_JSON)
 
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed) regressed more than
-# 20% against the committed PR15 baseline, if an embed-path benchmark
-# (MBBE embed cold, warm and serial, layer extensions, BBE embed) allocates
-# more than 5% more objects per op, or if the warm path-cache embed lost
+# 20% against the committed PR16 baseline, if an embed-path benchmark
+# (MBBE embed cold, warm and serial, layer extensions, BBE embed, the
+# validate-commit-release ledger path) allocates more than 5% more objects
+# per op, or if the warm path-cache embed lost
 # its 1.5x speedup floor. It refuses outright (non-zero exit) to compare
 # two ledgers recorded at different GOMAXPROCS. The 20% limit is wide on
 # purpose — it absorbs host-to-host ns/op noise while still catching real
@@ -85,8 +86,8 @@ bench-json:
 # -guard-serve-old adds the durability-tax check: the serve throughput
 # with the WAL on but fsync off must stay within the same limit of the
 # baseline's WAL-less BenchmarkServeThroughput.
-BENCH_GUARD_OLD ?= BENCH_PR15.json
-BENCH_GUARD_SERVE_OLD ?= BENCH_PR15.json
+BENCH_GUARD_OLD ?= BENCH_PR16.json
+BENCH_GUARD_SERVE_OLD ?= BENCH_PR16.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON) -guard-serve-old $(BENCH_GUARD_SERVE_OLD)
 
@@ -134,10 +135,11 @@ durable-smoke:
 	$(GO) run ./cmd/dagsfc-chaos -kill-restart -smoke -wal-dir /tmp/dagsfc-wal-smoke
 
 # The survivability packages run concurrent repair controllers, fault
-# injection, and breaker state under load — run them under the race
-# detector on their own so a failure names the culprit directly.
+# injection, and breaker state under load, and the WAL's group commit hands
+# an fsync between goroutines — run them under the race detector on their
+# own so a failure names the culprit directly.
 race-survival:
-	$(GO) test -race ./internal/server/... ./internal/faults/... ./internal/online/...
+	$(GO) test -race ./internal/server/... ./internal/faults/... ./internal/online/... ./internal/wal/...
 
 # Regenerate every table/figure of the paper at full trial count.
 repro:

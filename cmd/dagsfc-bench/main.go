@@ -128,14 +128,16 @@ var guardedBenchmarks = []string{
 
 // allocGuardedBenchmarks are the embed-path benchmarks whose allocs/op must
 // not rise more than allocGuardLimit over the baseline ledger: the whole
-// MBBE embed cold and warm, one layer's candidate generation, and the BBE
-// embed. The counts repeat exactly on this code, so the limit is tight.
+// MBBE embed cold and warm, one layer's candidate generation, the BBE
+// embed, and the validate-commit-release path a placed flow walks through
+// the ledger. The counts repeat exactly on this code, so the limit is tight.
 var allocGuardedBenchmarks = []string{
 	"BenchmarkEmbedMBBEWorkers/workers=1",
 	"BenchmarkEmbedMBBECached",
 	"BenchmarkEmbedMBBESerial",
 	"BenchmarkLayerExtensions",
 	"BenchmarkEmbedBBE",
+	"BenchmarkCommitRelease",
 }
 
 const allocGuardLimit = 0.05

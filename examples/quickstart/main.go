@@ -56,8 +56,8 @@ func main() {
 	fmt.Println("solution:", res.Solution.String())
 	fmt.Printf("cost:     %.1f total = %.1f VNF rental + %.1f links\n",
 		res.Cost.Total(), res.Cost.VNFCost, res.Cost.LinkCost)
-	for key, uses := range res.Cost.InstanceUse {
-		fmt.Printf("  rents f(%d) on node %d (x%d)\n", key.VNF, key.Node, uses)
+	for _, u := range res.Cost.Usage.Instances {
+		fmt.Printf("  rents f(%d) on node %d (x%d)\n", u.VNF, u.Node, u.Count)
 	}
 
 	// Compare against the naive baseline: MINV chases the individually

@@ -138,3 +138,35 @@ func BenchmarkValidateSolution(b *testing.B) {
 		}
 	}
 }
+
+// commitReleaseFixture embeds the Table 2-scale width-3 instance once and
+// binds the problem to a live ledger, the way a serving loop holds it.
+func commitReleaseFixture(tb testing.TB) (*Problem, *Solution) {
+	tb.Helper()
+	p := benchProblem(tb)
+	res, err := EmbedMBBE(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.Ledger = network.NewLedger(p.Net)
+	return p, res.Solution
+}
+
+// BenchmarkCommitRelease is the ledger path a flow walks once its
+// placement is known: Validate, Commit, Release.
+func BenchmarkCommitRelease(b *testing.B) {
+	p, sol := commitReleaseFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Validate(p, sol); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Commit(p, sol); err != nil {
+			b.Fatal(err)
+		}
+		if err := Release(p, sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -29,10 +29,10 @@ func TestComputeCostFixture(t *testing.T) {
 	if cb.Total() != 73 {
 		t.Fatalf("Total = %v, want 73", cb.Total())
 	}
-	if got := cb.EdgeUse[1]; got != 2 {
+	if got := refMaps(cb).EdgeUse[1]; got != 2 {
 		t.Fatalf("α_{e1} = %d, want 2", got)
 	}
-	if got := cb.EdgeUse[0]; got != 1 {
+	if got := refMaps(cb).EdgeUse[0]; got != 1 {
 		t.Fatalf("α_{e0} = %d, want 1", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestComputeCostMulticastDedup(t *testing.T) {
 		t.Fatalf("LinkCost = %v, want 19 (7 multicast + 12 unicast)", cb.LinkCost)
 	}
 	// α_{e0} = 1 (inter, deduped) + 2 (inner) = 3.
-	if got := cb.EdgeUse[0]; got != 3 {
+	if got := refMaps(cb).EdgeUse[0]; got != 3 {
 		t.Fatalf("α_{e0} = %d, want 3", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestComputeCostInstanceReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cb.InstanceUse[InstanceUseKey{1, 1}]; got != 2 {
+	if got := refMaps(cb).InstanceUse[InstanceUseKey{1, 1}]; got != 2 {
 		t.Fatalf("α_{v1,f1} = %d, want 2", got)
 	}
 	// VNF cost: 10*2 + 20 = 40.

@@ -595,10 +595,10 @@ func (e *embedder) run() (*Result, error) {
 // a Solution never aliases the arenas the candidates live in.
 func (e *embedder) complete(leaf *subSolution, tail graph.Path) *Result {
 	sol := assemble(leaf, e.p.SFC.Omega(), tail)
-	if err := Validate(e.p, sol); err != nil {
-		return nil
+	cb, err := Evaluate(e.p, sol)
+	if err == nil {
+		err = checkCapacity(e.ledger, e.p.Rate, cb.Usage)
 	}
-	cb, err := ComputeCost(e.p, sol)
 	if err != nil {
 		return nil
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"dagsfc/internal/graph"
+	"dagsfc/internal/network"
 )
 
 // Validate checks a solution against every constraint of the optimization
@@ -19,6 +19,39 @@ import (
 //
 // It returns nil exactly when the solution is feasible.
 func Validate(p *Problem, s *Solution) error {
+	sc := costScratchPool.Get().(*costScratch)
+	defer costScratchPool.Put(sc)
+	cb, err := sc.evaluate(p, s)
+	if err != nil {
+		return err
+	}
+	return CheckCapacity(p, cb.Usage)
+}
+
+// Evaluate is the ledger-independent part of validation plus the pricing:
+// it checks completeness (eqs. 4–6) and returns the objective with the
+// reuse counts. Everything it reads is immutable, so it can run on any
+// goroutine at any time; what remains to decide feasibility is
+// CheckCapacity on the returned Usage against the ledger of the moment.
+func Evaluate(p *Problem, s *Solution) (CostBreakdown, error) {
+	sc := costScratchPool.Get().(*costScratch)
+	defer costScratchPool.Put(sc)
+	cb, err := sc.evaluate(p, s)
+	cb.Usage = cb.Usage.clone()
+	return cb, err
+}
+
+// evaluate is Evaluate into the scratch; the breakdown's Usage aliases sc.
+func (sc *costScratch) evaluate(p *Problem, s *Solution) (CostBreakdown, error) {
+	if err := validateStructure(p, s); err != nil {
+		return CostBreakdown{}, err
+	}
+	return sc.price(p, s)
+}
+
+// validateStructure checks the problem itself and the completeness
+// constraints (eqs. 4–6) of s against it.
+func validateStructure(p *Problem, s *Solution) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -95,23 +128,30 @@ func Validate(p *Problem, s *Solution) error {
 		return fmt.Errorf("core: tail path ends at %d, want destination %d", to, p.Dst)
 	}
 
-	// Capacity constraints (eqs. 2–3) via the reuse counts.
-	cb, err := ComputeCost(p, s)
-	if err != nil {
-		return err
-	}
-	ledger := p.ledgerOrFresh()
-	for key, alpha := range cb.InstanceUse {
-		demand := float64(alpha) * p.Rate
-		if ledger.InstanceResidual(key.Node, key.VNF) < demand-1e-9 {
+	return nil
+}
+
+// CheckCapacity checks the capacity constraints (eqs. 2–3) of a placement
+// with usage u against the problem's ledger: every instance and every link
+// must have residual for its reuse count times the flow rate. u must come
+// from Evaluate, ComputeCost or an embedding Result for this problem's
+// network and SFC.
+func CheckCapacity(p *Problem, u Usage) error {
+	return checkCapacity(p.ledgerOrFresh(), p.Rate, u)
+}
+
+func checkCapacity(ledger *network.Ledger, rate float64, u Usage) error {
+	for _, iu := range u.Instances {
+		demand := float64(iu.Count) * rate
+		if ledger.InstanceResidual(iu.Node, iu.VNF) < demand-1e-9 {
 			return fmt.Errorf("core: instance f(%d) on node %d over capacity: need %v, residual %v",
-				key.VNF, key.Node, demand, ledger.InstanceResidual(key.Node, key.VNF))
+				iu.VNF, iu.Node, demand, ledger.InstanceResidual(iu.Node, iu.VNF))
 		}
 	}
-	for e, alpha := range cb.EdgeUse {
-		demand := float64(alpha) * p.Rate
-		if ledger.EdgeResidual(e) < demand-1e-9 {
-			return fmt.Errorf("core: link %d over capacity: need %v, residual %v", e, demand, ledger.EdgeResidual(e))
+	for _, eu := range u.Edges {
+		demand := float64(eu.Count) * rate
+		if ledger.EdgeResidual(eu.Edge) < demand-1e-9 {
+			return fmt.Errorf("core: link %d over capacity: need %v, residual %v", eu.Edge, demand, ledger.EdgeResidual(eu.Edge))
 		}
 	}
 	return nil
@@ -122,47 +162,44 @@ func Validate(p *Problem, s *Solution) error {
 // validates first and reserves atomically: on any failure nothing is
 // committed.
 func Commit(p *Problem, s *Solution) (CostBreakdown, error) {
-	if err := Validate(p, s); err != nil {
-		return CostBreakdown{}, err
-	}
-	cb, err := ComputeCost(p, s)
+	sc := costScratchPool.Get().(*costScratch)
+	defer costScratchPool.Put(sc)
+	cb, err := sc.evaluate(p, s)
 	if err != nil {
 		return CostBreakdown{}, err
 	}
-	ledger := p.ledger()
-	// Validate already proved feasibility against this ledger, so the
-	// reservations below cannot fail; guard anyway and roll back.
-	var instDone []InstanceUseKey
-	var instAmt []float64
-	var edgeDone []graph.EdgeID
-	var edgeAmt []float64
-	rollback := func() {
-		for i, key := range instDone {
-			ledger.ReleaseInstance(key.Node, key.VNF, instAmt[i])
-		}
-		for i, e := range edgeDone {
-			ledger.ReleaseEdge(e, edgeAmt[i])
-		}
+	if err := Reserve(p, cb.Usage); err != nil {
+		return CostBreakdown{}, err
 	}
-	for key, alpha := range cb.InstanceUse {
-		amt := float64(alpha) * p.Rate
-		if err := ledger.ReserveInstance(key.Node, key.VNF, amt); err != nil {
-			rollback()
-			return CostBreakdown{}, err
-		}
-		instDone = append(instDone, key)
-		instAmt = append(instAmt, amt)
-	}
-	for e, alpha := range cb.EdgeUse {
-		amt := float64(alpha) * p.Rate
-		if err := ledger.ReserveEdge(e, amt); err != nil {
-			rollback()
-			return CostBreakdown{}, err
-		}
-		edgeDone = append(edgeDone, e)
-		edgeAmt = append(edgeAmt, amt)
-	}
+	cb.Usage = cb.Usage.clone()
 	return cb, nil
+}
+
+// Reserve is the ledger half of Commit for a placement whose usage is
+// already known: it checks the capacity constraints against the problem's
+// ledger (installing an empty one if the problem has none) and reserves
+// rate × reuse count on every instance and link, atomically — on any
+// failure nothing stays reserved.
+func Reserve(p *Problem, u Usage) error {
+	if err := CheckCapacity(p, u); err != nil {
+		return err
+	}
+	ledger := p.ledger()
+	// CheckCapacity just proved feasibility against this ledger, so the
+	// reservations below cannot fail; guard anyway and roll back.
+	for i, iu := range u.Instances {
+		if err := ledger.ReserveInstance(iu.Node, iu.VNF, float64(iu.Count)*p.Rate); err != nil {
+			release(ledger, p.Rate, Usage{Instances: u.Instances[:i]})
+			return err
+		}
+	}
+	for i, eu := range u.Edges {
+		if err := ledger.ReserveEdge(eu.Edge, float64(eu.Count)*p.Rate); err != nil {
+			release(ledger, p.Rate, Usage{Instances: u.Instances, Edges: u.Edges[:i]})
+			return err
+		}
+	}
+	return nil
 }
 
 // Release returns a previously committed solution's capacity to the
@@ -171,19 +208,24 @@ func Commit(p *Problem, s *Solution) (CostBreakdown, error) {
 // released. Releasing a solution that was never committed under-counts
 // the ledger; the caller owns that pairing.
 func Release(p *Problem, s *Solution) error {
-	cb, err := ComputeCost(p, s)
+	sc := costScratchPool.Get().(*costScratch)
+	defer costScratchPool.Put(sc)
+	cb, err := sc.price(p, s)
 	if err != nil {
 		return err
 	}
 	// Releasing against a Problem with no ledger is a no-op (there is
 	// nothing committed to return); use the read-only view so p is not
 	// mutated.
-	ledger := p.ledgerOrFresh()
-	for key, alpha := range cb.InstanceUse {
-		ledger.ReleaseInstance(key.Node, key.VNF, float64(alpha)*p.Rate)
-	}
-	for e, alpha := range cb.EdgeUse {
-		ledger.ReleaseEdge(e, float64(alpha)*p.Rate)
-	}
+	release(p.ledgerOrFresh(), p.Rate, cb.Usage)
 	return nil
+}
+
+func release(ledger *network.Ledger, rate float64, u Usage) {
+	for _, iu := range u.Instances {
+		ledger.ReleaseInstance(iu.Node, iu.VNF, float64(iu.Count)*rate)
+	}
+	for _, eu := range u.Edges {
+		ledger.ReleaseEdge(eu.Edge, float64(eu.Count)*rate)
+	}
 }

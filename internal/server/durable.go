@@ -1,6 +1,6 @@
 // Durability: the server side of internal/wal. Every state mutation —
 // commit, release, TTL expiry, eviction, fault apply/restore, stranding —
-// appends one record under s.mu, so the log's order IS the ledger's
+// enqueues one record under s.mu, so the log's order IS the ledger's
 // mutation order; replaying the tail through the same core.Commit /
 // core.Release machinery therefore rebuilds every residual bit-for-bit
 // (the float-exact restore discipline from the fault layer: identical
@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -19,7 +20,6 @@ import (
 	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
-	"dagsfc/internal/online"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/telemetry"
 	"dagsfc/internal/wal"
@@ -74,61 +74,109 @@ type walEvict struct {
 	Cause     string `json:"cause,omitempty"`
 }
 
-// walAppendLocked appends one state-mutating record. Caller holds s.mu —
-// that lock hold is what makes log order equal mutation order. Under the
-// per-commit sync policy the call returns only after the record is on
-// stable storage, so an acknowledged mutation is never lost. A broken WAL
-// (disk error) disables further appends rather than taking the server
-// down; the operator sees the log line and the wedged append counter.
-func (s *Server) walAppendLocked(t wal.Type, flow int64, payload []byte) {
-	if s.wal == nil || s.walBroken {
-		return
-	}
-	if _, err := s.wal.Append(wal.Record{Type: t, Flow: flow, Data: payload}); err != nil {
-		s.walBroken = true
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Error("wal append failed; durability disabled", "err", err)
-		}
-		return
-	}
-	s.walAppends++
-	if s.cfg.WALSnapshotEvery > 0 && s.walAppends >= s.cfg.WALSnapshotEvery {
+// walEnqueueLocked frames one state-mutating record into the log's buffer
+// and returns its ticket (0 when there is no WAL or it is broken). Caller
+// holds s.mu — that lock hold is what makes log order equal mutation
+// order. Nothing is forced to disk here: whoever acknowledges the mutation
+// calls walWait on the ticket after releasing s.mu, so the fsync happens
+// outside the lock and concurrent acknowledgments share it.
+func (s *Server) walEnqueueLocked(t wal.Type, flow int64, payload []byte) uint64 {
+	ticket := s.walEnqueue(t, flow, payload)
+	if ticket != 0 && s.cfg.WALSnapshotEvery > 0 && s.walAppends.Load() >= int64(s.cfg.WALSnapshotEvery) {
 		s.walSnapshotLocked()
+	}
+	return ticket
+}
+
+func (s *Server) walEnqueue(t wal.Type, flow int64, payload []byte) uint64 {
+	if s.wal == nil || s.walBroken.Load() {
+		return 0
+	}
+	seq, err := s.wal.Enqueue(wal.Record{Type: t, Flow: flow, Data: payload})
+	if err != nil {
+		s.walFail("append", err)
+		return 0
+	}
+	s.walAppends.Add(1)
+	return seq
+}
+
+// walWait is the durability barrier: it returns once the ticket's record —
+// and with it every record enqueued before — is on stable storage per the
+// sync policy. Call it without s.mu, before acknowledging the mutation. A
+// zero ticket (no WAL, or broken) returns at once.
+func (s *Server) walWait(ticket uint64) {
+	if ticket == 0 || s.walBroken.Load() {
+		return
+	}
+	if err := s.wal.WaitDurable(ticket); err != nil {
+		s.walFail("sync", err)
+	}
+}
+
+// walCommitLocked enqueues a flow's commit record, encoding the payload
+// into the server's reused buffer (Enqueue copies it into the frame before
+// returning). Caller holds s.mu.
+func (s *Server) walCommitLocked(id int64, wf walFlow) uint64 {
+	if s.wal == nil || s.walBroken.Load() {
+		return 0
+	}
+	s.walBuf.Reset()
+	if err := s.walEnc.Encode(wf); err != nil {
+		return 0
+	}
+	// Encode ends the value with a newline json.Marshal would not write.
+	return s.walEnqueueLocked(wal.TypeCommit, id, bytes.TrimSuffix(s.walBuf.Bytes(), []byte("\n")))
+}
+
+// walFail latches a disk error. The server keeps serving from memory —
+// taking it down would strand every flow it holds — but it says so: no
+// further records are written, dagsfc_wal_broken reads 1 and /healthz
+// answers 503 until an operator restarts it on a healthy disk.
+func (s *Server) walFail(op string, err error) {
+	telemetry.RecordWALError()
+	if s.walBroken.CompareAndSwap(false, true) {
+		telemetry.SetWALBroken(true)
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Error("wal "+op+" failed; durability disabled", "err", err)
+		}
 	}
 }
 
 // walAdmit records an allocated flow ID (the high-water mark recovery
-// resumes allocation above). Admission does not hold s.mu; admit records
-// are order-insensitive — only the max matters — so that is safe.
-func (s *Server) walAdmit(id int64) {
-	if s.wal == nil {
-		return
-	}
-	s.mu.Lock()
-	s.walAppendLocked(wal.TypeAdmit, id, nil)
-	s.mu.Unlock()
+// resumes allocation above) and returns the record's ticket. Admission
+// does not hold s.mu: admit records are order-insensitive — only the max
+// matters. An acceptance never waits on this ticket (its commit record
+// comes later in the same log, so that record's fsync covers it); a
+// rejection does, before it answers. admitMu orders the record against
+// snapshots: an ID allocated before a snapshot read next_id is in the
+// snapshot, and one allocated after has its admit record past the
+// snapshot's watermark, where replay finds it.
+func (s *Server) walAdmit(id int64) uint64 {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	return s.walEnqueue(wal.TypeAdmit, id, nil)
 }
 
 // walSnapshotLocked writes a full-state snapshot at the current log
 // watermark and resets the append-count trigger. Caller holds s.mu, so no
 // state mutation can slip between exporting the state and stamping the
-// watermark.
+// watermark; admitMu keeps admit records out of that window too.
 func (s *Server) walSnapshotLocked() {
-	if s.wal == nil || s.walBroken {
+	if s.wal == nil || s.walBroken.Load() {
 		return
 	}
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
 	payload, err := json.Marshal(s.exportSnapshotLocked())
 	if err == nil {
 		err = s.wal.WriteSnapshot(payload)
 	}
 	if err != nil {
-		s.walBroken = true
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Error("wal snapshot failed; durability disabled", "err", err)
-		}
+		s.walFail("snapshot", err)
 		return
 	}
-	s.walAppends = 0
+	s.walAppends.Store(0)
 }
 
 func (s *Server) exportSnapshotLocked() walSnapshot {
@@ -223,7 +271,7 @@ func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%w: snapshot %v", wal.ErrUnrecoverable, err)
 				}
-				s.flows.Add(info.ID, online.Flow{Problem: p, Solution: sf.Sol})
+				s.standFlow(info.ID, p, sf.Sol)
 				// The backup's reservations are already inside the snapshot's
 				// raw ledger sums; only the placement map needs restoring.
 				if sf.Backup != nil {
@@ -316,7 +364,7 @@ func (s *Server) replayRecord(r wal.Record) error {
 			}
 			s.backups[wf.Info.ID] = wf.Backup
 		}
-		s.flows.Add(wf.Info.ID, online.Flow{Problem: p, Solution: wf.Sol})
+		s.standFlow(wf.Info.ID, p, wf.Sol)
 		s.meta[wf.Info.ID] = wf.Info
 		delete(s.repairFault, wf.Info.ID)
 		if wf.Info.ID > s.nextID.Load() {
@@ -424,7 +472,7 @@ func (s *Server) replayRecord(r wal.Record) error {
 		}
 		fl.Problem.Ledger = s.ledger
 		_ = core.Release(fl.Problem, fl.Solution)
-		s.flows.Add(r.Flow, online.Flow{Problem: fl.Problem, Solution: b})
+		s.standFlow(r.Flow, fl.Problem, b)
 		delete(s.backups, r.Flow)
 		info := s.meta[r.Flow]
 		info.Cost = info.BackupCost

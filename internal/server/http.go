@@ -24,7 +24,7 @@ import (
 //	POST   /v1/faults       inject a substrate fault (FaultRequest → FaultState)
 //	POST   /v1/faults/restore  restore a previously injected fault
 //	GET    /v1/faults       active faults and lifetime counters
-//	GET    /healthz         "ok", or 503 once draining
+//	GET    /healthz         "ok", or 503 once draining or while a WAL disk error has durability off
 //	GET    /metrics         telemetry registry (Prometheus text or JSON)
 //	/debug/pprof/...        runtime profiles
 func (s *Server) Handler() http.Handler {
@@ -189,6 +189,10 @@ func (s *Server) handleFaultList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: "draining"})
+		return
+	}
+	if s.walBroken.Load() {
+		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: "wal broken"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

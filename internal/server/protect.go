@@ -81,7 +81,7 @@ func (s *Server) embedBackup(ctx context.Context, alg string, p *core.Problem, p
 // finished terminally — a protected admission commits both placements or
 // neither — and false is returned.
 func (s *Server) admitBackup(j *job, p *core.Problem) bool {
-	if _, err := core.Commit(p, j.res.Solution); err != nil {
+	if err := core.Reserve(p, j.cost.Usage); err != nil {
 		// The primary came out of this very snapshot; failing to reserve
 		// it there is a pipeline bug, not a capacity race.
 		s.finish(j, jobResult{err: fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)})
@@ -118,18 +118,17 @@ func (s *Server) admitBackup(j *job, p *core.Problem) bool {
 	return true
 }
 
-// validatePairLocked checks, under s.mu, that a protected admission's
-// primary and backup fit the live ledger together: the primary is
-// reserved on a throwaway overlay and the backup validated over it. The
-// primary alone has already validated, so a failure here is the
-// backup's.
-func (s *Server) validatePairLocked(p *core.Problem, j *job) error {
+// pairFitsLocked checks, under s.mu, that a protected admission's primary
+// and backup fit the live ledger together: the primary is reserved on a
+// throwaway overlay and the backup's usage checked over it. The primary
+// alone has already passed, so a failure here is the backup's.
+func (s *Server) pairFitsLocked(p *core.Problem, j *job) error {
 	pov := s.ledger.Overlay()
 	probe := *p
 	probe.Ledger = pov
-	_, err := core.Commit(&probe, j.res.Solution)
+	err := core.Reserve(&probe, j.cost.Usage)
 	if err == nil {
-		if err = core.Validate(&probe, j.backup.Solution); err != nil {
+		if err = core.CheckCapacity(&probe, j.backup.Cost.Usage); err != nil {
 			err = fmt.Errorf("backup: %w", err)
 		}
 	}
@@ -278,7 +277,7 @@ func (s *Server) reprotectEmbed(j *job) {
 		Attempt: j.retries, Seconds: dur.Seconds(), Cost: res.Cost.Total(),
 		Nodes: res.Stats.TreeNodes, Detail: "re-protect",
 	})
-	j.res = res
+	j.res, j.cost = res, res.Cost
 	j.reprotectAgainst = primary
 	s.commit <- j
 }
@@ -318,16 +317,18 @@ func (s *Server) commitReprotect(j *job) {
 			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
 			Rate: j.req.Rate, Size: j.req.Size,
 		}
-		verr = core.Validate(p, j.res.Solution)
+		// The backup came validated out of core's search; what remains is
+		// the live-ledger half (see commitLoop).
+		verr = core.CheckCapacity(p, j.cost.Usage)
 		if verr == nil {
 			if !j.finished.CompareAndSwap(false, true) {
 				s.mu.Unlock()
 				s.inflight.Done()
 				return
 			}
-			bcb, err := core.Commit(p, j.res.Solution)
-			if err != nil {
-				// Validate just passed under the same lock; bug guard.
+			bcb := j.cost
+			if err := core.Reserve(p, bcb.Usage); err != nil {
+				// The check just passed under the same lock; bug guard.
 				s.mu.Unlock()
 				telemetry.RecordOnlineCommitFailure()
 				j.done <- jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)}
@@ -339,8 +340,9 @@ func (s *Server) commitReprotect(j *job) {
 			info.BackupActive = true
 			info.BackupCost = Cost{Total: bcb.Total(), VNF: bcb.VNFCost, Link: bcb.LinkCost}
 			s.meta[t.id] = info
+			var ticket uint64
 			if payload, merr := json.Marshal(walBackup{Sol: j.res.Solution, Cost: info.BackupCost}); merr == nil {
-				s.walAppendLocked(wal.TypeBackup, t.id, payload)
+				ticket = s.walEnqueueLocked(wal.TypeBackup, t.id, payload)
 			}
 			nb := len(s.backups)
 			s.mu.Unlock()
@@ -350,7 +352,7 @@ func (s *Server) commitReprotect(j *job) {
 				Type: journal.TypeReprotected, Flow: t.id, Alg: j.alg,
 				Cost: info.BackupCost.Total, Seconds: time.Since(t.strandedAt).Seconds(),
 			})
-			j.done <- jobResult{info: info}
+			j.done <- jobResult{info: info, ticket: ticket}
 			s.inflight.Done()
 			return
 		}

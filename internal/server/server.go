@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -209,10 +210,16 @@ type Server struct {
 	// Durability (internal/server/durable.go). wal is nil when disabled;
 	// walAppends counts records since the last snapshot (the periodic
 	// snapshot trigger); walBroken latches a disk error — the server keeps
-	// serving from memory but stops appending. All three under mu.
+	// serving from memory but stops appending, and says so on /healthz.
+	// admitMu orders admit records, which are enqueued without mu, against
+	// snapshots. walBuf and walEnc encode commit payloads without a fresh
+	// buffer per flow; both under mu.
 	wal        *wal.Log
-	walAppends int
-	walBroken  bool
+	walAppends atomic.Int64
+	walBroken  atomic.Bool
+	admitMu    sync.Mutex
+	walBuf     bytes.Buffer
+	walEnc     *json.Encoder
 
 	nextID atomic.Int64
 
@@ -265,6 +272,10 @@ type job struct {
 	begin    time.Time
 	retries  int
 	res      *core.Result
+	// cost is the price and the resource usage of res.Solution, settled by
+	// the worker off the lock; the commit loop only compares the usage with
+	// the live ledger and reserves it.
+	cost     core.CostBreakdown
 	finished atomic.Bool
 	done     chan jobResult
 	// Stage timestamps for the journal and the per-stage histograms:
@@ -292,9 +303,12 @@ type job struct {
 // builtin bbe/mbbe searches provide one via core.EmbedContext.
 type ctxEmbedder func(context.Context, *core.Problem) (*core.Result, error)
 
+// jobResult is a pipeline outcome. ticket is the WAL record that makes an
+// accepted outcome durable; the receiver waits on it before acknowledging.
 type jobResult struct {
-	info FlowInfo
-	err  error
+	info   FlowInfo
+	err    error
+	ticket uint64
 }
 
 // New validates the configuration and starts the pipeline: the embed
@@ -384,6 +398,7 @@ func New(cfg Config) (*Server, error) {
 		journal:     journal.New(cfg.JournalSize, cfg.Logger),
 		brk:         breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 	}
+	s.walEnc = json.NewEncoder(&s.walBuf)
 	// Breaker transitions are journaled via this hook; safe because the
 	// journal never calls back into the breaker.
 	s.brk.onTransition = func(state string) {
@@ -623,12 +638,13 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	// (and reads enqueuedAt), so this goroutine must not touch it again.
 	enqueued := time.Now()
 	j.enqueuedAt = enqueued
+	var admitted uint64
 	select {
 	case s.admit <- j:
 		s.drainMu.RUnlock()
 		// Persist the ID high-water mark so a recovered server never
 		// re-issues this ID, even if this request ends up rejected.
-		s.walAdmit(j.id)
+		admitted = s.walAdmit(j.id)
 		s.journal.Append(journal.Event{
 			Time: enqueued, Type: journal.TypeEnqueue, Flow: j.id, Alg: alg,
 		})
@@ -646,14 +662,22 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 		return FlowInfo{}, ErrQueueFull
 	}
 
-	select {
-	case r := <-j.done:
+	// The response parks on a flush ticket: an acceptance waits for its
+	// commit record — the admit record precedes it in the log, so the same
+	// fsync covers both — and anything else for the admit record alone.
+	settle := func(r jobResult) (FlowInfo, error) {
+		s.walWait(max(r.ticket, admitted))
 		s.recordDecision(j, r.err, probe, begin)
 		return r.info, r.err
+	}
+	select {
+	case r := <-j.done:
+		return settle(r)
 	case <-ctx.Done():
 		if j.finished.CompareAndSwap(false, true) {
 			// We own the outcome: the pipeline will discard the job
 			// without committing when it next looks at it.
+			s.walWait(admitted)
 			if probe {
 				s.brk.abortProbe()
 			}
@@ -665,9 +689,7 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 		}
 		// The pipeline claimed the job a moment before the deadline; its
 		// reply is imminent and authoritative (the flow may be committed).
-		r := <-j.done
-		s.recordDecision(j, r.err, probe, begin)
-		return r.info, r.err
+		return settle(<-j.done)
 	}
 }
 
@@ -780,7 +802,16 @@ func (s *Server) worker() {
 			Cost: res.Cost.Total(), Nodes: res.Stats.TreeNodes,
 			Workers: s.cfg.Workers,
 		})
-		j.res = res
+		j.res, j.cost = res, res.Cost
+		if j.embedCtx == nil {
+			// Not one of core's tree searches, which validate and price what
+			// they return: check the placement's structure and take its usage
+			// here, off the lock, so the commit loop can trust both.
+			if j.cost, err = core.Evaluate(p, res.Solution); err != nil {
+				s.finish(j, jobResult{err: fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)})
+				continue
+			}
+		}
 		if j.repair == nil && j.req.Protection == ProtectionBackup {
 			// Protected admission: reserve the primary on the private
 			// snapshot, then search for a disjoint backup against what
@@ -838,11 +869,15 @@ func (s *Server) commitLoop() {
 			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
 			Rate: j.req.Rate, Size: j.req.Size,
 		}
-		verr := core.Validate(p, j.res.Solution)
+		// The placement's structure was validated off the lock, in full, by
+		// whoever produced j.cost; solution and network are immutable, so
+		// what is left to decide here is whether it still fits the live
+		// ledger (eqs. 2–3).
+		verr := core.CheckCapacity(p, j.cost.Usage)
 		if verr == nil && j.backup != nil {
 			// A protected admission commits both placements or neither:
 			// check the pair fits the live ledger together before claiming.
-			verr = s.validatePairLocked(p, j)
+			verr = s.pairFitsLocked(p, j)
 		}
 		if err := verr; err != nil {
 			s.mu.Unlock()
@@ -853,7 +888,7 @@ func (s *Server) commitLoop() {
 			})
 			if j.retries < s.cfg.CommitRetries {
 				j.retries++
-				j.res = nil
+				j.res, j.cost = nil, core.CostBreakdown{}
 				j.backup = nil
 				// Non-blocking: a full queue means the server is loaded
 				// enough that retrying would only add to the herd.
@@ -888,10 +923,10 @@ func (s *Server) commitLoop() {
 			s.inflight.Done()
 			continue
 		}
-		cb, err := core.Commit(p, j.res.Solution)
-		if err != nil {
-			// Validate just passed under the same lock; this is a bug
-			// guard, not a reachable conflict path.
+		cb := j.cost
+		if err := core.Reserve(p, cb.Usage); err != nil {
+			// The capacity check just passed under the same lock; this is a
+			// bug guard, not a reachable conflict path.
 			s.mu.Unlock()
 			telemetry.RecordOnlineCommitFailure()
 			j.done <- jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)}
@@ -900,8 +935,8 @@ func (s *Server) commitLoop() {
 		}
 		var backupCost Cost
 		if j.backup != nil {
-			bcb, berr := core.Commit(p, j.backup.Solution)
-			if berr != nil {
+			bcb := j.backup.Cost
+			if berr := core.Reserve(p, bcb.Usage); berr != nil {
 				// The pair validated moments ago under this same lock; a
 				// failure here is the same bug-guard class as the primary's,
 				// but the primary is already reserved — undo it.
@@ -945,7 +980,7 @@ func (s *Server) commitLoop() {
 				info.BackupCost = backupCost
 			}
 		}
-		s.flows.Add(id, online.Flow{Problem: p, Solution: j.res.Solution})
+		s.standFlow(id, p, j.res.Solution)
 		s.meta[id] = info
 		var walBackupSol *core.Solution
 		if j.backup != nil {
@@ -956,11 +991,11 @@ func (s *Server) commitLoop() {
 		if j.repair != nil {
 			delete(s.repairFault, id)
 		}
-		// The durability barrier: the commit record hits stable storage
-		// (per the sync policy) before the caller is acknowledged below.
-		if payload, err := json.Marshal(walFlow{Info: info, Sol: j.res.Solution, Backup: walBackupSol}); err == nil {
-			s.walAppendLocked(wal.TypeCommit, id, payload)
-		}
+		// The commit record is framed here, under the lock, so the log keeps
+		// the ledger's mutation order; it reaches stable storage (per the
+		// sync policy) when the submitter waits on the ticket, before the
+		// caller is acknowledged.
+		ticket := s.walCommitLocked(id, walFlow{Info: info, Sol: j.res.Solution, Backup: walBackupSol})
 		telemetry.RecordOverlayCommit()
 		telemetry.SetServerActiveFlows(s.flows.Len())
 		// Rebase once the overlay's delta maps outgrow the point where
@@ -990,9 +1025,19 @@ func (s *Server) commitLoop() {
 		if info.ExpiresAt != nil {
 			s.wheel.Schedule(id, *info.ExpiresAt)
 		}
-		j.done <- jobResult{info: info}
+		j.done <- jobResult{info: info, ticket: ticket}
 		s.inflight.Done()
 	}
+}
+
+// standFlow enters a committed placement into the flow table. The standing
+// flow keeps its problem but not the ledger it was committed on: every
+// later use binds the ledger of its own moment — a rebase replaces the live
+// one — and a retained pointer would pin that whole superseded overlay and
+// its root in memory for as long as the flow stands.
+func (s *Server) standFlow(id int64, p *core.Problem, sol *core.Solution) {
+	p.Ledger = nil
+	s.flows.Add(id, online.Flow{Problem: p, Solution: sol})
 }
 
 // finish delivers a terminal pipeline outcome if the job is still
@@ -1037,8 +1082,9 @@ func (s *Server) release(id int64, how string) (FlowInfo, bool) {
 			if info.State == FlowStateRepairing {
 				s.dropped[id] = true
 			}
-			s.walAppendLocked(walType, id, nil)
+			ticket := s.walEnqueueLocked(walType, id, nil)
 			s.mu.Unlock()
+			s.walWaitRelease(how, ticket)
 			s.wheel.Cancel(id)
 			s.journal.Append(journal.Event{
 				Type: evType, Flow: id, Detail: "state " + info.State,
@@ -1064,15 +1110,26 @@ func (s *Server) release(id int64, how string) (FlowInfo, bool) {
 		delete(s.backups, id)
 		telemetry.SetBackupsActive(len(s.backups))
 	}
-	s.walAppendLocked(walType, id, nil)
+	ticket := s.walEnqueueLocked(walType, id, nil)
 	telemetry.SetServerActiveFlows(s.flows.Len())
 	s.mu.Unlock()
+	s.walWaitRelease(how, ticket)
 	s.wheel.Cancel(id)
 	s.journal.Append(journal.Event{Type: evType, Flow: id, Cost: info.Cost.Total})
 	if how == "expired" {
 		telemetry.RecordServerRequest("flows.expire", "ok", 0)
 	}
 	return info, true
+}
+
+// walWaitRelease is the durability barrier of a release. A DELETE is
+// acknowledged to its caller, so it waits; a TTL expiry answers to nobody
+// — its record rides along with the next fsync, and if a crash beats that
+// fsync, recovery finds the flow past its deadline and expires it again.
+func (s *Server) walWaitRelease(how string, ticket uint64) {
+	if how != "expired" {
+		s.walWait(ticket)
+	}
 }
 
 // Journal exposes the flight recorder for the events API and tests.

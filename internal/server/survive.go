@@ -25,7 +25,6 @@ import (
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
-	"dagsfc/internal/online"
 	"dagsfc/internal/telemetry"
 	"dagsfc/internal/wal"
 )
@@ -106,8 +105,11 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	s.activeFaults = append(s.activeFaults, f)
 	s.faultsApplied++
 	fw := faultToWire(f)
+	// ticket follows the newest record this call enqueued; waiting on it
+	// before the call returns covers all of them.
+	var ticket uint64
 	if payload, merr := json.Marshal(fw); merr == nil {
-		s.walAppendLocked(wal.TypeFaultApply, 0, payload)
+		ticket = s.walEnqueueLocked(wal.TypeFaultApply, 0, payload)
 	}
 	telemetry.RecordFault(f.Kind.String(), true, len(s.activeFaults))
 	appliedAt := time.Now()
@@ -200,7 +202,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 				info.BackupCost = Cost{}
 				s.meta[c.id] = info
 				if payload, merr := json.Marshal(fw); merr == nil {
-					s.walAppendLocked(wal.TypeBackupLoss, c.id, payload)
+					ticket = max(ticket, s.walEnqueueLocked(wal.TypeBackupLoss, c.id, payload))
 				}
 				s.repairLog = append(s.repairLog, RepairEvent{Flow: c.id, Fault: f, Outcome: "backup-lost"})
 				protEvents = append(protEvents, protEvent{id: c.id, info: info})
@@ -209,7 +211,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 				fl, _ := s.flows.Release(c.id)
 				fl.Problem.Ledger = s.ledger
 				_ = core.Release(fl.Problem, fl.Solution)
-				s.flows.Add(c.id, online.Flow{Problem: fl.Problem, Solution: c.backup})
+				s.standFlow(c.id, fl.Problem, c.backup)
 				delete(s.backups, c.id)
 				info.Cost = info.BackupCost
 				info.BackupCost = Cost{}
@@ -217,7 +219,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 				info.Failovers++
 				s.meta[c.id] = info
 				if payload, merr := json.Marshal(fw); merr == nil {
-					s.walAppendLocked(wal.TypeFailover, c.id, payload)
+					ticket = max(ticket, s.walEnqueueLocked(wal.TypeFailover, c.id, payload))
 				}
 				s.repairLog = append(s.repairLog, RepairEvent{Flow: c.id, Fault: f, Outcome: "failover"})
 				protEvents = append(protEvents, protEvent{
@@ -238,7 +240,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 				s.meta[c.id] = info
 				s.repairFault[c.id] = fw
 				if payload, merr := json.Marshal(fw); merr == nil {
-					s.walAppendLocked(wal.TypeStrand, c.id, payload)
+					ticket = max(ticket, s.walEnqueueLocked(wal.TypeStrand, c.id, payload))
 				}
 				stranded = append(stranded, &repairTask{id: c.id, fault: f, info: info, strandedAt: time.Now()})
 			}
@@ -276,6 +278,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 		})
 	}
 	s.enqueueRepairs(stranded)
+	s.walWait(ticket)
 	telemetry.RecordServerRequest("faults.apply", "ok", time.Since(begin))
 	return st, nil
 }
@@ -299,12 +302,14 @@ func (s *Server) RestoreFault(f network.Fault) (FaultState, error) {
 		}
 	}
 	s.faultsRestored++
+	var ticket uint64
 	if payload, merr := json.Marshal(faultToWire(f)); merr == nil {
-		s.walAppendLocked(wal.TypeFaultRestore, 0, payload)
+		ticket = s.walEnqueueLocked(wal.TypeFaultRestore, 0, payload)
 	}
 	telemetry.RecordFault(f.Kind.String(), false, len(s.activeFaults))
 	st := s.faultStateLocked()
 	s.mu.Unlock()
+	s.walWait(ticket)
 	telemetry.RecordServerRequest("faults.restore", "ok", time.Since(begin))
 	return st, nil
 }
@@ -537,6 +542,7 @@ func (s *Server) repairOne(t *repairTask, rng *rand.Rand) {
 		return
 	}
 	var cause string
+	var ticket uint64
 	if info, ok := s.meta[t.id]; ok && info.State == FlowStateRepairing {
 		info.State = FlowStateEvicted
 		if lastErr != nil {
@@ -550,13 +556,14 @@ func (s *Server) repairOne(t *repairTask, rng *rand.Rand) {
 		}
 		s.meta[t.id] = info
 		if payload, merr := json.Marshal(walEvict{LastError: info.LastError, Cause: info.Cause}); merr == nil {
-			s.walAppendLocked(wal.TypeEvict, t.id, payload)
+			ticket = s.walEnqueueLocked(wal.TypeEvict, t.id, payload)
 		}
 	}
 	delete(s.repairFault, t.id)
 	s.repairLog = append(s.repairLog, RepairEvent{Flow: t.id, Fault: t.fault, Outcome: "evicted", Attempts: attempts})
 	delete(s.dropped, t.id)
 	s.mu.Unlock()
+	s.walWait(ticket)
 	repairDur := time.Since(t.strandedAt)
 	detail := t.fault.String()
 	if cause != "" {
@@ -661,16 +668,19 @@ func (s *Server) admitRepairJob(j *job, detail string) error {
 		return ErrQueueFull
 	}
 
+	var r jobResult
 	select {
-	case r := <-j.done:
-		return r.err
+	case r = <-j.done:
 	case <-j.ctx.Done():
 		if j.finished.CompareAndSwap(false, true) {
 			return fmt.Errorf("%w during repair", ErrTimeout)
 		}
-		r := <-j.done
-		return r.err
+		r = <-j.done
 	}
+	// The controller treats a nil error as "repaired": like any
+	// acknowledgment, that waits for the commit record.
+	s.walWait(r.ticket)
+	return r.err
 }
 
 // breaker is the admission circuit breaker: a run of threshold

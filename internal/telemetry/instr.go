@@ -202,11 +202,9 @@ type EmbedSample struct {
 }
 
 // embedInstruments are one algorithm's RecordEmbed series, resolved once
-// per alg label: RecordEmbed runs on every embedding attempt, and going
-// through the registry each time means canonicalising the label set and
-// taking the registry lock once per series. The failure counter and the
-// worker gauge resolve lazily, on the first sample that needs them, so a
-// scrape lists exactly the series it would without the memo.
+// per alg label (see seriesMemo). The failure counter and the worker gauge
+// resolve lazily, on the first sample that needs them, so a scrape lists
+// exactly the series it would without the memo.
 type embedInstruments struct {
 	alg                                         Label
 	attempts, searchNodes, searches, candidates *Counter
@@ -218,34 +216,50 @@ type embedInstruments struct {
 	layeredSettled atomic.Pointer[Histogram]
 }
 
-var (
-	embedInstrMu sync.RWMutex
-	embedInstr   = map[string]*embedInstruments{}
-)
+// seriesMemo caches resolved Default-registry series by label value, for
+// the recorders that run on every request: going through the registry each
+// time means canonicalising the label set, checking the buckets and taking
+// the registry lock once per series. Label values are code constants, so
+// the map stays small. The registry getters are idempotent, so two
+// goroutines resolving the same key at once end up with the same series;
+// either copy may win.
+type seriesMemo[K comparable, M any] struct {
+	mu sync.RWMutex
+	m  map[K]*M
+}
+
+func (s *seriesMemo[K, M]) get(key K, resolve func(K) *M) *M {
+	s.mu.RLock()
+	h := s.m[key]
+	s.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	h = resolve(key)
+	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[K]*M)
+	}
+	s.m[key] = h
+	s.mu.Unlock()
+	return h
+}
+
+var embedInstr seriesMemo[string, embedInstruments]
 
 func embedInstrumentsFor(alg string) *embedInstruments {
-	embedInstrMu.RLock()
-	in := embedInstr[alg]
-	embedInstrMu.RUnlock()
-	if in != nil {
-		return in
-	}
-	// The registry getters are idempotent, so two goroutines resolving the
-	// same alg at once end up with the same series; either copy may win.
-	r, l := Default(), L("alg", alg)
-	in = &embedInstruments{
-		alg:      l,
-		attempts: r.Counter(MetricEmbedAttempts, "Embedding attempts by algorithm.", l),
-		latency: r.Histogram(MetricEmbedLatency, "Wall-clock seconds per embedding attempt.",
-			DefLatencyBuckets(), l),
-		searchNodes: r.Counter(MetricSearchNodes, "Search states explored (tree nodes, candidates examined, or proposals).", l),
-		searches:    r.Counter(MetricSearches, "Searches run (FST/BST builds, Dijkstra calls, or tree builds).", l),
-		candidates:  r.Counter(MetricCandidates, "Candidate sub-solutions generated.", l),
-	}
-	embedInstrMu.Lock()
-	embedInstr[alg] = in
-	embedInstrMu.Unlock()
-	return in
+	return embedInstr.get(alg, func(alg string) *embedInstruments {
+		r, l := Default(), L("alg", alg)
+		return &embedInstruments{
+			alg:      l,
+			attempts: r.Counter(MetricEmbedAttempts, "Embedding attempts by algorithm.", l),
+			latency: r.Histogram(MetricEmbedLatency, "Wall-clock seconds per embedding attempt.",
+				DefLatencyBuckets(), l),
+			searchNodes: r.Counter(MetricSearchNodes, "Search states explored (tree nodes, candidates examined, or proposals).", l),
+			searches:    r.Counter(MetricSearches, "Searches run (FST/BST builds, Dijkstra calls, or tree builds).", l),
+			candidates:  r.Counter(MetricCandidates, "Candidate sub-solutions generated.", l),
+		}
+	})
 }
 
 // RecordEmbed records one embedding attempt on the Default registry.
@@ -307,18 +321,32 @@ func RecordLayeredRun(alg string, fallback bool, settled int) {
 	h.Observe(float64(settled))
 }
 
+// RecordOnlineRequest's series: the outcome counters keyed by accepted, and
+// the one latency histogram, each resolved on first use so a scrape lists
+// an outcome only once it has happened.
+var (
+	onlineRequests seriesMemo[bool, Counter]
+	onlineLatency  atomic.Pointer[Histogram]
+)
+
 // RecordOnlineRequest records one online-harness request on the Default
 // registry: an accept/reject counter and an end-to-end latency histogram
 // (embed plus commit).
 func RecordOnlineRequest(accepted bool, elapsed time.Duration) {
-	r := Default()
-	outcome := "rejected"
-	if accepted {
-		outcome = "accepted"
+	onlineRequests.get(accepted, func(accepted bool) *Counter {
+		outcome := "rejected"
+		if accepted {
+			outcome = "accepted"
+		}
+		return Default().Counter(MetricOnlineRequests, "Online flow requests by outcome.", L("outcome", outcome))
+	}).Inc()
+	h := onlineLatency.Load()
+	if h == nil {
+		h = Default().Histogram(MetricOnlineLatency, "Wall-clock seconds per online request (embed + commit).",
+			DefLatencyBuckets())
+		onlineLatency.Store(h)
 	}
-	r.Counter(MetricOnlineRequests, "Online flow requests by outcome.", L("outcome", outcome)).Inc()
-	r.Histogram(MetricOnlineLatency, "Wall-clock seconds per online request (embed + commit).",
-		DefLatencyBuckets()).Observe(elapsed.Seconds())
+	h.Observe(elapsed.Seconds())
 }
 
 // RecordOnlineCommitFailure records one commit that failed against the
@@ -354,12 +382,16 @@ const (
 	StageFailover = "failover"
 )
 
+var stageInstr seriesMemo[string, Histogram]
+
 // RecordServerStage records one pipeline-stage duration (the histogram
 // behind the per-stage p50/p95/p99 table dagsfc-load prints).
 func RecordServerStage(stage string, elapsed time.Duration) {
-	Default().Histogram(MetricServerStageSeconds,
-		"Serving-pipeline stage durations derived from journal event pairs.",
-		DefLatencyBuckets(), L("stage", stage)).Observe(elapsed.Seconds())
+	stageInstr.get(stage, func(stage string) *Histogram {
+		return Default().Histogram(MetricServerStageSeconds,
+			"Serving-pipeline stage durations derived from journal event pairs.",
+			DefLatencyBuckets(), L("stage", stage))
+	}).Observe(elapsed.Seconds())
 }
 
 // Protection metric names (PR 10): the protected-embedding subsystem —
@@ -426,6 +458,8 @@ const (
 	MetricWALSnapshotSeconds = "dagsfc_wal_snapshot_seconds"
 	MetricWALSnapshotBytes   = "dagsfc_wal_snapshot_bytes"
 	MetricWALReplayed        = "dagsfc_wal_recovery_replayed_total"
+	MetricWALBroken          = "dagsfc_wal_broken"
+	MetricWALErrors          = "dagsfc_wal_errors_total"
 )
 
 // RecordWALAppend records one record appended to the write-ahead log and
@@ -456,24 +490,52 @@ func RecordWALReplay(n int) {
 	Default().Counter(MetricWALReplayed, "WAL records replayed during startup recovery.").Add(float64(n))
 }
 
+// SetWALBroken publishes whether the server has latched a WAL failure and
+// stopped writing records (1) or is logging normally (0).
+func SetWALBroken(broken bool) {
+	v := 0.0
+	if broken {
+		v = 1
+	}
+	Default().Gauge(MetricWALBroken, "1 while a WAL disk error has durability switched off.").Set(v)
+}
+
+// RecordWALError records one failed WAL append, fsync or snapshot.
+func RecordWALError() {
+	Default().Counter(MetricWALErrors, "WAL appends, fsyncs and snapshots that failed.").Inc()
+}
+
 // InitWALMetrics pre-creates the WAL counter families at zero so a
 // freshly recovered (or fresh) server exposes them before traffic.
 func InitWALMetrics() {
 	r := Default()
+	SetWALBroken(false)
+	r.Counter(MetricWALErrors, "WAL appends, fsyncs and snapshots that failed.").Add(0)
 	r.Counter(MetricWALAppends, "Records appended to the write-ahead log.").Add(0)
 	r.Counter(MetricWALFsyncs, "fsyncs of the active WAL segment.").Add(0)
 	r.Counter(MetricWALBytes, "Framed bytes appended to the write-ahead log.").Add(0)
 	r.Counter(MetricWALReplayed, "WAL records replayed during startup recovery.").Add(0)
 }
 
+// routeOutcome keys the per-(route, outcome) request counters.
+type routeOutcome struct{ route, outcome string }
+
+var (
+	requestInstr        seriesMemo[routeOutcome, Counter]
+	requestLatencyInstr seriesMemo[string, Histogram]
+)
+
 // RecordServerRequest records one serving-layer request on the Default
 // registry: a per-route/outcome counter and a per-route latency histogram.
 func RecordServerRequest(route, outcome string, elapsed time.Duration) {
-	r := Default()
-	r.Counter(MetricServerRequests, "Serving-layer requests by route and outcome.",
-		L("route", route), L("outcome", outcome)).Inc()
-	r.Histogram(MetricServerLatency, "Wall-clock seconds per serving-layer request.",
-		DefLatencyBuckets(), L("route", route)).Observe(elapsed.Seconds())
+	requestInstr.get(routeOutcome{route, outcome}, func(k routeOutcome) *Counter {
+		return Default().Counter(MetricServerRequests, "Serving-layer requests by route and outcome.",
+			L("route", k.route), L("outcome", k.outcome))
+	}).Inc()
+	requestLatencyInstr.get(route, func(route string) *Histogram {
+		return Default().Histogram(MetricServerLatency, "Wall-clock seconds per serving-layer request.",
+			DefLatencyBuckets(), L("route", route))
+	}).Observe(elapsed.Seconds())
 }
 
 // SetServerQueueDepth publishes the admission queue's current depth.

@@ -120,10 +120,13 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return bs
 }
 
+var defLatencyBuckets = ExpBuckets(1e-5, 2, 20)
+
 // DefLatencyBuckets spans 10µs to ~5s in powers of two, wide enough for
 // every embedding algorithm in the repo (MINV in microseconds, BBE on
-// large instances in seconds).
-func DefLatencyBuckets() []float64 { return ExpBuckets(1e-5, 2, 20) }
+// large instances in seconds). Every call returns the same slice, which
+// must not be modified; the registry copies what it keeps.
+func DefLatencyBuckets() []float64 { return defLatencyBuckets }
 
 // family is one named metric with its per-label-set series.
 type family struct {

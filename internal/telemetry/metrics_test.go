@@ -344,3 +344,93 @@ dagsfc_embed_layered_settled_states_count{alg="layered-golden-alg"} 2
 		t.Fatalf("steady-state RecordLayeredRun allocates %.1f objects per pair of runs, want 0", allocs)
 	}
 }
+
+// TestRequestRecordersGolden pins what a scrape sees of the three
+// per-request recorders — family names, help text, route/outcome/stage
+// labels, one latency histogram per route — that an outcome's series
+// stays unlisted until it happens, and that the steady state allocates
+// nothing.
+func TestRequestRecordersGolden(t *testing.T) {
+	const route, stage = "golden.route", "golden_stage"
+	RecordServerRequest(route, "accepted", 3*time.Millisecond)
+	RecordServerRequest(route, "accepted", 5*time.Millisecond)
+	RecordServerStage(stage, time.Millisecond)
+	render := func() string {
+		var snap Snapshot
+		for _, fam := range Default().Snapshot().Families {
+			kept := fam
+			kept.Series = nil
+			for _, s := range fam.Series {
+				for _, l := range s.Labels {
+					if l.Value == route || l.Value == stage {
+						// Bucket rows are pinned by the layered-run golden;
+						// here the identity of the series is the point.
+						s.Buckets = nil
+						kept.Series = append(kept.Series, s)
+					}
+				}
+			}
+			if len(kept.Series) > 0 {
+				snap.Families = append(snap.Families, kept)
+			}
+		}
+		var b strings.Builder
+		if err := snap.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const want = `# HELP dagsfc_server_request_latency_seconds Wall-clock seconds per serving-layer request.
+# TYPE dagsfc_server_request_latency_seconds histogram
+dagsfc_server_request_latency_seconds_sum{route="golden.route"} 0.008
+dagsfc_server_request_latency_seconds_count{route="golden.route"} 2
+# HELP dagsfc_server_requests_total Serving-layer requests by route and outcome.
+# TYPE dagsfc_server_requests_total counter
+dagsfc_server_requests_total{outcome="accepted",route="golden.route"} 2
+# HELP dagsfc_server_stage_seconds Serving-pipeline stage durations derived from journal event pairs.
+# TYPE dagsfc_server_stage_seconds histogram
+dagsfc_server_stage_seconds_sum{stage="golden_stage"} 0.001
+dagsfc_server_stage_seconds_count{stage="golden_stage"} 1
+`
+	if got := render(); got != want {
+		t.Fatalf("exposition drifted.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	RecordServerRequest(route, "conflict", time.Millisecond)
+	if got := render(); !strings.Contains(got, `dagsfc_server_requests_total{outcome="conflict",route="golden.route"} 1`+"\n") ||
+		!strings.Contains(got, `dagsfc_server_request_latency_seconds_count{route="golden.route"} 3`+"\n") {
+		t.Fatalf("a new outcome must add a counter series and share the route's histogram:\n%s", got)
+	}
+
+	online := func() (accepted, rejected, observed float64) {
+		for _, fam := range Default().Snapshot().Families {
+			for _, s := range fam.Series {
+				switch {
+				case fam.Name == MetricOnlineLatency:
+					observed = float64(s.Count)
+				case fam.Name == MetricOnlineRequests && s.Labels[0].Value == "accepted":
+					accepted = s.Value
+				case fam.Name == MetricOnlineRequests && s.Labels[0].Value == "rejected":
+					rejected = s.Value
+				}
+			}
+		}
+		return
+	}
+	a0, r0, n0 := online()
+	RecordOnlineRequest(true, time.Millisecond)
+	RecordOnlineRequest(false, time.Millisecond)
+	RecordOnlineRequest(true, time.Millisecond)
+	if a, r, n := online(); a-a0 != 2 || r-r0 != 1 || n-n0 != 3 {
+		t.Fatalf("online recorder counted accepted %v, rejected %v, latency samples %v; want +2, +1, +3", a-a0, r-r0, n-n0)
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		RecordServerRequest(route, "accepted", time.Millisecond)
+		RecordServerRequest(route, "conflict", time.Millisecond)
+		RecordServerStage(stage, time.Millisecond)
+		RecordOnlineRequest(true, time.Millisecond)
+		RecordOnlineRequest(false, time.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("steady-state request recorders allocate %.1f objects per round, want 0", allocs)
+	}
+}

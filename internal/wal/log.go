@@ -19,9 +19,11 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncPerCommit flushes and fsyncs before Append returns, for every
-	// record: an acknowledged mutation survives any crash, process or
-	// machine. The strongest and slowest mode.
+	// SyncPerCommit makes WaitDurable (and so Append) return only once the
+	// record is flushed and fsynced: an acknowledged mutation survives any
+	// crash, process or machine. Concurrent waiters share fsyncs (group
+	// commit); a lone appender pays one per record. The strongest and
+	// slowest mode.
 	SyncPerCommit SyncPolicy = iota
 	// SyncBatched group-commits: appends land in the user-space buffer and
 	// a background flusher flushes + fsyncs every FlushInterval. A crash
@@ -92,19 +94,37 @@ type Recovery struct {
 
 // Log is the append side. All methods are safe for concurrent use; the
 // caller is expected to serialize appends that must stay ordered relative
-// to each other (the server appends under its state mutex).
+// to each other (the server enqueues under its state mutex).
+//
+// Appending is two steps so that callers can overlap: Enqueue frames a
+// record into the user-space buffer and hands back its sequence number,
+// WaitDurable blocks until that record is as safe as the sync policy
+// promises. Under SyncPerCommit waiters elect a leader: the first one
+// flushes the buffer and fsyncs with mu released, so records keep being
+// enqueued behind it; every waiter whose record the flush covered returns
+// with the leader, and the next waiter leads the next round.
 type Log struct {
 	dir  string
 	opts Options
+	// fsync forces a segment file to stable storage: (*os.File).Sync,
+	// unless a test replaced it.
+	fsync func(*os.File) error
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// synced is signalled whenever a leader's fsync finishes or the log
+	// closes: followers re-check their sequence number, and whoever needs
+	// the file to itself (rotation, snapshot, close) proceeds.
+	synced   *sync.Cond
 	f        *os.File
 	w        *bufio.Writer
 	buf      []byte // frame scratch, reused across appends
 	seq      uint64 // last assigned sequence number
+	flushed  uint64 // last seq handed to the OS
+	durable  uint64 // last seq covered by a completed fsync
+	syncing  bool   // a leader is inside fsync with mu released
+	failed   error  // first flush or fsync failure; sticks
 	segStart uint64 // first seq the active segment may hold
 	segBytes int64
-	dirty    bool // bytes written since the last fsync
 	closed   bool
 
 	flushStop chan struct{}
@@ -149,7 +169,8 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{dir: dir, opts: opts, seq: rec.lastSeq}
+	l := &Log{dir: dir, opts: opts, fsync: (*os.File).Sync, seq: rec.lastSeq, flushed: rec.lastSeq, durable: rec.lastSeq}
+	l.synced = sync.NewCond(&l.mu)
 	if err := l.openSegment(rec.lastSeq + 1); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 	}
@@ -280,13 +301,37 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	return nil
 }
 
-// Append assigns the next sequence number to rec, writes the frame, and
-// applies the sync policy before returning the assigned sequence.
-func (l *Log) Append(rec Record) (uint64, error) {
+// SetSyncFunc replaces the call that forces a segment file to stable
+// storage. It is a fault-injection seam for tests, of this package and of
+// its callers; nothing else calls it. Set it before the first append.
+func (l *Log) SetSyncFunc(fsync func(*os.File) error) {
 	l.mu.Lock()
+	l.fsync = fsync
+	l.mu.Unlock()
+}
+
+// Append is Enqueue followed by WaitDurable: it returns once the record is
+// as durable as the sync policy promises.
+func (l *Log) Append(rec Record) (uint64, error) {
+	seq, err := l.Enqueue(rec)
+	if err != nil {
+		return seq, err
+	}
+	return seq, l.WaitDurable(seq)
+}
+
+// Enqueue assigns the next sequence number to rec and writes its frame
+// into the log's buffer. Nothing is forced anywhere: the record survives a
+// crash only once WaitDurable(seq) — for this or any later seq — has
+// returned nil, or a later Sync, snapshot or Close has.
+func (l *Log) Enqueue(rec Record) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: append on closed log")
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	l.seq++
 	rec.Seq = l.seq
@@ -295,44 +340,123 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	}
 	l.buf = appendFrame(l.buf[:0], rec)
 	if _, err := l.w.Write(l.buf); err != nil {
-		l.mu.Unlock()
-		return 0, err
+		return rec.Seq, l.fail(err)
 	}
 	l.segBytes += int64(len(l.buf))
-	l.dirty = true
 	telemetry.RecordWALAppend(len(l.buf))
-	needRotate := l.segBytes >= l.opts.SegmentBytes
-	if needRotate {
-		if err := l.rotateLocked(); err != nil {
-			l.mu.Unlock()
-			return rec.Seq, err
+	if l.segBytes >= l.opts.SegmentBytes {
+		// Rotation needs the file to itself. Another appender may rotate
+		// while this one waits out a leader's fsync, so look again after.
+		l.awaitSyncLocked()
+		if l.segBytes >= l.opts.SegmentBytes && !l.closed {
+			if err := l.rotateLocked(); err != nil {
+				return rec.Seq, l.fail(err)
+			}
 		}
 	}
-	// Per-commit: full durability barrier. Off: flush to the OS so only a
-	// machine crash loses the record (syncLocked skips the fsync for off).
-	// Batched: leave it buffered for the group-commit flusher.
-	if l.opts.Sync != SyncBatched {
-		if err := l.syncLocked(); err != nil {
-			l.mu.Unlock()
-			return rec.Seq, err
-		}
-	}
-	l.mu.Unlock()
 	return rec.Seq, nil
 }
 
-// rotateLocked seals the active segment and starts the next one. Caller
-// holds mu.
-func (l *Log) rotateLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return err
+// WaitDurable blocks until the record with sequence number seq is as
+// durable as the sync policy promises: fsynced under SyncPerCommit, handed
+// to the OS under SyncOff, merely buffered under SyncBatched (the flusher
+// owns the fsync). Under SyncPerCommit the first waiter becomes the
+// leader, flushing and fsyncing everything enqueued so far; waiters whose
+// record that covers return with it, so concurrent callers share fsyncs.
+// A failed flush or fsync fails the log for good: the error is returned to
+// every waiter it may have affected and to every later call.
+func (l *Log) WaitDurable(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq > l.seq {
+		return fmt.Errorf("wal: wait for seq %d, but the last append is %d", seq, l.seq)
 	}
-	if l.dirty && l.opts.Sync != SyncOff {
-		if err := l.f.Sync(); err != nil {
-			return err
+	switch l.opts.Sync {
+	case SyncBatched:
+		return l.failed
+	case SyncOff:
+		if l.flushed >= seq {
+			return nil
 		}
-		l.dirty = false
+		if l.closed {
+			return fmt.Errorf("wal: log closed before seq %d was flushed", seq)
+		}
+		return l.flushLocked()
+	}
+	for l.durable < seq {
+		switch {
+		case l.failed != nil:
+			return l.failed
+		case l.closed:
+			return fmt.Errorf("wal: log closed before seq %d was synced", seq)
+		case l.syncing:
+			l.synced.Wait()
+		default:
+			l.leadSyncLocked()
+		}
+	}
+	return nil
+}
+
+// leadSyncLocked runs one group-commit round: flush under mu, fsync with
+// mu released so appenders keep enqueuing behind it, then publish the new
+// durable watermark. Caller holds mu and has checked that no other round
+// is in flight.
+func (l *Log) leadSyncLocked() {
+	if l.flushLocked() != nil {
+		return
+	}
+	target, f, fsync := l.flushed, l.f, l.fsync
+	l.syncing = true
+	l.mu.Unlock()
+	err := fsync(f)
+	l.mu.Lock()
+	l.syncing = false
+	if err != nil {
+		_ = l.fail(err)
+	} else {
+		l.durable = max(l.durable, target)
 		telemetry.RecordWALFsync()
+	}
+	l.synced.Broadcast()
+}
+
+// awaitSyncLocked waits out a leader's in-flight fsync: whoever is about
+// to flush-and-fsync inline, or to close or replace the segment file, needs
+// it to itself. Caller holds mu.
+func (l *Log) awaitSyncLocked() {
+	for l.syncing {
+		l.synced.Wait()
+	}
+}
+
+// fail latches the log's first I/O failure and returns it. After a failed
+// write or fsync the kernel may have dropped the dirty pages, so no later
+// fsync can vouch for the records before it.
+func (l *Log) fail(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("wal: log failed: %w", err)
+	}
+	return l.failed
+}
+
+// flushLocked hands every buffered frame to the OS. Caller holds mu.
+func (l *Log) flushLocked() error {
+	if l.failed != nil {
+		return l.failed
+	}
+	if err := l.w.Flush(); err != nil {
+		return l.fail(err)
+	}
+	l.flushed = l.seq
+	return nil
+}
+
+// rotateLocked seals the active segment and starts the next one. Caller
+// holds mu with no fsync in flight.
+func (l *Log) rotateLocked() error {
+	if err := l.syncLocked(); err != nil {
+		return err
 	}
 	if err := l.f.Close(); err != nil {
 		return err
@@ -341,29 +465,31 @@ func (l *Log) rotateLocked() error {
 }
 
 // Sync flushes buffered frames to the OS and, unless the policy is
-// SyncOff, fsyncs. The server calls it as the durability barrier before
-// acknowledging work under SyncPerCommit (Append already synced then —
-// this is the idempotent safety net) and on demand from tests.
+// SyncOff, fsyncs. It is SyncBatched's group-commit tick and an on-demand
+// barrier for tests; per-record durability goes through WaitDurable.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
+	l.awaitSyncLocked()
 	return l.syncLocked()
 }
 
+// syncLocked flushes and fsyncs inline. Caller holds mu with no fsync in
+// flight.
 func (l *Log) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return err
 	}
-	if !l.dirty || l.opts.Sync == SyncOff {
+	if l.durable == l.seq || l.opts.Sync == SyncOff {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
+	if err := l.fsync(l.f); err != nil {
+		return l.fail(err)
 	}
-	l.dirty = false
+	l.durable = l.seq
 	telemetry.RecordWALFsync()
 	return nil
 }
@@ -407,6 +533,7 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	if l.closed {
 		return fmt.Errorf("wal: snapshot on closed log")
 	}
+	l.awaitSyncLocked()
 	// The snapshot claims coverage of seq ≤ watermark; make those records
 	// at least as durable as the snapshot about to supersede them.
 	if err := l.syncLocked(); err != nil {
@@ -472,6 +599,7 @@ func (l *Log) Close() error {
 	l.stopFlusher()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSyncLocked()
 	if l.closed {
 		return nil
 	}
@@ -480,6 +608,7 @@ func (l *Log) Close() error {
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
+	l.synced.Broadcast()
 	return err
 }
 
@@ -491,11 +620,13 @@ func (l *Log) Abandon() {
 	l.stopFlusher()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSyncLocked()
 	if l.closed {
 		return
 	}
 	l.closed = true
 	_ = l.f.Close()
+	l.synced.Broadcast()
 }
 
 func (l *Log) stopFlusher() {

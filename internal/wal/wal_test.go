@@ -276,7 +276,7 @@ func TestBatchedFlusherSyncs(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		l.mu.Lock()
-		clean := !l.dirty
+		clean := l.durable == l.seq
 		l.mu.Unlock()
 		if clean {
 			break
