@@ -55,7 +55,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR17.json
+BENCH_JSON ?= BENCH_PR18.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -74,10 +74,10 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed) regressed more than
-# 20% against the committed PR16 baseline, if an embed-path benchmark
-# (MBBE embed cold, warm and serial, layer extensions, BBE embed, the
-# validate-commit-release ledger path) allocates more than 5% more objects
-# per op, or if the warm path-cache embed lost
+# 20% against the committed PR17 baseline, if an embed-path benchmark
+# (MBBE embed cold, warm, warm under ledger churn and serial, layer
+# extensions, BBE embed, the validate-commit-release ledger path) allocates
+# more than 5% more objects per op, or if the warm path-cache embed lost
 # its 1.5x speedup floor. It refuses outright (non-zero exit) to compare
 # two ledgers recorded at different GOMAXPROCS. The 20% limit is wide on
 # purpose — it absorbs host-to-host ns/op noise while still catching real
@@ -86,7 +86,7 @@ bench-json:
 # -guard-serve-old adds the durability-tax check: the serve throughput
 # with the WAL on but fsync off must stay within the same limit of the
 # baseline's WAL-less BenchmarkServeThroughput.
-BENCH_GUARD_OLD ?= BENCH_PR16.json
+BENCH_GUARD_OLD ?= BENCH_PR17.json
 BENCH_GUARD_SERVE_OLD ?= BENCH_PR16.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON) -guard-serve-old $(BENCH_GUARD_SERVE_OLD)
@@ -136,10 +136,12 @@ durable-smoke:
 
 # The survivability packages run concurrent repair controllers, fault
 # injection, and breaker state under load, and the WAL's group commit hands
-# an fsync between goroutines — run them under the race detector on their
-# own so a failure names the culprit directly.
+# an fsync between goroutines; core's embeds publish views and trees into
+# one store from every worker while the ledger moves under them — run them
+# under the race detector on their own so a failure names the culprit
+# directly.
 race-survival:
-	$(GO) test -race ./internal/server/... ./internal/faults/... ./internal/online/... ./internal/wal/...
+	$(GO) test -race ./internal/server/... ./internal/faults/... ./internal/online/... ./internal/wal/... ./internal/core/...
 
 # Regenerate every table/figure of the paper at full trial count.
 repro:

@@ -128,12 +128,14 @@ var guardedBenchmarks = []string{
 
 // allocGuardedBenchmarks are the embed-path benchmarks whose allocs/op must
 // not rise more than allocGuardLimit over the baseline ledger: the whole
-// MBBE embed cold and warm, one layer's candidate generation, the BBE
-// embed, and the validate-commit-release path a placed flow walks through
-// the ledger. The counts repeat exactly on this code, so the limit is tight.
+// MBBE embed cold, warm and warm under ledger churn, one layer's candidate
+// generation, the BBE embed, and the validate-commit-release path a placed
+// flow walks through the ledger. The counts repeat exactly on this code, so
+// the limit is tight.
 var allocGuardedBenchmarks = []string{
 	"BenchmarkEmbedMBBEWorkers/workers=1",
 	"BenchmarkEmbedMBBECached",
+	"BenchmarkEmbedMBBEChurn",
 	"BenchmarkEmbedMBBESerial",
 	"BenchmarkLayerExtensions",
 	"BenchmarkEmbedBBE",

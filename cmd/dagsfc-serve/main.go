@@ -82,7 +82,7 @@ func main() {
 		brkFails     = flag.Int("breaker-failures", 0, "consecutive pipeline failures that open the admission breaker (0 = disabled)")
 		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "breaker open time before the half-open probe")
 		journalSize  = flag.Int("journal", 4096, "flight-recorder ring capacity (events replayable over /v1/events)")
-		pathCache    = flag.Int("path-cache", 0, "cross-request path-tree cache size in trees (0 = default 4096, negative = disabled)")
+		pathCache    = flag.Int("path-cache", 0, "trees kept on the cost view requests share (0 = default 4096, negative = nothing shared)")
 		walDir       = flag.String("wal-dir", "", "durable flow state directory: write-ahead log + snapshots (empty = durability off)")
 		walSync      = flag.String("wal-sync", "commit", "WAL fsync policy: commit (fsync per acknowledgment), batch (group-commit), off (OS writeback)")
 		walFlush     = flag.Duration("wal-flush", 5*time.Millisecond, "group-commit period for -wal-sync batch")

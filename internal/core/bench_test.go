@@ -81,11 +81,11 @@ func BenchmarkEmbedMBBEWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedMBBECached is the steady-state a server worker sees
-// between commits: repeated embeds against an unchanged ledger with the
-// cross-request path-tree cache warm, so every Dijkstra tree is served
-// from the cache instead of recomputed. Compare against
-// BenchmarkEmbedMBBEWorkers/workers=1 for the cache's speedup.
+// BenchmarkEmbedMBBECached is the best case for the cross-request cache:
+// repeated embeds against a ledger nobody touches, the shared view and
+// every Dijkstra tree on it warm. Compare against
+// BenchmarkEmbedMBBEWorkers/workers=1 for the cache's speedup, and see
+// BenchmarkEmbedMBBEChurn for the same embed with the ledger moving.
 func BenchmarkEmbedMBBECached(b *testing.B) {
 	p := benchProblem(b)
 	p.Ledger = network.NewLedger(p.Net).Overlay()
@@ -106,6 +106,45 @@ func BenchmarkEmbedMBBECached(b *testing.B) {
 	hits, _, _ := opts.PathCache.Stats()
 	if hits == 0 {
 		b.Fatal("warm benchmark never hit the cache")
+	}
+}
+
+// BenchmarkEmbedMBBEChurn is EmbedMBBECached shaped like the traffic:
+// another flow commits and releases between any two embeds, as a server's
+// ledger does between any two admissions, so no two embeds see the same
+// ledger epoch — only, at ample capacity, the same admissible links. One
+// op is the embed plus that Commit and Release.
+func BenchmarkEmbedMBBEChurn(b *testing.B) {
+	p := benchProblem(b)
+	p.Ledger = network.NewLedger(p.Net).Overlay()
+	other := *p
+	other.Src, other.Dst = p.Dst, p.Src
+	placed, err := EmbedMBBE(&other)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := MBBEOptions()
+	opts.Workers = 1
+	opts.PathCache = graph.NewTreeCache(0)
+	if _, err := Embed(p, opts); err != nil { // cold pass fills the cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Commit(&other, placed.Solution); err != nil {
+			b.Fatal(err)
+		}
+		if err := Release(&other, placed.Solution); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Embed(p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if _, misses, _ := opts.PathCache.Stats(); misses > uint64(p.Net.G.NumNodes()) {
+		b.Fatalf("churn benchmark searched %d trees: the ledger's churn is evicting the shared view", misses)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dagsfc/internal/delaymodel"
@@ -97,30 +98,24 @@ type Options struct {
 	// Label names this configuration in telemetry metrics (the "alg"
 	// label). BBEOptions/MBBEOptions set it; empty means "custom".
 	Label string
-	// PathCache, when non-nil, shares capacity-filtered Dijkstra trees
-	// across embedding runs: the per-run tree memo consults it before
-	// computing, keyed by (source, ledger view epoch, demand fingerprint).
-	// It is only consulted when the problem carries a ledger — the epoch
-	// that keys an entry is meaningless for a run on a private fresh
-	// ledger. Results are bit-identical with or without a cache: a hit can
-	// only be served to a run whose ledger presents the exact residual
-	// view the tree was computed under (see network.Ledger.ViewEpoch).
+	// PathCache, when non-nil, shares the run's compiled cost view and the
+	// Dijkstra trees searched on it with every other run whose view has the
+	// same content: the same substrate, the same links able to carry the
+	// rate (see graph.TreeCache). Results are bit-identical with or without
+	// it, since a shared tree is the tree this run would have searched. It
+	// is only consulted when the problem carries a ledger.
 	PathCache *graph.TreeCache
-	// ViewCache, when non-nil, shares compiled cost views across embedding
-	// runs, keyed by (ledger view epoch, cost-options fingerprint). A view
-	// flattens the ledger's residuals plus the run's filters into dense
-	// arrays once; runs on an unchanged ledger then skip the O(edges)
-	// compile entirely. Like PathCache it is only consulted when the
-	// problem carries a ledger, and hits are bit-identical to compiling
-	// fresh (the epoch pins the exact residual view).
+	// ViewCache stands in for PathCache when PathCache is nil.
+	//
+	// Deprecated: see graph.ViewCache.
 	ViewCache *graph.ViewCache
 	// BannedEdges and BannedNodes exclude substrate elements from every
 	// path search in the run — the per-request variant graph.CostOptions
 	// bans express for a single search. Yen-style alternative-path
 	// embeds and what-if re-embeds around a faulty element use these.
-	// Banned variants still share PathCache: the ban sets are part of
-	// the cache key fingerprint, so a banned run's trees can never be
-	// served to an unbanned run or vice versa. A nil map bans nothing.
+	// A banned run's view and trees are its own (ban sets are all but
+	// unique per request); only its capacity-only search view is shared
+	// through PathCache. A nil map bans nothing.
 	BannedEdges map[graph.EdgeID]bool
 	BannedNodes map[graph.NodeID]bool
 }
@@ -273,49 +268,39 @@ func embedContext(ctx context.Context, p *Problem, opts Options, perLayer bool) 
 	e := &embedder{
 		p: p, opts: opts, workers: workers, ctx: ctx, label: label, perLayer: perLayer,
 		ledger: p.ledgerOrFresh(),
-		trees:  make(map[graph.NodeID]*treeEntry),
 	}
 	// The ledger is read-only for the whole run, so one CostOptions value
 	// (and its Residual closure) serves every search instead of allocating
 	// a fresh pair per query.
 	e.costOpts = e.ledger.CostOptions(p.Rate)
-	if len(opts.BannedEdges) > 0 {
-		e.costOpts.BannedEdges = opts.BannedEdges
-	}
-	if len(opts.BannedNodes) > 0 {
-		e.costOpts.BannedNodes = opts.BannedNodes
-	}
-	if (opts.PathCache != nil || opts.ViewCache != nil) && p.Ledger != nil {
-		// Pin the ledger's view epoch once for the whole run. Cache entries
-		// are inserted only if the view is still identical after the tree is
-		// computed, so a hit under this epoch is always bit-identical to
-		// computing fresh. The fingerprint covers the demand floor AND the
-		// ban sets, so banned request variants share the caches without ever
-		// colliding with unbanned runs.
-		e.cache = opts.PathCache
-		e.viewCache = opts.ViewCache
-		e.cacheEpoch = e.ledger.ViewEpoch()
-		e.cacheFP = e.costOpts.Fingerprint()
-	}
-	// Compile (or fetch from the view cache) the run's cost views once:
-	// pathView backs every Dijkstra/hop search under the full options;
-	// searchView is the capacity-only variant the FST/BST layer-extension
-	// builds admit arcs through (runSearch admission ignores ban sets, so
-	// a banned run needs the distinction).
-	e.pathView = e.acquireView(e.costOpts, e.cacheFP)
-	if len(opts.BannedEdges) == 0 && len(opts.BannedNodes) == 0 {
-		e.searchView = e.pathView
-	} else {
-		searchOpts := e.ledger.CostOptions(p.Rate)
-		var fp uint64
-		if e.viewCache != nil {
-			fp = searchOpts.Fingerprint()
+	if p.Ledger != nil {
+		if e.store = opts.PathCache; e.store == nil {
+			e.store = opts.ViewCache
 		}
-		e.searchView = e.acquireView(searchOpts, fp)
+	}
+	// Compile the run's cost views once: pathView backs every Dijkstra/hop
+	// search under the full options; searchView is the capacity-only
+	// variant the FST/BST layer-extension builds admit arcs through
+	// (runSearch admission ignores ban sets, so a banned run needs the
+	// distinction).
+	e.searchView = e.sharedView(e.costOpts)
+	if len(opts.BannedEdges) == 0 && len(opts.BannedNodes) == 0 {
+		e.pathView = e.searchView
+		e.sharedTrees = e.store != nil
+	} else {
+		e.costOpts.BannedEdges = opts.BannedEdges
+		e.costOpts.BannedNodes = opts.BannedNodes
+		e.pathView = e.privateView(e.costOpts)
+	}
+	if e.sharedTrees {
+		e.treeSeen = make([]atomic.Uint64, (p.Net.G.NumNodes()+63)/64)
+	} else {
+		e.trees = make(map[graph.NodeID]*treeEntry)
 	}
 	e.scratch = acquireScratchSlots(workers)
 	defer releaseScratchSlots(e.scratch)
 	res, err := e.run()
+	telemetry.RecordPathCacheHits(e.treeHits.Load())
 	telemetry.RecordEmbed(telemetry.EmbedSample{
 		Alg:         label,
 		Elapsed:     time.Since(start),
@@ -358,24 +343,25 @@ type embedder struct {
 	// fan-in of buildLayerExtensions and read-only everywhere else, so
 	// parallel workers may read it without locking.
 	extCache map[extKey][]*extension
-	// trees memoizes capacity-filtered Dijkstra trees by source node.
-	// Links are bidirectional with symmetric prices, so a path a→b is the
-	// reverse of the tree-from-a path to b, and one tree serves every
-	// meta-path that shares an endpoint. Entries are built at most once
-	// per source (singleflight via treeEntry.once), making treeFor safe
-	// to call from concurrent workers.
+	// store, when non-nil, is the cross-request store of views and trees
+	// (Options.PathCache). sharedTrees says pathView came from it, so its
+	// own table memoizes the run's Dijkstra trees. treeSeen marks the
+	// sources the run has asked that table for, so that a source counts
+	// once per run — as one hit in treeHits (flushed to telemetry when the
+	// run ends) or as one miss — however often the search comes back to it.
+	store       *graph.TreeCache
+	sharedTrees bool
+	treeSeen    []atomic.Uint64
+	treeHits    atomic.Uint64
+	// trees memoizes the Dijkstra trees of a private pathView (no store,
+	// or a banned run) by source node. Links are bidirectional with
+	// symmetric prices, so a path a→b is the reverse of the tree-from-a
+	// path to b, and one tree serves every meta-path that shares an
+	// endpoint. Entries are built at most once per source (singleflight
+	// via treeEntry.once), making treeFor safe to call from concurrent
+	// workers.
 	treeMu sync.Mutex
 	trees  map[graph.NodeID]*treeEntry
-	// cache, when non-nil, is the cross-request tree cache consulted by
-	// treeFor. cacheEpoch is the ledger view epoch pinned at run start and
-	// cacheFP fingerprints the cost options; together with the source node
-	// they form the cache key.
-	cache      *graph.TreeCache
-	cacheEpoch uint64
-	cacheFP    uint64
-	// viewCache, when non-nil, shares compiled cost views across requests
-	// under the same (epoch, fingerprint) contract as cache.
-	viewCache *graph.ViewCache
 	// pathView is the run's compiled cost view under the full options
 	// (capacity floor plus ban sets): every Dijkstra and hop search runs
 	// against it. searchView is the capacity-only view the FST/BST builds
@@ -388,37 +374,56 @@ type embedder struct {
 	avgLink float64
 }
 
-// acquireView returns a compiled cost view for opts: from the view cache
-// when one is attached and the (epoch, fingerprint) key hits, else
-// compiled fresh and published back under the same insert guard as the
-// tree cache (only while the ledger still presents the pinned view).
-func (e *embedder) acquireView(opts *graph.CostOptions, fp uint64) *graph.CostView {
-	if e.viewCache != nil {
-		key := graph.ViewCacheKey{Epoch: e.cacheEpoch, Fingerprint: fp}
-		if v, ok := e.viewCache.Lookup(key); ok {
-			telemetry.RecordCostView(false)
-			return v
-		}
+// sharedView returns the compiled cost view for opts: the store's view of
+// that content when a store is attached, else one compiled fresh.
+func (e *embedder) sharedView(opts *graph.CostOptions) *graph.CostView {
+	if e.store == nil {
+		return e.privateView(opts)
 	}
-	v := e.p.Net.G.CompileView(opts)
-	telemetry.RecordCostView(true)
-	if e.viewCache != nil && e.ledger.SameView(e.cacheEpoch) {
-		e.viewCache.Insert(graph.ViewCacheKey{Epoch: e.cacheEpoch, Fingerprint: fp}, v)
+	v, reused, evicted := e.store.View(e.p.Net.G, opts)
+	telemetry.RecordCostView(!reused)
+	if !reused {
+		e.recordRetention(evicted)
 	}
 	return v
 }
 
-// treeEntry is one singleflight slot of the Dijkstra-tree memo: the first
-// goroutine to request a source computes the tree inside once; every
-// later (or concurrent) request blocks until it is ready and shares it.
+// privateView compiles opts into a view of the run's own.
+func (e *embedder) privateView(opts *graph.CostOptions) *graph.CostView {
+	telemetry.RecordCostView(true)
+	return e.p.Net.G.CompileView(opts)
+}
+
+// recordRetention publishes what the store retains after it took a view or
+// a tree in, and the trees that made room.
+func (e *embedder) recordRetention(evicted int) {
+	telemetry.RecordPathCacheRetention(e.store.Views(), e.store.Len(), evicted)
+}
+
+// treeEntry is one singleflight slot of the private Dijkstra-tree memo:
+// the first goroutine to request a source computes the tree inside once;
+// every later (or concurrent) request blocks until it is ready and shares
+// it.
 type treeEntry struct {
 	once sync.Once
 	tree *graph.ShortestTree
 }
 
-// treeFor returns the memoized min-cost path tree rooted at src. Safe for
-// concurrent use; the tree for each source is computed exactly once.
+// treeFor returns the min-cost path tree rooted at src on pathView, from
+// the shared view's table or the run's private memo. Safe for concurrent
+// use.
 func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
+	if e.sharedTrees {
+		t, hit, evicted := e.store.Tree(e.pathView, src)
+		if !hit {
+			telemetry.RecordPathCacheMiss()
+			e.recordRetention(evicted)
+		}
+		if e.firstRequest(src) && hit {
+			e.treeHits.Add(1)
+		}
+		return t
+	}
 	e.treeMu.Lock()
 	ent, ok := e.trees[src]
 	if !ok {
@@ -427,32 +432,30 @@ func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
 	}
 	e.treeMu.Unlock()
 	ent.once.Do(func() {
-		if e.cache != nil {
-			key := graph.TreeCacheKey{Src: src, Epoch: e.cacheEpoch, Fingerprint: e.cacheFP}
-			if t, ok := e.cache.Lookup(key); ok {
-				telemetry.RecordPathCache(true)
-				ent.tree = t
-				return
-			}
-			telemetry.RecordPathCache(false)
+		if e.store != nil {
+			telemetry.RecordPathCacheMiss()
 		}
 		// The allocating Dijkstra, deliberately: memoized trees are
-		// retained for the whole run (and indefinitely once published to
-		// the cross-request cache) and queried concurrently, so they
-		// cannot live on a per-slot scratch. The run's compiled view makes
-		// every per-source search skip options flattening entirely.
+		// retained for the whole run and queried concurrently, so they
+		// cannot live on a per-slot scratch.
 		ent.tree = e.pathView.Dijkstra(src)
-		if e.cache != nil && e.ledger.SameView(e.cacheEpoch) {
-			// Publish only while the ledger still presents the pinned view:
-			// if a fault or commit slid in under this run, the tree may
-			// reflect either side of it and must stay private to the run.
-			key := graph.TreeCacheKey{Src: src, Epoch: e.cacheEpoch, Fingerprint: e.cacheFP}
-			if ev := e.cache.Insert(key, ent.tree); ev > 0 {
-				telemetry.RecordPathCacheEvictions(ev)
-			}
-		}
 	})
 	return ent.tree
+}
+
+// firstRequest marks src in treeSeen and reports whether this run had not
+// asked the shared table for it before.
+func (e *embedder) firstRequest(src graph.NodeID) bool {
+	seen, bit := &e.treeSeen[src>>6], uint64(1)<<(src&63)
+	for {
+		old := seen.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if seen.CompareAndSwap(old, old|bit) {
+			return true
+		}
+	}
 }
 
 // minCostPath returns a cheapest feasible path a→b via the memoized tree

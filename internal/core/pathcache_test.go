@@ -1,13 +1,19 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
+	"dagsfc/internal/sfcgen"
 	"dagsfc/internal/telemetry"
 )
 
@@ -63,8 +69,8 @@ func TestPathCacheDeterminism(t *testing.T) {
 }
 
 // TestPathCacheFreshLedgerBypass: a problem without a ledger runs on a
-// private fresh one whose epoch identifies nothing durable, so the cache
-// must not be consulted at all.
+// private fresh one and shares nothing, so the cache must not be consulted
+// at all.
 func TestPathCacheFreshLedgerBypass(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	p := randomProblem(rng, 60, 5, 3)
@@ -74,15 +80,17 @@ func TestPathCacheFreshLedgerBypass(t *testing.T) {
 	if _, err := Embed(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses, _ := cache.Stats(); hits != 0 || misses != 0 {
-		t.Fatalf("ledger-less embed touched the cache: hits=%d misses=%d", hits, misses)
+	if hits, misses, _ := cache.Stats(); hits != 0 || misses != 0 || cache.Views() != 0 {
+		t.Fatalf("ledger-less embed touched the cache: hits=%d misses=%d views=%d", hits, misses, cache.Views())
 	}
 }
 
-// TestPathCacheInvalidationOnMutation: after the ledger changes, warm
-// entries keyed by the old epoch must be unreachable — the next embed
-// recomputes against the new residuals (fresh misses) and returns exactly
-// what an uncached embed on the mutated ledger returns.
+// TestPathCacheInvalidationOnMutation: what invalidates shared trees is a
+// link crossing the demand threshold, nothing less. A reservation that
+// leaves every link able to carry the rate is served the warm view and
+// computes no tree; one that takes links below the rate gets a new view,
+// fresh trees, and exactly what an uncached embed on the mutated ledger
+// returns.
 func TestPathCacheInvalidationOnMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomProblem(rng, 120, 6, 4)
@@ -94,42 +102,85 @@ func TestPathCacheInvalidationOnMutation(t *testing.T) {
 	if _, err := Embed(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	_, missesWarmup, _ := cache.Stats()
+	_, missesWarm, _ := cache.Stats()
+	_, buildsWarm := cache.ViewStats()
 
-	// Drain most of a few edges' residual bandwidth: the capacity filter
-	// now rejects them, so stale trees would produce genuinely different
-	// (and infeasible) paths.
+	// Half the bandwidth of eight links gone: the epoch moved 8 times,
+	// the admissible set not at all.
 	for e := graph.EdgeID(0); e < 8; e++ {
-		res := p.Ledger.EdgeResidual(e)
-		if res > p.Rate/2 {
-			if err := p.Ledger.ReserveEdge(e, res-p.Rate/2); err != nil {
-				t.Fatal(err)
-			}
+		if err := p.Ledger.ReserveEdge(e, p.Ledger.EdgeResidual(e)/2); err != nil {
+			t.Fatal(err)
 		}
 	}
+	sameView, err := Embed(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, _ := cache.Stats(); misses != missesWarm {
+		t.Fatalf("a mutation that crossed no threshold computed %d trees", misses-missesWarm)
+	}
+	if _, builds := cache.ViewStats(); builds != buildsWarm {
+		t.Fatal("a mutation that crossed no threshold compiled a new view")
+	}
+	assertSameResult(t, "below-threshold mutation", sameView, nil, p, MBBEOptions())
 
-	cachedRes, err := Embed(p, opts)
+	// Drain the same links to below the rate: the capacity filter now
+	// rejects them, so stale trees would produce infeasible paths.
+	for e := graph.EdgeID(0); e < 8; e++ {
+		if err := p.Ledger.ReserveEdge(e, p.Ledger.EdgeResidual(e)-p.Rate/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crossed, err := Embed(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfter, _ := cache.Stats()
-	if missesAfter <= missesWarmup {
-		t.Fatal("post-mutation embed was served from pre-mutation cache entries")
+	if _, misses, _ := cache.Stats(); misses <= missesWarm {
+		t.Fatal("post-mutation embed was served from pre-mutation trees")
 	}
-	uncachedRes, err := Embed(p, MBBEOptions())
-	if err != nil {
-		t.Fatal(err)
+	if _, builds := cache.ViewStats(); builds != buildsWarm+1 {
+		t.Fatalf("crossing the threshold published %d views, want 1", builds-buildsWarm)
 	}
-	if !reflect.DeepEqual(cachedRes.Solution, uncachedRes.Solution) || !reflect.DeepEqual(cachedRes.Cost, uncachedRes.Cost) {
-		t.Fatal("post-mutation cached embed differs from uncached embed on the mutated ledger")
+	assertSameResult(t, "threshold-crossing mutation", crossed, nil, p, MBBEOptions())
+}
+
+// assertSameResult fails unless (got, gotErr) is what an embed of p under
+// plain — the same options with no store attached — produces now:
+// placement, cost bit for bit, search statistics, or the same error.
+func assertSameResult(t testing.TB, what string, got *Result, gotErr error, p *Problem, plain Options) {
+	t.Helper()
+	if err := sameResult(got, gotErr, p, plain); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 
-// TestPathCacheBannedVariants: banned-edge/node request variants used to
-// bypass the cache entirely; now the ban sets are part of the key
-// fingerprint. Three properties: a banned cached embed equals a banned
-// uncached embed bit for bit, distinct ban sets never serve each other's
-// trees, and re-running each variant warm hits its own entries.
+func sameResult(got *Result, gotErr error, p *Problem, plain Options) error {
+	want, wantErr := Embed(p, plain)
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			return fmt.Errorf("shared embed err %v, plain embed err %v", gotErr, wantErr)
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(got.Solution, want.Solution) {
+		return errors.New("placement differs from the plain embed")
+	}
+	if math.Float64bits(got.Cost.VNFCost) != math.Float64bits(want.Cost.VNFCost) ||
+		math.Float64bits(got.Cost.LinkCost) != math.Float64bits(want.Cost.LinkCost) ||
+		!reflect.DeepEqual(got.Cost.Usage, want.Cost.Usage) {
+		return fmt.Errorf("cost %+v, plain embed %+v", got.Cost, want.Cost)
+	}
+	if got.Stats != want.Stats {
+		return fmt.Errorf("stats %+v, plain embed %+v", got.Stats, want.Stats)
+	}
+	return nil
+}
+
+// TestPathCacheBannedVariants: a banned run keeps its view and trees to
+// itself and shares only its capacity-only search view. Three properties:
+// a banned embed with the cache attached equals a banned uncached embed
+// bit for bit, ban sets never leak into the trees unbanned runs are
+// served, and the unbanned variant still hits warm.
 func TestPathCacheBannedVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	p := randomProblem(rng, 120, 6, 4)
@@ -219,115 +270,258 @@ func TestPathCacheBannedVariants(t *testing.T) {
 	}
 }
 
-// TestViewCacheDeterminism is the same transparency property for the
-// compiled cost-view cache: cold, warm, and post-mutation embeds must
-// match an uncached baseline bit for bit, the cold pass must record
-// misses, the warm pass hits, and a ledger mutation (new view epoch)
-// must force fresh compiles instead of serving stale views.
+// TestViewCacheDeterminism runs the transparency property through the
+// deprecated Options.ViewCache field alone, which must attach the same
+// store PathCache does: cold, warm and post-mutation embeds match an
+// uncached baseline bit for bit, the cold pass publishes a view, the warm
+// pass reuses it, and draining a link below the rate forces a new one.
 func TestViewCacheDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := randomProblem(rng, 120, 6, 4)
 	p.Ledger = network.NewLedger(p.Net).Overlay()
 
-	baseline, err := Embed(p, MBBEOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	views := graph.NewViewCache(0)
-	for pass, label := range []string{"cold", "warm"} {
-		opts := MBBEOptions()
-		opts.ViewCache = views
-		got, err := Embed(p, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if !reflect.DeepEqual(got.Solution, baseline.Solution) || !reflect.DeepEqual(got.Cost, baseline.Cost) {
-			t.Fatalf("%s: view-cached embed differs from uncached baseline", label)
-		}
-		hits, misses, _ := views.Stats()
-		if pass == 0 && misses == 0 {
-			t.Fatal("cold pass recorded no view-cache misses")
-		}
-		if pass == 1 && hits == 0 {
-			t.Fatal("warm pass recorded no view-cache hits")
-		}
-	}
-
-	// Mutating the ledger bumps the view epoch: the next embed must miss
-	// (compile against the new residuals) and still equal an uncached
-	// embed on the mutated ledger.
-	if err := p.Ledger.ReserveEdge(0, p.Ledger.EdgeResidual(0)/2); err != nil {
-		t.Fatal(err)
-	}
-	_, missesWarm, _ := views.Stats()
 	opts := MBBEOptions()
 	opts.ViewCache = views
-	cached, err := Embed(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, missesAfter, _ := views.Stats(); missesAfter <= missesWarm {
-		t.Fatal("post-mutation embed reused a pre-mutation compiled view")
-	}
-	uncached, err := Embed(p, MBBEOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached.Solution, uncached.Solution) || !reflect.DeepEqual(cached.Cost, uncached.Cost) {
-		t.Fatal("post-mutation view-cached embed differs from uncached embed")
-	}
-}
-
-// TestCostOptionsFingerprint pins the fingerprint's discrimination and
-// stability properties the cache key relies on.
-func TestCostOptionsFingerprint(t *testing.T) {
-	base := &graph.CostOptions{MinCapacity: 2}
-	if base.Fingerprint() != (&graph.CostOptions{MinCapacity: 2}).Fingerprint() {
-		t.Fatal("equal options, different fingerprints")
-	}
-	// nil and the zero value admit the same edges, so they must agree.
-	if (*graph.CostOptions)(nil).Fingerprint() != (&graph.CostOptions{}).Fingerprint() {
-		t.Fatal("nil and zero-value options disagree")
-	}
-	variants := []*graph.CostOptions{
-		{},
-		base,
-		{MinCapacity: 3},
-		{MinCapacity: 2, BannedEdges: map[graph.EdgeID]bool{5: true}},
-		{MinCapacity: 2, BannedNodes: map[graph.NodeID]bool{5: true}}, // same ID, other kind
-		{MinCapacity: 2, BannedEdges: map[graph.EdgeID]bool{5: true, 6: true}},
-	}
-	seen := make(map[uint64]int)
-	for i, v := range variants {
-		fp := v.Fingerprint()
-		if prev, dup := seen[fp]; dup {
-			t.Fatalf("variants %d and %d share fingerprint %x", prev, i, fp)
+	for pass, label := range []string{"cold", "warm"} {
+		got, err := Embed(p, opts)
+		assertSameResult(t, label, got, err, p, MBBEOptions())
+		reuses, builds := views.ViewStats()
+		hits, _, _ := views.Stats()
+		if pass == 0 && (builds != 1 || reuses != 0) {
+			t.Fatalf("cold pass: %d views built, %d reused", builds, reuses)
 		}
-		seen[fp] = i
+		if pass == 1 && (builds != 1 || reuses != 1 || hits == 0) {
+			t.Fatalf("warm pass: %d views built, %d reused, %d tree hits", builds, reuses, hits)
+		}
 	}
-	// Explicit-false entries and map order must not matter.
-	a := &graph.CostOptions{BannedEdges: map[graph.EdgeID]bool{1: true, 2: true, 9: false}}
-	b := &graph.CostOptions{BannedEdges: map[graph.EdgeID]bool{2: true, 1: true}}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("explicit-false entry or map order changed the fingerprint")
+
+	if err := p.Ledger.ReserveEdge(0, p.Ledger.EdgeResidual(0)-p.Rate/2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Embed(p, opts)
+	assertSameResult(t, "post-mutation", got, err, p, MBBEOptions())
+	if _, builds := views.ViewStats(); builds != 2 {
+		t.Fatalf("post-mutation embed reused a pre-mutation compiled view (%d built)", builds)
 	}
 }
 
-// TestPathCacheHitPathZeroAllocs is the allocation budget for serving a
-// warm tree: the cache lookup plus its telemetry record must not allocate
-// (the per-run memo entry around it is the run's own bookkeeping).
+// churnNet is a small substrate with link capacity tight enough that a
+// handful of standing flows change which links can carry a given rate.
+func churnNet(seed int64) *network.Network {
+	cfg := netgen.Default()
+	cfg.Nodes, cfg.VNFKinds, cfg.Connectivity = 36, 5, 4
+	cfg.LinkCapacity, cfg.InstanceCapacity = 6, 12
+	return netgen.MustGenerate(cfg, rand.New(rand.NewSource(seed)))
+}
+
+// churnProblem draws one request against net at one of four rates, so
+// that concurrent requests compile genuinely different views.
+func churnProblem(rng *rand.Rand, net *network.Network, ledger *network.Ledger) *Problem {
+	n := net.G.NumNodes()
+	return &Problem{
+		Net:    net,
+		SFC:    sfcgen.MustGenerate(sfcgen.Config{Size: 2 + rng.Intn(3), LayerWidth: 3, VNFKinds: 5}, rng),
+		Src:    graph.NodeID(rng.Intn(n)),
+		Dst:    graph.NodeID(rng.Intn(n)),
+		Rate:   []float64{0.5, 1, 2, 3}[rng.Intn(4)],
+		Size:   1,
+		Ledger: ledger,
+	}
+}
+
+// churnFaults applies or restores one random fault on ledger, keeping the
+// active ones in *active.
+func churnFaults(rng *rand.Rand, ledger *network.Ledger, active *[]network.Fault) {
+	if n := len(*active); n > 0 && (n >= 4 || rng.Intn(2) == 0) {
+		i := rng.Intn(n)
+		_ = ledger.RestoreFault((*active)[i])
+		*active = append((*active)[:i], (*active)[i+1:]...)
+		return
+	}
+	link := graph.EdgeID(rng.Intn(ledger.Network().G.NumEdges()))
+	f := []network.Fault{
+		{Kind: network.FaultEdgeDown, Link: link},
+		{Kind: network.FaultLinkDown, Link: link},
+		{Kind: network.FaultLinkDegrade, Link: link, Fraction: 0.5},
+	}[rng.Intn(3)]
+	if ledger.ApplyFault(f) == nil {
+		*active = append(*active, f)
+	}
+}
+
+// TestPathCacheDifferential is the store's transparency property under
+// churn: through 400 steps of commit, release, quarantine, edge-down and
+// restore at tight capacity and mixed rates, every embed with the store
+// attached equals the same embed without it — placement, cost bits,
+// Stats, or the same error. A run that saw no hit, no miss or no eviction
+// proved nothing and fails.
+func TestPathCacheDifferential(t *testing.T) {
+	var hits, misses, evictions, reuses, builds uint64
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := churnNet(seed)
+		live := network.NewLedger(net).Overlay()
+		cache := graph.NewTreeCache(0)
+		type flow struct {
+			p   *Problem
+			sol *Solution
+		}
+		var flows []flow
+		var faults []network.Fault
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 2 && len(flows) > 0:
+				i := rng.Intn(len(flows))
+				if err := Release(flows[i].p, flows[i].sol); err != nil {
+					t.Fatalf("seed %d step %d: release: %v", seed, step, err)
+				}
+				flows = append(flows[:i], flows[i+1:]...)
+			case op < 4:
+				churnFaults(rng, live, &faults)
+			}
+			p := churnProblem(rng, net, live)
+			plain := MBBEOptions()
+			plain.Workers = 1 + step%2
+			if step%7 == 0 {
+				plain.BannedEdges = map[graph.EdgeID]bool{graph.EdgeID(rng.Intn(net.G.NumEdges())): true}
+			}
+			shared := plain
+			shared.PathCache = cache
+			got, err := Embed(p, shared)
+			assertSameResult(t, fmt.Sprintf("seed %d step %d", seed, step), got, err, p, plain)
+			if err == nil && len(flows) < 24 {
+				if _, err := Commit(p, got.Solution); err != nil {
+					t.Fatalf("seed %d step %d: commit: %v", seed, step, err)
+				}
+				flows = append(flows, flow{p, got.Solution})
+			}
+		}
+		h, m, e := cache.Stats()
+		r, b := cache.ViewStats()
+		hits, misses, evictions, reuses, builds = hits+h, misses+m, evictions+e, reuses+r, builds+b
+	}
+	t.Logf("trees: %d hits, %d misses, %d evicted; views: %d reused, %d built", hits, misses, evictions, reuses, builds)
+	if hits == 0 || misses == 0 || evictions == 0 || reuses == 0 || builds < 12 {
+		t.Fatal("vacuous: the run must see tree hits, misses and evictions, view reuse and admissible sets that really differ")
+	}
+}
+
+// TestPathCacheCoherenceRace is the -race half of the same property: four
+// goroutines embed on snapshots through one store while a writer commits,
+// releases and applies faults, and every result must equal an uncached
+// embed of the same snapshot. Commits and releases overlap the embeds, as
+// in the server; faults reach every snapshot of the family at once, so the
+// writer applies them between compare windows (faultMu), or the two embeds
+// being compared could see different networks.
+func TestPathCacheCoherenceRace(t *testing.T) {
+	net := churnNet(42)
+	live := network.NewLedger(net).Overlay()
+	cache := graph.NewTreeCache(0)
+	shared := MBBEOptions()
+	shared.Workers = 2
+	shared.PathCache = cache
+	plain := MBBEOptions()
+	plain.Workers = 2
+
+	var mu, faultMu sync.RWMutex // mu guards live, as the server's state mutex does
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(7))
+		type flow struct {
+			p   *Problem
+			sol *Solution
+		}
+		var flows []flow
+		var faults []network.Fault
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			switch op := rng.Intn(8); {
+			case op < 4 && len(flows) < 24:
+				mu.Lock()
+				p := churnProblem(rng, net, live)
+				if res, err := Embed(p, shared); err == nil {
+					if _, err := Commit(p, res.Solution); err != nil {
+						t.Errorf("writer: commit: %v", err)
+					} else {
+						flows = append(flows, flow{p, res.Solution})
+					}
+				}
+				mu.Unlock()
+			case op < 7 && len(flows) > 0:
+				i := rng.Intn(len(flows))
+				mu.Lock()
+				if err := Release(flows[i].p, flows[i].sol); err != nil {
+					t.Errorf("writer: release: %v", err)
+				}
+				mu.Unlock()
+				flows = append(flows[:i], flows[i+1:]...)
+			default:
+				faultMu.Lock()
+				mu.Lock()
+				churnFaults(rng, live, &faults)
+				mu.Unlock()
+				faultMu.Unlock()
+			}
+		}
+	}()
+
+	var embedders sync.WaitGroup
+	for q := 0; q < 4; q++ {
+		embedders.Add(1)
+		go func(q int) {
+			defer embedders.Done()
+			rng := rand.New(rand.NewSource(int64(100 + q)))
+			for i := 0; i < 120; i++ {
+				faultMu.RLock()
+				mu.RLock()
+				snap := live.Snapshot()
+				mu.RUnlock()
+				p := churnProblem(rng, net, snap)
+				got, gotErr := Embed(p, shared)
+				err := sameResult(got, gotErr, p, plain)
+				faultMu.RUnlock()
+				if err != nil {
+					t.Errorf("embedder %d iter %d: %v", q, i, err)
+					return
+				}
+			}
+		}(q)
+	}
+	embedders.Wait()
+	close(stop)
+	writer.Wait()
+	hits, misses, _ := cache.Stats()
+	if hits == 0 || misses == 0 {
+		t.Fatalf("race test saw %d hits, %d misses: shared path unexercised", hits, misses)
+	}
+}
+
+// TestPathCacheHitPathZeroAllocs is the allocation budget for a run that
+// finds everything warm: being served the retained view and a published
+// tree, and reporting the hits, must not allocate.
 func TestPathCacheHitPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the scratch View compiles into at random under -race")
+	}
 	g := buildTestGraphForAllocs()
 	cache := graph.NewTreeCache(0)
-	k := graph.TreeCacheKey{Src: 3, Epoch: 1, Fingerprint: 1}
-	cache.Insert(k, g.Dijkstra(3, nil))
-	telemetry.RecordPathCache(true) // warm the counter family
+	view, _, _ := cache.View(g, nil)
+	cache.Tree(view, 3)
+	telemetry.RecordPathCacheHits(1) // warm the counter family
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, ok := cache.Lookup(k); !ok {
+		v, reused, _ := cache.View(g, nil)
+		if _, hit, _ := cache.Tree(v, 3); !reused || !hit {
 			t.Fatal("warm lookup missed")
 		}
-		telemetry.RecordPathCache(true)
+		telemetry.RecordPathCacheHits(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit path allocated %v objects per run, want 0", allocs)

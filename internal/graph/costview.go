@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // CostView is a compiled snapshot of one (Graph, CostOptions, residual
 // state) triple, flattened into dense arrays aligned with the CSR arc
@@ -21,9 +24,11 @@ import "math"
 // price ranges (all-zero, non-finite, or no admissible arcs).
 //
 // A CostView is immutable after compilation and safe to share across
-// goroutines; it stays valid only as long as the residual state it was
-// compiled from (callers key shared views by ledger view epoch plus
-// CostOptions.Fingerprint, mirroring the TreeCache contract).
+// goroutines. Compilation reads the residual state only through the
+// capacity-floor comparison and prices are static, so everything in a view
+// — and every tree searched on it — is a function of the CSR arrays it was
+// compiled over, admit and nodeBan alone: two views equal in those are
+// interchangeable whatever ledger state produced them (see TreeCache).
 type CostView struct {
 	arcs []Arc
 	off  []int32
@@ -31,6 +36,13 @@ type CostView struct {
 	price   []float64
 	admit   []uint64
 	nodeBan []uint64 // len 0 when no node is banned
+
+	// trees and order are set only on a view a TreeCache published: the
+	// per-source table of Dijkstra trees searched on this view, each slot
+	// written once it is computed, and the occupied sources in publication
+	// order (guarded by the cache's mutex).
+	trees []atomic.Pointer[ShortestTree]
+	order []NodeID
 
 	numNodes int
 	numArcs  int

@@ -85,42 +85,6 @@ func TestCompileViewBucketTuning(t *testing.T) {
 	}
 }
 
-func TestViewCacheFirstInsertWinsAndAges(t *testing.T) {
-	c := NewViewCache(8)
-	v1, v2 := &CostView{numArcs: 1}, &CostView{numArcs: 2}
-	k := ViewCacheKey{Epoch: 1, Fingerprint: 42}
-	c.Insert(k, v1)
-	c.Insert(k, v2) // loses: first insert wins
-	got, ok := c.Lookup(k)
-	if !ok || got != v1 {
-		t.Fatalf("Lookup = %p ok=%v, want first-inserted %p", got, ok, v1)
-	}
-	// Epoch aging: keep the last viewCacheKeepEpochs epochs only.
-	for e := uint64(2); e <= 6; e++ {
-		c.Insert(ViewCacheKey{Epoch: e, Fingerprint: 42}, &CostView{})
-	}
-	if _, ok := c.Lookup(k); ok {
-		t.Fatal("epoch 1 survived aging past keepEpochs")
-	}
-	if _, ok := c.Lookup(ViewCacheKey{Epoch: 6, Fingerprint: 42}); !ok {
-		t.Fatal("newest epoch evicted")
-	}
-	hits, misses, evictions := c.Stats()
-	if hits == 0 || misses == 0 || evictions == 0 {
-		t.Fatalf("stats not counting: hits=%d misses=%d evictions=%d", hits, misses, evictions)
-	}
-}
-
-func TestViewCacheSizeCap(t *testing.T) {
-	c := NewViewCache(4)
-	for i := 0; i < 10; i++ {
-		c.Insert(ViewCacheKey{Epoch: 9, Fingerprint: uint64(i)}, &CostView{})
-	}
-	if c.Len() > 4 {
-		t.Fatalf("cache over cap: %d entries", c.Len())
-	}
-}
-
 func TestAppendPathToPreservesPrefix(t *testing.T) {
 	g := lineGraph(5)
 	tree := g.Dijkstra(0, nil)

@@ -31,6 +31,16 @@ func (h *legacyHeap) Pop() interface{} {
 	return it
 }
 
+// newShortestTree returns a tree of n nodes in its resting state, as the
+// legacy kernel expects to find it.
+func newShortestTree(n int) *ShortestTree {
+	t := &ShortestTree{Dist: make([]float64, n), parent: make([]EdgeID, n), prev: make([]NodeID, n)}
+	for i := range t.Dist {
+		t.Dist[i], t.parent[i], t.prev[i] = Inf, None, None
+	}
+	return t
+}
+
 // legacyDijkstra is a faithful copy of the pre-v2 kernel: binary heap,
 // per-arc admits() calls, per-arc Edge() price lookups.
 func legacyDijkstra(g *Graph, src NodeID, opts *CostOptions) *ShortestTree {

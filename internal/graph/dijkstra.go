@@ -20,8 +20,7 @@ type CostOptions struct {
 	// view-compile time: it fills dst (pre-sized to the edge count) with
 	// the residual of every edge and returns it, letting compilation make
 	// one call instead of one per edge. It must agree bitwise with
-	// Residual; like Residual it is excluded from Fingerprint (callers key
-	// shared views by ledger view epoch).
+	// Residual.
 	Residuals func(dst []float64) []float64
 	// BannedEdges and BannedNodes exclude specific elements; used by Yen's
 	// algorithm and by failure-injection tests. A nil map bans nothing.
@@ -59,25 +58,22 @@ type ShortestTree struct {
 	Dist   []float64
 	parent []EdgeID // edge used to reach node, None for src/unreachable
 	prev   []NodeID // predecessor node, None for src/unreachable
-	// touched records every node whose entries left their resting state
-	// (Inf/None) during the last run, so a scratch-owned tree can be reset
-	// in O(touched) instead of O(N).
-	touched []NodeID
 }
 
-func newShortestTree(n int) *ShortestTree {
-	t := &ShortestTree{
-		Dist:    make([]float64, n),
-		parent:  make([]EdgeID, n),
-		prev:    make([]NodeID, n),
-		touched: make([]NodeID, 0, n),
+// clone returns a retainable copy of a scratch-owned tree: three exact-size
+// arrays and nothing else (the dirty-entry list that lets a scratch reset
+// in O(touched) stays with the scratch).
+func (t *ShortestTree) clone() *ShortestTree {
+	c := &ShortestTree{
+		Src:    t.Src,
+		Dist:   make([]float64, len(t.Dist)),
+		parent: make([]EdgeID, len(t.parent)),
+		prev:   make([]NodeID, len(t.prev)),
 	}
-	for i := range t.Dist {
-		t.Dist[i] = Inf
-		t.parent[i] = None
-		t.prev[i] = None
-	}
-	return t
+	copy(c.Dist, t.Dist)
+	copy(c.parent, t.parent)
+	copy(c.prev, t.prev)
+	return c
 }
 
 // Reachable reports whether v is reachable from the source.
@@ -143,11 +139,8 @@ func (t *ShortestTree) PathFrom(v NodeID) (Path, bool) {
 // DijkstraWith for the allocation-free variant when the result is consumed
 // before the next query.
 func (g *Graph) Dijkstra(src NodeID, opts *CostOptions) *ShortestTree {
-	t := newShortestTree(g.n)
 	s := GetScratch()
-	s.resBuf = g.compileView(&s.view, opts, s.resBuf)
-	s.lastN, s.lastA = g.n, s.view.numArcs
-	dijkstraView(t, &s.q, src, &s.view)
+	t := g.DijkstraWith(s, src, opts).clone()
 	PutScratch(s)
 	return t
 }
@@ -155,10 +148,8 @@ func (g *Graph) Dijkstra(src NodeID, opts *CostOptions) *ShortestTree {
 // Dijkstra runs the search kernel from src under the compiled view. The
 // returned tree is freshly allocated and may be retained indefinitely.
 func (v *CostView) Dijkstra(src NodeID) *ShortestTree {
-	t := newShortestTree(v.numNodes)
 	s := GetScratch()
-	s.lastN, s.lastA = v.numNodes, v.numArcs
-	dijkstraView(t, &s.q, src, v)
+	t := v.DijkstraWith(s, src).clone()
 	PutScratch(s)
 	return t
 }
@@ -170,18 +161,20 @@ func (v *CostView) Dijkstra(src NodeID) *ShortestTree {
 func (v *CostView) DijkstraWith(s *Scratch, src NodeID) *ShortestTree {
 	s.resetTree(v.numNodes)
 	s.lastA = v.numArcs
-	dijkstraView(&s.tree, &s.q, src, v)
+	s.dijkstra(src, v)
 	return &s.tree
 }
 
-// dijkstraView is the search kernel. It assumes t's arrays are length
-// view.numNodes and in their resting state (Dist=Inf, parent/prev=None),
-// and records every node it writes in t.touched. The inner loop reads only
-// the view's dense arrays: an inadmissible arc carries price +Inf, so
-// d + price can never improve a distance and no admissibility branch is
-// needed. Pop order is the strict (dist, node) order shared by both queue
-// structures, so results do not depend on which one the view selected.
-func dijkstraView(t *ShortestTree, q *searchQueues, src NodeID, view *CostView) {
+// dijkstra is the search kernel, run on the scratch tree. It assumes the
+// tree's arrays are length view.numNodes and in their resting state
+// (Dist=Inf, parent/prev=None), and records every node it writes in
+// s.touched. The inner loop reads only the view's dense arrays: an
+// inadmissible arc carries price +Inf, so d + price can never improve a
+// distance and no admissibility branch is needed. Pop order is the strict
+// (dist, node) order shared by both queue structures, so results do not
+// depend on which one the view selected.
+func (s *Scratch) dijkstra(src NodeID, view *CostView) {
+	t := &s.tree
 	t.Src = src
 	if src < 0 || int(src) >= view.numNodes {
 		return
@@ -191,9 +184,9 @@ func dijkstraView(t *ShortestTree, q *searchQueues, src NodeID, view *CostView) 
 	}
 	arcs, off, price, dist := view.arcs, view.off, view.price, t.Dist
 	dist[src] = 0
-	t.touched = append(t.touched, src)
+	s.touched = append(s.touched, src)
 	if view.delta > 0 {
-		bq := &q.bq
+		bq := &s.q.bq
 		bq.reset(view)
 		bq.push(distItem{node: src, dist: 0})
 		for {
@@ -207,7 +200,7 @@ func dijkstraView(t *ShortestTree, q *searchQueues, src NodeID, view *CostView) 
 				to := arcs[ai].To
 				if nd < dist[to] {
 					if math.IsInf(dist[to], 1) {
-						t.touched = append(t.touched, to)
+						s.touched = append(s.touched, to)
 					}
 					dist[to] = nd
 					t.parent[to] = arcs[ai].Edge
@@ -218,7 +211,7 @@ func dijkstraView(t *ShortestTree, q *searchQueues, src NodeID, view *CostView) 
 		}
 		return
 	}
-	h := &q.h4
+	h := &s.q.h4
 	*h = (*h)[:0]
 	h.push(distItem{node: src, dist: 0})
 	for len(*h) > 0 {
@@ -232,7 +225,7 @@ func dijkstraView(t *ShortestTree, q *searchQueues, src NodeID, view *CostView) 
 			to := arcs[ai].To
 			if nd < dist[to] {
 				if math.IsInf(dist[to], 1) {
-					t.touched = append(t.touched, to)
+					s.touched = append(s.touched, to)
 				}
 				dist[to] = nd
 				t.parent[to] = arcs[ai].Edge

@@ -22,7 +22,11 @@ type searchQueues struct {
 // LayeredDijkstraWith) are valid only until the next call with the same
 // Scratch; Path values are freshly allocated and safe to retain.
 type Scratch struct {
-	tree    ShortestTree
+	tree ShortestTree
+	// touched records every node whose tree entries left their resting
+	// state (Inf/None) during the last run, so the tree resets in
+	// O(touched) instead of O(N).
+	touched []NodeID
 	layered LayeredSearch
 	q       searchQueues
 
@@ -171,7 +175,7 @@ func (s *Scratch) resetTree(n int) {
 			t.parent[i] = None
 			t.prev[i] = None
 		}
-		t.touched = t.touched[:0]
+		s.touched = s.touched[:0]
 		return
 	}
 	// The previous run may have been on a larger graph, so undo its writes
@@ -179,12 +183,12 @@ func (s *Scratch) resetTree(n int) {
 	dist := t.Dist[:cap(t.Dist)]
 	parent := t.parent[:cap(t.parent)]
 	prev := t.prev[:cap(t.prev)]
-	for _, v := range t.touched {
+	for _, v := range s.touched {
 		dist[v] = Inf
 		parent[v] = None
 		prev[v] = None
 	}
-	t.touched = t.touched[:0]
+	s.touched = s.touched[:0]
 	t.Dist = dist[:n]
 	t.parent = parent[:n]
 	t.prev = prev[:n]
@@ -226,6 +230,6 @@ func (g *Graph) DijkstraWith(s *Scratch, src NodeID, opts *CostOptions) *Shortes
 	s.resBuf = g.compileView(&s.view, opts, s.resBuf)
 	s.resetTree(g.n)
 	s.lastA = s.view.numArcs
-	dijkstraView(&s.tree, &s.q, src, &s.view)
+	s.dijkstra(src, &s.view)
 	return &s.tree
 }

@@ -1,207 +1,181 @@
 package graph
 
 import (
-	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// TreeCacheKey identifies one cached shortest-path tree: the source node
-// it is rooted at, the ledger view epoch its residual filter was computed
-// under (see network.Ledger.ViewEpoch), and a fingerprint of the cost
-// options (the capacity filter). Two queries with equal keys are
-// guaranteed — by the epoch contract — to see bit-identical residuals,
-// so they produce bit-identical trees.
-type TreeCacheKey struct {
-	Src         NodeID
-	Epoch       uint64
-	Fingerprint uint64
-}
-
-// Fingerprint condenses the CostOptions fields that change which edges a
-// search admits — the capacity floor and the banned edge/node sets — into
-// the TreeCacheKey fingerprint (FNV-64a). Ban sets are folded in sorted
-// order with only their true entries, so map iteration order and
-// explicit-false entries cannot fork the hash; a section tag separates
-// banned edges from banned nodes so ID collisions across the two kinds
-// cannot alias. Residual is deliberately excluded: the view epoch in the
-// key already guarantees bit-identical residuals.
-func (o *CostOptions) Fingerprint() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
-		}
-	}
-	if o == nil {
-		mix(0)
-		return h
-	}
-	mix(math.Float64bits(o.MinCapacity))
-	for tag, banned := range [][]uint64{bannedIDs(o.BannedEdges), bannedIDs(o.BannedNodes)} {
-		if len(banned) == 0 {
-			continue
-		}
-		mix(uint64(tag) + 1)
-		mix(uint64(len(banned)))
-		for _, id := range banned {
-			mix(id)
-		}
-	}
-	return h
-}
-
-// bannedIDs extracts the true entries of a ban set in sorted order.
-func bannedIDs[K ~int32 | ~int](m map[K]bool) []uint64 {
-	if len(m) == 0 {
-		return nil
-	}
-	ids := make([]uint64, 0, len(m))
-	for id, on := range m {
-		if on {
-			ids = append(ids, uint64(id))
-		}
-	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	return ids
-}
-
-// TreeCache is a cross-request cache of immutable *ShortestTree values,
-// keyed by TreeCacheKey. It is safe for concurrent use: lookups take a
-// read lock and allocate nothing; inserts are first-wins (concurrent
-// computations of the same key produce identical trees, so whichever
-// lands first is kept).
+// TreeCache shares one compiled cost view, and the Dijkstra trees searched
+// on it, across requests. The key is the view's content, not the state it
+// was compiled from: a request compiles its view into pooled scratch and
+// View compares the result word for word with the retained view. Equal
+// content means equal prices, equal admissibility and therefore equal
+// trees, so a hit needs no epoch, no fingerprint and no publish guard —
+// ledger churn that crosses no capacity floor leaves every request on the
+// same view.
 //
-// Entries age out by epoch: the cache keeps trees for at most
-// treeCacheKeepEpochs distinct view epochs, evicting the oldest epochs
-// first — an old epoch can only serve snapshots pinned before the state
-// moved on, and those die with their requests. A maxEntries cap bounds
-// total memory independently of epoch churn.
+// Retention is exactly one view: publishing a view with different content
+// displaces the retained one together with its trees. Requests still
+// holding the displaced view keep using it (nothing is mutated after
+// publication except the tree table, whose slots are only ever filled);
+// it is collected when the last of them ends. On that one view at most
+// maxEntries trees are retained, oldest published dropped first. A fully
+// populated view costs 24 B per node per tree plus headers, about 250 KB
+// at 100 nodes.
+//
+// Safe for concurrent use. Serving a retained view or tree takes no lock
+// and allocates nothing.
 type TreeCache struct {
-	mu      sync.RWMutex
-	entries map[TreeCacheKey]*ShortestTree
-	// epochs lists the distinct epochs present, ascending; byEpoch maps
-	// each to its keys so eviction is O(evicted), not O(cache).
-	epochs  []uint64
-	byEpoch map[uint64][]TreeCacheKey
+	maxTrees int
 
-	maxEntries int
+	// cur is the retained view. Readers load it lock-free; publishing a
+	// view, or a tree into a view's table, holds mu.
+	cur atomic.Pointer[CostView]
+	mu  sync.Mutex
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	hits, misses, evictions atomic.Uint64
+	reuses, builds          atomic.Uint64
 }
-
-// treeCacheKeepEpochs bounds how many distinct view epochs the cache
-// retains trees for. Steady traffic on an unchanged ledger shares one
-// epoch; every commit opens a new one, so a small window covers the
-// snapshots still in flight.
-const treeCacheKeepEpochs = 4
 
 // defaultTreeCacheEntries is the maxEntries default (NewTreeCache(0)).
 const defaultTreeCacheEntries = 4096
 
-// NewTreeCache returns an empty cache holding at most maxEntries trees
+// NewTreeCache returns an empty cache retaining at most maxEntries trees
 // (0 means the default of 4096).
 func NewTreeCache(maxEntries int) *TreeCache {
 	if maxEntries <= 0 {
 		maxEntries = defaultTreeCacheEntries
 	}
-	return &TreeCache{
-		entries:    make(map[TreeCacheKey]*ShortestTree),
-		byEpoch:    make(map[uint64][]TreeCacheKey),
-		maxEntries: maxEntries,
-	}
+	return &TreeCache{maxTrees: maxEntries}
 }
 
-// Lookup returns the cached tree for k, if present, and counts the hit or
-// miss. The returned tree is shared and must be treated as immutable
-// (PathTo allocates fresh paths, so reads are safe from any goroutine).
-// The hit path performs no allocations.
-func (c *TreeCache) Lookup(k TreeCacheKey) (*ShortestTree, bool) {
-	c.mu.RLock()
-	t, ok := c.entries[k]
-	c.mu.RUnlock()
-	if ok {
+// ViewCache is TreeCache under the name it had while views and trees were
+// cached apart.
+//
+// Deprecated: benchmark/ still builds one beside its TreeCache; both go
+// when a [benchmark] change stops it.
+type ViewCache = TreeCache
+
+// NewViewCache is NewTreeCache.
+//
+// Deprecated: see ViewCache.
+func NewViewCache(maxEntries int) *ViewCache { return NewTreeCache(maxEntries) }
+
+// View compiles opts against g into pooled scratch and returns the shared
+// view of that content: the retained one when it matches (reused), else a
+// heap copy of the compilation, published in its place. evicted counts the
+// trees dropped with a displaced view. The result is immutable and may be
+// held for as long as the caller likes.
+func (c *TreeCache) View(g *Graph, opts *CostOptions) (v *CostView, reused bool, evicted int) {
+	s := GetScratch()
+	defer PutScratch(s)
+	s.resBuf = g.compileView(&s.view, opts, s.resBuf)
+	s.lastN, s.lastA = g.n, s.view.numArcs
+	cur := c.cur.Load()
+	if cur == nil || !cur.sameContent(&s.view) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		// Look again: a concurrent request may have published this content.
+		if cur = c.cur.Load(); cur == nil || !cur.sameContent(&s.view) {
+			v = s.view.publish()
+			c.cur.Store(v)
+			c.builds.Add(1)
+			if cur != nil {
+				evicted = len(cur.order)
+				c.evictions.Add(uint64(evicted))
+			}
+			return v, false, evicted
+		}
+	}
+	c.reuses.Add(1)
+	return cur, true, 0
+}
+
+// sameContent reports whether v and w were compiled over the same CSR
+// arrays to the same admissible arcs and banned nodes — everything a view
+// and the trees searched on it depend on. The retained view keeps its CSR
+// arrays alive, so their address cannot be reused by another graph.
+func (v *CostView) sameContent(w *CostView) bool {
+	return v.numNodes == w.numNodes && v.admitted == w.admitted &&
+		len(v.arcs) == len(w.arcs) && (len(v.arcs) == 0 || &v.arcs[0] == &w.arcs[0]) &&
+		slices.Equal(v.admit, w.admit) && slices.Equal(v.nodeBan, w.nodeBan)
+}
+
+// publish returns a heap copy of a scratch-compiled view with an empty
+// tree table.
+func (v *CostView) publish() *CostView {
+	c := *v
+	c.price = append([]float64(nil), v.price...)
+	c.admit = append([]uint64(nil), v.admit...)
+	c.nodeBan = append([]uint64(nil), v.nodeBan...)
+	c.trees = make([]atomic.Pointer[ShortestTree], v.numNodes)
+	return &c
+}
+
+// Tree returns the min-cost tree rooted at src on v, which must be a view
+// this cache's View returned. A tree already in the view's table is a hit;
+// otherwise it is searched now and published for every later request, and
+// evicted counts the tree the size cap dropped to make room. Trees are
+// immutable.
+func (c *TreeCache) Tree(v *CostView, src NodeID) (t *ShortestTree, hit bool, evicted int) {
+	slot := &v.trees[src]
+	if t = slot.Load(); t != nil {
 		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+		return t, true, 0
 	}
-	return t, ok
-}
-
-// Insert publishes a tree under k unless the key is already present
-// (first insert wins; by the key contract both trees are identical). It
-// returns how many entries aging and the size cap evicted.
-func (c *TreeCache) Insert(k TreeCacheKey, t *ShortestTree) (evicted int) {
+	t = v.Dijkstra(src)
+	c.misses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.entries[k]; exists {
+	if first := slot.Load(); first != nil {
+		// A concurrent request searched the same source; both trees are
+		// equal, keep the published one.
+		return first, false, 0
+	}
+	slot.Store(t)
+	if c.cur.Load() != v {
+		// v was displaced: its table still serves the requests holding it,
+		// but nothing on it is retained.
+		return t, false, 0
+	}
+	if len(v.order) >= c.maxTrees {
+		v.trees[v.order[0]].Store(nil)
+		v.order = v.order[:copy(v.order, v.order[1:])]
+		c.evictions.Add(1)
+		evicted = 1
+	}
+	v.order = append(v.order, src)
+	return t, false, evicted
+}
+
+// Len reports the number of retained trees.
+func (c *TreeCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur := c.cur.Load(); cur != nil {
+		return len(cur.order)
+	}
+	return 0
+}
+
+// Views reports the number of retained views (0 or 1).
+func (c *TreeCache) Views() int {
+	if c.cur.Load() == nil {
 		return 0
 	}
-	c.entries[k] = t
-	if keys, seen := c.byEpoch[k.Epoch]; seen {
-		c.byEpoch[k.Epoch] = append(keys, k)
-	} else {
-		c.byEpoch[k.Epoch] = []TreeCacheKey{k}
-		// Keep the epoch list sorted: an in-flight old snapshot may insert
-		// under an older epoch after newer ones appeared.
-		i := sort.Search(len(c.epochs), func(i int) bool { return c.epochs[i] > k.Epoch })
-		c.epochs = append(c.epochs, 0)
-		copy(c.epochs[i+1:], c.epochs[i:])
-		c.epochs[i] = k.Epoch
-	}
-	// Age out whole epochs beyond the retention window, oldest first.
-	for len(c.epochs) > treeCacheKeepEpochs {
-		evicted += c.dropOldestEpoch()
-	}
-	// Enforce the size cap: drop old epochs first; if one epoch alone
-	// exceeds the cap, drop its oldest-inserted trees.
-	for len(c.entries) > c.maxEntries && len(c.epochs) > 1 {
-		evicted += c.dropOldestEpoch()
-	}
-	if over := len(c.entries) - c.maxEntries; over > 0 && len(c.epochs) == 1 {
-		keys := c.byEpoch[c.epochs[0]]
-		for _, old := range keys[:over] {
-			delete(c.entries, old)
-		}
-		c.byEpoch[c.epochs[0]] = keys[over:]
-		evicted += over
-	}
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
-	}
-	return evicted
+	return 1
 }
 
-// dropOldestEpoch evicts every entry of the oldest epoch present. Caller
-// holds mu.
-func (c *TreeCache) dropOldestEpoch() int {
-	oldest := c.epochs[0]
-	keys := c.byEpoch[oldest]
-	for _, k := range keys {
-		delete(c.entries, k)
-	}
-	delete(c.byEpoch, oldest)
-	c.epochs = c.epochs[1:]
-	return len(keys)
-}
-
-// Len reports the number of cached trees.
-func (c *TreeCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
-// Stats returns the lifetime hit, miss and eviction counts.
+// Stats returns the lifetime tree counts: requests served from a view's
+// table, trees searched, and trees dropped by the size cap or with a
+// displaced view.
 func (c *TreeCache) Stats() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+}
+
+// ViewStats returns the lifetime view counts: requests served the retained
+// view, and views published.
+func (c *TreeCache) ViewStats() (reuses, builds uint64) {
+	return c.reuses.Load(), c.builds.Load()
 }

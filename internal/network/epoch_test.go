@@ -2,10 +2,9 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -53,8 +52,8 @@ func TestViewEpochIdentifiesView(t *testing.T) {
 					seed, step, what, epoch, prev, fp)
 			}
 			seen[epoch] = fp
-			if !l.SameView(epoch) {
-				t.Fatalf("seed %d step %d (%s): SameView false immediately after ViewEpoch", seed, step, what)
+			if again := l.ViewEpoch(); again != epoch {
+				t.Fatalf("seed %d step %d (%s): epoch moved %d -> %d with no mutation between", seed, step, what, epoch, again)
 			}
 		}
 
@@ -101,8 +100,7 @@ func TestViewEpochIdentifiesView(t *testing.T) {
 	}
 }
 
-// TestEpochPinsAndInvalidation pins the individual epoch rules the cache
-// relies on.
+// TestEpochPinsAndInvalidation pins the individual epoch rules.
 func TestEpochPinsAndInvalidation(t *testing.T) {
 	net := testNet(t)
 	root := NewLedger(net)
@@ -127,7 +125,7 @@ func TestEpochPinsAndInvalidation(t *testing.T) {
 	if live.ViewEpoch() == before {
 		t.Fatal("mutation did not move the live overlay's epoch")
 	}
-	if !s1.SameView(before) {
+	if s1.ViewEpoch() != before {
 		t.Fatal("sibling mutation invalidated a frozen snapshot's pin")
 	}
 
@@ -137,17 +135,14 @@ func TestEpochPinsAndInvalidation(t *testing.T) {
 	if err := live.ApplyFault(Fault{Kind: FaultLinkDown, Link: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if s1.SameView(before) {
-		t.Fatal("fault did not invalidate a snapshot's pinned view")
-	}
 	postFault := s1.ViewEpoch()
 	if postFault == before {
-		t.Fatal("re-pin after fault reused the stale epoch")
+		t.Fatal("fault did not invalidate a snapshot's pinned view")
 	}
 	if err := live.RestoreFault(Fault{Kind: FaultLinkDown, Link: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if s1.SameView(postFault) {
+	if s1.ViewEpoch() == postFault {
 		t.Fatal("restore did not invalidate the post-fault pin (ABA)")
 	}
 
@@ -161,11 +156,13 @@ func TestEpochPinsAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestEpochCacheCoherenceRace is the -race property test for the tentpole
-// contract: concurrent mutators and cache-filling queriers, serialized
-// exactly like the server (mutations under a write lock, snapshots and
-// their queries under read locks), must never produce a cache hit whose
-// tree differs from a fresh DijkstraWith on the querier's current ledger.
+// TestEpochCacheCoherenceRace is the -race half of the epoch contract:
+// concurrent mutators and queriers, serialized exactly like the server
+// (mutations under a write lock, snapshots and their reads under read
+// locks), fill a cache of residual views keyed by epoch, and no querier
+// may ever find its snapshot's epoch already holding a different view.
+// (What used to be cached under the epoch, Dijkstra trees, is now keyed by
+// view content; core.TestPathCacheCoherenceRace covers that store.)
 func TestEpochCacheCoherenceRace(t *testing.T) {
 	g := graph.New(24)
 	rng := rand.New(rand.NewSource(42))
@@ -183,9 +180,8 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 
 	var mu sync.RWMutex // the server's state mutex, in miniature
 	live := root.Overlay()
-	cache := graph.NewTreeCache(0)
-	const demand = 2.0
-	fingerprint := math.Float64bits(demand)
+	var cache sync.Map // epoch -> viewFingerprint
+	var hits atomic.Int64
 
 	stop := make(chan struct{})
 	var mutWG sync.WaitGroup
@@ -229,27 +225,21 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 		qWG.Add(1)
 		go func(q int) {
 			defer qWG.Done()
-			qrng := rand.New(rand.NewSource(int64(100 + q)))
-			scratch := graph.NewScratch()
 			for i := 0; i < 300; i++ {
-				src := graph.NodeID(qrng.Intn(g.NumNodes()))
-				// Hold the read lock for the whole query+verify window,
+				// Hold the read lock for the whole read+verify window,
 				// exactly as a server worker holds its snapshot: no fault
 				// or rebase can interleave with the comparison.
 				mu.RLock()
 				snap := live.Snapshot()
 				epoch := snap.ViewEpoch()
-				opts := snap.CostOptions(demand)
-				key := graph.TreeCacheKey{Src: src, Epoch: epoch, Fingerprint: fingerprint}
-				fresh := g.DijkstraWith(scratch, src, opts)
-				if cached, ok := cache.Lookup(key); ok {
-					if err := treesDiffer(g, fresh, cached); err != nil {
+				fp := viewFingerprint(snap)
+				if cached, ok := cache.LoadOrStore(epoch, fp); ok {
+					hits.Add(1)
+					if cached != fp {
 						mu.RUnlock()
-						errCh <- fmt.Errorf("querier %d iter %d epoch %d: cache hit differs from fresh DijkstraWith: %w", q, i, epoch, err)
+						errCh <- fmt.Errorf("querier %d iter %d: epoch %d presented two views", q, i, epoch)
 						return
 					}
-				} else if snap.SameView(epoch) {
-					cache.Insert(key, g.Dijkstra(src, opts))
 				}
 				mu.RUnlock()
 			}
@@ -263,24 +253,7 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	hits, misses, _ := cache.Stats()
-	if hits == 0 {
-		t.Fatalf("property test never hit the cache (misses=%d): hit path unexercised", misses)
+	if hits.Load() == 0 {
+		t.Fatal("property test never saw an epoch twice: the comparison is unexercised")
 	}
-}
-
-// treesDiffer compares two shortest-path trees over g by their exported
-// surface: distances and the reconstructed path to every node.
-func treesDiffer(g *graph.Graph, a, b *graph.ShortestTree) error {
-	if !reflect.DeepEqual(a.Dist, b.Dist) {
-		return fmt.Errorf("Dist mismatch")
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		ap, aok := a.PathTo(graph.NodeID(v))
-		bp, bok := b.PathTo(graph.NodeID(v))
-		if aok != bok || !reflect.DeepEqual(ap, bp) {
-			return fmt.Errorf("PathTo(%d) mismatch: %v/%v vs %v/%v", v, ap, aok, bp, bok)
-		}
-	}
-	return nil
 }

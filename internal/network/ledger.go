@@ -79,8 +79,7 @@ func (l *Ledger) chainSig() uint64 {
 // must run inside the same critical section as the mutation (the ledger
 // mutation contract already requires caller serialization): any reader
 // that can observe the new state through a later Snapshot also observes
-// the new epoch, so a tree can never be cached under the old epoch with
-// the new residuals or vice versa.
+// the new epoch.
 func (l *Ledger) bumpEpoch() {
 	l.gen.Add(1)
 	v := l.ep.state.Add(1)
@@ -105,30 +104,18 @@ func (l *Ledger) pinned() (view, sig uint64) {
 	return l.view, l.sig
 }
 
-// ViewEpoch returns an identifier of the ledger's current residual view,
-// for use as a cache key: within one ledger family, two ledgers reporting
-// the same epoch present bit-identical residuals as long as SameView
-// still holds for that epoch on both. The epoch is pinned when the ledger
-// is created (inherited from its parent, whose view it shares) and
-// refreshed to a fresh monotonic value whenever the pin goes stale — the
-// ledger mutated, an ancestor it reads through mutated, or a fault
-// changed the family's quarantine.
+// ViewEpoch returns an identifier of the ledger's current residual view:
+// within one ledger family, two ledgers reporting the same epoch present
+// bit-identical residuals. The epoch is pinned when the ledger is created
+// (inherited from its parent, whose view it shares) and refreshed to a
+// fresh monotonic value whenever the pin goes stale — the ledger mutated,
+// an ancestor it reads through mutated, or a fault changed the family's
+// quarantine. It moves on every commit, which is why nothing is keyed on
+// it any more (shared cost views compare their content instead); it
+// remains as the measure of how often the view changes.
 func (l *Ledger) ViewEpoch() uint64 {
 	v, _ := l.pinned()
 	return v
-}
-
-// SameView reports whether the ledger still presents the exact view it
-// presented when ViewEpoch returned epoch. It is the cache-insert guard:
-// a tree computed from this ledger may be published under epoch only if
-// SameView(epoch) holds after the computation — otherwise a concurrent
-// fault or ancestor mutation changed the residuals mid-computation and
-// the tree must not outlive the request. Conservative by construction:
-// any relevant counter movement invalidates, never the reverse.
-func (l *Ledger) SameView(epoch uint64) bool {
-	l.pinMu.Lock()
-	defer l.pinMu.Unlock()
-	return l.view == epoch && l.sig == l.chainSig()
 }
 
 // NewLedger returns an empty root ledger over net.

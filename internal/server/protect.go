@@ -54,8 +54,8 @@ func backupBans(net *network.Network, primary *core.Solution, src, dst graph.Nod
 // backup's capacity is over and above the primary's. Node-disjoint is
 // tried first; if the substrate cannot afford it the search retries with
 // only the links banned. The ban sets ride per-request copies of the
-// shared builtin options (core.Options is a value), fingerprinted into
-// the path-tree cache keys, so the shared caches stay coherent.
+// shared builtin options (core.Options is a value); a banned search keeps
+// its view and trees to itself, so the shared cache never sees them.
 func (s *Server) embedBackup(ctx context.Context, alg string, p *core.Problem, primary *core.Solution) (*core.Result, error) {
 	opts, ok := s.protectOpts[alg]
 	if !ok {

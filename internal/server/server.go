@@ -111,11 +111,11 @@ type Config struct {
 	// registry (mbbe, bbe, minv, ranv, sa).
 	Embedders map[string]Embedder
 	// PathCacheSize bounds the cross-request path-tree cache shared by the
-	// builtin tree searches (mbbe, bbe): worker snapshots that present the
-	// same ledger view epoch reuse each other's capacity-filtered Dijkstra
-	// trees instead of recomputing them. 0 means the default size (4096
-	// trees); negative disables the cache entirely, along with the compiled
-	// cost-view cache that rides on the same epoch machinery.
+	// builtin tree searches (mbbe, bbe): requests whose rate the same set
+	// of links can still carry share one compiled cost view and the
+	// capacity-filtered Dijkstra trees searched on it, whatever was
+	// committed in between. 0 means the default size (4096 trees); negative
+	// disables the cache, and every request compiles and searches its own.
 	PathCacheSize int
 	// WALDir enables durable flow state: every lifecycle mutation is
 	// appended to a write-ahead log in this directory and the full state
@@ -150,16 +150,6 @@ type Server struct {
 	// searches, so a timed-out request stops searching instead of burning
 	// a worker; algorithms without one fall back to the plain signature.
 	embedCtx map[string]ctxEmbedder
-	// cache is the cross-request path-tree cache the builtin tree searches
-	// share (nil when disabled). Coherence is by ledger view epoch, so the
-	// cache needs no invalidation hooks from the commit loop or the fault
-	// endpoints: any state change moves the epoch and strands old entries,
-	// which age out as new epochs fill in.
-	cache *graph.TreeCache
-	// viewCache shares compiled cost views (admissibility bitset + price
-	// array) the same way, under the same epoch-coherence argument; it is
-	// enabled and disabled together with the tree cache.
-	viewCache *graph.ViewCache
 	// protectOpts maps each ban-capable builtin algorithm to its embed
 	// options; the backup search copies an entry per request and seeds
 	// BannedEdges/BannedNodes from the primary's placement. Algorithms
@@ -367,11 +357,11 @@ func New(cfg Config) (*Server, error) {
 	if rebaseLen < 64 {
 		rebaseLen = 64
 	}
+	// Views are keyed by their content, so the cache needs no invalidation
+	// hooks from the commit loop or the fault endpoints.
 	var cache *graph.TreeCache
-	var viewCache *graph.ViewCache
 	if cfg.PathCacheSize >= 0 {
 		cache = graph.NewTreeCache(cfg.PathCacheSize)
-		viewCache = graph.NewViewCache(0)
 	}
 	telemetry.InitPathCacheMetrics()
 	telemetry.InitCostViewMetrics()
@@ -379,11 +369,9 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		net:         cfg.Net,
-		embedder:    builtinEmbedders(cfg.Seed, cache, viewCache),
-		embedCtx:    builtinCtxEmbedders(cache, viewCache),
-		cache:       cache,
-		viewCache:   viewCache,
-		protectOpts: builtinOptions(cache, viewCache),
+		embedder:    builtinEmbedders(cfg.Seed, cache),
+		embedCtx:    builtinCtxEmbedders(cache),
+		protectOpts: builtinOptions(cache),
 		ledger:      network.NewLedger(cfg.Net).Overlay(),
 		rebaseLen:   rebaseLen,
 		flows:       online.NewFlowTable[int64](),
@@ -460,25 +448,23 @@ func New(cfg Config) (*Server, error) {
 }
 
 // builtinOptions is the shared option set of the builtin tree searches,
-// with the cross-request caches wired in. The ctx-aware embedders and the
+// with the cross-request cache wired in. The ctx-aware embedders and the
 // backup search both draw from it; ban-set variants copy an entry per
 // request (Options is a value type) so the shared maps are never mutated.
-func builtinOptions(cache *graph.TreeCache, views *graph.ViewCache) map[string]core.Options {
+func builtinOptions(cache *graph.TreeCache) map[string]core.Options {
 	mbbeOpts := core.MBBEOptions()
 	mbbeOpts.PathCache = cache
-	mbbeOpts.ViewCache = views
 	bbeOpts := core.BBEOptions()
 	bbeOpts.PathCache = cache
-	bbeOpts.ViewCache = views
 	return map[string]core.Options{"mbbe": mbbeOpts, "bbe": bbeOpts}
 }
 
 // builtinCtxEmbedders maps the builtin algorithms that support
 // cooperative cancellation to their context-aware entry points. cache,
 // when non-nil, is shared by every mbbe/bbe run (see Config.PathCacheSize).
-func builtinCtxEmbedders(cache *graph.TreeCache, views *graph.ViewCache) map[string]ctxEmbedder {
+func builtinCtxEmbedders(cache *graph.TreeCache) map[string]ctxEmbedder {
 	out := make(map[string]ctxEmbedder)
-	for name, opts := range builtinOptions(cache, views) {
+	for name, opts := range builtinOptions(cache) {
 		opts := opts
 		out[name] = func(ctx context.Context, p *core.Problem) (*core.Result, error) {
 			return core.EmbedContext(ctx, p, opts)
@@ -490,15 +476,11 @@ func builtinCtxEmbedders(cache *graph.TreeCache, views *graph.ViewCache) map[str
 // builtinEmbedders is the default algorithm registry. The randomized
 // algorithms share one seeded rng behind a lock, so their embeds
 // serialize — acceptable for baselines.
-func builtinEmbedders(seed int64, cache *graph.TreeCache, views *graph.ViewCache) map[string]Embedder {
+func builtinEmbedders(seed int64, cache *graph.TreeCache) map[string]Embedder {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed))
-	mbbeOpts := core.MBBEOptions()
-	mbbeOpts.PathCache = cache
-	mbbeOpts.ViewCache = views
-	bbeOpts := core.BBEOptions()
-	bbeOpts.PathCache = cache
-	bbeOpts.ViewCache = views
+	opts := builtinOptions(cache)
+	mbbeOpts, bbeOpts := opts["mbbe"], opts["bbe"]
 	return map[string]Embedder{
 		"mbbe": func(p *core.Problem) (*core.Result, error) { return core.Embed(p, mbbeOpts) },
 		"bbe":  func(p *core.Problem) (*core.Result, error) { return core.Embed(p, bbeOpts) },

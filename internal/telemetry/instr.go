@@ -61,42 +61,60 @@ func RecordOverlayCommit() {
 		"Overlay ledgers committed into their base ledger.").Inc()
 }
 
-// Cross-request path-tree cache metric names (PR 7).
+// Shared-view store metric names: tree requests served from a shared
+// view's table, Dijkstra trees actually searched, trees the store dropped,
+// and what it retains right now.
 const (
 	MetricPathCacheHits      = "dagsfc_path_cache_hits_total"
 	MetricPathCacheMisses    = "dagsfc_path_cache_misses_total"
 	MetricPathCacheEvictions = "dagsfc_path_cache_evictions_total"
+	MetricPathCacheViews     = "dagsfc_path_cache_views"
+	MetricPathCacheTrees     = "dagsfc_path_cache_trees"
 )
 
-// RecordPathCache records one consultation of the cross-request path-tree
-// cache: a hit served a previously computed Dijkstra tree, a miss fell
-// through to a fresh computation.
-func RecordPathCache(hit bool) {
-	if hit {
-		Default().Counter(MetricPathCacheHits,
-			"Path-tree cache lookups served from a cached Dijkstra tree.").Inc()
-		return
+const (
+	helpPathCacheHits      = "Path-tree cache lookups served from a cached Dijkstra tree."
+	helpPathCacheMisses    = "Path-tree cache lookups that computed a fresh Dijkstra tree."
+	helpPathCacheEvictions = "Path trees dropped by the size cap or with a displaced view."
+	helpPathCacheViews     = "Cost views the path-tree cache currently retains."
+	helpPathCacheTrees     = "Dijkstra trees the path-tree cache currently retains."
+)
+
+// RecordPathCacheHits records n tree requests served from a shared view's
+// table; an embedding run reports its total once, when it ends.
+func RecordPathCacheHits(n uint64) {
+	if n > 0 {
+		Default().Counter(MetricPathCacheHits, helpPathCacheHits).Add(float64(n))
 	}
-	Default().Counter(MetricPathCacheMisses,
-		"Path-tree cache lookups that computed a fresh Dijkstra tree.").Inc()
 }
 
-// RecordPathCacheEvictions records trees evicted from the path-tree cache
-// by epoch aging or the size cap.
-func RecordPathCacheEvictions(n int) {
-	Default().Counter(MetricPathCacheEvictions,
-		"Path trees evicted from the cache by epoch aging or the size cap.").Add(float64(n))
+// RecordPathCacheMiss records one Dijkstra tree searched by a run with the
+// store attached, whether the tree was then shared or stayed private to a
+// banned run.
+func RecordPathCacheMiss() {
+	Default().Counter(MetricPathCacheMisses, helpPathCacheMisses).Inc()
 }
 
-// InitPathCacheMetrics pre-creates the path-tree cache counter families at
-// zero so they appear in scrapes before the first embed touches the cache.
+// RecordPathCacheRetention publishes how many views and trees the store
+// retains after taking one in, and counts the trees evicted to do so.
+func RecordPathCacheRetention(views, trees, evicted int) {
+	r := Default()
+	r.Gauge(MetricPathCacheViews, helpPathCacheViews).Set(float64(views))
+	r.Gauge(MetricPathCacheTrees, helpPathCacheTrees).Set(float64(trees))
+	if evicted > 0 {
+		r.Counter(MetricPathCacheEvictions, helpPathCacheEvictions).Add(float64(evicted))
+	}
+}
+
+// InitPathCacheMetrics pre-creates the path-tree cache families at zero so
+// they appear in scrapes before the first embed touches the cache.
 func InitPathCacheMetrics() {
-	Default().Counter(MetricPathCacheHits,
-		"Path-tree cache lookups served from a cached Dijkstra tree.").Add(0)
-	Default().Counter(MetricPathCacheMisses,
-		"Path-tree cache lookups that computed a fresh Dijkstra tree.").Add(0)
-	Default().Counter(MetricPathCacheEvictions,
-		"Path trees evicted from the cache by epoch aging or the size cap.").Add(0)
+	r := Default()
+	r.Counter(MetricPathCacheHits, helpPathCacheHits).Add(0)
+	r.Counter(MetricPathCacheMisses, helpPathCacheMisses).Add(0)
+	r.Counter(MetricPathCacheEvictions, helpPathCacheEvictions).Add(0)
+	r.Gauge(MetricPathCacheViews, helpPathCacheViews).Add(0)
+	r.Gauge(MetricPathCacheTrees, helpPathCacheTrees).Add(0)
 }
 
 // Compiled cost-view metric names (PR 9).
@@ -106,8 +124,8 @@ const (
 )
 
 // RecordCostView records one cost-view acquisition by an embedding run: a
-// build compiled the view fresh from the ledger's residuals, a reuse
-// served a compiled view from the cross-request view cache.
+// build materialised a view on the heap, a reuse was served the view the
+// path-tree cache retains.
 func RecordCostView(build bool) {
 	if build {
 		Default().Counter(MetricCostViewBuilds,

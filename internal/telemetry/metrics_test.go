@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -432,5 +433,48 @@ dagsfc_server_stage_seconds_count{stage="golden_stage"} 1
 		RecordOnlineRequest(false, time.Millisecond)
 	}); allocs != 0 {
 		t.Fatalf("steady-state request recorders allocate %.1f objects per round, want 0", allocs)
+	}
+}
+
+// TestPathCacheRetentionExposition pins what a scrape sees of the store's
+// retention: two gauges that follow the latest report, and an eviction
+// counter that only moves when something was dropped.
+func TestPathCacheRetentionExposition(t *testing.T) {
+	render := func() string {
+		var snap Snapshot
+		for _, fam := range Default().Snapshot().Families {
+			switch fam.Name {
+			case MetricPathCacheViews, MetricPathCacheTrees, MetricPathCacheEvictions:
+				snap.Families = append(snap.Families, fam)
+			}
+		}
+		var b strings.Builder
+		if err := snap.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	evictions := func() float64 {
+		return Default().Counter(MetricPathCacheEvictions, helpPathCacheEvictions).Value()
+	}
+	InitPathCacheMetrics()
+	base := evictions()
+	RecordPathCacheRetention(1, 37, 0)
+	if got := evictions(); got != base {
+		t.Fatalf("a report with nothing evicted moved the eviction counter %v -> %v", base, got)
+	}
+	RecordPathCacheRetention(1, 12, 25)
+	want := fmt.Sprintf(`# HELP dagsfc_path_cache_evictions_total Path trees dropped by the size cap or with a displaced view.
+# TYPE dagsfc_path_cache_evictions_total counter
+dagsfc_path_cache_evictions_total %v
+# HELP dagsfc_path_cache_trees Dijkstra trees the path-tree cache currently retains.
+# TYPE dagsfc_path_cache_trees gauge
+dagsfc_path_cache_trees 12
+# HELP dagsfc_path_cache_views Cost views the path-tree cache currently retains.
+# TYPE dagsfc_path_cache_views gauge
+dagsfc_path_cache_views 1
+`, base+25)
+	if got := render(); got != want {
+		t.Fatalf("exposition drifted.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
