@@ -2,15 +2,23 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
 # check is the pre-commit gate: build, vet, the full test suite, the race
 # detector (the telemetry registry is written from concurrent trial
-# runners, so -race is load-bearing here, not ceremony), and a short fuzz
-# of the search-kernel priority queues.
-check: build vet test race fuzz-smoke
+# runners, so -race is load-bearing here, not ceremony), the
+# one-goroutine-per-embed contract, and a short fuzz of the search-kernel
+# priority queues.
+check: build vet test race core-single-goroutine fuzz-smoke
+
+# An embed is a single-goroutine computation over one arena (DESIGN §11):
+# nothing in internal/core outside its tests may start a goroutine.
+core-single-goroutine:
+	@if grep -nE '^[[:space:]]*go[[:space:]]' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/core starts a goroutine: an embed must stay on its caller's"; exit 1; \
+	fi
 
 # fuzz-smoke runs the bucket-queue fuzzer briefly: the bucket queue and
 # the 4-ary heap must pop in the identical strict (dist, node) order, or
@@ -55,7 +63,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR18.json
+BENCH_JSON ?= BENCH_PR20.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -74,7 +82,7 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed) regressed more than
-# 20% against the committed PR17 baseline, if an embed-path benchmark
+# 20% against the committed PR18 baseline, if an embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
 # more than 5% more objects per op, or if the warm path-cache embed lost
@@ -86,7 +94,7 @@ bench-json:
 # -guard-serve-old adds the durability-tax check: the serve throughput
 # with the WAL on but fsync off must stay within the same limit of the
 # baseline's WAL-less BenchmarkServeThroughput.
-BENCH_GUARD_OLD ?= BENCH_PR17.json
+BENCH_GUARD_OLD ?= BENCH_PR18.json
 BENCH_GUARD_SERVE_OLD ?= BENCH_PR16.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON) -guard-serve-old $(BENCH_GUARD_SERVE_OLD)

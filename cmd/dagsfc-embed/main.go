@@ -45,7 +45,6 @@ func main() {
 		dotFile  = flag.String("dot", "", "also write a Graphviz DOT rendering of the embedding")
 		outFile  = flag.String("o", "", "also write the solution as JSON")
 		verbose  = flag.Bool("v", false, "trace the search (layer/search progress to stderr; mbbe/bbe only)")
-		workers  = flag.Int("workers", 0, "worker-pool size inside one embedding (mbbe/bbe only); 0 = GOMAXPROCS, 1 = sequential. Results are identical for any value")
 		traceOut = flag.String("trace-out", "", "write the search as a JSON span tree (mbbe/bbe only)")
 		explain  = flag.Bool("explain", false, "print a human-readable rendering of the search trace (mbbe/bbe only)")
 	)
@@ -53,7 +52,7 @@ func main() {
 		return run(config{
 			netFile: *netFile, sfcStr: *sfcStr, src: *src, dst: *dst, alg: *alg,
 			rate: *rate, size: *size, seed: *seed, dotFile: *dotFile, outFile: *outFile,
-			verbose: *verbose, traceOut: *traceOut, explain: *explain, workers: *workers,
+			verbose: *verbose, traceOut: *traceOut, explain: *explain,
 		})
 	})
 }
@@ -67,7 +66,6 @@ type config struct {
 	dotFile, outFile string
 	verbose, explain bool
 	traceOut         string
-	workers          int
 }
 
 func run(c config) error {
@@ -112,7 +110,6 @@ func run(c config) error {
 		if len(obs) > 0 {
 			opts.Observer = obs
 		}
-		opts.Workers = c.workers
 		return opts
 	}
 	var res *dagsfc.Result

@@ -12,7 +12,7 @@ import (
 // out of large chunks, and reset rewinds the cursor so the same chunks
 // serve the next run — the steady-state allocation count for search
 // memory drops to zero once the chunks have grown to a run's working set.
-// Not safe for concurrent use; each worker slot owns one set of slabs.
+// Not safe for concurrent use.
 type slab[T any] struct {
 	chunks [][]T
 	ci     int // chunk currently being carved
@@ -106,21 +106,19 @@ func (s *slab[T]) bytes() int {
 	return n * int(unsafe.Sizeof(zero))
 }
 
-// searchMem is the per-worker-slot arena behind an embedding run. Every
-// allocation the search retains until the run ends comes from these slabs:
-// the search trees (TreeNode blocks, Available/Prev/Next windows, node
-// lists, by-node indexes) and the candidates (extension and subSolution
-// structs, their node, path, instance-use and edge-use windows, the
-// MiniPath path edges, and the per-start and per-parent candidate lists).
+// searchMem is the arena behind one embedding run. Every allocation the
+// search retains until the run ends comes from it: the search trees
+// (TreeNode blocks, Available/Prev/Next windows, node lists, by-node
+// indexes), the candidates (extension and subSolution structs, their node,
+// path, instance-use and edge-use windows, the MiniPath path edges, the
+// per-start and per-parent candidate lists), and the run's private cost
+// views and Dijkstra trees.
 //
-// Ownership: only the worker goroutine that holds the slot carves from
-// it (the calling goroutine uses slot 0 between fan-outs). Reads cross
-// slots freely — an extension built on slot k is screened by parents on
-// other slots — which is safe because carved windows are immutable once
-// published at a fan-in and because every slot of a run is reset
-// together, in releaseScratchSlots, after the Result has been assembled.
-// assemble deep-copies the winning chain to the heap, so nothing
-// reachable from a Result aliases this memory.
+// Ownership: an embed runs on one goroutine over one arena, checked out
+// with its pooledScratch for the length of the run and reset in
+// releaseScratch once the Result has been assembled. assemble copies the
+// winning chain to the heap, so nothing reachable from a Result aliases
+// this memory.
 type searchMem struct {
 	trees slab[SearchTree]
 	nodes slab[TreeNode]
@@ -138,6 +136,20 @@ type searchMem struct {
 	edges    slab[graph.EdgeID]
 	instUses slab[InstanceUseKey]
 	edgeUses slab[edgeUse]
+	extLists slab[[]*extension]
+
+	// Run-scoped graph storage. graph owns these layouts, so they recycle
+	// whole instead of being carved: views[:nviews] are the cost views the
+	// run compiled for itself — at most two, its capacity-only search view
+	// and, when it bans elements, the path view — and pathTrees[:npathTrees]
+	// the Dijkstra trees it searched on a view of its own (no store attached,
+	// or a banned run). reset hands all of them to the next run, which
+	// overwrites them in place.
+	views      [2]graph.CostView
+	nviews     int
+	resBuf     []float64 // CompileViewInto's residual buffer
+	pathTrees  []*graph.ShortestTree
+	npathTrees int
 
 	// Scratch buffers reused within and across runs: their contents are
 	// dead once the call that filled them returns, so they are ordinary
@@ -149,6 +161,8 @@ type searchMem struct {
 	assignment             []*TreeNode    // pairExtensions' current allocation
 	interChoices           [][]graph.Path // instantiate's per-meta-path choices
 	innerChoices           [][]graph.Path
+	specs                  []LayerSpec         // run's per-layer obligations
+	required               [][]network.VNFID   // and each layer's forward-search coverage goal
 	screens                []parentScreen      // run's per-parent screening slots
 	leaves                 []leafCand          // run's closed leaves
 	seeds                  []graph.LayeredSeed // layeredRun's entry points
@@ -158,7 +172,7 @@ type searchMem struct {
 
 // slabs lists every slab of the arena: the one place reset and bytes learn
 // about a new one.
-func (m *searchMem) slabs() [15]interface {
+func (m *searchMem) slabs() [16]interface {
 	reset()
 	bytes() int
 } {
@@ -167,7 +181,7 @@ func (m *searchMem) slabs() [15]interface {
 		bytes() int
 	}{
 		&m.trees, &m.nodes, &m.vnfs, &m.links, &m.ptrs, &m.idx,
-		&m.exts, &m.subs, &m.extPtrs, &m.subPtrs, &m.nodeIDs, &m.paths, &m.edges, &m.instUses, &m.edgeUses,
+		&m.exts, &m.subs, &m.extPtrs, &m.subPtrs, &m.nodeIDs, &m.paths, &m.edges, &m.instUses, &m.edgeUses, &m.extLists,
 	}
 }
 
@@ -182,16 +196,39 @@ func (m *searchMem) reset() {
 	clear(m.assignment[:cap(m.assignment)])
 	clear(m.interChoices[:cap(m.interChoices)])
 	clear(m.innerChoices[:cap(m.innerChoices)])
+	clear(m.specs[:cap(m.specs)])
+	clear(m.required[:cap(m.required)])
 	clear(m.screens[:cap(m.screens)])
 	clear(m.leaves[:cap(m.leaves)])
 	clear(m.rents[:cap(m.rents)])
+	m.nviews, m.npathTrees = 0, 0
 }
 
-// bytes reports the memory the arena's slabs pin between runs.
+// keepTree copies the scratch-owned tree t into the run's tree storage and
+// returns the copy, valid until reset. Steady state it allocates nothing:
+// the storage a previous run grew is overwritten in place.
+func (m *searchMem) keepTree(t *graph.ShortestTree) *graph.ShortestTree {
+	if m.npathTrees == len(m.pathTrees) {
+		m.pathTrees = append(m.pathTrees, new(graph.ShortestTree))
+	}
+	kept := m.pathTrees[m.npathTrees]
+	m.npathTrees++
+	t.CopyTo(kept)
+	return kept
+}
+
+// bytes reports the memory the arena's slabs and graph storage pin between
+// runs.
 func (m *searchMem) bytes() int {
-	n := 0
+	n := cap(m.resBuf) * 8
 	for _, s := range m.slabs() {
 		n += s.bytes()
+	}
+	for i := range m.views {
+		n += m.views[i].MemBytes()
+	}
+	for _, t := range m.pathTrees {
+		n += t.MemBytes()
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -13,11 +14,35 @@ import (
 	"dagsfc/internal/network"
 )
 
-// TestResultSurvivesArenaReuse pins the ownership rule the candidate arena
-// rests on: a Result is a heap copy, so later runs that recycle the same
-// worker-slot arenas — here 60 embeds of other instances per mode — must
-// not change a solution handed out earlier. Run under -race this also
-// covers screeners reading extensions carved on other slots.
+// scribbleGraphStorage overwrites what a recycled arena hands the next run
+// whole rather than zeroed — every retained Dijkstra tree and both private
+// views — with those of an unrelated line graph, so a run that trusted
+// recycled contents, or a Result that aliased them, shows.
+func scribbleGraphStorage(m *searchMem) {
+	for _, t := range m.pathTrees {
+		junk := lineGraph(len(t.Dist))
+		junk.Dijkstra(graph.NodeID(len(t.Dist)-1), nil).CopyTo(t)
+	}
+	for i := range m.views {
+		m.resBuf = lineGraph(3).CompileViewInto(&m.views[i], nil, m.resBuf)
+	}
+	for i := range m.resBuf {
+		m.resBuf[i] = -1
+	}
+}
+
+func lineGraph(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(graph.NodeID(v-1), graph.NodeID(v), 1e9, 1)
+	}
+	return g
+}
+
+// TestResultSurvivesArenaReuse pins the ownership rule the arena rests on:
+// a Result is a heap copy, so scribbling over the recycled tree storage and
+// 60 later embeds of other instances carving the same slabs must not change
+// a solution handed out earlier.
 func TestResultSurvivesArenaReuse(t *testing.T) {
 	delayBounded := MBBEOptions()
 	delayBounded.MaxDelay = 1e6 // never binding, but switches the hop variants on
@@ -31,37 +56,38 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 		{"mbbe+delay", delayBounded},
 	}
 	for _, mode := range modes {
-		for _, workers := range []int{1, 4} {
-			opts := mode.opts
-			opts.Workers = workers
-			p := randomProblem(rand.New(rand.NewSource(7)), 60, 6, 6)
-			res, err := Embed(p, opts)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", mode.name, workers, err)
-			}
-			before, err := json.Marshal(res.Solution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 60; i++ {
-				q := randomProblem(rand.New(rand.NewSource(int64(100+i))), 60, 6, 6)
-				_, _ = Embed(q, opts) // infeasible draws still churn the arenas
-			}
-			after, err := json.Marshal(res.Solution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(before) != string(after) {
-				t.Fatalf("%s workers=%d: solution changed under later embeds\nbefore %s\nafter  %s",
-					mode.name, workers, before, after)
-			}
-			if err := Validate(p, res.Solution); err != nil {
-				t.Fatalf("%s workers=%d: solution no longer validates: %v", mode.name, workers, err)
-			}
-			p.Ledger = network.NewLedger(p.Net)
-			if _, err := Commit(p, res.Solution); err != nil {
-				t.Fatalf("%s workers=%d: solution no longer commits: %v", mode.name, workers, err)
-			}
+		sc := newPooledScratch()
+		embed := func(p *Problem) (*Result, error) {
+			defer sc.recycle()
+			return embedOn(context.Background(), p, mode.opts, false, sc)
+		}
+		p := randomProblem(rand.New(rand.NewSource(7)), 60, 6, 6)
+		res, err := embed(p)
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		before, err := json.Marshal(res.Solution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribbleGraphStorage(sc.mem)
+		for i := 0; i < 60; i++ {
+			q := randomProblem(rand.New(rand.NewSource(int64(100+i))), 60, 6, 6)
+			_, _ = embed(q) // infeasible draws still churn the arena
+		}
+		after, err := json.Marshal(res.Solution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(before) != string(after) {
+			t.Fatalf("%s: solution changed under later embeds\nbefore %s\nafter  %s", mode.name, before, after)
+		}
+		if err := Validate(p, res.Solution); err != nil {
+			t.Fatalf("%s: solution no longer validates: %v", mode.name, err)
+		}
+		p.Ledger = network.NewLedger(p.Net)
+		if _, err := Commit(p, res.Solution); err != nil {
+			t.Fatalf("%s: solution no longer commits: %v", mode.name, err)
 		}
 	}
 }
@@ -246,18 +272,17 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 
 // TestEmbedSteadyStateAllocCeiling is the allocation budget of a whole
 // embed, the counterpart of graph's TestDijkstraWithZeroAllocs for the
-// layers above it: once the worker slot's arena has grown to the instance,
-// what an MBBE run still allocates is the Result, the run's bookkeeping and
-// its retained Dijkstra trees — not its candidates. Measured 163 on the
+// layers above it: once the arena has grown to the instance, what an MBBE
+// run still allocates is the Result and a little bookkeeping — not its
+// candidates, its views or its Dijkstra trees. Measured 16 on the
 // BenchmarkEmbedMBBE fixture; the ceiling leaves a quarter of headroom.
 func TestEmbedSteadyStateAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const ceiling = 204
+	const ceiling = 20
 	p := benchProblem(t)
 	opts := MBBEOptions()
-	opts.Workers = 1
 	if _, err := Embed(p, opts); err != nil { // grow the arena
 		t.Fatal(err)
 	}
@@ -273,19 +298,26 @@ func TestEmbedSteadyStateAllocCeiling(t *testing.T) {
 }
 
 // TestReleaseDropsOversizedArena pins the pooling cap: an arena grown past
-// searchMemRetainBytes is replaced on release instead of being pooled,
-// while a right-sized one is kept and merely rewound.
+// searchMemRetainBytes — in its slabs or in its run-scoped tree storage —
+// is replaced on release instead of being pooled, while a right-sized one
+// is kept and merely rewound.
 func TestReleaseDropsOversizedArena(t *testing.T) {
-	small, huge := acquireScratch(), acquireScratch()
+	small, huge, treeful := newPooledScratch(), newPooledScratch(), newPooledScratch()
 	small.mem.idx.alloc(10)
+	small.mem.keepTree(lineGraph(10).Dijkstra(0, nil))
 	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
+	treeful.mem.keepTree(&graph.ShortestTree{Dist: make([]float64, searchMemRetainBytes/8+1)})
 	kept := small.mem
-	releaseScratchSlots([]*pooledScratch{small, huge})
-	if small.mem != kept || kept.idx.off != 0 {
+	small.recycle()
+	huge.recycle()
+	treeful.recycle()
+	if small.mem != kept || kept.idx.off != 0 || kept.npathTrees != 0 || len(kept.pathTrees) != 1 {
 		t.Fatal("right-sized arena was not kept and rewound")
 	}
-	if got := huge.mem.bytes(); got != 0 {
-		t.Fatalf("oversized arena still pins %d bytes after release", got)
+	for name, ps := range map[string]*pooledScratch{"slabs": huge, "trees": treeful} {
+		if got := ps.mem.bytes(); got != 0 {
+			t.Fatalf("arena with oversized %s still pins %d bytes after release", name, got)
+		}
 	}
 }
 
@@ -336,8 +368,10 @@ func dedupByEndNodeRef(next []*subSolution, src graph.NodeID, limitOpt int, dela
 func TestDedupByEndNodeMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := lineFixture()
+	sc := newPooledScratch()
 	for trial := 0; trial < 2000; trial++ {
-		e := &embedder{p: p, opts: Options{DedupByEndNode: 1 + rng.Intn(3)}}
+		sc.recycle()
+		e := &embedder{p: p, opts: Options{DedupByEndNode: 1 + rng.Intn(3)}, sc: sc}
 		if trial%2 == 1 {
 			e.opts.MaxDelay = 100
 		}
@@ -350,7 +384,7 @@ func TestDedupByEndNodeMatchesMapReference(t *testing.T) {
 			}
 		}
 		want := dedupByEndNodeRef(next, p.Src, e.opts.DedupByEndNode, e.opts.MaxDelay > 0)
-		got := e.dedupByEndNode(slices.Clone(next), &searchMem{})
+		got := e.dedupByEndNode(slices.Clone(next))
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (limit %d, delay %v): kept %d candidates, reference %d",
 				trial, e.opts.DedupByEndNode, e.opts.MaxDelay > 0, len(got), len(want))

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -33,64 +32,43 @@ func BenchmarkForwardSearch(b *testing.B) {
 
 func BenchmarkLayerExtensions(b *testing.B) {
 	p := benchProblem(b)
-	spec := p.LayerSpecs()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := &embedder{
-			p: p, opts: MBBEOptions(), workers: 1,
-			ledger:   p.ledgerOrFresh(),
-			extCache: make(map[extKey][]*extension),
-			trees:    make(map[graph.NodeID]*treeEntry),
-			avgLink:  p.Net.AvgLinkPrice(),
-		}
-		e.costOpts = e.ledger.CostOptions(p.Rate)
-		e.pathView = p.Net.G.CompileView(e.costOpts)
-		e.searchView = e.pathView
-		e.scratch = acquireScratchSlots(e.workers)
-		if exts := e.buildExtensions(spec, p.Src); len(exts) == 0 {
+		sc := acquireScratch()
+		e := newEmbedder(context.Background(), p, MBBEOptions(), sc)
+		e.avgLink = p.Net.AvgLinkPrice()
+		if exts := e.buildExtensions(e.layerSpecs()[0], p.Src); len(exts) == 0 {
 			b.Fatal("no extensions")
 		}
-		releaseScratchSlots(e.scratch)
+		releaseScratch(sc)
 	}
 }
 
-// BenchmarkEmbedMBBEWorkers compares sequential against pooled embedding
-// on a paper-scale MBBE instance. On multi-core hardware the GOMAXPROCS
-// variant should win wall-clock; on a single core both take the
-// sequential path's cost (the pool degrades to an inline loop when only
-// one worker is available per forEach call).
-func BenchmarkEmbedMBBEWorkers(b *testing.B) {
+// BenchmarkEmbedMBBE is the uncached embed of a paper-scale MBBE instance:
+// no store attached, so the run compiles its own view and searches its own
+// Dijkstra trees.
+func BenchmarkEmbedMBBE(b *testing.B) {
 	p := benchProblem(b)
-	pooled := runtime.GOMAXPROCS(0)
-	if pooled == 1 {
-		pooled = 4 // still exercise the pooled code path on one core
-	}
-	for _, workers := range []int{1, pooled} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := MBBEOptions()
-			opts.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Embed(p, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := MBBEOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Embed(p, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkEmbedMBBECached is the best case for the cross-request cache:
 // repeated embeds against a ledger nobody touches, the shared view and
 // every Dijkstra tree on it warm. Compare against
-// BenchmarkEmbedMBBEWorkers/workers=1 for the cache's speedup, and see
+// BenchmarkEmbedMBBE for the cache's speedup, and see
 // BenchmarkEmbedMBBEChurn for the same embed with the ledger moving.
 func BenchmarkEmbedMBBECached(b *testing.B) {
 	p := benchProblem(b)
 	p.Ledger = network.NewLedger(p.Net).Overlay()
 	opts := MBBEOptions()
-	opts.Workers = 1
 	opts.PathCache = graph.NewTreeCache(0)
 	if _, err := Embed(p, opts); err != nil { // cold pass fills the cache
 		b.Fatal(err)
@@ -124,7 +102,6 @@ func BenchmarkEmbedMBBEChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := MBBEOptions()
-	opts.Workers = 1
 	opts.PathCache = graph.NewTreeCache(0)
 	if _, err := Embed(p, opts); err != nil { // cold pass fills the cache
 		b.Fatal(err)
@@ -149,11 +126,10 @@ func BenchmarkEmbedMBBEChurn(b *testing.B) {
 }
 
 // BenchmarkEmbedBBE is the plain BBE embed (tree-path enumeration, no
-// mini-path shortcut) on the same instance, sequential.
+// mini-path shortcut) on the same instance.
 func BenchmarkEmbedBBE(b *testing.B) {
 	p := benchProblem(b)
 	opts := BBEOptions()
-	opts.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

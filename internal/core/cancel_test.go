@@ -41,37 +41,33 @@ func TestEmbedContextExpiredDeadline(t *testing.T) {
 
 // TestEmbedContextCancelMidRun cancels from inside the search (via an
 // Observer callback on a later layer) and checks the run aborts with the
-// context's error instead of finishing or reporting ErrNoEmbedding — for
-// the sequential path and a parallel pool.
+// context's error instead of finishing or reporting ErrNoEmbedding.
 func TestEmbedContextCancelMidRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(7))
-		p := randomProblem(rng, 40, 6, 5)
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := MBBEOptions()
-		opts.Workers = workers
-		fired := false
-		opts.Observer = FuncObserver{
-			OnLayerStart: func(spec LayerSpec, parents int) {
-				if spec.Index >= 2 {
-					fired = true
-					cancel()
-				}
-			},
-		}
-		res, err := EmbedContext(ctx, p, opts)
-		cancel()
-		if !fired {
-			// The random instance must be deep enough to reach layer 2;
-			// seed 7 with sfcSize 5 is.
-			t.Fatalf("workers=%d: observer never reached layer 2", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if res != nil {
-			t.Fatalf("workers=%d: cancelled embed returned a result", workers)
-		}
+	rng := rand.New(rand.NewSource(7))
+	p := randomProblem(rng, 40, 6, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := MBBEOptions()
+	fired := false
+	opts.Observer = FuncObserver{
+		OnLayerStart: func(spec LayerSpec, parents int) {
+			if spec.Index >= 2 {
+				fired = true
+				cancel()
+			}
+		},
+	}
+	res, err := EmbedContext(ctx, p, opts)
+	cancel()
+	if !fired {
+		// The random instance must be deep enough to reach layer 2;
+		// seed 7 with sfcSize 5 is.
+		t.Fatal("observer never reached layer 2")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Fatal("cancelled embed returned a result")
 	}
 }
 

@@ -42,9 +42,13 @@ type Usage struct {
 }
 
 // clone copies the usage to the heap, so it can outlive the scratch it was
-// tallied in.
+// tallied in. An empty list clones to nil whether that scratch was fresh
+// (nil) or warm (empty): equal placements must compare equal.
 func (u Usage) clone() Usage {
-	return Usage{Instances: slices.Clone(u.Instances), Edges: slices.Clone(u.Edges)}
+	return Usage{
+		Instances: append([]InstanceCount(nil), u.Instances...),
+		Edges:     append([]EdgeCount(nil), u.Edges...),
+	}
 }
 
 // CostBreakdown is the evaluated objective of eq. (1) together with the

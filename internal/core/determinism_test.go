@@ -4,18 +4,24 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/telemetry"
 )
 
-// TestWorkersDeterminism is the parallelism contract: any Workers value
-// yields bit-identical results — the same Solution, CostBreakdown and
-// Stats, and (checked separately below) the same Observer event sequence.
-// Failures must match too: an infeasible instance is infeasible for every
-// pool size, with the same error.
+// concurrentCallers is how many goroutines embed one shared Problem at once
+// in the tests below: the callers' workers, the only parallelism an embed
+// ever sees now that each run is a single-goroutine computation.
+const concurrentCallers = 4
+
+// TestWorkersDeterminism is the concurrency contract: concurrent Embed
+// calls sharing one Problem are race-free (run under -race) and each
+// returns exactly what a lone call returns — the same Solution,
+// CostBreakdown and Stats, and (checked separately below) the same Observer
+// event sequence. Failures must match too: an infeasible instance is
+// infeasible for every caller, with the same error.
 func TestWorkersDeterminism(t *testing.T) {
 	configs := []struct {
 		name string
@@ -34,32 +40,38 @@ func TestWorkersDeterminism(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", cfg.name, seed), func(t *testing.T) {
 				p := randomProblem(rand.New(rand.NewSource(seed)), 60, 6, 4)
+				seqRes, seqErr := Embed(p, cfg.opts)
 
-				seq := cfg.opts
-				seq.Workers = 1
-				seqRes, seqErr := Embed(p, seq)
-
-				for _, workers := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-					par := cfg.opts
-					par.Workers = workers
-					parRes, parErr := Embed(p, par)
+				var results [concurrentCallers]*Result
+				var errs [concurrentCallers]error
+				var wg sync.WaitGroup
+				for w := range results {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						results[w], errs[w] = Embed(p, cfg.opts)
+					}()
+				}
+				wg.Wait()
+				for w, parRes := range results {
+					parErr := errs[w]
 					if (seqErr == nil) != (parErr == nil) {
-						t.Fatalf("workers=%d: err %v, sequential err %v", workers, parErr, seqErr)
+						t.Fatalf("caller %d: err %v, lone err %v", w, parErr, seqErr)
 					}
 					if seqErr != nil {
 						if parErr.Error() != seqErr.Error() {
-							t.Fatalf("workers=%d: err %q, sequential err %q", workers, parErr, seqErr)
+							t.Fatalf("caller %d: err %q, lone err %q", w, parErr, seqErr)
 						}
 						continue
 					}
 					if !reflect.DeepEqual(parRes.Solution, seqRes.Solution) {
-						t.Errorf("workers=%d: Solution differs from sequential", workers)
+						t.Errorf("caller %d: Solution differs from the lone call's", w)
 					}
 					if !reflect.DeepEqual(parRes.Cost, seqRes.Cost) {
-						t.Errorf("workers=%d: CostBreakdown differs: %+v vs %+v", workers, parRes.Cost, seqRes.Cost)
+						t.Errorf("caller %d: CostBreakdown differs: %+v vs %+v", w, parRes.Cost, seqRes.Cost)
 					}
 					if parRes.Stats != seqRes.Stats {
-						t.Errorf("workers=%d: Stats differ: %+v vs %+v", workers, parRes.Stats, seqRes.Stats)
+						t.Errorf("caller %d: Stats differ: %+v vs %+v", w, parRes.Stats, seqRes.Stats)
 					}
 				}
 			})
@@ -94,29 +106,42 @@ func eventTrace(events *[]string) Observer {
 	}
 }
 
-// TestWorkersObserverDeterminism asserts the serialized fan-in delivers
-// the exact sequential event sequence whatever the pool size.
+// TestWorkersObserverDeterminism asserts every one of several concurrent
+// embeds delivers its own observer the exact event sequence of a lone call.
 func TestWorkersObserverDeterminism(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(3)), 60, 6, 4)
 
-	trace := func(workers int) []string {
+	trace := func() ([]string, error) {
 		var events []string
 		opts := MBBEOptions()
-		opts.Workers = workers
 		opts.Observer = eventTrace(&events)
-		if _, err := Embed(p, opts); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return events
+		_, err := Embed(p, opts)
+		return events, err
 	}
-	seq := trace(1)
+	seq, err := trace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seq) == 0 {
 		t.Fatal("no events recorded")
 	}
-	for _, workers := range []int{2, 8} {
-		par := trace(workers)
+	var traces [concurrentCallers][]string
+	var errs [concurrentCallers]error
+	var wg sync.WaitGroup
+	for w := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[w], errs[w] = trace()
+		}()
+	}
+	wg.Wait()
+	for w, par := range traces {
+		if errs[w] != nil {
+			t.Fatalf("caller %d: %v", w, errs[w])
+		}
 		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("workers=%d: event sequence differs (%d events vs %d)", workers, len(par), len(seq))
+			t.Fatalf("caller %d: event sequence differs (%d events vs %d)", w, len(par), len(seq))
 		}
 	}
 }

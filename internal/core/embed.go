@@ -5,11 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dagsfc/internal/delaymodel"
@@ -82,16 +79,6 @@ type Options struct {
 	// Delay is the delay model used with MaxDelay; the zero value is
 	// replaced by delaymodel.Default().
 	Delay delaymodel.Params
-	// Workers bounds the worker pool that parallelizes each embedding
-	// run's per-layer work: the forward-search/extension builds for the
-	// distinct frontier start nodes, the FST–BST pair enumerations, and
-	// the per-parent candidate screening. 0 means GOMAXPROCS; 1 runs the
-	// whole search sequentially on the calling goroutine (no goroutines
-	// are spawned). Results are bit-identical for every Workers value:
-	// worker output is merged in a deterministic order and Observer
-	// callbacks are always delivered serially from the calling goroutine,
-	// in the same order the sequential search produces.
-	Workers int
 	// Observer, when non-nil, receives progress callbacks during the
 	// search (see Observer).
 	Observer Observer
@@ -186,20 +173,6 @@ type Stats struct {
 	LayeredFallbacks int
 }
 
-// add accumulates a worker's stats delta. Every field is an integer sum,
-// so the merged totals are independent of worker scheduling.
-func (s *Stats) add(d Stats) {
-	s.ForwardSearches += d.ForwardSearches
-	s.BackwardSearches += d.BackwardSearches
-	s.TreeNodes += d.TreeNodes
-	s.Extensions += d.Extensions
-	s.SubSolutions += d.SubSolutions
-	s.CapacityRejections += d.CapacityRejections
-	s.DelayRejections += d.DelayRejections
-	s.LayeredRuns += d.LayeredRuns
-	s.LayeredFallbacks += d.LayeredFallbacks
-}
-
 // Result is a successful embedding: the solution, its priced breakdown and
 // the search statistics.
 type Result struct {
@@ -221,7 +194,9 @@ func EmbedMBBE(p *Problem) (*Result, error) { return Embed(p, MBBEOptions()) }
 //
 // Embed never mutates p: the problem's ledger is read, not written, and a
 // nil Ledger is replaced by a private empty one for the duration of the
-// run. Concurrent Embed calls may therefore share one Problem value.
+// run. Concurrent Embed calls may therefore share one Problem value. Each
+// call is a single-goroutine computation: it starts no goroutines, and
+// parallelism belongs to the caller (one Embed per core).
 func Embed(p *Problem, opts Options) (*Result, error) {
 	return EmbedContext(context.Background(), p, opts)
 }
@@ -240,35 +215,53 @@ func EmbedContext(ctx context.Context, p *Problem, opts Options) (*Result, error
 // need and no caller may have: perLayer keeps single-VNF runs away from the
 // layered kernel, so the same options can be run both ways and compared.
 func embedContext(ctx context.Context, p *Problem, opts Options, perLayer bool) (*Result, error) {
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	return embedOn(ctx, p, opts, perLayer, sc)
+}
+
+// embedOn runs one embed in the scratch and arena sc, which the caller
+// recycles afterwards.
+func embedOn(ctx context.Context, p *Problem, opts Options, perLayer bool, sc *pooledScratch) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	label := opts.Label
-	if label == "" {
-		label = "custom"
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Label == "" {
+		opts.Label = "custom"
 	}
 	if err := p.Validate(); err != nil {
 		// Invalid instances are still failed embedding attempts: record
 		// them so the attempts/failures metric families (and the online
 		// acceptance dashboards built on them) do not undercount.
 		telemetry.RecordEmbed(telemetry.EmbedSample{
-			Alg: label, Elapsed: time.Since(start), Failed: true, Workers: workers,
+			Alg: opts.Label, Elapsed: time.Since(start), Failed: true,
 		})
 		return nil, err
 	}
+	e := newEmbedder(ctx, p, opts, sc)
+	e.perLayer = perLayer
+	res, err := e.run()
+	telemetry.RecordPathCacheHits(e.treeHits)
+	telemetry.RecordEmbed(telemetry.EmbedSample{
+		Alg:         opts.Label,
+		Elapsed:     time.Since(start),
+		Failed:      err != nil,
+		SearchNodes: e.stats.TreeNodes,
+		Searches:    e.stats.ForwardSearches + e.stats.BackwardSearches,
+		Candidates:  e.stats.Extensions,
+	})
+	return res, err
+}
+
+// newEmbedder readies a run of opts on the valid problem p: its ledger and
+// cost views, and its tree table in sc's arena.
+func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) *embedder {
 	if opts.MaxDelay > 0 && opts.Delay.DefaultProcDelay == 0 &&
 		opts.Delay.HopDelay == 0 && opts.Delay.MergerDelay == 0 && opts.Delay.ProcDelay == nil {
 		opts.Delay = delaymodel.Default()
 	}
-	e := &embedder{
-		p: p, opts: opts, workers: workers, ctx: ctx, label: label, perLayer: perLayer,
-		ledger: p.ledgerOrFresh(),
-	}
+	e := &embedder{p: p, opts: opts, ctx: ctx, ledger: p.ledgerOrFresh(), sc: sc}
 	// The ledger is read-only for the whole run, so one CostOptions value
 	// (and its Residual closure) serves every search instead of allocating
 	// a fresh pair per query.
@@ -292,36 +285,19 @@ func embedContext(ctx context.Context, p *Problem, opts Options, perLayer bool) 
 		e.costOpts.BannedNodes = opts.BannedNodes
 		e.pathView = e.privateView(e.costOpts)
 	}
-	if e.sharedTrees {
-		e.treeSeen = make([]atomic.Uint64, (p.Net.G.NumNodes()+63)/64)
-	} else {
-		e.trees = make(map[graph.NodeID]*treeEntry)
-	}
-	e.scratch = acquireScratchSlots(workers)
-	defer releaseScratchSlots(e.scratch)
-	res, err := e.run()
-	telemetry.RecordPathCacheHits(e.treeHits.Load())
-	telemetry.RecordEmbed(telemetry.EmbedSample{
-		Alg:         label,
-		Elapsed:     time.Since(start),
-		Failed:      err != nil,
-		Workers:     workers,
-		SearchNodes: e.stats.TreeNodes,
-		Searches:    e.stats.ForwardSearches + e.stats.BackwardSearches,
-		Candidates:  e.stats.Extensions,
-	})
-	return res, err
+	e.treeOf = sc.mem.idx.alloc(p.Net.G.NumNodes())
+	return e
 }
 
 type embedder struct {
-	p    *Problem
+	p *Problem
+	// opts is the run's configuration, Label resolved ("custom" when the
+	// caller set none) and the delay model defaulted.
 	opts Options
-	// label is the resolved telemetry "alg" label (opts.Label or "custom").
-	label string
 	// perLayer is embedContext's test-only switch.
 	perLayer bool
-	// ctx cancels the run between layers and fanned-out build jobs; never
-	// nil (EmbedContext defaults it to Background).
+	// ctx cancels the run between layers and between a layer's start-node
+	// builds; never nil (EmbedContext defaults it to Background).
 	ctx context.Context
 	// ledger is the run's read-only capacity view. It is the problem's
 	// ledger when one is set, else a private empty one — never written
@@ -330,38 +306,34 @@ type embedder struct {
 	// costOpts is the run's single search-options value: the ledger is
 	// read-only during a run, so its residual view never changes.
 	costOpts *graph.CostOptions
-	// workers is the resolved pool size (opts.Workers, 0 → GOMAXPROCS).
-	workers int
-	// scratch holds one pooled search scratch per worker slot; forEach
-	// hands each job its slot index, so no scratch is ever shared between
-	// concurrently running jobs.
-	scratch []*pooledScratch
-	stats   Stats
-	// extCache memoizes layer extensions by (layer, start node): every
+	// sc is the run's pooled scratch and arena, checked out for the whole
+	// run: every search runs on sc.Scratch and everything the run retains
+	// is carved from sc.mem.
+	sc    *pooledScratch
+	stats Stats
+	// layerExts holds the current layer's extensions by start node: every
 	// parent sub-solution ending on the same node shares the same set of
-	// feasible layer embeddings. It is written only during the serial
-	// fan-in of buildLayerExtensions and read-only everywhere else, so
-	// parallel workers may read it without locking.
-	extCache map[extKey][]*extension
+	// feasible layer embeddings. A dense window of the arena, filled by
+	// buildLayerExtensions and read by screenParent.
+	layerExts [][]*extension
 	// store, when non-nil, is the cross-request store of views and trees
 	// (Options.PathCache). sharedTrees says pathView came from it, so its
-	// own table memoizes the run's Dijkstra trees. treeSeen marks the
-	// sources the run has asked that table for, so that a source counts
-	// once per run — as one hit in treeHits (flushed to telemetry when the
-	// run ends) or as one miss — however often the search comes back to it.
+	// own table memoizes the run's Dijkstra trees; otherwise (no store, or
+	// a banned run) the run searches its own and keeps them in the arena.
+	// Links are bidirectional with symmetric prices, so a path a→b is the
+	// reverse of the tree-from-a path to b, and one tree per source serves
+	// every meta-path that shares an endpoint.
+	//
+	// treeOf is the run's dense per-source table over either kind. For
+	// private trees treeOf[src] is one plus the tree's index in the arena's
+	// tree storage (0: not searched yet). For shared ones it only marks the
+	// sources the run has asked the store for, so that a source counts once
+	// per run — as one hit in treeHits (flushed to telemetry when the run
+	// ends) or as one miss — however often the search comes back to it.
 	store       *graph.TreeCache
 	sharedTrees bool
-	treeSeen    []atomic.Uint64
-	treeHits    atomic.Uint64
-	// trees memoizes the Dijkstra trees of a private pathView (no store,
-	// or a banned run) by source node. Links are bidirectional with
-	// symmetric prices, so a path a→b is the reverse of the tree-from-a
-	// path to b, and one tree serves every meta-path that shares an
-	// endpoint. Entries are built at most once per source (singleflight
-	// via treeEntry.once), making treeFor safe to call from concurrent
-	// workers.
-	treeMu sync.Mutex
-	trees  map[graph.NodeID]*treeEntry
+	treeOf      []int32
+	treeHits    uint64
 	// pathView is the run's compiled cost view under the full options
 	// (capacity floor plus ban sets): every Dijkstra and hop search runs
 	// against it. searchView is the capacity-only view the FST/BST builds
@@ -388,10 +360,15 @@ func (e *embedder) sharedView(opts *graph.CostOptions) *graph.CostView {
 	return v
 }
 
-// privateView compiles opts into a view of the run's own.
+// privateView compiles opts into a view of the run's own, held in the
+// arena.
 func (e *embedder) privateView(opts *graph.CostOptions) *graph.CostView {
 	telemetry.RecordCostView(true)
-	return e.p.Net.G.CompileView(opts)
+	m := e.sc.mem
+	v := &m.views[m.nviews]
+	m.nviews++
+	m.resBuf = e.p.Net.G.CompileViewInto(v, opts, m.resBuf)
+	return v
 }
 
 // recordRetention publishes what the store retains after it took a view or
@@ -400,18 +377,10 @@ func (e *embedder) recordRetention(evicted int) {
 	telemetry.RecordPathCacheRetention(e.store.Views(), e.store.Len(), evicted)
 }
 
-// treeEntry is one singleflight slot of the private Dijkstra-tree memo:
-// the first goroutine to request a source computes the tree inside once;
-// every later (or concurrent) request blocks until it is ready and shares
-// it.
-type treeEntry struct {
-	once sync.Once
-	tree *graph.ShortestTree
-}
-
 // treeFor returns the min-cost path tree rooted at src on pathView, from
-// the shared view's table or the run's private memo. Safe for concurrent
-// use.
+// the shared view's table or the run's own storage. The tree outlives every
+// later search on the run's scratch: a private one is searched there and
+// then copied out.
 func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
 	if e.sharedTrees {
 		t, hit, evicted := e.store.Tree(e.pathView, src)
@@ -419,51 +388,34 @@ func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
 			telemetry.RecordPathCacheMiss()
 			e.recordRetention(evicted)
 		}
-		if e.firstRequest(src) && hit {
-			e.treeHits.Add(1)
+		if e.treeOf[src] == 0 {
+			e.treeOf[src] = 1
+			if hit {
+				e.treeHits++
+			}
 		}
 		return t
 	}
-	e.treeMu.Lock()
-	ent, ok := e.trees[src]
-	if !ok {
-		ent = &treeEntry{}
-		e.trees[src] = ent
+	m := e.sc.mem
+	if i := e.treeOf[src]; i != 0 {
+		return m.pathTrees[i-1]
 	}
-	e.treeMu.Unlock()
-	ent.once.Do(func() {
-		if e.store != nil {
-			telemetry.RecordPathCacheMiss()
-		}
-		// The allocating Dijkstra, deliberately: memoized trees are
-		// retained for the whole run and queried concurrently, so they
-		// cannot live on a per-slot scratch.
-		ent.tree = e.pathView.Dijkstra(src)
-	})
-	return ent.tree
-}
-
-// firstRequest marks src in treeSeen and reports whether this run had not
-// asked the shared table for it before.
-func (e *embedder) firstRequest(src graph.NodeID) bool {
-	seen, bit := &e.treeSeen[src>>6], uint64(1)<<(src&63)
-	for {
-		old := seen.Load()
-		if old&bit != 0 {
-			return false
-		}
-		if seen.CompareAndSwap(old, old|bit) {
-			return true
-		}
+	if e.store != nil {
+		telemetry.RecordPathCacheMiss()
 	}
+	t := m.keepTree(e.pathView.DijkstraWith(e.sc.Scratch, src))
+	e.treeOf[src] = int32(m.npathTrees)
+	return t
 }
 
 // minCostPath returns a cheapest feasible path a→b via the memoized tree
-// rooted at a, its edges walked straight into an exact-size window of m.
-func (e *embedder) minCostPath(m *searchMem, a, b graph.NodeID) (graph.Path, bool) {
+// rooted at a, its edges walked straight into an exact-size window of the
+// arena.
+func (e *embedder) minCostPath(a, b graph.NodeID) (graph.Path, bool) {
 	if a == b {
 		return graph.EmptyPath(a), true
 	}
+	m := e.sc.mem
 	// A tree path visits no node twice, so NumNodes-1 bounds its length.
 	edges, ok := e.treeFor(a).AppendPathTo(m.edges.reserve(e.p.Net.G.NumNodes()-1), b)
 	if !ok {
@@ -475,8 +427,8 @@ func (e *embedder) minCostPath(m *searchMem, a, b graph.NodeID) (graph.Path, boo
 
 // minCostPathFrom returns the same cheapest path traversed b→a (the
 // reverse walk), via the memoized tree rooted at a.
-func (e *embedder) minCostPathFrom(m *searchMem, a, b graph.NodeID) (graph.Path, bool) {
-	path, ok := e.minCostPath(m, a, b)
+func (e *embedder) minCostPathFrom(a, b graph.NodeID) (graph.Path, bool) {
+	path, ok := e.minCostPath(a, b)
 	if !ok {
 		return graph.Path{}, false
 	}
@@ -485,14 +437,8 @@ func (e *embedder) minCostPathFrom(m *searchMem, a, b graph.NodeID) (graph.Path,
 	return path, true
 }
 
-type extKey struct {
-	layer int
-	start graph.NodeID
-}
-
 // parentScreen is one parent's share of a layer's candidate screening:
-// its surviving children plus the rejection tallies. Each slot is written
-// by exactly one worker and merged in parent order.
+// its surviving children plus the rejection tallies.
 type parentScreen struct {
 	children                               []*subSolution
 	considered, capRejected, delayRejected int
@@ -509,11 +455,8 @@ func bySubCost(a, b *subSolution) int { return cmp.Compare(a.cum, b.cum) }
 
 func (e *embedder) run() (*Result, error) {
 	p := e.p
-	specs := p.LayerSpecs()
-	e.extCache = make(map[extKey][]*extension)
-	// Everything the serial parts of the run carve comes from slot 0's
-	// arena: between fan-outs the calling goroutine is the only one running.
-	m := e.scratch[0].mem
+	m := e.sc.mem
+	specs := e.layerSpecs()
 
 	frontier := m.subPtrs.alloc(1)
 	frontier[0] = m.subs.one() // the root: layer 0, no extension, no cost
@@ -565,7 +508,7 @@ func (e *embedder) run() (*Result, error) {
 	// the cheapest feasible complete solution (lines 9–11 of Algorithm 1).
 	cands := m.leaves[:0]
 	for _, leaf := range frontier {
-		tail, ok := e.minCostPath(m, leaf.endNode(p.Src), p.Dst)
+		tail, ok := e.minCostPath(leaf.endNode(p.Src), p.Dst)
 		if !ok {
 			continue
 		}
@@ -573,7 +516,7 @@ func (e *embedder) run() (*Result, error) {
 			leaf.cumDelay+float64(tail.Len())*e.opts.Delay.HopDelay > e.opts.MaxDelay {
 			// The cheapest tail is too slow; fall back to the fewest-hop
 			// tail if that one fits the remaining budget.
-			hop, hopOK := e.pathView.MinHopPathWith(e.scratch[0].Scratch, leaf.endNode(p.Src), p.Dst)
+			hop, hopOK := e.pathView.MinHopPathWith(e.sc.Scratch, leaf.endNode(p.Src), p.Dst)
 			if !hopOK || leaf.cumDelay+float64(hop.Len())*e.opts.Delay.HopDelay > e.opts.MaxDelay {
 				continue
 			}
@@ -590,6 +533,22 @@ func (e *embedder) run() (*Result, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: no leaf reaches the destination feasibly", ErrNoEmbedding)
+}
+
+// layerSpecs expands the SFC's layers into their obligations and, beside
+// them in the arena, each layer's forward-search coverage goal: once per
+// run, for run, layeredRun and buildExtensions to read.
+func (e *embedder) layerSpecs() []LayerSpec {
+	m := e.sc.mem
+	m.specs = e.p.appendLayerSpecs(m.specs[:0])
+	m.required = sized(m.required, len(m.specs))
+	for i, spec := range m.specs {
+		m.required[i] = spec.VNFs
+		if spec.Merger {
+			m.required[i] = m.vnfs.commit(spec.appendRequired(m.vnfs.reserve(len(spec.VNFs)+1), e.p.Net.Catalog))
+		}
+	}
+	return m.specs
 }
 
 // complete turns a layer-ω sub-solution chain plus its tail path into the
@@ -612,16 +571,16 @@ func (e *embedder) complete(leaf *subSolution, tail graph.Path) *Result {
 // trees, candidate generation, per-parent screening — and returns the
 // cost-sorted, pruned sub-solutions that become the next frontier.
 func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subSolution, error) {
-	m := e.scratch[0].mem
-	// Build every distinct start node's extensions up front (fanned
-	// across the worker pool); the screening loop below then only
-	// reads the cache.
+	m := e.sc.mem
+	// Build every distinct start node's extensions up front; the screening
+	// loop below then only reads them.
 	e.buildLayerExtensions(spec, frontier)
-	m.screens = append(m.screens[:0], make([]parentScreen, len(frontier))...)
+	m.screens = sized(m.screens, len(frontier))
 	screens := m.screens
-	e.forEach(len(frontier), func(slot, i int) {
-		e.screenParent(spec, frontier[i], &screens[i], e.scratch[slot].mem)
-	})
+	clear(screens)
+	for i, parent := range frontier {
+		e.screenParent(spec, parent, &screens[i])
+	}
 	considered, capRejected, delayRejected, children := 0, 0, 0, 0
 	for i := range screens {
 		considered += screens[i].considered
@@ -636,8 +595,8 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 	e.stats.CapacityRejections += capRejected
 	e.stats.DelayRejections += delayRejected
 	e.observeFiltered(spec.Index, considered, capRejected, delayRejected)
-	// A cancelled run skips build jobs, so an empty frontier here may
-	// mean "cancelled", not "infeasible" — report the cancellation.
+	// A cancelled run skips start-node builds, so an empty frontier here
+	// may mean "cancelled", not "infeasible" — report the cancellation.
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -646,7 +605,7 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 	}
 	slices.SortFunc(next, bySubCost)
 	if e.opts.DedupByEndNode > 0 {
-		next = e.dedupByEndNode(next, m)
+		next = e.dedupByEndNode(next)
 	}
 	if e.opts.MaxSubSolutionsPerLayer > 0 && len(next) > e.opts.MaxSubSolutionsPerLayer {
 		next = e.truncateWithDelayDiversity(next, e.opts.MaxSubSolutionsPerLayer)
@@ -661,8 +620,9 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 // group's fastest member always survives, displacing the costliest kept
 // one (same rationale as truncateWithDelayDiversity). Survivors keep their
 // cost order; next is filtered in place. Groups are tallied in dense
-// per-node windows of m.
-func (e *embedder) dedupByEndNode(next []*subSolution, m *searchMem) []*subSolution {
+// per-node windows of the arena.
+func (e *embedder) dedupByEndNode(next []*subSolution) []*subSolution {
+	m := e.sc.mem
 	src, n := e.p.Src, e.p.Net.G.NumNodes()
 	delayBounded := e.opts.MaxDelay > 0
 	size := m.idx.alloc(n)
@@ -698,13 +658,10 @@ func (e *embedder) dedupByEndNode(next []*subSolution, m *searchMem) []*subSolut
 
 // screenParent filters one parent's candidate extensions against the
 // delay bound and residual capacities, producing its cost-sorted (and
-// Xd-truncated) children. It only reads shared state — the extension
-// cache is complete for this layer and the ledger is read-only during a
-// run — so parents screen in parallel, each carving its children from the
-// arena m of the worker slot it runs on.
-func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen, m *searchMem) {
-	p := e.p
-	exts := e.extCache[extKey{layer: spec.Index, start: parent.endNode(p.Src)}]
+// Xd-truncated) children.
+func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen) {
+	p, m := e.p, e.sc.mem
+	exts := e.layerExts[parent.endNode(p.Src)]
 	children := m.subPtrs.reserve(len(exts))
 	for _, ext := range exts {
 		out.considered++
@@ -734,76 +691,68 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 	out.children = children
 }
 
-// buildExtensions builds one (layer, start) candidate set sequentially on
-// the calling goroutine — the single-start path used by tests and
-// benchmarks. Embed itself goes through buildLayerExtensions, which fans
-// the same phases across the worker pool.
+// buildLayerExtensions fills layerExts for every distinct start node of the
+// frontier, in first-appearance order. It stops early once the context is
+// done, leaving the layer's extension sets incomplete; searchLayer
+// re-checks the context before interpreting an empty frontier, so a
+// cancelled run reports ctx.Err(), never a bogus ErrNoEmbedding.
+func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution) {
+	m := e.sc.mem
+	n := e.p.Net.G.NumNodes()
+	e.layerExts = m.extLists.alloc(n)
+	built := m.idx.alloc(n)
+	for _, parent := range frontier {
+		start := parent.endNode(e.p.Src)
+		if built[start] != 0 {
+			continue
+		}
+		built[start] = 1
+		if e.ctx.Err() != nil {
+			return
+		}
+		e.layerExts[start] = e.buildExtensions(spec, start)
+	}
+}
+
+// buildExtensions builds one (layer, start) candidate set: the forward
+// search, then for a single-VNF layer its hosts' candidates, for a parallel
+// layer those of every FST–BST pair in merger-discovery order, and the trim
+// to the cheapest MaxExtensionsPerStart.
 func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extension {
-	sc := e.scratch[0]
-	b := &startBuild{start: start, sink: buildSink{record: e.opts.Observer != nil}}
-	e.runForward(b, spec, spec.Required(e.p.Net.Catalog), sc)
-	for i := range b.pairs {
-		pb := &b.pairs[i]
-		pb.exts = e.pairExtensions(pb, spec, sc)
-	}
-	return e.finishStart(spec, b)
-}
-
-// runForward is phase A of one start's build: the forward search plus,
-// for single-VNF layers, the whole candidate generation (they have no
-// FST–BST pairs to fan out). For merger layers it selects the merger
-// candidates whose pairs phase B enumerates. All stats and observer
-// events go to the build's private sink.
-func (e *embedder) runForward(b *startBuild, spec LayerSpec, required []network.VNFID, sc *pooledScratch) {
-	p := e.p
-	b.sink.searchStart(spec.Index, b.start, true)
-	fst := runSearch(p, b.start, searchConfig{required: required, maxNodes: e.opts.Xmax, ledger: e.ledger, view: e.searchView, mem: sc.mem})
-	b.sink.stats.ForwardSearches++
-	b.sink.stats.TreeNodes += fst.Size()
-	b.sink.searchDone(spec.Index, b.start, true, fst.Size(), fst.Covered())
+	p, m := e.p, e.sc.mem
+	e.observeSearchStart(spec.Index, start, true)
+	fst := runSearch(p, start, searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, ledger: e.ledger, view: e.searchView, mem: m})
+	e.stats.ForwardSearches++
+	e.stats.TreeNodes += fst.Size()
+	e.observeSearch(spec.Index, start, true, fst.Size(), fst.Covered())
 	if !fst.Covered() {
-		b.uncovered = true
-		b.sink.extensionsBuilt(spec.Index, b.start, 0, 0)
-		return
-	}
-	b.fst = fst
-	if !spec.Merger {
-		b.exts = e.singleVNFExtensions(&b.sink, spec, b.start, fst, sc)
-		return
-	}
-	mergerID := p.Net.Catalog.Merger()
-	mergers := fst.NodesWith(mergerID)
-	if e.opts.MaxMergerCandidates > 0 && len(mergers) > e.opts.MaxMergerCandidates {
-		mergers = mergers[:e.opts.MaxMergerCandidates]
-	}
-	b.inFST = fst.Contains
-	b.pairs = make([]pairBuild, len(mergers))
-	for i, m := range mergers {
-		b.pairs[i] = pairBuild{owner: b, merger: m, sink: buildSink{record: b.sink.record}}
-	}
-}
-
-// finishStart is the serial fan-in of one start's build: replay buffered
-// observer events and stats in deterministic order (forward search first,
-// then the pairs in merger discovery order — exactly the sequential
-// order), trim the concatenated candidates, and report the totals.
-func (e *embedder) finishStart(spec LayerSpec, b *startBuild) []*extension {
-	e.mergeSink(&b.sink)
-	generated := len(b.exts)
-	for i := range b.pairs {
-		e.mergeSink(&b.pairs[i].sink)
-		generated += len(b.pairs[i].exts)
-	}
-	if b.uncovered {
+		e.observeExtensions(spec.Index, start, 0, 0)
 		return nil
 	}
-	exts := append(e.scratch[0].mem.extPtrs.alloc(generated)[:0], b.exts...)
-	for i := range b.pairs {
-		exts = append(exts, b.pairs[i].exts...)
+	exts := m.extBuf[:0]
+	if !spec.Merger {
+		exts = e.singleVNFExtensions(exts, spec, start, fst)
+	} else {
+		mergers := fst.NodesWith(p.Net.Catalog.Merger())
+		if e.opts.MaxMergerCandidates > 0 && len(mergers) > e.opts.MaxMergerCandidates {
+			mergers = mergers[:e.opts.MaxMergerCandidates]
+		}
+		for _, merger := range mergers {
+			if e.ctx.Err() != nil {
+				break
+			}
+			exts = e.pairExtensions(exts, spec, start, fst, merger)
+		}
 	}
-	exts = e.trimExtensions(exts)
-	e.observeExtensions(spec.Index, b.start, generated, len(exts))
-	return exts
+	generated := len(exts)
+	// An exact-size carve of the candidates; the growable buffer they were
+	// collected in goes back for the next build.
+	kept := m.extPtrs.alloc(generated)
+	copy(kept, exts)
+	m.extBuf = exts[:0]
+	kept = e.trimExtensions(kept)
+	e.observeExtensions(spec.Index, start, generated, len(kept))
+	return kept
 }
 
 // truncateWithDelayDiversity keeps the cheapest limit sub-solutions (the
@@ -897,59 +846,45 @@ func (e *embedder) trimExtensions(exts []*extension) []*extension {
 		func(a, b *extension) bool { return a.localCost < b.localCost })
 }
 
-// singleVNFExtensions handles layers with a single VNF: no merger, no
-// backward search; the layer's end node is the VNF's node.
-func (e *embedder) singleVNFExtensions(sink *buildSink, spec LayerSpec, start graph.NodeID, fst *SearchTree, sc *pooledScratch) []*extension {
-	m := sc.mem
+// singleVNFExtensions appends the candidates of a single-VNF layer: no
+// merger, no backward search; the layer's end node is the VNF's node.
+func (e *embedder) singleVNFExtensions(exts []*extension, spec LayerSpec, start graph.NodeID, fst *SearchTree) []*extension {
+	m := e.sc.mem
 	f := spec.VNFs[0]
-	exts := m.extBuf[:0]
 	for _, tn := range fst.NodesWith(f) {
-		for _, inter := range e.interPaths(fst, tn, start, sc) {
+		for _, inter := range e.interPaths(fst, tn, start) {
 			nodes, paths := m.nodeIDs.alloc(1), m.paths.alloc(1)
 			nodes[0], paths[0] = tn.Node, inter
 			ext := buildExtension(m, e.p, spec, nodes, tn.Node, paths, nil)
 			if ext != nil {
 				e.annotateDelay(spec, ext)
 				exts = append(exts, ext)
-				sink.stats.Extensions++
+				e.stats.Extensions++
 			}
 		}
 	}
-	return m.keepExtensions(exts)
+	return exts
 }
 
-// keepExtensions carves an exact-size copy of a finished build's candidate
-// list, handing the growable buffer it was collected in back for reuse.
-func (m *searchMem) keepExtensions(buf []*extension) []*extension {
-	out := m.extPtrs.alloc(len(buf))
-	copy(out, buf)
-	m.extBuf = buf[:0]
-	return out
-}
-
-// pairExtensions generates the candidate sub-solutions of one FST–BST pair
+// pairExtensions appends the candidate sub-solutions of one FST–BST pair
 // (§4.4.1): enumerate parallel-VNF allocations over the BST's nodes, then
 // instantiate inner-layer paths from the BST and inter-layer paths from
-// the FST. Stats and observer events go to the pair's private sink, so
-// pairs of one layer enumerate in parallel; the candidates are carved from
-// the arena of the slot sc the pair runs on.
-func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScratch) []*extension {
-	p := e.p
-	m := sc.mem
-	sink, start, fst, mergerTN := &pb.sink, pb.owner.start, pb.owner.fst, pb.merger
-	sink.searchStart(spec.Index, mergerTN.Node, false)
+// the FST.
+func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph.NodeID, fst *SearchTree, mergerTN *TreeNode) []*extension {
+	p, m := e.p, e.sc.mem
+	e.observeSearchStart(spec.Index, mergerTN.Node, false)
 	bst := runSearch(p, mergerTN.Node, searchConfig{
 		required: spec.VNFs,
-		within:   pb.owner.inFST,
+		within:   fst,
 		ledger:   e.ledger,
 		view:     e.searchView,
 		mem:      m,
 	})
-	sink.stats.BackwardSearches++
-	sink.stats.TreeNodes += bst.Size()
-	sink.searchDone(spec.Index, mergerTN.Node, false, bst.Size(), bst.Covered())
+	e.stats.BackwardSearches++
+	e.stats.TreeNodes += bst.Size()
+	e.observeSearch(spec.Index, mergerTN.Node, false, bst.Size(), bst.Covered())
 	if !bst.Covered() {
-		return nil
+		return exts
 	}
 
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
@@ -961,7 +896,7 @@ func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScrat
 	for i, f := range spec.VNFs {
 		hs := bst.NodesWith(f)
 		if len(hs) == 0 {
-			return nil
+			return exts
 		}
 		slices.SortStableFunc(hs, func(a, b *TreeNode) int {
 			ia, _ := p.Net.Instance(a.Node, f)
@@ -980,12 +915,11 @@ func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScrat
 	m.hostIdx = sized(m.hostIdx, k)
 	assignment, idx := m.assignment, m.hostIdx
 	clear(idx)
-	exts := m.extBuf[:0]
 	for count := 0; e.opts.MaxAssignmentsPerPair <= 0 || count < e.opts.MaxAssignmentsPerPair; count++ {
 		for i := range assignment {
 			assignment[i] = hosts[i][idx[i]]
 		}
-		exts = e.instantiate(exts, sink, spec, start, fst, bst, mergerTN, assignment, sc)
+		exts = e.instantiate(exts, spec, start, fst, bst, mergerTN, assignment)
 		i := k - 1
 		for ; i >= 0; i-- {
 			if idx[i]++; idx[i] < len(hosts[i]) {
@@ -997,7 +931,7 @@ func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScrat
 			break
 		}
 	}
-	return m.keepExtensions(exts)
+	return exts
 }
 
 // instantiate appends to exts the extension(s) for one concrete VNF
@@ -1005,10 +939,10 @@ func (e *embedder) pairExtensions(pb *pairBuild, spec LayerSpec, sc *pooledScrat
 // meta-path (or the min-cost path under MiniPath); in BBE mode, alternative
 // real-paths are explored one meta-path at a time to bound the
 // cross-product the paper's step (ii)/(iii) would otherwise generate.
-func (e *embedder) instantiate(exts []*extension, sink *buildSink, spec LayerSpec, start graph.NodeID, fst, bst *SearchTree,
-	mergerTN *TreeNode, assignment []*TreeNode, sc *pooledScratch) []*extension {
+func (e *embedder) instantiate(exts []*extension, spec LayerSpec, start graph.NodeID, fst, bst *SearchTree,
+	mergerTN *TreeNode, assignment []*TreeNode) []*extension {
 
-	m := sc.mem
+	m := e.sc.mem
 	k := len(assignment)
 	nodes := m.nodeIDs.alloc(k)
 	for i, tn := range assignment {
@@ -1031,9 +965,9 @@ func (e *embedder) instantiate(exts []*extension, sink *buildSink, spec LayerSpe
 		if steinerPaths != nil {
 			interChoices[i] = steinerPaths[i : i+1]
 		} else {
-			interChoices[i] = e.interPaths(fst, fstTN, start, sc)
+			interChoices[i] = e.interPaths(fst, fstTN, start)
 		}
-		innerChoices[i] = e.innerPaths(bst, tn, mergerTN.Node, sc)
+		innerChoices[i] = e.innerPaths(bst, tn, mergerTN.Node)
 		if len(interChoices[i]) == 0 || len(innerChoices[i]) == 0 {
 			return exts
 		}
@@ -1056,7 +990,7 @@ func (e *embedder) instantiate(exts []*extension, sink *buildSink, spec LayerSpe
 		if ext := buildExtension(m, e.p, spec, nodes, mergerTN.Node, inter, inner); ext != nil {
 			e.annotateDelay(spec, ext)
 			exts = append(exts, ext)
-			sink.stats.Extensions++
+			e.stats.Extensions++
 		}
 	}
 
@@ -1097,25 +1031,26 @@ func (e *embedder) steinerInterPaths(start graph.NodeID, targets []graph.NodeID)
 // it is strictly shorter — the min-cost path minimizes price, the hop
 // variant minimizes propagation delay, and the candidate generation
 // explores both.
-func (e *embedder) withHopVariant(a, b graph.NodeID, path graph.Path, sc *pooledScratch) []graph.Path {
-	choices := append(sc.mem.paths.reserve(2), path)
+func (e *embedder) withHopVariant(a, b graph.NodeID, path graph.Path) []graph.Path {
+	m := e.sc.mem
+	choices := append(m.paths.reserve(2), path)
 	if e.opts.MaxDelay > 0 {
-		if hop, ok := e.pathView.MinHopPathWith(sc.Scratch, a, b); ok && hop.Len() < path.Len() {
+		if hop, ok := e.pathView.MinHopPathWith(e.sc.Scratch, a, b); ok && hop.Len() < path.Len() {
 			choices = append(choices, hop)
 		}
 	}
-	return sc.mem.paths.commit(choices)
+	return m.paths.commit(choices)
 }
 
 // interPaths returns the inter-layer real-path choices from start to the
 // FST node tn, in start→node direction.
-func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID, sc *pooledScratch) []graph.Path {
+func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID) []graph.Path {
 	if e.opts.MiniPath {
-		path, ok := e.minCostPath(sc.mem, start, tn.Node)
+		path, ok := e.minCostPath(start, tn.Node)
 		if !ok {
 			return nil
 		}
-		return e.withHopVariant(start, tn.Node, path, sc)
+		return e.withHopVariant(start, tn.Node, path)
 	}
 	raw := fst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
 	out := make([]graph.Path, len(raw))
@@ -1127,15 +1062,15 @@ func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID,
 
 // innerPaths returns the inner-layer real-path choices from the BST node
 // tn to the merger node, in node→merger direction.
-func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.NodeID, sc *pooledScratch) []graph.Path {
+func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.NodeID) []graph.Path {
 	if e.opts.MiniPath {
 		// One tree rooted at the merger serves every inner path of the
 		// pair, walked in node→merger direction.
-		path, ok := e.minCostPathFrom(sc.mem, mergerNode, tn.Node)
+		path, ok := e.minCostPathFrom(mergerNode, tn.Node)
 		if !ok {
 			return nil
 		}
-		return e.withHopVariant(tn.Node, mergerNode, path, sc)
+		return e.withHopVariant(tn.Node, mergerNode, path)
 	}
 	return bst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
 }

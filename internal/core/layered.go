@@ -50,7 +50,7 @@ type LayeredRun struct {
 // layer by layer. An error means the layered graph holds no walk at all —
 // then no embedding exists, since every per-layer candidate is such a walk.
 func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal bool) ([]*subSolution, *Result, error) {
-	p, sc := e.p, e.scratch[0]
+	p, sc := e.p, e.sc
 	m := sc.mem
 	n := p.Net.G.NumNodes()
 	first, last := run[0].Index, run[len(run)-1].Index
@@ -153,7 +153,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 // down — the walk uses a link or an instance more often than its residual
 // allows, which the kernel cannot see.
 func (e *embedder) materialise(ls *graph.LayeredSearch, x int, run []LayerSpec, seedOf []*subSolution) (leaf *subSolution, tail graph.Path, ok bool) {
-	p, m := e.p, e.scratch[0].mem
+	p, m := e.p, e.sc.mem
 	// Walk back to the seed, noting the arc taken at every step.
 	walk := m.walk[:0]
 	for {
@@ -224,5 +224,5 @@ func (e *embedder) recordLayeredRun(info LayeredRun) {
 	if e.opts.Observer != nil {
 		e.opts.Observer.LayeredRun(info)
 	}
-	telemetry.RecordLayeredRun(e.label, info.Fallback != "", info.Settled)
+	telemetry.RecordLayeredRun(e.opts.Label, info.Fallback != "", info.Settled)
 }

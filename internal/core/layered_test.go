@@ -49,7 +49,6 @@ func TestLayeredNeverCostlierOnSerialChains(t *testing.T) {
 	net := netgen.MustGenerate(cfg, rand.New(rand.NewSource(11)))
 	rng := rand.New(rand.NewSource(12))
 	opts := MBBEOptions()
-	opts.Workers = 1
 	cheaper := 0
 	for flow := 0; flow < 150; flow++ {
 		src := graph.NodeID(rng.Intn(cfg.Nodes))
@@ -87,7 +86,6 @@ func TestLayeredMixedDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rules := sfc.StockRules()
 	opts := MBBEOptions()
-	opts.Workers = 1
 	var kernelSum, perLayerSum float64
 	runs, mixed := 0, 0
 	for flow := 0; flow < 300; flow++ {
@@ -267,7 +265,6 @@ func BenchmarkEmbedMBBESerial(b *testing.B) {
 	dag := sfcgen.MustGenerate(sfcgen.Config{Size: 6, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng)
 	p := &Problem{Net: net, SFC: dag, Src: 0, Dst: 250, Rate: 1, Size: 1}
 	opts := MBBEOptions()
-	opts.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -18,8 +17,7 @@ import (
 )
 
 // TestPathCacheDeterminism is the cache-transparency property: with the
-// cross-request cache disabled, cold, or warm, and for both the
-// sequential and the pooled worker paths, an embed must return the
+// cross-request cache disabled, cold, or warm, an embed must return the
 // bit-identical result — a cache hit can only ever substitute a tree the
 // run would have computed anyway.
 func TestPathCacheDeterminism(t *testing.T) {
@@ -27,36 +25,27 @@ func TestPathCacheDeterminism(t *testing.T) {
 	p := randomProblem(rng, 120, 6, 4)
 	p.Ledger = network.NewLedger(p.Net).Overlay()
 
-	baselineOpts := MBBEOptions()
-	baselineOpts.Workers = 1
-	baseline, err := Embed(p, baselineOpts)
+	baseline, err := Embed(p, MBBEOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pooled := runtime.GOMAXPROCS(0)
-	if pooled == 1 {
-		pooled = 4
-	}
 	cache := graph.NewTreeCache(0)
 	for pass, label := range []string{"cold cache", "warm cache"} {
-		for _, workers := range []int{1, pooled} {
-			opts := MBBEOptions()
-			opts.Workers = workers
-			opts.PathCache = cache
-			got, err := Embed(p, opts)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", label, workers, err)
-			}
-			if !reflect.DeepEqual(got.Solution, baseline.Solution) {
-				t.Fatalf("%s workers=%d: solution differs from uncached baseline", label, workers)
-			}
-			if !reflect.DeepEqual(got.Cost, baseline.Cost) {
-				t.Fatalf("%s workers=%d: cost %v != baseline %v", label, workers, got.Cost, baseline.Cost)
-			}
-			if got.Stats != baseline.Stats {
-				t.Fatalf("%s workers=%d: stats %+v != baseline %+v", label, workers, got.Stats, baseline.Stats)
-			}
+		opts := MBBEOptions()
+		opts.PathCache = cache
+		got, err := Embed(p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !reflect.DeepEqual(got.Solution, baseline.Solution) {
+			t.Fatalf("%s: solution differs from uncached baseline", label)
+		}
+		if !reflect.DeepEqual(got.Cost, baseline.Cost) {
+			t.Fatalf("%s: cost %v != baseline %v", label, got.Cost, baseline.Cost)
+		}
+		if got.Stats != baseline.Stats {
+			t.Fatalf("%s: stats %+v != baseline %+v", label, got.Stats, baseline.Stats)
 		}
 		hits, misses, _ := cache.Stats()
 		if pass == 0 && misses == 0 {
@@ -382,7 +371,6 @@ func TestPathCacheDifferential(t *testing.T) {
 			}
 			p := churnProblem(rng, net, live)
 			plain := MBBEOptions()
-			plain.Workers = 1 + step%2
 			if step%7 == 0 {
 				plain.BannedEdges = map[graph.EdgeID]bool{graph.EdgeID(rng.Intn(net.G.NumEdges())): true}
 			}
@@ -419,10 +407,8 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 	live := network.NewLedger(net).Overlay()
 	cache := graph.NewTreeCache(0)
 	shared := MBBEOptions()
-	shared.Workers = 2
 	shared.PathCache = cache
 	plain := MBBEOptions()
-	plain.Workers = 2
 
 	var mu, faultMu sync.RWMutex // mu guards live, as the server's state mutex does
 	stop := make(chan struct{})

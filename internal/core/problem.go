@@ -96,18 +96,27 @@ type LayerSpec struct {
 // Required returns every category the layer's forward search must cover:
 // the regular VNFs plus, for parallel layers, the merger category.
 func (ls LayerSpec) Required(c network.Catalog) []network.VNFID {
-	out := append([]network.VNFID(nil), ls.VNFs...)
+	return ls.appendRequired(make([]network.VNFID, 0, len(ls.VNFs)+1), c)
+}
+
+// appendRequired appends the layer's Required categories to dst.
+func (ls LayerSpec) appendRequired(dst []network.VNFID, c network.Catalog) []network.VNFID {
+	dst = append(dst, ls.VNFs...)
 	if ls.Merger {
-		out = append(out, c.Merger())
+		dst = append(dst, c.Merger())
 	}
-	return out
+	return dst
 }
 
 // LayerSpecs expands the problem's SFC into per-layer obligations.
 func (p *Problem) LayerSpecs() []LayerSpec {
-	specs := make([]LayerSpec, len(p.SFC.Layers))
+	return p.appendLayerSpecs(make([]LayerSpec, 0, len(p.SFC.Layers)))
+}
+
+// appendLayerSpecs appends the problem's LayerSpecs to dst.
+func (p *Problem) appendLayerSpecs(dst []LayerSpec) []LayerSpec {
 	for i, l := range p.SFC.Layers {
-		specs[i] = LayerSpec{Index: i + 1, VNFs: l.VNFs, Merger: l.Parallel()}
+		dst = append(dst, LayerSpec{Index: i + 1, VNFs: l.VNFs, Merger: l.Parallel()})
 	}
-	return specs
+	return dst
 }

@@ -113,7 +113,7 @@ func (t *SearchTree) Nodes(fn func(*TreeNode)) {
 
 // NodesWith returns the tree nodes whose available set includes category f,
 // in discovery order (nearest first). The result is carved from the tree's
-// arena, so only the goroutine that owns that arena's slot may call it.
+// arena.
 func (t *SearchTree) NodesWith(f network.VNFID) []*TreeNode {
 	out := t.mem.ptrs.reserve(len(t.nodes))
 	for _, tn := range t.nodes {
@@ -174,8 +174,9 @@ type searchConfig struct {
 	// required is the category coverage goal.
 	required []network.VNFID
 	// within restricts the search to a node set (backward searches stay
-	// inside the forward search's node set). Nil = unrestricted.
-	within func(graph.NodeID) bool
+	// inside the forward search's node set, passed as the FST itself). Nil =
+	// unrestricted.
+	within nodeSet
 	// maxNodes aborts the search once the discovered set would exceed this
 	// size without achieving coverage (MBBE's Xmax). 0 = unlimited.
 	maxNodes int
@@ -192,9 +193,14 @@ type searchConfig struct {
 	// exactly).
 	view *graph.CostView
 	// mem supplies every allocation the tree retains and the search's own
-	// working buffers (see searchMem): the embedder passes its worker
-	// slot's arena, direct callers a private &searchMem{}. Required.
+	// working buffers (see searchMem): the embedder passes its run's
+	// arena, direct callers a private &searchMem{}. Required.
 	mem *searchMem
+}
+
+// nodeSet is what a search can be confined to; *SearchTree is one.
+type nodeSet interface {
+	Contains(graph.NodeID) bool
 }
 
 // runSearch performs the paper's iterative breadth-first search from start
@@ -300,7 +306,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 		for _, tn := range frontier {
 			for ai, end := int(off[tn.Node]), int(off[tn.Node+1]); ai < end; ai++ {
 				arc := arcs[ai]
-				if cfg.within != nil && !cfg.within(arc.To) {
+				if cfg.within != nil && !cfg.within.Contains(arc.To) {
 					continue
 				}
 				if cfg.view != nil {

@@ -52,15 +52,19 @@ func TestSearchRootCoverage(t *testing.T) {
 	}
 }
 
+// allowedNodes is a nodeSet spelled out by hand.
+type allowedNodes map[graph.NodeID]bool
+
+func (a allowedNodes) Contains(v graph.NodeID) bool { return a[v] }
+
 func TestSearchGraphExhaustedUncovered(t *testing.T) {
 	p := searchFixture()
 	// Category 2 exists only at node 4; restrict within {0,1,2} so it can
 	// never be found.
-	allowed := map[graph.NodeID]bool{0: true, 1: true, 2: true}
 	tree := runSearch(p, 0, searchConfig{
 		mem:      &searchMem{},
 		required: []network.VNFID{2},
-		within:   func(v graph.NodeID) bool { return allowed[v] },
+		within:   allowedNodes{0: true, 1: true, 2: true},
 	})
 	if tree.Covered() {
 		t.Fatal("covered without the category present")

@@ -192,45 +192,79 @@ func buildExtension(m *searchMem, p *Problem, spec LayerSpec, nodes []graph.Node
 }
 
 // assemble converts a layer-ω sub-solution chain plus a tail path into a
-// Solution. The chain lives in the run's arenas, which are recycled as soon
-// as the run returns, so every slice the Solution keeps is copied out here:
-// nothing reachable from a Result may alias slot memory.
+// Solution. The chain lives in the run's arena, which is recycled as soon as
+// the run returns, so every slice the Solution keeps is copied out here —
+// into one heap block per element kind, sized by a first walk of the chain:
+// nothing reachable from a Result may alias arena memory.
 func assemble(ss *subSolution, omega int, tail graph.Path) *Solution {
-	s := &Solution{Layers: make([]LayerEmbedding, omega), TailPath: clonePath(tail)}
+	nNodes, nPaths, nEdges := 0, 0, len(tail.Edges)
+	for cur := ss; cur != nil; cur = cur.parent {
+		if cur.ext == nil {
+			continue
+		}
+		nNodes += len(cur.ext.nodes)
+		for _, paths := range [2][]graph.Path{cur.ext.interPaths, cur.ext.innerPaths} {
+			nPaths += len(paths)
+			for _, p := range paths {
+				nEdges += len(p.Edges)
+			}
+		}
+	}
+	c := solutionCopier{
+		nodes: make([]graph.NodeID, 0, nNodes),
+		paths: make([]graph.Path, 0, nPaths),
+		edges: make([]graph.EdgeID, 0, nEdges),
+	}
+	s := &Solution{Layers: make([]LayerEmbedding, omega), TailPath: c.path(tail)}
 	for cur := ss; cur != nil; cur = cur.parent {
 		if cur.ext == nil {
 			continue
 		}
 		ext := cur.ext
-		s.Layers[cur.layer-1] = LayerEmbedding{
-			Nodes:      append([]graph.NodeID(nil), ext.nodes...),
+		le := LayerEmbedding{
 			MergerNode: ext.endNode,
-			InterPaths: clonePaths(ext.interPaths),
-			InnerPaths: clonePaths(ext.innerPaths),
+			InterPaths: c.pathList(ext.interPaths),
+			InnerPaths: c.pathList(ext.innerPaths),
 		}
+		if len(ext.nodes) > 0 {
+			c.nodes = append(c.nodes, ext.nodes...)
+			le.Nodes = lastN(c.nodes, len(ext.nodes))
+		}
+		s.Layers[cur.layer-1] = le
 	}
 	return s
 }
 
-// clonePath copies a path's edges to the heap, keeping a nil Edges nil and
-// an empty one empty: the two encode differently (null vs []).
-func clonePath(p graph.Path) graph.Path {
+// solutionCopier hands out windows of assemble's three blocks. The blocks
+// are sized exactly, so the appends never reallocate, and every window is
+// capped to its length, so an append by the Solution's holder cannot reach
+// a neighbouring window.
+type solutionCopier struct {
+	nodes []graph.NodeID
+	paths []graph.Path
+	edges []graph.EdgeID
+}
+
+// lastN returns the last n elements of s, capped to their length.
+func lastN[T any](s []T, n int) []T { return s[len(s)-n : len(s) : len(s)] }
+
+// path copies a path's edges, keeping a nil Edges nil and an empty one
+// empty: the two encode differently (null vs []).
+func (c *solutionCopier) path(p graph.Path) graph.Path {
 	if p.Edges == nil {
 		return p
 	}
-	edges := make([]graph.EdgeID, len(p.Edges))
-	copy(edges, p.Edges)
-	return graph.Path{From: p.From, Edges: edges}
+	c.edges = append(c.edges, p.Edges...)
+	return graph.Path{From: p.From, Edges: lastN(c.edges, len(p.Edges))}
 }
 
-// clonePaths deep-copies a path list, nil staying nil.
-func clonePaths(paths []graph.Path) []graph.Path {
+// pathList deep-copies a path list, nil staying nil.
+func (c *solutionCopier) pathList(paths []graph.Path) []graph.Path {
 	if paths == nil {
 		return nil
 	}
-	out := make([]graph.Path, len(paths))
-	for i, p := range paths {
-		out[i] = clonePath(p)
+	for _, p := range paths {
+		c.paths = append(c.paths, c.path(p))
 	}
-	return out
+	return lastN(c.paths, len(paths))
 }

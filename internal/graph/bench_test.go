@@ -92,7 +92,7 @@ func BenchmarkCostViewCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.resBuf = g.compileView(&s.view, opts, s.resBuf)
+		s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
 	}
 }
 

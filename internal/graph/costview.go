@@ -94,27 +94,34 @@ func (v *CostView) NodeBanned(n NodeID) bool {
 	return v.nodeBan[uint(n)>>6]>>(uint(n)&63)&1 != 0
 }
 
+// MemBytes reports the memory the view's own arrays pin (the CSR arrays
+// belong to the graph).
+func (v *CostView) MemBytes() int {
+	return 8 * (cap(v.price) + cap(v.admit) + cap(v.nodeBan))
+}
+
 // ArcPrice returns the compiled price of arc i (+Inf when inadmissible).
 func (v *CostView) ArcPrice(i int) float64 { return v.price[i] }
 
 // CompileView flattens opts against the graph's current CSR adjacency and
 // residual state into a freshly allocated, shareable CostView. Use
-// Scratch-backed compilation (DijkstraWith compiles internally) when the
-// view is consumed before the next query on the same scratch.
+// CompileViewInto (or DijkstraWith, which compiles internally) when the
+// view is consumed before its storage is compiled into again.
 func (g *Graph) CompileView(opts *CostOptions) *CostView {
 	v := &CostView{}
-	g.compileView(v, opts, nil)
+	g.CompileViewInto(v, opts, nil)
 	return v
 }
 
-// compileView compiles opts into v, reusing v's backing arrays and the
+// CompileViewInto compiles opts into v, reusing v's backing arrays and the
 // caller's residual buffer; it returns the (possibly grown) residual
-// buffer for reuse. One dense pass over edges fills the residual buffer
-// (bulk export when opts.Residuals is set, otherwise one Residual call per
-// edge — half the closure calls of the per-arc admits path), then one pass
-// over arcs derives admissibility, the Inf-sentinel price array, and the
-// bucket tuning inputs.
-func (g *Graph) compileView(v *CostView, opts *CostOptions, resBuf []float64) []float64 {
+// buffer for reuse. v must not be a view a TreeCache published, and
+// whoever holds v sees the new compilation. One dense pass over edges fills
+// the residual buffer (bulk export when opts.Residuals is set, otherwise
+// one Residual call per edge — half the closure calls of the per-arc admits
+// path), then one pass over arcs derives admissibility, the Inf-sentinel
+// price array, and the bucket tuning inputs.
+func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64) []float64 {
 	arcs, off := g.CSR()
 	m := len(arcs)
 	v.arcs, v.off = arcs, off

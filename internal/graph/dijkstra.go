@@ -30,7 +30,7 @@ type CostOptions struct {
 
 // admits is the scalar admissibility check, still used by the breadth-
 // first searches; the Dijkstra kernels use a compiled CostView instead,
-// which gives bitwise-identical answers (compileView mirrors this logic).
+// which gives bitwise-identical answers (CompileViewInto mirrors this logic).
 func (o *CostOptions) admits(g *Graph, arc Arc) bool {
 	if o == nil {
 		return true
@@ -60,20 +60,30 @@ type ShortestTree struct {
 	prev   []NodeID // predecessor node, None for src/unreachable
 }
 
-// clone returns a retainable copy of a scratch-owned tree: three exact-size
-// arrays and nothing else (the dirty-entry list that lets a scratch reset
+// clone returns a retainable copy of a scratch-owned tree: three arrays
+// and nothing else (the dirty-entry list that lets a scratch reset
 // in O(touched) stays with the scratch).
 func (t *ShortestTree) clone() *ShortestTree {
-	c := &ShortestTree{
-		Src:    t.Src,
-		Dist:   make([]float64, len(t.Dist)),
-		parent: make([]EdgeID, len(t.parent)),
-		prev:   make([]NodeID, len(t.prev)),
-	}
-	copy(c.Dist, t.Dist)
-	copy(c.parent, t.parent)
-	copy(c.prev, t.prev)
+	c := &ShortestTree{}
+	t.CopyTo(c)
 	return c
+}
+
+// CopyTo makes dst a copy of t that shares nothing with it, reusing dst's
+// arrays when they are large enough: the way to keep a scratch-owned tree
+// past the scratch's next search without allocating per tree. Whatever dst
+// held is overwritten.
+func (t *ShortestTree) CopyTo(dst *ShortestTree) {
+	dst.Src = t.Src
+	dst.Dist = append(dst.Dist[:0], t.Dist...)
+	dst.parent = append(dst.parent[:0], t.parent...)
+	dst.prev = append(dst.prev[:0], t.prev...)
+}
+
+// MemBytes reports the memory the tree's arrays pin, at the 8 bytes an
+// element of each takes on the 64-bit platforms this runs on.
+func (t *ShortestTree) MemBytes() int {
+	return 8 * (cap(t.Dist) + cap(t.parent) + cap(t.prev))
 }
 
 // Reachable reports whether v is reachable from the source.

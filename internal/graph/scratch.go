@@ -227,7 +227,7 @@ func (s *Scratch) growParents(n int) {
 // next DijkstraWith call on the same Scratch; results are bit-identical
 // to Dijkstra.
 func (g *Graph) DijkstraWith(s *Scratch, src NodeID, opts *CostOptions) *ShortestTree {
-	s.resBuf = g.compileView(&s.view, opts, s.resBuf)
+	s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
 	s.resetTree(g.n)
 	s.lastA = s.view.numArcs
 	s.dijkstra(src, &s.view)

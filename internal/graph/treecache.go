@@ -70,7 +70,7 @@ func NewViewCache(maxEntries int) *ViewCache { return NewTreeCache(maxEntries) }
 func (c *TreeCache) View(g *Graph, opts *CostOptions) (v *CostView, reused bool, evicted int) {
 	s := GetScratch()
 	defer PutScratch(s)
-	s.resBuf = g.compileView(&s.view, opts, s.resBuf)
+	s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
 	s.lastN, s.lastA = g.n, s.view.numArcs
 	cur := c.cur.Load()
 	if cur == nil || !cur.sameContent(&s.view) {

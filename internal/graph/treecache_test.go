@@ -192,7 +192,7 @@ func TestTreeCacheLookupZeroAllocs(t *testing.T) {
 	c.Tree(v, 5)
 	s := NewScratch()
 	allocs := testing.AllocsPerRun(20, func() {
-		s.resBuf = g.compileView(&s.view, opts, s.resBuf)
+		s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
 		if !v.sameContent(&s.view) {
 			t.Fatal("warm view missed")
 		}

@@ -77,13 +77,6 @@ type Experiment struct {
 	// parallelism include scheduler noise; use sequential runs for the
 	// runtime experiment.
 	Parallelism int
-	// Workers sets core.Options.Workers for the built-in BBE/MBBE runs:
-	// the intra-embedding worker pool. 0 defaults to 1 (sequential) —
-	// trials are independent and parallelize better than layer internals,
-	// so Parallelism is usually the knob to turn; raise Workers instead
-	// when measuring single-instance latency. Negative values request
-	// GOMAXPROCS workers per embedding.
-	Workers int
 	// Custom maps additional algorithm names to embedders, letting
 	// downstream users benchmark their own algorithms against the
 	// built-ins on identical instances. Checked before the built-in
@@ -248,31 +241,23 @@ func (e *Experiment) runOne(alg Algorithm, inst *instance, seed int64) (*core.Re
 		res, err := custom(&p, seed)
 		return res, time.Since(start), err
 	}
-	return runBuiltin(alg, inst, seed, e.Workers)
+	return runBuiltin(alg, inst, seed)
 }
 
 // runBuiltin executes one of the built-in algorithms.
-func runBuiltin(alg Algorithm, inst *instance, seed int64, workers int) (*core.Result, time.Duration, error) {
+func runBuiltin(alg Algorithm, inst *instance, seed int64) (*core.Result, time.Duration, error) {
 	p := *inst.p // shallow copy shares the immutable network
 	p.Ledger = nil
-	withWorkers := func(opts core.Options) core.Options {
-		if workers != 0 {
-			opts.Workers = workers
-		} else {
-			opts.Workers = 1 // default: trials parallelize, not layers
-		}
-		return opts
-	}
 	start := time.Now()
 	var res *core.Result
 	var err error
 	switch alg {
 	case BBE:
-		res, err = core.Embed(&p, withWorkers(core.BBEOptions()))
+		res, err = core.Embed(&p, core.BBEOptions())
 	case MBBE:
-		res, err = core.Embed(&p, withWorkers(core.MBBEOptions()))
+		res, err = core.Embed(&p, core.MBBEOptions())
 	case MBBEST:
-		res, err = core.Embed(&p, withWorkers(core.MBBESteinerOptions()))
+		res, err = core.Embed(&p, core.MBBESteinerOptions())
 	case RANV:
 		res, err = baseline.EmbedRANV(&p, rand.New(rand.NewSource(seed)))
 	case MINV:

@@ -110,7 +110,7 @@ func RunTopologies(trials int, seed int64) ([]TopoPoint, error) {
 			dst := graph.NodeID(rng.Intn(n))
 			inst := &instance{p: &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}}
 			for _, alg := range topoAlgorithms {
-				res, _, err := runBuiltin(alg, inst, trialSeed(seed, ti, trial)^0x2545f491, 1)
+				res, _, err := runBuiltin(alg, inst, trialSeed(seed, ti, trial)^0x2545f491)
 				if err != nil {
 					pt.Cells[alg].Failures++
 					continue

@@ -17,7 +17,6 @@ const (
 	MetricEmbedAttempts  = "dagsfc_embed_attempts_total"
 	MetricEmbedFailures  = "dagsfc_embed_failures_total"
 	MetricEmbedLatency   = "dagsfc_embed_latency_seconds"
-	MetricEmbedWorkers   = "dagsfc_embed_workers"
 	MetricSearchNodes    = "dagsfc_embed_search_nodes_total"
 	MetricSearches       = "dagsfc_embed_searches_total"
 	MetricCandidates     = "dagsfc_embed_candidates_total"
@@ -124,8 +123,8 @@ const (
 )
 
 // RecordCostView records one cost-view acquisition by an embedding run: a
-// build materialised a view on the heap, a reuse was served the view the
-// path-tree cache retains.
+// build compiled a view the run keeps (published to the store, or private
+// to the run), a reuse was served the view the path-tree cache retains.
 func RecordCostView(build bool) {
 	if build {
 		Default().Counter(MetricCostViewBuilds,
@@ -213,22 +212,17 @@ type EmbedSample struct {
 	// SearchNodes, Searches and Candidates count the attempt's work in the
 	// algorithm's own units (see the metric-name comment above).
 	SearchNodes, Searches, Candidates int
-	// Workers is the resolved worker-pool size of the attempt. Zero means
-	// the producer has no worker pool (baselines, annealer) and suppresses
-	// the gauge.
-	Workers int
 }
 
 // embedInstruments are one algorithm's RecordEmbed series, resolved once
-// per alg label (see seriesMemo). The failure counter and the worker gauge
-// resolve lazily, on the first sample that needs them, so a scrape lists
-// exactly the series it would without the memo.
+// per alg label (see seriesMemo). The failure counter resolves lazily, on
+// the first sample that needs it, so a scrape lists exactly the series it
+// would without the memo.
 type embedInstruments struct {
 	alg                                         Label
 	attempts, searchNodes, searches, candidates *Counter
 	latency                                     *Histogram
 	failures                                    atomic.Pointer[Counter]
-	workers                                     atomic.Pointer[Gauge]
 	// layeredRuns is indexed by outcome: 0 exact, 1 fallback.
 	layeredRuns    [2]atomic.Pointer[Counter]
 	layeredSettled atomic.Pointer[Histogram]
@@ -296,14 +290,6 @@ func RecordEmbed(s EmbedSample) {
 	in.searchNodes.Add(float64(s.SearchNodes))
 	in.searches.Add(float64(s.Searches))
 	in.candidates.Add(float64(s.Candidates))
-	if s.Workers > 0 {
-		g := in.workers.Load()
-		if g == nil {
-			g = Default().Gauge(MetricEmbedWorkers, "Worker-pool size of the most recent embedding attempt.", in.alg)
-			in.workers.Store(g)
-		}
-		g.Set(float64(s.Workers))
-	}
 }
 
 // layeredOutcomes are the outcome label values of MetricLayeredRuns, in

@@ -250,7 +250,7 @@ func TestRecordEmbedSharedNames(t *testing.T) {
 // allocates nothing. The lazily registered series must also stay lazy: a
 // scrape may not list a failure counter for an algorithm that never failed.
 func TestRecordEmbedSteadyStateZeroAllocs(t *testing.T) {
-	ok := EmbedSample{Alg: "zero-alloc-alg", Elapsed: time.Millisecond, SearchNodes: 3, Searches: 1, Candidates: 2, Workers: 2}
+	ok := EmbedSample{Alg: "zero-alloc-alg", Elapsed: time.Millisecond, SearchNodes: 3, Searches: 1, Candidates: 2}
 	RecordEmbed(ok)
 	for _, fam := range Default().Snapshot().Families {
 		if fam.Name != MetricEmbedFailures {
