@@ -20,13 +20,16 @@ core-single-goroutine:
 		echo "internal/core starts a goroutine: an embed must stay on its caller's"; exit 1; \
 	fi
 
-# fuzz-smoke runs the bucket-queue fuzzer briefly: the bucket queue and
+# fuzz-smoke runs the search-kernel fuzzers briefly. The bucket queue and
 # the 4-ary heap must pop in the identical strict (dist, node) order, or
 # search results would fork depending on which structure a compiled view
-# selects. FUZZTIME=0x replays only the checked-in corpus.
+# selects; and a Dijkstra tree grown on demand must agree with the complete
+# tree wherever it has been read. FUZZTIME=0x replays only the checked-in
+# corpus.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzGrowTree -fuzztime $(FUZZTIME) ./internal/graph/
 
 build:
 	$(GO) build ./...
@@ -63,7 +66,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR20.json
+BENCH_JSON ?= BENCH_PR21.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -81,12 +84,15 @@ bench-json:
 
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
-# benchmark (filtered Dijkstra, uncached MBBE embed) regressed more than
-# 20% against the committed PR18 baseline, if an embed-path benchmark
+# benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
+# regressed more than 20% against the committed PR20 baseline, if an
+# embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
-# more than 5% more objects per op, or if the warm path-cache embed lost
-# its 1.5x speedup floor. It refuses outright (non-zero exit) to compare
+# more than 5% more objects per op, if the warm path-cache embed lost
+# its 1.5x speedup floor, or if failing over to a reserved backup got more
+# than 2x slower at p99 than the baseline records or stopped beating a repair
+# re-embed. It refuses outright (non-zero exit) to compare
 # two ledgers recorded at different GOMAXPROCS. The 20% limit is wide on
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
@@ -94,7 +100,7 @@ bench-json:
 # -guard-serve-old adds the durability-tax check: the serve throughput
 # with the WAL on but fsync off must stay within the same limit of the
 # baseline's WAL-less BenchmarkServeThroughput.
-BENCH_GUARD_OLD ?= BENCH_PR18.json
+BENCH_GUARD_OLD ?= BENCH_PR20.json
 BENCH_GUARD_SERVE_OLD ?= BENCH_PR16.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON) -guard-serve-old $(BENCH_GUARD_SERVE_OLD)

@@ -118,11 +118,13 @@ func mergeBench(rawPath, label, outPath string) error {
 
 // guardedBenchmarks are the hot-path benchmarks whose ns/op must not
 // regress beyond -guard-limit between the baseline and candidate ledgers
-// ("after" runs of each). They are the two paths every embedding rides:
-// the filtered Dijkstra and the full MBBE embed.
+// ("after" runs of each). They are the paths every embedding rides: the
+// filtered Dijkstra, the full MBBE embed, and the serial-chain embed that is
+// one layered search.
 var guardedBenchmarks = []string{
 	"BenchmarkDijkstra1000Filtered",
 	"BenchmarkEmbedMBBE",
+	"BenchmarkEmbedMBBESerial",
 }
 
 // renamedBenchmarks maps the name a baseline ledger may still record a
@@ -155,16 +157,16 @@ const allocGuardLimit = 0.05
 // the uncached EmbedMBBE in the same ledger.
 const cachedSpeedupFloor = 1.5
 
-// failoverSpeedupFloor is the minimum advantage failing over to a
-// pre-reserved backup must keep over re-embedding from scratch: in
-// BenchmarkFailoverLatency's Extra metrics, failover p99 times this
-// factor must not exceed the repair re-embed p50. If promotion ever gets
-// that slow, reserving double capacity for protection stops paying. The
-// floor was 5 when a repair re-embed took ~1.3 ms; PRs 15 and 16 brought
-// that to ~0.53 ms with failover where it was (~0.1 ms p99), so the same
-// promotion now clears 5 by a few per cent of run-to-run noise. 3 still
-// fails on a promotion path that got slow, not on a re-embed that got fast.
-const failoverSpeedupFloor = 3.0
+// failoverSlowdownLimit bounds BenchmarkFailoverLatency's failover p99
+// against the baseline ledger's own: promoting a pre-reserved backup may
+// take at most this many times as long as it did there. The guard used to
+// compare failover with the candidate's repair re-embed (p99 × 5, then × 3,
+// against the repair p50), and had to be loosened every time an embed PR
+// made the re-embed — the denominator — faster while failover had not
+// moved. What is left of that comparison is its point: failing over must
+// stay faster than re-embedding, or reserving double capacity stops paying.
+// The factor absorbs host-to-host noise on a ~0.1 ms tail percentile.
+const failoverSlowdownLimit = 2.0
 
 // guardBench compares the "after" runs of two benchmark JSON ledgers and
 // fails if any guarded benchmark regressed past the limit, or if the
@@ -284,24 +286,33 @@ func guardBench(oldPath, newPath string, limit float64, serveOldPath string) err
 		failures = append(failures, fmt.Sprintf("BenchmarkEmbedMBBECached missing from candidate %s", newPath))
 	}
 
-	// The failover guard: both percentiles come from the candidate's own
-	// BenchmarkFailoverLatency run, so the comparison is same-host by
-	// construction.
+	// The failover guard: failover p99 against the baseline's, and against
+	// the candidate's own repair re-embed p50 (same host by construction).
 	if fo, ok := byName(newRun, "BenchmarkFailoverLatency"); !ok {
 		failures = append(failures, fmt.Sprintf("BenchmarkFailoverLatency missing from candidate %s", newPath))
 	} else {
 		p99, okP99 := fo.Extra["failover_p99_us"]
 		p50, okP50 := fo.Extra["repair_p50_us"]
+		oldFo, _ := byName(oldRun, "BenchmarkFailoverLatency")
+		oldP99, okOld := oldFo.Extra["failover_p99_us"]
+		var fail string
 		switch {
 		case !okP99 || !okP50:
-			failures = append(failures, "BenchmarkFailoverLatency lost its failover_p99_us/repair_p50_us metrics")
-		case p99*failoverSpeedupFloor > p50:
-			failures = append(failures, fmt.Sprintf("failover p99 %.1fus * %.0f exceeds repair p50 %.1fus — backup promotion no faster than re-embedding",
-				p99, failoverSpeedupFloor, p50))
-			fmt.Printf("guard: failover p99 %.1fus vs repair p50 %.1fus (floor %.0fx)  REGRESSED\n", p99, p50, failoverSpeedupFloor)
-		default:
-			fmt.Printf("guard: failover p99 %.1fus vs repair p50 %.1fus (floor %.0fx)  ok\n", p99, p50, failoverSpeedupFloor)
+			fail = "BenchmarkFailoverLatency lost its failover_p99_us/repair_p50_us metrics"
+		case !okOld:
+			fail = fmt.Sprintf("baseline %s records no failover_p99_us to guard against", oldPath)
+		case p99 > oldP99*failoverSlowdownLimit:
+			fail = fmt.Sprintf("failover p99 %.1fus is more than %.0fx the baseline's %.1fus", p99, failoverSlowdownLimit, oldP99)
+		case p99 >= p50:
+			fail = fmt.Sprintf("failover p99 %.1fus is no faster than the repair re-embed p50 %.1fus — backup promotion no faster than re-embedding", p99, p50)
 		}
+		verdict := "ok"
+		if fail != "" {
+			failures = append(failures, fail)
+			verdict = "REGRESSED"
+		}
+		fmt.Printf("guard: failover p99 %.1fus vs baseline %.1fus (limit %.0fx) and repair p50 %.1fus  %s\n",
+			p99, oldP99, failoverSlowdownLimit, p50, verdict)
 	}
 
 	// The durability tax guard: with fsync off, the WAL costs only record

@@ -140,6 +140,9 @@ func run(c config) error {
 	if err != nil {
 		return err
 	}
+	if c.verbose {
+		fmt.Fprintf(os.Stderr, "Dijkstra trees grown by the run itself: %d nodes settled\n", res.Stats.PathTreeNodes)
+	}
 	printSolution(p, res)
 	if c.dotFile != "" {
 		f, err := os.Create(c.dotFile)
@@ -214,8 +217,8 @@ func (logObserver) CandidatesFiltered(layer int, considered, capacityRejected, d
 }
 
 func (logObserver) LayeredRun(run dagsfc.LayeredRun) {
-	fmt.Fprintf(os.Stderr, "  layered run over layers %d-%d: %d seeds, %d states settled, %d of %d exits kept",
-		run.First, run.Last, run.Seeds, run.Settled, run.Kept, run.Exits)
+	fmt.Fprintf(os.Stderr, "  layered run over layers %d-%d: %d seeds, settled %d/%d states, %d of %d exits kept",
+		run.First, run.Last, run.Seeds, run.Settled, run.States, run.Kept, run.Exits)
 	if run.Fallback != "" {
 		fmt.Fprintf(os.Stderr, "; falling back to the per-layer search (%s)", run.Fallback)
 	}

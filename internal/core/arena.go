@@ -142,13 +142,14 @@ type searchMem struct {
 	// whole instead of being carved: views[:nviews] are the cost views the
 	// run compiled for itself — at most two, its capacity-only search view
 	// and, when it bans elements, the path view — and pathTrees[:npathTrees]
-	// the Dijkstra trees it searched on a view of its own (no store attached,
-	// or a banned run). reset hands all of them to the next run, which
-	// overwrites them in place.
+	// the Dijkstra trees it grows on a view of its own (no store attached, or
+	// a banned run), each only as far as the run reads it. reset hands all of
+	// them to the next run, which recompiles the views in place and re-roots
+	// the trees (graph.GrowTree.Reset undoes what the last search touched).
 	views      [2]graph.CostView
 	nviews     int
 	resBuf     []float64 // CompileViewInto's residual buffer
-	pathTrees  []*graph.ShortestTree
+	pathTrees  []*graph.GrowTree
 	npathTrees int
 
 	// Scratch buffers reused within and across runs: their contents are
@@ -167,6 +168,7 @@ type searchMem struct {
 	leaves                 []leafCand          // run's closed leaves
 	seeds                  []graph.LayeredSeed // layeredRun's entry points
 	rents                  [][]float64         // layeredRun's per-layer rent rows (the network's, not copies)
+	potRent                []float64           // and, for a terminal run, the least rent still ahead of each layer
 	walk                   []int32             // materialise's backwards arc list
 }
 
@@ -204,17 +206,17 @@ func (m *searchMem) reset() {
 	m.nviews, m.npathTrees = 0, 0
 }
 
-// keepTree copies the scratch-owned tree t into the run's tree storage and
-// returns the copy, valid until reset. Steady state it allocates nothing:
-// the storage a previous run grew is overwritten in place.
-func (m *searchMem) keepTree(t *graph.ShortestTree) *graph.ShortestTree {
+// newTree takes the next tree of the run's tree storage and roots it at src
+// on view, nothing searched yet; it is the run's until reset. Steady state
+// it allocates nothing: a tree a previous run grew is re-rooted in place.
+func (m *searchMem) newTree(view *graph.CostView, src graph.NodeID) *graph.GrowTree {
 	if m.npathTrees == len(m.pathTrees) {
-		m.pathTrees = append(m.pathTrees, new(graph.ShortestTree))
+		m.pathTrees = append(m.pathTrees, new(graph.GrowTree))
 	}
-	kept := m.pathTrees[m.npathTrees]
+	t := m.pathTrees[m.npathTrees]
 	m.npathTrees++
-	t.CopyTo(kept)
-	return kept
+	t.Reset(view, src)
+	return t
 }
 
 // bytes reports the memory the arena's slabs and graph storage pin between

@@ -17,11 +17,16 @@ import (
 // scribbleGraphStorage overwrites what a recycled arena hands the next run
 // whole rather than zeroed — every retained Dijkstra tree and both private
 // views — with those of an unrelated line graph, so a run that trusted
-// recycled contents, or a Result that aliased them, shows.
+// recycled contents, or a Result that aliased them, shows. A tree is
+// scribbled the way another run would leave it: grown to completion from the
+// far end of the line, every entry written and the frontier drained.
 func scribbleGraphStorage(m *searchMem) {
+	sc := graph.NewScratch()
 	for _, t := range m.pathTrees {
-		junk := lineGraph(len(t.Dist))
-		junk.Dijkstra(graph.NodeID(len(t.Dist)-1), nil).CopyTo(t)
+		if n := len(t.Dist); n > 0 {
+			t.Reset(lineGraph(n).CompileView(nil), graph.NodeID(n-1))
+			t.To(sc, graph.None)
+		}
 	}
 	for i := range m.views {
 		m.resBuf = lineGraph(3).CompileViewInto(&m.views[i], nil, m.resBuf)
@@ -304,9 +309,10 @@ func TestEmbedSteadyStateAllocCeiling(t *testing.T) {
 func TestReleaseDropsOversizedArena(t *testing.T) {
 	small, huge, treeful := newPooledScratch(), newPooledScratch(), newPooledScratch()
 	small.mem.idx.alloc(10)
-	small.mem.keepTree(lineGraph(10).Dijkstra(0, nil))
+	small.mem.newTree(lineGraph(10).CompileView(nil), 0)
 	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
-	treeful.mem.keepTree(&graph.ShortestTree{Dist: make([]float64, searchMemRetainBytes/8+1)})
+	// A grown tree pins 48 B per node.
+	treeful.mem.newTree(lineGraph(searchMemRetainBytes/48+1).CompileView(nil), 0)
 	kept := small.mem
 	small.recycle()
 	huge.recycle()

@@ -171,6 +171,11 @@ type Stats struct {
 	// the run was searched layer by layer instead.
 	LayeredRuns      int
 	LayeredFallbacks int
+	// PathTreeNodes is the number of nodes settled by the Dijkstra trees the
+	// run grew on a view of its own — the min-cost-path searches behind its
+	// meta-paths and, for a terminal layered run, the tree that directs it.
+	// Trees served by a shared store cost the run none.
+	PathTreeNodes int
 }
 
 // Result is a successful embedding: the solution, its priced breakdown and
@@ -244,12 +249,13 @@ func embedOn(ctx context.Context, p *Problem, opts Options, perLayer bool, sc *p
 	res, err := e.run()
 	telemetry.RecordPathCacheHits(e.treeHits)
 	telemetry.RecordEmbed(telemetry.EmbedSample{
-		Alg:         opts.Label,
-		Elapsed:     time.Since(start),
-		Failed:      err != nil,
-		SearchNodes: e.stats.TreeNodes,
-		Searches:    e.stats.ForwardSearches + e.stats.BackwardSearches,
-		Candidates:  e.stats.Extensions,
+		Alg:           opts.Label,
+		Elapsed:       time.Since(start),
+		Failed:        err != nil,
+		SearchNodes:   e.stats.TreeNodes,
+		Searches:      e.stats.ForwardSearches + e.stats.BackwardSearches,
+		Candidates:    e.stats.Extensions,
+		PathTreeNodes: e.stats.PathTreeNodes,
 	})
 	return res, err
 }
@@ -294,8 +300,9 @@ type embedder struct {
 	// opts is the run's configuration, Label resolved ("custom" when the
 	// caller set none) and the delay model defaulted.
 	opts Options
-	// perLayer is embedContext's test-only switch.
-	perLayer bool
+	// perLayer is embedContext's test-only switch. undirected, set by tests
+	// alone, withholds the potential from terminal layered runs.
+	perLayer, undirected bool
 	// ctx cancels the run between layers and between a layer's start-node
 	// builds; never nil (EmbedContext defaults it to Background).
 	ctx context.Context
@@ -326,7 +333,7 @@ type embedder struct {
 	//
 	// treeOf is the run's dense per-source table over either kind. For
 	// private trees treeOf[src] is one plus the tree's index in the arena's
-	// tree storage (0: not searched yet). For shared ones it only marks the
+	// tree storage (0: not rooted yet). For shared ones it only marks the
 	// sources the run has asked the store for, so that a source counts once
 	// per run — as one hit in treeHits (flushed to telemetry when the run
 	// ends) or as one miss — however often the search comes back to it.
@@ -377,11 +384,12 @@ func (e *embedder) recordRetention(evicted int) {
 	telemetry.RecordPathCacheRetention(e.store.Views(), e.store.Len(), evicted)
 }
 
-// treeFor returns the min-cost path tree rooted at src on pathView, from
-// the shared view's table or the run's own storage. The tree outlives every
-// later search on the run's scratch: a private one is searched there and
-// then copied out.
-func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
+// treeFor returns the min-cost path tree rooted at src on pathView, final
+// at least as far as upTo (graph.None: everywhere), from the shared view's
+// table or the run's own storage. A shared tree is complete; a private one
+// is grown on demand, so read nothing from it but what was asked for. Either
+// outlives every later search on the run's scratch.
+func (e *embedder) treeFor(src, upTo graph.NodeID) *graph.ShortestTree {
 	if e.sharedTrees {
 		t, hit, evicted := e.store.Tree(e.pathView, src)
 		if !hit {
@@ -397,14 +405,15 @@ func (e *embedder) treeFor(src graph.NodeID) *graph.ShortestTree {
 		return t
 	}
 	m := e.sc.mem
-	if i := e.treeOf[src]; i != 0 {
-		return m.pathTrees[i-1]
+	if e.treeOf[src] == 0 {
+		if e.store != nil {
+			telemetry.RecordPathCacheMiss()
+		}
+		m.newTree(e.pathView, src)
+		e.treeOf[src] = int32(m.npathTrees)
 	}
-	if e.store != nil {
-		telemetry.RecordPathCacheMiss()
-	}
-	t := m.keepTree(e.pathView.DijkstraWith(e.sc.Scratch, src))
-	e.treeOf[src] = int32(m.npathTrees)
+	t, settled := m.pathTrees[e.treeOf[src]-1].To(e.sc.Scratch, upTo)
+	e.stats.PathTreeNodes += settled
 	return t
 }
 
@@ -417,7 +426,7 @@ func (e *embedder) minCostPath(a, b graph.NodeID) (graph.Path, bool) {
 	}
 	m := e.sc.mem
 	// A tree path visits no node twice, so NumNodes-1 bounds its length.
-	edges, ok := e.treeFor(a).AppendPathTo(m.edges.reserve(e.p.Net.G.NumNodes()-1), b)
+	edges, ok := e.treeFor(a, b).AppendPathTo(m.edges.reserve(e.p.Net.G.NumNodes()-1), b)
 	if !ok {
 		m.edges.abandon(edges)
 		return graph.Path{}, false
@@ -1015,7 +1024,11 @@ func (e *embedder) instantiate(exts []*extension, spec LayerSpec, start graph.No
 // instantiation.
 func (e *embedder) steinerInterPaths(start graph.NodeID, targets []graph.NodeID) []graph.Path {
 	g := e.p.Net.G
-	edges, ok := steiner.MulticastTreeWith(g, start, targets, e.costOpts, e.treeFor)
+	// The Steiner heuristic compares distances to every terminal: it reads
+	// complete trees.
+	edges, ok := steiner.MulticastTreeWith(g, start, targets, e.costOpts, func(src graph.NodeID) *graph.ShortestTree {
+		return e.treeFor(src, graph.None)
+	})
 	if !ok {
 		return nil
 	}

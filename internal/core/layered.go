@@ -30,8 +30,10 @@ type LayeredRun struct {
 	// through to the destination and yields the complete solution.
 	Terminal bool
 	// Seeds is the number of distinct frontier end nodes the search
-	// started from; Settled the states it settled before stopping.
-	Seeds, Settled int
+	// started from; Settled the states it settled before stopping, of the
+	// States in the stack it searched (one copy of the substrate per layer
+	// and one to leave from).
+	Seeds, Settled, States int
 	// Exits is the number of walks the search proposed (at most one for a
 	// terminal run), Kept those that passed the capacity checks.
 	Exits, Kept int
@@ -82,7 +84,18 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 		Target: graph.None,
 	}
 	if terminal {
+		// One target: direct the search at it (graph.LayeredQuery.PotLink).
+		// The link term needs the distance of every node, so the tree rooted
+		// at the destination is grown to completion.
 		q.Target = p.Dst
+		if !e.undirected {
+			m.potRent = sized(m.potRent, len(run)+1)
+			m.potRent[len(run)] = 0
+			for j := len(run) - 1; j >= 0; j-- {
+				m.potRent[j] = m.potRent[j+1] + p.Net.MinRent(run[j].VNFs[0])
+			}
+			q.PotLink, q.PotRent = e.treeFor(p.Dst, graph.None).Dist, m.potRent
+		}
 	} else {
 		// The width a single such layer gets from the per-layer search: Xd
 		// children per parent, under the layer-wide cap.
@@ -103,7 +116,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 	e.observeSearch(first, seeds[0].Node, true, ls.Settled(), len(exits) > 0)
 	info := LayeredRun{
 		First: first, Last: last, Terminal: terminal,
-		Seeds: len(seeds), Settled: ls.Settled(), Exits: len(exits),
+		Seeds: len(seeds), Settled: ls.Settled(), States: (len(run) + 1) * n, Exits: len(exits),
 	}
 
 	leaves := m.subPtrs.alloc(len(exits))[:0]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -63,7 +64,8 @@ func TestLayeredNeverCostlierOnSerialChains(t *testing.T) {
 		if k.Cost.Total() < pl.Cost.Total()*(1-costSlack) {
 			cheaper++
 		}
-		want := Stats{LayeredRuns: 1, ForwardSearches: 1, Extensions: 6, SubSolutions: 6, TreeNodes: k.Stats.TreeNodes}
+		want := Stats{LayeredRuns: 1, ForwardSearches: 1, Extensions: 6, SubSolutions: 6,
+			TreeNodes: k.Stats.TreeNodes, PathTreeNodes: k.Stats.PathTreeNodes}
 		if k.Stats != want {
 			t.Fatalf("flow %d: kernel stats %+v, want one run, one search, one chain of six", flow, k.Stats)
 		}
@@ -253,6 +255,85 @@ func TestLayeredHandsFrontierToParallelLayer(t *testing.T) {
 	}
 	if res.Stats.BackwardSearches == 0 {
 		t.Fatal("the parallel layer ran no backward search")
+	}
+}
+
+// embedUndirected is Embed with the potential withheld from terminal layered
+// runs: the plain search the directed one must agree with.
+func embedUndirected(p *Problem, opts Options) (*Result, error) {
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	e := newEmbedder(context.Background(), p, opts, sc)
+	e.undirected = true
+	return e.run()
+}
+
+// TestBackupRunDirectedEqualsPlain is the differential on the one search
+// that runs on a banned view of its own: protected serial chains, the
+// backup embedded around its committed primary with the primary's links
+// banned and, every other flow, its nodes too (server.backupBans). The
+// potential's tree is then a private one grown on that banned view, bans
+// make whole regions unreachable (+Inf potentials), and the backup must
+// still be the one the undirected search finds — same placement, same cost
+// to the bit, the same refusal when no disjoint backup exists — after
+// fewer settled states.
+func TestBackupRunDirectedEqualsPlain(t *testing.T) {
+	cfg := netgen.Default()
+	cfg.Nodes, cfg.Connectivity = 100, 3 // sparse: some endpoints have one link, and no disjoint backup
+	net := netgen.MustGenerate(cfg, rand.New(rand.NewSource(23)))
+	ledger := network.NewLedger(net)
+	rng := rand.New(rand.NewSource(24))
+	backups, refused, directed, plain := 0, 0, 0, 0
+	for flow := 0; flow < 120; flow++ {
+		dag := sfcgen.MustGenerate(sfcgen.Config{Size: 2 + rng.Intn(5), LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng)
+		p := &Problem{Net: net, Ledger: ledger, SFC: dag, Rate: 1, Size: 1,
+			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes))}
+		opts := MBBEOptions()
+		primary, err := Embed(p, opts)
+		if err != nil {
+			t.Fatalf("flow %d: primary: %v", flow, err)
+		}
+		if _, err := Commit(p, primary.Solution); err != nil {
+			t.Fatalf("flow %d: commit: %v", flow, err)
+		}
+		opts.BannedEdges, opts.BannedNodes = map[graph.EdgeID]bool{}, map[graph.NodeID]bool{}
+		primary.Solution.VisitEdges(func(e graph.EdgeID) { opts.BannedEdges[e] = true })
+		if flow%2 == 0 {
+			primary.Solution.VisitNodes(func(v graph.NodeID) { opts.BannedNodes[v] = v != p.Src && v != p.Dst })
+		}
+		got, gotErr := Embed(p, opts)
+		want, wantErr := embedUndirected(p, opts)
+		if err := Release(p, primary.Solution); err != nil {
+			t.Fatalf("flow %d: release: %v", flow, err)
+		}
+		if gotErr != nil || wantErr != nil {
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("flow %d: directed backup err %v, undirected %v", flow, gotErr, wantErr)
+			}
+			refused++
+			continue
+		}
+		backups++
+		if !reflect.DeepEqual(got.Solution, want.Solution) || !reflect.DeepEqual(got.Cost, want.Cost) {
+			t.Fatalf("flow %d (%v, %d→%d): directed backup %+v at %v, undirected %+v at %v",
+				flow, dag, p.Src, p.Dst, got.Solution, got.Cost.Total(), want.Solution, want.Cost.Total())
+		}
+		if got.Stats.TreeNodes > want.Stats.TreeNodes {
+			t.Fatalf("flow %d: directed backup settled %d states, undirected %d", flow, got.Stats.TreeNodes, want.Stats.TreeNodes)
+		}
+		if got.Stats.PathTreeNodes == 0 || want.Stats.PathTreeNodes != 0 {
+			t.Fatalf("flow %d: private trees settled %d nodes directed, %d undirected; want the potential's tree and none",
+				flow, got.Stats.PathTreeNodes, want.Stats.PathTreeNodes)
+		}
+		directed += got.Stats.TreeNodes
+		plain += want.Stats.TreeNodes
+	}
+	if backups < 60 || refused == 0 {
+		t.Fatalf("population too tame: %d backups, %d refusals", backups, refused)
+	}
+	t.Logf("%d backups, %d refusals; states settled: %d directed, %d undirected", backups, refused, directed, plain)
+	if 2*directed > plain {
+		t.Fatalf("directed backups settled %d states in all, undirected %d: the potential should at least halve it", directed, plain)
 	}
 }
 

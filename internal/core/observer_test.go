@@ -145,11 +145,12 @@ func TestObserverExactSequenceHybridSFC(t *testing.T) {
 			"layer-done 2 kept=1",
 			"layer-start 3 parents=1",
 			"search-start 3 fwd @2", // layer 2 ends at its merger
-			// Layer-0 copies of 2, 1, 3 and 0, then (3, layer 1): f4 and
-			// the destination are both node 3, where the search stops.
-			"search-done 3 fwd @2 size=5 covered=true",
+			// Directed at the destination: the seed (2, layer 0), then
+			// (3, layer 0) and (3, layer 1) — f4 and the destination are
+			// both node 3, where the search stops.
+			"search-done 3 fwd @2 size=3 covered=true",
 			"filter 3 considered=1 cap=0 delay=0",
-			"run 3-3 terminal=true seeds=1 settled=5 kept=1/1 fallback=",
+			"run 3-3 terminal=true seeds=1 settled=3 kept=1/1 fallback=",
 			"layer-done 3 kept=1",
 			"leaf",
 		}},

@@ -42,12 +42,12 @@ var rewriteGolden = map[string]string{
 	"bbe/seed=1":              "cost=560.109240549 sol=59a708e255fdb041",
 	"bbe/seed=2":              "cost=478.517555796 sol=ccb9a65e8e32c86a",
 	"bbe/seed=3":              "cost=463.067155197 sol=9f72b1b803003d53",
-	"mbbe/seed=1":             "cost=558.168943884 sol=972a4fcab3eb8a47",
-	"mbbe/seed=2":             "cost=478.517555796 sol=568ab78995e885d2",
-	"mbbe/seed=3":             "cost=461.643145726 sol=82775b6a44f6880d",
-	"mbbe+st/seed=1":          "cost=558.168943884 sol=972a4fcab3eb8a47",
-	"mbbe+st/seed=2":          "cost=478.517555796 sol=568ab78995e885d2",
-	"mbbe+st/seed=3":          "cost=461.643145726 sol=82775b6a44f6880d",
+	"mbbe/seed=1":             "cost=558.168943884 sol=f86a1f4ed0553046",
+	"mbbe/seed=2":             "cost=478.517555796 sol=6b06c823be05e8cb",
+	"mbbe/seed=3":             "cost=461.643145726 sol=15deb9b464c347be",
+	"mbbe+st/seed=1":          "cost=558.168943884 sol=f86a1f4ed0553046",
+	"mbbe+st/seed=2":          "cost=478.517555796 sol=6b06c823be05e8cb",
+	"mbbe+st/seed=3":          "cost=461.643145726 sol=15deb9b464c347be",
 	"mbbe+delay/seed=1":       "cost=560.109240549 sol=e42798bf2853a8f0",
 	"mbbe+delay/seed=2":       "cost=478.517555796 sol=b228bcad4034d5cc",
 	"mbbe+delay/seed=3":       "cost=463.067155197 sol=9f72b1b803003d53",

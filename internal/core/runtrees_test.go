@@ -57,8 +57,13 @@ func TestPrivateTreesRecycled(t *testing.T) {
 
 		got, gotErr := embed(recycled, p, opts)
 		scribbleGraphStorage(recycled.mem)
+		shared := opts.PathCache != nil && len(opts.BannedEdges) == 0
 		opts.PathCache = nil
 		want, wantErr := embed(newPooledScratch(), p, opts)
+		if shared && gotErr == nil && wantErr == nil {
+			// The store's trees cost the run nothing; its own are counted.
+			got.Stats, want.Stats = searchStats(got.Stats), searchStats(want.Stats)
+		}
 
 		if gotErr != nil || wantErr != nil {
 			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -100,7 +105,8 @@ func treeFixture(tb testing.TB, sc *pooledScratch) *embedder {
 
 // TestEmbedPrivateRunTreeAllocs pins what the run-scoped storage is for:
 // once a scratch has held a run's trees, a later run's view compile and
-// private Dijkstra trees allocate nothing.
+// private Dijkstra trees — grown part of the way, then all of it —
+// allocate nothing.
 func TestEmbedPrivateRunTreeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -113,7 +119,7 @@ func TestEmbedPrivateRunTreeAllocs(t *testing.T) {
 		e.pathView = e.privateView(e.costOpts)
 		e.treeOf = sc.mem.idx.alloc(e.p.Net.G.NumNodes())
 		for src := graph.NodeID(0); src < sources; src++ {
-			if tree := e.treeFor(src); tree.Src != src || e.treeFor(src) != tree {
+			if tree := e.treeFor(src, e.p.Dst); tree.Src != src || e.treeFor(src, graph.None) != tree {
 				t.Fatalf("treeFor(%d) is not memoized", src)
 			}
 		}
@@ -124,20 +130,27 @@ func TestEmbedPrivateRunTreeAllocs(t *testing.T) {
 	}
 }
 
-// TestTreeForSurvivesScratchReuse pins the rule that lets treeFor search on
-// the run's own graph.Scratch: what it returns is a copy in the arena, never
-// the scratch-owned tree, so every later search on that scratch — another
-// tree, a hop search, the layered kernel — leaves it intact.
+// TestTreeForSurvivesScratchReuse pins the rule that lets treeFor borrow the
+// run's own graph.Scratch: a private tree lives in the arena, suspended
+// frontier included, never on the scratch, so every later search on that
+// scratch — another tree, a hop search, the layered kernel — leaves what it
+// has settled intact and what it has not resumable.
 func TestTreeForSurvivesScratchReuse(t *testing.T) {
 	sc := newPooledScratch()
 	defer sc.recycle()
 	e := treeFixture(t, sc)
 	p := e.p
 	const a, b = graph.NodeID(3), graph.NodeID(11)
-	held := e.treeFor(a)
 	want := e.pathView.Dijkstra(a)
+	held := e.treeFor(a, b)
+	if e.stats.PathTreeNodes == 0 || e.stats.PathTreeNodes >= p.Net.G.NumNodes() {
+		t.Fatalf("growing the tree of %d as far as %d settled %d of %d nodes", a, b, e.stats.PathTreeNodes, p.Net.G.NumNodes())
+	}
+	if held.Dist[b] != want.Dist[b] {
+		t.Fatalf("partly grown tree puts %d at %v, the complete tree at %v", b, held.Dist[b], want.Dist[b])
+	}
 
-	e.treeFor(b)
+	e.treeFor(b, graph.None)
 	e.pathView.DijkstraWith(sc.Scratch, b)
 	e.pathView.MinHopPathWith(sc.Scratch, b, p.Dst)
 	e.pathView.LayeredDijkstraWith(sc.Scratch, &graph.LayeredQuery{
@@ -147,10 +160,10 @@ func TestTreeForSurvivesScratchReuse(t *testing.T) {
 		Target: p.Dst,
 	})
 
-	if !reflect.DeepEqual(held, want) {
-		t.Fatal("a tree treeFor returned changed under later searches on the run's scratch")
+	if e.treeFor(a, graph.None) != held {
+		t.Fatal("treeFor rooted a source twice in one run")
 	}
-	if e.treeFor(a) != held {
-		t.Fatal("treeFor searched a source twice in one run")
+	if !reflect.DeepEqual(held, want) {
+		t.Fatal("a tree treeFor returned did not grow into the complete tree after later searches on the run's scratch")
 	}
 }

@@ -141,7 +141,7 @@ func (t *TraceRecorder) LayeredRun(run LayeredRun) {
 	r.SetAttr("layers", fmt.Sprintf("%d-%d", run.First, run.Last))
 	r.SetAttr("terminal", run.Terminal)
 	r.SetAttr("seeds", run.Seeds)
-	r.SetAttr("settled", run.Settled)
+	r.SetAttr("settled", fmt.Sprintf("%d/%d", run.Settled, run.States))
 	r.SetAttr("exits", run.Exits)
 	r.SetAttr("kept", run.Kept)
 	if run.Fallback != "" {
@@ -189,6 +189,7 @@ func (t *TraceRecorder) Finish(res *Result, err error) {
 		root.SetAttr("sub_solutions", res.Stats.SubSolutions)
 		root.SetAttr("layered_runs", res.Stats.LayeredRuns)
 		root.SetAttr("layered_fallbacks", res.Stats.LayeredFallbacks)
+		root.SetAttr("path_tree_nodes", res.Stats.PathTreeNodes)
 	}
 	t.trace.Finish()
 }

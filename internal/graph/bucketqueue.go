@@ -2,9 +2,9 @@ package graph
 
 // This file implements the two priority structures behind the view-based
 // Dijkstra kernel. Both pop in the same strict total order — ascending
-// (dist, node) — so which structure a compiled view selects can never fork
-// search results; the bucket queue is simply faster when the price
-// distribution gives it a usable bucket width.
+// (dist, node) — so which structure serves a search can never fork its
+// results; the bucket queue is simply faster for an uninterrupted search
+// when the price distribution gives it a usable bucket width.
 //
 // Neither structure supports decrease-key: the kernel pushes a new entry
 // on every strict improvement and the queues drop superseded entries
@@ -42,13 +42,24 @@ type bucketQueue struct {
 	invDelta float64
 }
 
+// bucketSeedCap is the capacity each bucket is born with: buckets hold
+// about viewArcsPerBucket arcs of price mass, so few ever outgrow it.
+const bucketSeedCap = 8
+
 // reset prepares the queue for a search under view's bucket tuning. It
 // must only be called when the queue is drained (the kernel guarantees
 // this: pop is called until it reports empty).
 func (q *bucketQueue) reset(view *CostView) {
 	nb := view.nb
 	if cap(q.buckets) < nb {
+		// Every bucket starts with bucketSeedCap entries of one shared slab:
+		// grown one append at a time, a fresh queue's few hundred buckets
+		// cost its first searches an allocation apiece.
 		q.buckets = make([][]distItem, nb)
+		slab := make([]distItem, nb*bucketSeedCap)
+		for i := range q.buckets {
+			q.buckets[i] = slab[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
+		}
 	} else {
 		q.buckets = q.buckets[:nb]
 	}
@@ -112,8 +123,9 @@ func (q *bucketQueue) pop(dist []float64) (distItem, bool) {
 // heap4 is a 4-ary implicit min-heap over distItem, ordered by before
 // (strict (dist, node) order). The wider fan-out does fewer, cheaper
 // levels of sifting than a binary heap: pops touch ~half the cache lines.
-// It is the fallback structure for views whose price distribution gives
-// the bucket queue no usable width.
+// It serves every search the bucket queue cannot: one that is suspended and
+// resumed (GrowTree keeps it as its frontier), the layered search, and any
+// view whose price distribution gives the bucket queue no usable width.
 type heap4 []distItem
 
 func (h *heap4) push(x distItem) {

@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Inf is the distance assigned to unreachable nodes.
 var Inf = math.Inf(1)
@@ -64,20 +67,12 @@ type ShortestTree struct {
 // and nothing else (the dirty-entry list that lets a scratch reset
 // in O(touched) stays with the scratch).
 func (t *ShortestTree) clone() *ShortestTree {
-	c := &ShortestTree{}
-	t.CopyTo(c)
-	return c
-}
-
-// CopyTo makes dst a copy of t that shares nothing with it, reusing dst's
-// arrays when they are large enough: the way to keep a scratch-owned tree
-// past the scratch's next search without allocating per tree. Whatever dst
-// held is overwritten.
-func (t *ShortestTree) CopyTo(dst *ShortestTree) {
-	dst.Src = t.Src
-	dst.Dist = append(dst.Dist[:0], t.Dist...)
-	dst.parent = append(dst.parent[:0], t.parent...)
-	dst.prev = append(dst.prev[:0], t.prev...)
+	return &ShortestTree{
+		Src:    t.Src,
+		Dist:   slices.Clone(t.Dist),
+		parent: slices.Clone(t.parent),
+		prev:   slices.Clone(t.prev),
+	}
 }
 
 // MemBytes reports the memory the tree's arrays pin, at the 8 bytes an
@@ -169,81 +164,10 @@ func (v *CostView) Dijkstra(src NodeID) *ShortestTree {
 // The returned tree is owned by s and invalidated by the next search on
 // the same Scratch.
 func (v *CostView) DijkstraWith(s *Scratch, src NodeID) *ShortestTree {
-	s.resetTree(v.numNodes)
-	s.lastA = v.numArcs
-	s.dijkstra(src, v)
-	return &s.tree
-}
-
-// dijkstra is the search kernel, run on the scratch tree. It assumes the
-// tree's arrays are length view.numNodes and in their resting state
-// (Dist=Inf, parent/prev=None), and records every node it writes in
-// s.touched. The inner loop reads only the view's dense arrays: an
-// inadmissible arc carries price +Inf, so d + price can never improve a
-// distance and no admissibility branch is needed. Pop order is the strict
-// (dist, node) order shared by both queue structures, so results do not
-// depend on which one the view selected.
-func (s *Scratch) dijkstra(src NodeID, view *CostView) {
-	t := &s.tree
-	t.Src = src
-	if src < 0 || int(src) >= view.numNodes {
-		return
-	}
-	if view.NodeBanned(src) {
-		return
-	}
-	arcs, off, price, dist := view.arcs, view.off, view.price, t.Dist
-	dist[src] = 0
-	s.touched = append(s.touched, src)
-	if view.delta > 0 {
-		bq := &s.q.bq
-		bq.reset(view)
-		bq.push(distItem{node: src, dist: 0})
-		for {
-			item, ok := bq.pop(dist)
-			if !ok {
-				break
-			}
-			v, d := item.node, item.dist
-			for ai := int(off[v]); ai < int(off[v+1]); ai++ {
-				nd := d + price[ai]
-				to := arcs[ai].To
-				if nd < dist[to] {
-					if math.IsInf(dist[to], 1) {
-						s.touched = append(s.touched, to)
-					}
-					dist[to] = nd
-					t.parent[to] = arcs[ai].Edge
-					t.prev[to] = v
-					bq.push(distItem{node: to, dist: nd})
-				}
-			}
-		}
-		return
-	}
-	h := &s.q.h4
-	*h = (*h)[:0]
-	h.push(distItem{node: src, dist: 0})
-	for len(*h) > 0 {
-		item := h.pop()
-		v, d := item.node, item.dist
-		if d > dist[v] {
-			continue // superseded by a later, cheaper push
-		}
-		for ai := int(off[v]); ai < int(off[v+1]); ai++ {
-			nd := d + price[ai]
-			to := arcs[ai].To
-			if nd < dist[to] {
-				if math.IsInf(dist[to], 1) {
-					s.touched = append(s.touched, to)
-				}
-				dist[to] = nd
-				t.parent[to] = arcs[ai].Edge
-				t.prev[to] = v
-				h.push(distItem{node: to, dist: nd})
-			}
-		}
-	}
+	s.lastN, s.lastA = v.numNodes, v.numArcs
+	s.tree.Reset(v, src)
+	t, _ := s.tree.To(s, None)
+	return t
 }
 
 // MinCostPath returns one cheapest path from src to dst under opts, or

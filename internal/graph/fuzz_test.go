@@ -144,3 +144,44 @@ func FuzzBucketQueue(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGrowTree builds a small priced graph — zero prices, parallel links,
+// banned links and nodes included — and a query order from the input, and
+// checks a tree grown on demand against the complete tree (checkGrowTree),
+// on the bucket queue's view and on the heap's.
+func FuzzGrowTree(f *testing.F) {
+	f.Add([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), false)
+	f.Add([]byte{30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(3), true)
+	f.Add([]byte{5, 0xff, 0x10, 0x80, 0x41, 0x41, 0x07, 0x00, 0xc3, 0x99, 0x21}, uint8(200), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, srcRaw uint8, heap bool) {
+		if len(data) < 2 {
+			return
+		}
+		n := 2 + int(data[0])%30
+		data = data[1:]
+		g := New(n)
+		opts := &CostOptions{BannedEdges: map[EdgeID]bool{}, BannedNodes: map[NodeID]bool{}}
+		var order []NodeID
+		for i := 0; i+2 < len(data); i += 3 {
+			a, b, w := NodeID(int(data[i])%n), NodeID(int(data[i+1])%n), data[i+2]
+			switch {
+			case a == b:
+				order = append(order, NodeID(int(w)%n))
+			case w >= 0xf8:
+				opts.BannedNodes[b] = true
+			default:
+				e := g.MustAddEdge(a, b, float64(w>>3), 1) // prices 0..30, many ties
+				if w&7 == 7 {
+					opts.BannedEdges[e] = true
+				}
+			}
+		}
+		view := g.CompileView(opts)
+		if heap {
+			view = heapView(view)
+		}
+		var tree GrowTree
+		checkGrowTree(t, "fuzz", &tree, NewScratch(), view, NodeID(int(srcRaw)%n), order)
+	})
+}

@@ -46,6 +46,27 @@ type LayeredQuery struct {
 	// exit node itself, so they are reached through the step arc only.
 	Target   NodeID
 	MaxExits int
+	// PotLink and PotRent, when PotLink is non-nil, direct a terminal search
+	// (they are ignored without a Target): state (j, v) is keyed by its
+	// distance plus h(v, j) = PotLink[v] + PotRent[j], a lower bound on what
+	// is left of the walk. PotLink[v] is the cheapest link price from v to
+	// Target — the Dist of the complete tree rooted at Target on this view,
+	// links being symmetric — and PotRent[j], one entry per layer 0..k, the
+	// least rent layers j..k-1 can still charge (PotRent[k] = 0). Such an h
+	// never overestimates and never drops by more than the arc crossed, so
+	// the target settles at the same distance after far fewer states.
+	PotLink []float64
+	PotRent []float64
+}
+
+// h is the potential of state (layer, node) of a directed query. On Target
+// itself only rents remain, whatever PotLink says (a banned Target roots an
+// empty tree yet is still reached by step arcs alone).
+func (q *LayeredQuery) h(layer, node int) float64 {
+	if NodeID(node) == q.Target {
+		return q.PotRent[layer]
+	}
+	return q.PotLink[node] + q.PotRent[layer]
 }
 
 // LayeredSearch is the outcome of one layered search. It aliases scratch
@@ -116,9 +137,14 @@ func (s *Scratch) resetLayered(n, states int) *LayeredSearch {
 
 // LayeredDijkstraWith runs the layered search q over the view on scratch
 // memory: zero steady-state allocations once s has grown to the state
-// count. States pop in strict (distance, state) order, so the result —
-// including which of several equally cheap walks is kept — is a function
-// of the query alone.
+// count. States pop in strict (distance + potential, state) order, so the
+// result — including which of several equally cheap walks is kept — is a
+// function of the query alone. dist[] holds distances; only the heap sees
+// the potential. There is no closed set: a strictly smaller distance
+// re-queues its state, and a queued entry is stale when its key exceeds the
+// one its state's current distance gives (the same expression, so the same
+// rounding). A state whose potential is +Inf cannot reach the target and is
+// never queued.
 //
 // The queue is the 4-ary heap, not the bucket queue: the bucket queue's
 // no-aliasing bound ("every queued distance is within maxPrice of the
@@ -131,26 +157,44 @@ func (v *CostView) LayeredDijkstraWith(s *Scratch, q *LayeredQuery) *LayeredSear
 	arcs, off, price, dist := v.arcs, v.off, v.price, r.dist
 	h := &s.q.h4
 	*h = (*h)[:0]
+	directed := q.PotLink != nil && q.Target >= 0
+	// relax records the strictly better distance nd of state (layer, node),
+	// reached from x over CSR arc via (-1: the step arc; a seed has neither).
+	relax := func(layer, node int, nd float64, x, via int) {
+		to := layer*n + node
+		hx := 0.0
+		if directed {
+			if hx = q.h(layer, node); math.IsInf(hx, 1) {
+				return
+			}
+		}
+		if math.IsInf(dist[to], 1) {
+			r.touched = append(r.touched, int32(to))
+		}
+		dist[to] = nd
+		r.pred[to], r.via[to] = int32(x), int32(via)
+		h.push(distItem{node: NodeID(to), dist: nd + hx})
+	}
 	for _, seed := range q.Seeds {
-		if seed.Node < 0 || int(seed.Node) >= n || !(seed.Dist < dist[seed.Node]) {
-			continue
+		if seed.Node >= 0 && int(seed.Node) < n && seed.Dist < dist[seed.Node] {
+			relax(0, int(seed.Node), seed.Dist, -1, -1)
 		}
-		if math.IsInf(dist[seed.Node], 1) {
-			r.touched = append(r.touched, int32(seed.Node))
-		}
-		dist[seed.Node] = seed.Dist
-		h.push(distItem{node: seed.Node, dist: seed.Dist})
 	}
 	last := k * n
 	for len(*h) > 0 {
 		item := h.pop()
-		x, d := int(item.node), item.dist
-		if d > dist[x] {
+		x := int(item.node)
+		layer := x / n
+		node := x - layer*n
+		d := dist[x]
+		key := d
+		if directed {
+			key += q.h(layer, node)
+		}
+		if item.dist > key {
 			continue // superseded by a later, cheaper push
 		}
 		r.settled++
-		layer := x / n
-		node := x - layer*n
 		if x >= last {
 			if q.Target == None {
 				r.exits = append(r.exits, x)
@@ -165,19 +209,12 @@ func (v *CostView) LayeredDijkstraWith(s *Scratch, q *LayeredQuery) *LayeredSear
 			}
 		}
 		// A banned node is only ever entered as a seed (every arc into it
-		// is inadmissible); like dijkstraView, nothing is searched from it.
+		// is inadmissible); like a Dijkstra tree, nothing is searched from it.
 		if !v.NodeBanned(NodeID(node)) {
 			base := x - node
 			for ai := int(off[node]); ai < int(off[node+1]); ai++ {
-				nd := d + price[ai]
-				to := base + int(arcs[ai].To)
-				if nd < dist[to] {
-					if math.IsInf(dist[to], 1) {
-						r.touched = append(r.touched, int32(to))
-					}
-					dist[to] = nd
-					r.pred[to], r.via[to] = int32(x), int32(ai)
-					h.push(distItem{node: NodeID(to), dist: nd})
+				if nd, to := d+price[ai], int(arcs[ai].To); nd < dist[base+to] {
+					relax(layer, to, nd, x, ai)
 				}
 			}
 		}
@@ -188,14 +225,8 @@ func (v *CostView) LayeredDijkstraWith(s *Scratch, q *LayeredQuery) *LayeredSear
 		if math.IsInf(rent, 1) {
 			continue
 		}
-		nd, to := d+rent, x+n
-		if nd < dist[to] && (q.Admit == nil || q.Admit(layer, NodeID(node))) {
-			if math.IsInf(dist[to], 1) {
-				r.touched = append(r.touched, int32(to))
-			}
-			dist[to] = nd
-			r.pred[to], r.via[to] = int32(x), -1
-			h.push(distItem{node: NodeID(to), dist: nd})
+		if nd := d + rent; nd < dist[x+n] && (q.Admit == nil || q.Admit(layer, NodeID(node))) {
+			relax(layer+1, node, nd, x, -1)
 		}
 	}
 	return r

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -222,6 +223,126 @@ func TestLayeredDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// directTowards gives the terminal query q the potential core gives it: the
+// complete tree rooted at the target on the same view, and the least rent
+// still ahead of every layer — minima over all nodes, vetoed hosts included,
+// as a lower bound may be.
+func directTowards(v *CostView, q *LayeredQuery) {
+	k := len(q.Rent)
+	q.PotLink = v.Dijkstra(q.Target).Dist
+	q.PotRent = make([]float64, k+1)
+	for j := k - 1; j >= 0; j-- {
+		q.PotRent[j] = q.PotRent[j+1] + slices.Min(q.Rent[j])
+	}
+}
+
+// chainInto lists the states on the kernel's predecessor chain into x.
+func chainInto(r *LayeredSearch, x int) []int {
+	var chain []int
+	for ; x >= 0; x, _ = r.Pred(x) {
+		chain = append(chain, x)
+	}
+	return chain
+}
+
+// TestLayeredDirectedMatchesPlain re-runs the Bellman–Ford corpus as
+// terminal queries, once plain and once with the potential: the target must
+// be reachable for both or neither, at the same distance — bit for bit
+// unless rounding let the directed search keep a different, equally cheap
+// walk, and then within 1e-9 — along a real walk of that length, and never
+// after settling more states than the plain search.
+func TestLayeredDirectedMatchesPlain(t *testing.T) {
+	s := NewScratch()
+	var unreachable, bannedTarget, bannedSeed, infPot, vetoed, dearRent, saved int
+	for seed := int64(1); seed <= 400; seed++ {
+		g, opts, q := randomLayeredCase(rand.New(rand.NewSource(seed)))
+		n, k := g.NumNodes(), len(q.Rent)
+		if q.Target == None {
+			q.Target, q.MaxExits = NodeID(seed%int64(n)), 0
+		}
+		v := g.CompileView(opts)
+		want := layeredOracle(v, q)[k*n+int(q.Target)]
+
+		r := v.LayeredDijkstraWith(s, q)
+		plainSettled := r.Settled()
+		var plainChain []int
+		if len(r.Exits()) == 1 {
+			plainChain = chainInto(r, r.Exits()[0])
+		}
+
+		directTowards(v, q)
+		r = v.LayeredDijkstraWith(s, q)
+		if r.Settled() > plainSettled {
+			t.Fatalf("seed %d: directed search settled %d states, plain %d", seed, r.Settled(), plainSettled)
+		}
+		saved += plainSettled - r.Settled()
+		// What the corpus has to cover for the rest to mean anything.
+		if v.NodeBanned(q.Target) {
+			bannedTarget++
+		}
+		for _, seed := range q.Seeds {
+			if v.NodeBanned(seed.Node) {
+				bannedSeed++
+			}
+		}
+		for node, d := range q.PotLink {
+			if math.IsInf(d, 1) && NodeID(node) != q.Target {
+				infPot++
+				break
+			}
+		}
+		for j, row := range q.Rent {
+			for node, rent := range row {
+				if !math.IsInf(rent, 1) && !q.Admit(j, NodeID(node)) {
+					vetoed++
+				}
+				if !math.IsInf(rent, 1) && rent > v.maxPrice {
+					dearRent++
+				}
+			}
+		}
+
+		if reachable := !math.IsInf(want, 1); reachable != (len(r.Exits()) == 1) {
+			t.Fatalf("seed %d: target reachable=%v, directed exits %v", seed, reachable, r.Exits())
+		} else if !reachable {
+			unreachable++
+			continue
+		}
+		x := r.Exits()[0]
+		got := r.dist[x]
+		if walk, _ := walkLength(t, v, q, r, x); walk != got {
+			t.Fatalf("seed %d: directed walk adds up to %v, dist %v", seed, walk, got)
+		}
+		if got != want && (slices.Equal(chainInto(r, x), plainChain) || math.Abs(got-want) > 1e-9*want) {
+			t.Fatalf("seed %d: directed dist %v, plain %v", seed, got, want)
+		}
+	}
+	if unreachable == 0 || bannedTarget == 0 || bannedSeed == 0 || infPot == 0 || vetoed == 0 || dearRent == 0 {
+		t.Fatalf("corpus lost a case: %d unreachable targets, %d banned targets, %d banned seeds, %d with +Inf potentials, %d vetoes, %d rents above the largest link price",
+			unreachable, bannedTarget, bannedSeed, infPot, vetoed, dearRent)
+	}
+	if saved == 0 {
+		t.Fatal("the potential never saved a state")
+	}
+
+	// A banned target roots an empty tree — every PotLink entry +Inf, its own
+	// included — yet a seed standing on it still reaches (target, k) by step
+	// arcs alone, and must under the potential too.
+	g := New(3)
+	g.MustAddEdge(0, 1, 1, 1)
+	g.MustAddEdge(1, 2, 1, 1)
+	v := g.CompileView(&CostOptions{BannedNodes: map[NodeID]bool{2: true}})
+	q := &LayeredQuery{
+		Rent:   [][]float64{{Inf, 1, 4}, {Inf, 1, 8}},
+		Seeds:  []LayeredSeed{{Node: 1}, {Node: 2, Dist: 0.5}},
+		Target: 2,
+	}
+	directTowards(v, q)
+	if r := v.LayeredDijkstraWith(s, q); len(r.Exits()) != 1 || r.dist[r.Exits()[0]] != 12.5 || r.Settled() != 3 {
+		t.Fatalf("banned target under the potential: exits %v after %d states, want it reached at 12.5 after 3", r.Exits(), r.Settled())
+	}
+}
+
 // TestLayeredDijkstraTieBreak pins the strict (dist, state) order on a
 // substrate built to tie: two hosts at equal distance settle in state
 // order, and of two equally cheap walks into one state the one relaxed
@@ -296,6 +417,10 @@ func TestLayeredDijkstraWithZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { v.LayeredDijkstraWith(s, q) }); allocs != 0 {
 		t.Fatalf("warm layered search allocates %.1f per run, want 0", allocs)
 	}
+	directTowards(v, q)
+	if allocs := testing.AllocsPerRun(20, func() { v.LayeredDijkstraWith(s, q) }); allocs != 0 {
+		t.Fatalf("warm directed layered search allocates %.1f per run, want 0", allocs)
+	}
 }
 
 // benchLayeredQuery draws k rent rows with half the nodes hosting each
@@ -328,6 +453,25 @@ func BenchmarkLayeredDijkstra500x7(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Seeds[0].Node, q.Target = NodeID(i%500), NodeID((i+250)%500)
+		if len(v.LayeredDijkstraWith(s, q).Exits()) != 1 {
+			b.Fatal("target not reached")
+		}
+	}
+}
+
+// BenchmarkLayeredDijkstra500x7Directed is the same search directed at its
+// target, the potential's tree included: what a storeless serial embed pays.
+func BenchmarkLayeredDijkstra500x7Directed(b *testing.B) {
+	g := benchGraph(500, 6)
+	v := g.CompileView(nil)
+	q := benchLayeredQuery(g, 6, 0)
+	directTowards(v, q)
+	s := NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Seeds[0].Node, q.Target = NodeID(i%500), NodeID((i+250)%500)
+		q.PotLink = v.DijkstraWith(s, q.Target).Dist
 		if len(v.LayeredDijkstraWith(s, q).Exits()) != 1 {
 			b.Fatal("target not reached")
 		}

@@ -2,8 +2,9 @@ package graph
 
 import "sync"
 
-// searchQueues bundles the two kernel priority structures; the compiled
-// view's bucket tuning decides which one a search uses.
+// searchQueues bundles the scratch's two kernel priority structures: the
+// bucket queue a complete tree is swept with when the view's tuning allows
+// it, and the heap of the layered search.
 type searchQueues struct {
 	bq bucketQueue
 	h4 heap4
@@ -22,11 +23,9 @@ type searchQueues struct {
 // LayeredDijkstraWith) are valid only until the next call with the same
 // Scratch; Path values are freshly allocated and safe to retain.
 type Scratch struct {
-	tree ShortestTree
-	// touched records every node whose tree entries left their resting
-	// state (Inf/None) during the last run, so the tree resets in
-	// O(touched) instead of O(N).
-	touched []NodeID
+	// tree is the scratch-owned Dijkstra tree; it resets in O(touched), not
+	// O(N) (see GrowTree).
+	tree    GrowTree
 	layered LayeredSearch
 	q       searchQueues
 
@@ -160,40 +159,6 @@ func keepScratch(s *Scratch, nodeDemand, arcDemand int) bool {
 	return size <= limit(nodeDemand) && arcSize <= limit(arcDemand)
 }
 
-// resetTree brings the scratch tree back to its resting state (Dist=Inf,
-// parent/prev=None) for a graph of n nodes, undoing only the entries the
-// previous run touched.
-func (s *Scratch) resetTree(n int) {
-	s.lastN = n
-	t := &s.tree
-	if cap(t.Dist) < n {
-		t.Dist = make([]float64, n)
-		t.parent = make([]EdgeID, n)
-		t.prev = make([]NodeID, n)
-		for i := range t.Dist {
-			t.Dist[i] = Inf
-			t.parent[i] = None
-			t.prev[i] = None
-		}
-		s.touched = s.touched[:0]
-		return
-	}
-	// The previous run may have been on a larger graph, so undo its writes
-	// against the full backing arrays before re-slicing to n.
-	dist := t.Dist[:cap(t.Dist)]
-	parent := t.parent[:cap(t.parent)]
-	prev := t.prev[:cap(t.prev)]
-	for _, v := range s.touched {
-		dist[v] = Inf
-		parent[v] = None
-		prev[v] = None
-	}
-	s.touched = s.touched[:0]
-	t.Dist = dist[:n]
-	t.parent = parent[:n]
-	t.prev = prev[:n]
-}
-
 // visitedReset prepares the visited set for a graph of n nodes and clears
 // it in O(1) by advancing the epoch.
 func (s *Scratch) visitedReset(n int) {
@@ -228,8 +193,5 @@ func (s *Scratch) growParents(n int) {
 // to Dijkstra.
 func (g *Graph) DijkstraWith(s *Scratch, src NodeID, opts *CostOptions) *ShortestTree {
 	s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
-	s.resetTree(g.n)
-	s.lastA = s.view.numArcs
-	s.dijkstra(src, &s.view)
-	return &s.tree
+	return s.view.DijkstraWith(s, src)
 }

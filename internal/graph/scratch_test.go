@@ -84,10 +84,13 @@ func TestDijkstraWithZeroAllocs(t *testing.T) {
 // grown by a one-off huge search is dropped once recent demand settles
 // back to small graphs, while right-sized scratches keep pooling.
 func TestPutScratchDropsOversized(t *testing.T) {
-	small := &Scratch{}
-	small.resetTree(300)
-	huge := &Scratch{}
-	huge.resetTree(scratchMinRetain * scratchOversizeFactor * 2)
+	sized := func(n int) *Scratch {
+		s := &Scratch{lastN: n}
+		s.tree.rest(n)
+		return s
+	}
+	small := sized(300)
+	huge := sized(scratchMinRetain * scratchOversizeFactor * 2)
 
 	// While the huge size is recent demand, the huge scratch is retained —
 	// dropping actively-used capacity would just thrash the allocator.
@@ -120,9 +123,8 @@ func TestPutScratchDropsOversized(t *testing.T) {
 	// Arc-sized view arrays are judged against arc demand, not node demand:
 	// a scratch whose compiled view grew on a one-off dense graph is also
 	// released once arc demand settles.
-	arcHuge := &Scratch{}
+	arcHuge := sized(300)
 	arcHuge.view.price = make([]float64, scratchMinRetain*scratchOversizeFactor*2)
-	arcHuge.resetTree(300)
 	if keepScratch(arcHuge, 300, 1200) {
 		t.Fatal("arc-oversized scratch was pooled against small arc demand")
 	}

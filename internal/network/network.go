@@ -75,7 +75,14 @@ type Network struct {
 	instances map[instKey]*Instance
 	byVNF     map[VNFID][]graph.NodeID // V_i, in insertion order
 	byNode    map[graph.NodeID][]VNFID // F_v, in insertion order
-	rents     atomic.Pointer[[][]float64]
+	rents     atomic.Pointer[rentTable]
+}
+
+// rentTable is the dense form of the deployment's rental prices: one row
+// per category over the nodes, and each row's minimum.
+type rentTable struct {
+	rows [][]float64
+	min  []float64
 }
 
 // New returns a network over g with the given catalog and no instances.
@@ -156,19 +163,24 @@ func (n *Network) NodesWith(vnf VNFID) []graph.NodeID { return n.byVNF[vnf] }
 // residual capacity is not part of them; ask the ledger. The caller must
 // not modify the returned slice. Concurrent readers are safe as long as no
 // instance is being added, matching every other accessor.
-func (n *Network) Rents(vnf VNFID) []float64 {
+func (n *Network) Rents(vnf VNFID) []float64 { return n.denseRents().rows[vnf] }
+
+// MinRent returns the least rental price of category vnf over all nodes:
+// +Inf when nothing hosts it, zero for the dummy. Cached with Rents.
+func (n *Network) MinRent(vnf VNFID) float64 { return n.denseRents().min[vnf] }
+
+func (n *Network) denseRents() *rentTable {
 	t := n.rents.Load()
 	if t == nil {
 		// Concurrent first readers may each build; the contents are
 		// identical, so last-store-wins is fine.
-		rows := n.buildRents()
-		t = &rows
+		t = n.buildRents()
 		n.rents.Store(t)
 	}
-	return (*t)[vnf]
+	return t
 }
 
-func (n *Network) buildRents() [][]float64 {
+func (n *Network) buildRents() *rentTable {
 	nodes := n.G.NumNodes()
 	flat := make([]float64, (n.Catalog.N+2)*nodes)
 	for i := nodes; i < len(flat); i++ {
@@ -181,7 +193,14 @@ func (n *Network) buildRents() [][]float64 {
 	for key, inst := range n.instances {
 		rows[key.vnf][key.node] = inst.Price
 	}
-	return rows
+	mins := make([]float64, len(rows))
+	for f, row := range rows {
+		mins[f] = graph.Inf
+		for _, price := range row {
+			mins[f] = min(mins[f], price)
+		}
+	}
+	return &rentTable{rows: rows, min: mins}
 }
 
 // VNFsAt returns F_v: the categories hosted on node, sorted ascending.

@@ -22,6 +22,7 @@ const (
 	MetricCandidates     = "dagsfc_embed_candidates_total"
 	MetricLayeredRuns    = "dagsfc_embed_layered_runs_total"
 	MetricLayeredSettled = "dagsfc_embed_layered_settled_states"
+	MetricPathTreeNodes  = "dagsfc_embed_path_tree_nodes"
 	MetricOnlineRequests = "dagsfc_online_requests_total"
 	MetricOnlineLatency  = "dagsfc_online_request_latency_seconds"
 )
@@ -212,6 +213,11 @@ type EmbedSample struct {
 	// SearchNodes, Searches and Candidates count the attempt's work in the
 	// algorithm's own units (see the metric-name comment above).
 	SearchNodes, Searches, Candidates int
+	// PathTreeNodes is the number of nodes the attempt settled in Dijkstra
+	// trees of its own (core.Stats.PathTreeNodes). Zero — an attempt served
+	// by the shared tree store, or one that needed no tree — is not a
+	// sample of MetricPathTreeNodes.
+	PathTreeNodes int
 }
 
 // embedInstruments are one algorithm's RecordEmbed series, resolved once
@@ -226,6 +232,7 @@ type embedInstruments struct {
 	// layeredRuns is indexed by outcome: 0 exact, 1 fallback.
 	layeredRuns    [2]atomic.Pointer[Counter]
 	layeredSettled atomic.Pointer[Histogram]
+	pathTreeNodes  atomic.Pointer[Histogram]
 }
 
 // seriesMemo caches resolved Default-registry series by label value, for
@@ -290,6 +297,16 @@ func RecordEmbed(s EmbedSample) {
 	in.searchNodes.Add(float64(s.SearchNodes))
 	in.searches.Add(float64(s.Searches))
 	in.candidates.Add(float64(s.Candidates))
+	if s.PathTreeNodes > 0 {
+		h := in.pathTreeNodes.Load()
+		if h == nil {
+			h = Default().Histogram(MetricPathTreeNodes,
+				"Nodes settled per embedding attempt by the Dijkstra trees it grew on a view of its own.",
+				ExpBuckets(16, 2, 12), in.alg)
+			in.pathTreeNodes.Store(h)
+		}
+		h.Observe(float64(s.PathTreeNodes))
+	}
 }
 
 // layeredOutcomes are the outcome label values of MetricLayeredRuns, in

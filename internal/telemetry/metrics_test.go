@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +279,36 @@ func TestRecordEmbedSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// renderAlgSeries renders, as a scraper would see them, the named families
+// of the Default registry cut down to the series labelled alg; a family
+// with no such series is left out.
+func renderAlgSeries(t *testing.T, alg string, families ...string) string {
+	t.Helper()
+	var snap Snapshot
+	for _, fam := range Default().Snapshot().Families {
+		if !slices.Contains(families, fam.Name) {
+			continue
+		}
+		kept := fam
+		kept.Series = nil
+		for _, s := range fam.Series {
+			for _, l := range s.Labels {
+				if l.Key == "alg" && l.Value == alg {
+					kept.Series = append(kept.Series, s)
+				}
+			}
+		}
+		if len(kept.Series) > 0 {
+			snap.Families = append(snap.Families, kept)
+		}
+	}
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestRecordLayeredRunGolden pins the layered-kernel series as a scraper
 // sees them — family names, help text, the alg and outcome labels, the
 // settled-states buckets — and that the fallback series stays unlisted
@@ -286,29 +317,7 @@ func TestRecordLayeredRunGolden(t *testing.T) {
 	const alg = "layered-golden-alg"
 	RecordLayeredRun(alg, false, 40)
 	RecordLayeredRun(alg, false, 3000)
-	render := func() string {
-		var snap Snapshot
-		for _, fam := range Default().Snapshot().Families {
-			if fam.Name != MetricLayeredRuns && fam.Name != MetricLayeredSettled {
-				continue
-			}
-			kept := fam
-			kept.Series = nil
-			for _, s := range fam.Series {
-				for _, l := range s.Labels {
-					if l.Key == "alg" && l.Value == alg {
-						kept.Series = append(kept.Series, s)
-					}
-				}
-			}
-			snap.Families = append(snap.Families, kept)
-		}
-		var b strings.Builder
-		if err := snap.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
+	render := func() string { return renderAlgSeries(t, alg, MetricLayeredRuns, MetricLayeredSettled) }
 	const exactOnly = `# HELP dagsfc_embed_layered_runs_total Runs of single-VNF layers searched by the layered shortest-path kernel, by outcome.
 # TYPE dagsfc_embed_layered_runs_total counter
 dagsfc_embed_layered_runs_total{alg="layered-golden-alg",outcome="exact"} 2
@@ -343,6 +352,48 @@ dagsfc_embed_layered_settled_states_count{alg="layered-golden-alg"} 2
 		RecordLayeredRun(alg, true, 7)
 	}); allocs != 0 {
 		t.Fatalf("steady-state RecordLayeredRun allocates %.1f objects per pair of runs, want 0", allocs)
+	}
+}
+
+// TestRecordEmbedPathTreeNodesGolden pins the private-tree series as a
+// scraper sees it: unlisted while an algorithm's attempts grow no tree of
+// their own (served by the shared store, or needing none), then one
+// histogram per alg of nodes settled per attempt. The steady state
+// allocates nothing.
+func TestRecordEmbedPathTreeNodesGolden(t *testing.T) {
+	const alg = "path-tree-golden-alg"
+	render := func() string { return renderAlgSeries(t, alg, MetricPathTreeNodes) }
+	RecordEmbed(EmbedSample{Alg: alg, Elapsed: time.Millisecond})
+	if got := render(); got != "" {
+		t.Fatalf("an attempt that grew no tree listed the series:\n%s", got)
+	}
+	RecordEmbed(EmbedSample{Alg: alg, Elapsed: time.Millisecond, PathTreeNodes: 125})
+	RecordEmbed(EmbedSample{Alg: alg, Elapsed: time.Millisecond, PathTreeNodes: 3000})
+	const want = `# HELP dagsfc_embed_path_tree_nodes Nodes settled per embedding attempt by the Dijkstra trees it grew on a view of its own.
+# TYPE dagsfc_embed_path_tree_nodes histogram
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="16"} 0
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="32"} 0
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="64"} 0
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="128"} 1
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="256"} 1
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="512"} 1
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="1024"} 1
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="2048"} 1
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="4096"} 2
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="8192"} 2
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="16384"} 2
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="32768"} 2
+dagsfc_embed_path_tree_nodes_bucket{alg="path-tree-golden-alg",le="+Inf"} 2
+dagsfc_embed_path_tree_nodes_sum{alg="path-tree-golden-alg"} 3125
+dagsfc_embed_path_tree_nodes_count{alg="path-tree-golden-alg"} 2
+`
+	if got := render(); got != want {
+		t.Fatalf("exposition drifted.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		RecordEmbed(EmbedSample{Alg: alg, Elapsed: time.Millisecond, PathTreeNodes: 125})
+	}); allocs != 0 {
+		t.Fatalf("steady-state RecordEmbed with a path-tree sample allocates %.1f objects, want 0", allocs)
 	}
 }
 
