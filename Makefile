@@ -2,22 +2,31 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine server-single-writer short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
 # check is the pre-commit gate: build, vet, the full test suite, the race
 # detector (the telemetry registry is written from concurrent trial
 # runners, so -race is load-bearing here, not ceremony), the
-# one-goroutine-per-embed contract, and a short fuzz of the search-kernel
-# priority queues.
-check: build vet test race core-single-goroutine fuzz-smoke
+# one-goroutine-per-embed contract, the one-writer-of-flow-state contract,
+# and a short fuzz of the search-kernel priority queues.
+check: build vet test race core-single-goroutine server-single-writer fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
 core-single-goroutine:
 	@if grep -nE '^[[:space:]]*go[[:space:]]' $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/core starts a goroutine: an embed must stay on its caller's"; exit 1; \
+	fi
+
+# The flow tables and the live ledger belong to internal/flowstate, and
+# live traffic and WAL replay change them through the same Apply (DESIGN
+# §19): the hand-written replay mirror, the second (re-protect) controller
+# and the released-mid-repair side table must not grow back in the server.
+server-single-writer:
+	@if grep -nE 'replayRecord|commitReprotect|reprotectOne|dropped[[:space:]]+map\[' $$(ls internal/server/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/server mutates flow state beside flowstate.Apply"; exit 1; \
 	fi
 
 # fuzz-smoke runs the search-kernel fuzzers briefly. The bucket queue and
@@ -74,11 +83,8 @@ BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
 # refuses to compare results recorded at different procs: pin it, so a
 # ledger means the same thing on a 2-core sandbox and a 4-core CI runner.
 BENCH_CPU ?= 2
-# -timeout 30m: the serve-throughput family (plain + three fsync
-# policies) alone runs several minutes at the default benchtime, which
-# busts go test's 10m per-package default.
 bench-json:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -timeout 30m -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./internal/wal/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./internal/wal/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
 	@cat $(BENCH_RAW)
 	$(GO) run ./cmd/dagsfc-bench -parse-bench $(BENCH_RAW) -bench-label $(BENCH_LABEL) -bench-out $(BENCH_JSON)
 
@@ -97,13 +103,9 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-# -guard-serve-old adds the durability-tax check: the serve throughput
-# with the WAL on but fsync off must stay within the same limit of the
-# baseline's WAL-less BenchmarkServeThroughput.
 BENCH_GUARD_OLD ?= BENCH_PR20.json
-BENCH_GUARD_SERVE_OLD ?= BENCH_PR16.json
 bench-guard: bench-json
-	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON) -guard-serve-old $(BENCH_GUARD_SERVE_OLD)
+	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 
 # serve-smoke boots the control plane in-process on an ephemeral port and
 # drives one full commit/release cycle over real HTTP: residuals must
@@ -155,7 +157,7 @@ durable-smoke:
 # under the race detector on their own so a failure names the culprit
 # directly.
 race-survival:
-	$(GO) test -race ./internal/server/... ./internal/faults/... ./internal/online/... ./internal/wal/... ./internal/core/...
+	$(GO) test -race ./internal/server/... ./internal/flowstate/... ./internal/faults/... ./internal/online/... ./internal/wal/... ./internal/core/...
 
 # Regenerate every table/figure of the paper at full trial count.
 repro:

@@ -27,7 +27,7 @@
 // allocs/op rose more than 5%, or the warm path-cache
 // embed lost its speedup floor:
 //
-//	dagsfc-bench -guard-old BENCH_PR8.json -guard-new BENCH_PR9.json -guard-serve-old BENCH_PR7.json
+//	dagsfc-bench -guard-old BENCH_PR20.json -guard-new BENCH_PR21.json
 package main
 
 import (
@@ -57,14 +57,13 @@ func main() {
 		benchLabel = flag.String("bench-label", "after", "run label to record the parsed benchmarks under")
 		benchOut   = flag.String("bench-out", "BENCH_PR9.json", "benchmark JSON ledger to create or update")
 
-		guardOld      = flag.String("guard-old", "", "baseline benchmark JSON ledger; with -guard-new, compare and exit non-zero on regression (skips the experiment sweep)")
-		guardNew      = flag.String("guard-new", "", "candidate benchmark JSON ledger to check against -guard-old")
-		guardLimit    = flag.Float64("guard-limit", 0.20, "allowed fractional ns/op regression per guarded benchmark")
-		guardServeOld = flag.String("guard-serve-old", "", "pre-durability ledger: the candidate's durability-off serve throughput must stay within -guard-limit of its BenchmarkServeThroughput")
+		guardOld   = flag.String("guard-old", "", "baseline benchmark JSON ledger; with -guard-new, compare and exit non-zero on regression (skips the experiment sweep)")
+		guardNew   = flag.String("guard-new", "", "candidate benchmark JSON ledger to check against -guard-old")
+		guardLimit = flag.Float64("guard-limit", 0.20, "allowed fractional ns/op regression per guarded benchmark")
 	)
 	diag.Main("dagsfc-bench", func() error {
 		if *guardOld != "" || *guardNew != "" {
-			return guardBench(*guardOld, *guardNew, *guardLimit, *guardServeOld)
+			return guardBench(*guardOld, *guardNew, *guardLimit)
 		}
 		if *parseBench != "" {
 			return mergeBench(*parseBench, *benchLabel, *benchOut)
@@ -173,7 +172,7 @@ const failoverSlowdownLimit = 2.0
 // candidate's warm-cache embed lost its speedup floor. Machine-to-machine
 // noise is why the guard compares ledgers produced on the same host (CI
 // regenerates the candidate next to the committed baseline).
-func guardBench(oldPath, newPath string, limit float64, serveOldPath string) error {
+func guardBench(oldPath, newPath string, limit float64) error {
 	if oldPath == "" || newPath == "" {
 		return fmt.Errorf("-guard-old and -guard-new must both be set")
 	}
@@ -313,38 +312,6 @@ func guardBench(oldPath, newPath string, limit float64, serveOldPath string) err
 		}
 		fmt.Printf("guard: failover p99 %.1fus vs baseline %.1fus (limit %.0fx) and repair p50 %.1fus  %s\n",
 			p99, oldP99, failoverSlowdownLimit, p50, verdict)
-	}
-
-	// The durability tax guard: with fsync off, the WAL costs only record
-	// serialization plus buffered writes, and that overhead must stay
-	// within the limit of the pre-durability serve throughput (a
-	// cross-ledger pair: the old ledger predates the durable benchmark).
-	if serveOldPath != "" {
-		serveRun, err := loadAfterRun(serveOldPath)
-		if err != nil {
-			return err
-		}
-		oldServe, okOld := byName(serveRun, "BenchmarkServeThroughput")
-		newDurable, okNew := byName(newRun, "BenchmarkServeThroughputDurable/fsync=off")
-		switch {
-		case !okOld:
-			fmt.Printf("guard: BenchmarkServeThroughput absent from %s; skipping the durability-tax check\n", serveOldPath)
-		case !okNew:
-			failures = append(failures, fmt.Sprintf("BenchmarkServeThroughputDurable/fsync=off missing from candidate %s", newPath))
-		default:
-			if err := benchfmt.CheckSameProcs(oldServe, newDurable); err != nil {
-				return fmt.Errorf("%s vs %s: %w", serveOldPath, newPath, err)
-			}
-			ratio := newDurable.NsPerOp / oldServe.NsPerOp
-			verdict := "ok"
-			if ratio > 1+limit {
-				verdict = "REGRESSED"
-				failures = append(failures, fmt.Sprintf("durability-off serve throughput: %.0f -> %.0f ns/op (%+.1f%%, limit %+.0f%%)",
-					oldServe.NsPerOp, newDurable.NsPerOp, (ratio-1)*100, limit*100))
-			}
-			fmt.Printf("guard: %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
-				"serve durability tax (fsync=off)", oldServe.NsPerOp, newDurable.NsPerOp, (ratio-1)*100, verdict)
-		}
 	}
 
 	if len(failures) > 0 {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,104 +12,9 @@ import (
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
-	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
 )
-
-// BenchmarkServeThroughput measures sustained accepted-flow throughput
-// through the whole serving stack — real HTTP round-trips against an
-// in-process control plane, speculative embed, serialized commit — and
-// reports flows/s plus the client-observed p99 in milliseconds. Each
-// accepted flow is released immediately, so the ledger stays in steady
-// state and every operation is one full admission; the cross-request
-// path-tree cache (on by default) warms within the first few flows and
-// serves the rest, which is the regime the cache was built for.
-func BenchmarkServeThroughput(b *testing.B) {
-	benchServeThroughput(b, "", "")
-}
-
-// BenchmarkServeThroughputDurable is the same workload with the
-// write-ahead log enabled, one sub-benchmark per fsync policy: "off"
-// prices the pure logging overhead (serialization + buffered writes),
-// "batch" adds the group-commit flusher, "commit" adds an fsync to every
-// acknowledgment — the durability/throughput trade the -wal-sync flag
-// exposes.
-func BenchmarkServeThroughputDurable(b *testing.B) {
-	for _, policy := range []string{"off", "batch", "commit"} {
-		b.Run("fsync="+policy, func(b *testing.B) {
-			benchServeThroughput(b, b.TempDir(), policy)
-		})
-	}
-}
-
-func benchServeThroughput(b *testing.B, walDir, walSync string) {
-	srv, addr, stop, err := startSelfServe(50, 10, 1, "off", "text", walDir, walSync)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	defer stop()
-	cl := client.New("http://"+addr, nil)
-	ctx := context.Background()
-
-	// Pre-generate the workload outside the timer (rand.Rand is not
-	// concurrency-safe, and generation cost is not what's being measured).
-	rng := rand.New(rand.NewSource(1))
-	st, err := cl.Network(ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: 10}
-	reqs := make([]server.FlowRequest, b.N)
-	for i := range reqs {
-		dag, err := sfcgen.Generate(cfg, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs[i] = server.FlowRequest{
-			SFC: sfc.Format(dag),
-			Src: rng.Intn(st.Nodes), Dst: rng.Intn(st.Nodes),
-			Rate: 1, Size: 1,
-		}
-	}
-
-	lats := make([]time.Duration, b.N)
-	var accepted atomic.Int64
-	sem := make(chan struct{}, 8)
-	var wg sync.WaitGroup
-	b.ResetTimer()
-	begin := time.Now()
-	for i := range reqs {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t0 := time.Now()
-			info, err := cl.CreateFlow(ctx, reqs[i])
-			if err == nil {
-				accepted.Add(1)
-				_, _ = cl.ReleaseFlow(ctx, info.ID)
-			}
-			lats[i] = time.Since(t0)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
-	b.StopTimer()
-
-	if accepted.Load() == 0 {
-		b.Fatal("no flow was accepted; throughput is meaningless")
-	}
-	b.ReportMetric(float64(accepted.Load())/elapsed.Seconds(), "flows/s")
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	p99 := lats[len(lats)*99/100]
-	if len(lats)*99/100 >= len(lats) {
-		p99 = lats[len(lats)-1]
-	}
-	b.ReportMetric(p99.Seconds()*1000, "p99_ms")
-}
 
 // flowEventSeconds scans a flow's journal timeline for the first event of
 // the given type and returns its recorded stage duration.

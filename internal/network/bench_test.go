@@ -9,7 +9,7 @@ import (
 
 // benchNet builds a 500-node random network with one instance of every
 // regular VNF kind on each node — sized like the paper's simulation
-// topologies, so Clone-vs-Snapshot numbers reflect the server's real
+// topologies, so the Snapshot numbers reflect the server's real
 // snapshot cost.
 func benchNet(b *testing.B) *Network {
 	b.Helper()
@@ -56,19 +56,7 @@ func seedUsage(b *testing.B, l *Ledger, touched int) {
 	}
 }
 
-// BenchmarkLedgerClone is the cost the server used to pay per speculative
-// embed: a full dense copy of the network's usage state.
-func BenchmarkLedgerClone(b *testing.B) {
-	l := NewLedger(benchNet(b))
-	seedUsage(b, l, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = l.Clone()
-	}
-}
-
-// BenchmarkOverlaySnapshot is what it pays now: an O(overlay deltas) copy
+// BenchmarkOverlaySnapshot is what the server pays per speculative embed: an O(overlay deltas) copy
 // of a live overlay carrying ~40 uncommitted touches over the same base.
 func BenchmarkOverlaySnapshot(b *testing.B) {
 	base := NewLedger(benchNet(b))

@@ -199,13 +199,13 @@ func TestOverlayCommitFailsAcrossFault(t *testing.T) {
 
 // TestFaultVisibleThroughSnapshots checks a snapshot taken before the fault
 // observes post-fault residuals immediately (it shares the root), while a
-// Clone taken before the fault keeps the pre-fault view (independent root).
+// Flatten taken before the fault keeps the pre-fault view (independent root).
 func TestFaultVisibleThroughSnapshots(t *testing.T) {
 	net := testNet(t)
 	base := NewLedger(net)
 	live := base.Overlay()
 	snap := live.Snapshot()
-	clone := base.Clone()
+	clone := base.Flatten()
 
 	f := Fault{Kind: FaultLinkDegrade, Link: 2, Fraction: 1}
 	if err := base.ApplyFault(f); err != nil {

@@ -19,7 +19,7 @@ import (
 // an overlay (created by Overlay): a sparse copy-on-write delta over a base
 // ledger. Overlays make speculative embeds O(changes) instead of O(network)
 // — the serving layer hands each worker an overlay snapshot rather than a
-// full Clone — and can be folded back with Commit or dropped with Discard.
+// full copy — and can be folded back with Commit or dropped with Discard.
 // While an overlay is live its base must not be mutated; the overlay reads
 // through to it on every query.
 //
@@ -41,7 +41,7 @@ type Ledger struct {
 
 	// View-epoch machinery (see ViewEpoch). ep holds the counters shared by
 	// every ledger of one family — a root plus everything derived from it
-	// via Overlay/Snapshot/Flatten/Clone. gen counts this ledger's own
+	// via Overlay/Snapshot/Flatten. gen counts this ledger's own
 	// visible mutations; it feeds the pin signatures of descendants that
 	// read through this ledger. view/sig are the ledger's current pin,
 	// guarded by pinMu (mutations re-pin inline, readers validate).
@@ -405,11 +405,11 @@ func (l *Ledger) Discard() {
 // Snapshot returns an independent what-if copy of the ledger's current
 // view. For an overlay this is O(overlay deltas): the copy shares the
 // (frozen) base and clones only the sparse delta maps — the cheap
-// replacement for the per-speculative-embed Clone the server used to pay.
-// For a root ledger it is a full Clone.
+// replacement for the dense per-speculative-embed copy the server used to
+// pay. For a root ledger it is a full Flatten.
 func (l *Ledger) Snapshot() *Ledger {
 	if l.base == nil {
-		return l.Clone()
+		return l.Flatten()
 	}
 	view, sig := l.pinned()
 	return &Ledger{
@@ -461,31 +461,6 @@ func (l *Ledger) Flatten() *Ledger {
 	// from aliasing an epoch whose source chain it no longer shares.
 	c.view = c.ep.state.Add(1)
 	c.sig = c.chainSig()
-	return c
-}
-
-// Clone returns an independent copy of the ledger (sharing the immutable
-// network). Search algorithms use clones for what-if exploration. Cloning
-// an overlay flattens it into a root.
-func (l *Ledger) Clone() *Ledger {
-	if l.base != nil {
-		return l.Flatten()
-	}
-	view, sig := l.pinned()
-	c := &Ledger{
-		net:      l.net,
-		edgeUsed: append([]float64(nil), l.edgeUsed...),
-		instUsed: maps.Clone(l.instUsed),
-		ep:       l.ep,
-		// The clone presents l's exact view right now and reads through
-		// nobody: its pin chain is just its own (zero) counter, so it
-		// inherits l's epoch minus l's own generation term. Later
-		// mutations of l diverge the views, but l re-pins itself then and
-		// stops claiming this epoch.
-		view: view,
-		sig:  sig - l.gen.Load(),
-	}
-	c.quar.Store(l.quar.Load())
 	return c
 }
 

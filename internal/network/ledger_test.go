@@ -91,7 +91,7 @@ func TestLedgerCloneIndependent(t *testing.T) {
 	if err := l.ReserveEdge(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	c := l.Clone()
+	c := l.Flatten()
 	if err := c.ReserveEdge(0, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,10 @@ func ledgersAgree(t *testing.T, a, b *Ledger, context string) {
 	}
 }
 
-// TestOverlayMatchesCloneProperty drives an overlay and a Clone of the same
-// base through a long random interleaving of reserve/release operations and
-// checks their views never diverge — the overlay must be observably a
-// Clone, just cheaper.
+// TestOverlayMatchesCloneProperty drives an overlay and a dense copy
+// (Flatten) of the same base through a long random interleaving of
+// reserve/release operations and checks their views never diverge — the
+// overlay must be observably a full copy, just cheaper.
 func TestOverlayMatchesCloneProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,7 +56,7 @@ func TestOverlayMatchesCloneProperty(t *testing.T) {
 		}
 
 		overlay := base.Overlay()
-		clone := base.Clone()
+		clone := base.Flatten()
 		// Fault events are mirrored onto both roots (the overlay's base and
 		// the independent clone); quarantine must keep the views in lockstep
 		// exactly like reservations do.

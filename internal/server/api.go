@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
 )
 
@@ -45,79 +46,24 @@ type FlowRequest struct {
 // Protection classes for FlowRequest.Protection.
 const (
 	ProtectionNone   = "none"
-	ProtectionBackup = "backup"
+	ProtectionBackup = flowstate.ProtectionBackup
 )
 
-// Cost is the priced breakdown of a committed flow.
-type Cost struct {
-	Total float64 `json:"total"`
-	VNF   float64 `json:"vnf"`
-	Link  float64 `json:"link"`
-}
+// The flow record's wire types live with the state machine that owns the
+// records (internal/flowstate); the API re-exports them.
+type (
+	Cost         = flowstate.Cost
+	FlowInfo     = flowstate.FlowInfo
+	FaultRequest = flowstate.FaultRequest
+)
 
-// Flow lifecycle states. A flow is "active" from commit until release; a
-// substrate fault that strands it moves it to "repairing" while the
-// repair loop re-embeds it; exhausted repairs leave a terminal "evicted"
-// tombstone that stays visible in GET /v1/flows until acknowledged with
-// DELETE.
+// Flow lifecycle states and eviction causes (see flowstate).
 const (
-	FlowStateActive    = "active"
-	FlowStateRepairing = "repairing"
-	FlowStateEvicted   = "evicted"
+	FlowStateActive     = flowstate.StateActive
+	FlowStateRepairing  = flowstate.StateRepairing
+	FlowStateEvicted    = flowstate.StateEvicted
+	CauseProtectionLost = flowstate.CauseProtectionLost
 )
-
-// FlowInfo describes one committed flow: the response of POST /v1/flows
-// and the element of GET /v1/flows.
-type FlowInfo struct {
-	ID      int64     `json:"id"`
-	SFC     string    `json:"sfc"`
-	Src     int       `json:"src"`
-	Dst     int       `json:"dst"`
-	Rate    float64   `json:"rate"`
-	Size    float64   `json:"size"`
-	Alg     string    `json:"alg"`
-	Cost    Cost      `json:"cost"`
-	Created time.Time `json:"created"`
-	// ExpiresAt is set when the flow has a TTL; the server releases it
-	// automatically at that time.
-	ExpiresAt *time.Time `json:"expires_at,omitempty"`
-	// State is the flow's lifecycle state (FlowStateActive, -Repairing or
-	// -Evicted).
-	State string `json:"state,omitempty"`
-	// Repairs counts successful re-embeds after faults stranded the flow.
-	Repairs int `json:"repairs,omitempty"`
-	// LastError is the final re-embed error of an evicted flow.
-	LastError string `json:"last_error,omitempty"`
-	// Protection is the flow's protection class (ProtectionBackup for
-	// flows admitted with a reserved disjoint backup; empty otherwise).
-	Protection string `json:"protection,omitempty"`
-	// BackupActive reports whether a backup embedding is currently
-	// reserved; BackupCost is its priced breakdown (zero when no backup is
-	// live). A failover promotes the backup, so afterwards BackupActive is
-	// false until the re-protect controller reserves a fresh one.
-	BackupActive bool `json:"backup_active,omitempty"`
-	BackupCost   Cost `json:"backup_cost"`
-	// Failovers counts backup promotions after faults killed the primary.
-	Failovers int `json:"failovers,omitempty"`
-	// Cause classifies a terminal eviction beyond LastError:
-	// "protection_lost" marks a flow that held a backup and still could
-	// not be saved (both placements died and repair was exhausted).
-	Cause string `json:"cause,omitempty"`
-}
-
-// CauseProtectionLost marks an evicted flow that had a backup reserved
-// and still lost both placements (FlowInfo.Cause).
-const CauseProtectionLost = "protection_lost"
-
-// FaultRequest is the body of POST /v1/faults and /v1/faults/restore:
-// one substrate fault in wire form. Kind is "link-down", "node-down",
-// "link-degrade" or "edge-down"; Fraction applies to degradations only.
-type FaultRequest struct {
-	Kind     string  `json:"kind"`
-	Link     int     `json:"link,omitempty"`
-	Node     int     `json:"node,omitempty"`
-	Fraction float64 `json:"fraction,omitempty"`
-}
 
 // FaultState is the response of the fault endpoints: the faults currently
 // quarantining capacity plus lifetime apply/restore counters.

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -17,6 +16,7 @@ import (
 	"testing"
 
 	"dagsfc/internal/core"
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
@@ -283,23 +283,23 @@ func TestDurableCrashAtEveryFrameBoundary(t *testing.T) {
 		net := ampleLine()
 		want := network.NewLedger(net)
 		committed := map[int64]bool{}
-		standing := map[int64]walFlow{}
+		standing := map[int64]flowstate.Transition{}
 		var highest int64
 		for _, r := range rec.Tail {
 			highest = max(highest, r.Flow)
 			switch r.Type {
 			case wal.TypeCommit:
-				var wf walFlow
-				if err := json.Unmarshal(r.Data, &wf); err != nil {
+				wf, err := flowstate.Decode(net, r)
+				if err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
-				if _, err := core.Commit(flowProblem(net, want, wf.Info), wf.Sol); err != nil {
+				if _, err := core.Commit(flowProblem(want, wf), wf.Primary); err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
 				committed[r.Flow], standing[r.Flow] = true, wf
 			case wal.TypeRelease:
 				wf := standing[r.Flow]
-				if err := core.Release(flowProblem(net, want, wf.Info), wf.Sol); err != nil {
+				if err := core.Release(flowProblem(want, wf), wf.Primary); err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
 				delete(standing, r.Flow)
@@ -348,11 +348,9 @@ func TestDurableCrashAtEveryFrameBoundary(t *testing.T) {
 	}
 }
 
-func flowProblem(net *network.Network, ledger *network.Ledger, info FlowInfo) *core.Problem {
-	s := &Server{net: net, ledger: ledger}
-	p, err := s.problemFor(info)
-	if err != nil {
-		panic(err)
-	}
-	return p
+// flowProblem binds a decoded commit's problem to ledger.
+func flowProblem(ledger *network.Ledger, commit flowstate.Transition) *core.Problem {
+	p := *commit.Problem
+	p.Ledger = ledger
+	return &p
 }

@@ -3,11 +3,13 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"dagsfc/internal/core"
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/network"
 	"dagsfc/internal/telemetry"
 )
@@ -168,9 +170,9 @@ func (s *Server) handleFault(apply func(network.Fault) (FaultState, error)) http
 			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad JSON: " + err.Error()})
 			return
 		}
-		f, err := faultFromWire(req)
+		f, err := flowstate.FaultFromWire(req)
 		if err != nil {
-			writeError(w, err)
+			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 			return
 		}
 		st, err := apply(f)

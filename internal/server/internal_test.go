@@ -8,6 +8,7 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
+	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
 )
 
@@ -321,16 +322,22 @@ func TestRepairNotChargedForAdmissionRejections(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		<-results // outcome irrelevant: they only existed to jam the queue
 	}
-	// The flow turns active in the commit loop; the repair controller
-	// appends its log entry a moment later, so wait for both.
+	// The flow turns active in the commit loop; the restore controller
+	// journals the outcome a moment later, so wait for both.
+	repaired := func() (last journal.Event) {
+		for _, ev := range srv.journal.Flow(info.ID, 0) {
+			if ev.Type == journal.TypeRepaired {
+				last = ev
+			}
+		}
+		return last
+	}
 	waitCond(t, func() bool {
 		got, ok := srv.Flow(info.ID)
-		return ok && got.State == FlowStateActive && got.Repairs >= 1 && len(srv.RepairLog()) > 0
+		return ok && got.State == FlowStateActive && got.Repairs >= 1 && repaired().Seq != 0
 	})
-	log := srv.RepairLog()
-	last := log[len(log)-1]
-	if last.Flow != info.ID || last.Outcome != "repaired" || last.Attempts < 1 || last.Attempts > 2 {
-		t.Fatalf("repair log tail = %+v, want repaired with 1-2 judged attempts", last)
+	if last := repaired(); last.Attempt < 1 || last.Attempt > 2 {
+		t.Fatalf("repaired event = %+v, want 1-2 judged attempts", last)
 	}
 }
 
@@ -360,9 +367,11 @@ func TestServerRebaseDrainsToSeed(t *testing.T) {
 		}
 		ids = append(ids, info.ID)
 	}
-	if !srv.ledger.IsOverlay() || srv.ledger.OverlayLen() != 0 {
-		t.Fatalf("live ledger not a freshly rebased overlay: overlay=%v len=%d",
-			srv.ledger.IsOverlay(), srv.ledger.OverlayLen())
+	srv.mu.Lock()
+	live, deltas := srv.state.Snapshot(), srv.state.OverlayLen()
+	srv.mu.Unlock()
+	if !live.IsOverlay() || deltas != 0 {
+		t.Fatalf("live ledger not a freshly rebased overlay: overlay=%v len=%d", live.IsOverlay(), deltas)
 	}
 	st := srv.NetworkState()
 	for i, l := range st.Links {

@@ -10,7 +10,7 @@ import (
 	"dagsfc/internal/network"
 )
 
-// White-box protection tests: they inspect the unexported backup table
+// White-box protection tests: they inspect the flow state's placements
 // and hook into ApplyFault's unlocked revalidation phase, so they live
 // inside the package.
 
@@ -46,15 +46,15 @@ func TestBackupDisjointFromPrimary(t *testing.T) {
 	}
 
 	srv.mu.Lock()
-	fl, ok := srv.flows.Get(info.ID)
-	backup := srv.backups[info.ID]
+	fl, ok := srv.state.Placement(info.ID)
 	srv.mu.Unlock()
+	backup := fl.Backup
 	if !ok || backup == nil {
-		t.Fatalf("flow table/backup table incomplete: live=%v backup=%v", ok, backup)
+		t.Fatalf("flow record incomplete: live=%v backup=%v", ok, backup)
 	}
 
 	priEdges := make(map[graph.EdgeID]bool)
-	fl.Solution.VisitEdges(func(e graph.EdgeID) { priEdges[e] = true })
+	fl.Primary.VisitEdges(func(e graph.EdgeID) { priEdges[e] = true })
 	shared := 0
 	backup.VisitEdges(func(e graph.EdgeID) {
 		if priEdges[e] {
@@ -68,8 +68,8 @@ func TestBackupDisjointFromPrimary(t *testing.T) {
 	// Node-disjointness (best effort, but trivially satisfiable here):
 	// no interior node of the primary may host or carry the backup.
 	priNodes := make(map[graph.NodeID]bool)
-	fl.Solution.VisitNodes(func(n graph.NodeID) { priNodes[n] = true })
-	fl.Solution.VisitEdges(func(e graph.EdgeID) {
+	fl.Primary.VisitNodes(func(n graph.NodeID) { priNodes[n] = true })
+	fl.Primary.VisitEdges(func(e graph.EdgeID) {
 		ed := fl.Problem.Net.G.Edge(e)
 		priNodes[ed.A], priNodes[ed.B] = true, true
 	})

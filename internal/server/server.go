@@ -15,9 +15,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -31,6 +29,7 @@ import (
 	"dagsfc/internal/anneal"
 	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
@@ -157,40 +156,23 @@ type Server struct {
 	// the builtin tree searches.
 	protectOpts map[string]core.Options
 
-	// mu guards the live state below. The commit loop takes it to
-	// validate+commit, release paths take it to return capacity, and
-	// read endpoints take it to snapshot — embed workers only hold it
-	// long enough to Snapshot the ledger.
+	// mu guards state, the flow state machine (internal/flowstate): the
+	// live capacity ledger, the one record per known flow, the active
+	// faults. Every mutation is a flowstate.Transition applied under mu by
+	// transitLocked — the commit loop, the release paths, the fault
+	// endpoints and the restore controller all go through it — and read
+	// endpoints take mu to look; embed workers only hold it long enough to
+	// snapshot the ledger.
 	//
-	// ledger is the live capacity state, kept as a copy-on-write overlay
-	// over a frozen root: worker snapshots are then O(overlay deltas)
-	// instead of a full O(network) Clone per speculative embed. Whenever
-	// the overlay outgrows rebaseLen, the commit loop folds it into a
-	// fresh frozen root (Flatten) and starts a new overlay; snapshots
-	// taken before a rebase stay valid — their base is never mutated.
+	// The live ledger is a copy-on-write overlay over a frozen root, so a
+	// worker snapshot is O(overlay deltas) instead of O(network). Whenever
+	// the overlay outgrows rebaseLen, the commit loop has the state fold it
+	// into a fresh frozen root (flowstate.Rebase); snapshots taken before a
+	// rebase stay valid — their base is never mutated.
 	mu        sync.Mutex
-	ledger    *network.Ledger
+	state     *flowstate.State
 	rebaseLen int
-	flows     *online.FlowTable[int64]
-	meta      map[int64]FlowInfo
 	wheel     *online.ExpiryWheel[int64]
-	// Survivability state, also under mu: the faults currently
-	// quarantining capacity, lifetime counters, the terminal repair log,
-	// and the IDs of repairing flows their owner released mid-repair (the
-	// repair controller and commit loop abandon those).
-	activeFaults   []network.Fault
-	faultsApplied  int
-	faultsRestored int
-	repairLog      []RepairEvent
-	dropped        map[int64]bool
-	// repairFault remembers which fault stranded each repairing flow, so
-	// snapshots can persist it and recovery can re-enqueue the repair.
-	repairFault map[int64]FaultRequest
-	// backups holds the reserved backup embedding of every protected flow
-	// (internal/server/protect.go). Reservations live in the ledger under
-	// the flow's ID alongside the primary's; a fault killing the primary
-	// promotes the backup in place instead of stranding the flow.
-	backups map[int64]*core.Solution
 	// revalHook, when set (tests only), runs once per candidate flow
 	// during ApplyFault's unlocked revalidation phase — the contention
 	// regression test parks it to prove a large fault scan no longer
@@ -201,16 +183,16 @@ type Server struct {
 	// walAppends counts records since the last snapshot (the periodic
 	// snapshot trigger); walBroken latches a disk error — the server keeps
 	// serving from memory but stops appending, and says so on /healthz.
-	// admitMu orders admit records, which are enqueued without mu, against
-	// snapshots. walBuf and walEnc encode commit payloads without a fresh
-	// buffer per flow; both under mu.
+	// walEnc frames transitions into records through one reused buffer,
+	// under mu.
 	wal        *wal.Log
 	walAppends atomic.Int64
 	walBroken  atomic.Bool
-	admitMu    sync.Mutex
-	walBuf     bytes.Buffer
-	walEnc     *json.Encoder
+	walEnc     flowstate.Encoder
 
+	// nextID allocates flow IDs at admission, lock-free; the state keeps
+	// the durable high-water mark (every admitted ID is an Admit
+	// transition) and recovery resumes the allocator from it.
 	nextID atomic.Int64
 
 	// journal is the flight recorder: every decision point below appends
@@ -220,8 +202,10 @@ type Server struct {
 	// timeline under its ID.
 	journal *journal.Journal
 
-	// The repair controller: a single goroutine draining an unbounded
-	// queue of fault-stranded flows, one at a time.
+	// The restore controller (survive.go): a single goroutine draining an
+	// unbounded queue of flows a fault left short of something — stranded
+	// without a primary, or live without the backup they were admitted
+	// with — one at a time.
 	repairMu   sync.Mutex
 	repairQ    []*repairTask
 	repairBusy int
@@ -259,7 +243,6 @@ type job struct {
 	embed    Embedder
 	embedCtx ctxEmbedder
 	ttl      time.Duration
-	begin    time.Time
 	retries  int
 	res      *core.Result
 	// cost is the price and the resource usage of res.Solution, settled by
@@ -269,24 +252,28 @@ type job struct {
 	finished atomic.Bool
 	done     chan jobResult
 	// Stage timestamps for the journal and the per-stage histograms:
-	// enqueuedAt→dequeuedAt is queue wait, embedDone→commit decision is
-	// commit wait.
+	// enqueuedAt→dequeue is queue wait, embedDone→commit decision is
+	// commit wait. queued is held across a send into the admission queue
+	// and the journaling of it.
+	queued     sync.Mutex
 	enqueuedAt time.Time
-	dequeuedAt time.Time
 	embedDone  time.Time
-	// repair marks a re-embed issued by the repair controller: the commit
-	// loop re-registers the flow under its original ID instead of
-	// allocating a new one.
+	// repair marks a job issued by the restore controller for a flow that
+	// already has an identity: the worker reads off the flow's record
+	// which search it needs, and the commit re-registers the flow under
+	// its original ID or arms its backup. need is what the controller
+	// found the flow lacking when it issued the job.
 	repair *repairTask
+	need   flowstate.Need
 	// backup is the disjoint second embedding of a protected admission
 	// (req.Protection == ProtectionBackup), produced by the worker on the
 	// same snapshot as the primary with the primary's capacity already
 	// reserved; the commit loop reserves both or neither.
 	backup *core.Result
-	// reprotectAgainst is the live primary a re-protect's ban sets were
-	// derived from; the commit loop refuses the backup if the primary
-	// moved in between (protect.go).
-	reprotectAgainst *core.Solution
+	// against marks a restore job that embeds only a backup (res is then
+	// that backup): it is the live primary the ban sets were derived from,
+	// and the commit refuses the backup if the primary moved in between.
+	against *core.Solution
 }
 
 // ctxEmbedder is the optional context-aware embedding signature; the
@@ -353,10 +340,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WALSnapshotEvery == 0 {
 		cfg.WALSnapshotEvery = 1024
 	}
-	rebaseLen := cfg.Net.G.NumEdges()
-	if rebaseLen < 64 {
-		rebaseLen = 64
-	}
 	// Views are keyed by their content, so the cache needs no invalidation
 	// hooks from the commit loop or the fault endpoints.
 	var cache *graph.TreeCache
@@ -372,13 +355,8 @@ func New(cfg Config) (*Server, error) {
 		embedder:    builtinEmbedders(cfg.Seed, cache),
 		embedCtx:    builtinCtxEmbedders(cache),
 		protectOpts: builtinOptions(cache),
-		ledger:      network.NewLedger(cfg.Net).Overlay(),
-		rebaseLen:   rebaseLen,
-		flows:       online.NewFlowTable[int64](),
-		meta:        make(map[int64]FlowInfo),
-		dropped:     make(map[int64]bool),
-		repairFault: make(map[int64]FaultRequest),
-		backups:     make(map[int64]*core.Solution),
+		state:       flowstate.New(cfg.Net),
+		rebaseLen:   max(64, cfg.Net.G.NumEdges()),
 		admit:       make(chan *job, cfg.QueueDepth),
 		commit:      make(chan *job, cfg.QueueDepth+cfg.Workers),
 		repairKick:  make(chan struct{}, 1),
@@ -386,7 +364,6 @@ func New(cfg Config) (*Server, error) {
 		journal:     journal.New(cfg.JournalSize, cfg.Logger),
 		brk:         breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 	}
-	s.walEnc = json.NewEncoder(&s.walBuf)
 	// Breaker transitions are journaled via this hook; safe because the
 	// journal never calls back into the breaker.
 	s.brk.onTransition = func(state string) {
@@ -427,7 +404,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		telemetry.InitWALMetrics()
 	}
-	s.wheel = online.NewExpiryWheel[int64](func(id int64) { _, _ = s.release(id, "expired") })
+	s.wheel = online.NewExpiryWheel[int64](func(id int64) { _, _ = s.release(id, flowstate.Expire) })
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -440,7 +417,10 @@ func New(cfg Config) (*Server, error) {
 		s.finishRecovery(recovered)
 	}
 	telemetry.SetServerQueueDepth(0)
-	telemetry.SetServerActiveFlows(s.ActiveFlows())
+	s.mu.Lock()
+	telemetry.SetServerActiveFlows(s.state.Active())
+	telemetry.SetBackupsActive(s.state.Backups())
+	s.mu.Unlock()
 	if cfg.BreakerFailures > 0 {
 		telemetry.SetBreakerState(0, false)
 	}
@@ -597,52 +577,31 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	j := &job{
 		ctx: ctx, id: s.nextID.Add(1),
 		req: req, dag: dag, alg: alg, embed: embed, embedCtx: embedCtx, ttl: ttl,
-		begin: begin, done: make(chan jobResult, 1),
+		done: make(chan jobResult, 1),
 	}
 
-	s.drainMu.RLock()
-	if s.draining {
-		s.drainMu.RUnlock()
+	if err := s.enqueue(j, ""); err != nil {
 		if probe {
 			s.brk.abortProbe()
 		}
 		s.journal.Append(journal.Event{
-			Type: journal.TypeRejected, Flow: j.id, Alg: alg, Err: ErrDraining.Error(),
+			Type: journal.TypeRejected, Flow: j.id, Alg: alg, Err: err.Error(),
 		})
-		telemetry.RecordServerRequest("flows.create", "draining", time.Since(begin))
-		return FlowInfo{}, ErrDraining
-	}
-	// Add before the send: Drain sets draining under the write lock
-	// before waiting on inflight, so an Add under the read lock with
-	// draining still false happens-before that Wait.
-	s.inflight.Add(1)
-	// Stamp before the send: once the job is in the queue a worker owns it
-	// (and reads enqueuedAt), so this goroutine must not touch it again.
-	enqueued := time.Now()
-	j.enqueuedAt = enqueued
-	var admitted uint64
-	select {
-	case s.admit <- j:
-		s.drainMu.RUnlock()
-		// Persist the ID high-water mark so a recovered server never
-		// re-issues this ID, even if this request ends up rejected.
-		admitted = s.walAdmit(j.id)
-		s.journal.Append(journal.Event{
-			Time: enqueued, Type: journal.TypeEnqueue, Flow: j.id, Alg: alg,
-		})
-		telemetry.SetServerQueueDepth(len(s.admit))
-	default:
-		s.inflight.Done()
-		s.drainMu.RUnlock()
-		if probe {
-			s.brk.abortProbe()
+		outcome := "overflow"
+		if errors.Is(err, ErrDraining) {
+			outcome = "draining"
 		}
-		s.journal.Append(journal.Event{
-			Type: journal.TypeRejected, Flow: j.id, Alg: alg, Err: ErrQueueFull.Error(),
-		})
-		telemetry.RecordServerRequest("flows.create", "overflow", time.Since(begin))
-		return FlowInfo{}, ErrQueueFull
+		telemetry.RecordServerRequest("flows.create", outcome, time.Since(begin))
+		return FlowInfo{}, err
 	}
+	// Persist the ID high-water mark so a recovered server never re-issues
+	// this ID, even if this request ends up rejected. An acceptance never
+	// waits on this ticket (its commit record comes later in the same log,
+	// so that record's fsync covers it); a rejection does, before it
+	// answers.
+	s.mu.Lock()
+	_, admitted, _ := s.transitLocked(flowstate.Transition{Kind: flowstate.Admit, Flow: j.id})
+	s.mu.Unlock()
 
 	// The response parks on a flush ticket: an acceptance waits for its
 	// commit record — the admit record precedes it in the log, so the same
@@ -673,6 +632,46 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 		// reply is imminent and authoritative (the flow may be committed).
 		return settle(<-j.done)
 	}
+}
+
+// enqueue puts j on the admission queue — Submit's requests and the
+// restore controller's jobs alike — or says why not: ErrDraining, or
+// ErrQueueFull when the bounded queue cannot hold it.
+func (s *Server) enqueue(j *job, detail string) error {
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	if s.draining {
+		return ErrDraining
+	}
+	// Add before the send: Drain sets draining under the write lock
+	// before waiting on inflight, so an Add under the read lock with
+	// draining still false happens-before that Wait.
+	s.inflight.Add(1)
+	if !s.send(j, detail) {
+		s.inflight.Done()
+		return ErrQueueFull
+	}
+	return nil
+}
+
+// send offers j to the admission queue without blocking and, if it went
+// in, journals the enqueue — ahead of anything a worker journals about j:
+// the worker that receives j waits on j.queued first.
+func (s *Server) send(j *job, detail string) bool {
+	j.queued.Lock()
+	defer j.queued.Unlock()
+	j.enqueuedAt = time.Now()
+	select {
+	case s.admit <- j:
+	default:
+		return false
+	}
+	s.journal.Append(journal.Event{
+		Time: j.enqueuedAt, Type: journal.TypeEnqueue, Flow: j.id, Alg: j.alg,
+		Attempt: j.retries, Detail: detail,
+	})
+	telemetry.SetServerQueueDepth(len(s.admit))
+	return true
 }
 
 // recordDecision emits the server and shared-online metric families for a
@@ -723,7 +722,9 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 
 // worker is one speculative embedder: it snapshots the ledger, runs the
 // search against the snapshot without holding any lock, and hands the
-// candidate solution to the commit loop.
+// candidate solution to the commit loop. Which search runs is read off
+// what the flow lacks: a new flow or a stranded one lacks a primary; a
+// live protected flow whose backup was promoted or lost lacks a backup.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for j := range s.admit {
@@ -733,59 +734,46 @@ func (s *Server) worker() {
 			s.inflight.Done()
 			continue
 		}
-		j.dequeuedAt = time.Now()
-		if !j.enqueuedAt.IsZero() {
-			wait := j.dequeuedAt.Sub(j.enqueuedAt)
-			s.journal.Append(journal.Event{
-				Time: j.dequeuedAt, Type: journal.TypeDequeue, Flow: j.id,
-				Attempt: j.retries, Seconds: wait.Seconds(),
-			})
-			telemetry.RecordServerStage(telemetry.StageQueueWait, wait)
+		j.queued.Lock() // the enqueuer is done journaling
+		j.queued.Unlock()
+		dequeued := time.Now()
+		wait := dequeued.Sub(j.enqueuedAt)
+		s.journal.Append(journal.Event{
+			Time: dequeued, Type: journal.TypeDequeue, Flow: j.id,
+			Attempt: j.retries, Seconds: wait.Seconds(),
+		})
+		telemetry.RecordServerStage(telemetry.StageQueueWait, wait)
+		// One lock hold reads everything the embed depends on, so a backup's
+		// ban sets and the snapshot carrying the primary's reservations
+		// describe the same moment.
+		detail := ""
+		s.mu.Lock()
+		snap := s.state.Snapshot()
+		need, _ := s.state.Lacks(j.id)
+		if need == flowstate.NeedBackup {
+			pl, _ := s.state.Placement(j.id)
+			j.against, detail = pl.Primary, "re-protect"
 		}
-		if j.repair != nil && j.repair.reprotect {
-			// A re-protect embeds only a fresh backup for a still-live
-			// primary; it has its own snapshot discipline (protect.go).
-			s.reprotectEmbed(j)
+		s.mu.Unlock()
+		if need != j.need { // a new flow has no record and needs nothing restored
+			// Released, restored by another hand or re-stranded by a newer
+			// fault while the job queued.
+			s.finish(j, jobResult{err: fmt.Errorf("%w: flow %d no longer needs this restore", ErrNotFound, j.id)})
 			continue
 		}
-		s.mu.Lock()
-		snap := s.ledger.Snapshot()
-		s.mu.Unlock()
 		p := &core.Problem{
 			Net: s.net, Ledger: snap, SFC: j.dag,
 			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
 			Rate: j.req.Rate, Size: j.req.Size,
 		}
-		s.journal.Append(journal.Event{
-			Type: journal.TypeEmbedStart, Flow: j.id, Alg: j.alg, Attempt: j.retries,
-		})
-		embedBegin := time.Now()
-		res, err := s.runEmbed(j, p)
+		res, err := s.search(j, p, j.against, detail)
 		j.embedDone = time.Now()
-		embedDur := j.embedDone.Sub(embedBegin)
-		telemetry.RecordServerStage(telemetry.StageEmbed, embedDur)
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// The ctx-aware search stopped cooperatively; report it as
-				// the timeout it is, not an embedding failure.
-				err = fmt.Errorf("%w: embed cancelled: %v", ErrTimeout, err)
-			}
-			s.journal.Append(journal.Event{
-				Time: j.embedDone, Type: journal.TypeEmbedDone, Flow: j.id,
-				Alg: j.alg, Attempt: j.retries, Seconds: embedDur.Seconds(),
-				Workers: s.cfg.Workers, Err: err.Error(),
-			})
 			s.finish(j, jobResult{err: err})
 			continue
 		}
-		s.journal.Append(journal.Event{
-			Time: j.embedDone, Type: journal.TypeEmbedDone, Flow: j.id,
-			Alg: j.alg, Attempt: j.retries, Seconds: embedDur.Seconds(),
-			Cost: res.Cost.Total(), Nodes: res.Stats.TreeNodes,
-			Workers: s.cfg.Workers,
-		})
 		j.res, j.cost = res, res.Cost
-		if j.embedCtx == nil {
+		if j.against == nil && j.embedCtx == nil {
 			// Not one of core's tree searches, which validate and price what
 			// they return: check the placement's structure and take its usage
 			// here, off the lock, so the commit loop can trust both.
@@ -798,12 +786,59 @@ func (s *Server) worker() {
 			// Protected admission: reserve the primary on the private
 			// snapshot, then search for a disjoint backup against what
 			// remains. Failure is terminal — no backup, no admission.
-			if !s.admitBackup(j, p) {
+			if err := core.Reserve(p, j.cost.Usage); err != nil {
+				// The primary came out of this very snapshot; failing to
+				// reserve it there is a pipeline bug, not a capacity race.
+				s.finish(j, jobResult{err: fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)})
+				continue
+			}
+			if j.backup, err = s.search(j, p, res.Solution, "backup"); err != nil {
+				s.finish(j, jobResult{err: err})
 				continue
 			}
 		}
 		s.commit <- j
 	}
+}
+
+// search runs one speculative embed for j on p's ledger and journals it
+// under detail: the job's own algorithm when against is nil, otherwise the
+// ban-seeded search for a backup disjoint from against ("backup" for the
+// second embed of a protected admission, "re-protect" for a live flow that
+// lost or spent its backup) — p's ledger must then already carry against's
+// reservations.
+func (s *Server) search(j *job, p *core.Problem, against *core.Solution, detail string) (res *core.Result, err error) {
+	s.journal.Append(journal.Event{
+		Type: journal.TypeEmbedStart, Flow: j.id, Alg: j.alg, Attempt: j.retries, Detail: detail,
+	})
+	begin := time.Now()
+	if against == nil {
+		res, err = s.runEmbed(j, p)
+	} else {
+		res, err = s.embedBackup(j.ctx, j.alg, p, against)
+	}
+	done := time.Now()
+	telemetry.RecordServerStage(telemetry.StageEmbed, done.Sub(begin))
+	ev := journal.Event{
+		Time: done, Type: journal.TypeEmbedDone, Flow: j.id, Alg: j.alg, Attempt: j.retries,
+		Seconds: done.Sub(begin).Seconds(), Workers: s.cfg.Workers, Detail: detail,
+	}
+	switch {
+	case err == nil:
+		ev.Cost, ev.Nodes = res.Cost.Total(), res.Stats.TreeNodes
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The ctx-aware search stopped cooperatively; report it as the
+		// timeout it is, not an embedding failure.
+		err = fmt.Errorf("%w: embed cancelled: %v", ErrTimeout, err)
+	case against != nil:
+		err = fmt.Errorf("no disjoint backup placement: %w", err)
+		telemetry.RecordBackupAdmitFailure()
+	}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	s.journal.Append(ev)
+	return res, err
 }
 
 // runEmbed executes the job's embedder, preferring the context-aware
@@ -822,10 +857,52 @@ func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error)
 	return j.embed(p)
 }
 
+// transition turns a job's embedding into the state change that commits
+// it: a backup for a live flow that lacks one, otherwise the flow itself —
+// new, or (Repair) re-registered under its original identity. detail
+// labels the commit's journal events.
+func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
+	if j.against != nil {
+		return flowstate.Transition{
+			Kind: flowstate.Backup, Flow: j.id, Primary: j.against,
+			Backup: j.res.Solution, BackupUsage: j.cost.Usage,
+			Info: FlowInfo{BackupCost: flowstate.CostOf(j.cost)},
+		}, "re-protect"
+	}
+	t = flowstate.Transition{
+		Kind: flowstate.Commit, Flow: j.id, Repair: j.repair != nil,
+		Problem: &core.Problem{
+			Net: s.net, SFC: j.dag,
+			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
+			Rate: j.req.Rate, Size: j.req.Size,
+		},
+		Primary: j.res.Solution, Usage: j.cost.Usage,
+		Info: FlowInfo{
+			ID: j.id, SFC: sfc.Format(j.dag),
+			Src: j.req.Src, Dst: j.req.Dst, Rate: j.req.Rate, Size: j.req.Size,
+			Alg: j.alg, Cost: flowstate.CostOf(j.cost),
+			Created: time.Now(), State: FlowStateActive,
+		},
+	}
+	if j.ttl > 0 {
+		at := t.Info.Created.Add(j.ttl)
+		t.Info.ExpiresAt = &at
+	}
+	if j.backup != nil {
+		t.Backup, t.BackupUsage = j.backup.Solution, j.backup.Cost.Usage
+		t.Info.Protection, t.Info.BackupActive = ProtectionBackup, true
+		t.Info.BackupCost = flowstate.CostOf(j.backup.Cost)
+	}
+	return t, ""
+}
+
 // commitLoop is the single writer that turns speculative results into
-// ledger reservations. Validation against the live ledger decides
-// between commit, bounded re-queue (stale snapshot) and rejection; the
-// job is claimed only at the final decision, so a request that times out
+// ledger reservations. The placement's structure was validated off the
+// lock, in full, by whoever produced j.cost; what is left to decide is
+// whether it still fits the live ledger (eqs. 2–3) and whether the flow is
+// still waiting for it — the state's Check. That verdict chooses between
+// commit, bounded re-queue (stale snapshot) and rejection; the job is
+// claimed only at the final decision, so a request that times out
 // mid-retry is discarded cleanly.
 func (s *Server) commitLoop() {
 	defer s.commitWG.Done()
@@ -834,56 +911,30 @@ func (s *Server) commitLoop() {
 			s.inflight.Done()
 			continue
 		}
-		if j.repair != nil && j.repair.reprotect {
-			// A re-protect reserves only a backup for a live primary; its
-			// commit protocol is its own (protect.go).
-			s.commitReprotect(j)
-			continue
-		}
+		t, detail := s.transition(j)
 		s.journal.Append(journal.Event{
-			Type: journal.TypeCommitAttempt, Flow: j.id, Attempt: j.retries,
+			Type: journal.TypeCommitAttempt, Flow: j.id, Attempt: j.retries, Detail: detail,
 		})
-		// The live ledger pointer is read under mu: a rebase may swap it
-		// for a freshly flattened overlay at any commit.
 		s.mu.Lock()
-		p := &core.Problem{
-			Net: s.net, Ledger: s.ledger, SFC: j.dag,
-			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
-			Rate: j.req.Rate, Size: j.req.Size,
-		}
-		// The placement's structure was validated off the lock, in full, by
-		// whoever produced j.cost; solution and network are immutable, so
-		// what is left to decide here is whether it still fits the live
-		// ledger (eqs. 2–3).
-		verr := core.CheckCapacity(p, j.cost.Usage)
-		if verr == nil && j.backup != nil {
-			// A protected admission commits both placements or neither:
-			// check the pair fits the live ledger together before claiming.
-			verr = s.pairFitsLocked(p, j)
-		}
-		if err := verr; err != nil {
+		if err := s.state.Check(t); err != nil {
 			s.mu.Unlock()
+			if errors.Is(err, flowstate.ErrStale) {
+				// Released, or restored already, while the embed ran.
+				s.finish(j, jobResult{err: fmt.Errorf("%w: %v", ErrNotFound, err)})
+				continue
+			}
 			telemetry.RecordOnlineCommitFailure()
 			s.journal.Append(journal.Event{
 				Type: journal.TypeCommitConflict, Flow: j.id, Attempt: j.retries,
-				Err: err.Error(),
+				Detail: detail, Err: err.Error(),
 			})
 			if j.retries < s.cfg.CommitRetries {
 				j.retries++
 				j.res, j.cost = nil, core.CostBreakdown{}
-				j.backup = nil
+				j.backup, j.against = nil, nil
 				// Non-blocking: a full queue means the server is loaded
 				// enough that retrying would only add to the herd.
-				enqueued, attempt := time.Now(), j.retries
-				j.enqueuedAt = enqueued
-				select {
-				case s.admit <- j:
-					s.journal.Append(journal.Event{
-						Time: enqueued, Type: journal.TypeEnqueue, Flow: j.id,
-						Attempt: attempt, Detail: "conflict retry",
-					})
-					telemetry.SetServerQueueDepth(len(s.admit))
-				default:
+				if !s.send(j, "conflict retry") {
 					s.finish(j, jobResult{err: fmt.Errorf("%w (queue full on retry): %v", ErrCommitConflict, err)})
 				}
 				continue
@@ -891,135 +942,100 @@ func (s *Server) commitLoop() {
 			s.finish(j, jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)})
 			continue
 		}
-		// A repair whose flow was released mid-flight must not re-reserve;
-		// the dropped flag stays for the controller to consume.
-		if j.repair != nil && s.dropped[j.repair.id] {
-			s.mu.Unlock()
-			s.finish(j, jobResult{err: fmt.Errorf("%w: flow %d released during repair", ErrNotFound, j.repair.id)})
-			continue
-		}
-		// Feasible against the live ledger. Claim the job before
-		// reserving so a commit never outlives a timed-out request.
+		// It fits. Claim the job before reserving so a commit never outlives
+		// a timed-out request.
 		if !j.finished.CompareAndSwap(false, true) {
 			s.mu.Unlock()
 			s.inflight.Done()
 			continue
 		}
-		cb := j.cost
-		if err := core.Reserve(p, cb.Usage); err != nil {
-			// The capacity check just passed under the same lock; this is a
-			// bug guard, not a reachable conflict path.
-			s.mu.Unlock()
+		// The record is framed here, under the lock, so the log keeps the
+		// ledger's mutation order; it reaches stable storage (per the sync
+		// policy) when the submitter waits on the ticket, before the caller
+		// is acknowledged.
+		ch, ticket, err := s.transitLocked(t)
+		// Rebase once the overlay's delta maps outgrow the point where
+		// snapshots stay cheaper than a dense copy. In-flight snapshots
+		// keep the old (frozen) base; new ones start from the flat root.
+		if err == nil && s.state.OverlayLen() > s.rebaseLen {
+			_, _ = s.state.Apply(flowstate.Transition{Kind: flowstate.Rebase})
+		}
+		s.mu.Unlock()
+		if err != nil {
+			// Check just passed under the same lock; this is a bug guard,
+			// not a reachable conflict path.
 			telemetry.RecordOnlineCommitFailure()
 			j.done <- jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)}
 			s.inflight.Done()
 			continue
 		}
-		var backupCost Cost
-		if j.backup != nil {
-			bcb := j.backup.Cost
-			if berr := core.Reserve(p, bcb.Usage); berr != nil {
-				// The pair validated moments ago under this same lock; a
-				// failure here is the same bug-guard class as the primary's,
-				// but the primary is already reserved — undo it.
-				_ = core.Release(p, j.res.Solution)
-				s.mu.Unlock()
-				telemetry.RecordOnlineCommitFailure()
-				j.done <- jobResult{err: fmt.Errorf("%w: backup: %v", ErrCommitConflict, berr)}
-				s.inflight.Done()
-				continue
-			}
-			backupCost = Cost{Total: bcb.Total(), VNF: bcb.VNFCost, Link: bcb.LinkCost}
+		now := time.Now()
+		took := now.Sub(j.embedDone) // commit wait
+		if t.Kind == flowstate.Backup {
+			took = now.Sub(j.repair.strandedAt)
 		}
-		var id int64
-		var info FlowInfo
-		if j.repair != nil {
-			// Re-register under the original identity: same ID, same TTL
-			// deadline, fresh cost, one more repair on the odometer.
-			id = j.repair.id
-			info = j.repair.info
-			info.State = FlowStateActive
-			info.Repairs++
-			info.LastError = ""
-			info.Cost = Cost{Total: cb.Total(), VNF: cb.VNFCost, Link: cb.LinkCost}
-		} else {
-			id = j.id
-			info = FlowInfo{
-				ID: id, SFC: sfc.Format(j.dag),
-				Src: j.req.Src, Dst: j.req.Dst, Rate: j.req.Rate, Size: j.req.Size,
-				Alg:     j.alg,
-				Cost:    Cost{Total: cb.Total(), VNF: cb.VNFCost, Link: cb.LinkCost},
-				Created: time.Now(),
-				State:   FlowStateActive,
-			}
-			if j.ttl > 0 {
-				at := info.Created.Add(j.ttl)
-				info.ExpiresAt = &at
-			}
-			if j.backup != nil {
-				info.Protection = ProtectionBackup
-				info.BackupActive = true
-				info.BackupCost = backupCost
-			}
+		s.emit(t, ch, journal.Event{Time: now, Attempt: j.retries}, took)
+		if t.Kind == flowstate.Commit && ch.Info.ExpiresAt != nil {
+			s.wheel.Schedule(j.id, *ch.Info.ExpiresAt)
 		}
-		s.standFlow(id, p, j.res.Solution)
-		s.meta[id] = info
-		var walBackupSol *core.Solution
-		if j.backup != nil {
-			s.backups[id] = j.backup.Solution
-			walBackupSol = j.backup.Solution
-			telemetry.SetBackupsActive(len(s.backups))
-		}
-		if j.repair != nil {
-			delete(s.repairFault, id)
-		}
-		// The commit record is framed here, under the lock, so the log keeps
-		// the ledger's mutation order; it reaches stable storage (per the
-		// sync policy) when the submitter waits on the ticket, before the
-		// caller is acknowledged.
-		ticket := s.walCommitLocked(id, walFlow{Info: info, Sol: j.res.Solution, Backup: walBackupSol})
-		telemetry.RecordOverlayCommit()
-		telemetry.SetServerActiveFlows(s.flows.Len())
-		// Rebase once the overlay's delta maps outgrow the point where
-		// snapshots stay cheaper than a dense Clone. In-flight snapshots
-		// keep the old (frozen) base; new ones start from the flat root.
-		if s.ledger.OverlayLen() > s.rebaseLen {
-			s.ledger = s.ledger.Flatten().Overlay()
-		}
-		s.mu.Unlock()
-		committedAt := time.Now()
-		ev := journal.Event{
-			Time: committedAt, Type: journal.TypeCommitted, Flow: id,
-			Attempt: j.retries, Alg: j.alg, Cost: info.Cost.Total,
-		}
-		if !j.embedDone.IsZero() {
-			wait := committedAt.Sub(j.embedDone)
-			ev.Seconds = wait.Seconds()
-			telemetry.RecordServerStage(telemetry.StageCommitWait, wait)
-		}
-		s.journal.Append(ev)
-		if j.backup != nil {
-			s.journal.Append(journal.Event{
-				Type: journal.TypeProtected, Flow: id, Alg: j.alg,
-				Cost: backupCost.Total,
-			})
-		}
-		if info.ExpiresAt != nil {
-			s.wheel.Schedule(id, *info.ExpiresAt)
-		}
-		j.done <- jobResult{info: info, ticket: ticket}
+		j.done <- jobResult{info: ch.Info, ticket: ticket}
 		s.inflight.Done()
 	}
 }
 
-// standFlow enters a committed placement into the flow table. The standing
-// flow keeps its problem but not the ledger it was committed on: every
-// later use binds the ledger of its own moment — a rebase replaces the live
-// one — and a retained pointer would pin that whole superseded overlay and
-// its root in memory for as long as the flow stands.
-func (s *Server) standFlow(id int64, p *core.Problem, sol *core.Solution) {
-	p.Ledger = nil
-	s.flows.Add(id, online.Flow{Problem: p, Solution: sol})
+// emit publishes an applied transition: the journal event that reports it
+// and the counters it moves. ev carries what only the caller knows (Time,
+// Attempt, Err); took is the duration the event reports, for the kinds
+// that report one.
+func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Event, took time.Duration) {
+	ev.Flow = t.Flow
+	switch t.Kind {
+	case flowstate.Commit:
+		ev.Type, ev.Alg, ev.Cost, ev.Seconds = journal.TypeCommitted, ch.Info.Alg, ch.Info.Cost.Total, took.Seconds()
+		telemetry.RecordServerStage(telemetry.StageCommitWait, took)
+		telemetry.RecordOverlayCommit()
+	case flowstate.Backup:
+		ev.Type, ev.Alg, ev.Cost, ev.Seconds = journal.TypeReprotected, ch.Info.Alg, ch.Info.BackupCost.Total, took.Seconds()
+		telemetry.RecordReprotect()
+	case flowstate.Release, flowstate.Expire:
+		ev.Type = journal.TypeReleased
+		if t.Kind == flowstate.Expire {
+			ev.Type = journal.TypeExpired
+			telemetry.RecordServerRequest("flows.expire", "ok", 0)
+		}
+		// A flow can be known without holding resources: mid-repair, or an
+		// evicted tombstone. Deleting it cancels the repair or acknowledges
+		// the eviction.
+		if ch.Info.State == FlowStateActive {
+			ev.Cost = ch.Info.Cost.Total
+		} else {
+			ev.Detail = "state " + ch.Info.State
+		}
+	case flowstate.Revalidate:
+		ev.Type, ev.Detail = journal.TypeRevalidated, t.Fault.String()
+		telemetry.RecordRepair("revalidated")
+	case flowstate.Strand:
+		ev.Type, ev.Detail = journal.TypeFaultStrand, t.Fault.String()
+	case flowstate.BackupLoss:
+		ev.Type, ev.Detail = journal.TypeBackupLost, t.Fault.String()
+	case flowstate.Failover:
+		ev.Type, ev.Detail, ev.Cost, ev.Seconds = journal.TypeFailover, t.Fault.String(), ch.Info.Cost.Total, took.Seconds()
+		telemetry.RecordServerStage(telemetry.StageFailover, took)
+		telemetry.RecordFailover()
+	case flowstate.Evict:
+		ev.Type, ev.Detail, ev.Seconds = journal.TypeEvicted, t.Fault.String(), took.Seconds()
+		if t.Cause != "" {
+			ev.Detail += " (" + t.Cause + ")"
+		}
+		telemetry.RecordServerStage(telemetry.StageRepair, took)
+		telemetry.RecordRepair("evicted")
+	}
+	s.journal.Append(ev)
+	if t.Kind == flowstate.Commit && t.Backup != nil {
+		s.journal.Append(journal.Event{
+			Type: journal.TypeProtected, Flow: t.Flow, Alg: ch.Info.Alg, Cost: ch.Info.BackupCost.Total,
+		})
+	}
 }
 
 // finish delivers a terminal pipeline outcome if the job is still
@@ -1035,7 +1051,7 @@ func (s *Server) finish(j *job, r jobResult) {
 // /v1/flows/{id}); ErrNotFound if the flow is unknown or already gone.
 func (s *Server) Release(id int64) (FlowInfo, error) {
 	begin := time.Now()
-	info, ok := s.release(id, "released")
+	info, ok := s.release(id, flowstate.Release)
 	if !ok {
 		telemetry.RecordServerRequest("flows.release", "not_found", time.Since(begin))
 		return FlowInfo{}, fmt.Errorf("%w: flow %d", ErrNotFound, id)
@@ -1044,104 +1060,51 @@ func (s *Server) Release(id int64) (FlowInfo, error) {
 	return info, nil
 }
 
-func (s *Server) release(id int64, how string) (FlowInfo, bool) {
-	evType := journal.TypeReleased
-	walType := wal.TypeRelease
-	if how == "expired" {
-		evType = journal.TypeExpired
-		walType = wal.TypeExpire
-	}
+// release forgets a flow (kind is flowstate.Release or Expire) and returns
+// whatever it held to the ledger; a repair or re-protect in flight for it
+// finds its record gone and stands down.
+func (s *Server) release(id int64, kind flowstate.Kind) (FlowInfo, bool) {
+	t := flowstate.Transition{Kind: kind, Flow: id}
 	s.mu.Lock()
-	f, ok := s.flows.Release(id)
-	if !ok {
-		// A flow can be known without holding resources: mid-repair, or an
-		// evicted tombstone. Deleting it cancels the repair (the dropped
-		// flag tells the controller and commit loop to stand down) or
-		// acknowledges the eviction.
-		if info, exists := s.meta[id]; exists {
-			delete(s.meta, id)
-			delete(s.repairFault, id)
-			if info.State == FlowStateRepairing {
-				s.dropped[id] = true
-			}
-			ticket := s.walEnqueueLocked(walType, id, nil)
-			s.mu.Unlock()
-			s.walWaitRelease(how, ticket)
-			s.wheel.Cancel(id)
-			s.journal.Append(journal.Event{
-				Type: evType, Flow: id, Detail: "state " + info.State,
-			})
-			return info, true
-		}
-		s.mu.Unlock()
+	ch, ticket, err := s.transitLocked(t)
+	s.mu.Unlock()
+	if err != nil {
 		return FlowInfo{}, false
 	}
-	info := s.meta[id]
-	delete(s.meta, id)
-	// The flow committed into whichever overlay was live at the time; a
-	// rebase since then would leave that pointer stale, so release against
-	// the current live ledger.
-	f.Problem.Ledger = s.ledger
-	// Release cannot fail here: the flow's cost evaluated at commit time
-	// and the network is immutable.
-	_ = core.Release(f.Problem, f.Solution)
-	if b, has := s.backups[id]; has {
-		// A protected flow's backup reservations leave with it; replay of
-		// the release/expire record does the same (durable.go).
-		_ = core.Release(f.Problem, b)
-		delete(s.backups, id)
-		telemetry.SetBackupsActive(len(s.backups))
-	}
-	ticket := s.walEnqueueLocked(walType, id, nil)
-	telemetry.SetServerActiveFlows(s.flows.Len())
-	s.mu.Unlock()
-	s.walWaitRelease(how, ticket)
-	s.wheel.Cancel(id)
-	s.journal.Append(journal.Event{Type: evType, Flow: id, Cost: info.Cost.Total})
-	if how == "expired" {
-		telemetry.RecordServerRequest("flows.expire", "ok", 0)
-	}
-	return info, true
-}
-
-// walWaitRelease is the durability barrier of a release. A DELETE is
-// acknowledged to its caller, so it waits; a TTL expiry answers to nobody
-// — its record rides along with the next fsync, and if a crash beats that
-// fsync, recovery finds the flow past its deadline and expires it again.
-func (s *Server) walWaitRelease(how string, ticket uint64) {
-	if how != "expired" {
+	// A DELETE is acknowledged to its caller, so it waits for its record; a
+	// TTL expiry answers to nobody — its record rides along with the next
+	// fsync, and if a crash beats that fsync, recovery finds the flow past
+	// its deadline and expires it again.
+	if kind == flowstate.Release {
 		s.walWait(ticket)
 	}
+	s.wheel.Cancel(id)
+	s.emit(t, ch, journal.Event{}, 0)
+	return ch.Info, true
 }
 
 // Journal exposes the flight recorder for the events API and tests.
 func (s *Server) Journal() *journal.Journal { return s.journal }
 
-// Flow returns one committed flow's description.
+// Flow returns one known flow's description.
 func (s *Server) Flow(id int64) (FlowInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, ok := s.meta[id]
-	return info, ok
+	return s.state.Flow(id)
 }
 
-// Flows lists the committed flows, sorted by ID.
+// Flows lists the known flows — active, repairing and evicted — by ID.
 func (s *Server) Flows() []FlowInfo {
 	s.mu.Lock()
-	out := make([]FlowInfo, 0, len(s.meta))
-	for _, info := range s.meta {
-		out = append(out, info)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
+	defer s.mu.Unlock()
+	return s.state.Flows()
 }
 
 // ActiveFlows reports the number of committed, unreleased flows.
 func (s *Server) ActiveFlows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flows.Len()
+	return s.state.Active()
 }
 
 // NetworkState snapshots the live residual network consistently (no
@@ -1151,20 +1114,20 @@ func (s *Server) NetworkState() NetworkState {
 	defer s.mu.Unlock()
 	st := NetworkState{
 		Nodes:       s.net.G.NumNodes(),
-		ActiveFlows: s.flows.Len(),
+		ActiveFlows: s.state.Active(),
 		Links:       make([]LinkState, 0, s.net.G.NumEdges()),
 	}
 	for _, e := range s.net.G.Edges() {
 		st.Links = append(st.Links, LinkState{
 			ID: int(e.ID), From: int(e.A), To: int(e.B),
-			Capacity: e.Capacity, Residual: s.ledger.EdgeResidual(e.ID),
+			Capacity: e.Capacity, Residual: s.state.EdgeResidual(e.ID),
 		})
 	}
 	s.net.Instances(func(inst network.Instance) {
 		st.Instances = append(st.Instances, InstanceState{
 			Node: int(inst.Node), VNF: int(inst.VNF),
 			Capacity: inst.Capacity,
-			Residual: s.ledger.InstanceResidual(inst.Node, inst.VNF),
+			Residual: s.state.InstanceResidual(inst.Node, inst.VNF),
 		})
 	})
 	sort.Slice(st.Instances, func(i, k int) bool {
@@ -1206,8 +1169,21 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("server: drain: %w", ctx.Err())
 	}
+	s.stop(func(l *wal.Log) {
+		// Seal durability: one final snapshot makes the next startup's
+		// replay empty, then flush + fsync + close the log.
+		s.mu.Lock()
+		s.walSnapshotLocked()
+		s.mu.Unlock()
+		_ = l.Close()
+	})
+	return nil
+}
+
+// stop tears the pipeline down, once, and hands the WAL (if any) to seal.
+func (s *Server) stop(seal func(*wal.Log)) {
 	s.stopOnce.Do(func() {
-		// The repair controller goes first: it is the only producer that
+		// The restore controller goes first: it is the only producer that
 		// could still enqueue onto admit (it checks draining under drainMu
 		// before every attempt, so by now it can only be idling or backing
 		// off — both exit promptly on repairStop).
@@ -1218,16 +1194,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.commit)
 		s.commitWG.Wait()
 		s.wheel.Stop()
-		// Seal durability: one final snapshot makes the next startup's
-		// replay empty, then flush + fsync + close the log.
 		if s.wal != nil {
-			s.mu.Lock()
-			s.walSnapshotLocked()
-			s.mu.Unlock()
-			_ = s.wal.Close()
+			seal(s.wal)
 		}
 	})
-	return nil
 }
 
 // Close is Drain without a deadline, for tests and defer.

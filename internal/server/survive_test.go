@@ -12,6 +12,7 @@ import (
 	"dagsfc/internal/core"
 	"dagsfc/internal/faults"
 	"dagsfc/internal/graph"
+	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
@@ -33,6 +34,32 @@ func twoPathNet() *network.Network {
 	net.MustAddInstance(1, 1, 5, 4)
 	net.MustAddInstance(2, 1, 6, 4)
 	return net
+}
+
+// repairOutcome is one terminal fault consequence, as the journal
+// recorded it: "revalidated", "repaired", "evicted", "failover" or
+// "backup_lost", with the judged attempts and the fault (for an eviction,
+// fault plus cause). With a fixed fault sequence and a deterministic
+// embedder the sequence is reproducible: casualties are scanned in
+// ascending flow-ID order and restored strictly one at a time.
+type repairOutcome struct {
+	Flow     int64
+	Outcome  journal.Type
+	Attempts int
+	Fault    string
+}
+
+func repairOutcomes(srv *server.Server) []repairOutcome {
+	events, _, _ := srv.Journal().Since(0, 0)
+	var out []repairOutcome
+	for _, ev := range events {
+		switch ev.Type {
+		case journal.TypeRevalidated, journal.TypeRepaired, journal.TypeEvicted,
+			journal.TypeFailover, journal.TypeBackupLost:
+			out = append(out, repairOutcome{ev.Flow, ev.Type, ev.Attempt, ev.Detail})
+		}
+	}
+	return out
 }
 
 // fastRepairs keeps test repairs fast without changing their semantics.
@@ -67,20 +94,20 @@ func TestServerRepairsFlowAcrossFault(t *testing.T) {
 	if len(st.Active) != 1 || st.Applied != 1 {
 		t.Fatalf("fault state after apply: %+v", st)
 	}
-	// The flow's meta flips before the repair controller writes its log
-	// entry, so wait for both.
+	// The flow's record flips before the restore controller journals the
+	// outcome, so wait for both.
 	waitFor(t, func() bool {
 		got, ok := srv.Flow(info.ID)
 		return ok && got.State == server.FlowStateActive && got.Repairs == 1 &&
-			len(srv.RepairLog()) == 1
+			len(repairOutcomes(srv)) == 1
 	})
 	got, _ := srv.Flow(info.ID)
 	if got.Cost.Total <= info.Cost.Total {
 		t.Fatalf("repaired cost %v not above original %v (should use pricier node 2)", got.Cost.Total, info.Cost.Total)
 	}
-	log := srv.RepairLog()
-	if len(log) != 1 || log[0].Flow != info.ID || log[0].Outcome != "repaired" || log[0].Attempts != 1 {
-		t.Fatalf("repair log = %+v", log)
+	log := repairOutcomes(srv)
+	if len(log) != 1 || log[0] != (repairOutcome{info.ID, journal.TypeRepaired, 1, "node-down 1"}) {
+		t.Fatalf("repair outcomes = %+v", log)
 	}
 	if bad := srv.RevalidateFlows(); len(bad) != 0 {
 		t.Fatalf("flows failing revalidation after repair: %v", bad)
@@ -133,9 +160,9 @@ func TestServerEvictsStrandedFlow(t *testing.T) {
 	if len(list) != 1 || list[0].State != server.FlowStateEvicted || list[0].LastError == "" {
 		t.Fatalf("evicted flow listing = %+v", list)
 	}
-	log := srv.RepairLog()
-	if len(log) != 1 || log[0].Outcome != "evicted" || log[0].Attempts != 2 {
-		t.Fatalf("repair log = %+v", log)
+	log := repairOutcomes(srv)
+	if len(log) != 1 || log[0].Outcome != journal.TypeEvicted || log[0].Attempts != 2 {
+		t.Fatalf("repair outcomes = %+v", log)
 	}
 
 	// Eviction already released the capacity: restoring the fault alone
@@ -178,10 +205,10 @@ func TestServerRevalidatesUntouchedFlow(t *testing.T) {
 	if _, err := cl.ApplyFault(ctx, server.FaultRequest{Kind: "link-degrade", Link: 0, Fraction: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return len(srv.RepairLog()) == 1 })
-	log := srv.RepairLog()
-	if log[0].Outcome != "revalidated" || log[0].Flow != info.ID {
-		t.Fatalf("repair log = %+v", log)
+	waitFor(t, func() bool { return len(repairOutcomes(srv)) == 1 })
+	log := repairOutcomes(srv)
+	if log[0].Outcome != journal.TypeRevalidated || log[0].Flow != info.ID {
+		t.Fatalf("repair outcomes = %+v", log)
 	}
 	got, ok := srv.Flow(info.ID)
 	if !ok || got.State != server.FlowStateActive || got.Repairs != 0 {
@@ -273,7 +300,7 @@ func TestServerWorkerPanicRecovered(t *testing.T) {
 // It returns everything two identical runs must agree on.
 type chaosOutcome struct {
 	accepted int
-	log      []server.RepairEvent
+	log      []repairOutcome
 	faults   server.FaultState
 	seed     []float64
 	end      []float64
@@ -336,7 +363,7 @@ func chaosRun(t *testing.T) chaosOutcome {
 	if bad := srv.RevalidateFlows(); len(bad) != 0 {
 		t.Fatalf("flows failing revalidation after chaos: %v", bad)
 	}
-	out.log = srv.RepairLog()
+	out.log = repairOutcomes(srv)
 	out.faults = srv.Faults()
 
 	for _, f := range srv.Flows() {
