@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine server-single-writer short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine server-single-writer server-request-garbage short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
@@ -10,8 +10,9 @@ all: build vet test
 # detector (the telemetry registry is written from concurrent trial
 # runners, so -race is load-bearing here, not ceremony), the
 # one-goroutine-per-embed contract, the one-writer-of-flow-state contract,
-# and a short fuzz of the search-kernel priority queues.
-check: build vet test race core-single-goroutine server-single-writer fuzz-smoke
+# the no-per-request-garbage contract of the HTTP layer, and a short fuzz of
+# the search-kernel priority queues and the request-body reader.
+check: build vet test race core-single-goroutine server-single-writer server-request-garbage fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -29,16 +30,27 @@ server-single-writer:
 		echo "internal/server mutates flow state beside flowstate.Apply"; exit 1; \
 	fi
 
+# Both sides of the socket read a body once into a pooled buffer and share
+# one Content-Type value (DESIGN §21): a json.Decoder per message (two
+# scanners and a private read buffer each) and Header.Set's one-element
+# slice per response must not grow back.
+server-request-garbage:
+	@if grep -nE 'json\.NewDecoder\(|Header(\(\))?\.Set\("Content-Type"' internal/server/http.go internal/server/client/client.go; then \
+		echo "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)"; exit 1; \
+	fi
+
 # fuzz-smoke runs the search-kernel fuzzers briefly. The bucket queue and
 # the 4-ary heap must pop in the identical strict (dist, node) order, or
 # search results would fork depending on which structure a compiled view
 # selects; and a Dijkstra tree grown on demand must agree with the complete
-# tree wherever it has been read. FUZZTIME=0x replays only the checked-in
-# corpus.
+# tree wherever it has been read; and POST /v1/flows must do with a body
+# what Submit does with json.Unmarshal's reading of it, whatever the pooled
+# request held before. FUZZTIME=0x replays only the checked-in corpus.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzGrowTree -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzCreateBody -fuzztime $(FUZZTIME) ./internal/server/
 
 build:
 	$(GO) build ./...
@@ -75,7 +87,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR21.json
+BENCH_JSON ?= BENCH_PR23.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -84,14 +96,14 @@ BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
 # ledger means the same thing on a 2-core sandbox and a 4-core CI runner.
 BENCH_CPU ?= 2
 bench-json:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./internal/wal/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./internal/wal/ ./internal/server/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
 	@cat $(BENCH_RAW)
 	$(GO) run ./cmd/dagsfc-bench -parse-bench $(BENCH_RAW) -bench-label $(BENCH_LABEL) -bench-out $(BENCH_JSON)
 
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR20 baseline, if an
+# regressed more than 20% against the committed PR21 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
@@ -103,7 +115,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR20.json
+BENCH_GUARD_OLD ?= BENCH_PR21.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

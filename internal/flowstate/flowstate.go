@@ -571,10 +571,14 @@ func (st *State) Faults() (active []network.Fault, applied, restored int) {
 }
 
 // Snapshot returns an independent what-if copy of the live ledger, at
-// O(overlay deltas). OverlayLen is the size of those deltas — the
-// server's cue to Rebase.
+// O(overlay deltas); SnapshotInto writes it over dst, a snapshot the
+// caller is done with (network.Ledger.SnapshotInto). OverlayLen is the
+// size of those deltas — the server's cue to Rebase.
 func (st *State) Snapshot() *network.Ledger { return st.ledger.Snapshot() }
-func (st *State) OverlayLen() int           { return st.ledger.OverlayLen() }
+func (st *State) SnapshotInto(dst *network.Ledger) *network.Ledger {
+	return st.ledger.SnapshotInto(dst)
+}
+func (st *State) OverlayLen() int { return st.ledger.OverlayLen() }
 
 // EdgeResidual and InstanceResidual read the live residual network.
 func (st *State) EdgeResidual(e graph.EdgeID) float64 { return st.ledger.EdgeResidual(e) }

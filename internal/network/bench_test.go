@@ -57,17 +57,31 @@ func seedUsage(b *testing.B, l *Ledger, touched int) {
 }
 
 // BenchmarkOverlaySnapshot is what the server pays per speculative embed: an O(overlay deltas) copy
-// of a live overlay carrying ~40 uncommitted touches over the same base.
+// of a live overlay carrying ~40 uncommitted touches over the same base —
+// Fresh as Snapshot clones it, Into as a worker rewrites the one it keeps
+// (SnapshotInto), which must not allocate once its maps are warm.
 func BenchmarkOverlaySnapshot(b *testing.B) {
 	base := NewLedger(benchNet(b))
 	seedUsage(b, base, 200)
 	ov := base.Overlay()
 	seedUsage(b, ov, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ov.Snapshot()
-	}
+	b.Run("Fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = ov.Snapshot()
+		}
+	})
+	b.Run("Into", func(b *testing.B) {
+		dst := ov.SnapshotInto(nil)
+		if allocs := testing.AllocsPerRun(100, func() { dst = ov.SnapshotInto(dst) }); allocs != 0 {
+			b.Fatalf("SnapshotInto allocates %v objects per call on a warm ledger, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = ov.SnapshotInto(dst)
+		}
+	})
 }
 
 // BenchmarkOverlayCommit measures folding a request-sized overlay (a few

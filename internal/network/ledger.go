@@ -426,6 +426,32 @@ func (l *Ledger) Snapshot() *Ledger {
 	}
 }
 
+// SnapshotInto is Snapshot into storage the caller already owns: dst, an
+// overlay some earlier Snapshot or SnapshotInto returned and that nothing
+// reads any more, is overwritten to present l's current view — same base,
+// same deltas, same pin as a fresh Snapshot would take — and returned. Its
+// delta maps are cleared and refilled, so a caller that snapshots once per
+// request keeps two warm maps instead of cloning two per request. A nil or
+// root dst, or a root l, falls back to Snapshot.
+func (l *Ledger) SnapshotInto(dst *Ledger) *Ledger {
+	if l.base == nil || dst == nil || dst.base == nil {
+		return l.Snapshot()
+	}
+	view, sig := l.pinned()
+	dst.net, dst.base, dst.ep = l.net, l.base, l.ep
+	clear(dst.edgeDelta)
+	maps.Copy(dst.edgeDelta, l.edgeDelta)
+	clear(dst.instUsed)
+	maps.Copy(dst.instUsed, l.instUsed)
+	// Snapshot's pin, plus the recycled ledger's own mutation counter: it
+	// is part of dst's chain and, unlike a fresh copy's, not zero.
+	dst.pinMu.Lock()
+	dst.view = view
+	dst.sig = sig - l.gen.Load() + dst.gen.Load()
+	dst.pinMu.Unlock()
+	return dst
+}
+
 // Flatten folds the ledger's entire view (base chain plus deltas) into a
 // fresh independent root ledger. The server rebases onto a Flatten when an
 // overlay's delta map has grown past the point where snapshots stay cheap.

@@ -38,10 +38,34 @@ func ledgersAgree(t *testing.T, a, b *Ledger, context string) {
 	}
 }
 
+// viewsBitEqual fails unless a and b report bit-identical residuals for
+// every edge and every (node, category) pair.
+func viewsBitEqual(t *testing.T, a, b *Ledger, context string) {
+	t.Helper()
+	g := a.net.G
+	for e := 0; e < g.NumEdges(); e++ {
+		id := graph.EdgeID(e)
+		if ar, br := a.EdgeResidual(id), b.EdgeResidual(id); math.Float64bits(ar) != math.Float64bits(br) {
+			t.Fatalf("%s: edge %d residual %v vs %v", context, e, ar, br)
+		}
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		for f := VNFID(0); f <= a.net.Catalog.Merger(); f++ {
+			ar, br := a.InstanceResidual(graph.NodeID(v), f), b.InstanceResidual(graph.NodeID(v), f)
+			if math.Float64bits(ar) != math.Float64bits(br) {
+				t.Fatalf("%s: instance f(%d)@%d residual %v vs %v", context, f, v, ar, br)
+			}
+		}
+	}
+}
+
 // TestOverlayMatchesCloneProperty drives an overlay and a dense copy
 // (Flatten) of the same base through a long random interleaving of
 // reserve/release operations and checks their views never diverge — the
-// overlay must be observably a full copy, just cheaper.
+// overlay must be observably a full copy, just cheaper. After every step it
+// also takes the overlay's snapshot twice, fresh (Snapshot) and into one
+// recycled ledger that the previous step left scribbled on (SnapshotInto):
+// the two must be the same view under the same epoch, and stay so.
 func TestOverlayMatchesCloneProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,7 +85,16 @@ func TestOverlayMatchesCloneProperty(t *testing.T) {
 		// the independent clone); quarantine must keep the views in lockstep
 		// exactly like reservations do.
 		var live []Fault
+		var recycled, fresh *Ledger // the overlay's snapshots of the previous step
+		var pinned uint64           // the epoch both were taken under
 		for step := 0; step < 400; step++ {
+			if step == 200 {
+				// What the server's rebase does: the live overlay moves onto a
+				// new frozen root, and the recycled snapshot follows it there.
+				base = overlay.Flatten()
+				overlay = base.Overlay()
+			}
+			faultStep := false
 			e := graph.EdgeID(rng.Intn(net.G.NumEdges()))
 			node := graph.NodeID(rng.Intn(net.G.NumNodes()))
 			f := VNFID(rng.Intn(int(net.Catalog.Merger()) + 1))
@@ -84,6 +117,7 @@ func TestOverlayMatchesCloneProperty(t *testing.T) {
 				overlay.ReleaseInstance(node, f, amt)
 				clone.ReleaseInstance(node, f, amt)
 			case 4:
+				faultStep = true
 				var flt Fault
 				switch rng.Intn(3) {
 				case 0:
@@ -104,6 +138,7 @@ func TestOverlayMatchesCloneProperty(t *testing.T) {
 				if len(live) == 0 {
 					continue
 				}
+				faultStep = true
 				i := rng.Intn(len(live))
 				flt := live[i]
 				live = append(live[:i], live[i+1:]...)
@@ -115,7 +150,47 @@ func TestOverlayMatchesCloneProperty(t *testing.T) {
 				}
 			}
 			ledgersAgree(t, overlay, clone, "during interleaving")
+
+			if recycled != nil {
+				// The step mutated the source, not the snapshots: a reservation
+				// leaves both pins where they were, a fault moves both (it
+				// changes every view of the family).
+				re, fe := recycled.ViewEpoch(), fresh.ViewEpoch()
+				if faultStep && (re == pinned || fe == pinned) {
+					t.Fatalf("seed=%d step=%d: fault left a snapshot pinned (recycled %d, fresh %d, was %d)", seed, step, re, fe, pinned)
+				}
+				if !faultStep && (re != pinned || fe != pinned) {
+					t.Fatalf("seed=%d step=%d: mutating the source moved a snapshot's pin (recycled %d, fresh %d, was %d)", seed, step, re, fe, pinned)
+				}
+				viewsBitEqual(t, recycled, fresh, "snapshots after the source moved on")
+				// Leave the recycled ledger dirty: its user reserves on it (a
+				// protected admission does), and none of it may show below.
+				_ = recycled.ReserveEdge(e, amt)
+				_ = recycled.ReserveInstance(node, f, amt)
+				recycled.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), amt)
+			}
+			pinned = overlay.ViewEpoch()
+			wasBase := overlay.base
+			fresh, recycled = overlay.Snapshot(), overlay.SnapshotInto(recycled)
+			if recycled.base != wasBase || fresh.base != wasBase {
+				t.Fatalf("seed=%d step=%d: snapshot does not read through the overlay's base", seed, step)
+			}
+			viewsBitEqual(t, recycled, fresh, "SnapshotInto vs Snapshot")
+			viewsBitEqual(t, recycled, overlay, "SnapshotInto vs its source")
+			if re, fe := recycled.ViewEpoch(), fresh.ViewEpoch(); re != pinned || fe != pinned {
+				t.Fatalf("seed=%d step=%d: pins differ: recycled %d, fresh %d, source %d", seed, step, re, fe, pinned)
+			}
+			if overlay.ViewEpoch() != pinned {
+				t.Fatalf("seed=%d step=%d: taking snapshots moved the source's epoch", seed, step)
+			}
 		}
+		// Mutating the recycled copy moves its own pin and nothing of the
+		// source's.
+		recycled.ReleaseEdge(0, 0.25)
+		if recycled.ViewEpoch() == pinned || overlay.ViewEpoch() != pinned {
+			t.Fatalf("seed=%d: mutating the recycled snapshot: its epoch %d, source's %d, was %d", seed, recycled.ViewEpoch(), overlay.ViewEpoch(), pinned)
+		}
+		ledgersAgree(t, overlay, clone, "after mutating the recycled snapshot")
 		// Drain the outstanding faults so the commit phase below exercises
 		// the original conflict-free path, and check restores are exact.
 		for _, flt := range live {

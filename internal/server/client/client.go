@@ -8,11 +8,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dagsfc/internal/server"
@@ -21,7 +24,11 @@ import (
 // Client talks to one dagsfc-serve instance.
 type Client struct {
 	base string
-	http *http.Client
+	// url is base parsed once; every request copies it and extends the
+	// path. urlErr is why it could not be parsed, reported by every call.
+	url    *url.URL
+	urlErr error
+	http   *http.Client
 }
 
 // New returns a client for the server at baseURL (e.g.
@@ -30,7 +37,11 @@ func New(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
+	if c.url, c.urlErr = url.Parse(c.base); c.urlErr == nil {
+		c.url.Host = strings.TrimSuffix(c.url.Host, ":") // "host:" names the default port
+	}
+	return c
 }
 
 // BaseURL returns the server address the client was created with.
@@ -63,42 +74,42 @@ func (e *APIError) Retryable() bool {
 // CreateFlow embeds and commits one flow (POST /v1/flows).
 func (c *Client) CreateFlow(ctx context.Context, req server.FlowRequest) (server.FlowInfo, error) {
 	var info server.FlowInfo
-	err := c.do(ctx, http.MethodPost, "/v1/flows", req, &info)
+	err := c.do(ctx, http.MethodPost, "/v1/flows", "", req, &info)
 	return info, err
 }
 
 // ReleaseFlow returns a flow's capacity (DELETE /v1/flows/{id}).
 func (c *Client) ReleaseFlow(ctx context.Context, id int64) (server.FlowInfo, error) {
 	var info server.FlowInfo
-	err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/flows/%d", id), nil, &info)
+	err := c.do(ctx, http.MethodDelete, flowPath(id, ""), "", nil, &info)
 	return info, err
 }
 
 // Flow fetches one committed flow (GET /v1/flows/{id}).
 func (c *Client) Flow(ctx context.Context, id int64) (server.FlowInfo, error) {
 	var info server.FlowInfo
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/flows/%d", id), nil, &info)
+	err := c.do(ctx, http.MethodGet, flowPath(id, ""), "", nil, &info)
 	return info, err
 }
 
 // Flows lists the committed flows (GET /v1/flows).
 func (c *Client) Flows(ctx context.Context) ([]server.FlowInfo, error) {
 	var out []server.FlowInfo
-	err := c.do(ctx, http.MethodGet, "/v1/flows", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/flows", "", nil, &out)
 	return out, err
 }
 
 // Network snapshots the residual network (GET /v1/network).
 func (c *Client) Network(ctx context.Context) (server.NetworkState, error) {
 	var st server.NetworkState
-	err := c.do(ctx, http.MethodGet, "/v1/network", nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/network", "", nil, &st)
 	return st, err
 }
 
 // ApplyFault injects one substrate fault (POST /v1/faults).
 func (c *Client) ApplyFault(ctx context.Context, f server.FaultRequest) (server.FaultState, error) {
 	var st server.FaultState
-	err := c.do(ctx, http.MethodPost, "/v1/faults", f, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/faults", "", f, &st)
 	return st, err
 }
 
@@ -106,14 +117,14 @@ func (c *Client) ApplyFault(ctx context.Context, f server.FaultRequest) (server.
 // /v1/faults/restore).
 func (c *Client) RestoreFault(ctx context.Context, f server.FaultRequest) (server.FaultState, error) {
 	var st server.FaultState
-	err := c.do(ctx, http.MethodPost, "/v1/faults/restore", f, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/faults/restore", "", f, &st)
 	return st, err
 }
 
 // Faults reports the active faults and lifetime counters (GET /v1/faults).
 func (c *Client) Faults(ctx context.Context) (server.FaultState, error) {
 	var st server.FaultState
-	err := c.do(ctx, http.MethodGet, "/v1/faults", nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/faults", "", nil, &st)
 	return st, err
 }
 
@@ -121,12 +132,12 @@ func (c *Client) Faults(ctx context.Context) (server.FaultState, error) {
 // /v1/flows/{id}/events). limit > 0 keeps only the most recent limit
 // events.
 func (c *Client) FlowEvents(ctx context.Context, id int64, limit int) (server.EventsPage, error) {
-	path := fmt.Sprintf("/v1/flows/%d/events", id)
+	query := ""
 	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
+		query = "limit=" + strconv.Itoa(limit)
 	}
 	var page server.EventsPage
-	err := c.do(ctx, http.MethodGet, path, nil, &page)
+	err := c.do(ctx, http.MethodGet, flowPath(id, "/events"), query, nil, &page)
 	return page, err
 }
 
@@ -134,18 +145,18 @@ func (c *Client) FlowEvents(ctx context.Context, id int64, limit int) (server.Ev
 // the oldest retained event, then the returned Next as since for each
 // following page. limit 0 uses the server default page size.
 func (c *Client) Events(ctx context.Context, since uint64, limit int) (server.EventsPage, error) {
-	path := "/v1/events?since=" + strconv.FormatUint(since, 10)
+	query := "since=" + strconv.FormatUint(since, 10)
 	if limit > 0 {
-		path += "&limit=" + strconv.Itoa(limit)
+		query += "&limit=" + strconv.Itoa(limit)
 	}
 	var page server.EventsPage
-	err := c.do(ctx, http.MethodGet, path, nil, &page)
+	err := c.do(ctx, http.MethodGet, "/v1/events", query, nil, &page)
 	return page, err
 }
 
 // Healthz reports nil while the server is admitting flows.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.do(ctx, http.MethodGet, "/healthz", "", nil, nil)
 }
 
 // Metrics scrapes /metrics as Prometheus text.
@@ -169,32 +180,93 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(body), nil
 }
 
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
+// flowPath is "/v1/flows/{id}" + suffix.
+func flowPath(id int64, suffix string) string {
+	var stack [48]byte
+	b := append(stack[:0], "/v1/flows/"...)
+	b = strconv.AppendInt(b, id, 10)
+	return string(append(b, suffix...))
+}
+
+// respBufs recycles the buffers response bodies are read into; one that
+// grew past maxPooledBuf (a large network snapshot) is left to the
+// collector.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 64 << 10
+
+// jsonContentType is the header value every request body shares: assigned
+// to the header map as is, where Header.Set would allocate a one-element
+// slice per request. Nothing writes to it.
+var jsonContentType = []string{"application/json"}
+
+// newRequest builds the request NewRequestWithContext would for
+// base+path?query, from the base URL parsed once: path and query are
+// already in their escaped form (the API's are plain ASCII).
+func (c *Client) newRequest(ctx context.Context, method, path, query string, body []byte) (*http.Request, error) {
+	if c.urlErr != nil {
+		return nil, c.urlErr
+	}
+	if ctx == nil {
+		return nil, errors.New("client: nil Context")
+	}
+	u := *c.url
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
+	}
+	u.RawQuery = query
+	req := &http.Request{
+		Method: method, URL: &u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, 1),
+	}
+	if body != nil {
+		req.Header["Content-Type"] = jsonContentType
+		req.ContentLength = int64(len(body))
+		// A *bytes.Reader under NopCloser is a body the transport knows to
+		// be in memory: it sends it in the same write as the headers.
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+		req.Body, _ = req.GetBody()
+	}
+	return req.WithContext(ctx), nil
+}
+
+func (c *Client) do(ctx context.Context, method, path, query string, in, out any) error {
+	var body []byte
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := c.newRequest(ctx, method, path, query, body)
 	if err != nil {
 		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	// The body is read to its end whatever becomes of it, so the
+	// connection goes back to the transport's idle pool.
+	buf := respBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			buf.Reset()
+			respBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var eb server.ErrorBody
 		msg := resp.Status
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
+		if json.Unmarshal(buf.Bytes(), &eb) == nil && eb.Error != "" {
 			msg = eb.Error
 		}
 		apiErr := &APIError{StatusCode: resp.StatusCode, Message: msg}
@@ -204,8 +276,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return apiErr
 	}
 	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Unmarshal copies what it keeps, so out holds nothing of buf.
+	return json.Unmarshal(buf.Bytes(), out)
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"dagsfc/internal/core"
@@ -48,18 +50,79 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes is the largest request body the API reads; a longer one is
+// refused with 413.
+const maxBodyBytes = 1 << 20
+
+// exchange is what a handler needs for one request and keeps for the next:
+// the buffer the body is read into and the response encoded into, and the
+// flow request decoded from it, whose Chain is refilled in place.
+type exchange struct {
+	buf  bytes.Buffer
+	flow FlowRequest
+}
+
+// exchanges recycles them. One that grew past maxPooledBuf (a large network
+// snapshot, an oversized request) is left to the collector.
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+const maxPooledBuf = 64 << 10
+
+func (x *exchange) release() {
+	if x.buf.Cap() <= maxPooledBuf && cap(x.flow.Chain) <= maxPooledBuf/8 {
+		exchanges.Put(x)
+	}
+}
+
+// The Content-Type values the responses share: assigned to the header map
+// as they are, where Header.Set would allocate a one-element slice per
+// response. Nothing writes to them.
+var (
+	jsonContentType = []string{"application/json"}
+	textContentType = []string{"text/plain; charset=utf-8"}
+)
+
+// readJSON reads the whole request body, which must be one JSON value of
+// at most maxBodyBytes and nothing after it, and decodes it into v. On
+// failure it has answered the request — 413 for a body too long, 400 for
+// anything else — and reports false.
+func (x *exchange) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	x.buf.Reset()
+	if _, err := x.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		status := http.StatusBadRequest
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		x.writeJSON(w, status, ErrorBody{Error: "bad body: " + err.Error()})
+		return false
+	}
+	// Unmarshal copies what it keeps, so v holds nothing of the buffer.
+	if err := json.Unmarshal(x.buf.Bytes(), v); err != nil {
+		x.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad JSON: " + err.Error()})
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req FlowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad JSON: " + err.Error()})
+	x := exchanges.Get().(*exchange)
+	defer x.release()
+	// Everything of the last request goes but the Chain's backing array,
+	// which Submit does not keep — zeroed, because encoding/json extends a
+	// slice over what its array holds and a null element leaves that be.
+	chain := x.flow.Chain[:cap(x.flow.Chain)]
+	clear(chain)
+	x.flow = FlowRequest{Chain: chain[:0]}
+	if !x.readJSON(w, r, &x.flow) {
 		return
 	}
-	info, err := s.Submit(r.Context(), req)
+	info, err := s.Submit(r.Context(), x.flow)
 	if err != nil {
-		writeError(w, err)
+		x.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	x.writeJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -165,22 +228,23 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 // (ApplyFault or RestoreFault), returning the resulting fault state.
 func (s *Server) handleFault(apply func(network.Fault) (FaultState, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		x := exchanges.Get().(*exchange)
+		defer x.release()
 		var req FaultRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad JSON: " + err.Error()})
+		if !x.readJSON(w, r, &req) {
 			return
 		}
 		f, err := flowstate.FaultFromWire(req)
 		if err != nil {
-			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+			x.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 			return
 		}
 		st, err := apply(f)
 		if err != nil {
-			writeError(w, err)
+			x.writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		x.writeJSON(w, http.StatusOK, st)
 	}
 }
 
@@ -197,7 +261,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: "wal broken"})
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header()["Content-Type"] = textContentType
 	_, _ = w.Write([]byte("ok\n"))
 }
 
@@ -213,7 +277,7 @@ func flowID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 // writeError maps pipeline outcomes onto HTTP status codes. Breaker
 // rejections additionally carry a Retry-After header with the cooldown
 // remaining, rounded up to whole seconds.
-func writeError(w http.ResponseWriter, err error) {
+func (x *exchange) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrBadRequest):
@@ -241,11 +305,33 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrNoEmbedding):
 		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, ErrorBody{Error: err.Error()})
+	x.writeJSON(w, status, ErrorBody{Error: err.Error()})
+}
+
+// writeJSON encodes v into the buffer and sends it with one Write, so a
+// value that cannot be encoded is a 500 rather than a 200 cut short.
+func (x *exchange) writeJSON(w http.ResponseWriter, status int, v any) {
+	x.buf.Reset()
+	if err := json.NewEncoder(&x.buf).Encode(v); err != nil {
+		x.buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(&x.buf).Encode(ErrorBody{Error: "encoding response: " + err.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(x.buf.Bytes())
+}
+
+// writeError and writeJSON serve the handlers that read no body, on an
+// exchange of their own.
+func writeError(w http.ResponseWriter, err error) {
+	x := exchanges.Get().(*exchange)
+	defer x.release()
+	x.writeError(w, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	x := exchanges.Get().(*exchange)
+	defer x.release()
+	x.writeJSON(w, status, v)
 }

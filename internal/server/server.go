@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -178,6 +179,11 @@ type Server struct {
 	// regression test parks it to prove a large fault scan no longer
 	// stalls admissions or reads.
 	revalHook func(id int64)
+	// recycleHook, when set (tests only), runs on each worker after every
+	// job with the ledger snapshot the worker will overwrite for the next —
+	// the recycling test scribbles over it to prove nothing the job left
+	// behind still reads it.
+	recycleHook func(*network.Ledger)
 
 	// Durability (internal/server/durable.go). wal is nil when disabled;
 	// walAppends counts records since the last snapshot (the periodic
@@ -235,22 +241,21 @@ type Server struct {
 // submitter on timeout (the pipeline then discards the job without
 // committing), or the pipeline on reply (sent on done, buffered 1).
 type job struct {
-	ctx      context.Context
-	id       int64 // flow ID, allocated at admission
-	req      FlowRequest
-	dag      sfc.DAGSFC
-	alg      string
-	embed    Embedder
-	embedCtx ctxEmbedder
-	ttl      time.Duration
-	retries  int
-	res      *core.Result
+	// ctx is the job's context, by value: what the searches poll.
+	ctx deadline
+	id  int64 // flow ID, allocated at admission
+	prepared
+	retries int
+	res     *core.Result
 	// cost is the price and the resource usage of res.Solution, settled by
 	// the worker off the lock; the commit loop only compares the usage with
 	// the live ledger and reserves it.
 	cost     core.CostBreakdown
 	finished atomic.Bool
-	done     chan jobResult
+	// out is the pipeline's reply, written before the one send on done
+	// (buffered 1) that announces it.
+	out  jobResult
+	done chan struct{}
 	// Stage timestamps for the journal and the per-stage histograms:
 	// enqueuedAt→dequeue is queue wait, embedDone→commit decision is
 	// commit wait. queued is held across a send into the admission queue
@@ -279,6 +284,86 @@ type job struct {
 // ctxEmbedder is the optional context-aware embedding signature; the
 // builtin bbe/mbbe searches provide one via core.EmbedContext.
 type ctxEmbedder func(context.Context, *core.Problem) (*core.Result, error)
+
+// deadline is the submitter's context cut off at a fixed time, as a plain
+// value a job carries inside itself instead of a context.WithTimeout child
+// (a timerCtx, its parent's child map, an AfterFunc closure and a lazily
+// made Done channel per request). Err reports the parent's error, or
+// DeadlineExceeded once past the time, which is all the builtin tree
+// searches ask of their context: they poll Err between steps. Done is the
+// parent's and does not close at the deadline — nothing may block on it;
+// ctxEmbedder is unexported, so no foreign code is ever handed one. The
+// waiting side of the deadline is job.await's timer.
+type deadline struct {
+	context.Context
+	at time.Time
+}
+
+func (d *deadline) Deadline() (time.Time, bool) {
+	if at, ok := d.Context.Deadline(); ok && at.Before(d.at) {
+		return at, true
+	}
+	return d.at, true
+}
+
+func (d *deadline) Err() error {
+	if err := d.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(d.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// timers recycles the one timer each waiting submitter needs. A timer in
+// the pool is stopped and its channel empty.
+var timers sync.Pool
+
+// await blocks until the pipeline has replied to j, or gives j up: once the
+// job's deadline passes or its submitter's context is cancelled, await
+// tries to claim the job, and if the pipeline has not claimed it first it
+// reports ok false — the pipeline will discard the job uncommitted when it
+// next looks at it. A reply that lands between the wake-up and the claim
+// is still delivered: the pipeline owned the outcome, and the flow may be
+// committed.
+func (j *job) await() (r jobResult, ok bool) {
+	wait := time.Until(j.ctx.at)
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(wait)
+	} else {
+		t.Reset(wait)
+	}
+	fired := false
+	select {
+	case <-j.done:
+		ok = true
+	case <-j.ctx.Done():
+	case <-t.C:
+		fired = true
+	}
+	// Stop reports false for a timer that already went off; its value is
+	// then in the channel, or about to be, unless this select took it.
+	if !t.Stop() && !fired {
+		<-t.C
+	}
+	timers.Put(t)
+	if !ok {
+		if j.finished.CompareAndSwap(false, true) {
+			return jobResult{}, false
+		}
+		<-j.done
+	}
+	return j.out, true
+}
+
+// reply hands the pipeline's outcome to whoever awaits j; the caller has
+// claimed j.finished.
+func (j *job) reply(r jobResult) {
+	j.out = r
+	j.done <- struct{}{}
+}
 
 // jobResult is a pipeline outcome. ticket is the WAL record that makes an
 // accepted outcome durable; the receiver waits on it before acknowledging.
@@ -488,65 +573,92 @@ func (s *Server) Algorithms() []string {
 	return names
 }
 
-// prepare turns a wire request into a validated job-ready instance.
-func (s *Server) prepare(req FlowRequest) (sfc.DAGSFC, string, Embedder, ctxEmbedder, time.Duration, error) {
+// prepared is a wire request validated and resolved: all a job keeps of
+// it. problem is the instance the request describes, without a ledger —
+// the worker binds a copy to its snapshot, and the commit hands this one
+// to the flow state.
+type prepared struct {
+	problem  *core.Problem
+	alg      string
+	embed    Embedder
+	embedCtx ctxEmbedder
+	ttl      time.Duration
+	protect  bool // protection class "backup"
+}
+
+// maxTTLSeconds is the longest ttl_seconds a time.Duration can hold.
+const maxTTLSeconds = float64(math.MaxInt64 / int64(time.Second))
+
+// prepare validates a wire request and resolves what it names. Nothing in
+// the result refers to req's Chain.
+func (s *Server) prepare(req FlowRequest) (prepared, error) {
 	var dag sfc.DAGSFC
 	switch {
 	case req.SFC != "" && len(req.Chain) > 0:
-		return dag, "", nil, nil, 0, fmt.Errorf("%w: set sfc or chain, not both", ErrBadRequest)
+		return prepared{}, fmt.Errorf("%w: set sfc or chain, not both", ErrBadRequest)
 	case req.SFC != "":
 		parsed, err := sfc.Parse(req.SFC)
 		if err != nil {
-			return dag, "", nil, nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return prepared{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		dag = parsed
 	case len(req.Chain) > 0:
-		chain := make([]network.VNFID, len(req.Chain))
-		for i, id := range req.Chain {
-			chain[i] = network.VNFID(id)
+		// A negative width would reach ChainToDAG as "no cap at all".
+		if req.MaxWidth < 0 {
+			return prepared{}, fmt.Errorf("%w: negative max_width", ErrBadRequest)
 		}
 		width := req.MaxWidth
 		if width == 0 {
 			width = 3
 		}
+		// ChainToDAG copies the chain, so the converted one can stay on the
+		// stack for any chain of ordinary length.
+		var stack [16]network.VNFID
+		chain := stack[:0]
+		for _, id := range req.Chain {
+			chain = append(chain, network.VNFID(id))
+		}
 		dag = sfc.ChainToDAG(chain, s.cfg.Rules, width)
 	default:
-		return dag, "", nil, nil, 0, fmt.Errorf("%w: one of sfc or chain is required", ErrBadRequest)
+		return prepared{}, fmt.Errorf("%w: one of sfc or chain is required", ErrBadRequest)
 	}
-	if req.TTLSeconds < 0 {
-		return dag, "", nil, nil, 0, fmt.Errorf("%w: negative ttl_seconds", ErrBadRequest)
+	// Past maxTTLSeconds the conversion below overflows to a negative
+	// duration, and the flow would silently never expire.
+	if req.TTLSeconds < 0 || req.TTLSeconds > maxTTLSeconds || math.IsNaN(req.TTLSeconds) {
+		return prepared{}, fmt.Errorf("%w: ttl_seconds must be between 0 and %g", ErrBadRequest, maxTTLSeconds)
 	}
-	alg := req.Alg
-	if alg == "" {
-		alg = s.cfg.Algorithm
+	pr := prepared{alg: req.Alg, ttl: s.cfg.DefaultTTL}
+	if pr.alg == "" {
+		pr.alg = s.cfg.Algorithm
 	}
-	embed, ok := s.embedder[alg]
-	if !ok {
-		return dag, "", nil, nil, 0, fmt.Errorf("%w: unknown algorithm %q", ErrBadRequest, alg)
+	var ok bool
+	if pr.embed, ok = s.embedder[pr.alg]; !ok {
+		return prepared{}, fmt.Errorf("%w: unknown algorithm %q", ErrBadRequest, pr.alg)
 	}
+	pr.embedCtx = s.embedCtx[pr.alg]
 	switch req.Protection {
 	case "", ProtectionNone:
 	case ProtectionBackup:
-		if _, ok := s.protectOpts[alg]; !ok {
-			return dag, "", nil, nil, 0, fmt.Errorf("%w: protection %q requires a ban-capable algorithm (mbbe, bbe), got %q",
-				ErrBadRequest, req.Protection, alg)
+		if _, ok := s.protectOpts[pr.alg]; !ok {
+			return prepared{}, fmt.Errorf("%w: protection %q requires a ban-capable algorithm (mbbe, bbe), got %q",
+				ErrBadRequest, req.Protection, pr.alg)
 		}
+		pr.protect = true
 	default:
-		return dag, "", nil, nil, 0, fmt.Errorf("%w: unknown protection class %q", ErrBadRequest, req.Protection)
+		return prepared{}, fmt.Errorf("%w: unknown protection class %q", ErrBadRequest, req.Protection)
 	}
-	p := &core.Problem{
+	pr.problem = &core.Problem{
 		Net: s.net, SFC: dag,
 		Src: graph.NodeID(req.Src), Dst: graph.NodeID(req.Dst),
 		Rate: req.Rate, Size: req.Size,
 	}
-	if err := p.Validate(); err != nil {
-		return dag, "", nil, nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if err := pr.problem.Validate(); err != nil {
+		return prepared{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	ttl := s.cfg.DefaultTTL
 	if req.TTLSeconds > 0 {
-		ttl = time.Duration(req.TTLSeconds * float64(time.Second))
+		pr.ttl = time.Duration(req.TTLSeconds * float64(time.Second))
 	}
-	return dag, alg, embed, s.embedCtx[alg], ttl, nil
+	return pr, nil
 }
 
 // Submit runs one flow request through the pipeline: admission, a
@@ -555,7 +667,7 @@ func (s *Server) prepare(req FlowRequest) (sfc.DAGSFC, string, Embedder, ctxEmbe
 // timeout (the tighter of ctx and Config.RequestTimeout) expires.
 func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) {
 	begin := time.Now()
-	dag, alg, embed, embedCtx, ttl, err := s.prepare(req)
+	pr, err := s.prepare(req)
 	if err != nil {
 		telemetry.RecordServerRequest("flows.create", "invalid", time.Since(begin))
 		return FlowInfo{}, err
@@ -564,20 +676,19 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	// Every exit below that ends the request before the pipeline judges
 	// it must give the slot back with abortProbe, or the breaker would
 	// stay half-open with the slot taken forever, shedding everything.
-	probe, err := s.brk.allow(time.Now())
+	now := time.Now()
+	probe, err := s.brk.allow(now)
 	if err != nil {
 		telemetry.RecordServerRequest("flows.create", "shed", time.Since(begin))
 		return FlowInfo{}, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
 	// The flow's ID is allocated here, at admission, not at commit: a
 	// rejected or conflicted request still has an identity the journal can
 	// hang its enqueue→terminal timeline on.
 	j := &job{
-		ctx: ctx, id: s.nextID.Add(1),
-		req: req, dag: dag, alg: alg, embed: embed, embedCtx: embedCtx, ttl: ttl,
-		done: make(chan jobResult, 1),
+		ctx: deadline{Context: ctx, at: now.Add(s.cfg.RequestTimeout)},
+		id:  s.nextID.Add(1), prepared: pr,
+		done: make(chan struct{}, 1),
 	}
 
 	if err := s.enqueue(j, ""); err != nil {
@@ -585,7 +696,7 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 			s.brk.abortProbe()
 		}
 		s.journal.Append(journal.Event{
-			Type: journal.TypeRejected, Flow: j.id, Alg: alg, Err: err.Error(),
+			Type: journal.TypeRejected, Flow: j.id, Alg: j.alg, Err: err.Error(),
 		})
 		outcome := "overflow"
 		if errors.Is(err, ErrDraining) {
@@ -603,35 +714,26 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	_, admitted, _ := s.transitLocked(flowstate.Transition{Kind: flowstate.Admit, Flow: j.id})
 	s.mu.Unlock()
 
+	r, ok := j.await()
+	if !ok {
+		// We own the outcome: the pipeline will discard the job without
+		// committing when it next looks at it.
+		s.walWait(admitted)
+		if probe {
+			s.brk.abortProbe()
+		}
+		s.journal.Append(journal.Event{
+			Type: journal.TypeRejected, Flow: j.id, Alg: j.alg, Err: ErrTimeout.Error(),
+		})
+		telemetry.RecordServerRequest("flows.create", "timeout", time.Since(begin))
+		return FlowInfo{}, fmt.Errorf("%w after %v", ErrTimeout, time.Since(begin).Round(time.Millisecond))
+	}
 	// The response parks on a flush ticket: an acceptance waits for its
 	// commit record — the admit record precedes it in the log, so the same
 	// fsync covers both — and anything else for the admit record alone.
-	settle := func(r jobResult) (FlowInfo, error) {
-		s.walWait(max(r.ticket, admitted))
-		s.recordDecision(j, r.err, probe, begin)
-		return r.info, r.err
-	}
-	select {
-	case r := <-j.done:
-		return settle(r)
-	case <-ctx.Done():
-		if j.finished.CompareAndSwap(false, true) {
-			// We own the outcome: the pipeline will discard the job
-			// without committing when it next looks at it.
-			s.walWait(admitted)
-			if probe {
-				s.brk.abortProbe()
-			}
-			s.journal.Append(journal.Event{
-				Type: journal.TypeRejected, Flow: j.id, Alg: alg, Err: ErrTimeout.Error(),
-			})
-			telemetry.RecordServerRequest("flows.create", "timeout", time.Since(begin))
-			return FlowInfo{}, fmt.Errorf("%w after %v", ErrTimeout, time.Since(begin).Round(time.Millisecond))
-		}
-		// The pipeline claimed the job a moment before the deadline; its
-		// reply is imminent and authoritative (the flow may be committed).
-		return settle(<-j.done)
-	}
+	s.walWait(max(r.ticket, admitted))
+	s.recordDecision(j, r.err, probe, begin)
+	return r.info, r.err
 }
 
 // enqueue puts j on the admission queue — Submit's requests and the
@@ -720,85 +822,103 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 	}
 }
 
-// worker is one speculative embedder: it snapshots the ledger, runs the
-// search against the snapshot without holding any lock, and hands the
+// workerScratch is what an embed worker needs per job and keeps between
+// jobs: its snapshot of the ledger, rewritten in place, and the one problem
+// bound to it. It may, because nothing a job leaves behind points at
+// either — a core.Result is solution, cost and stats, the commit's
+// transition carries the job's own ledger-free problem, and a shared cost
+// view is a copy of the residuals it was compiled from.
+type workerScratch struct {
+	snap *network.Ledger
+	p    core.Problem
+}
+
+// worker is one speculative embedder.
+func (s *Server) worker() {
+	defer s.workerWG.Done()
+	var w workerScratch
+	for j := range s.admit {
+		s.speculate(j, &w)
+		if s.recycleHook != nil && w.snap != nil {
+			s.recycleHook(w.snap)
+		}
+	}
+}
+
+// speculate runs one job's searches: it snapshots the live ledger, runs
+// the search against the snapshot without holding any lock, and hands the
 // candidate solution to the commit loop. Which search runs is read off
 // what the flow lacks: a new flow or a stranded one lacks a primary; a
 // live protected flow whose backup was promoted or lost lacks a backup.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for j := range s.admit {
-		telemetry.SetServerQueueDepth(len(s.admit))
-		if j.finished.Load() {
-			// Timed out while queued; nobody is waiting for a reply.
-			s.inflight.Done()
-			continue
-		}
-		j.queued.Lock() // the enqueuer is done journaling
-		j.queued.Unlock()
-		dequeued := time.Now()
-		wait := dequeued.Sub(j.enqueuedAt)
-		s.journal.Append(journal.Event{
-			Time: dequeued, Type: journal.TypeDequeue, Flow: j.id,
-			Attempt: j.retries, Seconds: wait.Seconds(),
-		})
-		telemetry.RecordServerStage(telemetry.StageQueueWait, wait)
-		// One lock hold reads everything the embed depends on, so a backup's
-		// ban sets and the snapshot carrying the primary's reservations
-		// describe the same moment.
-		detail := ""
-		s.mu.Lock()
-		snap := s.state.Snapshot()
-		need, _ := s.state.Lacks(j.id)
-		if need == flowstate.NeedBackup {
-			pl, _ := s.state.Placement(j.id)
-			j.against, detail = pl.Primary, "re-protect"
-		}
-		s.mu.Unlock()
-		if need != j.need { // a new flow has no record and needs nothing restored
-			// Released, restored by another hand or re-stranded by a newer
-			// fault while the job queued.
-			s.finish(j, jobResult{err: fmt.Errorf("%w: flow %d no longer needs this restore", ErrNotFound, j.id)})
-			continue
-		}
-		p := &core.Problem{
-			Net: s.net, Ledger: snap, SFC: j.dag,
-			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
-			Rate: j.req.Rate, Size: j.req.Size,
-		}
-		res, err := s.search(j, p, j.against, detail)
-		j.embedDone = time.Now()
-		if err != nil {
-			s.finish(j, jobResult{err: err})
-			continue
-		}
-		j.res, j.cost = res, res.Cost
-		if j.against == nil && j.embedCtx == nil {
-			// Not one of core's tree searches, which validate and price what
-			// they return: check the placement's structure and take its usage
-			// here, off the lock, so the commit loop can trust both.
-			if j.cost, err = core.Evaluate(p, res.Solution); err != nil {
-				s.finish(j, jobResult{err: fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)})
-				continue
-			}
-		}
-		if j.repair == nil && j.req.Protection == ProtectionBackup {
-			// Protected admission: reserve the primary on the private
-			// snapshot, then search for a disjoint backup against what
-			// remains. Failure is terminal — no backup, no admission.
-			if err := core.Reserve(p, j.cost.Usage); err != nil {
-				// The primary came out of this very snapshot; failing to
-				// reserve it there is a pipeline bug, not a capacity race.
-				s.finish(j, jobResult{err: fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)})
-				continue
-			}
-			if j.backup, err = s.search(j, p, res.Solution, "backup"); err != nil {
-				s.finish(j, jobResult{err: err})
-				continue
-			}
-		}
-		s.commit <- j
+func (s *Server) speculate(j *job, w *workerScratch) {
+	telemetry.SetServerQueueDepth(len(s.admit))
+	if j.finished.Load() {
+		// Timed out while queued; nobody is waiting for a reply.
+		s.inflight.Done()
+		return
 	}
+	j.queued.Lock() // the enqueuer is done journaling
+	j.queued.Unlock()
+	dequeued := time.Now()
+	wait := dequeued.Sub(j.enqueuedAt)
+	s.journal.Append(journal.Event{
+		Time: dequeued, Type: journal.TypeDequeue, Flow: j.id,
+		Attempt: j.retries, Seconds: wait.Seconds(),
+	})
+	telemetry.RecordServerStage(telemetry.StageQueueWait, wait)
+	// One lock hold reads everything the embed depends on, so a backup's
+	// ban sets and the snapshot carrying the primary's reservations
+	// describe the same moment.
+	detail := ""
+	s.mu.Lock()
+	w.snap = s.state.SnapshotInto(w.snap)
+	need, _ := s.state.Lacks(j.id)
+	if need == flowstate.NeedBackup {
+		pl, _ := s.state.Placement(j.id)
+		j.against, detail = pl.Primary, "re-protect"
+	}
+	s.mu.Unlock()
+	if need != j.need { // a new flow has no record and needs nothing restored
+		// Released, restored by another hand or re-stranded by a newer
+		// fault while the job queued.
+		s.finish(j, jobResult{err: fmt.Errorf("%w: flow %d no longer needs this restore", ErrNotFound, j.id)})
+		return
+	}
+	w.p = *j.problem
+	w.p.Ledger = w.snap
+	p := &w.p
+	res, err := s.search(j, p, j.against, detail)
+	j.embedDone = time.Now()
+	if err != nil {
+		s.finish(j, jobResult{err: err})
+		return
+	}
+	j.res, j.cost = res, res.Cost
+	if j.against == nil && j.embedCtx == nil {
+		// Not one of core's tree searches, which validate and price what
+		// they return: check the placement's structure and take its usage
+		// here, off the lock, so the commit loop can trust both.
+		if j.cost, err = core.Evaluate(p, res.Solution); err != nil {
+			s.finish(j, jobResult{err: fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)})
+			return
+		}
+	}
+	if j.repair == nil && j.protect {
+		// Protected admission: reserve the primary on the private
+		// snapshot, then search for a disjoint backup against what
+		// remains. Failure is terminal — no backup, no admission.
+		if err := core.Reserve(p, j.cost.Usage); err != nil {
+			// The primary came out of this very snapshot; failing to
+			// reserve it there is a pipeline bug, not a capacity race.
+			s.finish(j, jobResult{err: fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)})
+			return
+		}
+		if j.backup, err = s.search(j, p, res.Solution, "backup"); err != nil {
+			s.finish(j, jobResult{err: err})
+			return
+		}
+	}
+	s.commit <- j
 }
 
 // search runs one speculative embed for j on p's ledger and journals it
@@ -815,7 +935,7 @@ func (s *Server) search(j *job, p *core.Problem, against *core.Solution, detail 
 	if against == nil {
 		res, err = s.runEmbed(j, p)
 	} else {
-		res, err = s.embedBackup(j.ctx, j.alg, p, against)
+		res, err = s.embedBackup(&j.ctx, j.alg, p, against)
 	}
 	done := time.Now()
 	telemetry.RecordServerStage(telemetry.StageEmbed, done.Sub(begin))
@@ -852,7 +972,7 @@ func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error)
 		}
 	}()
 	if j.embedCtx != nil {
-		return j.embedCtx(j.ctx, p)
+		return j.embedCtx(&j.ctx, p)
 	}
 	return j.embed(p)
 }
@@ -871,15 +991,11 @@ func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 	}
 	t = flowstate.Transition{
 		Kind: flowstate.Commit, Flow: j.id, Repair: j.repair != nil,
-		Problem: &core.Problem{
-			Net: s.net, SFC: j.dag,
-			Src: graph.NodeID(j.req.Src), Dst: graph.NodeID(j.req.Dst),
-			Rate: j.req.Rate, Size: j.req.Size,
-		},
+		Problem: j.problem,
 		Primary: j.res.Solution, Usage: j.cost.Usage,
 		Info: FlowInfo{
-			ID: j.id, SFC: sfc.Format(j.dag),
-			Src: j.req.Src, Dst: j.req.Dst, Rate: j.req.Rate, Size: j.req.Size,
+			ID: j.id, SFC: sfc.Format(j.problem.SFC),
+			Src: int(j.problem.Src), Dst: int(j.problem.Dst), Rate: j.problem.Rate, Size: j.problem.Size,
 			Alg: j.alg, Cost: flowstate.CostOf(j.cost),
 			Created: time.Now(), State: FlowStateActive,
 		},
@@ -965,7 +1081,7 @@ func (s *Server) commitLoop() {
 			// Check just passed under the same lock; this is a bug guard,
 			// not a reachable conflict path.
 			telemetry.RecordOnlineCommitFailure()
-			j.done <- jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)}
+			j.reply(jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)})
 			s.inflight.Done()
 			continue
 		}
@@ -978,7 +1094,7 @@ func (s *Server) commitLoop() {
 		if t.Kind == flowstate.Commit && ch.Info.ExpiresAt != nil {
 			s.wheel.Schedule(j.id, *ch.Info.ExpiresAt)
 		}
-		j.done <- jobResult{info: ch.Info, ticket: ticket}
+		j.reply(jobResult{info: ch.Info, ticket: ticket})
 		s.inflight.Done()
 	}
 }
@@ -1042,7 +1158,7 @@ func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Ev
 // unclaimed, and retires it from the in-flight set either way.
 func (s *Server) finish(j *job, r jobResult) {
 	if j.finished.CompareAndSwap(false, true) {
-		j.done <- r
+		j.reply(r)
 	}
 	s.inflight.Done()
 }

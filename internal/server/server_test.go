@@ -151,21 +151,32 @@ func TestServerHTTPErrors(t *testing.T) {
 		name string
 		req  server.FlowRequest
 		code int
+		says string // what the message must name
 	}{
-		{"empty", server.FlowRequest{Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest},
-		{"both", server.FlowRequest{SFC: "1", Chain: []int{1}, Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest},
-		{"bad sfc", server.FlowRequest{SFC: "nope", Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest},
-		{"bad alg", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "nope"}, http.StatusBadRequest},
-		{"bad ttl", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, TTLSeconds: -1}, http.StatusBadRequest},
-		{"bad node", server.FlowRequest{SFC: "1", Src: 0, Dst: 99, Rate: 1, Size: 1}, http.StatusBadRequest},
-		{"no embedding", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 100, Size: 1}, http.StatusUnprocessableEntity},
+		{"empty", server.FlowRequest{Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
+		{"both", server.FlowRequest{SFC: "1", Chain: []int{1}, Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
+		{"bad sfc", server.FlowRequest{SFC: "nope", Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
+		{"bad alg", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "nope"}, http.StatusBadRequest, ""},
+		{"bad ttl", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, TTLSeconds: -1}, http.StatusBadRequest, "ttl_seconds"},
+		// Would have overflowed time.Duration to a negative TTL: a flow
+		// submitted with a TTL that never expires.
+		{"overflowing ttl", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, TTLSeconds: 9.3e9}, http.StatusBadRequest, "ttl_seconds"},
+		// Would have reached ChainToDAG as "no width cap".
+		{"negative width", server.FlowRequest{Chain: []int{1}, MaxWidth: -1, Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, "max_width"},
+		{"bad node", server.FlowRequest{SFC: "1", Src: 0, Dst: 99, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
+		{"no embedding", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 100, Size: 1}, http.StatusUnprocessableEntity, ""},
 	}
 	for _, tc := range cases {
 		_, err := cl.CreateFlow(ctx, tc.req)
 		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) || apiErr.StatusCode != tc.code {
-			t.Errorf("%s: got %v, want status %d", tc.name, err, tc.code)
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != tc.code || !strings.Contains(apiErr.Message, tc.says) {
+			t.Errorf("%s: got %v, want status %d naming %q", tc.name, err, tc.code, tc.says)
 		}
+	}
+	// The longest TTL a duration can hold is still a TTL.
+	info, err := cl.CreateFlow(ctx, server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, TTLSeconds: 9.2e9})
+	if err != nil || info.ExpiresAt == nil || !info.ExpiresAt.After(info.Created) {
+		t.Errorf("ttl_seconds 9.2e9: %+v, %v; want a flow that expires after it was created", info, err)
 	}
 
 	var apiErr *client.APIError

@@ -426,16 +426,15 @@ func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) err
 		SFC: t.info.SFC, Src: t.info.Src, Dst: t.info.Dst,
 		Rate: t.info.Rate, Size: t.info.Size, Alg: t.info.Alg,
 	}
-	dag, alg, embed, embedCtx, _, err := s.prepare(req)
+	pr, err := s.prepare(req)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
+	pr.ttl = 0 // a restored flow keeps the deadline it was admitted with
 	j := &job{
-		ctx: ctx, id: t.id, req: req,
-		dag: dag, alg: alg, embed: embed, embedCtx: embedCtx,
-		done: make(chan jobResult, 1), repair: t, need: need,
+		ctx: deadline{Context: context.Background(), at: time.Now().Add(s.cfg.RequestTimeout)},
+		id:  t.id, prepared: pr,
+		done: make(chan struct{}, 1), repair: t, need: need,
 	}
 	detail, queued := t.fault.String(), "repair re-embed"
 	if need == flowstate.NeedBackup {
@@ -444,20 +443,15 @@ func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) err
 		telemetry.RecordRepairAttempt()
 	}
 	s.journal.Append(journal.Event{
-		Type: journal.TypeRepairAttempt, Flow: t.id, Alg: alg, Attempt: try + 1, Detail: detail,
+		Type: journal.TypeRepairAttempt, Flow: t.id, Alg: j.alg, Attempt: try + 1, Detail: detail,
 	})
 
 	if err := s.enqueue(j, queued); err != nil {
 		return err
 	}
-	var r jobResult
-	select {
-	case r = <-j.done:
-	case <-j.ctx.Done():
-		if j.finished.CompareAndSwap(false, true) {
-			return fmt.Errorf("%w during repair", ErrTimeout)
-		}
-		r = <-j.done
+	r, ok := j.await()
+	if !ok {
+		return fmt.Errorf("%w during repair", ErrTimeout)
 	}
 	// The controller treats a nil error as "restored": like any
 	// acknowledgment, that waits for the commit record.

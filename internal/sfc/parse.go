@@ -41,17 +41,18 @@ func Parse(s string) (DAGSFC, error) {
 
 // Format renders a DAG-SFC in the syntax Parse accepts.
 func Format(s DAGSFC) string {
-	var b strings.Builder
+	var stack [64]byte // an SFC of ordinary length costs only the returned string
+	b := stack[:0]
 	for li, l := range s.Layers {
 		if li > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
 		for i, f := range l.VNFs {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", f)
+			b = strconv.AppendInt(b, int64(f), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }

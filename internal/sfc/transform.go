@@ -15,17 +15,20 @@ import (
 //
 // The result preserves the chain's ordering constraints: two VNFs end up in
 // the same layer only if the rule table says their relative order is
-// irrelevant, and cross-layer order follows chain order.
+// irrelevant, and cross-layer order follows chain order. The chain is
+// copied once and every layer is a window of that one copy (capped, so
+// appending to a layer's VNFs never reaches into the next layer); the
+// caller keeps chain.
 func ChainToDAG(chain []network.VNFID, rules *RuleTable, maxWidth int) DAGSFC {
-	var s DAGSFC
-	var cur []network.VNFID
-	flush := func() {
-		if len(cur) > 0 {
-			s.Layers = append(s.Layers, Layer{VNFs: cur})
-			cur = nil
-		}
+	if len(chain) == 0 {
+		return DAGSFC{}
 	}
-	for _, f := range chain {
+	vnfs := make([]network.VNFID, len(chain))
+	copy(vnfs, chain)
+	layers := make([]Layer, 0, len(vnfs))
+	start := 0 // the current parallel set is vnfs[start:i]
+	for i, f := range vnfs {
+		cur := vnfs[start:i]
 		fits := len(cur) > 0 && (maxWidth <= 0 || len(cur) < maxWidth)
 		if fits {
 			for _, g := range cur {
@@ -35,13 +38,12 @@ func ChainToDAG(chain []network.VNFID, rules *RuleTable, maxWidth int) DAGSFC {
 				}
 			}
 		}
-		if !fits {
-			flush()
+		if !fits && len(cur) > 0 {
+			layers = append(layers, Layer{VNFs: vnfs[start:i:i]})
+			start = i
 		}
-		cur = append(cur, f)
 	}
-	flush()
-	return s
+	return DAGSFC{Layers: append(layers, Layer{VNFs: vnfs[start:]})}
 }
 
 // DAG is a generic dependency graph over SFC positions: Nodes[i] is the VNF

@@ -183,3 +183,45 @@ func TestLevelizeEmpty(t *testing.T) {
 		t.Fatalf("empty dag: %v, %v", s, err)
 	}
 }
+
+// TestChainToDAGLayersAreIndependentWindows: the layers share one copy of
+// the chain, so each must be capped at its own end — appending to one may
+// not write into the next — and none may alias the caller's slice.
+func TestChainToDAGLayersAreIndependentWindows(t *testing.T) {
+	chain := []network.VNFID{Firewall, IDS, Monitor, NAT, LoadBalancer}
+	s := ChainToDAG(chain, StockRules(), 3)
+	want := Format(s)
+	for i := range chain {
+		chain[i] = 99
+	}
+	if got := Format(s); got != want {
+		t.Fatalf("result aliases the caller's chain: %q, was %q", got, want)
+	}
+	for li := range s.Layers {
+		if l := s.Layers[li].VNFs; cap(l) != len(l) {
+			t.Fatalf("layer %d: cap %d beyond len %d reaches into the next layer", li+1, cap(l), len(l))
+		}
+		_ = append(s.Layers[li].VNFs, 77)
+	}
+	if got := Format(s); got != want {
+		t.Fatalf("appending to a layer changed a neighbour: %q, was %q", got, want)
+	}
+}
+
+// The two calls every chain admission makes: a copy of the chain plus the
+// layer slice, and the string.
+func TestChainToDAGAndFormatAllocs(t *testing.T) {
+	chain := []network.VNFID{Firewall, IDS, Monitor, NAT, LoadBalancer, TrafficShaper}
+	rules := StockRules()
+	var s DAGSFC
+	if n := testing.AllocsPerRun(100, func() { s = ChainToDAG(chain, rules, 3) }); n > 2 {
+		t.Errorf("ChainToDAG: %v allocs, want at most 2", n)
+	}
+	var text string
+	if n := testing.AllocsPerRun(100, func() { text = Format(s) }); n > 1 {
+		t.Errorf("Format: %v allocs, want at most 1", n)
+	}
+	if back, err := Parse(text); err != nil || Format(back) != text {
+		t.Fatalf("Format(%v) = %q does not round-trip: %v", s, text, err)
+	}
+}
