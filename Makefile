@@ -22,12 +22,17 @@ core-single-goroutine:
 	fi
 
 # The flow tables and the live ledger belong to internal/flowstate, and
-# live traffic and WAL replay change them through the same Apply (DESIGN
-# §19): the hand-written replay mirror, the second (re-protect) controller
-# and the released-mid-repair side table must not grow back in the server.
+# live traffic, WAL replay and the offline driver change them through the
+# same Apply (DESIGN §20): the hand-written replay mirror, the second
+# (re-protect) controller and the released-mid-repair side table must not
+# grow back in the server, nor a ledger of its own, a direct commit or
+# release, or a flow table in internal/online.
 server-single-writer:
 	@if grep -nE 'replayRecord|commitReprotect|reprotectOne|dropped[[:space:]]+map\[' $$(ls internal/server/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/server mutates flow state beside flowstate.Apply"; exit 1; \
+	fi
+	@if grep -nE 'core\.Commit\(|core\.Release\(|network\.NewLedger\(|NewFlowTable' $$(ls internal/online/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/online mutates a ledger beside flowstate.Apply"; exit 1; \
 	fi
 
 # Both sides of the socket read a body once into a pooled buffer and share
@@ -87,7 +92,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR23.json
+BENCH_JSON ?= BENCH_PR24.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -103,7 +108,7 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR21 baseline, if an
+# regressed more than 20% against the committed PR23 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
@@ -115,7 +120,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR21.json
+BENCH_GUARD_OLD ?= BENCH_PR23.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

@@ -18,7 +18,7 @@
 // (`make bench-json`): -parse-bench reads raw `go test -bench -benchmem`
 // output and merges it into a labelled JSON ledger:
 //
-//	dagsfc-bench -parse-bench bench.out -bench-label after -bench-out BENCH_PR9.json
+//	dagsfc-bench -parse-bench bench.out -bench-label after -bench-out BENCH_PR24.json
 //
 // A third mode guards against hot-path regressions (`make bench-guard`):
 // it prints the old->new ns/op delta of every benchmark the two ledgers
@@ -27,7 +27,7 @@
 // allocs/op rose more than 5%, or the warm path-cache
 // embed lost its speedup floor:
 //
-//	dagsfc-bench -guard-old BENCH_PR21.json -guard-new BENCH_PR23.json
+//	dagsfc-bench -guard-old BENCH_PR23.json -guard-new BENCH_PR24.json
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 
 		parseBench = flag.String("parse-bench", "", "parse raw `go test -bench` output from this file into the benchmark JSON ledger and exit (skips the experiment sweep)")
 		benchLabel = flag.String("bench-label", "after", "run label to record the parsed benchmarks under")
-		benchOut   = flag.String("bench-out", "BENCH_PR9.json", "benchmark JSON ledger to create or update")
+		benchOut   = flag.String("bench-out", "", "benchmark JSON ledger to create or update (required with -parse-bench)")
 
 		guardOld   = flag.String("guard-old", "", "baseline benchmark JSON ledger; with -guard-new, compare and exit non-zero on regression (skips the experiment sweep)")
 		guardNew   = flag.String("guard-new", "", "candidate benchmark JSON ledger to check against -guard-old")
@@ -66,6 +66,9 @@ func main() {
 			return guardBench(*guardOld, *guardNew, *guardLimit)
 		}
 		if *parseBench != "" {
+			if *benchOut == "" {
+				return fmt.Errorf("-parse-bench needs -bench-out: the ledger to create or update")
+			}
 			return mergeBench(*parseBench, *benchLabel, *benchOut)
 		}
 		return run(*expName, *trials, *seed, *csvDir, *parallel)

@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -178,26 +177,13 @@ type wireTarget struct {
 }
 
 func (t wireTarget) ApplyFault(f network.Fault) error {
-	_, err := t.cl.ApplyFault(t.ctx, faultToWire(f))
+	_, err := t.cl.ApplyFault(t.ctx, server.FaultToWire(f))
 	return err
 }
 
 func (t wireTarget) RestoreFault(f network.Fault) error {
-	_, err := t.cl.RestoreFault(t.ctx, faultToWire(f))
+	_, err := t.cl.RestoreFault(t.ctx, server.FaultToWire(f))
 	return err
-}
-
-func faultToWire(f network.Fault) server.FaultRequest {
-	w := server.FaultRequest{Kind: f.Kind.String()}
-	switch f.Kind {
-	case network.FaultNodeDown:
-		w.Node = int(f.Node)
-	case network.FaultLinkDegrade:
-		w.Link, w.Fraction = int(f.Link), f.Fraction
-	default:
-		w.Link = int(f.Link)
-	}
-	return w
 }
 
 func runChaos(cl *client.Client, cfg chaosConfig) error {
@@ -304,15 +290,15 @@ func runChaos(cl *client.Client, cfg chaosConfig) error {
 	if end.ActiveFlows != 0 {
 		return fmt.Errorf("chaos: %d flows still active after full release", end.ActiveFlows)
 	}
-	if !sameResiduals(seedState, end) {
+	if !seedState.SameResiduals(end) {
 		return fmt.Errorf("chaos: ledger did not drain to the seed residuals")
 	}
 
-	metrics, err := cl.Metrics(ctx)
+	panics, err := counter(ctx, cl, "dagsfc_server_worker_panics_total")
 	if err != nil {
-		return fmt.Errorf("chaos: metrics: %w", err)
+		return fmt.Errorf("chaos: %w", err)
 	}
-	if panics := counterValue(metrics, "dagsfc_server_worker_panics_total"); panics > 0 {
+	if panics > 0 {
 		return fmt.Errorf("chaos: %d embed workers panicked", panics)
 	}
 	fmt.Fprintln(os.Stderr, "chaos: faults restored, flows settled, ledger drained to seed, zero panics — ok")
@@ -387,7 +373,7 @@ func runProtect(cl *client.Client, cfg protectConfig) error {
 	edgeRng := rand.New(rand.NewSource(cfg.seed ^ 0x70726f74)) // "prot"
 	rounds := 0
 	for _, e := range edgeRng.Perm(len(seedState.Links)) {
-		failovers, err := protectCounter(ctx, cl, "dagsfc_protect_failovers_total")
+		failovers, err := counter(ctx, cl, "dagsfc_protect_failovers_total")
 		if err != nil {
 			return err
 		}
@@ -425,11 +411,11 @@ func runProtect(cl *client.Client, cfg protectConfig) error {
 			return err
 		}
 	}
-	failovers, err := protectCounter(ctx, cl, "dagsfc_protect_failovers_total")
+	failovers, err := counter(ctx, cl, "dagsfc_protect_failovers_total")
 	if err != nil {
 		return err
 	}
-	reprotects, _ := protectCounter(ctx, cl, "dagsfc_protect_reprotects_total")
+	reprotects, _ := counter(ctx, cl, "dagsfc_protect_reprotects_total")
 	if failovers == 0 {
 		return fmt.Errorf("protect: %d edge-down rounds produced zero failovers over %d protected flows", rounds, protected)
 	}
@@ -451,29 +437,32 @@ func runProtect(cl *client.Client, cfg protectConfig) error {
 	if err != nil {
 		return err
 	}
-	if !sameResiduals(seedState, end) {
+	if !seedState.SameResiduals(end) {
 		return fmt.Errorf("protect: ledger did not drain to the seed residuals")
 	}
-	metrics, err := cl.Metrics(ctx)
+	snap, err := cl.MetricsSnapshot(ctx)
 	if err != nil {
 		return err
 	}
-	if g := counterValue(metrics, "dagsfc_protect_backups_active"); g != 0 {
-		return fmt.Errorf("protect: backup gauge %d after full release, want 0", g)
+	if g, _ := snap.Series("dagsfc_protect_backups_active"); g.Value != 0 {
+		return fmt.Errorf("protect: backup gauge %v after full release, want 0", g.Value)
 	}
-	if panics := counterValue(metrics, "dagsfc_server_worker_panics_total"); panics > 0 {
-		return fmt.Errorf("protect: %d embed workers panicked", panics)
+	if panics, _ := snap.Series("dagsfc_server_worker_panics_total"); panics.Value > 0 {
+		return fmt.Errorf("protect: %v embed workers panicked", panics.Value)
 	}
 	fmt.Fprintln(os.Stderr, "protect: failovers verified, ledger drained to seed, zero panics — ok")
 	return nil
 }
 
-func protectCounter(ctx context.Context, cl *client.Client, name string) (int, error) {
-	metrics, err := cl.Metrics(ctx)
+// counter reads one label-free counter or gauge off the server's /metrics
+// snapshot; 0 when the family is absent.
+func counter(ctx context.Context, cl *client.Client, name string) (int, error) {
+	snap, err := cl.MetricsSnapshot(ctx)
 	if err != nil {
-		return 0, fmt.Errorf("protect: metrics: %w", err)
+		return 0, fmt.Errorf("metrics: %w", err)
 	}
-	return counterValue(metrics, name), nil
+	ss, _ := snap.Series(name)
+	return int(ss.Value), nil
 }
 
 // settleProtect waits until no flow is mid-repair AND the flow table has
@@ -546,25 +535,6 @@ func settleFlows(ctx context.Context, cl *client.Client) ([]server.FlowInfo, err
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// counterValue extracts a Prometheus counter's value from the text
-// exposition (summing labeled children); 0 when absent.
-func counterValue(metrics, name string) int {
-	total := 0
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, name) || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		if v, err := strconv.ParseFloat(fields[1], 64); err == nil {
-			total += int(v)
-		}
-	}
-	return total
 }
 
 // fetchJournal pages the server's whole retained journal.
@@ -836,7 +806,7 @@ func runKillRestart(cfg killRestartConfig) error {
 			return fmt.Errorf("kill-restart: flow %d diverged:\ncontrol:   %+v\nrecovered: %+v", ca.ID, ca, cb)
 		}
 	}
-	if !sameResiduals(control.NetworkState(), restarted.NetworkState()) {
+	if !control.NetworkState().SameResiduals(restarted.NetworkState()) {
 		return fmt.Errorf("kill-restart: ledger residuals diverged from the control run")
 	}
 	fmt.Fprintf(os.Stderr, "kill-restart: %d flows and every residual identical to the never-killed control — ok\n", len(a))
@@ -861,21 +831,4 @@ func applyKillOp(ctx context.Context, srv *server.Server, op killOp, live *[]int
 	if _, err := srv.Release((*live)[i]); err == nil {
 		*live = append((*live)[:i], (*live)[i+1:]...)
 	}
-}
-
-func sameResiduals(a, b server.NetworkState) bool {
-	if len(a.Links) != len(b.Links) || len(a.Instances) != len(b.Instances) {
-		return false
-	}
-	for i := range a.Links {
-		if a.Links[i].Residual != b.Links[i].Residual {
-			return false
-		}
-	}
-	for i := range a.Instances {
-		if a.Instances[i].Residual != b.Instances[i].Residual {
-			return false
-		}
-	}
-	return true
 }

@@ -26,9 +26,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,6 +38,7 @@ import (
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
+	"dagsfc/internal/telemetry"
 )
 
 func main() {
@@ -234,64 +234,22 @@ func runLoad(cl *client.Client, cfg loadConfig) error {
 	// The server-side view of the same run: per-stage latency percentiles
 	// from the dagsfc_server_stage_seconds histograms, and the journal's
 	// account of why requests were rejected or retried.
-	if metrics, err := cl.Metrics(ctx); err == nil {
-		printStageTable(os.Stdout, metrics)
+	if snap, err := cl.MetricsSnapshot(ctx); err == nil {
+		printStageTable(os.Stdout, snap)
 	}
 	printJournalSummary(ctx, cl)
 	return nil
 }
 
-// stageBucket is one cumulative histogram bucket parsed back out of the
-// Prometheus text exposition.
-type stageBucket struct {
-	le    float64
-	count uint64
-}
-
-// parseStageBuckets extracts the dagsfc_server_stage_seconds _bucket
-// series from a /metrics scrape, keyed by stage label.
-func parseStageBuckets(metrics string) map[string][]stageBucket {
-	const prefix = `dagsfc_server_stage_seconds_bucket{stage="`
-	out := make(map[string][]stageBucket)
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		rest := line[len(prefix):]
-		stage, rest, ok := strings.Cut(rest, `"`)
-		if !ok {
-			continue
-		}
-		rest, ok = strings.CutPrefix(rest, `,le="`)
-		if !ok {
-			continue
-		}
-		leRaw, rest, ok := strings.Cut(rest, `"`)
-		if !ok {
-			continue
-		}
-		countRaw := strings.TrimSpace(strings.TrimPrefix(rest, "}"))
-		le := math.Inf(1)
-		if leRaw != "+Inf" {
-			v, err := strconv.ParseFloat(leRaw, 64)
-			if err != nil {
-				continue
-			}
-			le = v
-		}
-		count, err := strconv.ParseUint(countRaw, 10, 64)
-		if err != nil {
-			continue
-		}
-		out[stage] = append(out[stage], stageBucket{le: le, count: count})
-	}
-	// Sort each stage's buckets by upper bound: the exposition's line order
-	// is an implementation detail of the scrape (and of any relabelling
-	// proxy in between), not part of the format.
-	for _, buckets := range out {
-		sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	}
-	return out
+// stageBuckets returns one stage's cumulative dagsfc_server_stage_seconds
+// buckets from a /metrics snapshot, sorted by upper bound: the scrape is
+// outside input (an old server, a relabelling proxy in between), and its
+// array order is not part of the format.
+func stageBuckets(snap telemetry.Snapshot, stage string) ([]telemetry.BucketCount, bool) {
+	ss, ok := snap.Series("dagsfc_server_stage_seconds", telemetry.L("stage", stage))
+	buckets := slices.Clone(ss.Buckets)
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i].UpperBound < buckets[j].UpperBound })
+	return buckets, ok
 }
 
 // bucketQuantile estimates quantile q from cumulative buckets (sorted by
@@ -302,50 +260,33 @@ func parseStageBuckets(metrics string) map[string][]stageBucket {
 // with no +Inf bucket (a truncated scrape) or cumulative counts that ever
 // decrease (merged or corrupted series) yields NaN rather than a made-up
 // latency.
-func bucketQuantile(buckets []stageBucket, q float64) float64 {
+func bucketQuantile(buckets []telemetry.BucketCount, q float64) float64 {
 	if !histogramValid(buckets) {
 		return math.NaN()
 	}
-	total := buckets[len(buckets)-1].count
+	total := buckets[len(buckets)-1].Count
 	if total == 0 {
 		return math.NaN()
 	}
 	rank := uint64(math.Ceil(q * float64(total)))
 	for _, b := range buckets {
-		if b.count >= rank {
-			return b.le
+		if b.Count >= rank {
+			return b.UpperBound
 		}
 	}
-	return buckets[len(buckets)-1].le
-}
-
-// counterValue extracts a plain (label-free) counter's value from a
-// /metrics scrape; NaN if the series is absent or unparsable.
-func counterValue(metrics, name string) float64 {
-	for _, line := range strings.Split(metrics, "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			return math.NaN()
-		}
-		return v
-	}
-	return math.NaN()
+	return buckets[len(buckets)-1].UpperBound
 }
 
 // histogramValid reports whether le-sorted cumulative buckets form a
 // well-formed histogram: a closing +Inf bucket and counts that never
 // decrease as the bounds grow.
-func histogramValid(buckets []stageBucket) bool {
+func histogramValid(buckets []telemetry.BucketCount) bool {
 	n := len(buckets)
-	if n == 0 || !math.IsInf(buckets[n-1].le, 1) {
+	if n == 0 || !math.IsInf(buckets[n-1].UpperBound, 1) {
 		return false
 	}
 	for i := 1; i < n; i++ {
-		if buckets[i].count < buckets[i-1].count {
+		if buckets[i].Count < buckets[i-1].Count {
 			return false
 		}
 	}
@@ -353,20 +294,16 @@ func histogramValid(buckets []stageBucket) bool {
 }
 
 // printStageTable renders the per-stage p50/p95/p99 table from a /metrics
-// scrape. Stages with no observations are omitted; no stage histograms at
+// snapshot. Stages with no observations are omitted; no stage histograms at
 // all prints nothing (an old server). A stage whose histogram is present
 // but malformed (truncated scrape, merged series) gets a warning line
 // instead of silently vanishing or printing a bogus quantile.
-func printStageTable(w io.Writer, metrics string) {
-	byStage := parseStageBuckets(metrics)
-	if len(byStage) == 0 {
-		return
-	}
+func printStageTable(w io.Writer, snap telemetry.Snapshot) {
 	order := []string{"queue_wait", "embed", "commit_wait", "repair", "failover"}
 	var rows [][4]string
 	var invalid []string
 	for _, stage := range order {
-		buckets, ok := byStage[stage]
+		buckets, ok := stageBuckets(snap, stage)
 		if !ok {
 			continue
 		}
@@ -374,7 +311,7 @@ func printStageTable(w io.Writer, metrics string) {
 			invalid = append(invalid, stage)
 			continue
 		}
-		if buckets[len(buckets)-1].count == 0 {
+		if buckets[len(buckets)-1].Count == 0 {
 			continue
 		}
 		rows = append(rows, [4]string{stage,
@@ -545,7 +482,7 @@ func runSmoke(cl *client.Client, kinds int, rate float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if sameResiduals(seedState, mid) {
+	if seedState.SameResiduals(mid) {
 		return fmt.Errorf("smoke: commit left the residual network unchanged")
 	}
 	if _, err := cl.ReleaseFlow(ctx, info.ID); err != nil {
@@ -555,36 +492,31 @@ func runSmoke(cl *client.Client, kinds int, rate float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if !sameResiduals(seedState, end) || end.ActiveFlows != 0 {
+	if !seedState.SameResiduals(end) || end.ActiveFlows != 0 {
 		return fmt.Errorf("smoke: release did not restore the seed residuals")
 	}
-	metrics, err := cl.Metrics(ctx)
+	snap, err := cl.MetricsSnapshot(ctx)
 	if err != nil {
 		return fmt.Errorf("smoke: metrics: %w", err)
 	}
-	if !strings.Contains(metrics, "dagsfc_server_requests_total") {
-		return fmt.Errorf("smoke: /metrics missing dagsfc_server_requests_total")
-	}
-	if !strings.Contains(metrics, "dagsfc_server_stage_seconds_bucket") {
-		return fmt.Errorf("smoke: /metrics missing dagsfc_server_stage_seconds histograms")
-	}
-	if !strings.Contains(metrics, "dagsfc_journal_events_total") {
-		return fmt.Errorf("smoke: /metrics missing dagsfc_journal_events_total")
-	}
-	// The path-tree cache families must always be exposed (the server
-	// pre-creates them at zero), and the embed above must have consulted
-	// the cache at least once — every tree it computed was a recorded miss.
+	// The traffic above must show, and the path-tree cache families must
+	// always be exposed (the server pre-creates them at zero).
 	for _, name := range []string{
+		"dagsfc_server_requests_total",
+		"dagsfc_server_stage_seconds",
+		"dagsfc_journal_events_total",
 		"dagsfc_path_cache_hits_total",
 		"dagsfc_path_cache_misses_total",
 		"dagsfc_path_cache_evictions_total",
 	} {
-		if !strings.Contains(metrics, name) {
+		if _, ok := snap.Series(name); !ok {
 			return fmt.Errorf("smoke: /metrics missing %s", name)
 		}
 	}
-	if misses := counterValue(metrics, "dagsfc_path_cache_misses_total"); !(misses > 0) {
-		return fmt.Errorf("smoke: dagsfc_path_cache_misses_total = %v after an embed, want > 0", misses)
+	// The embed above must have consulted the cache at least once — every
+	// tree it computed was a recorded miss.
+	if misses, _ := snap.Series("dagsfc_path_cache_misses_total"); !(misses.Value > 0) {
+		return fmt.Errorf("smoke: dagsfc_path_cache_misses_total = %v after an embed, want > 0", misses.Value)
 	}
 
 	// The flight recorder must have witnessed the whole cycle: a non-empty
@@ -613,28 +545,4 @@ func runSmoke(cl *client.Client, kinds int, rate float64, seed int64) error {
 	fmt.Fprintf(os.Stderr, "smoke: journal recorded %d events for flow %d\n", len(timeline.Events), info.ID)
 	fmt.Fprintln(os.Stderr, "smoke: commit/release cycle exact, telemetry live — ok")
 	return nil
-}
-
-func sameResiduals(a, b server.NetworkState) bool {
-	if len(a.Links) != len(b.Links) || len(a.Instances) != len(b.Instances) {
-		return false
-	}
-	for i := range a.Links {
-		if a.Links[i].Residual != b.Links[i].Residual {
-			return false
-		}
-	}
-	for i := range a.Instances {
-		if a.Instances[i].Residual != b.Instances[i].Residual {
-			return false
-		}
-	}
-	return true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,35 +4,56 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dagsfc/internal/telemetry"
 )
 
-// exposition builds a stage-histogram scrape from (le, count) pairs in the
-// given order — the tests shuffle and truncate it to prove the parser does
-// not depend on line order or on the +Inf bucket coming last.
-func exposition(stage string, pairs ...[2]string) string {
-	var b strings.Builder
-	for _, p := range pairs {
-		b.WriteString(`dagsfc_server_stage_seconds_bucket{stage="` + stage + `",le="` + p[0] + `"} ` + p[1] + "\n")
+var inf = math.Inf(1)
+
+// scrape builds a /metrics snapshot holding one stage histogram per
+// argument pair, buckets in the given order — the tests shuffle and
+// truncate them to prove the table does not depend on array order or on
+// the +Inf bucket coming last.
+func scrape(stages map[string][]telemetry.BucketCount) telemetry.Snapshot {
+	fam := telemetry.FamilySnapshot{Name: "dagsfc_server_stage_seconds", Kind: telemetry.KindHistogram}
+	for stage, buckets := range stages {
+		fam.Series = append(fam.Series, telemetry.SeriesSnapshot{Labels: []telemetry.Label{telemetry.L("stage", stage)}, Buckets: buckets})
 	}
-	return b.String()
+	return telemetry.Snapshot{Families: []telemetry.FamilySnapshot{
+		{Name: "dagsfc_path_cache_hits_total", Kind: telemetry.KindCounter, Series: []telemetry.SeriesSnapshot{{Value: 12}}},
+		fam,
+	}}
+}
+
+// hist builds cumulative buckets from (upper bound, count) pairs.
+func hist(pairs ...float64) []telemetry.BucketCount {
+	var out []telemetry.BucketCount
+	for i := 0; i+1 < len(pairs); i += 2 {
+		out = append(out, telemetry.BucketCount{UpperBound: pairs[i], Count: uint64(pairs[i+1])})
+	}
+	return out
+}
+
+// embedBuckets is hist through a snapshot and back out of stageBuckets.
+func embedBuckets(t *testing.T, pairs ...float64) []telemetry.BucketCount {
+	t.Helper()
+	buckets := hist(pairs...)
+	got, ok := stageBuckets(scrape(map[string][]telemetry.BucketCount{"embed": buckets}), "embed")
+	if !ok || len(got) != len(buckets) {
+		t.Fatalf("found %d buckets (ok=%v), want %d", len(got), ok, len(buckets))
+	}
+	return got
 }
 
 func TestBucketQuantileShuffledExposition(t *testing.T) {
 	// The same histogram in scrape order and shuffled: 100 observations,
 	// p50 ≤ 0.01, p95 ≤ 0.1, p99 ≤ +Inf.
-	ordered := exposition("embed",
-		[2]string{"0.001", "10"}, [2]string{"0.01", "60"},
-		[2]string{"0.1", "95"}, [2]string{"+Inf", "100"})
-	shuffled := exposition("embed",
-		[2]string{"0.1", "95"}, [2]string{"+Inf", "100"},
-		[2]string{"0.001", "10"}, [2]string{"0.01", "60"})
-	for _, metrics := range []string{ordered, shuffled} {
-		buckets := parseStageBuckets(metrics)["embed"]
-		if len(buckets) != 4 {
-			t.Fatalf("parsed %d buckets, want 4", len(buckets))
-		}
+	ordered := []float64{0.001, 10, 0.01, 60, 0.1, 95, inf, 100}
+	shuffled := []float64{0.1, 95, inf, 100, 0.001, 10, 0.01, 60}
+	for _, in := range [][]float64{ordered, shuffled} {
+		buckets := embedBuckets(t, in...)
 		for i := 1; i < len(buckets); i++ {
-			if buckets[i].le < buckets[i-1].le {
+			if buckets[i].UpperBound < buckets[i-1].UpperBound {
 				t.Fatalf("buckets not sorted by le: %v", buckets)
 			}
 		}
@@ -52,12 +73,7 @@ func TestBucketQuantileTruncatedExposition(t *testing.T) {
 	// A scrape cut off before the +Inf bucket: there is no observation
 	// total to rank against, so every quantile is NaN — previously the
 	// last-seen bucket's count was silently trusted as the total.
-	metrics := exposition("embed",
-		[2]string{"0.001", "10"}, [2]string{"0.01", "60"}, [2]string{"0.1", "95"})
-	buckets := parseStageBuckets(metrics)["embed"]
-	if len(buckets) != 3 {
-		t.Fatalf("parsed %d buckets, want 3", len(buckets))
-	}
+	buckets := embedBuckets(t, 0.001, 10, 0.01, 60, 0.1, 95)
 	if got := bucketQuantile(buckets, 0.50); !math.IsNaN(got) {
 		t.Fatalf("p50 on truncated histogram = %v, want NaN", got)
 	}
@@ -69,9 +85,7 @@ func TestBucketQuantileTruncatedExposition(t *testing.T) {
 func TestBucketQuantileNonMonotonicCounts(t *testing.T) {
 	// Cumulative counts that decrease (merged series, relabelling damage):
 	// refuse to estimate rather than fabricate a latency.
-	metrics := exposition("embed",
-		[2]string{"0.001", "50"}, [2]string{"0.01", "30"}, [2]string{"+Inf", "100"})
-	buckets := parseStageBuckets(metrics)["embed"]
+	buckets := embedBuckets(t, 0.001, 50, 0.01, 30, inf, 100)
 	if got := bucketQuantile(buckets, 0.50); !math.IsNaN(got) {
 		t.Fatalf("p50 on non-monotonic histogram = %v, want NaN", got)
 	}
@@ -84,8 +98,7 @@ func TestBucketQuantileEmptyAndZero(t *testing.T) {
 	if got := bucketQuantile(nil, 0.5); !math.IsNaN(got) {
 		t.Fatalf("quantile of no buckets = %v, want NaN", got)
 	}
-	empty := parseStageBuckets(exposition("embed",
-		[2]string{"0.001", "0"}, [2]string{"+Inf", "0"}))["embed"]
+	empty := embedBuckets(t, 0.001, 0, inf, 0)
 	if got := bucketQuantile(empty, 0.5); !math.IsNaN(got) {
 		t.Fatalf("quantile of zero observations = %v, want NaN", got)
 	}
@@ -95,12 +108,12 @@ func TestBucketQuantileEmptyAndZero(t *testing.T) {
 }
 
 func TestPrintStageTableWarnsOnMalformed(t *testing.T) {
-	metrics := exposition("embed",
-		[2]string{"0.001", "10"}, [2]string{"+Inf", "100"}) +
-		exposition("commit_wait",
-			[2]string{"0.001", "50"}, [2]string{"0.01", "30"}, [2]string{"+Inf", "100"})
+	snap := scrape(map[string][]telemetry.BucketCount{
+		"embed":       hist(0.001, 10, inf, 100),
+		"commit_wait": hist(0.001, 50, 0.01, 30, inf, 100),
+	})
 	var out strings.Builder
-	printStageTable(&out, metrics)
+	printStageTable(&out, snap)
 	got := out.String()
 	if !strings.Contains(got, "embed") || !strings.Contains(got, "p99") {
 		t.Fatalf("valid stage missing from table:\n%s", got)
@@ -108,14 +121,23 @@ func TestPrintStageTableWarnsOnMalformed(t *testing.T) {
 	if !strings.Contains(got, `warning: stage "commit_wait"`) {
 		t.Fatalf("malformed stage did not produce a warning:\n%s", got)
 	}
+	out.Reset()
+	if printStageTable(&out, telemetry.Snapshot{}); out.Len() != 0 {
+		t.Fatalf("no stage histograms at all (an old server) printed:\n%s", out.String())
+	}
 }
 
+// TestCounterValue: the smoke check reads a label-free counter off the
+// snapshot, and tells one that is absent from one that reads zero.
 func TestCounterValue(t *testing.T) {
-	metrics := "dagsfc_path_cache_hits_total 12\nother 3\n"
-	if got := counterValue(metrics, "dagsfc_path_cache_hits_total"); got != 12 {
-		t.Fatalf("counterValue = %v, want 12", got)
+	snap := scrape(nil)
+	if got, ok := snap.Series("dagsfc_path_cache_hits_total"); !ok || got.Value != 12 {
+		t.Fatalf("counter = %v (present: %v), want 12", got.Value, ok)
 	}
-	if got := counterValue(metrics, "missing_total"); !math.IsNaN(got) {
-		t.Fatalf("absent counter = %v, want NaN", got)
+	if _, ok := snap.Series("missing_total"); ok {
+		t.Fatal("an absent counter was found")
+	}
+	if _, ok := stageBuckets(snap, "embed"); ok {
+		t.Fatal("a stage with no series was found")
 	}
 }

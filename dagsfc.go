@@ -300,7 +300,9 @@ func DefaultDelayParams() DelayParams { return latency.DefaultParams() }
 func SequentialProblem(p *Problem) *Problem { return latency.SequentialProblem(p) }
 
 // RunOnline embeds a sequence of flow requests on a shared ledger,
-// committing each accepted embedding (see internal/online).
+// committing each accepted embedding (see internal/online). A request
+// with no embedding (ErrNoEmbedding), or whose placement the ledger refuses,
+// is rejected; any other error from embed aborts the run.
 func RunOnline(net *Network, reqs []FlowRequest, embed func(*Problem) (*Result, error)) (OnlineReport, error) {
 	return online.Run(net, reqs, embed)
 }
@@ -318,6 +320,10 @@ type ChurnReport = online.ChurnReport
 
 // RunChurn processes timed requests in event order, committing arrivals
 // and releasing departures, so capacity recycles (see internal/online).
+// Embedder errors follow RunOnline's rule: only ErrNoEmbedding and a
+// commit-time refusal count as rejections; anything else — a malformed
+// request, a bug in embed — aborts the run rather than posting a plausible
+// acceptance ratio.
 func RunChurn(net *Network, reqs []TimedFlowRequest, embed func(*Problem) (*Result, error)) (ChurnReport, error) {
 	return online.RunChurn(net, reqs, embed)
 }

@@ -67,8 +67,9 @@ type Event struct {
 
 // Events expands the schedule into its ordered transition list: time
 // ascending; at equal times restores fire before applies (capacity comes
-// back before new faults claim it, mirroring online.SortEvents); remaining
-// ties break on incident index. The schedule itself is not modified.
+// back before new faults claim it, as in the offline driver's event order
+// in internal/online); remaining ties break on incident index. The
+// schedule itself is not modified.
 func (s Schedule) Events() []Event {
 	evs := make([]Event, 0, 2*len(s))
 	for i, inc := range s {

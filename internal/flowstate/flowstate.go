@@ -537,6 +537,48 @@ func (st *State) Placements() []Placement {
 	return out
 }
 
+// Verdict judges one standing placement after fault f, on snap — any
+// what-if copy of the ledger taken once f's quarantine has landed — and
+// returns the transition the flow is owed: Revalidate (it survived in
+// place), BackupLoss (the backup died, the primary serves on), Failover
+// (the primary died, the backup takes over) or Strand. Both placements are
+// first released into a throwaway overlay of snap, so a flow is never
+// condemned for capacity it itself holds; the primary is validated, then
+// re-reserved before the backup is judged, so "both fine" means the pair
+// still fits together. snap is left untouched, and nothing here reads the
+// State: the server runs it with its mutex released. The placement
+// pointers ride along as the transition's stale guard.
+func Verdict(snap *network.Ledger, pl Placement, f network.Fault) Transition {
+	t := Transition{Kind: Strand, Flow: pl.ID, Fault: f, Primary: pl.Primary, Backup: pl.Backup}
+	probe := *pl.Problem
+	probe.Ledger = snap.Overlay()
+	defer probe.Ledger.Discard()
+	err := core.Release(&probe, pl.Primary)
+	if err == nil && pl.Backup != nil {
+		err = core.Release(&probe, pl.Backup)
+	}
+	if err != nil {
+		return t
+	}
+	priOK, bakOK := core.Validate(&probe, pl.Primary) == nil, false
+	if pl.Backup != nil {
+		if priOK {
+			_, err = core.Commit(&probe, pl.Primary)
+			priOK = err == nil
+		}
+		bakOK = core.Validate(&probe, pl.Backup) == nil
+	}
+	switch {
+	case priOK && (pl.Backup == nil || bakOK):
+		t.Kind = Revalidate
+	case priOK:
+		t.Kind = BackupLoss
+	case bakOK:
+		t.Kind = Failover
+	}
+	return t
+}
+
 // Need is what a flow lacks relative to what it was admitted with.
 type Need uint8
 

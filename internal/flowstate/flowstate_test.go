@@ -111,8 +111,8 @@ func (s *sim) verify(step string, settled bool) {
 	if settled {
 		snap := s.a.Snapshot()
 		for _, pl := range s.a.Placements() {
-			if pri, bak := judge(snap, pl); !pri || (pl.Backup != nil && !bak) {
-				s.t.Fatalf("after %s: flow %d's standing placement fails validation net of itself (primary %v, backup %v)", step, pl.ID, pri, bak)
+			if v := Verdict(snap, pl, network.Fault{}); v.Kind != Revalidate {
+				s.t.Fatalf("after %s: flow %d's standing placement fails validation net of itself (verdict kind %d)", step, pl.ID, v.Kind)
 			}
 		}
 	}
@@ -132,27 +132,6 @@ func (s *sim) verify(step string, settled bool) {
 	if err := sameState(s.net, s.a, back); err != nil {
 		s.t.Fatalf("after %s: export/import changed the state: %v", step, err)
 	}
-}
-
-// judge is the fault verdict: does the standing embedding still validate
-// on snap net of its own reservations, the backup over the re-reserved
-// primary?
-func judge(snap *network.Ledger, pl Placement) (priOK, bakOK bool) {
-	probe := *pl.Problem
-	probe.Ledger = snap.Overlay()
-	_ = core.Release(&probe, pl.Primary)
-	if pl.Backup != nil {
-		_ = core.Release(&probe, pl.Backup)
-	}
-	priOK = core.Validate(&probe, pl.Primary) == nil
-	if pl.Backup != nil {
-		if priOK {
-			_, err := core.Commit(&probe, pl.Primary)
-			priOK = err == nil
-		}
-		bakOK = core.Validate(&probe, pl.Backup) == nil
-	}
-	return priOK, bakOK
 }
 
 func sameResiduals(net *network.Network, x, y *network.Ledger) error {
@@ -325,14 +304,9 @@ func (s *sim) fault() {
 		if !faults.Hits(s.net, pl.Primary, f) && (pl.Backup == nil || !faults.Hits(s.net, pl.Backup, f)) {
 			continue
 		}
-		t := Transition{Kind: Strand, Flow: pl.ID, Fault: f, Primary: pl.Primary, Backup: pl.Backup}
-		switch pri, bak := judge(snap, pl); {
-		case pri && (pl.Backup == nil || bak):
-			t.Kind = Revalidate
-		case pri:
-			t.Kind = BackupLoss
-		case pl.Backup != nil && bak:
-			t.Kind = Failover
+		t := Verdict(snap, pl, f)
+		if t.Flow != pl.ID || t.Fault != f || t.Primary != pl.Primary || t.Backup != pl.Backup {
+			s.t.Fatalf("verdict on flow %d does not carry its flow, fault and guards: %+v", pl.ID, t)
 		}
 		if s.rng.Intn(3) == 0 {
 			// A verdict reached on a placement the flow no longer stands on.

@@ -128,13 +128,36 @@ func TestRunRecordsLatencies(t *testing.T) {
 	}
 }
 
+// TestRunAbortsOnHardError: through every entry point, an embedder error
+// that is not "no embedding exists" — a malformed problem, an embedder bug —
+// ends the run instead of being booked as a rejection.
 func TestRunAbortsOnHardError(t *testing.T) {
 	net := tinyNet()
 	bad := Request{SFC: sfc.DAGSFC{Layers: []sfc.Layer{{VNFs: []network.VNFID{1}}}},
 		Src: 0, Dst: 2, Rate: -1, Size: 1} // invalid problem, not a rejection
-	_, err := Run(net, []Request{bad}, core.EmbedMBBE)
-	if err == nil {
-		t.Fatal("hard error swallowed")
+	boom := errors.New("embedder bug")
+	broken := func(*core.Problem) (*core.Result, error) { return nil, boom }
+	for _, c := range []struct {
+		name  string
+		req   Request
+		embed Embedder
+		want  error // nil: any error
+	}{
+		{"malformed problem", bad, core.EmbedMBBE, nil},
+		{"embedder bug", chainReq(1), broken, boom},
+	} {
+		timed := []TimedRequest{{Request: c.req, Arrival: 0, Duration: 1}}
+		_, runErr := Run(net, []Request{c.req}, c.embed)
+		churn, churnErr := RunChurn(net, timed, c.embed)
+		fail, failErr := RunFailures(net, timed, nil, c.embed)
+		for entry, err := range map[string]error{"Run": runErr, "RunChurn": churnErr, "RunFailures": failErr} {
+			if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+				t.Errorf("%s, %s: err = %v, want the hard error", c.name, entry, err)
+			}
+		}
+		if churn.Rejected != 0 || fail.Rejected != 0 {
+			t.Errorf("%s: hard error booked as a rejection (%d, %d)", c.name, churn.Rejected, fail.Rejected)
+		}
 	}
 }
 

@@ -3,10 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
+	"dagsfc/internal/network"
 )
 
 // This file defines the JSON wire types of the control-plane API and the
@@ -57,6 +59,9 @@ type (
 	FaultRequest = flowstate.FaultRequest
 )
 
+// FaultToWire renders a fault as the request body that applies it.
+func FaultToWire(f network.Fault) FaultRequest { return flowstate.FaultToWire(f) }
+
 // Flow lifecycle states and eviction causes (see flowstate).
 const (
 	FlowStateActive     = flowstate.StateActive
@@ -97,6 +102,13 @@ type NetworkState struct {
 	ActiveFlows int             `json:"active_flows"`
 	Links       []LinkState     `json:"links"`
 	Instances   []InstanceState `json:"instances"`
+}
+
+// SameResiduals reports whether two snapshots of one network show the same
+// residual on every link and instance, exactly — the drain-to-seed check.
+func (a NetworkState) SameResiduals(b NetworkState) bool {
+	return slices.EqualFunc(a.Links, b.Links, func(x, y LinkState) bool { return x.Residual == y.Residual }) &&
+		slices.EqualFunc(a.Instances, b.Instances, func(x, y InstanceState) bool { return x.Residual == y.Residual })
 }
 
 // EventsPage is the response of the journal endpoints: one page of

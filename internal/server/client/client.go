@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dagsfc/internal/server"
+	"dagsfc/internal/telemetry"
 )
 
 // Client talks to one dagsfc-serve instance.
@@ -178,6 +179,14 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(body))}
 	}
 	return string(body), nil
+}
+
+// MetricsSnapshot scrapes /metrics as the typed snapshot the text is
+// rendered from (GET /metrics?format=json).
+func (c *Client) MetricsSnapshot(ctx context.Context) (telemetry.Snapshot, error) {
+	var snap telemetry.Snapshot
+	err := c.do(ctx, http.MethodGet, "/metrics", "format=json", nil, &snap)
+	return snap, err
 }
 
 // flowPath is "/v1/flows/{id}" + suffix.

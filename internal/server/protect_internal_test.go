@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 )
@@ -158,5 +159,79 @@ func TestApplyFaultRevalidationDoesNotHoldLock(t *testing.T) {
 	close(release)
 	if err := <-faultDone; err != nil {
 		t.Fatalf("ApplyFault: %v", err)
+	}
+}
+
+// TestRevalidateFlowsJudgesThePair: the chaos invariant must see a backup
+// that no longer fits, not only a primary. ApplyFault is parked between
+// quarantining the backup's first hop and acting on it, so an active flow
+// stands on a healthy primary and a dead backup: probing the primary alone
+// finds nothing wrong; the verdict on the pair flags the flow. Once the fault has
+// run its course — backup dropped, a fresh one armed on the third path —
+// the invariant holds again.
+func TestRevalidateFlowsJudgesThePair(t *testing.T) {
+	srv, err := New(Config{
+		Net: protectNet(), Workers: 2,
+		RepairRetries: 2, RepairBackoff: time.Millisecond, RepairBackoffCap: 4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	info, err := srv.Submit(context.Background(), FlowRequest{
+		SFC: "1", Src: 0, Dst: 4, Rate: 1, Size: 1, Protection: ProtectionBackup,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := srv.RevalidateFlows(); len(bad) != 0 {
+		t.Fatalf("flows %v fail revalidation before any fault", bad)
+	}
+
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	srv.revalHook = func(int64) {
+		close(parked)
+		<-release
+	}
+	faultDone := make(chan error, 1)
+	go func() {
+		_, err := srv.ApplyFault(network.Fault{Kind: network.FaultEdgeDown, Link: 2}) // the backup's first hop
+		faultDone <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ApplyFault never reached the revalidation phase")
+	}
+
+	srv.mu.Lock()
+	pl, ok := srv.state.Placement(info.ID)
+	probe := *pl.Problem
+	probe.Ledger = srv.state.Snapshot()
+	srv.mu.Unlock()
+	if !ok || pl.Backup == nil {
+		t.Fatal("the flow lost its placements before the verdict was applied")
+	}
+	if err := core.Release(&probe, pl.Primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Validate(&probe, pl.Primary); err != nil {
+		t.Fatalf("the primary alone should still validate: %v", err)
+	}
+	if bad := srv.RevalidateFlows(); len(bad) != 1 || bad[0] != info.ID {
+		t.Fatalf("RevalidateFlows() = %v with the backup quarantined, want [%d]", bad, info.ID)
+	}
+
+	close(release)
+	if err := <-faultDone; err != nil {
+		t.Fatalf("ApplyFault: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.PendingRepairs() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if bad := srv.RevalidateFlows(); len(bad) != 0 {
+		t.Fatalf("flows %v fail revalidation after the backup was replaced", bad)
 	}
 }

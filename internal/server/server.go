@@ -34,15 +34,13 @@ import (
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
-	"dagsfc/internal/online"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/telemetry"
 	"dagsfc/internal/wal"
 )
 
-// Embedder is the serving-side embedding algorithm signature, shared with
-// the offline harness.
-type Embedder = online.Embedder
+// Embedder is the serving-side embedding algorithm signature.
+type Embedder func(p *core.Problem) (*core.Result, error)
 
 // Config parameterizes a Server. Zero values take the documented
 // defaults.
@@ -173,7 +171,7 @@ type Server struct {
 	mu        sync.Mutex
 	state     *flowstate.State
 	rebaseLen int
-	wheel     *online.ExpiryWheel[int64]
+	wheel     *ExpiryWheel[int64]
 	// revalHook, when set (tests only), runs once per candidate flow
 	// during ApplyFault's unlocked revalidation phase — the contention
 	// regression test parks it to prove a large fault scan no longer
@@ -489,7 +487,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		telemetry.InitWALMetrics()
 	}
-	s.wheel = online.NewExpiryWheel[int64](func(id int64) { _, _ = s.release(id, flowstate.Expire) })
+	s.wheel = NewExpiryWheel[int64](func(id int64) { _, _ = s.release(id, flowstate.Expire) })
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()

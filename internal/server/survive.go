@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"dagsfc/internal/core"
 	"dagsfc/internal/faults"
 	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
@@ -39,16 +38,6 @@ type repairTask struct {
 	// strandedAt anchors the journal's "repair" stage: the time from
 	// stranding (or backup loss) to the terminal event.
 	strandedAt time.Time
-}
-
-// faultCasualty is one committed flow the fault touches, carried across
-// ApplyFault's unlocked revalidation phase. The placement pointers double
-// as identity guards: phase three's transition is stale unless the flow's
-// live placements are still the exact ones phase two judged.
-type faultCasualty struct {
-	flowstate.Placement
-	priOK bool
-	bakOK bool
 }
 
 // ApplyFault quarantines the fault's capacity on the live ledger (POST
@@ -84,10 +73,10 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	// Phase one: collect the flows the fault touches (primary or backup),
 	// in ascending ID order for a deterministic repair sequence, plus one
 	// shared snapshot to judge them against.
-	var cands []*faultCasualty
+	var cands []flowstate.Placement
 	for _, pl := range s.state.Placements() {
 		if faults.Hits(s.net, pl.Primary, f) || (pl.Backup != nil && faults.Hits(s.net, pl.Backup, f)) {
-			cands = append(cands, &faultCasualty{Placement: pl})
+			cands = append(cands, pl)
 		}
 	}
 	var snap *network.Ledger
@@ -98,58 +87,30 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	s.mu.Unlock()
 	telemetry.RecordFault(f.Kind.String(), true, applied.Faults)
 
-	// Phase two, unlocked: revalidate each candidate net of its own
-	// reservations — release primary and backup into a throwaway overlay
-	// first, so a flow is never condemned for capacity it itself holds.
-	// The surviving primary is re-reserved before the backup is judged, so
-	// a "both OK" verdict means the pair still fits together.
-	for _, c := range cands {
+	// Phase two, unlocked: each candidate's verdict (flowstate.Verdict),
+	// reached net of its own reservations on a throwaway overlay of snap.
+	verdicts := make([]flowstate.Transition, len(cands))
+	for i, pl := range cands {
 		if s.revalHook != nil {
-			s.revalHook(c.ID)
+			s.revalHook(pl.ID)
 		}
-		probe := *c.Problem
-		probe.Ledger = snap.Overlay()
-		err := core.Release(&probe, c.Primary)
-		if err == nil && c.Backup != nil {
-			err = core.Release(&probe, c.Backup)
-		}
-		if err == nil {
-			c.priOK = core.Validate(&probe, c.Primary) == nil
-			if c.Backup != nil {
-				if c.priOK {
-					if _, cerr := core.Commit(&probe, c.Primary); cerr != nil {
-						c.priOK = false
-					}
-				}
-				c.bakOK = core.Validate(&probe, c.Backup) == nil
-			}
-		}
-		probe.Ledger.Discard()
+		verdicts[i] = flowstate.Verdict(snap, pl, f)
 	}
 
-	// Phase three: turn the verdicts into transitions under s.mu. One whose
-	// flow's placements changed while the lock was released comes back
-	// stale and is skipped (released, repaired or failed over concurrently
-	// — whoever moved it reconciled it against the post-fault ledger
-	// already, since the quarantine landed in phase one).
+	// Phase three: apply the verdicts under s.mu. One whose flow's
+	// placements changed while the lock was released comes back stale and
+	// is skipped (released, repaired or failed over concurrently — whoever
+	// moved it reconciled it against the post-fault ledger already, since
+	// the quarantine landed in phase one).
 	type outcome struct {
 		t  flowstate.Transition
 		ch flowstate.Change
 		at time.Time
 	}
 	var outcomes []outcome
-	if len(cands) > 0 {
+	if len(verdicts) > 0 {
 		s.mu.Lock()
-		for _, c := range cands {
-			t := flowstate.Transition{Kind: flowstate.Strand, Flow: c.ID, Fault: f, Primary: c.Primary, Backup: c.Backup}
-			switch {
-			case c.priOK && (c.Backup == nil || c.bakOK):
-				t.Kind = flowstate.Revalidate
-			case c.priOK:
-				t.Kind = flowstate.BackupLoss
-			case c.Backup != nil && c.bakOK:
-				t.Kind = flowstate.Failover
-			}
+		for _, t := range verdicts {
 			ch, tk, err := s.transitLocked(t)
 			if err != nil {
 				continue
@@ -228,24 +189,18 @@ func (s *Server) PendingRepairs() int {
 	return len(s.repairQ) + s.repairBusy
 }
 
-// RevalidateFlows re-checks every committed flow's embedding against the
-// current residual network, net of the flow's own reservations. It
-// returns the IDs that no longer validate — after a quiescent repair
-// pass this must be empty, which is the chaos invariant.
+// RevalidateFlows re-judges every committed flow against the current
+// residual network (flowstate.Verdict: primary and backup, net of the
+// flow's own reservations, the backup beside the primary). It returns the
+// IDs whose verdict is anything but "stands as it is" — after a quiescent
+// repair pass this must be empty, which is the chaos invariant.
 func (s *Server) RevalidateFlows() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := s.state.Snapshot()
 	var bad []int64
 	for _, pl := range s.state.Placements() {
-		probe := *pl.Problem
-		probe.Ledger = snap.Overlay()
-		err := core.Release(&probe, pl.Primary)
-		if err == nil {
-			err = core.Validate(&probe, pl.Primary)
-		}
-		probe.Ledger.Discard()
-		if err != nil {
+		if flowstate.Verdict(snap, pl, network.Fault{}).Kind != flowstate.Revalidate {
 			bad = append(bad, pl.ID)
 		}
 	}

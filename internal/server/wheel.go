@@ -1,113 +1,18 @@
-package online
+package server
 
 import (
 	"container/heap"
-	"sort"
 	"sync"
 	"time"
-
-	"dagsfc/internal/core"
 )
-
-// This file holds the flow-lifecycle machinery shared between the offline
-// churn harness (RunChurn) and the serving layer (internal/server): a
-// table of active (committed, not yet released) flows, the event ordering
-// that makes zero-gap capacity reuse work, and a real-time expiry wheel
-// that is the wall-clock counterpart of RunChurn's simulated event queue.
-
-// Flow is one committed embedding: the problem it was committed under
-// (carrying the shared ledger and the flow's rate) and the solution whose
-// reservations a Release must return.
-type Flow struct {
-	Problem  *core.Problem
-	Solution *core.Solution
-}
-
-// FlowTable tracks the active flows of an online scenario. RunChurn keys
-// flows by request index; the serving layer keys them by flow ID. The
-// zero value is not usable; create one with NewFlowTable. FlowTable is
-// not safe for concurrent use — callers serialize access (the server does
-// so under its state mutex).
-type FlowTable[K comparable] struct {
-	active map[K]Flow
-	peak   int
-}
-
-// NewFlowTable returns an empty table.
-func NewFlowTable[K comparable]() *FlowTable[K] {
-	return &FlowTable[K]{active: make(map[K]Flow)}
-}
-
-// Add records a committed flow under key.
-func (t *FlowTable[K]) Add(key K, f Flow) {
-	t.active[key] = f
-	if len(t.active) > t.peak {
-		t.peak = len(t.active)
-	}
-}
-
-// Release removes and returns the flow under key, reporting whether it was
-// active. The caller owns returning its reservations to the ledger.
-func (t *FlowTable[K]) Release(key K) (Flow, bool) {
-	f, ok := t.active[key]
-	if ok {
-		delete(t.active, key)
-	}
-	return f, ok
-}
-
-// Get returns the active flow under key without removing it.
-func (t *FlowTable[K]) Get(key K) (Flow, bool) {
-	f, ok := t.active[key]
-	return f, ok
-}
-
-// Len reports the number of active flows.
-func (t *FlowTable[K]) Len() int { return len(t.active) }
-
-// Peak reports the largest number of simultaneously active flows seen.
-func (t *FlowTable[K]) Peak() int { return t.peak }
-
-// Keys returns the active keys in unspecified order.
-func (t *FlowTable[K]) Keys() []K {
-	out := make([]K, 0, len(t.active))
-	for k := range t.active {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Event is one lifecycle transition of a churn timeline: the arrival
-// (embed + commit) or departure (release) of request Idx.
-type Event struct {
-	Time    float64
-	Arrival bool
-	Idx     int
-}
-
-// SortEvents orders a churn timeline: by time, departures before arrivals
-// at equal timestamps (so a zero-gap reuse of capacity is possible), ties
-// otherwise by request index. This is the ordering contract the expiry
-// wheel's real-time departures inherit.
-func SortEvents(events []Event) {
-	sort.SliceStable(events, func(a, b int) bool {
-		ea, eb := events[a], events[b]
-		if ea.Time != eb.Time {
-			return ea.Time < eb.Time
-		}
-		if ea.Arrival != eb.Arrival {
-			return !ea.Arrival
-		}
-		return ea.Idx < eb.Idx
-	})
-}
 
 // ExpiryWheel schedules flow departures in real time: a min-heap of
 // deadlines served by one goroutine that invokes the expire callback for
-// each due key, in deadline order (ties by scheduling order, matching
-// SortEvents' index tie-break). It backs the server's per-flow TTL
-// auto-release. All methods are safe for concurrent use; expire runs on
-// the wheel's own goroutine, never under the caller's locks.
+// each due key, in deadline order (ties by scheduling order). It backs the
+// server's per-flow TTL auto-release — the wall-clock counterpart of the
+// offline driver's departure events (internal/online). All methods are
+// safe for concurrent use; expire runs on the wheel's own goroutine, never
+// under the caller's locks.
 type ExpiryWheel[K comparable] struct {
 	expire func(K)
 

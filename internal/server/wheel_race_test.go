@@ -1,4 +1,4 @@
-package online
+package server
 
 import (
 	"sync"

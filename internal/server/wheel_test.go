@@ -1,63 +1,10 @@
-package online
+package server
 
 import (
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestFlowTableAddReleasePeak(t *testing.T) {
-	tab := NewFlowTable[int]()
-	if tab.Len() != 0 || tab.Peak() != 0 {
-		t.Fatal("fresh table not empty")
-	}
-	tab.Add(1, Flow{})
-	tab.Add(2, Flow{})
-	if tab.Len() != 2 || tab.Peak() != 2 {
-		t.Fatalf("len/peak = %d/%d, want 2/2", tab.Len(), tab.Peak())
-	}
-	if _, ok := tab.Get(1); !ok {
-		t.Fatal("Get(1) missed")
-	}
-	if _, ok := tab.Release(1); !ok {
-		t.Fatal("Release(1) missed")
-	}
-	if _, ok := tab.Release(1); ok {
-		t.Fatal("double release succeeded")
-	}
-	if _, ok := tab.Get(1); ok {
-		t.Fatal("released flow still present")
-	}
-	// Peak is sticky across releases.
-	if tab.Len() != 1 || tab.Peak() != 2 {
-		t.Fatalf("len/peak = %d/%d, want 1/2", tab.Len(), tab.Peak())
-	}
-	keys := tab.Keys()
-	if len(keys) != 1 || keys[0] != 2 {
-		t.Fatalf("keys = %v, want [2]", keys)
-	}
-}
-
-func TestSortEventsDeparturesFirst(t *testing.T) {
-	events := []Event{
-		{Time: 5, Arrival: true, Idx: 2},
-		{Time: 5, Arrival: false, Idx: 1},
-		{Time: 1, Arrival: true, Idx: 0},
-		{Time: 5, Arrival: true, Idx: 1},
-	}
-	SortEvents(events)
-	want := []Event{
-		{Time: 1, Arrival: true, Idx: 0},
-		{Time: 5, Arrival: false, Idx: 1},
-		{Time: 5, Arrival: true, Idx: 1},
-		{Time: 5, Arrival: true, Idx: 2},
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, events[i], want[i])
-		}
-	}
-}
 
 // collector gathers wheel firings for assertions.
 type collector struct {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,6 +30,23 @@ func (b BucketCount) MarshalJSON() ([]byte, error) {
 		UpperBound any    `json:"le"`
 		Count      uint64 `json:"count"`
 	}{le, b.Count})
+}
+
+// UnmarshalJSON is MarshalJSON's inverse: "le" is a number, or the string
+// "+Inf".
+func (b *BucketCount) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		UpperBound json.RawMessage `json:"le"`
+		Count      uint64          `json:"count"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	b.Count, b.UpperBound = raw.Count, math.Inf(1)
+	if string(raw.UpperBound) == `"+Inf"` {
+		return nil
+	}
+	return json.Unmarshal(raw.UpperBound, &b.UpperBound)
 }
 
 // SeriesSnapshot is the frozen state of one label set of a family.
@@ -55,6 +73,25 @@ type FamilySnapshot struct {
 // deterministically (families by name, series by label set).
 type Snapshot struct {
 	Families []FamilySnapshot `json:"families"`
+}
+
+// Series looks one series up: the first of family name whose label set
+// includes every given label (none given: the family's first series, which
+// for a label-free counter or gauge is the only one). ok is false when the
+// family is absent or has no such series.
+func (s Snapshot) Series(name string, labels ...Label) (series SeriesSnapshot, ok bool) {
+	for _, fam := range s.Families {
+		if fam.Name != name {
+			continue
+		}
+		for _, ss := range fam.Series {
+			lacksOne := slices.ContainsFunc(labels, func(l Label) bool { return !slices.Contains(ss.Labels, l) })
+			if !lacksOne {
+				return ss, true
+			}
+		}
+	}
+	return SeriesSnapshot{}, false
 }
 
 // Snapshot freezes the registry's current state. Concurrent writers keep

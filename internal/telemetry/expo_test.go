@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -135,5 +138,59 @@ func TestConcurrentHistogramObserve(t *testing.T) {
 	buckets := snap.Families[0].Series[0].Buckets
 	if last := buckets[len(buckets)-1]; last.Count != workers*perWorker {
 		t.Fatalf("+Inf bucket = %d, want %d", last.Count, workers*perWorker)
+	}
+}
+
+// TestSnapshotJSONRoundTrip: what /metrics?format=json writes decodes back
+// into the snapshot it was written from — the "+Inf" bucket bound included —
+// and Series finds in it what the registry recorded.
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("zz_inflight", "In-flight requests.").Set(3)
+	r.Histogram("mm_latency_seconds", "Latency.", []float64{0.1, 1}, L("alg", "mbbe"), L("stage", "embed")).Observe(0.05)
+	r.Histogram("mm_latency_seconds", "Latency.", []float64{0.1, 1}, L("alg", "mbbe"), L("stage", "queue")).Observe(2)
+	r.Counter("aa_hits_total", "Hits.", L("route", "flows")).Add(7)
+	r.Counter("aa_hits_total", "Hits.", L("route", "network")).Add(0)
+	want := r.Snapshot()
+
+	var b bytes.Buffer
+	if err := want.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(b.Bytes(), &got); err != nil {
+		t.Fatalf("the JSON exposition does not decode: %v\n%s", err, b.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed the snapshot:\n got %+v\nwant %+v", got, want)
+	}
+	for _, bad := range []string{`{"le":"-Inf","count":1}`, `{"le":[],"count":1}`, `{"le":1,"count":-1}`} {
+		var bc BucketCount
+		if err := json.Unmarshal([]byte(bad), &bc); err == nil {
+			t.Errorf("bucket %s decoded to %+v, want an error", bad, bc)
+		}
+	}
+
+	if ss, ok := got.Series("zz_inflight"); !ok || ss.Value != 3 {
+		t.Errorf("label-free gauge: %+v, %v", ss, ok)
+	}
+	if ss, ok := got.Series("aa_hits_total", L("route", "flows")); !ok || ss.Value != 7 {
+		t.Errorf("labelled counter: %+v, %v", ss, ok)
+	}
+	if ss, ok := got.Series("aa_hits_total", L("route", "network")); !ok || ss.Value != 0 {
+		t.Errorf("a counter at zero is present, not absent: %+v, %v", ss, ok)
+	}
+	ss, ok := got.Series("mm_latency_seconds", L("stage", "queue"))
+	if !ok || len(ss.Buckets) != 3 || !math.IsInf(ss.Buckets[2].UpperBound, 1) || ss.Buckets[2].Count != 1 || ss.Buckets[1].Count != 0 {
+		t.Errorf("histogram series by one of its labels: %+v, %v", ss, ok)
+	}
+	if _, ok := got.Series("aa_hits"); ok {
+		t.Error("a family-name prefix matched")
+	}
+	if _, ok := got.Series("aa_hits_total", L("route", "flows"), L("alg", "mbbe")); ok {
+		t.Error("a series lacking one of the labels matched")
+	}
+	if _, ok := got.Series("aa_hits_total"); !ok {
+		t.Error("no labels given: any series of the family answers")
 	}
 }
