@@ -141,7 +141,8 @@ func run(c config) error {
 		return err
 	}
 	if c.verbose {
-		fmt.Fprintf(os.Stderr, "Dijkstra trees grown by the run itself: %d nodes settled\n", res.Stats.PathTreeNodes)
+		fmt.Fprintf(os.Stderr, "Dijkstra trees grown by the run itself: %d nodes settled, %d of them closing %d leaves to the destination\n",
+			res.Stats.PathTreeNodes, res.Stats.ClosureTreeNodes, res.Stats.ClosureLeaves)
 	}
 	printSolution(p, res)
 	if c.dotFile != "" {

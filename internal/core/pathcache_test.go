@@ -522,10 +522,10 @@ func buildTestGraphForAllocs() *graph.Graph {
 	return g
 }
 
-// searchStats is s without PathTreeNodes, the one counter that says where a
-// run's Dijkstra trees came from rather than what it searched: a run served
-// by a shared store grows none of its own.
+// searchStats is s without PathTreeNodes and its closure share, the counters
+// that say where a run's Dijkstra trees came from rather than what it
+// searched: a run served by a shared store grows none of its own.
 func searchStats(s Stats) Stats {
-	s.PathTreeNodes = 0
+	s.PathTreeNodes, s.ClosureTreeNodes = 0, 0
 	return s
 }

@@ -180,17 +180,17 @@ type searchConfig struct {
 	// maxNodes aborts the search once the discovered set would exceed this
 	// size without achieving coverage (MBBE's Xmax). 0 = unlimited.
 	maxNodes int
-	// ledger supplies the residual-capacity view. Nil falls back to the
-	// problem's ledger (or a fresh empty one) without mutating p —
-	// convenient for tests that call runSearch directly.
-	ledger *network.Ledger
+	// res supplies the residual capacities, read once off the run's
+	// ledger. Nil reads them off the problem's ledger (or a fresh empty
+	// one) without mutating p — convenient for tests that call runSearch
+	// directly.
+	res *residuals
 	// view, when non-nil, is a capacity-only cost view compiled from the
 	// same ledger at rate demand: arc admission becomes one bitset read
-	// instead of an EdgeResidual call (overlay-chain walk plus map lookups)
-	// per arc. It must be compiled WITHOUT ban sets — runSearch admission
-	// is capacity-only — and gives bit-identical admission decisions to
-	// the ledger path (view compilation replays the residual float math
-	// exactly).
+	// instead of a float comparison per arc. It must be compiled WITHOUT
+	// ban sets — runSearch admission is capacity-only — and gives
+	// bit-identical admission decisions to the residual row (view
+	// compilation compares the same residuals with the same rate).
 	view *graph.CostView
 	// mem supplies every allocation the tree retains and the search's own
 	// working buffers (see searchMem): the embedder passes its run's
@@ -210,9 +210,10 @@ type nodeSet interface {
 // the accumulated available sets cover the required categories (the tree's
 // covered flag), or when the graph (or the maxNodes budget) is exhausted.
 func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
-	ledger := cfg.ledger
-	if ledger == nil {
-		ledger = p.ledgerOrFresh()
+	res := cfg.res
+	if res == nil {
+		r := readResiduals(p.ledgerOrFresh(), nil, nil)
+		res = &r
 	}
 	g := p.Net.G
 	arcs, off := g.CSR()
@@ -236,7 +237,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	available := func(v graph.NodeID) []network.VNFID {
 		buf = buf[:0]
 		for _, f := range needed {
-			if ledger.InstanceResidual(v, f) >= p.Rate {
+			if res.instance(v, f) >= p.Rate {
 				buf = append(buf, f)
 			}
 		}
@@ -313,7 +314,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 					if !cfg.view.Admits(ai) {
 						continue
 					}
-				} else if ledger.EdgeResidual(arc.Edge) < p.Rate {
+				} else if res.edge[arc.Edge] < p.Rate {
 					continue
 				}
 				if i := t.idx[arc.To]; i != 0 {

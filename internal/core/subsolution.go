@@ -82,11 +82,10 @@ func (ss *subSolution) chainInstanceUse(key InstanceUseKey) int {
 	return total
 }
 
-// feasibleAfter reports whether appending ext to the chain ending at ss
-// stays within the ledger's residual capacities. The ledger is passed in
-// (rather than read off p) so the embedder's private view is used and p
-// is never mutated.
-func feasibleAfter(p *Problem, ledger *network.Ledger, ss *subSolution, ext *extension) bool {
+// feasibleAfter reports whether appending ext to the chain ending at ss, for
+// a flow of the given rate, stays within the residual capacities res read
+// off the run's ledger.
+func feasibleAfter(rate float64, res *residuals, ss *subSolution, ext *extension) bool {
 	// Instances: count duplicate uses within ext itself plus the chain. A
 	// layer uses at most width+1 instances, so finding each key's first
 	// occurrence and multiplicity by scanning beats any index.
@@ -100,14 +99,14 @@ func feasibleAfter(p *Problem, ledger *network.Ledger, ss *subSolution, ext *ext
 				n++
 			}
 		}
-		demand := float64(n+ss.chainInstanceUse(key)) * p.Rate
-		if ledger.InstanceResidual(key.Node, key.VNF) < demand-1e-9 {
+		demand := float64(n+ss.chainInstanceUse(key)) * rate
+		if res.instance(key.Node, key.VNF) < demand-network.CapacityEps {
 			return false
 		}
 	}
 	for _, u := range ext.edgeUse {
-		demand := float64(u.count+ss.chainEdgeUse(u.edge)) * p.Rate
-		if ledger.EdgeResidual(u.edge) < demand-1e-9 {
+		demand := float64(u.count+ss.chainEdgeUse(u.edge)) * rate
+		if res.edge[u.edge] < demand-network.CapacityEps {
 			return false
 		}
 	}
@@ -122,25 +121,21 @@ func buildExtension(m *searchMem, p *Problem, spec LayerSpec, nodes []graph.Node
 
 	g := p.Net.G
 	var localCost float64
-	// VNF rents.
+	// VNF rents, read off the network's dense rows: +Inf is "not deployed".
 	instUse := m.instUses.reserve(len(nodes) + 1)
 	for i, node := range nodes {
-		inst, ok := p.Net.Instance(node, spec.VNFs[i])
-		if !ok {
-			m.instUses.abandon(instUse)
-			return nil
-		}
 		instUse = append(instUse, InstanceUseKey{node, spec.VNFs[i]})
-		localCost += inst.Price * p.Size
 	}
 	if spec.Merger {
-		inst, ok := p.Net.Instance(endNode, p.Net.Catalog.Merger())
-		if !ok {
+		instUse = append(instUse, InstanceUseKey{endNode, p.Net.Catalog.Merger()})
+	}
+	for _, key := range instUse {
+		rent := p.Net.Rents(key.VNF)[key.Node]
+		if rent == graph.Inf {
 			m.instUses.abandon(instUse)
 			return nil
 		}
-		instUse = append(instUse, InstanceUseKey{endNode, p.Net.Catalog.Merger()})
-		localCost += inst.Price * p.Size
+		localCost += rent * p.Size
 	}
 	// Inter-layer multicast pays each link at most once for this layer;
 	// inner-layer paths pay every traversal. Sorting both edge multisets

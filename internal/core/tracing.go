@@ -20,11 +20,15 @@ import (
 //	│  │  └─ ...
 //	│  ├─ filter (considered, capacity_rejected, delay_rejected)
 //	│  └─ layered-run (layers, seeds, settled, exits, kept, fallback)
-//	└─ ...
+//	├─ ...
+//	└─ closure (leaves, tree_nodes)
 //
 // A run of single-VNF layers answered by the layered kernel shows its one
 // search, its filter and a layered-run event span under the run's first
-// layer; the run's later layers are rows with no children.
+// layer; the run's later layers are rows with no children. The closure
+// row is an event span Finish adds when the run closed leaves to the
+// destination (a terminal layered run closes none): how many, and how many
+// nodes the tree rooted at the destination settled to reach them all.
 //
 // Search spans are timed exactly (SearchStart→SearchDone); a candidates
 // span covers everything between a forward search finishing and its
@@ -190,6 +194,12 @@ func (t *TraceRecorder) Finish(res *Result, err error) {
 		root.SetAttr("layered_runs", res.Stats.LayeredRuns)
 		root.SetAttr("layered_fallbacks", res.Stats.LayeredFallbacks)
 		root.SetAttr("path_tree_nodes", res.Stats.PathTreeNodes)
+		if res.Stats.ClosureLeaves > 0 {
+			c := root.StartChild("closure")
+			c.SetAttr("leaves", res.Stats.ClosureLeaves)
+			c.SetAttr("tree_nodes", res.Stats.ClosureTreeNodes)
+			c.End()
+		}
 	}
 	t.trace.Finish()
 }

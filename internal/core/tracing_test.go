@@ -147,6 +147,13 @@ func TestTraceMatchesPaperExample(t *testing.T) {
 		t.Fatalf("filter considered %v < kept %d", filters[0].Attr("considered"), layerDone[2].kept)
 	}
 
+	// The closure row reports the leaves the run closed to the destination.
+	closure := findChildren(root, "closure")
+	if len(closure) != 1 || closure[0].Attr("leaves") != res.Stats.ClosureLeaves ||
+		closure[0].Attr("tree_nodes") != res.Stats.ClosureTreeNodes || res.Stats.ClosureLeaves == 0 {
+		t.Fatalf("closure spans %v, want one with leaves=%d tree_nodes=%d", closure, res.Stats.ClosureLeaves, res.Stats.ClosureTreeNodes)
+	}
+
 	// The generated/kept attributes on the candidates span agree with the
 	// run's aggregate stats (single start per layer in this instance).
 	if cands[0].Attr("generated") == nil || cands[0].Attr("kept") == nil {

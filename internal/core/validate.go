@@ -143,14 +143,14 @@ func CheckCapacity(p *Problem, u Usage) error {
 func checkCapacity(ledger *network.Ledger, rate float64, u Usage) error {
 	for _, iu := range u.Instances {
 		demand := float64(iu.Count) * rate
-		if ledger.InstanceResidual(iu.Node, iu.VNF) < demand-1e-9 {
+		if ledger.InstanceResidual(iu.Node, iu.VNF) < demand-network.CapacityEps {
 			return fmt.Errorf("core: instance f(%d) on node %d over capacity: need %v, residual %v",
 				iu.VNF, iu.Node, demand, ledger.InstanceResidual(iu.Node, iu.VNF))
 		}
 	}
 	for _, eu := range u.Edges {
 		demand := float64(eu.Count) * rate
-		if ledger.EdgeResidual(eu.Edge) < demand-1e-9 {
+		if ledger.EdgeResidual(eu.Edge) < demand-network.CapacityEps {
 			return fmt.Errorf("core: link %d over capacity: need %v, residual %v", eu.Edge, demand, ledger.EdgeResidual(eu.Edge))
 		}
 	}

@@ -84,6 +84,33 @@ func BenchmarkOverlaySnapshot(b *testing.B) {
 	})
 }
 
+// BenchmarkInstanceResiduals is what an embed pays to read the ledger's
+// instance capacities once, into rows it keeps: on the root a library caller
+// embeds against, and on the server's shape — a request-sized overlay over
+// it. Neither may allocate into a warm buffer.
+func BenchmarkInstanceResiduals(b *testing.B) {
+	base := NewLedger(benchNet(b))
+	seedUsage(b, base, 200)
+	ov := base.Overlay()
+	seedUsage(b, ov, 20)
+	for _, bc := range []struct {
+		name   string
+		ledger *Ledger
+	}{{"Root", base}, {"Overlay", ov}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rows := bc.ledger.InstanceResiduals(nil)
+			if allocs := testing.AllocsPerRun(100, func() { rows = bc.ledger.InstanceResiduals(rows) }); allocs != 0 {
+				b.Fatalf("InstanceResiduals allocates %v objects per call into a warm buffer, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows = bc.ledger.InstanceResiduals(rows)
+			}
+		})
+	}
+}
+
 // BenchmarkOverlayCommit measures folding a request-sized overlay (a few
 // dozen touched entries) into its base, including re-validation.
 func BenchmarkOverlayCommit(b *testing.B) {

@@ -172,10 +172,10 @@ func cloneQuar(q *quarTable) *quarTable {
 // would drive it negative (a restore without a matching apply).
 func (q *quarTable) addEdge(e graph.EdgeID, amt float64) error {
 	v := q.edge[e] + amt
-	if v < -capacityEps {
+	if v < -CapacityEps {
 		return fmt.Errorf("network: edge %d quarantine would go negative (%v): restore without matching apply", e, v)
 	}
-	if v <= capacityEps {
+	if v <= CapacityEps {
 		delete(q.edge, e)
 		return nil
 	}
@@ -185,11 +185,11 @@ func (q *quarTable) addEdge(e graph.EdgeID, amt float64) error {
 
 func (q *quarTable) addInst(k instKey, amt float64) error {
 	v := q.inst[k] + amt
-	if v < -capacityEps {
+	if v < -CapacityEps {
 		return fmt.Errorf("network: instance f(%d) on node %d quarantine would go negative (%v): restore without matching apply",
 			k.vnf, k.node, v)
 	}
-	if v <= capacityEps {
+	if v <= CapacityEps {
 		delete(q.inst, k)
 		return nil
 	}

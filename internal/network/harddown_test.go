@@ -166,6 +166,48 @@ func TestEdgeResidualsBitExactUnderPins(t *testing.T) {
 	}
 }
 
+// TestInstanceResidualsBitExactUnderPins is the instance companion: with
+// usage, quarantined capacity and node-down pins live at once (one node hit
+// twice) — a down node's whole column, dummy included, reads exactly zero —
+// InstanceResiduals must agree bitwise with the scalar InstanceResidual on
+// every pair, through an overlay too.
+func TestInstanceResidualsBitExactUnderPins(t *testing.T) {
+	net := testNet(t)
+	l := NewLedger(net)
+	if err := l.ReserveInstance(2, 2, 1.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ReserveInstance(0, 1, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Fault{
+		{Kind: FaultNodeDown, Node: 2},
+		{Kind: FaultNodeDown, Node: 2}, // a second fault on the same node
+		{Kind: FaultNodeDown, Node: 3},
+		{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.3},
+	} {
+		if err := l.ApplyFault(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ov := l.Overlay()
+	ov.ReleaseInstance(2, 2, 0.5)
+	if err := ov.ReserveInstance(0, 1, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	checkInstanceResiduals(t, "root", l)
+	checkInstanceResiduals(t, "overlay", ov)
+	checkInstanceResiduals(t, "flattened", ov.Flatten())
+	if got := ov.InstanceResiduals(nil)[int(Dummy)*net.G.NumNodes()+2]; got != 0 {
+		t.Fatalf("dummy on a down node reads %v in the rows, the scalar path's 0", got)
+	}
+	// One of node 2's faults restored: still pinned, and still bit-equal.
+	if err := l.RestoreFault(Fault{Kind: FaultNodeDown, Node: 2}); err != nil {
+		t.Fatal(err)
+	}
+	checkInstanceResiduals(t, "overlay, one fault restored", ov)
+}
+
 func TestFaultEdgeDownValidate(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)

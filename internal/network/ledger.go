@@ -32,9 +32,17 @@ type Ledger struct {
 	edgeUsed []float64
 	// edgeDelta holds the overlay's sparse bandwidth deltas (overlay only).
 	edgeDelta map[graph.EdgeID]float64
-	// instUsed holds absolute committed capacity on roots and deltas on
-	// overlays.
-	instUsed map[instKey]float64
+	// instUsed holds absolute committed capacity per instance, in the
+	// network's row layout (root only); a slot without an instance stays
+	// zero. The first reservation allocates it: until then the ledger is
+	// empty and nil reads as all zeros, so the fresh ledger a ledgerless
+	// embed runs on costs no rows.
+	instUsed []float64
+	// instDelta holds the overlay's sparse capacity deltas (overlay only).
+	// Roots are dense because every search reads them whole (see
+	// InstanceResiduals); overlays stay sparse because a snapshot is taken
+	// per request and must cost O(changes).
+	instDelta map[instKey]float64
 	// quar is the active fault quarantine (root only; overlays read through
 	// to their root's table). See fault.go for the publication protocol.
 	quar quarPointer
@@ -123,7 +131,6 @@ func NewLedger(net *Network) *Ledger {
 	l := &Ledger{
 		net:      net,
 		edgeUsed: make([]float64, net.G.NumEdges()),
-		instUsed: make(map[instKey]float64),
 		ep:       &epochCell{},
 	}
 	l.view = l.ep.state.Add(1)
@@ -140,7 +147,7 @@ func (l *Ledger) IsOverlay() bool { return l.base != nil }
 // OverlayLen reports how many distinct edges and instances the overlay has
 // touched (0 for a root ledger) — the cost driver of Snapshot and Commit,
 // which the server uses to decide when to rebase.
-func (l *Ledger) OverlayLen() int { return len(l.edgeDelta) + len(l.instUsed) }
+func (l *Ledger) OverlayLen() int { return len(l.edgeDelta) + len(l.instDelta) }
 
 // Overlay returns a new empty copy-on-write overlay whose reads fall
 // through to l. The base must not be mutated while the overlay is in use.
@@ -150,7 +157,7 @@ func (l *Ledger) Overlay() *Ledger {
 		net:       l.net,
 		base:      l,
 		edgeDelta: make(map[graph.EdgeID]float64),
-		instUsed:  make(map[instKey]float64),
+		instDelta: make(map[instKey]float64),
 		ep:        l.ep,
 		// An empty overlay presents its parent's exact view, and its pin
 		// chain is the parent's chain plus its own (zero) counter.
@@ -189,11 +196,11 @@ func (l *Ledger) EdgeUsed(e graph.EdgeID) float64 {
 // quarantined. Missing instances have zero residual; the dummy VNF is
 // infinite (node faults black-hole its links instead).
 func (l *Ledger) InstanceResidual(node graph.NodeID, vnf VNFID) float64 {
-	inst, ok := l.net.Instance(node, vnf)
+	i, ok := l.net.deployed(node, vnf)
 	if !ok {
 		return 0
 	}
-	r := inst.Capacity - l.InstanceUsed(node, vnf)
+	r := l.net.capacity[i] - l.InstanceUsed(node, vnf)
 	if q := l.quarantineTable(); q != nil {
 		r -= q.inst[instKey{node, vnf}]
 		if q.node[node] > 0 {
@@ -208,9 +215,12 @@ func (l *Ledger) InstanceResidual(node graph.NodeID, vnf VNFID) float64 {
 // node.
 func (l *Ledger) InstanceUsed(node graph.NodeID, vnf VNFID) float64 {
 	if l.base != nil {
-		return l.base.InstanceUsed(node, vnf) + l.instUsed[instKey{node, vnf}]
+		return l.base.InstanceUsed(node, vnf) + l.instDelta[instKey{node, vnf}]
 	}
-	return l.instUsed[instKey{node, vnf}]
+	if i, ok := l.net.deployed(node, vnf); ok && i < len(l.instUsed) {
+		return l.instUsed[i]
+	}
+	return 0
 }
 
 // ReserveEdge commits amount bandwidth on edge e, failing without side
@@ -219,7 +229,7 @@ func (l *Ledger) ReserveEdge(e graph.EdgeID, amount float64) error {
 	if amount < 0 {
 		return fmt.Errorf("network: negative reservation %v on edge %d", amount, e)
 	}
-	if l.EdgeResidual(e) < amount-capacityEps {
+	if l.EdgeResidual(e) < amount-CapacityEps {
 		return fmt.Errorf("network: edge %d over capacity: residual %v < demand %v",
 			e, l.EdgeResidual(e), amount)
 	}
@@ -270,17 +280,11 @@ func (l *Ledger) ReserveInstance(node graph.NodeID, vnf VNFID, amount float64) e
 	if amount < 0 {
 		return fmt.Errorf("network: negative reservation %v on instance (%d,%d)", amount, node, vnf)
 	}
-	if l.InstanceResidual(node, vnf) < amount-capacityEps {
+	if l.InstanceResidual(node, vnf) < amount-CapacityEps {
 		return fmt.Errorf("network: instance f(%d) on node %d over capacity: residual %v < demand %v",
 			vnf, node, l.InstanceResidual(node, vnf), amount)
 	}
-	key := instKey{node, vnf}
-	if l.base != nil {
-		l.setInstDelta(key, l.instUsed[key]+amount)
-		l.bumpEpoch()
-		return nil
-	}
-	l.instUsed[key] += amount
+	l.instOrDeltaAdd(instKey{node, vnf}, amount)
 	l.bumpEpoch()
 	return nil
 }
@@ -291,9 +295,9 @@ func (l *Ledger) ReleaseInstance(node graph.NodeID, vnf VNFID, amount float64) {
 	if vnf == Dummy {
 		return
 	}
-	key := instKey{node, vnf}
 	if l.base != nil {
-		d := l.instUsed[key] - amount
+		key := instKey{node, vnf}
+		d := l.instDelta[key] - amount
 		if l.base.InstanceUsed(node, vnf)+d <= 0 {
 			d = -l.base.InstanceUsed(node, vnf)
 		}
@@ -301,19 +305,18 @@ func (l *Ledger) ReleaseInstance(node graph.NodeID, vnf VNFID, amount float64) {
 		l.bumpEpoch()
 		return
 	}
-	l.instUsed[key] -= amount
-	if l.instUsed[key] <= 0 {
-		delete(l.instUsed, key)
+	if i, ok := l.net.deployed(node, vnf); ok && i < len(l.instUsed) {
+		l.instUsed[i] = max(l.instUsed[i]-amount, 0)
 	}
 	l.bumpEpoch()
 }
 
 func (l *Ledger) setInstDelta(key instKey, d float64) {
 	if d == 0 {
-		delete(l.instUsed, key)
+		delete(l.instDelta, key)
 		return
 	}
-	l.instUsed[key] = d
+	l.instDelta[key] = d
 }
 
 // Commit folds an overlay's deltas into its base ledger. Every positive
@@ -326,13 +329,13 @@ func (l *Ledger) Commit() error {
 		return fmt.Errorf("network: Commit on a root ledger (not an overlay)")
 	}
 	for e, d := range l.edgeDelta {
-		if d > 0 && l.base.EdgeResidual(e) < d-capacityEps {
+		if d > 0 && l.base.EdgeResidual(e) < d-CapacityEps {
 			return fmt.Errorf("network: commit conflict: edge %d residual %v < delta %v",
 				e, l.base.EdgeResidual(e), d)
 		}
 	}
-	for k, d := range l.instUsed {
-		if d > 0 && l.base.InstanceResidual(k.node, k.vnf) < d-capacityEps {
+	for k, d := range l.instDelta {
+		if d > 0 && l.base.InstanceResidual(k.node, k.vnf) < d-CapacityEps {
 			return fmt.Errorf("network: commit conflict: instance f(%d) on node %d residual %v < delta %v",
 				k.vnf, k.node, l.base.InstanceResidual(k.node, k.vnf), d)
 		}
@@ -345,7 +348,7 @@ func (l *Ledger) Commit() error {
 			l.base.ReleaseEdge(e, -d)
 		}
 	}
-	for k, d := range l.instUsed {
+	for k, d := range l.instDelta {
 		if d >= 0 {
 			l.base.instOrDeltaAdd(k, d)
 		} else {
@@ -353,7 +356,7 @@ func (l *Ledger) Commit() error {
 		}
 	}
 	clear(l.edgeDelta)
-	clear(l.instUsed)
+	clear(l.instDelta)
 	// The base's view changed (one bump covers the whole fold; the
 	// Release* calls above already bumped for their share). The overlay's
 	// combined view is unchanged — its deltas folded into the base it
@@ -382,12 +385,15 @@ func (l *Ledger) edgeOrDeltaAdd(e graph.EdgeID, d float64) {
 
 func (l *Ledger) instOrDeltaAdd(k instKey, d float64) {
 	if l.base != nil {
-		l.setInstDelta(k, l.instUsed[k]+d)
+		l.setInstDelta(k, l.instDelta[k]+d)
 		return
 	}
-	l.instUsed[k] += d
-	if l.instUsed[k] <= 0 {
-		delete(l.instUsed, k)
+	// A slot without an instance stays zero, whatever is asked of it.
+	if i, ok := l.net.deployed(k.node, k.vnf); ok {
+		if l.instUsed == nil {
+			l.instUsed = make([]float64, len(l.net.capacity))
+		}
+		l.instUsed[i] = max(l.instUsed[i]+d, 0)
 	}
 }
 
@@ -398,7 +404,7 @@ func (l *Ledger) Discard() {
 		return
 	}
 	clear(l.edgeDelta)
-	clear(l.instUsed)
+	clear(l.instDelta)
 	l.bumpEpoch()
 }
 
@@ -416,7 +422,7 @@ func (l *Ledger) Snapshot() *Ledger {
 		net:       l.net,
 		base:      l.base,
 		edgeDelta: maps.Clone(l.edgeDelta),
-		instUsed:  maps.Clone(l.instUsed),
+		instDelta: maps.Clone(l.instDelta),
 		ep:        l.ep,
 		// The snapshot presents l's exact view but reads through l.base,
 		// not l: its pin chain drops l's own counter, so later mutations
@@ -441,8 +447,8 @@ func (l *Ledger) SnapshotInto(dst *Ledger) *Ledger {
 	dst.net, dst.base, dst.ep = l.net, l.base, l.ep
 	clear(dst.edgeDelta)
 	maps.Copy(dst.edgeDelta, l.edgeDelta)
-	clear(dst.instUsed)
-	maps.Copy(dst.instUsed, l.instUsed)
+	clear(dst.instDelta)
+	maps.Copy(dst.instDelta, l.instDelta)
 	// Snapshot's pin, plus the recycled ledger's own mutation counter: it
 	// is part of dst's chain and, unlike a fresh copy's, not zero.
 	dst.pinMu.Lock()
@@ -459,24 +465,15 @@ func (l *Ledger) Flatten() *Ledger {
 	c := &Ledger{
 		net:      l.net,
 		edgeUsed: make([]float64, l.net.G.NumEdges()),
-		instUsed: make(map[instKey]float64),
+		instUsed: make([]float64, len(l.net.capacity)),
 		ep:       l.ep,
 	}
 	for e := range c.edgeUsed {
 		c.edgeUsed[e] = l.EdgeUsed(graph.EdgeID(e))
 	}
-	// Every instance with nonzero combined usage appears in at least one
-	// map of the chain (deltas and absolutes alike), so the union of keys
-	// covers the view.
-	for cur := l; cur != nil; cur = cur.base {
-		for k := range cur.instUsed {
-			if _, seen := c.instUsed[k]; seen {
-				continue
-			}
-			if u := l.InstanceUsed(k.node, k.vnf); u > 0 {
-				c.instUsed[k] = u
-			}
-		}
+	l.fillInstUsed(c.instUsed)
+	for i, u := range c.instUsed {
+		c.instUsed[i] = max(u, 0)
 	}
 	// The flattened root inherits the active quarantine (the table is
 	// immutable, so sharing the pointer is safe); the server's rebase must
@@ -557,6 +554,58 @@ func (l *Ledger) fillEdgeUsed(dst []float64) {
 	}
 }
 
+// InstanceResiduals is EdgeResiduals for instances: it fills dst with the
+// residual capacity of every (category, node) pair in the network's row
+// layout — dst[f*nodes+v] bitwise equal to InstanceResidual(v, f), so zero
+// where nothing is deployed and +Inf along the dummy's row — growing dst
+// only if it lacks capacity, and returns it. One call replaces a hashed
+// lookup (and an overlay-chain walk) per query, which is what lets a search
+// read availability as a plain index. The float operations replay
+// InstanceResidual's order: usage accumulated base-first, subtracted from
+// capacity, quarantine subtracted, node-down pins last.
+func (l *Ledger) InstanceResiduals(dst []float64) []float64 {
+	capacity, nodes := l.net.capacity, l.net.nodes
+	if cap(dst) < len(capacity) {
+		dst = make([]float64, len(capacity))
+	} else {
+		dst = dst[:len(capacity)]
+	}
+	l.fillInstUsed(dst)
+	for i, c := range capacity {
+		dst[i] = c - dst[i]
+	}
+	if q := l.quarantineTable(); q != nil {
+		for k, amt := range q.inst {
+			if i, ok := l.net.deployed(k.node, k.vnf); ok {
+				dst[i] -= amt
+			}
+		}
+		for v := range q.node {
+			if v >= 0 && int(v) < nodes {
+				for i := int(v); i < len(dst); i += nodes {
+					dst[i] = 0
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// fillInstUsed writes InstanceUsed of every slot into dst (len(capacity)
+// long), overlay deltas applied base-first like fillEdgeUsed.
+func (l *Ledger) fillInstUsed(dst []float64) {
+	if l.base != nil {
+		l.base.fillInstUsed(dst)
+		for k, d := range l.instDelta {
+			if i, ok := l.net.deployed(k.node, k.vnf); ok {
+				dst[i] += d
+			}
+		}
+		return
+	}
+	clear(dst[copy(dst, l.instUsed):])
+}
+
 // CostOptions returns graph search options that admit only links with at
 // least demand residual bandwidth according to this ledger. Both the
 // scalar and bulk residual hooks are set, so compiled cost views can
@@ -565,5 +614,6 @@ func (l *Ledger) CostOptions(demand float64) *graph.CostOptions {
 	return &graph.CostOptions{MinCapacity: demand, Residual: l.EdgeResidual, Residuals: l.EdgeResiduals}
 }
 
-// capacityEps absorbs float accumulation error in capacity comparisons.
-const capacityEps = 1e-9
+// CapacityEps absorbs float accumulation error in capacity comparisons: a
+// demand fits a residual that falls short of it by no more than this.
+const CapacityEps = 1e-9

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -219,5 +220,97 @@ func TestEdgeResidualsBitExact(t *testing.T) {
 	// The CostOptions wiring exposes the bulk hook.
 	if opts := root.CostOptions(1); opts.Residuals == nil {
 		t.Fatal("CostOptions did not set the bulk residual hook")
+	}
+}
+
+// checkInstanceResiduals requires InstanceResiduals to agree with the scalar
+// InstanceResidual bitwise on every (category, node) pair of the rows —
+// deployed or not, dummy and merger included — writing through a dirty,
+// oversized buffer that reuse must overwrite fully.
+func checkInstanceResiduals(t *testing.T, name string, l *Ledger) {
+	t.Helper()
+	net := l.Network()
+	nodes, rows := net.G.NumNodes(), net.Catalog.N+2
+	buf := make([]float64, rows*nodes+3)
+	for i := range buf {
+		buf[i] = 99
+	}
+	got := l.InstanceResiduals(buf)
+	if len(got) != rows*nodes {
+		t.Fatalf("%s: len = %d, want %d", name, len(got), rows*nodes)
+	}
+	for f := 0; f < rows; f++ {
+		for v := 0; v < nodes; v++ {
+			want := l.InstanceResidual(graph.NodeID(v), VNFID(f))
+			if have := got[f*nodes+v]; math.Float64bits(have) != math.Float64bits(want) {
+				t.Fatalf("%s: f(%d) on node %d residual = %v, want %v", name, f, v, have, want)
+			}
+		}
+	}
+}
+
+// TestInstanceResidualsBitExact is TestEdgeResidualsBitExact for instances:
+// the dense rows a search reads must be the scalar answers to the last bit
+// — same overlay-chain addition order, same quarantine subtraction — on a
+// root, an overlay, a stacked overlay, a snapshot taken into recycled
+// storage, a flattened root and a root restored from exported state.
+func TestInstanceResidualsBitExact(t *testing.T) {
+	net := testNet(t)
+	root := NewLedger(net)
+	checkInstanceResiduals(t, "empty root", root)
+	// Awkward float amounts so any reordering of the additions would show.
+	if err := root.ReserveInstance(0, 1, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.ReserveInstance(2, 2, 3.3); err != nil {
+		t.Fatal(err)
+	}
+	o1 := root.Overlay()
+	if err := o1.ReserveInstance(0, 1, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := o1.ReserveInstance(3, net.Catalog.Merger(), 1.0/3); err != nil {
+		t.Fatal(err)
+	}
+	o2 := o1.Overlay()
+	if err := o2.ReserveInstance(0, 1, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	o2.ReleaseInstance(2, 2, 1.1)
+	// A node fault elsewhere quarantines instance capacity without pinning
+	// the nodes under test; it is restored below (TestInstanceResiduals-
+	// BitExactUnderPins keeps pins live).
+	fault := Fault{Kind: FaultNodeDown, Node: 1}
+	if err := root.ApplyFault(fault); err != nil {
+		t.Fatal(err)
+	}
+	stale := root.Overlay().Snapshot()
+	if err := stale.ReserveInstance(2, 3, 4); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewLedgerFromState(net, o2.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]*Ledger{
+		"root": root, "overlay": o1, "stacked overlay": o2,
+		"snapshot": o2.Snapshot(), "recycled snapshot": o2.SnapshotInto(stale),
+		"flattened": o2.Flatten(), "restored": restored,
+	} {
+		checkInstanceResiduals(t, name, l)
+	}
+	if err := root.RestoreFault(fault); err != nil {
+		t.Fatal(err)
+	}
+	checkInstanceResiduals(t, "stacked overlay after restore", o2)
+	// Flatten and state restore carry the overlay's view into a root of
+	// their own, to the bit.
+	want := o2.InstanceResiduals(nil)
+	for name, l := range map[string]*Ledger{"flattened": o2.Flatten(), "restored": restored} {
+		for i, have := range l.InstanceResiduals(nil) {
+			if math.Float64bits(have) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: slot %d residual = %v, the overlay's %v", name, i, have, want[i])
+			}
+		}
 	}
 }

@@ -9,8 +9,8 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync/atomic"
 
 	"dagsfc/internal/graph"
 )
@@ -66,39 +66,78 @@ type instKey struct {
 
 // Network is the target network: the priced graph plus the VNF deployment.
 //
-// Network must not be copied by value after first use (it caches the dense
-// rent rows behind an atomic pointer, like Graph's CSR view); use Clone.
+// The deployment is stored the way the search reads it: one row per
+// category f(0)..f(N+1) over the nodes, category-major in two flat arrays,
+// so a price or a capacity is one indexed read (and the ledger's residual
+// rows, InstanceResiduals, share the layout). The node count and the
+// catalog are fixed when New sizes the rows.
 type Network struct {
 	G       *graph.Graph
 	Catalog Catalog
 
-	instances map[instKey]*Instance
-	byVNF     map[VNFID][]graph.NodeID // V_i, in insertion order
-	byNode    map[graph.NodeID][]VNFID // F_v, in insertion order
-	rents     atomic.Pointer[rentTable]
-}
-
-// rentTable is the dense form of the deployment's rental prices: one row
-// per category over the nodes, and each row's minimum.
-type rentTable struct {
-	rows [][]float64
-	min  []float64
+	// price[f*nodes+v] is c_{v,f(f)}, +Inf where node v does not host the
+	// category; capacity[f*nodes+v] is r_{v,f(f)}, zero there. The dummy's
+	// row is free and infinite.
+	price, capacity []float64
+	nodes           int
+	rents           [][]float64              // price, one window per category
+	minRent         []float64                // each window's minimum
+	count           int                      // deployed instances
+	byVNF           map[VNFID][]graph.NodeID // V_i, in insertion order
+	byNode          map[graph.NodeID][]VNFID // F_v, in insertion order
 }
 
 // New returns a network over g with the given catalog and no instances.
 func New(g *graph.Graph, catalog Catalog) *Network {
-	return &Network{
-		G:         g,
-		Catalog:   catalog,
-		instances: make(map[instKey]*Instance),
-		byVNF:     make(map[VNFID][]graph.NodeID),
-		byNode:    make(map[graph.NodeID][]VNFID),
+	nodes, rows := g.NumNodes(), max(catalog.N, 0)+2
+	n := &Network{
+		G:        g,
+		Catalog:  catalog,
+		price:    make([]float64, rows*nodes),
+		capacity: make([]float64, rows*nodes),
+		nodes:    nodes,
+		rents:    make([][]float64, rows),
+		minRent:  make([]float64, rows),
+		byVNF:    make(map[VNFID][]graph.NodeID),
+		byNode:   make(map[graph.NodeID][]VNFID),
 	}
+	for i := range n.price {
+		if i < nodes {
+			n.capacity[i] = graph.Inf // the dummy's row
+		} else {
+			n.price[i] = graph.Inf
+		}
+	}
+	for f := range n.rents {
+		n.rents[f] = n.price[f*nodes : (f+1)*nodes : (f+1)*nodes]
+		n.minRent[f] = graph.Inf
+	}
+	if nodes > 0 {
+		n.minRent[Dummy] = 0
+	}
+	return n
+}
+
+// slot returns the position of (node, vnf) in the deployment rows, or false
+// when the node or the category lies outside them.
+func (n *Network) slot(node graph.NodeID, vnf VNFID) (int, bool) {
+	if node < 0 || int(node) >= n.nodes || vnf < 0 || int(vnf) >= len(n.rents) {
+		return 0, false
+	}
+	return int(vnf)*n.nodes + int(node), true
+}
+
+// deployed is slot for the pairs that hold an instance — the dummy's row
+// included, which every node hosts.
+func (n *Network) deployed(node graph.NodeID, vnf VNFID) (int, bool) {
+	i, ok := n.slot(node, vnf)
+	return i, ok && n.price[i] < graph.Inf
 }
 
 // AddInstance deploys category vnf on node with the given price and
 // capacity. At most one instance per (node, category) pair may exist; the
-// dummy VNF cannot be deployed (it is implicit everywhere).
+// dummy VNF cannot be deployed (it is implicit everywhere). The price must
+// be finite: +Inf is how the rows say "not deployed".
 func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity float64) error {
 	if node < 0 || int(node) >= n.G.NumNodes() {
 		return fmt.Errorf("network: node %d out of range", node)
@@ -112,14 +151,22 @@ func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity floa
 	if price < 0 || capacity < 0 {
 		return fmt.Errorf("network: negative price/capacity for VNF %d on node %d", vnf, node)
 	}
-	key := instKey{node, vnf}
-	if _, dup := n.instances[key]; dup {
+	if math.IsNaN(price) || math.IsInf(price, 1) {
+		return fmt.Errorf("network: non-finite price %v for VNF %d on node %d", price, vnf, node)
+	}
+	i, ok := n.slot(node, vnf)
+	if !ok {
+		return fmt.Errorf("network: VNF %d on node %d outside the rows New sized (%d categories, %d nodes)",
+			vnf, node, len(n.rents)-2, n.nodes)
+	}
+	if n.price[i] < graph.Inf {
 		return fmt.Errorf("network: VNF %d already deployed on node %d", vnf, node)
 	}
-	n.instances[key] = &Instance{Node: node, VNF: vnf, Price: price, Capacity: capacity}
+	n.price[i], n.capacity[i] = price, capacity
+	n.minRent[vnf] = min(n.minRent[vnf], price)
+	n.count++
 	n.byVNF[vnf] = append(n.byVNF[vnf], node)
 	n.byNode[node] = append(n.byNode[node], vnf)
-	n.rents.Store(nil) // deployment changed; any cached rent rows are stale
 	return nil
 }
 
@@ -133,17 +180,11 @@ func (n *Network) MustAddInstance(node graph.NodeID, vnf VNFID, price, capacity 
 // Instance returns the deployment of vnf on node, if any. The dummy VNF is
 // reported as a free, infinite-capacity instance on every node.
 func (n *Network) Instance(node graph.NodeID, vnf VNFID) (Instance, bool) {
-	if vnf == Dummy {
-		if node < 0 || int(node) >= n.G.NumNodes() {
-			return Instance{}, false
-		}
-		return Instance{Node: node, VNF: Dummy, Price: 0, Capacity: graph.Inf}, true
-	}
-	inst, ok := n.instances[instKey{node, vnf}]
+	i, ok := n.deployed(node, vnf)
 	if !ok {
 		return Instance{}, false
 	}
-	return *inst, true
+	return Instance{Node: node, VNF: vnf, Price: n.price[i], Capacity: n.capacity[i]}, true
 }
 
 // HasVNF reports whether node hosts category vnf.
@@ -158,49 +199,24 @@ func (n *Network) NodesWith(vnf VNFID) []graph.NodeID { return n.byVNF[vnf] }
 
 // Rents returns category vnf's rental prices as one dense row over the
 // nodes: c_{v,vnf} where node v hosts the category, +Inf elsewhere (zero
-// everywhere for the dummy). Prices never change once deployed, so the
-// rows are built on first use and cached until the next AddInstance —
-// residual capacity is not part of them; ask the ledger. The caller must
-// not modify the returned slice. Concurrent readers are safe as long as no
-// instance is being added, matching every other accessor.
-func (n *Network) Rents(vnf VNFID) []float64 { return n.denseRents().rows[vnf] }
-
-// MinRent returns the least rental price of category vnf over all nodes:
-// +Inf when nothing hosts it, zero for the dummy. Cached with Rents.
-func (n *Network) MinRent(vnf VNFID) float64 { return n.denseRents().min[vnf] }
-
-func (n *Network) denseRents() *rentTable {
-	t := n.rents.Load()
-	if t == nil {
-		// Concurrent first readers may each build; the contents are
-		// identical, so last-store-wins is fine.
-		t = n.buildRents()
-		n.rents.Store(t)
+// everywhere for the dummy). It is the network's own row, kept by
+// AddInstance — residual capacity is not part of it; ask the ledger. The
+// caller must not modify the returned slice. A category outside the catalog
+// has no row (nil).
+func (n *Network) Rents(vnf VNFID) []float64 {
+	if vnf < 0 || int(vnf) >= len(n.rents) {
+		return nil
 	}
-	return t
+	return n.rents[vnf]
 }
 
-func (n *Network) buildRents() *rentTable {
-	nodes := n.G.NumNodes()
-	flat := make([]float64, (n.Catalog.N+2)*nodes)
-	for i := nodes; i < len(flat); i++ {
-		flat[i] = graph.Inf
+// MinRent returns the least rental price of category vnf over all nodes:
+// +Inf when nothing hosts it (or the catalog lacks it), zero for the dummy.
+func (n *Network) MinRent(vnf VNFID) float64 {
+	if vnf < 0 || int(vnf) >= len(n.minRent) {
+		return graph.Inf
 	}
-	rows := make([][]float64, n.Catalog.N+2)
-	for f := range rows {
-		rows[f] = flat[f*nodes : (f+1)*nodes : (f+1)*nodes]
-	}
-	for key, inst := range n.instances {
-		rows[key.vnf][key.node] = inst.Price
-	}
-	mins := make([]float64, len(rows))
-	for f, row := range rows {
-		mins[f] = graph.Inf
-		for _, price := range row {
-			mins[f] = min(mins[f], price)
-		}
-	}
-	return &rentTable{rows: rows, min: mins}
+	return n.minRent[vnf]
 }
 
 // VNFsAt returns F_v: the categories hosted on node, sorted ascending.
@@ -211,12 +227,15 @@ func (n *Network) VNFsAt(node graph.NodeID) []VNFID {
 }
 
 // NumInstances reports the number of deployed instances.
-func (n *Network) NumInstances() int { return len(n.instances) }
+func (n *Network) NumInstances() int { return n.count }
 
-// Instances calls fn for every deployed instance in unspecified order.
+// Instances calls fn for every deployed instance, category by category and
+// within one by node.
 func (n *Network) Instances(fn func(Instance)) {
-	for _, inst := range n.instances {
-		fn(*inst)
+	for i := n.nodes; i < len(n.price); i++ {
+		if price := n.price[i]; price < graph.Inf {
+			fn(Instance{Node: graph.NodeID(i % n.nodes), VNF: VNFID(i / n.nodes), Price: price, Capacity: n.capacity[i]})
+		}
 	}
 }
 
@@ -225,12 +244,12 @@ func (n *Network) Instances(fn func(Instance)) {
 func (n *Network) AvgVNFPrice() float64 {
 	var sum float64
 	var count int
-	for _, inst := range n.instances {
+	n.Instances(func(inst Instance) {
 		if n.Catalog.IsRegular(inst.VNF) {
 			sum += inst.Price
 			count++
 		}
-	}
+	})
 	if count == 0 {
 		return 0
 	}
@@ -254,10 +273,10 @@ func (n *Network) AvgLinkPrice() float64 {
 // underlying graph is cloned too.
 func (n *Network) Clone() *Network {
 	c := New(n.G.Clone(), n.Catalog)
-	for key, inst := range n.instances {
-		cp := *inst
-		c.instances[key] = &cp
-	}
+	copy(c.price, n.price)
+	copy(c.capacity, n.capacity)
+	copy(c.minRent, n.minRent)
+	c.count = n.count
 	for vnf, nodes := range n.byVNF {
 		c.byVNF[vnf] = append([]graph.NodeID(nil), nodes...)
 	}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -126,10 +127,10 @@ func TestNetworkCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestRentsMatchInstances checks the dense rent rows against the instance
-// table they flatten, for every category including the dummy and the
-// merger, and that deploying another instance drops the cached rows — on
-// the network it was added to, not on a clone taken before.
+// TestRentsMatchInstances checks the dense rent rows against Instance, for
+// every category including the dummy and the merger, and that deploying
+// another instance shows in them — on the network it was added to, not on
+// a clone taken before.
 func TestRentsMatchInstances(t *testing.T) {
 	net := testNet(t)
 	check := func(n *Network) {
@@ -157,5 +158,93 @@ func TestRentsMatchInstances(t *testing.T) {
 	check(clone)
 	if clone.HasVNF(3, 1) || clone.Rents(1)[3] != graph.Inf {
 		t.Fatal("the clone sees an instance added to the original")
+	}
+}
+
+// TestDenseRowsAnswerLikeTheMap pins what the instance map used to answer
+// for the queries that fall off the dense rows or onto their special rows:
+// a node out of range, a category outside the catalog, the dummy and the
+// merger.
+func TestDenseRowsAnswerLikeTheMap(t *testing.T) {
+	net := testNet(t) // 4 nodes, N = 3, merger f(4) on node 3 only
+	l := NewLedger(net)
+	if err := l.ReserveInstance(3, net.Catalog.Merger(), 2); err != nil {
+		t.Fatal(err)
+	}
+	ov := l.Overlay()
+	free := Instance{Price: 0, Capacity: graph.Inf}
+	for _, tc := range []struct {
+		name     string
+		node     graph.NodeID
+		vnf      VNFID
+		inst     Instance
+		ok       bool
+		residual float64
+	}{
+		{"node below range", -1, 1, Instance{}, false, 0},
+		{"node past range", 4, 2, Instance{}, false, 0},
+		{"dummy, node past range", 4, Dummy, Instance{}, false, 0},
+		{"category below the catalog", 0, -1, Instance{}, false, 0},
+		{"category past the merger", 0, 5, Instance{}, false, 0},
+		{"far outside both", 1 << 40, 1 << 40, Instance{}, false, 0},
+		{"not deployed", 3, 1, Instance{}, false, 0},
+		{"merger where none is deployed", 0, 4, Instance{}, false, 0},
+		{"dummy", 2, Dummy, free, true, graph.Inf},
+		{"merger", 3, 4, Instance{Price: 1, Capacity: 5}, true, 3},
+		{"regular", 2, 3, Instance{Price: 30, Capacity: 5}, true, 5},
+	} {
+		want := tc.inst
+		if tc.ok {
+			want.Node, want.VNF = tc.node, tc.vnf
+		}
+		if got, ok := net.Instance(tc.node, tc.vnf); got != want || ok != tc.ok {
+			t.Errorf("%s: Instance = %+v, %v; want %+v, %v", tc.name, got, ok, want, tc.ok)
+		}
+		if got := net.HasVNF(tc.node, tc.vnf); got != tc.ok {
+			t.Errorf("%s: HasVNF = %v", tc.name, got)
+		}
+		for _, led := range []*Ledger{l, ov} {
+			if got := led.InstanceResidual(tc.node, tc.vnf); got != tc.residual {
+				t.Errorf("%s: InstanceResidual = %v, want %v", tc.name, got, tc.residual)
+			}
+			if tc.ok {
+				continue
+			}
+			// Nothing to reserve and nothing to release; the dummy's reserve
+			// is the no-op it always was.
+			if err := led.ReserveInstance(tc.node, tc.vnf, 1); err == nil && tc.vnf != Dummy {
+				t.Errorf("%s: reserved capacity nothing has", tc.name)
+			}
+			led.ReleaseInstance(tc.node, tc.vnf, 1)
+			if got := led.InstanceUsed(tc.node, tc.vnf); got != 0 {
+				t.Errorf("%s: InstanceUsed = %v", tc.name, got)
+			}
+		}
+	}
+	if ov.OverlayLen() != 0 || l.OverlayLen() != 0 {
+		t.Errorf("refused reservations left deltas: %d on the overlay, %d on the root", ov.OverlayLen(), l.OverlayLen())
+	}
+	for _, f := range []VNFID{-1, 5, 1 << 40} {
+		if row := net.Rents(f); row != nil {
+			t.Errorf("Rents(%d) = %v, want no row", f, row)
+		}
+		if got := net.MinRent(f); got != graph.Inf {
+			t.Errorf("MinRent(%d) = %v, want +Inf", f, got)
+		}
+	}
+	if got := net.MinRent(Dummy); got != 0 {
+		t.Errorf("MinRent(dummy) = %v, want 0", got)
+	}
+	if got := net.MinRent(2); got != 15 {
+		t.Errorf("MinRent(2) = %v, want 15", got)
+	}
+	if got := net.NumInstances(); got != 5 {
+		t.Errorf("NumInstances = %d, want 5", got)
+	}
+	// +Inf is how the rows say "not deployed", so it cannot be a price.
+	for _, price := range []float64{graph.Inf, math.NaN()} {
+		if err := net.AddInstance(1, 1, price, 5); err == nil {
+			t.Errorf("price %v accepted", price)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
 	"dagsfc/internal/graph"
 )
@@ -44,27 +43,17 @@ func (l *Ledger) ExportState() LedgerState {
 			st.Edges = append(st.Edges, EdgeUsage{Edge: graph.EdgeID(e), Used: u})
 		}
 	}
-	// Key-union walk over the chain (the Flatten pattern): every instance
-	// with nonzero combined usage appears in at least one map.
-	seen := make(map[instKey]bool)
-	for cur := l; cur != nil; cur = cur.base {
-		for k := range cur.instUsed {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if u := l.InstanceUsed(k.node, k.vnf); u != 0 {
-				st.Instances = append(st.Instances, InstanceUsage{Node: k.node, VNF: k.vnf, Used: u})
+	// Node-major over the dense rows, so the entries come out sorted by
+	// (node, VNF); the sums are fillInstUsed's, base-first like InstanceUsed.
+	used := make([]float64, len(l.net.capacity))
+	l.fillInstUsed(used)
+	for node := 0; node < l.net.nodes; node++ {
+		for i := l.net.nodes + node; i < len(used); i += l.net.nodes {
+			if used[i] != 0 {
+				st.Instances = append(st.Instances, InstanceUsage{Node: graph.NodeID(node), VNF: VNFID(i / l.net.nodes), Used: used[i]})
 			}
 		}
 	}
-	sort.Slice(st.Instances, func(i, k int) bool {
-		a, b := st.Instances[i], st.Instances[k]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.VNF < b.VNF
-	})
 	return st
 }
 
@@ -80,11 +69,15 @@ func NewLedgerFromState(net *Network, st LedgerState) (*Ledger, error) {
 		}
 		l.edgeUsed[e.Edge] = e.Used
 	}
+	if len(st.Instances) > 0 {
+		l.instUsed = make([]float64, len(net.capacity))
+	}
 	for _, in := range st.Instances {
-		if _, ok := net.Instance(in.Node, in.VNF); !ok {
+		i, ok := net.deployed(in.Node, in.VNF)
+		if !ok {
 			return nil, fmt.Errorf("network: state references missing instance f(%d) on node %d", in.VNF, in.Node)
 		}
-		l.instUsed[instKey{in.Node, in.VNF}] = in.Used
+		l.instUsed[i] = in.Used
 	}
 	return l, nil
 }
