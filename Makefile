@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads server-single-writer server-request-garbage short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
@@ -10,10 +10,10 @@ all: build vet test
 # detector (the telemetry registry is written from concurrent trial
 # runners, so -race is load-bearing here, not ceremony), the
 # one-goroutine-per-embed contract, the search-reads-dense-rows contract,
-# the one-writer-of-flow-state contract,
+# the no-environment-switch contract, the one-writer-of-flow-state contract,
 # the no-per-request-garbage contract of the HTTP layer, and a short fuzz of
 # the search-kernel priority queues and the request-body reader.
-check: build vet test race core-single-goroutine core-dense-reads server-single-writer server-request-garbage fuzz-smoke
+check: build vet test race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -29,6 +29,15 @@ core-single-goroutine:
 core-dense-reads:
 	@if grep -nE 'Net\.Instance\(|\.InstanceResidual\(|\.EdgeResidual\(' internal/core/embed.go internal/core/searchtree.go internal/core/subsolution.go internal/core/layered.go; then \
 		echo "internal/core's search queries the ledger or the instance table per read; use the run's residual rows and Network.Rents"; exit 1; \
+	fi
+
+# What a search does is decided by its Options and its input, never by the
+# process environment: a variant kept alive behind a variable is a second
+# path nobody tests. Measurement switches live in scratch copies and in
+# _test.go files.
+core-no-env:
+	@if grep -nE 'os\.(Getenv|LookupEnv|Environ)\(' $$(ls internal/core/*.go internal/graph/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/core or internal/graph reads the environment: pass an option or delete the switch"; exit 1; \
 	fi
 
 # The flow tables and the live ledger belong to internal/flowstate, and
@@ -102,7 +111,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR25.json
+BENCH_JSON ?= BENCH_PR26.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -118,7 +127,7 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR24 baseline, if an
+# regressed more than 20% against the committed PR25 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
@@ -130,7 +139,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR24.json
+BENCH_GUARD_OLD ?= BENCH_PR25.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

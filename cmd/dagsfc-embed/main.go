@@ -141,7 +141,7 @@ func run(c config) error {
 		return err
 	}
 	if c.verbose {
-		fmt.Fprintf(os.Stderr, "Dijkstra trees grown by the run itself: %d nodes settled, %d of them closing %d leaves to the destination\n",
+		fmt.Fprintf(os.Stderr, "Dijkstra trees grown by the run itself: %d nodes settled, %d of them in the destination's tree, which closed %d leaves\n",
 			res.Stats.PathTreeNodes, res.Stats.ClosureTreeNodes, res.Stats.ClosureLeaves)
 	}
 	printSolution(p, res)

@@ -140,8 +140,8 @@ func MBBEOptions() Options {
 		Xmax:                    120,
 		MiniPath:                true,
 		Xd:                      4,
-		MaxAssignmentsPerPair:   64,
-		MaxMergerCandidates:     12,
+		MaxAssignmentsPerPair:   4,
+		MaxMergerCandidates:     8,
 		MaxExtensionsPerStart:   256,
 		MaxSubSolutionsPerLayer: 2048,
 		DedupByEndNode:          4,
@@ -179,7 +179,9 @@ type Stats struct {
 	// ClosureLeaves is the number of layer-ω sub-solutions the run closed to
 	// the destination (Algorithm 1 lines 9–11; zero when a terminal layered
 	// run answered instead), ClosureTreeNodes the share of PathTreeNodes the
-	// one tree rooted at the destination settled to reach them all.
+	// one tree rooted at the destination settled: as far as the farthest
+	// leaf under BBE, all of it under MBBE, whose parallel-layer search
+	// ranks its candidates by that tree from the first layer on.
 	ClosureLeaves    int
 	ClosureTreeNodes int
 }
@@ -364,9 +366,14 @@ type embedder struct {
 	pathView   *graph.CostView
 	searchView *graph.CostView
 	// avgLink is the substrate's mean link price, the hop-distance scale of
-	// pairExtensions' host ordering. Prices are static, so run sums it once
+	// the merger and host orderings. Prices are static, so run sums it once
 	// (when the SFC has a parallel layer) instead of once per FST–BST pair.
 	avgLink float64
+	// toDst[v] is the price of the cheapest path from v on to the destination
+	// (+Inf: none), read off the complete tree rooted there: what gives an
+	// MBBE run with a parallel layer its sense of direction (see rank). Nil
+	// for every other run — BBE ranks by cost so far, as Algorithm 1 does.
+	toDst []float64
 }
 
 // sharedView returns the compiled cost view for opts: the store's view of
@@ -485,7 +492,33 @@ type leafCand struct {
 	total float64
 }
 
-func bySubCost(a, b *subSolution) int { return cmp.Compare(a.cum, b.cum) }
+// bySubCost orders sub-solutions by rank; among equals (two chains ending on
+// one node differ in rank exactly as in cost, rounding aside) the cheaper
+// first, so the first sub-solution of an end node is its cheapest.
+func bySubCost(a, b *subSolution) int {
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.cum, b.cum)
+}
+
+// extend returns the sub-solution that appends ext, embedding the given
+// layer, to parent.
+func (e *embedder) extend(parent *subSolution, ext *extension, layer int) *subSolution {
+	child := e.sc.mem.subs.one()
+	*child = subSolution{
+		parent:   parent,
+		ext:      ext,
+		layer:    layer,
+		cum:      parent.cum + ext.localCost,
+		cumDelay: parent.cumDelay + ext.delay,
+	}
+	child.rank = child.cum
+	if e.toDst != nil {
+		child.rank += e.toDst[ext.endNode] * e.p.Size
+	}
+	return child
+}
 
 func (e *embedder) run() (*Result, error) {
 	p := e.p
@@ -505,6 +538,14 @@ func (e *embedder) run() (*Result, error) {
 	perLayerUntil := 0
 	if slices.ContainsFunc(specs, func(s LayerSpec) bool { return s.Merger }) {
 		e.avgLink = p.Net.AvgLinkPrice()
+		if e.opts.MiniPath {
+			// The tree the closure walks its tails off, and a terminal
+			// layered run its potential: complete before the first layer, it
+			// also tells every candidate how far it still has to go.
+			grown := e.stats.PathTreeNodes
+			e.toDst = e.treeFor(p.Dst, graph.None).Dist
+			e.stats.ClosureTreeNodes = e.stats.PathTreeNodes - grown
+		}
 	}
 	for i := 0; i < len(specs); i++ {
 		if err := e.ctx.Err(); err != nil {
@@ -562,7 +603,8 @@ func (e *embedder) run() (*Result, error) {
 		cands = append(cands, leafCand{ss: leaf, tail: tail, total: leaf.cum + tail.Cost(p.Net.G)*p.Size})
 	}
 	m.leaves = cands
-	e.stats.ClosureLeaves, e.stats.ClosureTreeNodes = len(frontier), e.stats.PathTreeNodes-grown
+	e.stats.ClosureLeaves = len(frontier)
+	e.stats.ClosureTreeNodes += e.stats.PathTreeNodes - grown
 	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(a.total, b.total) })
 	for _, cand := range cands {
 		if res := e.complete(cand.ss, cand.tail); res != nil {
@@ -649,7 +691,10 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 		next = e.truncateWithDelayDiversity(next, e.opts.MaxSubSolutionsPerLayer)
 	}
 	e.stats.SubSolutions += len(next)
-	e.observeLayerDone(spec, len(next), next[0].cum)
+	if e.opts.Observer != nil {
+		cheapest := slices.MinFunc(next, func(a, b *subSolution) int { return cmp.Compare(a.cum, b.cum) })
+		e.observeLayerDone(spec, len(next), cheapest.cum)
+	}
 	return next, nil
 }
 
@@ -711,15 +756,7 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 			out.capRejected++
 			continue
 		}
-		child := m.subs.one()
-		*child = subSolution{
-			parent:   parent,
-			ext:      ext,
-			layer:    spec.Index,
-			cum:      parent.cum + ext.localCost,
-			cumDelay: parent.cumDelay + ext.delay,
-		}
-		children = append(children, child)
+		children = append(children, e.extend(parent, ext, spec.Index))
 	}
 	children = m.subPtrs.commit(children)
 	slices.SortFunc(children, bySubCost)
@@ -754,12 +791,19 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution)
 
 // buildExtensions builds one (layer, start) candidate set: the forward
 // search, then for a single-VNF layer its hosts' candidates, for a parallel
-// layer those of every FST–BST pair in merger-discovery order, and the trim
-// to the cheapest MaxExtensionsPerStart.
+// layer those of every FST–BST pair over the kept mergers, and the trim to
+// the cheapest MaxExtensionsPerStart. With min-cost-path instantiation the
+// forward search runs one ring past coverage: the paths no longer come from
+// the tree, so the tree is only the candidate set, and the nearest cover is
+// rarely the cheapest.
 func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extension {
 	p, m := e.p, e.sc.mem
 	e.observeSearchStart(spec.Index, start, true)
-	fst := runSearch(p, start, searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m})
+	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m}
+	if e.opts.MiniPath {
+		cfg.ringsPast = 1
+	}
+	fst := runSearch(p, start, cfg)
 	m.interMemo.begin(p.Net.G.NumNodes())
 	e.stats.ForwardSearches++
 	e.stats.TreeNodes += fst.Size()
@@ -773,6 +817,16 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extens
 		exts = e.singleVNFExtensions(exts, spec, start, fst)
 	} else {
 		mergers := fst.NodesWith(p.Net.Catalog.Merger())
+		if e.toDst != nil {
+			// Cheapest-looking first, before any backward search is built:
+			// rent, a hop-based estimate of the way there, the way on.
+			rent := p.Net.Rents(p.Net.Catalog.Merger())
+			slices.SortStableFunc(mergers, func(a, b *TreeNode) int {
+				ka := rent[a.Node] + float64(a.Iteration-1)*e.avgLink + e.toDst[a.Node]
+				kb := rent[b.Node] + float64(b.Iteration-1)*e.avgLink + e.toDst[b.Node]
+				return cmp.Compare(ka, kb)
+			})
+		}
 		if e.opts.MaxMergerCandidates > 0 && len(mergers) > e.opts.MaxMergerCandidates {
 			mergers = mergers[:e.opts.MaxMergerCandidates]
 		}
@@ -821,7 +875,7 @@ func (e *embedder) truncateWithDelayDiversity(children []*subSolution, limit int
 		}
 	}
 	return insertSorted(children[:limit-1], fastest,
-		func(a, b *subSolution) bool { return a.cum < b.cum })
+		func(a, b *subSolution) bool { return bySubCost(a, b) < 0 })
 }
 
 // insertSorted returns a fresh slice holding the cost-sorted prefix plus
@@ -928,8 +982,16 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	m.innerMemo.begin(p.Net.G.NumNodes())
 
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
-	// link-price estimate toward the merger.
+	// link-price estimate toward the merger and, in a run with a sense of
+	// direction, from the start.
 	avgLink := e.avgLink
+	hops := func(tn *TreeNode) float64 {
+		h := tn.Iteration - 1
+		if e.toDst != nil {
+			h += fst.NodeOf(tn.Node).Iteration - 1
+		}
+		return float64(h)
+	}
 	k := len(spec.VNFs)
 	m.hosts = sized(m.hosts, k)
 	hosts := m.hosts
@@ -940,9 +1002,7 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 		}
 		rent := p.Net.Rents(f)
 		slices.SortStableFunc(hs, func(a, b *TreeNode) int {
-			ka := rent[a.Node] + float64(a.Iteration-1)*avgLink
-			kb := rent[b.Node] + float64(b.Iteration-1)*avgLink
-			return cmp.Compare(ka, kb)
+			return cmp.Compare(rent[a.Node]+hops(a)*avgLink, rent[b.Node]+hops(b)*avgLink)
 		})
 		hosts[i] = hs
 	}

@@ -36,8 +36,10 @@ func TestEmbedMBBEFixture(t *testing.T) {
 	if err := Validate(p, res.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost.Total() != 73 {
-		t.Fatalf("MBBE cost = %v, want 73", res.Cost.Total())
+	// One ring past coverage the forward search does see f(3)@3 ($12, 3 hops
+	// out) and MBBE finds the optimum where BBE stays at 73.
+	if res.Cost.Total() != 59 {
+		t.Fatalf("MBBE cost = %v, want 59", res.Cost.Total())
 	}
 }
 

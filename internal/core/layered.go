@@ -199,9 +199,7 @@ func (e *embedder) materialise(ls *graph.LayeredSearch, x int, run []LayerSpec, 
 			return nil, graph.Path{}, false
 		}
 		e.stats.Extensions++
-		child := m.subs.one()
-		*child = subSolution{parent: leaf, ext: ext, layer: spec.Index, cum: leaf.cum + ext.localCost}
-		leaf, start, j = child, at, j+1
+		leaf, start, j = e.extend(leaf, ext, spec.Index), at, j+1
 		edges = m.edges.reserve(i)
 	}
 	return leaf, graph.Path{From: start, Edges: m.edges.commit(edges)}, true

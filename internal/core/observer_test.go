@@ -116,8 +116,8 @@ func hybridFixture() *Problem {
 // the deterministic hybrid fixture. Layer 1's search starts at the source,
 // layer 2's at layer 1's end node (0, since f1 is at the source), and
 // layer 3's at layer 2's merger (2). The parallel layer runs exactly one
-// backward search because the forward tree {0,1,2} contains one merger
-// deployment. Layers 1 and 3 are single-VNF runs: MBBE hands them to the
+// backward search because the forward tree ({0,1,2}; under MBBE, which
+// looks one ring past coverage, {0,1,2,3}) contains one merger deployment. Layers 1 and 3 are single-VNF runs: MBBE hands them to the
 // layered kernel (one search, one filter and one run event each, no
 // extensions event), BBE searches them layer by layer.
 func TestObserverExactSequenceHybridSFC(t *testing.T) {
@@ -137,9 +137,9 @@ func TestObserverExactSequenceHybridSFC(t *testing.T) {
 			"layer-done 1 kept=1",
 			"layer-start 2 parents=1",
 			"search-start 2 fwd @0",
-			"search-done 2 fwd @0 size=3 covered=true", // {0,1} + merger at 2
+			"search-done 2 fwd @0 size=4 covered=true", // {0,1} + merger at 2, and one ring on: 3
 			"search-start 2 bwd @2",
-			"search-done 2 bwd @2 size=2 covered=true", // {2,1} covers f2,f3
+			"search-done 2 bwd @2 size=3 covered=true", // 1 covers f2,f3; 3 is of the same ring
 			"extensions 2 @0 1/1",
 			"filter 2 considered=1 cap=0 delay=0",
 			"layer-done 2 kept=1",

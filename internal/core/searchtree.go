@@ -177,8 +177,12 @@ type searchConfig struct {
 	// inside the forward search's node set, passed as the FST itself). Nil =
 	// unrestricted.
 	within nodeSet
-	// maxNodes aborts the search once the discovered set would exceed this
-	// size without achieving coverage (MBBE's Xmax). 0 = unlimited.
+	// ringsPast is how many complete iterations the search runs on after the
+	// one that achieved coverage: 0 is Algorithm 1's stop rule, 1 gives the
+	// candidate set a horizon one hop beyond the nearest cover.
+	ringsPast int
+	// maxNodes stops the search once the discovered set has this many nodes
+	// (MBBE's Xmax), covered or not. 0 = unlimited.
 	maxNodes int
 	// res supplies the residual capacities, read once off the run's
 	// ledger. Nil reads them off the problem's ledger (or a fresh empty
@@ -206,9 +210,10 @@ type nodeSet interface {
 // runSearch performs the paper's iterative breadth-first search from start
 // and materializes the search tree. Edges are admitted only with residual
 // bandwidth ≥ rate; a category counts as available on a node only if its
-// instance there has residual capacity ≥ rate. The search stops as soon as
-// the accumulated available sets cover the required categories (the tree's
-// covered flag), or when the graph (or the maxNodes budget) is exhausted.
+// instance there has residual capacity ≥ rate. The search stops
+// cfg.ringsPast iterations after the one whose accumulated available sets
+// cover the required categories (the tree's covered flag), or when the graph
+// (or the maxNodes budget) is exhausted.
 func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	res := cfg.res
 	if res == nil {
@@ -292,12 +297,11 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	t.idx[start] = 1
 	t.levelOff = append(t.levelOff, 0)
 	markFound(root.Available)
-	if missing == 0 {
-		t.covered = true
-		return t
-	}
 
-	for {
+	for past := 0; missing > 0 || past < cfg.ringsPast; {
+		if missing == 0 {
+			past++
+		}
 		cur := len(t.levelOff)
 		frontier := t.Level(cur)
 		// Open the next level: freezes the frontier's upper bound so the
@@ -359,15 +363,13 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 			}
 		}
 		if len(t.nodes) == levelStart {
-			// Close the empty level we provisionally opened.
+			// Graph exhausted: close the empty level we provisionally opened.
 			t.levelOff = t.levelOff[:cur]
-			return t // graph exhausted
-		}
-		if missing == 0 {
-			t.covered = true
-			return t
+			break
 		}
 	}
+	t.covered = missing == 0
+	return t
 }
 
 func sortVNFs(v []network.VNFID) {

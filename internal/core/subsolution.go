@@ -39,6 +39,10 @@ type subSolution struct {
 	ext    *extension // nil for the root (source node, no cost)
 	layer  int
 	cum    float64
+	// rank is what the frontier is ordered, cut and de-duplicated by: cum
+	// plus, in a run that knows the way (embedder.toDst), the price of the
+	// cheapest path from the end node on to the destination.
+	rank float64
 	// cumDelay accumulates layer delays in delay-bounded mode.
 	cumDelay float64
 }

@@ -201,3 +201,76 @@ func TestMBBEEqualsExactOnPureChains(t *testing.T) {
 		}
 	}
 }
+
+// hybridSFC draws a DAG-SFC of two to four layers, each one to three VNFs
+// wide and at least one of them parallel, over distinct categories.
+func hybridSFC(rng *rand.Rand, kinds int) sfc.DAGSFC {
+	for {
+		perm := rng.Perm(kinds)
+		var s sfc.DAGSFC
+		parallel := false
+		for n := 2 + rng.Intn(3); n > 0 && len(perm) >= 3; n-- {
+			width := 1 + rng.Intn(3)
+			layer := make([]network.VNFID, width)
+			for i := range layer {
+				layer[i] = network.VNFID(perm[i] + 1)
+			}
+			perm = perm[width:]
+			s.Layers = append(s.Layers, sfc.Layer{VNFs: layer})
+			parallel = parallel || width > 1
+		}
+		if parallel {
+			return s
+		}
+	}
+}
+
+// TestMBBENearExactOnHybridDAGs is the same oracle where MBBE is a beam, not
+// a shortest path: SFCs with width-2 and width-3 layers on substrates of at
+// most 25 nodes. The exact solver is a lower bound on every instance, and
+// over the corpus MBBE stays within 1 % of it: 0.25 % with the parallel-layer
+// search looking one ring past coverage and ranking by the way still to go,
+// 2.8 % with a search that stops at coverage — so the gap cannot reopen
+// unnoticed. The corpus is small because a width-3 layer costs the oracle n³.
+func TestMBBENearExactOnHybridDAGs(t *testing.T) {
+	const instances = 16
+	var mbbe, exact float64
+	optimal := 0
+	for seed := int64(0); seed < instances; seed++ {
+		rng := rand.New(rand.NewSource(2600 + seed))
+		cfg := netgen.Default()
+		cfg.Nodes = 12 + rng.Intn(14) // ≤ 25
+		cfg.VNFKinds = 9
+		cfg.Connectivity = 2 + 2*rng.Float64()
+		net := netgen.MustGenerate(cfg, rng)
+		p := &core.Problem{
+			Net: net, SFC: hybridSFC(rng, cfg.VNFKinds),
+			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
+			Rate: 1, Size: 1 + float64(rng.Intn(3)),
+		}
+		opt, err := Embed(p, Limits{})
+		if err != nil {
+			t.Fatalf("seed %d: exact: %v", seed, err)
+		}
+		res, err := core.EmbedMBBE(p)
+		if err != nil {
+			t.Fatalf("seed %d: MBBE: %v", seed, err)
+		}
+		if err := core.Validate(p, res.Solution); err != nil {
+			t.Fatalf("seed %d: MBBE solution invalid: %v", seed, err)
+		}
+		if opt.Cost.Total() > res.Cost.Total()+1e-9 {
+			t.Fatalf("seed %d (%d nodes, %v): exact %v above MBBE %v", seed, cfg.Nodes, p.SFC, opt.Cost.Total(), res.Cost.Total())
+		}
+		if res.Cost.Total() <= opt.Cost.Total()*(1+1e-9) {
+			optimal++
+		}
+		mbbe += res.Cost.Total()
+		exact += opt.Cost.Total()
+	}
+	gap := mbbe/exact - 1
+	t.Logf("%d instances: MBBE %.2f %% above exact in the mean, optimal on %d", instances, 100*gap, optimal)
+	if gap > 0.01 {
+		t.Fatalf("MBBE is %.2f %% above exact over the corpus, want at most 1 %%", 100*gap)
+	}
+}

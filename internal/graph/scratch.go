@@ -49,6 +49,10 @@ type Scratch struct {
 	parentEdge []EdgeID
 	parentNode []NodeID
 
+	// pathOut[v] is the edge TwoEdgeConnected's first path leaves v by, None
+	// for every node between calls.
+	pathOut []EdgeID
+
 	// lastN and lastA are the node (for a layered search, state) and arc
 	// counts of the most recent search served, recorded so PutScratch can
 	// compare the scratch's grown capacity against the sizes actually in

@@ -42,21 +42,36 @@ func backupBans(net *network.Network, primary *core.Solution, src, dst graph.Nod
 	return edges, nodes
 }
 
+// errUnprotectable refuses a backup no search could find: a primary and a
+// link-disjoint backup are two edge-disjoint routes between the endpoints.
+var errUnprotectable = fmt.Errorf("endpoints are not 2-edge-connected: %w", core.ErrNoEmbedding)
+
 // embedBackup searches for a backup embedding disjoint from primary. The
-// problem's ledger must already carry the primary's reservations, so the
-// backup's capacity is over and above the primary's. Node-disjoint is
-// tried first; if the substrate cannot afford it the search retries with
-// only the links banned. The ban sets ride per-request copies of the
-// shared builtin options (core.Options is a value); a banned search keeps
-// its view and trees to itself, so the shared cache never sees them.
-func (s *Server) embedBackup(ctx context.Context, alg string, p *core.Problem, primary *core.Solution) (*core.Result, error) {
+// worker's problem must be bound to a ledger that already carries the
+// primary's reservations, so the backup's capacity is over and above the
+// primary's. Before anything is searched the endpoints are tested for
+// 2-edge-connectivity over the links the pair could use — those that still
+// carry the rate, and the primary's own — and errUnprotectable answers when
+// they are not. Node-disjoint is tried first; if the substrate cannot
+// afford it the search retries with only the links banned. The ban sets
+// ride per-request copies of the shared builtin options (core.Options is a
+// value); a banned search keeps its view and trees to itself, so the shared
+// cache never sees them.
+func (s *Server) embedBackup(ctx context.Context, alg string, w *workerScratch, primary *core.Solution) (*core.Result, error) {
 	opts, ok := s.protectOpts[alg]
 	if !ok {
 		// prepare() rejects protection for ban-incapable algorithms; this
 		// is a bug guard for controller-issued jobs.
 		return nil, fmt.Errorf("%w: algorithm %q cannot compute banned-set backups", ErrBadRequest, alg)
 	}
+	p := &w.p
 	edges, nodes := backupBans(s.net, primary, p.Src, p.Dst)
+	w.edgeRes = p.Ledger.EdgeResiduals(w.edgeRes)
+	if !s.net.G.TwoEdgeConnected(&w.bfs, p.Src, p.Dst, func(e graph.EdgeID) bool {
+		return edges[e] || w.edgeRes[e] >= p.Rate
+	}) {
+		return nil, errUnprotectable
+	}
 	opts.BannedEdges = edges
 	opts.BannedNodes = nodes
 	res, err := core.EmbedContext(ctx, p, opts)

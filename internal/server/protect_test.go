@@ -3,7 +3,9 @@ package server_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,8 @@ import (
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
+	"dagsfc/internal/server/client"
+	"dagsfc/internal/telemetry"
 )
 
 // threePathNet offers three node-disjoint paths 0→4, each with its own
@@ -313,5 +317,91 @@ func TestDurableFailoverKillRestart(t *testing.T) {
 	}
 	if gr, wr := residuals(srv2.NetworkState()), residuals(control.NetworkState()); !equalResiduals(gr, wr) {
 		t.Fatalf("residuals after kill-restart: %v, want control %v", gr, wr)
+	}
+}
+
+// TestBackupRefusalSaysWhichKind: a protected admission the substrate cannot
+// protect is refused unsearched and says why — the endpoints share a single
+// link-disjoint route — while one the two-pass search fails on (the only
+// host of f(1) sits on the primary's path, though source and destination
+// are joined three times over) keeps the search's text. Both are 422, both
+// count as backup admission failures, and only the first as unprotectable.
+func TestBackupRefusalSaysWhichKind(t *testing.T) {
+	counters := func(cl *client.Client) (failures, unprotectable float64) {
+		t.Helper()
+		snap, err := cl.MetricsSnapshot(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, okF := snap.Series(telemetry.MetricProtectBackupAdmitFailure)
+		u, okU := snap.Series(telemetry.MetricProtectUnprotectable)
+		if !okF || !okU {
+			t.Fatal("protection counters not exposed")
+		}
+		return f.Value, u.Value
+	}
+	refusal := func(err error) string {
+		t.Helper()
+		var api *client.APIError
+		if !errors.As(err, &api) || api.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("err = %v, want a 422", err)
+		}
+		return api.Message
+	}
+	doneDetail := func(srv *server.Server, id int64) string {
+		t.Helper()
+		detail := ""
+		for _, ev := range srv.Journal().Flow(id, 0) {
+			if ev.Type == journal.TypeEmbedDone && ev.Err != "" {
+				detail = ev.Detail
+			}
+		}
+		return detail
+	}
+
+	// A stub: node 5 hangs off node 4 by one link.
+	stub := threePathNet()
+	g := graph.New(6)
+	for _, e := range stub.G.Edges() {
+		g.MustAddEdge(e.A, e.B, e.Price, e.Capacity)
+	}
+	g.MustAddEdge(4, 5, 1, 10)
+	stubNet := network.New(g, network.Catalog{N: 1})
+	stubNet.MustAddInstance(1, 1, 5, 4)
+	stubNet.MustAddInstance(2, 1, 6, 4)
+	srv, cl := newTestServer(t, server.Config{Net: stubNet})
+	failures, unprotectable := counters(cl)
+	req := protectedRequest()
+	req.Dst = 5
+	_, err := cl.CreateFlow(context.Background(), req)
+	if msg := refusal(err); !strings.Contains(msg, "endpoints are not 2-edge-connected") || strings.Contains(msg, "no disjoint backup placement") {
+		t.Fatalf("refusal %q, want the endpoints named", msg)
+	}
+	if f, u := counters(cl); f != failures+1 || u != unprotectable+1 {
+		t.Fatalf("counters moved by %v and %v, want 1 and 1", f-failures, u-unprotectable)
+	}
+	if detail := doneDetail(srv, 1); detail != "backup: unprotectable" {
+		t.Fatalf("journal detail %q, want the refusal named", detail)
+	}
+	// The same endpoints unprotected are served.
+	req.Protection = server.ProtectionNone
+	if _, err := cl.CreateFlow(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+
+	// The trap: three routes 0→4, one host.
+	trap := network.New(threePathNet().G, network.Catalog{N: 1})
+	trap.MustAddInstance(1, 1, 5, 4)
+	srv, cl = newTestServer(t, server.Config{Net: trap})
+	failures, unprotectable = counters(cl)
+	_, err = cl.CreateFlow(context.Background(), protectedRequest())
+	if msg := refusal(err); !strings.Contains(msg, "no disjoint backup placement") || strings.Contains(msg, "2-edge-connected") {
+		t.Fatalf("refusal %q, want the search's own", msg)
+	}
+	if f, u := counters(cl); f != failures+1 || u != unprotectable {
+		t.Fatalf("counters moved by %v and %v, want 1 and 0", f-failures, u-unprotectable)
+	}
+	if detail := doneDetail(srv, 1); detail != "backup" {
+		t.Fatalf("journal detail %q, want plain %q", detail, "backup")
 	}
 }

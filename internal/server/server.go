@@ -829,6 +829,9 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 type workerScratch struct {
 	snap *network.Ledger
 	p    core.Problem
+	// bfs and edgeRes serve embedBackup's connectivity test.
+	bfs     graph.Scratch
+	edgeRes []float64
 }
 
 // worker is one speculative embedder.
@@ -885,7 +888,7 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 	w.p = *j.problem
 	w.p.Ledger = w.snap
 	p := &w.p
-	res, err := s.search(j, p, j.against, detail)
+	res, err := s.search(j, w, j.against, detail)
 	j.embedDone = time.Now()
 	if err != nil {
 		s.finish(j, jobResult{err: err})
@@ -911,7 +914,7 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 			s.finish(j, jobResult{err: fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)})
 			return
 		}
-		if j.backup, err = s.search(j, p, res.Solution, "backup"); err != nil {
+		if j.backup, err = s.search(j, w, res.Solution, "backup"); err != nil {
 			s.finish(j, jobResult{err: err})
 			return
 		}
@@ -919,21 +922,23 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 	s.commit <- j
 }
 
-// search runs one speculative embed for j on p's ledger and journals it
-// under detail: the job's own algorithm when against is nil, otherwise the
-// ban-seeded search for a backup disjoint from against ("backup" for the
-// second embed of a protected admission, "re-protect" for a live flow that
-// lost or spent its backup) — p's ledger must then already carry against's
-// reservations.
-func (s *Server) search(j *job, p *core.Problem, against *core.Solution, detail string) (res *core.Result, err error) {
+// search runs one speculative embed for j on the worker's problem and
+// ledger and journals it under detail: the job's own algorithm when against
+// is nil, otherwise the ban-seeded search for a backup disjoint from
+// against ("backup" for the second embed of a protected admission,
+// "re-protect" for a live flow that lost or spent its backup) — the ledger
+// must then already carry against's reservations. A backup refused because
+// no algorithm could find one says so in the done event's detail
+// ("backup: unprotectable").
+func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail string) (res *core.Result, err error) {
 	s.journal.Append(journal.Event{
 		Type: journal.TypeEmbedStart, Flow: j.id, Alg: j.alg, Attempt: j.retries, Detail: detail,
 	})
 	begin := time.Now()
 	if against == nil {
-		res, err = s.runEmbed(j, p)
+		res, err = s.runEmbed(j, &w.p)
 	} else {
-		res, err = s.embedBackup(&j.ctx, j.alg, p, against)
+		res, err = s.embedBackup(&j.ctx, j.alg, w, against)
 	}
 	done := time.Now()
 	telemetry.RecordServerStage(telemetry.StageEmbed, done.Sub(begin))
@@ -948,9 +953,12 @@ func (s *Server) search(j *job, p *core.Problem, against *core.Solution, detail 
 		// The ctx-aware search stopped cooperatively; report it as the
 		// timeout it is, not an embedding failure.
 		err = fmt.Errorf("%w: embed cancelled: %v", ErrTimeout, err)
+	case errors.Is(err, errUnprotectable):
+		ev.Detail += ": unprotectable"
+		telemetry.RecordBackupAdmitFailure(true)
 	case against != nil:
 		err = fmt.Errorf("no disjoint backup placement: %w", err)
-		telemetry.RecordBackupAdmitFailure()
+		telemetry.RecordBackupAdmitFailure(false)
 	}
 	if err != nil {
 		ev.Err = err.Error()

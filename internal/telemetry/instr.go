@@ -418,13 +418,18 @@ func RecordServerStage(stage string, elapsed time.Duration) {
 // Protection metric names (PR 10): the protected-embedding subsystem —
 // how many flows currently hold a reserved backup, how many failovers and
 // background re-protections have run, and how many backup admissions
-// found no disjoint placement.
+// found no disjoint placement — and how many of those were refused
+// unsearched, because the endpoints are not 2-edge-connected and no
+// algorithm could protect them.
 const (
 	MetricProtectBackupsActive      = "dagsfc_protect_backups_active"
 	MetricProtectFailovers          = "dagsfc_protect_failovers_total"
 	MetricProtectReprotects         = "dagsfc_protect_reprotects_total"
 	MetricProtectBackupAdmitFailure = "dagsfc_protect_backup_admit_failures_total"
+	MetricProtectUnprotectable      = "dagsfc_protect_backup_unprotectable_total"
 )
+
+const helpProtectUnprotectable = "Backup embed attempts refused unsearched: the endpoints are not 2-edge-connected."
 
 // SetBackupsActive publishes the number of flows currently holding a
 // reserved disjoint backup embedding.
@@ -445,9 +450,14 @@ func RecordReprotect() {
 }
 
 // RecordBackupAdmitFailure records a protected admission or re-protect
-// attempt that found no disjoint backup placement.
-func RecordBackupAdmitFailure() {
+// attempt that found no disjoint backup placement; unprotectable marks the
+// ones refused without a search because the endpoints are not
+// 2-edge-connected, which are counted a second time under their own name.
+func RecordBackupAdmitFailure(unprotectable bool) {
 	Default().Counter(MetricProtectBackupAdmitFailure, "Backup embed attempts that found no disjoint placement.").Inc()
+	if unprotectable {
+		Default().Counter(MetricProtectUnprotectable, helpProtectUnprotectable).Inc()
+	}
 }
 
 // InitProtectMetrics registers the protection counters at zero so scrapes
@@ -458,6 +468,7 @@ func InitProtectMetrics() {
 	r.Counter(MetricProtectFailovers, "Backup embeddings promoted to primary after a fault.").Add(0)
 	r.Counter(MetricProtectReprotects, "Fresh backup embeddings reserved by the re-protect controller.").Add(0)
 	r.Counter(MetricProtectBackupAdmitFailure, "Backup embed attempts that found no disjoint placement.").Add(0)
+	r.Counter(MetricProtectUnprotectable, helpProtectUnprotectable).Add(0)
 }
 
 // RecordJournalAppend records one journal append and, when the ring
