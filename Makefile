@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage docs-drift short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
@@ -11,9 +11,10 @@ all: build vet test
 # runners, so -race is load-bearing here, not ceremony), the
 # one-goroutine-per-embed contract, the search-reads-dense-rows contract,
 # the no-environment-switch contract, the one-writer-of-flow-state contract,
-# the no-per-request-garbage contract of the HTTP layer, and a short fuzz of
-# the search-kernel priority queues and the request-body reader.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage fuzz-smoke
+# the no-per-request-garbage contract of the HTTP layer, the
+# docs-name-what-the-tree-has contract, and a short fuzz of the search-kernel
+# priority queues and the request-body reader.
+check: build vet test race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage docs-drift fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -63,6 +64,14 @@ server-request-garbage:
 		echo "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)"; exit 1; \
 	fi
 
+# README.md and DESIGN.md describe the tree that is there: every Go
+# identifier they put in backticks is one some Go file still uses, or is
+# listed with the PR that deleted it (docHistory in docs_test.go). The check
+# is a test of the root package, so `make test` runs it too; the target names
+# it for whoever edits the documents alone.
+docs-drift:
+	$(GO) test -count=1 -run '^TestDocsDrift$$' .
+
 # fuzz-smoke runs the search-kernel fuzzers briefly. The bucket queue and
 # the 4-ary heap must pop in the identical strict (dist, node) order, or
 # search results would fork depending on which structure a compiled view
@@ -111,7 +120,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR26.json
+BENCH_JSON ?= BENCH_PR27.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -120,14 +129,14 @@ BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
 # ledger means the same thing on a 2-core sandbox and a 4-core CI runner.
 BENCH_CPU ?= 2
 bench-json:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -run '^$$' ./internal/graph/ ./internal/core/ ./internal/network/ ./internal/wal/ ./internal/server/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
+	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) -cpu $(BENCH_CPU) -run '^$$' ./internal/graph/ ./internal/ipmodel/ ./internal/core/ ./internal/network/ ./internal/wal/ ./internal/server/ ./cmd/dagsfc-load/ > $(BENCH_RAW)
 	@cat $(BENCH_RAW)
 	$(GO) run ./cmd/dagsfc-bench -parse-bench $(BENCH_RAW) -bench-label $(BENCH_LABEL) -bench-out $(BENCH_JSON)
 
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR25 baseline, if an
+# regressed more than 20% against the committed PR26 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
@@ -139,7 +148,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR25.json
+BENCH_GUARD_OLD ?= BENCH_PR26.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

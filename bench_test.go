@@ -197,19 +197,6 @@ func BenchmarkAblationXmax(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationDedup(b *testing.B) {
-	for _, k := range []int{0, 1, 4, 16} {
-		opts := MBBEOptions()
-		opts.DedupByEndNode = k
-		b.Run(benchName("Dedup", k), func(b *testing.B) { benchOptions(b, opts) })
-	}
-}
-
-func BenchmarkAblationSteiner(b *testing.B) {
-	b.Run("SteinerOff", func(b *testing.B) { benchOptions(b, MBBEOptions()) })
-	b.Run("SteinerOn", func(b *testing.B) { benchOptions(b, MBBESteinerOptions()) })
-}
-
 func BenchmarkAblationMiniPath(b *testing.B) {
 	withTree := MBBEOptions()
 	withTree.MiniPath = false

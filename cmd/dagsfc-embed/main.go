@@ -8,7 +8,7 @@
 // Usage:
 //
 //	dagsfc-embed -net net.json -sfc "1;2,3" -src 0 -dst 42
-//	             [-alg mbbe|bbe|minv|ranv|exact] [-rate 1] [-size 1] [-seed 1]
+//	             [-alg mbbe|bbe|minv|ranv|exact|ilp|sa] [-rate 1] [-size 1] [-seed 1]
 //	             [-trace-out trace.json] [-explain] [-v]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-metrics-out metrics.prom] [-debug-addr localhost:6060]

@@ -68,7 +68,7 @@ func main() {
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		netFile      = flag.String("net", "", "network JSON file (default: generate one)")
 		seed         = flag.Int64("seed", 1, "seed for network generation and randomized algorithms")
-		alg          = flag.String("alg", "mbbe", "default embedding algorithm: mbbe, bbe, minv, ranv, sa")
+		alg          = flag.String("alg", "mbbe", "default embedding algorithm: mbbe, bbe, minv, ranv")
 		workers      = flag.Int("embed-workers", 0, "speculative embed workers (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "admission queue depth (full queue rejects with 429)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request pipeline deadline (past it: 504)")

@@ -132,7 +132,6 @@ func TestConcurrentMixedAlgorithms(t *testing.T) {
 			return err
 		},
 		func() error { _, err := dagsfc.EmbedExact(newProblem(), dagsfc.ExactLimits{}); return err },
-		func() error { _, err := dagsfc.Embed(newProblem(), dagsfc.MBBESteinerOptions()); return err },
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(algs))

@@ -20,8 +20,8 @@
 //     and the paper's §3.3 integer program solved by a built-in
 //     simplex/branch-and-bound MILP stack;
 //   - the evaluation harness reproducing every figure of the paper's §5,
-//     plus latency, delay-bounded embedding, online multi-flow/churn,
-//     Steiner multicast and topology-robustness extensions.
+//     plus latency, delay-bounded embedding, online multi-flow/churn and
+//     topology-robustness extensions.
 //
 // # Quick start
 //
@@ -188,12 +188,6 @@ func BBEOptions() Options { return core.BBEOptions() }
 
 // MBBEOptions returns the Mini-path BBE configuration.
 func MBBEOptions() Options { return core.MBBEOptions() }
-
-// MBBESteinerOptions returns MBBE with the Steiner multicast extension:
-// each parallel layer's inter-layer meta-paths are instantiated along a
-// shared multicast tree, which the eq. (9) cost model pays only once per
-// link.
-func MBBESteinerOptions() Options { return core.MBBESteinerOptions() }
 
 // EmbedRANV embeds with the randomized benchmark of §5.1.
 func EmbedRANV(p *Problem, rng *rand.Rand) (*Result, error) { return baseline.EmbedRANV(p, rng) }

@@ -60,14 +60,13 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 	}{
 		{"mbbe", MBBEOptions()},
 		{"bbe", BBEOptions()},
-		{"mbbe+steiner", MBBESteinerOptions()},
 		{"mbbe+delay", delayBounded},
 	}
 	for _, mode := range modes {
 		sc := newPooledScratch()
 		embed := func(p *Problem) (*Result, error) {
 			defer sc.recycle()
-			return embedOn(context.Background(), p, mode.opts, false, sc)
+			return embedOn(context.Background(), p, mode.opts, sc)
 		}
 		p := randomProblem(rand.New(rand.NewSource(7)), 60, 6, 6)
 		res, err := embed(p)
@@ -338,7 +337,7 @@ func TestReleaseDropsOversizedArena(t *testing.T) {
 func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 	sc := newPooledScratch()
 	p := benchProblem(t)
-	if _, err := embedOn(context.Background(), p, MBBEOptions(), false, sc); err != nil {
+	if _, err := embedOn(context.Background(), p, MBBEOptions(), sc); err != nil {
 		t.Fatal(err)
 	}
 	m, n := sc.mem, p.Net.G.NumNodes()
@@ -366,77 +365,6 @@ func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 		if pm.build != 0 || slices.ContainsFunc(pm.stamp, func(s uint32) bool { return s != 0 }) ||
 			slices.ContainsFunc(pm.choices, func(c []graph.Path) bool { return c != nil }) {
 			t.Fatalf("%s-layer memo not rewound by recycle", name)
-		}
-	}
-}
-
-// dedupByEndNodeRef is the map-based end-node dedup the dense-window
-// version replaced.
-func dedupByEndNodeRef(next []*subSolution, src graph.NodeID, limitOpt int, delayBounded bool) []*subSolution {
-	groups := make(map[graph.NodeID][]*subSolution)
-	var order []graph.NodeID
-	for _, ss := range next {
-		end := ss.endNode(src)
-		if _, seen := groups[end]; !seen {
-			order = append(order, end)
-		}
-		groups[end] = append(groups[end], ss)
-	}
-	keep := make(map[*subSolution]bool)
-	for _, end := range order {
-		group := groups[end]
-		limit := min(limitOpt, len(group))
-		for _, ss := range group[:limit] {
-			keep[ss] = true
-		}
-		if delayBounded {
-			fastest := group[0]
-			for _, ss := range group[1:] {
-				if ss.cumDelay < fastest.cumDelay {
-					fastest = ss
-				}
-			}
-			if !keep[fastest] {
-				delete(keep, group[limit-1])
-				keep[fastest] = true
-			}
-		}
-	}
-	var kept []*subSolution
-	for _, ss := range next {
-		if keep[ss] {
-			kept = append(kept, ss)
-		}
-	}
-	return kept
-}
-
-// TestDedupByEndNodeMatchesMapReference compares the two dedups on random
-// cost-ordered frontiers, with and without the delay-diversity rule, ties
-// in delay included.
-func TestDedupByEndNodeMatchesMapReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	p := lineFixture()
-	sc := newPooledScratch()
-	for trial := 0; trial < 2000; trial++ {
-		sc.recycle()
-		e := &embedder{p: p, opts: Options{DedupByEndNode: 1 + rng.Intn(3)}, sc: sc}
-		if trial%2 == 1 {
-			e.opts.MaxDelay = 100
-		}
-		next := make([]*subSolution, rng.Intn(12))
-		for i := range next {
-			next[i] = &subSolution{
-				ext:      &extension{endNode: graph.NodeID(rng.Intn(p.Net.G.NumNodes()))},
-				cum:      float64(i),
-				cumDelay: float64(rng.Intn(4)),
-			}
-		}
-		want := dedupByEndNodeRef(next, p.Src, e.opts.DedupByEndNode, e.opts.MaxDelay > 0)
-		got := e.dedupByEndNode(slices.Clone(next))
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (limit %d, delay %v): kept %d candidates, reference %d",
-				trial, e.opts.DedupByEndNode, e.opts.MaxDelay > 0, len(got), len(want))
 		}
 	}
 }

@@ -19,11 +19,7 @@ import (
 // at the leaf's end node: the closure the tree rooted at the destination
 // replaced, and must agree with.
 func embedPerLeaf(p *Problem, opts Options) (*Result, error) {
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	e := newEmbedder(context.Background(), p, opts, sc)
-	e.perLeafClosure = true
-	return e.run()
+	return embedReference(p, opts, func(e *embedder) { e.perLeafClosure = true })
 }
 
 // hybridSFC draws a DAG-SFC of two or three layers whose last one is

@@ -241,7 +241,7 @@ func TestPricingMatchesReferenceOnEmbeddings(t *testing.T) {
 	delay := MBBEOptions()
 	delay.MaxDelay = 5.0
 	for name, opts := range map[string]Options{
-		"bbe": BBEOptions(), "mbbe": MBBEOptions(), "mbbe+st": MBBESteinerOptions(), "mbbe+delay": delay,
+		"bbe": BBEOptions(), "mbbe": MBBEOptions(), "mbbe+delay": delay,
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
 			p := randomProblem(rand.New(rand.NewSource(seed)), 60, 6, 4)

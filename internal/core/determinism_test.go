@@ -29,7 +29,6 @@ func TestWorkersDeterminism(t *testing.T) {
 	}{
 		{"bbe", BBEOptions()},
 		{"mbbe", MBBEOptions()},
-		{"mbbe+steiner", MBBESteinerOptions()},
 		{"mbbe+delay", func() Options {
 			o := MBBEOptions()
 			o.MaxDelay = 4.0
@@ -213,7 +212,7 @@ func TestEmbedInvalidProblemCountsAsFailure(t *testing.T) {
 // and the returned slice stays cost-sorted with the fastest survivor
 // present.
 func TestTrimExtensionsDoesNotMutateInput(t *testing.T) {
-	e := &embedder{opts: Options{MaxExtensionsPerStart: 3, MaxDelay: 100}}
+	e := &embedder{opts: Options{MaxDelay: 100}}
 	exts := []*extension{
 		{localCost: 1, delay: 9},
 		{localCost: 2, delay: 8},
@@ -222,7 +221,7 @@ func TestTrimExtensionsDoesNotMutateInput(t *testing.T) {
 		{localCost: 5, delay: 1}, // fastest, beyond the cut
 	}
 	orig := append([]*extension(nil), exts...)
-	kept := e.trimExtensions(exts)
+	kept := e.trimExtensions(exts, 3)
 	for i := range orig {
 		if exts[i] != orig[i] {
 			t.Fatalf("input slice mutated at %d", i)

@@ -12,13 +12,25 @@ import (
 	"dagsfc/internal/delaymodel"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
-	"dagsfc/internal/steiner"
 	"dagsfc/internal/telemetry"
 )
 
 // ErrNoEmbedding is returned when the search space contains no feasible
 // embedding (or none within the configured search budget).
 var ErrNoEmbedding = errors.New("core: no feasible embedding found")
+
+// The search's two safety valves. BBE's real-path enumeration reaches both;
+// MBBE's mergers × assignments stay far below them
+// (TestSafetyValvesNeverBindUnderMBBE), so neither is an option.
+const (
+	// maxExtensionsPerStart bounds the candidates kept per (layer, start
+	// node), cheapest by local cost first.
+	maxExtensionsPerStart = 512
+	// maxSubSolutionsPerLayer bounds the sub-solution tree's width: the
+	// best-ranked this-many of a layer's sub-solutions become the next
+	// frontier.
+	maxSubSolutionsPerLayer = 1024
+)
 
 // Options tunes the BBE/MBBE search. The zero value is not useful; start
 // from BBEOptions or MBBEOptions.
@@ -45,26 +57,6 @@ type Options struct {
 	// MaxMergerCandidates bounds how many FST merger nodes spawn a
 	// backward search per layer (nearest-first order). 0 = unlimited.
 	MaxMergerCandidates int
-	// MaxExtensionsPerStart bounds the candidate sub-solutions kept per
-	// (layer, start node) after sorting by local cost. 0 = unlimited.
-	MaxExtensionsPerStart int
-	// MaxSubSolutionsPerLayer is a safety valve on the sub-solution tree's
-	// width: after generating a layer, only the cheapest this-many
-	// sub-solutions survive. 0 = unlimited.
-	MaxSubSolutionsPerLayer int
-	// DedupByEndNode keeps at most this many sub-solutions per distinct
-	// layer end node. Two sub-solutions with the same end node offer
-	// identical continuations, so under ample capacity only the cheapest
-	// can lead to the best complete solution; keeping a few guards the
-	// tight-capacity case. 0 = off.
-	DedupByEndNode int
-	// MulticastSteiner instantiates each parallel layer's inter-layer
-	// meta-paths along a shared multicast tree (approximate Steiner tree,
-	// never worse than independent min-cost paths) instead of one path
-	// per VNF. The cost model pays the union of inter-layer links once
-	// (eq. 9), so a shared tree can only reduce a layer's link cost.
-	// An extension beyond the paper; see internal/steiner.
-	MulticastSteiner bool
 	// MaxDelay, when positive, turns the search delay-aware: candidate
 	// sub-solutions whose accumulated end-to-end delay (under Delay)
 	// already exceeds the bound are pruned, hop-minimal path variants
@@ -114,22 +106,11 @@ type Options struct {
 // time grows so much faster than MBBE's.
 func BBEOptions() Options {
 	return Options{
-		MaxPathsPerMeta:         3,
-		MaxAssignmentsPerPair:   512,
-		MaxMergerCandidates:     16,
-		MaxExtensionsPerStart:   512,
-		MaxSubSolutionsPerLayer: 1024,
-		Label:                   "bbe",
+		MaxPathsPerMeta:       3,
+		MaxAssignmentsPerPair: 512,
+		MaxMergerCandidates:   16,
+		Label:                 "bbe",
 	}
-}
-
-// MBBESteinerOptions returns MBBE with the Steiner multicast extension
-// enabled.
-func MBBESteinerOptions() Options {
-	opts := MBBEOptions()
-	opts.MulticastSteiner = true
-	opts.Label = "mbbe+st"
-	return opts
 }
 
 // MBBEOptions returns the configuration for the Mini-path BBE method
@@ -137,15 +118,12 @@ func MBBESteinerOptions() Options {
 // the X_d-tree pruning.
 func MBBEOptions() Options {
 	return Options{
-		Xmax:                    120,
-		MiniPath:                true,
-		Xd:                      4,
-		MaxAssignmentsPerPair:   4,
-		MaxMergerCandidates:     8,
-		MaxExtensionsPerStart:   256,
-		MaxSubSolutionsPerLayer: 2048,
-		DedupByEndNode:          4,
-		Label:                   "mbbe",
+		Xmax:                  120,
+		MiniPath:              true,
+		Xd:                    4,
+		MaxAssignmentsPerPair: 4,
+		MaxMergerCandidates:   8,
+		Label:                 "mbbe",
 	}
 }
 
@@ -221,21 +199,14 @@ func Embed(p *Problem, opts Options) (*Result, error) {
 // stops burning CPU at the next check instead of running the layer loop to
 // completion. A nil ctx means context.Background().
 func EmbedContext(ctx context.Context, p *Problem, opts Options) (*Result, error) {
-	return embedContext(ctx, p, opts, false)
-}
-
-// embedContext is EmbedContext with the one switch the differential tests
-// need and no caller may have: perLayer keeps single-VNF runs away from the
-// layered kernel, so the same options can be run both ways and compared.
-func embedContext(ctx context.Context, p *Problem, opts Options, perLayer bool) (*Result, error) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	return embedOn(ctx, p, opts, perLayer, sc)
+	return embedOn(ctx, p, opts, sc)
 }
 
 // embedOn runs one embed in the scratch and arena sc, which the caller
 // recycles afterwards.
-func embedOn(ctx context.Context, p *Problem, opts Options, perLayer bool, sc *pooledScratch) (*Result, error) {
+func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -253,7 +224,6 @@ func embedOn(ctx context.Context, p *Problem, opts Options, perLayer bool, sc *p
 		return nil, err
 	}
 	e := newEmbedder(ctx, p, opts, sc)
-	e.perLayer = perLayer
 	res, err := e.run()
 	telemetry.RecordPathCacheHits(e.treeHits)
 	telemetry.RecordEmbed(telemetry.EmbedSample{
@@ -313,10 +283,11 @@ type embedder struct {
 	// opts is the run's configuration, Label resolved ("custom" when the
 	// caller set none) and the delay model defaulted.
 	opts Options
-	// perLayer is embedContext's test-only switch. undirected, set by tests
-	// alone, withholds the potential from terminal layered runs; perLeafClosure,
-	// likewise, closes every leaf with a tree of its own (the reference the
-	// closure from the destination is tested against).
+	// The reference switches, set by tests alone (embedReference): perLayer
+	// keeps single-VNF runs away from the layered kernel, undirected withholds
+	// the potential from terminal layered runs, perLeafClosure closes every
+	// leaf with a tree of its own. Each is the slow path its replacement is
+	// tested against.
 	perLayer, undirected, perLeafClosure bool
 	// ctx cancels the run between layers and between a layer's start-node
 	// builds; never nil (EmbedContext defaults it to Background).
@@ -684,59 +655,13 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 		return nil, fmt.Errorf("%w: layer %d has no feasible sub-solution", ErrNoEmbedding, spec.Index)
 	}
 	slices.SortFunc(next, bySubCost)
-	if e.opts.DedupByEndNode > 0 {
-		next = e.dedupByEndNode(next)
-	}
-	if e.opts.MaxSubSolutionsPerLayer > 0 && len(next) > e.opts.MaxSubSolutionsPerLayer {
-		next = e.truncateWithDelayDiversity(next, e.opts.MaxSubSolutionsPerLayer)
-	}
+	next = e.truncateWithDelayDiversity(next, maxSubSolutionsPerLayer)
 	e.stats.SubSolutions += len(next)
 	if e.opts.Observer != nil {
 		cheapest := slices.MinFunc(next, func(a, b *subSolution) int { return cmp.Compare(a.cum, b.cum) })
 		e.observeLayerDone(spec, len(next), cheapest.cum)
 	}
 	return next, nil
-}
-
-// dedupByEndNode groups the cost-ordered candidates by end node and keeps
-// the cheapest DedupByEndNode of each group; in delay-bounded mode the
-// group's fastest member always survives, displacing the costliest kept
-// one (same rationale as truncateWithDelayDiversity). Survivors keep their
-// cost order; next is filtered in place. Groups are tallied in dense
-// per-node windows of the arena.
-func (e *embedder) dedupByEndNode(next []*subSolution) []*subSolution {
-	m := e.sc.mem
-	src, n := e.p.Src, e.p.Net.G.NumNodes()
-	delayBounded := e.opts.MaxDelay > 0
-	size := m.idx.alloc(n)
-	var fastest []*subSolution // per group: first member with the least delay
-	var fastestRank []int32    // and its position within the group
-	if delayBounded {
-		fastest, fastestRank = m.subPtrs.alloc(n), m.idx.alloc(n)
-	}
-	for _, ss := range next {
-		end := ss.endNode(src)
-		if delayBounded && (size[end] == 0 || ss.cumDelay < fastest[end].cumDelay) {
-			fastest[end], fastestRank[end] = ss, size[end]
-		}
-		size[end]++
-	}
-	rank := m.idx.alloc(n)
-	kept := next[:0]
-	for _, ss := range next {
-		end := ss.endNode(src)
-		r := rank[end]
-		rank[end]++
-		limit := min(int32(e.opts.DedupByEndNode), size[end])
-		keep := r < limit
-		if delayBounded && fastestRank[end] >= limit {
-			keep = r < limit-1 || r == fastestRank[end]
-		}
-		if keep {
-			kept = append(kept, ss)
-		}
-	}
-	return kept
 }
 
 // screenParent filters one parent's candidate extensions against the
@@ -760,7 +685,7 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 	}
 	children = m.subPtrs.commit(children)
 	slices.SortFunc(children, bySubCost)
-	if e.opts.Xd > 0 && len(children) > e.opts.Xd {
+	if e.opts.Xd > 0 {
 		children = e.truncateWithDelayDiversity(children, e.opts.Xd)
 	}
 	out.children = children
@@ -792,7 +717,7 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution)
 // buildExtensions builds one (layer, start) candidate set: the forward
 // search, then for a single-VNF layer its hosts' candidates, for a parallel
 // layer those of every FST–BST pair over the kept mergers, and the trim to
-// the cheapest MaxExtensionsPerStart. With min-cost-path instantiation the
+// the cheapest maxExtensionsPerStart. With min-cost-path instantiation the
 // forward search runs one ring past coverage: the paths no longer come from
 // the tree, so the tree is only the candidate set, and the nearest cover is
 // rarely the cheapest.
@@ -843,7 +768,7 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extens
 	kept := m.extPtrs.alloc(generated)
 	copy(kept, exts)
 	m.extBuf = exts[:0]
-	kept = e.trimExtensions(kept)
+	kept = e.trimExtensions(kept, maxExtensionsPerStart)
 	e.observeExtensions(spec.Index, start, generated, len(kept))
 	return kept
 }
@@ -910,19 +835,18 @@ func (e *embedder) annotateDelay(spec LayerSpec, ext *extension) {
 	ext.delay = e.opts.Delay.LayerDelay(spec.VNFs, interHops, innerHops, spec.Merger)
 }
 
-// trimExtensions keeps the cheapest MaxExtensionsPerStart extensions by
-// local cost; in delay-bounded mode the lowest-delay extension always
-// survives the cut (see truncateWithDelayDiversity for the rationale —
-// and like there, the survivor is inserted on a copy at its cost-ordered
-// position, never spliced into the caller's backing array).
-func (e *embedder) trimExtensions(exts []*extension) []*extension {
+// trimExtensions keeps the cheapest limit extensions by local cost; in
+// delay-bounded mode the lowest-delay extension always survives the cut (see
+// truncateWithDelayDiversity for the rationale — and like there, the
+// survivor is inserted on a copy at its cost-ordered position, never spliced
+// into the caller's backing array).
+func (e *embedder) trimExtensions(exts []*extension, limit int) []*extension {
 	slices.SortFunc(exts, func(a, b *extension) int { return cmp.Compare(a.localCost, b.localCost) })
-	max := e.opts.MaxExtensionsPerStart
-	if max <= 0 || len(exts) <= max {
+	if len(exts) <= limit {
 		return exts
 	}
 	if e.opts.MaxDelay <= 0 {
-		return exts[:max]
+		return exts[:limit]
 	}
 	fastest := exts[0]
 	for _, ext := range exts[1:] {
@@ -930,12 +854,12 @@ func (e *embedder) trimExtensions(exts []*extension) []*extension {
 			fastest = ext
 		}
 	}
-	for _, ext := range exts[:max] {
+	for _, ext := range exts[:limit] {
 		if ext == fastest {
-			return exts[:max]
+			return exts[:limit]
 		}
 	}
-	return insertSorted(exts[:max-1], fastest,
+	return insertSorted(exts[:limit-1], fastest,
 		func(a, b *extension) bool { return a.localCost < b.localCost })
 }
 
@@ -1052,20 +976,12 @@ func (e *embedder) instantiate(exts []*extension, spec LayerSpec, start graph.No
 	m.interChoices = sized(m.interChoices, k)
 	m.innerChoices = sized(m.innerChoices, k)
 	interChoices, innerChoices := m.interChoices, m.innerChoices
-	var steinerPaths []graph.Path
-	if e.opts.MulticastSteiner && k > 1 {
-		steinerPaths = e.steinerInterPaths(start, nodes)
-	}
 	for i, tn := range assignment {
 		fstTN := fst.NodeOf(tn.Node)
 		if fstTN == nil {
 			return exts // BST ⊆ FST by construction; defensive
 		}
-		if steinerPaths != nil {
-			interChoices[i] = steinerPaths[i : i+1]
-		} else {
-			interChoices[i] = e.interPaths(fst, fstTN, start)
-		}
+		interChoices[i] = e.interPaths(fst, fstTN, start)
 		innerChoices[i] = e.innerPaths(bst, tn, mergerTN.Node)
 		if len(interChoices[i]) == 0 || len(innerChoices[i]) == 0 {
 			return exts
@@ -1107,26 +1023,6 @@ func (e *embedder) instantiate(exts []*extension, spec LayerSpec, start graph.No
 		}
 	}
 	return exts
-}
-
-// steinerInterPaths instantiates a layer's inter-layer meta-paths along a
-// shared multicast tree, or returns nil to fall back to independent
-// instantiation.
-func (e *embedder) steinerInterPaths(start graph.NodeID, targets []graph.NodeID) []graph.Path {
-	g := e.p.Net.G
-	// The Steiner heuristic compares distances to every terminal: it reads
-	// complete trees.
-	edges, ok := steiner.MulticastTreeWith(g, start, targets, e.costOpts, func(src graph.NodeID) *graph.ShortestTree {
-		return e.treeFor(src, graph.None)
-	})
-	if !ok {
-		return nil
-	}
-	paths, ok := steiner.PathsFrom(g, edges, start, targets)
-	if !ok {
-		return nil
-	}
-	return paths
 }
 
 // withHopVariant returns the path choices for the meta-path a→b given its

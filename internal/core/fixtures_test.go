@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 
 	"dagsfc/internal/graph"
@@ -9,6 +10,17 @@ import (
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
 )
+
+// embedReference is Embed with a reference path switched on: set flips
+// perLayer, undirected or perLeafClosure on the embedder before it runs. The
+// one way those switches are ever set.
+func embedReference(p *Problem, opts Options, set func(e *embedder)) (*Result, error) {
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	e := newEmbedder(context.Background(), p, opts, sc)
+	set(e)
+	return e.run()
+}
 
 // lineFixture builds the hand-checkable instance used by the cost and
 // validation tests:

@@ -60,6 +60,21 @@ func TestSearchRingsPastCoverage(t *testing.T) {
 	}
 }
 
+// tableTwoFlows draws n flows of the paper's instance shape on one Table 2
+// substrate: 500 nodes, size-6 SFCs of two width-3 layers.
+func tableTwoFlows(n int) []*Problem {
+	cfg := netgen.Default()
+	net := netgen.MustGenerate(cfg, rand.New(rand.NewSource(26)))
+	rng := rand.New(rand.NewSource(27))
+	flows := make([]*Problem, n)
+	for i := range flows {
+		flows[i] = &Problem{Net: net, Rate: 1, Size: 1,
+			SFC: sfcgen.MustGenerate(sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: cfg.VNFKinds}, rng),
+			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes))}
+	}
+	return flows
+}
+
 // TestParallelLayerHorizonAndWork is the wasted-work guard of the
 // parallel-layer search on the paper's instance shape (Table 2: 500 nodes,
 // size-6 SFCs of two width-3 layers). The forward search of a parallel
@@ -68,16 +83,10 @@ func TestSearchRingsPastCoverage(t *testing.T) {
 // candidates enumerated from it stay few: ranked before they are built, not
 // built to be ranked.
 func TestParallelLayerHorizonAndWork(t *testing.T) {
-	cfg := netgen.Default()
-	net := netgen.MustGenerate(cfg, rand.New(rand.NewSource(26)))
-	rng := rand.New(rand.NewSource(27))
 	const flows = 60
 	extensions, ringThree := 0, 0
-	for flow := 0; flow < flows; flow++ {
-		p := &Problem{Net: net, Rate: 1, Size: 1,
-			SFC: sfcgen.MustGenerate(sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: cfg.VNFKinds}, rng),
-			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes))}
-		opts := MBBEOptions()
+	for flow, p := range tableTwoFlows(flows) {
+		net, opts := p.Net, MBBEOptions()
 		firstFST := 0
 		opts.Observer = FuncObserver{OnSearchDone: func(layer int, start graph.NodeID, forward bool, size int, covered bool) {
 			if forward && layer == 1 && firstFST == 0 {

@@ -103,9 +103,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 		if e.opts.Xd > 0 {
 			q.MaxExits = e.opts.Xd * len(seeds)
 		}
-		if max := e.opts.MaxSubSolutionsPerLayer; max > 0 && q.MaxExits > max {
-			q.MaxExits = max
-		}
+		q.MaxExits = min(q.MaxExits, maxSubSolutionsPerLayer)
 	}
 	e.observeSearchStart(first, seeds[0].Node, true)
 	ls := e.pathView.LayeredDijkstraWith(sc.Scratch, &q)

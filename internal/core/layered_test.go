@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -20,6 +19,12 @@ import (
 // mathematically may differ in the last bits.
 const costSlack = 1e-9
 
+// embedPerLayer is Embed with every layer, single-VNF runs included, sent
+// through the per-layer search.
+func embedPerLayer(p *Problem, opts Options) (*Result, error) {
+	return embedReference(p, opts, func(e *embedder) { e.perLayer = true })
+}
+
 // embedBothWays runs the same options with the layered kernel (what every
 // caller gets) and with every layer sent through the per-layer search.
 func embedBothWays(t *testing.T, p *Problem, opts Options) (kernel, perLayer *Result) {
@@ -31,7 +36,7 @@ func embedBothWays(t *testing.T, p *Problem, opts Options) (kernel, perLayer *Re
 	if err := Validate(p, kernel.Solution); err != nil {
 		t.Fatalf("kernel embed fails validation: %v", err)
 	}
-	perLayer, err = embedContext(context.Background(), p, opts, true)
+	perLayer, err = embedPerLayer(p, opts)
 	if err != nil {
 		t.Fatalf("per-layer embed: %v", err)
 	}
@@ -221,7 +226,7 @@ func TestLayeredUnreachableIsInfeasible(t *testing.T) {
 	if !errors.Is(err, ErrNoEmbedding) {
 		t.Fatalf("got %v, %v; want ErrNoEmbedding", res, err)
 	}
-	if _, err := embedContext(context.Background(), p, opts, true); !errors.Is(err, ErrNoEmbedding) {
+	if _, err := embedPerLayer(p, opts); !errors.Is(err, ErrNoEmbedding) {
 		t.Fatalf("per-layer search disagrees: %v", err)
 	}
 }
@@ -261,11 +266,7 @@ func TestLayeredHandsFrontierToParallelLayer(t *testing.T) {
 // embedUndirected is Embed with the potential withheld from terminal layered
 // runs: the plain search the directed one must agree with.
 func embedUndirected(p *Problem, opts Options) (*Result, error) {
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	e := newEmbedder(context.Background(), p, opts, sc)
-	e.undirected = true
-	return e.run()
+	return embedReference(p, opts, func(e *embedder) { e.undirected = true })
 }
 
 // TestBackupRunDirectedEqualsPlain is the differential on the one search

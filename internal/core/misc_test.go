@@ -51,15 +51,15 @@ func TestTrimExtensionsDelayDiversity(t *testing.T) {
 	exts := []*extension{mk(1, 9), mk(2, 8), mk(3, 1), mk(4, 7)}
 
 	// Without delay mode: plain cheapest-2.
-	e := &embedder{opts: Options{MaxExtensionsPerStart: 2}}
-	got := e.trimExtensions(append([]*extension(nil), exts...))
+	e := &embedder{}
+	got := e.trimExtensions(append([]*extension(nil), exts...), 2)
 	if len(got) != 2 || got[0].localCost != 1 || got[1].localCost != 2 {
 		t.Fatalf("plain trim wrong: %+v", got)
 	}
 
 	// With delay mode: the fastest (cost 3, delay 1) must survive.
-	e = &embedder{opts: Options{MaxExtensionsPerStart: 2, MaxDelay: 10}}
-	got = e.trimExtensions(append([]*extension(nil), exts...))
+	e = &embedder{opts: Options{MaxDelay: 10}}
+	got = e.trimExtensions(append([]*extension(nil), exts...), 2)
 	if len(got) != 2 {
 		t.Fatalf("trim kept %d", len(got))
 	}

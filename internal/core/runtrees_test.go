@@ -26,7 +26,7 @@ func TestPrivateTreesRecycled(t *testing.T) {
 	privateTrees := 0
 	embed := func(sc *pooledScratch, p *Problem, opts Options) (*Result, error) {
 		defer sc.recycle()
-		res, err := embedOn(ctx, p, opts, false, sc)
+		res, err := embedOn(ctx, p, opts, sc)
 		if sc == recycled {
 			privateTrees += sc.mem.npathTrees
 		}

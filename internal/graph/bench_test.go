@@ -95,21 +95,3 @@ func BenchmarkCostViewCompile(b *testing.B) {
 		s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
 	}
 }
-
-func BenchmarkBFSFrontiers500(b *testing.B) {
-	g := benchGraph(500, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.BFSFrontiers(NodeID(i%500), 3, nil)
-	}
-}
-
-func BenchmarkKShortest500(b *testing.B) {
-	g := benchGraph(500, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KShortestPaths(NodeID(i%500), NodeID((i+250)%500), 3, nil)
-	}
-}

@@ -149,47 +149,3 @@ func (view *CostView) MinHopPathWith(s *Scratch, src, dst NodeID) (Path, bool) {
 	}
 	return Path{}, false
 }
-
-// BFSFrontiers returns the nodes of each BFS level from src as separate
-// slices: frontiers[0] == {src}, frontiers[q] holds the nodes first reached
-// after q hops. Only levels up to maxLevel are expanded (maxLevel < 0 means
-// no limit). Nodes within a frontier appear in discovery order, which is
-// deterministic given the adjacency order. All frontiers share one backing
-// array (each capped with a full slice expression); callers must treat them
-// as read-only.
-func (g *Graph) BFSFrontiers(src NodeID, maxLevel int, allow func(NodeID) bool) [][]NodeID {
-	if g.checkNode(src) != nil {
-		return nil
-	}
-	arcs, off := g.CSR()
-	seen := make([]bool, g.n)
-	seen[src] = true
-	// At most g.n nodes are ever discovered, so one allocation backs every
-	// frontier; appends below never reallocate.
-	order := make([]NodeID, 1, g.n)
-	order[0] = src
-	frontiers := [][]NodeID{order[0:1:1]}
-	lo, hi := 0, 1
-	for maxLevel < 0 || len(frontiers) <= maxLevel {
-		for i := lo; i < hi; i++ {
-			v := order[i]
-			for _, arc := range arcs[off[v]:off[v+1]] {
-				w := arc.To
-				if seen[w] {
-					continue
-				}
-				if allow != nil && !allow(w) {
-					continue
-				}
-				seen[w] = true
-				order = append(order, w)
-			}
-		}
-		if len(order) == hi {
-			break
-		}
-		frontiers = append(frontiers, order[hi:len(order):len(order)])
-		lo, hi = hi, len(order)
-	}
-	return frontiers
-}

@@ -41,32 +41,6 @@ func TestBFSLevelsWithinRestriction(t *testing.T) {
 	}
 }
 
-func TestBFSFrontiersStructure(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(0, 1, 1, 1)
-	g.MustAddEdge(0, 2, 1, 1)
-	g.MustAddEdge(1, 3, 1, 1)
-	g.MustAddEdge(2, 4, 1, 1)
-	fr := g.BFSFrontiers(0, -1, nil)
-	if len(fr) != 3 {
-		t.Fatalf("got %d frontiers, want 3", len(fr))
-	}
-	if len(fr[0]) != 1 || fr[0][0] != 0 {
-		t.Fatalf("frontier 0 = %v", fr[0])
-	}
-	if len(fr[1]) != 2 || len(fr[2]) != 2 {
-		t.Fatalf("frontier sizes %d,%d, want 2,2", len(fr[1]), len(fr[2]))
-	}
-}
-
-func TestBFSFrontiersMaxLevel(t *testing.T) {
-	g := lineGraph(6)
-	fr := g.BFSFrontiers(0, 2, nil)
-	if len(fr) != 3 { // levels 0,1,2
-		t.Fatalf("got %d frontiers with maxLevel=2, want 3", len(fr))
-	}
-}
-
 func TestMinHopPathPrefersFewerHops(t *testing.T) {
 	// 0-1 direct (price 10) vs 0-2-1 (price 1+1): min-cost takes two
 	// hops, min-hop takes the expensive direct link.
@@ -127,36 +101,6 @@ func TestMinHopPathMatchesBFSLevelsProperty(t *testing.T) {
 				return lv[v] == -1
 			}
 			if p.Len() != lv[v] || p.Validate(g) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBFSFrontiersMatchLevelsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(25)
-		g := randomConnectedGraph(rng, n, n/2)
-		src := NodeID(rng.Intn(n))
-		lv := g.BFSLevels(src)
-		fr := g.BFSFrontiers(src, -1, nil)
-		seen := map[NodeID]bool{}
-		for level, nodes := range fr {
-			for _, v := range nodes {
-				if lv[v] != level || seen[v] {
-					return false
-				}
-				seen[v] = true
-			}
-		}
-		// Every reachable node must appear in exactly one frontier.
-		for v := 0; v < n; v++ {
-			if (lv[v] >= 0) != seen[NodeID(v)] {
 				return false
 			}
 		}

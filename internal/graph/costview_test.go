@@ -124,34 +124,3 @@ func TestAppendPathToZeroAlloc(t *testing.T) {
 		t.Fatalf("AppendPathTo allocated %v per run with capacity available", allocs)
 	}
 }
-
-func TestPathFromMatchesReversedPathTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + rng.Intn(20)
-		g := randomConnectedGraph(rng, n, n)
-		tree := g.Dijkstra(NodeID(rng.Intn(n)), nil)
-		for v := 0; v < n; v++ {
-			fwd, ok1 := tree.PathTo(NodeID(v))
-			rev, ok2 := tree.PathFrom(NodeID(v))
-			if ok1 != ok2 {
-				t.Fatalf("PathTo ok=%v, PathFrom ok=%v", ok1, ok2)
-			}
-			if !ok1 {
-				continue
-			}
-			want := fwd.Reverse(g)
-			if rev.From != want.From || len(rev.Edges) != len(want.Edges) {
-				t.Fatalf("PathFrom(%d) = %+v, want %+v", v, rev, want)
-			}
-			for i := range rev.Edges {
-				if rev.Edges[i] != want.Edges[i] {
-					t.Fatalf("PathFrom(%d) edges %v, want %v", v, rev.Edges, want.Edges)
-				}
-			}
-			if err := rev.Validate(g); err != nil {
-				t.Fatalf("PathFrom(%d) invalid: %v", v, err)
-			}
-		}
-	}
-}

@@ -118,24 +118,6 @@ func (t *ShortestTree) PathTo(v NodeID) (Path, bool) {
 	return Path{From: t.Src, Edges: edges}, true
 }
 
-// PathFrom reconstructs the same walk as PathTo(v) traversed from v back
-// to the source — bit-identical to PathTo(v).Reverse(g) without the extra
-// copy, since the parent chain is already in v-to-source order.
-func (t *ShortestTree) PathFrom(v NodeID) (Path, bool) {
-	if !t.Reachable(v) {
-		return Path{}, false
-	}
-	hops := 0
-	for u := v; u != t.Src; u = t.prev[u] {
-		hops++
-	}
-	edges := make([]EdgeID, 0, hops)
-	for u := v; u != t.Src; u = t.prev[u] {
-		edges = append(edges, t.parent[u])
-	}
-	return Path{From: v, Edges: edges}, true
-}
-
 // Dijkstra computes cheapest paths (by link price) from src to every node,
 // honoring opts. It compiles opts into a CostView internally; callers
 // running many sources under the same options and residual state should

@@ -237,13 +237,3 @@ func (g *Graph) Clone() *Graph {
 	}
 	return c
 }
-
-// TotalLinkPrice sums the price of all edges; useful as a crude upper bound
-// in tests.
-func (g *Graph) TotalLinkPrice() float64 {
-	var s float64
-	for _, e := range g.edges {
-		s += e.Price
-	}
-	return s
-}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,29 +172,5 @@ func TestScratchVisitedEpochWrap(t *testing.T) {
 		if s.visited(v) {
 			t.Fatalf("node %d visited after wrap reset", v)
 		}
-	}
-}
-
-// TestBFSFrontiersReadOnlyBacking documents the shared-backing contract:
-// frontier slices are full-capacity-capped so appending to one cannot
-// clobber the next.
-func TestBFSFrontiersReadOnlyBacking(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 1, 1)
-	g.MustAddEdge(1, 2, 1, 1)
-	g.MustAddEdge(2, 3, 1, 1)
-	fr := g.BFSFrontiers(0, -1, nil)
-	if len(fr) != 4 {
-		t.Fatalf("frontier count = %d, want 4", len(fr))
-	}
-	snapshot := fmt.Sprint(fr)
-	for i := range fr {
-		if cap(fr[i]) != len(fr[i]) {
-			t.Fatalf("frontier %d has spare capacity %d > len %d", i, cap(fr[i]), len(fr[i]))
-		}
-	}
-	_ = append(fr[1], 99) // must reallocate, not overwrite fr[2]
-	if got := fmt.Sprint(fr); got != snapshot {
-		t.Fatalf("appending to a frontier mutated the result: %s != %s", got, snapshot)
 	}
 }

@@ -241,7 +241,7 @@ func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
 				ps = append(ps, q.Reverse(g))
 			}
 		} else {
-			ps = g.KShortestPaths(a, b, k, pathOpts)
+			ps = kShortestPaths(g, a, b, k, pathOpts)
 		}
 		pathCache[key] = ps
 		return ps

@@ -1,26 +1,31 @@
-package graph
+package ipmodel
 
-import "sort"
+import (
+	"sort"
 
-// KShortestPaths returns up to k cheapest loopless paths from src to dst in
+	"dagsfc/internal/graph"
+)
+
+// kShortestPaths returns up to k cheapest loopless paths from src to dst in
 // ascending price order, using Yen's algorithm. It honors the capacity
 // filter of opts (bans in opts are combined with Yen's own spur bans).
 //
 // The embedding model enumerates the real-path set P^a_b between two nodes;
 // in practice only a few cheapest members matter, which is exactly what
 // this produces. For src == dst the single empty path is returned.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts *CostOptions) []Path {
-	if k <= 0 || g.checkNode(src) != nil || g.checkNode(dst) != nil {
+func kShortestPaths(g *graph.Graph, src, dst graph.NodeID, k int, opts *graph.CostOptions) []graph.Path {
+	n := graph.NodeID(g.NumNodes())
+	if k <= 0 || src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil
 	}
 	if src == dst {
-		return []Path{EmptyPath(src)}
+		return []graph.Path{graph.EmptyPath(src)}
 	}
 	first, ok := g.MinCostPath(src, dst, opts)
 	if !ok {
 		return nil
 	}
-	paths := []Path{first}
+	paths := []graph.Path{first}
 	// candidates holds spur paths not yet promoted, kept sorted by cost.
 	var candidates []yenCand
 
@@ -30,10 +35,10 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts *CostOptions) []Path
 		// Each node of the previous path except the last is a spur node.
 		for i := 0; i < len(prevNodes)-1; i++ {
 			spur := prevNodes[i]
-			root := Path{From: src, Edges: append([]EdgeID(nil), prev.Edges[:i]...)}
+			root := graph.Path{From: src, Edges: append([]graph.EdgeID(nil), prev.Edges[:i]...)}
 
-			banEdges := map[EdgeID]bool{}
-			banNodes := map[NodeID]bool{}
+			banEdges := map[graph.EdgeID]bool{}
+			banNodes := map[graph.NodeID]bool{}
 			if opts != nil {
 				for e := range opts.BannedEdges {
 					banEdges[e] = true
@@ -54,7 +59,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts *CostOptions) []Path
 				banNodes[v] = true
 			}
 
-			spurOpts := &CostOptions{BannedEdges: banEdges, BannedNodes: banNodes}
+			spurOpts := &graph.CostOptions{BannedEdges: banEdges, BannedNodes: banNodes}
 			if opts != nil {
 				spurOpts.MinCapacity = opts.MinCapacity
 				spurOpts.Residual = opts.Residual
@@ -80,7 +85,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int, opts *CostOptions) []Path
 	return paths
 }
 
-func pathPrefixEqual(p, root Path, n int) bool {
+func pathPrefixEqual(p, root graph.Path, n int) bool {
 	if p.From != root.From {
 		return false
 	}
@@ -92,7 +97,7 @@ func pathPrefixEqual(p, root Path, n int) bool {
 	return true
 }
 
-func containsPath(paths []Path, p Path) bool {
+func containsPath(paths []graph.Path, p graph.Path) bool {
 	for _, q := range paths {
 		if q.Equal(p) {
 			return true
@@ -102,11 +107,11 @@ func containsPath(paths []Path, p Path) bool {
 }
 
 type yenCand struct {
-	path Path
+	path graph.Path
 	cost float64
 }
 
-func containsCand(cands []yenCand, p Path) bool {
+func containsCand(cands []yenCand, p graph.Path) bool {
 	for _, c := range cands {
 		if c.path.Equal(p) {
 			return true

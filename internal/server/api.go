@@ -34,7 +34,8 @@ type FlowRequest struct {
 	// the server default (which may be "never").
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
 	// Alg overrides the server's default embedding algorithm for this
-	// flow ("mbbe", "bbe", "minv", "ranv", "sa", or a registered name).
+	// flow ("mbbe", "bbe", "minv", "ranv", or a name registered through
+	// Config.Embedders).
 	Alg string `json:"alg,omitempty"`
 	// Protection selects the flow's protection class: "" or
 	// ProtectionNone for an unprotected flow, ProtectionBackup to also

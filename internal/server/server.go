@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dagsfc/internal/anneal"
 	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
 	"dagsfc/internal/flowstate"
@@ -50,7 +49,7 @@ type Config struct {
 	Net *network.Network
 	// Algorithm is the default embedding algorithm name (default "mbbe").
 	Algorithm string
-	// Seed seeds the randomized algorithms, ranv and sa (default 1).
+	// Seed seeds the randomized algorithm, ranv (default 1).
 	Seed int64
 	// Workers is the number of concurrent speculative embed workers
 	// (default GOMAXPROCS).
@@ -536,9 +535,10 @@ func builtinCtxEmbedders(cache *graph.TreeCache) map[string]ctxEmbedder {
 	return out
 }
 
-// builtinEmbedders is the default algorithm registry. The randomized
-// algorithms share one seeded rng behind a lock, so their embeds
-// serialize — acceptable for baselines.
+// builtinEmbedders is the default algorithm registry. ranv draws from one
+// seeded rng behind a lock, so its embeds serialize — acceptable for a
+// baseline. Slower reference heuristics (internal/anneal) are not admission
+// algorithms; Config.Embedders registers one where it is wanted.
 func builtinEmbedders(seed int64, cache *graph.TreeCache) map[string]Embedder {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed))
@@ -552,11 +552,6 @@ func builtinEmbedders(seed int64, cache *graph.TreeCache) map[string]Embedder {
 			mu.Lock()
 			defer mu.Unlock()
 			return baseline.EmbedRANV(p, rng)
-		},
-		"sa": func(p *core.Problem) (*core.Result, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return anneal.Embed(p, rng, anneal.Options{})
 		},
 	}
 }

@@ -33,7 +33,7 @@ func Experiments(trials int) map[string]*Experiment {
 	exps := []*Experiment{
 		Fig6a(trials), Fig6b(trials), Fig6c(trials),
 		Fig6d(trials), Fig6e(trials), Fig6f(trials),
-		Runtime(trials), Gap(trials), IPGap(trials), Steiner(trials),
+		Runtime(trials), Gap(trials), IPGap(trials),
 	}
 	m := make(map[string]*Experiment, len(exps))
 	for _, e := range exps {
@@ -212,33 +212,9 @@ func IPGap(trials int) *Experiment {
 	}
 }
 
-// Steiner is the ablation of the Steiner multicast extension: MBBE with
-// and without shared inter-layer trees, swept over the VNF deploying
-// ratio under link-heavy pricing (price ratio 1.0, connectivity 3).
-// Shared trees only pay off when a layer's VNFs land several hops apart,
-// i.e. in sparse deployments; at the paper's base configuration the
-// effect is nil, which the experiment documents. Not in the paper.
-func Steiner(trials int) *Experiment {
-	return &Experiment{
-		Name:       "steiner",
-		Title:      "Ablation: Steiner multicast trees for inter-layer meta-paths (price ratio 1.0)",
-		XLabel:     "deploy ratio",
-		Xs:         []float64{0.02, 0.05, 0.10, 0.50},
-		Algorithms: []Algorithm{MBBE, MBBEST},
-		Trials:     trials,
-		Configure: func(x float64) PointConfig {
-			cfg := baseConfig()
-			cfg.Net.PriceRatio = 1.0
-			cfg.Net.Connectivity = 3
-			cfg.Net.DeployRatio = x
-			return cfg
-		},
-	}
-}
-
 // Names lists the experiment identifiers in presentation order.
 func Names() []string {
-	return []string{"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "runtime", "gap", "ipgap", "steiner"}
+	return []string{"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "runtime", "gap", "ipgap"}
 }
 
 // Lookup returns the named experiment or an error listing valid names.

@@ -36,9 +36,6 @@ const (
 	// ILP solves the paper's §3.3 integer program by branch and bound
 	// (internal/ipmodel); tractable only on very small instances.
 	ILP Algorithm = "ILP"
-	// MBBEST is MBBE with the Steiner multicast extension
-	// (core.MBBESteinerOptions).
-	MBBEST Algorithm = "MBBE+ST"
 	// SA is simulated annealing over placements (internal/anneal).
 	SA Algorithm = "SA"
 )
@@ -256,8 +253,6 @@ func runBuiltin(alg Algorithm, inst *instance, seed int64) (*core.Result, time.D
 		res, err = core.Embed(&p, core.BBEOptions())
 	case MBBE:
 		res, err = core.Embed(&p, core.MBBEOptions())
-	case MBBEST:
-		res, err = core.Embed(&p, core.MBBESteinerOptions())
 	case RANV:
 		res, err = baseline.EmbedRANV(&p, rand.New(rand.NewSource(seed)))
 	case MINV:
