@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage docs-drift short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
@@ -10,11 +10,12 @@ all: build vet test
 # detector (the telemetry registry is written from concurrent trial
 # runners, so -race is load-bearing here, not ceremony), the
 # one-goroutine-per-embed contract, the search-reads-dense-rows contract,
-# the no-environment-switch contract, the one-writer-of-flow-state contract,
+# the no-environment-switch contract, the one-dense-ledger contract, the
+# one-writer-of-flow-state contract,
 # the no-per-request-garbage contract of the HTTP layer, the
 # docs-name-what-the-tree-has contract, and a short fuzz of the search-kernel
 # priority queues and the request-body reader.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env server-single-writer server-request-garbage docs-drift fuzz-smoke
+check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -39,6 +40,22 @@ core-dense-reads:
 core-no-env:
 	@if grep -nE 'os\.(Getenv|LookupEnv|Environ)\(' $$(ls internal/core/*.go internal/graph/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/core or internal/graph reads the environment: pass an option or delete the switch"; exit 1; \
+	fi
+
+# A ledger is dense usage rows and a pointer to its family's quarantine
+# (DESIGN §11): the copy-on-write overlay (sparse delta maps), the view-epoch
+# pins and the periodic rebase must not grow back, and the three names kept
+# for benchmark/ alone (Overlay, OverlayLen, Flatten) must gain no caller
+# outside it — tests included.
+ledger-dense:
+	@if grep -nE 'edgeDelta|instDelta|epochCell|pinMu|chainSig' $$(ls internal/network/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/network grew an overlay or an epoch pin back: a ledger is dense rows"; exit 1; \
+	fi
+	@if grep -nE 'Rebase|rebaseLen' $$(ls internal/flowstate/*.go internal/server/*.go internal/online/*.go | grep -v '_test\.go$$'); then \
+		echo "the live ledger is rebased again: it is one dense ledger, copied, never folded"; exit 1; \
+	fi
+	@if grep -rnE '\.(Overlay|OverlayLen|Flatten)\(' --include='*.go' --exclude-dir=benchmark .; then \
+		echo "a Go file outside benchmark/ calls a deprecated ledger shim: build ledgers with NewLedger, copy them with Snapshot"; exit 1; \
 	fi
 
 # The flow tables and the live ledger belong to internal/flowstate, and
@@ -120,7 +137,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR27.json
+BENCH_JSON ?= BENCH_PR29.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -136,7 +153,7 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR26 baseline, if an
+# regressed more than 20% against the committed PR27 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path) allocates
@@ -148,7 +165,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR26.json
+BENCH_GUARD_OLD ?= BENCH_PR27.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

@@ -18,7 +18,7 @@
 // (`make bench-json`): -parse-bench reads raw `go test -bench -benchmem`
 // output and merges it into a labelled JSON ledger:
 //
-//	dagsfc-bench -parse-bench bench.out -bench-label after -bench-out BENCH_PR26.json
+//	dagsfc-bench -parse-bench bench.out -bench-label after -bench-out BENCH_PR29.json
 //
 // A third mode guards against hot-path regressions (`make bench-guard`):
 // it prints the old->new ns/op delta of every benchmark the two ledgers
@@ -27,7 +27,7 @@
 // allocs/op rose more than 5%, or the warm path-cache
 // embed lost its speedup floor:
 //
-//	dagsfc-bench -guard-old BENCH_PR25.json -guard-new BENCH_PR26.json
+//	dagsfc-bench -guard-old BENCH_PR27.json -guard-new BENCH_PR29.json
 package main
 
 import (

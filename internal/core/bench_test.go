@@ -69,7 +69,7 @@ func BenchmarkEmbedMBBE(b *testing.B) {
 // BenchmarkEmbedMBBEChurn for the same embed with the ledger moving.
 func BenchmarkEmbedMBBECached(b *testing.B) {
 	p := benchProblem(b)
-	p.Ledger = network.NewLedger(p.Net).Overlay()
+	p.Ledger = network.NewLedger(p.Net)
 	opts := MBBEOptions()
 	opts.PathCache = graph.NewTreeCache(0)
 	if _, err := Embed(p, opts); err != nil { // cold pass fills the cache
@@ -96,7 +96,7 @@ func BenchmarkEmbedMBBECached(b *testing.B) {
 // op is the embed plus that Commit and Release.
 func BenchmarkEmbedMBBEChurn(b *testing.B) {
 	p := benchProblem(b)
-	p.Ledger = network.NewLedger(p.Net).Overlay()
+	p.Ledger = network.NewLedger(p.Net)
 	other := *p
 	other.Src, other.Dst = p.Dst, p.Src
 	placed, err := EmbedMBBE(&other)

@@ -447,7 +447,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 			q := *p
 			q.Ledger = network.NewLedger(p.Net)
 			fill(q.Ledger)
-			before := q.Ledger.Flatten()
+			before := q.Ledger.Snapshot()
 			ref := refCapacityErrors(&q, want)
 			if len(ref) != 1 {
 				t.Fatalf("seed %d %s: reference reports %d violations, want 1", seed, what, len(ref))
@@ -474,7 +474,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 func TestReserveRollsBack(t *testing.T) {
 	p := lineFixture()
 	p.Ledger = network.NewLedger(p.Net)
-	before := p.Ledger.Flatten()
+	before := p.Ledger.Snapshot()
 	capacity := p.Net.G.Edge(0).Capacity
 	u := Usage{
 		Instances: []InstanceCount{{InstanceUseKey{1, 1}, 1}},

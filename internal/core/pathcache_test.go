@@ -23,7 +23,7 @@ import (
 func TestPathCacheDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 120, 6, 4)
-	p.Ledger = network.NewLedger(p.Net).Overlay()
+	p.Ledger = network.NewLedger(p.Net)
 
 	baseline, err := Embed(p, MBBEOptions())
 	if err != nil {
@@ -83,7 +83,7 @@ func TestPathCacheFreshLedgerBypass(t *testing.T) {
 func TestPathCacheInvalidationOnMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomProblem(rng, 120, 6, 4)
-	p.Ledger = network.NewLedger(p.Net).Overlay()
+	p.Ledger = network.NewLedger(p.Net)
 	cache := graph.NewTreeCache(0)
 	opts := MBBEOptions()
 	opts.PathCache = cache
@@ -173,7 +173,7 @@ func sameResult(got *Result, gotErr error, p *Problem, plain Options) error {
 func TestPathCacheBannedVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	p := randomProblem(rng, 120, 6, 4)
-	p.Ledger = network.NewLedger(p.Net).Overlay()
+	p.Ledger = network.NewLedger(p.Net)
 	cache := graph.NewTreeCache(0)
 
 	// Ban elements the unbanned solution actually uses, so each variant is
@@ -267,7 +267,7 @@ func TestPathCacheBannedVariants(t *testing.T) {
 func TestViewCacheDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := randomProblem(rng, 120, 6, 4)
-	p.Ledger = network.NewLedger(p.Net).Overlay()
+	p.Ledger = network.NewLedger(p.Net)
 
 	views := graph.NewViewCache(0)
 	opts := MBBEOptions()
@@ -350,7 +350,7 @@ func TestPathCacheDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := churnNet(seed)
-		live := network.NewLedger(net).Overlay()
+		live := network.NewLedger(net)
 		cache := graph.NewTreeCache(0)
 		type flow struct {
 			p   *Problem
@@ -404,7 +404,7 @@ func TestPathCacheDifferential(t *testing.T) {
 // being compared could see different networks.
 func TestPathCacheCoherenceRace(t *testing.T) {
 	net := churnNet(42)
-	live := network.NewLedger(net).Overlay()
+	live := network.NewLedger(net)
 	cache := graph.NewTreeCache(0)
 	shared := MBBEOptions()
 	shared.PathCache = cache

@@ -8,7 +8,7 @@ import (
 // residuals is a run's dense reading of its ledger, taken once: the ledger
 // is read-only while an embed runs, so every availability test and capacity
 // screen of the search is an indexed read of these rows instead of a hashed
-// (and, on an overlay, chain-walking) ledger query. Each entry is bitwise
+// ledger query. Each entry is bitwise
 // the ledger's scalar answer, so no comparison can disagree with Validate's.
 type residuals struct {
 	// inst is network.Ledger.InstanceResiduals: one row per category over

@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,7 +148,9 @@ func TestReplayAgainstLedger(t *testing.T) {
 	if len(seen) != 6 {
 		t.Fatalf("observed %d events, want 6", len(seen))
 	}
-	if ledger.FaultsActive() {
+	fresh := network.NewLedger(net)
+	if !slices.Equal(ledger.EdgeResiduals(nil), fresh.EdgeResiduals(nil)) ||
+		!slices.Equal(ledger.InstanceResiduals(nil), fresh.InstanceResiduals(nil)) {
 		t.Fatal("quarantine left behind after full replay")
 	}
 	for e := 0; e < net.G.NumEdges(); e++ {

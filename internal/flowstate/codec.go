@@ -173,7 +173,7 @@ func Import(net *network.Network, snap Snapshot) (*State, error) {
 		}
 		st.faults = append(st.faults, f)
 	}
-	st.ledger = root.Overlay()
+	st.ledger = root
 	st.nextID, st.faultsApplied, st.faultsRestored = snap.NextID, snap.FaultsApplied, snap.FaultsRestored
 	for _, sf := range snap.Flows {
 		rec := &flow{info: sf.Info}

@@ -158,8 +158,7 @@ func ProblemFor(net *network.Network, info FlowInfo) (*core.Problem, error) {
 }
 
 // Kind names a transition. The first eleven are the WAL's record types,
-// value for value; the last two change nothing durable and are never
-// logged.
+// value for value; the last changes nothing durable and is never logged.
 type Kind uint8
 
 const (
@@ -195,9 +194,6 @@ const (
 	// changes; the verdict stands only if the placements are still the
 	// ones judged.
 	Revalidate = Kind(128)
-	// Rebase folds the live overlay into a fresh frozen root. Residuals do
-	// not move; snapshots taken before keep their base.
-	Rebase = Kind(129)
 )
 
 // Transition is one state change, as a value: built by whoever decided it,
@@ -260,9 +256,9 @@ type flow struct {
 // State is the flow state machine's state. It is not safe for concurrent
 // use; the server serializes access under its state mutex.
 type State struct {
-	// ledger is the live capacity state, a copy-on-write overlay over a
-	// frozen root, so worker snapshots cost O(overlay deltas).
-	ledger          *network.Ledger
+	// ledger is the live capacity state; workers embed on copies of it.
+	// probe is Check's scratch copy, rewritten on every protected commit.
+	ledger, probe   *network.Ledger
 	flows           map[int64]*flow
 	active, backups int
 	faults          []network.Fault
@@ -270,14 +266,14 @@ type State struct {
 	faultsRestored  int
 	nextID          int64
 	// scratch is the one problem bound to the live ledger: standing
-	// problems never carry a ledger pointer, which would pin a superseded
-	// overlay and its root for as long as the flow stands.
+	// problems never carry a ledger pointer, so nothing a flow keeps can
+	// read a ledger that has moved on.
 	scratch core.Problem
 }
 
 // New returns the empty state over net.
 func New(net *network.Network) *State {
-	return &State{ledger: network.NewLedger(net).Overlay(), flows: make(map[int64]*flow)}
+	return &State{ledger: network.NewLedger(net), flows: make(map[int64]*flow)}
 }
 
 func (st *State) bound(p *core.Problem) *core.Problem {
@@ -343,9 +339,10 @@ func (st *State) check(t Transition, rec *flow) error {
 
 // Check reports whether Apply(t) would succeed, changing nothing: the
 // preconditions, and for a Commit or Backup whether the placements fit the
-// live ledger (a pair on a throwaway overlay: primary reserved, backup
-// checked over it). The commit loop asks first because it must claim the
-// request before the reservation exists, and cannot unclaim it after.
+// live ledger (a pair on the state's scratch copy: primary reserved,
+// backup checked over it). The commit loop asks first because it must
+// claim the request before the reservation exists, and cannot unclaim it
+// after.
 func (st *State) Check(t Transition) error {
 	rec := st.flows[t.Flow]
 	if err := st.check(t, rec); err != nil || (t.Kind != Commit && t.Kind != Backup) {
@@ -357,13 +354,13 @@ func (st *State) Check(t Transition) error {
 	p := st.bound(t.Problem)
 	err := core.CheckCapacity(p, t.Usage)
 	if err == nil && t.Backup != nil {
-		p.Ledger = st.ledger.Overlay()
+		st.probe = st.ledger.SnapshotInto(st.probe)
+		p.Ledger = st.probe
 		if err = core.Reserve(p, t.Usage); err == nil {
 			if err = core.CheckCapacity(p, t.BackupUsage); err != nil {
 				err = fmt.Errorf("backup: %w", err)
 			}
 		}
-		p.Ledger.Discard()
 	}
 	return err
 }
@@ -448,8 +445,6 @@ func (st *State) Apply(t Transition) (Change, error) {
 		rec.info.Failovers++
 	case BackupLoss:
 		st.dropBackup(rec)
-	case Rebase:
-		st.ledger = st.ledger.Flatten().Overlay()
 	}
 	if rec != nil {
 		ch.Info = rec.info
@@ -542,17 +537,18 @@ func (st *State) Placements() []Placement {
 // returns the transition the flow is owed: Revalidate (it survived in
 // place), BackupLoss (the backup died, the primary serves on), Failover
 // (the primary died, the backup takes over) or Strand. Both placements are
-// first released into a throwaway overlay of snap, so a flow is never
-// condemned for capacity it itself holds; the primary is validated, then
-// re-reserved before the backup is judged, so "both fine" means the pair
-// still fits together. snap is left untouched, and nothing here reads the
-// State: the server runs it with its mutex released. The placement
-// pointers ride along as the transition's stale guard.
-func Verdict(snap *network.Ledger, pl Placement, f network.Fault) Transition {
+// first released into a copy of snap — written over scratch, a ledger the
+// caller owns and is done with, or into fresh storage when scratch is nil
+// — so a flow is never condemned for capacity it itself holds; the primary
+// is validated, then re-reserved before the backup is judged, so "both
+// fine" means the pair still fits together. snap is left untouched, and
+// nothing here reads the State: the server runs it with its mutex
+// released. The placement pointers ride along as the transition's stale
+// guard.
+func Verdict(snap *network.Ledger, pl Placement, f network.Fault, scratch *network.Ledger) Transition {
 	t := Transition{Kind: Strand, Flow: pl.ID, Fault: f, Primary: pl.Primary, Backup: pl.Backup}
 	probe := *pl.Problem
-	probe.Ledger = snap.Overlay()
-	defer probe.Ledger.Discard()
+	probe.Ledger = snap.SnapshotInto(scratch)
 	err := core.Release(&probe, pl.Primary)
 	if err == nil && pl.Backup != nil {
 		err = core.Release(&probe, pl.Backup)
@@ -612,15 +608,13 @@ func (st *State) Faults() (active []network.Fault, applied, restored int) {
 	return st.faults, st.faultsApplied, st.faultsRestored
 }
 
-// Snapshot returns an independent what-if copy of the live ledger, at
-// O(overlay deltas); SnapshotInto writes it over dst, a snapshot the
-// caller is done with (network.Ledger.SnapshotInto). OverlayLen is the
-// size of those deltas — the server's cue to Rebase.
+// Snapshot returns an independent what-if copy of the live ledger;
+// SnapshotInto writes it over dst, a copy the caller is done with
+// (network.Ledger.SnapshotInto).
 func (st *State) Snapshot() *network.Ledger { return st.ledger.Snapshot() }
 func (st *State) SnapshotInto(dst *network.Ledger) *network.Ledger {
 	return st.ledger.SnapshotInto(dst)
 }
-func (st *State) OverlayLen() int { return st.ledger.OverlayLen() }
 
 // EdgeResidual and InstanceResidual read the live residual network.
 func (st *State) EdgeResidual(e graph.EdgeID) float64 { return st.ledger.EdgeResidual(e) }

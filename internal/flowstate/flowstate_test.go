@@ -25,7 +25,7 @@ import (
 // sim drives two states through one random history: a is the live state —
 // every transition is applied to it directly, usage and stale-guards and
 // all — and b is what recovery would rebuild: it only ever sees
-// Decode(Encode(t)) of the transitions that applied to a. b never rebases.
+// Decode(Encode(t)) of the transitions that applied to a.
 type sim struct {
 	t     *testing.T
 	net   *network.Network
@@ -111,7 +111,7 @@ func (s *sim) verify(step string, settled bool) {
 	if settled {
 		snap := s.a.Snapshot()
 		for _, pl := range s.a.Placements() {
-			if v := Verdict(snap, pl, network.Fault{}); v.Kind != Revalidate {
+			if v := Verdict(snap, pl, network.Fault{}, nil); v.Kind != Revalidate {
 				s.t.Fatalf("after %s: flow %d's standing placement fails validation net of itself (verdict kind %d)", step, pl.ID, v.Kind)
 			}
 		}
@@ -304,7 +304,7 @@ func (s *sim) fault() {
 		if !faults.Hits(s.net, pl.Primary, f) && (pl.Backup == nil || !faults.Hits(s.net, pl.Backup, f)) {
 			continue
 		}
-		t := Verdict(snap, pl, f)
+		t := Verdict(snap, pl, f, nil)
 		if t.Flow != pl.ID || t.Fault != f || t.Primary != pl.Primary || t.Backup != pl.Backup {
 			s.t.Fatalf("verdict on flow %d does not carry its flow, fault and guards: %+v", pl.ID, t)
 		}
@@ -404,10 +404,6 @@ func (s *sim) step() {
 				s.t.Fatal(err)
 			}
 		}
-	default:
-		if _, err := s.apply("rebase", Transition{Kind: Rebase}, true); err != nil {
-			s.t.Fatal(err)
-		}
 	}
 }
 
@@ -454,7 +450,7 @@ func TestApplyReplayEquivalence(t *testing.T) {
 	for _, name := range []string{
 		"commit", "protected commit", "release", "expire", "fault", "restore", "strand", "failover",
 		"backup-loss", "revalidate", "repair re-commit", "re-protect", "evict", "release while repairing",
-		"acknowledge tombstone", "rebase", "moved verdict (refused)", "release twice (refused)",
+		"acknowledge tombstone", "moved verdict (refused)", "release twice (refused)",
 		"repair of a released flow (refused)", "re-protect twice (refused)",
 	} {
 		if seen[name] == 0 {
@@ -558,7 +554,7 @@ func TestWALPayloadGolden(t *testing.T) {
 	if len(types) != 11 {
 		t.Errorf("golden covers %d record types, want all 11", len(types))
 	}
-	for _, k := range []Kind{Revalidate, Rebase} {
+	for _, k := range []Kind{Revalidate} {
 		if _, ok := enc.Encode(Transition{Kind: k, Flow: 7}, Change{}); ok {
 			t.Errorf("transition kind %d changes nothing durable but was framed into a record", k)
 		}

@@ -40,8 +40,8 @@ func benchNet(b *testing.B) *Network {
 	return net
 }
 
-// seedUsage commits usage on a spread of edges and instances so clones
-// and snapshots copy realistic, non-empty state.
+// seedUsage commits usage on a spread of edges and instances so snapshots
+// copy realistic, non-empty state.
 func seedUsage(b *testing.B, l *Ledger, touched int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -56,75 +56,45 @@ func seedUsage(b *testing.B, l *Ledger, touched int) {
 	}
 }
 
-// BenchmarkOverlaySnapshot is what the server pays per speculative embed: an O(overlay deltas) copy
-// of a live overlay carrying ~40 uncommitted touches over the same base —
-// Fresh as Snapshot clones it, Into as a worker rewrites the one it keeps
-// (SnapshotInto), which must not allocate once its maps are warm.
-func BenchmarkOverlaySnapshot(b *testing.B) {
-	base := NewLedger(benchNet(b))
-	seedUsage(b, base, 200)
-	ov := base.Overlay()
-	seedUsage(b, ov, 20)
+// BenchmarkSnapshot is what the server pays per speculative embed: a copy
+// of the live ledger's dense rows — Fresh as Snapshot takes it, Into as a
+// worker rewrites the one it keeps (SnapshotInto), which must not allocate
+// once its rows are warm.
+func BenchmarkSnapshot(b *testing.B) {
+	live := NewLedger(benchNet(b))
+	seedUsage(b, live, 200)
 	b.Run("Fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = ov.Snapshot()
+			_ = live.Snapshot()
 		}
 	})
 	b.Run("Into", func(b *testing.B) {
-		dst := ov.SnapshotInto(nil)
-		if allocs := testing.AllocsPerRun(100, func() { dst = ov.SnapshotInto(dst) }); allocs != 0 {
+		dst := live.SnapshotInto(nil)
+		if allocs := testing.AllocsPerRun(100, func() { dst = live.SnapshotInto(dst) }); allocs != 0 {
 			b.Fatalf("SnapshotInto allocates %v objects per call on a warm ledger, want 0", allocs)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = ov.SnapshotInto(dst)
+			dst = live.SnapshotInto(dst)
 		}
 	})
 }
 
 // BenchmarkInstanceResiduals is what an embed pays to read the ledger's
-// instance capacities once, into rows it keeps: on the root a library caller
-// embeds against, and on the server's shape — a request-sized overlay over
-// it. Neither may allocate into a warm buffer.
+// instance capacities once, into rows it keeps. It may not allocate into a
+// warm buffer.
 func BenchmarkInstanceResiduals(b *testing.B) {
-	base := NewLedger(benchNet(b))
-	seedUsage(b, base, 200)
-	ov := base.Overlay()
-	seedUsage(b, ov, 20)
-	for _, bc := range []struct {
-		name   string
-		ledger *Ledger
-	}{{"Root", base}, {"Overlay", ov}} {
-		b.Run(bc.name, func(b *testing.B) {
-			rows := bc.ledger.InstanceResiduals(nil)
-			if allocs := testing.AllocsPerRun(100, func() { rows = bc.ledger.InstanceResiduals(rows) }); allocs != 0 {
-				b.Fatalf("InstanceResiduals allocates %v objects per call into a warm buffer, want 0", allocs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows = bc.ledger.InstanceResiduals(rows)
-			}
-		})
+	live := NewLedger(benchNet(b))
+	seedUsage(b, live, 200)
+	rows := live.InstanceResiduals(nil)
+	if allocs := testing.AllocsPerRun(100, func() { rows = live.InstanceResiduals(rows) }); allocs != 0 {
+		b.Fatalf("InstanceResiduals allocates %v objects per call into a warm buffer, want 0", allocs)
 	}
-}
-
-// BenchmarkOverlayCommit measures folding a request-sized overlay (a few
-// dozen touched entries) into its base, including re-validation.
-func BenchmarkOverlayCommit(b *testing.B) {
-	base := NewLedger(benchNet(b))
-	seedUsage(b, base, 200)
-	ov := base.Overlay()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		seedUsage(b, ov, 20)
-		b.StartTimer()
-		if err := ov.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		rows = live.InstanceResiduals(rows)
 	}
 }

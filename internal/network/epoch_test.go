@@ -30,21 +30,27 @@ func viewFingerprint(l *Ledger) string {
 }
 
 // TestViewEpochIdentifiesView is the sequential epoch-soundness property:
-// across a long random interleaving of reservations, releases, commits,
-// discards, snapshots, rebases and faults, every time any ledger of the
-// family reports a view epoch, the view it presents must be bit-identical
-// to every other view ever reported under that epoch.
+// across a long random interleaving of reservations, releases, snapshots,
+// hand-overs of the live role to a copy, and faults, every time the live
+// ledger or a copy taken of it that moment reports a view epoch, the view
+// it presents must be bit-identical to every other view reported under
+// that epoch. A copy the live ledger has left behind counts the family's
+// faults but not the live ledger's later mutations, so its epochs are held
+// to its own history only.
 func TestViewEpochIdentifiesView(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := testNet(t)
-		root := NewLedger(net)
-		live := root.Overlay()
-		var snaps []*Ledger
-		activeFaults := 0
+		live, spare := NewLedger(net), new(Ledger)
+		type held struct {
+			l    *Ledger
+			seen map[uint64]string
+		}
+		var snaps []held
+		var active []Fault
 
 		seen := make(map[uint64]string)
-		check := func(l *Ledger, step int, what string) {
+		check := func(l *Ledger, seen map[uint64]string, step int, what string) {
 			epoch := l.ViewEpoch()
 			fp := viewFingerprint(l)
 			if prev, ok := seen[epoch]; ok && prev != fp {
@@ -64,37 +70,41 @@ func TestViewEpochIdentifiesView(t *testing.T) {
 			case 2:
 				live.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), float64(rng.Intn(4)))
 			case 3:
-				_ = live.ReserveInstance(graph.NodeID(rng.Intn(4)), VNFID(1+rng.Intn(3)), float64(rng.Intn(3)))
+				_ = live.ReserveInstance(graph.NodeID(rng.Intn(4)), VNFID(rng.Intn(4)), float64(rng.Intn(3)))
 			case 4:
-				live.ReleaseInstance(graph.NodeID(rng.Intn(4)), VNFID(1+rng.Intn(3)), float64(rng.Intn(3)))
+				live.ReleaseInstance(graph.NodeID(rng.Intn(4)), VNFID(rng.Intn(4)), float64(rng.Intn(3)))
 			case 5:
-				snaps = append(snaps, live.Snapshot())
+				snaps = append(snaps, held{live.Snapshot(), make(map[uint64]string)})
 				if len(snaps) > 4 {
 					snaps = snaps[1:]
 				}
 			case 6:
-				if rng.Intn(2) == 0 {
-					if err := live.ApplyFault(Fault{Kind: FaultLinkDown, Link: graph.EdgeID(rng.Intn(net.G.NumEdges()))}); err == nil {
-						activeFaults++
+				if rng.Intn(2) == 0 || len(active) == 0 {
+					f := Fault{Kind: FaultLinkDown, Link: graph.EdgeID(rng.Intn(net.G.NumEdges()))}
+					if err := live.ApplyFault(f); err != nil {
+						t.Fatal(err)
 					}
-				} else if activeFaults == 0 {
-					// Nothing to restore; mutate an edge instead.
-					live.ReleaseEdge(0, 1)
+					active = append(active, f)
+				} else {
+					i := rng.Intn(len(active))
+					if err := live.RestoreFault(active[i]); err != nil {
+						t.Fatal(err)
+					}
+					active = append(active[:i], active[i+1:]...)
 				}
 			case 7:
-				// Rebase, like the server's commit loop: fold the live view
-				// into a fresh root and start a new overlay over it.
-				live = live.Flatten().Overlay()
+				// Hand the live role to a fresh copy: the lineage goes on.
+				live = live.Snapshot()
 			case 8:
-				if err := live.Commit(); err != nil {
-					t.Fatalf("seed %d step %d: commit against frozen-by-us base failed: %v", seed, step, err)
-				}
+				// Hand it to a recycled copy, and recycle the old live ledger.
+				live, spare = live.SnapshotInto(spare), live
 			case 9:
-				live.Discard()
+				// A copy taken and read this moment is the live view.
+				check(live.Snapshot(), seen, step, "fresh snapshot")
 			}
-			check(live, step, "live")
+			check(live, seen, step, "live")
 			for i, s := range snaps {
-				check(s, step, fmt.Sprintf("snap%d", i))
+				check(s.l, s.seen, step, fmt.Sprintf("snap%d", i))
 			}
 		}
 	}
@@ -103,56 +113,83 @@ func TestViewEpochIdentifiesView(t *testing.T) {
 // TestEpochPinsAndInvalidation pins the individual epoch rules.
 func TestEpochPinsAndInvalidation(t *testing.T) {
 	net := testNet(t)
-	root := NewLedger(net)
-	live := root.Overlay()
+	live := NewLedger(net)
 
-	// Unmutated family: overlay inherits the root's epoch; snapshots taken
-	// back to back share the live overlay's epoch.
-	if live.ViewEpoch() != root.ViewEpoch() {
-		t.Fatal("fresh overlay does not share its base's epoch")
-	}
+	// Unmutated family: copies taken back to back share the source's epoch.
 	s1, s2 := live.Snapshot(), live.Snapshot()
 	if s1.ViewEpoch() != s2.ViewEpoch() || s1.ViewEpoch() != live.ViewEpoch() {
-		t.Fatal("snapshots of an unchanged overlay do not share its epoch")
+		t.Fatal("snapshots of an unchanged ledger do not share its epoch")
 	}
 
-	// A mutation moves the live epoch but leaves earlier snapshots pinned
-	// and valid: their (frozen-base) view genuinely did not change.
+	// A mutation moves the live epoch but leaves earlier snapshots where
+	// they were: their view genuinely did not change.
 	before := s1.ViewEpoch()
 	if err := live.ReserveEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if live.ViewEpoch() == before {
-		t.Fatal("mutation did not move the live overlay's epoch")
+		t.Fatal("mutation did not move the live ledger's epoch")
 	}
 	if s1.ViewEpoch() != before {
-		t.Fatal("sibling mutation invalidated a frozen snapshot's pin")
+		t.Fatal("a mutation of the source moved a snapshot's epoch")
 	}
 
-	// A fault invalidates every pin in the family — including snapshots,
-	// whose residuals change through the root's quarantine pointer — and
-	// apply-then-restore does not restore the old pins (no ABA).
+	// What changes no view moves no epoch: a rejected reservation, and the
+	// dummy VNF, which is free.
+	mid := live.ViewEpoch()
+	if live.ReserveEdge(0, net.G.Edge(0).Capacity) == nil {
+		t.Fatal("over-capacity reservation accepted")
+	}
+	if live.ReserveEdge(0, -1) == nil {
+		t.Fatal("negative reservation accepted")
+	}
+	if err := live.ReserveInstance(0, Dummy, 3); err != nil {
+		t.Fatal(err)
+	}
+	live.ReleaseInstance(0, Dummy, 3)
+	if live.ViewEpoch() != mid {
+		t.Fatal("a rejected or dummy reservation moved the epoch")
+	}
+
+	// A fault moves every member's epoch — snapshots too, whose residuals
+	// change through the family's quarantine — and apply-then-restore does
+	// not bring the old epoch back (no ABA). Another family sees nothing.
+	other, err := NewLedgerFromState(net, live.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherEpoch := other.ViewEpoch()
 	if err := live.ApplyFault(Fault{Kind: FaultLinkDown, Link: 1}); err != nil {
 		t.Fatal(err)
 	}
 	postFault := s1.ViewEpoch()
 	if postFault == before {
-		t.Fatal("fault did not invalidate a snapshot's pinned view")
+		t.Fatal("fault did not move a snapshot's epoch")
 	}
 	if err := live.RestoreFault(Fault{Kind: FaultLinkDown, Link: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if s1.ViewEpoch() == postFault {
-		t.Fatal("restore did not invalidate the post-fault pin (ABA)")
+	if e := s1.ViewEpoch(); e == postFault || e == before {
+		t.Fatal("restore brought back an earlier epoch (ABA)")
+	}
+	if other.ViewEpoch() != otherEpoch {
+		t.Fatal("a fault moved the epoch of a ledger in another family")
 	}
 
-	// Commit folds the overlay into its base and re-pins both at one fresh
-	// shared epoch: their views are identical afterwards.
-	if err := live.Commit(); err != nil {
-		t.Fatal(err)
+	// SnapshotInto overwrites the destination's epoch with its source's,
+	// whatever the destination went through before; mutating the copy then
+	// moves its epoch and nothing of the source's.
+	for i := 0; i < 5; i++ {
+		s2.ReleaseEdge(2, 1)
 	}
-	if live.ViewEpoch() != root.ViewEpoch() {
-		t.Fatal("commit left overlay and base claiming different epochs for the same view")
+	dst := live.SnapshotInto(s2)
+	if dst.ViewEpoch() != live.ViewEpoch() {
+		t.Fatalf("SnapshotInto left epoch %d, source's %d", dst.ViewEpoch(), live.ViewEpoch())
+	}
+	src := live.ViewEpoch()
+	dst.ReleaseEdge(0, 1)
+	if dst.ViewEpoch() == src || live.ViewEpoch() != src {
+		t.Fatal("mutating a copy did not move its epoch alone")
 	}
 }
 
@@ -176,10 +213,9 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 		}
 	}
 	net := New(g, Catalog{N: 2})
-	root := NewLedger(net)
 
 	var mu sync.RWMutex // the server's state mutex, in miniature
-	live := root.Overlay()
+	live := NewLedger(net)
 	var cache sync.Map // epoch -> viewFingerprint
 	var hits atomic.Int64
 
@@ -197,7 +233,7 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 			default:
 			}
 			mu.Lock()
-			switch mrng.Intn(8) {
+			switch mrng.Intn(7) {
 			case 0, 1, 2:
 				_ = live.ReserveEdge(graph.EdgeID(mrng.Intn(g.NumEdges())), float64(1+mrng.Intn(2)))
 			case 3, 4:
@@ -212,8 +248,6 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 					_ = live.RestoreFault(faults[n-1])
 					faults = faults[:n-1]
 				}
-			case 7:
-				live = live.Flatten().Overlay()
 			}
 			mu.Unlock()
 		}
@@ -226,22 +260,21 @@ func TestEpochCacheCoherenceRace(t *testing.T) {
 		go func(q int) {
 			defer qWG.Done()
 			for i := 0; i < 300; i++ {
-				// Hold the read lock for the whole read+verify window,
-				// exactly as a server worker holds its snapshot: no fault
-				// or rebase can interleave with the comparison.
+				// Hold the read lock while reading the copy: a fault reaches
+				// it through the family's quarantine, and must not land
+				// between the epoch and the fingerprint.
 				mu.RLock()
 				snap := live.Snapshot()
 				epoch := snap.ViewEpoch()
 				fp := viewFingerprint(snap)
+				mu.RUnlock()
 				if cached, ok := cache.LoadOrStore(epoch, fp); ok {
 					hits.Add(1)
 					if cached != fp {
-						mu.RUnlock()
 						errCh <- fmt.Errorf("querier %d iter %d: epoch %d presented two views", q, i, epoch)
 						return
 					}
 				}
-				mu.RUnlock()
 			}
 		}(q)
 	}

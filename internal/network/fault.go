@@ -15,14 +15,15 @@ import (
 // approximate: apply and restore add and subtract the same amounts,
 // recomputed from the immutable network).
 //
-// Quarantine lives on the ROOT ledger of an overlay chain, published as an
-// immutable table behind an atomic pointer. Overlays and snapshots read
-// through to it, which gives faults the semantics the serving layer needs:
+// Quarantine belongs to a ledger family — a ledger from NewLedger and every
+// copy taken of it — published as an immutable table behind an atomic
+// pointer that every member shares, which gives faults the semantics the
+// serving layer needs:
 //
 //   - a speculative embed running on a snapshot taken BEFORE the fault
-//     sees the post-fault residuals the moment the fault is applied, and
-//     its Commit re-validates against them — the stale-snapshot semantics
-//     of the copy-on-write ledger extend to faults for free;
+//     sees the post-fault residuals the moment the fault is applied;
+//     whether its placement still fits the live ledger is decided at
+//     commit time (flowstate.Check, under the server's state mutex);
 //   - readers never lock: ApplyFault/RestoreFault build a fresh table and
 //     swap the pointer, so a search iterating residuals mid-fault observes
 //     either the old view or the new one, never a half-applied fault.
@@ -134,6 +135,15 @@ type quarTable struct {
 	down map[graph.EdgeID]int
 }
 
+// quarantine is a ledger family's fault state: the published table, and
+// the count of faults applied or restored that ViewEpoch adds — a count,
+// not a pointer compare, so apply-then-restore (which stores nil again)
+// still moves every member's epoch.
+type quarantine struct {
+	table  atomic.Pointer[quarTable]
+	faults atomic.Uint64
+}
+
 func (q *quarTable) empty() bool {
 	return len(q.edge) == 0 && len(q.inst) == 0 && len(q.node) == 0 && len(q.down) == 0
 }
@@ -197,24 +207,10 @@ func (q *quarTable) addInst(k instKey, amt float64) error {
 	return nil
 }
 
-// rootLedger walks the overlay chain to its root (itself for a root
-// ledger). Quarantine state lives only there.
-func (l *Ledger) rootLedger() *Ledger {
-	r := l
-	for r.base != nil {
-		r = r.base
-	}
-	return r
-}
-
-func (l *Ledger) quarantineTable() *quarTable {
-	return l.rootLedger().quar.Load()
-}
-
-// ApplyFault quarantines the capacity f takes out of service. Called on an
-// overlay, it applies to the overlay chain's root, so every snapshot and
-// overlay sharing that root observes the fault immediately. Concurrent
-// readers are safe; concurrent mutators are not — serialize Apply/Restore.
+// ApplyFault quarantines the capacity f takes out of service, for every
+// member of l's family at once: whichever member it is called on, every
+// copy observes the fault immediately. Concurrent readers are safe;
+// concurrent mutators are not — serialize Apply/Restore.
 func (l *Ledger) ApplyFault(f Fault) error {
 	return l.adjustFault(f, +1)
 }
@@ -231,8 +227,7 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 	if err := f.Validate(l.net); err != nil {
 		return err
 	}
-	root := l.rootLedger()
-	q := cloneQuar(root.quar.Load())
+	q := cloneQuar(l.fam.table.Load())
 	switch f.Kind {
 	case FaultLinkDown:
 		if err := q.addEdge(f.Link, sign*l.net.G.Edge(f.Link).Capacity); err != nil {
@@ -275,65 +270,9 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 		}
 	}
 	if q.empty() {
-		root.quar.Store(nil)
-	} else {
-		root.quar.Store(q)
+		q = nil
 	}
-	// A quarantine change is visible to every ledger in the family at once
-	// (they all read through the root's pointer), so it invalidates every
-	// pinned view epoch via the family fault counter — a generation count,
-	// not a pointer compare, so apply-then-restore (which stores nil again)
-	// still invalidates. The state counter moves too, keeping the epoch
-	// source monotone with faults like with any other mutation.
-	root.ep.fault.Add(1)
-	root.ep.state.Add(1)
+	l.fam.table.Store(q)
+	l.fam.faults.Add(1)
 	return nil
 }
-
-// EdgeQuarantined reports how much of edge e's bandwidth active faults
-// have taken out of service.
-func (l *Ledger) EdgeQuarantined(e graph.EdgeID) float64 {
-	if q := l.quarantineTable(); q != nil {
-		return q.edge[e]
-	}
-	return 0
-}
-
-// InstanceQuarantined reports how much of the instance's processing
-// capacity active faults have taken out of service.
-func (l *Ledger) InstanceQuarantined(node graph.NodeID, vnf VNFID) float64 {
-	if q := l.quarantineTable(); q != nil {
-		return q.inst[instKey{node, vnf}]
-	}
-	return 0
-}
-
-// EdgeDown reports whether edge e's residual is currently hard-pinned to
-// zero — by an active edge-down fault on e itself, or by a node-down fault
-// on either of its endpoints.
-func (l *Ledger) EdgeDown(e graph.EdgeID) bool {
-	if q := l.quarantineTable(); q != nil {
-		ed := l.net.G.Edge(e)
-		return q.edgePinned(e, ed.A, ed.B)
-	}
-	return false
-}
-
-// NodeDown reports whether v is currently failed by at least one active
-// node fault.
-func (l *Ledger) NodeDown(v graph.NodeID) bool {
-	if q := l.quarantineTable(); q != nil {
-		return q.node[v] > 0
-	}
-	return false
-}
-
-// FaultsActive reports whether any quarantine is in effect.
-func (l *Ledger) FaultsActive() bool {
-	q := l.quarantineTable()
-	return q != nil && !q.empty()
-}
-
-// quarPointer is a tiny alias so ledger.go can declare the field without
-// importing sync/atomic twice; see Ledger.quar.
-type quarPointer = atomic.Pointer[quarTable]

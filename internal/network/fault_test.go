@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,15 @@ import (
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// rowBits is the ledger's whole residual view, as the dense rows give it.
+func rowBits(l *Ledger) []uint64 {
+	return append(bits(l.EdgeResiduals(nil)), bits(l.InstanceResiduals(nil))...)
+}
+
+// nodeDown reports whether v's column is pinned: the dummy, infinite on a
+// live node, reads exactly zero on a down one.
+func nodeDown(l *Ledger, v graph.NodeID) bool { return l.InstanceResidual(v, Dummy) == 0 }
 
 func TestFaultLinkDownRestoreExact(t *testing.T) {
 	net := testNet(t)
@@ -20,25 +30,23 @@ func TestFaultLinkDownRestoreExact(t *testing.T) {
 	if !almost(before, 6) {
 		t.Fatalf("pre-fault residual = %v, want 6", before)
 	}
+	rows := rowBits(l)
 
 	f := Fault{Kind: FaultLinkDown, Link: 1}
 	if err := l.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.EdgeQuarantined(1); !almost(got, 10) {
-		t.Fatalf("EdgeQuarantined = %v, want 10", got)
-	}
-	// Full capacity quarantined while 4 units are committed: residual goes
-	// negative rather than clamping, so reservations fail and the deficit
-	// is visible.
-	if got := l.EdgeResidual(1); !almost(got, -4) {
+	// Full capacity quarantined while 4 units are committed: capacity −
+	// used − quarantined goes negative rather than clamping, so
+	// reservations fail and the deficit is visible, in the rows too.
+	if got := l.EdgeResidual(1); !almost(got, 10-4-10) {
 		t.Fatalf("faulted residual = %v, want -4", got)
+	}
+	if got := l.EdgeResiduals(nil)[1]; got != l.EdgeResidual(1) {
+		t.Fatalf("faulted row = %v, the scalar %v", got, l.EdgeResidual(1))
 	}
 	if err := l.ReserveEdge(1, 1); err == nil {
 		t.Fatal("reserve on downed link succeeded")
-	}
-	if !l.FaultsActive() {
-		t.Fatal("FaultsActive = false with a live fault")
 	}
 
 	if err := l.RestoreFault(f); err != nil {
@@ -47,8 +55,8 @@ func TestFaultLinkDownRestoreExact(t *testing.T) {
 	if got := l.EdgeResidual(1); got != before {
 		t.Fatalf("post-restore residual = %v, want exactly %v", got, before)
 	}
-	if l.FaultsActive() {
-		t.Fatal("FaultsActive = true after full restore")
+	if !slices.Equal(rowBits(l), rows) {
+		t.Fatal("residual rows after the restore differ from before the fault")
 	}
 	if err := l.RestoreFault(f); err == nil {
 		t.Fatal("unmatched restore succeeded")
@@ -58,12 +66,13 @@ func TestFaultLinkDownRestoreExact(t *testing.T) {
 func TestFaultNodeDown(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
+	rows := rowBits(l)
 	f := Fault{Kind: FaultNodeDown, Node: 2}
 	if err := l.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if !l.NodeDown(2) || l.NodeDown(1) {
-		t.Fatalf("NodeDown(2)=%v NodeDown(1)=%v", l.NodeDown(2), l.NodeDown(1))
+	if !nodeDown(l, 2) || nodeDown(l, 1) {
+		t.Fatalf("node 2 down=%v, node 1 down=%v", nodeDown(l, 2), nodeDown(l, 1))
 	}
 	// Node 2's incident links are edges 1 (1-2) and 2 (2-3); both fully out.
 	for _, e := range []int{1, 2} {
@@ -93,13 +102,13 @@ func TestFaultNodeDown(t *testing.T) {
 	if err := l.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if !l.NodeDown(2) {
+	if !nodeDown(l, 2) {
 		t.Fatal("node came back up with one of two faults still active")
 	}
 	if err := l.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if l.NodeDown(2) || l.FaultsActive() {
+	if nodeDown(l, 2) || !slices.Equal(rowBits(l), rows) {
 		t.Fatal("quarantine not fully drained after matched restores")
 	}
 	if got := l.EdgeResidual(1); got != 10 {
@@ -151,7 +160,7 @@ func TestFaultValidate(t *testing.T) {
 			t.Fatalf("ApplyFault(%+v) succeeded", f)
 		}
 	}
-	if l.FaultsActive() {
+	if !slices.Equal(rowBits(l), rowBits(NewLedger(net))) || l.ViewEpoch() != 0 {
 		t.Fatal("rejected faults left quarantine behind")
 	}
 	if s := (Fault{Kind: FaultLinkDegrade, Link: 7, Fraction: 0.5}).String(); !strings.Contains(s, "link-degrade 7 0.5") {
@@ -159,85 +168,48 @@ func TestFaultValidate(t *testing.T) {
 	}
 }
 
-// TestOverlayCommitFailsAcrossFault pins the stale-snapshot semantics the
-// server relies on: a speculative overlay taken before a fault must fail
-// its re-validating Commit once the fault has quarantined the capacity it
-// reserved, and succeed again after the restore.
-func TestOverlayCommitFailsAcrossFault(t *testing.T) {
-	net := testNet(t)
-	base := NewLedger(net)
-	ov := base.Overlay()
-	if err := ov.ReserveEdge(0, 7); err != nil {
-		t.Fatal(err)
-	}
-
-	f := Fault{Kind: FaultLinkDown, Link: 0}
-	// Applying through the overlay must land on the root.
-	if err := ov.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
-	if !base.FaultsActive() {
-		t.Fatal("fault applied via overlay not visible on root")
-	}
-	if err := ov.Commit(); err == nil {
-		t.Fatal("commit across a fault succeeded")
-	}
-	if got := base.EdgeUsed(0); got != 0 {
-		t.Fatalf("failed commit touched the base: EdgeUsed = %v", got)
-	}
-
-	if err := base.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := ov.Commit(); err != nil {
-		t.Fatalf("commit after restore: %v", err)
-	}
-	if got := base.EdgeUsed(0); !almost(got, 7) {
-		t.Fatalf("base EdgeUsed = %v, want 7", got)
-	}
-}
-
-// TestFaultVisibleThroughSnapshots checks a snapshot taken before the fault
-// observes post-fault residuals immediately (it shares the root), while a
-// Flatten taken before the fault keeps the pre-fault view (independent root).
+// TestFaultVisibleThroughSnapshots checks a fault reaches every member of
+// a ledger family whichever member it is applied through — a snapshot
+// taken before it, and a snapshot of that snapshot, observe the post-fault
+// residuals immediately — while a ledger of another family (one rebuilt
+// from exported state) keeps its own view, and that the restore returns
+// every member to its pre-fault residuals exactly.
 func TestFaultVisibleThroughSnapshots(t *testing.T) {
 	net := testNet(t)
-	base := NewLedger(net)
-	live := base.Overlay()
+	live := NewLedger(net)
+	if err := live.ReserveEdge(2, 3); err != nil {
+		t.Fatal(err)
+	}
 	snap := live.Snapshot()
-	clone := base.Flatten()
+	nested := snap.Snapshot()
+	other, err := NewLedgerFromState(net, live.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rowBits(live)
 
 	f := Fault{Kind: FaultLinkDegrade, Link: 2, Fraction: 1}
-	if err := base.ApplyFault(f); err != nil {
+	if err := nested.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.EdgeResidual(2); !almost(got, 0) {
-		t.Fatalf("snapshot residual = %v, want 0 (shares faulted root)", got)
+	for name, l := range map[string]*Ledger{"live": live, "snapshot": snap, "snapshot of a snapshot": nested} {
+		if got := l.EdgeResidual(2); !almost(got, 10-3-10) {
+			t.Fatalf("%s residual = %v, want -3 (shares the faulted family)", name, got)
+		}
 	}
-	if got := clone.EdgeResidual(2); !almost(got, 10) {
-		t.Fatalf("clone residual = %v, want 10 (independent root)", got)
+	if got := other.EdgeResidual(2); !almost(got, 7) {
+		t.Fatalf("other family's residual = %v, want 7", got)
 	}
 
-	// A rebase (Flatten) while the fault is live must carry the quarantine.
-	flat := live.Flatten()
-	if got := flat.EdgeResidual(2); !almost(got, 0) {
-		t.Fatalf("flattened residual = %v, want 0", got)
-	}
-	if !flat.FaultsActive() {
-		t.Fatal("Flatten dropped the active quarantine")
-	}
-	// Restoring on the original root must not disturb the flattened copy,
-	// which captured the immutable table at flatten time.
-	if err := base.RestoreFault(f); err != nil {
+	if err := live.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if !flat.FaultsActive() {
-		t.Fatal("restore on source root leaked into flattened ledger")
+	for name, l := range map[string]*Ledger{"live": live, "snapshot": snap, "snapshot of a snapshot": nested, "other family": other} {
+		if !slices.Equal(rowBits(l), before) {
+			t.Fatalf("%s: residuals after the restore differ from before the fault", name)
+		}
 	}
-	if err := flat.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
-	if flat.FaultsActive() {
-		t.Fatal("flattened ledger quarantine not drained")
+	if err := other.RestoreFault(f); err == nil {
+		t.Fatal("restore of a fault the family never saw succeeded")
 	}
 }

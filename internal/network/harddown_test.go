@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -8,37 +9,31 @@ import (
 
 // TestFaultEdgeDownPinAndRestore covers the hard-failure link kind: the
 // residual is pinned to exactly zero (not driven negative like the
-// quarantine kinds), reservations and overlay commits fail across it, and
-// restore is float-exact because no capacity amount ever moved.
+// quarantine kinds), reservations fail across it, and restore is
+// float-exact because no capacity amount ever moved.
 func TestFaultEdgeDownPinAndRestore(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
 	if err := l.ReserveEdge(1, 4); err != nil {
 		t.Fatal(err)
 	}
-	before := l.EdgeResidual(1)
+	before, rows := l.EdgeResidual(1), rowBits(l)
 
 	f := Fault{Kind: FaultEdgeDown, Link: 1}
 	if err := l.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if !l.EdgeDown(1) || l.EdgeDown(0) {
-		t.Fatalf("EdgeDown(1)=%v EdgeDown(0)=%v", l.EdgeDown(1), l.EdgeDown(0))
-	}
 	// Unlike link-down (which quarantines the capacity amount and reports
-	// -4 here), the hard failure pins to the literal zero.
+	// -4 here), the hard failure pins to the literal zero, in the rows too,
+	// and touches no other edge.
 	if got := l.EdgeResidual(1); got != 0 {
 		t.Fatalf("downed residual = %v, want exactly 0", got)
 	}
-	// No capacity was quarantined — the pin is a count, not an amount.
-	if got := l.EdgeQuarantined(1); got != 0 {
-		t.Fatalf("EdgeQuarantined = %v, want 0 (pure pin)", got)
+	if got := l.EdgeResiduals(nil); got[1] != 0 || got[0] != 10 {
+		t.Fatalf("rows %v, want edge 1 pinned at 0 and edge 0 at 10", got)
 	}
 	if err := l.ReserveEdge(1, 1); err == nil {
 		t.Fatal("reserve on downed edge succeeded")
-	}
-	if !l.FaultsActive() {
-		t.Fatal("FaultsActive = false with a live edge-down")
 	}
 
 	// Overlapping downs: one restore leaves the edge pinned.
@@ -48,8 +43,8 @@ func TestFaultEdgeDownPinAndRestore(t *testing.T) {
 	if err := l.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if !l.EdgeDown(1) {
-		t.Fatal("edge came back up with one of two faults still active")
+	if got := l.EdgeResidual(1); got != 0 {
+		t.Fatalf("edge came back up (residual %v) with one of two faults still active", got)
 	}
 	if err := l.RestoreFault(f); err != nil {
 		t.Fatal(err)
@@ -57,39 +52,40 @@ func TestFaultEdgeDownPinAndRestore(t *testing.T) {
 	if got := l.EdgeResidual(1); got != before {
 		t.Fatalf("post-restore residual = %v, want exactly %v", got, before)
 	}
-	if l.FaultsActive() {
-		t.Fatal("FaultsActive = true after full restore")
+	if !slices.Equal(rowBits(l), rows) {
+		t.Fatal("residual rows after the full restore differ from before the fault")
 	}
 	if err := l.RestoreFault(f); err == nil {
 		t.Fatal("unmatched restore succeeded")
 	}
 }
 
-// TestFaultEdgeDownCommitAcross pins the serving-layer semantics: a
-// speculative overlay taken before an edge-down must fail its re-validating
-// commit while the pin is live and succeed after the restore.
+// TestFaultEdgeDownCommitAcross pins what a speculative embed's copy sees
+// of an edge-down applied after it was taken: the live ledger's fault pins
+// the copy's edge too, so a reservation across it fails there, and succeeds
+// again after the restore.
 func TestFaultEdgeDownCommitAcross(t *testing.T) {
 	net := testNet(t)
-	base := NewLedger(net)
-	ov := base.Overlay()
-	if err := ov.ReserveEdge(0, 7); err != nil {
-		t.Fatal(err)
-	}
+	live := NewLedger(net)
+	snap := live.Snapshot()
 	f := Fault{Kind: FaultEdgeDown, Link: 0}
-	if err := ov.ApplyFault(f); err != nil {
+	if err := live.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := ov.Commit(); err == nil {
-		t.Fatal("commit across edge-down succeeded")
+	if err := snap.ReserveEdge(0, 7); err == nil {
+		t.Fatal("reservation across edge-down succeeded on a pre-fault copy")
 	}
-	if got := base.EdgeUsed(0); got != 0 {
-		t.Fatalf("failed commit touched the base: EdgeUsed = %v", got)
+	if got := snap.EdgeUsed(0); got != 0 {
+		t.Fatalf("refused reservation touched the copy: EdgeUsed = %v", got)
 	}
-	if err := base.RestoreFault(f); err != nil {
+	if err := live.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := ov.Commit(); err != nil {
-		t.Fatalf("commit after restore: %v", err)
+	if err := snap.ReserveEdge(0, 7); err != nil {
+		t.Fatalf("reservation after restore: %v", err)
+	}
+	if got := live.EdgeUsed(0); got != 0 {
+		t.Fatalf("the copy's reservation reached the live ledger: EdgeUsed = %v", got)
 	}
 }
 
@@ -115,8 +111,8 @@ func TestFaultNodeDownPinsExactZero(t *testing.T) {
 	if got := l.EdgeResidual(1); got != 0 {
 		t.Fatalf("incident edge residual = %v, want exactly 0", got)
 	}
-	if !l.EdgeDown(1) {
-		t.Fatal("EdgeDown(1) = false with endpoint node down")
+	if got := l.EdgeResiduals(nil)[1]; got != 0 {
+		t.Fatalf("incident edge's row = %v, want exactly 0", got)
 	}
 	if got := l.InstanceResidual(2, 2); got != 0 {
 		t.Fatalf("hosted instance residual = %v, want exactly 0", got)
@@ -154,9 +150,9 @@ func TestEdgeResidualsBitExactUnderPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ov := l.Overlay()
-	ov.ReleaseEdge(0, 1)
-	for _, led := range []*Ledger{l, ov} {
+	snap := l.Snapshot()
+	snap.ReleaseEdge(0, 1)
+	for _, led := range []*Ledger{l, snap} {
 		bulk := led.EdgeResiduals(nil)
 		for e := range bulk {
 			if want := led.EdgeResidual(graph.EdgeID(e)); bulk[e] != want {
@@ -170,7 +166,7 @@ func TestEdgeResidualsBitExactUnderPins(t *testing.T) {
 // usage, quarantined capacity and node-down pins live at once (one node hit
 // twice) — a down node's whole column, dummy included, reads exactly zero —
 // InstanceResiduals must agree bitwise with the scalar InstanceResidual on
-// every pair, through an overlay too.
+// every pair, through a snapshot too.
 func TestInstanceResidualsBitExactUnderPins(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
@@ -190,22 +186,22 @@ func TestInstanceResidualsBitExactUnderPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ov := l.Overlay()
-	ov.ReleaseInstance(2, 2, 0.5)
-	if err := ov.ReserveInstance(0, 1, 0.1); err != nil {
+	snap := l.Snapshot()
+	snap.ReleaseInstance(2, 2, 0.5)
+	if err := snap.ReserveInstance(0, 1, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	checkInstanceResiduals(t, "root", l)
-	checkInstanceResiduals(t, "overlay", ov)
-	checkInstanceResiduals(t, "flattened", ov.Flatten())
-	if got := ov.InstanceResiduals(nil)[int(Dummy)*net.G.NumNodes()+2]; got != 0 {
+	checkInstanceResiduals(t, "live", l)
+	checkInstanceResiduals(t, "snapshot", snap)
+	checkInstanceResiduals(t, "snapshot of a snapshot", snap.Snapshot())
+	if got := snap.InstanceResiduals(nil)[int(Dummy)*net.G.NumNodes()+2]; got != 0 {
 		t.Fatalf("dummy on a down node reads %v in the rows, the scalar path's 0", got)
 	}
 	// One of node 2's faults restored: still pinned, and still bit-equal.
 	if err := l.RestoreFault(Fault{Kind: FaultNodeDown, Node: 2}); err != nil {
 		t.Fatal(err)
 	}
-	checkInstanceResiduals(t, "overlay, one fault restored", ov)
+	checkInstanceResiduals(t, "snapshot, one fault restored", snap)
 }
 
 func TestFaultEdgeDownValidate(t *testing.T) {

@@ -92,7 +92,7 @@ func TestLedgerCloneIndependent(t *testing.T) {
 	if err := l.ReserveEdge(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	c := l.Flatten()
+	c := l.Snapshot()
 	if err := c.ReserveEdge(0, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,10 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 }
 
 // TestEdgeResidualsBitExact pins the bulk-export contract: EdgeResiduals
-// must agree with per-edge EdgeResidual bitwise — same overlay-chain
-// addition order, same quarantine subtraction — across root ledgers,
-// stacked overlays, and active faults, because cost-view compilation
-// feeds its output into the exact capacity-floor comparison the scalar
-// path uses.
+// must agree with per-edge EdgeResidual bitwise — same usage, same
+// quarantine subtraction — across a ledger, copies of it, and active
+// faults, because cost-view compilation feeds its output into the exact
+// capacity-floor comparison the scalar path uses.
 func TestEdgeResidualsBitExact(t *testing.T) {
 	net := testNet(t)
 	root := NewLedger(net)
@@ -181,15 +180,15 @@ func TestEdgeResidualsBitExact(t *testing.T) {
 	if err := root.ReserveEdge(1, 3.3); err != nil {
 		t.Fatal(err)
 	}
-	o1 := root.Overlay()
-	if err := o1.ReserveEdge(0, 0.2); err != nil {
+	s1 := root.Snapshot()
+	if err := s1.ReserveEdge(0, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	if err := o1.ReserveEdge(2, 1.0/3); err != nil {
+	if err := s1.ReserveEdge(2, 1.0/3); err != nil {
 		t.Fatal(err)
 	}
-	o2 := o1.Overlay()
-	if err := o2.ReserveEdge(0, 0.7); err != nil {
+	s2 := s1.Snapshot()
+	if err := s2.ReserveEdge(0, 0.7); err != nil {
 		t.Fatal(err)
 	}
 	if err := root.ApplyFault(Fault{Kind: FaultLinkDegrade, Link: 1, Fraction: 0.3}); err != nil {
@@ -211,8 +210,8 @@ func TestEdgeResidualsBitExact(t *testing.T) {
 		}
 	}
 	check("root", root)
-	check("overlay", o1)
-	check("stacked overlay", o2)
+	check("snapshot", s1)
+	check("snapshot of a snapshot", s2)
 	// Undersized buffer grows.
 	if got := root.EdgeResiduals(nil); len(got) != net.G.NumEdges() {
 		t.Fatalf("nil buffer: len = %d", len(got))
@@ -251,9 +250,9 @@ func checkInstanceResiduals(t *testing.T, name string, l *Ledger) {
 
 // TestInstanceResidualsBitExact is TestEdgeResidualsBitExact for instances:
 // the dense rows a search reads must be the scalar answers to the last bit
-// — same overlay-chain addition order, same quarantine subtraction — on a
-// root, an overlay, a stacked overlay, a snapshot taken into recycled
-// storage, a flattened root and a root restored from exported state.
+// — same usage, same quarantine subtraction — on a ledger, copies of it, a
+// snapshot taken into recycled storage and a ledger restored from exported
+// state.
 func TestInstanceResidualsBitExact(t *testing.T) {
 	net := testNet(t)
 	root := NewLedger(net)
@@ -265,18 +264,18 @@ func TestInstanceResidualsBitExact(t *testing.T) {
 	if err := root.ReserveInstance(2, 2, 3.3); err != nil {
 		t.Fatal(err)
 	}
-	o1 := root.Overlay()
-	if err := o1.ReserveInstance(0, 1, 0.2); err != nil {
+	s1 := root.Snapshot()
+	if err := s1.ReserveInstance(0, 1, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	if err := o1.ReserveInstance(3, net.Catalog.Merger(), 1.0/3); err != nil {
+	if err := s1.ReserveInstance(3, net.Catalog.Merger(), 1.0/3); err != nil {
 		t.Fatal(err)
 	}
-	o2 := o1.Overlay()
-	if err := o2.ReserveInstance(0, 1, 0.7); err != nil {
+	s2 := s1.Snapshot()
+	if err := s2.ReserveInstance(0, 1, 0.7); err != nil {
 		t.Fatal(err)
 	}
-	o2.ReleaseInstance(2, 2, 1.1)
+	s2.ReleaseInstance(2, 2, 1.1)
 	// A node fault elsewhere quarantines instance capacity without pinning
 	// the nodes under test; it is restored below (TestInstanceResiduals-
 	// BitExactUnderPins keeps pins live).
@@ -284,33 +283,31 @@ func TestInstanceResidualsBitExact(t *testing.T) {
 	if err := root.ApplyFault(fault); err != nil {
 		t.Fatal(err)
 	}
-	stale := root.Overlay().Snapshot()
+	stale := root.Snapshot()
 	if err := stale.ReserveInstance(2, 3, 4); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewLedgerFromState(net, o2.ExportState())
+	restored, err := NewLedgerFromState(net, s2.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, l := range map[string]*Ledger{
-		"root": root, "overlay": o1, "stacked overlay": o2,
-		"snapshot": o2.Snapshot(), "recycled snapshot": o2.SnapshotInto(stale),
-		"flattened": o2.Flatten(), "restored": restored,
+		"root": root, "snapshot": s1, "snapshot of a snapshot": s2,
+		"fresh snapshot": s2.Snapshot(), "recycled snapshot": s2.SnapshotInto(stale),
+		"restored": restored,
 	} {
 		checkInstanceResiduals(t, name, l)
 	}
 	if err := root.RestoreFault(fault); err != nil {
 		t.Fatal(err)
 	}
-	checkInstanceResiduals(t, "stacked overlay after restore", o2)
-	// Flatten and state restore carry the overlay's view into a root of
-	// their own, to the bit.
-	want := o2.InstanceResiduals(nil)
-	for name, l := range map[string]*Ledger{"flattened": o2.Flatten(), "restored": restored} {
-		for i, have := range l.InstanceResiduals(nil) {
-			if math.Float64bits(have) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: slot %d residual = %v, the overlay's %v", name, i, have, want[i])
-			}
+	checkInstanceResiduals(t, "snapshot of a snapshot after restore", s2)
+	// The state restore carries the copy's view into a family of its own,
+	// to the bit.
+	want := s2.InstanceResiduals(nil)
+	for i, have := range restored.InstanceResiduals(nil) {
+		if math.Float64bits(have) != math.Float64bits(want[i]) {
+			t.Fatalf("restored: slot %d residual = %v, the snapshot's %v", i, have, want[i])
 		}
 	}
 }

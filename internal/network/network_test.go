@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -171,7 +172,8 @@ func TestDenseRowsAnswerLikeTheMap(t *testing.T) {
 	if err := l.ReserveInstance(3, net.Catalog.Merger(), 2); err != nil {
 		t.Fatal(err)
 	}
-	ov := l.Overlay()
+	snap := l.Snapshot()
+	rows := rowBits(l)
 	free := Instance{Price: 0, Capacity: graph.Inf}
 	for _, tc := range []struct {
 		name     string
@@ -203,7 +205,7 @@ func TestDenseRowsAnswerLikeTheMap(t *testing.T) {
 		if got := net.HasVNF(tc.node, tc.vnf); got != tc.ok {
 			t.Errorf("%s: HasVNF = %v", tc.name, got)
 		}
-		for _, led := range []*Ledger{l, ov} {
+		for _, led := range []*Ledger{l, snap} {
 			if got := led.InstanceResidual(tc.node, tc.vnf); got != tc.residual {
 				t.Errorf("%s: InstanceResidual = %v, want %v", tc.name, got, tc.residual)
 			}
@@ -221,8 +223,8 @@ func TestDenseRowsAnswerLikeTheMap(t *testing.T) {
 			}
 		}
 	}
-	if ov.OverlayLen() != 0 || l.OverlayLen() != 0 {
-		t.Errorf("refused reservations left deltas: %d on the overlay, %d on the root", ov.OverlayLen(), l.OverlayLen())
+	if !slices.Equal(rowBits(snap), rows) || !slices.Equal(rowBits(l), rows) {
+		t.Error("refused reservations moved the residual rows")
 	}
 	for _, f := range []VNFID{-1, 5, 1 << 40} {
 		if row := net.Rents(f); row != nil {

@@ -31,33 +31,31 @@ type InstanceUsage struct {
 	Used float64      `json:"used"`
 }
 
-// ExportState captures the ledger's current combined usage (base chain
-// plus overlay deltas) as raw float64 values. The values are the ledger's
-// own accumulated sums — no re-derivation — so importing them into a
-// fresh root reproduces every residual bit-for-bit regardless of the
-// commit/release history that produced them.
+// ExportState captures the ledger's current usage as raw float64 values.
+// The values are the ledger's own accumulated sums — no re-derivation — so
+// importing them into a fresh ledger reproduces every residual bit-for-bit
+// regardless of the commit/release history that produced them.
 func (l *Ledger) ExportState() LedgerState {
 	var st LedgerState
-	for e := 0; e < l.net.G.NumEdges(); e++ {
-		if u := l.EdgeUsed(graph.EdgeID(e)); u != 0 {
+	for e, u := range l.edgeUsed {
+		if u != 0 {
 			st.Edges = append(st.Edges, EdgeUsage{Edge: graph.EdgeID(e), Used: u})
 		}
 	}
-	// Node-major over the dense rows, so the entries come out sorted by
-	// (node, VNF); the sums are fillInstUsed's, base-first like InstanceUsed.
-	used := make([]float64, len(l.net.capacity))
-	l.fillInstUsed(used)
-	for node := 0; node < l.net.nodes; node++ {
-		for i := l.net.nodes + node; i < len(used); i += l.net.nodes {
+	// Node-major over the dense row, so the entries come out sorted by
+	// (node, VNF).
+	nodes, used := l.net.nodes, l.instUsed
+	for node := 0; node < nodes; node++ {
+		for i := nodes + node; i < len(used); i += nodes {
 			if used[i] != 0 {
-				st.Instances = append(st.Instances, InstanceUsage{Node: graph.NodeID(node), VNF: VNFID(i / l.net.nodes), Used: used[i]})
+				st.Instances = append(st.Instances, InstanceUsage{Node: graph.NodeID(node), VNF: VNFID(i / nodes), Used: used[i]})
 			}
 		}
 	}
 	return st
 }
 
-// NewLedgerFromState returns a fresh root ledger over net holding exactly
+// NewLedgerFromState returns a fresh ledger over net holding exactly
 // the exported usage — the float-exact inverse of ExportState. Entries
 // referencing edges or instances the network does not have are errors
 // (the snapshot belongs to a different substrate).

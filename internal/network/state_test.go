@@ -8,12 +8,12 @@ import (
 	"dagsfc/internal/graph"
 )
 
-// TestExportImportExact drives a ledger (root + overlay, reserves and
-// releases with awkward fractional amounts), exports, JSON round-trips,
+// TestExportImportExact drives a ledger (reserves and releases with
+// awkward fractional amounts), exports, JSON round-trips,
 // imports, and demands bit-identical usage on every edge and instance.
 func TestExportImportExact(t *testing.T) {
 	net := testNet(t)
-	l := NewLedger(net).Overlay()
+	l := NewLedger(net)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
 		e := graph.EdgeID(rng.Intn(net.G.NumEdges()))
@@ -67,7 +67,7 @@ func TestExportImportExact(t *testing.T) {
 func TestExportDeterministic(t *testing.T) {
 	net := testNet(t)
 	mk := func() []byte {
-		l := NewLedger(net).Overlay()
+		l := NewLedger(net)
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 200; i++ {
 			e := graph.EdgeID(rng.Intn(net.G.NumEdges()))

@@ -37,19 +37,21 @@ type event struct {
 // i is flow i of the state; every reservation enters and leaves the ledger
 // through apply.
 type driver struct {
-	net    *network.Network
-	reqs   []TimedRequest
-	embed  Embedder
-	state  *flowstate.State
-	snap   *network.Ledger // recycled: the what-if copy embeds and verdicts read
-	report FailureReport
+	net   *network.Network
+	reqs  []TimedRequest
+	embed Embedder
+	state *flowstate.State
+	// snap and scratch are recycled: the what-if copy embeds and verdicts
+	// read, and the copy of it a verdict releases a flow into.
+	snap, scratch *network.Ledger
+	report        FailureReport
 	// applied, when set (tests only), sees every transition that applied.
 	applied func(flowstate.Transition, flowstate.Change)
 }
 
 func newDriver(net *network.Network, reqs []TimedRequest, embed Embedder) *driver {
 	return &driver{
-		net: net, reqs: reqs, embed: embed, state: flowstate.New(net),
+		net: net, reqs: reqs, embed: embed, state: flowstate.New(net), scratch: new(network.Ledger),
 		report: FailureReport{ChurnReport: ChurnReport{Report: Report{Outcomes: make([]Outcome, len(reqs))}}},
 	}
 }
@@ -144,9 +146,6 @@ func (d *driver) place(idx int, repair bool) (res *core.Result, embedded bool, e
 		return nil, true, err
 	}
 	d.report.PeakActive = max(d.report.PeakActive, ch.Active)
-	if d.state.OverlayLen() > d.net.G.NumEdges() {
-		_, _ = d.apply(flowstate.Transition{Kind: flowstate.Rebase})
-	}
 	return res, true, nil
 }
 
@@ -170,7 +169,6 @@ func (d *driver) arrive(idx int) error {
 		telemetry.RecordOnlineRequest(false, latency)
 		return nil
 	}
-	telemetry.RecordOverlayCommit()
 	d.report.Outcomes[idx] = Outcome{Accepted: true, Cost: res.Cost.Total(), Latency: latency}
 	d.report.Accepted++
 	d.report.TotalCost += res.Cost.Total()
@@ -195,7 +193,7 @@ func (d *driver) strike(at float64, f network.Fault) error {
 			continue
 		}
 		d.snap = d.state.SnapshotInto(d.snap)
-		verdict := flowstate.Verdict(d.snap, pl, f)
+		verdict := flowstate.Verdict(d.snap, pl, f, d.scratch)
 		if _, err := d.apply(verdict); err != nil {
 			return fmt.Errorf("online: fault verdict on flow %d: %v", pl.ID, err)
 		}

@@ -340,60 +340,3 @@ func TestRepairNotChargedForAdmissionRejections(t *testing.T) {
 		t.Fatalf("repaired event = %+v, want 1-2 judged attempts", last)
 	}
 }
-
-// (rebaseLen = 0) and checks commits and releases across rebases still
-// drain the ledger back to the seed residuals: releasing a flow committed
-// before a rebase must return its capacity through the current overlay.
-func TestServerRebaseDrainsToSeed(t *testing.T) {
-	srv, err := New(Config{Net: overflowNet(), Workers: 2, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.mu.Lock()
-	srv.rebaseLen = 0
-	srv.mu.Unlock()
-
-	seed := srv.NetworkState()
-	ctx := context.Background()
-	req := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1}
-
-	// The single VNF instance has capacity 2, so two flows fill it.
-	var ids []int64
-	for i := 0; i < 2; i++ {
-		info, err := srv.Submit(ctx, req)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		ids = append(ids, info.ID)
-	}
-	srv.mu.Lock()
-	live, deltas := srv.state.Snapshot(), srv.state.OverlayLen()
-	srv.mu.Unlock()
-	if !live.IsOverlay() || deltas != 0 {
-		t.Fatalf("live ledger not a freshly rebased overlay: overlay=%v len=%d", live.IsOverlay(), deltas)
-	}
-	st := srv.NetworkState()
-	for i, l := range st.Links {
-		if want := seed.Links[i].Residual - 2; l.Residual != want {
-			t.Fatalf("edge %d residual = %v, want %v", l.ID, l.Residual, want)
-		}
-	}
-	for _, id := range ids {
-		if _, err := srv.Release(id); err != nil {
-			t.Fatalf("release %d: %v", id, err)
-		}
-	}
-	end := srv.NetworkState()
-	for i, l := range end.Links {
-		if l.Residual != seed.Links[i].Residual {
-			t.Fatalf("edge %d residual = %v after drain, want seed %v", l.ID, l.Residual, seed.Links[i].Residual)
-		}
-	}
-	for i, inst := range end.Instances {
-		if inst.Residual != seed.Instances[i].Residual {
-			t.Fatalf("instance f(%d)@%d residual = %v after drain, want seed %v",
-				inst.VNF, inst.Node, inst.Residual, seed.Instances[i].Residual)
-		}
-	}
-}

@@ -105,7 +105,7 @@ type Config struct {
 	// sfc.StockRules; unknown categories stay sequential).
 	Rules *sfc.RuleTable
 	// Embedders adds or overrides named algorithms on top of the built-in
-	// registry (mbbe, bbe, minv, ranv, sa).
+	// registry (mbbe, bbe, minv, ranv).
 	Embedders map[string]Embedder
 	// PathCacheSize bounds the cross-request path-tree cache shared by the
 	// builtin tree searches (mbbe, bbe): requests whose rate the same set
@@ -160,17 +160,10 @@ type Server struct {
 	// transitLocked — the commit loop, the release paths, the fault
 	// endpoints and the restore controller all go through it — and read
 	// endpoints take mu to look; embed workers only hold it long enough to
-	// snapshot the ledger.
-	//
-	// The live ledger is a copy-on-write overlay over a frozen root, so a
-	// worker snapshot is O(overlay deltas) instead of O(network). Whenever
-	// the overlay outgrows rebaseLen, the commit loop has the state fold it
-	// into a fresh frozen root (flowstate.Rebase); snapshots taken before a
-	// rebase stay valid — their base is never mutated.
-	mu        sync.Mutex
-	state     *flowstate.State
-	rebaseLen int
-	wheel     *ExpiryWheel[int64]
+	// copy the ledger's dense rows into the snapshot they keep.
+	mu    sync.Mutex
+	state *flowstate.State
+	wheel *ExpiryWheel[int64]
 	// revalHook, when set (tests only), runs once per candidate flow
 	// during ApplyFault's unlocked revalidation phase — the contention
 	// regression test parks it to prove a large fault scan no longer
@@ -438,7 +431,6 @@ func New(cfg Config) (*Server, error) {
 		embedCtx:    builtinCtxEmbedders(cache),
 		protectOpts: builtinOptions(cache),
 		state:       flowstate.New(cfg.Net),
-		rebaseLen:   max(64, cfg.Net.G.NumEdges()),
 		admit:       make(chan *job, cfg.QueueDepth),
 		commit:      make(chan *job, cfg.QueueDepth+cfg.Workers),
 		repairKick:  make(chan struct{}, 1),
@@ -1071,12 +1063,6 @@ func (s *Server) commitLoop() {
 		// policy) when the submitter waits on the ticket, before the caller
 		// is acknowledged.
 		ch, ticket, err := s.transitLocked(t)
-		// Rebase once the overlay's delta maps outgrow the point where
-		// snapshots stay cheaper than a dense copy. In-flight snapshots
-		// keep the old (frozen) base; new ones start from the flat root.
-		if err == nil && s.state.OverlayLen() > s.rebaseLen {
-			_, _ = s.state.Apply(flowstate.Transition{Kind: flowstate.Rebase})
-		}
 		s.mu.Unlock()
 		if err != nil {
 			// Check just passed under the same lock; this is a bug guard,
@@ -1110,7 +1096,6 @@ func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Ev
 	case flowstate.Commit:
 		ev.Type, ev.Alg, ev.Cost, ev.Seconds = journal.TypeCommitted, ch.Info.Alg, ch.Info.Cost.Total, took.Seconds()
 		telemetry.RecordServerStage(telemetry.StageCommitWait, took)
-		telemetry.RecordOverlayCommit()
 	case flowstate.Backup:
 		ev.Type, ev.Alg, ev.Cost, ev.Seconds = journal.TypeReprotected, ch.Info.Alg, ch.Info.BackupCost.Total, took.Seconds()
 		telemetry.RecordReprotect()

@@ -45,13 +45,14 @@ type repairTask struct {
 // revalidated; survivors stay in place, a protected flow whose primary
 // died fails over to its pre-reserved backup (no re-embed, no strand),
 // and everything else is released and queued for repair. Snapshots
-// already taken by in-flight embeds observe the quarantine at commit time
-// — the commit loop re-validates against the post-fault residuals.
+// already taken by in-flight embeds share the live ledger's quarantine, so
+// they observe the fault at once, and the commit loop's flowstate.Check
+// refuses any placement that no longer fits the post-fault residuals.
 //
 // The work runs in three phases so a large fault scan never stalls the
 // pipeline: quarantine + candidate collection under s.mu, revalidation of
-// every candidate on throwaway overlays of one frozen snapshot with the
-// lock released, then a short re-acquisition that turns each verdict into
+// every candidate on one scratch copy of one snapshot with the lock
+// released, then a short re-acquisition that turns each verdict into
 // a transition. An OK verdict cannot be invalidated by commits that
 // interleaved (a flow always re-fits its own reserved slot unless new
 // quarantine lands, and a concurrent fault re-scans everything itself); a
@@ -88,13 +89,15 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	telemetry.RecordFault(f.Kind.String(), true, applied.Faults)
 
 	// Phase two, unlocked: each candidate's verdict (flowstate.Verdict),
-	// reached net of its own reservations on a throwaway overlay of snap.
+	// reached net of its own reservations on one scratch copy of snap,
+	// rewritten per candidate.
 	verdicts := make([]flowstate.Transition, len(cands))
+	scratch := new(network.Ledger)
 	for i, pl := range cands {
 		if s.revalHook != nil {
 			s.revalHook(pl.ID)
 		}
-		verdicts[i] = flowstate.Verdict(snap, pl, f)
+		verdicts[i] = flowstate.Verdict(snap, pl, f, scratch)
 	}
 
 	// Phase three: apply the verdicts under s.mu. One whose flow's
@@ -197,10 +200,10 @@ func (s *Server) PendingRepairs() int {
 func (s *Server) RevalidateFlows() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.state.Snapshot()
+	snap, scratch := s.state.Snapshot(), new(network.Ledger)
 	var bad []int64
 	for _, pl := range s.state.Placements() {
-		if flowstate.Verdict(snap, pl, network.Fault{}).Kind != flowstate.Revalidate {
+		if flowstate.Verdict(snap, pl, network.Fault{}, scratch).Kind != flowstate.Revalidate {
 			bad = append(bad, pl.ID)
 		}
 	}

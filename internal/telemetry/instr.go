@@ -39,26 +39,15 @@ const (
 	MetricServerActiveFlows    = "dagsfc_server_active_flows"
 )
 
-// Allocation-discipline metric names (PR 4): how often the pooled search
-// scratch actually gets reused instead of freshly allocated, and how many
-// speculative overlay ledgers were committed into their base.
-const (
-	MetricScratchReuse   = "dagsfc_embed_scratch_reuse_total"
-	MetricOverlayCommits = "dagsfc_ledger_overlay_commits_total"
-)
+// Allocation-discipline metric name (PR 4): how often the pooled search
+// scratch actually gets reused instead of freshly allocated.
+const MetricScratchReuse = "dagsfc_embed_scratch_reuse_total"
 
 // RecordScratchReuse records one search-scratch checkout that was served
 // from the pool (a warm reuse rather than a fresh allocation).
 func RecordScratchReuse() {
 	Default().Counter(MetricScratchReuse,
 		"Embed scratch checkouts served warm from the pool.").Inc()
-}
-
-// RecordOverlayCommit records one overlay ledger folded into its base
-// (a speculative embed whose reservations became live state).
-func RecordOverlayCommit() {
-	Default().Counter(MetricOverlayCommits,
-		"Overlay ledgers committed into their base ledger.").Inc()
 }
 
 // Shared-view store metric names: tree requests served from a shared
