@@ -10,21 +10,27 @@
 // Usage:
 //
 //	dagsfc-serve [-addr localhost:8080] [-net net.json | -nodes 50 -kinds 10]
-//	             [-alg mbbe] [-embed-workers 0] [-queue 64] [-timeout 30s]
-//	             [-ttl 0] [-retries 1] [-drain-timeout 30s] [-seed 1]
-//	             [-repair-retries 3] [-repair-backoff 25ms]
+//	             [-embed-workers 0] [-queue 64] [-timeout 30s]
+//	             [-drain-timeout 30s] [-seed 1]
+//	             [-repair-retries 3] [-repair-admit-retries 8]
+//	             [-repair-backoff 25ms] [-repair-backoff-cap 1s]
 //	             [-breaker-failures 0] [-breaker-cooldown 1s]
 //	             [-journal 4096] [-log-level info] [-log-format text|json]
 //	             [-wal-dir state/] [-wal-sync commit|batch|off]
-//	             [-wal-flush 5ms] [-wal-segment-bytes 4194304]
 //	             [-wal-snapshot-every 1024]
+//
+// A request names its algorithm ("alg", default mbbe) and its TTL
+// ("ttl_seconds", default none: the flow lives until released); a commit
+// that conflicts is re-embedded once before 409; mbbe and bbe share one
+// cache of 4096 path trees.
 //
 // With -wal-dir the server is durable: every flow lifecycle mutation is
 // appended to a write-ahead log and the full state is snapshotted
 // periodically, so a restart over the same directory recovers the flow
 // table, ledger residuals and fault quarantine exactly. A directory
 // holding an unrecoverable log refuses to start rather than silently
-// opening empty.
+// opening empty. -wal-sync batch group-commits every 5ms; segments rotate
+// past 4 MiB.
 //
 // SIGINT/SIGTERM drains gracefully: admission stops (healthz turns 503,
 // new flows get 503), in-flight requests finish, then the HTTP listener
@@ -68,12 +74,9 @@ func main() {
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		netFile      = flag.String("net", "", "network JSON file (default: generate one)")
 		seed         = flag.Int64("seed", 1, "seed for network generation and randomized algorithms")
-		alg          = flag.String("alg", "mbbe", "default embedding algorithm: mbbe, bbe, minv, ranv")
 		workers      = flag.Int("embed-workers", 0, "speculative embed workers (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "admission queue depth (full queue rejects with 429)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request pipeline deadline (past it: 504)")
-		ttl          = flag.Duration("ttl", 0, "default flow TTL (0 = flows live until released)")
-		retries      = flag.Int("retries", 1, "re-embeds after a commit conflict before 409")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight requests")
 		repairs      = flag.Int("repair-retries", 3, "re-embed attempts for a fault-stranded flow before eviction")
 		repairAdmits = flag.Int("repair-admit-retries", 8, "queue-full/timeout rejections a repair absorbs without charging repair-retries (0 = none)")
@@ -82,11 +85,8 @@ func main() {
 		brkFails     = flag.Int("breaker-failures", 0, "consecutive pipeline failures that open the admission breaker (0 = disabled)")
 		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "breaker open time before the half-open probe")
 		journalSize  = flag.Int("journal", 4096, "flight-recorder ring capacity (events replayable over /v1/events)")
-		pathCache    = flag.Int("path-cache", 0, "trees kept on the cost view requests share (0 = default 4096, negative = nothing shared)")
 		walDir       = flag.String("wal-dir", "", "durable flow state directory: write-ahead log + snapshots (empty = durability off)")
-		walSync      = flag.String("wal-sync", "commit", "WAL fsync policy: commit (fsync per acknowledgment), batch (group-commit), off (OS writeback)")
-		walFlush     = flag.Duration("wal-flush", 5*time.Millisecond, "group-commit period for -wal-sync batch")
-		walSegBytes  = flag.Int64("wal-segment-bytes", 4<<20, "rotate WAL segments past this size")
+		walSync      = flag.String("wal-sync", "commit", "WAL fsync policy: commit (fsync per acknowledgment), batch (group-commit every 5ms), off (OS writeback)")
 		walSnapEvery = flag.Int("wal-snapshot-every", 1024, "state snapshot every N WAL records (negative = only on drain)")
 		logLevel     = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error, off")
 		logFormat    = flag.String("log-format", "text", "structured log encoding: text or json")
@@ -105,17 +105,13 @@ func main() {
 			return err
 		}
 		cfg := server.Config{
-			Algorithm: *alg, Seed: *seed,
-			Workers: *workers, QueueDepth: *queue,
-			RequestTimeout: *timeout, CommitRetries: *retries, DefaultTTL: *ttl,
+			Seed:    *seed,
+			Workers: *workers, QueueDepth: *queue, RequestTimeout: *timeout,
 			RepairRetries: *repairs, RepairAdmitRetries: *repairAdmits,
 			RepairBackoff: *repairWait, RepairBackoffCap: *repairCap,
 			BreakerFailures: *brkFails, BreakerCooldown: *brkCooldown,
 			JournalSize: *journalSize, Logger: logger,
-			PathCacheSize: *pathCache,
-			WALDir:        *walDir, WALSync: *walSync,
-			WALFlushInterval: *walFlush, WALSegmentBytes: *walSegBytes,
-			WALSnapshotEvery: *walSnapEvery,
+			WALDir: *walDir, WALSync: *walSync, WALSnapshotEvery: *walSnapEvery,
 		}
 		return run(*addr, *netFile, gen, cfg, *drainTimeout)
 	})

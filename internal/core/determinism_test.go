@@ -16,13 +16,13 @@ import (
 // ever sees now that each run is a single-goroutine computation.
 const concurrentCallers = 4
 
-// TestWorkersDeterminism is the concurrency contract: concurrent Embed
-// calls sharing one Problem are race-free (run under -race) and each
+// TestConcurrentCallersDeterminism is the concurrency contract: concurrent
+// Embed calls sharing one Problem are race-free (run under -race) and each
 // returns exactly what a lone call returns — the same Solution,
 // CostBreakdown and Stats, and (checked separately below) the same Observer
 // event sequence. Failures must match too: an infeasible instance is
 // infeasible for every caller, with the same error.
-func TestWorkersDeterminism(t *testing.T) {
+func TestConcurrentCallersDeterminism(t *testing.T) {
 	configs := []struct {
 		name string
 		opts Options
@@ -105,9 +105,10 @@ func eventTrace(events *[]string) Observer {
 	}
 }
 
-// TestWorkersObserverDeterminism asserts every one of several concurrent
-// embeds delivers its own observer the exact event sequence of a lone call.
-func TestWorkersObserverDeterminism(t *testing.T) {
+// TestConcurrentCallersObserverDeterminism asserts every one of several
+// concurrent embeds delivers its own observer the exact event sequence of a
+// lone call.
+func TestConcurrentCallersObserverDeterminism(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(3)), 60, 6, 4)
 
 	trace := func() ([]string, error) {

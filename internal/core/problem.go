@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
@@ -67,11 +68,13 @@ func (p *Problem) Validate() error {
 	if p.Dst < 0 || int(p.Dst) >= n {
 		return fmt.Errorf("core: destination node %d out of range [0,%d)", p.Dst, n)
 	}
-	if p.Rate <= 0 {
-		return fmt.Errorf("core: flow rate %v must be positive", p.Rate)
+	// Written so that NaN fails: a NaN rate would pass every capacity
+	// comparison and leave NaN residuals behind in the ledger.
+	if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
+		return fmt.Errorf("core: flow rate %v must be positive and finite", p.Rate)
 	}
-	if p.Size <= 0 {
-		return fmt.Errorf("core: flow size %v must be positive", p.Size)
+	if !(p.Size > 0) || math.IsInf(p.Size, 1) {
+		return fmt.Errorf("core: flow size %v must be positive and finite", p.Size)
 	}
 	if p.Ledger != nil && p.Ledger.Network() != p.Net {
 		return fmt.Errorf("core: ledger belongs to a different network")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -177,6 +178,32 @@ func TestProblemValidate(t *testing.T) {
 	bad.Size = -1
 	if bad.Validate() == nil {
 		t.Fatal("negative size validated")
+	}
+	// A NaN passes every `<=` comparison; a NaN or infinite rate or size
+	// would reach the ledger and poison its residuals.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = *p
+		bad.Rate = v
+		if bad.Validate() == nil {
+			t.Fatalf("rate %v validated", v)
+		}
+		bad = *p
+		bad.Size = v
+		if bad.Validate() == nil {
+			t.Fatalf("size %v validated", v)
+		}
+	}
+	bad = *p
+	bad.Rate = math.NaN()
+	ledger := network.NewLedger(p.Net)
+	bad.Ledger = ledger
+	if _, err := Commit(&bad, lineSolution()); err == nil {
+		t.Fatal("commit of a NaN-rate flow accepted")
+	}
+	for e := range p.Net.G.NumEdges() {
+		if r := ledger.EdgeResidual(graph.EdgeID(e)); math.IsNaN(r) {
+			t.Fatalf("edge %d residual is NaN after a refused commit", e)
+		}
 	}
 	bad = *p
 	bad.Net = nil

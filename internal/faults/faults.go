@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -37,15 +38,20 @@ type Incident struct {
 // schedule.
 type Schedule []Incident
 
-// Validate reports the first structural problem: negative times, bad
-// fault targets (checked against net when non-nil).
+// Validate reports the first structural problem: a negative or non-finite
+// start, a non-positive or NaN duration, a degrade fraction outside (0,1],
+// bad fault targets (checked against net when non-nil). The comparisons are
+// written so that NaN fails them.
 func (s Schedule) Validate(net *network.Network) error {
 	for i, inc := range s {
-		if inc.At < 0 {
-			return fmt.Errorf("faults: incident %d starts at negative time %v", i, inc.At)
+		if !(inc.At >= 0) || math.IsInf(inc.At, 1) {
+			return fmt.Errorf("faults: incident %d starts at invalid time %v", i, inc.At)
 		}
-		if inc.Duration <= 0 {
+		if !(inc.Duration > 0) {
 			return fmt.Errorf("faults: incident %d has non-positive duration %v", i, inc.Duration)
+		}
+		if f := inc.Fault.Fraction; inc.Fault.Kind == network.FaultLinkDegrade && !(f > 0 && f <= 1) {
+			return fmt.Errorf("faults: incident %d: degrade fraction %v outside (0,1]", i, f)
 		}
 		if net != nil {
 			if err := inc.Fault.Validate(net); err != nil {

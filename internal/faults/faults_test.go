@@ -117,6 +117,13 @@ func TestParseErrors(t *testing.T) {
 		"1 -2 link-down 0",         // negative duration
 		"1 2 link-degrade 0 nope",  // bad fraction
 		"1 2 link-down notanumber", // bad target
+		// NaN fails every `<` test, so each of these was accepted.
+		"NaN NaN link-degrade 0 NaN",
+		"NaN 2 link-down 0",       // NaN start
+		"Inf 2 link-down 0",       // a start that never comes
+		"1 NaN link-down 0",       // NaN duration
+		"1 2 link-degrade 0 NaN",  // NaN fraction
+		"1 2 link-degrade 0 -Inf", // fraction out of range
 	} {
 		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Fatalf("Parse(%q) succeeded", bad)

@@ -110,8 +110,8 @@ func TestViewEpochIdentifiesView(t *testing.T) {
 	}
 }
 
-// TestEpochPinsAndInvalidation pins the individual epoch rules.
-func TestEpochPinsAndInvalidation(t *testing.T) {
+// TestEpochRules pins the individual epoch rules.
+func TestEpochRules(t *testing.T) {
 	net := testNet(t)
 	live := NewLedger(net)
 

@@ -97,7 +97,7 @@ func (f Fault) Validate(net *Network) error {
 		if f.Link < 0 || int(f.Link) >= net.G.NumEdges() {
 			return fmt.Errorf("network: fault link %d out of range [0,%d)", f.Link, net.G.NumEdges())
 		}
-		if f.Fraction <= 0 || f.Fraction > 1 {
+		if !(f.Fraction > 0 && f.Fraction <= 1) { // NaN too: it could never be restored
 			return fmt.Errorf("network: degrade fraction %v outside (0,1]", f.Fraction)
 		}
 	default:

@@ -153,6 +153,8 @@ func TestFaultValidate(t *testing.T) {
 		{Kind: FaultNodeDown, Node: 99},
 		{Kind: FaultLinkDegrade, Link: 0, Fraction: 0},
 		{Kind: FaultLinkDegrade, Link: 0, Fraction: 1.5},
+		// Quarantining NaN would leave a residual no restore can repair.
+		{Kind: FaultLinkDegrade, Link: 0, Fraction: math.NaN()},
 		{Kind: FaultKind(42)},
 	}
 	for _, f := range bad {

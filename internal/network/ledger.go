@@ -148,8 +148,8 @@ func (l *Ledger) InstanceUsed(node graph.NodeID, vnf VNFID) float64 {
 // ReserveEdge commits amount bandwidth on edge e, failing without side
 // effects if the residual is insufficient.
 func (l *Ledger) ReserveEdge(e graph.EdgeID, amount float64) error {
-	if amount < 0 {
-		return fmt.Errorf("network: negative reservation %v on edge %d", amount, e)
+	if !(amount >= 0) { // NaN too
+		return fmt.Errorf("network: invalid reservation %v on edge %d", amount, e)
 	}
 	if r := l.EdgeResidual(e); r < amount-CapacityEps {
 		return fmt.Errorf("network: edge %d over capacity: residual %v < demand %v", e, r, amount)
@@ -173,8 +173,8 @@ func (l *Ledger) ReserveInstance(node graph.NodeID, vnf VNFID, amount float64) e
 	if vnf == Dummy {
 		return nil
 	}
-	if amount < 0 {
-		return fmt.Errorf("network: negative reservation %v on instance (%d,%d)", amount, node, vnf)
+	if !(amount >= 0) { // NaN too
+		return fmt.Errorf("network: invalid reservation %v on instance (%d,%d)", amount, node, vnf)
 	}
 	if r := l.InstanceResidual(node, vnf); r < amount-CapacityEps {
 		return fmt.Errorf("network: instance f(%d) on node %d over capacity: residual %v < demand %v",

@@ -84,9 +84,20 @@ func TestLedgerNegativeReservationRejected(t *testing.T) {
 	if err := l.ReserveInstance(0, 1, -1); err == nil {
 		t.Fatal("negative instance reservation accepted")
 	}
+	// NaN fails `amount < 0` as well as the capacity test; accepted, it
+	// would leave a NaN residual that no release can repair.
+	if err := l.ReserveEdge(0, math.NaN()); err == nil {
+		t.Fatal("NaN edge reservation accepted")
+	}
+	if err := l.ReserveInstance(0, 1, math.NaN()); err == nil {
+		t.Fatal("NaN instance reservation accepted")
+	}
+	if l.EdgeResidual(0) != 10 || l.InstanceResidual(0, 1) != 5 {
+		t.Fatalf("refused reservations moved the residuals: edge %v, instance %v", l.EdgeResidual(0), l.InstanceResidual(0, 1))
+	}
 }
 
-func TestLedgerCloneIndependent(t *testing.T) {
+func TestLedgerSnapshotIndependent(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
 	if err := l.ReserveEdge(0, 3); err != nil {

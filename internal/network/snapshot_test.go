@@ -215,7 +215,7 @@ func TestDenseLedgerProperty(t *testing.T) {
 	}
 }
 
-// TestOverlayMatchesCloneProperty drives a Snapshot copy of a base ledger
+// TestSnapshotMatchesRebuiltProperty drives a Snapshot copy of a base ledger
 // and an independent clone of the same base (a family of its own, rebuilt
 // from ExportState) through a long random interleaving of reservations,
 // releases and faults, and checks their views never diverge — a copy is
@@ -224,7 +224,7 @@ func TestDenseLedgerProperty(t *testing.T) {
 // one recycled ledger that the previous step left scribbled on
 // (SnapshotInto): the two must be the same view under the same epoch, and
 // stay so.
-func TestOverlayMatchesCloneProperty(t *testing.T) {
+func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := testNet(t)

@@ -30,12 +30,11 @@ type FlowRequest struct {
 	Dst      int     `json:"dst"`
 	Rate     float64 `json:"rate"`
 	Size     float64 `json:"size"`
-	// TTLSeconds auto-releases the flow after this holding time; 0 uses
-	// the server default (which may be "never").
+	// TTLSeconds auto-releases the flow after this holding time; 0 means
+	// the flow lives until released.
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-	// Alg overrides the server's default embedding algorithm for this
-	// flow ("mbbe", "bbe", "minv", "ranv", or a name registered through
-	// Config.Embedders).
+	// Alg names the flow's embedding algorithm ("mbbe", the default, "bbe",
+	// "minv", "ranv", or a name registered through Config.Embedders).
 	Alg string `json:"alg,omitempty"`
 	// Protection selects the flow's protection class: "" or
 	// ProtectionNone for an unprotected flow, ProtectionBackup to also

@@ -13,7 +13,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -54,16 +53,16 @@ var errUnprotectable = fmt.Errorf("endpoints are not 2-edge-connected: %w", core
 // carry the rate, and the primary's own — and errUnprotectable answers when
 // they are not. Node-disjoint is tried first; if the substrate cannot
 // afford it the search retries with only the links banned. The ban sets
-// ride per-request copies of the shared builtin options (core.Options is a
+// ride a per-request copy of the job's algorithm options (core.Options is a
 // value); a banned search keeps its view and trees to itself, so the shared
 // cache never sees them.
-func (s *Server) embedBackup(ctx context.Context, alg string, w *workerScratch, primary *core.Solution) (*core.Result, error) {
-	opts, ok := s.protectOpts[alg]
-	if !ok {
+func (s *Server) embedBackup(j *job, w *workerScratch, primary *core.Solution) (*core.Result, error) {
+	if j.algo.opts == nil {
 		// prepare() rejects protection for ban-incapable algorithms; this
 		// is a bug guard for controller-issued jobs.
-		return nil, fmt.Errorf("%w: algorithm %q cannot compute banned-set backups", ErrBadRequest, alg)
+		return nil, fmt.Errorf("%w: algorithm %q cannot compute banned-set backups", ErrBadRequest, j.alg)
 	}
+	opts := *j.algo.opts
 	p := &w.p
 	edges, nodes := backupBans(s.net, primary, p.Src, p.Dst)
 	w.edgeRes = p.Ledger.EdgeResiduals(w.edgeRes)
@@ -74,11 +73,11 @@ func (s *Server) embedBackup(ctx context.Context, alg string, w *workerScratch, 
 	}
 	opts.BannedEdges = edges
 	opts.BannedNodes = nodes
-	res, err := core.EmbedContext(ctx, p, opts)
+	res, err := core.EmbedContext(&j.ctx, p, opts)
 	if err == nil || !errors.Is(err, core.ErrNoEmbedding) {
 		return res, err
 	}
 	// Node-disjointness is best-effort: fall back to link-disjoint only.
 	opts.BannedNodes = nil
-	return core.EmbedContext(ctx, p, opts)
+	return core.EmbedContext(&j.ctx, p, opts)
 }

@@ -47,8 +47,6 @@ type Config struct {
 	// Net is the network the server owns (required). The server holds the
 	// only ledger over it; callers must not commit against it elsewhere.
 	Net *network.Network
-	// Algorithm is the default embedding algorithm name (default "mbbe").
-	Algorithm string
 	// Seed seeds the randomized algorithm, ranv (default 1).
 	Seed int64
 	// Workers is the number of concurrent speculative embed workers
@@ -61,12 +59,6 @@ type Config struct {
 	// pipeline; past it the caller gets ErrTimeout and the request's
 	// result, if any, is discarded uncommitted (default 30s).
 	RequestTimeout time.Duration
-	// CommitRetries is how many times a flow whose commit conflicted is
-	// re-queued for a fresh embed before ErrCommitConflict (default 1).
-	CommitRetries int
-	// DefaultTTL auto-releases flows that do not request their own TTL;
-	// 0 means such flows live until an explicit release.
-	DefaultTTL time.Duration
 	// RepairRetries is how many re-embed attempts a fault-stranded flow
 	// gets before it is evicted (default 3). Only attempts the pipeline
 	// actually judged count; see RepairAdmitRetries.
@@ -101,19 +93,10 @@ type Config struct {
 	// journal are fed by the same hook, so they cannot disagree. Nil
 	// disables logging (the journal still records).
 	Logger *slog.Logger
-	// Rules standardizes Chain requests into hybrid DAG-SFCs (default
-	// sfc.StockRules; unknown categories stay sequential).
-	Rules *sfc.RuleTable
 	// Embedders adds or overrides named algorithms on top of the built-in
-	// registry (mbbe, bbe, minv, ranv).
+	// registry (mbbe, bbe, minv, ranv). An override of mbbe or bbe loses
+	// what only core's tree searches have: see algorithm.
 	Embedders map[string]Embedder
-	// PathCacheSize bounds the cross-request path-tree cache shared by the
-	// builtin tree searches (mbbe, bbe): requests whose rate the same set
-	// of links can still carry share one compiled cost view and the
-	// capacity-filtered Dijkstra trees searched on it, whatever was
-	// committed in between. 0 means the default size (4096 trees); negative
-	// disables the cache, and every request compiles and searches its own.
-	PathCacheSize int
 	// WALDir enables durable flow state: every lifecycle mutation is
 	// appended to a write-ahead log in this directory and the full state
 	// is snapshotted periodically, so a restarted server recovers its flow
@@ -122,14 +105,10 @@ type Config struct {
 	// Empty disables durability entirely.
 	WALDir string
 	// WALSync is the fsync policy: "commit" (default; fsync before every
-	// acknowledgment), "batch" (group-commit every WALFlushInterval) or
-	// "off" (OS writeback only).
+	// acknowledgment), "batch" (group-commit every 5ms) or "off" (OS
+	// writeback only). Segments rotate past 4 MiB (the wal package's
+	// defaults).
 	WALSync string
-	// WALFlushInterval is the "batch" policy's group-commit period
-	// (default 5ms).
-	WALFlushInterval time.Duration
-	// WALSegmentBytes rotates log segments past this size (default 4 MiB).
-	WALSegmentBytes int64
 	// WALSnapshotEvery writes a state snapshot after this many appended
 	// records (default 1024); old segments covered by retained snapshots
 	// are deleted. Negative disables periodic snapshots (a final snapshot
@@ -140,19 +119,12 @@ type Config struct {
 // Server is the live control plane. Create one with New, serve its
 // Handler, and Drain it on shutdown.
 type Server struct {
-	cfg      Config
-	net      *network.Network
-	embedder map[string]Embedder
-	// embedCtx holds the context-aware variants of the builtin tree
-	// searches, so a timed-out request stops searching instead of burning
-	// a worker; algorithms without one fall back to the plain signature.
-	embedCtx map[string]ctxEmbedder
-	// protectOpts maps each ban-capable builtin algorithm to its embed
-	// options; the backup search copies an entry per request and seeds
-	// BannedEdges/BannedNodes from the primary's placement. Algorithms
-	// overridden via Config.Embedders are removed — protection requires
-	// the builtin tree searches.
-	protectOpts map[string]core.Options
+	cfg  Config
+	net  *network.Network
+	algs map[string]*algorithm
+	// rules standardizes Chain requests into hybrid DAG-SFCs (unknown
+	// categories stay sequential). Built once: it is read, never written.
+	rules *sfc.RuleTable
 
 	// mu guards state, the flow state machine (internal/flowstate): the
 	// live capacity ledger, the one record per known flow, the active
@@ -271,19 +243,16 @@ type job struct {
 	against *core.Solution
 }
 
-// ctxEmbedder is the optional context-aware embedding signature; the
-// builtin bbe/mbbe searches provide one via core.EmbedContext.
-type ctxEmbedder func(context.Context, *core.Problem) (*core.Result, error)
-
 // deadline is the submitter's context cut off at a fixed time, as a plain
 // value a job carries inside itself instead of a context.WithTimeout child
 // (a timerCtx, its parent's child map, an AfterFunc closure and a lazily
 // made Done channel per request). Err reports the parent's error, or
 // DeadlineExceeded once past the time, which is all the builtin tree
 // searches ask of their context: they poll Err between steps. Done is the
-// parent's and does not close at the deadline — nothing may block on it;
-// ctxEmbedder is unexported, so no foreign code is ever handed one. The
-// waiting side of the deadline is job.await's timer.
+// parent's and does not close at the deadline — nothing may block on it, so
+// only core's tree searches are ever handed one: foreign wraps every other
+// embedder so that it never sees it. The waiting side of the deadline is
+// job.await's timer.
 type deadline struct {
 	context.Context
 	at time.Time
@@ -369,9 +338,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("server: Config.Net is required")
 	}
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = "mbbe"
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -383,14 +349,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.CommitRetries < 0 {
-		cfg.CommitRetries = 0
-	} else if cfg.CommitRetries == 0 {
-		cfg.CommitRetries = 1
-	}
-	if cfg.Rules == nil {
-		cfg.Rules = sfc.StockRules()
 	}
 	if cfg.RepairRetries <= 0 {
 		cfg.RepairRetries = 3
@@ -415,28 +373,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WALSnapshotEvery == 0 {
 		cfg.WALSnapshotEvery = 1024
 	}
-	// Views are keyed by their content, so the cache needs no invalidation
-	// hooks from the commit loop or the fault endpoints.
-	var cache *graph.TreeCache
-	if cfg.PathCacheSize >= 0 {
-		cache = graph.NewTreeCache(cfg.PathCacheSize)
-	}
 	telemetry.InitPathCacheMetrics()
 	telemetry.InitCostViewMetrics()
 	telemetry.InitProtectMetrics()
 	s := &Server{
-		cfg:         cfg,
-		net:         cfg.Net,
-		embedder:    builtinEmbedders(cfg.Seed, cache),
-		embedCtx:    builtinCtxEmbedders(cache),
-		protectOpts: builtinOptions(cache),
-		state:       flowstate.New(cfg.Net),
-		admit:       make(chan *job, cfg.QueueDepth),
-		commit:      make(chan *job, cfg.QueueDepth+cfg.Workers),
-		repairKick:  make(chan struct{}, 1),
-		repairStop:  make(chan struct{}),
-		journal:     journal.New(cfg.JournalSize, cfg.Logger),
-		brk:         breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
+		cfg:        cfg,
+		net:        cfg.Net,
+		algs:       builtinAlgorithms(cfg.Seed),
+		rules:      sfc.StockRules(),
+		state:      flowstate.New(cfg.Net),
+		admit:      make(chan *job, cfg.QueueDepth),
+		commit:     make(chan *job, cfg.QueueDepth+cfg.Workers),
+		repairKick: make(chan struct{}, 1),
+		repairStop: make(chan struct{}),
+		journal:    journal.New(cfg.JournalSize, cfg.Logger),
+		brk:        breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 	}
 	// Breaker transitions are journaled via this hook; safe because the
 	// journal never calls back into the breaker.
@@ -444,14 +395,7 @@ func New(cfg Config) (*Server, error) {
 		s.journal.Append(journal.Event{Type: journal.TypeBreaker, Detail: state})
 	}
 	for name, e := range cfg.Embedders {
-		s.embedder[name] = e
-		// A config override shadows the builtin, ctx-aware variant too,
-		// and loses ban-set support (protection requires the builtins).
-		delete(s.embedCtx, name)
-		delete(s.protectOpts, name)
-	}
-	if _, ok := s.embedder[cfg.Algorithm]; !ok {
-		return nil, fmt.Errorf("server: unknown default algorithm %q", cfg.Algorithm)
+		s.algs[name] = foreign(e)
 	}
 	// Durable state: open (or create) the WAL and rebuild the flow table,
 	// ledger and fault quarantine from it before any traffic can race the
@@ -463,11 +407,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: %v", err)
 		}
-		wlog, rec, err := wal.Open(cfg.WALDir, wal.Options{
-			Sync:          policy,
-			FlushInterval: cfg.WALFlushInterval,
-			SegmentBytes:  cfg.WALSegmentBytes,
-		})
+		wlog, rec, err := wal.Open(cfg.WALDir, wal.Options{Sync: policy})
 		if err != nil {
 			return nil, fmt.Errorf("server: cannot start on WAL dir %s: %w", cfg.WALDir, err)
 		}
@@ -501,61 +441,68 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// builtinOptions is the shared option set of the builtin tree searches,
-// with the cross-request cache wired in. The ctx-aware embedders and the
-// backup search both draw from it; ban-set variants copy an entry per
-// request (Options is a value type) so the shared maps are never mutated.
-func builtinOptions(cache *graph.TreeCache) map[string]core.Options {
-	mbbeOpts := core.MBBEOptions()
-	mbbeOpts.PathCache = cache
-	bbeOpts := core.BBEOptions()
-	bbeOpts.PathCache = cache
-	return map[string]core.Options{"mbbe": mbbeOpts, "bbe": bbeOpts}
+// Serving constants: what a request does not name itself.
+const (
+	// defaultAlgorithm embeds a request that names no alg.
+	defaultAlgorithm = "mbbe"
+	// commitRetries is how many times a flow whose commit conflicted is
+	// re-queued for a fresh embed before ErrCommitConflict.
+	commitRetries = 1
+)
+
+// algorithm is one entry of the server's registry. embed runs it on a
+// worker's problem under the job's deadline. opts is non-nil exactly for
+// core's tree searches (mbbe, bbe), and everything only they offer reads
+// it: they validate and price what they return, so the worker need not;
+// they take ban sets, so they alone may compute a backup and admit a
+// protected flow; and they poll the deadline, so a timed-out request stops
+// searching instead of burning a worker.
+type algorithm struct {
+	embed func(context.Context, *core.Problem) (*core.Result, error)
+	opts  *core.Options
 }
 
-// builtinCtxEmbedders maps the builtin algorithms that support
-// cooperative cancellation to their context-aware entry points. cache,
-// when non-nil, is shared by every mbbe/bbe run (see Config.PathCacheSize).
-func builtinCtxEmbedders(cache *graph.TreeCache) map[string]ctxEmbedder {
-	out := make(map[string]ctxEmbedder)
-	for name, opts := range builtinOptions(cache) {
-		opts := opts
-		out[name] = func(ctx context.Context, p *core.Problem) (*core.Result, error) {
-			return core.EmbedContext(ctx, p, opts)
-		}
-	}
-	return out
+// treeSearch registers one of core's tree searches under opts. The backup
+// search copies *opts per request to add ban sets, so opts is never
+// written after New.
+func treeSearch(opts core.Options) *algorithm {
+	return &algorithm{opts: &opts, embed: func(ctx context.Context, p *core.Problem) (*core.Result, error) {
+		return core.EmbedContext(ctx, p, opts)
+	}}
 }
 
-// builtinEmbedders is the default algorithm registry. ranv draws from one
-// seeded rng behind a lock, so its embeds serialize — acceptable for a
-// baseline. Slower reference heuristics (internal/anneal) are not admission
-// algorithms; Config.Embedders registers one where it is wanted.
-func builtinEmbedders(seed int64, cache *graph.TreeCache) map[string]Embedder {
+// foreign registers an embedder that is not one of core's tree searches. It
+// never receives the job's deadline (see deadline).
+func foreign(e Embedder) *algorithm {
+	return &algorithm{embed: func(_ context.Context, p *core.Problem) (*core.Result, error) { return e(p) }}
+}
+
+// builtinAlgorithms is the default registry. mbbe and bbe share one
+// cross-request cache of up to 4096 trees (graph's default): requests whose
+// rate the same set of links can still carry share one compiled cost view
+// and the capacity-filtered Dijkstra trees searched on it, whatever was
+// committed in between. Views are keyed by their content, so the cache
+// needs no invalidation hooks from the commit loop or the fault endpoints.
+// ranv draws from one seeded rng behind a lock, so its embeds serialize —
+// acceptable for a baseline. Slower reference heuristics (internal/anneal)
+// are not admission algorithms; Config.Embedders registers one where it is
+// wanted.
+func builtinAlgorithms(seed int64) map[string]*algorithm {
+	cache := graph.NewTreeCache(0)
+	mbbe, bbe := core.MBBEOptions(), core.BBEOptions()
+	mbbe.PathCache, bbe.PathCache = cache, cache
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed))
-	opts := builtinOptions(cache)
-	mbbeOpts, bbeOpts := opts["mbbe"], opts["bbe"]
-	return map[string]Embedder{
-		"mbbe": func(p *core.Problem) (*core.Result, error) { return core.Embed(p, mbbeOpts) },
-		"bbe":  func(p *core.Problem) (*core.Result, error) { return core.Embed(p, bbeOpts) },
-		"minv": baseline.EmbedMINV,
-		"ranv": func(p *core.Problem) (*core.Result, error) {
+	return map[string]*algorithm{
+		"mbbe": treeSearch(mbbe),
+		"bbe":  treeSearch(bbe),
+		"minv": foreign(baseline.EmbedMINV),
+		"ranv": foreign(func(p *core.Problem) (*core.Result, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			return baseline.EmbedRANV(p, rng)
-		},
+		}),
 	}
-}
-
-// Algorithms lists the registered algorithm names, sorted.
-func (s *Server) Algorithms() []string {
-	names := make([]string, 0, len(s.embedder))
-	for name := range s.embedder {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // prepared is a wire request validated and resolved: all a job keeps of
@@ -563,12 +510,11 @@ func (s *Server) Algorithms() []string {
 // the worker binds a copy to its snapshot, and the commit hands this one
 // to the flow state.
 type prepared struct {
-	problem  *core.Problem
-	alg      string
-	embed    Embedder
-	embedCtx ctxEmbedder
-	ttl      time.Duration
-	protect  bool // protection class "backup"
+	problem *core.Problem
+	alg     string
+	algo    *algorithm
+	ttl     time.Duration
+	protect bool // protection class "backup"
 }
 
 // maxTTLSeconds is the longest ttl_seconds a time.Duration can hold.
@@ -603,7 +549,7 @@ func (s *Server) prepare(req FlowRequest) (prepared, error) {
 		for _, id := range req.Chain {
 			chain = append(chain, network.VNFID(id))
 		}
-		dag = sfc.ChainToDAG(chain, s.cfg.Rules, width)
+		dag = sfc.ChainToDAG(chain, s.rules, width)
 	default:
 		return prepared{}, fmt.Errorf("%w: one of sfc or chain is required", ErrBadRequest)
 	}
@@ -612,19 +558,17 @@ func (s *Server) prepare(req FlowRequest) (prepared, error) {
 	if req.TTLSeconds < 0 || req.TTLSeconds > maxTTLSeconds || math.IsNaN(req.TTLSeconds) {
 		return prepared{}, fmt.Errorf("%w: ttl_seconds must be between 0 and %g", ErrBadRequest, maxTTLSeconds)
 	}
-	pr := prepared{alg: req.Alg, ttl: s.cfg.DefaultTTL}
+	pr := prepared{alg: req.Alg}
 	if pr.alg == "" {
-		pr.alg = s.cfg.Algorithm
+		pr.alg = defaultAlgorithm
 	}
-	var ok bool
-	if pr.embed, ok = s.embedder[pr.alg]; !ok {
+	if pr.algo = s.algs[pr.alg]; pr.algo == nil {
 		return prepared{}, fmt.Errorf("%w: unknown algorithm %q", ErrBadRequest, pr.alg)
 	}
-	pr.embedCtx = s.embedCtx[pr.alg]
 	switch req.Protection {
 	case "", ProtectionNone:
 	case ProtectionBackup:
-		if _, ok := s.protectOpts[pr.alg]; !ok {
+		if pr.algo.opts == nil {
 			return prepared{}, fmt.Errorf("%w: protection %q requires a ban-capable algorithm (mbbe, bbe), got %q",
 				ErrBadRequest, req.Protection, pr.alg)
 		}
@@ -795,8 +739,8 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 		telemetry.RecordOnlineRequest(false, elapsed)
 		s.brk.record(false, probe, time.Now())
 	default:
-		// A pipeline outcome that is not a health verdict (e.g. the
-		// ctx-aware embedder reporting ErrTimeout just before the Submit
+		// A pipeline outcome that is not a health verdict (e.g. a tree
+		// search reporting ErrTimeout just before the Submit
 		// deadline fired). If this request held the probe slot, return it
 		// — no verdict was reached.
 		if probe {
@@ -882,7 +826,7 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 		return
 	}
 	j.res, j.cost = res, res.Cost
-	if j.against == nil && j.embedCtx == nil {
+	if j.against == nil && j.algo.opts == nil {
 		// Not one of core's tree searches, which validate and price what
 		// they return: check the placement's structure and take its usage
 		// here, off the lock, so the commit loop can trust both.
@@ -925,7 +869,7 @@ func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail
 	if against == nil {
 		res, err = s.runEmbed(j, &w.p)
 	} else {
-		res, err = s.embedBackup(&j.ctx, j.alg, w, against)
+		res, err = s.embedBackup(j, w, against)
 	}
 	done := time.Now()
 	telemetry.RecordServerStage(telemetry.StageEmbed, done.Sub(begin))
@@ -954,9 +898,8 @@ func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail
 	return res, err
 }
 
-// runEmbed executes the job's embedder, preferring the context-aware
-// variant, and converts a panicking embedder into a failed request — the
-// worker (and the process) survives.
+// runEmbed executes the job's algorithm and converts a panicking embedder
+// into a failed request — the worker (and the process) survives.
 func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -964,10 +907,7 @@ func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error)
 			res, err = nil, fmt.Errorf("%w: embedder panicked: %v", ErrInternal, r)
 		}
 	}()
-	if j.embedCtx != nil {
-		return j.embedCtx(&j.ctx, p)
-	}
-	return j.embed(p)
+	return j.algo.embed(&j.ctx, p)
 }
 
 // transition turns a job's embedding into the state change that commits
@@ -1037,7 +977,7 @@ func (s *Server) commitLoop() {
 				Type: journal.TypeCommitConflict, Flow: j.id, Attempt: j.retries,
 				Detail: detail, Err: err.Error(),
 			})
-			if j.retries < s.cfg.CommitRetries {
+			if j.retries < commitRetries {
 				j.retries++
 				j.res, j.cost = nil, core.CostBreakdown{}
 				j.backup, j.against = nil, nil

@@ -452,7 +452,7 @@ func TestServerCommitConflictRetries(t *testing.T) {
 		return seedRes, nil
 	}
 	srv, _ := newTestServer(t, server.Config{
-		Net: net, Workers: 2, CommitRetries: 1,
+		Net: net, Workers: 2,
 		Embedders: map[string]server.Embedder{"stale": stale},
 	})
 

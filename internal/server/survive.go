@@ -378,7 +378,8 @@ func (s *Server) repairBackoff(retry int, rng *rand.Rand) bool {
 // search off the flow's record and the commit re-registers the flow under
 // its original ID (or arms its backup) instead of allocating a new one;
 // the job also inherits that ID, so every pipeline journal event of the
-// attempt lands on the flow's timeline.
+// attempt lands on the flow's timeline. The request carries no TTL: a
+// restored flow keeps the deadline it was admitted with.
 func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) error {
 	req := FlowRequest{
 		SFC: t.info.SFC, Src: t.info.Src, Dst: t.info.Dst,
@@ -388,7 +389,6 @@ func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) err
 	if err != nil {
 		return err
 	}
-	pr.ttl = 0 // a restored flow keeps the deadline it was admitted with
 	j := &job{
 		ctx: deadline{Context: context.Background(), at: time.Now().Add(s.cfg.RequestTimeout)},
 		id:  t.id, prepared: pr,

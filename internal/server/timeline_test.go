@@ -116,7 +116,7 @@ func TestTimelineCommitConflict(t *testing.T) {
 		return seedRes, nil
 	}
 	srv, cl := newTestServer(t, server.Config{
-		Net: net, Workers: 2, CommitRetries: 1,
+		Net: net, Workers: 2,
 		Embedders: map[string]server.Embedder{"stale": stale},
 	})
 

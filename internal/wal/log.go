@@ -69,10 +69,11 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this
 	// size (default 4 MiB).
 	SegmentBytes int64
-	// KeepSnapshots is how many snapshot generations retention preserves
-	// (default 2: the newest plus one fallback).
-	KeepSnapshots int
 }
+
+// keepSnapshots is how many snapshot generations retention preserves: the
+// newest plus one fallback.
+const keepSnapshots = 2
 
 // ErrUnrecoverable wraps recovery failures that cannot be repaired by
 // truncation: corruption before the final segment, a sequence gap between
@@ -158,9 +159,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
-	}
-	if opts.KeepSnapshots <= 0 {
-		opts.KeepSnapshots = 2
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
@@ -571,12 +569,11 @@ func (l *Log) pruneLocked() {
 		}
 	}
 	sort.Slice(snaps, func(i, k int) bool { return snaps[i] > snaps[k] })
-	keep := l.opts.KeepSnapshots
-	if len(snaps) > keep {
-		for _, s := range snaps[keep:] {
+	if len(snaps) > keepSnapshots {
+		for _, s := range snaps[keepSnapshots:] {
 			_ = os.Remove(filepath.Join(l.dir, snapName(s)))
 		}
-		snaps = snaps[:keep]
+		snaps = snaps[:keepSnapshots]
 	}
 	if len(snaps) == 0 {
 		return

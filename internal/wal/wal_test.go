@@ -202,7 +202,7 @@ func TestSnapshotBoundsReplayAndPrunes(t *testing.T) {
 
 func TestRetentionKeepsFallbackSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128, KeepSnapshots: 2})
+	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
 	for snap := 0; snap < 4; snap++ {
 		for i := 0; i < 6; i++ {
 			if _, err := l.Append(Record{Type: TypeCommit, Data: make([]byte, 64)}); err != nil {
@@ -229,7 +229,7 @@ func TestRetentionKeepsFallbackSnapshot(t *testing.T) {
 	if err := os.WriteFile(newest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128, KeepSnapshots: 2})
+	l2, rec := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
 	defer l2.Close()
 	if rec.SnapshotsSkipped != 1 {
 		t.Fatalf("SnapshotsSkipped = %d, want 1", rec.SnapshotsSkipped)
