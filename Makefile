@@ -15,7 +15,7 @@ all: build vet test
 # the no-per-request-garbage contract of the HTTP layer, the
 # docs-name-what-the-tree-has contract, the benchmark module still
 # compiling against the tree, and a short fuzz of the search-kernel
-# priority queues and the request-body reader.
+# priority queues, the request-body reader and the sfc parser.
 check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzGrowTree -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzCreateBody -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sfc/
 
 build:
 	$(GO) build ./...
@@ -144,7 +145,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR29.json
+BENCH_JSON ?= BENCH_PR31.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -160,10 +161,11 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR27 baseline, if an
+# regressed more than 20% against the committed PR29 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
-# extensions, BBE embed, the validate-commit-release ledger path) allocates
+# extensions, BBE embed, the validate-commit-release ledger path, admission
+# and release through the server: plain, protected and over HTTP) allocates
 # more than 5% more objects per op, if the warm path-cache embed lost
 # its 1.5x speedup floor, or if failing over to a reserved backup got more
 # than 2x slower at p99 than the baseline records or stopped beating a repair
@@ -172,7 +174,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR27.json
+BENCH_GUARD_OLD ?= BENCH_PR29.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

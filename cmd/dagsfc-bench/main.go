@@ -18,7 +18,7 @@
 // (`make bench-json`): -parse-bench reads raw `go test -bench -benchmem`
 // output and merges it into a labelled JSON ledger:
 //
-//	dagsfc-bench -parse-bench bench.out -bench-label after -bench-out BENCH_PR29.json
+//	dagsfc-bench -parse-bench bench.out -bench-label after -bench-out BENCH_PR31.json
 //
 // A third mode guards against hot-path regressions (`make bench-guard`):
 // it prints the old->new ns/op delta of every benchmark the two ledgers
@@ -27,7 +27,7 @@
 // allocs/op rose more than 5%, or the warm path-cache
 // embed lost its speedup floor:
 //
-//	dagsfc-bench -guard-old BENCH_PR27.json -guard-new BENCH_PR29.json
+//	dagsfc-bench -guard-old BENCH_PR29.json -guard-new BENCH_PR31.json
 package main
 
 import (
@@ -142,8 +142,9 @@ var renamedBenchmarks = map[string]string{
 // generation, the BBE embed, the validate-commit-release path a placed
 // flow walks through the ledger, and the fixed cost of a request around
 // all of it — one admission and its release through the server, in-process
-// and over loopback HTTP. The counts repeat exactly on this code (the HTTP
-// one to within an object or two of net/http's), so the limit is tight.
+// (unprotected, and protected: a primary and a banned backup search) and
+// over loopback HTTP. The counts repeat exactly on this code (the HTTP one
+// to within an object or two of net/http's), so the limit is tight.
 var allocGuardedBenchmarks = []string{
 	"BenchmarkEmbedMBBE",
 	"BenchmarkEmbedMBBECached",
@@ -153,6 +154,7 @@ var allocGuardedBenchmarks = []string{
 	"BenchmarkEmbedBBE",
 	"BenchmarkCommitRelease",
 	"BenchmarkAdmitRelease",
+	"BenchmarkAdmitReleaseProtected",
 	"BenchmarkAdmitReleaseHTTP",
 }
 

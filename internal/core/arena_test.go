@@ -12,6 +12,7 @@ import (
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
+	"dagsfc/internal/sfc"
 )
 
 // scribbleGraphStorage overwrites what a recycled arena hands the next run
@@ -278,31 +279,52 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestEmbedSteadyStateAllocCeiling is the allocation budget of a whole
-// embed, the counterpart of graph's TestDijkstraWithZeroAllocs for the
-// layers above it: once the arena has grown to the instance, what an MBBE
-// run still allocates is the Result and a little bookkeeping — not its
-// candidates, its views or its Dijkstra trees. Measured 16 on the
-// BenchmarkEmbedMBBE fixture; the ceiling leaves a quarter of headroom.
-func TestEmbedSteadyStateAllocCeiling(t *testing.T) {
+// TestEmbedAllocatesItsResult is the allocation budget of a whole embed,
+// the counterpart of graph's TestDijkstraWithZeroAllocs for the layers above
+// it: once the arena has grown to the instance, a warm MBBE run on a problem
+// with a ledger allocates exactly what it returns — not its candidates, its
+// views, its Dijkstra trees, its search options or its embedder. That is 8
+// objects: the Result; the Solution, its layer slice and the one block each
+// of nodes, paths and edges that assemble copies them into; and the Usage's
+// instance and edge rows. It holds for a hybrid SFC, for a chain of
+// single-VNF layers (one layered run) and for a banned run (a backup).
+func TestEmbedAllocatesItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const ceiling = 20
-	p := benchProblem(t)
-	opts := MBBEOptions()
-	if _, err := Embed(p, opts); err != nil { // grow the arena
+	const want = 8
+	hybrid := benchProblem(t)
+	hybrid.Ledger = network.NewLedger(hybrid.Net)
+	serial := *hybrid
+	serial.SFC = sfc.FromChain(hybrid.SFC.Sequence())
+	primary, err := EmbedMBBE(hybrid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Embed(p, opts); err != nil {
-			t.Fatal(err)
+	banned := MBBEOptions()
+	banned.BannedEdges = map[graph.EdgeID]bool{}
+	primary.Solution.VisitEdges(func(e graph.EdgeID) { banned.BannedEdges[e] = true })
+	for _, c := range []struct {
+		name string
+		p    *Problem
+		opts Options
+	}{
+		{"hybrid", hybrid, MBBEOptions()},
+		{"serial", &serial, MBBEOptions()},
+		{"banned", hybrid, banned},
+	} {
+		if _, err := Embed(c.p, c.opts); err != nil { // grow the arena
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	})
-	if allocs > ceiling {
-		t.Fatalf("steady-state Embed allocated %.0f objects per run, ceiling %d", allocs, ceiling)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Embed(c.p, c.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("%s: a warm Embed allocated %v objects per run, want %d", c.name, allocs, want)
+		}
 	}
-	t.Logf("steady-state Embed: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 }
 
 // TestReleaseDropsOversizedArena pins the pooling cap: an arena grown past

@@ -238,18 +238,19 @@ func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (
 	return res, err
 }
 
-// newEmbedder readies a run of opts on the valid problem p: its ledger and
-// cost views, and its tree table in sc's arena.
+// newEmbedder readies a run of opts on the valid problem p in sc, which
+// holds the embedder itself: its ledger and cost views, and its tree table in
+// sc's arena.
 func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) *embedder {
 	if opts.MaxDelay > 0 && opts.Delay.DefaultProcDelay == 0 &&
 		opts.Delay.HopDelay == 0 && opts.Delay.MergerDelay == 0 && opts.Delay.ProcDelay == nil {
 		opts.Delay = delaymodel.Default()
 	}
-	e := &embedder{p: p, opts: opts, ctx: ctx, ledger: p.ledgerOrFresh(), sc: sc}
+	e := &sc.e
+	*e = embedder{p: p, opts: opts, ctx: ctx, ledger: p.ledgerOrFresh(), sc: sc}
 	// The ledger is read-only for the whole run, so one CostOptions value
-	// (and its Residual closure) serves every search instead of allocating
-	// a fresh pair per query.
-	e.costOpts = e.ledger.CostOptions(p.Rate)
+	// serves every search.
+	e.costOpts = *e.ledger.CostOptions(p.Rate)
 	if p.Ledger != nil {
 		if e.store = opts.PathCache; e.store == nil {
 			e.store = opts.ViewCache
@@ -260,14 +261,14 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 	// variant the FST/BST layer-extension builds admit arcs through
 	// (runSearch admission ignores ban sets, so a banned run needs the
 	// distinction).
-	e.searchView = e.sharedView(e.costOpts)
+	e.searchView = e.sharedView(&e.costOpts)
 	if len(opts.BannedEdges) == 0 && len(opts.BannedNodes) == 0 {
 		e.pathView = e.searchView
 		e.sharedTrees = e.store != nil
 	} else {
 		e.costOpts.BannedEdges = opts.BannedEdges
 		e.costOpts.BannedNodes = opts.BannedNodes
-		e.pathView = e.privateView(e.costOpts)
+		e.pathView = e.privateView(&e.costOpts)
 	}
 	// Read the ledger once into the run's dense rows, on the arena's storage
 	// (a privately compiled view is done with resBuf by now).
@@ -301,7 +302,7 @@ type embedder struct {
 	res residuals
 	// costOpts is the run's single search-options value: the ledger is
 	// read-only during a run, so its residual view never changes.
-	costOpts *graph.CostOptions
+	costOpts graph.CostOptions
 	// sc is the run's pooled scratch and arena, checked out for the whole
 	// run: every search runs on sc.Scratch and everything the run retains
 	// is carved from sc.mem.

@@ -113,10 +113,12 @@ func TestEmbedPrivateRunTreeAllocs(t *testing.T) {
 	}
 	sc := newPooledScratch()
 	e := treeFixture(t, sc)
+	fixture := *e // recycle zeroes the embedder
 	const sources = 16
 	run := func() {
 		sc.recycle()
-		e.pathView = e.privateView(e.costOpts)
+		*e = fixture
+		e.pathView = e.privateView(&e.costOpts)
 		e.treeOf = sc.mem.idx.alloc(e.p.Net.G.NumNodes())
 		for src := graph.NodeID(0); src < sources; src++ {
 			if tree := e.treeFor(src, e.p.Dst); tree.Src != src || e.treeFor(src, graph.None) != tree {

@@ -8,17 +8,20 @@ import (
 )
 
 // pooledScratch is everything one embedding run works in: a graph.Scratch
-// for its searches, the arena the run carves from, and a reuse marker so
-// the dagsfc_embed_scratch_reuse_total counter can distinguish warm
-// checkouts from fresh allocations (sync.Pool itself does not expose that).
-// A run holds exactly one, on one goroutine.
+// for its searches, the arena the run carves from, the run's embedder, and a
+// reuse marker so the dagsfc_embed_scratch_reuse_total counter can
+// distinguish warm checkouts from fresh allocations (sync.Pool itself does
+// not expose that). A run holds exactly one, on one goroutine.
 type pooledScratch struct {
 	*graph.Scratch
 	// mem is the run's arena: it carves its search trees and candidates
 	// from it and keeps its private views and Dijkstra trees in it, and
 	// releaseScratch resets it once the run's Result (a heap copy that
 	// aliases none of that memory) is built.
-	mem  *searchMem
+	mem *searchMem
+	// e is the run's embedder, filled by newEmbedder and zeroed on release,
+	// so that no problem, ledger, context or ban set outlives the run here.
+	e    embedder
 	used bool
 }
 
@@ -51,12 +54,14 @@ func releaseScratch(ps *pooledScratch) {
 	embedScratchPool.Put(ps)
 }
 
-// recycle readies ps for the next run by resetting its arena (or dropping
-// it, past searchMemRetainBytes). The caller must not touch any
-// scratch-aliasing search result, or any view, tree, search tree, extension
-// or sub-solution of the finished run afterwards — the memory behind them
-// is recycled here. Safe only after the Result has been assembled.
+// recycle readies ps for the next run by zeroing its embedder and resetting
+// its arena (or dropping it, past searchMemRetainBytes). The caller must not
+// touch the embedder, any scratch-aliasing search result, or any view, tree,
+// search tree, extension or sub-solution of the finished run afterwards —
+// the memory behind them is recycled here. Safe only after the Result has
+// been assembled.
 func (ps *pooledScratch) recycle() {
+	ps.e = embedder{}
 	if ps.mem.bytes() > searchMemRetainBytes {
 		ps.mem = &searchMem{}
 	} else {

@@ -42,14 +42,8 @@ func BenchmarkDijkstra1000Filtered(b *testing.B) {
 
 func BenchmarkDijkstra500Filtered(b *testing.B) {
 	g := benchGraph(500, 6)
-	residual := func(e EdgeID) float64 { return float64(50 + int(e)%51) }
-	residuals := func(dst []float64) []float64 {
-		for e := range dst {
-			dst[e] = residual(EdgeID(e))
-		}
-		return dst
-	}
-	opts := &CostOptions{MinCapacity: 60, Residual: residual, Residuals: residuals}
+	residual := residualFunc(func(e EdgeID) float64 { return float64(50 + int(e)%51) })
+	opts := &CostOptions{MinCapacity: 60, Residual: residual}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -80,13 +74,8 @@ func BenchmarkDijkstra500Banned(b *testing.B) {
 // export plus one dense pass over the CSR arcs.
 func BenchmarkCostViewCompile(b *testing.B) {
 	g := benchGraph(1000, 6)
-	residuals := func(dst []float64) []float64 {
-		for e := range dst {
-			dst[e] = float64(50 + e%51)
-		}
-		return dst
-	}
-	opts := &CostOptions{MinCapacity: 60, Residuals: residuals}
+	residual := residualFunc(func(e EdgeID) float64 { return float64(50 + int(e)%51) })
+	opts := &CostOptions{MinCapacity: 60, Residual: residual}
 	s := GetScratch()
 	defer PutScratch(s)
 	b.ReportAllocs()

@@ -9,12 +9,12 @@ import (
 // and still does with any one admitted edge taken away.
 func bridgeFree(g *Graph, src, dst NodeID, admit func(EdgeID) bool) bool {
 	reach := func(without EdgeID) bool {
-		_, ok := g.MinHopPath(src, dst, &CostOptions{Residual: func(e EdgeID) float64 {
+		_, ok := g.MinHopPath(src, dst, &CostOptions{Residual: residualFunc(func(e EdgeID) float64 {
 			if e == without || !admit(e) {
 				return 0
 			}
 			return 1
-		}, MinCapacity: 1})
+		}), MinCapacity: 1})
 		return ok
 	}
 	if !reach(None) {

@@ -116,11 +116,10 @@ func (g *Graph) CompileView(opts *CostOptions) *CostView {
 // CompileViewInto compiles opts into v, reusing v's backing arrays and the
 // caller's residual buffer; it returns the (possibly grown) residual
 // buffer for reuse. v must not be a view a TreeCache published, and
-// whoever holds v sees the new compilation. One dense pass over edges fills
-// the residual buffer (bulk export when opts.Residuals is set, otherwise
-// one Residual call per edge — half the closure calls of the per-arc admits
-// path), then one pass over arcs derives admissibility, the Inf-sentinel
-// price array, and the bucket tuning inputs.
+// whoever holds v sees the new compilation. One call fills the residual
+// buffer (opts.Residual's EdgeResiduals, or the static capacities), then one
+// pass over arcs derives admissibility, the Inf-sentinel price array, and
+// the bucket tuning inputs.
 func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64) []float64 {
 	arcs, off := g.CSR()
 	m := len(arcs)
@@ -142,9 +141,9 @@ func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64
 	v.nodeBan = v.nodeBan[:0]
 
 	// Residual capacities, one slot per edge, only when a capacity floor is
-	// active. The subtraction order inside Residuals/Residual is the
-	// ledger's own, so the capa < MinCapacity comparison below is bitwise
-	// identical to the per-arc admits path.
+	// active. The residual source agrees bitwise with its per-edge answers,
+	// so the capa < MinCapacity comparison below is bitwise identical to the
+	// per-arc admits path.
 	var minCap float64
 	var res []float64
 	if opts != nil && opts.MinCapacity > 0 {
@@ -155,14 +154,9 @@ func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64
 		} else {
 			resBuf = resBuf[:ne]
 		}
-		switch {
-		case opts.Residuals != nil:
-			resBuf = opts.Residuals(resBuf)
-		case opts.Residual != nil:
-			for e := range resBuf {
-				resBuf[e] = opts.Residual(EdgeID(e))
-			}
-		default:
+		if opts.Residual != nil {
+			resBuf = opts.Residual.EdgeResiduals(resBuf)
+		} else {
 			for e := range resBuf {
 				resBuf[e] = g.edges[e].Capacity
 			}

@@ -110,22 +110,16 @@ func bellmanFord(g *Graph, src NodeID, opts *CostOptions) []float64 {
 }
 
 // diffOptsMatrix builds the option sets one seeded graph is tested under:
-// unfiltered, capacity-filtered through a residual ledger stand-in (both
-// the scalar and the bulk hook), and edge/node bans.
+// unfiltered, capacity-filtered through a residual ledger stand-in, and
+// edge/node bans.
 func diffOptsMatrix(rng *rand.Rand, g *Graph) []*CostOptions {
-	residual := func(e EdgeID) float64 {
+	residual := residualFunc(func(e EdgeID) float64 {
 		// Deterministic pseudo-ledger: a third of the edges look booked.
 		if int(e)%3 == 0 {
 			return 0.25
 		}
 		return 2 + float64(int(e)%5)
-	}
-	residuals := func(dst []float64) []float64 {
-		for e := range dst {
-			dst[e] = residual(EdgeID(e))
-		}
-		return dst
-	}
+	})
 	banE := map[EdgeID]bool{}
 	for i := 0; i < g.NumEdges()/4; i++ {
 		banE[EdgeID(rng.Intn(g.NumEdges()))] = true
@@ -137,7 +131,6 @@ func diffOptsMatrix(rng *rand.Rand, g *Graph) []*CostOptions {
 	return []*CostOptions{
 		nil,
 		{MinCapacity: 1, Residual: residual},
-		{MinCapacity: 1, Residual: residual, Residuals: residuals},
 		{BannedEdges: banE, BannedNodes: banN},
 		{MinCapacity: 1, Residual: residual, BannedEdges: banE, BannedNodes: banN},
 	}

@@ -18,17 +18,24 @@ type CostOptions struct {
 	// for the MinCapacity filter. The network layer passes its live
 	// capacity ledger here so searches see the "real-time network graph"
 	// of Algorithm 1.
-	Residual func(EdgeID) float64
-	// Residuals, when non-nil, is the bulk companion of Residual used at
-	// view-compile time: it fills dst (pre-sized to the edge count) with
-	// the residual of every edge and returns it, letting compilation make
-	// one call instead of one per edge. It must agree bitwise with
-	// Residual.
-	Residuals func(dst []float64) []float64
+	Residual ResidualSource
 	// BannedEdges and BannedNodes exclude specific elements; used by Yen's
-	// algorithm and by failure-injection tests. A nil map bans nothing.
+	// algorithm and by the backup search, which bans its primary's links
+	// and nodes. A nil map bans nothing.
 	BannedEdges map[EdgeID]bool
 	BannedNodes map[NodeID]bool
+}
+
+// ResidualSource is the live residual capacity of every edge, read one edge
+// at a time by the breadth-first searches and all at once when a view is
+// compiled. *network.Ledger is one.
+type ResidualSource interface {
+	// EdgeResidual returns the residual capacity of edge e.
+	EdgeResidual(e EdgeID) float64
+	// EdgeResiduals fills dst, which the caller sizes to the edge count,
+	// with every edge's residual and returns it, bitwise equal to
+	// EdgeResidual edge by edge.
+	EdgeResiduals(dst []float64) []float64
 }
 
 // admits is the scalar admissibility check, still used by the breadth-
@@ -44,7 +51,7 @@ func (o *CostOptions) admits(g *Graph, arc Arc) bool {
 	if o.MinCapacity > 0 {
 		capa := g.Edge(arc.Edge).Capacity
 		if o.Residual != nil {
-			capa = o.Residual(arc.Edge)
+			capa = o.Residual.EdgeResidual(arc.Edge)
 		}
 		if capa < o.MinCapacity {
 			return false

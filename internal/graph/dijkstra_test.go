@@ -69,16 +69,29 @@ func TestDijkstraCapacityFilter(t *testing.T) {
 	}
 }
 
+// residualFunc is a ResidualSource that answers every edge from a function,
+// the stand-in for a ledger.
+type residualFunc func(EdgeID) float64
+
+func (f residualFunc) EdgeResidual(e EdgeID) float64 { return f(e) }
+
+func (f residualFunc) EdgeResiduals(dst []float64) []float64 {
+	for e := range dst {
+		dst[e] = f(EdgeID(e))
+	}
+	return dst
+}
+
 func TestDijkstraResidualOverridesStaticCapacity(t *testing.T) {
 	g := New(2)
 	cheap := g.MustAddEdge(0, 1, 1, 10)
 	g.MustAddEdge(0, 1, 5, 10)
-	residual := func(id EdgeID) float64 {
+	residual := residualFunc(func(id EdgeID) float64 {
 		if id == cheap {
 			return 0 // cheap edge fully booked
 		}
 		return 10
-	}
+	})
 	p, ok := g.MinCostPath(0, 1, &CostOptions{MinCapacity: 1, Residual: residual})
 	if !ok || p.Cost(g) != 5 {
 		t.Fatalf("residual filter not applied: %v ok=%v", p, ok)

@@ -10,8 +10,7 @@ import (
 func residualOpts(res []float64) *CostOptions {
 	return &CostOptions{
 		MinCapacity: 10,
-		Residual:    func(e EdgeID) float64 { return res[e] },
-		Residuals:   func(dst []float64) []float64 { return dst[:copy(dst, res)] },
+		Residual:    residualFunc(func(e EdgeID) float64 { return res[e] }),
 	}
 }
 

@@ -28,6 +28,10 @@ func kShortestPaths(g *graph.Graph, src, dst graph.NodeID, k int, opts *graph.Co
 	paths := []graph.Path{first}
 	// candidates holds spur paths not yet promoted, kept sorted by cost.
 	var candidates []yenCand
+	// The spur searches' ban sets, refilled per spur node. The search reads
+	// its options through an interface, so the maps escape: one pair serves
+	// the whole enumeration.
+	banEdges, banNodes := map[graph.EdgeID]bool{}, map[graph.NodeID]bool{}
 
 	for len(paths) < k {
 		prev := paths[len(paths)-1]
@@ -35,10 +39,11 @@ func kShortestPaths(g *graph.Graph, src, dst graph.NodeID, k int, opts *graph.Co
 		// Each node of the previous path except the last is a spur node.
 		for i := 0; i < len(prevNodes)-1; i++ {
 			spur := prevNodes[i]
-			root := graph.Path{From: src, Edges: append([]graph.EdgeID(nil), prev.Edges[:i]...)}
+			// Read-only, and Concat copies it: a window of prev will do.
+			root := graph.Path{From: src, Edges: prev.Edges[:i:i]}
 
-			banEdges := map[graph.EdgeID]bool{}
-			banNodes := map[graph.NodeID]bool{}
+			clear(banEdges)
+			clear(banNodes)
 			if opts != nil {
 				for e := range opts.BannedEdges {
 					banEdges[e] = true
@@ -63,7 +68,6 @@ func kShortestPaths(g *graph.Graph, src, dst graph.NodeID, k int, opts *graph.Co
 			if opts != nil {
 				spurOpts.MinCapacity = opts.MinCapacity
 				spurOpts.Residual = opts.Residual
-				spurOpts.Residuals = opts.Residuals
 			}
 			spurPath, ok := g.MinCostPath(spur, dst, spurOpts)
 			if !ok {

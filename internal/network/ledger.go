@@ -286,11 +286,11 @@ func (l *Ledger) InstanceResiduals(dst []float64) []float64 {
 }
 
 // CostOptions returns graph search options that admit only links with at
-// least demand residual bandwidth according to this ledger. Both the
-// scalar and bulk residual hooks are set, so compiled cost views can
-// export every residual in one call.
+// least demand residual bandwidth according to this ledger, which is their
+// residual source: a compiled cost view reads every residual in one
+// EdgeResiduals call.
 func (l *Ledger) CostOptions(demand float64) *graph.CostOptions {
-	return &graph.CostOptions{MinCapacity: demand, Residual: l.EdgeResidual, Residuals: l.EdgeResiduals}
+	return &graph.CostOptions{MinCapacity: demand, Residual: l}
 }
 
 // CapacityEps absorbs float accumulation error in capacity comparisons: a

@@ -227,9 +227,9 @@ func TestEdgeResidualsBitExact(t *testing.T) {
 	if got := root.EdgeResiduals(nil); len(got) != net.G.NumEdges() {
 		t.Fatalf("nil buffer: len = %d", len(got))
 	}
-	// The CostOptions wiring exposes the bulk hook.
-	if opts := root.CostOptions(1); opts.Residuals == nil {
-		t.Fatal("CostOptions did not set the bulk residual hook")
+	// The CostOptions wiring reads residuals from the ledger itself.
+	if opts := root.CostOptions(1); opts.Residual != graph.ResidualSource(root) {
+		t.Fatal("CostOptions does not read its residuals from the ledger")
 	}
 }
 

@@ -2,15 +2,18 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"net/http"
 	"testing"
 
+	"dagsfc/internal/core"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/server"
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
+	"dagsfc/internal/sfcgen"
 )
 
 // benchServer starts a server and returns it with a fixed cycle of chain requests over a 50-node generated
@@ -48,6 +51,48 @@ func benchServer(b *testing.B) (*server.Server, []server.FlowRequest) {
 func BenchmarkAdmitRelease(b *testing.B) {
 	srv, reqs := benchServer(b)
 	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info, err := srv.Submit(ctx, reqs[i%len(reqs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Release(info.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdmitReleaseProtected is BenchmarkAdmitRelease for the traffic
+// of the repository benchmark's serve-protect-faults: DAG-SFC strings the
+// server parses itself, each admitted with a disjoint backup — two embeds,
+// the second on a banned view — and released. Requests whose endpoints
+// cannot carry a disjoint pair are dropped from the cycle up front, so
+// every op is an admission.
+func BenchmarkAdmitReleaseProtected(b *testing.B) {
+	srv, chains := benchServer(b)
+	rng := rand.New(rand.NewSource(6))
+	ctx := context.Background()
+	var reqs []server.FlowRequest
+	for _, req := range chains {
+		dag := sfcgen.MustGenerate(sfcgen.Config{Size: 4 + rng.Intn(3), LayerWidth: 3, VNFKinds: int(sfc.TrafficShaper)}, rng)
+		req.Chain, req.SFC, req.Protection = nil, sfc.Format(dag), server.ProtectionBackup
+		info, err := srv.Submit(ctx, req)
+		if errors.Is(err, core.ErrNoEmbedding) {
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Release(info.ID); err != nil {
+			b.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	if len(reqs) < len(chains)/2 {
+		b.Fatalf("only %d of %d requests could be protected", len(reqs), len(chains))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

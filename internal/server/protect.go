@@ -21,14 +21,14 @@ import (
 	"dagsfc/internal/network"
 )
 
-// backupBans derives the search-time ban sets for a backup embedding from
-// its primary: every substrate edge the primary traverses (link
-// disjointness), and every node it hosts on or transits (node
-// disjointness) except the flow's own endpoints, which both placements
-// necessarily share.
-func backupBans(net *network.Network, primary *core.Solution, src, dst graph.NodeID) (map[graph.EdgeID]bool, map[graph.NodeID]bool) {
-	edges := make(map[graph.EdgeID]bool)
-	nodes := make(map[graph.NodeID]bool)
+// backupBans fills edges and nodes, emptied first, with the search-time ban
+// sets for a backup embedding of primary: every substrate edge the primary
+// traverses (link disjointness), and every node it hosts on or transits
+// (node disjointness) except the flow's own endpoints, which both
+// placements necessarily share.
+func backupBans(net *network.Network, primary *core.Solution, src, dst graph.NodeID, edges map[graph.EdgeID]bool, nodes map[graph.NodeID]bool) {
+	clear(edges)
+	clear(nodes)
 	primary.VisitEdges(func(e graph.EdgeID) {
 		edges[e] = true
 		ed := net.G.Edge(e)
@@ -38,7 +38,6 @@ func backupBans(net *network.Network, primary *core.Solution, src, dst graph.Nod
 	primary.VisitNodes(func(v graph.NodeID) { nodes[v] = true })
 	delete(nodes, src)
 	delete(nodes, dst)
-	return edges, nodes
 }
 
 // errUnprotectable refuses a backup no search could find: a primary and a
@@ -52,10 +51,11 @@ var errUnprotectable = fmt.Errorf("endpoints are not 2-edge-connected: %w", core
 // 2-edge-connectivity over the links the pair could use — those that still
 // carry the rate, and the primary's own — and errUnprotectable answers when
 // they are not. Node-disjoint is tried first; if the substrate cannot
-// afford it the search retries with only the links banned. The ban sets
-// ride a per-request copy of the job's algorithm options (core.Options is a
-// value); a banned search keeps its view and trees to itself, so the shared
-// cache never sees them.
+// afford it the search retries with only the links banned. The ban sets are
+// the worker's, refilled per job, and ride a per-request copy of the job's
+// algorithm options (core.Options is a value); nothing holds them once the
+// search returns, and a banned search keeps its view and trees to itself,
+// so the shared cache never sees them.
 func (s *Server) embedBackup(j *job, w *workerScratch, primary *core.Solution) (*core.Result, error) {
 	if j.algo.opts == nil {
 		// prepare() rejects protection for ban-incapable algorithms; this
@@ -64,7 +64,8 @@ func (s *Server) embedBackup(j *job, w *workerScratch, primary *core.Solution) (
 	}
 	opts := *j.algo.opts
 	p := &w.p
-	edges, nodes := backupBans(s.net, primary, p.Src, p.Dst)
+	edges, nodes := w.banEdges, w.banNodes
+	backupBans(s.net, primary, p.Src, p.Dst, edges, nodes)
 	w.edgeRes = p.Ledger.EdgeResiduals(w.edgeRes)
 	if !s.net.G.TwoEdgeConnected(&w.bfs, p.Src, p.Dst, func(e graph.EdgeID) bool {
 		return edges[e] || w.edgeRes[e] >= p.Rate

@@ -550,7 +550,9 @@ func (s *Server) prepare(req FlowRequest) (prepared, error) {
 			chain = append(chain, network.VNFID(id))
 		}
 		dag = sfc.ChainToDAG(chain, s.rules, width)
-	default:
+	}
+	// A blank sfc parses to no layers at all: a flow with no VNFs.
+	if dag.Omega() == 0 {
 		return prepared{}, fmt.Errorf("%w: one of sfc or chain is required", ErrBadRequest)
 	}
 	// Past maxTTLSeconds the conversion below overflows to a negative
@@ -760,15 +762,18 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 type workerScratch struct {
 	snap *network.Ledger
 	p    core.Problem
-	// bfs and edgeRes serve embedBackup's connectivity test.
-	bfs     graph.Scratch
-	edgeRes []float64
+	// bfs and edgeRes serve embedBackup's connectivity test, banEdges and
+	// banNodes its ban sets.
+	bfs      graph.Scratch
+	edgeRes  []float64
+	banEdges map[graph.EdgeID]bool
+	banNodes map[graph.NodeID]bool
 }
 
 // worker is one speculative embedder.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
-	var w workerScratch
+	w := workerScratch{banEdges: map[graph.EdgeID]bool{}, banNodes: map[graph.NodeID]bool{}}
 	for j := range s.admit {
 		s.speculate(j, &w)
 		if s.recycleHook != nil && w.snap != nil {

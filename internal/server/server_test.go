@@ -154,6 +154,9 @@ func TestServerHTTPErrors(t *testing.T) {
 		says string // what the message must name
 	}{
 		{"empty", server.FlowRequest{Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
+		// Would have parsed to no layers and been admitted as a flow with no
+		// VNFs.
+		{"blank sfc", server.FlowRequest{SFC: "  ", Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, "one of sfc or chain is required"},
 		{"both", server.FlowRequest{SFC: "1", Chain: []int{1}, Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
 		{"bad sfc", server.FlowRequest{SFC: "nope", Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
 		{"bad alg", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "nope"}, http.StatusBadRequest, ""},

@@ -12,31 +12,46 @@ import (
 // serving API: layers separated by ';', parallel VNFs within a layer
 // separated by ','. For example "1;2,3,4;5" is the three-layer SFC
 // [f1] -> [f2|f3|f4 +m] -> [f5]. Whitespace around numbers is ignored.
+//
+// The separators are counted first, so the result is two allocations: one
+// slice of every VNF, and the layers as windows of it (capped, so appending
+// to a layer's VNFs never reaches into the next layer).
 func Parse(s string) (DAGSFC, error) {
-	var out DAGSFC
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return out, nil
+		return DAGSFC{}, nil
 	}
-	for li, layerStr := range strings.Split(s, ";") {
-		var layer Layer
-		for _, tok := range strings.Split(layerStr, ",") {
+	layers := 1 + strings.Count(s, ";")
+	vnfs := make([]network.VNFID, 0, layers+strings.Count(s, ","))
+	out := DAGSFC{Layers: make([]Layer, 0, layers)}
+	for li := 1; ; li++ {
+		layerStr, rest, more := strings.Cut(s, ";")
+		start := len(vnfs)
+		for {
+			tok, next, comma := strings.Cut(layerStr, ",")
 			tok = strings.TrimSpace(tok)
 			if tok == "" {
-				return DAGSFC{}, fmt.Errorf("sfc: layer %d: empty VNF entry", li+1)
+				return DAGSFC{}, fmt.Errorf("sfc: layer %d: empty VNF entry", li)
 			}
 			id, err := strconv.Atoi(tok)
 			if err != nil {
-				return DAGSFC{}, fmt.Errorf("sfc: layer %d: %q is not a VNF id", li+1, tok)
+				return DAGSFC{}, fmt.Errorf("sfc: layer %d: %q is not a VNF id", li, tok)
 			}
 			if id < 1 {
-				return DAGSFC{}, fmt.Errorf("sfc: layer %d: VNF id %d must be >= 1", li+1, id)
+				return DAGSFC{}, fmt.Errorf("sfc: layer %d: VNF id %d must be >= 1", li, id)
 			}
-			layer.VNFs = append(layer.VNFs, network.VNFID(id))
+			vnfs = append(vnfs, network.VNFID(id))
+			if !comma {
+				break
+			}
+			layerStr = next
 		}
-		out.Layers = append(out.Layers, layer)
+		out.Layers = append(out.Layers, Layer{VNFs: vnfs[start:len(vnfs):len(vnfs)]})
+		if !more {
+			return out, nil
+		}
+		s = rest
 	}
-	return out, nil
 }
 
 // Format renders a DAG-SFC in the syntax Parse accepts.
