@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift metrics-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
@@ -13,10 +13,11 @@ all: build vet test
 # the no-environment-switch contract, the one-dense-ledger contract, the
 # one-writer-of-flow-state contract,
 # the no-per-request-garbage contract of the HTTP layer, the
-# docs-name-what-the-tree-has contract, the benchmark module still
-# compiling against the tree, and a short fuzz of the search-kernel
-# priority queues, the request-body reader and the sfc parser.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift benchmark-vet fuzz-smoke
+# docs-name-what-the-tree-has contract, the every-metric-has-a-reader
+# contract, the benchmark module still compiling against the tree, and a
+# short fuzz of the search-kernel priority queues, the request-body reader
+# and the sfc parser.
+check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift metrics-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -89,6 +90,13 @@ server-request-garbage:
 # it for whoever edits the documents alone.
 docs-drift:
 	$(GO) test -count=1 -run '^TestDocsDrift$$' .
+
+# Every metric family has a reader or it goes: each Metric* constant of
+# internal/telemetry is named, by constant or by name, in a test, cmd/,
+# benchmark/, this Makefile or the CI workflow, and every dagsfc_* family
+# README.md and DESIGN.md name exists (census_test.go).
+metrics-census:
+	$(GO) test -count=1 -run '^TestMetricsCensus$$' .
 
 # benchmark/ is a module of its own, so `go build ./...` and `go vet ./...`
 # never compile it: deleting a name only the benchmark still calls passes

@@ -46,21 +46,17 @@ func Embed(p *core.Problem, rng *rand.Rand, opts Options) (res *core.Result, err
 		iters = DefaultIterations
 	}
 
-	// Telemetry: the annealer's work units are proposal evaluations
-	// ("search nodes"), solution builds ("searches" — each build routes
-	// every meta-path over cached Dijkstra trees) and accepted moves
-	// ("candidates"). The MINV warm start records its own sample under
+	// Telemetry: the annealer's unit of work is a proposal evaluation
+	// ("search nodes"). The MINV warm start records its own sample under
 	// alg="minv".
 	begin := time.Now()
-	var evaluations, builds, accepted int
+	var evaluations int
 	defer func() {
 		telemetry.RecordEmbed(telemetry.EmbedSample{
 			Alg:         "sa",
 			Elapsed:     time.Since(begin),
 			Failed:      err != nil,
 			SearchNodes: evaluations,
-			Searches:    builds,
-			Candidates:  accepted,
 		})
 	}()
 
@@ -94,10 +90,8 @@ func Embed(p *core.Problem, rng *rand.Rand, opts Options) (res *core.Result, err
 			continue
 		}
 		evaluations++
-		builds++
 		cost, feasible := s.evaluate(proposal)
 		if feasible && (cost < curCost || rng.Float64() < math.Exp((curCost-cost)/math.Max(temp, 1e-12))) {
-			accepted++
 			cur = proposal
 			curCost = cost
 			if cost < bestCost {
@@ -108,7 +102,6 @@ func Embed(p *core.Problem, rng *rand.Rand, opts Options) (res *core.Result, err
 		temp *= cooling
 	}
 
-	builds++
 	sol, ok := s.build(bestAssign)
 	if !ok {
 		return nil, fmt.Errorf("%w: annealer lost its feasible incumbent", core.ErrNoEmbedding)

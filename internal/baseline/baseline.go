@@ -57,19 +57,16 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 	g := p.Net.G
 
 	// Telemetry: the benchmarks have no search trees, so "search nodes"
-	// counts candidate instances examined, "searches" counts min-cost path
-	// computations, and "candidates" counts host choices made. Shared metric
-	// names with BBE/MBBE/SA keep the /metrics view comparable.
+	// counts candidate instances examined. Shared metric names with
+	// BBE/MBBE/SA keep the /metrics view comparable.
 	begin := time.Now()
-	var instancesExamined, pathSearches, choices int
+	var instancesExamined int
 	defer func() {
 		telemetry.RecordEmbed(telemetry.EmbedSample{
 			Alg:         label,
 			Elapsed:     time.Since(begin),
 			Failed:      err != nil,
 			SearchNodes: instancesExamined,
-			Searches:    pathSearches,
-			Candidates:  choices,
 		})
 	}()
 
@@ -81,7 +78,6 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 		return ledger.InstanceResidual(inst.Node, inst.VNF)-already >= p.Rate
 	}
 	choose := func(f network.VNFID) (graph.NodeID, error) {
-		choices++
 		var cands []network.Instance
 		for _, node := range p.Net.NodesWith(f) {
 			instancesExamined++
@@ -99,7 +95,6 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 	}
 
 	minPath := func(a, b graph.NodeID) (graph.Path, error) {
-		pathSearches++
 		path, ok := g.MinCostPath(a, b, ledger.CostOptions(p.Rate))
 		if !ok {
 			return graph.Path{}, fmt.Errorf("%w: no path %d->%d", core.ErrNoEmbedding, a, b)

@@ -231,8 +231,6 @@ func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (
 		Elapsed:       time.Since(start),
 		Failed:        err != nil,
 		SearchNodes:   e.stats.TreeNodes,
-		Searches:      e.stats.ForwardSearches + e.stats.BackwardSearches,
-		Candidates:    e.stats.Extensions,
 		PathTreeNodes: e.stats.PathTreeNodes,
 	})
 	return res, err

@@ -4,14 +4,11 @@ import (
 	"sync"
 
 	"dagsfc/internal/graph"
-	"dagsfc/internal/telemetry"
 )
 
 // pooledScratch is everything one embedding run works in: a graph.Scratch
-// for its searches, the arena the run carves from, the run's embedder, and a
-// reuse marker so the dagsfc_embed_scratch_reuse_total counter can
-// distinguish warm checkouts from fresh allocations (sync.Pool itself does
-// not expose that). A run holds exactly one, on one goroutine.
+// for its searches, the arena the run carves from, and the run's embedder. A
+// run holds exactly one, on one goroutine.
 type pooledScratch struct {
 	*graph.Scratch
 	// mem is the run's arena: it carves its search trees and candidates
@@ -21,8 +18,7 @@ type pooledScratch struct {
 	mem *searchMem
 	// e is the run's embedder, filled by newEmbedder and zeroed on release,
 	// so that no problem, ledger, context or ban set outlives the run here.
-	e    embedder
-	used bool
+	e embedder
 }
 
 // searchMemRetainBytes caps the memory an arena may keep while pooled. A
@@ -38,14 +34,9 @@ func newPooledScratch() *pooledScratch {
 	return &pooledScratch{Scratch: graph.NewScratch(), mem: &searchMem{}}
 }
 
-// acquireScratch checks a scratch out of the pool, recording warm reuse.
+// acquireScratch checks a scratch out of the pool.
 func acquireScratch() *pooledScratch {
-	ps := embedScratchPool.Get().(*pooledScratch)
-	if ps.used {
-		telemetry.RecordScratchReuse()
-	}
-	ps.used = true
-	return ps
+	return embedScratchPool.Get().(*pooledScratch)
 }
 
 // releaseScratch recycles ps and returns it to the pool.

@@ -103,10 +103,8 @@ func (d *driver) run(sched faults.Schedule) error {
 				err = nil
 			}
 		case evRestore:
-			var ch flowstate.Change
-			if ch, err = d.apply(flowstate.Transition{Kind: flowstate.FaultRestore, Fault: ev.flt}); err == nil {
+			if _, err = d.apply(flowstate.Transition{Kind: flowstate.FaultRestore, Fault: ev.flt}); err == nil {
 				d.report.FaultsRestored++
-				telemetry.RecordFault(ev.flt.Kind.String(), false, ch.Faults)
 			}
 		case evStrike:
 			err = d.strike(ev.at, ev.flt)
@@ -182,12 +180,10 @@ func (d *driver) arrive(idx int) error {
 // one that does not is stranded and re-embedded through place, and if that
 // fails for any reason it is evicted.
 func (d *driver) strike(at float64, f network.Fault) error {
-	ch, err := d.apply(flowstate.Transition{Kind: flowstate.FaultApply, Fault: f})
-	if err != nil {
+	if _, err := d.apply(flowstate.Transition{Kind: flowstate.FaultApply, Fault: f}); err != nil {
 		return err
 	}
 	d.report.FaultsApplied++
-	telemetry.RecordFault(f.Kind.String(), true, ch.Faults)
 	for _, pl := range d.state.Placements() {
 		if !faults.Hits(d.net, pl.Primary, f) {
 			continue
@@ -199,7 +195,6 @@ func (d *driver) strike(at float64, f network.Fault) error {
 		}
 		outcome, count := "revalidated", &d.report.Revalidated
 		if verdict.Kind == flowstate.Strand {
-			telemetry.RecordRepairAttempt()
 			outcome, count = "repaired", &d.report.Repaired
 			if _, _, err := d.place(int(pl.ID), true); err != nil {
 				outcome, count = "evicted", &d.report.Evicted

@@ -32,8 +32,7 @@ func (s *Server) transitLocked(t flowstate.Transition) (flowstate.Change, uint64
 	if err != nil {
 		return ch, 0, err
 	}
-	telemetry.SetServerActiveFlows(ch.Active)
-	telemetry.SetBackupsActive(ch.Backups)
+	telemetry.SetFlowState(ch.Active, ch.Backups, ch.Faults)
 	if s.wal == nil || s.walBroken.Load() {
 		return ch, 0, nil
 	}

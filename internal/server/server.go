@@ -389,8 +389,12 @@ func New(cfg Config) (*Server, error) {
 		journal:    journal.New(cfg.JournalSize, cfg.Logger),
 		brk:        breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 	}
-	// Breaker transitions are journaled via this hook; safe because the
+	// An armed breaker publishes its closed state before the hook that
+	// journals every later transition is set; the hook is safe because the
 	// journal never calls back into the breaker.
+	if cfg.BreakerFailures > 0 {
+		s.brk.transition(0)
+	}
 	s.brk.onTransition = func(state string) {
 		s.journal.Append(journal.Event{Type: journal.TypeBreaker, Detail: state})
 	}
@@ -430,14 +434,14 @@ func New(cfg Config) (*Server, error) {
 	if recovered != nil {
 		s.finishRecovery(recovered)
 	}
-	telemetry.SetServerQueueDepth(0)
+	// The initial publish: the queue-depth gauge is listed, never reset —
+	// only the queue moves it — and the flow-state gauges read the
+	// recovered state, as transitLocked keeps them from here on.
+	telemetry.AddServerQueueDepth(0)
 	s.mu.Lock()
-	telemetry.SetServerActiveFlows(s.state.Active())
-	telemetry.SetBackupsActive(s.state.Backups())
+	faults, _, _ := s.state.Faults()
+	telemetry.SetFlowState(s.state.Active(), s.state.Backups(), len(faults))
 	s.mu.Unlock()
-	if cfg.BreakerFailures > 0 {
-		telemetry.SetBreakerState(0, false)
-	}
 	return s, nil
 }
 
@@ -689,32 +693,35 @@ func (s *Server) enqueue(j *job, detail string) error {
 
 // send offers j to the admission queue without blocking and, if it went
 // in, journals the enqueue — ahead of anything a worker journals about j:
-// the worker that receives j waits on j.queued first.
+// the worker that receives j waits on j.queued first. The queue-depth
+// gauge counts j before the push, so the worker's decrement on receipt
+// never precedes it.
 func (s *Server) send(j *job, detail string) bool {
 	j.queued.Lock()
 	defer j.queued.Unlock()
 	j.enqueuedAt = time.Now()
+	telemetry.AddServerQueueDepth(1)
 	select {
 	case s.admit <- j:
 	default:
+		telemetry.AddServerQueueDepth(-1)
 		return false
 	}
 	s.journal.Append(journal.Event{
 		Time: j.enqueuedAt, Type: journal.TypeEnqueue, Flow: j.id, Alg: j.alg,
 		Attempt: j.retries, Detail: detail,
 	})
-	telemetry.SetServerQueueDepth(len(s.admit))
 	return true
 }
 
-// recordDecision emits the server and shared-online metric families for a
-// completed embed decision, journals the terminal rejection if the
-// pipeline failed the request, and feeds the circuit breaker. Only
-// pipeline outcomes reach here — admission-level rejections (queue full,
-// draining, shed) say nothing about the substrate's health, and timeouts
-// are classified separately at the Submit select. probe is passed
-// through so the breaker knows whether this decision is the half-open
-// probe's verdict.
+// recordDecision records a completed embed decision under the
+// flows.create route, journals the terminal rejection if the pipeline
+// failed the request, and feeds the circuit breaker. Only pipeline
+// outcomes reach here — admission-level rejections (queue full, draining,
+// shed) say nothing about the substrate's health, and timeouts are
+// classified separately at the Submit select. probe is passed through so
+// the breaker knows whether this decision is the half-open probe's
+// verdict.
 func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) {
 	elapsed := time.Since(begin)
 	if err != nil {
@@ -723,33 +730,28 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 			Attempt: j.retries, Err: err.Error(),
 		})
 	}
+	outcome, verdict := "error", true
 	switch {
 	case err == nil:
-		telemetry.RecordServerRequest("flows.create", "accepted", elapsed)
-		telemetry.RecordOnlineRequest(true, elapsed)
-		s.brk.record(true, probe, time.Now())
+		outcome = "accepted"
 	case errors.Is(err, ErrCommitConflict):
-		telemetry.RecordServerRequest("flows.create", "conflict", elapsed)
-		telemetry.RecordOnlineRequest(false, elapsed)
-		s.brk.record(false, probe, time.Now())
+		outcome = "conflict"
 	case errors.Is(err, core.ErrNoEmbedding):
-		telemetry.RecordServerRequest("flows.create", "no_embedding", elapsed)
-		telemetry.RecordOnlineRequest(false, elapsed)
-		s.brk.record(false, probe, time.Now())
+		outcome = "no_embedding"
 	case errors.Is(err, ErrInternal):
-		telemetry.RecordServerRequest("flows.create", "error", elapsed)
-		telemetry.RecordOnlineRequest(false, elapsed)
-		s.brk.record(false, probe, time.Now())
 	default:
 		// A pipeline outcome that is not a health verdict (e.g. a tree
 		// search reporting ErrTimeout just before the Submit
 		// deadline fired). If this request held the probe slot, return it
 		// — no verdict was reached.
+		verdict = false
 		if probe {
 			s.brk.abortProbe()
 		}
-		telemetry.RecordServerRequest("flows.create", "error", elapsed)
-		telemetry.RecordOnlineRequest(false, elapsed)
+	}
+	telemetry.RecordServerRequest("flows.create", outcome, elapsed)
+	if verdict {
+		s.brk.record(err == nil, probe, time.Now())
 	}
 }
 
@@ -775,6 +777,7 @@ func (s *Server) worker() {
 	defer s.workerWG.Done()
 	w := workerScratch{banEdges: map[graph.EdgeID]bool{}, banNodes: map[graph.NodeID]bool{}}
 	for j := range s.admit {
+		telemetry.AddServerQueueDepth(-1)
 		s.speculate(j, &w)
 		if s.recycleHook != nil && w.snap != nil {
 			s.recycleHook(w.snap)
@@ -788,7 +791,6 @@ func (s *Server) worker() {
 // what the flow lacks: a new flow or a stranded one lacks a primary; a
 // live protected flow whose backup was promoted or lost lacks a backup.
 func (s *Server) speculate(j *job, w *workerScratch) {
-	telemetry.SetServerQueueDepth(len(s.admit))
 	if j.finished.Load() {
 		// Timed out while queued; nobody is waiting for a reply.
 		s.inflight.Done()

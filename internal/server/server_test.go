@@ -20,6 +20,7 @@ import (
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
+	"dagsfc/internal/telemetry"
 )
 
 // tinyNet: line 0-1-2 with a single f(1) instance of capacity 2 — the
@@ -63,6 +64,13 @@ func residuals(st server.NetworkState) []float64 {
 		out = append(out, i.Residual)
 	}
 	return out
+}
+
+// seriesValue reads a label-free family of the process-wide registry: a
+// gauge the server publishes, or a counter; 0 while it is unlisted.
+func seriesValue(name string) float64 {
+	s, _ := telemetry.Default().Snapshot().Series(name)
+	return s.Value
 }
 
 func equalResiduals(a, b []float64) bool {
@@ -221,7 +229,9 @@ func TestServerChainStandardization(t *testing.T) {
 // TestServerHammerDrainsToSeed mirrors TestChurnLedgerDrainsToEmpty
 // through the HTTP API: many goroutines embed, release and read the
 // network concurrently; once everything is released the ledger must be
-// identical to the seed residuals. Run it under -race.
+// identical to the seed residuals, and the gauges must say so — the
+// process-wide queue depth back where it started, no active flow, no
+// backup. Run it under -race.
 func TestServerHammerDrainsToSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ncfg := netgen.Default()
@@ -237,6 +247,7 @@ func TestServerHammerDrainsToSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	depth := seriesValue(telemetry.MetricServerQueueDepth)
 
 	// Pre-generate every request in one goroutine: rand.Rand is not
 	// concurrency-safe, and rate-1 integer demands keep release exact.
@@ -313,6 +324,13 @@ func TestServerHammerDrainsToSeed(t *testing.T) {
 	}
 	if srv.ActiveFlows() != 0 {
 		t.Fatalf("server reports %d active flows", srv.ActiveFlows())
+	}
+	if got := seriesValue(telemetry.MetricServerQueueDepth); got != depth {
+		t.Fatalf("queue depth gauge = %v after the hammer, want %v as before it", got, depth)
+	}
+	active, backups := seriesValue(telemetry.MetricServerActiveFlows), seriesValue(telemetry.MetricProtectBackupsActive)
+	if active != 0 || backups != 0 {
+		t.Fatalf("active flows / backups gauges = %v / %v after full release, want 0 / 0", active, backups)
 	}
 }
 

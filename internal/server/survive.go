@@ -63,7 +63,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	s.mu.Lock()
 	// ticket follows the newest record this call enqueued; waiting on it
 	// before the call returns covers all of them.
-	applied, ticket, err := s.transitLocked(flowstate.Transition{Kind: flowstate.FaultApply, Fault: f})
+	_, ticket, err := s.transitLocked(flowstate.Transition{Kind: flowstate.FaultApply, Fault: f})
 	if err != nil {
 		s.mu.Unlock()
 		telemetry.RecordServerRequest("faults.apply", "invalid", time.Since(begin))
@@ -86,7 +86,6 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	}
 	st := s.faultStateLocked()
 	s.mu.Unlock()
-	telemetry.RecordFault(f.Kind.String(), true, applied.Faults)
 
 	// Phase two, unlocked: each candidate's verdict (flowstate.Verdict),
 	// reached net of its own reservations on one scratch copy of snap,
@@ -153,7 +152,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 func (s *Server) RestoreFault(f network.Fault) (FaultState, error) {
 	begin := time.Now()
 	s.mu.Lock()
-	ch, ticket, err := s.transitLocked(flowstate.Transition{Kind: flowstate.FaultRestore, Fault: f})
+	_, ticket, err := s.transitLocked(flowstate.Transition{Kind: flowstate.FaultRestore, Fault: f})
 	if err != nil {
 		s.mu.Unlock()
 		telemetry.RecordServerRequest("faults.restore", "invalid", time.Since(begin))
@@ -161,7 +160,6 @@ func (s *Server) RestoreFault(f network.Fault) (FaultState, error) {
 	}
 	st := s.faultStateLocked()
 	s.mu.Unlock()
-	telemetry.RecordFault(f.Kind.String(), false, ch.Faults)
 	s.walWait(ticket)
 	telemetry.RecordServerRequest("faults.restore", "ok", time.Since(begin))
 	return st, nil
@@ -397,8 +395,6 @@ func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) err
 	detail, queued := t.fault.String(), "repair re-embed"
 	if need == flowstate.NeedBackup {
 		detail, queued = "re-protect", "re-protect backup"
-	} else {
-		telemetry.RecordRepairAttempt()
 	}
 	s.journal.Append(journal.Event{
 		Type: journal.TypeRepairAttempt, Flow: t.id, Alg: j.alg, Attempt: try + 1, Detail: detail,
@@ -439,10 +435,11 @@ type breaker struct {
 	onTransition func(state string)
 }
 
-// transition flips the breaker to the given state and notifies the hook.
-// Callers hold mu.
+// transition flips the breaker to the given state, publishes it (a flip to
+// open is a trip) and notifies the hook. Callers hold mu, or own b outright.
 func (b *breaker) transition(state int) {
 	b.state = state
+	telemetry.SetBreakerState(state)
 	if b.onTransition != nil {
 		b.onTransition([...]string{"closed", "half_open", "open"}[state])
 	}
@@ -466,7 +463,6 @@ func (b *breaker) allow(now time.Time) (probe bool, err error) {
 		}
 		b.transition(1)
 		b.probing = true
-		telemetry.SetBreakerState(1, false)
 		return true, nil
 	case 1: // half-open
 		if b.probing {
@@ -516,11 +512,9 @@ func (b *breaker) record(success, probe bool, now time.Time) {
 		if success {
 			b.transition(0)
 			b.fails = 0
-			telemetry.SetBreakerState(0, false)
 		} else {
 			b.transition(2)
 			b.openedAt = now
-			telemetry.SetBreakerState(2, true)
 		}
 	case 0: // closed
 		if success {
@@ -531,7 +525,6 @@ func (b *breaker) record(success, probe bool, now time.Time) {
 		if b.fails >= b.threshold {
 			b.transition(2)
 			b.openedAt = now
-			telemetry.SetBreakerState(2, true)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
+	"dagsfc/internal/telemetry"
 )
 
 // twoPathNet offers two disjoint paths 0→3, each with an f(1) instance;
@@ -224,12 +225,16 @@ func TestServerBreakerShedsAndRecovers(t *testing.T) {
 		Net: tinyNet(), BreakerFailures: 2, BreakerCooldown: 100 * time.Millisecond,
 	})
 	ctx := context.Background()
+	trips := seriesValue(telemetry.MetricServerBreakerTrips)
 
 	// Two consecutive infeasible embeds trip the breaker.
 	for i := 0; i < 2; i++ {
 		if _, err := srv.Submit(ctx, lineRequest(1000)); !errors.Is(err, core.ErrNoEmbedding) {
 			t.Fatalf("submit %d: %v, want ErrNoEmbedding", i, err)
 		}
+	}
+	if got := seriesValue(telemetry.MetricServerBreakerState); got != 2 {
+		t.Fatalf("breaker state gauge = %v after the trip, want 2 (open)", got)
 	}
 	_, err := srv.Submit(ctx, lineRequest(1))
 	if !errors.Is(err, server.ErrOverloaded) {
@@ -253,6 +258,12 @@ func TestServerBreakerShedsAndRecovers(t *testing.T) {
 	info, err := srv.Submit(ctx, lineRequest(1))
 	if err != nil {
 		t.Fatalf("probe after cooldown: %v", err)
+	}
+	if got := seriesValue(telemetry.MetricServerBreakerState); got != 0 {
+		t.Fatalf("breaker state gauge = %v after the good probe, want 0 (closed)", got)
+	}
+	if got := seriesValue(telemetry.MetricServerBreakerTrips) - trips; got != 1 {
+		t.Fatalf("breaker trips counter rose by %v, want 1", got)
 	}
 	if _, err := srv.Submit(ctx, lineRequest(1)); err != nil {
 		t.Fatalf("breaker did not close after a good probe: %v", err)
@@ -354,8 +365,15 @@ func chaosRun(t *testing.T) chaosOutcome {
 			t.Fatalf("event %+v: %v", ev, err)
 		}
 		// Settle: every consequence of this event reaches a terminal state
-		// before the next one fires, which pins the repair order.
+		// before the next one fires, which pins the repair order. The
+		// gauges then state the settled facts.
 		waitFor(t, func() bool { return srv.PendingRepairs() == 0 })
+		if got, want := seriesValue(telemetry.MetricFaultsActive), len(srv.Faults().Active); got != float64(want) {
+			t.Fatalf("after %+v: faults active gauge = %v, want %d", ev, got, want)
+		}
+		if got, want := seriesValue(telemetry.MetricServerActiveFlows), srv.ActiveFlows(); got != float64(want) {
+			t.Fatalf("after %+v: active flows gauge = %v, want %d", ev, got, want)
+		}
 	}
 
 	// The schedule restores every incident, so no fault is active and the

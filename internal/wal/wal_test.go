@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dagsfc/internal/telemetry"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
@@ -191,6 +193,10 @@ func TestSnapshotBoundsReplayAndPrunes(t *testing.T) {
 	defer l2.Close()
 	if string(rec.Snapshot) != "state@10" {
 		t.Fatalf("snapshot payload %q", rec.Snapshot)
+	}
+	// The size gauge reports the snapshot the restart reads.
+	if size, _ := telemetry.Default().Snapshot().Series(telemetry.MetricWALSnapshotBytes); size.Value != float64(len(rec.Snapshot)) {
+		t.Fatalf("snapshot size gauge = %v, want the %d bytes recovery read", size.Value, len(rec.Snapshot))
 	}
 	if rec.SnapshotSeq != 10 {
 		t.Fatalf("snapshot seq %d, want 10", rec.SnapshotSeq)
