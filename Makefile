@@ -202,32 +202,31 @@ obs-smoke:
 	$(GO) run ./cmd/dagsfc-load -selfserve -smoke -log-format json -log-level debug
 
 # chaos-smoke boots the control plane in-process, commits a flow
-# population, replays a seeded self-restoring fault schedule against it,
-# and verifies the survivability invariants: all faults restored, every
-# flow settles (repaired or evicted), the ledger drains back to the exact
-# seed residuals, and zero embed workers panicked. On failure the full
-# event journal is dumped for post-mortem (CI uploads it as an artifact).
+# population over HTTP, replays a seeded self-restoring fault schedule
+# against it, and verifies the survivability invariants: all faults
+# restored, every repair settled (repaired or evicted), the ledger drains
+# back to the exact seed residuals, and zero embed workers panicked. The
+# server's journal is written for post-mortem (CI uploads it on failure).
 chaos-smoke:
-	$(GO) run ./cmd/dagsfc-chaos -selfserve -smoke -journal-dump /tmp/chaos-journal.json
+	$(GO) run ./cmd/dagsfc-load -selfserve -n 24 -size 3 -hold 0 -faults 6 -journal-dump /tmp/chaos-journal.json
 
-# protect-smoke is the protection acceptance check: a mixed population of
-# backup-protected and unprotected flows rides out one-at-a-time
-# edge-down faults; every flow holding an active backup when its fault
-# lands must fail over in place (never strand, never evict), at least one
-# failover must actually occur, and the ledger must drain back to the
-# seed residuals with the backup gauge at zero.
+# protect-smoke is chaos-smoke with half the population asking for a
+# backup: every flow holding an active backup when a link fault lands must
+# still be active once the fault is applied (failed over, never stranded),
+# at least one failover must occur, and the drain to the seed residuals
+# must leave the backup gauge at zero.
 protect-smoke:
-	$(GO) run ./cmd/dagsfc-chaos -selfserve -smoke -protect -journal-dump /tmp/protect-journal.json
+	$(GO) run ./cmd/dagsfc-load -selfserve -n 24 -size 3 -hold 0 -faults 6 -protect-frac 0.5 -journal-dump /tmp/protect-journal.json
 
-# durable-smoke is the durability acceptance check: drive a seeded
-# workload against a WAL-backed server, SIGKILL it (in-process crash: the
-# log's user-space buffer is dropped, nothing is flushed) at a seeded
-# point, restart over the same WAL directory, finish the workload, and
-# require the flow table and every ledger residual to be identical to a
-# never-killed control run of the same seed. The WAL directory is kept
-# for the CI artifact on failure.
+# durable-smoke is the durability acceptance check: a seeded workload of
+# arrivals and departures, with protected flows, against a WAL-backed
+# server killed (in-process crash: the log's user-space buffer is dropped,
+# nothing is flushed) before every op in turn, restarted over the same WAL
+# directory and run to the end; the flow table and every ledger residual
+# must be identical to a never-killed control run's. A failure names the
+# kill point.
 durable-smoke:
-	$(GO) run ./cmd/dagsfc-chaos -kill-restart -smoke -wal-dir /tmp/dagsfc-wal-smoke
+	$(GO) test -count=1 -run '^TestDurableCrashMatchesControl$$' ./internal/server/
 
 # The survivability packages run concurrent repair controllers, fault
 # injection, and breaker state under load, and the WAL's group commit hands

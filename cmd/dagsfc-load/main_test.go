@@ -1,10 +1,20 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"math"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dagsfc/internal/graph"
+	"dagsfc/internal/journal"
+	"dagsfc/internal/network"
+	"dagsfc/internal/server"
+	"dagsfc/internal/server/client"
 	"dagsfc/internal/telemetry"
 )
 
@@ -139,5 +149,139 @@ func TestCounterValue(t *testing.T) {
 	}
 	if _, ok := stageBuckets(snap, "embed"); ok {
 		t.Fatal("a stage with no series was found")
+	}
+}
+
+// TestProtectionContract: the check wireTarget makes at every fault it
+// applies. A flow active with an active backup when a link fault lands
+// must still be active after it; node-down may take both placements (a
+// link-disjoint pair may share a node), and an unprotected flow may
+// strand.
+func TestProtectionContract(t *testing.T) {
+	flow := func(id int64, state string, backup bool) []server.FlowInfo {
+		return []server.FlowInfo{{ID: id, State: state, BackupActive: backup}}
+	}
+	linkDown := network.Fault{Kind: network.FaultLinkDown, Link: 66}
+	nodeDown := network.Fault{Kind: network.FaultNodeDown, Node: 3}
+	cases := []struct {
+		name          string
+		fault         network.Fault
+		before, after []server.FlowInfo
+		checked       int
+		violations    int
+	}{
+		{"covered flow fails over", linkDown, flow(3, server.FlowStateActive, true), flow(3, server.FlowStateActive, false), 1, 0},
+		{"covered flow repairing after link-down", linkDown, flow(3, server.FlowStateActive, true), flow(3, server.FlowStateRepairing, false), 1, 1},
+		{"covered flow repairing after node-down", nodeDown, flow(3, server.FlowStateActive, true), flow(3, server.FlowStateRepairing, false), 1, 0},
+		{"uncovered flow strands", linkDown, flow(4, server.FlowStateActive, false), flow(4, server.FlowStateRepairing, false), 0, 0},
+		{"flow mid-repair is not covered", linkDown, flow(4, server.FlowStateRepairing, false), flow(4, server.FlowStateRepairing, false), 0, 0},
+		{"covered flow released meanwhile", linkDown, flow(3, server.FlowStateActive, true), nil, 0, 0},
+	}
+	for _, tc := range cases {
+		var target wireTarget
+		err := target.check(tc.fault, tc.before, tc.after)
+		if (err != nil) != (tc.violations > 0) || target.violations != tc.violations || target.checked != tc.checked {
+			t.Errorf("%s: err %v, %d violations, %d checked; want %d and %d",
+				tc.name, err, target.violations, target.checked, tc.violations, tc.checked)
+		}
+	}
+}
+
+// TestLoadSchedule: -faults takes a count or a file, and a file that does
+// not parse is an error, not an empty schedule.
+func TestLoadSchedule(t *testing.T) {
+	sched, err := loadSchedule("6", 1, 50, 100)
+	if err != nil || len(sched) != 6 {
+		t.Fatalf("count: %d incidents, %v; want 6", len(sched), err)
+	}
+	again, _ := loadSchedule("6", 1, 50, 100)
+	if sched.Format() != again.Format() {
+		t.Fatal("one seed drew two schedules")
+	}
+
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.txt")
+	if err := os.WriteFile(good, []byte("# two incidents\n0.5 2 link-down 3\n1 1 node-down 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sched, err = loadSchedule(good, 1, 50, 100)
+	if err != nil || len(sched) != 2 || sched[1].Fault.Kind != network.FaultNodeDown {
+		t.Fatalf("file: %+v, %v; want its two incidents", sched, err)
+	}
+
+	bad := filepath.Join(dir, "bad.txt")
+	if err := os.WriteFile(bad, []byte("0.5 2 link-down 3\n1 1 meteor-strike 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if sched, err := loadSchedule(bad, 1, 50, 100); err == nil {
+		t.Fatalf("malformed file read as %d incidents, want an error", len(sched))
+	}
+	if _, err := loadSchedule(filepath.Join(dir, "absent.txt"), 1, 50, 100); err == nil {
+		t.Fatal("a missing file read without error")
+	}
+}
+
+// TestJournalReadersCountMissed: a run that outgrows the journal ring says
+// by how much it did — in what fetchJournal returns across pages, and in
+// the summary, the post-mortem and the dump — instead of passing the
+// retained tail off as the whole run.
+func TestJournalReadersCountMissed(t *testing.T) {
+	g := graph.New(3)
+	g.MustAddEdge(0, 1, 1, 100)
+	g.MustAddEdge(1, 2, 1, 100)
+	nw := network.New(g, network.Catalog{N: 1})
+	nw.MustAddInstance(1, 1, 10, 2)
+	const ring = 300 // more than one page of 256
+	srv, err := server.New(server.Config{Net: nw, JournalSize: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	cl := client.New(hs.URL, hs.Client())
+	ctx := context.Background()
+	for i := 0; i < 60; i++ {
+		info, err := cl.CreateFlow(ctx, server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.ReleaseFlow(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	events, missed, err := fetchJournal(ctx, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != ring || missed == 0 || missed+ring != events[ring-1].Seq+1 {
+		t.Fatalf("fetched %d events, %d missed, last seq %d; want the %d retained and every earlier one counted",
+			len(events), missed, events[len(events)-1].Seq, ring)
+	}
+
+	note := missedNote(missed)
+	var out strings.Builder
+	printJournalSummary(&out, events, missed)
+	if !strings.Contains(out.String(), note) {
+		t.Fatalf("summary does not say what was missed:\n%s", out.String())
+	}
+	out.Reset()
+	stranded := append(events, journal.Event{Seq: events[ring-1].Seq + 1, Type: journal.TypeFaultStrand, Flow: 7})
+	postMortem(&out, stranded, missed)
+	if !strings.Contains(out.String(), note) || !strings.Contains(out.String(), "flow 7") {
+		t.Fatalf("post-mortem does not say what was missed, or skips the stranded flow:\n%s", out.String())
+	}
+	dump := filepath.Join(t.TempDir(), "journal.json")
+	if err := writeJournal(dump, events, missed); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page server.EventsPage
+	if err := json.Unmarshal(b, &page); err != nil || page.Missed != missed || len(page.Events) != ring {
+		t.Fatalf("dump read back as %d events, %d missed (%v); want %d and %d", len(page.Events), page.Missed, err, ring, missed)
 	}
 }

@@ -3,7 +3,7 @@
 // (link down, node down, capacity degradation) replayed against anything
 // that can apply a network.Fault — a raw ledger in the offline harnesses,
 // the serving control plane over its repair-aware entry points, or a
-// remote server over HTTP via the chaos driver's client adapter.
+// remote server over HTTP via dagsfc-load's client adapter.
 //
 // Schedules are plain data: a list of incidents, each a fault held for a
 // duration. The same schedule replayed against the same initial state
@@ -96,7 +96,7 @@ func (s Schedule) Events() []Event {
 
 // GenConfig parameterizes Generate. Nodes/Edges describe the substrate
 // (counts are enough — the generator never needs the topology, so the
-// chaos driver can build schedules from a remote server's /v1/network
+// wire driver can build schedules from a remote server's /v1/network
 // view).
 type GenConfig struct {
 	Nodes, Edges int
@@ -109,11 +109,6 @@ type GenConfig struct {
 	// DegradeFrac the probability a link incident is a degradation rather
 	// than an outage. Both in [0,1].
 	NodeFrac, DegradeFrac float64
-	// HardFrac is the probability a link incident is a hard edge-down
-	// (residual pinned to zero) instead of a capacity quarantine. In [0,1];
-	// zero keeps the generator's rng stream identical to pre-hard-fault
-	// schedules.
-	HardFrac float64
 }
 
 // Generate draws a seeded schedule: incident starts follow exponential
@@ -127,7 +122,7 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Schedule, error) {
 		return nil, fmt.Errorf("faults: negative incident count %d", cfg.Count)
 	case cfg.MeanGap <= 0 || cfg.MeanHold <= 0:
 		return nil, fmt.Errorf("faults: non-positive mean gap %v / hold %v", cfg.MeanGap, cfg.MeanHold)
-	case cfg.NodeFrac < 0 || cfg.NodeFrac > 1 || cfg.DegradeFrac < 0 || cfg.DegradeFrac > 1 || cfg.HardFrac < 0 || cfg.HardFrac > 1:
+	case cfg.NodeFrac < 0 || cfg.NodeFrac > 1 || cfg.DegradeFrac < 0 || cfg.DegradeFrac > 1:
 		return nil, fmt.Errorf("faults: fractions outside [0,1]")
 	}
 	s := make(Schedule, 0, cfg.Count)
@@ -142,10 +137,6 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Schedule, error) {
 		switch {
 		case rng.Float64() < cfg.NodeFrac:
 			inc.Fault = network.Fault{Kind: network.FaultNodeDown, Node: graph.NodeID(rng.Intn(cfg.Nodes))}
-		// The HardFrac > 0 short-circuit keeps the rng stream (and thus
-		// every existing seeded schedule) unchanged when the knob is off.
-		case cfg.HardFrac > 0 && rng.Float64() < cfg.HardFrac:
-			inc.Fault = network.Fault{Kind: network.FaultEdgeDown, Link: graph.EdgeID(rng.Intn(cfg.Edges))}
 		case rng.Float64() < cfg.DegradeFrac:
 			inc.Fault = network.Fault{
 				Kind:     network.FaultLinkDegrade,

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -41,50 +40,6 @@ func TestHardKindsFormatParseRoundTrip(t *testing.T) {
 		if err != nil || back != kind {
 			t.Fatalf("ParseKind(%q) = %v, %v", kind.String(), back, err)
 		}
-	}
-}
-
-// TestGenerateHardFrac checks the generator draws edge-down incidents when
-// asked, keeps the schedule valid, and — with the knob off — produces the
-// exact schedule it produced before the knob existed (same rng stream).
-func TestGenerateHardFrac(t *testing.T) {
-	cfg := GenConfig{
-		Nodes: 20, Edges: 40, Count: 60,
-		MeanGap: 1, MeanHold: 2, NodeFrac: 0.2, DegradeFrac: 0.3, HardFrac: 0.5,
-	}
-	s, err := Generate(cfg, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(nil); err != nil {
-		t.Fatalf("generated schedule invalid: %v", err)
-	}
-	hard := 0
-	for _, inc := range s {
-		if inc.Fault.Kind == network.FaultEdgeDown {
-			hard++
-		}
-	}
-	if hard == 0 {
-		t.Fatal("HardFrac=0.5 drew zero edge-down incidents in 60 draws")
-	}
-
-	off := cfg
-	off.HardFrac = 0
-	a, err := Generate(off, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inc := range a {
-		if inc.Fault.Kind == network.FaultEdgeDown {
-			t.Fatal("HardFrac=0 drew an edge-down incident")
-		}
-	}
-
-	if _, err := Generate(GenConfig{
-		Nodes: 2, Edges: 2, Count: 1, MeanGap: 1, MeanHold: 1, HardFrac: 1.5,
-	}, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("HardFrac outside [0,1] accepted")
 	}
 }
 

@@ -81,7 +81,7 @@ const (
 	// TypeBackupLost: a fault killed the flow's backup while the primary
 	// survived; the flow queues for re-protection. Detail names the fault.
 	TypeBackupLost Type = "backup_lost"
-	// TypeReprotected: the re-protect controller reserved a fresh disjoint
+	// TypeReprotected: the restore controller reserved a fresh disjoint
 	// backup for a flow that lost one; Cost is the new backup's cost.
 	TypeReprotected Type = "reprotected"
 )

@@ -10,6 +10,7 @@ import (
 	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
 	"dagsfc/internal/faults"
+	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfcgen"
@@ -26,14 +27,31 @@ func goldenScenario(t testing.TB, seed int64) (*network.Network, []TimedRequest,
 	cfg.LinkCapacity, cfg.InstanceCapacity = 4, 3
 	net := netgen.MustGenerate(cfg, rng)
 	reqs := RandomTimedRequests(net, sfcgen.Config{Size: 4, LayerWidth: 3, VNFKinds: 6}, 150, 1, 1, 0.5, 12, rng)
-	sched, err := faults.Generate(faults.GenConfig{
-		Nodes: net.G.NumNodes(), Edges: net.G.NumEdges(), Count: 25,
-		MeanGap: 3, MeanHold: 8, NodeFrac: 0.2, DegradeFrac: 0.3, HardFrac: 0.4,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
+	return net, reqs, hardSchedule(rng, net.G.NumNodes(), net.G.NumEdges())
+}
+
+// hardSchedule draws 25 incidents as faults.Generate does (mean gap 3,
+// mean hold 8, node fraction 0.2, degrade fraction 0.3), with one draw
+// more per link incident: with probability 0.4 it is a hard edge-down.
+func hardSchedule(rng *rand.Rand, nodes, edges int) faults.Schedule {
+	s := make(faults.Schedule, 0, 25)
+	clock := 0.0
+	for i := 0; i < 25; i++ {
+		clock += rng.ExpFloat64() * 3
+		inc := faults.Incident{At: clock, Duration: rng.ExpFloat64()*8 + 1e-6}
+		switch {
+		case rng.Float64() < 0.2:
+			inc.Fault = network.Fault{Kind: network.FaultNodeDown, Node: graph.NodeID(rng.Intn(nodes))}
+		case rng.Float64() < 0.4:
+			inc.Fault = network.Fault{Kind: network.FaultEdgeDown, Link: graph.EdgeID(rng.Intn(edges))}
+		case rng.Float64() < 0.3:
+			inc.Fault = network.Fault{Kind: network.FaultLinkDegrade, Link: graph.EdgeID(rng.Intn(edges)), Fraction: 0.25 + 0.75*rng.Float64()}
+		default:
+			inc.Fault = network.Fault{Kind: network.FaultLinkDown, Link: graph.EdgeID(rng.Intn(edges))}
+		}
+		s = append(s, inc)
 	}
-	return net, reqs, sched
+	return s
 }
 
 // fingerprint renders everything deterministic about a report: the

@@ -71,11 +71,13 @@ const (
 )
 
 // FaultState is the response of the fault endpoints: the faults currently
-// quarantining capacity plus lifetime apply/restore counters.
+// quarantining capacity, lifetime apply/restore counters, and the restore
+// controller's backlog (Server.PendingRepairs) when the answer was made.
 type FaultState struct {
-	Active   []FaultRequest `json:"active"`
-	Applied  int            `json:"applied"`
-	Restored int            `json:"restored"`
+	Active         []FaultRequest `json:"active"`
+	Applied        int            `json:"applied"`
+	Restored       int            `json:"restored"`
+	PendingRepairs int            `json:"pending_repairs"`
 }
 
 // LinkState is one link's residual bandwidth in GET /v1/network.

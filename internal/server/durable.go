@@ -180,7 +180,7 @@ func (s *Server) finishRecovery(rec *recoveredState) {
 	s.enqueueRepairs(rec.restores)
 }
 
-// Crash simulates a SIGKILL for tests and the chaos kill-restart mode: it
+// Crash simulates a SIGKILL for the durability tests: it
 // stops the pipeline WITHOUT the final snapshot, the WAL flush or the
 // fsync a graceful Drain performs — whatever sat in the WAL's user-space
 // buffer is lost, exactly like bytes a killed process never wrote. Under

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
+	"dagsfc/internal/sfc"
+	"dagsfc/internal/sfcgen"
 )
 
 // durableServer starts a server over dir with the per-commit sync policy
@@ -108,66 +112,150 @@ func TestDurableDrainRestart(t *testing.T) {
 	}
 }
 
+// crashOp is one step of a crash workload: a flow arrival, or the
+// departure of the live flow in slot release (modulo the live count, in
+// arrival order), so both runs release the same flow whenever their live
+// sets agree.
+type crashOp struct {
+	submit  *server.FlowRequest
+	release int
+}
+
+// runOps applies ops to srv, keeping the live flow IDs in arrival order.
+// A rejection is part of the workload: both runs see the same ones.
+func runOps(srv *server.Server, ops []crashOp, live *[]int64) {
+	for _, op := range ops {
+		if op.submit != nil {
+			if info, err := srv.Submit(context.Background(), *op.submit); err == nil {
+				*live = append(*live, info.ID)
+			}
+			continue
+		}
+		if len(*live) == 0 {
+			continue
+		}
+		i := op.release % len(*live)
+		if _, err := srv.Release((*live)[i]); err == nil {
+			*live = append((*live)[:i], (*live)[i+1:]...)
+		}
+	}
+}
+
+// lineOps is five non-dyadic line flows (float exactness under stress) and
+// the departure of the second.
+func lineOps() []crashOp {
+	var ops []crashOp
+	for _, rate := range []float64{0.1, 0.3, 0.25, 0.05, 0.125} {
+		req := lineRequest(rate)
+		ops = append(ops, crashOp{submit: &req})
+	}
+	return append(ops, crashOp{release: 1})
+}
+
+// generatedNet is the 50-node, 10-kind substrate netgen draws from seed 1.
+func generatedNet() *network.Network {
+	cfg := netgen.Default()
+	cfg.Nodes, cfg.VNFKinds = 50, 10
+	return netgen.MustGenerate(cfg, rand.New(rand.NewSource(1)))
+}
+
+// churnOps is 24 seeded arrivals of size-3, width-3 DAG-SFCs on
+// generatedNet, half of them asking for a backup, each followed by a
+// departure with probability 0.35.
+func churnOps() []crashOp {
+	rng := rand.New(rand.NewSource(1))
+	var ops []crashOp
+	for i := 0; i < 24; i++ {
+		dag := sfcgen.MustGenerate(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: 10}, rng)
+		req := server.FlowRequest{SFC: sfc.Format(dag), Src: rng.Intn(50), Dst: rng.Intn(50), Rate: 1, Size: 1}
+		if rng.Float64() < 0.5 {
+			req.Protection = server.ProtectionBackup
+		}
+		ops = append(ops, crashOp{submit: &req})
+		if rng.Float64() < 0.35 {
+			ops = append(ops, crashOp{release: rng.Intn(1 << 30)})
+		}
+	}
+	return ops
+}
+
 // TestDurableCrashMatchesControl is the headline guarantee: a server
-// killed without any shutdown courtesy recovers to the same state — flow
-// for flow, residual for residual, bit for bit — as a control server that
-// ran the identical workload and was never killed.
+// killed without any shutdown courtesy (Crash: no final snapshot, no
+// flush) and restarted over its WAL to finish the workload ends in the
+// same state — flow for flow, residual for residual, bit for bit — as a
+// control server that ran the identical workload and was never killed.
+// The churn case kills before every op in turn; with its protected flows
+// and a snapshot every 8 records, the kills cross snapshot generations and
+// backup reservations.
 func TestDurableCrashMatchesControl(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
+	cases := []struct {
+		name    string
+		net     func() *network.Network
+		ops     []crashOp
+		every   int  // WALSnapshotEvery
+		everyOp bool // kill before every op but the first, not after the last
+	}{
+		{"line", tinyNet, lineOps(), 0, false},
+		{"churn", generatedNet, churnOps(), 8, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			control, err := server.New(server.Config{Net: tc.net(), Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer control.Close()
+			var live []int64
+			runOps(control, tc.ops, &live)
+			want, wantRes := control.Flows(), residuals(control.NetworkState())
+			if len(want) == 0 {
+				t.Fatal("the control kept no flow: nothing to compare")
+			}
 
-	control, err := server.New(server.Config{Net: tinyNet()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer control.Close()
-	durable := durableServer(t, dir, nil)
-
-	rates := []float64{0.1, 0.3, 0.25, 0.05, 0.125}
-	var ids []int64
-	for _, rate := range rates {
-		ci, err := control.Submit(ctx, lineRequest(rate))
-		if err != nil {
-			t.Fatal(err)
-		}
-		di, err := durable.Submit(ctx, lineRequest(rate))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ci.ID != di.ID {
-			t.Fatalf("ID drift before the crash: control %d vs durable %d", ci.ID, di.ID)
-		}
-		ids = append(ids, di.ID)
-	}
-	if _, err := control.Release(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := durable.Release(ids[1]); err != nil {
-		t.Fatal(err)
-	}
-
-	durable.Crash()
-
-	srv2 := durableServer(t, dir, nil)
-	defer srv2.Close()
-	// The two servers ran at different wall times, so timestamps cannot
-	// match; everything else must, exactly.
-	got, want := srv2.Flows(), control.Flows()
-	if len(got) != len(want) {
-		t.Fatalf("flow count %d, want control's %d", len(got), len(want))
-	}
-	sort.Slice(got, func(i, k int) bool { return got[i].ID < got[k].ID })
-	sort.Slice(want, func(i, k int) bool { return want[i].ID < want[k].ID })
-	for i := range want {
-		g, w := got[i], want[i]
-		g.Created, w.Created = time.Time{}, time.Time{}
-		g.ExpiresAt, w.ExpiresAt = nil, nil
-		if g != w {
-			t.Fatalf("flow %d diverged from control:\ngot:  %+v\nwant: %+v", w.ID, g, w)
-		}
-	}
-	if got, want := residuals(srv2.NetworkState()), residuals(control.NetworkState()); !equalResiduals(got, want) {
-		t.Fatalf("residuals after crash recovery: %v, want control %v", got, want)
+			kills := []int{len(tc.ops)}
+			if tc.everyOp {
+				kills = kills[:0]
+				for k := 1; k < len(tc.ops); k++ {
+					kills = append(kills, k)
+				}
+			}
+			t.Logf("%d ops, %d kill points, %d flows in the control's table", len(tc.ops), len(kills), len(want))
+			for _, k := range kills {
+				cfg := server.Config{Net: tc.net(), Seed: 1, WALDir: t.TempDir(), WALSync: "commit", WALSnapshotEvery: tc.every}
+				durable, err := server.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = live[:0]
+				runOps(durable, tc.ops[:k], &live)
+				durable.Crash()
+				restarted, err := server.New(cfg)
+				if err != nil {
+					t.Fatalf("kill before op %d: recovery: %v", k, err)
+				}
+				runOps(restarted, tc.ops[k:], &live)
+				// The two servers ran at different wall times, so timestamps
+				// cannot match; everything else must, exactly.
+				got := restarted.Flows()
+				if len(got) != len(want) {
+					t.Fatalf("kill before op %d: flow count %d, want control's %d", k, len(got), len(want))
+				}
+				sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+				sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+				for i := range want {
+					g, w := got[i], want[i]
+					g.Created, w.Created = time.Time{}, time.Time{}
+					g.ExpiresAt, w.ExpiresAt = nil, nil
+					if g != w {
+						t.Fatalf("kill before op %d: flow %d diverged from control:\ngot:  %+v\nwant: %+v", k, w.ID, g, w)
+					}
+				}
+				if got := residuals(restarted.NetworkState()); !equalResiduals(got, wantRes) {
+					t.Fatalf("kill before op %d: residuals after crash recovery: %v, want control %v", k, got, wantRes)
+				}
+				restarted.Close()
+			}
+		})
 	}
 }
 

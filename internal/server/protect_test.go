@@ -170,11 +170,12 @@ func TestFailoverPromotesBackupAndReprotects(t *testing.T) {
 		t.Fatalf("promoted cost %+v, want the old backup cost %+v", got.Cost, backupCost)
 	}
 
-	// The re-protect controller reserves a fresh backup on the remaining
-	// path in the background.
+	// The restore controller reserves a fresh backup on the remaining path
+	// in the background; GET /v1/faults reports its backlog draining.
 	waitFor(t, func() bool {
 		f, err := cl.Flow(ctx, info.ID)
-		return err == nil && f.BackupActive && srv.PendingRepairs() == 0
+		st, serr := cl.Faults(ctx)
+		return err == nil && serr == nil && f.BackupActive && st.PendingRepairs == 0
 	})
 	got, err = cl.Flow(ctx, info.ID)
 	if err != nil {

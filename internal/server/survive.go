@@ -141,6 +141,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	}
 	s.enqueueRepairs(append(rearm, stranded...))
 	s.walWait(ticket)
+	st.PendingRepairs = s.PendingRepairs()
 	telemetry.RecordServerRequest("faults.apply", "ok", time.Since(begin))
 	return st, nil
 }
@@ -161,15 +162,19 @@ func (s *Server) RestoreFault(f network.Fault) (FaultState, error) {
 	st := s.faultStateLocked()
 	s.mu.Unlock()
 	s.walWait(ticket)
+	st.PendingRepairs = s.PendingRepairs()
 	telemetry.RecordServerRequest("faults.restore", "ok", time.Since(begin))
 	return st, nil
 }
 
-// Faults reports the active faults and lifetime counters (GET /v1/faults).
+// Faults reports the active faults, the lifetime counters and the restore
+// controller's backlog (GET /v1/faults).
 func (s *Server) Faults() FaultState {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faultStateLocked()
+	st := s.faultStateLocked()
+	s.mu.Unlock()
+	st.PendingRepairs = s.PendingRepairs()
+	return st
 }
 
 func (s *Server) faultStateLocked() FaultState {
@@ -183,7 +188,8 @@ func (s *Server) faultStateLocked() FaultState {
 
 // PendingRepairs reports how many flows are queued for or in the hands of
 // the restore controller — zero means every fault consequence so far has
-// reached a terminal outcome (the chaos driver's settling condition).
+// reached a terminal outcome (the wire driver's settling condition, read
+// off GET /v1/faults).
 func (s *Server) PendingRepairs() int {
 	s.repairMu.Lock()
 	defer s.repairMu.Unlock()

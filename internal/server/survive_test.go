@@ -193,6 +193,28 @@ func TestServerEvictsStrandedFlow(t *testing.T) {
 	}
 }
 
+// TestFaultStateReportsPendingRepairs: the fault endpoints report the
+// restore controller's backlog. A flow stranded with nowhere to go fails
+// its first attempt and the controller then sleeps an hour of backoff, so
+// the backlog holds at one for as long as the test looks.
+func TestFaultStateReportsPendingRepairs(t *testing.T) {
+	_, cl := newTestServer(t, server.Config{Net: tinyNet(), RepairBackoff: time.Hour, RepairBackoffCap: time.Hour})
+	ctx := context.Background()
+	if _, err := cl.CreateFlow(ctx, lineRequest(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.Faults(ctx); err != nil || st.PendingRepairs != 0 {
+		t.Fatalf("fault state before any fault = %+v (%v), want no backlog", st, err)
+	}
+	st, err := cl.ApplyFault(ctx, server.FaultRequest{Kind: "link-down", Link: 0})
+	if err != nil || st.PendingRepairs != 1 {
+		t.Fatalf("apply answered %+v (%v), want the stranded flow pending", st, err)
+	}
+	if st, err := cl.Faults(ctx); err != nil || st.PendingRepairs != 1 {
+		t.Fatalf("GET /v1/faults = %+v (%v), want the stranded flow pending", st, err)
+	}
+}
+
 func TestServerRevalidatesUntouchedFlow(t *testing.T) {
 	srv, cl := newTestServer(t, fastRepairs(server.Config{Net: tinyNet()}))
 	ctx := context.Background()

@@ -383,7 +383,7 @@ const (
 var (
 	backupsActive        = gauge(MetricProtectBackupsActive, "Flows currently holding a reserved backup embedding.")
 	failovers            = counter(MetricProtectFailovers, "Backup embeddings promoted to primary after a fault.")
-	reprotects           = counter(MetricProtectReprotects, "Fresh backup embeddings reserved by the re-protect controller.")
+	reprotects           = counter(MetricProtectReprotects, "Fresh backup embeddings reserved by the restore controller.")
 	backupAdmitFailures  = counter(MetricProtectBackupAdmitFailure, "Backup embed attempts that found no disjoint placement.")
 	unprotectableBackups = counter(MetricProtectUnprotectable,
 		"Backup embed attempts refused unsearched: the endpoints are not 2-edge-connected.")
@@ -393,7 +393,7 @@ var (
 // the pre-reserved backup took over without a re-embed).
 func RecordFailover() { failovers().Inc() }
 
-// RecordReprotect records the re-protect controller reserving a fresh
+// RecordReprotect records the restore controller reserving a fresh
 // backup for a flow that lost one.
 func RecordReprotect() { reprotects().Inc() }
 

@@ -52,7 +52,7 @@ const (
 	// marking it repairing.
 	TypeStrand Type = 8
 	// TypeBackup records a protected flow gaining (or regaining, via the
-	// re-protect controller) a disjoint backup embedding: the payload is
+	// restore controller) a disjoint backup embedding: the payload is
 	// the backup solution plus its cost, reserved in the ledger under the
 	// flow's ID.
 	TypeBackup Type = 9
