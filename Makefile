@@ -15,8 +15,8 @@ all: build vet test
 # the no-per-request-garbage contract of the HTTP layer, the
 # docs-name-what-the-tree-has contract, the every-metric-has-a-reader
 # contract, the benchmark module still compiling against the tree, and a
-# short fuzz of the search-kernel priority queues, the request-body reader
-# and the sfc parser.
+# short fuzz of the search-kernel priority queues, the request-body reader,
+# the response decoder and the sfc parser.
 check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift metrics-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
@@ -74,12 +74,16 @@ server-single-writer:
 		echo "internal/online mutates a ledger beside flowstate.Apply"; exit 1; \
 	fi
 
-# Both sides of the socket read a body once into a pooled buffer and share
-# one Content-Type value (DESIGN §21): a json.Decoder per message (two
-# scanners and a private read buffer each) and Header.Set's one-element
-# slice per response must not grow back.
+# Both sides of the socket read a body once into a pooled buffer, decode and
+# encode it through the encoding/json state kept beside that buffer
+# (jsonbuf.Buffer), and share one Content-Type value (DESIGN §21): a decoder
+# built over the body itself (two scanners and a private read buffer per
+# message), an encoder or json.Marshal per message, json.Unmarshal on a
+# success path (a decodeState and a parse stack per message; the error path
+# is jsonbuf's) and Header.Set's one-element slice per response must not
+# grow back.
 server-request-garbage:
-	@if grep -nE 'json\.NewDecoder\(|Header(\(\))?\.Set\("Content-Type"' internal/server/http.go internal/server/client/client.go; then \
+	@if grep -nE 'json\.NewDecoder\((r|resp)\.Body|json\.(NewEncoder|Marshal|Unmarshal)\(|Header(\(\))?\.Set\("Content-Type"' internal/server/http.go internal/server/client/client.go; then \
 		echo "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)"; exit 1; \
 	fi
 
@@ -110,12 +114,15 @@ benchmark-vet:
 # selects; and a Dijkstra tree grown on demand must agree with the complete
 # tree wherever it has been read; and POST /v1/flows must do with a body
 # what Submit does with json.Unmarshal's reading of it, whatever the pooled
-# request held before. FUZZTIME=0x replays only the checked-in corpus.
+# request held before, and the client's pooled decoder must read a response
+# as json.Unmarshal does, whatever it read before. FUZZTIME=0x replays only
+# the checked-in corpus.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzGrowTree -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzCreateBody -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/server/client/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sfc/
 
 build:
@@ -153,7 +160,7 @@ bench-smoke:
 # purpose: a benchmark failure fails the target before anything is parsed.
 # CI runs it with BENCHTIME=1x BENCH_LABEL=ci as a smoke check (errors
 # fail, thresholds don't).
-BENCH_JSON ?= BENCH_PR31.json
+BENCH_JSON ?= BENCH_PR34.json
 BENCH_LABEL ?= after
 BENCHTIME ?= 0.5s
 BENCH_RAW ?= /tmp/dagsfc-bench-raw.txt
@@ -169,11 +176,11 @@ bench-json:
 # bench-guard regenerates the candidate ledger, prints the old->new delta
 # of every benchmark both ledgers share, then fails if a guarded hot-path
 # benchmark (filtered Dijkstra, uncached MBBE embed, serial-chain MBBE embed)
-# regressed more than 20% against the committed PR29 baseline, if an
+# regressed more than 20% against the committed PR31 baseline, if an
 # embed-path benchmark
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path, admission
-# and release through the server: plain, protected and over HTTP) allocates
+# and release through the server: plain, protected, durable and over HTTP) allocates
 # more than 5% more objects per op, if the warm path-cache embed lost
 # its 1.5x speedup floor, or if failing over to a reserved backup got more
 # than 2x slower at p99 than the baseline records or stopped beating a repair
@@ -182,7 +189,7 @@ bench-json:
 # purpose — it absorbs host-to-host ns/op noise while still catching real
 # hot-path regressions; allocation counts repeat exactly, so their limit
 # is tight.
-BENCH_GUARD_OLD ?= BENCH_PR29.json
+BENCH_GUARD_OLD ?= BENCH_PR31.json
 bench-guard: bench-json
 	$(GO) run ./cmd/dagsfc-bench -guard-old $(BENCH_GUARD_OLD) -guard-new $(BENCH_JSON)
 

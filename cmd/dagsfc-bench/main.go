@@ -142,8 +142,8 @@ var renamedBenchmarks = map[string]string{
 // generation, the BBE embed, the validate-commit-release path a placed
 // flow walks through the ledger, and the fixed cost of a request around
 // all of it — one admission and its release through the server, in-process
-// (unprotected, and protected: a primary and a banned backup search) and
-// over loopback HTTP. The counts repeat exactly on this code (the HTTP one
+// (unprotected; protected: a primary and a banned backup search; durable:
+// the WAL's records and fsync per commit) and over loopback HTTP. The counts repeat exactly on this code (the HTTP one
 // to within an object or two of net/http's), so the limit is tight.
 var allocGuardedBenchmarks = []string{
 	"BenchmarkEmbedMBBE",
@@ -155,6 +155,7 @@ var allocGuardedBenchmarks = []string{
 	"BenchmarkCommitRelease",
 	"BenchmarkAdmitRelease",
 	"BenchmarkAdmitReleaseProtected",
+	"BenchmarkAdmitReleaseDurable",
 	"BenchmarkAdmitReleaseHTTP",
 }
 

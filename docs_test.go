@@ -44,13 +44,11 @@ var docHistory = map[string]string{
 	"rentTable":              "deleted in PR 25",
 	"BFSFrontiers500":        "deleted in PR 27",
 
-	"Accept":         "net/http",
-	"AfterFunc":      "context",
-	"timerCtx":       "context",
-	"Decoder":        "encoding/json",
-	"Decoder.Decode": "encoding/json",
-	"decodeState":    "encoding/json",
-	"AppendFormat":   "time",
+	"Accept":       "net/http",
+	"AfterFunc":    "context",
+	"timerCtx":     "context",
+	"decodeState":  "encoding/json",
+	"AppendFormat": "time",
 }
 
 // TestDocsDrift is make check's docs-drift: every Go identifier README.md

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dagsfc/internal/core"
+	"dagsfc/internal/jsonbuf"
 	"dagsfc/internal/network"
 	"dagsfc/internal/wal"
 )
@@ -34,42 +35,47 @@ type (
 )
 
 // Encoder frames applied transitions into WAL records, encoding every
-// payload into one reused buffer. The zero value is ready to use.
+// payload into one reused buffer from a slot of its own, so that no payload
+// is boxed into an interface. The zero value is ready to use.
 type Encoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf    jsonbuf.Buffer
+	commit commitPayload
+	backup backupPayload
+	evict  evictPayload
+	fault  FaultRequest
 }
 
 // Encode returns the record that makes t durable; ok is false for the
-// transitions that change nothing durable. ch is what Apply returned for
-// t — a commit record carries the flow as it stood afterwards. The
-// record's Data aliases the encoder's buffer until the next Encode
+// transitions that change nothing durable, and err non-nil when t's
+// payload cannot be encoded (a value JSON cannot hold). ch is what Apply
+// returned for t — a commit record carries the flow as it stood afterwards.
+// The record's Data aliases the encoder's buffer until the next Encode
 // (wal.Log.Enqueue copies it into the frame).
-func (e *Encoder) Encode(t Transition, ch Change) (rec wal.Record, ok bool) {
+func (e *Encoder) Encode(t Transition, ch Change) (rec wal.Record, ok bool, err error) {
 	var payload any
 	switch t.Kind {
 	case Admit, Release, Expire:
-		return wal.Record{Type: wal.Type(t.Kind), Flow: t.Flow}, true
+		return wal.Record{Type: wal.Type(t.Kind), Flow: t.Flow}, true, nil
 	case Commit:
-		payload = commitPayload{Info: ch.Info, Sol: t.Primary, Backup: t.Backup}
+		e.commit = commitPayload{Info: ch.Info, Sol: t.Primary, Backup: t.Backup}
+		payload = &e.commit
 	case Backup:
-		payload = backupPayload{Sol: t.Backup, Cost: ch.Info.BackupCost}
+		e.backup = backupPayload{Sol: t.Backup, Cost: ch.Info.BackupCost}
+		payload = &e.backup
 	case Evict:
-		payload = evictPayload{LastError: t.LastError, Cause: t.Cause}
+		e.evict = evictPayload{LastError: t.LastError, Cause: t.Cause}
+		payload = &e.evict
 	case FaultApply, FaultRestore, Strand, Failover, BackupLoss:
-		payload = FaultToWire(t.Fault)
+		e.fault = FaultToWire(t.Fault)
+		payload = &e.fault
 	default:
-		return wal.Record{}, false
+		return wal.Record{}, false, nil
 	}
-	if e.enc == nil {
-		e.enc = json.NewEncoder(&e.buf)
-	}
-	e.buf.Reset()
-	if err := e.enc.Encode(payload); err != nil {
-		return wal.Record{}, false
+	if err := e.buf.Encode(payload); err != nil {
+		return wal.Record{}, false, fmt.Errorf("flowstate: %s record of flow %d: %w", wal.Type(t.Kind), t.Flow, err)
 	}
 	// Encode ends the value with a newline json.Marshal would not write.
-	return wal.Record{Type: wal.Type(t.Kind), Flow: t.Flow, Data: bytes.TrimSuffix(e.buf.Bytes(), []byte("\n"))}, true
+	return wal.Record{Type: wal.Type(t.Kind), Flow: t.Flow, Data: bytes.TrimSuffix(e.buf.Bytes(), []byte("\n"))}, true, nil
 }
 
 // Decode rebuilds the transition a record was framed from, minus what the

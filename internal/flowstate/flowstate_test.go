@@ -46,7 +46,11 @@ func (s *sim) apply(name string, t Transition, settled bool) (Change, error) {
 	ch, err := s.a.Apply(t)
 	if err == nil {
 		s.steps[name]++
-		if rec, ok := s.enc.Encode(t, ch); ok {
+		rec, ok, eerr := s.enc.Encode(t, ch)
+		if eerr != nil {
+			s.t.Fatalf("%s: %v", name, eerr)
+		}
+		if ok {
 			rec.Data = bytes.Clone(rec.Data)
 			back, derr := Decode(s.net, rec)
 			if derr != nil {
@@ -523,9 +527,9 @@ func TestWALPayloadGolden(t *testing.T) {
 	var enc Encoder
 	types := make(map[wal.Type]bool)
 	for _, c := range cases {
-		rec, ok := enc.Encode(c.t, c.ch)
-		if !ok || rec.Type != c.typ || rec.Flow != c.t.Flow || string(rec.Data) != c.data {
-			t.Errorf("%s record: ok=%v type=%s flow=%d payload\n %s\nwant type=%s flow=%d payload\n %s", c.typ, ok, rec.Type, rec.Flow, rec.Data, c.typ, c.t.Flow, c.data)
+		rec, ok, err := enc.Encode(c.t, c.ch)
+		if err != nil || !ok || rec.Type != c.typ || rec.Flow != c.t.Flow || string(rec.Data) != c.data {
+			t.Errorf("%s record: ok=%v err=%v type=%s flow=%d payload\n %s\nwant type=%s flow=%d payload\n %s", c.typ, ok, err, rec.Type, rec.Flow, rec.Data, c.typ, c.t.Flow, c.data)
 			continue
 		}
 		types[rec.Type] = true
@@ -555,7 +559,7 @@ func TestWALPayloadGolden(t *testing.T) {
 		t.Errorf("golden covers %d record types, want all 11", len(types))
 	}
 	for _, k := range []Kind{Revalidate} {
-		if _, ok := enc.Encode(Transition{Kind: k, Flow: 7}, Change{}); ok {
+		if _, ok, _ := enc.Encode(Transition{Kind: k, Flow: 7}, Change{}); ok {
 			t.Errorf("transition kind %d changes nothing durable but was framed into a record", k)
 		}
 	}

@@ -92,7 +92,10 @@ func runDrained(t *testing.T, net *network.Network, reqs []TimedRequest, sched f
 	replayed := flowstate.New(net)
 	var enc flowstate.Encoder
 	d.applied = func(tr flowstate.Transition, ch flowstate.Change) {
-		rec, ok := enc.Encode(tr, ch)
+		rec, ok, err := enc.Encode(tr, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			return
 		}

@@ -19,13 +19,14 @@ import (
 // benchServer starts a server and returns it with a fixed cycle of chain requests over a 50-node generated
 // network — the shape of the repository benchmark's serve-durable traffic:
 // flat chains of distinct stock categories the server standardizes itself.
-func benchServer(b *testing.B) (*server.Server, []server.FlowRequest) {
+// A non-empty walDir turns the WAL on there, with an fsync per commit.
+func benchServer(b *testing.B, walDir string) (*server.Server, []server.FlowRequest) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(5))
 	ncfg := netgen.Default()
 	ncfg.Nodes = 50
 	ncfg.VNFKinds = int(sfc.TrafficShaper)
-	srv, err := server.New(server.Config{Net: netgen.MustGenerate(ncfg, rng), Workers: 2})
+	srv, err := server.New(server.Config{Net: netgen.MustGenerate(ncfg, rng), Workers: 2, WALDir: walDir, WALSync: "commit"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +50,21 @@ func benchServer(b *testing.B) (*server.Server, []server.FlowRequest) {
 // allocs/op are the server's own share of the repository benchmark's
 // allocs_per_op (everything but net/http, the client and the WAL).
 func BenchmarkAdmitRelease(b *testing.B) {
-	srv, reqs := benchServer(b)
+	srv, reqs := benchServer(b, "")
+	admitRelease(b, srv, reqs)
+}
+
+// BenchmarkAdmitReleaseDurable is BenchmarkAdmitRelease with the WAL on and
+// an fsync per commit, as on serve-durable: what framing the two
+// transitions into records (flowstate.Encoder) and logging them adds.
+func BenchmarkAdmitReleaseDurable(b *testing.B) {
+	srv, reqs := benchServer(b, b.TempDir())
+	admitRelease(b, srv, reqs)
+}
+
+// admitRelease is the measured loop of the in-process benchmarks: admit
+// the next request of the cycle, release it.
+func admitRelease(b *testing.B, srv *server.Server, reqs []server.FlowRequest) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +86,7 @@ func BenchmarkAdmitRelease(b *testing.B) {
 // cannot carry a disjoint pair are dropped from the cycle up front, so
 // every op is an admission.
 func BenchmarkAdmitReleaseProtected(b *testing.B) {
-	srv, chains := benchServer(b)
+	srv, chains := benchServer(b, "")
 	rng := rand.New(rand.NewSource(6))
 	ctx := context.Background()
 	var reqs []server.FlowRequest
@@ -93,24 +108,14 @@ func BenchmarkAdmitReleaseProtected(b *testing.B) {
 	if len(reqs) < len(chains)/2 {
 		b.Fatalf("only %d of %d requests could be protected", len(reqs), len(chains))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		info, err := srv.Submit(ctx, reqs[i%len(reqs)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.Release(info.ID); err != nil {
-			b.Fatal(err)
-		}
-	}
+	admitRelease(b, srv, reqs)
 }
 
 // BenchmarkAdmitReleaseHTTP is the same pair over loopback HTTP through the
 // typed client on one kept-alive connection: what a request costs end to
 // end, both sides of the socket counted.
 func BenchmarkAdmitReleaseHTTP(b *testing.B) {
-	srv, reqs := benchServer(b)
+	srv, reqs := benchServer(b, "")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

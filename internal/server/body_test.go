@@ -140,9 +140,11 @@ func TestPooledBuffersCarryNothingOver(t *testing.T) {
 // with json.Unmarshal's reading of it into a fresh request — it calls the
 // body bad JSON when, and as, Unmarshal does (no more lenient: trailing
 // bytes; no stricter), and otherwise reaches the same verdict on the same
-// flow, whatever the pooled request it decodes into held before (the seeds
-// run in order on one server: a null chain element after a real chain must
-// read as zero, not as the last request's).
+// flow, whatever the pooled request it decodes into, and the decoder it
+// decodes with, held before (the seeds run in order on one server: a null
+// chain element after a real chain must read as zero, not as the last
+// request's, and a valid body after a syntax error, a type error or a
+// value trailed by whitespace must read as if it came first).
 func FuzzCreateBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"sfc":"1","src":0,"dst":2,"rate":1,"size":1}`,
@@ -160,6 +162,11 @@ func FuzzCreateBody(f *testing.F) {
 		`[]`, `null`, `0`, `"x"`, ``, ` `, `{`, `{"sfc":"\ud800"}`, "{\"sfc\":\"\xff\"}",
 		`{"SFC":"1","Src":0,"DST":2}`,
 		`{"unknown":{"deep":[1,2,{"x":null}]}}`,
+		`{"sfc":"1","src":0,"dst":2,"rate":1`, `{"sfc":"1","src":0,"dst":2,"rate":1,"size":1}`,
+		`{"src":"0"}`, `{"chain":[1],"src":0,"dst":2,"rate":1,"size":1}`,
+		`{}}`, `{"sfc":"1","src":0,"dst":2,"rate":1,"size":1}`,
+		"{\"sfc\":\"1\",\"src\":0,\"dst\":2,\"rate\":1,\"size\":1} \n\t\r ", `7 `, `{"chain":[1],"src":0,"dst":2,"rate":1,"size":1}`,
+		`{"sfc":"1","src":0,"dst":2,"rate":0.001,"size":1e308}`,
 	} {
 		f.Add([]byte(seed))
 	}

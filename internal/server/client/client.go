@@ -7,7 +7,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"dagsfc/internal/jsonbuf"
 	"dagsfc/internal/server"
 	"dagsfc/internal/telemetry"
 )
@@ -74,23 +74,17 @@ func (e *APIError) Retryable() bool {
 
 // CreateFlow embeds and commits one flow (POST /v1/flows).
 func (c *Client) CreateFlow(ctx context.Context, req server.FlowRequest) (server.FlowInfo, error) {
-	var info server.FlowInfo
-	err := c.do(ctx, http.MethodPost, "/v1/flows", "", req, &info)
-	return info, err
+	return c.flowCall(ctx, http.MethodPost, "/v1/flows", &req)
 }
 
 // ReleaseFlow returns a flow's capacity (DELETE /v1/flows/{id}).
 func (c *Client) ReleaseFlow(ctx context.Context, id int64) (server.FlowInfo, error) {
-	var info server.FlowInfo
-	err := c.do(ctx, http.MethodDelete, flowPath(id, ""), "", nil, &info)
-	return info, err
+	return c.flowCall(ctx, http.MethodDelete, flowPath(id, ""), nil)
 }
 
 // Flow fetches one committed flow (GET /v1/flows/{id}).
 func (c *Client) Flow(ctx context.Context, id int64) (server.FlowInfo, error) {
-	var info server.FlowInfo
-	err := c.do(ctx, http.MethodGet, flowPath(id, ""), "", nil, &info)
-	return info, err
+	return c.flowCall(ctx, http.MethodGet, flowPath(id, ""), nil)
 }
 
 // Flows lists the committed flows (GET /v1/flows).
@@ -197,12 +191,28 @@ func flowPath(id int64, suffix string) string {
 	return string(append(b, suffix...))
 }
 
-// respBufs recycles the buffers response bodies are read into; one that
-// grew past maxPooledBuf (a large network snapshot) is left to the
-// collector.
-var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// exchange is what one call keeps for the next: the buffer its request
+// body is encoded into and its response read into, with encoding/json's
+// state kept beside it, and the slots flowCall encodes a FlowRequest from
+// and decodes a FlowInfo into, so that neither is boxed into an interface.
+// exchanges recycles them; one whose buffer grew past maxPooledBuf (a large
+// network snapshot) is left to the collector.
+type exchange struct {
+	buf  jsonbuf.Buffer
+	req  server.FlowRequest
+	info server.FlowInfo
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 
 const maxPooledBuf = 64 << 10
+
+func (x *exchange) release() {
+	x.req, x.info = server.FlowRequest{}, server.FlowInfo{}
+	if x.buf.Cap() <= maxPooledBuf {
+		exchanges.Put(x)
+	}
+}
 
 // jsonContentType is the header value every request body shares: assigned
 // to the header map as is, where Header.Set would allocate a one-element
@@ -243,13 +253,40 @@ func (c *Client) newRequest(ctx context.Context, method, path, query string, bod
 	return req.WithContext(ctx), nil
 }
 
+// flowCall is a call answered with one FlowInfo, sending req as its body
+// unless req is nil.
+func (c *Client) flowCall(ctx context.Context, method, path string, req *server.FlowRequest) (server.FlowInfo, error) {
+	x := exchanges.Get().(*exchange)
+	defer x.release()
+	var in any
+	if req != nil {
+		x.req = *req
+		in = &x.req
+	}
+	err := c.send(ctx, x, method, path, "", in, &x.info)
+	return x.info, err
+}
+
 func (c *Client) do(ctx context.Context, method, path, query string, in, out any) error {
+	x := exchanges.Get().(*exchange)
+	defer x.release()
+	return c.send(ctx, x, method, path, query, in, out)
+}
+
+// send makes one call through x: in (nil for none) is the request body,
+// and the response, read whole into x's buffer, is decoded into out (nil
+// to drop it).
+func (c *Client) send(ctx context.Context, x *exchange, method, path, query string, in, out any) error {
 	var body []byte
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if err := x.buf.Encode(in); err != nil {
 			return err
 		}
+		// The transport may read a request body after RoundTrip has
+		// returned, so the body is a copy of the buffer, at its exact size,
+		// less the newline json.Marshal would not have written.
+		body = make([]byte, x.buf.Len()-1)
+		copy(body, x.buf.Bytes())
 	}
 	req, err := c.newRequest(ctx, method, path, query, body)
 	if err != nil {
@@ -262,20 +299,14 @@ func (c *Client) do(ctx context.Context, method, path, query string, in, out any
 	defer resp.Body.Close()
 	// The body is read to its end whatever becomes of it, so the
 	// connection goes back to the transport's idle pool.
-	buf := respBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			buf.Reset()
-			respBufs.Put(buf)
-		}
-	}()
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	x.buf.Reset()
+	if _, err := x.buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var eb server.ErrorBody
 		msg := resp.Status
-		if json.Unmarshal(buf.Bytes(), &eb) == nil && eb.Error != "" {
+		if x.buf.Decode(&eb) == nil && eb.Error != "" {
 			msg = eb.Error
 		}
 		apiErr := &APIError{StatusCode: resp.StatusCode, Message: msg}
@@ -287,6 +318,5 @@ func (c *Client) do(ctx context.Context, method, path, query string, in, out any
 	if out == nil {
 		return nil
 	}
-	// Unmarshal copies what it keeps, so out holds nothing of buf.
-	return json.Unmarshal(buf.Bytes(), out)
+	return x.buf.Decode(out)
 }

@@ -36,7 +36,13 @@ func (s *Server) transitLocked(t flowstate.Transition) (flowstate.Change, uint64
 	if s.wal == nil || s.walBroken.Load() {
 		return ch, 0, nil
 	}
-	rec, ok := s.walEnc.Encode(t, ch)
+	rec, ok, err := s.walEnc.Encode(t, ch)
+	if err != nil {
+		// Applied but not loggable: a later record or snapshot would be
+		// replayed without this one, so durability stops here, loudly.
+		s.walFail("encode", err)
+		return ch, 0, nil
+	}
 	if !ok {
 		return ch, 0, nil
 	}

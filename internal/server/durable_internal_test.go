@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
+	"dagsfc/internal/sfc"
 	"dagsfc/internal/telemetry"
 	"dagsfc/internal/wal"
 )
@@ -139,6 +141,37 @@ func TestBrokenWALDegradesHonestly(t *testing.T) {
 	}
 	if n := srv.ActiveFlows(); n != 0 {
 		t.Fatalf("%d flows left active", n)
+	}
+}
+
+// TestUnencodableRecordBreaksWAL: a transition that applied but whose
+// record cannot be encoded latches the WAL broken instead of going unlogged
+// as if it changed nothing durable — a replay without it would rebuild
+// another state. The admission path refuses such a cost before it commits
+// (TestDurableOverflowingCostRefused), so the transition is put together by
+// hand.
+func TestUnencodableRecordBreaksWAL(t *testing.T) {
+	srv, err := New(Config{Net: ampleLine(), WALDir: t.TempDir(), WALSync: "commit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := &core.Problem{Net: srv.net, SFC: sfc.FromChain([]network.VNFID{1}), Src: 0, Dst: 2, Rate: 0.3, Size: 1}
+	res, err := core.EmbedMBBE(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	_, ticket, err := srv.transitLocked(flowstate.Transition{
+		Kind: flowstate.Commit, Flow: 1, Problem: p, Primary: res.Solution, Usage: res.Cost.Usage,
+		Info: FlowInfo{ID: 1, SFC: "1", Dst: 2, Rate: 0.3, Size: 1, Cost: Cost{Total: math.Inf(1)}, State: FlowStateActive},
+	})
+	srv.mu.Unlock()
+	if err != nil || ticket != 0 {
+		t.Fatalf("transitLocked = ticket %d, %v; want the transition applied and nothing logged", ticket, err)
+	}
+	if !srv.walBroken.Load() {
+		t.Fatal("an unencodable record did not latch walBroken")
 	}
 }
 

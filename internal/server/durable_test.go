@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
+	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
 )
@@ -350,6 +353,57 @@ func TestDurableEmptyDirFreshStart(t *testing.T) {
 	if _, err := srv.Submit(context.Background(), lineRequest(1)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDurableOverflowingCostRefused: a finite size whose eq. (1) cost
+// overflows to +Inf is refused before commit, reserving nothing. Committed,
+// its cost could be neither answered (a 500 after the commit), listed
+// (every GET /v1/flows a 500) nor logged: the commit record was skipped
+// and the next snapshot latched the WAL broken, so the flows answered 201
+// after it did not survive a restart.
+func TestDurableOverflowingCostRefused(t *testing.T) {
+	dir := t.TempDir()
+	snapEvery2 := func(c *server.Config) { c.WALSnapshotEvery = 2 }
+	srv := durableServer(t, dir, snapEvery2)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	hc := hs.Client()
+	seed := residuals(srv.NetworkState())
+	get := func(path string) int {
+		t.Helper()
+		resp, err := hc.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	status, msg, _ := post(t, hc, hs.URL+"/v1/flows", []byte(`{"sfc":"1","src":0,"dst":2,"rate":0.001,"size":1e308}`))
+	if status != http.StatusBadRequest || !strings.Contains(msg, "not a finite number") {
+		t.Fatalf("flow with an overflowing cost: %d %q, want 400 naming the cost", status, msg)
+	}
+	if n := srv.ActiveFlows(); n != 0 || !equalResiduals(residuals(srv.NetworkState()), seed) {
+		t.Fatalf("refused flow left %d active flows or reservations behind", n)
+	}
+	cl := client.New(hs.URL, hc)
+	for _, rate := range []float64{0.1, 0.2, 0.3} {
+		if _, err := cl.CreateFlow(context.Background(), lineRequest(rate)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := get("/v1/flows"); got != http.StatusOK {
+		t.Fatalf("GET /v1/flows: %d", got)
+	}
+	if got := get("/healthz"); got != http.StatusOK {
+		t.Fatalf("GET /healthz: %d", got)
+	}
+	want := srv.Flows()
+	srv.Crash()
+
+	srv2 := durableServer(t, dir, snapEvery2)
+	defer srv2.Close()
+	sameFlows(t, srv2.Flows(), want)
 }
 
 // TestDurableRefusesUnrecoverableDir: a directory whose every snapshot is

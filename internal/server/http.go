@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,6 +10,7 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/flowstate"
+	"dagsfc/internal/jsonbuf"
 	"dagsfc/internal/network"
 	"dagsfc/internal/telemetry"
 )
@@ -55,11 +54,14 @@ func (s *Server) Handler() http.Handler {
 const maxBodyBytes = 1 << 20
 
 // exchange is what a handler needs for one request and keeps for the next:
-// the buffer the body is read into and the response encoded into, and the
-// flow request decoded from it, whose Chain is refilled in place.
+// the buffer the body is read into and the response encoded into, with
+// encoding/json's state kept beside it; the flow request decoded from it,
+// whose Chain is refilled in place; and the slot a FlowInfo response is
+// encoded from, so that it is not boxed into an interface.
 type exchange struct {
-	buf  bytes.Buffer
+	buf  jsonbuf.Buffer
 	flow FlowRequest
+	info FlowInfo
 }
 
 // exchanges recycles them. One that grew past maxPooledBuf (a large network
@@ -69,6 +71,7 @@ var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 const maxPooledBuf = 64 << 10
 
 func (x *exchange) release() {
+	x.info = FlowInfo{}
 	if x.buf.Cap() <= maxPooledBuf && cap(x.flow.Chain) <= maxPooledBuf/8 {
 		exchanges.Put(x)
 	}
@@ -97,8 +100,7 @@ func (x *exchange) readJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 		x.writeJSON(w, status, ErrorBody{Error: "bad body: " + err.Error()})
 		return false
 	}
-	// Unmarshal copies what it keeps, so v holds nothing of the buffer.
-	if err := json.Unmarshal(x.buf.Bytes(), v); err != nil {
+	if err := x.buf.Decode(v); err != nil {
 		x.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "bad JSON: " + err.Error()})
 		return false
 	}
@@ -122,7 +124,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		x.writeError(w, err)
 		return
 	}
-	x.writeJSON(w, http.StatusCreated, info)
+	x.writeInfo(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -130,12 +132,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	x := exchanges.Get().(*exchange)
+	defer x.release()
 	info, err := s.Release(id)
 	if err != nil {
-		writeError(w, err)
+		x.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	x.writeInfo(w, http.StatusOK, info)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -143,12 +147,14 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	x := exchanges.Get().(*exchange)
+	defer x.release()
 	info, found := s.Flow(id)
 	if !found {
-		writeJSON(w, http.StatusNotFound, ErrorBody{Error: "no such flow"})
+		x.writeJSON(w, http.StatusNotFound, ErrorBody{Error: "no such flow"})
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	x.writeInfo(w, http.StatusOK, info)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -311,25 +317,23 @@ func (x *exchange) writeError(w http.ResponseWriter, err error) {
 // writeJSON encodes v into the buffer and sends it with one Write, so a
 // value that cannot be encoded is a 500 rather than a 200 cut short.
 func (x *exchange) writeJSON(w http.ResponseWriter, status int, v any) {
-	x.buf.Reset()
-	if err := json.NewEncoder(&x.buf).Encode(v); err != nil {
-		x.buf.Reset()
+	if err := x.buf.Encode(v); err != nil {
 		status = http.StatusInternalServerError
-		_ = json.NewEncoder(&x.buf).Encode(ErrorBody{Error: "encoding response: " + err.Error()})
+		_ = x.buf.Encode(ErrorBody{Error: "encoding response: " + err.Error()})
 	}
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(x.buf.Bytes())
 }
 
-// writeError and writeJSON serve the handlers that read no body, on an
-// exchange of their own.
-func writeError(w http.ResponseWriter, err error) {
-	x := exchanges.Get().(*exchange)
-	defer x.release()
-	x.writeError(w, err)
+// writeInfo sends info from the exchange's own slot.
+func (x *exchange) writeInfo(w http.ResponseWriter, status int, info FlowInfo) {
+	x.info = info
+	x.writeJSON(w, status, &x.info)
 }
 
+// writeJSON is the exchange's writeJSON on an exchange of its own, for the
+// handlers that hold none.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	x := exchanges.Get().(*exchange)
 	defer x.release()

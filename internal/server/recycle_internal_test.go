@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -301,3 +302,50 @@ func TestDeadlineContext(t *testing.T) {
 		t.Fatalf("a search handed an expired deadline returned %v", err)
 	}
 }
+
+// TestExchangeAllocations pins what a warm exchange pays per message: a
+// chain request decodes with no allocation at all (its Chain's array is the
+// exchange's), and a FlowInfo response encodes with one object per
+// timestamp it carries (time.Time.MarshalJSON's), none of encoding/json's
+// own.
+func TestExchangeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	x := new(exchange)
+	x.buf.WriteString(`{"chain":[1,2,3,4,5],"max_width":2,"src":0,"dst":2,"rate":1,"size":1,"ttl_seconds":30}`)
+	decode := func() {
+		x.flow = FlowRequest{Chain: x.flow.Chain[:0]}
+		if err := x.buf.Decode(&x.flow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if got := testing.AllocsPerRun(100, decode); got != 0 {
+		t.Errorf("chain request decode: %v allocations, want 0", got)
+	}
+
+	w := &discardWriter{header: http.Header{}}
+	created := time.Date(2026, 3, 4, 5, 6, 7, 890, time.UTC)
+	expires := created.Add(time.Minute)
+	plain := FlowInfo{ID: 7, SFC: "1;2,3;4", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "mbbe", Created: created, State: FlowStateActive}
+	ttl := plain
+	ttl.ExpiresAt = &expires
+	for _, c := range []struct {
+		info FlowInfo
+		want float64
+	}{{plain, 1}, {ttl, 2}} {
+		send := func() { x.writeInfo(w, http.StatusOK, c.info) }
+		send()
+		if got := testing.AllocsPerRun(100, send); got != c.want {
+			t.Errorf("FlowInfo response with ExpiresAt %v: %v allocations, want %v", c.info.ExpiresAt, got, c.want)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that allocates nothing.
+type discardWriter struct{ header http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
