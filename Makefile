@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift metrics-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
 
 all: build vet test
 
@@ -13,11 +13,12 @@ all: build vet test
 # the no-environment-switch contract, the one-dense-ledger contract, the
 # one-writer-of-flow-state contract,
 # the no-per-request-garbage contract of the HTTP layer, the
+# one-name-per-transition contract of the journal, the
 # docs-name-what-the-tree-has contract, the every-metric-has-a-reader
 # contract, the benchmark module still compiling against the tree, and a
 # short fuzz of the search-kernel priority queues, the request-body reader,
 # the response decoder and the sfc parser.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage docs-drift metrics-census benchmark-vet fuzz-smoke
+check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -86,6 +87,12 @@ server-request-garbage:
 	@if grep -nE 'json\.NewDecoder\((r|resp)\.Body|json\.(NewEncoder|Marshal|Unmarshal)\(|Header(\(\))?\.Set\("Content-Type"' internal/server/http.go internal/server/client/client.go; then \
 		echo "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)"; exit 1; \
 	fi
+
+# The journal names a state change by its transition, from the table the
+# WAL's record types use (DESIGN §13): every applied transition is journaled
+# once, in log order, and no journal.Type is a transition's name.
+journal-names:
+	$(GO) test -count=1 -run '^TestJournalNamesEveryTransition$$' ./internal/server/
 
 # README.md and DESIGN.md describe the tree that is there: every Go
 # identifier they put in backticks is one some Go file still uses, or is
@@ -202,7 +209,8 @@ serve-smoke:
 # obs-smoke checks the observability surface end to end over real HTTP:
 # the smoke run additionally asserts stage histograms and journal
 # counters appear in /metrics, /v1/events is non-empty, and a committed
-# flow's /v1/flows/{id}/events timeline runs enqueue→committed→released.
+# flow's /v1/flows/{id}/events timeline is exactly enqueue → dequeue →
+# embed_done → commit → release.
 # A JSON-structured log stream and debug journal logging exercise the
 # slog path at the same time.
 obs-smoke:

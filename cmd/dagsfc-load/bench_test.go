@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
@@ -16,15 +17,15 @@ import (
 	"dagsfc/internal/sfcgen"
 )
 
-// flowEventSeconds scans a flow's journal timeline for the first event of
-// the given type and returns its recorded stage duration.
-func flowEventSeconds(srv *server.Server, id int64, typ journal.Type) (float64, bool) {
+// flowEvent scans a flow's journal timeline for the first event of the
+// given type and detail.
+func flowEvent(srv *server.Server, id int64, typ journal.Type, detail string) (journal.Event, bool) {
 	for _, ev := range srv.Journal().Flow(id, 0) {
-		if ev.Type == typ {
-			return ev.Seconds, true
+		if ev.Type == typ && ev.Detail == detail {
+			return ev, true
 		}
 	}
-	return 0, false
+	return journal.Event{}, false
 }
 
 // usedEdges lists the edges whose residual sits below the seed's — with a
@@ -104,11 +105,13 @@ func BenchmarkFailoverLatency(b *testing.B) {
 		}
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			if s, ok := flowEventSeconds(srv, info.ID, journal.TypeRepaired); ok {
-				repairSecs = append(repairSecs, s)
+			// The repair's latency runs from the strand to the repair's commit.
+			if repaired, ok := flowEvent(srv, info.ID, evCommit, "repair"); ok {
+				stranded, _ := flowEvent(srv, info.ID, evStrand, f.String())
+				repairSecs = append(repairSecs, repaired.Time.Sub(stranded.Time).Seconds())
 				break
 			}
-			if _, evicted := flowEventSeconds(srv, info.ID, journal.TypeEvicted); evicted {
+			if _, evicted := flowEvent(srv, info.ID, evEvict, f.String()); evicted {
 				break // nowhere to re-embed this one; not a sample
 			}
 			if time.Now().After(deadline) {
@@ -140,12 +143,12 @@ func BenchmarkFailoverLatency(b *testing.B) {
 			if _, err := srv.ApplyFault(f); err != nil {
 				b.Fatal(err)
 			}
-			s, ok := flowEventSeconds(srv, info.ID, journal.TypeFailover)
+			failover, ok := flowEvent(srv, info.ID, journal.Type(flowstate.Failover.String()), f.String())
 			if _, err := srv.RestoreFault(f); err != nil {
 				b.Fatal(err)
 			}
 			if ok {
-				failoverSecs = append(failoverSecs, s)
+				failoverSecs = append(failoverSecs, failover.Seconds)
 				sawFailover = true
 				break
 			}

@@ -48,6 +48,7 @@ import (
 
 	"dagsfc/internal/diag"
 	"dagsfc/internal/faults"
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
@@ -447,7 +448,7 @@ func printJournalSummary(w io.Writer, events []journal.Event, missed uint64) {
 			if ev.Attempt > 0 {
 				retries++
 			}
-		case journal.TypeEvicted:
+		case evEvict:
 			evicted++
 		}
 	}
@@ -466,15 +467,23 @@ func printJournalSummary(w io.Writer, events []journal.Event, missed uint64) {
 	}
 }
 
+// The state changes the journal readers look for, named as the journal
+// names them: by their transition's kind.
+var (
+	evCommit, evRelease          = journal.Type(flowstate.Commit.String()), journal.Type(flowstate.Release.String())
+	evStrand, evEvict            = journal.Type(flowstate.Strand.String()), journal.Type(flowstate.Evict.String())
+	evFaultApply, evFaultRestore = journal.Type(flowstate.FaultApply.String()), journal.Type(flowstate.FaultRestore.String())
+)
+
 // postMortem prints the last journal events of every flow a fault
-// stranded or evicted: the causal trace of a failed run.
+// stranded or evicted, and the faults applied and restored over the same
+// stretch of the journal: the causal trace of a failed run.
 func postMortem(w io.Writer, events []journal.Event, missed uint64) {
 	const perFlow = 20
 	tails := make(map[int64][]journal.Event)
 	var ids []int64
 	for _, ev := range events {
-		if _, seen := tails[ev.Flow]; !seen && ev.Flow != 0 &&
-			(ev.Type == journal.TypeFaultStrand || ev.Type == journal.TypeEvicted) {
+		if _, seen := tails[ev.Flow]; !seen && ev.Flow != 0 && (ev.Type == evStrand || ev.Type == evEvict) {
 			tails[ev.Flow] = nil
 			ids = append(ids, ev.Flow)
 		}
@@ -489,25 +498,39 @@ func postMortem(w io.Writer, events []journal.Event, missed uint64) {
 		}
 	}
 	fmt.Fprintf(w, "post-mortem: last %d journal events per stranded or evicted flow%s:\n", perFlow, missedNote(missed))
+	from, to := uint64(math.MaxUint64), uint64(0)
 	for _, id := range ids {
 		tail := tails[id]
-		for _, ev := range tail[max(0, len(tail)-perFlow):] {
-			line := fmt.Sprintf("  flow %d seq %d %s", ev.Flow, ev.Seq, ev.Type)
-			if ev.Attempt != 0 {
-				line += fmt.Sprintf(" attempt=%d", ev.Attempt)
-			}
-			if ev.Seconds != 0 {
-				line += fmt.Sprintf(" seconds=%.6f", ev.Seconds)
-			}
-			if ev.Detail != "" {
-				line += " detail=" + ev.Detail
-			}
-			if ev.Err != "" {
-				line += " error=" + ev.Err
-			}
-			fmt.Fprintln(w, line)
+		tail = tail[max(0, len(tail)-perFlow):]
+		from, to = min(from, tail[0].Seq), max(to, tail[len(tail)-1].Seq)
+		for _, ev := range tail {
+			fmt.Fprintf(w, "  flow %d %s\n", ev.Flow, eventText(ev))
 		}
 	}
+	fmt.Fprintln(w, "post-mortem: faults applied and restored meanwhile:")
+	for _, ev := range events {
+		if (ev.Type == evFaultApply || ev.Type == evFaultRestore) && from <= ev.Seq && ev.Seq <= to {
+			fmt.Fprintf(w, "  %s\n", eventText(ev))
+		}
+	}
+}
+
+// eventText renders one journal event on one line, without its flow.
+func eventText(ev journal.Event) string {
+	line := fmt.Sprintf("seq %d %s", ev.Seq, ev.Type)
+	if ev.Attempt != 0 {
+		line += fmt.Sprintf(" attempt=%d", ev.Attempt)
+	}
+	if ev.Seconds != 0 {
+		line += fmt.Sprintf(" seconds=%.6f", ev.Seconds)
+	}
+	if ev.Detail != "" {
+		line += " detail=" + ev.Detail
+	}
+	if ev.Err != "" {
+		line += " error=" + ev.Err
+	}
+	return line
 }
 
 // writeJournal writes the journal in the shape GET /v1/events pages it:
@@ -849,8 +872,8 @@ func runSmoke(cl *client.Client, kinds int, rate float64, seed int64) error {
 	}
 
 	// The flight recorder must have witnessed the whole cycle: a non-empty
-	// global journal, and the committed flow's own timeline running
-	// enqueue → committed → released.
+	// global journal, and the committed flow's own timeline exactly
+	// enqueue → dequeue → embed_done → commit → release.
 	page, err := cl.Events(ctx, 0, 0)
 	if err != nil {
 		return fmt.Errorf("smoke: events: %w", err)
@@ -862,14 +885,13 @@ func runSmoke(cl *client.Client, kinds int, rate float64, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("smoke: flow events: %w", err)
 	}
-	saw := make(map[journal.Type]bool)
-	for _, ev := range timeline.Events {
-		saw[ev.Type] = true
+	want := []journal.Type{journal.TypeEnqueue, journal.TypeDequeue, journal.TypeEmbedDone, evCommit, evRelease}
+	got := make([]journal.Type, len(timeline.Events))
+	for i, ev := range timeline.Events {
+		got[i] = ev.Type
 	}
-	for _, want := range []journal.Type{journal.TypeEnqueue, journal.TypeCommitted, journal.TypeReleased} {
-		if !saw[want] {
-			return fmt.Errorf("smoke: flow %d timeline missing %q (got %d events)", info.ID, want, len(timeline.Events))
-		}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("smoke: flow %d timeline %v, want %v", info.ID, got, want)
 	}
 	fmt.Fprintf(os.Stderr, "smoke: journal recorded %d events for flow %d\n", len(timeline.Events), info.ID)
 	fmt.Fprintln(os.Stderr, "smoke: commit/release cycle exact, telemetry live — ok")

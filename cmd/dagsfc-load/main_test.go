@@ -241,7 +241,7 @@ func TestJournalReadersCountMissed(t *testing.T) {
 	defer hs.Close()
 	cl := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 80; i++ { // 5 events each: 400, a third more than the ring
 		info, err := cl.CreateFlow(ctx, server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -267,10 +267,19 @@ func TestJournalReadersCountMissed(t *testing.T) {
 		t.Fatalf("summary does not say what was missed:\n%s", out.String())
 	}
 	out.Reset()
-	stranded := append(events, journal.Event{Seq: events[ring-1].Seq + 1, Type: journal.TypeFaultStrand, Flow: 7})
+	// Flow 7 is admitted, a fault lands and strands it, and a later fault is
+	// restored after its last event: the post-mortem shows the flow and the
+	// fault inside its stretch of the journal, not the one outside.
+	last := events[ring-1].Seq
+	stranded := append(events,
+		journal.Event{Seq: last + 1, Type: journal.TypeEnqueue, Flow: 7},
+		journal.Event{Seq: last + 2, Type: evFaultApply, Detail: "link-down 0"},
+		journal.Event{Seq: last + 3, Type: evStrand, Flow: 7, Detail: "link-down 0"},
+		journal.Event{Seq: last + 4, Type: evFaultRestore, Detail: "link-down 1"})
 	postMortem(&out, stranded, missed)
-	if !strings.Contains(out.String(), note) || !strings.Contains(out.String(), "flow 7") {
-		t.Fatalf("post-mortem does not say what was missed, or skips the stranded flow:\n%s", out.String())
+	if got := out.String(); !strings.Contains(got, note) || !strings.Contains(got, "flow 7 seq") ||
+		!strings.Contains(got, "fault_apply detail=link-down 0") || strings.Contains(got, "link-down 1") {
+		t.Fatalf("post-mortem does not say what was missed, skips the stranded flow or its fault, or shows a fault outside its window:\n%s", got)
 	}
 	dump := filepath.Join(t.TempDir(), "journal.json")
 	if err := writeJournal(dump, events, missed); err != nil {

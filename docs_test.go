@@ -39,8 +39,6 @@ var docHistory = map[string]string{
 	"online.repairHit":       "deleted in PR 24",
 	"FlowTable":              "deleted in PR 24",
 	"NewFlowTable":           "deleted in PR 24",
-	"SortEvents":             "deleted in PR 24",
-	"faultToWire":            "deleted in PR 24",
 	"rentTable":              "deleted in PR 25",
 	"BFSFrontiers500":        "deleted in PR 27",
 

@@ -12,7 +12,7 @@ import (
 )
 
 // The WAL payloads, one per record type that carries one. Fault-carrying
-// records (fault-apply, fault-restore, strand, failover, backup-loss) hold
+// records (fault_apply, fault_restore, strand, failover, backup_loss) hold
 // a FaultRequest; admit, release and expire hold nothing. The field names
 // are the on-disk format.
 type (
@@ -72,7 +72,7 @@ func (e *Encoder) Encode(t Transition, ch Change) (rec wal.Record, ok bool, err 
 		return wal.Record{}, false, nil
 	}
 	if err := e.buf.Encode(payload); err != nil {
-		return wal.Record{}, false, fmt.Errorf("flowstate: %s record of flow %d: %w", wal.Type(t.Kind), t.Flow, err)
+		return wal.Record{}, false, fmt.Errorf("flowstate: %s record of flow %d: %w", t.Kind, t.Flow, err)
 	}
 	// Encode ends the value with a newline json.Marshal would not write.
 	return wal.Record{Type: wal.Type(t.Kind), Flow: t.Flow, Data: bytes.TrimSuffix(e.buf.Bytes(), []byte("\n"))}, true, nil

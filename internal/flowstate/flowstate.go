@@ -196,6 +196,14 @@ const (
 	Revalidate = Kind(128)
 )
 
+// String is the kind's name: its WAL record type's, or "revalidate".
+func (k Kind) String() string {
+	if k == Revalidate {
+		return "revalidate"
+	}
+	return wal.Type(k).String()
+}
+
 // Transition is one state change, as a value: built by whoever decided it,
 // applied by Apply, framed into the WAL by Encoder and rebuilt from the
 // log by Decode. Which fields matter depends on Kind.

@@ -320,7 +320,7 @@ func (s *sim) fault() {
 				s.t.Fatalf("verdict with a foreign guard: %v, want ErrStale", err)
 			}
 		}
-		name := map[Kind]string{Strand: "strand", Revalidate: "revalidate", BackupLoss: "backup-loss", Failover: "failover"}[t.Kind]
+		name := t.Kind.String()
 		if _, err := s.apply(name, t, false); err != nil {
 			s.t.Fatalf("%s flow %d: %v", name, pl.ID, err)
 		}
@@ -453,7 +453,7 @@ func TestApplyReplayEquivalence(t *testing.T) {
 	t.Logf("steps applied and refused: %v", seen)
 	for _, name := range []string{
 		"commit", "protected commit", "release", "expire", "fault", "restore", "strand", "failover",
-		"backup-loss", "revalidate", "repair re-commit", "re-protect", "evict", "release while repairing",
+		"backup_loss", "revalidate", "repair re-commit", "re-protect", "evict", "release while repairing",
 		"acknowledge tombstone", "moved verdict (refused)", "release twice (refused)",
 		"repair of a released flow (refused)", "re-protect twice (refused)",
 	} {

@@ -25,65 +25,35 @@ import (
 	"dagsfc/internal/telemetry"
 )
 
-// Type names one lifecycle event kind. The set covers the full journey of
-// a flow through the serving pipeline plus the control events (faults,
-// repairs, breaker) that act on it.
+// Type names one event. A state change is named by its transition: the
+// server journals every applied flowstate.Transition once, as
+// Type(kind.String()), the name its WAL record type has. The constants
+// below are the pipeline events no transition covers.
 type Type string
 
-// The recorded event types, in rough lifecycle order.
 const (
 	// TypeEnqueue: the request passed admission and entered the queue.
 	TypeEnqueue Type = "enqueue"
 	// TypeDequeue: an embed worker picked the request up; Seconds is the
 	// queue wait.
 	TypeDequeue Type = "dequeue"
-	// TypeEmbedStart / TypeEmbedDone bracket one speculative embed;
-	// TypeEmbedDone carries the embed duration, the candidate cost and
-	// search-node count on success, or the error.
-	TypeEmbedStart Type = "embed_start"
-	TypeEmbedDone  Type = "embed_done"
-	// TypeCommitAttempt: the commit loop validated the candidate against
-	// the live ledger; TypeCommitConflict: validation failed (stale
-	// snapshot); TypeCommitted: the reservation is live, Seconds is the
-	// wait between embed completion and commit.
-	TypeCommitAttempt  Type = "commit_attempt"
+	// TypeEmbedDone closes one speculative embed, which began Seconds
+	// before Time: it carries the candidate cost and search-node count on
+	// success, or the error.
+	TypeEmbedDone Type = "embed_done"
+	// TypeCommitConflict: the candidate no longer fits the live ledger
+	// (stale snapshot).
 	TypeCommitConflict Type = "commit_conflict"
-	TypeCommitted      Type = "committed"
 	// TypeRejected is a request's terminal failure: admission bounced it
 	// (queue full, draining), the pipeline failed it (no embedding,
-	// conflict retries exhausted, internal error) or it timed out.
+	// conflict retries exhausted, internal error), it timed out, or the
+	// restore controller gave up re-arming a backup ("re-protect").
 	TypeRejected Type = "rejected"
-	// TypeExpired / TypeReleased end a committed flow's life: TTL fired,
-	// or the owner deleted it.
-	TypeExpired  Type = "ttl_expired"
-	TypeReleased Type = "released"
-	// TypeFaultStrand: a substrate fault invalidated the flow's embedding
-	// and its capacity was released for repair. TypeRevalidated: the fault
-	// touched the flow but its embedding survived in place.
-	TypeFaultStrand Type = "fault_strand"
-	TypeRevalidated Type = "revalidated"
-	// TypeRepairAttempt / TypeRepaired / TypeEvicted are the repair
-	// controller's decisions; TypeRepaired and TypeEvicted carry the time
-	// from stranding to the terminal outcome.
+	// TypeRepairAttempt: the restore controller issued one attempt.
 	TypeRepairAttempt Type = "repair_attempt"
-	TypeRepaired      Type = "repaired"
-	TypeEvicted       Type = "evicted"
 	// TypeBreaker marks an admission-breaker state transition; Detail is
 	// the new state ("closed", "half_open", "open").
 	TypeBreaker Type = "breaker"
-	// TypeProtected: a backup embedding was reserved for the flow at
-	// admission; Cost is the backup's cost.
-	TypeProtected Type = "protected"
-	// TypeFailover: a fault killed the flow's primary and its pre-reserved
-	// backup was promoted in place — no re-embed, no strand. Seconds is
-	// the measured switch latency; Detail names the fault.
-	TypeFailover Type = "failover"
-	// TypeBackupLost: a fault killed the flow's backup while the primary
-	// survived; the flow queues for re-protection. Detail names the fault.
-	TypeBackupLost Type = "backup_lost"
-	// TypeReprotected: the restore controller reserved a fresh disjoint
-	// backup for a flow that lost one; Cost is the new backup's cost.
-	TypeReprotected Type = "reprotected"
 )
 
 // Event is one journal entry, wire-ready: the HTTP events API serves this
@@ -98,16 +68,16 @@ type Event struct {
 	Attempt int       `json:"attempt,omitempty"`
 	Alg     string    `json:"alg,omitempty"`
 	// Seconds is the stage duration the event closes: queue wait on
-	// dequeue, embed time on embed_done, commit wait on committed, time
-	// from stranding on repaired/evicted.
+	// dequeue, embed time on embed_done, commit wait on commit, switch
+	// time on failover, time from stranding on backup and evict.
 	Seconds float64 `json:"seconds,omitempty"`
 	Cost    float64 `json:"cost,omitempty"`
 	// Nodes is the embed's search-tree node count (embed_done).
 	Nodes int `json:"nodes,omitempty"`
 	// Workers is the serving pipeline's embed-worker count (embed_done).
 	Workers int `json:"workers,omitempty"`
-	// Detail carries event-specific context: the fault description on
-	// strand/revalidate, the breaker state on transitions.
+	// Detail carries event-specific context: the fault on fault-driven
+	// transitions, "protected" or "repair" on a commit, the breaker state.
 	Detail string `json:"detail,omitempty"`
 	Err    string `json:"error,omitempty"`
 }
@@ -117,7 +87,8 @@ type Journal struct {
 	mu    sync.Mutex
 	buf   []Event // ring storage; seq s lives at buf[s%cap]
 	next  uint64  // seq the next append receives
-	start uint64  // oldest seq still retained (== dropped count)
+	start uint64  // oldest seq still retained
+	base  uint64  // seq of the first append (Resume)
 
 	logger *slog.Logger
 }
@@ -186,13 +157,13 @@ func (j *Journal) log(ev Event) {
 }
 
 // level maps an event type onto a log level: per-stage chatter is Debug,
-// lifecycle milestones are Info, and failures the operator should see are
-// Warn.
+// lifecycle milestones are Info, and failures the operator should see —
+// among the transitions, a strand and an eviction — are Warn.
 func level(t Type) slog.Level {
 	switch t {
-	case TypeEnqueue, TypeDequeue, TypeEmbedStart, TypeCommitAttempt, TypeRepairAttempt:
+	case TypeEnqueue, TypeDequeue, TypeRepairAttempt:
 		return slog.LevelDebug
-	case TypeCommitConflict, TypeRejected, TypeFaultStrand, TypeEvicted:
+	case TypeCommitConflict, TypeRejected, "strand", "evict":
 		return slog.LevelWarn
 	}
 	return slog.LevelInfo
@@ -207,7 +178,7 @@ func (j *Journal) Since(cursor uint64, limit int) (events []Event, next uint64, 
 	defer j.mu.Unlock()
 	from := cursor
 	if from < j.start {
-		missed = j.start - from
+		missed = j.start - max(from, j.base)
 		from = j.start
 	}
 	if from > j.next {
@@ -251,25 +222,24 @@ func (j *Journal) Len() int {
 // Cap reports the ring's capacity.
 func (j *Journal) Cap() int { return len(j.buf) }
 
-// Events reports the lifetime append count.
+// Events reports the seq the next append receives: the lifetime append
+// count, above the base a resumed journal started from.
 func (j *Journal) Events() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.next
 }
 
-// Resume fast-forwards an empty journal's sequence counter to continue
-// above seq — the durability layer's recovery path, so post-restart event
-// sequences never collide with pre-crash ones. A no-op once anything has
-// been appended or when seq would move the counter backwards.
+// Resume starts an empty journal's sequence at seq — the durability
+// layer's recovery path, which picks a seq above every one the previous
+// process issued. Nothing below seq counts as missed or dropped. A no-op
+// once anything has been appended.
 func (j *Journal) Resume(seq uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.next != 0 || seq == 0 {
-		return
+	if j.next == j.base {
+		j.next, j.start, j.base = seq, seq, seq
 	}
-	j.next = seq
-	j.start = seq
 }
 
 // Dropped reports how many events the ring has evicted to make room —
@@ -278,5 +248,5 @@ func (j *Journal) Resume(seq uint64) {
 func (j *Journal) Dropped() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.start
+	return j.start - j.base
 }

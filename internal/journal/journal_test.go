@@ -66,6 +66,28 @@ func TestOverflowIsCounted(t *testing.T) {
 	}
 }
 
+// TestResumeStartsAtBase: a resumed journal numbers its events from the
+// base, and the seqs below it — another process's — are neither missed nor
+// dropped; only what its own ring overwrote is.
+func TestResumeStartsAtBase(t *testing.T) {
+	const base = 3 << 32
+	j := New(4, nil)
+	j.Resume(base)
+	if ev := j.Append(Event{Type: TypeEnqueue}); ev.Seq != base {
+		t.Fatalf("first seq after Resume = %d, want %d", ev.Seq, uint64(base))
+	}
+	j.Resume(7 << 32) // too late: something was appended
+	if _, next, missed := j.Since(0, 0); next != base+1 || missed != 0 || j.Dropped() != 0 {
+		t.Fatalf("Since(0) next %d missed %d, Dropped %d; want %d, 0, 0", next, missed, j.Dropped(), uint64(base+1))
+	}
+	for i := 0; i < 5; i++ {
+		j.Append(Event{Type: TypeEnqueue})
+	}
+	if _, _, missed := j.Since(0, 0); missed != 2 || j.Dropped() != 2 {
+		t.Fatalf("after overflow: missed %d, Dropped %d; want 2 and 2", missed, j.Dropped())
+	}
+}
+
 func TestSincePagesAndResumes(t *testing.T) {
 	j := New(16, nil)
 	for i := 0; i < 10; i++ {
@@ -180,7 +202,7 @@ func TestLogEmission(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(lockedWriter{&mu, &buf}, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	j := New(8, logger)
 	j.Append(Event{Type: TypeEnqueue, Flow: 42})
-	j.Append(Event{Type: TypeEvicted, Flow: 42, Err: "no path"})
+	j.Append(Event{Type: "evict", Flow: 42, Err: "no path"})
 	mu.Lock()
 	out := buf.String()
 	mu.Unlock()

@@ -117,14 +117,15 @@ type recoveredState struct {
 }
 
 // recover rebuilds the server's state from what wal.Open found on disk:
-// import the snapshot, then replay the tail through the same Apply live
-// traffic uses. It runs before the pipeline starts, so no locking is
-// needed. Any inconsistency — a replayed placement that no longer fits, a
-// record whose precondition does not hold — is unrecoverable: the caller
-// must refuse to start rather than serve from a silently wrong state.
+// import the snapshot, replay the tail through the same Apply live traffic
+// uses, and snapshot the result. It runs before the pipeline starts, so no
+// locking is needed. Any inconsistency — a replayed placement that no
+// longer fits, a record whose precondition does not hold — is
+// unrecoverable: the caller must refuse to start rather than serve from a
+// silently wrong state.
 func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
+	var snap flowstate.Snapshot
 	if rec.Snapshot != nil {
-		var snap flowstate.Snapshot
 		err := json.Unmarshal(rec.Snapshot, &snap)
 		if err != nil {
 			return nil, fmt.Errorf("%w: undecodable snapshot payload: %v", wal.ErrUnrecoverable, err)
@@ -132,7 +133,6 @@ func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
 		if s.state, err = flowstate.Import(s.net, snap); err != nil {
 			return nil, fmt.Errorf("%w: %v", wal.ErrUnrecoverable, err)
 		}
-		s.journal.Resume(snap.JournalSeq)
 	}
 	for _, r := range rec.Tail {
 		t, err := flowstate.Decode(s.net, r)
@@ -146,6 +146,12 @@ func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
 	}
 	s.nextID.Store(s.state.NextID())
 	telemetry.RecordWALReplay(len(rec.Tail))
+	// Each process journals from a multiple of 2^32 of its own: the
+	// snapshot's seq lies in the previous process's range, so the next
+	// multiple is above every seq it issued, and the snapshot written here,
+	// before anything is journaled, hands this base to the next recovery.
+	s.journal.Resume((snap.JournalSeq>>32 + 1) << 32)
+	s.walSnapshotLocked()
 
 	// Classify the recovered flows, in ID order for determinism:
 	// expired-while-down flows are released after the pipeline starts

@@ -545,3 +545,34 @@ func TestDurableRepairingFlowResumesAfterCrash(t *testing.T) {
 		t.Fatalf("evicted flow still counted active after recovery: %d", n)
 	}
 }
+
+// TestDurableJournalSeqsNeverRepeat: journal seqs keep rising across
+// crashes — one before any snapshot, and one after periodic snapshots
+// recorded a seq below the last one issued — so a cursor or a log line from
+// before a crash never names an event after it.
+func TestDurableJournalSeqsNeverRepeat(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	var above uint64 // every seq issued so far is below it
+	for life, every := range []int{-1, 4, 4} {
+		srv := durableServer(t, dir, func(cfg *server.Config) { cfg.WALSnapshotEvery = every })
+		for i := 0; i < 5; i++ {
+			info, err := srv.Submit(ctx, lineRequest(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Release(info.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		events, _, missed := srv.Journal().Since(0, 0)
+		if len(events) == 0 || missed != 0 {
+			t.Fatalf("life %d: %d events, %d missed", life, len(events), missed)
+		}
+		if first := events[0].Seq; first < above {
+			t.Fatalf("life %d: first seq %d, want one above every earlier seq (< %d)", life, first, above)
+		}
+		above = events[len(events)-1].Seq + 1
+		srv.Crash()
+	}
+}

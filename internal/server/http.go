@@ -161,13 +161,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Flows())
 }
 
-// handleFlowEvents serves one flow's journal timeline. A flow is 404 only
-// when the journal retains no events for it AND it has no live meta entry
-// — evicted tombstones and recently-released flows still answer as long
-// as their events survive in the ring.
+// handleFlowEvents serves one flow's journal timeline. A flow is 404 when
+// the journal retains no events for it AND it has no live meta entry —
+// evicted tombstones and recently-released flows still answer as long as
+// their events survive in the ring — and so is an ID below 1: flow IDs
+// start at 1, and the flowless events (faults, breaker) carry 0.
 func (s *Server) handleFlowEvents(w http.ResponseWriter, r *http.Request) {
 	id, ok := flowID(w, r)
 	if !ok {
+		return
+	}
+	if id < 1 {
+		writeJSON(w, http.StatusNotFound, ErrorBody{Error: "no such flow (flow IDs start at 1)"})
 		return
 	}
 	limit, ok := queryInt(w, r, "limit", 0)

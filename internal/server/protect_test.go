@@ -44,13 +44,12 @@ func protectedRequest() server.FlowRequest {
 	}
 }
 
-// flowEventTypes collects the journal event types recorded on one flow's
-// timeline.
-func flowEventTypes(t *testing.T, srv *server.Server, id int64) map[journal.Type]int {
-	t.Helper()
-	out := make(map[journal.Type]int)
+// flowEvents counts the journal events recorded on one flow's timeline,
+// as render spells them.
+func flowEvents(srv *server.Server, id int64) map[string]int {
+	out := make(map[string]int)
 	for _, ev := range srv.Journal().Flow(id, 0) {
-		out[ev.Type]++
+		out[render(ev)]++
 	}
 	return out
 }
@@ -78,8 +77,8 @@ func TestProtectedAdmissionReservesAndReleasesBoth(t *testing.T) {
 		t.Fatalf("backup (cost %v) should be strictly pricier than the primary (%v): the search must prefer the cheap path for the primary",
 			info.BackupCost.Total, info.Cost.Total)
 	}
-	if evs := flowEventTypes(t, srv, info.ID); evs[journal.TypeProtected] != 1 {
-		t.Fatalf("journal events %v, want one protected event", evs)
+	if evs := flowEvents(srv, info.ID); evs["commit(protected)"] != 1 {
+		t.Fatalf("journal events %v, want one protected commit", evs)
 	}
 
 	// Both placements hold ledger capacity: the primary's path and the
@@ -186,12 +185,14 @@ func TestFailoverPromotesBackupAndReprotects(t *testing.T) {
 			got.BackupCost.Total, got.Cost.Total)
 	}
 
-	evs := flowEventTypes(t, srv, info.ID)
-	if evs[journal.TypeFailover] != 1 || evs[journal.TypeReprotected] != 1 {
-		t.Fatalf("journal events %v, want exactly one failover and one reprotected", evs)
+	evs := flowEvents(srv, info.ID)
+	if evs["failover(edge-down 0)"] != 1 || evs["backup"] != 1 {
+		t.Fatalf("journal events %v, want exactly one failover and one backup", evs)
 	}
-	if evs[journal.TypeFaultStrand] != 0 || evs[journal.TypeEvicted] != 0 {
-		t.Fatalf("journal events %v: a protected flow with a surviving backup must never strand or evict", evs)
+	for ev := range evs {
+		if strings.HasPrefix(ev, "strand") || strings.HasPrefix(ev, "evict") {
+			t.Fatalf("journal events %v: a protected flow with a surviving backup must never strand or evict", evs)
+		}
 	}
 
 	// Restore + release drains back to seed residuals exactly.

@@ -57,19 +57,17 @@ func edgeDown(link graph.EdgeID) network.Fault {
 func TestRestoreControllerTimelines(t *testing.T) {
 	repair := func(fault string, failed bool) []string {
 		if failed {
-			return []string{"repair_attempt(" + fault + ")", "enqueue(repair re-embed)", "dequeue", "embed_start", "embed_done!"}
+			return []string{"repair_attempt(" + fault + ")", "enqueue(repair re-embed)", "dequeue", "embed_done!"}
 		}
-		return []string{"repair_attempt(" + fault + ")", "enqueue(repair re-embed)", "dequeue", "embed_start", "embed_done",
-			"commit_attempt", "committed", "repaired(" + fault + ")"}
+		return []string{"repair_attempt(" + fault + ")", "enqueue(repair re-embed)", "dequeue", "embed_done", "commit(repair)"}
 	}
 	reprotect := func(failed bool) []string {
 		if failed {
 			// The one case that fails has a single route left between the
 			// endpoints: refused unsearched, and the journal says which kind.
-			return []string{"repair_attempt(re-protect)", "enqueue(re-protect backup)", "dequeue", "embed_start(re-protect)", "embed_done(re-protect: unprotectable)!"}
+			return []string{"repair_attempt(re-protect)", "enqueue(re-protect backup)", "dequeue", "embed_done(re-protect: unprotectable)!"}
 		}
-		return []string{"repair_attempt(re-protect)", "enqueue(re-protect backup)", "dequeue", "embed_start(re-protect)", "embed_done(re-protect)",
-			"commit_attempt(re-protect)", "reprotected"}
+		return []string{"repair_attempt(re-protect)", "enqueue(re-protect backup)", "dequeue", "embed_done(re-protect)", "backup"}
 	}
 	cases := []struct {
 		name      string
@@ -89,7 +87,7 @@ func TestRestoreControllerTimelines(t *testing.T) {
 		{
 			name: "primary repair", net: twoPathNet(), dst: 3,
 			faults: []network.Fault{{Kind: network.FaultNodeDown, Node: 1}},
-			want:   slices.Concat([]string{"fault_strand(node-down 1)"}, repair("node-down 1", false)),
+			want:   slices.Concat([]string{"strand(node-down 1)"}, repair("node-down 1", false)),
 			check: func(t *testing.T, info server.FlowInfo, _ bool) {
 				if info.State != server.FlowStateActive || info.Repairs != 1 {
 					t.Errorf("flow = %+v, want active after one repair", info)
@@ -109,7 +107,7 @@ func TestRestoreControllerTimelines(t *testing.T) {
 		{
 			name: "re-protect after backup loss", net: threePathNet(), dst: 4, protected: true,
 			faults: []network.Fault{edgeDown(2)},
-			want:   slices.Concat([]string{"backup_lost(edge-down 2)"}, reprotect(false)),
+			want:   slices.Concat([]string{"backup_loss(edge-down 2)"}, reprotect(false)),
 			check: func(t *testing.T, info server.FlowInfo, _ bool) {
 				if info.State != server.FlowStateActive || info.Failovers != 0 || !info.BackupActive {
 					t.Errorf("flow = %+v, want active on its original primary, backup re-armed", info)
@@ -120,7 +118,7 @@ func TestRestoreControllerTimelines(t *testing.T) {
 			name: "repaired, then re-armed by the same task", net: hubNet(), dst: 7, protected: true,
 			detour: []network.Fault{edgeDown(8), edgeDown(10)},
 			faults: []network.Fault{{Kind: network.FaultNodeDown, Node: 3}},
-			want:   slices.Concat([]string{"fault_strand(node-down 3)"}, repair("node-down 3", false), reprotect(false)),
+			want:   slices.Concat([]string{"strand(node-down 3)"}, repair("node-down 3", false), reprotect(false)),
 			check: func(t *testing.T, info server.FlowInfo, _ bool) {
 				if info.State != server.FlowStateActive || info.Repairs != 1 || info.Failovers != 0 || !info.BackupActive {
 					t.Errorf("flow = %+v, want active after one repair, backup re-armed", info)
@@ -131,7 +129,7 @@ func TestRestoreControllerTimelines(t *testing.T) {
 			name: "exhausted re-protect", net: twoPathNet(), dst: 3, protected: true,
 			faults: []network.Fault{edgeDown(0)},
 			want: slices.Concat([]string{"failover(edge-down 0)"}, reprotect(true), reprotect(true),
-				[]string{"backup_lost(re-protect exhausted)!"}),
+				[]string{"rejected(re-protect)!"}),
 			check: func(t *testing.T, info server.FlowInfo, _ bool) {
 				if info.State != server.FlowStateActive || info.BackupActive || info.Cause != "" {
 					t.Errorf("flow = %+v, want active and unprotected, not evicted", info)
@@ -141,8 +139,8 @@ func TestRestoreControllerTimelines(t *testing.T) {
 		{
 			name: "exhausted repair", net: twoPathNet(), dst: 3, protected: true,
 			faults: []network.Fault{edgeDown(0), edgeDown(2)},
-			want: slices.Concat([]string{"fault_strand(edge-down 2)"}, repair("edge-down 2", true), repair("edge-down 2", true),
-				[]string{"evicted(edge-down 2 (protection_lost))!"}),
+			want: slices.Concat([]string{"strand(edge-down 2)"}, repair("edge-down 2", true), repair("edge-down 2", true),
+				[]string{"evict(edge-down 2 (protection_lost))!"}),
 			check: func(t *testing.T, info server.FlowInfo, _ bool) {
 				if info.State != server.FlowStateEvicted || info.Cause != server.CauseProtectionLost || info.LastError == "" {
 					t.Errorf("flow = %+v, want an evicted tombstone with cause protection_lost", info)
@@ -152,7 +150,7 @@ func TestRestoreControllerTimelines(t *testing.T) {
 		{
 			name: "released mid-retry", net: twoPathNet(), dst: 3, release: true,
 			faults: []network.Fault{edgeDown(2), edgeDown(0)},
-			want:   slices.Concat([]string{"fault_strand(edge-down 0)"}, repair("edge-down 0", true)),
+			want:   slices.Concat([]string{"strand(edge-down 0)"}, repair("edge-down 0", true)),
 			check: func(t *testing.T, info server.FlowInfo, known bool) {
 				if known {
 					t.Errorf("released flow still known: %+v", info)
@@ -227,9 +225,9 @@ func TestRestoreControllerTimelines(t *testing.T) {
 				}
 				released := 0
 				for _, ev := range got {
-					if ev == "released(state repairing)" {
+					if ev == "release(state repairing)" {
 						released++
-					} else if ev == "committed" || strings.HasPrefix(ev, "evicted") || strings.HasPrefix(ev, "repaired") {
+					} else if ev == "commit(repair)" || strings.HasPrefix(ev, "evict") {
 						t.Errorf("a released flow's repair still reached a verdict: %q", got)
 					}
 				}

@@ -873,9 +873,6 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 // no algorithm could find one says so in the done event's detail
 // ("backup: unprotectable").
 func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail string) (res *core.Result, err error) {
-	s.journal.Append(journal.Event{
-		Type: journal.TypeEmbedStart, Flow: j.id, Alg: j.alg, Attempt: j.retries, Detail: detail,
-	})
 	begin := time.Now()
 	if against == nil {
 		res, err = s.runEmbed(j, &w.p)
@@ -939,7 +936,7 @@ func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error)
 // transition turns a job's embedding into the state change that commits
 // it: a backup for a live flow that lacks one, otherwise the flow itself —
 // new, or (Repair) re-registered under its original identity. detail
-// labels the commit's journal events.
+// labels a conflict's journal event.
 func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 	if j.against != nil {
 		return flowstate.Transition{
@@ -987,9 +984,6 @@ func (s *Server) commitLoop() {
 			continue
 		}
 		t, detail := s.transition(j)
-		s.journal.Append(journal.Event{
-			Type: journal.TypeCommitAttempt, Flow: j.id, Attempt: j.retries, Detail: detail,
-		})
 		s.mu.Lock()
 		if err := s.state.Check(t); err != nil {
 			s.mu.Unlock()
@@ -1052,23 +1046,27 @@ func (s *Server) commitLoop() {
 	}
 }
 
-// emit publishes an applied transition: the journal event that reports it
-// and the counters it moves. ev carries what only the caller knows (Time,
-// Attempt, Err); took is the duration the event reports, for the kinds
-// that report one.
+// emit publishes an applied transition: the one journal event that reports
+// it, named by its kind, and the counters it moves. ev carries what only
+// the caller knows (Time, Attempt, Err); took is the duration the event
+// reports, for the kinds that report one. Every kind but Admit, whose
+// journal face is the enqueue, comes through here.
 func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Event, took time.Duration) {
-	ev.Flow = t.Flow
+	ev.Type, ev.Flow = journal.Type(t.Kind.String()), t.Flow
 	switch t.Kind {
 	case flowstate.Commit:
-		ev.Type, ev.Alg, ev.Cost, ev.Seconds = journal.TypeCommitted, ch.Info.Alg, ch.Info.Cost.Total, took.Seconds()
+		ev.Alg, ev.Cost, ev.Seconds = ch.Info.Alg, ch.Info.Cost.Total, took.Seconds()
+		if t.Repair {
+			ev.Detail = "repair"
+		} else if t.Backup != nil {
+			ev.Detail = "protected"
+		}
 		telemetry.RecordServerStage(telemetry.StageCommitWait, took)
 	case flowstate.Backup:
-		ev.Type, ev.Alg, ev.Cost, ev.Seconds = journal.TypeReprotected, ch.Info.Alg, ch.Info.BackupCost.Total, took.Seconds()
+		ev.Alg, ev.Cost, ev.Seconds = ch.Info.Alg, ch.Info.BackupCost.Total, took.Seconds()
 		telemetry.RecordReprotect()
 	case flowstate.Release, flowstate.Expire:
-		ev.Type = journal.TypeReleased
 		if t.Kind == flowstate.Expire {
-			ev.Type = journal.TypeExpired
 			telemetry.RecordServerRequest("flows.expire", "ok", 0)
 		}
 		// A flow can be known without holding resources: mid-repair, or an
@@ -1079,19 +1077,17 @@ func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Ev
 		} else {
 			ev.Detail = "state " + ch.Info.State
 		}
+	case flowstate.FaultApply, flowstate.FaultRestore, flowstate.Strand, flowstate.BackupLoss:
+		ev.Detail = t.Fault.String()
 	case flowstate.Revalidate:
-		ev.Type, ev.Detail = journal.TypeRevalidated, t.Fault.String()
+		ev.Detail = t.Fault.String()
 		telemetry.RecordRepair("revalidated")
-	case flowstate.Strand:
-		ev.Type, ev.Detail = journal.TypeFaultStrand, t.Fault.String()
-	case flowstate.BackupLoss:
-		ev.Type, ev.Detail = journal.TypeBackupLost, t.Fault.String()
 	case flowstate.Failover:
-		ev.Type, ev.Detail, ev.Cost, ev.Seconds = journal.TypeFailover, t.Fault.String(), ch.Info.Cost.Total, took.Seconds()
+		ev.Detail, ev.Cost, ev.Seconds = t.Fault.String(), ch.Info.Cost.Total, took.Seconds()
 		telemetry.RecordServerStage(telemetry.StageFailover, took)
 		telemetry.RecordFailover()
 	case flowstate.Evict:
-		ev.Type, ev.Detail, ev.Seconds = journal.TypeEvicted, t.Fault.String(), took.Seconds()
+		ev.Detail, ev.Seconds = t.Fault.String(), took.Seconds()
 		if t.Cause != "" {
 			ev.Detail += " (" + t.Cause + ")"
 		}
@@ -1099,11 +1095,6 @@ func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Ev
 		telemetry.RecordRepair("evicted")
 	}
 	s.journal.Append(ev)
-	if t.Kind == flowstate.Commit && t.Backup != nil {
-		s.journal.Append(journal.Event{
-			Type: journal.TypeProtected, Flow: t.Flow, Alg: ch.Info.Alg, Cost: ch.Info.BackupCost.Total,
-		})
-	}
 }
 
 // finish delivers a terminal pipeline outcome if the job is still

@@ -63,7 +63,8 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	s.mu.Lock()
 	// ticket follows the newest record this call enqueued; waiting on it
 	// before the call returns covers all of them.
-	_, ticket, err := s.transitLocked(flowstate.Transition{Kind: flowstate.FaultApply, Fault: f})
+	apply := flowstate.Transition{Kind: flowstate.FaultApply, Fault: f}
+	applied, ticket, err := s.transitLocked(apply)
 	if err != nil {
 		s.mu.Unlock()
 		telemetry.RecordServerRequest("faults.apply", "invalid", time.Since(begin))
@@ -86,6 +87,7 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 	}
 	st := s.faultStateLocked()
 	s.mu.Unlock()
+	s.emit(apply, applied, journal.Event{Time: appliedAt}, 0)
 
 	// Phase two, unlocked: each candidate's verdict (flowstate.Verdict),
 	// reached net of its own reservations on one scratch copy of snap,
@@ -153,7 +155,8 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 func (s *Server) RestoreFault(f network.Fault) (FaultState, error) {
 	begin := time.Now()
 	s.mu.Lock()
-	_, ticket, err := s.transitLocked(flowstate.Transition{Kind: flowstate.FaultRestore, Fault: f})
+	restore := flowstate.Transition{Kind: flowstate.FaultRestore, Fault: f}
+	ch, ticket, err := s.transitLocked(restore)
 	if err != nil {
 		s.mu.Unlock()
 		telemetry.RecordServerRequest("faults.restore", "invalid", time.Since(begin))
@@ -161,6 +164,7 @@ func (s *Server) RestoreFault(f network.Fault) (FaultState, error) {
 	}
 	st := s.faultStateLocked()
 	s.mu.Unlock()
+	s.emit(restore, ch, journal.Event{}, 0)
 	s.walWait(ticket)
 	st.PendingRepairs = s.PendingRepairs()
 	telemetry.RecordServerRequest("faults.restore", "ok", time.Since(begin))
@@ -324,14 +328,13 @@ func (s *Server) restoreOne(t *repairTask, rng *rand.Rand) {
 	}
 	switch {
 	case need == flowstate.NeedBackup && lastErr == nil:
-		// Armed; the commit reported it.
+		// Armed; the backup transition reported it.
 	case need == flowstate.NeedBackup:
 		// Exhausted: the flow stays active on its primary without a backup.
-		ev.Type, ev.Detail = journal.TypeBackupLost, "re-protect exhausted"
+		ev.Type, ev.Detail = journal.TypeRejected, "re-protect"
 		s.journal.Append(ev)
 	case lastErr == nil:
-		ev.Type, ev.Seconds, ev.Detail = journal.TypeRepaired, took.Seconds(), t.fault.String()
-		s.journal.Append(ev)
+		// Re-registered; the repair's commit reported it.
 		telemetry.RecordServerStage(telemetry.StageRepair, took)
 		telemetry.RecordRepair("repaired")
 		// A repaired protected flow comes back unprotected: the same task

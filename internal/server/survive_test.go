@@ -11,6 +11,7 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/faults"
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
@@ -38,11 +39,12 @@ func twoPathNet() *network.Network {
 }
 
 // repairOutcome is one terminal fault consequence, as the journal
-// recorded it: "revalidated", "repaired", "evicted", "failover" or
-// "backup_lost", with the judged attempts and the fault (for an eviction,
-// fault plus cause). With a fixed fault sequence and a deterministic
-// embedder the sequence is reproducible: casualties are scanned in
-// ascending flow-ID order and restored strictly one at a time.
+// recorded it: "revalidate", a repair's "commit", "evict", "failover" or
+// "backup_loss", with the judged attempts and the fault (for an eviction,
+// fault plus cause; a repair's commit takes both from the restore attempt
+// that made it). With a fixed fault sequence and a deterministic embedder
+// the sequence is reproducible: casualties are scanned in ascending
+// flow-ID order and restored strictly one at a time.
 type repairOutcome struct {
 	Flow     int64
 	Outcome  journal.Type
@@ -52,11 +54,17 @@ type repairOutcome struct {
 
 func repairOutcomes(srv *server.Server) []repairOutcome {
 	events, _, _ := srv.Journal().Since(0, 0)
+	tried := make(map[int64]journal.Event) // each flow's latest restore attempt
 	var out []repairOutcome
 	for _, ev := range events {
 		switch ev.Type {
-		case journal.TypeRevalidated, journal.TypeRepaired, journal.TypeEvicted,
-			journal.TypeFailover, journal.TypeBackupLost:
+		case journal.TypeRepairAttempt:
+			tried[ev.Flow] = ev
+		case named(flowstate.Commit):
+			if ev.Detail == "repair" {
+				out = append(out, repairOutcome{ev.Flow, ev.Type, tried[ev.Flow].Attempt, tried[ev.Flow].Detail})
+			}
+		case named(flowstate.Revalidate), named(flowstate.Evict), named(flowstate.Failover), named(flowstate.BackupLoss):
 			out = append(out, repairOutcome{ev.Flow, ev.Type, ev.Attempt, ev.Detail})
 		}
 	}
@@ -107,7 +115,7 @@ func TestServerRepairsFlowAcrossFault(t *testing.T) {
 		t.Fatalf("repaired cost %v not above original %v (should use pricier node 2)", got.Cost.Total, info.Cost.Total)
 	}
 	log := repairOutcomes(srv)
-	if len(log) != 1 || log[0] != (repairOutcome{info.ID, journal.TypeRepaired, 1, "node-down 1"}) {
+	if len(log) != 1 || log[0] != (repairOutcome{info.ID, named(flowstate.Commit), 1, "node-down 1"}) {
 		t.Fatalf("repair outcomes = %+v", log)
 	}
 	if bad := srv.RevalidateFlows(); len(bad) != 0 {
@@ -162,7 +170,7 @@ func TestServerEvictsStrandedFlow(t *testing.T) {
 		t.Fatalf("evicted flow listing = %+v", list)
 	}
 	log := repairOutcomes(srv)
-	if len(log) != 1 || log[0].Outcome != journal.TypeEvicted || log[0].Attempts != 2 {
+	if len(log) != 1 || log[0].Outcome != named(flowstate.Evict) || log[0].Attempts != 2 {
 		t.Fatalf("repair outcomes = %+v", log)
 	}
 
@@ -230,7 +238,7 @@ func TestServerRevalidatesUntouchedFlow(t *testing.T) {
 	}
 	waitFor(t, func() bool { return len(repairOutcomes(srv)) == 1 })
 	log := repairOutcomes(srv)
-	if log[0].Outcome != journal.TypeRevalidated || log[0].Flow != info.ID {
+	if log[0].Outcome != named(flowstate.Revalidate) || log[0].Flow != info.ID {
 		t.Fatalf("repair outcomes = %+v", log)
 	}
 	got, ok := srv.Flow(info.ID)

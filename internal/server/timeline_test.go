@@ -3,22 +3,29 @@ package server_test
 // Flight-recorder coverage: every terminal outcome the pipeline can hand
 // a flow — committed+released, commit-conflicted, TTL-expired and
 // repair-evicted — must leave a complete enqueue→terminal timeline under
-// the flow's ID, and the global journal must page cleanly over HTTP.
+// the flow's ID, each state change named by its transition, and the global
+// journal must page cleanly over HTTP.
 
 import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dagsfc/internal/core"
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 )
+
+// named is the journal's name for a transition of kind k.
+func named(k flowstate.Kind) journal.Type { return journal.Type(k.String()) }
 
 // typesOf projects a timeline onto its event types, in order.
 func typesOf(events []journal.Event) []journal.Type {
@@ -42,6 +49,23 @@ func assertSubsequence(t *testing.T, got []journal.Type, want ...journal.Type) {
 	if i != len(want) {
 		t.Fatalf("timeline %v missing ordered subsequence %v (matched %d)", got, want, i)
 	}
+}
+
+// assertTimeline fails unless got is exactly want.
+func assertTimeline(t *testing.T, got []journal.Type, want ...journal.Type) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("timeline %v, want exactly %v", got, want)
+	}
+}
+
+// lastEvent is the newest event journaled for flow id.
+func lastEvent(srv *server.Server, id int64) journal.Event {
+	evs := srv.Journal().Flow(id, 1)
+	if len(evs) == 0 {
+		return journal.Event{}
+	}
+	return evs[0]
 }
 
 // assertMonotonicSeq fails if the timeline's sequence numbers are not
@@ -72,10 +96,9 @@ func TestTimelineCommittedAndReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMonotonicSeq(t, page.Events)
-	assertSubsequence(t, typesOf(page.Events),
-		journal.TypeEnqueue, journal.TypeDequeue, journal.TypeEmbedStart,
-		journal.TypeEmbedDone, journal.TypeCommitAttempt, journal.TypeCommitted,
-		journal.TypeReleased)
+	assertTimeline(t, typesOf(page.Events),
+		journal.TypeEnqueue, journal.TypeDequeue, journal.TypeEmbedDone,
+		named(flowstate.Commit), named(flowstate.Release))
 
 	for _, ev := range page.Events {
 		if ev.Flow != info.ID {
@@ -86,15 +109,21 @@ func TestTimelineCommittedAndReleased(t *testing.T) {
 			if ev.Cost <= 0 || ev.Workers <= 0 || ev.Seconds < 0 {
 				t.Fatalf("embed_done not carrying embed facts: %+v", ev)
 			}
-		case journal.TypeCommitted:
-			if ev.Cost != info.Cost.Total {
-				t.Fatalf("committed cost %v, want %v", ev.Cost, info.Cost.Total)
+		case named(flowstate.Commit):
+			if ev.Cost != info.Cost.Total || ev.Detail != "" {
+				t.Fatalf("commit cost %v detail %q, want %v and none", ev.Cost, ev.Detail, info.Cost.Total)
 			}
 		case journal.TypeDequeue:
 			if ev.Seconds < 0 {
 				t.Fatalf("dequeue with negative queue wait: %+v", ev)
 			}
 		}
+	}
+	// The embed began after the dequeue: embed_done says when, by its
+	// duration (to the microsecond the wire's float seconds keep).
+	dequeued, done := page.Events[1], page.Events[2]
+	if began := done.Time.Add(-time.Duration(done.Seconds * float64(time.Second))); began.Before(dequeued.Time.Add(-time.Microsecond)) {
+		t.Fatalf("embed began at %v, before its dequeue at %v", began, dequeued.Time)
 	}
 }
 
@@ -153,7 +182,7 @@ func TestTimelineCommitConflict(t *testing.T) {
 	}
 	assertMonotonicSeq(t, page.Events)
 	assertSubsequence(t, typesOf(page.Events),
-		journal.TypeEnqueue, journal.TypeEmbedDone, journal.TypeCommitAttempt,
+		journal.TypeEnqueue, journal.TypeEmbedDone,
 		journal.TypeCommitConflict, // first round loses
 		journal.TypeEnqueue,        // conflict retry re-enters the queue
 		journal.TypeCommitConflict, // retry still stale
@@ -180,8 +209,9 @@ func TestTimelineTTLExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSubsequence(t, typesOf(page.Events),
-		journal.TypeEnqueue, journal.TypeCommitted, journal.TypeExpired)
+	assertTimeline(t, typesOf(page.Events),
+		journal.TypeEnqueue, journal.TypeDequeue, journal.TypeEmbedDone,
+		named(flowstate.Commit), named(flowstate.Expire))
 }
 
 func TestTimelineRepairEvicted(t *testing.T) {
@@ -196,10 +226,10 @@ func TestTimelineRepairEvicted(t *testing.T) {
 	if _, err := cl.ApplyFault(ctx, server.FaultRequest{Kind: "link-down", Link: 0}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool {
-		got, ok := srv.Flow(info.ID)
-		return ok && got.State == server.FlowStateEvicted
-	})
+	waitFor(t, func() bool { return lastEvent(srv, info.ID).Type == named(flowstate.Evict) })
+	if got, ok := srv.Flow(info.ID); !ok || got.State != server.FlowStateEvicted {
+		t.Fatalf("evicted flow = %+v, want an evicted tombstone", got)
+	}
 
 	page, err := cl.FlowEvents(ctx, info.ID, 0)
 	if err != nil {
@@ -207,10 +237,10 @@ func TestTimelineRepairEvicted(t *testing.T) {
 	}
 	assertMonotonicSeq(t, page.Events)
 	assertSubsequence(t, typesOf(page.Events),
-		journal.TypeEnqueue, journal.TypeCommitted, journal.TypeFaultStrand,
-		journal.TypeRepairAttempt, journal.TypeEvicted)
+		journal.TypeEnqueue, named(flowstate.Commit), named(flowstate.Strand),
+		journal.TypeRepairAttempt, named(flowstate.Evict))
 	for _, ev := range page.Events {
-		if ev.Type == journal.TypeEvicted {
+		if ev.Type == named(flowstate.Evict) {
 			if ev.Err == "" || ev.Seconds <= 0 || ev.Detail == "" {
 				t.Fatalf("evicted event missing cause/duration/fault: %+v", ev)
 			}
@@ -229,9 +259,10 @@ func TestTimelineRepairSucceeded(t *testing.T) {
 	if _, err := cl.ApplyFault(ctx, server.FaultRequest{Kind: "node-down", Node: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// The repair re-commits under the same ID.
 	waitFor(t, func() bool {
-		got, ok := srv.Flow(info.ID)
-		return ok && got.State == server.FlowStateActive && got.Repairs == 1
+		last := lastEvent(srv, info.ID)
+		return last.Type == named(flowstate.Commit) && last.Detail == "repair"
 	})
 
 	page, err := cl.FlowEvents(ctx, info.ID, 0)
@@ -239,9 +270,10 @@ func TestTimelineRepairSucceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSubsequence(t, typesOf(page.Events),
-		journal.TypeCommitted, journal.TypeFaultStrand, journal.TypeRepairAttempt,
-		journal.TypeCommitted, // the repair re-commits under the same ID
-		journal.TypeRepaired)
+		named(flowstate.Commit), named(flowstate.Strand), journal.TypeRepairAttempt, named(flowstate.Commit))
+	if got, ok := srv.Flow(info.ID); !ok || got.State != server.FlowStateActive || got.Repairs != 1 {
+		t.Fatalf("repaired flow = %+v, want active after one repair", got)
+	}
 }
 
 func TestEventsPagingOverHTTP(t *testing.T) {
@@ -282,9 +314,9 @@ func TestEventsPagingOverHTTP(t *testing.T) {
 		t.Fatalf("only %d pages; paging untested", pages)
 	}
 	assertMonotonicSeq(t, all)
-	// 3 commit/release cycles: at least 7 events each.
-	if len(all) < 21 {
-		t.Fatalf("journal retained %d events, want >= 21", len(all))
+	// 3 commit/release cycles: 5 events each.
+	if len(all) != 15 {
+		t.Fatalf("journal retained %d events, want 15", len(all))
 	}
 }
 
@@ -320,6 +352,36 @@ func TestFlowEventsUnknownFlow404(t *testing.T) {
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown flow events = %v, want 404", err)
+	}
+}
+
+// TestFlowEventsFlowZero404: flow IDs start at 1, and the events that
+// belong to no flow — breaker transitions, faults — carry 0; they are not
+// a flow's timeline.
+func TestFlowEventsFlowZero404(t *testing.T) {
+	srv, cl := newTestServer(t, server.Config{Net: tinyNet(), BreakerFailures: 2})
+	ctx := context.Background()
+	for i := 0; i < 2; i++ { // two infeasible embeds trip the breaker
+		if _, err := srv.Submit(ctx, lineRequest(1000)); !errors.Is(err, core.ErrNoEmbedding) {
+			t.Fatalf("submit %d: %v, want ErrNoEmbedding", i, err)
+		}
+	}
+	fault := server.FaultRequest{Kind: "link-degrade", Link: 0, Fraction: 0.5}
+	if _, err := cl.ApplyFault(ctx, fault); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RestoreFault(ctx, fault); err != nil {
+		t.Fatal(err)
+	}
+	if flowless := srv.Journal().Flow(0, 0); len(flowless) == 0 {
+		t.Fatal("no flowless event journaled")
+	}
+	for _, id := range []int64{0, -1} {
+		page, err := cl.FlowEvents(ctx, id, 0)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+			t.Fatalf("flow %d events = %+v, %v; want 404", id, page, err)
+		}
 	}
 }
 

@@ -66,6 +66,9 @@ const (
 	TypeBackupLoss Type = 11
 )
 
+// String names the record type. The names are the serving stack's one
+// vocabulary for state changes: flowstate.Kind and the server's journal
+// use them too. Only text carries them; the type byte on disk is the value.
 func (t Type) String() string {
 	switch t {
 	case TypeAdmit:
@@ -79,9 +82,9 @@ func (t Type) String() string {
 	case TypeEvict:
 		return "evict"
 	case TypeFaultApply:
-		return "fault-apply"
+		return "fault_apply"
 	case TypeFaultRestore:
-		return "fault-restore"
+		return "fault_restore"
 	case TypeStrand:
 		return "strand"
 	case TypeBackup:
@@ -89,7 +92,7 @@ func (t Type) String() string {
 	case TypeFailover:
 		return "failover"
 	case TypeBackupLoss:
-		return "backup-loss"
+		return "backup_loss"
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
