@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro examples vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
 
 all: build vet test
 
@@ -15,10 +15,11 @@ all: build vet test
 # the no-per-request-garbage contract of the HTTP layer, the
 # one-name-per-transition contract of the journal, the
 # docs-name-what-the-tree-has contract, the every-metric-has-a-reader
-# contract, the benchmark module still compiling against the tree, and a
-# short fuzz of the search-kernel priority queues, the request-body reader,
-# the response decoder and the sfc parser.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census benchmark-vet fuzz-smoke
+# contract, the every-package-and-command-earns-its-place contract, the
+# benchmark module still compiling against the tree, and a short fuzz of the
+# search-kernel priority queues, the request-body reader, the response
+# decoder and the sfc parser.
+check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -108,6 +109,14 @@ docs-drift:
 # README.md and DESIGN.md name exists (census_test.go).
 metrics-census:
 	$(GO) test -count=1 -run '^TestMetricsCensus$$' .
+
+# Every package and command earns its place: an internal/ package is
+# imported from two directories of either module (root or benchmark/) or
+# census_test.go's censusKeep says why it stays — one with a single importer
+# folds into it — and a cmd/ program has a test in its directory or a rule
+# here or a CI step runs it.
+package-census:
+	$(GO) test -count=1 -run '^TestPackageCensus$$' .
 
 # benchmark/ is a module of its own, so `go build ./...` and `go vet ./...`
 # never compile it: deleting a name only the benchmark still calls passes
@@ -255,11 +264,3 @@ race-survival:
 # Regenerate every table/figure of the paper at full trial count.
 repro:
 	$(GO) run ./cmd/dagsfc-bench -exp all -trials 100 -seed 2018
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/transform
-	$(GO) run ./examples/securitychain
-	$(GO) run ./examples/onlineflows
-	$(GO) run ./examples/datacenter
-	$(GO) run ./examples/delaybudget

@@ -12,8 +12,9 @@ import (
 	"strconv"
 	"testing"
 
+	"dagsfc/internal/core"
 	"dagsfc/internal/exact"
-	"dagsfc/internal/latency"
+	"dagsfc/internal/ipmodel"
 	"dagsfc/internal/sim"
 )
 
@@ -66,7 +67,7 @@ func BenchmarkGapVsExact(b *testing.B) { benchExperiment(b, sim.Gap(1)) }
 func BenchmarkDelayHybridVsSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunDelay([]int{3, 5, 7, 9}, 1, int64(i)+1, latency.DefaultParams()); err != nil {
+		if _, err := sim.RunDelay([]int{3, 5, 7, 9}, 1, int64(i)+1, core.DefaultDelayParams()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +159,7 @@ func BenchmarkEmbedILP8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := *base
 		p.Ledger = nil
-		if _, err := EmbedILP(&p, ILPOptions{}); err != nil {
+		if _, err := ipmodel.Embed(&p, ipmodel.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func BenchmarkEmbedILP8(b *testing.B) {
 // Ablations of MBBE's three strategies (§4.5), for the design choices
 // DESIGN.md calls out: the forward-search cap Xmax (strategy 1), the
 // mini-path instantiation (strategy 2) and the X_d-tree width (strategy 3).
-func benchOptions(b *testing.B, opts Options) {
+func benchOptions(b *testing.B, opts core.Options) {
 	b.Helper()
 	base := paperInstance(4)
 	b.ReportAllocs()
@@ -175,7 +176,7 @@ func benchOptions(b *testing.B, opts Options) {
 	for i := 0; i < b.N; i++ {
 		p := *base
 		p.Ledger = nil
-		if _, err := Embed(&p, opts); err != nil {
+		if _, err := core.Embed(&p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +184,7 @@ func benchOptions(b *testing.B, opts Options) {
 
 func BenchmarkAblationXd(b *testing.B) {
 	for _, xd := range []int{1, 2, 4, 8, 16} {
-		opts := MBBEOptions()
+		opts := core.MBBEOptions()
 		opts.Xd = xd
 		b.Run(benchName("Xd", xd), func(b *testing.B) { benchOptions(b, opts) })
 	}
@@ -191,17 +192,17 @@ func BenchmarkAblationXd(b *testing.B) {
 
 func BenchmarkAblationXmax(b *testing.B) {
 	for _, xmax := range []int{30, 60, 120, 240, 0} {
-		opts := MBBEOptions()
+		opts := core.MBBEOptions()
 		opts.Xmax = xmax
 		b.Run(benchName("Xmax", xmax), func(b *testing.B) { benchOptions(b, opts) })
 	}
 }
 
 func BenchmarkAblationMiniPath(b *testing.B) {
-	withTree := MBBEOptions()
+	withTree := core.MBBEOptions()
 	withTree.MiniPath = false
 	withTree.MaxPathsPerMeta = 2
-	b.Run("MiniPathOn", func(b *testing.B) { benchOptions(b, MBBEOptions()) })
+	b.Run("MiniPathOn", func(b *testing.B) { benchOptions(b, core.MBBEOptions()) })
 	b.Run("MiniPathOff", func(b *testing.B) { benchOptions(b, withTree) })
 }
 
@@ -223,7 +224,7 @@ func BenchmarkComputeCost(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeCost(p, res.Solution); err != nil {
+		if _, err := core.ComputeCost(p, res.Solution); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,3 +134,116 @@ func familyNamed(families map[string]string, span string) bool {
 	}
 	return false
 }
+
+// censusKeep lists the internal packages that stay with fewer than two
+// importing directories, each with its reason. TestPackageCensus fails on an
+// entry that no longer needs the exception.
+var censusKeep = map[string]string{
+	"internal/sim":    "the paper-reproduction library behind cmd/dagsfc-bench: Fig. 6 and E7–E13 run through it",
+	"internal/lp":     "the simplex under internal/ipmodel's branch and bound; the capacity-headroom LP is to be its second user",
+	"internal/online": "the virtual-clock driver of the flow state machine, which the deterministic explorer is to build on",
+}
+
+// TestPackageCensus is make check's package-census: every package and
+// command earns its place. An internal/ package is imported from at least
+// two directories — by the non-test Go files of both modules, the root one
+// and benchmark/ — or censusKeep says why it stays; a package with one
+// importer folds into it. A command under cmd/ has a test in its directory,
+// or the Makefile or the CI workflow runs it.
+func TestPackageCensus(t *testing.T) {
+	packages := map[string]bool{}             // internal package directories
+	importers := map[string]map[string]bool{} // package -> importing directories
+	commands := map[string]bool{}             // cmd/ directory -> has a test
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		isTest := strings.HasSuffix(path, "_test.go")
+		if strings.HasPrefix(dir, "cmd/") && strings.Count(dir, "/") == 1 {
+			commands[dir] = commands[dir] || isTest
+		}
+		if isTest {
+			return nil
+		}
+		if strings.HasPrefix(dir, "internal/") {
+			packages[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, spec := range f.Imports {
+			imported, _ := strconv.Unquote(spec.Path.Value)
+			pkg, ok := strings.CutPrefix(imported, "dagsfc/")
+			if !ok || !strings.HasPrefix(pkg, "internal/") || pkg == dir {
+				continue
+			}
+			if importers[pkg] == nil {
+				importers[pkg] = map[string]bool{}
+			}
+			importers[pkg][dir] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packages) == 0 || len(commands) == 0 {
+		t.Fatal("no internal/ package or cmd/ program found: run the test from the repository root")
+	}
+
+	for _, pkg := range sortedKeys(packages) {
+		dirs := sortedKeys(importers[pkg])
+		_, kept := censusKeep[pkg]
+		switch {
+		case kept:
+		case len(dirs) == 0:
+			t.Errorf("%s is imported by nothing: delete it, or list it in censusKeep with the reason it stays", pkg)
+		case len(dirs) == 1:
+			t.Errorf("%s is imported from %s alone: fold it into that importer, or list it in censusKeep with the reason it stays",
+				pkg, dirs[0])
+		}
+		if len(dirs) >= 2 && kept {
+			t.Errorf("censusKeep lists %s, which %d directories import %v: drop the entry", pkg, len(dirs), dirs)
+		}
+	}
+	for _, pkg := range sortedKeys(censusKeep) {
+		if !packages[pkg] {
+			t.Errorf("censusKeep lists %s, which is no package of the tree: drop the entry", pkg)
+		}
+	}
+
+	var runners strings.Builder
+	for _, path := range []string{"Makefile", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners.Write(text)
+	}
+	for _, cmd := range sortedKeys(commands) {
+		if !commands[cmd] && !strings.Contains(runners.String(), cmd) {
+			t.Errorf("%s has no test in its directory and no Makefile rule or CI step runs it: test it or delete it", cmd)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -1,8 +1,9 @@
-// Package benchfmt parses the text output of `go test -bench` into
-// structured results and maintains a small labelled-run JSON file, so the
-// repo can track benchmark baselines (ns/op, B/op, allocs/op) across PRs
+package main
+
+// The benchmark ledger: the text output of `go test -bench` parsed into
+// structured results, kept as labelled runs in a small JSON file, so the
+// repository tracks its micro-benchmark baselines (ns/op, B/op, allocs/op)
 // without external tooling.
-package benchfmt
 
 import (
 	"bufio"
@@ -14,8 +15,8 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
-type Result struct {
+// benchResult is one parsed benchmark line.
+type benchResult struct {
 	// Name is the benchmark name with the trailing GOMAXPROCS suffix
 	// stripped (Benchmark prefix kept): "BenchmarkDijkstra500".
 	Name string `json:"name"`
@@ -33,13 +34,13 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Parse reads `go test -bench` output and returns every benchmark result
+// parseBenchOutput reads `go test -bench` output and returns every benchmark result
 // line, in input order. Non-benchmark lines (package headers, PASS/ok,
 // subtest logs) are skipped. A line that starts like a benchmark but does
 // not parse is an error — truncated output should fail loudly, not drop
 // results.
-func Parse(r io.Reader) ([]Result, error) {
-	var out []Result
+func parseBenchOutput(r io.Reader) ([]benchResult, error) {
+	var out []benchResult
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -54,20 +55,20 @@ func Parse(r io.Reader) ([]Result, error) {
 		if len(fields) < 2 {
 			continue
 		}
-		res, err := parseLine(fields)
+		res, err := parseBenchLine(fields)
 		if err != nil {
-			return nil, fmt.Errorf("benchfmt: %q: %w", line, err)
+			return nil, fmt.Errorf("bench output: %q: %w", line, err)
 		}
 		out = append(out, res)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("benchfmt: read: %w", err)
+		return nil, fmt.Errorf("bench output: read: %w", err)
 	}
 	return out, nil
 }
 
-func parseLine(fields []string) (Result, error) {
-	res := Result{Procs: 1, BytesPerOp: -1, AllocsPerOp: -1}
+func parseBenchLine(fields []string) (benchResult, error) {
+	res := benchResult{Procs: 1, BytesPerOp: -1, AllocsPerOp: -1}
 	res.Name = fields[0]
 	if i := strings.LastIndex(res.Name, "-"); i >= 0 {
 		if p, err := strconv.Atoi(res.Name[i+1:]); err == nil && p > 0 {
@@ -113,77 +114,77 @@ func parseLine(fields []string) (Result, error) {
 	return res, nil
 }
 
-// AllocsRegressed reports whether cand allocates more objects per op than
+// allocsRegressed reports whether cand allocates more objects per op than
 // base by more than limit, a fraction of base's count. Allocation counts
 // repeat exactly from run to run on deterministic code, so the limit can
 // sit far below what ns/op needs. A result recorded without -benchmem
 // (AllocsPerOp < 0) never regresses: there is nothing to compare.
-func AllocsRegressed(base, cand Result, limit float64) bool {
+func allocsRegressed(base, cand benchResult, limit float64) bool {
 	if base.AllocsPerOp < 0 || cand.AllocsPerOp < 0 {
 		return false
 	}
 	return float64(cand.AllocsPerOp) > float64(base.AllocsPerOp)*(1+limit)
 }
 
-// CheckSameProcs refuses to compare two results that ran at different
+// checkSameProcs refuses to compare two results that ran at different
 // GOMAXPROCS: the server benchmarks scale with it and the embed benchmarks
 // pay for goroutine fan-out according to it, so a delta between such a
 // pair measures the machines, not the code.
-func CheckSameProcs(base, cand Result) error {
+func checkSameProcs(base, cand benchResult) error {
 	if base.Procs != cand.Procs {
-		return fmt.Errorf("benchfmt: %s ran at procs=%d in the baseline and procs=%d in the candidate; "+
+		return fmt.Errorf("%s ran at procs=%d in the baseline and procs=%d in the candidate; "+
 			"results at different GOMAXPROCS are not comparable (re-record one side with -cpu)",
 			cand.Name, base.Procs, cand.Procs)
 	}
 	return nil
 }
 
-// Run is one labelled benchmark sweep.
-type Run struct {
-	Label   string   `json:"label"`
-	Results []Result `json:"results"`
+// benchRun is one labelled benchmark sweep.
+type benchRun struct {
+	Label   string        `json:"label"`
+	Results []benchResult `json:"results"`
 }
 
-// File is the on-disk JSON shape: one run per label, sorted by label for
+// benchLedger is the on-disk JSON shape: one run per label, sorted by label for
 // stable diffs.
-type File struct {
-	Runs []Run `json:"runs"`
+type benchLedger struct {
+	Runs []benchRun `json:"runs"`
 }
 
-// SetRun inserts or replaces the run with the given label.
-func (f *File) SetRun(label string, results []Result) {
+// setRun inserts or replaces the run with the given label.
+func (f *benchLedger) setRun(label string, results []benchResult) {
 	for i := range f.Runs {
 		if f.Runs[i].Label == label {
 			f.Runs[i].Results = results
 			return
 		}
 	}
-	f.Runs = append(f.Runs, Run{Label: label, Results: results})
+	f.Runs = append(f.Runs, benchRun{Label: label, Results: results})
 	sort.Slice(f.Runs, func(i, j int) bool { return f.Runs[i].Label < f.Runs[j].Label })
 }
 
-// Run returns the run with the given label, if present.
-func (f *File) Run(label string) (Run, bool) {
+// lookup returns the run with the given label, if present.
+func (f *benchLedger) lookup(label string) (benchRun, bool) {
 	for _, r := range f.Runs {
 		if r.Label == label {
 			return r, true
 		}
 	}
-	return Run{}, false
+	return benchRun{}, false
 }
 
-// Decode reads a File previously written by Encode.
-func Decode(r io.Reader) (*File, error) {
-	var f File
+// decodeLedger reads a ledger previously written by encode.
+func decodeLedger(r io.Reader) (*benchLedger, error) {
+	var f benchLedger
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("benchfmt: decode: %w", err)
+		return nil, fmt.Errorf("bench ledger: decode: %w", err)
 	}
 	return &f, nil
 }
 
-// Encode writes the file as indented JSON with a trailing newline, the
-// format checked into the repo.
-func (f *File) Encode(w io.Writer) error {
+// encode writes the ledger as indented JSON with a trailing newline, the
+// format checked into the repository.
+func (f *benchLedger) encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(f)

@@ -1,4 +1,4 @@
-package benchfmt
+package main
 
 import (
 	"bytes"
@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-const sample = `goos: linux
+const benchSample = `goos: linux
 goarch: amd64
 pkg: dagsfc/internal/graph
 cpu: Shared vCPU
@@ -19,7 +19,7 @@ ok  	dagsfc/internal/graph	4.2s
 `
 
 func TestParse(t *testing.T) {
-	got, err := Parse(strings.NewReader(sample))
+	got, err := parseBenchOutput(strings.NewReader(benchSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestParse(t *testing.T) {
 
 func TestParseExtraUnits(t *testing.T) {
 	line := "BenchmarkServeThroughput-8\t2000\t811000 ns/op\t1233 flows/s\t4.2 p99_ms\t512 B/op\t9 allocs/op\n"
-	got, err := Parse(strings.NewReader(line))
+	got, err := parseBenchOutput(strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,24 +61,24 @@ func TestParseExtraUnits(t *testing.T) {
 		t.Fatalf("standard units mis-parsed alongside Extra: %+v", r)
 	}
 
-	var f File
-	f.SetRun("after", got)
+	var f benchLedger
+	f.setRun("after", got)
 	var buf bytes.Buffer
-	if err := f.Encode(&buf); err != nil {
+	if err := f.encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(&buf)
+	back, err := decodeLedger(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := back.Run("after")
+	r2, _ := back.lookup("after")
 	if r2.Results[0].Extra["flows/s"] != 1233 {
 		t.Fatalf("Extra lost in round trip: %+v", r2.Results[0])
 	}
 }
 
 func TestParseNoProcsSuffix(t *testing.T) {
-	got, err := Parse(strings.NewReader("BenchmarkFoo\t100\t50.5 ns/op\n"))
+	got, err := parseBenchOutput(strings.NewReader("BenchmarkFoo\t100\t50.5 ns/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +88,20 @@ func TestParseNoProcsSuffix(t *testing.T) {
 }
 
 func TestParseMalformedFails(t *testing.T) {
-	if _, err := Parse(strings.NewReader("BenchmarkBad\tnot-a-number\t10 ns/op\n")); err == nil {
+	if _, err := parseBenchOutput(strings.NewReader("BenchmarkBad\tnot-a-number\t10 ns/op\n")); err == nil {
 		t.Fatal("malformed iteration count parsed without error")
 	}
-	if _, err := Parse(strings.NewReader("BenchmarkBad\t100\t10 widgets\n")); err == nil {
+	if _, err := parseBenchOutput(strings.NewReader("BenchmarkBad\t100\t10 widgets\n")); err == nil {
 		t.Fatal("line without ns/op parsed without error")
 	}
 }
 
 func TestFileRoundTripAndSetRun(t *testing.T) {
-	var f File
-	f.SetRun("before", []Result{{Name: "BenchmarkX", Procs: 8, Iterations: 10, NsPerOp: 100, BytesPerOp: 64, AllocsPerOp: 2}})
-	f.SetRun("after", []Result{{Name: "BenchmarkX", Procs: 8, Iterations: 20, NsPerOp: 50, BytesPerOp: 32, AllocsPerOp: 0}})
+	var f benchLedger
+	f.setRun("before", []benchResult{{Name: "BenchmarkX", Procs: 8, Iterations: 10, NsPerOp: 100, BytesPerOp: 64, AllocsPerOp: 2}})
+	f.setRun("after", []benchResult{{Name: "BenchmarkX", Procs: 8, Iterations: 20, NsPerOp: 50, BytesPerOp: 32, AllocsPerOp: 0}})
 	// Replacing a label must not duplicate it.
-	f.SetRun("after", []Result{{Name: "BenchmarkX", Procs: 8, Iterations: 30, NsPerOp: 40, BytesPerOp: 32, AllocsPerOp: 0}})
+	f.setRun("after", []benchResult{{Name: "BenchmarkX", Procs: 8, Iterations: 30, NsPerOp: 40, BytesPerOp: 32, AllocsPerOp: 0}})
 	if len(f.Runs) != 2 {
 		t.Fatalf("runs = %d, want 2", len(f.Runs))
 	}
@@ -110,21 +110,21 @@ func TestFileRoundTripAndSetRun(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := f.Encode(&buf); err != nil {
+	if err := f.encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(&buf)
+	back, err := decodeLedger(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := back.Run("after")
+	r, ok := back.lookup("after")
 	if !ok || r.Results[0].NsPerOp != 40 {
 		t.Fatalf("round trip lost data: %+v ok=%v", r, ok)
 	}
 }
 
 func TestAllocsRegressed(t *testing.T) {
-	res := func(allocs int64) Result { return Result{AllocsPerOp: allocs} }
+	res := func(allocs int64) benchResult { return benchResult{AllocsPerOp: allocs} }
 	cases := []struct {
 		name       string
 		base, cand int64
@@ -140,8 +140,8 @@ func TestAllocsRegressed(t *testing.T) {
 		{"candidate lacks -benchmem", 200, -1, false},
 	}
 	for _, c := range cases {
-		if got := AllocsRegressed(res(c.base), res(c.cand), 0.05); got != c.want {
-			t.Errorf("%s: AllocsRegressed(%d -> %d, 5%%) = %v, want %v", c.name, c.base, c.cand, got, c.want)
+		if got := allocsRegressed(res(c.base), res(c.cand), 0.05); got != c.want {
+			t.Errorf("%s: allocsRegressed(%d -> %d, 5%%) = %v, want %v", c.name, c.base, c.cand, got, c.want)
 		}
 	}
 }
@@ -151,9 +151,9 @@ func TestAllocsRegressed(t *testing.T) {
 // procs 1, BENCH_PR15.json at procs 2), and a delta between such a pair
 // says nothing about the code.
 func TestCheckSameProcs(t *testing.T) {
-	base := Result{Name: "BenchmarkServeThroughput", Procs: 1, NsPerOp: 1.7e6}
-	cand := Result{Name: "BenchmarkServeThroughput", Procs: 2, NsPerOp: 1.1e6}
-	err := CheckSameProcs(base, cand)
+	base := benchResult{Name: "BenchmarkServeThroughput", Procs: 1, NsPerOp: 1.7e6}
+	cand := benchResult{Name: "BenchmarkServeThroughput", Procs: 2, NsPerOp: 1.1e6}
+	err := checkSameProcs(base, cand)
 	if err == nil {
 		t.Fatal("procs 1 vs procs 2 accepted as comparable")
 	}
@@ -163,7 +163,7 @@ func TestCheckSameProcs(t *testing.T) {
 		}
 	}
 	cand.Procs = 1
-	if err := CheckSameProcs(base, cand); err != nil {
+	if err := checkSameProcs(base, cand); err != nil {
 		t.Fatalf("equal procs refused: %v", err)
 	}
 }

@@ -38,11 +38,9 @@ import (
 	"strings"
 	"time"
 
-	"dagsfc/internal/benchfmt"
+	"dagsfc/internal/core"
 	"dagsfc/internal/diag"
-	"dagsfc/internal/latency"
 	"dagsfc/internal/sim"
-	"dagsfc/internal/tablefmt"
 )
 
 func main() {
@@ -83,7 +81,7 @@ func mergeBench(rawPath, label, outPath string) error {
 		return err
 	}
 	defer raw.Close()
-	results, err := benchfmt.Parse(raw)
+	results, err := parseBenchOutput(raw)
 	if err != nil {
 		return err
 	}
@@ -91,9 +89,9 @@ func mergeBench(rawPath, label, outPath string) error {
 		return fmt.Errorf("no benchmark results in %s", rawPath)
 	}
 
-	ledger := &benchfmt.File{}
+	ledger := &benchLedger{}
 	if prev, err := os.Open(outPath); err == nil {
-		ledger, err = benchfmt.Decode(prev)
+		ledger, err = decodeLedger(prev)
 		prev.Close()
 		if err != nil {
 			return err
@@ -101,13 +99,13 @@ func mergeBench(rawPath, label, outPath string) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	ledger.SetRun(label, results)
+	ledger.setRun(label, results)
 
 	out, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
-	if err := ledger.Encode(out); err != nil {
+	if err := ledger.encode(out); err != nil {
 		out.Close()
 		return err
 	}
@@ -199,20 +197,20 @@ func guardBench(oldPath, newPath string, limit float64) error {
 			oldRun.Results[i].Name = now
 		}
 	}
-	byName := func(run benchfmt.Run, name string) (benchfmt.Result, bool) {
+	byName := func(run benchRun, name string) (benchResult, bool) {
 		for _, r := range run.Results {
 			if r.Name == name {
 				return r, true
 			}
 		}
-		return benchfmt.Result{}, false
+		return benchResult{}, false
 	}
 
 	// Refuse unlike runs before printing a single delta: every benchmark
 	// the two ledgers share must have run at the same GOMAXPROCS.
 	for _, newRes := range newRun.Results {
 		if oldRes, ok := byName(oldRun, newRes.Name); ok {
-			if err := benchfmt.CheckSameProcs(oldRes, newRes); err != nil {
+			if err := checkSameProcs(oldRes, newRes); err != nil {
 				return fmt.Errorf("%s vs %s: %w", oldPath, newPath, err)
 			}
 		}
@@ -242,7 +240,7 @@ func guardBench(oldPath, newPath string, limit float64) error {
 	var failures []string
 	// pair looks a guarded benchmark up in both ledgers: one the baseline
 	// predates is skipped, one the candidate lost is a failure.
-	pair := func(name string) (oldRes, newRes benchfmt.Result, ok bool) {
+	pair := func(name string) (oldRes, newRes benchResult, ok bool) {
 		if oldRes, ok = byName(oldRun, name); !ok {
 			fmt.Printf("guard: %-40s absent from baseline %s; skipping\n", name, oldPath)
 			return
@@ -273,7 +271,7 @@ func guardBench(oldPath, newPath string, limit float64) error {
 			continue
 		}
 		verdict := "ok"
-		if benchfmt.AllocsRegressed(oldRes, newRes, allocGuardLimit) {
+		if allocsRegressed(oldRes, newRes, allocGuardLimit) {
 			verdict = "REGRESSED"
 			failures = append(failures, fmt.Sprintf("%s: %d -> %d allocs/op (limit %+.0f%%)",
 				name, oldRes.AllocsPerOp, newRes.AllocsPerOp, allocGuardLimit*100))
@@ -332,19 +330,19 @@ func guardBench(oldPath, newPath string, limit float64) error {
 }
 
 // loadAfterRun reads a benchmark ledger and returns its "after" run.
-func loadAfterRun(path string) (benchfmt.Run, error) {
+func loadAfterRun(path string) (benchRun, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return benchfmt.Run{}, err
+		return benchRun{}, err
 	}
 	defer f.Close()
-	ledger, err := benchfmt.Decode(f)
+	ledger, err := decodeLedger(f)
 	if err != nil {
-		return benchfmt.Run{}, fmt.Errorf("%s: %w", path, err)
+		return benchRun{}, fmt.Errorf("%s: %w", path, err)
 	}
-	run, ok := ledger.Run("after")
+	run, ok := ledger.lookup("after")
 	if !ok {
-		return benchfmt.Run{}, fmt.Errorf("%s: no \"after\" run", path)
+		return benchRun{}, fmt.Errorf("%s: no \"after\" run", path)
 	}
 	return run, nil
 }
@@ -415,7 +413,7 @@ func run(expName string, trials int, seed int64, csvDir string, parallel int) er
 }
 
 func runDelay(trials int, seed int64, csvDir string) error {
-	points, err := sim.RunDelay([]int{3, 5, 7, 9}, trials, seed, latency.DefaultParams())
+	points, err := sim.RunDelay([]int{3, 5, 7, 9}, trials, seed, core.DefaultDelayParams())
 	if err != nil {
 		return err
 	}
@@ -432,13 +430,13 @@ func printReductions(points []sim.Point, e *sim.Experiment) {
 		{sim.MBBE, sim.EXACT},
 	} {
 		if frac, ok := sim.Reduction(points, pair[0], pair[1]); ok {
-			fmt.Printf("  %s vs %s: %s cheaper on average\n", pair[0], pair[1], tablefmt.Pct(frac))
+			fmt.Printf("  %s vs %s: %.1f%% cheaper on average\n", pair[0], pair[1], 100*frac)
 		}
 	}
 }
 
 // emit renders a table to stdout and optionally as CSV.
-func emit(t *tablefmt.Table, csvDir, name string) error {
+func emit(t *sim.Table, csvDir, name string) error {
 	if err := t.Render(os.Stdout); err != nil {
 		return err
 	}

@@ -1,8 +1,4 @@
-// Package viz renders networks and embeddings as Graphviz DOT, the
-// debugging view for small instances: nodes annotated with their hosted
-// VNFs, links with prices, and an embedded solution's rented instances
-// and real-paths highlighted.
-package viz
+package main
 
 import (
 	"fmt"
@@ -14,20 +10,6 @@ import (
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 )
-
-// Options controls the rendering.
-type Options struct {
-	// Name is the DOT graph name; defaults to "dagsfc".
-	Name string
-	// ShowPrices annotates links and instances with prices.
-	ShowPrices bool
-	// Solution, when non-nil, highlights the embedding: rented nodes are
-	// filled, used links are bold and colored by role (inter-layer,
-	// inner-layer, tail).
-	Solution *core.Solution
-	// Problem must accompany Solution (for layer structure and prices).
-	Problem *core.Problem
-}
 
 // edge roles for coloring.
 const (
@@ -42,42 +24,33 @@ var roleColors = map[string]string{
 	roleTail:  "darkgreen",
 }
 
-// WriteDOT renders the network (and optional solution overlay) as DOT.
-func WriteDOT(w io.Writer, net *network.Network, opts Options) error {
-	name := opts.Name
-	if name == "" {
-		name = "dagsfc"
-	}
-	if (opts.Solution == nil) != (opts.Problem == nil) {
-		return fmt.Errorf("viz: Solution and Problem must be set together")
-	}
-
+// writeDOT renders p's network with the embedding s as Graphviz DOT, the
+// debugging view for small instances: nodes annotated with their hosted
+// VNFs and prices, links with prices, rented nodes filled and used links
+// bold and colored by role (inter-layer, inner-layer, tail).
+func writeDOT(w io.Writer, p *core.Problem, s *core.Solution) error {
+	net := p.Net
 	rented := map[graph.NodeID][]network.VNFID{}
 	edgeRole := map[graph.EdgeID]string{}
-	var src, dst graph.NodeID = graph.None, graph.None
-	if opts.Solution != nil {
-		s, p := opts.Solution, opts.Problem
-		src, dst = p.Src, p.Dst
-		for li, le := range s.Layers {
-			spec := p.SFC.Layers[li]
-			for i, node := range le.Nodes {
-				rented[node] = append(rented[node], spec.VNFs[i])
-			}
-			if spec.Parallel() {
-				rented[le.MergerNode] = append(rented[le.MergerNode], p.Net.Catalog.Merger())
-			}
-			for _, path := range le.InterPaths {
-				markEdges(edgeRole, path, roleInter)
-			}
-			for _, path := range le.InnerPaths {
-				markEdges(edgeRole, path, roleInner)
-			}
+	for li, le := range s.Layers {
+		spec := p.SFC.Layers[li]
+		for i, node := range le.Nodes {
+			rented[node] = append(rented[node], spec.VNFs[i])
 		}
-		markEdges(edgeRole, s.TailPath, roleTail)
+		if spec.Parallel() {
+			rented[le.MergerNode] = append(rented[le.MergerNode], net.Catalog.Merger())
+		}
+		for _, path := range le.InterPaths {
+			markEdges(edgeRole, path, roleInter)
+		}
+		for _, path := range le.InnerPaths {
+			markEdges(edgeRole, path, roleInner)
+		}
 	}
+	markEdges(edgeRole, s.TailPath, roleTail)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s {\n", name)
+	b.WriteString("graph dagsfc {\n")
 	b.WriteString("  node [shape=ellipse fontsize=10];\n")
 	for v := 0; v < net.G.NumNodes(); v++ {
 		node := graph.NodeID(v)
@@ -86,21 +59,19 @@ func WriteDOT(w io.Writer, net *network.Network, opts Options) error {
 			parts := make([]string, len(vnfs))
 			for i, f := range vnfs {
 				parts[i] = vnfLabel(net, f)
-				if opts.ShowPrices {
-					if inst, ok := net.Instance(node, f); ok {
-						parts[i] += fmt.Sprintf(":%.0f", inst.Price)
-					}
+				if inst, ok := net.Instance(node, f); ok {
+					parts[i] += fmt.Sprintf(":%.0f", inst.Price)
 				}
 			}
 			label += "\\n" + strings.Join(parts, ",")
 		}
 		attrs := []string{dotLabel(label)}
 		switch {
-		case node == src && node == dst:
+		case node == p.Src && node == p.Dst:
 			attrs = append(attrs, "shape=doubleoctagon")
-		case node == src:
+		case node == p.Src:
 			attrs = append(attrs, "shape=invhouse", `color=darkgreen`)
-		case node == dst:
+		case node == p.Dst:
 			attrs = append(attrs, "shape=house", `color=darkgreen`)
 		}
 		if uses := rented[node]; len(uses) > 0 {
@@ -115,20 +86,13 @@ func WriteDOT(w io.Writer, net *network.Network, opts Options) error {
 		fmt.Fprintf(&b, "  n%d [%s];\n", v, strings.Join(attrs, " "))
 	}
 	for _, e := range net.G.Edges() {
-		attrs := []string{}
-		if opts.ShowPrices {
-			attrs = append(attrs, dotLabel(trimFloat(e.Price)))
-		}
+		attrs := []string{dotLabel(trimFloat(e.Price))}
 		if role, ok := edgeRole[e.ID]; ok {
 			attrs = append(attrs, "penwidth=2.5", "color="+roleColors[role])
-		} else if opts.Solution != nil {
+		} else {
 			attrs = append(attrs, "color=gray70")
 		}
-		line := fmt.Sprintf("  n%d -- n%d", e.A, e.B)
-		if len(attrs) > 0 {
-			line += " [" + strings.Join(attrs, " ") + "]"
-		}
-		b.WriteString(line + ";\n")
+		fmt.Fprintf(&b, "  n%d -- n%d [%s];\n", e.A, e.B, strings.Join(attrs, " "))
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

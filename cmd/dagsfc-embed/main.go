@@ -1,15 +1,17 @@
-// Command dagsfc-embed embeds one DAG-SFC into a network loaded from JSON
-// (see cmd/dagsfc-netgen) and prints the chosen assignment, paths and cost
-// breakdown.
+// Command dagsfc-embed embeds one DAG-SFC into a network and prints the
+// chosen assignment, paths and cost breakdown. The network is read from
+// -net (the JSON of network.WriteJSON) or, without -net, generated from
+// the paper's Table 2 distribution (500 nodes, 10 VNF categories) seeded
+// by -seed.
 //
 // The SFC syntax is layers separated by ';' and parallel VNFs separated by
 // ',': "1;2,3,4;5" is [f1] -> [f2|f3|f4 +m] -> [f5].
 //
 // Usage:
 //
-//	dagsfc-embed -net net.json -sfc "1;2,3" -src 0 -dst 42
+//	dagsfc-embed [-net net.json] -sfc "1;2,3" -src 0 -dst 42
 //	             [-alg mbbe|bbe|minv|ranv|exact|ilp|sa] [-rate 1] [-size 1] [-seed 1]
-//	             [-trace-out trace.json] [-explain] [-v]
+//	             [-dot sol.dot] [-o sol.json] [-trace-out trace.json] [-explain] [-v]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-metrics-out metrics.prom] [-debug-addr localhost:6060]
 //
@@ -25,23 +27,27 @@ import (
 	"os"
 	"strings"
 
-	"dagsfc"
+	"dagsfc/internal/anneal"
+	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
 	"dagsfc/internal/diag"
-	"dagsfc/internal/network"
-	"dagsfc/internal/viz"
+	"dagsfc/internal/exact"
+	"dagsfc/internal/graph"
+	"dagsfc/internal/ipmodel"
+	"dagsfc/internal/netgen"
+	"dagsfc/internal/sfc"
 )
 
 func main() {
 	var (
-		netFile  = flag.String("net", "", "network JSON file (required)")
+		netFile  = flag.String("net", "", "network JSON file (default: generate the Table 2 network from -seed)")
 		sfcStr   = flag.String("sfc", "", "DAG-SFC, e.g. \"1;2,3,4;5\" (required)")
 		src      = flag.Int("src", 0, "source node")
 		dst      = flag.Int("dst", 0, "destination node")
 		alg      = flag.String("alg", "mbbe", "algorithm: mbbe, bbe, minv, ranv, exact, ilp, sa")
 		rate     = flag.Float64("rate", 1, "flow delivery rate R")
 		size     = flag.Float64("size", 1, "flow size z (cost scale)")
-		seed     = flag.Int64("seed", 1, "seed for ranv")
+		seed     = flag.Int64("seed", 1, "seed for the generated network, ranv and sa")
 		dotFile  = flag.String("dot", "", "also write a Graphviz DOT rendering of the embedding")
 		outFile  = flag.String("o", "", "also write the solution as JSON")
 		verbose  = flag.Bool("v", false, "trace the search (layer/search progress to stderr; mbbe/bbe only)")
@@ -69,25 +75,17 @@ type config struct {
 }
 
 func run(c config) error {
-	if c.netFile == "" {
-		return fmt.Errorf("-net is required")
-	}
-	f, err := os.Open(c.netFile)
+	net, err := netgen.Load(c.netFile, netgen.Default(), c.seed)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	net, err := network.ReadJSON(f)
+	s, err := sfc.Parse(c.sfcStr)
 	if err != nil {
 		return err
 	}
-	s, err := dagsfc.ParseSFC(c.sfcStr)
-	if err != nil {
-		return err
-	}
-	p := &dagsfc.Problem{
+	p := &core.Problem{
 		Net: net, SFC: s,
-		Src: dagsfc.NodeID(c.src), Dst: dagsfc.NodeID(c.dst),
+		Src: graph.NodeID(c.src), Dst: graph.NodeID(c.dst),
 		Rate: c.rate, Size: c.size,
 	}
 	alg := strings.ToLower(c.alg)
@@ -99,7 +97,7 @@ func run(c config) error {
 		}
 		recorder = core.NewTraceRecorder(alg)
 	}
-	observed := func(opts dagsfc.Options) dagsfc.Options {
+	observed := func(opts core.Options) core.Options {
 		var obs core.MultiObserver
 		if recorder != nil {
 			obs = append(obs, recorder)
@@ -112,22 +110,22 @@ func run(c config) error {
 		}
 		return opts
 	}
-	var res *dagsfc.Result
+	var res *core.Result
 	switch alg {
 	case "mbbe":
-		res, err = dagsfc.Embed(p, observed(dagsfc.MBBEOptions()))
+		res, err = core.Embed(p, observed(core.MBBEOptions()))
 	case "bbe":
-		res, err = dagsfc.Embed(p, observed(dagsfc.BBEOptions()))
+		res, err = core.Embed(p, observed(core.BBEOptions()))
 	case "minv":
-		res, err = dagsfc.EmbedMINV(p)
+		res, err = baseline.EmbedMINV(p)
 	case "ranv":
-		res, err = dagsfc.EmbedRANV(p, rand.New(rand.NewSource(c.seed)))
+		res, err = baseline.EmbedRANV(p, rand.New(rand.NewSource(c.seed)))
 	case "exact":
-		res, err = dagsfc.EmbedExact(p, dagsfc.ExactLimits{})
+		res, err = exact.Embed(p, exact.Limits{})
 	case "ilp":
-		res, err = dagsfc.EmbedILP(p, dagsfc.ILPOptions{})
+		res, err = ipmodel.Embed(p, ipmodel.Options{})
 	case "sa", "anneal":
-		res, err = dagsfc.EmbedAnneal(p, rand.New(rand.NewSource(c.seed)), dagsfc.AnnealOptions{})
+		res, err = anneal.Embed(p, rand.New(rand.NewSource(c.seed)), anneal.Options{})
 	default:
 		return fmt.Errorf("unknown algorithm %q", alg)
 	}
@@ -151,7 +149,7 @@ func run(c config) error {
 			return err
 		}
 		defer f.Close()
-		if err := viz.WriteDOT(f, net, viz.Options{ShowPrices: true, Solution: res.Solution, Problem: p}); err != nil {
+		if err := writeDOT(f, p, res.Solution); err != nil {
 			return err
 		}
 	}
@@ -193,14 +191,14 @@ func writeTrace(rec *core.TraceRecorder, traceOut string, explain bool) error {
 // logObserver prints the search progress to stderr under -v.
 type logObserver struct{}
 
-func (logObserver) LayerStart(spec dagsfc.LayerSpec, parents int) {
+func (logObserver) LayerStart(spec core.LayerSpec, parents int) {
 	fmt.Fprintf(os.Stderr, "layer %d: %d VNFs, %d parent sub-solutions\n",
 		spec.Index, len(spec.VNFs), parents)
 }
 
-func (logObserver) SearchStart(layer int, start dagsfc.NodeID, forward bool) {}
+func (logObserver) SearchStart(layer int, start graph.NodeID, forward bool) {}
 
-func (logObserver) SearchDone(layer int, start dagsfc.NodeID, forward bool, size int, covered bool) {
+func (logObserver) SearchDone(layer int, start graph.NodeID, forward bool, size int, covered bool) {
 	kind := "backward"
 	if forward {
 		kind = "forward"
@@ -208,7 +206,7 @@ func (logObserver) SearchDone(layer int, start dagsfc.NodeID, forward bool, size
 	fmt.Fprintf(os.Stderr, "  %s search from %d: %d nodes, covered=%v\n", kind, start, size, covered)
 }
 
-func (logObserver) ExtensionsBuilt(layer int, start dagsfc.NodeID, generated, kept int) {
+func (logObserver) ExtensionsBuilt(layer int, start graph.NodeID, generated, kept int) {
 	fmt.Fprintf(os.Stderr, "  candidates from %d: %d generated, %d kept\n", start, generated, kept)
 }
 
@@ -217,7 +215,7 @@ func (logObserver) CandidatesFiltered(layer int, considered, capacityRejected, d
 		considered, capacityRejected, delayRejected)
 }
 
-func (logObserver) LayeredRun(run dagsfc.LayeredRun) {
+func (logObserver) LayeredRun(run core.LayeredRun) {
 	fmt.Fprintf(os.Stderr, "  layered run over layers %d-%d: %d seeds, settled %d/%d states, %d of %d exits kept",
 		run.First, run.Last, run.Seeds, run.Settled, run.States, run.Kept, run.Exits)
 	if run.Fallback != "" {
@@ -226,7 +224,7 @@ func (logObserver) LayeredRun(run dagsfc.LayeredRun) {
 	fmt.Fprintln(os.Stderr)
 }
 
-func (logObserver) LayerDone(spec dagsfc.LayerSpec, kept int, cheapest float64) {
+func (logObserver) LayerDone(spec core.LayerSpec, kept int, cheapest float64) {
 	fmt.Fprintf(os.Stderr, "layer %d done: kept %d sub-solutions, cheapest %.2f\n",
 		spec.Index, kept, cheapest)
 }
@@ -235,7 +233,7 @@ func (logObserver) Leaf(total float64) {
 	fmt.Fprintf(os.Stderr, "solution selected: total %.2f\n", total)
 }
 
-func printSolution(p *dagsfc.Problem, res *dagsfc.Result) {
+func printSolution(p *core.Problem, res *core.Result) {
 	g := p.Net.G
 	fmt.Printf("SFC %s embedded %d -> %d\n", p.SFC.String(), p.Src, p.Dst)
 	for li, le := range res.Solution.Layers {
@@ -254,6 +252,6 @@ func printSolution(p *dagsfc.Problem, res *dagsfc.Result) {
 	fmt.Printf("tail: %s\n", res.Solution.TailPath.String(g))
 	fmt.Printf("cost: total %.3f (VNF %.3f + links %.3f)\n",
 		res.Cost.Total(), res.Cost.VNFCost, res.Cost.LinkCost)
-	delay := dagsfc.EvaluateDelay(p, res.Solution, dagsfc.DefaultDelayParams())
+	delay := core.EvaluateDelay(p, res.Solution, core.DefaultDelayParams())
 	fmt.Printf("end-to-end delay (default model): %.3f\n", delay)
 }

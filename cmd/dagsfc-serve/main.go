@@ -4,8 +4,8 @@
 // committed by a single serialized commit loop, and live until released
 // over DELETE or until their TTL expires.
 //
-// The network is loaded from JSON (see cmd/dagsfc-netgen) or, without
-// -net, generated in-process from the paper's §5.1 distribution.
+// The network is loaded from -net (the JSON of network.WriteJSON) or,
+// without -net, generated in-process from the paper's §5.1 distribution.
 //
 // Usage:
 //
@@ -52,7 +52,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -63,7 +62,6 @@ import (
 	"dagsfc/internal/diag"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
-	"dagsfc/internal/network"
 	"dagsfc/internal/server"
 )
 
@@ -113,12 +111,23 @@ func main() {
 			JournalSize: *journalSize, Logger: logger,
 			WALDir: *walDir, WALSync: *walSync, WALSnapshotEvery: *walSnapEvery,
 		}
-		return run(*addr, *netFile, gen, cfg, *drainTimeout)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		// A second signal kills the process the default way.
+		context.AfterFunc(ctx, stop)
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		return run(ctx, ln, *netFile, gen, cfg, *drainTimeout)
 	})
 }
 
-func run(addr, netFile string, gen netgen.Config, cfg server.Config, drainTimeout time.Duration) error {
-	nw, err := loadNetwork(netFile, gen, cfg.Seed)
+// run serves the control plane on ln until ctx is done, then drains it. It
+// closes ln.
+func run(ctx context.Context, ln net.Listener, netFile string, gen netgen.Config, cfg server.Config, drainTimeout time.Duration) error {
+	defer ln.Close()
+	nw, err := netgen.Load(netFile, gen, cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -127,17 +136,10 @@ func run(addr, netFile string, gen netgen.Config, cfg server.Config, drainTimeou
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(os.Stderr, "dagsfc-serve: %d nodes, %d links, %d VNF instances; listening on http://%s\n",
 		nw.G.NumNodes(), nw.G.NumEdges(), nw.NumInstances(), ln.Addr())
 
 	hs := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -146,7 +148,6 @@ func run(addr, netFile string, gen netgen.Config, cfg server.Config, drainTimeou
 		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills the process the default way
 
 	// Graceful drain: stop admitting and finish every in-flight request,
 	// then close the listener. The diagnostics session flushes metrics
@@ -163,16 +164,4 @@ func run(addr, netFile string, gen netgen.Config, cfg server.Config, drainTimeou
 	}
 	fmt.Fprintf(os.Stderr, "dagsfc-serve: drained, %d flows still committed\n", srv.ActiveFlows())
 	return nil
-}
-
-func loadNetwork(netFile string, gen netgen.Config, seed int64) (*network.Network, error) {
-	if netFile == "" {
-		return netgen.Generate(gen, rand.New(rand.NewSource(seed)))
-	}
-	f, err := os.Open(netFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return network.ReadJSON(f)
 }

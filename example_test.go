@@ -1,10 +1,13 @@
 package dagsfc_test
 
 import (
+	"errors"
 	"fmt"
 	"log"
+	"math/rand"
 
 	"dagsfc"
+	"dagsfc/internal/online"
 )
 
 // exampleNetwork builds the small priced network the examples share:
@@ -38,6 +41,19 @@ func ExampleEmbedMBBE() {
 		res.Cost.Total(), res.Cost.VNFCost, res.Cost.LinkCost)
 	// Output:
 	// total 59 (VNF 47 + links 12)
+}
+
+// An embedding that no capacity can carry is ErrNoEmbedding, not a
+// malformed request: every instance and link of the example network serves
+// 100 rate units.
+func ExampleEmbedMBBE_noEmbedding() {
+	net := exampleNetwork()
+	s, _ := dagsfc.ParseSFC("1;2,3")
+	p := &dagsfc.Problem{Net: net, SFC: s, Src: 0, Dst: 3, Rate: 200, Size: 1}
+	_, err := dagsfc.EmbedMBBE(p)
+	fmt.Println("no embedding:", errors.Is(err, dagsfc.ErrNoEmbedding))
+	// Output:
+	// no embedding: true
 }
 
 func ExampleEmbedExact() {
@@ -104,4 +120,36 @@ func ExampleCommit() {
 	// Output:
 	// f(1)@1 residual after commit: 99
 	// after release: 100
+}
+
+// Online admission: a stream of 120 flow requests onto a tight 80-node
+// network (each instance serves 4 unit flows, each link 30). Every accepted
+// embedding commits its demands, so later flows see the depleted network;
+// MBBE admits 30 more flows than MINV for about what MINV spends on fewer.
+func Example_onlineAdmission() {
+	rng := rand.New(rand.NewSource(42))
+	cfg := dagsfc.DefaultNetConfig()
+	cfg.Nodes = 80
+	cfg.VNFKinds = 6
+	cfg.DeployRatio = 0.3
+	cfg.InstanceCapacity = 4
+	cfg.LinkCapacity = 30
+	net, err := dagsfc.GenerateNetwork(cfg, rng)
+	if err != nil {
+		log.Fatal(err)
+	}
+	reqs := online.RandomRequests(net, dagsfc.SFCConfig{Size: 4, LayerWidth: 3, VNFKinds: 6}, 120, 1, 1, rng)
+	for _, alg := range []struct {
+		name  string
+		embed func(*dagsfc.Problem) (*dagsfc.Result, error)
+	}{{"MBBE", dagsfc.EmbedMBBE}, {"MINV", dagsfc.EmbedMINV}} {
+		report, err := online.Run(net, reqs, alg.embed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s accepted %d/%d at total cost %.0f\n", alg.name, report.Accepted, len(reqs), report.TotalCost)
+	}
+	// Output:
+	// MBBE accepted 104/120 at total cost 59605
+	// MINV accepted 74/120 at total cost 60011
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"dagsfc/internal/delaymodel"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
@@ -117,7 +116,7 @@ func TestClosureFromDestinationMatchesPerLeaf(t *testing.T) {
 
 		for bound := 8.0; bound <= 16; bound += 2 {
 			delayed := MBBEOptions()
-			delayed.MaxDelay, delayed.Delay = bound, delaymodel.Params{DefaultProcDelay: 1, HopDelay: 1, MergerDelay: 1}
+			delayed.MaxDelay, delayed.Delay = bound, DelayParams{DefaultProcDelay: 1, HopDelay: 1, MergerDelay: 1}
 			add("delay bound", p, delayed)
 		}
 	}

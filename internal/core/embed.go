@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"dagsfc/internal/delaymodel"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 	"dagsfc/internal/telemetry"
@@ -69,8 +68,8 @@ type Options struct {
 	// An extension beyond the paper, which minimizes cost only.
 	MaxDelay float64
 	// Delay is the delay model used with MaxDelay; the zero value is
-	// replaced by delaymodel.Default().
-	Delay delaymodel.Params
+	// replaced by DefaultDelayParams().
+	Delay DelayParams
 	// Observer, when non-nil, receives progress callbacks during the
 	// search (see Observer).
 	Observer Observer
@@ -242,7 +241,7 @@ func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (
 func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) *embedder {
 	if opts.MaxDelay > 0 && opts.Delay.DefaultProcDelay == 0 &&
 		opts.Delay.HopDelay == 0 && opts.Delay.MergerDelay == 0 && opts.Delay.ProcDelay == nil {
-		opts.Delay = delaymodel.Default()
+		opts.Delay = DefaultDelayParams()
 	}
 	e := &sc.e
 	*e = embedder{p: p, opts: opts, ctx: ctx, ledger: p.ledgerOrFresh(), sc: sc}
@@ -820,18 +819,7 @@ func (e *embedder) annotateDelay(spec LayerSpec, ext *extension) {
 	if e.opts.MaxDelay <= 0 || ext == nil {
 		return
 	}
-	interHops := make([]int, len(ext.interPaths))
-	for i, path := range ext.interPaths {
-		interHops[i] = path.Len()
-	}
-	var innerHops []int
-	if spec.Merger {
-		innerHops = make([]int, len(ext.innerPaths))
-		for i, path := range ext.innerPaths {
-			innerHops[i] = path.Len()
-		}
-	}
-	ext.delay = e.opts.Delay.LayerDelay(spec.VNFs, interHops, innerHops, spec.Merger)
+	ext.delay = e.opts.Delay.layerDelay(spec.VNFs, ext.interPaths, ext.innerPaths, spec.Merger)
 }
 
 // trimExtensions keeps the cheapest limit extensions by local cost; in

@@ -1,6 +1,6 @@
 // Package ipmodel encodes the optimal DAG-SFC embedding problem as the
-// 0-1 integer program of the paper's §3.3 and solves it with the
-// branch-and-bound solver of internal/ilp. The encoding follows the
+// 0-1 integer program of the paper's §3.3 and solves it exactly by LP-based
+// branch and bound (bb.go, over internal/lp). The encoding follows the
 // paper's variables closely:
 //
 //   - x_{π,v}: position π of the stretched SFC (every layer VNF plus each
@@ -29,12 +29,11 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
-	"dagsfc/internal/ilp"
 	"dagsfc/internal/lp"
 	"dagsfc/internal/network"
 )
 
-// Options tunes the encoding and the underlying solver.
+// Options tunes the encoding.
 type Options struct {
 	// PathsPerPair is k: how many cheapest loopless candidate real-paths
 	// to enumerate per (meta-path, node pair). 0 means 2.
@@ -42,8 +41,6 @@ type Options struct {
 	// MaxCandidatesPerPosition truncates each position's candidate node
 	// set to the cheapest this-many instances. 0 means all (exact).
 	MaxCandidatesPerPosition int
-	// ILP bounds the branch-and-bound search.
-	ILP ilp.Options
 	// MaxVariables refuses encodings larger than this (the dense simplex
 	// underneath does not scale); 0 means DefaultMaxVariables.
 	MaxVariables int
@@ -87,7 +84,7 @@ type zKey struct {
 // Encoding is the assembled integer program plus the bookkeeping needed
 // to decode a solution vector back into a core.Solution.
 type Encoding struct {
-	Prob ilp.Problem
+	prog program
 
 	p         *core.Problem
 	positions []position
@@ -278,9 +275,9 @@ func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
 		return fmt.Errorf("%w: %d variables (budget %d)", ErrTooLarge, n, maxVars)
 	}
 
-	prob := ilp.Problem{NumVars: n, Objective: obj, Binary: make([]bool, n)}
-	for j := range prob.Binary {
-		prob.Binary[j] = true
+	prob := program{numVars: n, objective: obj, binary: make([]bool, n)}
+	for j := range prob.binary {
+		prob.binary[j] = true
 	}
 	addRow := func(coeffs map[int]float64, sense lp.Sense, rhs float64) {
 		maxIdx := -1
@@ -293,7 +290,7 @@ func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
 		for j, v := range coeffs {
 			row[j] = v
 		}
-		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: row, Sense: sense, RHS: rhs})
+		prob.constraints = append(prob.constraints, lp.Constraint{Coeffs: row, Sense: sense, RHS: rhs})
 	}
 
 	// (4): each position assigned exactly once.
@@ -413,20 +410,20 @@ func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
 		addRow(linkRows[e], lp.LE, ledger.EdgeResidual(e))
 	}
 
-	enc.Prob = prob
+	enc.prog = prob
 	return nil
 }
 
 // NumVariables reports the encoded program's size.
-func (enc *Encoding) NumVariables() int { return enc.Prob.NumVars }
+func (enc *Encoding) NumVariables() int { return enc.prog.numVars }
 
 // NumConstraints reports the encoded program's row count.
-func (enc *Encoding) NumConstraints() int { return len(enc.Prob.Constraints) }
+func (enc *Encoding) NumConstraints() int { return len(enc.prog.constraints) }
 
 // Decode converts a binary solution vector into a core.Solution.
 func (enc *Encoding) Decode(x []float64) (*core.Solution, error) {
-	if len(x) != enc.Prob.NumVars {
-		return nil, fmt.Errorf("ipmodel: solution has %d values for %d variables", len(x), enc.Prob.NumVars)
+	if len(x) != enc.prog.numVars {
+		return nil, fmt.Errorf("ipmodel: solution has %d values for %d variables", len(x), enc.prog.numVars)
 	}
 	chosen := make([]graph.NodeID, len(enc.positions))
 	for i := range enc.positions {
@@ -492,20 +489,31 @@ func (enc *Encoding) Decode(x []float64) (*core.Solution, error) {
 	return sol, nil
 }
 
-// Embed encodes, solves and decodes in one step.
+// Embed encodes, solves and decodes in one step. It answers the program's
+// optimum or an error: a search the node limit cut short is an error even
+// when it holds an incumbent, which may be far from optimal.
 func Embed(p *core.Problem, opts Options) (*core.Result, error) {
+	return embed(p, opts, defaultMaxNodes)
+}
+
+// embed is Embed under a node limit of maxNodes.
+func embed(p *core.Problem, opts Options, maxNodes int) (*core.Result, error) {
 	enc, err := Encode(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := ilp.Solve(enc.Prob, opts.ILP)
+	sol, err := solve(enc.prog, maxNodes)
 	if err != nil {
-		if errors.Is(err, ilp.ErrInfeasible) {
+		if errors.Is(err, errInfeasible) {
 			return nil, fmt.Errorf("%w: integer program infeasible", core.ErrNoEmbedding)
 		}
 		return nil, err
 	}
-	s, err := enc.Decode(sol.X)
+	if !sol.proven {
+		return nil, fmt.Errorf("ipmodel: branch and bound stopped at the %d-node limit before proving its incumbent (objective %v) optimal",
+			sol.nodes, sol.objective)
+	}
+	s, err := enc.Decode(sol.x)
 	if err != nil {
 		return nil, err
 	}

@@ -240,3 +240,38 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("all-zero vector accepted (positions unassigned)")
 	}
 }
+
+// TestEmbedRefusesTruncatedSearch: a branch and bound the node limit cut
+// short is an error, not an answer, even when it holds an incumbent — here
+// one costlier than the optimum — while a search complete in exactly its
+// limit answers the optimum.
+func TestEmbedRefusesTruncatedSearch(t *testing.T) {
+	newProblem := func() *core.Problem {
+		rng := rand.New(rand.NewSource(1))
+		return tinyRandom(rng, 8, 3, 1+rng.Intn(3))
+	}
+	enc, err := Encode(newProblem(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := solve(enc.prog, defaultMaxNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 3
+	cut, err := solve(enc.prog, limit)
+	if err != nil || cut.proven || !(cut.objective > full.objective+1e-6) {
+		t.Fatalf("fixture drifted: want a costlier unproven incumbent at %d nodes, got objective %v proven=%v err=%v (optimum %v in %d nodes)",
+			limit, cut.objective, cut.proven, err, full.objective, full.nodes)
+	}
+	if res, err := embed(newProblem(), Options{}, limit); err == nil {
+		t.Fatalf("embed under a %d-node limit answered cost %v; the optimum is %v", limit, res.Cost.Total(), full.objective)
+	}
+	res, err := embed(newProblem(), Options{}, full.nodes)
+	if err != nil {
+		t.Fatalf("search complete in exactly %d nodes refused: %v", full.nodes, err)
+	}
+	if math.Abs(res.Cost.Total()-full.objective) > 1e-6 {
+		t.Fatalf("cost %v, optimum %v", res.Cost.Total(), full.objective)
+	}
+}

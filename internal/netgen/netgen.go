@@ -10,6 +10,7 @@ package netgen
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
@@ -141,8 +142,8 @@ func Generate(cfg Config, rng *rand.Rand) (*network.Network, error) {
 // price distribution) onto an existing topology, returning the resulting
 // network. Only the deployment-related fields of cfg are used; topology
 // fields (Nodes, Connectivity) are ignored. Every category gets at least
-// one instance. Use this to run the paper's workload on the alternative
-// topologies of internal/topo.
+// one instance. Use this to run the paper's workload on other topologies,
+// such as those of the robustness experiment in internal/sim.
 func Populate(g *graph.Graph, cfg Config, rng *rand.Rand) (*network.Network, error) {
 	if g.NumNodes() < 1 {
 		return nil, fmt.Errorf("netgen: topology has no nodes")
@@ -186,6 +187,20 @@ func (c Config) LinkPricer(rng *rand.Rand) func() float64 {
 	}
 	avg := c.PriceRatio * c.AvgVNFPrice
 	return func() float64 { return fluctuate(avg, fluct, rng) }
+}
+
+// Load reads the network JSON file netFile (the format network.ReadJSON
+// reads) or, when netFile is empty, generates one from cfg, seeded by seed.
+func Load(netFile string, cfg Config, seed int64) (*network.Network, error) {
+	if netFile == "" {
+		return Generate(cfg, rand.New(rand.NewSource(seed)))
+	}
+	f, err := os.Open(netFile)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return network.ReadJSON(f)
 }
 
 // MustGenerate is Generate that panics on configuration errors.

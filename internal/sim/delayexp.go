@@ -5,12 +5,9 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
-	"dagsfc/internal/latency"
 	"dagsfc/internal/netgen"
-	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
 	"dagsfc/internal/stats"
-	"dagsfc/internal/tablefmt"
 )
 
 // DelayPoint aggregates the hybrid-vs-sequential comparison at one SFC
@@ -26,7 +23,7 @@ type DelayPoint struct {
 // RunDelay reproduces the paper's Fig. 1 motivation quantitatively: for
 // each SFC size, embed the hybrid DAG-SFC and its sequential form with
 // MBBE on the same instances and compare end-to-end delay (and cost).
-func RunDelay(sizes []int, trials int, seed int64, params latency.Params) ([]DelayPoint, error) {
+func RunDelay(sizes []int, trials int, seed int64, params core.DelayParams) ([]DelayPoint, error) {
 	base := baseConfig()
 	var points []DelayPoint
 	for si, size := range sizes {
@@ -42,15 +39,15 @@ func RunDelay(sizes []int, trials int, seed int64, params latency.Params) ([]Del
 			src := graph.NodeID(rng.Intn(n))
 			dst := graph.NodeID(rng.Intn(n))
 			ph := &core.Problem{Net: net, SFC: hybrid, Src: src, Dst: dst, Rate: 1, Size: 1}
-			ps := &core.Problem{Net: net, SFC: sfc.FromChain(hybrid.Sequence()), Src: src, Dst: dst, Rate: 1, Size: 1}
+			ps := core.SequentialProblem(ph)
 			rh, errH := core.EmbedMBBE(ph)
 			rs, errS := core.EmbedMBBE(ps)
 			if errH != nil || errS != nil {
 				pt.Failures++
 				continue
 			}
-			hd.Add(latency.Evaluate(ph, rh.Solution, params))
-			sd.Add(latency.Evaluate(ps, rs.Solution, params))
+			hd.Add(core.EvaluateDelay(ph, rh.Solution, params))
+			sd.Add(core.EvaluateDelay(ps, rs.Solution, params))
 			hc.Add(rh.Cost.Total())
 			sc.Add(rs.Cost.Total())
 		}
@@ -64,23 +61,23 @@ func RunDelay(sizes []int, trials int, seed int64, params latency.Params) ([]Del
 }
 
 // DelayTable renders the delay comparison.
-func DelayTable(points []DelayPoint) *tablefmt.Table {
-	t := &tablefmt.Table{
+func DelayTable(points []DelayPoint) *Table {
+	t := &Table{
 		Title:  "Motivation (Fig 1): hybrid vs sequential embedding, MBBE",
 		Header: []string{"SFC size", "hybrid delay", "seq delay", "delay cut", "hybrid cost", "seq cost"},
 	}
 	for _, p := range points {
 		cut := "-"
 		if p.SeqDelay.Mean > 0 {
-			cut = tablefmt.Pct(1 - p.HybridDelay.Mean/p.SeqDelay.Mean)
+			cut = pct(1 - p.HybridDelay.Mean/p.SeqDelay.Mean)
 		}
 		t.AddRow(
-			tablefmt.F(float64(p.Size)),
-			tablefmt.F(p.HybridDelay.Mean),
-			tablefmt.F(p.SeqDelay.Mean),
+			num(float64(p.Size)),
+			num(p.HybridDelay.Mean),
+			num(p.SeqDelay.Mean),
 			cut,
-			tablefmt.F(p.HybridCost.Mean),
-			tablefmt.F(p.SeqCost.Mean),
+			num(p.HybridCost.Mean),
+			num(p.SeqCost.Mean),
 		)
 	}
 	return t

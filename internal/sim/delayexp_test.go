@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"dagsfc/internal/latency"
+	"dagsfc/internal/core"
 )
 
 func TestRunDelayHybridWins(t *testing.T) {
-	points, err := RunDelay([]int{3, 5}, 3, 5, latency.DefaultParams())
+	points, err := RunDelay([]int{3, 5}, 3, 5, core.DefaultDelayParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestRunDelayHybridWins(t *testing.T) {
 }
 
 func TestRunDelayDeterministic(t *testing.T) {
-	a, err := RunDelay([]int{3}, 2, 8, latency.DefaultParams())
+	a, err := RunDelay([]int{3}, 2, 8, core.DefaultDelayParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDelay([]int{3}, 2, 8, latency.DefaultParams())
+	b, err := RunDelay([]int{3}, 2, 8, core.DefaultDelayParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRunDelayDeterministic(t *testing.T) {
 }
 
 func TestDelayTableRenders(t *testing.T) {
-	points, err := RunDelay([]int{3}, 1, 2, latency.DefaultParams())
+	points, err := RunDelay([]int{3}, 1, 2, core.DefaultDelayParams())
 	if err != nil {
 		t.Fatal(err)
 	}

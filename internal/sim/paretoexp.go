@@ -4,10 +4,7 @@ import (
 	"math"
 
 	"dagsfc/internal/core"
-	"dagsfc/internal/delaymodel"
-	"dagsfc/internal/latency"
 	"dagsfc/internal/stats"
-	"dagsfc/internal/tablefmt"
 )
 
 // ParetoPoint is one delay-budget factor's aggregate: the cost of meeting
@@ -24,8 +21,8 @@ type ParetoPoint struct {
 // VNF): under the library default (0.05 per hop) the Table 2 instances
 // embed within one hop of optimal delay anyway and no trade-off is
 // visible.
-func paretoParams() delaymodel.Params {
-	return delaymodel.Params{DefaultProcDelay: 1, MergerDelay: 0.1, HopDelay: 0.5}
+func paretoParams() core.DelayParams {
+	return core.DelayParams{DefaultProcDelay: 1, MergerDelay: 0.1, HopDelay: 0.5}
 }
 
 // RunPareto sweeps the end-to-end delay budget for MBBE on Table 2
@@ -64,7 +61,7 @@ func RunPareto(factors []float64, trials int, seed int64) ([]ParetoPoint, error)
 			}
 			continue
 		}
-		refDelay := latency.Evaluate(&base, ref.Solution, params)
+		refDelay := core.EvaluateDelay(&base, ref.Solution, params)
 		for i, factor := range factors {
 			if math.IsInf(factor, 1) {
 				accCost[i].Add(ref.Cost.Total())
@@ -82,7 +79,7 @@ func RunPareto(factors []float64, trials int, seed int64) ([]ParetoPoint, error)
 				continue
 			}
 			accCost[i].Add(res.Cost.Total())
-			accDelay[i].Add(latency.Evaluate(&p, res.Solution, params))
+			accDelay[i].Add(core.EvaluateDelay(&p, res.Solution, params))
 		}
 	}
 	for i := range factors {
@@ -99,18 +96,18 @@ func DefaultParetoBounds() []float64 {
 }
 
 // ParetoTable renders the sweep.
-func ParetoTable(points []ParetoPoint) *tablefmt.Table {
-	t := &tablefmt.Table{
+func ParetoTable(points []ParetoPoint) *Table {
+	t := &Table{
 		Title:  "Delay-bounded MBBE: cost of tightening the delay budget (factor × unbounded delay)",
 		Header: []string{"budget factor", "mean cost", "mean delay", "infeasible"},
 	}
 	for _, p := range points {
 		factor := "unbounded"
 		if !math.IsInf(p.Factor, 1) {
-			factor = tablefmt.F(p.Factor)
+			factor = num(p.Factor)
 		}
-		t.AddRow(factor, tablefmt.F(p.Cost.Mean), tablefmt.F(p.Delay.Mean),
-			tablefmt.F(float64(p.Infeasible)))
+		t.AddRow(factor, num(p.Cost.Mean), num(p.Delay.Mean),
+			num(float64(p.Infeasible)))
 	}
 	return t
 }

@@ -3,27 +3,25 @@ package sim
 import (
 	"fmt"
 	"time"
-
-	"dagsfc/internal/tablefmt"
 )
 
 // CostTable renders the aggregated average costs as one row per x value
 // and one column per algorithm — the tabular form of a paper figure.
-func CostTable(e *Experiment, points []Point) *tablefmt.Table {
-	t := &tablefmt.Table{Title: e.Title}
+func CostTable(e *Experiment, points []Point) *Table {
+	t := &Table{Title: e.Title}
 	t.Header = []string{e.XLabel}
 	for _, alg := range e.Algorithms {
 		t.Header = append(t.Header, string(alg))
 	}
 	for _, p := range points {
-		row := []string{tablefmt.F(p.X)}
+		row := []string{num(p.X)}
 		for _, alg := range e.Algorithms {
 			cell := p.Cells[alg]
 			if cell == nil || cell.Cost.N == 0 {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, tablefmt.F(cell.Cost.Mean))
+			row = append(row, num(cell.Cost.Mean))
 		}
 		t.AddRow(row...)
 	}
@@ -31,14 +29,14 @@ func CostTable(e *Experiment, points []Point) *tablefmt.Table {
 }
 
 // TimeTable renders mean wall-clock per embedding attempt.
-func TimeTable(e *Experiment, points []Point) *tablefmt.Table {
-	t := &tablefmt.Table{Title: e.Title + " — mean time per embedding"}
+func TimeTable(e *Experiment, points []Point) *Table {
+	t := &Table{Title: e.Title + " — mean time per embedding"}
 	t.Header = []string{e.XLabel}
 	for _, alg := range e.Algorithms {
 		t.Header = append(t.Header, string(alg))
 	}
 	for _, p := range points {
-		row := []string{tablefmt.F(p.X)}
+		row := []string{num(p.X)}
 		for _, alg := range e.Algorithms {
 			cell := p.Cells[alg]
 			if cell == nil || (cell.Cost.N == 0 && cell.Failures == 0) {
@@ -54,14 +52,14 @@ func TimeTable(e *Experiment, points []Point) *tablefmt.Table {
 
 // FailureTable renders per-cell failure counts (the paper notes the
 // benchmarks "do not always result in a solution").
-func FailureTable(e *Experiment, points []Point) *tablefmt.Table {
-	t := &tablefmt.Table{Title: e.Title + " — failed embeddings"}
+func FailureTable(e *Experiment, points []Point) *Table {
+	t := &Table{Title: e.Title + " — failed embeddings"}
 	t.Header = []string{e.XLabel}
 	for _, alg := range e.Algorithms {
 		t.Header = append(t.Header, string(alg))
 	}
 	for _, p := range points {
-		row := []string{tablefmt.F(p.X)}
+		row := []string{num(p.X)}
 		for _, alg := range e.Algorithms {
 			cell := p.Cells[alg]
 			if cell == nil || (cell.Cost.N == 0 && cell.Failures == 0) {

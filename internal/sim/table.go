@@ -1,7 +1,4 @@
-// Package tablefmt renders the simulation results as aligned ASCII tables
-// (the textual equivalent of the paper's figures) and as CSV for external
-// plotting.
-package tablefmt
+package sim
 
 import (
 	"encoding/csv"
@@ -11,8 +8,9 @@ import (
 	"strings"
 )
 
-// Table is a simple header-plus-rows table. Cells are strings; numeric
-// formatting is the caller's concern (see Cell helpers).
+// Table is a result table: the textual equivalent of one of the paper's
+// figures, rendered as aligned ASCII text or as CSV for external plotting.
+// Cells are strings; num and pct format the numeric ones.
 type Table struct {
 	Title  string
 	Header []string
@@ -85,9 +83,9 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// F formats a float with sensible precision for cost tables: integers
+// num formats a float with sensible precision for cost tables: integers
 // print bare, large values lose decimals, small values keep three.
-func F(x float64) string {
+func num(x float64) string {
 	switch {
 	case x == math.Trunc(x) && math.Abs(x) < 1e15:
 		return fmt.Sprintf("%.0f", x)
@@ -100,5 +98,5 @@ func F(x float64) string {
 	}
 }
 
-// Pct formats a ratio as a percentage.
-func Pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
+// pct formats a ratio as a percentage.
+func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -1,11 +1,11 @@
-package tablefmt
+package sim
 
 import (
 	"strings"
 	"testing"
 )
 
-func sample() *Table {
+func sampleTable() *Table {
 	t := &Table{Title: "demo", Header: []string{"x", "alpha", "b"}}
 	t.AddRow("1", "10.5", "x")
 	t.AddRow("200", "3")
@@ -14,7 +14,7 @@ func sample() *Table {
 
 func TestRenderAlignment(t *testing.T) {
 	var b strings.Builder
-	if err := sample().Render(&b); err != nil {
+	if err := sampleTable().Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -48,7 +48,7 @@ func TestRenderNoTitle(t *testing.T) {
 
 func TestRenderCSV(t *testing.T) {
 	var b strings.Builder
-	if err := sample().RenderCSV(&b); err != nil {
+	if err := sampleTable().RenderCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := "x,alpha,b\n1,10.5,x\n200,3,\n"
@@ -57,7 +57,7 @@ func TestRenderCSV(t *testing.T) {
 	}
 }
 
-func TestF(t *testing.T) {
+func TestNum(t *testing.T) {
 	cases := map[float64]string{
 		0:       "0",
 		5:       "5",
@@ -68,14 +68,14 @@ func TestF(t *testing.T) {
 		0.1:     "0.100",
 	}
 	for in, want := range cases {
-		if got := F(in); got != want {
-			t.Fatalf("F(%v) = %q, want %q", in, got, want)
+		if got := num(in); got != want {
+			t.Fatalf("num(%v) = %q, want %q", in, got, want)
 		}
 	}
 }
 
 func TestPct(t *testing.T) {
-	if got := Pct(0.305); got != "30.5%" {
-		t.Fatalf("Pct = %q", got)
+	if got := pct(0.305); got != "30.5%" {
+		t.Fatalf("pct = %q", got)
 	}
 }

@@ -1,13 +1,12 @@
-// Package topo builds the structured and random topologies used by the
-// robustness experiments: ring, 2-D grid and torus, k-ary fat-tree,
-// Barabási–Albert scale-free, and Waxman random geometric graphs. The
-// paper evaluates only on uniform random graphs; these generators check
-// that the algorithms' behaviour carries over to network shapes operators
-// actually deploy.
-//
-// Builders take a link-price sampler (see netgen.Config.LinkPricer) and a
-// uniform link capacity, and return a connected graph.
-package topo
+package sim
+
+// The structured and random topologies of the robustness experiment (E12):
+// ring, 2-D grid and torus, k-ary fat-tree, Barabási–Albert scale-free, and
+// Waxman random geometric graphs. The paper evaluates only on uniform random
+// graphs; these check that the algorithms' behaviour carries over to network
+// shapes operators actually deploy. Each builder takes a link-price sampler
+// (netgen.Config.LinkPricer) and a uniform link capacity, and returns a
+// connected graph.
 
 import (
 	"fmt"
@@ -17,10 +16,10 @@ import (
 	"dagsfc/internal/graph"
 )
 
-// Ring returns the n-cycle.
-func Ring(n int, price func() float64, capacity float64) (*graph.Graph, error) {
+// ring returns the n-cycle.
+func ring(n int, price func() float64, capacity float64) (*graph.Graph, error) {
 	if n < 3 {
-		return nil, fmt.Errorf("topo: ring needs >= 3 nodes, have %d", n)
+		return nil, fmt.Errorf("sim: ring needs >= 3 nodes, have %d", n)
 	}
 	g := graph.New(n)
 	for v := 0; v < n; v++ {
@@ -29,10 +28,10 @@ func Ring(n int, price func() float64, capacity float64) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Grid returns the rows x cols mesh.
-func Grid(rows, cols int, price func() float64, capacity float64) (*graph.Graph, error) {
+// grid returns the rows x cols mesh.
+func grid(rows, cols int, price func() float64, capacity float64) (*graph.Graph, error) {
 	if rows < 1 || cols < 1 || rows*cols < 2 {
-		return nil, fmt.Errorf("topo: grid %dx%d too small", rows, cols)
+		return nil, fmt.Errorf("sim: grid %dx%d too small", rows, cols)
 	}
 	g := graph.New(rows * cols)
 	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
@@ -49,10 +48,10 @@ func Grid(rows, cols int, price func() float64, capacity float64) (*graph.Graph,
 	return g, nil
 }
 
-// Torus returns the rows x cols mesh with wraparound links.
-func Torus(rows, cols int, price func() float64, capacity float64) (*graph.Graph, error) {
+// torus returns the rows x cols mesh with wraparound links.
+func torus(rows, cols int, price func() float64, capacity float64) (*graph.Graph, error) {
 	if rows < 3 || cols < 3 {
-		return nil, fmt.Errorf("topo: torus needs >= 3x3, have %dx%d", rows, cols)
+		return nil, fmt.Errorf("sim: torus needs >= 3x3, have %dx%d", rows, cols)
 	}
 	g := graph.New(rows * cols)
 	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
@@ -65,13 +64,13 @@ func Torus(rows, cols int, price func() float64, capacity float64) (*graph.Graph
 	return g, nil
 }
 
-// FatTree returns the switch-level k-ary fat-tree (k even): (k/2)^2 core
+// fatTree returns the switch-level k-ary fat-tree (k even): (k/2)^2 core
 // switches, k pods of k/2 aggregation and k/2 edge switches each —
 // 5k^2/4 nodes in total. Node IDs: cores first, then per pod aggregation
 // then edge switches.
-func FatTree(k int, price func() float64, capacity float64) (*graph.Graph, error) {
+func fatTree(k int, price func() float64, capacity float64) (*graph.Graph, error) {
 	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("topo: fat-tree arity must be even and >= 2, have %d", k)
+		return nil, fmt.Errorf("sim: fat-tree arity must be even and >= 2, have %d", k)
 	}
 	half := k / 2
 	cores := half * half
@@ -95,12 +94,12 @@ func FatTree(k int, price func() float64, capacity float64) (*graph.Graph, error
 	return g, nil
 }
 
-// BarabasiAlbert returns a scale-free graph by preferential attachment:
+// barabasiAlbert returns a scale-free graph by preferential attachment:
 // each new node attaches m edges to existing nodes with probability
 // proportional to degree.
-func BarabasiAlbert(n, m int, rng *rand.Rand, price func() float64, capacity float64) (*graph.Graph, error) {
+func barabasiAlbert(n, m int, rng *rand.Rand, price func() float64, capacity float64) (*graph.Graph, error) {
 	if m < 1 || n < m+1 {
-		return nil, fmt.Errorf("topo: barabasi-albert needs n > m >= 1, have n=%d m=%d", n, m)
+		return nil, fmt.Errorf("sim: barabasi-albert needs n > m >= 1, have n=%d m=%d", n, m)
 	}
 	g := graph.New(n)
 	// Seed: a small clique over the first m+1 nodes.
@@ -128,16 +127,16 @@ func BarabasiAlbert(n, m int, rng *rand.Rand, price func() float64, capacity flo
 	return g, nil
 }
 
-// Waxman returns a random geometric graph: nodes placed uniformly in the
+// waxman returns a random geometric graph: nodes placed uniformly in the
 // unit square, each pair linked with probability
 // alpha * exp(-dist / (beta * sqrt(2))). A random spanning tree guarantees
 // connectivity regardless of the draw.
-func Waxman(n int, alpha, beta float64, rng *rand.Rand, price func() float64, capacity float64) (*graph.Graph, error) {
+func waxman(n int, alpha, beta float64, rng *rand.Rand, price func() float64, capacity float64) (*graph.Graph, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("topo: waxman needs >= 2 nodes, have %d", n)
+		return nil, fmt.Errorf("sim: waxman needs >= 2 nodes, have %d", n)
 	}
 	if alpha <= 0 || alpha > 1 || beta <= 0 {
-		return nil, fmt.Errorf("topo: waxman parameters alpha=%v beta=%v invalid", alpha, beta)
+		return nil, fmt.Errorf("sim: waxman parameters alpha=%v beta=%v invalid", alpha, beta)
 	}
 	type pt struct{ x, y float64 }
 	pts := make([]pt, n)

@@ -1,4 +1,4 @@
-package topo
+package sim
 
 import (
 	"math/rand"
@@ -10,7 +10,7 @@ import (
 func unitPrice() float64 { return 1 }
 
 func TestRing(t *testing.T) {
-	g, err := Ring(6, unitPrice, 10)
+	g, err := ring(6, unitPrice, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +25,13 @@ func TestRing(t *testing.T) {
 			t.Fatalf("ring degree %d at %d", g.Degree(graph.NodeID(v)), v)
 		}
 	}
-	if _, err := Ring(2, unitPrice, 10); err == nil {
+	if _, err := ring(2, unitPrice, 10); err == nil {
 		t.Fatal("tiny ring accepted")
 	}
 }
 
 func TestGrid(t *testing.T) {
-	g, err := Grid(3, 4, unitPrice, 10)
+	g, err := grid(3, 4, unitPrice, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +45,13 @@ func TestGrid(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("grid disconnected")
 	}
-	if _, err := Grid(1, 1, unitPrice, 10); err == nil {
+	if _, err := grid(1, 1, unitPrice, 10); err == nil {
 		t.Fatal("1x1 grid accepted")
 	}
 }
 
 func TestTorus(t *testing.T) {
-	g, err := Torus(3, 3, unitPrice, 10)
+	g, err := torus(3, 3, unitPrice, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestTorus(t *testing.T) {
 			t.Fatalf("torus degree %d at node %d, want 4", g.Degree(graph.NodeID(v)), v)
 		}
 	}
-	if _, err := Torus(2, 3, unitPrice, 10); err == nil {
+	if _, err := torus(2, 3, unitPrice, 10); err == nil {
 		t.Fatal("2x3 torus accepted (would create parallel wrap links)")
 	}
 }
 
 func TestFatTree(t *testing.T) {
-	g, err := FatTree(4, unitPrice, 10)
+	g, err := fatTree(4, unitPrice, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestFatTree(t *testing.T) {
 			t.Fatalf("core %d degree %d, want 4", c, g.Degree(graph.NodeID(c)))
 		}
 	}
-	if _, err := FatTree(3, unitPrice, 10); err == nil {
+	if _, err := fatTree(3, unitPrice, 10); err == nil {
 		t.Fatal("odd arity accepted")
 	}
 }
 
 func TestBarabasiAlbert(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g, err := BarabasiAlbert(50, 2, rng, unitPrice, 10)
+	g, err := barabasiAlbert(50, 2, rng, unitPrice, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestBarabasiAlbert(t *testing.T) {
 	if float64(maxDeg) < 2*g.AvgDegree() {
 		t.Fatalf("no preferential attachment skew: max %d avg %.1f", maxDeg, g.AvgDegree())
 	}
-	if _, err := BarabasiAlbert(3, 3, rng, unitPrice, 10); err == nil {
+	if _, err := barabasiAlbert(3, 3, rng, unitPrice, 10); err == nil {
 		t.Fatal("n <= m accepted")
 	}
 }
 
 func TestWaxman(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g, err := Waxman(60, 0.4, 0.3, rng, unitPrice, 10)
+	g, err := waxman(60, 0.4, 0.3, rng, unitPrice, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestWaxman(t *testing.T) {
 	if g.NumEdges() < 59 {
 		t.Fatal("waxman lost its spanning backbone")
 	}
-	if _, err := Waxman(1, 0.4, 0.3, rng, unitPrice, 10); err == nil {
+	if _, err := waxman(1, 0.4, 0.3, rng, unitPrice, 10); err == nil {
 		t.Fatal("1-node waxman accepted")
 	}
-	if _, err := Waxman(10, 0, 0.3, rng, unitPrice, 10); err == nil {
+	if _, err := waxman(10, 0, 0.3, rng, unitPrice, 10); err == nil {
 		t.Fatal("alpha=0 accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestWaxman(t *testing.T) {
 func TestBuildersUsePriceSampler(t *testing.T) {
 	calls := 0
 	price := func() float64 { calls++; return float64(calls) }
-	g, err := Ring(4, price, 10)
+	g, err := ring(4, price, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +162,9 @@ func TestBuildersUsePriceSampler(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	a, _ := BarabasiAlbert(30, 2, rand.New(rand.NewSource(9)), unitPrice, 10)
-	b, _ := BarabasiAlbert(30, 2, rand.New(rand.NewSource(9)), unitPrice, 10)
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	a, _ := barabasiAlbert(30, 2, rand.New(rand.NewSource(9)), unitPrice, 10)
+	b, _ := barabasiAlbert(30, 2, rand.New(rand.NewSource(9)), unitPrice, 10)
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("BA not deterministic")
 	}

@@ -10,8 +10,6 @@ import (
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfcgen"
 	"dagsfc/internal/stats"
-	"dagsfc/internal/tablefmt"
-	"dagsfc/internal/topo"
 )
 
 // TopoPoint aggregates one topology's results.
@@ -38,42 +36,42 @@ func topologyCatalog() []topoBuilder {
 			return netgen.Generate(cfg, rng)
 		}},
 		{"ring", func(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
-			g, err := topo.Ring(cfg.Nodes, cfg.LinkPricer(rng), cfg.LinkCapacity)
+			g, err := ring(cfg.Nodes, cfg.LinkPricer(rng), cfg.LinkCapacity)
 			if err != nil {
 				return nil, err
 			}
 			return populate(g, cfg, rng)
 		}},
 		{"grid", func(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
-			g, err := topo.Grid(20, 25, cfg.LinkPricer(rng), cfg.LinkCapacity)
+			g, err := grid(20, 25, cfg.LinkPricer(rng), cfg.LinkCapacity)
 			if err != nil {
 				return nil, err
 			}
 			return populate(g, cfg, rng)
 		}},
 		{"torus", func(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
-			g, err := topo.Torus(20, 25, cfg.LinkPricer(rng), cfg.LinkCapacity)
+			g, err := torus(20, 25, cfg.LinkPricer(rng), cfg.LinkCapacity)
 			if err != nil {
 				return nil, err
 			}
 			return populate(g, cfg, rng)
 		}},
 		{"fat-tree", func(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
-			g, err := topo.FatTree(20, cfg.LinkPricer(rng), cfg.LinkCapacity) // 5*20^2/4 = 500 nodes
+			g, err := fatTree(20, cfg.LinkPricer(rng), cfg.LinkCapacity) // 5*20^2/4 = 500 nodes
 			if err != nil {
 				return nil, err
 			}
 			return populate(g, cfg, rng)
 		}},
 		{"scale-free", func(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
-			g, err := topo.BarabasiAlbert(cfg.Nodes, 3, rng, cfg.LinkPricer(rng), cfg.LinkCapacity)
+			g, err := barabasiAlbert(cfg.Nodes, 3, rng, cfg.LinkPricer(rng), cfg.LinkCapacity)
 			if err != nil {
 				return nil, err
 			}
 			return populate(g, cfg, rng)
 		}},
 		{"waxman", func(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
-			g, err := topo.Waxman(cfg.Nodes, 0.12, 0.2, rng, cfg.LinkPricer(rng), cfg.LinkCapacity)
+			g, err := waxman(cfg.Nodes, 0.12, 0.2, rng, cfg.LinkPricer(rng), cfg.LinkCapacity)
 			if err != nil {
 				return nil, err
 			}
@@ -127,8 +125,8 @@ func RunTopologies(trials int, seed int64) ([]TopoPoint, error) {
 }
 
 // TopoTable renders the topology sweep.
-func TopoTable(points []TopoPoint) *tablefmt.Table {
-	t := &tablefmt.Table{
+func TopoTable(points []TopoPoint) *Table {
+	t := &Table{
 		Title:  "Robustness: mean embedding cost by topology (~500 nodes, Table 2 workload)",
 		Header: []string{"topology"},
 	}
@@ -144,11 +142,11 @@ func TopoTable(points []TopoPoint) *tablefmt.Table {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, tablefmt.F(cell.Cost.Mean))
+			row = append(row, num(cell.Cost.Mean))
 		}
 		saving := "-"
 		if m, n := p.Cells[MBBE].Cost, p.Cells[MINV].Cost; m.N > 0 && n.N > 0 && n.Mean > 0 {
-			saving = tablefmt.Pct(1 - m.Mean/n.Mean)
+			saving = pct(1 - m.Mean/n.Mean)
 		}
 		fails := 0
 		for _, alg := range topoAlgorithms {
