@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
 
 all: build vet test
 
@@ -10,7 +10,8 @@ all: build vet test
 # detector (the telemetry registry is written from concurrent trial
 # runners, so -race is load-bearing here, not ceremony), the
 # one-goroutine-per-embed contract, the search-reads-dense-rows contract,
-# the no-environment-switch contract, the one-dense-ledger contract, the
+# the no-environment-switch contract, the search-writes-its-own-trace
+# contract, the one-dense-ledger contract, the
 # one-writer-of-flow-state contract,
 # the no-per-request-garbage contract of the HTTP layer, the
 # one-name-per-transition contract of the journal, the
@@ -19,7 +20,7 @@ all: build vet test
 # benchmark module still compiling against the tree, and a short fuzz of the
 # search-kernel priority queues, the request-body reader, the response
 # decoder and the sfc parser.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
+check: build vet test race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -44,6 +45,15 @@ core-dense-reads:
 core-no-env:
 	@if grep -nE 'os\.(Getenv|LookupEnv|Environ)\(' $$(ls internal/core/*.go internal/graph/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/core or internal/graph reads the environment: pass an option or delete the switch"; exit 1; \
+	fi
+
+# An embed writes its span tree where each phase runs, into the span its
+# caller passes in Options.Trace (DESIGN §8 "Traces"): the callback seam,
+# its adapters and the recorder that rebuilt the nesting from a flat event
+# stream must not grow back in the search or in dagsfc-embed.
+core-one-trace:
+	@if grep -nE 'type[[:space:]]+(Observer[[:space:]]+interface|FuncObserver|MultiObserver|TraceRecorder|logObserver)\b' $$(ls internal/core/*.go cmd/dagsfc-embed/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/core or cmd/dagsfc-embed declares an observer seam again: the search writes its trace at its source, into Options.Trace"; exit 1; \
 	fi
 
 # A ledger is dense usage rows and a pointer to its family's quarantine

@@ -11,18 +11,19 @@
 //
 //	dagsfc-embed [-net net.json] -sfc "1;2,3" -src 0 -dst 42
 //	             [-alg mbbe|bbe|minv|ranv|exact|ilp|sa] [-rate 1] [-size 1] [-seed 1]
-//	             [-dot sol.dot] [-o sol.json] [-trace-out trace.json] [-explain] [-v]
+//	             [-dot sol.dot] [-o sol.json] [-trace-out trace.json] [-explain]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-metrics-out metrics.prom] [-debug-addr localhost:6060]
 //
 // -trace-out dumps the search as a JSON span tree and -explain renders the
-// same trace human-readably (both mbbe/bbe only, where the layered search
-// emits Observer events); see the Observability section of README.md.
+// same trace human-readably on stderr (both mbbe/bbe only, the searches that
+// trace themselves); see the Observability section of README.md.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -36,6 +37,7 @@ import (
 	"dagsfc/internal/ipmodel"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/sfc"
+	"dagsfc/internal/telemetry"
 )
 
 func main() {
@@ -50,7 +52,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for the generated network, ranv and sa")
 		dotFile  = flag.String("dot", "", "also write a Graphviz DOT rendering of the embedding")
 		outFile  = flag.String("o", "", "also write the solution as JSON")
-		verbose  = flag.Bool("v", false, "trace the search (layer/search progress to stderr; mbbe/bbe only)")
 		traceOut = flag.String("trace-out", "", "write the search as a JSON span tree (mbbe/bbe only)")
 		explain  = flag.Bool("explain", false, "print a human-readable rendering of the search trace (mbbe/bbe only)")
 	)
@@ -58,8 +59,8 @@ func main() {
 		return run(config{
 			netFile: *netFile, sfcStr: *sfcStr, src: *src, dst: *dst, alg: *alg,
 			rate: *rate, size: *size, seed: *seed, dotFile: *dotFile, outFile: *outFile,
-			verbose: *verbose, traceOut: *traceOut, explain: *explain,
-		})
+			traceOut: *traceOut, explain: *explain,
+		}, os.Stdout, os.Stderr)
 	})
 }
 
@@ -70,11 +71,13 @@ type config struct {
 	rate, size       float64
 	seed             int64
 	dotFile, outFile string
-	verbose, explain bool
+	explain          bool
 	traceOut         string
 }
 
-func run(c config) error {
+// run embeds per c, printing the solution to stdout and the -explain
+// rendering to stderr.
+func run(c config, stdout, stderr io.Writer) error {
 	net, err := netgen.Load(c.netFile, netgen.Default(), c.seed)
 	if err != nil {
 		return err
@@ -90,32 +93,23 @@ func run(c config) error {
 	}
 	alg := strings.ToLower(c.alg)
 	tracing := c.traceOut != "" || c.explain
-	var recorder *core.TraceRecorder
-	if tracing {
-		if alg != "mbbe" && alg != "bbe" {
-			return fmt.Errorf("-trace-out/-explain need the layered search (mbbe or bbe), not %q", alg)
-		}
-		recorder = core.NewTraceRecorder(alg)
+	if tracing && alg != "mbbe" && alg != "bbe" {
+		return fmt.Errorf("-trace-out/-explain need the layered search (mbbe or bbe), not %q", alg)
 	}
-	observed := func(opts core.Options) core.Options {
-		var obs core.MultiObserver
-		if recorder != nil {
-			obs = append(obs, recorder)
-		}
-		if c.verbose {
-			obs = append(obs, logObserver{})
-		}
-		if len(obs) > 0 {
-			opts.Observer = obs
+	var trace *telemetry.Trace
+	traced := func(opts core.Options) core.Options {
+		if tracing {
+			trace = telemetry.NewTrace("embed")
+			opts.Trace = trace.Root()
 		}
 		return opts
 	}
 	var res *core.Result
 	switch alg {
 	case "mbbe":
-		res, err = core.Embed(p, observed(core.MBBEOptions()))
+		res, err = core.Embed(p, traced(core.MBBEOptions()))
 	case "bbe":
-		res, err = core.Embed(p, observed(core.BBEOptions()))
+		res, err = core.Embed(p, traced(core.BBEOptions()))
 	case "minv":
 		res, err = baseline.EmbedMINV(p)
 	case "ranv":
@@ -129,20 +123,16 @@ func run(c config) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", alg)
 	}
-	if recorder != nil {
-		recorder.Finish(res, err)
-		if werr := writeTrace(recorder, c.traceOut, c.explain); werr != nil && err == nil {
+	if trace != nil {
+		trace.Finish()
+		if werr := writeTrace(trace, c.traceOut, c.explain, stderr); werr != nil && err == nil {
 			err = werr
 		}
 	}
 	if err != nil {
 		return err
 	}
-	if c.verbose {
-		fmt.Fprintf(os.Stderr, "Dijkstra trees grown by the run itself: %d nodes settled, %d of them in the destination's tree, which closed %d leaves\n",
-			res.Stats.PathTreeNodes, res.Stats.ClosureTreeNodes, res.Stats.ClosureLeaves)
-	}
-	printSolution(p, res)
+	printSolution(stdout, p, res)
 	if c.dotFile != "" {
 		f, err := os.Create(c.dotFile)
 		if err != nil {
@@ -169,89 +159,44 @@ func run(c config) error {
 // writeTrace dumps the recorded span tree: JSON to -trace-out and, under
 // -explain, a human-readable rendering to stderr (kept apart from the
 // solution on stdout).
-func writeTrace(rec *core.TraceRecorder, traceOut string, explain bool) error {
+func writeTrace(trace *telemetry.Trace, traceOut string, explain bool, stderr io.Writer) error {
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := rec.Trace().WriteJSON(f); err != nil {
+		if err := trace.WriteJSON(f); err != nil {
 			return err
 		}
 	}
 	if explain {
-		if err := rec.Trace().Render(os.Stderr); err != nil {
+		if err := trace.Render(stderr); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// logObserver prints the search progress to stderr under -v.
-type logObserver struct{}
-
-func (logObserver) LayerStart(spec core.LayerSpec, parents int) {
-	fmt.Fprintf(os.Stderr, "layer %d: %d VNFs, %d parent sub-solutions\n",
-		spec.Index, len(spec.VNFs), parents)
-}
-
-func (logObserver) SearchStart(layer int, start graph.NodeID, forward bool) {}
-
-func (logObserver) SearchDone(layer int, start graph.NodeID, forward bool, size int, covered bool) {
-	kind := "backward"
-	if forward {
-		kind = "forward"
-	}
-	fmt.Fprintf(os.Stderr, "  %s search from %d: %d nodes, covered=%v\n", kind, start, size, covered)
-}
-
-func (logObserver) ExtensionsBuilt(layer int, start graph.NodeID, generated, kept int) {
-	fmt.Fprintf(os.Stderr, "  candidates from %d: %d generated, %d kept\n", start, generated, kept)
-}
-
-func (logObserver) CandidatesFiltered(layer int, considered, capacityRejected, delayRejected int) {
-	fmt.Fprintf(os.Stderr, "  filter: %d considered, %d capacity-rejected, %d delay-rejected\n",
-		considered, capacityRejected, delayRejected)
-}
-
-func (logObserver) LayeredRun(run core.LayeredRun) {
-	fmt.Fprintf(os.Stderr, "  layered run over layers %d-%d: %d seeds, settled %d/%d states, %d of %d exits kept",
-		run.First, run.Last, run.Seeds, run.Settled, run.States, run.Kept, run.Exits)
-	if run.Fallback != "" {
-		fmt.Fprintf(os.Stderr, "; falling back to the per-layer search (%s)", run.Fallback)
-	}
-	fmt.Fprintln(os.Stderr)
-}
-
-func (logObserver) LayerDone(spec core.LayerSpec, kept int, cheapest float64) {
-	fmt.Fprintf(os.Stderr, "layer %d done: kept %d sub-solutions, cheapest %.2f\n",
-		spec.Index, kept, cheapest)
-}
-
-func (logObserver) Leaf(total float64) {
-	fmt.Fprintf(os.Stderr, "solution selected: total %.2f\n", total)
-}
-
-func printSolution(p *core.Problem, res *core.Result) {
+func printSolution(w io.Writer, p *core.Problem, res *core.Result) {
 	g := p.Net.G
-	fmt.Printf("SFC %s embedded %d -> %d\n", p.SFC.String(), p.Src, p.Dst)
+	fmt.Fprintf(w, "SFC %s embedded %d -> %d\n", p.SFC.String(), p.Src, p.Dst)
 	for li, le := range res.Solution.Layers {
 		spec := p.SFC.Layers[li]
-		fmt.Printf("layer %d:\n", li+1)
+		fmt.Fprintf(w, "layer %d:\n", li+1)
 		for i, node := range le.Nodes {
-			fmt.Printf("  f(%d) @ node %d  inter-path %s\n", spec.VNFs[i], node, le.InterPaths[i].String(g))
+			fmt.Fprintf(w, "  f(%d) @ node %d  inter-path %s\n", spec.VNFs[i], node, le.InterPaths[i].String(g))
 		}
 		if spec.Parallel() {
-			fmt.Printf("  merger @ node %d\n", le.MergerNode)
+			fmt.Fprintf(w, "  merger @ node %d\n", le.MergerNode)
 			for i, path := range le.InnerPaths {
-				fmt.Printf("  inner-path f(%d): %s\n", spec.VNFs[i], path.String(g))
+				fmt.Fprintf(w, "  inner-path f(%d): %s\n", spec.VNFs[i], path.String(g))
 			}
 		}
 	}
-	fmt.Printf("tail: %s\n", res.Solution.TailPath.String(g))
-	fmt.Printf("cost: total %.3f (VNF %.3f + links %.3f)\n",
+	fmt.Fprintf(w, "tail: %s\n", res.Solution.TailPath.String(g))
+	fmt.Fprintf(w, "cost: total %.3f (VNF %.3f + links %.3f)\n",
 		res.Cost.Total(), res.Cost.VNFCost, res.Cost.LinkCost)
 	delay := core.EvaluateDelay(p, res.Solution, core.DefaultDelayParams())
-	fmt.Printf("end-to-end delay (default model): %.3f\n", delay)
+	fmt.Fprintf(w, "end-to-end delay (default model): %.3f\n", delay)
 }

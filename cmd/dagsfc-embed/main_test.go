@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +62,7 @@ func TestRunEveryAlgorithm(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			out, dot := filepath.Join(dir, alg+".json"), filepath.Join(dir, alg+".dot")
 			err := run(config{netFile: netFile, sfcStr: "1;2,3", src: 0, dst: 3, alg: alg,
-				rate: 1, size: 1, seed: 1, outFile: out, dotFile: dot})
+				rate: 1, size: 1, seed: 1, outFile: out, dotFile: dot}, io.Discard, io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +83,7 @@ func TestRunEveryAlgorithm(t *testing.T) {
 // Table 2 network its -seed generates.
 func TestRunGeneratesNetworkWithoutNet(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sol.json")
-	if err := run(config{sfcStr: "1;2,3;4", src: 0, dst: 42, alg: "mbbe", rate: 1, size: 1, seed: 3, outFile: out}); err != nil {
+	if err := run(config{sfcStr: "1;2,3;4", src: 0, dst: 42, alg: "mbbe", rate: 1, size: 1, seed: 3, outFile: out}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	net, err := netgen.Load("", netgen.Default(), 3)
@@ -91,6 +95,84 @@ func TestRunGeneratesNetworkWithoutNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	readSolution(t, &core.Problem{Net: net, SFC: s, Src: 0, Dst: 42, Rate: 1, Size: 1}, out)
+}
+
+// traceSpan is the -trace-out schema, one span.
+type traceSpan struct {
+	Name       string         `json:"name"`
+	StartUs    int64          `json:"start_us"`
+	DurationUs int64          `json:"duration_us"`
+	Attrs      map[string]any `json:"attrs"`
+	Children   []traceSpan    `json:"children"`
+}
+
+// checkNested fails unless every descendant of s lies inside its parent's
+// interval.
+func checkNested(t *testing.T, s traceSpan) {
+	t.Helper()
+	for _, c := range s.Children {
+		if c.StartUs < s.StartUs || c.StartUs+c.DurationUs > s.StartUs+s.DurationUs {
+			t.Fatalf("%s [%d, +%d] µs lies outside its parent %s [%d, +%d]",
+				c.Name, c.StartUs, c.DurationUs, s.Name, s.StartUs, s.DurationUs)
+		}
+		checkNested(t, c)
+	}
+}
+
+// TestRunTraceFlags drives -trace-out and -explain on the generated Table 2
+// network: the file decodes with the documented schema, holds one layer row
+// per SFC layer and nests every span inside its parent; -explain writes the
+// outline to stderr and leaves stdout as it is without it; and the searches
+// that do not trace themselves refuse both flags.
+func TestRunTraceFlags(t *testing.T) {
+	dir := t.TempDir()
+	base := config{sfcStr: "1;2,3,4;5", src: 0, dst: 42, rate: 1, size: 1, seed: 3}
+	for _, alg := range []string{"mbbe", "bbe"} {
+		t.Run(alg, func(t *testing.T) {
+			c := base
+			c.alg = alg
+			var plain strings.Builder
+			if err := run(c, &plain, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			c.traceOut, c.explain = filepath.Join(dir, alg+".json"), true
+			var stdout, stderr strings.Builder
+			if err := run(c, &stdout, &stderr); err != nil {
+				t.Fatal(err)
+			}
+			if stdout.String() != plain.String() {
+				t.Fatalf("-explain changed stdout:\n%s\nwithout it:\n%s", stdout.String(), plain.String())
+			}
+			if !strings.HasPrefix(stderr.String(), "embed alg="+alg+" ") || !strings.Contains(stderr.String(), "\n  - layer 3 ") {
+				t.Fatalf("-explain wrote no outline to stderr:\n%s", stderr.String())
+			}
+			text, err := os.ReadFile(c.traceOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(text))
+			dec.DisallowUnknownFields()
+			var root traceSpan
+			if err := dec.Decode(&root); err != nil {
+				t.Fatal(err)
+			}
+			var layers []string
+			for _, c := range root.Children {
+				if strings.HasPrefix(c.Name, "layer ") {
+					layers = append(layers, c.Name)
+				}
+			}
+			if root.Name != "embed" || root.Attrs["alg"] != alg || !slices.Equal(layers, []string{"layer 1", "layer 2", "layer 3"}) {
+				t.Fatalf("trace root %q (alg %v) with layer rows %q, want embed/%s and one row per layer", root.Name, root.Attrs["alg"], layers, alg)
+			}
+			checkNested(t, root)
+		})
+	}
+	c := base
+	c.alg, c.explain = "minv", true
+	if err := run(c, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "need the layered search") {
+		t.Fatalf("-alg minv -explain: %v, want the layered-search refusal", err)
+	}
 }
 
 // readSolution reads the solution file back against p and validates it.

@@ -40,7 +40,7 @@ func BenchmarkLayerExtensions(b *testing.B) {
 		sc := acquireScratch()
 		e := newEmbedder(context.Background(), p, MBBEOptions(), sc)
 		e.avgLink = p.Net.AvgLinkPrice()
-		if exts := e.buildExtensions(e.layerSpecs()[0], p.Src); len(exts) == 0 {
+		if exts := e.buildExtensions(e.layerSpecs()[0], p.Src, nil); len(exts) == 0 {
 			b.Fatal("no extensions")
 		}
 		releaseScratch(sc)

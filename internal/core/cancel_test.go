@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/telemetry"
 )
 
 func TestEmbedContextAlreadyCancelled(t *testing.T) {
@@ -39,36 +40,53 @@ func TestEmbedContextExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestEmbedContextCancelMidRun cancels from inside the search (via an
-// Observer callback on a later layer) and checks the run aborts with the
-// context's error instead of finishing or reporting ErrNoEmbedding.
+// pollCtx is a context whose Err turns to context.Canceled once it has
+// answered left polls (never for a negative left): a cancellation that lands
+// on the search's k-th check, wherever that is. polls counts the checks.
+type pollCtx struct {
+	context.Context
+	left, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestEmbedContextCancelMidRun cancels at every check the search makes from
+// layer 2 on and checks the run aborts with the context's error each time,
+// instead of finishing or reporting ErrNoEmbedding.
 func TestEmbedContextCancelMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProblem(rng, 40, 6, 5)
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := MBBEOptions()
-	fired := false
-	opts.Observer = FuncObserver{
-		OnLayerStart: func(spec LayerSpec, parents int) {
-			if spec.Index >= 2 {
-				fired = true
-				cancel()
-			}
-		},
+	whole := &pollCtx{Context: context.Background(), left: -1}
+	if _, err := EmbedContext(whole, p, MBBEOptions()); err != nil {
+		t.Fatal(err)
 	}
-	res, err := EmbedContext(ctx, p, opts)
-	cancel()
-	if !fired {
-		// The random instance must be deep enough to reach layer 2;
-		// seed 7 with sfcSize 5 is.
-		t.Fatal("observer never reached layer 2")
+	inLayer2 := 0
+	for k := 0; k < whole.polls; k++ {
+		tr := telemetry.NewTrace("embed")
+		opts := MBBEOptions()
+		opts.Trace = tr.Root()
+		res, err := EmbedContext(&pollCtx{Context: context.Background(), left: k}, p, opts)
+		if len(findChildren(tr.Root(), "layer 2")) == 0 {
+			continue // cancelled before layer 2 started
+		}
+		inLayer2++
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("cancelled at check %d of %d, in layer 2 or later: %v, %v; want context.Canceled and no result", k+1, whole.polls, res, err)
+		}
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if inLayer2 == 0 {
+		// The random instance must be deep enough to reach layer 2; seed 7
+		// with sfcSize 5 is.
+		t.Fatal("vacuous: no cancellation landed in layer 2 or later")
 	}
-	if res != nil {
-		t.Fatal("cancelled embed returned a result")
-	}
+	t.Logf("%d of the run's %d checks lie in layer 2 or later", inLayer2, whole.polls)
 }
 
 func TestSolutionVisitors(t *testing.T) {

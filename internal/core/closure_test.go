@@ -253,7 +253,7 @@ func TestSharedPathWindows(t *testing.T) {
 		}
 		return shared
 	}
-	first := e.buildExtensions(spec, p.Src)
+	first := e.buildExtensions(spec, p.Src, nil)
 	if len(first) == 0 {
 		t.Fatal("no extensions")
 	}
@@ -271,7 +271,7 @@ func TestSharedPathWindows(t *testing.T) {
 	// More walks and reversals on the same trees: another start's build, whose
 	// mergers overlap the first's, and a closure of every end node.
 	other := first[0].endNode
-	check(e.buildExtensions(spec, other), other)
+	check(e.buildExtensions(spec, other, nil), other)
 	for _, ext := range first {
 		if _, ok := e.tailPath(ext.endNode); !ok {
 			t.Fatalf("no tail from %d", ext.endNode)

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
-	"dagsfc/internal/graph"
 	"dagsfc/internal/telemetry"
 )
 
@@ -19,8 +19,8 @@ const concurrentCallers = 4
 // TestConcurrentCallersDeterminism is the concurrency contract: concurrent
 // Embed calls sharing one Problem are race-free (run under -race) and each
 // returns exactly what a lone call returns — the same Solution,
-// CostBreakdown and Stats, and (checked separately below) the same Observer
-// event sequence. Failures must match too: an infeasible instance is
+// CostBreakdown and Stats, and (checked separately below) the same trace
+// outline. Failures must match too: an infeasible instance is
 // infeasible for every caller, with the same error.
 func TestConcurrentCallersDeterminism(t *testing.T) {
 	configs := []struct {
@@ -78,54 +78,24 @@ func TestConcurrentCallersDeterminism(t *testing.T) {
 	}
 }
 
-// eventTrace records every Observer callback as a formatted line, so two
-// runs' event sequences can be compared verbatim.
-func eventTrace(events *[]string) Observer {
-	add := func(format string, args ...any) {
-		*events = append(*events, fmt.Sprintf(format, args...))
-	}
-	return FuncObserver{
-		OnLayerStart: func(spec LayerSpec, parents int) { add("layerStart %d parents=%d", spec.Index, parents) },
-		OnSearchStart: func(layer int, start graph.NodeID, forward bool) {
-			add("searchStart %d %d fwd=%t", layer, start, forward)
-		},
-		OnSearchDone: func(layer int, start graph.NodeID, forward bool, size int, covered bool) {
-			add("searchDone %d %d fwd=%t size=%d covered=%t", layer, start, forward, size, covered)
-		},
-		OnExtensionsBuilt: func(layer int, start graph.NodeID, generated, kept int) {
-			add("extensions %d %d gen=%d kept=%d", layer, start, generated, kept)
-		},
-		OnCandidatesFiltered: func(layer, considered, capRej, delayRej int) {
-			add("filtered %d considered=%d cap=%d delay=%d", layer, considered, capRej, delayRej)
-		},
-		OnLayerDone: func(spec LayerSpec, kept int, cheapest float64) {
-			add("layerDone %d kept=%d cheapest=%v", spec.Index, kept, cheapest)
-		},
-		OnLeaf: func(total float64) { add("leaf %v", total) },
-	}
-}
-
 // TestConcurrentCallersObserverDeterminism asserts every one of several
-// concurrent embeds delivers its own observer the exact event sequence of a
-// lone call.
+// concurrent embeds writes into its own span the trace outline of a lone
+// call.
 func TestConcurrentCallersObserverDeterminism(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(3)), 60, 6, 4)
 
-	trace := func() ([]string, error) {
-		var events []string
-		opts := MBBEOptions()
-		opts.Observer = eventTrace(&events)
-		_, err := Embed(p, opts)
-		return events, err
+	trace := func() (string, error) {
+		_, tr, err := embedTraced(p, MBBEOptions())
+		return outline(t, tr), err
 	}
 	seq, err := trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) == 0 {
-		t.Fatal("no events recorded")
+	if strings.Count(seq, "\n") < 4 {
+		t.Fatalf("trace too small:\n%s", seq)
 	}
-	var traces [concurrentCallers][]string
+	var traces [concurrentCallers]string
 	var errs [concurrentCallers]error
 	var wg sync.WaitGroup
 	for w := range traces {
@@ -140,8 +110,8 @@ func TestConcurrentCallersObserverDeterminism(t *testing.T) {
 		if errs[w] != nil {
 			t.Fatalf("caller %d: %v", w, errs[w])
 		}
-		if !reflect.DeepEqual(par, seq) {
-			t.Fatalf("caller %d: event sequence differs (%d events vs %d)", w, len(par), len(seq))
+		if par != seq {
+			t.Fatalf("caller %d: trace outline differs:\n%s\nlone call:\n%s", w, par, seq)
 		}
 	}
 }

@@ -70,9 +70,10 @@ type Options struct {
 	// Delay is the delay model used with MaxDelay; the zero value is
 	// replaced by DefaultDelayParams().
 	Delay DelayParams
-	// Observer, when non-nil, receives progress callbacks during the
-	// search (see Observer).
-	Observer Observer
+	// Trace, when non-nil, is the span the run records itself into: its
+	// outcome and search statistics as attributes, its phases as child spans
+	// (see tracing.go). The caller opens it and ends it.
+	Trace *telemetry.Span
 	// Label names this configuration in telemetry metrics (the "alg"
 	// label). BBEOptions/MBBEOptions set it; empty means "custom".
 	Label string
@@ -220,10 +221,12 @@ func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (
 		telemetry.RecordEmbed(telemetry.EmbedSample{
 			Alg: opts.Label, Elapsed: time.Since(start), Failed: true,
 		})
+		traceOutcome(opts.Trace, opts.Label, nil, err, nil)
 		return nil, err
 	}
 	e := newEmbedder(ctx, p, opts, sc)
 	res, err := e.run()
+	traceOutcome(opts.Trace, opts.Label, res, err, &e.stats)
 	telemetry.RecordPathCacheHits(e.treeHits)
 	telemetry.RecordEmbed(telemetry.EmbedSample{
 		Alg:           opts.Label,
@@ -511,9 +514,7 @@ func (e *embedder) run() (*Result, error) {
 			// The tree the closure walks its tails off, and a terminal
 			// layered run its potential: complete before the first layer, it
 			// also tells every candidate how far it still has to go.
-			grown := e.stats.PathTreeNodes
-			e.toDst = e.treeFor(p.Dst, graph.None).Dist
-			e.stats.ClosureTreeNodes = e.stats.PathTreeNodes - grown
+			e.toDst, e.stats.ClosureTreeNodes = e.destinationTree(e.opts.Trace)
 		}
 	}
 	for i := 0; i < len(specs); i++ {
@@ -521,14 +522,15 @@ func (e *embedder) run() (*Result, error) {
 			return nil, err
 		}
 		spec := specs[i]
-		e.observeLayerStart(spec, len(frontier))
+		sp := startLayer(e.opts.Trace, spec, len(frontier))
 		if layered && !spec.Merger && i >= perLayerUntil {
 			j := i + 1
 			for j < len(specs) && !specs[j].Merger {
 				j++
 			}
-			next, res, err := e.layeredRun(specs[i:j], frontier, j == len(specs))
+			next, res, err := e.layeredRun(specs[i:j], frontier, j == len(specs), sp)
 			if res != nil || err != nil {
+				endSpan(sp)
 				return res, err
 			}
 			if next != nil {
@@ -537,8 +539,9 @@ func (e *embedder) run() (*Result, error) {
 			}
 			perLayerUntil = j
 		}
-		next, err := e.searchLayer(spec, frontier)
+		next, err := e.searchLayer(spec, frontier, sp)
 		if err != nil {
+			endSpan(sp)
 			return nil, err
 		}
 		frontier = next
@@ -552,6 +555,7 @@ func (e *embedder) run() (*Result, error) {
 	// the cheapest feasible complete solution (lines 9–11 of Algorithm 1).
 	// Links are bidirectional, so one tree rooted at the destination — grown
 	// as far as the farthest leaf end — holds every tail, walked in reverse.
+	cl := startSpan(e.opts.Trace, "closure")
 	cands := m.leaves[:0]
 	grown := e.stats.PathTreeNodes
 	for _, leaf := range frontier {
@@ -575,13 +579,33 @@ func (e *embedder) run() (*Result, error) {
 	e.stats.ClosureLeaves = len(frontier)
 	e.stats.ClosureTreeNodes += e.stats.PathTreeNodes - grown
 	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(a.total, b.total) })
+	var res *Result
 	for _, cand := range cands {
-		if res := e.complete(cand.ss, cand.tail); res != nil {
-			e.observeLeaf(res.Cost.Total())
-			return res, nil
+		if res = e.complete(cand.ss, cand.tail); res != nil {
+			break
 		}
 	}
-	return nil, fmt.Errorf("%w: no leaf reaches the destination feasibly", ErrNoEmbedding)
+	endClosure(cl, e.stats.ClosureLeaves, e.stats.ClosureTreeNodes)
+	if res == nil {
+		return nil, fmt.Errorf("%w: no leaf reaches the destination feasibly", ErrNoEmbedding)
+	}
+	return res, nil
+}
+
+// destinationTree returns the complete min-cost tree rooted at the
+// destination — what ranks an MBBE run's parallel-layer candidates and
+// directs a terminal layered run — and the nodes growing it settled, in a
+// destination-tree span under parent.
+func (e *embedder) destinationTree(parent *telemetry.Span) (dist []float64, settled int) {
+	sp := startSpan(parent, "destination-tree")
+	grown := e.stats.PathTreeNodes
+	dist = e.treeFor(e.p.Dst, graph.None).Dist
+	settled = e.stats.PathTreeNodes - grown
+	if sp != nil {
+		sp.SetAttr("tree_nodes", settled)
+		sp.End()
+	}
+	return dist, settled
 }
 
 // layerSpecs expands the SFC's layers into their obligations and, beside
@@ -619,11 +643,12 @@ func (e *embedder) complete(leaf *subSolution, tail graph.Path) *Result {
 // searchLayer embeds one layer the paper's way — forward/backward search
 // trees, candidate generation, per-parent screening — and returns the
 // cost-sorted, pruned sub-solutions that become the next frontier.
-func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subSolution, error) {
+func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) ([]*subSolution, error) {
 	m := e.sc.mem
 	// Build every distinct start node's extensions up front; the screening
 	// loop below then only reads them.
-	e.buildLayerExtensions(spec, frontier)
+	e.buildLayerExtensions(spec, frontier, sp)
+	filter := startSpan(sp, "filter")
 	m.screens = sized(m.screens, len(frontier))
 	screens := m.screens
 	clear(screens)
@@ -643,7 +668,7 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 	}
 	e.stats.CapacityRejections += capRejected
 	e.stats.DelayRejections += delayRejected
-	e.observeFiltered(spec.Index, considered, capRejected, delayRejected)
+	endFilter(filter, considered, capRejected, delayRejected)
 	// A cancelled run skips start-node builds, so an empty frontier here
 	// may mean "cancelled", not "infeasible" — report the cancellation.
 	if err := e.ctx.Err(); err != nil {
@@ -655,9 +680,9 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution) ([]*subS
 	slices.SortFunc(next, bySubCost)
 	next = e.truncateWithDelayDiversity(next, maxSubSolutionsPerLayer)
 	e.stats.SubSolutions += len(next)
-	if e.opts.Observer != nil {
+	if sp != nil {
 		cheapest := slices.MinFunc(next, func(a, b *subSolution) int { return cmp.Compare(a.cum, b.cum) })
-		e.observeLayerDone(spec, len(next), cheapest.cum)
+		endLayer(sp, len(next), cheapest.cum)
 	}
 	return next, nil
 }
@@ -694,7 +719,7 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 // done, leaving the layer's extension sets incomplete; searchLayer
 // re-checks the context before interpreting an empty frontier, so a
 // cancelled run reports ctx.Err(), never a bogus ErrNoEmbedding.
-func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution) {
+func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) {
 	m := e.sc.mem
 	n := e.p.Net.G.NumNodes()
 	e.layerExts = m.extLists.alloc(n)
@@ -708,7 +733,7 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution)
 		if e.ctx.Err() != nil {
 			return
 		}
-		e.layerExts[start] = e.buildExtensions(spec, start)
+		e.layerExts[start] = e.buildExtensions(spec, start, sp)
 	}
 }
 
@@ -718,10 +743,11 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution)
 // the cheapest maxExtensionsPerStart. With min-cost-path instantiation the
 // forward search runs one ring past coverage: the paths no longer come from
 // the tree, so the tree is only the candidate set, and the nearest cover is
-// rarely the cheapest.
-func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extension {
+// rarely the cheapest. The searches and the build are traced under the
+// layer's span sp.
+func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telemetry.Span) []*extension {
 	p, m := e.p, e.sc.mem
-	e.observeSearchStart(spec.Index, start, true)
+	fwd := startAt(sp, "forward-search", start)
 	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m}
 	if e.opts.MiniPath {
 		cfg.ringsPast = 1
@@ -730,9 +756,10 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extens
 	m.interMemo.begin(p.Net.G.NumNodes())
 	e.stats.ForwardSearches++
 	e.stats.TreeNodes += fst.Size()
-	e.observeSearch(spec.Index, start, true, fst.Size(), fst.Covered())
+	endSearch(fwd, fst.Size(), fst.Covered())
+	cand := startAt(sp, "candidates", start)
 	if !fst.Covered() {
-		e.observeExtensions(spec.Index, start, 0, 0)
+		endCandidates(cand, 0, 0)
 		return nil
 	}
 	exts := m.extBuf[:0]
@@ -757,7 +784,7 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extens
 			if e.ctx.Err() != nil {
 				break
 			}
-			exts = e.pairExtensions(exts, spec, start, fst, merger)
+			exts = e.pairExtensions(exts, spec, start, fst, merger, cand)
 		}
 	}
 	generated := len(exts)
@@ -767,7 +794,7 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID) []*extens
 	copy(kept, exts)
 	m.extBuf = exts[:0]
 	kept = e.trimExtensions(kept, maxExtensionsPerStart)
-	e.observeExtensions(spec.Index, start, generated, len(kept))
+	endCandidates(cand, generated, len(kept))
 	return kept
 }
 
@@ -873,10 +900,11 @@ func (e *embedder) singleVNFExtensions(exts []*extension, spec LayerSpec, start 
 // pairExtensions appends the candidate sub-solutions of one FST–BST pair
 // (§4.4.1): enumerate parallel-VNF allocations over the BST's nodes, then
 // instantiate inner-layer paths from the BST and inter-layer paths from
-// the FST.
-func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph.NodeID, fst *SearchTree, mergerTN *TreeNode) []*extension {
+// the FST. The backward search is traced under the build's candidates span.
+func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph.NodeID, fst *SearchTree, mergerTN *TreeNode,
+	cand *telemetry.Span) []*extension {
 	p, m := e.p, e.sc.mem
-	e.observeSearchStart(spec.Index, mergerTN.Node, false)
+	bwd := startAt(cand, "backward-search", mergerTN.Node)
 	bst := runSearch(p, mergerTN.Node, searchConfig{
 		required: spec.VNFs,
 		within:   fst,
@@ -886,7 +914,7 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	})
 	e.stats.BackwardSearches++
 	e.stats.TreeNodes += bst.Size()
-	e.observeSearch(spec.Index, mergerTN.Node, false, bst.Size(), bst.Covered())
+	endSearch(bwd, bst.Size(), bst.Covered())
 	if !bst.Covered() {
 		return exts
 	}

@@ -87,17 +87,16 @@ func TestParallelLayerHorizonAndWork(t *testing.T) {
 	extensions, ringThree := 0, 0
 	for flow, p := range tableTwoFlows(flows) {
 		net, opts := p.Net, MBBEOptions()
-		firstFST := 0
-		opts.Observer = FuncObserver{OnSearchDone: func(layer int, start graph.NodeID, forward bool, size int, covered bool) {
-			if forward && layer == 1 && firstFST == 0 {
-				firstFST = size
-			}
-		}}
-		res, err := Embed(p, opts)
+		res, tr, err := embedTraced(p, opts)
 		if err != nil {
 			t.Fatalf("flow %d: %v", flow, err)
 		}
 		extensions += res.Stats.Extensions
+		layer1 := findChildren(tr.Root(), "layer 1")
+		if len(layer1) != 1 || len(findChildren(layer1[0], "forward-search")) == 0 {
+			t.Fatalf("flow %d: no forward search under layer 1", flow)
+		}
+		firstFST := intAttr(findChildren(layer1[0], "forward-search")[0], "tree_size")
 
 		required := p.LayerSpecs()[0].Required(net.Catalog)
 		stop := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax})

@@ -20,29 +20,6 @@ import (
 // and ComputeCost, before it counts; when none does the run is searched
 // layer by layer instead (run's perLayerUntil).
 
-// LayeredRun summarises one run of single-VNF layers the layered kernel
-// searched (Observer.LayeredRun).
-type LayeredRun struct {
-	// First and Last are the 1-based indices of the run's first and last
-	// layer.
-	First, Last int
-	// Terminal marks a run that reaches the end of the SFC: it is searched
-	// through to the destination and yields the complete solution.
-	Terminal bool
-	// Seeds is the number of distinct frontier end nodes the search
-	// started from; Settled the states it settled before stopping, of the
-	// States in the stack it searched (one copy of the substrate per layer
-	// and one to leave from).
-	Seeds, Settled, States int
-	// Exits is the number of walks the search proposed (at most one for a
-	// terminal run), Kept those that passed the capacity checks.
-	Exits, Kept int
-	// Fallback is empty when the run stands. Otherwise it says why the
-	// per-layer search took the run over ("capacity": every proposal was
-	// turned down by feasibleAfter or Validate).
-	Fallback string
-}
-
 // layeredRun searches the width-1 layers run[0..] from the frontier with
 // one layered Dijkstra. A terminal run (one that ends the SFC) is searched
 // to the destination and returns the complete Result; any other stops at
@@ -51,7 +28,10 @@ type LayeredRun struct {
 // every proposal failed a capacity check: the caller searches the run
 // layer by layer. An error means the layered graph holds no walk at all —
 // then no embedding exists, since every per-layer candidate is such a walk.
-func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal bool) ([]*subSolution, *Result, error) {
+//
+// The run is traced as one layered-run span under sp, the span of its first
+// layer; the rows of the layers it answered close when it stands.
+func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal bool, sp *telemetry.Span) ([]*subSolution, *Result, error) {
 	p, sc := e.p, e.sc
 	m := sc.mem
 	n := p.Net.G.NumNodes()
@@ -69,6 +49,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 		}
 	}
 	m.seeds = seeds
+	span := startLayeredRun(sp, first, last, terminal, len(seeds))
 	m.rents = sized(m.rents, len(run))
 	for j, spec := range run {
 		m.rents[j] = p.Net.Rents(spec.VNFs[0])
@@ -94,7 +75,10 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 			for j := len(run) - 1; j >= 0; j-- {
 				m.potRent[j] = m.potRent[j+1] + p.Net.MinRent(run[j].VNFs[0])
 			}
-			q.PotLink, q.PotRent = e.treeFor(p.Dst, graph.None).Dist, m.potRent
+			q.PotLink, q.PotRent = e.toDst, m.potRent
+			if q.PotLink == nil {
+				q.PotLink, _ = e.destinationTree(span)
+			}
 		}
 	} else {
 		// The width a single such layer gets from the per-layer search: Xd
@@ -105,18 +89,15 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 		}
 		q.MaxExits = min(q.MaxExits, maxSubSolutionsPerLayer)
 	}
-	e.observeSearchStart(first, seeds[0].Node, true)
+	fwd := startAt(span, "forward-search", seeds[0].Node)
 	ls := e.pathView.LayeredDijkstraWith(sc.Scratch, &q)
 	exits := ls.Exits()
 	e.stats.LayeredRuns++
 	e.stats.ForwardSearches++
 	e.stats.TreeNodes += ls.Settled()
-	e.observeSearch(first, seeds[0].Node, true, ls.Settled(), len(exits) > 0)
-	info := LayeredRun{
-		First: first, Last: last, Terminal: terminal,
-		Seeds: len(seeds), Settled: ls.Settled(), States: (len(run) + 1) * n, Exits: len(exits),
-	}
+	endSearch(fwd, ls.Settled(), len(exits) > 0)
 
+	filter := startSpan(span, "filter")
 	leaves := m.subPtrs.alloc(len(exits))[:0]
 	var res *Result
 	for _, x := range exits {
@@ -131,13 +112,13 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 	}
 	rejected := len(exits) - len(leaves)
 	e.stats.CapacityRejections += rejected
-	e.observeFiltered(first, len(exits), rejected, 0)
-	info.Kept = len(leaves)
-	if rejected > 0 && len(leaves) == 0 {
+	endFilter(filter, len(exits), rejected, 0)
+	fallback := rejected > 0 && len(leaves) == 0
+	if fallback {
 		e.stats.LayeredFallbacks++
-		info.Fallback = "capacity"
 	}
-	e.recordLayeredRun(info)
+	endLayeredRun(span, ls.Settled(), (len(run)+1)*n, len(exits), len(leaves), fallback)
+	telemetry.RecordLayeredRun(e.opts.Label, fallback, ls.Settled())
 	switch {
 	case len(exits) == 0:
 		return nil, nil, fmt.Errorf("%w: layers %d–%d: no walk through hosts with spare capacity leaves the frontier",
@@ -147,10 +128,9 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 	}
 	slices.SortFunc(leaves, bySubCost)
 	e.stats.SubSolutions += len(run) * len(leaves)
-	e.observeRunLayers(run, leaves)
+	e.traceRunLayers(run, leaves, sp)
 	if res != nil {
 		res.Stats = e.stats
-		e.observeLeaf(res.Cost.Total())
 		return nil, res, nil
 	}
 	return leaves, nil, nil
@@ -203,18 +183,17 @@ func (e *embedder) materialise(ls *graph.LayeredSearch, x int, run []LayerSpec, 
 	return leaf, graph.Path{From: start, Edges: m.edges.commit(edges)}, true
 }
 
-// observeRunLayers reports the rows of a run the kernel answered: every
-// layer gets its LayerStart/LayerDone pair in order (the first layer's
-// LayerStart has already fired), with the surviving chains as the
-// sub-solutions kept and the cheapest cumulative cost among them at that
-// layer.
-func (e *embedder) observeRunLayers(run []LayerSpec, leaves []*subSolution) {
-	if e.opts.Observer == nil {
+// traceRunLayers closes the rows of a run the kernel answered: the first
+// layer's, sp, and one childless row for each later layer, each with the
+// surviving chains as the sub-solutions kept and the least cumulative cost
+// among them at that layer.
+func (e *embedder) traceRunLayers(run []LayerSpec, leaves []*subSolution, sp *telemetry.Span) {
+	if sp == nil {
 		return
 	}
 	for j, spec := range run {
 		if j > 0 {
-			e.observeLayerStart(spec, len(leaves))
+			sp = startLayer(e.opts.Trace, spec, len(leaves))
 		}
 		cheapest := graph.Inf
 		for _, ss := range leaves {
@@ -223,15 +202,6 @@ func (e *embedder) observeRunLayers(run []LayerSpec, leaves []*subSolution) {
 			}
 			cheapest = min(cheapest, ss.cum)
 		}
-		e.observeLayerDone(spec, len(leaves), cheapest)
+		endLayer(sp, len(leaves), cheapest)
 	}
-}
-
-// recordLayeredRun publishes one run's outcome to the observer and the
-// metrics registry.
-func (e *embedder) recordLayeredRun(info LayeredRun) {
-	if e.opts.Observer != nil {
-		e.opts.Observer.LayeredRun(info)
-	}
-	telemetry.RecordLayeredRun(e.opts.Label, info.Fallback != "", info.Settled)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -190,10 +191,7 @@ func TestLayeredCoupledCapacityFallsBack(t *testing.T) {
 		{"capacity-1 instance used twice", sameInstanceTwiceFixture(), 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var runs []LayeredRun
-			opts := MBBEOptions()
-			opts.Observer = FuncObserver{OnLayeredRun: func(r LayeredRun) { runs = append(runs, r) }}
-			res, err := Embed(tc.p, opts)
+			res, tr, err := embedTraced(tc.p, MBBEOptions())
 			if err != nil {
 				t.Fatalf("embed failed where the per-layer search succeeds: %v", err)
 			}
@@ -206,8 +204,13 @@ func TestLayeredCoupledCapacityFallsBack(t *testing.T) {
 			if res.Stats.LayeredRuns != 1 || res.Stats.LayeredFallbacks != 1 || res.Stats.CapacityRejections == 0 {
 				t.Fatalf("stats %+v, want one run, one fallback and its rejection counted", res.Stats)
 			}
-			if len(runs) != 1 || runs[0].Fallback != "capacity" || runs[0].Exits != 1 || runs[0].Kept != 0 {
-				t.Fatalf("run events %+v, want one capacity fallback", runs)
+			runs := findSpans(tr.Root(), "layered-run")
+			if len(runs) != 1 || runs[0].Attr("fallback") != "capacity" || runs[0].Attr("exits") != 1 || runs[0].Attr("kept") != 0 {
+				t.Fatalf("%d layered-run spans, want one capacity fallback:\n%s", len(runs), outline(t, tr))
+			}
+			// The per-layer search takes layer 1 over in the same row.
+			if layer := findChildren(tr.Root(), "layer 1"); len(layer) != 1 || len(findChildren(layer[0], "candidates")) == 0 {
+				t.Fatalf("layer 1 has no per-layer search after the fallback:\n%s", outline(t, tr))
 			}
 		})
 	}
@@ -238,24 +241,25 @@ func TestLayeredUnreachableIsInfeasible(t *testing.T) {
 func TestLayeredHandsFrontierToParallelLayer(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(5)), 40, 6, 4)
 	p.SFC = fromWidths([][]network.VNFID{{1}, {2}, {3, 4}})
-	var parents []int
-	var runs []LayeredRun
 	opts := MBBEOptions()
-	opts.Observer = FuncObserver{
-		OnLayerStart: func(spec LayerSpec, n int) { parents = append(parents, n) },
-		OnLayeredRun: func(r LayeredRun) { runs = append(runs, r) },
-	}
-	res, err := Embed(p, opts)
+	res, tr, err := embedTraced(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 1 || runs[0].First != 1 || runs[0].Last != 2 || runs[0].Terminal || runs[0].Seeds != 1 {
-		t.Fatalf("runs %+v, want one non-terminal run over layers 1-2 from the source", runs)
+	runs := findSpans(tr.Root(), "layered-run")
+	if len(runs) != 1 || runs[0].Attr("layers") != "1-2" || runs[0].Attr("terminal") != false || runs[0].Attr("seeds") != 1 {
+		t.Fatalf("%d layered-run spans, want one non-terminal run over layers 1-2 from the source:\n%s", len(runs), outline(t, tr))
 	}
-	if runs[0].Exits != opts.Xd || runs[0].Kept != opts.Xd {
-		t.Fatalf("run kept %d of %d exits, want Xd=%d", runs[0].Kept, runs[0].Exits, opts.Xd)
+	if runs[0].Attr("exits") != opts.Xd || runs[0].Attr("kept") != opts.Xd {
+		t.Fatalf("run kept %v of %v exits, want Xd=%d", runs[0].Attr("kept"), runs[0].Attr("exits"), opts.Xd)
 	}
-	if want := []int{1, opts.Xd, opts.Xd}; len(parents) != 3 || parents[0] != want[0] || parents[1] != want[1] || parents[2] != want[2] {
+	var parents []int
+	for _, c := range tr.Root().Children() {
+		if strings.HasPrefix(c.Name(), "layer ") {
+			parents = append(parents, intAttr(c, "parents"))
+		}
+	}
+	if want := []int{1, opts.Xd, opts.Xd}; !reflect.DeepEqual(parents, want) {
 		t.Fatalf("layer parents %v, want %v", parents, want)
 	}
 	if res.Stats.BackwardSearches == 0 {

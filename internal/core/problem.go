@@ -82,7 +82,28 @@ func (p *Problem) Validate() error {
 	if err := p.SFC.Validate(p.Net.Catalog); err != nil {
 		return err
 	}
+	// Half the range covers the rounding of sums taken in another order.
+	if math.IsInf(2*p.Size*p.costCeiling(), 1) {
+		return fmt.Errorf("core: flow size %v is too large: the eq. (1) cost of a placement could exceed the largest float64", p.Size)
+	}
 	return nil
+}
+
+// costCeiling bounds the eq. (1) cost at unit size of any placement of p
+// whose meta-paths are simple paths, as every search's are: each rent at
+// the dearest instance's price, each meta-path n−1 links at the dearest
+// link's.
+func (p *Problem) costCeiling() float64 {
+	rents, paths := 0, 1 // the tail
+	for _, l := range p.SFC.Layers {
+		rents += len(l.VNFs)
+		paths += len(l.VNFs)
+		if l.Parallel() {
+			rents++
+			paths += len(l.VNFs)
+		}
+	}
+	return float64(rents)*p.Net.MaxRent() + float64(paths*(p.Net.G.NumNodes()-1))*p.Net.G.MaxPrice()
 }
 
 // LayerSpec is the embedding obligation of one DAG-SFC layer: φ_l regular

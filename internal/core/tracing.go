@@ -5,204 +5,179 @@ import (
 	"strings"
 
 	"dagsfc/internal/graph"
-	"dagsfc/internal/network"
 	"dagsfc/internal/telemetry"
 )
 
-// TraceRecorder is an Observer that captures one Embed run as a
-// telemetry span tree:
+// A traced run (Options.Trace set) writes itself into the caller's span,
+// every phase opened and closed by the function that does the work:
 //
-//	embed (alg, layers, total_cost | error, search stats)
+//	embed (alg, total_cost | error, search stats)
+//	├─ destination-tree (tree_nodes)            MBBE with a parallel layer
 //	├─ layer L (vnfs, merger, parents, kept, cheapest)
 //	│  ├─ forward-search (start, tree_size, covered)
-//	│  ├─ candidates (start, generated, kept)    ← candidate generation
-//	│  │  ├─ backward-search (start, tree_size, covered)
-//	│  │  └─ ...
+//	│  ├─ candidates (start, generated, kept)
+//	│  │  └─ backward-search (start, tree_size, covered) …
 //	│  ├─ filter (considered, capacity_rejected, delay_rejected)
-//	│  └─ layered-run (layers, seeds, settled, exits, kept, fallback)
-//	├─ ...
+//	│  └─ layered-run (layers, terminal, seeds, settled, exits, kept, fallback)
+//	│     ├─ destination-tree (tree_nodes)      a terminal run that grows it
+//	│     ├─ forward-search (start, tree_size, covered)
+//	│     └─ filter (considered, capacity_rejected, delay_rejected)
+//	├─ …
 //	└─ closure (leaves, tree_nodes)
 //
-// A run of single-VNF layers answered by the layered kernel shows its one
-// search, its filter and a layered-run event span under the run's first
-// layer; the run's later layers are rows with no children. The closure
-// row is an event span Finish adds when the run closed leaves to the
-// destination (a terminal layered run closes none): how many, and how many
-// nodes the tree rooted at the destination settled to reach them all.
-//
-// Search spans are timed exactly (SearchStart→SearchDone); a candidates
-// span covers everything between a forward search finishing and its
-// extensions being trimmed, which contains the layer's backward searches
-// and assignment enumeration. The filter span is an event span (zero
-// duration) carrying the layer's pruning counters. Like every Observer,
-// a TraceRecorder serves one Embed run on one goroutine; call Finish
-// after Embed returns, then Trace for the result.
-type TraceRecorder struct {
-	trace  *telemetry.Trace
-	layer  *telemetry.Span
-	search *telemetry.Span
-	cand   *telemetry.Span
+// A run of single-VNF layers a–b that the layered kernel answers is one
+// layered-run under layer a, timed around the kernel search and the
+// materialisation of its walks; layers a+1…b are rows with no children. On
+// a capacity fallback layer a's per-layer search follows in the same row.
+// Every helper below does nothing on a nil span: an untraced run spends
+// nothing on its trace.
+
+// startSpan opens child name of parent.
+func startSpan(parent *telemetry.Span, name string) *telemetry.Span {
+	if parent == nil {
+		return nil
+	}
+	return parent.StartChild(name)
 }
 
-// NewTraceRecorder starts recording; alg labels the run ("bbe", "mbbe").
-func NewTraceRecorder(alg string) *TraceRecorder {
-	t := telemetry.NewTrace("embed")
-	t.Root().SetAttr("alg", alg)
-	return &TraceRecorder{trace: t}
+// endSpan closes sp.
+func endSpan(sp *telemetry.Span) {
+	if sp != nil {
+		sp.End()
+	}
 }
 
-// vnfsString renders a layer's VNF set as "f2|f3|f4".
-func vnfsString(vnfs []network.VNFID) string {
-	parts := make([]string, len(vnfs))
-	for i, f := range vnfs {
+// startAt opens child name of parent for a phase that starts from one node.
+func startAt(parent *telemetry.Span, name string, start graph.NodeID) *telemetry.Span {
+	if parent == nil {
+		return nil
+	}
+	sp := parent.StartChild(name)
+	sp.SetAttr("start", int(start))
+	return sp
+}
+
+// endSearch closes a forward- or backward-search span.
+func endSearch(sp *telemetry.Span, treeSize int, covered bool) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("tree_size", treeSize)
+	sp.SetAttr("covered", covered)
+	sp.End()
+}
+
+// endCandidates closes a candidates span: the extensions one start's build
+// generated and those its trim kept.
+func endCandidates(sp *telemetry.Span, generated, kept int) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("generated", generated)
+	sp.SetAttr("kept", kept)
+	sp.End()
+}
+
+// endFilter closes a filter span with the screen's tallies.
+func endFilter(sp *telemetry.Span, considered, capacityRejected, delayRejected int) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("considered", considered)
+	sp.SetAttr("capacity_rejected", capacityRejected)
+	sp.SetAttr("delay_rejected", delayRejected)
+	sp.End()
+}
+
+// startLayer opens spec's row under the run's span.
+func startLayer(parent *telemetry.Span, spec LayerSpec, parents int) *telemetry.Span {
+	if parent == nil {
+		return nil
+	}
+	sp := parent.StartChild(fmt.Sprintf("layer %d", spec.Index))
+	parts := make([]string, len(spec.VNFs))
+	for i, f := range spec.VNFs {
 		parts[i] = fmt.Sprintf("f%d", f)
 	}
-	return strings.Join(parts, "|")
+	sp.SetAttr("vnfs", strings.Join(parts, "|"))
+	sp.SetAttr("merger", spec.Merger)
+	sp.SetAttr("parents", parents)
+	return sp
 }
 
-// LayerStart implements Observer.
-func (t *TraceRecorder) LayerStart(spec LayerSpec, parents int) {
-	t.closeCandidates()
-	if t.layer != nil {
-		t.layer.End() // defensive: LayerDone should have fired
-	}
-	t.layer = t.trace.Root().StartChild(fmt.Sprintf("layer %d", spec.Index))
-	t.layer.SetAttr("vnfs", vnfsString(spec.VNFs))
-	t.layer.SetAttr("merger", spec.Merger)
-	t.layer.SetAttr("parents", parents)
-}
-
-// SearchStart implements Observer.
-func (t *TraceRecorder) SearchStart(layer int, start graph.NodeID, forward bool) {
-	if t.layer == nil {
+// endLayer closes a layer's row with the sub-solutions it kept and the least
+// cumulative cost among them.
+func endLayer(sp *telemetry.Span, kept int, cheapest float64) {
+	if sp == nil {
 		return
 	}
-	name := "backward-search"
-	parent := t.cand
-	if forward {
-		name = "forward-search"
-		t.closeCandidates()
-		parent = nil
-	}
+	sp.SetAttr("kept", kept)
+	sp.SetAttr("cheapest", cheapest)
+	sp.End()
+}
+
+// startLayeredRun opens the span of one run of single-VNF layers, first
+// through last, searched by the layered kernel from seeds end nodes.
+func startLayeredRun(parent *telemetry.Span, first, last int, terminal bool, seeds int) *telemetry.Span {
 	if parent == nil {
-		parent = t.layer
+		return nil
 	}
-	t.search = parent.StartChild(name)
-	t.search.SetAttr("start", int(start))
+	sp := parent.StartChild("layered-run")
+	sp.SetAttr("layers", fmt.Sprintf("%d-%d", first, last))
+	sp.SetAttr("terminal", terminal)
+	sp.SetAttr("seeds", seeds)
+	return sp
 }
 
-// SearchDone implements Observer.
-func (t *TraceRecorder) SearchDone(layer int, start graph.NodeID, forward bool, treeSize int, covered bool) {
-	if t.search != nil {
-		t.search.SetAttr("tree_size", treeSize)
-		t.search.SetAttr("covered", covered)
-		t.search.End()
-		t.search = nil
-	}
-	if forward && t.layer != nil {
-		// Everything until ExtensionsBuilt is candidate generation for
-		// this start: backward searches, assignment enumeration, path
-		// instantiation, and the per-start trim.
-		t.cand = t.layer.StartChild("candidates")
-		t.cand.SetAttr("start", int(start))
-	}
-}
-
-// ExtensionsBuilt implements Observer.
-func (t *TraceRecorder) ExtensionsBuilt(layer int, start graph.NodeID, generated, kept int) {
-	if t.cand == nil && t.layer != nil {
-		t.cand = t.layer.StartChild("candidates")
-		t.cand.SetAttr("start", int(start))
-	}
-	if t.cand != nil {
-		t.cand.SetAttr("generated", generated)
-		t.cand.SetAttr("kept", kept)
-		t.cand.End()
-		t.cand = nil
-	}
-}
-
-// CandidatesFiltered implements Observer.
-func (t *TraceRecorder) CandidatesFiltered(layer int, considered, capacityRejected, delayRejected int) {
-	t.closeCandidates()
-	if t.layer == nil {
+// endLayeredRun closes a layered-run span: the states the search settled of
+// the stack's, the walks it proposed, those that passed the capacity checks,
+// and whether the per-layer search takes the run over.
+func endLayeredRun(sp *telemetry.Span, settled, states, exits, kept int, fallback bool) {
+	if sp == nil {
 		return
 	}
-	f := t.layer.StartChild("filter")
-	f.SetAttr("considered", considered)
-	f.SetAttr("capacity_rejected", capacityRejected)
-	f.SetAttr("delay_rejected", delayRejected)
-	f.End()
+	sp.SetAttr("settled", fmt.Sprintf("%d/%d", settled, states))
+	sp.SetAttr("exits", exits)
+	sp.SetAttr("kept", kept)
+	if fallback {
+		sp.SetAttr("fallback", "capacity")
+	}
+	sp.End()
 }
 
-// LayeredRun implements Observer.
-func (t *TraceRecorder) LayeredRun(run LayeredRun) {
-	t.closeCandidates()
-	if t.layer == nil {
+// endClosure closes the closure span: the leaves closed to the destination
+// and the nodes the tree rooted there settled to reach them all.
+func endClosure(sp *telemetry.Span, leaves, treeNodes int) {
+	if sp == nil {
 		return
 	}
-	r := t.layer.StartChild("layered-run")
-	r.SetAttr("layers", fmt.Sprintf("%d-%d", run.First, run.Last))
-	r.SetAttr("terminal", run.Terminal)
-	r.SetAttr("seeds", run.Seeds)
-	r.SetAttr("settled", fmt.Sprintf("%d/%d", run.Settled, run.States))
-	r.SetAttr("exits", run.Exits)
-	r.SetAttr("kept", run.Kept)
-	if run.Fallback != "" {
-		r.SetAttr("fallback", run.Fallback)
-	}
-	r.End()
+	sp.SetAttr("leaves", leaves)
+	sp.SetAttr("tree_nodes", treeNodes)
+	sp.End()
 }
 
-// LayerDone implements Observer.
-func (t *TraceRecorder) LayerDone(spec LayerSpec, kept int, cheapest float64) {
-	t.closeCandidates()
-	if t.layer == nil {
+// traceOutcome writes a run's outcome onto the span it recorded into: the
+// algorithm, the total cost or the error, then the search statistics (on
+// failure too; nil for a problem Validate refused, which searched nothing).
+func traceOutcome(sp *telemetry.Span, alg string, res *Result, err error, st *Stats) {
+	if sp == nil {
 		return
 	}
-	t.layer.SetAttr("kept", kept)
-	t.layer.SetAttr("cheapest", cheapest)
-	t.layer.End()
-	t.layer = nil
-}
-
-// Leaf implements Observer.
-func (t *TraceRecorder) Leaf(total float64) {
-	t.trace.Root().SetAttr("total_cost", total)
-}
-
-func (t *TraceRecorder) closeCandidates() {
-	if t.cand != nil {
-		t.cand.End()
-		t.cand = nil
-	}
-}
-
-// Finish closes the trace after Embed returns, attaching the run's search
-// statistics and, on failure, the error.
-func (t *TraceRecorder) Finish(res *Result, err error) {
-	root := t.trace.Root()
+	sp.SetAttr("alg", alg)
 	if err != nil {
-		root.SetAttr("error", err.Error())
+		sp.SetAttr("error", err.Error())
+	} else {
+		sp.SetAttr("total_cost", res.Cost.Total())
 	}
-	if res != nil {
-		root.SetAttr("tree_nodes", res.Stats.TreeNodes)
-		root.SetAttr("forward_searches", res.Stats.ForwardSearches)
-		root.SetAttr("backward_searches", res.Stats.BackwardSearches)
-		root.SetAttr("extensions", res.Stats.Extensions)
-		root.SetAttr("sub_solutions", res.Stats.SubSolutions)
-		root.SetAttr("layered_runs", res.Stats.LayeredRuns)
-		root.SetAttr("layered_fallbacks", res.Stats.LayeredFallbacks)
-		root.SetAttr("path_tree_nodes", res.Stats.PathTreeNodes)
-		if res.Stats.ClosureLeaves > 0 {
-			c := root.StartChild("closure")
-			c.SetAttr("leaves", res.Stats.ClosureLeaves)
-			c.SetAttr("tree_nodes", res.Stats.ClosureTreeNodes)
-			c.End()
-		}
+	if st == nil {
+		return
 	}
-	t.trace.Finish()
+	sp.SetAttr("tree_nodes", st.TreeNodes)
+	sp.SetAttr("forward_searches", st.ForwardSearches)
+	sp.SetAttr("backward_searches", st.BackwardSearches)
+	sp.SetAttr("extensions", st.Extensions)
+	sp.SetAttr("sub_solutions", st.SubSolutions)
+	sp.SetAttr("layered_runs", st.LayeredRuns)
+	sp.SetAttr("layered_fallbacks", st.LayeredFallbacks)
+	sp.SetAttr("path_tree_nodes", st.PathTreeNodes)
 }
-
-// Trace returns the recorded span tree; call after Finish.
-func (t *TraceRecorder) Trace() *telemetry.Trace { return t.trace }

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 )
 
@@ -13,11 +13,19 @@ import (
 // generated and the widest frontier any layer kept.
 type widthWatch struct{ generated, kept int }
 
-func (w *widthWatch) observer() Observer {
-	return FuncObserver{
-		OnExtensionsBuilt: func(_ int, _ graph.NodeID, generated, _ int) { w.generated = max(w.generated, generated) },
-		OnLayerDone:       func(_ LayerSpec, kept int, _ float64) { w.kept = max(w.kept, kept) },
+// embed runs p traced and widens w by what the trace's candidates and layer
+// spans report.
+func (w *widthWatch) embed(p *Problem, opts Options) (*Result, error) {
+	res, tr, err := embedTraced(p, opts)
+	for _, c := range findSpans(tr.Root(), "candidates") {
+		w.generated = max(w.generated, intAttr(c, "generated"))
 	}
+	for _, layer := range tr.Root().Children() {
+		if strings.HasPrefix(layer.Name(), "layer ") {
+			w.kept = max(w.kept, intAttr(layer, "kept"))
+		}
+	}
+	return res, err
 }
 
 // TestSafetyValvesNeverBindUnderMBBE is why the two valves are constants
@@ -29,8 +37,7 @@ func (w *widthWatch) observer() Observer {
 func TestSafetyValvesNeverBindUnderMBBE(t *testing.T) {
 	var w widthWatch
 	embed := func(p *Problem, opts Options) {
-		opts.Observer = w.observer()
-		if _, err := Embed(p, opts); err != nil && !errors.Is(err, ErrNoEmbedding) {
+		if _, err := w.embed(p, opts); err != nil && !errors.Is(err, ErrNoEmbedding) {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +53,7 @@ func TestSafetyValvesNeverBindUnderMBBE(t *testing.T) {
 		embed(p, MBBEOptions())
 	}
 	if w.generated == 0 || w.kept == 0 {
-		t.Fatal("vacuous: the observer saw no build and no layer")
+		t.Fatal("vacuous: the traces hold no build and no layer")
 	}
 	if w.generated >= maxExtensionsPerStart || w.kept >= maxSubSolutionsPerLayer {
 		t.Fatalf("widest build %d candidates (valve at %d), widest layer %d sub-solutions (valve at %d)",
@@ -62,9 +69,7 @@ func TestLayerCapBoundsFrontier(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(5)), 60, 6, 4)
 	p.SFC = fromWidths([][]network.VNFID{{1, 2}, {3, 4}, {5, 6}, {1, 2}, {3, 4}, {5, 6}})
 	var w widthWatch
-	opts := MBBEOptions()
-	opts.Observer = w.observer()
-	res, err := Embed(p, opts)
+	res, err := w.embed(p, MBBEOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

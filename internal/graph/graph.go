@@ -56,10 +56,11 @@ type Arc struct {
 // Graph must not be copied by value after first use (it caches a CSR view
 // behind an atomic pointer); use Clone for copies.
 type Graph struct {
-	n     int
-	edges []Edge
-	adj   [][]Arc
-	csr   atomic.Pointer[csrAdj]
+	n        int
+	edges    []Edge
+	adj      [][]Arc
+	csr      atomic.Pointer[csrAdj]
+	maxPrice float64 // the dearest link's price
 }
 
 // csrAdj is the compressed-sparse-row view of the adjacency structure: one
@@ -103,6 +104,7 @@ func (g *Graph) AddEdge(a, b NodeID, price, capacity float64) (EdgeID, error) {
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, A: a, B: b, Price: price, Capacity: capacity})
+	g.maxPrice = max(g.maxPrice, price)
 	g.adj[a] = append(g.adj[a], Arc{Edge: id, To: b})
 	g.adj[b] = append(g.adj[b], Arc{Edge: id, To: a})
 	g.csr.Store(nil) // adjacency changed; any cached CSR view is stale
@@ -134,6 +136,9 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
+
+// MaxPrice reports the dearest link's price (0 without links).
+func (g *Graph) MaxPrice() float64 { return g.maxPrice }
 
 // Edges returns the underlying edge slice. The caller must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
@@ -231,7 +236,7 @@ func (g *Graph) Connected() bool {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, edges: append([]Edge(nil), g.edges...), adj: make([][]Arc, g.n)}
+	c := &Graph{n: g.n, edges: append([]Edge(nil), g.edges...), adj: make([][]Arc, g.n), maxPrice: g.maxPrice}
 	for v := range g.adj {
 		c.adj[v] = append([]Arc(nil), g.adj[v]...)
 	}

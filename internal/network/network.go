@@ -82,6 +82,7 @@ type Network struct {
 	nodes           int
 	rents           [][]float64              // price, one window per category
 	minRent         []float64                // each window's minimum
+	maxRent         float64                  // the dearest instance's price
 	count           int                      // deployed instances
 	byVNF           map[VNFID][]graph.NodeID // V_i, in insertion order
 	byNode          map[graph.NodeID][]VNFID // F_v, in insertion order
@@ -164,6 +165,7 @@ func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity floa
 	}
 	n.price[i], n.capacity[i] = price, capacity
 	n.minRent[vnf] = min(n.minRent[vnf], price)
+	n.maxRent = max(n.maxRent, price)
 	n.count++
 	n.byVNF[vnf] = append(n.byVNF[vnf], node)
 	n.byNode[node] = append(n.byNode[node], vnf)
@@ -218,6 +220,10 @@ func (n *Network) MinRent(vnf VNFID) float64 {
 	}
 	return n.minRent[vnf]
 }
+
+// MaxRent returns the dearest rental price of any deployed instance (0 with
+// none).
+func (n *Network) MaxRent() float64 { return n.maxRent }
 
 // VNFsAt returns F_v: the categories hosted on node, sorted ascending.
 func (n *Network) VNFsAt(node graph.NodeID) []VNFID {
@@ -276,6 +282,7 @@ func (n *Network) Clone() *Network {
 	copy(c.price, n.price)
 	copy(c.capacity, n.capacity)
 	copy(c.minRent, n.minRent)
+	c.maxRent = n.maxRent
 	c.count = n.count
 	for vnf, nodes := range n.byVNF {
 		c.byVNF[vnf] = append([]graph.NodeID(nil), nodes...)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
@@ -355,16 +357,32 @@ func TestDurableEmptyDirFreshStart(t *testing.T) {
 	}
 }
 
-// TestDurableOverflowingCostRefused: a finite size whose eq. (1) cost
-// overflows to +Inf is refused before commit, reserving nothing. Committed,
-// its cost could be neither answered (a 500 after the commit), listed
-// (every GET /v1/flows a 500) nor logged: the commit record was skipped
-// and the next snapshot latched the WAL broken, so the flows answered 201
-// after it did not survive a restart.
+// TestDurableOverflowingCostRefused: a finite size at which the eq. (1)
+// cost of a placement could overflow to +Inf is a 400 naming the size, for
+// a chain and a hybrid alike, before any search — never a 422 "no feasible
+// embedding" that would charge the breaker — and reserves nothing.
+// Committed, such a cost could be neither answered (a 500 after the commit),
+// listed (every GET /v1/flows a 500) nor logged: the commit record was
+// skipped and the next snapshot latched the WAL broken, so the flows
+// answered 201 after it did not survive a restart.
 func TestDurableOverflowingCostRefused(t *testing.T) {
 	dir := t.TempDir()
-	snapEvery2 := func(c *server.Config) { c.WALSnapshotEvery = 2 }
-	srv := durableServer(t, dir, snapEvery2)
+	// tinyNet's line, with what "1;2,3;4" needs besides: f2, f3 and the
+	// merger beside f1 on node 1, f4 on node 2.
+	hybridNet := func() *network.Network {
+		g := graph.New(3)
+		g.MustAddEdge(0, 1, 1, 100)
+		g.MustAddEdge(1, 2, 1, 100)
+		net := network.New(g, network.Catalog{N: 4})
+		net.MustAddInstance(1, 1, 10, 2)
+		net.MustAddInstance(1, 2, 10, 2)
+		net.MustAddInstance(1, 3, 10, 2)
+		net.MustAddInstance(1, net.Catalog.Merger(), 10, 2)
+		net.MustAddInstance(2, 4, 10, 2)
+		return net
+	}
+	tweak := func(c *server.Config) { c.WALSnapshotEvery, c.Net = 2, hybridNet() }
+	srv := durableServer(t, dir, tweak)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	hc := hs.Client()
@@ -379,9 +397,14 @@ func TestDurableOverflowingCostRefused(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	status, msg, _ := post(t, hc, hs.URL+"/v1/flows", []byte(`{"sfc":"1","src":0,"dst":2,"rate":0.001,"size":1e308}`))
-	if status != http.StatusBadRequest || !strings.Contains(msg, "not a finite number") {
-		t.Fatalf("flow with an overflowing cost: %d %q, want 400 naming the cost", status, msg)
+	for _, shape := range []string{"1", "1;2,3;4"} {
+		for _, alg := range []string{"mbbe", "bbe"} {
+			body := fmt.Sprintf(`{"sfc":%q,"src":0,"dst":2,"rate":0.001,"size":1e308,"alg":%q}`, shape, alg)
+			status, msg, _ := post(t, hc, hs.URL+"/v1/flows", []byte(body))
+			if status != http.StatusBadRequest || !strings.Contains(msg, "flow size 1e+308 is too large") {
+				t.Errorf("%s under %s with an overflowing cost: %d %q, want 400 naming the size", shape, alg, status, msg)
+			}
+		}
 	}
 	if n := srv.ActiveFlows(); n != 0 || !equalResiduals(residuals(srv.NetworkState()), seed) {
 		t.Fatalf("refused flow left %d active flows or reservations behind", n)
@@ -401,7 +424,7 @@ func TestDurableOverflowingCostRefused(t *testing.T) {
 	want := srv.Flows()
 	srv.Crash()
 
-	srv2 := durableServer(t, dir, snapEvery2)
+	srv2 := durableServer(t, dir, tweak)
 	defer srv2.Close()
 	sameFlows(t, srv2.Flows(), want)
 }

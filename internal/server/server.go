@@ -841,10 +841,6 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 			s.finish(j, jobResult{err: fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)})
 			return
 		}
-		if err := finiteCost(j.cost); err != nil {
-			s.finish(j, jobResult{err: err})
-			return
-		}
 	}
 	if j.repair == nil && j.protect {
 		// Protected admission: reserve the primary on the private
@@ -879,9 +875,6 @@ func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail
 	} else {
 		res, err = s.embedBackup(j, w, against)
 	}
-	if err == nil {
-		err = finiteCost(res.Cost)
-	}
 	done := time.Now()
 	telemetry.RecordServerStage(telemetry.StageEmbed, done.Sub(begin))
 	ev := journal.Event{
@@ -899,7 +892,7 @@ func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail
 		ev.Detail += ": unprotectable"
 		telemetry.RecordBackupAdmitFailure(true)
 	case errors.Is(err, ErrBadRequest):
-		// finiteCost's: the request's numbers, not the substrate.
+		// The request's own fault, not the substrate's.
 	case against != nil:
 		err = fmt.Errorf("no disjoint backup placement: %w", err)
 		telemetry.RecordBackupAdmitFailure(false)
@@ -909,16 +902,6 @@ func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail
 	}
 	s.journal.Append(ev)
 	return res, err
-}
-
-// finiteCost refuses a placement whose eq. (1) cost overflowed (a finite
-// size or rate times a price past math.MaxFloat64): JSON has no Inf, so the
-// flow could be neither answered, listed nor logged.
-func finiteCost(cb core.CostBreakdown) error {
-	if c := cb.Total(); math.IsInf(c, 0) || math.IsNaN(c) {
-		return fmt.Errorf("%w: placement cost %v is not a finite number; rate or size is too large", ErrBadRequest, c)
-	}
-	return nil
 }
 
 // runEmbed executes the job's algorithm and converts a panicking embedder

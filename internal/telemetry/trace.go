@@ -19,8 +19,8 @@ type Attr struct {
 
 // Span is one timed phase of a trace: a name, a duration, ordered
 // attributes, and child spans. Spans are built by one goroutine — the
-// trace API is intentionally not concurrency-safe, matching the
-// single-goroutine Observer contract of the embedding core.
+// trace API is intentionally not concurrency-safe, matching an embed, which
+// runs on its caller's goroutine and writes its trace there.
 type Span struct {
 	name     string
 	start    time.Time
@@ -110,11 +110,14 @@ type spanJSON struct {
 	Children   []spanJSON     `json:"children,omitempty"`
 }
 
+// toJSON rounds the span's start and end down to whole microseconds, so a
+// child's interval stays inside its parent's.
 func (s *Span) toJSON(epoch time.Time) spanJSON {
+	start := s.start.Sub(epoch).Microseconds()
 	js := spanJSON{
 		Name:       s.name,
-		StartUs:    s.start.Sub(epoch).Microseconds(),
-		DurationUs: s.Duration().Microseconds(),
+		StartUs:    start,
+		DurationUs: (s.start.Sub(epoch) + s.Duration()).Microseconds() - start,
 	}
 	if len(s.attrs) > 0 {
 		js.Attrs = make(map[string]any, len(s.attrs))
