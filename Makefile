@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-one-goroutine server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
 
 all: build vet test
 
@@ -12,7 +12,7 @@ all: build vet test
 # one-goroutine-per-embed contract, the search-reads-dense-rows contract,
 # the no-environment-switch contract, the search-writes-its-own-trace
 # contract, the one-dense-ledger contract, the
-# one-writer-of-flow-state contract,
+# one-writer-of-flow-state contract, the one-goroutine-per-request contract,
 # the no-per-request-garbage contract of the HTTP layer, the
 # one-name-per-transition contract of the journal, the
 # docs-name-what-the-tree-has contract, the every-metric-has-a-reader
@@ -20,7 +20,7 @@ all: build vet test
 # benchmark module still compiling against the tree, and a short fuzz of the
 # search-kernel priority queues, the request-body reader, the response
 # decoder and the sfc parser.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
+check: build vet test race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-one-goroutine server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -84,6 +84,15 @@ server-single-writer:
 	fi
 	@if grep -nE 'core\.Commit\(|core\.Release\(|network\.NewLedger\(|NewFlowTable' $$(ls internal/online/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/online mutates a ledger beside flowstate.Apply"; exit 1; \
+	fi
+
+# A request is embedded and committed on the goroutine that asked for it,
+# and a restore attempt on the controller's (DESIGN §10): the embed worker
+# pool, the commit loop, the claim protocol between them and the restore
+# controller's admission grace must not grow back.
+server-one-goroutine:
+	@if grep -nE 'func \(s \*Server\) (worker|commitLoop)\(|func \(j \*job\) (await|reply)\(|(admit|commit)[[:space:]]+chan[[:space:]]|RepairAdmitRetries' $$(ls internal/server/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/server grew a worker pool or a commit loop back: a request is served on its own goroutine"; exit 1; \
 	fi
 
 # Both sides of the socket read a body once into a pooled buffer, decode and

@@ -444,7 +444,7 @@ func printJournalSummary(w io.Writer, events []journal.Event, missed uint64) {
 			rejected[ev.Err]++
 		case journal.TypeCommitConflict:
 			conflicts++
-		case journal.TypeEnqueue:
+		case journal.TypeEmbedDone:
 			if ev.Attempt > 0 {
 				retries++
 			}

@@ -1,8 +1,8 @@
 // Command dagsfc-serve runs the embedding control plane: one live network
 // whose capacity ledger is mutated only through the HTTP API
-// (internal/server). Flows are embedded speculatively by a worker pool,
-// committed by a single serialized commit loop, and live until released
-// over DELETE or until their TTL expires.
+// (internal/server). A flow is embedded speculatively and committed on the
+// goroutine serving its request, at most -embed-workers embeds at once, and
+// lives until released over DELETE or until its TTL expires.
 //
 // The network is loaded from -net (the JSON of network.WriteJSON) or,
 // without -net, generated in-process from the paper's §5.1 distribution.
@@ -12,7 +12,7 @@
 //	dagsfc-serve [-addr localhost:8080] [-net net.json | -nodes 50 -kinds 10]
 //	             [-embed-workers 0] [-queue 64] [-timeout 30s]
 //	             [-drain-timeout 30s] [-seed 1]
-//	             [-repair-retries 3] [-repair-admit-retries 8]
+//	             [-repair-retries 3]
 //	             [-repair-backoff 25ms] [-repair-backoff-cap 1s]
 //	             [-breaker-failures 0] [-breaker-cooldown 1s]
 //	             [-journal 4096] [-log-level info] [-log-format text|json]
@@ -72,12 +72,11 @@ func main() {
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		netFile      = flag.String("net", "", "network JSON file (default: generate one)")
 		seed         = flag.Int64("seed", 1, "seed for network generation and randomized algorithms")
-		workers      = flag.Int("embed-workers", 0, "speculative embed workers (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "admission queue depth (full queue rejects with 429)")
+		workers      = flag.Int("embed-workers", 0, "concurrent speculative embeds (0 = GOMAXPROCS)")
+		queue        = flag.Int("queue", 64, "requests that may wait for an embed slot (one more is rejected with 429)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request pipeline deadline (past it: 504)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight requests")
 		repairs      = flag.Int("repair-retries", 3, "re-embed attempts for a fault-stranded flow before eviction")
-		repairAdmits = flag.Int("repair-admit-retries", 8, "queue-full/timeout rejections a repair absorbs without charging repair-retries (0 = none)")
 		repairWait   = flag.Duration("repair-backoff", 25*time.Millisecond, "base repair backoff (doubles per attempt)")
 		repairCap    = flag.Duration("repair-backoff-cap", time.Second, "repair backoff ceiling")
 		brkFails     = flag.Int("breaker-failures", 0, "consecutive pipeline failures that open the admission breaker (0 = disabled)")
@@ -92,11 +91,6 @@ func main() {
 	flag.IntVar(&gen.Nodes, "nodes", gen.Nodes, "generated network size (ignored with -net)")
 	flag.IntVar(&gen.VNFKinds, "kinds", gen.VNFKinds, "generated VNF categories (ignored with -net)")
 	diag.Main("dagsfc-serve", func() error {
-		if *repairAdmits <= 0 {
-			// The flag's 0 means "no grace"; Config uses negative for that
-			// (its zero value takes the default).
-			*repairAdmits = -1
-		}
 		// Logs go to stderr: stdout stays reserved for data.
 		logger, err := journal.NewLogger(os.Stderr, *logLevel, *logFormat)
 		if err != nil {
@@ -105,7 +99,7 @@ func main() {
 		cfg := server.Config{
 			Seed:    *seed,
 			Workers: *workers, QueueDepth: *queue, RequestTimeout: *timeout,
-			RepairRetries: *repairs, RepairAdmitRetries: *repairAdmits,
+			RepairRetries: *repairs,
 			RepairBackoff: *repairWait, RepairBackoffCap: *repairCap,
 			BreakerFailures: *brkFails, BreakerCooldown: *brkCooldown,
 			JournalSize: *journalSize, Logger: logger,

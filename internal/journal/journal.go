@@ -32,10 +32,10 @@ import (
 type Type string
 
 const (
-	// TypeEnqueue: the request passed admission and entered the queue.
+	// TypeEnqueue: the request passed admission and waits for an embed slot.
 	TypeEnqueue Type = "enqueue"
-	// TypeDequeue: an embed worker picked the request up; Seconds is the
-	// queue wait.
+	// TypeDequeue: the request or restore attempt took an embed slot;
+	// Seconds is the wait for it.
 	TypeDequeue Type = "dequeue"
 	// TypeEmbedDone closes one speculative embed, which began Seconds
 	// before Time: it carries the candidate cost and search-node count on
@@ -74,7 +74,7 @@ type Event struct {
 	Cost    float64 `json:"cost,omitempty"`
 	// Nodes is the embed's search-tree node count (embed_done).
 	Nodes int `json:"nodes,omitempty"`
-	// Workers is the serving pipeline's embed-worker count (embed_done).
+	// Workers is the server's embed-slot count (embed_done).
 	Workers int `json:"workers,omitempty"`
 	// Detail carries event-specific context: the fault on fault-driven
 	// transitions, "protected" or "repair" on a commit, the breaker state.

@@ -39,8 +39,9 @@ type FaultKind int
 const (
 	// FaultLinkDown quarantines a link's entire bandwidth.
 	FaultLinkDown FaultKind = iota
-	// FaultNodeDown quarantines every incident link's bandwidth and every
-	// VNF instance hosted on the node.
+	// FaultNodeDown is a hard node failure: every incident link's residual
+	// and every hosted instance's is pinned to exactly zero for the fault's
+	// duration. Like FaultEdgeDown it moves a count, not a capacity amount.
 	FaultNodeDown
 	// FaultLinkDegrade quarantines a fraction of a link's bandwidth — a
 	// brown-out rather than a black-out.
@@ -122,13 +123,14 @@ func (f Fault) String() string {
 	return fmt.Sprintf("fault(kind=%d)", int(f.Kind))
 }
 
-// quarTable is the published quarantine view: how much capacity each edge
-// and instance currently has out of service, plus the down-count per node
-// and the hard-failure down-count per edge. Tables are immutable after
+// quarTable is the published quarantine view: how much bandwidth each edge
+// currently has out of service, plus the down-count per node and the
+// hard-failure down-count per edge. Tables are immutable after
 // publication; mutations copy-and-swap.
 type quarTable struct {
 	edge map[graph.EdgeID]float64
-	inst map[instKey]float64
+	// node counts active FaultNodeDown faults per node. Any positive count
+	// pins the node's incident edges and hosted instances to exactly zero.
 	node map[graph.NodeID]int
 	// down counts active FaultEdgeDown faults per edge. Any positive count
 	// pins the edge's residual to exactly zero (see Ledger.EdgeResidual).
@@ -145,7 +147,7 @@ type quarantine struct {
 }
 
 func (q *quarTable) empty() bool {
-	return len(q.edge) == 0 && len(q.inst) == 0 && len(q.node) == 0 && len(q.down) == 0
+	return len(q.edge) == 0 && len(q.node) == 0 && len(q.down) == 0
 }
 
 // edgePinned reports whether the residual of edge (with endpoints a, b) is
@@ -157,16 +159,12 @@ func (q *quarTable) edgePinned(e graph.EdgeID, a, b graph.NodeID) bool {
 func cloneQuar(q *quarTable) *quarTable {
 	c := &quarTable{
 		edge: make(map[graph.EdgeID]float64),
-		inst: make(map[instKey]float64),
 		node: make(map[graph.NodeID]int),
 		down: make(map[graph.EdgeID]int),
 	}
 	if q != nil {
 		for k, v := range q.edge {
 			c.edge[k] = v
-		}
-		for k, v := range q.inst {
-			c.inst[k] = v
 		}
 		for k, v := range q.node {
 			c.node[k] = v
@@ -190,20 +188,6 @@ func (q *quarTable) addEdge(e graph.EdgeID, amt float64) error {
 		return nil
 	}
 	q.edge[e] = v
-	return nil
-}
-
-func (q *quarTable) addInst(k instKey, amt float64) error {
-	v := q.inst[k] + amt
-	if v < -CapacityEps {
-		return fmt.Errorf("network: instance f(%d) on node %d quarantine would go negative (%v): restore without matching apply",
-			k.vnf, k.node, v)
-	}
-	if v <= CapacityEps {
-		delete(q.inst, k)
-		return nil
-	}
-	q.inst[k] = v
 	return nil
 }
 
@@ -238,6 +222,8 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 			return err
 		}
 	case FaultNodeDown:
+		// A pure pin, like FaultEdgeDown below: no capacity amount moves,
+		// only a count, so restore is float-exact by construction.
 		if n := q.node[f.Node] + int(sign); n < 0 {
 			return fmt.Errorf("network: node %d down-count would go negative: restore without matching apply", f.Node)
 		} else if n == 0 {
@@ -245,22 +231,7 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 		} else {
 			q.node[f.Node] = n
 		}
-		// Each incident edge appears exactly once in the node's adjacency
-		// list (self loops are impossible), so apply/restore are symmetric.
-		for _, arc := range l.net.G.Neighbors(f.Node) {
-			if err := q.addEdge(arc.Edge, sign*l.net.G.Edge(arc.Edge).Capacity); err != nil {
-				return err
-			}
-		}
-		for _, vnf := range l.net.VNFsAt(f.Node) {
-			inst, _ := l.net.Instance(f.Node, vnf)
-			if err := q.addInst(instKey{f.Node, vnf}, sign*inst.Capacity); err != nil {
-				return err
-			}
-		}
 	case FaultEdgeDown:
-		// A pure pin: no capacity amount moves, only a count, so restore is
-		// float-exact by construction.
 		if n := q.down[f.Link] + int(sign); n < 0 {
 			return fmt.Errorf("network: edge %d down-count would go negative: restore without matching apply", f.Link)
 		} else if n == 0 {

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -125,6 +126,35 @@ func TestFaultNodeDownPinsExactZero(t *testing.T) {
 	}
 	if got := l.InstanceResidual(2, 2); got != instBefore {
 		t.Fatalf("post-restore instance residual = %v, want exactly %v", got, instBefore)
+	}
+}
+
+// TestNodeDownLeavesDegradedLinkBitExact: a node-down pins its incident
+// links and moves no capacity amount, so a degraded link incident to the
+// node reads the same bits before the node-down and after its restore.
+func TestNodeDownLeavesDegradedLinkBitExact(t *testing.T) {
+	g := graph.New(2)
+	g.MustAddEdge(0, 1, 1, 1)
+	l := NewLedger(New(g, Catalog{N: 1}))
+	if err := l.ApplyFault(Fault{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	before := math.Float64bits(l.EdgeResidual(0))
+	down := Fault{Kind: FaultNodeDown, Node: 1}
+	if err := l.ApplyFault(down); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.EdgeResidual(0); got != 0 {
+		t.Fatalf("residual under the node-down = %v, want exactly 0", got)
+	}
+	if err := l.RestoreFault(down); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.EdgeResidual(0); math.Float64bits(got) != before {
+		t.Fatalf("degraded link reads %v after the node-down's restore, %v before it", got, math.Float64frombits(before))
+	}
+	if got := l.EdgeResiduals(nil)[0]; math.Float64bits(got) != before {
+		t.Fatalf("degraded link's row reads %v after the restore, %v before it", got, math.Float64frombits(before))
 	}
 }
 

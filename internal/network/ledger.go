@@ -117,23 +117,18 @@ func (l *Ledger) EdgeResidual(e graph.EdgeID) float64 {
 func (l *Ledger) EdgeUsed(e graph.EdgeID) float64 { return l.edgeUsed[e] }
 
 // InstanceResidual reports the remaining processing capacity of the
-// instance of vnf on node, net of any capacity active faults have
-// quarantined. Missing instances have zero residual; the dummy VNF is
-// infinite (node faults black-hole its links instead).
+// instance of vnf on node: exactly zero while the node is down. Missing
+// instances have zero residual; the dummy VNF is infinite.
 func (l *Ledger) InstanceResidual(node graph.NodeID, vnf VNFID) float64 {
 	i, ok := l.net.deployed(node, vnf)
 	if !ok {
 		return 0
 	}
-	r := l.net.capacity[i] - l.InstanceUsed(node, vnf)
-	if q := l.fam.table.Load(); q != nil {
-		r -= q.inst[instKey{node, vnf}]
-		if q.node[node] > 0 {
-			// Hosting node is hard-down: pin to exactly zero.
-			return 0
-		}
+	if q := l.fam.table.Load(); q != nil && q.node[node] > 0 {
+		// Hosting node is hard-down: pin to exactly zero.
+		return 0
 	}
-	return r
+	return l.net.capacity[i] - l.InstanceUsed(node, vnf)
 }
 
 // InstanceUsed reports the committed capacity of the instance of vnf on
@@ -255,8 +250,8 @@ func (l *Ledger) EdgeResiduals(dst []float64) []float64 {
 // where nothing is deployed and +Inf along the dummy's row — growing dst
 // only if it lacks capacity, and returns it. One call replaces a hashed
 // lookup per query, which is what lets a search read availability as a
-// plain index. The float operations replay InstanceResidual's order: usage
-// subtracted from capacity, quarantine subtracted, node-down pins last.
+// plain index. The float operations replay InstanceResidual's: usage
+// subtracted from capacity, node-down pins last.
 func (l *Ledger) InstanceResiduals(dst []float64) []float64 {
 	capacity, nodes := l.net.capacity, l.net.nodes
 	if cap(dst) < len(capacity) {
@@ -269,11 +264,6 @@ func (l *Ledger) InstanceResiduals(dst []float64) []float64 {
 		dst[i] = c - dst[i]
 	}
 	if q := l.fam.table.Load(); q != nil {
-		for k, amt := range q.inst {
-			if i, ok := l.net.deployed(k.node, k.vnf); ok {
-				dst[i] -= amt
-			}
-		}
 		for v := range q.node {
 			if v >= 0 && int(v) < nodes {
 				for i := int(v); i < len(dst); i += nodes {

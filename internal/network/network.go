@@ -59,11 +59,6 @@ type Instance struct {
 	Capacity float64
 }
 
-type instKey struct {
-	node graph.NodeID
-	vnf  VNFID
-}
-
 // Network is the target network: the priced graph plus the VNF deployment.
 //
 // The deployment is stored the way the search reads it: one row per

@@ -105,7 +105,7 @@ func (s *Server) walSnapshotLocked() {
 	s.walAppends.Store(0)
 }
 
-// recoveredState is what recovery defers until the pipeline is running:
+// recoveredState is what recovery defers until the server is running:
 // TTLs to re-arm, flows whose TTL fired while the server was down
 // (released through the normal expiry path, so the release is itself
 // logged), and flows that were waiting for the restore controller at the
@@ -118,7 +118,7 @@ type recoveredState struct {
 
 // recover rebuilds the server's state from what wal.Open found on disk:
 // import the snapshot, replay the tail through the same Apply live traffic
-// uses, and snapshot the result. It runs before the pipeline starts, so no
+// uses, and snapshot the result. It runs before the server starts, so no
 // locking is needed. Any inconsistency — a replayed placement that no
 // longer fits, a record whose precondition does not hold — is
 // unrecoverable: the caller must refuse to start rather than serve from a
@@ -154,7 +154,7 @@ func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
 	s.walSnapshotLocked()
 
 	// Classify the recovered flows, in ID order for determinism:
-	// expired-while-down flows are released after the pipeline starts
+	// expired-while-down flows are released after the server starts
 	// (never resurrected past their deadline); whatever a flow lacks — the
 	// primary of a stranded flow, the backup of a protected flow the kill
 	// caught between failover and re-protect — goes back to the restore
@@ -177,7 +177,7 @@ func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
 	return out, nil
 }
 
-// finishRecovery runs after the pipeline is up: reschedule live TTLs,
+// finishRecovery runs after the server is up: reschedule live TTLs,
 // release flows that expired while the server was down (through the
 // ordinary expiry path, so the release is journaled AND logged — they are
 // gone durably, not resurrected), and hand pending restores back to the
@@ -192,17 +192,17 @@ func (s *Server) finishRecovery(rec *recoveredState) {
 	s.enqueueRepairs(rec.restores)
 }
 
-// Crash simulates a SIGKILL for the durability tests: it
-// stops the pipeline WITHOUT the final snapshot, the WAL flush or the
-// fsync a graceful Drain performs — whatever sat in the WAL's user-space
-// buffer is lost, exactly like bytes a killed process never wrote. Under
-// the per-commit sync policy every acknowledged mutation was already on
-// stable storage, so a subsequent New over the same WAL dir recovers it
-// all. Queued-but-unacknowledged requests are allowed to settle first so
-// no goroutines leak into the next test.
+// Crash simulates a SIGKILL for the durability tests: it stops the server
+// WITHOUT the final snapshot, the WAL flush or the fsync a graceful Drain
+// performs — whatever sat in the WAL's user-space buffer is lost, exactly
+// like bytes a killed process never wrote. Under the per-commit sync
+// policy every acknowledged mutation was already on stable storage, so a
+// subsequent New over the same WAL dir recovers it all. In-flight requests
+// are allowed to answer first so no goroutines leak into the next test.
 func (s *Server) Crash() {
 	s.drainMu.Lock()
 	s.draining = true
 	s.drainMu.Unlock()
+	s.inflight.Wait()
 	s.stop((*wal.Log).Abandon)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 	"dagsfc/internal/network"
 )
 
-// White-box admission tests: they watch the unexported queue to hold the
-// pipeline at a known point, so they live inside the package (the typed
+// White-box admission tests: they watch the count of waiting requests to
+// hold the server at a known point, so they live inside the package (the typed
 // client cannot be imported here — it would close an import cycle).
 
 func overflowNet() *network.Network {
@@ -46,20 +47,14 @@ func TestServerQueueOverflow(t *testing.T) {
 	ctx := context.Background()
 	req := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "block"}
 
-	// First submit occupies the single worker; wait until it is inside
-	// the embedder so the admission queue is empty again.
+	// First submit holds the single slot; wait until it is inside the
+	// embedder.
 	results := make(chan error, 2)
 	go func() { _, err := srv.Submit(ctx, req); results <- err }()
 	<-entered
-	// Second submit fills the depth-1 queue (the worker is busy).
+	// Second submit waits for the slot: the depth-1 queue is full.
 	go func() { _, err := srv.Submit(ctx, req); results <- err }()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.admit) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("second submit never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, func() bool { return srv.waiting.Load() == 1 })
 
 	// Third submit must bounce with ErrQueueFull without blocking.
 	if _, err := srv.Submit(ctx, req); !errors.Is(err, ErrQueueFull) {
@@ -189,7 +184,7 @@ func waitCond(t *testing.T, cond func() bool) {
 // TestServerProbeSurvivesAdmissionRejection reproduces the probe-wedge
 // scenario end to end: the breaker goes half-open while the admission
 // queue is full, so its probe request bounces with ErrQueueFull without
-// the pipeline ever judging it. The slot must come back — subsequent
+// an embed ever judging it. The slot must come back — subsequent
 // requests keep getting ErrQueueFull (not ErrOverloaded), and once the
 // queue drains a fresh probe closes the breaker.
 func TestServerProbeSurvivesAdmissionRejection(t *testing.T) {
@@ -219,12 +214,12 @@ func TestServerProbeSurvivesAdmissionRejection(t *testing.T) {
 	blockReq := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "block"}
 	req := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1}
 
-	// Occupy the single worker and fill the depth-1 queue.
+	// Hold the single slot and fill the depth-1 queue.
 	results := make(chan error, 2)
 	go func() { _, err := srv.Submit(ctx, blockReq); results <- err }()
 	<-entered
 	go func() { _, err := srv.Submit(ctx, blockReq); results <- err }()
-	waitCond(t, func() bool { return len(srv.admit) == 1 })
+	waitCond(t, func() bool { return srv.waiting.Load() == 1 })
 
 	// Trip the breaker and let the cooldown pass: the next admit is the
 	// half-open probe — and it bounces on the full queue.
@@ -256,12 +251,12 @@ func TestServerProbeSurvivesAdmissionRejection(t *testing.T) {
 	}
 }
 
-// TestRepairNotChargedForAdmissionRejections pins the repair-accounting
-// fix: queue-full rejections of a repair's re-embed must not count
-// against RepairRetries — a stranded flow waits out the congestion in
-// state repairing and is repaired once admission opens up, instead of
-// being evicted with a bogus "unrepairable" tombstone.
-func TestRepairNotChargedForAdmissionRejections(t *testing.T) {
+// TestRepairWaitsForASlot: a server too busy to embed delays a repair but
+// never charges it. With the one slot held and a request waiting, a
+// stranded flow's repair attempt waits for the slot however long the jam
+// lasts — far past the default backoff schedule's eight steps — and stays
+// repairing; once the slot frees, one embed repairs it.
+func TestRepairWaitsForASlot(t *testing.T) {
 	// Two disjoint paths 0→3 with an f(1) instance on each middle node;
 	// node 1 is cheaper, so the flow lands there and a node-1 fault
 	// forces a repair through node 2.
@@ -283,14 +278,16 @@ func TestRepairNotChargedForAdmissionRejections(t *testing.T) {
 	}
 	srv, err := New(Config{
 		Net: net, Workers: 1, QueueDepth: 1,
-		RepairRetries: 2, RepairAdmitRetries: 1000,
-		RepairBackoff: time.Millisecond, RepairBackoffCap: 2 * time.Millisecond,
 		Embedders: map[string]Embedder{"block": block},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// The gate opens before Close drains, whichever way the test ends.
+	var once sync.Once
+	openGate := func() { once.Do(func() { close(gate) }) }
+	defer openGate()
 	ctx := context.Background()
 
 	info, err := srv.Submit(ctx, FlowRequest{SFC: "1", Src: 0, Dst: 3, Rate: 1, Size: 1})
@@ -298,53 +295,51 @@ func TestRepairNotChargedForAdmissionRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Jam the pipeline: one blocked embed in the worker, one queued.
+	// Jam the server: one blocked embed holds the slot, one request waits.
 	blockReq := FlowRequest{SFC: "1", Src: 0, Dst: 3, Rate: 1, Size: 1, Alg: "block"}
 	results := make(chan error, 2)
 	go func() { _, err := srv.Submit(ctx, blockReq); results <- err }()
 	<-entered
 	go func() { _, err := srv.Submit(ctx, blockReq); results <- err }()
-	waitCond(t, func() bool { return len(srv.admit) == 1 })
+	waitCond(t, func() bool { return srv.waiting.Load() == 1 })
 
-	// Strand the flow. Every repair attempt now bounces on the full
-	// queue; with RepairRetries=2, the pre-fix accounting would evict it
-	// within ~2 backoff periods.
 	if _, err := srv.ApplyFault(network.Fault{Kind: network.FaultNodeDown, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(15 * time.Millisecond)
-	got, ok := srv.Flow(info.ID)
-	if !ok || got.State != FlowStateRepairing {
-		t.Fatalf("flow during congestion = %+v, want state repairing (not evicted)", got)
+	// The default backoff (25 ms doubling to 1 s, plus up to half again of
+	// jitter) spends eight steps within 5.4 s.
+	time.Sleep(6 * time.Second)
+	if got, ok := srv.Flow(info.ID); !ok || got.State != FlowStateRepairing {
+		t.Fatalf("flow during the jam = %+v, want state repairing (not evicted)", got)
 	}
 
-	// Open the pipeline; the repair must reach a real re-embed and win.
-	close(gate)
+	openGate()
 	for i := 0; i < 2; i++ {
-		<-results // outcome irrelevant: they only existed to jam the queue
+		<-results // outcome irrelevant: they only existed to jam the server
 	}
-	// The flow turns active in the commit loop, which journals the repair's
-	// commit. Every attempt the pipeline judged ran an embed, so the embeds
-	// after the strand count them: 1-2, however many the queue bounced.
 	waitCond(t, func() bool {
 		got, ok := srv.Flow(info.ID)
-		return ok && got.State == FlowStateActive && got.Repairs >= 1
+		return ok && got.State == FlowStateActive && got.Repairs == 1
 	})
-	var judged, tries int
-	repaired, stranded := false, false
+	var embeds, tries, refused int
+	stranded, repaired := false, false
 	for _, ev := range srv.journal.Flow(info.ID, 0) {
 		switch {
 		case ev.Type == journal.Type(flowstate.Strand.String()):
 			stranded = true
-		case ev.Type == journal.TypeEmbedDone && stranded:
-			judged++
+		case !stranded:
+		case ev.Type == journal.TypeEmbedDone:
+			embeds++
 		case ev.Type == journal.TypeRepairAttempt:
 			tries++
+		case ev.Type == journal.TypeRejected:
+			refused++
 		case ev.Type == journal.Type(flowstate.Commit.String()) && ev.Detail == "repair":
 			repaired = true
 		}
 	}
-	if !repaired || judged < 1 || judged > 2 || tries <= judged {
-		t.Fatalf("repaired %v after %d judged attempts of %d, want a repair commit after 1-2 judged of more", repaired, judged, tries)
+	if !repaired || embeds != 1 || tries != 1 || refused != 0 {
+		t.Fatalf("repaired %v after %d embeds, %d attempts, %d refusals; want a repair commit after exactly one of each and none refused",
+			repaired, embeds, tries, refused)
 	}
 }

@@ -45,14 +45,14 @@ func backupBans(net *network.Network, primary *core.Solution, src, dst graph.Nod
 var errUnprotectable = fmt.Errorf("endpoints are not 2-edge-connected: %w", core.ErrNoEmbedding)
 
 // embedBackup searches for a backup embedding disjoint from primary. The
-// worker's problem must be bound to a ledger that already carries the
+// slot's problem must be bound to a ledger that already carries the
 // primary's reservations, so the backup's capacity is over and above the
 // primary's. Before anything is searched the endpoints are tested for
 // 2-edge-connectivity over the links the pair could use — those that still
 // carry the rate, and the primary's own — and errUnprotectable answers when
 // they are not. Node-disjoint is tried first; if the substrate cannot
 // afford it the search retries with only the links banned. The ban sets are
-// the worker's, refilled per job, and ride a per-request copy of the job's
+// the slot's, refilled per job, and ride a per-request copy of the job's
 // algorithm options (core.Options is a value); nothing holds them once the
 // search returns, and a banned search keeps its view and trees to itself,
 // so the shared cache never sees them.

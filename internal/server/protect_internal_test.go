@@ -128,8 +128,8 @@ func TestApplyFaultRevalidationDoesNotHoldLock(t *testing.T) {
 		t.Fatal("ApplyFault never reached the revalidation phase")
 	}
 
-	// With the scan parked, a read and a full admission round-trip (which
-	// needs the commit loop, and thus s.mu) must both complete.
+	// With the scan parked, a read and a full admission round-trip (whose
+	// commit needs s.mu) must both complete.
 	reads := make(chan int, 1)
 	go func() { reads <- len(srv.Flows()) }()
 	select {

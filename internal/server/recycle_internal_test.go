@@ -34,11 +34,11 @@ func scribble(l *network.Ledger) {
 	})
 }
 
-// TestWorkerLedgerRecycledNotRetained is the proof a worker may overwrite
-// its ledger snapshot for the next job: two workers serve a closed loop of
-// protected admissions (the one path that also writes to the snapshot — the
-// primary is reserved on it before the backup search), and after every job
-// the test scribbles over the ledger the worker just used. If a committed
+// TestWorkerLedgerRecycledNotRetained is the proof an embed slot may
+// overwrite its ledger snapshot for the next job: two slots serve a closed
+// loop of protected admissions (the one path that also writes to the
+// snapshot — the primary is reserved on it before the backup search), and
+// whenever a slot is given back the test scribbles over its ledger. If a committed
 // solution, a transition's problem or a shared cost view still read that
 // ledger, later admissions would see a dead network and the run would part
 // from the unscribbled control run; under -race the scribbling would also
@@ -65,8 +65,8 @@ func TestWorkerLedgerRecycledNotRetained(t *testing.T) {
 		defer srv.Close()
 		var scribbled atomic.Int64
 		if poison {
-			// Set before the first job is sent; the workers read it after
-			// receiving one.
+			// Set before the first request; a slot runs it whenever it is
+			// given back.
 			srv.recycleHook = func(l *network.Ledger) {
 				scribble(l)
 				scribbled.Add(1)
@@ -122,7 +122,7 @@ func TestWorkerLedgerRecycledNotRetained(t *testing.T) {
 		if !slices.Equal(stateResiduals(srv.NetworkState()), stateResiduals(seed)) {
 			t.Fatalf("poison=%v: the ledger did not drain to seed", poison)
 		}
-		if err := srv.Close(); err != nil { // the workers have run their last hook
+		if err := srv.Close(); err != nil { // every slot has run its last hook
 			t.Fatal(err)
 		}
 		if n := scribbled.Load(); poison && n < int64(admissions) {
@@ -145,8 +145,8 @@ func TestWorkerLedgerRecycledNotRetained(t *testing.T) {
 	}
 }
 
-// deadlineServer is a one-worker server whose "block" algorithm parks on
-// gate, with the breaker half-open so the next Submit holds its probe slot.
+// deadlineServer is a one-slot server whose "block" algorithm parks on
+// gate, with the breaker armed.
 func deadlineServer(t *testing.T, timeout time.Duration) (srv *Server, entered chan struct{}, gate chan struct{}) {
 	t.Helper()
 	entered, gate = make(chan struct{}, 1), make(chan struct{})
@@ -162,17 +162,21 @@ func deadlineServer(t *testing.T, timeout time.Duration) (srv *Server, entered c
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.brk.record(false, false, time.Now()) // trips
-	time.Sleep(5 * time.Millisecond)         // cooldown over: half-open
 	return srv, entered, gate
+}
+
+// halfOpen trips srv's breaker and lets the cooldown pass, so the next
+// Submit holds its probe slot.
+func halfOpen(srv *Server) {
+	srv.brk.record(false, false, time.Now())
+	time.Sleep(5 * time.Millisecond)
 }
 
 // checkGivenUp asserts what a request abandoned at its deadline must leave
 // behind: ErrTimeout to the caller, a rejected event saying so on the
-// flow's timeline, the breaker's probe slot free again, and — once the
-// embedder is let go and the pipeline has discarded its result — the ledger
-// at seed.
-func checkGivenUp(t *testing.T, srv *Server, gate chan struct{}, seed NetworkState, err error) {
+// flow's timeline, the breaker's probe slot free again, and — once every
+// request has answered — the ledger at seed.
+func checkGivenUp(t *testing.T, srv *Server, seed NetworkState, err error) {
 	t.Helper()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
@@ -194,7 +198,6 @@ func checkGivenUp(t *testing.T, srv *Server, gate chan struct{}, seed NetworkSta
 	if probing {
 		t.Fatal("timed-out probe kept the breaker's half-open slot")
 	}
-	close(gate)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,76 +207,85 @@ func checkGivenUp(t *testing.T, srv *Server, gate chan struct{}, seed NetworkSta
 	}
 }
 
-// TestSubmitDeadline: the deadline is a timer and a value now, and still
-// bites exactly where the context tree did.
+// TestSubmitDeadline: a request past its deadline answers ErrTimeout and
+// commits nothing — at the deadline while it waits for a slot, when the
+// embedder returns while it is inside one that cannot be interrupted.
 func TestSubmitDeadline(t *testing.T) {
 	blockReq := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "block"}
 
 	t.Run("embedder outlasts RequestTimeout", func(t *testing.T) {
 		srv, entered, gate := deadlineServer(t, 50*time.Millisecond)
 		seed := srv.NetworkState()
+		halfOpen(srv)
+		go func() {
+			<-entered
+			time.Sleep(100 * time.Millisecond)
+			close(gate)
+		}()
 		_, err := srv.Submit(context.Background(), blockReq)
-		<-entered
-		checkGivenUp(t, srv, gate, seed, err)
+		checkGivenUp(t, srv, seed, err)
 	})
 
 	t.Run("caller cancels mid-embed", func(t *testing.T) {
 		srv, entered, gate := deadlineServer(t, time.Minute)
 		seed := srv.NetworkState()
+		halfOpen(srv)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		errc := make(chan error, 1)
-		go func() { _, err := srv.Submit(ctx, blockReq); errc <- err }()
-		<-entered
-		cancel()
-		checkGivenUp(t, srv, gate, seed, <-errc)
+		go func() {
+			<-entered
+			cancel()
+			close(gate)
+		}()
+		_, err := srv.Submit(ctx, blockReq)
+		checkGivenUp(t, srv, seed, err)
 	})
 
-	// The pipeline claims the job a moment before the deadline and replies
-	// a moment after: the waiter wakes on the timer, loses the claim, and
-	// must take the reply — the flow is committed.
-	t.Run("reply lands between wake-up and claim", func(t *testing.T) {
-		j := &job{
-			ctx:  deadline{Context: context.Background(), at: time.Now().Add(10 * time.Millisecond)},
-			done: make(chan struct{}, 1),
+	// mbbe polls its deadline, and so does the wait for a slot: a request
+	// queued behind an embedder that will not return answers at its
+	// deadline, not when the slot frees.
+	t.Run("mbbe request waits for a slot past its deadline", func(t *testing.T) {
+		const timeout = 50 * time.Millisecond
+		srv, entered, gate := deadlineServer(t, timeout)
+		seed := srv.NetworkState()
+		blocked := make(chan error, 1)
+		go func() { _, err := srv.Submit(context.Background(), blockReq); blocked <- err }()
+		<-entered
+		halfOpen(srv) // the blocked request was admitted before the trip
+		begin := time.Now()
+		_, err := srv.Submit(context.Background(), FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1})
+		if took := time.Since(begin); took < timeout || took > 2*time.Second {
+			t.Errorf("answered after %v, want at its %v deadline", took, timeout)
 		}
-		j.finished.Store(true)
-		go func() {
-			time.Sleep(60 * time.Millisecond)
-			j.reply(jobResult{info: FlowInfo{ID: 7}, ticket: 3})
-		}()
-		r, ok := j.await()
-		if !ok || r.info.ID != 7 || r.ticket != 3 {
-			t.Fatalf("await = %+v, %v; want the pipeline's reply", r, ok)
-		}
+		close(gate)
+		<-blocked
+		checkGivenUp(t, srv, seed, err)
 	})
 
 	// A timer that went off unobserved must not wake the next waiter: the
 	// pool hands it on stopped and drained.
 	t.Run("pooled timer carries nothing over", func(t *testing.T) {
+		srv, _, _ := deadlineServer(t, time.Minute)
+		defer srv.Close()
+		w := <-srv.slots // the one slot, held by the test
 		for i := 0; i < 50; i++ {
-			past := &job{
-				ctx:  deadline{Context: context.Background(), at: time.Now().Add(-time.Second)},
-				done: make(chan struct{}, 1),
+			// A free slot and an expired deadline at once: either wake-up
+			// may win.
+			past := &job{ctx: deadline{Context: context.Background(), at: time.Now().Add(-time.Second)}}
+			srv.slots <- w
+			if w = srv.waitSlot(past); w == nil {
+				w = <-srv.slots
 			}
-			past.finished.Store(true)
-			past.reply(jobResult{}) // replied and expired at once: either wake-up may win
-			if _, ok := past.await(); !ok {
-				t.Fatal("a delivered reply was dropped")
-			}
-			next := &job{
-				ctx:  deadline{Context: context.Background(), at: time.Now().Add(time.Minute)},
-				done: make(chan struct{}, 1),
-			}
-			go func() {
+			next := &job{ctx: deadline{Context: context.Background(), at: time.Now().Add(time.Minute)}}
+			go func(w *workerScratch) {
 				time.Sleep(time.Millisecond)
-				next.finished.Store(true)
-				next.reply(jobResult{ticket: 9})
-			}()
-			if r, ok := next.await(); !ok || r.ticket != 9 {
-				t.Fatalf("round %d: await = %+v, %v: woken by a stale timer", i, r, ok)
+				srv.slots <- w
+			}(w)
+			if w = srv.waitSlot(next); w == nil {
+				t.Fatalf("round %d: woken by a stale timer", i)
 			}
 		}
+		srv.slots <- w
 	})
 }
 

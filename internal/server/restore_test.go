@@ -57,17 +57,17 @@ func edgeDown(link graph.EdgeID) network.Fault {
 func TestRestoreControllerTimelines(t *testing.T) {
 	repair := func(fault string, failed bool) []string {
 		if failed {
-			return []string{"repair_attempt(" + fault + ")", "enqueue(repair re-embed)", "dequeue", "embed_done!"}
+			return []string{"repair_attempt(" + fault + ")", "dequeue", "embed_done!"}
 		}
-		return []string{"repair_attempt(" + fault + ")", "enqueue(repair re-embed)", "dequeue", "embed_done", "commit(repair)"}
+		return []string{"repair_attempt(" + fault + ")", "dequeue", "embed_done", "commit(repair)"}
 	}
 	reprotect := func(failed bool) []string {
 		if failed {
 			// The one case that fails has a single route left between the
 			// endpoints: refused unsearched, and the journal says which kind.
-			return []string{"repair_attempt(re-protect)", "enqueue(re-protect backup)", "dequeue", "embed_done(re-protect: unprotectable)!"}
+			return []string{"repair_attempt(re-protect)", "dequeue", "embed_done(re-protect: unprotectable)!"}
 		}
-		return []string{"repair_attempt(re-protect)", "enqueue(re-protect backup)", "dequeue", "embed_done(re-protect)", "backup"}
+		return []string{"repair_attempt(re-protect)", "dequeue", "embed_done(re-protect)", "backup"}
 	}
 	cases := []struct {
 		name      string

@@ -1,17 +1,16 @@
 // Package server is the long-running embedding control plane: it owns one
 // live network.Network plus capacity ledger and turns the repo's batch
-// embedding stack into an online service. Flows arrive over HTTP (or
-// in-process via Submit), pass a bounded admission queue, are embedded
-// speculatively by a pool of workers — each against a private snapshot of
-// the ledger, so searches run concurrently without locking the live state
-// — and are then validated and committed by a single commit loop that
-// serializes all ledger mutations. A commit that fails because a
-// concurrent flow took the capacity (a stale snapshot) re-queues the
-// request for a bounded number of fresh embed attempts. Committed flows
-// live until released over DELETE or until their TTL fires on the expiry
-// wheel (internal/online). Drain stops admission, finishes every
-// in-flight request, then stops the pipeline — the SIGTERM path of
-// cmd/dagsfc-serve.
+// embedding stack into an online service. A flow arriving over HTTP (or
+// in-process via Submit) is served start to finish on the goroutine that
+// asked for it: it takes one of a bounded set of embed slots (waiting in a
+// bounded queue when all are busy), embeds speculatively against the slot's
+// private snapshot of the ledger — so searches run concurrently without
+// locking the live state — and commits under the one mutex that serializes
+// every ledger mutation. A commit that fails because a concurrent flow took
+// the capacity (a stale snapshot) re-embeds once on the same slot.
+// Committed flows live until released over DELETE or until their TTL
+// fires on the expiry wheel. Drain stops admission and waits for every
+// in-flight request — the SIGTERM path of cmd/dagsfc-serve.
 package server
 
 import (
@@ -49,26 +48,23 @@ type Config struct {
 	Net *network.Network
 	// Seed seeds the randomized algorithm, ranv (default 1).
 	Seed int64
-	// Workers is the number of concurrent speculative embed workers
-	// (default GOMAXPROCS).
+	// Workers is the number of embed slots: how many speculative embeds
+	// run at once, requests and repairs together (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue; a request arriving when the
-	// queue is full is rejected with ErrQueueFull (default 64).
+	// QueueDepth bounds the requests waiting for an embed slot; a request
+	// arriving when that many wait is rejected with ErrQueueFull (default
+	// 64).
 	QueueDepth int
-	// RequestTimeout bounds each request's end-to-end time in the
-	// pipeline; past it the caller gets ErrTimeout and the request's
-	// result, if any, is discarded uncommitted (default 30s).
+	// RequestTimeout bounds each request's end-to-end time; past it the
+	// caller gets ErrTimeout and the request's result, if any, is discarded
+	// uncommitted (default 30s). A request waiting for a slot, or inside
+	// mbbe or bbe, answers at the deadline; one inside any other embedder
+	// answers when that embedder returns.
 	RequestTimeout time.Duration
 	// RepairRetries is how many re-embed attempts a fault-stranded flow
-	// gets before it is evicted (default 3). Only attempts the pipeline
-	// actually judged count; see RepairAdmitRetries.
+	// gets before it is evicted (default 3). An attempt waits for an embed
+	// slot as long as it takes, so every attempt counted ran an embed.
 	RepairRetries int
-	// RepairAdmitRetries caps how many admission-level rejections (queue
-	// full, request timeout) one repair absorbs — retried after backoff
-	// without charging RepairRetries, since they reflect server load, not
-	// the flow's embeddability (default 8; negative disables the grace
-	// and charges nothing extra).
-	RepairAdmitRetries int
 	// RepairBackoff is the base delay before a repair's second and later
 	// attempts; it doubles per attempt up to RepairBackoffCap, plus a
 	// deterministic seeded jitter of up to half the delay (defaults 25ms
@@ -95,7 +91,10 @@ type Config struct {
 	Logger *slog.Logger
 	// Embedders adds or overrides named algorithms on top of the built-in
 	// registry (mbbe, bbe, minv, ranv). An override of mbbe or bbe loses
-	// what only core's tree searches have: see algorithm.
+	// what only core's tree searches have: see algorithm. An embedder runs
+	// on the request's goroutine and is never interrupted: a request whose
+	// deadline passes inside one answers ErrTimeout, uncommitted, when the
+	// embedder returns.
 	Embedders map[string]Embedder
 	// WALDir enables durable flow state: every lifecycle mutation is
 	// appended to a write-ahead log in this directory and the full state
@@ -129,22 +128,22 @@ type Server struct {
 	// mu guards state, the flow state machine (internal/flowstate): the
 	// live capacity ledger, the one record per known flow, the active
 	// faults. Every mutation is a flowstate.Transition applied under mu by
-	// transitLocked — the commit loop, the release paths, the fault
-	// endpoints and the restore controller all go through it — and read
-	// endpoints take mu to look; embed workers only hold it long enough to
-	// copy the ledger's dense rows into the snapshot they keep.
+	// transitLocked — commits, the release paths, the fault endpoints and
+	// the restore controller all go through it — and read endpoints take mu
+	// to look; an embed only holds it long enough to copy the ledger's dense
+	// rows into its slot's snapshot.
 	mu    sync.Mutex
 	state *flowstate.State
-	wheel *ExpiryWheel[int64]
+	wheel *expiryWheel
 	// revalHook, when set (tests only), runs once per candidate flow
 	// during ApplyFault's unlocked revalidation phase — the contention
 	// regression test parks it to prove a large fault scan no longer
 	// stalls admissions or reads.
 	revalHook func(id int64)
-	// recycleHook, when set (tests only), runs on each worker after every
-	// job with the ledger snapshot the worker will overwrite for the next —
-	// the recycling test scribbles over it to prove nothing the job left
-	// behind still reads it.
+	// recycleHook, when set (tests only), runs whenever a slot is given
+	// back, with the ledger snapshot its next holder will overwrite — the
+	// recycling test scribbles over it to prove nothing the job left behind
+	// still reads it.
 	recycleHook func(*network.Ledger)
 
 	// Durability (internal/server/durable.go). wal is nil when disabled;
@@ -183,25 +182,26 @@ type Server struct {
 
 	brk breaker
 
-	// drainMu serializes admission against the start of a drain: Submit
-	// holds it shared while enqueueing, Drain holds it exclusively while
-	// flipping draining, so no enqueue can race past the flag onto a
-	// closing queue.
+	// drainMu serializes admission against the start of a drain: Submit and
+	// the restore controller hold it shared while entering, Drain holds it
+	// exclusively while flipping draining, so nothing enters after Drain
+	// began to wait.
 	drainMu  sync.RWMutex
 	draining bool
 
-	admit    chan *job
-	commit   chan *job
-	inflight sync.WaitGroup // admitted jobs not yet terminally handled
-	workerWG sync.WaitGroup
-	commitWG sync.WaitGroup
+	// slots are the Workers embed slots. A request or a restore attempt
+	// holds one from its first embed to its commit, so at most Workers
+	// embeds run at once, and each reuses its slot's snapshot and ban sets.
+	slots chan *workerScratch
+	// waiting counts the admitted requests that hold no slot yet; it is
+	// what QueueDepth bounds.
+	waiting  atomic.Int64
+	inflight sync.WaitGroup // admitted requests and restore attempts not yet answered
 	stopOnce sync.Once
 }
 
-// job is one flow request traveling the admission pipeline. finished is
-// the decision point: whoever flips it false→true owns the outcome — the
-// submitter on timeout (the pipeline then discards the job without
-// committing), or the pipeline on reply (sent on done, buffered 1).
+// job is one flow request or restore attempt, owned by the goroutine that
+// serves it.
 type job struct {
 	// ctx is the job's context, by value: what the searches poll.
 	ctx deadline
@@ -209,33 +209,23 @@ type job struct {
 	prepared
 	retries int
 	res     *core.Result
-	// cost is the price and the resource usage of res.Solution, settled by
-	// the worker off the lock; the commit loop only compares the usage with
-	// the live ledger and reserves it.
-	cost     core.CostBreakdown
-	finished atomic.Bool
-	// out is the pipeline's reply, written before the one send on done
-	// (buffered 1) that announces it.
-	out  jobResult
-	done chan struct{}
-	// Stage timestamps for the journal and the per-stage histograms:
-	// enqueuedAt→dequeue is queue wait, embedDone→commit decision is
-	// commit wait. queued is held across a send into the admission queue
-	// and the journaling of it.
-	queued     sync.Mutex
-	enqueuedAt time.Time
-	embedDone  time.Time
+	// cost is the price and the resource usage of res.Solution, settled off
+	// the lock; the commit only compares the usage with the live ledger and
+	// reserves it.
+	cost core.CostBreakdown
+	// embedDone starts the commit wait the commit reports.
+	embedDone time.Time
 	// repair marks a job issued by the restore controller for a flow that
-	// already has an identity: the worker reads off the flow's record
-	// which search it needs, and the commit re-registers the flow under
-	// its original ID or arms its backup. need is what the controller
-	// found the flow lacking when it issued the job.
+	// already has an identity: speculate reads off the flow's record which
+	// search it needs, and the commit re-registers the flow under its
+	// original ID or arms its backup. need is what the controller found the
+	// flow lacking when it issued the job.
 	repair *repairTask
 	need   flowstate.Need
 	// backup is the disjoint second embedding of a protected admission
-	// (req.Protection == ProtectionBackup), produced by the worker on the
-	// same snapshot as the primary with the primary's capacity already
-	// reserved; the commit loop reserves both or neither.
+	// (req.Protection == ProtectionBackup), searched on the same snapshot as
+	// the primary with the primary's capacity already reserved; the commit
+	// reserves both or neither.
 	backup *core.Result
 	// against marks a restore job that embeds only a backup (res is then
 	// that backup): it is the live primary the ban sets were derived from,
@@ -252,7 +242,7 @@ type job struct {
 // parent's and does not close at the deadline — nothing may block on it, so
 // only core's tree searches are ever handed one: foreign wraps every other
 // embedder so that it never sees it. The waiting side of the deadline is
-// job.await's timer.
+// the timer waitSlot takes from timers.
 type deadline struct {
 	context.Context
 	at time.Time
@@ -275,65 +265,17 @@ func (d *deadline) Err() error {
 	return nil
 }
 
-// timers recycles the one timer each waiting submitter needs. A timer in
-// the pool is stopped and its channel empty.
-var timers sync.Pool
-
-// await blocks until the pipeline has replied to j, or gives j up: once the
-// job's deadline passes or its submitter's context is cancelled, await
-// tries to claim the job, and if the pipeline has not claimed it first it
-// reports ok false — the pipeline will discard the job uncommitted when it
-// next looks at it. A reply that lands between the wake-up and the claim
-// is still delivered: the pipeline owned the outcome, and the flow may be
-// committed.
-func (j *job) await() (r jobResult, ok bool) {
-	wait := time.Until(j.ctx.at)
-	t, _ := timers.Get().(*time.Timer)
-	if t == nil {
-		t = time.NewTimer(wait)
-	} else {
-		t.Reset(wait)
-	}
-	fired := false
-	select {
-	case <-j.done:
-		ok = true
-	case <-j.ctx.Done():
-	case <-t.C:
-		fired = true
-	}
-	// Stop reports false for a timer that already went off; its value is
-	// then in the channel, or about to be, unless this select took it.
-	if !t.Stop() && !fired {
-		<-t.C
-	}
-	timers.Put(t)
-	if !ok {
-		if j.finished.CompareAndSwap(false, true) {
-			return jobResult{}, false
-		}
-		<-j.done
-	}
-	return j.out, true
-}
-
-// reply hands the pipeline's outcome to whoever awaits j; the caller has
-// claimed j.finished.
-func (j *job) reply(r jobResult) {
-	j.out = r
-	j.done <- struct{}{}
-}
-
-// jobResult is a pipeline outcome. ticket is the WAL record that makes an
-// accepted outcome durable; the receiver waits on it before acknowledging.
+// jobResult is a job's outcome. ticket is the WAL record that makes an
+// accepted outcome durable; the caller waits on it before acknowledging.
 type jobResult struct {
 	info   FlowInfo
 	err    error
 	ticket uint64
 }
 
-// New validates the configuration and starts the pipeline: the embed
-// workers, the commit loop and the expiry wheel.
+// New validates the configuration, fills the embed slots and starts the
+// two goroutines a server runs beside its callers': the restore controller
+// and the expiry wheel.
 func New(cfg Config) (*Server, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("server: Config.Net is required")
@@ -352,11 +294,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RepairRetries <= 0 {
 		cfg.RepairRetries = 3
-	}
-	if cfg.RepairAdmitRetries < 0 {
-		cfg.RepairAdmitRetries = 0
-	} else if cfg.RepairAdmitRetries == 0 {
-		cfg.RepairAdmitRetries = 8
 	}
 	if cfg.RepairBackoff <= 0 {
 		cfg.RepairBackoff = 25 * time.Millisecond
@@ -382,8 +319,7 @@ func New(cfg Config) (*Server, error) {
 		algs:       builtinAlgorithms(cfg.Seed),
 		rules:      sfc.StockRules(),
 		state:      flowstate.New(cfg.Net),
-		admit:      make(chan *job, cfg.QueueDepth),
-		commit:     make(chan *job, cfg.QueueDepth+cfg.Workers),
+		slots:      make(chan *workerScratch, cfg.Workers),
 		repairKick: make(chan struct{}, 1),
 		repairStop: make(chan struct{}),
 		journal:    journal.New(cfg.JournalSize, cfg.Logger),
@@ -422,20 +358,17 @@ func New(cfg Config) (*Server, error) {
 		}
 		telemetry.InitWALMetrics()
 	}
-	s.wheel = NewExpiryWheel[int64](func(id int64) { _, _ = s.release(id, flowstate.Expire) })
 	for i := 0; i < cfg.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
+		s.slots <- &workerScratch{banEdges: map[graph.EdgeID]bool{}, banNodes: map[graph.NodeID]bool{}}
 	}
-	s.commitWG.Add(1)
-	go s.commitLoop()
+	s.wheel = newExpiryWheel(func(id int64) { _, _ = s.release(id, flowstate.Expire) })
 	s.repairWG.Add(1)
 	go s.repairLoop()
 	if recovered != nil {
 		s.finishRecovery(recovered)
 	}
 	// The initial publish: the queue-depth gauge is listed, never reset —
-	// only the queue moves it — and the flow-state gauges read the
+	// only waiting requests move it — and the flow-state gauges read the
 	// recovered state, as transitLocked keeps them from here on.
 	telemetry.AddServerQueueDepth(0)
 	s.mu.Lock()
@@ -450,17 +383,17 @@ const (
 	// defaultAlgorithm embeds a request that names no alg.
 	defaultAlgorithm = "mbbe"
 	// commitRetries is how many times a flow whose commit conflicted is
-	// re-queued for a fresh embed before ErrCommitConflict.
+	// re-embedded, on the slot it holds, before ErrCommitConflict.
 	commitRetries = 1
 )
 
 // algorithm is one entry of the server's registry. embed runs it on a
-// worker's problem under the job's deadline. opts is non-nil exactly for
+// slot's problem under the job's deadline. opts is non-nil exactly for
 // core's tree searches (mbbe, bbe), and everything only they offer reads
-// it: they validate and price what they return, so the worker need not;
+// it: they validate and price what they return, so speculate need not;
 // they take ban sets, so they alone may compute a backup and admit a
 // protected flow; and they poll the deadline, so a timed-out request stops
-// searching instead of burning a worker.
+// searching and answers instead of holding its slot.
 type algorithm struct {
 	embed func(context.Context, *core.Problem) (*core.Result, error)
 	opts  *core.Options
@@ -486,7 +419,7 @@ func foreign(e Embedder) *algorithm {
 // rate the same set of links can still carry share one compiled cost view
 // and the capacity-filtered Dijkstra trees searched on it, whatever was
 // committed in between. Views are keyed by their content, so the cache
-// needs no invalidation hooks from the commit loop or the fault endpoints.
+// needs no invalidation hooks from commits or the fault endpoints.
 // ranv draws from one seeded rng behind a lock, so its embeds serialize —
 // acceptable for a baseline. Slower reference heuristics (internal/anneal)
 // are not admission algorithms; Config.Embedders registers one where it is
@@ -511,8 +444,8 @@ func builtinAlgorithms(seed int64) map[string]*algorithm {
 
 // prepared is a wire request validated and resolved: all a job keeps of
 // it. problem is the instance the request describes, without a ledger —
-// the worker binds a copy to its snapshot, and the commit hands this one
-// to the flow state.
+// speculate binds a copy to its slot's snapshot, and the commit hands this
+// one to the flow state.
 type prepared struct {
 	problem *core.Problem
 	alg     string
@@ -596,10 +529,12 @@ func (s *Server) prepare(req FlowRequest) (prepared, error) {
 	return pr, nil
 }
 
-// Submit runs one flow request through the pipeline: admission, a
-// speculative embed on a ledger snapshot, and a serialized commit. It
-// blocks until the flow is committed, rejected, or the per-request
-// timeout (the tighter of ctx and Config.RequestTimeout) expires.
+// Submit serves one flow request on the caller's goroutine: admission, a
+// speculative embed on a ledger snapshot, and a serialized commit (serve).
+// It returns once the flow is committed or rejected, or once the
+// per-request deadline (the tighter of ctx and Config.RequestTimeout) has
+// passed — at the deadline while the request waits for a slot or searches
+// with mbbe or bbe, when the embedder returns inside any other.
 func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) {
 	begin := time.Now()
 	pr, err := s.prepare(req)
@@ -608,9 +543,9 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 		return FlowInfo{}, err
 	}
 	// probe marks this request as the breaker's single half-open probe.
-	// Every exit below that ends the request before the pipeline judges
-	// it must give the slot back with abortProbe, or the breaker would
-	// stay half-open with the slot taken forever, shedding everything.
+	// Every exit below that ends the request before an embed decision must
+	// give the slot back with abortProbe, or the breaker would stay
+	// half-open with the slot taken forever, shedding everything.
 	now := time.Now()
 	probe, err := s.brk.allow(now)
 	if err != nil {
@@ -623,23 +558,16 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	j := &job{
 		ctx: deadline{Context: ctx, at: now.Add(s.cfg.RequestTimeout)},
 		id:  s.nextID.Add(1), prepared: pr,
-		done: make(chan struct{}, 1),
 	}
-
-	if err := s.enqueue(j, ""); err != nil {
-		if probe {
-			s.brk.abortProbe()
-		}
-		s.journal.Append(journal.Event{
-			Type: journal.TypeRejected, Flow: j.id, Alg: j.alg, Err: err.Error(),
-		})
+	if err := s.enter(j); err != nil {
 		outcome := "overflow"
 		if errors.Is(err, ErrDraining) {
 			outcome = "draining"
 		}
-		telemetry.RecordServerRequest("flows.create", outcome, time.Since(begin))
+		s.reject(j, probe, outcome, err, begin)
 		return FlowInfo{}, err
 	}
+	defer s.inflight.Done()
 	// Persist the ID high-water mark so a recovered server never re-issues
 	// this ID, even if this request ends up rejected. An acceptance never
 	// waits on this ticket (its commit record comes later in the same log,
@@ -649,18 +577,10 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	_, admitted, _ := s.transitLocked(flowstate.Transition{Kind: flowstate.Admit, Flow: j.id})
 	s.mu.Unlock()
 
-	r, ok := j.await()
-	if !ok {
-		// We own the outcome: the pipeline will discard the job without
-		// committing when it next looks at it.
+	r := s.serve(j)
+	if errors.Is(r.err, ErrTimeout) {
 		s.walWait(admitted)
-		if probe {
-			s.brk.abortProbe()
-		}
-		s.journal.Append(journal.Event{
-			Type: journal.TypeRejected, Flow: j.id, Alg: j.alg, Err: ErrTimeout.Error(),
-		})
-		telemetry.RecordServerRequest("flows.create", "timeout", time.Since(begin))
+		s.reject(j, probe, "timeout", r.err, begin)
 		return FlowInfo{}, fmt.Errorf("%w after %v", ErrTimeout, time.Since(begin).Round(time.Millisecond))
 	}
 	// The response parks on a flush ticket: an acceptance waits for its
@@ -671,57 +591,51 @@ func (s *Server) Submit(ctx context.Context, req FlowRequest) (FlowInfo, error) 
 	return r.info, r.err
 }
 
-// enqueue puts j on the admission queue — Submit's requests and the
-// restore controller's jobs alike — or says why not: ErrDraining, or
-// ErrQueueFull when the bounded queue cannot hold it.
-func (s *Server) enqueue(j *job, detail string) error {
+// enter admits j — a request or a restore attempt — into the in-flight set
+// that Drain waits for, or says why not: ErrDraining, or, for a request,
+// ErrQueueFull when QueueDepth requests already wait for a slot. A request
+// journals its enqueue here; a restore attempt waits for a slot however
+// many requests do, and its repair_attempt event stands for the enqueue.
+func (s *Server) enter(j *job) error {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining {
 		return ErrDraining
 	}
-	// Add before the send: Drain sets draining under the write lock
-	// before waiting on inflight, so an Add under the read lock with
-	// draining still false happens-before that Wait.
-	s.inflight.Add(1)
-	if !s.send(j, detail) {
-		s.inflight.Done()
-		return ErrQueueFull
+	if j.repair == nil {
+		// A free slot is no wait: requests about to take one do not count
+		// against the depth.
+		if s.waiting.Add(1) > int64(s.cfg.QueueDepth+len(s.slots)) {
+			s.waiting.Add(-1)
+			return ErrQueueFull
+		}
+		telemetry.AddServerQueueDepth(1)
+		s.journal.Append(journal.Event{Type: journal.TypeEnqueue, Flow: j.id, Alg: j.alg})
 	}
+	// Add under the read lock: Drain sets draining under the write lock
+	// before waiting on inflight, so this Add happens-before that Wait.
+	s.inflight.Add(1)
 	return nil
 }
 
-// send offers j to the admission queue without blocking and, if it went
-// in, journals the enqueue — ahead of anything a worker journals about j:
-// the worker that receives j waits on j.queued first. The queue-depth
-// gauge counts j before the push, so the worker's decrement on receipt
-// never precedes it.
-func (s *Server) send(j *job, detail string) bool {
-	j.queued.Lock()
-	defer j.queued.Unlock()
-	j.enqueuedAt = time.Now()
-	telemetry.AddServerQueueDepth(1)
-	select {
-	case s.admit <- j:
-	default:
-		telemetry.AddServerQueueDepth(-1)
-		return false
+// reject answers a request refused before any embed decision — at
+// admission, or at its deadline: it gives the probe slot back, journals the
+// rejection and records the outcome.
+func (s *Server) reject(j *job, probe bool, outcome string, err error, begin time.Time) {
+	if probe {
+		s.brk.abortProbe()
 	}
-	s.journal.Append(journal.Event{
-		Time: j.enqueuedAt, Type: journal.TypeEnqueue, Flow: j.id, Alg: j.alg,
-		Attempt: j.retries, Detail: detail,
-	})
-	return true
+	s.journal.Append(journal.Event{Type: journal.TypeRejected, Flow: j.id, Alg: j.alg, Attempt: j.retries, Err: err.Error()})
+	telemetry.RecordServerRequest("flows.create", outcome, time.Since(begin))
 }
 
 // recordDecision records a completed embed decision under the
-// flows.create route, journals the terminal rejection if the pipeline
-// failed the request, and feeds the circuit breaker. Only pipeline
-// outcomes reach here — admission-level rejections (queue full, draining,
-// shed) say nothing about the substrate's health, and timeouts are
-// classified separately at the Submit select. probe is passed through so
-// the breaker knows whether this decision is the half-open probe's
-// verdict.
+// flows.create route, journals the terminal rejection if serve failed the
+// request, and feeds the circuit breaker. Only embed and commit outcomes
+// reach here — admission-level rejections (queue full, draining, shed)
+// and timeouts say nothing about the substrate's health. probe is passed
+// through so the breaker knows whether this decision is the half-open
+// probe's verdict.
 func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) {
 	elapsed := time.Since(begin)
 	if err != nil {
@@ -740,10 +654,9 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 		outcome = "no_embedding"
 	case errors.Is(err, ErrInternal):
 	default:
-		// A pipeline outcome that is not a health verdict (e.g. a tree
-		// search reporting ErrTimeout just before the Submit
-		// deadline fired). If this request held the probe slot, return it
-		// — no verdict was reached.
+		// An outcome that is not a health verdict (a request the search
+		// itself refused as malformed). If this request held the probe
+		// slot, return it — no verdict was reached.
 		verdict = false
 		if probe {
 			s.brk.abortProbe()
@@ -755,12 +668,12 @@ func (s *Server) recordDecision(j *job, err error, probe bool, begin time.Time) 
 	}
 }
 
-// workerScratch is what an embed worker needs per job and keeps between
-// jobs: its snapshot of the ledger, rewritten in place, and the one problem
-// bound to it. It may, because nothing a job leaves behind points at
-// either — a core.Result is solution, cost and stats, the commit's
-// transition carries the job's own ledger-free problem, and a shared cost
-// view is a copy of the residuals it was compiled from.
+// workerScratch is one embed slot: what an embed needs per job and keeps
+// between jobs — its snapshot of the ledger, rewritten in place, and the
+// one problem bound to it. It may, because nothing a job leaves behind
+// points at either — a core.Result is solution, cost and stats, the
+// commit's transition carries the job's own ledger-free problem, and a
+// shared cost view is a copy of the residuals it was compiled from.
 type workerScratch struct {
 	snap *network.Ledger
 	p    core.Problem
@@ -772,39 +685,113 @@ type workerScratch struct {
 	banNodes map[graph.NodeID]bool
 }
 
-// worker is one speculative embedder.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	w := workerScratch{banEdges: map[graph.EdgeID]bool{}, banNodes: map[graph.NodeID]bool{}}
-	for j := range s.admit {
-		telemetry.AddServerQueueDepth(-1)
-		s.speculate(j, &w)
-		if s.recycleHook != nil && w.snap != nil {
-			s.recycleHook(w.snap)
+// serve is the one path from admission to outcome, for Submit's requests
+// and the restore controller's attempts alike, run by the goroutine that
+// owns j: take an embed slot, embed on a snapshot of the live ledger,
+// commit under s.mu, give the slot back. A candidate that no longer fits
+// the live ledger (a stale snapshot) re-embeds on the same slot, up to
+// commitRetries times. A job past its deadline, or whose caller gave up,
+// answers ErrTimeout and commits nothing.
+func (s *Server) serve(j *job) jobResult {
+	w, err := s.take(j)
+	if err != nil {
+		return jobResult{err: err}
+	}
+	defer s.put(w)
+	for {
+		err := s.speculate(j, w)
+		if j.ctx.Err() != nil {
+			return jobResult{err: ErrTimeout}
 		}
+		if err != nil {
+			return jobResult{err: err}
+		}
+		r, conflict := s.commit(j)
+		if !conflict || j.retries == commitRetries {
+			return r
+		}
+		j.retries++
+		j.res, j.cost, j.backup, j.against = nil, core.CostBreakdown{}, nil, nil
 	}
 }
 
-// speculate runs one job's searches: it snapshots the live ledger, runs
-// the search against the snapshot without holding any lock, and hands the
-// candidate solution to the commit loop. Which search runs is read off
-// what the flow lacks: a new flow or a stranded one lacks a primary; a
-// live protected flow whose backup was promoted or lost lacks a backup.
-func (s *Server) speculate(j *job, w *workerScratch) {
-	if j.finished.Load() {
-		// Timed out while queued; nobody is waiting for a reply.
-		s.inflight.Done()
-		return
+// timers recycles the one timer a request waiting for a slot needs. A
+// timer in the pool is stopped and its channel empty.
+var timers sync.Pool
+
+// take hands j an embed slot, waiting for one when none is free, and
+// journals the dequeue with the wait. A request waits until its deadline
+// passes or its caller gives up, then answers ErrTimeout; a restore attempt
+// waits as long as it takes, and its deadline starts once it holds the
+// slot.
+func (s *Server) take(j *job) (*workerScratch, error) {
+	begin := time.Now()
+	var w *workerScratch
+	select {
+	case w = <-s.slots:
+	default:
+		w = s.waitSlot(j)
 	}
-	j.queued.Lock() // the enqueuer is done journaling
-	j.queued.Unlock()
-	dequeued := time.Now()
-	wait := dequeued.Sub(j.enqueuedAt)
-	s.journal.Append(journal.Event{
-		Time: dequeued, Type: journal.TypeDequeue, Flow: j.id,
-		Attempt: j.retries, Seconds: wait.Seconds(),
-	})
+	now := time.Now()
+	if j.repair == nil {
+		s.waiting.Add(-1)
+		telemetry.AddServerQueueDepth(-1)
+	} else {
+		j.ctx.at = now.Add(s.cfg.RequestTimeout)
+	}
+	if w == nil {
+		return nil, ErrTimeout
+	}
+	wait := now.Sub(begin)
+	s.journal.Append(journal.Event{Time: now, Type: journal.TypeDequeue, Flow: j.id, Seconds: wait.Seconds()})
 	telemetry.RecordServerStage(telemetry.StageQueueWait, wait)
+	return w, nil
+}
+
+// waitSlot blocks until a slot is free, or — for a request — until j's
+// deadline passes or its caller gives up, and then returns nil.
+func (s *Server) waitSlot(j *job) *workerScratch {
+	if j.repair != nil {
+		return <-s.slots
+	}
+	wait := time.Until(j.ctx.at)
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(wait)
+	} else {
+		t.Reset(wait)
+	}
+	var w *workerScratch
+	fired := false
+	select {
+	case w = <-s.slots:
+	case <-j.ctx.Done():
+	case <-t.C:
+		fired = true
+	}
+	// Stop reports false for a timer that already went off; its value is
+	// then in the channel, or about to be, unless this select took it.
+	if !t.Stop() && !fired {
+		<-t.C
+	}
+	timers.Put(t)
+	return w
+}
+
+// put gives a slot back.
+func (s *Server) put(w *workerScratch) {
+	if s.recycleHook != nil && w.snap != nil {
+		s.recycleHook(w.snap)
+	}
+	s.slots <- w
+}
+
+// speculate runs one job's searches on its slot: it snapshots the live
+// ledger, then searches the snapshot without holding any lock. Which search
+// runs is read off what the flow lacks: a new flow or a stranded one lacks
+// a primary; a live protected flow whose backup was promoted or lost lacks
+// a backup.
+func (s *Server) speculate(j *job, w *workerScratch) error {
 	// One lock hold reads everything the embed depends on, so a backup's
 	// ban sets and the snapshot carrying the primary's reservations
 	// describe the same moment.
@@ -819,9 +806,8 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 	s.mu.Unlock()
 	if need != j.need { // a new flow has no record and needs nothing restored
 		// Released, restored by another hand or re-stranded by a newer
-		// fault while the job queued.
-		s.finish(j, jobResult{err: fmt.Errorf("%w: flow %d no longer needs this restore", ErrNotFound, j.id)})
-		return
+		// fault since the controller looked.
+		return fmt.Errorf("%w: flow %d no longer needs this restore", ErrNotFound, j.id)
 	}
 	w.p = *j.problem
 	w.p.Ledger = w.snap
@@ -829,17 +815,15 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 	res, err := s.search(j, w, j.against, detail)
 	j.embedDone = time.Now()
 	if err != nil {
-		s.finish(j, jobResult{err: err})
-		return
+		return err
 	}
 	j.res, j.cost = res, res.Cost
 	if j.against == nil && j.algo.opts == nil {
 		// Not one of core's tree searches, which validate and price what
 		// they return: check the placement's structure and take its usage
-		// here, off the lock, so the commit loop can trust both.
+		// here, off the lock, so the commit can trust both.
 		if j.cost, err = core.Evaluate(p, res.Solution); err != nil {
-			s.finish(j, jobResult{err: fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)})
-			return
+			return fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)
 		}
 	}
 	if j.repair == nil && j.protect {
@@ -848,19 +832,17 @@ func (s *Server) speculate(j *job, w *workerScratch) {
 		// remains. Failure is terminal — no backup, no admission.
 		if err := core.Reserve(p, j.cost.Usage); err != nil {
 			// The primary came out of this very snapshot; failing to
-			// reserve it there is a pipeline bug, not a capacity race.
-			s.finish(j, jobResult{err: fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)})
-			return
+			// reserve it there is a server bug, not a capacity race.
+			return fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)
 		}
 		if j.backup, err = s.search(j, w, res.Solution, "backup"); err != nil {
-			s.finish(j, jobResult{err: err})
-			return
+			return err
 		}
 	}
-	s.commit <- j
+	return nil
 }
 
-// search runs one speculative embed for j on the worker's problem and
+// search runs one speculative embed for j on the slot's problem and
 // ledger and journals it under detail: the job's own algorithm when against
 // is nil, otherwise the ban-seeded search for a backup disjoint from
 // against ("backup" for the second embed of a protected admission,
@@ -905,7 +887,7 @@ func (s *Server) search(j *job, w *workerScratch, against *core.Solution, detail
 }
 
 // runEmbed executes the job's algorithm and converts a panicking embedder
-// into a failed request — the worker (and the process) survives.
+// into a failed request — the slot (and the process) survives.
 func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -951,82 +933,48 @@ func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 	return t, ""
 }
 
-// commitLoop is the single writer that turns speculative results into
-// ledger reservations. The placement's structure was validated off the
-// lock, in full, by whoever produced j.cost; what is left to decide is
-// whether it still fits the live ledger (eqs. 2–3) and whether the flow is
-// still waiting for it — the state's Check. That verdict chooses between
-// commit, bounded re-queue (stale snapshot) and rejection; the job is
-// claimed only at the final decision, so a request that times out
-// mid-retry is discarded cleanly.
-func (s *Server) commitLoop() {
-	defer s.commitWG.Done()
-	for j := range s.commit {
-		if j.finished.Load() {
-			s.inflight.Done()
-			continue
-		}
-		t, detail := s.transition(j)
-		s.mu.Lock()
-		if err := s.state.Check(t); err != nil {
-			s.mu.Unlock()
-			if errors.Is(err, flowstate.ErrStale) {
-				// Released, or restored already, while the embed ran.
-				s.finish(j, jobResult{err: fmt.Errorf("%w: %v", ErrNotFound, err)})
-				continue
-			}
-			telemetry.RecordOnlineCommitFailure()
-			s.journal.Append(journal.Event{
-				Type: journal.TypeCommitConflict, Flow: j.id, Attempt: j.retries,
-				Detail: detail, Err: err.Error(),
-			})
-			if j.retries < commitRetries {
-				j.retries++
-				j.res, j.cost = nil, core.CostBreakdown{}
-				j.backup, j.against = nil, nil
-				// Non-blocking: a full queue means the server is loaded
-				// enough that retrying would only add to the herd.
-				if !s.send(j, "conflict retry") {
-					s.finish(j, jobResult{err: fmt.Errorf("%w (queue full on retry): %v", ErrCommitConflict, err)})
-				}
-				continue
-			}
-			s.finish(j, jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)})
-			continue
-		}
-		// It fits. Claim the job before reserving so a commit never outlives
-		// a timed-out request.
-		if !j.finished.CompareAndSwap(false, true) {
-			s.mu.Unlock()
-			s.inflight.Done()
-			continue
-		}
+// commit turns j's candidate into a ledger reservation under s.mu. The
+// placement's structure was validated off the lock, in full, by whoever
+// produced j.cost; what is left to decide is whether it still fits the live
+// ledger (eqs. 2–3) and whether the flow is still waiting for it — the
+// state's Check. A candidate that no longer fits is a conflict (a stale
+// snapshot): commit journals it and reports it, and serve decides whether
+// to re-embed.
+func (s *Server) commit(j *job) (r jobResult, conflict bool) {
+	t, detail := s.transition(j)
+	s.mu.Lock()
+	err := s.state.Check(t)
+	var ch flowstate.Change
+	var ticket uint64
+	if err == nil {
 		// The record is framed here, under the lock, so the log keeps the
 		// ledger's mutation order; it reaches stable storage (per the sync
-		// policy) when the submitter waits on the ticket, before the caller
-		// is acknowledged.
-		ch, ticket, err := s.transitLocked(t)
-		s.mu.Unlock()
-		if err != nil {
-			// Check just passed under the same lock; this is a bug guard,
-			// not a reachable conflict path.
-			telemetry.RecordOnlineCommitFailure()
-			j.reply(jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)})
-			s.inflight.Done()
-			continue
-		}
-		now := time.Now()
-		took := now.Sub(j.embedDone) // commit wait
-		if t.Kind == flowstate.Backup {
-			took = now.Sub(j.repair.strandedAt)
-		}
-		s.emit(t, ch, journal.Event{Time: now, Attempt: j.retries}, took)
-		if t.Kind == flowstate.Commit && ch.Info.ExpiresAt != nil {
-			s.wheel.Schedule(j.id, *ch.Info.ExpiresAt)
-		}
-		j.reply(jobResult{info: ch.Info, ticket: ticket})
-		s.inflight.Done()
+		// policy) when the caller waits on the ticket, before it answers.
+		ch, ticket, err = s.transitLocked(t)
 	}
+	s.mu.Unlock()
+	if errors.Is(err, flowstate.ErrStale) {
+		// Released, or restored already, while the embed ran.
+		return jobResult{err: fmt.Errorf("%w: %v", ErrNotFound, err)}, false
+	}
+	if err != nil {
+		telemetry.RecordOnlineCommitFailure()
+		s.journal.Append(journal.Event{
+			Type: journal.TypeCommitConflict, Flow: j.id, Attempt: j.retries,
+			Detail: detail, Err: err.Error(),
+		})
+		return jobResult{err: fmt.Errorf("%w: %v", ErrCommitConflict, err)}, true
+	}
+	now := time.Now()
+	took := now.Sub(j.embedDone) // commit wait
+	if t.Kind == flowstate.Backup {
+		took = now.Sub(j.repair.strandedAt)
+	}
+	s.emit(t, ch, journal.Event{Time: now, Attempt: j.retries}, took)
+	if t.Kind == flowstate.Commit && ch.Info.ExpiresAt != nil {
+		s.wheel.Schedule(j.id, *ch.Info.ExpiresAt)
+	}
+	return jobResult{info: ch.Info, ticket: ticket}, false
 }
 
 // emit publishes an applied transition: the one journal event that reports
@@ -1078,15 +1026,6 @@ func (s *Server) emit(t flowstate.Transition, ch flowstate.Change, ev journal.Ev
 		telemetry.RecordRepair("evicted")
 	}
 	s.journal.Append(ev)
-}
-
-// finish delivers a terminal pipeline outcome if the job is still
-// unclaimed, and retires it from the in-flight set either way.
-func (s *Server) finish(j *job, r jobResult) {
-	if j.finished.CompareAndSwap(false, true) {
-		j.reply(r)
-	}
-	s.inflight.Done()
 }
 
 // Release returns a committed flow's capacity to the ledger (DELETE
@@ -1189,13 +1128,13 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Drain shuts the pipeline down gracefully: stop admitting (new Submits
-// get ErrDraining), wait for every in-flight request to resolve, then
-// stop the workers, the commit loop and the expiry wheel. Committed
+// Drain shuts the server down gracefully: stop admitting (new Submits get
+// ErrDraining), wait for every in-flight request and restore attempt to
+// answer, then stop the restore controller and the expiry wheel. Committed
 // flows stay committed — drain is about requests, not flows. If ctx
 // expires while in-flight work remains, Drain returns the context error
-// without tearing the pipeline down (the caller is typically about to
-// exit the process).
+// without stopping anything (the caller is typically about to exit the
+// process).
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining = true
@@ -1222,19 +1161,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// stop tears the pipeline down, once, and hands the WAL (if any) to seal.
+// stop stops the restore controller and the wheel, once, and hands the WAL
+// (if any) to seal. Nothing is in flight: the controller can only be idle
+// or backing off, and both end on repairStop.
 func (s *Server) stop(seal func(*wal.Log)) {
 	s.stopOnce.Do(func() {
-		// The restore controller goes first: it is the only producer that
-		// could still enqueue onto admit (it checks draining under drainMu
-		// before every attempt, so by now it can only be idling or backing
-		// off — both exit promptly on repairStop).
 		close(s.repairStop)
 		s.repairWG.Wait()
-		close(s.admit)
-		s.workerWG.Wait()
-		close(s.commit)
-		s.commitWG.Wait()
 		s.wheel.Stop()
 		if s.wal != nil {
 			seal(s.wal)

@@ -14,6 +14,7 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
+	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
@@ -335,7 +336,7 @@ func TestServerHammerDrainsToSeed(t *testing.T) {
 }
 
 // blockingEmbedder embeds with MBBE but first parks on gate, signalling
-// entered, so tests can hold the pipeline at a known point.
+// entered, so tests can hold a slot at a known point.
 func blockingEmbedder(entered chan<- struct{}, gate <-chan struct{}) server.Embedder {
 	return func(p *core.Problem) (*core.Result, error) {
 		entered <- struct{}{}
@@ -344,57 +345,84 @@ func blockingEmbedder(entered chan<- struct{}, gate <-chan struct{}) server.Embe
 	}
 }
 
-func TestServerTimeoutDoesNotCommit(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	srv, cl := newTestServer(t, server.Config{
+// timeoutServer serves tinyNet with one slot, a 50 ms deadline and a
+// "block" algorithm parked on gate, behind a half-open breaker: the next
+// request holds its probe slot.
+func timeoutServer(t *testing.T) (srv *server.Server, cl *client.Client, entered, gate chan struct{}) {
+	t.Helper()
+	entered, gate = make(chan struct{}, 1), make(chan struct{})
+	srv, cl = newTestServer(t, server.Config{
 		Net: tinyNet(), Workers: 1, RequestTimeout: 50 * time.Millisecond,
+		BreakerFailures: 1, BreakerCooldown: time.Millisecond,
 		Embedders: map[string]server.Embedder{"block": blockingEmbedder(entered, gate)},
 	})
-	ctx := context.Background()
-	seed, err := cl.Network(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// An infeasible request trips the breaker; the cooldown then passes.
+	if _, err := srv.Submit(context.Background(), lineRequest(1000)); !errors.Is(err, core.ErrNoEmbedding) {
+		t.Fatalf("tripping request: %v, want ErrNoEmbedding", err)
 	}
+	time.Sleep(5 * time.Millisecond)
+	return srv, cl, entered, gate
+}
 
-	req := lineRequest(1)
-	req.Alg = "block"
-	_, err = srv.Submit(ctx, req)
-	if !errors.Is(err, server.ErrTimeout) {
-		t.Fatalf("got %v, want ErrTimeout", err)
-	}
-	<-entered
+// releaseLate lets the parked embedder go well past the request's deadline.
+func releaseLate(entered, gate chan struct{}) {
+	go func() {
+		<-entered
+		time.Sleep(100 * time.Millisecond)
+		close(gate)
+	}()
+}
 
-	// Unblock the embedder: the pipeline must discard the abandoned
-	// result instead of committing a flow nobody was told about.
-	close(gate)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+// checkTimedOut asserts what the timed-out request left behind: a rejected
+// event on its timeline, the probe slot free (the next request is admitted
+// and, as the probe, closes the breaker), and the ledger at seed.
+func checkTimedOut(t *testing.T, srv *server.Server, seed []float64) {
+	t.Helper()
+	var rejected bool
+	for _, ev := range srv.Journal().Flow(2, 0) { // flow 1 tripped the breaker
+		rejected = rejected || ev.Type == journal.TypeRejected && strings.HasPrefix(ev.Err, server.ErrTimeout.Error())
 	}
-	st, err := cl.Network(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if !rejected {
+		t.Fatal("the timed-out request's timeline has no rejected event")
 	}
-	if st.ActiveFlows != 0 || !equalResiduals(residuals(seed), residuals(st)) {
+	if got := residuals(srv.NetworkState()); srv.ActiveFlows() != 0 || !equalResiduals(seed, got) {
 		t.Fatal("timed-out request mutated the ledger")
+	}
+	info, err := srv.Submit(context.Background(), lineRequest(1))
+	if err != nil {
+		t.Fatalf("request after the timeout: %v, want the probe slot free", err)
+	}
+	if _, err := srv.Release(info.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestServerTimeoutOverHTTPMapsTo504(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	_, cl := newTestServer(t, server.Config{
-		Net: tinyNet(), Workers: 1, RequestTimeout: 50 * time.Millisecond,
-		Embedders: map[string]server.Embedder{"block": blockingEmbedder(entered, gate)},
-	})
+func TestServerTimeoutDoesNotCommit(t *testing.T) {
+	srv, _, entered, gate := timeoutServer(t)
+	seed := residuals(srv.NetworkState())
 	req := lineRequest(1)
 	req.Alg = "block"
+	// The embedder returns after the deadline: the request answers then,
+	// and commits nothing nobody was told about.
+	releaseLate(entered, gate)
+	if _, err := srv.Submit(context.Background(), req); !errors.Is(err, server.ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
+	}
+	checkTimedOut(t, srv, seed)
+}
+
+func TestServerTimeoutOverHTTPMapsTo504(t *testing.T) {
+	srv, cl, entered, gate := timeoutServer(t)
+	seed := residuals(srv.NetworkState())
+	req := lineRequest(1)
+	req.Alg = "block"
+	releaseLate(entered, gate)
 	_, err := cl.CreateFlow(context.Background(), req)
-	close(gate)
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("got %v, want 504", err)
 	}
+	checkTimedOut(t, srv, seed)
 }
 
 func TestServerTTLAutoRelease(t *testing.T) {
@@ -516,4 +544,88 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestWorkersBoundEveryEmbed: Workers bounds every embed the server runs,
+// requests and repairs together. A counting embedder records the peak of
+// concurrent embeds while 4 × Workers clients submit and node faults strand
+// flows that the restore controller repairs meanwhile.
+func TestWorkersBoundEveryEmbed(t *testing.T) {
+	const workers, clients, perClient = 2, 8, 12
+	var running, peak atomic.Int64
+	count := func(p *core.Problem) (*core.Result, error) {
+		n := running.Add(1)
+		defer running.Add(-1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond)
+		return core.EmbedMBBE(p)
+	}
+	rng := rand.New(rand.NewSource(3))
+	ncfg := netgen.Default()
+	ncfg.Nodes = 30
+	ncfg.VNFKinds = 5
+	net := netgen.MustGenerate(ncfg, rng)
+	srv, err := server.New(fastRepairs(server.Config{
+		Net: net, Workers: workers, QueueDepth: clients * perClient,
+		Embedders: map[string]server.Embedder{"count": count},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	reqs := make([][]server.FlowRequest, clients)
+	scfg := sfcgen.Config{Size: 3, LayerWidth: 2, VNFKinds: 5}
+	for c := range reqs {
+		for i := 0; i < perClient; i++ {
+			reqs[c] = append(reqs[c], server.FlowRequest{
+				SFC: sfc.Format(sfcgen.MustGenerate(scfg, rng)),
+				Src: rng.Intn(ncfg.Nodes), Dst: rng.Intn(ncfg.Nodes), Rate: 1, Size: 1, Alg: "count",
+			})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, batch := range reqs {
+		wg.Add(1)
+		go func(batch []server.FlowRequest) {
+			defer wg.Done()
+			for _, req := range batch {
+				if _, err := srv.Submit(context.Background(), req); err != nil &&
+					!errors.Is(err, core.ErrNoEmbedding) && !errors.Is(err, server.ErrCommitConflict) {
+					t.Errorf("submit: %v", err)
+				}
+			}
+		}(batch)
+	}
+	waitFor(t, func() bool { return srv.ActiveFlows() >= 8 })
+	var downs []network.Fault
+	for v := graph.NodeID(0); v < 6; v++ {
+		f := network.Fault{Kind: network.FaultNodeDown, Node: v}
+		if _, err := srv.ApplyFault(f); err != nil {
+			t.Fatal(err)
+		}
+		downs = append(downs, f)
+	}
+	wg.Wait()
+	waitFor(t, func() bool { return srv.PendingRepairs() == 0 })
+	for _, f := range downs {
+		if _, err := srv.RestoreFault(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	attempts := 0
+	events, _, _ := srv.Journal().Since(0, 0)
+	for _, ev := range events {
+		if ev.Type == journal.TypeRepairAttempt {
+			attempts++
+		}
+	}
+	if attempts == 0 {
+		t.Fatal("no flow was stranded and repaired: the fixture proves nothing about repairs")
+	}
+	if got := peak.Load(); got < 1 || got > workers {
+		t.Fatalf("%d embeds ran at once, want at most Workers = %d", got, workers)
+	}
 }

@@ -1,9 +1,9 @@
 // Survivability: the server-side half of the fault injector. ApplyFault
 // quarantines capacity on the live ledger and scans committed flows for
 // casualties; flows whose embedding no longer validates are released and
-// handed to a single restore controller that re-embeds them through the
-// ordinary speculative-worker/commit-loop pipeline with bounded
-// exponential backoff and deterministic jitter. The same controller re-arms
+// handed to a single restore controller that re-embeds them through
+// serve, the path a request takes, with bounded exponential backoff and
+// deterministic jitter. The same controller re-arms
 // the backup of a protected flow that lost or spent it. Flows whose repairs
 // are exhausted become terminal "evicted" tombstones, still visible over
 // GET /v1/flows. The admission circuit breaker lives here too: a run of
@@ -46,11 +46,11 @@ type repairTask struct {
 // died fails over to its pre-reserved backup (no re-embed, no strand),
 // and everything else is released and queued for repair. Snapshots
 // already taken by in-flight embeds share the live ledger's quarantine, so
-// they observe the fault at once, and the commit loop's flowstate.Check
-// refuses any placement that no longer fits the post-fault residuals.
+// they observe the fault at once, and a commit's flowstate.Check refuses
+// any placement that no longer fits the post-fault residuals.
 //
-// The work runs in three phases so a large fault scan never stalls the
-// pipeline: quarantine + candidate collection under s.mu, revalidation of
+// The work runs in three phases so a large fault scan never stalls
+// admissions: quarantine + candidate collection under s.mu, revalidation of
 // every candidate on one scratch copy of one snapshot with the lock
 // released, then a short re-acquisition that turns each verdict into
 // a transition. An OK verdict cannot be invalidated by commits that
@@ -248,8 +248,8 @@ func (s *Server) popRepair() *repairTask {
 
 // repairLoop is the single restore controller: it drains the queue
 // strictly one flow at a time (deterministic ordering, and restores never
-// compete with each other for capacity), re-embedding each through the
-// ordinary admission pipeline. Backoff between attempts is exponential
+// compete with each other for capacity), re-embedding each through serve,
+// the path a request takes. Backoff between attempts is exponential
 // with a deterministic seeded jitter, so two same-seed chaos runs sleep
 // identically.
 func (s *Server) repairLoop() {
@@ -274,50 +274,33 @@ func (s *Server) repairLoop() {
 // lacks is read off its record before every attempt — no primary (a fault
 // stranded it): re-embed it under its original ID; a live primary but no
 // backup (failover spent it, or a fault killed it): embed a fresh disjoint
-// backup — and only two things differ by case: which search the worker
-// runs, and what exhaustion means (an evicted tombstone vs. serving on,
-// unprotected). Only attempts the pipeline actually judged count against
-// RepairRetries: an admission-level rejection (queue full, request
-// timeout) says the server was busy, not that the flow is unembeddable,
-// so those retry after backoff under their own RepairAdmitRetries cap — a
-// transiently overloaded server never evicts a repairable flow without a
-// single re-embed ever executing.
+// backup — and only two things differ by case: which search serve runs, and
+// what exhaustion means (an evicted tombstone vs. serving on, unprotected).
+// An attempt waits for an embed slot however busy the server is, so every
+// attempt counted against RepairRetries ran an embed: load delays a repair
+// but never evicts a flow that could have been repaired.
 func (s *Server) restoreOne(t *repairTask, rng *rand.Rand) {
 	var lastErr error
 	var need flowstate.Need
-	attempts := 0 // attempts the pipeline judged
-	admits := 0   // admission-level rejections absorbed
-	for try := 0; ; try++ {
-		if try > 0 && !s.repairBackoff(try, rng) {
+	attempts := 0
+	for {
+		if attempts > 0 && !s.repairBackoff(attempts, rng) {
 			return // stopping; a restart re-derives the task from the WAL
 		}
 		s.mu.Lock()
 		now, _ := s.state.Lacks(t.id)
 		s.mu.Unlock()
-		if now == flowstate.NeedNothing || (try > 0 && now != need) {
+		if now == flowstate.NeedNothing || (attempts > 0 && now != need) {
 			// Released by its owner, restored already, or re-stranded by a
 			// newer fault whose own task will take it from here.
 			return
 		}
 		need = now
-		err := s.restoreAttempt(t, need, try)
-		if lastErr = err; err == nil {
-			attempts++
-			break
-		}
-		if errors.Is(err, ErrDraining) || errors.Is(err, ErrNotFound) {
+		lastErr = s.restoreAttempt(t, need, attempts)
+		if errors.Is(lastErr, ErrDraining) || errors.Is(lastErr, ErrNotFound) {
 			return // stopping, or the flow stopped needing this mid-attempt
 		}
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTimeout) {
-			if admits++; admits <= s.cfg.RepairAdmitRetries {
-				continue
-			}
-			// Admission stayed closed through every backoff; the outcome
-			// below carries the queue condition as its error, not a bogus
-			// infeasibility, and Attempt reflects real embed attempts.
-			break
-		}
-		if attempts++; attempts >= s.cfg.RepairRetries {
+		if attempts++; lastErr == nil || attempts >= s.cfg.RepairRetries {
 			break
 		}
 	}
@@ -380,11 +363,11 @@ func (s *Server) repairBackoff(retry int, rng *rand.Rand) bool {
 	}
 }
 
-// restoreAttempt runs one restore job through the admission pipeline and
-// waits for its outcome. The job carries the task, so the worker picks the
-// search off the flow's record and the commit re-registers the flow under
-// its original ID (or arms its backup) instead of allocating a new one;
-// the job also inherits that ID, so every pipeline journal event of the
+// restoreAttempt runs one restore job through serve, the path a request
+// takes, and returns its outcome. The job carries the task, so speculate
+// picks the search off the flow's record and the commit re-registers the
+// flow under its original ID (or arms its backup) instead of allocating a
+// new one; the job also inherits that ID, so every journal event of the
 // attempt lands on the flow's timeline. The request carries no TTL: a
 // restored flow keeps the deadline it was admitted with.
 func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) error {
@@ -396,26 +379,19 @@ func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) err
 	if err != nil {
 		return err
 	}
-	j := &job{
-		ctx: deadline{Context: context.Background(), at: time.Now().Add(s.cfg.RequestTimeout)},
-		id:  t.id, prepared: pr,
-		done: make(chan struct{}, 1), repair: t, need: need,
-	}
-	detail, queued := t.fault.String(), "repair re-embed"
+	j := &job{ctx: deadline{Context: context.Background()}, id: t.id, prepared: pr, repair: t, need: need}
+	detail := t.fault.String()
 	if need == flowstate.NeedBackup {
-		detail, queued = "re-protect", "re-protect backup"
+		detail = "re-protect"
 	}
 	s.journal.Append(journal.Event{
 		Type: journal.TypeRepairAttempt, Flow: t.id, Alg: j.alg, Attempt: try + 1, Detail: detail,
 	})
-
-	if err := s.enqueue(j, queued); err != nil {
+	if err := s.enter(j); err != nil {
 		return err
 	}
-	r, ok := j.await()
-	if !ok {
-		return fmt.Errorf("%w during repair", ErrTimeout)
-	}
+	defer s.inflight.Done()
+	r := s.serve(j)
 	// The controller treats a nil error as "restored": like any
 	// acknowledgment, that waits for the commit record.
 	s.walWait(r.ticket)

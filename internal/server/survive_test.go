@@ -322,9 +322,9 @@ func TestServerWorkerPanicRecovered(t *testing.T) {
 		t.Fatalf("panic over HTTP = %v, want 500", err)
 	}
 
-	// The worker survived: a normal flow still goes through it.
+	// The slot survived: a normal flow still goes through it.
 	if _, err := cl.CreateFlow(ctx, lineRequest(1)); err != nil {
-		t.Fatalf("pipeline dead after panic: %v", err)
+		t.Fatalf("server dead after panic: %v", err)
 	}
 	metrics, err := cl.Metrics(ctx)
 	if err != nil {

@@ -1,6 +1,6 @@
 package server_test
 
-// Flight-recorder coverage: every terminal outcome the pipeline can hand
+// Flight-recorder coverage: every terminal outcome the server can hand
 // a flow — committed+released, commit-conflicted, TTL-expired and
 // repair-evicted — must leave a complete enqueue→terminal timeline under
 // the flow's ID, each state change named by its transition, and the global
@@ -37,7 +37,7 @@ func typesOf(events []journal.Event) []journal.Type {
 }
 
 // assertSubsequence fails unless want appears within got in order (other
-// events may interleave — retries add extra pipeline rounds).
+// events may interleave — repairs add attempts).
 func assertSubsequence(t *testing.T, got []journal.Type, want ...journal.Type) {
 	t.Helper()
 	i := 0
@@ -181,10 +181,12 @@ func TestTimelineCommitConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMonotonicSeq(t, page.Events)
-	assertSubsequence(t, typesOf(page.Events),
-		journal.TypeEnqueue, journal.TypeEmbedDone,
+	// The retry re-embeds on the slot the request holds: no second
+	// enqueue or dequeue.
+	assertTimeline(t, typesOf(page.Events),
+		journal.TypeEnqueue, journal.TypeDequeue, journal.TypeEmbedDone,
 		journal.TypeCommitConflict, // first round loses
-		journal.TypeEnqueue,        // conflict retry re-enters the queue
+		journal.TypeEmbedDone,      // the retry's embed
 		journal.TypeCommitConflict, // retry still stale
 		journal.TypeRejected)       // terminal
 	last := page.Events[len(page.Events)-1]

@@ -6,51 +6,57 @@ import (
 	"time"
 )
 
-// ExpiryWheel schedules flow departures in real time: a min-heap of
-// deadlines served by one goroutine that invokes the expire callback for
-// each due key, in deadline order (ties by scheduling order). It backs the
-// server's per-flow TTL auto-release — the wall-clock counterpart of the
-// offline driver's departure events (internal/online). All methods are
-// safe for concurrent use; expire runs on the wheel's own goroutine, never
-// under the caller's locks.
-type ExpiryWheel[K comparable] struct {
-	expire func(K)
+// expiryWheel schedules flow departures in real time: a min-heap of
+// deadlines served by one goroutine that calls expire for each due flow, in
+// deadline order (ties by scheduling order). It backs the server's per-flow
+// TTL auto-release — the wall-clock counterpart of the offline driver's
+// departure events (internal/online). Each entry knows its place in the
+// heap, so Cancel removes it and a second Schedule of a flow moves it: the
+// heap holds exactly the pending flows. All methods are safe for concurrent
+// use; expire runs on the wheel's own goroutine, never under the caller's
+// locks.
+type expiryWheel struct {
+	expire func(int64)
 
 	mu      sync.Mutex
-	entries expiryHeap[K]
-	gen     map[K]uint64 // current generation per key; stale pops are dropped
-	nextGen uint64
+	heap    expiryHeap
+	pending map[int64]*expiryEntry
 	seq     uint64
 	wake    chan struct{} // buffered(1): nudges the goroutine after Schedule
 	stopped bool
 	done    chan struct{}
 }
 
-// NewExpiryWheel starts a wheel whose goroutine calls expire for each due
-// key. Stop it to release the goroutine.
-func NewExpiryWheel[K comparable](expire func(K)) *ExpiryWheel[K] {
-	w := &ExpiryWheel[K]{
-		expire: expire,
-		gen:    make(map[K]uint64),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
+// newExpiryWheel starts a wheel whose goroutine calls expire for each due
+// flow. Stop it to release the goroutine.
+func newExpiryWheel(expire func(int64)) *expiryWheel {
+	w := &expiryWheel{
+		expire:  expire,
+		pending: make(map[int64]*expiryEntry),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	go w.run()
 	return w
 }
 
-// Schedule arranges for key to expire at the given time. Re-scheduling a
-// key replaces its previous deadline.
-func (w *ExpiryWheel[K]) Schedule(key K, at time.Time) {
+// Schedule arranges for id to expire at the given time. Re-scheduling an id
+// replaces its previous deadline.
+func (w *expiryWheel) Schedule(id int64, at time.Time) {
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
 		return
 	}
-	w.nextGen++
-	w.gen[key] = w.nextGen
 	w.seq++
-	heap.Push(&w.entries, expiryEntry[K]{at: at, key: key, gen: w.nextGen, seq: w.seq})
+	if e := w.pending[id]; e != nil {
+		e.at, e.seq = at, w.seq
+		heap.Fix(&w.heap, e.index)
+	} else {
+		e := &expiryEntry{at: at, id: id, seq: w.seq}
+		w.pending[id] = e
+		heap.Push(&w.heap, e)
+	}
 	w.mu.Unlock()
 	select {
 	case w.wake <- struct{}{}:
@@ -58,23 +64,26 @@ func (w *ExpiryWheel[K]) Schedule(key K, at time.Time) {
 	}
 }
 
-// Cancel forgets key's pending expiry (a no-op if none is pending).
-func (w *ExpiryWheel[K]) Cancel(key K) {
+// Cancel forgets id's pending expiry (a no-op if none is pending).
+func (w *expiryWheel) Cancel(id int64) {
 	w.mu.Lock()
-	delete(w.gen, key)
+	if e := w.pending[id]; e != nil {
+		heap.Remove(&w.heap, e.index)
+		delete(w.pending, id)
+	}
 	w.mu.Unlock()
 }
 
-// Len reports the number of keys with a pending expiry.
-func (w *ExpiryWheel[K]) Len() int {
+// Len reports the number of flows with a pending expiry.
+func (w *expiryWheel) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.gen)
+	return len(w.heap)
 }
 
 // Stop shuts the wheel's goroutine down, dropping pending expiries, and
 // waits for an in-flight expire callback to return. Safe to call twice.
-func (w *ExpiryWheel[K]) Stop() {
+func (w *expiryWheel) Stop() {
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -90,7 +99,7 @@ func (w *ExpiryWheel[K]) Stop() {
 	<-w.done
 }
 
-func (w *ExpiryWheel[K]) run() {
+func (w *expiryWheel) run() {
 	defer close(w.done)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
@@ -100,29 +109,21 @@ func (w *ExpiryWheel[K]) run() {
 			w.mu.Unlock()
 			return
 		}
-		// Fire everything due, dropping canceled/superseded entries.
-		var due []K
+		// Fire everything due.
+		var due []int64
 		now := time.Now()
-		for len(w.entries) > 0 {
-			e := w.entries[0]
-			if w.gen[e.key] != e.gen {
-				heap.Pop(&w.entries)
-				continue
-			}
-			if e.at.After(now) {
-				break
-			}
-			heap.Pop(&w.entries)
-			delete(w.gen, e.key)
-			due = append(due, e.key)
+		for len(w.heap) > 0 && !w.heap[0].at.After(now) {
+			e := heap.Pop(&w.heap).(*expiryEntry)
+			delete(w.pending, e.id)
+			due = append(due, e.id)
 		}
 		var wait time.Duration = time.Hour
-		if len(w.entries) > 0 {
-			wait = time.Until(w.entries[0].at)
+		if len(w.heap) > 0 {
+			wait = time.Until(w.heap[0].at)
 		}
 		w.mu.Unlock()
-		for _, key := range due {
-			w.expire(key)
+		for _, id := range due {
+			w.expire(id)
 		}
 		if len(due) > 0 {
 			continue // deadlines may have moved while expiring
@@ -141,28 +142,36 @@ func (w *ExpiryWheel[K]) run() {
 	}
 }
 
-type expiryEntry[K comparable] struct {
-	at  time.Time
-	key K
-	gen uint64
-	seq uint64 // scheduling order; breaks deadline ties deterministically
+type expiryEntry struct {
+	at    time.Time
+	id    int64
+	seq   uint64 // scheduling order; breaks deadline ties deterministically
+	index int    // position in the heap, kept by Swap, Push and Pop
 }
 
-type expiryHeap[K comparable] []expiryEntry[K]
+type expiryHeap []*expiryEntry
 
-func (h expiryHeap[K]) Len() int { return len(h) }
-func (h expiryHeap[K]) Less(i, j int) bool {
+func (h expiryHeap) Len() int { return len(h) }
+func (h expiryHeap) Less(i, j int) bool {
 	if !h[i].at.Equal(h[j].at) {
 		return h[i].at.Before(h[j].at)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h expiryHeap[K]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap[K]) Push(x any)   { *h = append(*h, x.(expiryEntry[K])) }
-func (h *expiryHeap[K]) Pop() any {
+func (h expiryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *expiryHeap) Push(x any) {
+	e := x.(*expiryEntry)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *expiryHeap) Pop() any {
 	old := *h
 	n := len(old)
-	x := old[n-1]
+	e := old[n-1]
+	old[n-1] = nil
 	*h = old[:n-1]
-	return x
+	return e
 }

@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// TestExpiryWheelCancelBeforeDue pins the generation semantics without
+// TestExpiryWheelCancelBeforeDue pins cancel and reschedule without
 // concurrency: a cancelled key never fires, a superseded deadline fires
-// exactly once (at the newest generation), and cancel-then-reschedule
-// fires.
+// exactly once (at the newest deadline), and cancel-then-reschedule fires.
 func TestExpiryWheelCancelBeforeDue(t *testing.T) {
 	var mu sync.Mutex
-	fired := map[int]int{}
-	w := NewExpiryWheel[int](func(k int) {
+	fired := map[int64]int{}
+	w := newExpiryWheel(func(k int64) {
 		mu.Lock()
 		fired[k]++
 		mu.Unlock()
@@ -56,20 +55,19 @@ func TestExpiryWheelCancelBeforeDue(t *testing.T) {
 }
 
 // TestExpiryWheelGenerationCancelRace hammers Schedule/Cancel for the
-// same keys from many goroutines while the wheel is actively firing —
-// the generation map is what keeps a stale heap entry from expiring a
-// re-armed key. Run under -race this doubles as the wheel's memory-model
-// test; the assertions bound what the generations allow: once a key's
-// final Schedule (issued after every Cancel) is in, the key fires at
-// least once and the wheel drains to empty.
+// same keys from many goroutines while the wheel is actively firing. Run
+// under -race this doubles as the wheel's memory-model test; the
+// assertions bound what the races allow: once a key's final Schedule
+// (issued after every Cancel) is in, the key fires at least once and the
+// wheel drains to empty.
 func TestExpiryWheelGenerationCancelRace(t *testing.T) {
 	const keys = 31
 	const goroutines = 8
 	const rounds = 120
 
 	var mu sync.Mutex
-	fired := map[int]int{}
-	w := NewExpiryWheel[int](func(k int) {
+	fired := map[int64]int{}
+	w := newExpiryWheel(func(k int64) {
 		mu.Lock()
 		fired[k]++
 		mu.Unlock()
@@ -82,7 +80,7 @@ func TestExpiryWheelGenerationCancelRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				key := (g*rounds + i) % keys
+				key := int64((g*rounds + i) % keys)
 				// Mix immediate-past, imminent and far deadlines so pops,
 				// stale drops and timer resets all interleave.
 				switch i % 3 {
@@ -102,15 +100,15 @@ func TestExpiryWheelGenerationCancelRace(t *testing.T) {
 	wg.Wait()
 
 	// Quiesce: re-arm every key once with a near deadline; each must fire
-	// at least once more and the wheel must drain completely (no pending
-	// generations stranded by the race).
+	// at least once more and the wheel must drain completely (no entry
+	// stranded by the race).
 	mu.Lock()
-	baseline := make(map[int]int, keys)
+	baseline := make(map[int64]int, keys)
 	for k, n := range fired {
 		baseline[k] = n
 	}
 	mu.Unlock()
-	for k := 0; k < keys; k++ {
+	for k := int64(0); k < keys; k++ {
 		w.Schedule(k, time.Now().Add(2*time.Millisecond))
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -120,12 +118,22 @@ func TestExpiryWheelGenerationCancelRace(t *testing.T) {
 	if got := w.Len(); got != 0 {
 		t.Fatalf("wheel did not drain: %d pending", got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for k := 0; k < keys; k++ {
-		if fired[k] <= baseline[k] {
-			t.Fatalf("key %d never fired after its final schedule (before %d, after %d)",
-				k, baseline[k], fired[k])
+	// Len drops a key when the wheel takes it off the heap, before its
+	// expire call runs: wait for the calls, not for Len.
+	unfired := func() (int64, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for k := int64(0); k < keys; k++ {
+			if fired[k] <= baseline[k] {
+				return k, true
+			}
 		}
+		return 0, false
+	}
+	for k, ok := unfired(); ok; k, ok = unfired() {
+		if time.Now().After(deadline) {
+			t.Fatalf("key %d never fired after its final schedule (%d firings before it)", k, baseline[k])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // collector gathers wheel firings for assertions.
 type collector struct {
 	mu   sync.Mutex
-	keys []int
+	keys []int64
 	cond chan struct{}
 }
 
@@ -17,20 +17,20 @@ func newCollector() *collector {
 	return &collector{cond: make(chan struct{}, 64)}
 }
 
-func (c *collector) expire(k int) {
+func (c *collector) expire(k int64) {
 	c.mu.Lock()
 	c.keys = append(c.keys, k)
 	c.mu.Unlock()
 	c.cond <- struct{}{}
 }
 
-func (c *collector) snapshot() []int {
+func (c *collector) snapshot() []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.keys...)
+	return append([]int64(nil), c.keys...)
 }
 
-func (c *collector) waitN(t *testing.T, n int) []int {
+func (c *collector) waitN(t *testing.T, n int) []int64 {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
@@ -47,7 +47,7 @@ func (c *collector) waitN(t *testing.T, n int) []int {
 
 func TestExpiryWheelFiresDueKeysInOrder(t *testing.T) {
 	c := newCollector()
-	w := NewExpiryWheel[int](c.expire)
+	w := newExpiryWheel(c.expire)
 	defer w.Stop()
 	now := time.Now()
 	// Scheduled out of deadline order; must fire in deadline order.
@@ -68,7 +68,7 @@ func TestExpiryWheelFiresDueKeysInOrder(t *testing.T) {
 
 func TestExpiryWheelCancel(t *testing.T) {
 	c := newCollector()
-	w := NewExpiryWheel[int](c.expire)
+	w := newExpiryWheel(c.expire)
 	defer w.Stop()
 	now := time.Now()
 	w.Schedule(1, now.Add(10*time.Millisecond))
@@ -87,7 +87,7 @@ func TestExpiryWheelCancel(t *testing.T) {
 
 func TestExpiryWheelRescheduleSupersedes(t *testing.T) {
 	c := newCollector()
-	w := NewExpiryWheel[int](c.expire)
+	w := newExpiryWheel(c.expire)
 	defer w.Stop()
 	now := time.Now()
 	w.Schedule(1, now.Add(5*time.Millisecond))
@@ -104,7 +104,7 @@ func TestExpiryWheelRescheduleSupersedes(t *testing.T) {
 
 func TestExpiryWheelStopIdempotentAndDropsPending(t *testing.T) {
 	c := newCollector()
-	w := NewExpiryWheel[int](c.expire)
+	w := newExpiryWheel(c.expire)
 	w.Schedule(1, time.Now().Add(time.Hour))
 	w.Stop()
 	w.Stop() // must not hang or panic
@@ -116,5 +116,28 @@ func TestExpiryWheelStopIdempotentAndDropsPending(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if got := c.snapshot(); len(got) != 0 {
 		t.Fatalf("post-Stop schedule fired: %v", got)
+	}
+}
+
+// TestExpiryWheelHeapHoldsExactlyPendingKeys: a cancelled key leaves the
+// heap at once and a rescheduled one moves in place, so a server that
+// deletes flows long before their TTL holds no entry per deleted flow.
+func TestExpiryWheelHeapHoldsExactlyPendingKeys(t *testing.T) {
+	w := newExpiryWheel(func(int64) {})
+	defer w.Stop()
+	far := time.Now().Add(time.Hour)
+	w.Schedule(1, far)
+	for k := int64(2); k < 10_002; k++ {
+		w.Schedule(k, far)
+		w.Cancel(k)
+	}
+	w.Schedule(1, far.Add(time.Minute))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.heap) != 1 || len(w.pending) != 1 {
+		t.Fatalf("heap holds %d entries and %d are pending, want exactly the one live key", len(w.heap), len(w.pending))
+	}
+	if e := w.heap[0]; e.id != 1 || !e.at.Equal(far.Add(time.Minute)) || e.index != 0 {
+		t.Fatalf("heap entry %+v, want key 1 at its rescheduled deadline", *e)
 	}
 }

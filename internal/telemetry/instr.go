@@ -329,8 +329,8 @@ const (
 	MetricJournalDropped     = "dagsfc_journal_dropped_total"
 )
 
-// The stage labels of MetricServerStageSeconds: time queued before a
-// worker picked the request up, the speculative embed itself, the wait
+// The stage labels of MetricServerStageSeconds: time a request waited for
+// an embed slot, the speculative embed itself, the wait
 // between embed completion and the serialized commit decision, and the
 // span from fault-stranding to a repair's terminal outcome.
 const (
@@ -505,9 +505,9 @@ func RecordServerRequest(route, outcome string, elapsed time.Duration) {
 	requestLatency.get(route).Observe(elapsed.Seconds())
 }
 
-// AddServerQueueDepth moves the admission queue's depth by delta: +1 for a
-// request about to be offered to the queue, -1 for one a worker took off it
-// or the full queue refused. A zero delta only lists the gauge.
+// AddServerQueueDepth moves the number of requests waiting for an embed
+// slot by delta: +1 for a request admitted to wait, -1 for one that took its
+// slot or gave up waiting. A zero delta only lists the gauge.
 func AddServerQueueDepth(delta int) { queueDepth().Add(float64(delta)) }
 
 // SetFlowState publishes the flow state's counts: committed flows holding
