@@ -25,8 +25,6 @@ var (
 // back" guard has to call by its old name, and the standard library's own.
 // A name the docs describe in the present tense does not belong here.
 var docHistory = map[string]string{
-	"SameView":               "deleted in PR 18",
-	"treeEntry":              "deleted in PR 20",
 	"ServeThroughput":        "deleted in PR 22",
 	"ServeThroughputDurable": "deleted in PR 22",
 	"LedgerClone":            "deleted in PR 22",

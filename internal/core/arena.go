@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"unsafe"
 
@@ -111,8 +112,8 @@ func (s *slab[T]) bytes() int {
 // (TreeNode blocks, Available/Prev/Next windows, node lists, by-node
 // indexes), the candidates (extension and subSolution structs, their node,
 // path, instance-use and edge-use windows, the MiniPath path edges, the
-// per-start and per-parent candidate lists), and the run's private cost
-// views and Dijkstra trees.
+// per-start and per-parent candidate lists), and the run's cost views and
+// Dijkstra trees, which store keeps for later runs.
 //
 // Ownership: an embed runs on one goroutine over one arena, checked out
 // with its pooledScratch for the length of the run and reset in
@@ -138,18 +139,19 @@ type searchMem struct {
 	edgeUses slab[edgeUse]
 	extLists slab[[]*extension]
 
-	// Run-scoped graph storage. graph owns these layouts, so they recycle
-	// whole instead of being carved: views[:nviews] are the cost views the
-	// run compiled for itself — at most two, its capacity-only search view
-	// and, when it bans elements, the path view — and pathTrees[:npathTrees]
-	// the Dijkstra trees it grows on a view of its own (no store attached, or
-	// a banned run), each only as far as the run reads it. reset hands all of
-	// them to the next run, which recompiles the views in place and re-roots
-	// the trees (graph.GrowTree.Reset undoes what the last search touched).
-	views      [2]graph.CostView
-	nviews     int
-	pathTrees  []*graph.GrowTree
-	npathTrees int
+	// Graph storage. graph owns these layouts, so they recycle whole instead
+	// of being carved: views[:nviews] are the cost views the run compiled —
+	// at most two, its capacity-only search view and, when it bans elements,
+	// the path view — and each is handed to a tree store, whose view it
+	// trades storage with. store keeps the Dijkstra trees grown on the search
+	// view from one run to the next, for as long as that view's content stays
+	// the same: a run resumes a kept tree instead of re-rooting it (a run
+	// without a ledger forgets them first). private holds a banned run's
+	// trees, grown on its path view and forgotten by reset. recycle trims
+	// store to what searchMemRetainBytes leaves room for.
+	views          [2]graph.CostView
+	nviews         int
+	store, private graph.TreeStore
 
 	// The run's residual rows (see residuals): resBuf, which is also
 	// CompileViewInto's residual buffer while the views are compiled, and
@@ -180,6 +182,7 @@ type searchMem struct {
 	rents                  [][]float64         // layeredRun's per-layer rent rows (the network's, not copies)
 	potRent                []float64           // and, for a terminal run, the least rent still ahead of each layer
 	walk                   []int32             // materialise's backwards arc list
+	keyed                  []keyedNode         // sortByKey's keys
 }
 
 // slabs lists every slab of the arena: the one place reset and bytes learn
@@ -213,36 +216,25 @@ func (m *searchMem) reset() {
 	clear(m.screens[:cap(m.screens)])
 	clear(m.leaves[:cap(m.leaves)])
 	clear(m.rents[:cap(m.rents)])
+	clear(m.keyed[:cap(m.keyed)])
 	m.interMemo.reset()
 	m.innerMemo.reset()
-	m.nviews, m.npathTrees = 0, 0
+	m.nviews = 0
+	m.private.Forget()
 }
 
-// newTree takes the next tree of the run's tree storage and roots it at src
-// on view, nothing searched yet; it is the run's until reset. Steady state
-// it allocates nothing: a tree a previous run grew is re-rooted in place.
-func (m *searchMem) newTree(view *graph.CostView, src graph.NodeID) *graph.GrowTree {
-	if m.npathTrees == len(m.pathTrees) {
-		m.pathTrees = append(m.pathTrees, new(graph.GrowTree))
-	}
-	t := m.pathTrees[m.npathTrees]
-	m.npathTrees++
-	t.Reset(view, src)
-	return t
-}
+// bytes reports the memory the arena pins between runs.
+func (m *searchMem) bytes() int { return m.runBytes() + m.store.MemBytes() }
 
-// bytes reports the memory the arena's slabs and graph storage pin between
-// runs.
-func (m *searchMem) bytes() int {
-	n := (cap(m.resBuf)+cap(m.instRes))*8 + m.interMemo.bytes() + m.innerMemo.bytes()
+// runBytes is bytes without store: the slabs, rows, memos, views and
+// private trees.
+func (m *searchMem) runBytes() int {
+	n := (cap(m.resBuf)+cap(m.instRes))*8 + m.interMemo.bytes() + m.innerMemo.bytes() + m.private.MemBytes()
 	for _, s := range m.slabs() {
 		n += s.bytes()
 	}
 	for i := range m.views {
 		n += m.views[i].MemBytes()
-	}
-	for _, t := range m.pathTrees {
-		n += t.MemBytes()
 	}
 	return n
 }
@@ -289,6 +281,26 @@ func (pm *pathMemo) reset() {
 // bytes reports the memory the memo's tables pin.
 func (pm *pathMemo) bytes() int {
 	return cap(pm.stamp)*4 + cap(pm.choices)*int(unsafe.Sizeof([]graph.Path(nil)))
+}
+
+// keyedNode is a search-tree node beside its ordering key.
+type keyedNode struct {
+	key float64
+	tn  *TreeNode
+}
+
+// sortByKey stable-sorts nodes by key, calling it once per node rather than
+// twice per comparison: the order a stable sort comparing key(a) with key(b)
+// gives, bit for bit.
+func (m *searchMem) sortByKey(nodes []*TreeNode, key func(*TreeNode) float64) {
+	m.keyed = sized(m.keyed, len(nodes))
+	for i, tn := range nodes {
+		m.keyed[i] = keyedNode{key(tn), tn}
+	}
+	slices.SortStableFunc(m.keyed, func(a, b keyedNode) int { return cmp.Compare(a.key, b.key) })
+	for i := range m.keyed {
+		nodes[i] = m.keyed[i].tn
+	}
 }
 
 // sized returns buf resliced to n elements, regrown if it lacks the

@@ -13,21 +13,24 @@ import (
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfc"
+	"dagsfc/internal/telemetry"
 )
 
 // scribbleGraphStorage overwrites what a recycled arena hands the next run
-// whole rather than zeroed — every retained Dijkstra tree, both private
-// views and the residual rows — with those of an unrelated line graph, so a run that trusted
-// recycled contents, or a Result that aliased them, shows. A tree is
-// scribbled the way another run would leave it: grown to completion from the
-// far end of the line, every entry written and the frontier drained.
-func scribbleGraphStorage(m *searchMem) {
+// whole rather than zeroed — the storage of both tree stores, both views and
+// the residual rows — with those of an unrelated line graph of the run's n
+// nodes, so a run that trusted recycled contents, or a Result that aliased
+// them, shows. A tree is scribbled the way another run would leave it: grown
+// to completion, every entry written and the frontier drained.
+func scribbleGraphStorage(m *searchMem, n int) {
 	sc := graph.NewScratch()
-	for _, t := range m.pathTrees {
-		if n := len(t.Dist); n > 0 {
-			t.Reset(lineGraph(n).CompileView(nil), graph.NodeID(n-1))
+	for _, store := range []*graph.TreeStore{&m.store, &m.private} {
+		store.Bind(lineGraph(n).CompileView(nil))
+		for src := graph.NodeID(0); int(src) < n; src++ {
+			t, _, _ := store.Tree(src)
 			t.To(sc, graph.None)
 		}
+		store.Forget()
 	}
 	for i := range m.views {
 		m.resBuf = lineGraph(3).CompileViewInto(&m.views[i], nil, m.resBuf)
@@ -78,7 +81,7 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scribbleGraphStorage(sc.mem)
+		scribbleGraphStorage(sc.mem, 60)
 		for i := 0; i < 60; i++ {
 			q := randomProblem(rand.New(rand.NewSource(int64(100+i))), 60, 6, 6)
 			_, _ = embed(q) // infeasible draws still churn the arena
@@ -334,15 +337,17 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 func TestReleaseDropsOversizedArena(t *testing.T) {
 	small, huge, treeful := newPooledScratch(), newPooledScratch(), newPooledScratch()
 	small.mem.idx.alloc(10)
-	small.mem.newTree(lineGraph(10).CompileView(nil), 0)
+	small.mem.private.Bind(lineGraph(10).CompileView(nil))
+	small.mem.private.Tree(0)
 	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
 	// A grown tree pins 48 B per node.
-	treeful.mem.newTree(lineGraph(searchMemRetainBytes/48+1).CompileView(nil), 0)
+	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/48 + 1).CompileView(nil))
+	treeful.mem.private.Tree(0)
 	kept := small.mem
 	small.recycle()
 	huge.recycle()
 	treeful.recycle()
-	if small.mem != kept || kept.idx.off != 0 || kept.npathTrees != 0 || len(kept.pathTrees) != 1 {
+	if small.mem != kept || kept.idx.off != 0 || kept.private.MemBytes() == 0 {
 		t.Fatal("right-sized arena was not kept and rewound")
 	}
 	for name, ps := range map[string]*pooledScratch{"slabs": huge, "trees": treeful} {
@@ -376,9 +381,7 @@ func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 	for i := range m.views {
 		counted -= m.views[i].MemBytes()
 	}
-	for _, tree := range m.pathTrees {
-		counted -= tree.MemBytes()
-	}
+	counted -= m.private.MemBytes() + m.store.MemBytes()
 	if want := 8*(len(m.instRes)+len(m.resBuf)) + 2*(4+24)*n; counted < want {
 		t.Fatalf("bytes() counts %d for the rows and memo tables, which pin at least %d", counted, want)
 	}
@@ -388,5 +391,54 @@ func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 			slices.ContainsFunc(pm.choices, func(c []graph.Path) bool { return c != nil }) {
 			t.Fatalf("%s-layer memo not rewound by recycle", name)
 		}
+	}
+}
+
+// TestArenaStoreStaysInsideItsCap churns one arena through ledger-backed
+// embeds on a 500-node substrate — random endpoints, every accepted flow
+// committed and the oldest released — until its tree store has filled what
+// the slabs leave of searchMemRetainBytes. After every recycle the arena
+// pins no more than the cap, and it is the same arena: the store sheds its
+// least recently used trees instead of the arena being replaced whole.
+func TestArenaStoreStaysInsideItsCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	base := benchProblem(t)
+	live := network.NewLedger(base.Net)
+	sc := newPooledScratch()
+	arena := sc.mem
+	evictions := storeCounter(telemetry.MetricPathCacheEvictions)
+	var standing []*Problem
+	var placed []*Solution
+	n := base.Net.G.NumNodes()
+	for i := 0; i < 200; i++ {
+		p := *base
+		p.Ledger = live
+		p.Src, p.Dst = graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		run := embedIn(sc, &p, MBBEOptions())
+		if sc.mem != arena {
+			t.Fatalf("embed %d: the arena was replaced whole", i)
+		}
+		if got := arena.bytes(); got > searchMemRetainBytes {
+			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", i, got, searchMemRetainBytes)
+		}
+		if run.err != nil {
+			continue
+		}
+		if _, err := Commit(&p, run.res.Solution); err != nil {
+			t.Fatal(err)
+		}
+		standing, placed = append(standing, &p), append(placed, run.res.Solution)
+		if len(standing) > 8 {
+			if err := Release(standing[0], placed[0]); err != nil {
+				t.Fatal(err)
+			}
+			standing, placed = standing[1:], placed[1:]
+		}
+	}
+	if storeCounter(telemetry.MetricPathCacheEvictions) == evictions {
+		t.Fatal("vacuous: the store never evicted a tree")
+	}
+	if got := arena.store.MemBytes(); got < searchMemRetainBytes/2 {
+		t.Fatalf("vacuous: the store holds %d bytes, not near the cap", got)
 	}
 }

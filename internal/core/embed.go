@@ -77,24 +77,19 @@ type Options struct {
 	// Label names this configuration in telemetry metrics (the "alg"
 	// label). BBEOptions/MBBEOptions set it; empty means "custom".
 	Label string
-	// PathCache, when non-nil, shares the run's compiled cost view and the
-	// Dijkstra trees searched on it with every other run whose view has the
-	// same content: the same substrate, the same links able to carry the
-	// rate (see graph.TreeCache). Results are bit-identical with or without
-	// it, since a shared tree is the tree this run would have searched. It
-	// is only consulted when the problem carries a ledger.
-	PathCache *graph.TreeCache
-	// ViewCache stands in for PathCache when PathCache is nil.
+	// PathCache and ViewCache are ignored: every run with a ledger keeps
+	// its Dijkstra trees in its pooled arena for the next (see searchMem).
 	//
-	// Deprecated: see graph.ViewCache.
+	// Deprecated: benchmark/ still sets them; they go with their last caller.
+	PathCache *graph.TreeCache
 	ViewCache *graph.ViewCache
 	// BannedEdges and BannedNodes exclude substrate elements from every
 	// path search in the run — the per-request variant graph.CostOptions
 	// bans express for a single search. Yen-style alternative-path
 	// embeds and what-if re-embeds around a faulty element use these.
-	// A banned run's view and trees are its own (ban sets are all but
-	// unique per request); only its capacity-only search view is shared
-	// through PathCache. A nil map bans nothing.
+	// A banned run's path view and trees are its own (ban sets are all but
+	// unique per request); only its capacity-only search view is the
+	// arena's kept one. A nil map bans nothing.
 	BannedEdges map[graph.EdgeID]bool
 	BannedNodes map[graph.NodeID]bool
 }
@@ -149,17 +144,18 @@ type Stats struct {
 	// the run was searched layer by layer instead.
 	LayeredRuns      int
 	LayeredFallbacks int
-	// PathTreeNodes is the number of nodes settled by the Dijkstra trees the
-	// run grew on a view of its own — the min-cost-path searches behind its
-	// meta-paths and, for a terminal layered run, the tree that directs it.
-	// Trees served by a shared store cost the run none.
+	// PathTreeNodes is the number of nodes settled by this run in the
+	// Dijkstra trees behind its meta-paths and, for a terminal layered run,
+	// the tree that directs it. A tree an earlier run on the same arena grew
+	// is resumed where that run left it, so only what this run settles
+	// counts.
 	PathTreeNodes int
 	// ClosureLeaves is the number of layer-ω sub-solutions the run closed to
 	// the destination (Algorithm 1 lines 9–11; zero when a terminal layered
 	// run answered instead), ClosureTreeNodes the share of PathTreeNodes the
-	// one tree rooted at the destination settled: as far as the farthest
-	// leaf under BBE, all of it under MBBE, whose parallel-layer search
-	// ranks its candidates by that tree from the first layer on.
+	// one tree rooted at the destination settled in this run: as far as the
+	// farthest leaf under BBE, all of it under MBBE, whose parallel-layer
+	// search ranks its candidates by that tree from the first layer on.
 	ClosureLeaves    int
 	ClosureTreeNodes int
 }
@@ -251,31 +247,36 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 	// The ledger is read-only for the whole run, so one CostOptions value
 	// serves every search.
 	e.costOpts = *e.ledger.CostOptions(p.Rate)
-	if p.Ledger != nil {
-		if e.store = opts.PathCache; e.store == nil {
-			e.store = opts.ViewCache
-		}
-	}
 	// Compile the run's cost views once: pathView backs every Dijkstra/hop
 	// search under the full options; searchView is the capacity-only
 	// variant the FST/BST layer-extension builds admit arcs through
 	// (runSearch admission ignores ban sets, so a banned run needs the
-	// distinction).
-	e.searchView = e.sharedView(&e.costOpts)
-	if len(opts.BannedEdges) == 0 && len(opts.BannedNodes) == 0 {
-		e.pathView = e.searchView
-		e.sharedTrees = e.store != nil
-	} else {
+	// distinction). The search view is the arena store's, and so are the
+	// trees of a run that bans nothing; a banned run grows its own.
+	m := sc.mem
+	v, reused, evicted := m.store.Bind(e.compileView(&e.costOpts))
+	if p.Ledger == nil {
+		// Kept trees would be as valid here (the key is the content), but a
+		// ledgerless run is a one-off whose time sim reports (BBE against
+		// MBBE per instance): root every tree afresh so that time does not
+		// depend on what the arena ran before.
+		reused, evicted = false, evicted+m.store.Forget()
+	}
+	telemetry.RecordCostView(!reused)
+	telemetry.RecordPathCacheEvictions(evicted)
+	e.searchView, e.pathView, e.trees = v, v, &m.store
+	if len(opts.BannedEdges) > 0 || len(opts.BannedNodes) > 0 {
 		e.costOpts.BannedEdges = opts.BannedEdges
 		e.costOpts.BannedNodes = opts.BannedNodes
-		e.pathView = e.privateView(&e.costOpts)
+		e.pathView, _, _ = m.private.Bind(e.compileView(&e.costOpts))
+		e.trees = &m.private
+		telemetry.RecordCostView(true)
 	}
 	// Read the ledger once into the run's dense rows, on the arena's storage
-	// (a privately compiled view is done with resBuf by now).
-	m := sc.mem
+	// (a compiled view is done with resBuf by now).
 	e.res = readResiduals(e.ledger, m.instRes, m.resBuf)
 	m.instRes, m.resBuf = e.res.inst, e.res.edge
-	e.treeOf = m.idx.alloc(p.Net.G.NumNodes())
+	e.asked = m.idx.alloc(p.Net.G.NumNodes())
 	return e
 }
 
@@ -313,24 +314,19 @@ type embedder struct {
 	// feasible layer embeddings. A dense window of the arena, filled by
 	// buildLayerExtensions and read by screenParent.
 	layerExts [][]*extension
-	// store, when non-nil, is the cross-request store of views and trees
-	// (Options.PathCache). sharedTrees says pathView came from it, so its
-	// own table memoizes the run's Dijkstra trees; otherwise (no store, or
-	// a banned run) the run searches its own and keeps them in the arena.
-	// Links are bidirectional with symmetric prices, so a path a→b is the
-	// reverse of the tree-from-a path to b, and one tree per source serves
-	// every meta-path that shares an endpoint.
+	// trees is the arena's store the run's Dijkstra trees come from, grown
+	// on pathView: store, kept from earlier runs or kept for later ones, or
+	// for a banned run private. Links are bidirectional with symmetric
+	// prices, so a path a→b is the reverse of the tree-from-a path to b, and
+	// one tree per source serves every meta-path that shares an endpoint.
 	//
-	// treeOf is the run's dense per-source table over either kind. For
-	// private trees treeOf[src] is one plus the tree's index in the arena's
-	// tree storage (0: not rooted yet). For shared ones it only marks the
-	// sources the run has asked the store for, so that a source counts once
-	// per run — as one hit in treeHits (flushed to telemetry when the run
-	// ends) or as one miss — however often the search comes back to it.
-	store       *graph.TreeCache
-	sharedTrees bool
-	treeOf      []int32
-	treeHits    uint64
+	// asked marks the sources the run has asked for a tree, so that a source
+	// counts once per run — as one hit in treeHits (flushed to telemetry when
+	// the run ends) or as one miss — however often the search comes back to
+	// it.
+	trees    *graph.TreeStore
+	asked    []int32
+	treeHits uint64
 	// pathView is the run's compiled cost view under the full options
 	// (capacity floor plus ban sets): every Dijkstra and hop search runs
 	// against it. searchView is the capacity-only view the FST/BST builds
@@ -348,24 +344,9 @@ type embedder struct {
 	toDst []float64
 }
 
-// sharedView returns the compiled cost view for opts: the store's view of
-// that content when a store is attached, else one compiled fresh.
-func (e *embedder) sharedView(opts *graph.CostOptions) *graph.CostView {
-	if e.store == nil {
-		return e.privateView(opts)
-	}
-	v, reused, evicted := e.store.View(e.p.Net.G, opts)
-	telemetry.RecordCostView(!reused)
-	if !reused {
-		e.recordRetention(evicted)
-	}
-	return v
-}
-
-// privateView compiles opts into a view of the run's own, held in the
-// arena.
-func (e *embedder) privateView(opts *graph.CostOptions) *graph.CostView {
-	telemetry.RecordCostView(true)
+// compileView compiles opts into the arena's next view, for the run to hand
+// to a tree store.
+func (e *embedder) compileView(opts *graph.CostOptions) *graph.CostView {
 	m := e.sc.mem
 	v := &m.views[m.nviews]
 	m.nviews++
@@ -373,43 +354,26 @@ func (e *embedder) privateView(opts *graph.CostOptions) *graph.CostView {
 	return v
 }
 
-// recordRetention publishes what the store retains after it took a view or
-// a tree in, and the trees that made room.
-func (e *embedder) recordRetention(evicted int) {
-	telemetry.RecordPathCacheRetention(e.store.Views(), e.store.Len(), evicted)
-}
-
 // treeFor returns the min-cost path tree rooted at src on pathView, final
-// at least as far as upTo (graph.None: everywhere), from the shared view's
-// table or the run's own storage. A shared tree is complete; a private one
-// is grown on demand, so read nothing from it but what was asked for. Either
-// outlives every later search on the run's scratch.
+// at least as far as upTo (graph.None: everywhere). It is grown on demand, so
+// read nothing from it but what was asked for, and it outlives every later
+// search on the run's scratch.
 func (e *embedder) treeFor(src, upTo graph.NodeID) *graph.ShortestTree {
-	if e.sharedTrees {
-		t, hit, evicted := e.store.Tree(e.pathView, src)
-		if !hit {
-			telemetry.RecordPathCacheMiss()
-			e.recordRetention(evicted)
-		}
-		if e.treeOf[src] == 0 {
-			e.treeOf[src] = 1
-			if hit {
-				e.treeHits++
-			}
-		}
-		return t
-	}
-	m := e.sc.mem
-	if e.treeOf[src] == 0 {
-		if e.store != nil {
+	t, hit, evicted := e.trees.Tree(src)
+	if e.asked[src] == 0 {
+		e.asked[src] = 1
+		if hit {
+			e.treeHits++
+		} else if e.p.Ledger != nil {
 			telemetry.RecordPathCacheMiss()
 		}
-		m.newTree(e.pathView, src)
-		e.treeOf[src] = int32(m.npathTrees)
 	}
-	t, settled := m.pathTrees[e.treeOf[src]-1].To(e.sc.Scratch, upTo)
+	if evicted {
+		telemetry.RecordPathCacheEvictions(1)
+	}
+	tree, settled := t.To(e.sc.Scratch, upTo)
 	e.stats.PathTreeNodes += settled
-	return t
+	return tree
 }
 
 // minCostPath returns a cheapest feasible path a→b via the memoized tree
@@ -771,10 +735,8 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telem
 			// Cheapest-looking first, before any backward search is built:
 			// rent, a hop-based estimate of the way there, the way on.
 			rent := p.Net.Rents(p.Net.Catalog.Merger())
-			slices.SortStableFunc(mergers, func(a, b *TreeNode) int {
-				ka := rent[a.Node] + float64(a.Iteration-1)*e.avgLink + e.toDst[a.Node]
-				kb := rent[b.Node] + float64(b.Iteration-1)*e.avgLink + e.toDst[b.Node]
-				return cmp.Compare(ka, kb)
+			m.sortByKey(mergers, func(tn *TreeNode) float64 {
+				return rent[tn.Node] + float64(tn.Iteration-1)*e.avgLink + e.toDst[tn.Node]
 			})
 		}
 		if e.opts.MaxMergerCandidates > 0 && len(mergers) > e.opts.MaxMergerCandidates {
@@ -923,14 +885,6 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
 	// link-price estimate toward the merger and, in a run with a sense of
 	// direction, from the start.
-	avgLink := e.avgLink
-	hops := func(tn *TreeNode) float64 {
-		h := tn.Iteration - 1
-		if e.toDst != nil {
-			h += fst.NodeOf(tn.Node).Iteration - 1
-		}
-		return float64(h)
-	}
 	k := len(spec.VNFs)
 	m.hosts = sized(m.hosts, k)
 	hosts := m.hosts
@@ -940,8 +894,12 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 			return exts
 		}
 		rent := p.Net.Rents(f)
-		slices.SortStableFunc(hs, func(a, b *TreeNode) int {
-			return cmp.Compare(rent[a.Node]+hops(a)*avgLink, rent[b.Node]+hops(b)*avgLink)
+		m.sortByKey(hs, func(tn *TreeNode) float64 {
+			h := tn.Iteration - 1
+			if e.toDst != nil {
+				h += fst.NodeOf(tn.Node).Iteration - 1
+			}
+			return rent[tn.Node] + float64(h)*e.avgLink
 		})
 		hosts[i] = hs
 	}

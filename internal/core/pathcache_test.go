@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -16,83 +17,103 @@ import (
 	"dagsfc/internal/telemetry"
 )
 
-// TestPathCacheDeterminism is the cache-transparency property: with the
-// cross-request cache disabled, cold, or warm, an embed must return the
-// bit-identical result — a cache hit can only ever substitute a tree the
-// run would have computed anyway.
+// arenaRun is one embed on a given arena: its outcome, and how many of the
+// sources it asked Dijkstra trees of its arena's store served (hits) and
+// how many it rooted afresh (misses; all of a banned or ledgerless run's).
+type arenaRun struct {
+	res          *Result
+	err          error
+	hits, misses int
+}
+
+// embedIn runs one embed on sc and recycles it, as releaseScratch does.
+func embedIn(sc *pooledScratch, p *Problem, opts Options) arenaRun {
+	defer sc.recycle()
+	res, err := embedOn(context.Background(), p, opts, sc)
+	hits := int(sc.e.treeHits)
+	return arenaRun{res: res, err: err, hits: hits, misses: asked(&sc.e) - hits}
+}
+
+// asked counts the sources e has asked for a Dijkstra tree.
+func asked(e *embedder) int {
+	n := 0
+	for _, a := range e.asked {
+		if a != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// storeCounter reads one of the tree-store counters of the process's
+// registry.
+func storeCounter(name string) float64 {
+	s, _ := telemetry.Default().Snapshot().Series(name)
+	return s.Value
+}
+
+// TestPathCacheDeterminism is the store's transparency property: an embed
+// on a cold arena, on the same arena warm, and on an arena nothing has used
+// return the bit-identical result — a kept tree can only ever substitute
+// the tree the run would have grown anyway.
 func TestPathCacheDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 120, 6, 4)
 	p.Ledger = network.NewLedger(p.Net)
 
-	baseline, err := Embed(p, MBBEOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := graph.NewTreeCache(0)
-	for pass, label := range []string{"cold cache", "warm cache"} {
-		opts := MBBEOptions()
-		opts.PathCache = cache
-		got, err := Embed(p, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+	sc := newPooledScratch()
+	for pass, label := range []string{"cold arena", "warm arena"} {
+		run := embedIn(sc, p, MBBEOptions())
+		assertSameResult(t, label, run.res, run.err, p, MBBEOptions())
+		if pass == 0 && (run.misses == 0 || run.hits != 0) {
+			t.Fatalf("cold pass: %d hits, %d misses", run.hits, run.misses)
 		}
-		if !reflect.DeepEqual(got.Solution, baseline.Solution) {
-			t.Fatalf("%s: solution differs from uncached baseline", label)
-		}
-		if !reflect.DeepEqual(got.Cost, baseline.Cost) {
-			t.Fatalf("%s: cost %v != baseline %v", label, got.Cost, baseline.Cost)
-		}
-		if searchStats(got.Stats) != searchStats(baseline.Stats) {
-			t.Fatalf("%s: stats %+v != baseline %+v", label, got.Stats, baseline.Stats)
-		}
-		hits, misses, _ := cache.Stats()
-		if pass == 0 && misses == 0 {
-			t.Fatal("cold pass recorded no cache misses")
-		}
-		if pass == 1 && hits == 0 {
-			t.Fatal("warm pass recorded no cache hits")
+		if pass == 1 && (run.hits == 0 || run.misses != 0) {
+			t.Fatalf("warm pass: %d hits, %d misses; want every tree kept", run.hits, run.misses)
 		}
 	}
 }
 
 // TestPathCacheFreshLedgerBypass: a problem without a ledger runs on a
-// private fresh one and shares nothing, so the cache must not be consulted
-// at all.
+// private fresh one and reuses no tree, so two embeds of one instance on one
+// arena settle the same Dijkstra nodes, while the same instance with a ledger
+// settles fewer the second time on an arena of its own.
 func TestPathCacheFreshLedgerBypass(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	p := randomProblem(rng, 60, 5, 3)
-	cache := graph.NewTreeCache(0)
-	opts := MBBEOptions()
-	opts.PathCache = cache
-	if _, err := Embed(p, opts); err != nil {
-		t.Fatal(err)
+	sc := newPooledScratch()
+	first, second := embedIn(sc, p, MBBEOptions()), embedIn(sc, p, MBBEOptions())
+	if first.err != nil || second.err != nil {
+		t.Fatal(first.err, second.err)
 	}
-	if hits, misses, _ := cache.Stats(); hits != 0 || misses != 0 || cache.Views() != 0 {
-		t.Fatalf("ledger-less embed touched the cache: hits=%d misses=%d views=%d", hits, misses, cache.Views())
+	if first.res.Stats.PathTreeNodes == 0 || second.res.Stats != first.res.Stats {
+		t.Fatalf("ledgerless embeds settled %d, then %d tree nodes", first.res.Stats.PathTreeNodes, second.res.Stats.PathTreeNodes)
+	}
+
+	p.Ledger = network.NewLedger(p.Net)
+	sc = newPooledScratch()
+	cold, warm := embedIn(sc, p, MBBEOptions()), embedIn(sc, p, MBBEOptions())
+	if cold.err != nil || warm.err != nil {
+		t.Fatal(cold.err, warm.err)
+	}
+	if warm.res.Stats.PathTreeNodes >= cold.res.Stats.PathTreeNodes {
+		t.Fatalf("a ledger-backed embed settled %d tree nodes warm, %d cold", warm.res.Stats.PathTreeNodes, cold.res.Stats.PathTreeNodes)
 	}
 }
 
-// TestPathCacheInvalidationOnMutation: what invalidates shared trees is a
-// link crossing the demand threshold, nothing less. A reservation that
-// leaves every link able to carry the rate is served the warm view and
-// computes no tree; one that takes links below the rate gets a new view,
-// fresh trees, and exactly what an uncached embed on the mutated ledger
-// returns.
+// TestPathCacheInvalidationOnMutation: what invalidates kept trees is a link
+// crossing the demand threshold, nothing less. A reservation that leaves
+// every link able to carry the rate keeps the arena's view and roots no
+// tree; one that takes links below the rate gets a new view, fresh trees,
+// and exactly what an embed on a cold arena returns.
 func TestPathCacheInvalidationOnMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomProblem(rng, 120, 6, 4)
 	p.Ledger = network.NewLedger(p.Net)
-	cache := graph.NewTreeCache(0)
-	opts := MBBEOptions()
-	opts.PathCache = cache
-
-	if _, err := Embed(p, opts); err != nil {
-		t.Fatal(err)
+	sc := newPooledScratch()
+	if run := embedIn(sc, p, MBBEOptions()); run.err != nil {
+		t.Fatal(run.err)
 	}
-	_, missesWarm, _ := cache.Stats()
-	_, buildsWarm := cache.ViewStats()
 
 	// Half the bandwidth of eight links gone: the epoch moved 8 times,
 	// the admissible set not at all.
@@ -101,17 +122,15 @@ func TestPathCacheInvalidationOnMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sameView, err := Embed(p, opts)
-	if err != nil {
-		t.Fatal(err)
+	builds := storeCounter(telemetry.MetricCostViewBuilds)
+	same := embedIn(sc, p, MBBEOptions())
+	if same.misses != 0 || same.hits == 0 {
+		t.Fatalf("a mutation that crossed no threshold: %d trees rooted, %d kept", same.misses, same.hits)
 	}
-	if _, misses, _ := cache.Stats(); misses != missesWarm {
-		t.Fatalf("a mutation that crossed no threshold computed %d trees", misses-missesWarm)
-	}
-	if _, builds := cache.ViewStats(); builds != buildsWarm {
+	if storeCounter(telemetry.MetricCostViewBuilds) != builds {
 		t.Fatal("a mutation that crossed no threshold compiled a new view")
 	}
-	assertSameResult(t, "below-threshold mutation", sameView, nil, p, MBBEOptions())
+	assertSameResult(t, "below-threshold mutation", same.res, same.err, p, MBBEOptions())
 
 	// Drain the same links to below the rate: the capacity filter now
 	// rejects them, so stale trees would produce infeasible paths.
@@ -120,22 +139,20 @@ func TestPathCacheInvalidationOnMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	crossed, err := Embed(p, opts)
-	if err != nil {
-		t.Fatal(err)
+	builds = storeCounter(telemetry.MetricCostViewBuilds)
+	crossed := embedIn(sc, p, MBBEOptions())
+	if crossed.hits != 0 || crossed.misses == 0 {
+		t.Fatalf("post-mutation embed was served %d pre-mutation trees", crossed.hits)
 	}
-	if _, misses, _ := cache.Stats(); misses <= missesWarm {
-		t.Fatal("post-mutation embed was served from pre-mutation trees")
+	if storeCounter(telemetry.MetricCostViewBuilds) != builds+1 {
+		t.Fatal("crossing the threshold did not compile a new view")
 	}
-	if _, builds := cache.ViewStats(); builds != buildsWarm+1 {
-		t.Fatalf("crossing the threshold published %d views, want 1", builds-buildsWarm)
-	}
-	assertSameResult(t, "threshold-crossing mutation", crossed, nil, p, MBBEOptions())
+	assertSameResult(t, "threshold-crossing mutation", crossed.res, crossed.err, p, MBBEOptions())
 }
 
 // assertSameResult fails unless (got, gotErr) is what an embed of p under
-// plain — the same options with no store attached — produces now:
-// placement, cost bit for bit, search statistics, or the same error.
+// plain on an arena nothing has used produces now: placement, cost bit for
+// bit, search statistics, or the same error.
 func assertSameResult(t testing.TB, what string, got *Result, gotErr error, p *Problem, plain Options) {
 	t.Helper()
 	if err := sameResult(got, gotErr, p, plain); err != nil {
@@ -144,56 +161,56 @@ func assertSameResult(t testing.TB, what string, got *Result, gotErr error, p *P
 }
 
 func sameResult(got *Result, gotErr error, p *Problem, plain Options) error {
-	want, wantErr := Embed(p, plain)
+	cold := embedIn(newPooledScratch(), p, plain)
+	want, wantErr := cold.res, cold.err
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			return fmt.Errorf("shared embed err %v, plain embed err %v", gotErr, wantErr)
+			return fmt.Errorf("warm embed err %v, cold embed err %v", gotErr, wantErr)
 		}
 		return nil
 	}
 	if !reflect.DeepEqual(got.Solution, want.Solution) {
-		return errors.New("placement differs from the plain embed")
+		return errors.New("placement differs from the cold embed")
 	}
 	if math.Float64bits(got.Cost.VNFCost) != math.Float64bits(want.Cost.VNFCost) ||
 		math.Float64bits(got.Cost.LinkCost) != math.Float64bits(want.Cost.LinkCost) ||
 		!reflect.DeepEqual(got.Cost.Usage, want.Cost.Usage) {
-		return fmt.Errorf("cost %+v, plain embed %+v", got.Cost, want.Cost)
+		return fmt.Errorf("cost %+v, cold embed %+v", got.Cost, want.Cost)
 	}
 	if searchStats(got.Stats) != searchStats(want.Stats) {
-		return fmt.Errorf("stats %+v, plain embed %+v", got.Stats, want.Stats)
+		return fmt.Errorf("stats %+v, cold embed %+v", got.Stats, want.Stats)
 	}
 	return nil
 }
 
-// TestPathCacheBannedVariants: a banned run keeps its view and trees to
-// itself and shares only its capacity-only search view. Three properties:
-// a banned embed with the cache attached equals a banned uncached embed
-// bit for bit, ban sets never leak into the trees unbanned runs are
-// served, and the unbanned variant still hits warm.
+// TestPathCacheBannedVariants: a banned run keeps its path view and trees
+// to itself beside the store and binds only its capacity-only search view.
+// Three properties: a banned embed on a warm arena equals the same embed on
+// a cold one bit for bit, ban sets never leak into the trees unbanned runs
+// are served, and the unbanned variant still finds its trees kept.
 func TestPathCacheBannedVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	p := randomProblem(rng, 120, 6, 4)
 	p.Ledger = network.NewLedger(p.Net)
-	cache := graph.NewTreeCache(0)
 
 	// Ban elements the unbanned solution actually uses, so each variant is
 	// forced onto genuinely different paths (the Yen/what-if shape).
-	unbanned, err := Embed(p, MBBEOptions())
-	if err != nil {
-		t.Fatal(err)
+	unbanned := embedIn(newPooledScratch(), p, MBBEOptions())
+	if unbanned.err != nil {
+		t.Fatal(unbanned.err)
 	}
 	var usedEdge graph.EdgeID = -1
-	for _, l := range unbanned.Solution.Layers {
+	for _, l := range unbanned.res.Solution.Layers {
 		for _, ip := range l.InterPaths {
 			if len(ip.Edges) > 0 {
 				usedEdge = ip.Edges[0]
 			}
 		}
 	}
-	if usedEdge < 0 && len(unbanned.Solution.TailPath.Edges) > 0 {
-		usedEdge = unbanned.Solution.TailPath.Edges[0]
+	if usedEdge < 0 && len(unbanned.res.Solution.TailPath.Edges) > 0 {
+		usedEdge = unbanned.res.Solution.TailPath.Edges[0]
 	}
-	usedNode := unbanned.Solution.Layers[0].Nodes[0]
+	usedNode := unbanned.res.Solution.Layers[0].Nodes[0]
 	if usedEdge < 0 {
 		t.Fatal("unbanned solution uses no links; fixture too small")
 	}
@@ -208,23 +225,13 @@ func TestPathCacheBannedVariants(t *testing.T) {
 		{label: "ban-node", nodes: map[graph.NodeID]bool{usedNode: true}},
 		{label: "ban-both", edges: map[graph.EdgeID]bool{usedEdge: true}, nodes: map[graph.NodeID]bool{usedNode: true}},
 	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	baselines := make(map[string]outcome)
-	for _, v := range variants {
-		opts := MBBEOptions()
-		opts.BannedEdges, opts.BannedNodes = v.edges, v.nodes
-		res, err := Embed(p, opts)
-		baselines[v.label] = outcome{res, err}
-	}
 	// The ban sets must actually change results somewhere, or the test
 	// proves nothing about cross-variant isolation.
 	distinct := false
 	for _, v := range variants[1:] {
-		b, u := baselines[v.label], baselines["unbanned"]
-		if b.err != nil || !reflect.DeepEqual(b.res.Solution, u.res.Solution) {
+		opts := MBBEOptions()
+		opts.BannedEdges, opts.BannedNodes = v.edges, v.nodes
+		if b := embedIn(newPooledScratch(), p, opts); b.err != nil || !reflect.DeepEqual(b.res.Solution, unbanned.res.Solution) {
 			distinct = true
 		}
 	}
@@ -232,66 +239,51 @@ func TestPathCacheBannedVariants(t *testing.T) {
 		t.Fatal("no ban variant changed the solution; pick bans that matter")
 	}
 
+	sc := newPooledScratch()
 	for pass, label := range []string{"cold", "warm"} {
 		for _, v := range variants {
 			opts := MBBEOptions()
-			opts.PathCache = cache
 			opts.BannedEdges, opts.BannedNodes = v.edges, v.nodes
-			res, err := Embed(p, opts)
-			want := baselines[v.label]
-			if (err == nil) != (want.err == nil) {
-				t.Fatalf("%s %s: err %v, uncached baseline err %v", label, v.label, err, want.err)
+			run := embedIn(sc, p, opts)
+			assertSameResult(t, label+" "+v.label, run.res, run.err, p, opts)
+			switch {
+			case v.edges != nil || v.nodes != nil:
+				if run.hits != 0 {
+					t.Fatalf("%s %s: a banned run was served %d kept trees", label, v.label, run.hits)
+				}
+			case pass == 1 && run.hits == 0:
+				t.Fatal("warm unbanned pass found no tree kept")
 			}
-			if err != nil {
-				continue
-			}
-			if !reflect.DeepEqual(res.Solution, want.res.Solution) || !reflect.DeepEqual(res.Cost, want.res.Cost) {
-				t.Fatalf("%s %s: cached result differs from uncached baseline", label, v.label)
-			}
-		}
-		hits, misses, _ := cache.Stats()
-		if pass == 0 && misses == 0 {
-			t.Fatal("cold pass recorded no cache misses")
-		}
-		if pass == 1 && hits == 0 {
-			t.Fatal("warm pass recorded no cache hits")
 		}
 	}
 }
 
-// TestViewCacheDeterminism runs the transparency property through the
-// deprecated Options.ViewCache field alone, which must attach the same
-// store PathCache does: cold, warm and post-mutation embeds match an
-// uncached baseline bit for bit, the cold pass publishes a view, the warm
-// pass reuses it, and draining a link below the rate forces a new one.
+// TestViewCacheDeterminism: the deprecated Options.PathCache and
+// Options.ViewCache are no-ops. Two arenas driven in lockstep, one embed
+// with both set and the other without, return identical results — the
+// whole Stats included, PathTreeNodes too — cold, warm and after a mutation
+// that forces a new view.
 func TestViewCacheDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := randomProblem(rng, 120, 6, 4)
 	p.Ledger = network.NewLedger(p.Net)
 
-	views := graph.NewViewCache(0)
-	opts := MBBEOptions()
-	opts.ViewCache = views
-	for pass, label := range []string{"cold", "warm"} {
-		got, err := Embed(p, opts)
-		assertSameResult(t, label, got, err, p, MBBEOptions())
-		reuses, builds := views.ViewStats()
-		hits, _, _ := views.Stats()
-		if pass == 0 && (builds != 1 || reuses != 0) {
-			t.Fatalf("cold pass: %d views built, %d reused", builds, reuses)
+	deprecated := MBBEOptions()
+	deprecated.PathCache, deprecated.ViewCache = graph.NewTreeCache(0), graph.NewViewCache(0)
+	with, without := newPooledScratch(), newPooledScratch()
+	for step, label := range []string{"cold", "warm", "post-mutation"} {
+		if step == 2 {
+			if err := p.Ledger.ReserveEdge(0, p.Ledger.EdgeResidual(0)-p.Rate/2); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if pass == 1 && (builds != 1 || reuses != 1 || hits == 0) {
-			t.Fatalf("warm pass: %d views built, %d reused, %d tree hits", builds, reuses, hits)
+		got, want := embedIn(with, p, deprecated), embedIn(without, p, MBBEOptions())
+		if got.err != nil || want.err != nil {
+			t.Fatalf("%s: %v, %v", label, got.err, want.err)
 		}
-	}
-
-	if err := p.Ledger.ReserveEdge(0, p.Ledger.EdgeResidual(0)-p.Rate/2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Embed(p, opts)
-	assertSameResult(t, "post-mutation", got, err, p, MBBEOptions())
-	if _, builds := views.ViewStats(); builds != 2 {
-		t.Fatalf("post-mutation embed reused a pre-mutation compiled view (%d built)", builds)
+		if !reflect.DeepEqual(got.res, want.res) || got.hits != want.hits || got.misses != want.misses {
+			t.Fatalf("%s: the deprecated caches changed the embed", label)
+		}
 	}
 }
 
@@ -305,7 +297,7 @@ func churnNet(seed int64) *network.Network {
 }
 
 // churnProblem draws one request against net at one of four rates, so
-// that concurrent requests compile genuinely different views.
+// that successive requests compile genuinely different views.
 func churnProblem(rng *rand.Rand, net *network.Network, ledger *network.Ledger) *Problem {
 	n := net.G.NumNodes()
 	return &Problem{
@@ -339,19 +331,25 @@ func churnFaults(rng *rand.Rand, ledger *network.Ledger, active *[]network.Fault
 	}
 }
 
-// TestPathCacheDifferential is the store's transparency property under
-// churn: through 400 steps of commit, release, quarantine, edge-down and
-// restore at tight capacity and mixed rates, every embed with the store
-// attached equals the same embed without it — placement, cost bits,
-// Stats, or the same error. A run that saw no hit, no miss or no eviction
-// proved nothing and fails.
+// TestPathCacheDifferential is the warm-versus-cold property under churn:
+// through 400 steps of commit, release, quarantine, edge-down and restore at
+// tight capacity and mixed rates, with every seventh embed banned, every
+// embed on one warm arena equals the same embed on an arena nothing has
+// used — placement, cost bits, search counts, or the same error. The warm
+// arena's store is trimmed to a handful of trees after every embed, fewer
+// than many runs ask for: its least recently used trees leave and are
+// re-rooted, and the trees a run holds must survive its own misses. A run
+// that saw no hit, no miss, no eviction, or fewer than 12 new views on the
+// warm arena (admissible sets that really changed, displacing the kept view
+// and its trees) proved nothing and fails.
 func TestPathCacheDifferential(t *testing.T) {
-	var hits, misses, evictions, reuses, builds uint64
+	const storeBudget = 20 << 10 // a handful of 36-node trees beside the view
+	var hits, misses, lru, builds int
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := churnNet(seed)
 		live := network.NewLedger(net)
-		cache := graph.NewTreeCache(0)
+		warm := newPooledScratch()
 		type flow struct {
 			p   *Problem
 			sol *Solution
@@ -370,45 +368,46 @@ func TestPathCacheDifferential(t *testing.T) {
 				churnFaults(rng, live, &faults)
 			}
 			p := churnProblem(rng, net, live)
-			plain := MBBEOptions()
+			opts := MBBEOptions()
 			if step%7 == 0 {
-				plain.BannedEdges = map[graph.EdgeID]bool{graph.EdgeID(rng.Intn(net.G.NumEdges())): true}
+				opts.BannedEdges = map[graph.EdgeID]bool{graph.EdgeID(rng.Intn(net.G.NumEdges())): true}
 			}
-			shared := plain
-			shared.PathCache = cache
-			got, err := Embed(p, shared)
-			assertSameResult(t, fmt.Sprintf("seed %d step %d", seed, step), got, err, p, plain)
-			if err == nil && len(flows) < 24 {
-				if _, err := Commit(p, got.Solution); err != nil {
+			reuses, evictions := storeCounter(telemetry.MetricCostViewReuses), storeCounter(telemetry.MetricPathCacheEvictions)
+			run := embedIn(warm, p, opts)
+			ev := warm.mem.store.Trim(storeBudget) + int(storeCounter(telemetry.MetricPathCacheEvictions)-evictions)
+			if storeCounter(telemetry.MetricCostViewReuses) > reuses {
+				lru += ev // the view stayed, so no tree left with it
+			} else {
+				builds++ // Bind displaced the kept view and forgot its trees
+			}
+			hits, misses = hits+run.hits, misses+run.misses
+			assertSameResult(t, fmt.Sprintf("seed %d step %d", seed, step), run.res, run.err, p, opts)
+			if run.err == nil && len(flows) < 24 {
+				if _, err := Commit(p, run.res.Solution); err != nil {
 					t.Fatalf("seed %d step %d: commit: %v", seed, step, err)
 				}
-				flows = append(flows, flow{p, got.Solution})
+				flows = append(flows, flow{p, run.res.Solution})
 			}
 		}
-		h, m, e := cache.Stats()
-		r, b := cache.ViewStats()
-		hits, misses, evictions, reuses, builds = hits+h, misses+m, evictions+e, reuses+r, builds+b
 	}
-	t.Logf("trees: %d hits, %d misses, %d evicted; views: %d reused, %d built", hits, misses, evictions, reuses, builds)
-	if hits == 0 || misses == 0 || evictions == 0 || reuses == 0 || builds < 12 {
-		t.Fatal("vacuous: the run must see tree hits, misses and evictions, view reuse and admissible sets that really differ")
+	t.Logf("trees: %d kept, %d rooted, %d evicted least recently used; %d views built", hits, misses, lru, builds)
+	if hits == 0 || misses == 0 || lru == 0 || builds < 12 {
+		t.Fatal("vacuous: the run must see kept trees, rooted trees, least-recently-used evictions and admissible sets that really differ")
 	}
 }
 
 // TestPathCacheCoherenceRace is the -race half of the same property: four
-// goroutines embed on snapshots through one store while a writer commits,
-// releases and applies faults, and every result must equal an uncached
-// embed of the same snapshot. Commits and releases overlap the embeds, as
-// in the server; faults reach every snapshot of the family at once, so the
-// writer applies them between compare windows (faultMu), or the two embeds
-// being compared could see different networks.
+// goroutines embed on snapshots through the arena pool while a writer
+// commits, releases and applies faults, and every result must equal an
+// embed of the same snapshot on a cold arena. Commits and releases overlap
+// the embeds, as in the server; faults reach every snapshot of the family
+// at once, so the writer applies them between compare windows (faultMu), or
+// the two embeds being compared could see different networks.
 func TestPathCacheCoherenceRace(t *testing.T) {
 	net := churnNet(42)
 	live := network.NewLedger(net)
-	cache := graph.NewTreeCache(0)
-	shared := MBBEOptions()
-	shared.PathCache = cache
-	plain := MBBEOptions()
+	opts := MBBEOptions()
+	hits0, misses0 := storeCounter(telemetry.MetricPathCacheHits), storeCounter(telemetry.MetricPathCacheMisses)
 
 	var mu, faultMu sync.RWMutex // mu guards live, as the server's state mutex does
 	stop := make(chan struct{})
@@ -433,7 +432,7 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 			case op < 4 && len(flows) < 24:
 				mu.Lock()
 				p := churnProblem(rng, net, live)
-				if res, err := Embed(p, shared); err == nil {
+				if res, err := Embed(p, opts); err == nil {
 					if _, err := Commit(p, res.Solution); err != nil {
 						t.Errorf("writer: commit: %v", err)
 					} else {
@@ -471,8 +470,8 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 				snap := live.Snapshot()
 				mu.RUnlock()
 				p := churnProblem(rng, net, snap)
-				got, gotErr := Embed(p, shared)
-				err := sameResult(got, gotErr, p, plain)
+				got, gotErr := Embed(p, opts)
+				err := sameResult(got, gotErr, p, opts)
 				faultMu.RUnlock()
 				if err != nil {
 					t.Errorf("embedder %d iter %d: %v", q, i, err)
@@ -484,47 +483,49 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 	embedders.Wait()
 	close(stop)
 	writer.Wait()
-	hits, misses, _ := cache.Stats()
+	hits, misses := storeCounter(telemetry.MetricPathCacheHits)-hits0, storeCounter(telemetry.MetricPathCacheMisses)-misses0
 	if hits == 0 || misses == 0 {
-		t.Fatalf("race test saw %d hits, %d misses: shared path unexercised", hits, misses)
+		t.Fatalf("race test saw %v kept trees, %v rooted: the arena stores went unexercised", hits, misses)
 	}
 }
 
 // TestPathCacheHitPathZeroAllocs is the allocation budget for a run that
-// finds everything warm: being served the retained view and a published
-// tree, and reporting the hits, must not allocate.
+// finds everything warm: compiling its view, binding it to the arena's
+// store and being served kept trees, grown further or not, must not
+// allocate.
 func TestPathCacheHitPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops the scratch View compiles into at random under -race")
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	g := buildTestGraphForAllocs()
-	cache := graph.NewTreeCache(0)
-	view, _, _ := cache.View(g, nil)
-	cache.Tree(view, 3)
-	telemetry.RecordPathCacheHits(1) // warm the counter family
-	allocs := testing.AllocsPerRun(20, func() {
-		v, reused, _ := cache.View(g, nil)
-		if _, hit, _ := cache.Tree(v, 3); !reused || !hit {
-			t.Fatal("warm lookup missed")
+	p := benchProblem(t)
+	p.Ledger = network.NewLedger(p.Net)
+	sc := newPooledScratch()
+	var kept uint64
+	run := func() {
+		e := newEmbedder(context.Background(), p, MBBEOptions(), sc)
+		if e.trees != &sc.mem.store {
+			t.Fatal("a ledger-backed run does not use its arena's store")
 		}
-		telemetry.RecordPathCacheHits(1)
-	})
-	if allocs != 0 {
-		t.Fatalf("cache-hit path allocated %v objects per run, want 0", allocs)
+		for src := graph.NodeID(0); src < 16; src++ {
+			e.treeFor(src, src+16)
+		}
+		e.treeFor(p.Dst, graph.None)
+		kept = e.treeHits
+		sc.recycle()
 	}
-}
-
-func buildTestGraphForAllocs() *graph.Graph {
-	g := graph.New(40)
-	for v := 1; v < 40; v++ {
-		g.MustAddEdge(graph.NodeID(v-1), graph.NodeID(v), 1, 100)
+	run() // root the trees
+	run() // and grow the arena's run storage
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("a warm run's view bind and 17 kept trees allocated %.0f objects, want 0", allocs)
 	}
-	return g
+	if kept != 17 {
+		t.Fatalf("vacuous: %d of 17 trees were kept", kept)
+	}
 }
 
 // searchStats is s without PathTreeNodes and its closure share, the counters
-// that say where a run's Dijkstra trees came from rather than what it
-// searched: a run served by a shared store grows none of its own.
+// that say how far the run itself grew its Dijkstra trees rather than what
+// it searched: a run that resumes kept trees settles fewer nodes.
 func searchStats(s Stats) Stats {
 	s.PathTreeNodes, s.ClosureTreeNodes = 0, 0
 	return s

@@ -14,7 +14,7 @@ import (
 )
 
 // TestPrivateTreesRecycled drives 60 embeds through one scratch — unbanned
-// and banned MBBE runs, with and without a store attached, and BBE runs —
+// and banned MBBE runs, with and without a ledger, and BBE runs —
 // recycling it between them as releaseScratch does, and requires each
 // Result to equal the same embed on a scratch nothing has used: the JSON of
 // the solution, the cost bit for bit, the stats. After every recycle the
@@ -27,8 +27,8 @@ func TestPrivateTreesRecycled(t *testing.T) {
 	embed := func(sc *pooledScratch, p *Problem, opts Options) (*Result, error) {
 		defer sc.recycle()
 		res, err := embedOn(ctx, p, opts, sc)
-		if sc == recycled {
-			privateTrees += sc.mem.npathTrees
+		if sc == recycled && sc.e.trees == &sc.mem.private {
+			privateTrees += asked(&sc.e)
 		}
 		return res, err
 	}
@@ -48,22 +48,15 @@ func TestPrivateTreesRecycled(t *testing.T) {
 			}
 		}
 		if i%4 >= 2 {
-			// With a store the unbanned run's trees are shared and only a
-			// banned run keeps private ones, beside a shared search view.
+			// With a ledger the unbanned run's trees are kept in the arena's
+			// store for later runs; a banned run's are private either way.
 			p.Ledger = network.NewLedger(p.Net)
-			opts.PathCache = graph.NewTreeCache(0)
 		}
-		what := fmt.Sprintf("embed %d (%s, %d banned, store %t)", i, opts.Label, len(opts.BannedEdges), opts.PathCache != nil)
+		what := fmt.Sprintf("embed %d (%s, %d banned, ledger %t)", i, opts.Label, len(opts.BannedEdges), p.Ledger != nil)
 
 		got, gotErr := embed(recycled, p, opts)
-		scribbleGraphStorage(recycled.mem)
-		shared := opts.PathCache != nil && len(opts.BannedEdges) == 0
-		opts.PathCache = nil
+		scribbleGraphStorage(recycled.mem, p.Net.G.NumNodes())
 		want, wantErr := embed(newPooledScratch(), p, opts)
-		if shared && gotErr == nil && wantErr == nil {
-			// The store's trees cost the run nothing; its own are counted.
-			got.Stats, want.Stats = searchStats(got.Stats), searchStats(want.Stats)
-		}
 
 		if gotErr != nil || wantErr != nil {
 			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -92,15 +85,11 @@ func TestPrivateTreesRecycled(t *testing.T) {
 	}
 }
 
-// treeFixture readies an MBBE run on a private view of the benchmark
-// instance, the state treeFor's private path starts from.
+// treeFixture readies an MBBE run of the ledgerless benchmark instance, whose
+// trees treeFor roots afresh.
 func treeFixture(tb testing.TB, sc *pooledScratch) *embedder {
 	tb.Helper()
-	e := newEmbedder(context.Background(), benchProblem(tb), MBBEOptions(), sc)
-	if e.sharedTrees {
-		tb.Fatal("fixture run shares its trees")
-	}
-	return e
+	return newEmbedder(context.Background(), benchProblem(tb), MBBEOptions(), sc)
 }
 
 // TestEmbedPrivateRunTreeAllocs pins what the run-scoped storage is for:
@@ -118,8 +107,9 @@ func TestEmbedPrivateRunTreeAllocs(t *testing.T) {
 	run := func() {
 		sc.recycle()
 		*e = fixture
-		e.pathView = e.privateView(&e.costOpts)
-		e.treeOf = sc.mem.idx.alloc(e.p.Net.G.NumNodes())
+		e.pathView, _, _ = sc.mem.store.Bind(e.compileView(&e.costOpts))
+		sc.mem.store.Forget()
+		e.asked = sc.mem.idx.alloc(e.p.Net.G.NumNodes())
 		for src := graph.NodeID(0); src < sources; src++ {
 			if tree := e.treeFor(src, e.p.Dst); tree.Src != src || e.treeFor(src, graph.None) != tree {
 				t.Fatalf("treeFor(%d) is not memoized", src)
@@ -143,7 +133,7 @@ func TestTreeForSurvivesScratchReuse(t *testing.T) {
 	e := treeFixture(t, sc)
 	p := e.p
 	const a, b = graph.NodeID(3), graph.NodeID(11)
-	want := e.pathView.Dijkstra(a)
+	want := p.Net.G.Dijkstra(a, &e.costOpts)
 	held := e.treeFor(a, b)
 	if e.stats.PathTreeNodes == 0 || e.stats.PathTreeNodes >= p.Net.G.NumNodes() {
 		t.Fatalf("growing the tree of %d as far as %d settled %d of %d nodes", a, b, e.stats.PathTreeNodes, p.Net.G.NumNodes())

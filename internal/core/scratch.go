@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/telemetry"
 )
 
 // pooledScratch is everything one embedding run works in: a graph.Scratch
@@ -12,7 +13,7 @@ import (
 type pooledScratch struct {
 	*graph.Scratch
 	// mem is the run's arena: it carves its search trees and candidates
-	// from it and keeps its private views and Dijkstra trees in it, and
+	// from it and keeps its views and Dijkstra trees in it, and
 	// releaseScratch resets it once the run's Result (a heap copy that
 	// aliases none of that memory) is built.
 	mem *searchMem
@@ -22,10 +23,11 @@ type pooledScratch struct {
 }
 
 // searchMemRetainBytes caps the memory an arena may keep while pooled. A
-// paper-scale MBBE run grows its arena to under 1 MB and BBE to a few; an
-// arena past the cap was grown by a one-off huge search and is dropped
-// rather than pooled — the analogue of graph.PutScratch dropping oversized
-// scratches — so it cannot stay pinned behind later small runs.
+// paper-scale MBBE run grows its slabs to under 1 MB and BBE to a few; the
+// tree store fills what they leave (about 300 trees at 500 nodes). An arena
+// whose slabs alone pass the cap was grown by a one-off huge search and is
+// dropped rather than pooled — the analogue of graph.PutScratch dropping
+// oversized scratches — so it cannot stay pinned behind later small runs.
 const searchMemRetainBytes = 8 << 20
 
 var embedScratchPool = sync.Pool{New: func() any { return newPooledScratch() }}
@@ -45,17 +47,20 @@ func releaseScratch(ps *pooledScratch) {
 	embedScratchPool.Put(ps)
 }
 
-// recycle readies ps for the next run by zeroing its embedder and resetting
-// its arena (or dropping it, past searchMemRetainBytes). The caller must not
-// touch the embedder, any scratch-aliasing search result, or any view, tree,
+// recycle readies ps for the next run by zeroing its embedder, resetting
+// its arena and trimming the arena's store to searchMemRetainBytes (or
+// dropping the arena, past the cap without it). The caller must not touch
+// the embedder, any scratch-aliasing search result, or any view, tree,
 // search tree, extension or sub-solution of the finished run afterwards —
 // the memory behind them is recycled here. Safe only after the Result has
 // been assembled.
 func (ps *pooledScratch) recycle() {
 	ps.e = embedder{}
-	if ps.mem.bytes() > searchMemRetainBytes {
+	budget := searchMemRetainBytes - ps.mem.runBytes()
+	if budget < 0 {
 		ps.mem = &searchMem{}
-	} else {
-		ps.mem.reset()
+		return
 	}
+	ps.mem.reset()
+	telemetry.RecordPathCacheEvictions(ps.mem.store.Trim(budget))
 }

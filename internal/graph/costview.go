@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // CostView is a compiled snapshot of one (Graph, CostOptions, residual
 // state) triple, flattened into dense arrays aligned with the CSR arc
@@ -28,7 +25,7 @@ import (
 // capacity-floor comparison and prices are static, so everything in a view
 // — and every tree searched on it — is a function of the CSR arrays it was
 // compiled over, admit and nodeBan alone: two views equal in those are
-// interchangeable whatever ledger state produced them (see TreeCache).
+// interchangeable whatever ledger state produced them (see TreeStore).
 type CostView struct {
 	arcs []Arc
 	off  []int32
@@ -36,13 +33,6 @@ type CostView struct {
 	price   []float64
 	admit   []uint64
 	nodeBan []uint64 // len 0 when no node is banned
-
-	// trees and order are set only on a view a TreeCache published: the
-	// per-source table of Dijkstra trees searched on this view, each slot
-	// written once it is computed, and the occupied sources in publication
-	// order (guarded by the cache's mutex).
-	trees []atomic.Pointer[ShortestTree]
-	order []NodeID
 
 	numNodes int
 	numArcs  int
@@ -115,8 +105,8 @@ func (g *Graph) CompileView(opts *CostOptions) *CostView {
 
 // CompileViewInto compiles opts into v, reusing v's backing arrays and the
 // caller's residual buffer; it returns the (possibly grown) residual
-// buffer for reuse. v must not be a view a TreeCache published, and
-// whoever holds v sees the new compilation. One call fills the residual
+// buffer for reuse. Whoever holds v sees the new compilation, and a tree
+// grown on v must not be read or resumed after it. One call fills the residual
 // buffer (opts.Residual's EdgeResiduals, or the static capacities), then one
 // pass over arcs derives admissibility, the Inf-sentinel price array, and
 // the bucket tuning inputs.

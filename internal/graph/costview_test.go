@@ -70,7 +70,7 @@ func TestCompileViewBucketTuning(t *testing.T) {
 	if zv.delta != 0 {
 		t.Fatalf("zero-price view got delta=%v, want heap fallback", zv.delta)
 	}
-	tree := zv.Dijkstra(0)
+	tree := zv.DijkstraWith(NewScratch(), 0)
 	if tree.Dist[2] != 0 {
 		t.Fatalf("heap fallback Dist[2] = %v, want 0", tree.Dist[2])
 	}
@@ -80,7 +80,7 @@ func TestCompileViewBucketTuning(t *testing.T) {
 	if bv.delta != 0 || bv.Admitted() != 0 {
 		t.Fatalf("fully-filtered view: delta=%v admitted=%d", bv.delta, bv.Admitted())
 	}
-	if tr := bv.Dijkstra(0); tr.Reachable(1) {
+	if tr := bv.DijkstraWith(NewScratch(), 0); tr.Reachable(1) {
 		t.Fatal("fully-filtered search reached a neighbor")
 	}
 }

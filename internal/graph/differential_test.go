@@ -174,7 +174,7 @@ func TestDijkstraKernelDifferential(t *testing.T) {
 				view := g.CompileView(opts)
 				for trial := 0; trial < 4; trial++ {
 					src := NodeID(rng.Intn(n))
-					got := view.Dijkstra(src)
+					got := view.DijkstraWith(NewScratch(), src)
 					legacy := legacyDijkstra(g, src, opts)
 					oracle := bellmanFord(g, src, opts)
 					for v := 0; v < n; v++ {

@@ -128,7 +128,7 @@ func (t *ShortestTree) PathTo(v NodeID) (Path, bool) {
 // Dijkstra computes cheapest paths (by link price) from src to every node,
 // honoring opts. It compiles opts into a CostView internally; callers
 // running many sources under the same options and residual state should
-// compile once with CompileView and use CostView.Dijkstra. The returned
+// compile once with CompileView and search with CostView.DijkstraWith. The returned
 // tree is freshly allocated and may be retained indefinitely; use
 // DijkstraWith for the allocation-free variant when the result is consumed
 // before the next query.
@@ -139,19 +139,10 @@ func (g *Graph) Dijkstra(src NodeID, opts *CostOptions) *ShortestTree {
 	return t
 }
 
-// Dijkstra runs the search kernel from src under the compiled view. The
-// returned tree is freshly allocated and may be retained indefinitely.
-func (v *CostView) Dijkstra(src NodeID) *ShortestTree {
-	s := GetScratch()
-	t := v.DijkstraWith(s, src).clone()
-	PutScratch(s)
-	return t
-}
-
-// DijkstraWith is CostView.Dijkstra running entirely on scratch memory:
-// zero steady-state allocations once s has warmed up to the graph size.
-// The returned tree is owned by s and invalidated by the next search on
-// the same Scratch.
+// DijkstraWith runs the search kernel from src under the compiled view,
+// entirely on scratch memory: zero steady-state allocations once s has
+// warmed up to the graph size. The returned tree is owned by s and
+// invalidated by the next search on the same Scratch.
 func (v *CostView) DijkstraWith(s *Scratch, src NodeID) *ShortestTree {
 	s.lastN, s.lastA = v.numNodes, v.numArcs
 	s.tree.Reset(v, src)

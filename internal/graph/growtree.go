@@ -31,8 +31,11 @@ type GrowTree struct {
 // a new tree costs the run one allocation, not six — at rest (Dist=Inf,
 // parent/prev=None). The frontier gets room for n entries and moves out of
 // the block by itself (append) in the rare search that queues more.
-func (t *GrowTree) alloc(n int) {
-	block := make([]float64, 6*n)
+func (t *GrowTree) alloc(n int) { t.carve(make([]float64, 6*n), n) }
+
+// carve lays the tree's arrays, at rest, over block: 6n words nothing else
+// uses.
+func (t *GrowTree) carve(block []float64, n int) {
 	t.Dist = block[:n:n]
 	t.parent = unsafe.Slice((*EdgeID)(unsafe.Pointer(&block[n])), n)
 	t.prev = unsafe.Slice((*NodeID)(unsafe.Pointer(&block[2*n])), n)

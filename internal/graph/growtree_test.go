@@ -25,7 +25,7 @@ func heapView(v *CostView) *CostView {
 // once across the calls.
 func checkGrowTree(t *testing.T, what string, tree *GrowTree, s *Scratch, view *CostView, src NodeID, order []NodeID) {
 	t.Helper()
-	want := view.Dijkstra(src)
+	want := view.DijkstraWith(NewScratch(), src)
 	tree.Reset(view, src)
 	settled := 0
 	for _, v := range order {

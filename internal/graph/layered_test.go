@@ -229,7 +229,7 @@ func TestLayeredDijkstraMatchesBellmanFord(t *testing.T) {
 // as a lower bound may be.
 func directTowards(v *CostView, q *LayeredQuery) {
 	k := len(q.Rent)
-	q.PotLink = v.Dijkstra(q.Target).Dist
+	q.PotLink = v.DijkstraWith(NewScratch(), q.Target).Dist
 	q.PotRent = make([]float64, k+1)
 	for j := k - 1; j >= 0; j-- {
 		q.PotRent[j] = q.PotRent[j+1] + slices.Min(q.Rent[j])

@@ -414,25 +414,16 @@ func foreign(e Embedder) *algorithm {
 	return &algorithm{embed: func(_ context.Context, p *core.Problem) (*core.Result, error) { return e(p) }}
 }
 
-// builtinAlgorithms is the default registry. mbbe and bbe share one
-// cross-request cache of up to 4096 trees (graph's default): requests whose
-// rate the same set of links can still carry share one compiled cost view
-// and the capacity-filtered Dijkstra trees searched on it, whatever was
-// committed in between. Views are keyed by their content, so the cache
-// needs no invalidation hooks from commits or the fault endpoints.
-// ranv draws from one seeded rng behind a lock, so its embeds serialize —
-// acceptable for a baseline. Slower reference heuristics (internal/anneal)
-// are not admission algorithms; Config.Embedders registers one where it is
-// wanted.
+// builtinAlgorithms is the default registry. ranv draws from one seeded rng
+// behind a lock, so its embeds serialize — acceptable for a baseline. Slower
+// reference heuristics (internal/anneal) are not admission algorithms;
+// Config.Embedders registers one where it is wanted.
 func builtinAlgorithms(seed int64) map[string]*algorithm {
-	cache := graph.NewTreeCache(0)
-	mbbe, bbe := core.MBBEOptions(), core.BBEOptions()
-	mbbe.PathCache, bbe.PathCache = cache, cache
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed))
 	return map[string]*algorithm{
-		"mbbe": treeSearch(mbbe),
-		"bbe":  treeSearch(bbe),
+		"mbbe": treeSearch(core.MBBEOptions()),
+		"bbe":  treeSearch(core.BBEOptions()),
 		"minv": foreign(baseline.EmbedMINV),
 		"ranv": foreign(func(p *core.Problem) (*core.Result, error) {
 			mu.Lock()

@@ -99,56 +99,47 @@ func labelledHistogram(name, help, label string, buckets []float64) *seriesMemo[
 // labelPair keys the families of two labels.
 type labelPair struct{ a, b string }
 
-// Shared-view store metric names: tree requests served from a shared
-// view's table, Dijkstra trees actually searched, trees the store dropped,
-// and what it retains right now.
+// Tree-store metric names: tree requests an embed arena served from a
+// tree it kept, Dijkstra trees actually rooted, and kept trees the arenas
+// dropped.
 const (
 	MetricPathCacheHits      = "dagsfc_path_cache_hits_total"
 	MetricPathCacheMisses    = "dagsfc_path_cache_misses_total"
 	MetricPathCacheEvictions = "dagsfc_path_cache_evictions_total"
-	MetricPathCacheViews     = "dagsfc_path_cache_views"
-	MetricPathCacheTrees     = "dagsfc_path_cache_trees"
 )
 
 var (
-	pathCacheHits      = counter(MetricPathCacheHits, "Path-tree cache lookups served from a cached Dijkstra tree.")
-	pathCacheMisses    = counter(MetricPathCacheMisses, "Path-tree cache lookups that computed a fresh Dijkstra tree.")
-	pathCacheEvictions = counter(MetricPathCacheEvictions, "Path trees dropped by the size cap or with a displaced view.")
-	pathCacheViews     = gauge(MetricPathCacheViews, "Cost views the path-tree cache currently retains.")
-	pathCacheTrees     = gauge(MetricPathCacheTrees, "Dijkstra trees the path-tree cache currently retains.")
+	pathCacheHits      = counter(MetricPathCacheHits, "Dijkstra tree requests served from a tree an embed arena kept.")
+	pathCacheMisses    = counter(MetricPathCacheMisses, "Dijkstra trees rooted afresh by ledger-backed embeds.")
+	pathCacheEvictions = counter(MetricPathCacheEvictions, "Kept Dijkstra trees an embed arena dropped: by its size bound, with a displaced view, or for a run without a ledger.")
 )
 
-// RecordPathCacheHits records n tree requests served from a shared view's
-// table; an embedding run reports its total once, when it ends.
+// RecordPathCacheHits records n tree requests served from a kept tree; an
+// embedding run reports its total once, when it ends.
 func RecordPathCacheHits(n uint64) {
 	if n > 0 {
 		pathCacheHits().Add(float64(n))
 	}
 }
 
-// RecordPathCacheMiss records one Dijkstra tree searched by a run with the
-// store attached, whether the tree was then shared or stayed private to a
+// RecordPathCacheMiss records one Dijkstra tree rooted afresh by a
+// ledger-backed run, whether the arena keeps it or it stays private to a
 // banned run.
 func RecordPathCacheMiss() { pathCacheMisses().Inc() }
 
-// RecordPathCacheRetention publishes how many views and trees the store
-// retains after taking one in, and counts the trees evicted to do so.
-func RecordPathCacheRetention(views, trees, evicted int) {
-	pathCacheViews().Set(float64(views))
-	pathCacheTrees().Set(float64(trees))
-	if evicted > 0 {
-		pathCacheEvictions().Add(float64(evicted))
+// RecordPathCacheEvictions counts n kept trees dropped.
+func RecordPathCacheEvictions(n int) {
+	if n > 0 {
+		pathCacheEvictions().Add(float64(n))
 	}
 }
 
-// InitPathCacheMetrics pre-creates the path-tree cache families at zero so
-// they appear in scrapes before the first embed touches the cache.
+// InitPathCacheMetrics pre-creates the tree-store families at zero so they
+// appear in scrapes before the first embed touches a store.
 func InitPathCacheMetrics() {
 	pathCacheHits()
 	pathCacheMisses()
 	pathCacheEvictions()
-	pathCacheViews()
-	pathCacheTrees()
 }
 
 // Compiled cost-view metric names.
@@ -159,12 +150,13 @@ const (
 
 var (
 	costViewBuilds = counter(MetricCostViewBuilds, "Cost views compiled fresh from ledger residuals.")
-	costViewReuses = counter(MetricCostViewReuses, "Cost-view acquisitions served from the cross-request view cache.")
+	costViewReuses = counter(MetricCostViewReuses, "Cost-view acquisitions served the view an embed arena kept.")
 )
 
 // RecordCostView records one cost-view acquisition by an embedding run: a
-// build compiled a view the run keeps (published to the store, or private
-// to the run), a reuse was served the view the path-tree cache retains.
+// build compiled a view the run searches on (bound to its arena's tree
+// store, or private to the run), a reuse found the store's view of the same
+// content.
 func RecordCostView(build bool) {
 	if build {
 		costViewBuilds().Inc()

@@ -20,7 +20,7 @@ func TestRecordersAllocateNothing(t *testing.T) {
 	recorders := map[string]func(){
 		"RecordPathCacheHits":      func() { RecordPathCacheHits(2) },
 		"RecordPathCacheMiss":      RecordPathCacheMiss,
-		"RecordPathCacheRetention": func() { RecordPathCacheRetention(1, 3, 1) },
+		"RecordPathCacheEvictions": func() { RecordPathCacheEvictions(3) },
 		"RecordCostView":           func() { RecordCostView(true); RecordCostView(false) },
 		"RecordRepair":             func() { RecordRepair("revalidated"); RecordRepair("evicted") },
 		"RecordWorkerPanic":        RecordWorkerPanic,
