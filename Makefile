@@ -216,8 +216,8 @@ bench-json:
 # (MBBE embed cold, warm, warm under ledger churn and serial, layer
 # extensions, BBE embed, the validate-commit-release ledger path, admission
 # and release through the server: plain, protected, durable and over HTTP) allocates
-# more than 5% more objects per op, if the warm path-cache embed lost
-# its 1.5x speedup floor, or if failing over to a reserved backup got more
+# more than 5% more objects per op, if the embed the arena's tree store
+# serves lost its 1.5x speedup floor, or if failing over to a reserved backup got more
 # than 2x slower at p99 than the baseline records or stopped beating a repair
 # re-embed. It refuses outright (non-zero exit) to compare
 # two ledgers recorded at different GOMAXPROCS. The 20% limit is wide on

@@ -24,8 +24,8 @@
 // it prints the old->new ns/op delta of every benchmark the two ledgers
 // share, then compares the "after" runs and exits non-zero when a guarded
 // benchmark's ns/op regressed past -guard-limit, an embed-path benchmark's
-// allocs/op rose more than 5%, or the warm path-cache
-// embed lost its speedup floor:
+// allocs/op rose more than 5%, or the embed served by the arena's tree store
+// lost its speedup floor:
 //
 //	dagsfc-bench -guard-old BENCH_PR29.json -guard-new BENCH_PR31.json
 package main
@@ -159,9 +159,9 @@ var allocGuardedBenchmarks = []string{
 
 const allocGuardLimit = 0.05
 
-// cachedSpeedupFloor is the minimum warm-cache speedup the candidate must
-// demonstrate: EmbedMBBECached must be at least this factor faster than
-// the uncached EmbedMBBE in the same ledger.
+// cachedSpeedupFloor is the minimum speedup the arena's tree store must give
+// the candidate: EmbedMBBECached (view and trees kept) must be at least this
+// factor faster than EmbedMBBE (every tree rooted afresh) in the same ledger.
 const cachedSpeedupFloor = 1.5
 
 // failoverSlowdownLimit bounds BenchmarkFailoverLatency's failover p99
@@ -177,7 +177,7 @@ const failoverSlowdownLimit = 2.0
 
 // guardBench compares the "after" runs of two benchmark JSON ledgers and
 // fails if any guarded benchmark regressed past the limit, or if the
-// candidate's warm-cache embed lost its speedup floor. Machine-to-machine
+// candidate's arena-store embed lost its speedup floor. Machine-to-machine
 // noise is why the guard compares ledgers produced on the same host (CI
 // regenerates the candidate next to the committed baseline).
 func guardBench(oldPath, newPath string, limit float64) error {
@@ -286,9 +286,9 @@ func guardBench(oldPath, newPath string, limit float64) error {
 		verdict := "ok"
 		if speedup < cachedSpeedupFloor {
 			verdict = "TOO SLOW"
-			failures = append(failures, fmt.Sprintf("warm-cache speedup %.2fx below the %.1fx floor", speedup, cachedSpeedupFloor))
+			failures = append(failures, fmt.Sprintf("arena-store speedup %.2fx below the %.1fx floor", speedup, cachedSpeedupFloor))
 		}
-		fmt.Printf("guard: warm path-cache embed speedup %.2fx (floor %.1fx)  %s\n", speedup, cachedSpeedupFloor, verdict)
+		fmt.Printf("guard: arena-store embed speedup %.2fx (floor %.1fx)  %s\n", speedup, cachedSpeedupFloor, verdict)
 	} else if !okC {
 		failures = append(failures, fmt.Sprintf("BenchmarkEmbedMBBECached missing from candidate %s", newPath))
 	}

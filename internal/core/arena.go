@@ -140,23 +140,18 @@ type searchMem struct {
 	extLists slab[[]*extension]
 
 	// Graph storage. graph owns these layouts, so they recycle whole instead
-	// of being carved: views[:nviews] are the cost views the run compiled —
-	// at most two, its capacity-only search view and, when it bans elements,
-	// the path view — and each is handed to a tree store, whose view it
-	// trades storage with. store keeps the Dijkstra trees grown on the search
-	// view from one run to the next, for as long as that view's content stays
-	// the same: a run resumes a kept tree instead of re-rooting it (a run
-	// without a ledger forgets them first). private holds a banned run's
-	// trees, grown on its path view and forgotten by reset. recycle trims
-	// store to what searchMemRetainBytes leaves room for.
-	views          [2]graph.CostView
-	nviews         int
+	// of being carved. store holds the run's capacity-only search view and
+	// keeps the Dijkstra trees grown on it from one run to the next, for as
+	// long as the arcs it admits stay the same: a run resumes a kept tree
+	// instead of re-rooting it (a run without a ledger forgets them first),
+	// and compiles the view only when its residual row displaces it. private
+	// holds a banned run's path view and the trees grown on it, forgotten by
+	// reset. recycle trims store to what searchMemRetainBytes leaves room for.
 	store, private graph.TreeStore
 
-	// The run's residual rows (see residuals): resBuf, which is also
-	// CompileViewInto's residual buffer while the views are compiled, and
-	// instRes, its companion over instances. Overwritten whole by the next
-	// run, so reset leaves them alone.
+	// The run's residual rows (see residuals): resBuf over edges, which both
+	// stores bind over, and instRes, its companion over instances.
+	// Overwritten whole by the next run, so reset leaves them alone.
 	resBuf, instRes []float64
 
 	// interMemo and innerMemo hold the path choices of the meta-paths the
@@ -182,7 +177,7 @@ type searchMem struct {
 	rents                  [][]float64         // layeredRun's per-layer rent rows (the network's, not copies)
 	potRent                []float64           // and, for a terminal run, the least rent still ahead of each layer
 	walk                   []int32             // materialise's backwards arc list
-	keyed                  []keyedNode         // sortByKey's keys
+	keyed                  []keyedNode         // firstByKey's keys
 }
 
 // slabs lists every slab of the arena: the one place reset and bytes learn
@@ -219,22 +214,18 @@ func (m *searchMem) reset() {
 	clear(m.keyed[:cap(m.keyed)])
 	m.interMemo.reset()
 	m.innerMemo.reset()
-	m.nviews = 0
 	m.private.Forget()
 }
 
 // bytes reports the memory the arena pins between runs.
 func (m *searchMem) bytes() int { return m.runBytes() + m.store.MemBytes() }
 
-// runBytes is bytes without store: the slabs, rows, memos, views and
-// private trees.
+// runBytes is bytes without store: the slabs, rows, memos and private
+// view and trees.
 func (m *searchMem) runBytes() int {
 	n := (cap(m.resBuf)+cap(m.instRes))*8 + m.interMemo.bytes() + m.innerMemo.bytes() + m.private.MemBytes()
 	for _, s := range m.slabs() {
 		n += s.bytes()
-	}
-	for i := range m.views {
-		n += m.views[i].MemBytes()
 	}
 	return n
 }
@@ -289,18 +280,42 @@ type keyedNode struct {
 	tn  *TreeNode
 }
 
-// sortByKey stable-sorts nodes by key, calling it once per node rather than
-// twice per comparison: the order a stable sort comparing key(a) with key(b)
-// gives, bit for bit.
-func (m *searchMem) sortByKey(nodes []*TreeNode, key func(*TreeNode) float64) {
-	m.keyed = sized(m.keyed, len(nodes))
-	for i, tn := range nodes {
-		m.keyed[i] = keyedNode{key(tn), tn}
+// firstByKey moves to the front of nodes, and returns, its first k in a
+// stable sort by key — all of them for k ≤ 0 — calling key once per node:
+// the order a stable sort comparing key(a) with key(b) gives, bit for bit.
+// Under a cap the k are found by insertion into k slots, so a long list
+// costs a pass rather than a sort of what the cap would drop.
+func (m *searchMem) firstByKey(nodes []*TreeNode, k int, key func(*TreeNode) float64) []*TreeNode {
+	if k <= 0 || k >= len(nodes) {
+		m.keyed = sized(m.keyed, len(nodes))
+		for i, tn := range nodes {
+			m.keyed[i] = keyedNode{key(tn), tn}
+		}
+		slices.SortStableFunc(m.keyed, func(a, b keyedNode) int { return cmp.Compare(a.key, b.key) })
+	} else {
+		m.keyed = m.keyed[:0]
+		for _, tn := range nodes {
+			kn := keyedNode{key(tn), tn}
+			// After every kept node whose key is not greater: equal keys stay
+			// in input order.
+			j := len(m.keyed)
+			for j > 0 && cmp.Compare(m.keyed[j-1].key, kn.key) > 0 {
+				j--
+			}
+			if j == k {
+				continue
+			}
+			if len(m.keyed) < k {
+				m.keyed = append(m.keyed, keyedNode{})
+			}
+			copy(m.keyed[j+1:], m.keyed[j:]) // drops the last of a full buffer
+			m.keyed[j] = kn
+		}
 	}
-	slices.SortStableFunc(m.keyed, func(a, b keyedNode) int { return cmp.Compare(a.key, b.key) })
 	for i := range m.keyed {
 		nodes[i] = m.keyed[i].tn
 	}
+	return nodes[:len(m.keyed)]
 }
 
 // sized returns buf resliced to n elements, regrown if it lacks the

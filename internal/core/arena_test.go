@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"math"
@@ -25,15 +26,12 @@ import (
 func scribbleGraphStorage(m *searchMem, n int) {
 	sc := graph.NewScratch()
 	for _, store := range []*graph.TreeStore{&m.store, &m.private} {
-		store.Bind(lineGraph(n).CompileView(nil))
+		store.Bind(lineGraph(n), nil, nil)
 		for src := graph.NodeID(0); int(src) < n; src++ {
 			t, _, _ := store.Tree(src)
 			t.To(sc, graph.None)
 		}
 		store.Forget()
-	}
-	for i := range m.views {
-		m.resBuf = lineGraph(3).CompileViewInto(&m.views[i], nil, m.resBuf)
 	}
 	for i := range m.resBuf {
 		m.resBuf[i] = -1
@@ -282,6 +280,52 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestFirstByKeyIsTheSortPrefix: the capped helper returns the prefix of a
+// stable sort by key — all of it for k ≤ 0 — on random keys with ties,
+// infinities and NaNs, for caps below, at and past the list's length.
+func TestFirstByKeyIsTheSortPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := &searchMem{}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		key := make([]float64, n)
+		for i := range key {
+			switch rng.Intn(10) {
+			case 0:
+				key[i] = math.Inf(1)
+			case 1:
+				key[i] = math.NaN()
+			default:
+				key[i] = float64(rng.Intn(6)) // ties aplenty
+			}
+		}
+		byKey := func(tn *TreeNode) float64 { return key[tn.Node] }
+		nodes := make([]*TreeNode, n)
+		for i := range nodes {
+			nodes[i] = &TreeNode{Node: graph.NodeID(i)}
+		}
+		sorted := slices.Clone(nodes)
+		slices.SortStableFunc(sorted, func(a, b *TreeNode) int { return cmp.Compare(byKey(a), byKey(b)) })
+		for _, k := range []int{-1, 0, 1, n - 1, n, n + 1} {
+			want := sorted
+			if k > 0 && k < n {
+				want = sorted[:k]
+			}
+			if got := m.firstByKey(slices.Clone(nodes), k, byKey); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, k=%d of %d: got %v, want %v", trial, k, n, nodeIDs(got), nodeIDs(want))
+			}
+		}
+	}
+}
+
+func nodeIDs(nodes []*TreeNode) []graph.NodeID {
+	ids := make([]graph.NodeID, len(nodes))
+	for i, tn := range nodes {
+		ids[i] = tn.Node
+	}
+	return ids
+}
+
 // TestEmbedAllocatesItsResult is the allocation budget of a whole embed,
 // the counterpart of graph's TestDijkstraWithZeroAllocs for the layers above
 // it: once the arena has grown to the instance, a warm MBBE run on a problem
@@ -290,7 +334,8 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 // objects: the Result; the Solution, its layer slice and the one block each
 // of nodes, paths and edges that assemble copies them into; and the Usage's
 // instance and edge rows. It holds for a hybrid SFC, for a chain of
-// single-VNF layers (one layered run) and for a banned run (a backup).
+// single-VNF layers (one layered run), for a banned run (a backup) and for a
+// delay-bounded run, whose fewest-hop paths are walked into the arena too.
 func TestEmbedAllocatesItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -307,6 +352,8 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 	banned := MBBEOptions()
 	banned.BannedEdges = map[graph.EdgeID]bool{}
 	primary.Solution.VisitEdges(func(e graph.EdgeID) { banned.BannedEdges[e] = true })
+	delayed := MBBEOptions()
+	delayed.MaxDelay = EvaluateDelay(hybrid, primary.Solution, DefaultDelayParams()) // feasible, and binding
 	for _, c := range []struct {
 		name string
 		p    *Problem
@@ -315,6 +362,7 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 		{"hybrid", hybrid, MBBEOptions()},
 		{"serial", &serial, MBBEOptions()},
 		{"banned", hybrid, banned},
+		{"delay", hybrid, delayed},
 	} {
 		if _, err := Embed(c.p, c.opts); err != nil { // grow the arena
 			t.Fatalf("%s: %v", c.name, err)
@@ -337,11 +385,11 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 func TestReleaseDropsOversizedArena(t *testing.T) {
 	small, huge, treeful := newPooledScratch(), newPooledScratch(), newPooledScratch()
 	small.mem.idx.alloc(10)
-	small.mem.private.Bind(lineGraph(10).CompileView(nil))
+	small.mem.private.Bind(lineGraph(10), nil, nil)
 	small.mem.private.Tree(0)
 	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
 	// A grown tree pins 48 B per node.
-	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/48 + 1).CompileView(nil))
+	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/48+1), nil, nil)
 	treeful.mem.private.Tree(0)
 	kept := small.mem
 	small.recycle()
@@ -378,9 +426,6 @@ func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 	for _, s := range m.slabs() {
 		counted -= s.bytes()
 	}
-	for i := range m.views {
-		counted -= m.views[i].MemBytes()
-	}
 	counted -= m.private.MemBytes() + m.store.MemBytes()
 	if want := 8*(len(m.instRes)+len(m.resBuf)) + 2*(4+24)*n; counted < want {
 		t.Fatalf("bytes() counts %d for the rows and memo tables, which pin at least %d", counted, want)
@@ -394,12 +439,18 @@ func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 	}
 }
 
+// slabPeakBytes bounds the slabs of an arena that has served the paper
+// regime (500 nodes, width-3 layers): 640 KiB measured, plus 10 %.
+const slabPeakBytes = (640 << 10) * 11 / 10
+
 // TestArenaStoreStaysInsideItsCap churns one arena through ledger-backed
 // embeds on a 500-node substrate — random endpoints, every accepted flow
 // committed and the oldest released — until its tree store has filled what
 // the slabs leave of searchMemRetainBytes. After every recycle the arena
 // pins no more than the cap, and it is the same arena: the store sheds its
-// least recently used trees instead of the arena being replaced whole.
+// least recently used trees instead of the arena being replaced whole. Its
+// slabs stay under slabPeakBytes: what a run carves follows its search, not
+// the substrate.
 func TestArenaStoreStaysInsideItsCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := benchProblem(t)
@@ -420,6 +471,13 @@ func TestArenaStoreStaysInsideItsCap(t *testing.T) {
 		}
 		if got := arena.bytes(); got > searchMemRetainBytes {
 			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", i, got, searchMemRetainBytes)
+		}
+		slabs := 0
+		for _, s := range arena.slabs() {
+			slabs += s.bytes()
+		}
+		if slabs > slabPeakBytes {
+			t.Fatalf("embed %d: the arena's slabs pin %d bytes, past the %d measured in this regime", i, slabs, slabPeakBytes)
 		}
 		if run.err != nil {
 			continue

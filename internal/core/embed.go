@@ -247,14 +247,21 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 	// The ledger is read-only for the whole run, so one CostOptions value
 	// serves every search.
 	e.costOpts = *e.ledger.CostOptions(p.Rate)
-	// Compile the run's cost views once: pathView backs every Dijkstra/hop
-	// search under the full options; searchView is the capacity-only
-	// variant the FST/BST layer-extension builds admit arcs through
-	// (runSearch admission ignores ban sets, so a banned run needs the
-	// distinction). The search view is the arena store's, and so are the
-	// trees of a run that bans nothing; a banned run grows its own.
+	// Read the ledger once into the run's dense rows, on the arena's storage:
+	// every screen of the search reads them, and both tree stores bind over
+	// the edge row.
 	m := sc.mem
-	v, reused, evicted := m.store.Bind(e.compileView(&e.costOpts))
+	e.res = readResiduals(e.ledger, m.instRes, m.resBuf)
+	m.instRes, m.resBuf = e.res.inst, e.res.edge
+	// The run's cost views: pathView backs every Dijkstra/hop search under
+	// the full options; searchView is the capacity-only variant the FST/BST
+	// layer-extension builds admit arcs through (runSearch admission ignores
+	// ban sets, so a banned run needs the distinction). The search view is
+	// the arena store's, compiled only when the row admits other arcs than
+	// the kept one, and so are the trees of a run that bans nothing; a banned
+	// run compiles its own path view and grows its own trees.
+	g := p.Net.G
+	v, reused, evicted := m.store.Bind(g, &e.costOpts, e.res.edge)
 	if p.Ledger == nil {
 		// Kept trees would be as valid here (the key is the content), but a
 		// ledgerless run is a one-off whose time sim reports (BBE against
@@ -268,14 +275,10 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 	if len(opts.BannedEdges) > 0 || len(opts.BannedNodes) > 0 {
 		e.costOpts.BannedEdges = opts.BannedEdges
 		e.costOpts.BannedNodes = opts.BannedNodes
-		e.pathView, _, _ = m.private.Bind(e.compileView(&e.costOpts))
+		e.pathView, _, _ = m.private.Bind(g, &e.costOpts, e.res.edge)
 		e.trees = &m.private
 		telemetry.RecordCostView(true)
 	}
-	// Read the ledger once into the run's dense rows, on the arena's storage
-	// (a compiled view is done with resBuf by now).
-	e.res = readResiduals(e.ledger, m.instRes, m.resBuf)
-	m.instRes, m.resBuf = e.res.inst, e.res.edge
 	e.asked = m.idx.alloc(p.Net.G.NumNodes())
 	return e
 }
@@ -344,16 +347,6 @@ type embedder struct {
 	toDst []float64
 }
 
-// compileView compiles opts into the arena's next view, for the run to hand
-// to a tree store.
-func (e *embedder) compileView(opts *graph.CostOptions) *graph.CostView {
-	m := e.sc.mem
-	v := &m.views[m.nviews]
-	m.nviews++
-	m.resBuf = e.p.Net.G.CompileViewInto(v, opts, m.resBuf)
-	return v
-}
-
 // treeFor returns the min-cost path tree rooted at src on pathView, final
 // at least as far as upTo (graph.None: everywhere). It is grown on demand, so
 // read nothing from it but what was asked for, and it outlives every later
@@ -386,6 +379,18 @@ func (e *embedder) minCostPath(a, b graph.NodeID) (graph.Path, bool) {
 	m := e.sc.mem
 	// A tree path visits no node twice, so NumNodes-1 bounds its length.
 	edges, ok := e.treeFor(a, b).AppendPathTo(m.edges.reserve(e.p.Net.G.NumNodes()-1), b)
+	if !ok {
+		m.edges.abandon(edges)
+		return graph.Path{}, false
+	}
+	return graph.Path{From: a, Edges: m.edges.commit(edges)}, true
+}
+
+// minHopPath returns a fewest-hop feasible path a→b on pathView, its edges
+// walked straight into an exact-size window of the arena.
+func (e *embedder) minHopPath(a, b graph.NodeID) (graph.Path, bool) {
+	m := e.sc.mem
+	edges, ok := e.pathView.AppendMinHopPath(e.sc.Scratch, m.edges.reserve(e.p.Net.G.NumNodes()-1), a, b)
 	if !ok {
 		m.edges.abandon(edges)
 		return graph.Path{}, false
@@ -531,7 +536,7 @@ func (e *embedder) run() (*Result, error) {
 			leaf.cumDelay+float64(tail.Len())*e.opts.Delay.HopDelay > e.opts.MaxDelay {
 			// The cheapest tail is too slow; fall back to the fewest-hop
 			// tail if that one fits the remaining budget.
-			hop, hopOK := e.pathView.MinHopPathWith(e.sc.Scratch, leaf.endNode(p.Src), p.Dst)
+			hop, hopOK := e.minHopPath(leaf.endNode(p.Src), p.Dst)
 			if !hopOK || leaf.cumDelay+float64(hop.Len())*e.opts.Delay.HopDelay > e.opts.MaxDelay {
 				continue
 			}
@@ -730,17 +735,16 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telem
 	if !spec.Merger {
 		exts = e.singleVNFExtensions(exts, spec, start, fst)
 	} else {
-		mergers := fst.NodesWith(p.Net.Catalog.Merger())
+		mergers, limit := fst.NodesWith(p.Net.Catalog.Merger()), e.opts.MaxMergerCandidates
 		if e.toDst != nil {
 			// Cheapest-looking first, before any backward search is built:
 			// rent, a hop-based estimate of the way there, the way on.
 			rent := p.Net.Rents(p.Net.Catalog.Merger())
-			m.sortByKey(mergers, func(tn *TreeNode) float64 {
+			mergers = m.firstByKey(mergers, limit, func(tn *TreeNode) float64 {
 				return rent[tn.Node] + float64(tn.Iteration-1)*e.avgLink + e.toDst[tn.Node]
 			})
-		}
-		if e.opts.MaxMergerCandidates > 0 && len(mergers) > e.opts.MaxMergerCandidates {
-			mergers = mergers[:e.opts.MaxMergerCandidates]
+		} else if limit > 0 && len(mergers) > limit {
+			mergers = mergers[:limit]
 		}
 		for _, merger := range mergers {
 			if e.ctx.Err() != nil {
@@ -884,7 +888,8 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 
 	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
 	// link-price estimate toward the merger and, in a run with a sense of
-	// direction, from the start.
+	// direction, from the start. Within A steps the odometer below reads no
+	// list past index A-1, so each list is cut to the A cheapest.
 	k := len(spec.VNFs)
 	m.hosts = sized(m.hosts, k)
 	hosts := m.hosts
@@ -894,14 +899,13 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 			return exts
 		}
 		rent := p.Net.Rents(f)
-		m.sortByKey(hs, func(tn *TreeNode) float64 {
+		hosts[i] = m.firstByKey(hs, e.opts.MaxAssignmentsPerPair, func(tn *TreeNode) float64 {
 			h := tn.Iteration - 1
 			if e.toDst != nil {
 				h += fst.NodeOf(tn.Node).Iteration - 1
 			}
 			return rent[tn.Node] + float64(h)*e.avgLink
 		})
-		hosts[i] = hs
 	}
 
 	// Walk the allocations as an odometer over the host lists, the last
@@ -1007,7 +1011,7 @@ func (e *embedder) withHopVariant(a, b graph.NodeID, path graph.Path) []graph.Pa
 	m := e.sc.mem
 	choices := append(m.paths.reserve(2), path)
 	if e.opts.MaxDelay > 0 {
-		if hop, ok := e.pathView.MinHopPathWith(e.sc.Scratch, a, b); ok && hop.Len() < path.Len() {
+		if hop, ok := e.minHopPath(a, b); ok && hop.Len() < path.Len() {
 			choices = append(choices, hop)
 		}
 	}

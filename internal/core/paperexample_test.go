@@ -122,6 +122,13 @@ func TestPaperFig3ForwardBackwardWalk(t *testing.T) {
 			t.Fatalf("BST node %d outside the forward set", tn.Node)
 		}
 	})
+	// The BST indexes its nodes by forward-set position: every forward node
+	// maps to its own BST node or to none.
+	fst.Nodes(func(tn *TreeNode) {
+		if b := bst.NodeOf(tn.Node); b != nil && b.Node != tn.Node || (b != nil) != bst.Contains(tn.Node) {
+			t.Fatalf("BST looks node %d up as %v", tn.Node, b)
+		}
+	})
 
 	// And the full embedding must work end to end, renting f(4) at v_e —
 	// the only deployment of that category.

@@ -150,6 +150,88 @@ func TestPathCacheInvalidationOnMutation(t *testing.T) {
 	assertSameResult(t, "threshold-crossing mutation", crossed.res, crossed.err, p, MBBEOptions())
 }
 
+// TestCompileOnDisplacement: an embed compiles its search view only when its
+// residual row admits other arcs than the view its arena kept. A ledger is
+// churned across the capacity floor — a reservation that stays above the
+// rate, one below it and its release, a quarantine and an edge-down and their
+// restores, a second rate — and dagsfc_costview_builds moves on exactly the
+// runs whose admit set, as a fresh compilation gives it, differs from the
+// kept view's, while every run equals the same embed on a cold arena.
+func TestCompileOnDisplacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	p := randomProblem(rng, 120, 6, 4)
+	p.Ledger = network.NewLedger(p.Net)
+	g, l := p.Net.G, p.Ledger
+	// leave reserves on edges lo..hi-1 whatever leaves them left residual.
+	leave := func(lo, hi graph.EdgeID, left float64) {
+		for e := lo; e < hi; e++ {
+			if err := l.ReserveEdge(e, l.EdgeResidual(e)-left); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	quarantine := network.Fault{Kind: network.FaultLinkDown, Link: 20}
+	down := network.Fault{Kind: network.FaultEdgeDown, Link: 21}
+	fault := func(f network.Fault, restore bool) func() {
+		return func() {
+			apply := l.ApplyFault
+			if restore {
+				apply = l.RestoreFault
+			}
+			if err := apply(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := []struct {
+		what string
+		do   func()
+	}{
+		{"cold", func() {}},
+		{"warm", func() {}},
+		{"reserved, still above the rate", func() { leave(0, 8, 2*p.Rate) }},
+		{"reserved below the rate", func() { leave(0, 4, p.Rate/2) }},
+		{"released back", func() {
+			for e := graph.EdgeID(0); e < 4; e++ {
+				l.ReleaseEdge(e, 1.5*p.Rate)
+			}
+		}},
+		{"quarantined", fault(quarantine, false)},
+		{"edge down", fault(down, false)},
+		{"quarantine restored", fault(quarantine, true)},
+		{"edge restored", fault(down, true)},
+		{"between two rates", func() { leave(30, 31, 1.5) }},
+		{"the second rate", func() { p.Rate = 2 }},
+		{"the first again", func() { p.Rate = 1 }},
+	}
+	sc := newPooledScratch()
+	var kept *graph.CostView
+	displaced, stayed := 0, 0
+	for _, step := range steps {
+		step.do()
+		fresh := g.CompileView(l.CostOptions(p.Rate))
+		moved := kept == nil
+		for i := 0; !moved && i < fresh.NumArcs(); i++ {
+			moved = fresh.Admits(i) != kept.Admits(i)
+		}
+		builds := storeCounter(telemetry.MetricCostViewBuilds)
+		run := embedIn(sc, p, MBBEOptions())
+		if got := storeCounter(telemetry.MetricCostViewBuilds) - builds; got != map[bool]float64{false: 0, true: 1}[moved] {
+			t.Fatalf("%s: %v views compiled; the admit set moved: %v", step.what, got, moved)
+		}
+		if moved {
+			kept, displaced = fresh, displaced+1
+		} else {
+			stayed++
+		}
+		assertSameResult(t, step.what, run.res, run.err, p, MBBEOptions())
+	}
+	t.Logf("%d runs displaced the kept view, %d kept it", displaced, stayed)
+	if displaced < 9 || stayed < 3 {
+		t.Fatalf("vacuous: %d runs displaced the kept view, %d kept it", displaced, stayed)
+	}
+}
+
 // assertSameResult fails unless (got, gotErr) is what an embed of p under
 // plain on an arena nothing has used produces now: placement, cost bit for
 // bit, search statistics, or the same error.

@@ -107,7 +107,7 @@ func TestEmbedPrivateRunTreeAllocs(t *testing.T) {
 	run := func() {
 		sc.recycle()
 		*e = fixture
-		e.pathView, _, _ = sc.mem.store.Bind(e.compileView(&e.costOpts))
+		e.pathView, _, _ = sc.mem.store.Bind(e.p.Net.G, &e.costOpts, e.res.edge)
 		sc.mem.store.Forget()
 		e.asked = sc.mem.idx.alloc(e.p.Net.G.NumNodes())
 		for src := graph.NodeID(0); src < sources; src++ {
@@ -144,7 +144,7 @@ func TestTreeForSurvivesScratchReuse(t *testing.T) {
 
 	e.treeFor(b, graph.None)
 	e.pathView.DijkstraWith(sc.Scratch, b)
-	e.pathView.MinHopPathWith(sc.Scratch, b, p.Dst)
+	e.minHopPath(b, p.Dst)
 	e.pathView.LayeredDijkstraWith(sc.Scratch, &graph.LayeredQuery{
 		Rent:   [][]float64{p.Net.Rents(p.SFC.Layers[0].VNFs[0])},
 		Seeds:  []graph.LayeredSeed{{Node: b}},

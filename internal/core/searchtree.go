@@ -51,13 +51,17 @@ type TreeLink struct {
 // tree plus a dense by-node index.
 type SearchTree struct {
 	Root *TreeNode
-	// nodes lists every tree node in discovery order; idx[v] is the
-	// position of network node v in nodes plus one (0 = not discovered).
-	// A dense index replaces the old map: search trees are queried heavily
-	// (Contains gates every backward-search step) and network nodes are
-	// dense integers.
-	nodes []*TreeNode
-	idx   []int32
+	// nodes lists every tree node in discovery order; idx holds the position
+	// in nodes plus one (0 = not discovered) of every node the search could
+	// reach: idx[v] for network node v, or, for a search confined to within,
+	// idx[i] for the node at position i of within's nodes. A dense index
+	// replaces the old map: search trees are queried heavily (the FST's
+	// index gates every backward-search step) and network nodes are dense
+	// integers; indexing a backward search by the forward search's positions
+	// sizes it by the forward search rather than the substrate.
+	nodes  []*TreeNode
+	idx    []int32
+	within *SearchTree
 	// levelOff[i] is the offset in nodes where iteration i+1 begins; the
 	// nodes of iteration i+1 are nodes[levelOff[i]:levelOff[i+1]] (with
 	// len(nodes) closing the last level).
@@ -69,12 +73,24 @@ type SearchTree struct {
 	mem *searchMem
 }
 
+// index is the position of network node v in nodes plus one, 0 when the
+// tree has not discovered it.
+func (t *SearchTree) index(v graph.NodeID) int32 {
+	if t.within == nil {
+		return t.idx[v]
+	}
+	if i := t.within.idx[v]; i != 0 {
+		return t.idx[i-1]
+	}
+	return 0
+}
+
 // Contains reports whether the tree discovered network node v.
-func (t *SearchTree) Contains(v graph.NodeID) bool { return t.idx[v] != 0 }
+func (t *SearchTree) Contains(v graph.NodeID) bool { return t.index(v) != 0 }
 
 // NodeOf returns the tree node for network node v, or nil.
 func (t *SearchTree) NodeOf(v graph.NodeID) *TreeNode {
-	if i := t.idx[v]; i != 0 {
+	if i := t.index(v); i != 0 {
 		return t.nodes[i-1]
 	}
 	return nil
@@ -173,10 +189,11 @@ func (t *SearchTree) PathsToRoot(tn *TreeNode, max int) []graph.Path {
 type searchConfig struct {
 	// required is the category coverage goal.
 	required []network.VNFID
-	// within restricts the search to a node set (backward searches stay
-	// inside the forward search's node set, passed as the FST itself). Nil =
+	// within restricts the search to the nodes of an unrestricted search's
+	// tree: a backward search stays inside its forward search's node set, and
+	// its windows are sized by it. start must be one of those nodes. Nil =
 	// unrestricted.
-	within nodeSet
+	within *SearchTree
 	// ringsPast is how many complete iterations the search runs on after the
 	// one that achieved coverage: 0 is Algorithm 1's stop rule, 1 gives the
 	// candidate set a horizon one hop beyond the nearest cover.
@@ -200,11 +217,6 @@ type searchConfig struct {
 	// working buffers (see searchMem): the embedder passes its run's
 	// arena, direct callers a private &searchMem{}. Required.
 	mem *searchMem
-}
-
-// nodeSet is what a search can be confined to; *SearchTree is one.
-type nodeSet interface {
-	Contains(graph.NodeID) bool
 }
 
 // runSearch performs the paper's iterative breadth-first search from start
@@ -274,19 +286,27 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 		}
 	}
 
-	capHint := g.NumNodes()
+	// reach is how many nodes the search can discover: the substrate's, or
+	// the confining tree's, whose positions then index idx.
+	within := cfg.within
+	reach := g.NumNodes()
+	if within != nil {
+		reach = within.Size()
+	}
+	capHint := reach
 	if cfg.maxNodes > 0 && cfg.maxNodes < capHint {
 		capHint = cfg.maxNodes
 	}
 	// All three windows are safe as slab carve-outs: nodes never outgrows
-	// capHint (the idx dedup bounds appends by NumNodes and the budget check
+	// capHint (the idx dedup bounds appends by reach and the budget check
 	// by maxNodes, whichever made capHint), every level holds at least one
 	// node bar the one provisionally open, and idx arrives zeroed by the
 	// slab invariant.
 	t := mem.trees.one()
 	t.mem = mem
+	t.within = within
 	t.nodes = mem.ptrs.alloc(capHint)[:0]
-	t.idx = mem.idx.alloc(g.NumNodes())
+	t.idx = mem.idx.alloc(reach)
 	t.levelOff = mem.idx.alloc(capHint + 1)[:0]
 	root := mem.nodes.one()
 	root.Node = start
@@ -294,7 +314,11 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	root.Iteration = 1
 	t.Root = root
 	t.nodes = append(t.nodes, root)
-	t.idx[start] = 1
+	if within != nil {
+		t.idx[within.idx[start]-1] = 1
+	} else {
+		t.idx[start] = 1
+	}
 	t.levelOff = append(t.levelOff, 0)
 	markFound(root.Available)
 
@@ -311,8 +335,11 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 		for _, tn := range frontier {
 			for ai, end := int(off[tn.Node]), int(off[tn.Node+1]); ai < end; ai++ {
 				arc := arcs[ai]
-				if cfg.within != nil && !cfg.within.Contains(arc.To) {
-					continue
+				at := int32(arc.To)
+				if within != nil {
+					if at = within.idx[arc.To] - 1; at < 0 {
+						continue
+					}
 				}
 				if cfg.view != nil {
 					if !cfg.view.Admits(ai) {
@@ -321,7 +348,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 				} else if res.edge[arc.Edge] < p.Rate {
 					continue
 				}
-				if i := t.idx[arc.To]; i != 0 {
+				if i := t.idx[at]; i != 0 {
 					// Record extra adjacency from the previous iteration
 					// (enables alternative path enumeration), but do not
 					// re-discover.
@@ -357,7 +384,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 				} else {
 					t.nodes[len(t.nodes)-1].Right = child
 				}
-				t.idx[arc.To] = int32(len(t.nodes)) + 1
+				t.idx[at] = int32(len(t.nodes)) + 1
 				t.nodes = append(t.nodes, child)
 				markFound(child.Available)
 			}

@@ -52,19 +52,19 @@ func TestSearchRootCoverage(t *testing.T) {
 	}
 }
 
-// allowedNodes is a nodeSet spelled out by hand.
-type allowedNodes map[graph.NodeID]bool
-
-func (a allowedNodes) Contains(v graph.NodeID) bool { return a[v] }
-
 func TestSearchGraphExhaustedUncovered(t *testing.T) {
 	p := searchFixture()
-	// Category 2 exists only at node 4; restrict within {0,1,2} so it can
-	// never be found.
+	mem := &searchMem{}
+	// Category 2 exists only at node 4; confine the search to a forward
+	// search cut off at {0,1,2} so it can never be found.
+	fst := runSearch(p, 0, searchConfig{mem: mem, required: []network.VNFID{2}, maxNodes: 3})
+	if fst.Size() != 3 || fst.Contains(4) {
+		t.Fatalf("the confining search holds %d nodes, node 4 among them: %v", fst.Size(), fst.Contains(4))
+	}
 	tree := runSearch(p, 0, searchConfig{
-		mem:      &searchMem{},
+		mem:      mem,
 		required: []network.VNFID{2},
-		within:   allowedNodes{0: true, 1: true, 2: true},
+		within:   fst,
 	})
 	if tree.Covered() {
 		t.Fatal("covered without the category present")

@@ -30,6 +30,25 @@ func BenchmarkDijkstra500(b *testing.B) {
 	}
 }
 
+// BenchmarkGrowTreeResume500 completes kept trees, as an embed does with a
+// destination tree an earlier run grew part of the way: each tree is grown
+// as far as one node, as a path search leaves it, then to the end on the
+// bucket queue. Compare with BenchmarkDijkstra500, which grows each tree in
+// one sweep (and copies it out).
+func BenchmarkGrowTreeResume500(b *testing.B) {
+	g := benchGraph(500, 6)
+	view := g.CompileView(nil)
+	s := NewScratch()
+	var tree GrowTree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.Reset(view, NodeID(i%500))
+		tree.To(s, NodeID((7*i+250)%500))
+		tree.To(s, None)
+	}
+}
+
 func BenchmarkDijkstra1000Filtered(b *testing.B) {
 	g := benchGraph(1000, 6)
 	opts := &CostOptions{MinCapacity: 1}

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // BFSLevels runs a breadth-first search from src and returns the hop level
 // of every node (-1 for unreachable). Level 0 is src itself. This is the
 // primitive behind the paper's forward/backward search iterations I^F_l and
@@ -98,21 +100,22 @@ func (g *Graph) MinHopPathWith(s *Scratch, src, dst NodeID, opts *CostOptions) (
 	return Path{}, false
 }
 
-// MinHopPathWith is MinHopPath against a compiled cost view: admissibility
+// AppendMinHopPath is MinHopPath against a compiled cost view, its edges
+// appended onto buf in src-to-dst order as AppendPathTo does: admissibility
 // comes from the view's arc bitset instead of per-arc map lookups, giving
-// identical results to Graph.MinHopPathWith under the options the view was
-// compiled from. The returned Path is freshly allocated and independent
-// of s.
-func (view *CostView) MinHopPathWith(s *Scratch, src, dst NodeID) (Path, bool) {
+// the path Graph.MinHopPathWith finds under the options the view was
+// compiled from. It allocates only when buf lacks capacity; ok is false
+// (and buf is returned unchanged) when dst is unreachable.
+func (view *CostView) AppendMinHopPath(s *Scratch, buf []EdgeID, src, dst NodeID) (_ []EdgeID, ok bool) {
 	n := view.numNodes
 	if src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
-		return Path{}, false
+		return buf, false
 	}
 	if src == dst {
-		return EmptyPath(src), true
+		return buf, true
 	}
 	if view.NodeBanned(src) {
-		return Path{}, false
+		return buf, false
 	}
 	arcs, off := view.arcs, view.off
 	s.visitedReset(n)
@@ -133,19 +136,15 @@ func (view *CostView) MinHopPathWith(s *Scratch, src, dst NodeID) (Path, bool) {
 			s.parentEdge[to] = arcs[ai].Edge
 			s.parentNode[to] = v
 			if to == dst {
-				hops := 0
+				start := len(buf)
 				for u := dst; u != src; u = s.parentNode[u] {
-					hops++
+					buf = append(buf, s.parentEdge[u])
 				}
-				edges := make([]EdgeID, hops)
-				for u := dst; u != src; u = s.parentNode[u] {
-					hops--
-					edges[hops] = s.parentEdge[u]
-				}
-				return Path{From: src, Edges: edges}, true
+				slices.Reverse(buf[start:])
+				return buf, true
 			}
 			queue = append(queue, to)
 		}
 	}
-	return Path{}, false
+	return buf, false
 }

@@ -46,10 +46,11 @@ type bucketQueue struct {
 // about viewArcsPerBucket arcs of price mass, so few ever outgrow it.
 const bucketSeedCap = 8
 
-// reset prepares the queue for a search under view's bucket tuning. It
-// must only be called when the queue is drained (the kernel guarantees
-// this: pop is called until it reports empty).
-func (q *bucketQueue) reset(view *CostView) {
+// reset prepares the queue for a search under view's bucket tuning whose
+// next pop is at distance from or beyond: the cursor starts at from's
+// bucket. It must only be called when the queue is drained (the kernel
+// guarantees this: pop is called until it reports empty).
+func (q *bucketQueue) reset(view *CostView, from float64) {
 	nb := view.nb
 	if cap(q.buckets) < nb {
 		// Every bucket starts with bucketSeedCap entries of one shared slab:
@@ -64,9 +65,9 @@ func (q *bucketQueue) reset(view *CostView) {
 		q.buckets = q.buckets[:nb]
 	}
 	q.nb = nb
-	q.cur = 0
 	q.live = 0
 	q.invDelta = view.invDelta
+	q.cur = int(from * q.invDelta)
 }
 
 // push enqueues an entry. The caller has already recorded it.dist as the

@@ -111,6 +111,34 @@ func (g *Graph) CompileView(opts *CostOptions) *CostView {
 // pass over arcs derives admissibility, the Inf-sentinel price array, and
 // the bucket tuning inputs.
 func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64) []float64 {
+	// Residual capacities, one slot per edge, only when a capacity floor is
+	// active. The residual source agrees bitwise with its per-edge answers,
+	// so the capa < MinCapacity comparison of compile is bitwise identical
+	// to the per-arc admits path.
+	var res []float64
+	if opts != nil && opts.MinCapacity > 0 {
+		ne := len(g.edges)
+		if cap(resBuf) < ne {
+			resBuf = make([]float64, ne)
+		} else {
+			resBuf = resBuf[:ne]
+		}
+		if opts.Residual != nil {
+			resBuf = opts.Residual.EdgeResiduals(resBuf)
+		} else {
+			for e := range resBuf {
+				resBuf[e] = g.edges[e].Capacity
+			}
+		}
+		res = resBuf
+	}
+	v.compile(g, opts, res)
+	return resBuf
+}
+
+// compile is CompileViewInto over a residual row already read: res[e] is
+// edge e's residual, read only under a capacity floor.
+func (v *CostView) compile(g *Graph, opts *CostOptions, res []float64) {
 	arcs, off := g.CSR()
 	m := len(arcs)
 	v.arcs, v.off = arcs, off
@@ -130,35 +158,16 @@ func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64
 	clear(v.admit)
 	v.nodeBan = v.nodeBan[:0]
 
-	// Residual capacities, one slot per edge, only when a capacity floor is
-	// active. The residual source agrees bitwise with its per-edge answers,
-	// so the capa < MinCapacity comparison below is bitwise identical to the
-	// per-arc admits path.
 	var minCap float64
-	var res []float64
-	if opts != nil && opts.MinCapacity > 0 {
-		minCap = opts.MinCapacity
-		ne := len(g.edges)
-		if cap(resBuf) < ne {
-			resBuf = make([]float64, ne)
-		} else {
-			resBuf = resBuf[:ne]
-		}
-		if opts.Residual != nil {
-			resBuf = opts.Residual.EdgeResiduals(resBuf)
-		} else {
-			for e := range resBuf {
-				resBuf[e] = g.edges[e].Capacity
-			}
-		}
-		res = resBuf
-	}
-
 	var banEdges map[EdgeID]bool
 	var banNodes map[NodeID]bool
 	if opts != nil {
+		minCap = opts.MinCapacity
 		banEdges = opts.BannedEdges
 		banNodes = opts.BannedNodes
+	}
+	if minCap <= 0 {
+		res = nil
 	}
 	if len(banNodes) > 0 {
 		nw := (g.n + 63) / 64
@@ -206,7 +215,43 @@ func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64
 	v.admitted = admitted
 	v.maxPrice = maxP
 	v.tuneBuckets()
-	return resBuf
+}
+
+// admitsAsCompiled reports whether compiling opts, which ban nothing, over
+// residual row res on g would give v: same CSR arrays, no banned node and
+// the same admit bit for every arc, compared a word at a time. Prices are
+// static, so a view that admits the same arcs is the view the compilation
+// would give, bit for bit, and every tree grown on it stays valid. Options
+// with bans are never compared: it reports false. The CSR arrays v holds
+// stay alive with it, so their address cannot be reused by another graph.
+func (v *CostView) admitsAsCompiled(g *Graph, opts *CostOptions, res []float64) bool {
+	var minCap float64
+	if opts != nil {
+		if len(opts.BannedEdges) > 0 || len(opts.BannedNodes) > 0 {
+			return false
+		}
+		minCap = opts.MinCapacity
+	}
+	arcs, off := g.CSR()
+	if v.numNodes != g.n || len(v.arcs) != len(arcs) || len(v.off) != len(off) || len(v.nodeBan) != 0 ||
+		(len(arcs) > 0 && &v.arcs[0] != &arcs[0]) {
+		return false
+	}
+	for w, bits := range v.admit {
+		lo := w * 64
+		word := ^uint64(0) >> (64 - min(64, len(arcs)-lo))
+		if minCap > 0 {
+			for i, arc := range arcs[lo:min(lo+64, len(arcs))] {
+				if res[arc.Edge] < minCap {
+					word &^= 1 << i
+				}
+			}
+		}
+		if word != bits {
+			return false
+		}
+	}
+	return true
 }
 
 // tuneBuckets derives the delta-stepping bucket width from the compiled

@@ -34,7 +34,7 @@ func FuzzBucketQueue(f *testing.F) {
 		}
 
 		var bq bucketQueue
-		bq.reset(view)
+		bq.reset(view, 0)
 		var h4 heap4
 		var ref []distItem // unordered; popped by linear before() scan
 

@@ -86,23 +86,32 @@ func (t *GrowTree) Reset(view *CostView, src NodeID) {
 // To grows the tree until v's distance and path are final — until every
 // node's are when v is None or unreachable — and returns it with the number
 // of nodes this call settled. Entries of nodes that are not yet final hold
-// tentative values: read only what was asked for. A tree asked for
-// everything before anything else borrows s's bucket queue for the one
-// uninterrupted search; every other search runs on the tree's own heap.
+// tentative values: read only what was asked for. A search that will not
+// stop before the end (v is None) runs on s's bucket queue when the view's
+// tuning allows it, the tree's live frontier moved over first; a search
+// that may stop runs on the tree's own heap, where it can be suspended.
 //
 // The inner loop reads only the view's dense arrays: an inadmissible arc
 // carries price +Inf, so d + price can never improve a distance and no
 // admissibility branch is needed. Pop order is the strict (dist, node)
 // order shared by both queue structures, so results do not depend on which
-// one served the search.
+// one served the search, nor on where earlier calls stopped it.
 func (t *GrowTree) To(s *Scratch, v NodeID) (*ShortestTree, int) {
 	view, dist, settled := t.view, t.Dist, 0
 	arcs, off, price := view.arcs, view.off, view.price
 	var bq *bucketQueue
-	if v == None && t.bound < 0 && view.delta > 0 {
+	if v == None && view.delta > 0 && len(t.frontier) > 0 {
+		// Every live entry lies in [bound, bound+maxPrice], the window a
+		// bucket search holds once it has popped a node at bound: start the
+		// cursor there and the queue cannot tell the two apart.
 		bq = &s.q.bq
-		bq.reset(view)
-		bq.push(t.frontier.pop())
+		bq.reset(view, max(t.bound, 0))
+		for _, item := range t.frontier {
+			if item.dist <= dist[item.node] { // drop the superseded
+				bq.push(item)
+			}
+		}
+		t.frontier = t.frontier[:0]
 	}
 	for v == None || dist[v] > t.bound {
 		var item distItem
@@ -140,7 +149,7 @@ func (t *GrowTree) To(s *Scratch, v NodeID) (*ShortestTree, int) {
 			}
 		}
 	}
-	if bq != nil || len(t.frontier) == 0 {
+	if len(t.frontier) == 0 {
 		t.bound = Inf
 	}
 	return &t.ShortestTree, settled

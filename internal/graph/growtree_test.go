@@ -160,3 +160,76 @@ func TestFreshScratchBucketAllocs(t *testing.T) {
 		t.Logf("first 100 trees on a fresh scratch: %d allocations", allocs)
 	}
 }
+
+// TestGrowTreeResume is the property behind completing a kept tree on the
+// bucket queue: a tree stopped 0–3 times at random nodes and then grown to
+// the end holds, at every node, the distance bits, parent edge and
+// predecessor of a fresh complete search — on bucket-queue views and on
+// views with no bucket width, over graphs with zero-price links,
+// unreachable nodes and banned sources.
+func TestGrowTreeResume(t *testing.T) {
+	var tree GrowTree
+	s := NewScratch()
+	var resumed, heaped, zeroPrice, unreachable, bannedSrc int
+	for seed := int64(1); seed <= 600; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(40)
+		g := New(n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if a == b {
+				continue
+			}
+			price := 1 + rng.Float64()*9
+			if rng.Intn(4) == 0 {
+				price = 0
+				zeroPrice++
+			}
+			g.MustAddEdge(a, b, price, float64(rng.Intn(3)))
+		}
+		src := NodeID(rng.Intn(n))
+		opts := &CostOptions{MinCapacity: float64(rng.Intn(2))}
+		if rng.Intn(8) == 0 {
+			opts.BannedNodes = map[NodeID]bool{src: true}
+			bannedSrc++
+		}
+		view := g.CompileView(opts)
+		if seed%3 == 0 {
+			view = heapView(view)
+		}
+		if view.delta == 0 {
+			heaped++
+		}
+		want := view.DijkstraWith(NewScratch(), src).clone()
+		if heapWant := heapView(view).DijkstraWith(NewScratch(), src); !reflect.DeepEqual(heapWant, want) {
+			t.Fatalf("seed %d: the heap and the bucket queue disagree on a complete tree", seed)
+		}
+		for _, d := range want.Dist {
+			if math.IsInf(d, 1) {
+				unreachable++
+				break
+			}
+		}
+
+		tree.Reset(view, src)
+		stops := rng.Intn(4)
+		for range stops {
+			tree.To(s, NodeID(rng.Intn(n)))
+		}
+		if len(tree.frontier) > 0 && tree.bound >= 0 && view.delta > 0 {
+			resumed++
+		}
+		got, _ := tree.To(s, None)
+		for v := range n {
+			if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) ||
+				got.parent[v] != want.parent[v] || got.prev[v] != want.prev[v] {
+				t.Fatalf("seed %d, %d stops: node %d holds (%v, edge %d, prev %d), a fresh search (%v, edge %d, prev %d)",
+					seed, stops, v, got.Dist[v], got.parent[v], got.prev[v], want.Dist[v], want.parent[v], want.prev[v])
+			}
+		}
+	}
+	if resumed < 100 || heaped < 100 || zeroPrice == 0 || unreachable < 50 || bannedSrc == 0 {
+		t.Fatalf("corpus too tame: %d resumed on the bucket queue, %d on the heap, %d zero-price links, %d graphs with an unreachable node, %d banned sources",
+			resumed, heaped, zeroPrice, unreachable, bannedSrc)
+	}
+}

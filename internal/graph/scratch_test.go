@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -46,18 +47,29 @@ func TestDijkstraWithMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestMinHopPathWithMatchesMinHopPath checks the scratch-backed BFS returns
-// the identical path to the allocating wrapper across a shared Scratch.
+// TestMinHopPathWithMatchesMinHopPath checks the scratch-backed BFS, and
+// the view's appending one, return the identical path to the allocating
+// wrapper across a shared Scratch, under a capacity floor and under bans.
 func TestMinHopPathWithMatchesMinHopPath(t *testing.T) {
 	g := benchGraph(60, 4)
 	s := NewScratch()
-	opts := &CostOptions{MinCapacity: 1}
-	for src := 0; src < 60; src += 3 {
-		for dst := 0; dst < 60; dst += 7 {
-			wp, wok := g.MinHopPath(NodeID(src), NodeID(dst), opts)
-			gp, gok := g.MinHopPathWith(s, NodeID(src), NodeID(dst), opts)
-			if wok != gok || !reflect.DeepEqual(wp, gp) {
-				t.Fatalf("src=%d dst=%d: %v/%v vs %v/%v", src, dst, wp, wok, gp, gok)
+	for _, opts := range []*CostOptions{
+		{MinCapacity: 1},
+		{BannedEdges: map[EdgeID]bool{0: true, 5: true, 9: true}, BannedNodes: map[NodeID]bool{4: true, 21: true}},
+	} {
+		view := g.CompileView(opts)
+		for src := 0; src < 60; src += 3 {
+			for dst := 0; dst < 60; dst += 7 {
+				wp, wok := g.MinHopPath(NodeID(src), NodeID(dst), opts)
+				gp, gok := g.MinHopPathWith(s, NodeID(src), NodeID(dst), opts)
+				if wok != gok || !reflect.DeepEqual(wp, gp) {
+					t.Fatalf("src=%d dst=%d: %v/%v vs %v/%v", src, dst, wp, wok, gp, gok)
+				}
+				prefix := []EdgeID{99}
+				vp, vok := view.AppendMinHopPath(s, prefix, NodeID(src), NodeID(dst))
+				if vok != wok || vp[0] != 99 || wok && !slices.Equal(vp[1:], wp.Edges) || !wok && len(vp) != 1 {
+					t.Fatalf("src=%d dst=%d: view appended %v/%v, want [99]+%v/%v", src, dst, vp, vok, wp.Edges, wok)
+				}
 			}
 		}
 	}

@@ -7,10 +7,11 @@ import (
 
 // TreeStore keeps the Dijkstra trees grown on one compiled cost view from
 // one search to the next, for as long as the view keeps its content. The key
-// is the content, not the state it was compiled from: Bind compares a fresh
-// compilation word for word with the retained view. Equal content means
-// equal prices, equal admissibility and therefore equal trees, so ledger
-// churn that crosses no capacity floor leaves every retained tree valid.
+// is the content, not the state it was compiled from: Bind compares the arcs
+// a residual row admits word for word with the retained view's, and compiles
+// only when they differ. Equal admissibility means equal prices and
+// therefore equal trees, so ledger churn that crosses no capacity floor
+// leaves every retained tree valid.
 //
 // A tree is kept as far as it was grown (a GrowTree, frontier and all), and
 // the next search that asks for its source resumes it. Whole trees leave in
@@ -50,24 +51,26 @@ func (s *TreeStore) tree(i int) *GrowTree {
 	return &s.batches[i/treeBatchSize].trees[i%treeBatchSize]
 }
 
-// Bind starts a search on w, a view its caller just compiled. When w has the
-// content of the retained view, the store keeps it and its trees (reused);
-// otherwise the two views trade storage — w is left holding the displaced
-// compilation, to be compiled over again — and evicted counts the trees
-// dropped with it. v is the store's view, the one its trees are grown on.
-// Trees handed out before this call are no longer held back from eviction.
-func (s *TreeStore) Bind(w *CostView) (v *CostView, reused bool, evicted int) {
+// Bind starts a search on g under opts, whose edge residuals the caller has
+// read into res (res[e] bitwise what opts.Residual reports for edge e, read
+// only under a capacity floor). When opts bans nothing and admits exactly
+// the arcs the retained view admits, the store keeps that view and its trees
+// (reused); otherwise it drops them, compiles opts into its own view, and
+// evicted counts the trees dropped. v is the store's view, the one its trees
+// are grown on. Trees handed out before this call are no longer held back
+// from eviction.
+func (s *TreeStore) Bind(g *Graph, opts *CostOptions, res []float64) (v *CostView, reused bool, evicted int) {
 	s.binds++
-	if s.view.sameContent(w) {
+	if s.view.admitsAsCompiled(g, opts, res) {
 		return &s.view, true, 0
 	}
 	evicted = s.Forget()
-	if s.view.numNodes != w.numNodes {
+	if s.view.numNodes != g.n {
 		// The batches are sized for the old node count.
 		clear(s.batches)
 		s.batches, s.used = s.batches[:0], s.used[:0]
 	}
-	s.view, *w = *w, s.view
+	s.view.compile(g, opts, res)
 	s.slot = slices.Grow(s.slot[:0], s.view.numNodes)[:s.view.numNodes]
 	clear(s.slot)
 	return &s.view, false, evicted
@@ -84,16 +87,6 @@ func (s *TreeStore) Forget() (evicted int) {
 	}
 	clear(s.slot)
 	return evicted
-}
-
-// sameContent reports whether v and w were compiled over the same CSR
-// arrays to the same admissible arcs and banned nodes — everything a view
-// and the trees searched on it depend on. The retained view keeps its CSR
-// arrays alive, so their address cannot be reused by another graph.
-func (v *CostView) sameContent(w *CostView) bool {
-	return v.numNodes == w.numNodes && v.admitted == w.admitted &&
-		len(v.arcs) == len(w.arcs) && (len(v.arcs) == 0 || &v.arcs[0] == &w.arcs[0]) &&
-		slices.Equal(v.admit, w.admit) && slices.Equal(v.nodeBan, w.nodeBan)
 }
 
 // Tree returns the tree rooted at src on the bound view, src one of its

@@ -30,11 +30,13 @@ func sameTree(t *testing.T, got, want *ShortestTree) {
 	}
 }
 
-// bind compiles opts against g into spare, the caller's scratch view, and
-// binds the store to it, as an embed does at the start of its run.
-func bind(s *TreeStore, g *Graph, opts *CostOptions, spare *CostView) (*CostView, bool, int) {
-	g.CompileViewInto(spare, opts, nil)
-	return s.Bind(spare)
+// bind binds the store to g under residualOpts over res — with no floor for
+// a nil res — as an embed does at the start of its run.
+func bind(s *TreeStore, g *Graph, res []float64) (*CostView, bool, int) {
+	if res == nil {
+		return s.Bind(g, nil, nil)
+	}
+	return s.Bind(g, residualOpts(res), res)
 }
 
 // TestTreeCacheLookupInsert walks the store that replaced TreeCache through
@@ -47,10 +49,9 @@ func TestTreeCacheLookupInsert(t *testing.T) {
 	g := benchGraph(40, 3)
 	res := fullResiduals(g)
 	var s TreeStore
-	var spare CostView
 	sc := NewScratch()
 
-	v1, reused, evicted := bind(&s, g, residualOpts(res), &spare)
+	v1, reused, evicted := bind(&s, g, res)
 	if reused || evicted != 0 {
 		t.Fatalf("first Bind: reused=%v evicted=%d", reused, evicted)
 	}
@@ -67,7 +68,7 @@ func TestTreeCacheLookupInsert(t *testing.T) {
 
 	// 100 -> 50 stays above the floor of 10: same admissible arcs.
 	res[0], res[5] = 50, 10
-	v2, reused, _ := bind(&s, g, residualOpts(res), &spare)
+	v2, reused, _ := bind(&s, g, res)
 	if !reused || v2 != v1 {
 		t.Fatalf("residual move above the floor: reused=%v view %p, want %p", reused, v2, v1)
 	}
@@ -80,7 +81,7 @@ func TestTreeCacheLookupInsert(t *testing.T) {
 
 	// Below the floor the arc drops out: new content, new trees.
 	res[0] = 9.5
-	if _, reused, evicted := bind(&s, g, residualOpts(res), &spare); reused || evicted != 1 {
+	if _, reused, evicted := bind(&s, g, res); reused || evicted != 1 {
 		t.Fatalf("crossing the floor: reused=%v evicted=%d, want a new view and 1 tree dropped", reused, evicted)
 	}
 	t3, hit, _ := s.Tree(3)
@@ -100,22 +101,21 @@ func TestTreeCacheLookupInsert(t *testing.T) {
 func TestTreeCacheGraphIdentity(t *testing.T) {
 	g, twin := benchGraph(30, 3), benchGraph(30, 3)
 	var s TreeStore
-	var spare CostView
-	bind(&s, g, nil, &spare)
-	if _, reused, _ := bind(&s, g, nil, &spare); !reused {
+	bind(&s, g, nil)
+	if _, reused, _ := bind(&s, g, nil); !reused {
 		t.Fatal("same graph, same options: view not reused")
 	}
-	if _, reused, _ := bind(&s, twin, nil, &spare); reused {
+	if _, reused, _ := bind(&s, twin, nil); reused {
 		t.Fatal("a structurally identical but distinct graph shared the view")
 	}
 
-	bind(&s, g, nil, &spare)
+	bind(&s, g, nil)
 	tb, _, _ := s.Tree(0)
 	far := NodeID(29)
 	before, _ := tb.To(NewScratch(), far)
 	farBefore := before.Dist[far]
 	g.MustAddEdge(0, far, 0.001, 100)
-	if _, reused, _ := bind(&s, g, nil, &spare); reused {
+	if _, reused, _ := bind(&s, g, nil); reused {
 		t.Fatal("view shared across AddEdge")
 	}
 	ta, hit, _ := s.Tree(0)
@@ -134,12 +134,11 @@ func TestTreeCacheSizeCap(t *testing.T) {
 	const k = treeBatchSize
 	g := benchGraph(2*k+4, 3)
 	var s TreeStore
-	var spare CostView
-	bind(&s, g, nil, &spare)
+	bind(&s, g, nil)
 	s.Trim(s.MemBytes() + batchBytes(g.NumNodes()))
 	evicted := 0
 	for src := NodeID(0); src < 2*k+3; src++ {
-		bind(&s, g, nil, &spare) // one search per source
+		bind(&s, g, nil) // one search per source
 		if _, _, ev := s.Tree(src); ev {
 			evicted++
 		}
@@ -147,7 +146,7 @@ func TestTreeCacheSizeCap(t *testing.T) {
 	if len(s.used) != k || len(s.batches) != 1 || evicted != k+3 {
 		t.Fatalf("%d trees in %d batches, %d evicted; want the bound of %d in 1, %d evicted", len(s.used), len(s.batches), evicted, k, k+3)
 	}
-	bind(&s, g, nil, &spare)
+	bind(&s, g, nil)
 	s.Tree(k + 3) // the oldest becomes the newest
 	if _, hit, ev := s.Tree(0); hit || !ev {
 		t.Fatalf("source 0: hit=%v evicted=%v, want a miss that re-roots the least recently used", hit, ev)
@@ -185,15 +184,14 @@ func TestViewCacheSizeCap(t *testing.T) {
 	g := benchGraph(20, 3)
 	res := fullResiduals(g)
 	var s TreeStore
-	var spare CostView
-	bind(&s, g, residualOpts(res), &spare)
+	bind(&s, g, res)
 	s.Tree(1)
 	s.Tree(2)
 	size := s.MemBytes()
 	dropped := 0
 	for e := 0; e < 10; e++ {
 		res[e] = 0
-		_, reused, evicted := bind(&s, g, residualOpts(res), &spare)
+		_, reused, evicted := bind(&s, g, res)
 		if reused {
 			t.Fatalf("content %d: a view with fewer admissible arcs was reused", e+2)
 		}
@@ -214,22 +212,18 @@ func TestViewCacheSizeCap(t *testing.T) {
 
 // TestTreeCacheLookupZeroAllocs is the hit-path allocation budget,
 // mirroring TestDijkstraWithZeroAllocs: what an embed does when it finds its
-// view and tree kept — compile into its warm scratch view, bind, be served
-// the tree and read it — must not allocate at all.
+// view and tree kept — bind over its residual row, be served the tree and
+// read it — must not allocate at all.
 func TestTreeCacheLookupZeroAllocs(t *testing.T) {
 	g := benchGraph(100, 4)
-	opts := residualOpts(fullResiduals(g))
+	res := fullResiduals(g)
 	var s TreeStore
-	var spare CostView
-	var resBuf []float64
-	resBuf = g.CompileViewInto(&spare, opts, resBuf)
-	s.Bind(&spare)
+	bind(&s, g, res)
 	tree, _, _ := s.Tree(5)
 	sc := NewScratch()
 	tree.To(sc, None)
 	allocs := testing.AllocsPerRun(20, func() {
-		resBuf = g.CompileViewInto(&spare, opts, resBuf)
-		if _, reused, _ := s.Bind(&spare); !reused {
+		if _, reused, _ := bind(&s, g, res); !reused {
 			t.Fatal("warm view missed")
 		}
 		tree, hit, _ := s.Tree(5)
