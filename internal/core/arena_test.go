@@ -388,8 +388,8 @@ func TestReleaseDropsOversizedArena(t *testing.T) {
 	small.mem.private.Bind(lineGraph(10), nil, nil)
 	small.mem.private.Tree(0)
 	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
-	// A grown tree pins 48 B per node.
-	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/48+1), nil, nil)
+	// A grown tree pins 24 B per node.
+	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/24+1), nil, nil)
 	treeful.mem.private.Tree(0)
 	kept := small.mem
 	small.recycle()
@@ -443,17 +443,59 @@ func TestArenaCountsAndRewindsRowsAndMemo(t *testing.T) {
 // regime (500 nodes, width-3 layers): 640 KiB measured, plus 10 %.
 const slabPeakBytes = (640 << 10) * 11 / 10
 
-// TestArenaStoreStaysInsideItsCap churns one arena through ledger-backed
-// embeds on a 500-node substrate — random endpoints, every accepted flow
-// committed and the oldest released — until its tree store has filled what
-// the slabs leave of searchMemRetainBytes. After every recycle the arena
-// pins no more than the cap, and it is the same arena: the store sheds its
-// least recently used trees instead of the arena being replaced whole. Its
-// slabs stay under slabPeakBytes: what a run carves follows its search, not
-// the substrate.
-func TestArenaStoreStaysInsideItsCap(t *testing.T) {
+// TestArenaKeepsEveryRootAtPaperScale: at paper scale an arena keeps a tree
+// for every root beside its slabs. One arena embeds towards every node of
+// the 500-node substrate in turn — random sources, width-3 layers, nothing
+// committed, so the view stays bound. After every recycle it pins no more
+// than searchMemRetainBytes, and its slabs no more than slabPeakBytes: what
+// a run carves follows its search, not the substrate. At the end it has
+// evicted no tree and holds one for each of the 500 roots.
+func TestArenaKeepsEveryRootAtPaperScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := benchProblem(t)
+	base.Ledger = network.NewLedger(base.Net)
+	sc := newPooledScratch()
+	arena := sc.mem
+	evictions := storeCounter(telemetry.MetricPathCacheEvictions)
+	n := base.Net.G.NumNodes()
+	for v := range n {
+		p := *base
+		p.Src, p.Dst = graph.NodeID(rng.Intn(n)), graph.NodeID(v)
+		embedIn(sc, &p, MBBEOptions())
+		if sc.mem != arena {
+			t.Fatalf("embed %d: the arena was replaced whole", v)
+		}
+		if got := arena.bytes(); got > searchMemRetainBytes {
+			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", v, got, searchMemRetainBytes)
+		}
+		slabs := 0
+		for _, s := range arena.slabs() {
+			slabs += s.bytes()
+		}
+		if slabs > slabPeakBytes {
+			t.Fatalf("embed %d: the arena's slabs pin %d bytes, past the %d measured in this regime", v, slabs, slabPeakBytes)
+		}
+	}
+	if got := storeCounter(telemetry.MetricPathCacheEvictions) - evictions; got != 0 {
+		t.Fatalf("the store evicted %v trees at paper scale", got)
+	}
+	for v := range n {
+		if _, hit, _ := arena.store.Tree(graph.NodeID(v)); !hit {
+			t.Fatalf("no tree kept for root %d of %d", v, n)
+		}
+	}
+}
+
+// TestArenaStoreStaysInsideItsCap churns one arena through ledger-backed
+// embeds on a 1000-node substrate, too large for a tree of every root to
+// fit — random endpoints, every accepted flow committed and the oldest
+// released — until its tree store has filled what the slabs leave of
+// searchMemRetainBytes. After every recycle the arena pins no more than the
+// cap, and it is the same arena: the store sheds its least recently used
+// trees instead of the arena being replaced whole.
+func TestArenaStoreStaysInsideItsCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	base := randomProblem(rand.New(rand.NewSource(1)), 1000, 10, 5)
 	live := network.NewLedger(base.Net)
 	sc := newPooledScratch()
 	arena := sc.mem
@@ -471,13 +513,6 @@ func TestArenaStoreStaysInsideItsCap(t *testing.T) {
 		}
 		if got := arena.bytes(); got > searchMemRetainBytes {
 			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", i, got, searchMemRetainBytes)
-		}
-		slabs := 0
-		for _, s := range arena.slabs() {
-			slabs += s.bytes()
-		}
-		if slabs > slabPeakBytes {
-			t.Fatalf("embed %d: the arena's slabs pin %d bytes, past the %d measured in this regime", i, slabs, slabPeakBytes)
 		}
 		if run.err != nil {
 			continue

@@ -5,9 +5,26 @@ import (
 	"math/rand"
 	"testing"
 
+	"dagsfc/internal/graph"
+	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/telemetry"
 )
+
+// BenchmarkDijkstraTable2 sweeps complete Dijkstra trees, one source after
+// another on one view and one scratch, over the substrate the repository
+// benchmark embeds on: netgen.Default(), Table 2's 500 nodes and its link
+// prices. graph's BenchmarkDijkstra500 draws its prices from 1..10 instead,
+// which spreads distances far wider over the bucket queue's ring.
+func BenchmarkDijkstraTable2(b *testing.B) {
+	g := netgen.MustGenerate(netgen.Default(), rand.New(rand.NewSource(1))).G
+	view, s := g.CompileView(nil), graph.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view.DijkstraWith(s, graph.NodeID(i%g.NumNodes()))
+	}
+}
 
 // benchProblem draws one Table 2-scale instance.
 func benchProblem(b testing.TB) *Problem {

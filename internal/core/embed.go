@@ -711,13 +711,14 @@ func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution,
 // layer those of every FST–BST pair over the kept mergers, and the trim to
 // the cheapest maxExtensionsPerStart. With min-cost-path instantiation the
 // forward search runs one ring past coverage: the paths no longer come from
-// the tree, so the tree is only the candidate set, and the nearest cover is
-// rarely the cheapest. The searches and the build are traced under the
+// the tree, so the tree is only the candidate set (bare of Table 1's
+// adjacency), and the nearest cover is rarely the cheapest. The searches and the build are traced under the
 // layer's span sp.
 func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telemetry.Span) []*extension {
 	p, m := e.p, e.sc.mem
 	fwd := startAt(sp, "forward-search", start)
-	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m}
+	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m,
+		bare: e.opts.MiniPath}
 	if e.opts.MiniPath {
 		cfg.ringsPast = 1
 	}
@@ -877,6 +878,7 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 		res:      &e.res,
 		view:     e.searchView,
 		mem:      m,
+		bare:     e.opts.MiniPath,
 	})
 	e.stats.BackwardSearches++
 	e.stats.TreeNodes += bst.Size()

@@ -217,6 +217,11 @@ type searchConfig struct {
 	// working buffers (see searchMem): the embedder passes its run's
 	// arena, direct callers a private &searchMem{}. Required.
 	mem *searchMem
+	// bare skips Table 1's adjacency — the Left/Right binary-tree links and
+	// the Prev/Next lists — for a run that takes every real path from its
+	// Dijkstra trees, where nothing reads them: the tree keeps its nodes,
+	// levels, Father links and index.
+	bare bool
 }
 
 // runSearch performs the paper's iterative breadth-first search from start
@@ -353,7 +358,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 					// (enables alternative path enumeration), but do not
 					// re-discover.
 					existing := t.nodes[i-1]
-					if existing.Iteration == tn.Iteration+1 {
+					if existing.Iteration == tn.Iteration+1 && !cfg.bare {
 						existing.Prev = link(existing.Prev, existing.Node, TreeLink{To: tn, Edge: arc.Edge})
 						tn.Next = link(tn.Next, tn.Node, TreeLink{To: existing, Edge: arc.Edge})
 					}
@@ -374,15 +379,18 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 				child.Node = arc.To
 				child.Available = available(arc.To)
 				child.Iteration = tn.Iteration + 1
-				child.Prev = mem.links.alloc(1)
-				child.Prev[0] = TreeLink{To: tn, Edge: arc.Edge}
-				tn.Next = link(tn.Next, tn.Node, TreeLink{To: child, Edge: arc.Edge})
-				// Binary-tree shape: first child hangs left, later nodes of
-				// the same iteration chain off the previous node's right.
-				if len(t.nodes) == levelStart {
-					tn.Left = child
-				} else {
-					t.nodes[len(t.nodes)-1].Right = child
+				if !cfg.bare {
+					child.Prev = mem.links.alloc(1)
+					child.Prev[0] = TreeLink{To: tn, Edge: arc.Edge}
+					tn.Next = link(tn.Next, tn.Node, TreeLink{To: child, Edge: arc.Edge})
+					// Binary-tree shape: first child hangs left, later nodes
+					// of the same iteration chain off the previous node's
+					// right.
+					if len(t.nodes) == levelStart {
+						tn.Left = child
+					} else {
+						t.nodes[len(t.nodes)-1].Right = child
+					}
 				}
 				t.idx[at] = int32(len(t.nodes)) + 1
 				t.nodes = append(t.nodes, child)

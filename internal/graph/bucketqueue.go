@@ -1,10 +1,12 @@
 package graph
 
-// This file implements the two priority structures behind the view-based
-// Dijkstra kernel. Both pop in the same strict total order — ascending
-// (dist, node) — so which structure serves a search can never fork its
-// results; the bucket queue is simply faster for an uninterrupted search
-// when the price distribution gives it a usable bucket width.
+import "math/bits"
+
+// This file implements the two lazy priority structures behind the
+// view-based kernels: the bucket queue that sweeps complete trees and the
+// heap of the layered search. They pop in the strict total order —
+// ascending (dist, node) — a GrowTree's own frontier keeps too, so which
+// structure serves a search can never fork its results.
 //
 // Neither structure supports decrease-key: the kernel pushes a new entry
 // on every strict improvement and the queues drop superseded entries
@@ -22,21 +24,26 @@ func (a distItem) before(b distItem) bool {
 
 // bucketQueue is a monotone calendar queue for delta-stepping: virtual
 // bucket floor(dist/delta) holds every live entry in [b*delta, (b+1)*delta),
-// mapped onto nb physical buckets by virtual index mod nb. The cursor cur
-// (a virtual index) only moves forward, which is sound because Dijkstra
-// pushes satisfy nd >= popped dist. Every queued distance is within
-// maxPrice = delta*(nb-2) of the current minimum, so at most nb-1
-// consecutive virtual buckets are ever live and the modular mapping cannot
-// alias two live buckets.
+// mapped onto a ring of nb physical buckets, nb a power of two of at least
+// 64, by the virtual index's low bits. The cursor cur (a virtual index) only
+// moves forward, which is sound because Dijkstra pushes satisfy nd >= popped
+// dist. Every queued distance is within maxPrice <= delta*(nb-2) of the
+// current minimum, so at most nb-1 consecutive virtual buckets are ever live
+// and the ring cannot alias two live buckets.
 //
-// pop scans the cursor bucket for the (dist, node)-minimal fresh entry,
-// purging stale entries as it goes; buckets stay short by construction
-// (delta is tuned for ~viewArcsPerBucket arcs of price mass per bucket).
-// A search always drains the queue, so between runs every bucket has
-// length zero and reset is O(nb) slice-header writes with no clearing.
+// occ has one bit per physical bucket, set while the bucket holds an entry
+// (stale included): pop jumps the cursor straight to the next occupied
+// bucket a bitmap word at a time, so the empty buckets a narrow price band
+// leaves between distances cost nothing. pop scans the cursor bucket for
+// the (dist, node)-minimal fresh entry, purging stale entries as it goes;
+// buckets stay short by construction (delta is tuned for about
+// viewArcsPerBucket arcs of price mass per bucket). A search always drains
+// the queue, so between runs every bucket is empty and every bit clear, and
+// reset touches neither.
 type bucketQueue struct {
 	buckets  [][]distItem
-	nb       int
+	occ      []uint64
+	mask     int // nb-1
 	cur      int // virtual index of the current bucket
 	live     int // total queued entries, stale included
 	invDelta float64
@@ -52,7 +59,7 @@ const bucketSeedCap = 8
 // guarantees this: pop is called until it reports empty).
 func (q *bucketQueue) reset(view *CostView, from float64) {
 	nb := view.nb
-	if cap(q.buckets) < nb {
+	if len(q.buckets) < nb {
 		// Every bucket starts with bucketSeedCap entries of one shared slab:
 		// grown one append at a time, a fresh queue's few hundred buckets
 		// cost its first searches an allocation apiece.
@@ -61,10 +68,10 @@ func (q *bucketQueue) reset(view *CostView, from float64) {
 		for i := range q.buckets {
 			q.buckets[i] = slab[i*bucketSeedCap : i*bucketSeedCap : (i+1)*bucketSeedCap]
 		}
-	} else {
-		q.buckets = q.buckets[:nb]
+		q.occ = make([]uint64, nb/64)
 	}
-	q.nb = nb
+	q.buckets, q.occ = q.buckets[:nb], q.occ[:nb/64]
+	q.mask = nb - 1
 	q.live = 0
 	q.invDelta = view.invDelta
 	q.cur = int(from * q.invDelta)
@@ -79,9 +86,29 @@ func (q *bucketQueue) push(it distItem) {
 		// never belong before it, so clamp rather than corrupt monotonicity.
 		vb = q.cur
 	}
-	b := &q.buckets[vb%q.nb]
-	*b = append(*b, it)
+	i := vb & q.mask
+	q.buckets[i] = append(q.buckets[i], it)
+	q.occ[i>>6] |= 1 << (i & 63)
 	q.live++
+}
+
+// seek moves the cursor to the first occupied bucket at or after it, going
+// round the ring. The queue must hold an entry.
+func (q *bucketQueue) seek() {
+	i := q.cur & q.mask
+	w := i >> 6
+	if word := q.occ[w] >> (i & 63); word != 0 {
+		q.cur += bits.TrailingZeros64(word)
+		return
+	}
+	// step is the distance from the cursor to the start of word w+1.
+	for step := 64 - i&63; ; step += 64 {
+		w = (w + 1) & (len(q.occ) - 1)
+		if word := q.occ[w]; word != 0 {
+			q.cur += step + bits.TrailingZeros64(word)
+			return
+		}
+	}
 }
 
 // pop removes and returns the (dist, node)-minimal fresh entry, or
@@ -90,31 +117,38 @@ func (q *bucketQueue) push(it distItem) {
 // detect and purge superseded entries.
 func (q *bucketQueue) pop(dist []float64) (distItem, bool) {
 	for q.live > 0 {
-		b := q.buckets[q.cur%q.nb]
+		q.seek()
+		i := q.cur & q.mask
+		b := q.buckets[i]
 		best := -1
-		for i := 0; i < len(b); {
-			it := b[i]
+		for j := 0; j < len(b); {
+			it := b[j]
 			if it.dist > dist[it.node] {
 				// Superseded by a later, cheaper push: purge by swap-remove.
-				b[i] = b[len(b)-1]
+				b[j] = b[len(b)-1]
 				b = b[:len(b)-1]
 				q.live--
 				continue
 			}
 			if best < 0 || it.before(b[best]) {
-				best = i
+				best = j
 			}
-			i++
+			j++
 		}
 		if best < 0 {
 			// Bucket fully purged; move on.
-			q.buckets[q.cur%q.nb] = b
+			q.buckets[i] = b
+			q.occ[i>>6] &^= 1 << (i & 63)
 			q.cur++
 			continue
 		}
 		it := b[best]
 		b[best] = b[len(b)-1]
-		q.buckets[q.cur%q.nb] = b[:len(b)-1]
+		b = b[:len(b)-1]
+		q.buckets[i] = b
+		if len(b) == 0 {
+			q.occ[i>>6] &^= 1 << (i & 63)
+		}
 		q.live--
 		return it, true
 	}
@@ -124,9 +158,8 @@ func (q *bucketQueue) pop(dist []float64) (distItem, bool) {
 // heap4 is a 4-ary implicit min-heap over distItem, ordered by before
 // (strict (dist, node) order). The wider fan-out does fewer, cheaper
 // levels of sifting than a binary heap: pops touch ~half the cache lines.
-// It serves every search the bucket queue cannot: one that is suspended and
-// resumed (GrowTree keeps it as its frontier), the layered search, and any
-// view whose price distribution gives the bucket queue no usable width.
+// It serves the layered search, whose distances the bucket queue's window
+// bound does not hold for.
 type heap4 []distItem
 
 func (h *heap4) push(x distItem) {

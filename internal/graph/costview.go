@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // CostView is a compiled snapshot of one (Graph, CostOptions, residual
 // state) triple, flattened into dense arrays aligned with the CSR arc
@@ -17,8 +20,8 @@ import "math"
 //
 // Compilation also sizes the bucketed delta-stepping queue: delta is
 // auto-tuned from the admissible price distribution (see tuneBuckets), and
-// a zero delta routes the search to the 4-ary heap fallback for degenerate
-// price ranges (all-zero, non-finite, or no admissible arcs).
+// a zero delta leaves a search on its tree's own frontier heap for
+// degenerate price ranges (all-zero, non-finite, or no admissible arcs).
 //
 // A CostView is immutable after compilation and safe to share across
 // goroutines. Compilation reads the residual state only through the
@@ -40,8 +43,8 @@ type CostView struct {
 
 	// maxPrice is the largest finite admissible arc price; delta is the
 	// bucket width of the delta-stepping queue derived from it (0 selects
-	// the heap fallback), invDelta its reciprocal, and nb the physical
-	// bucket count.
+	// the tree's own heap), invDelta its reciprocal, and nb the size of the
+	// queue's ring, a power of two.
 	maxPrice float64
 	delta    float64
 	invDelta float64
@@ -50,15 +53,17 @@ type CostView struct {
 
 // Bucket auto-tuning: aim for roughly viewArcsPerBucket admissible arcs
 // per bucket width so buckets stay short enough that the per-pop min scan
-// is a handful of comparisons, while the cursor never has to step across
-// more than a few thousand empty buckets per search. nb gets two spare
-// buckets so the live virtual-bucket span (at most units+1 wide, because
-// every queued distance is within maxPrice of the current minimum) never
-// wraps onto itself.
+// is a handful of comparisons. The queue's ring is the smallest power of
+// two, at least viewMinRing, that holds units+2 buckets — the live
+// virtual-bucket span is at most units+1 wide, because every queued
+// distance is within maxPrice of the current minimum, so it never wraps
+// onto itself — and the bucket width then spreads maxPrice over all of the
+// ring but those two spares: empty buckets cost the queue's bitmap nothing.
 const (
 	viewArcsPerBucket = 8
 	viewMinBuckets    = 16
-	viewMaxBuckets    = 4096
+	viewMaxBuckets    = 4094 // a ring of 4096
+	viewMinRing       = 64   // one bitmap word
 )
 
 // NumNodes reports the node count of the graph the view was compiled from.
@@ -256,22 +261,16 @@ func (v *CostView) admitsAsCompiled(g *Graph, opts *CostOptions, res []float64) 
 
 // tuneBuckets derives the delta-stepping bucket width from the compiled
 // price distribution. Degenerate views — nothing admissible, an all-zero
-// price range, or a non-finite maximum price — get delta 0, which routes
-// the search to the 4-ary heap fallback (both structures pop in the same
-// strict (dist, node) order, so the choice cannot fork results).
+// price range, or a non-finite maximum price — get delta 0, which leaves
+// the search on its tree's own frontier heap (both pop in the same strict
+// (dist, node) order, so the choice cannot fork results).
 func (v *CostView) tuneBuckets() {
 	if v.admitted == 0 || v.maxPrice <= 0 || math.IsInf(v.maxPrice, 1) || math.IsNaN(v.maxPrice) {
 		v.delta, v.invDelta, v.nb = 0, 0, 0
 		return
 	}
-	units := v.admitted / viewArcsPerBucket
-	if units < viewMinBuckets {
-		units = viewMinBuckets
-	}
-	if units > viewMaxBuckets {
-		units = viewMaxBuckets
-	}
-	v.delta = v.maxPrice / float64(units)
+	units := min(max(v.admitted/viewArcsPerBucket, viewMinBuckets), viewMaxBuckets)
+	v.nb = max(viewMinRing, 1<<bits.Len(uint(units+1)))
+	v.delta = v.maxPrice / float64(v.nb-2)
 	v.invDelta = 1 / v.delta
-	v.nb = units + 2
 }

@@ -34,7 +34,7 @@ func (h *legacyHeap) Pop() interface{} {
 // newShortestTree returns a tree of n nodes in its resting state, as the
 // legacy kernel expects to find it.
 func newShortestTree(n int) *ShortestTree {
-	t := &ShortestTree{Dist: make([]float64, n), parent: make([]EdgeID, n), prev: make([]NodeID, n)}
+	t := &ShortestTree{Dist: make([]float64, n), parent: make([]int32, n), prev: make([]int32, n)}
 	for i := range t.Dist {
 		t.Dist[i], t.parent[i], t.prev[i] = Inf, None, None
 	}
@@ -64,8 +64,8 @@ func legacyDijkstra(g *Graph, src NodeID, opts *CostOptions) *ShortestTree {
 			nd := d + g.Edge(arc.Edge).Price
 			if nd < t.Dist[arc.To] {
 				t.Dist[arc.To] = nd
-				t.parent[arc.To] = arc.Edge
-				t.prev[arc.To] = v
+				t.parent[arc.To] = int32(arc.Edge)
+				t.prev[arc.To] = int32(v)
 				heap.Push(h, distItem{node: arc.To, dist: nd})
 			}
 		}
@@ -146,7 +146,7 @@ func checkParentTree(t *testing.T, g *Graph, tree *ShortestTree, opts *CostOptio
 		if !tree.Reachable(node) || node == tree.Src {
 			continue
 		}
-		pv, pe := tree.prev[node], tree.parent[node]
+		pv, pe := NodeID(tree.prev[node]), EdgeID(tree.parent[node])
 		if pv == None || pe == None {
 			t.Fatalf("reachable node %d has no parent", v)
 		}

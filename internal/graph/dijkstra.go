@@ -64,15 +64,17 @@ func (o *CostOptions) admits(g *Graph, arc Arc) bool {
 // node, the minimum total link price from the source and the final edge of
 // one cheapest path.
 type ShortestTree struct {
-	Src    NodeID
-	Dist   []float64
-	parent []EdgeID // edge used to reach node, None for src/unreachable
-	prev   []NodeID // predecessor node, None for src/unreachable
+	Src  NodeID
+	Dist []float64
+	// parent and prev hold, for every node, the EdgeID of the edge it is
+	// reached by and the NodeID of its predecessor, None for the source and
+	// the unreachable: int32 halves what a kept tree pins.
+	parent []int32
+	prev   []int32
 }
 
 // clone returns a retainable copy of a scratch-owned tree: three arrays
-// and nothing else (the dirty-entry list that lets a scratch reset
-// in O(touched) stays with the scratch).
+// and nothing else (the frontier stays with the scratch).
 func (t *ShortestTree) clone() *ShortestTree {
 	return &ShortestTree{
 		Src:    t.Src,
@@ -82,10 +84,10 @@ func (t *ShortestTree) clone() *ShortestTree {
 	}
 }
 
-// MemBytes reports the memory the tree's arrays pin, at the 8 bytes an
-// element of each takes on the 64-bit platforms this runs on.
+// MemBytes reports the memory the tree's arrays pin: 8 bytes a distance, 4
+// a parent edge or predecessor.
 func (t *ShortestTree) MemBytes() int {
-	return 8 * (cap(t.Dist) + cap(t.parent) + cap(t.prev))
+	return 8*cap(t.Dist) + 4*(cap(t.parent)+cap(t.prev))
 }
 
 // Reachable reports whether v is reachable from the source.
@@ -102,8 +104,8 @@ func (t *ShortestTree) AppendPathTo(buf []EdgeID, v NodeID) (_ []EdgeID, ok bool
 		return buf, false
 	}
 	start := len(buf)
-	for u := v; u != t.Src; u = t.prev[u] {
-		buf = append(buf, t.parent[u])
+	for u := v; u != t.Src; u = NodeID(t.prev[u]) {
+		buf = append(buf, EdgeID(t.parent[u]))
 	}
 	// The parent chain walks v->source; reverse the appended section.
 	for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
@@ -118,7 +120,7 @@ func (t *ShortestTree) PathTo(v NodeID) (Path, bool) {
 		return Path{}, false
 	}
 	hops := 0
-	for u := v; u != t.Src; u = t.prev[u] {
+	for u := v; u != t.Src; u = NodeID(t.prev[u]) {
 		hops++
 	}
 	edges, _ := t.AppendPathTo(make([]EdgeID, 0, hops), v)

@@ -1,37 +1,47 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// FuzzBucketQueue drives the calendar bucket queue and the 4-ary heap
-// through the same Dijkstra-shaped workload — monotone pops, pushes only
-// on strict distance improvement, every queued distance within maxPrice of
-// the current minimum — and checks both against a naive linear-scan
-// reference. Any divergence in pop order (the strict (dist, node)
-// contract) or in emptiness is a bug that would silently fork search
-// results between the two structures.
+// FuzzBucketQueue drives the calendar bucket queue, the 4-ary heap and a
+// GrowTree's indexed frontier through the same Dijkstra-shaped workload —
+// monotone pops, pushes only on strict distance improvement, every queued
+// distance within maxPrice of the current minimum — and checks all three
+// against a naive linear-scan reference. Any divergence in pop order (the
+// strict (dist, node) contract) or in emptiness is a bug that would
+// silently fork search results between the structures. The queue's ring
+// is tuned as a compiled view's is, 64 to 1024 buckets, so the corpus
+// reaches rings with spare buckets (units+2 < 64), cursor jumps across
+// bitmap words, wraparound, and the long empty runs a narrow price band
+// leaves between distances. testdata/fuzz/FuzzBucketQueue holds a cursor
+// jump that wraps round the smallest ring: it fails a queue whose jump
+// counts the bits of a whole word on a ring shorter than one.
 func FuzzBucketQueue(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(4), uint8(10))
 	f.Add([]byte{0x10, 0x80, 0xff, 0x03, 0x41, 0x41, 0x41}, uint8(16), uint8(1))
 	f.Add([]byte{7, 7, 7, 7, 0, 0, 255, 255, 128, 64, 32, 16}, uint8(200), uint8(100))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, uint8(1), uint8(255))
+	// A narrow band (every push 0.8–1 maxPrice past the last pop) on rings
+	// of 64, 128 and 1024: long empty runs, jumps across words, wraparound.
+	band := []byte{2, 250, 1, 0, 4, 210, 1, 0, 6, 255, 1, 0, 8, 230, 1, 0, 10, 220, 1, 0, 12, 240, 1, 0,
+		14, 205, 1, 0, 16, 251, 1, 0, 18, 233, 1, 0, 20, 212, 1, 0, 22, 249, 1, 0, 24, 222, 1, 0}
+	for _, units := range []uint8{0, 20, 255} {
+		f.Add(band, units, uint8(80))
+	}
 
 	f.Fuzz(func(t *testing.T, ops []byte, unitsRaw, maxPRaw uint8) {
 		const nodes = 64
-		units := int(unitsRaw)%128 + 1
 		maxPrice := float64(maxPRaw)/16 + 0.0625 // (0, ~16], never zero
-		delta := maxPrice / float64(units)
+		view := &CostView{admitted: (1 + 4*int(unitsRaw)) * viewArcsPerBucket, maxPrice: maxPrice}
+		view.tuneBuckets()
 
-		view := &CostView{
-			maxPrice: maxPrice,
-			delta:    delta,
-			invDelta: 1 / delta,
-			nb:       units + 2,
-		}
-
-		dist := make([]float64, nodes)
-		for i := range dist {
-			dist[i] = Inf
-		}
+		// The GrowTree's Dist is the search's distance array: its frontier
+		// keys on it.
+		var tree GrowTree
+		tree.alloc(nodes)
+		dist := tree.Dist
 
 		var bq bucketQueue
 		bq.reset(view, 0)
@@ -41,6 +51,7 @@ func FuzzBucketQueue(f *testing.F) {
 		push := func(it distItem) {
 			bq.push(it)
 			h4.push(it)
+			tree.queue(int32(it.node))
 			ref = append(ref, it)
 		}
 		refPop := func() (distItem, bool) {
@@ -74,6 +85,27 @@ func FuzzBucketQueue(f *testing.F) {
 			}
 			return distItem{}, false
 		}
+		treePop := func() (distItem, bool) {
+			if len(tree.frontier) == 0 {
+				return distItem{}, false
+			}
+			v := tree.next()
+			return distItem{node: v, dist: dist[v]}, true
+		}
+		// popAll pops one entry from every structure; they must agree exactly.
+		popAll := func(when string) (distItem, bool) {
+			want, wantOK := refPop()
+			got, gotOK := bq.pop(dist)
+			hGot, hOK := h4Pop()
+			tGot, tOK := treePop()
+			if gotOK != wantOK || hOK != wantOK || tOK != wantOK {
+				t.Fatalf("%s emptiness diverged: bucket=%v heap=%v tree=%v ref=%v", when, gotOK, hOK, tOK, wantOK)
+			}
+			if wantOK && (got != want || hGot != want || tGot != want) {
+				t.Fatalf("%s pop: bucket %+v heap %+v tree %+v ref %+v", when, got, hGot, tGot, want)
+			}
+			return want, wantOK
+		}
 
 		// Seed the frontier like the kernel does.
 		dist[0] = 0
@@ -92,21 +124,9 @@ func FuzzBucketQueue(f *testing.F) {
 				push(distItem{node: node, dist: nd})
 				continue
 			}
-			// Pop from all three structures; they must agree exactly.
-			want, wantOK := refPop()
-			got, gotOK := bq.pop(dist)
-			hGot, hOK := h4Pop()
-			if gotOK != wantOK || hOK != wantOK {
-				t.Fatalf("emptiness diverged: bucket=%v heap=%v ref=%v", gotOK, hOK, wantOK)
-			}
-			if !wantOK {
+			want, ok := popAll("")
+			if !ok {
 				continue
-			}
-			if got != want {
-				t.Fatalf("bucket pop %+v, ref pop %+v", got, want)
-			}
-			if hGot != want {
-				t.Fatalf("heap pop %+v, ref pop %+v", hGot, want)
 			}
 			if want.dist < frontier {
 				t.Fatalf("pop order not monotone: %v after %v", want.dist, frontier)
@@ -119,28 +139,22 @@ func FuzzBucketQueue(f *testing.F) {
 			}
 		}
 
-		// Drain: the three structures must agree to the very end.
+		// Drain: the structures must agree to the very end.
 		for {
-			want, wantOK := refPop()
-			got, gotOK := bq.pop(dist)
-			hGot, hOK := h4Pop()
-			if gotOK != wantOK || hOK != wantOK {
-				t.Fatalf("drain emptiness diverged: bucket=%v heap=%v ref=%v", gotOK, hOK, wantOK)
-			}
-			if !wantOK {
+			if _, ok := popAll("drain"); !ok {
 				break
-			}
-			if got != want || hGot != want {
-				t.Fatalf("drain pop: bucket %+v heap %+v ref %+v", got, hGot, want)
 			}
 		}
 		if bq.live != 0 {
 			t.Fatalf("drained bucket queue reports %d live entries", bq.live)
 		}
 		for i, b := range bq.buckets {
-			if len(b) != 0 {
-				t.Fatalf("drained bucket %d holds %d entries", i, len(b))
+			if len(b) != 0 || bq.occ[i>>6]>>(i&63)&1 != 0 {
+				t.Fatalf("drained bucket %d holds %d entries, occupied bit %d", i, len(b), bq.occ[i>>6]>>(i&63)&1)
 			}
+		}
+		if slices.ContainsFunc(tree.at, func(a int32) bool { return a != 0 }) {
+			t.Fatal("a drained frontier still places a node")
 		}
 	})
 }

@@ -11,15 +11,18 @@ import "unsafe"
 // bit-identical to the one DijkstraWith would give.
 //
 // A GrowTree owns its storage (one block, see alloc) and keeps it across
-// Reset, which undoes only what the last search touched. It is not safe
-// for concurrent use and must not outlive a recompilation of its view.
+// Reset, which puts every array back at rest. It is not safe for concurrent
+// use and must not outlive a recompilation of its view.
 type GrowTree struct {
 	ShortestTree
 	view *CostView
-	// frontier is the suspended search: every tentative node has a live
-	// entry here. touched lists the nodes that left their resting state.
-	frontier heap4
-	touched  []NodeID
+	// frontier is the suspended search: a 4-ary heap of the tentative nodes,
+	// each once, in strict (Dist, node) order, lowered in place when a node's
+	// distance falls. at[v] is v's position in it plus one, 0 for a node not
+	// in it. A node is queued at most once, so the heap never outgrows its n
+	// slots.
+	frontier []int32
+	at       []int32
 	// bound is the distance of the last node settled: an entry at or below
 	// it is final, because later pops are no nearer and prices are never
 	// negative, so no later relaxation improves on it strictly. -1 before
@@ -28,45 +31,41 @@ type GrowTree struct {
 }
 
 // alloc gives the tree one pointer-free block for all five of its arrays —
-// a new tree costs the run one allocation, not six — at rest (Dist=Inf,
-// parent/prev=None). The frontier gets room for n entries and moves out of
-// the block by itself (append) in the rare search that queues more.
-func (t *GrowTree) alloc(n int) { t.carve(make([]float64, 6*n), n) }
+// a new tree costs the run one allocation, not five — at rest (Dist=Inf,
+// parent/prev=None, nothing queued).
+func (t *GrowTree) alloc(n int) { t.carve(make([]float64, 3*n), n) }
 
-// carve lays the tree's arrays, at rest, over block: 6n words nothing else
-// uses.
+// carve lays the tree's arrays, at rest, over block: 3n words nothing else
+// uses, 24 bytes a node — a distance, then four int32 rows (parent, prev,
+// frontier, at).
 func (t *GrowTree) carve(block []float64, n int) {
 	t.Dist = block[:n:n]
-	t.parent = unsafe.Slice((*EdgeID)(unsafe.Pointer(&block[n])), n)
-	t.prev = unsafe.Slice((*NodeID)(unsafe.Pointer(&block[2*n])), n)
-	t.touched = unsafe.Slice((*NodeID)(unsafe.Pointer(&block[3*n])), n)[:0]
-	t.frontier = unsafe.Slice((*distItem)(unsafe.Pointer(&block[4*n])), n)[:0]
-	for i := range t.Dist {
-		t.Dist[i], t.parent[i], t.prev[i] = Inf, None, None
-	}
+	ids := unsafe.Slice((*int32)(unsafe.Pointer(&block[n])), 4*n)
+	t.parent, t.prev = ids[:n:n], ids[n:2*n:2*n]
+	t.frontier, t.at = ids[2*n:2*n:3*n], ids[3*n:4*n:4*n]
+	t.rest(n)
 }
 
-// MemBytes reports the memory the tree pins, at 8 bytes per array element
-// and 16 per frontier entry.
+// MemBytes reports the memory the tree pins: 24 bytes a node.
 func (t *GrowTree) MemBytes() int {
-	return t.ShortestTree.MemBytes() + 8*cap(t.touched) + 16*cap(t.frontier)
+	return t.ShortestTree.MemBytes() + 4*(cap(t.frontier)+cap(t.at))
 }
 
 // rest brings the arrays back to their resting state for a graph of n
-// nodes, undoing only the entries the previous search touched.
+// nodes, all of them: O(n) once per root.
 func (t *GrowTree) rest(n int) {
 	if cap(t.Dist) < n {
 		t.alloc(n)
 		return
 	}
-	// The previous search may have been on a larger graph, so undo its
-	// writes against the full backing arrays before re-slicing to n.
-	dist, parent, prev := t.Dist[:cap(t.Dist)], t.parent[:cap(t.parent)], t.prev[:cap(t.prev)]
-	for _, v := range t.touched {
-		dist[v], parent[v], prev[v] = Inf, None, None
+	for _, v := range t.frontier {
+		t.at[v] = 0
 	}
-	t.Dist, t.parent, t.prev = dist[:n], parent[:n], prev[:n]
-	t.touched, t.frontier = t.touched[:0], t.frontier[:0]
+	t.Dist, t.parent, t.prev, t.at = t.Dist[:n], t.parent[:n], t.prev[:n], t.at[:n]
+	t.frontier = t.frontier[:0]
+	for i := range n {
+		t.Dist[i], t.parent[i], t.prev[i] = Inf, None, None
+	}
 }
 
 // Reset discards whatever the tree held and roots it at src on view, with
@@ -79,8 +78,66 @@ func (t *GrowTree) Reset(view *CostView, src NodeID) {
 		return
 	}
 	t.Dist[src] = 0
-	t.touched = append(t.touched, src)
-	t.frontier.push(distItem{node: src, dist: 0})
+	t.queue(int32(src))
+}
+
+// before is the kernel's pop order, distItem.before, over queued nodes.
+func (t *GrowTree) before(a, b int32) bool {
+	return t.Dist[a] < t.Dist[b] || t.Dist[a] == t.Dist[b] && a < b
+}
+
+// queue puts v, whose distance has just fallen, in its place in the
+// frontier: appended if it is not in it, then moved up.
+func (t *GrowTree) queue(v int32) {
+	i := int(t.at[v]) - 1
+	if i < 0 {
+		i = len(t.frontier)
+		t.frontier = append(t.frontier, v)
+	}
+	h := t.frontier
+	for i > 0 {
+		p := (i - 1) / 4
+		if !t.before(v, h[p]) {
+			break
+		}
+		h[i], t.at[h[p]] = h[p], int32(i+1)
+		i = p
+	}
+	h[i], t.at[v] = v, int32(i+1)
+}
+
+// next removes and returns the frontier's first node. The frontier must not
+// be empty.
+func (t *GrowTree) next() NodeID {
+	h := t.frontier
+	top, last := h[0], len(h)-1
+	t.at[top] = 0
+	v := h[last]
+	h = h[:last]
+	t.frontier = h
+	if last == 0 {
+		return NodeID(top)
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= last {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, last); j++ {
+			if t.before(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !t.before(h[m], v) {
+			break
+		}
+		h[i], t.at[h[m]] = h[m], int32(i+1)
+		i = m
+	}
+	h[i], t.at[v] = v, int32(i+1)
+	return NodeID(top)
 }
 
 // To grows the tree until v's distance and path are final — until every
@@ -106,45 +163,40 @@ func (t *GrowTree) To(s *Scratch, v NodeID) (*ShortestTree, int) {
 		// cursor there and the queue cannot tell the two apart.
 		bq = &s.q.bq
 		bq.reset(view, max(t.bound, 0))
-		for _, item := range t.frontier {
-			if item.dist <= dist[item.node] { // drop the superseded
-				bq.push(item)
-			}
+		for _, u := range t.frontier {
+			bq.push(distItem{node: NodeID(u), dist: dist[u]})
+			t.at[u] = 0
 		}
 		t.frontier = t.frontier[:0]
 	}
 	for v == None || dist[v] > t.bound {
-		var item distItem
+		var u NodeID
 		if bq != nil {
-			var ok bool
-			if item, ok = bq.pop(dist); !ok {
+			item, ok := bq.pop(dist)
+			if !ok {
 				break
 			}
+			u = item.node
 		} else {
 			if len(t.frontier) == 0 {
 				break
 			}
-			if item = t.frontier.pop(); item.dist > dist[item.node] {
-				continue // superseded by a later, cheaper push
-			}
+			u = t.next()
 		}
-		u, d := item.node, item.dist
+		d := dist[u]
 		settled++
 		t.bound = d
 		for ai := int(off[u]); ai < int(off[u+1]); ai++ {
 			nd := d + price[ai]
 			to := arcs[ai].To
 			if nd < dist[to] {
-				if dist[to] == Inf {
-					t.touched = append(t.touched, to)
-				}
 				dist[to] = nd
-				t.parent[to] = arcs[ai].Edge
-				t.prev[to] = u
+				t.parent[to] = int32(arcs[ai].Edge)
+				t.prev[to] = int32(u)
 				if bq != nil {
 					bq.push(distItem{node: to, dist: nd})
 				} else {
-					t.frontier.push(distItem{node: to, dist: nd})
+					t.queue(int32(to))
 				}
 			}
 		}

@@ -23,8 +23,7 @@ type searchQueues struct {
 // LayeredDijkstraWith) are valid only until the next call with the same
 // Scratch; Path values are freshly allocated and safe to retain.
 type Scratch struct {
-	// tree is the scratch-owned Dijkstra tree; it resets in O(touched), not
-	// O(N) (see GrowTree).
+	// tree is the scratch-owned Dijkstra tree (see GrowTree).
 	tree    GrowTree
 	layered LayeredSearch
 	q       searchQueues

@@ -41,11 +41,11 @@ type treeBatch struct {
 	block []float64
 }
 
-const treeBatchSize = 8
+const treeBatchSize = 16
 
 // batchBytes is what a batch of trees over n nodes pins: GrowTree.alloc's
-// six words per node for each tree, and the trees.
-func batchBytes(n int) int { return 48*n*treeBatchSize + int(unsafe.Sizeof(treeBatch{})) }
+// three words per node for each tree, and the trees.
+func batchBytes(n int) int { return 24*n*treeBatchSize + int(unsafe.Sizeof(treeBatch{})) }
 
 func (s *TreeStore) tree(i int) *GrowTree {
 	return &s.batches[i/treeBatchSize].trees[i%treeBatchSize]
@@ -133,9 +133,9 @@ func (s *TreeStore) carve() int {
 	i, n := len(s.used), s.view.numNodes
 	k := i % treeBatchSize
 	if k == 0 {
-		s.batches = append(s.batches, &treeBatch{block: make([]float64, 6*n*treeBatchSize)})
+		s.batches = append(s.batches, &treeBatch{block: make([]float64, 3*n*treeBatchSize)})
 	}
-	lo, hi := 6*n*k, 6*n*(k+1)
+	lo, hi := 3*n*k, 3*n*(k+1)
 	s.tree(i).carve(s.batches[i/treeBatchSize].block[lo:hi:hi], n)
 	s.used = append(s.used, 0)
 	return i
@@ -173,19 +173,9 @@ func (s *TreeStore) Trim(maxBytes int) (evicted int) {
 }
 
 // MemBytes reports the memory the store pins: its view's arrays, its tables
-// and its batches of trees, with the frontiers that outgrew their share of a
-// block.
+// and its batches of trees. A tree never grows out of its share of a block.
 func (s *TreeStore) MemBytes() int {
-	n := s.view.MemBytes() + 4*cap(s.slot) + 8*cap(s.used)
-	for _, b := range s.batches {
-		n += 8*cap(b.block) + int(unsafe.Sizeof(*b))
-		for i := range b.trees {
-			if t := &b.trees[i]; cap(t.frontier) > cap(t.Dist) {
-				n += 16 * cap(t.frontier)
-			}
-		}
-	}
-	return n
+	return s.view.MemBytes() + 4*cap(s.slot) + 8*cap(s.used) + len(s.batches)*batchBytes(s.view.numNodes)
 }
 
 // TreeCache and ViewCache hold nothing: every ledger-backed embed keeps its
