@@ -143,15 +143,17 @@ package-census:
 benchmark-vet:
 	$(GO) -C benchmark vet ./...
 
-# fuzz-smoke runs the search-kernel fuzzers briefly. The bucket queue and
-# the 4-ary heap must pop in the identical strict (dist, node) order, or
-# search results would fork depending on which structure a compiled view
+# fuzz-smoke runs the search-kernel fuzzers briefly. The two search queues
+# — the bucket queue and the indexed heap trees and the layered search
+# share — must pop in the identical strict (dist, node) order, or search
+# results would fork depending on which structure a compiled view
 # selects; and a Dijkstra tree grown on demand must agree with the complete
 # tree wherever it has been read; and POST /v1/flows must do with a body
 # what Submit does with json.Unmarshal's reading of it, whatever the pooled
 # request held before, and the client's pooled decoder must read a response
-# as json.Unmarshal does, whatever it read before. FUZZTIME=0x replays only
-# the checked-in corpus.
+# as json.Unmarshal does, whatever it read before. FUZZTIME=1x replays the
+# seeds and the checked-in corpus and tries one new input (go test refuses
+# 0x); a plain go test replays them too.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME) ./internal/graph/

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	dagsfc-embed [-net net.json] -sfc "1;2,3" -src 0 -dst 42
-//	             [-alg mbbe|bbe|minv|ranv|exact|ilp|sa] [-rate 1] [-size 1] [-seed 1]
+//	             [-alg mbbe|bbe|minv|ranv|exact|ilp] [-rate 1] [-size 1] [-seed 1]
 //	             [-dot sol.dot] [-o sol.json] [-trace-out trace.json] [-explain]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-metrics-out metrics.prom] [-debug-addr localhost:6060]
@@ -28,7 +28,6 @@ import (
 	"os"
 	"strings"
 
-	"dagsfc/internal/anneal"
 	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
 	"dagsfc/internal/diag"
@@ -46,10 +45,10 @@ func main() {
 		sfcStr   = flag.String("sfc", "", "DAG-SFC, e.g. \"1;2,3,4;5\" (required)")
 		src      = flag.Int("src", 0, "source node")
 		dst      = flag.Int("dst", 0, "destination node")
-		alg      = flag.String("alg", "mbbe", "algorithm: mbbe, bbe, minv, ranv, exact, ilp, sa")
+		alg      = flag.String("alg", "mbbe", "algorithm: mbbe, bbe, minv, ranv, exact, ilp")
 		rate     = flag.Float64("rate", 1, "flow delivery rate R")
 		size     = flag.Float64("size", 1, "flow size z (cost scale)")
-		seed     = flag.Int64("seed", 1, "seed for the generated network, ranv and sa")
+		seed     = flag.Int64("seed", 1, "seed for the generated network and ranv")
 		dotFile  = flag.String("dot", "", "also write a Graphviz DOT rendering of the embedding")
 		outFile  = flag.String("o", "", "also write the solution as JSON")
 		traceOut = flag.String("trace-out", "", "write the search as a JSON span tree (mbbe/bbe only)")
@@ -118,8 +117,6 @@ func run(c config, stdout, stderr io.Writer) error {
 		res, err = exact.Embed(p, exact.Limits{})
 	case "ilp":
 		res, err = ipmodel.Embed(p, ipmodel.Options{})
-	case "sa", "anneal":
-		res, err = anneal.Embed(p, rand.New(rand.NewSource(c.seed)), anneal.Options{})
 	default:
 		return fmt.Errorf("unknown algorithm %q", alg)
 	}

@@ -58,7 +58,7 @@ func TestRunEveryAlgorithm(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []string{"mbbe", "bbe", "minv", "ranv", "exact", "ilp", "sa"} {
+	for _, alg := range []string{"mbbe", "bbe", "minv", "ranv", "exact", "ilp"} {
 		t.Run(alg, func(t *testing.T) {
 			out, dot := filepath.Join(dir, alg+".json"), filepath.Join(dir, alg+".dot")
 			err := run(config{netFile: netFile, sfcStr: "1;2,3", src: 0, dst: 3, alg: alg,

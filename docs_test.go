@@ -119,3 +119,46 @@ func TestDocsDrift(t *testing.T) {
 		}
 	}
 }
+
+// sizeCeilings are the line counts the tree may not grow past: non-test Go
+// outside benchmark/ (its own module), DESIGN.md and README.md. A change
+// that has to grow one shrinks something else first, or raises the ceiling
+// here and says why; one that shrinks them lowers the ceiling with it.
+var sizeCeilings = map[string]int{
+	"non-test Go": 19734,
+	"DESIGN.md":   2226,
+	"README.md":   1249,
+}
+
+// TestSizeRatchet fails when non-test Go outside benchmark/, DESIGN.md or
+// README.md has more lines than its ceiling in sizeCeilings.
+func TestSizeRatchet(t *testing.T) {
+	lines := func(path string) int {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(text), "\n")
+	}
+	counts := map[string]int{"DESIGN.md": lines("DESIGN.md"), "README.md": lines("README.md")}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == "benchmark" || path != "." && strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			counts["non-test Go"] += lines(path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ceiling := range sizeCeilings {
+		if counts[name] > ceiling {
+			t.Errorf("%s is %d lines, past its ceiling of %d: shrink something else, or raise the ceiling in sizeCeilings and say why",
+				name, counts[name], ceiling)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 
 	// Telemetry: the benchmarks have no search trees, so "search nodes"
 	// counts candidate instances examined. Shared metric names with
-	// BBE/MBBE/SA keep the /metrics view comparable.
+	// BBE/MBBE keep the /metrics view comparable.
 	begin := time.Now()
 	var instancesExamined int
 	defer func() {

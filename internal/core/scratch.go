@@ -24,10 +24,12 @@ type pooledScratch struct {
 
 // searchMemRetainBytes caps the memory an arena may keep while pooled. A
 // paper-scale MBBE run grows its slabs to under 1 MB and BBE to a few; the
-// tree store fills what they leave (about 300 trees at 500 nodes). An arena
-// whose slabs alone pass the cap was grown by a one-off huge search and is
-// dropped rather than pooled — the analogue of graph.PutScratch dropping
-// oversized scratches — so it cannot stay pinned behind later small runs.
+// tree store fills what they leave, a tree for every root of a 500-node
+// substrate at 24 bytes a node (TestArenaKeepsEveryRootAtPaperScale). An
+// arena whose slabs alone pass the cap was grown by a one-off huge search
+// and is dropped rather than pooled — the analogue of graph.PutScratch
+// dropping oversized scratches — so it cannot stay pinned behind later
+// small runs.
 const searchMemRetainBytes = 8 << 20
 
 var embedScratchPool = sync.Pool{New: func() any { return newPooledScratch() }}

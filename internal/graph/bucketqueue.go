@@ -2,24 +2,30 @@ package graph
 
 import "math/bits"
 
-// This file implements the two lazy priority structures behind the
-// view-based kernels: the bucket queue that sweeps complete trees and the
-// heap of the layered search. They pop in the strict total order —
-// ascending (dist, node) — a GrowTree's own frontier keeps too, so which
-// structure serves a search can never fork its results.
+// This file implements the two priority structures behind the view-based
+// kernels: the bucket queue that sweeps complete trees and the indexed heap
+// that a GrowTree's frontier and the layered search share. Both pop in the
+// strict total order — ascending (dist, node) — so which structure serves a
+// search can never fork its results.
 //
-// Neither structure supports decrease-key: the kernel pushes a new entry
-// on every strict improvement and the queues drop superseded entries
-// lazily (an entry is stale iff its dist is larger than the current
-// Dist[node]). Because pushes happen only on strict improvement, two live
-// entries can never share (dist, node), which is what makes the pop order
-// a total order.
+// The bucket queue has no decrease-key: the kernel pushes a new entry on
+// every strict improvement and the queue drops superseded entries lazily
+// (an entry is stale iff its dist is larger than the current Dist[node]).
+// Because pushes happen only on strict improvement, two live entries can
+// never share (dist, node), which is what makes the pop order a total
+// order. The indexed heap lowers a queued node in place instead.
 
-// before is the kernel-wide pop order: ascending dist, ties broken by the
-// smaller node ID. This replaces the old reliance on container/heap sift
-// order, making tie-breaking an explicit, structure-independent contract.
+// before is the kernel-wide pop order: ascending key (a distance), ties
+// broken by the smaller node ID. This replaces the old reliance on
+// container/heap sift order, making tie-breaking an explicit,
+// structure-independent contract.
+func before(ka float64, a int32, kb float64, b int32) bool {
+	return ka < kb || ka == kb && a < b
+}
+
+// before is the pop order over queued entries.
 func (a distItem) before(b distItem) bool {
-	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
+	return before(a.dist, int32(a.node), b.dist, int32(b.node))
 }
 
 // bucketQueue is a monotone calendar queue for delta-stepping: virtual
@@ -155,55 +161,75 @@ func (q *bucketQueue) pop(dist []float64) (distItem, bool) {
 	return distItem{}, false
 }
 
-// heap4 is a 4-ary implicit min-heap over distItem, ordered by before
-// (strict (dist, node) order). The wider fan-out does fewer, cheaper
-// levels of sifting than a binary heap: pops touch ~half the cache lines.
-// It serves the layered search, whose distances the bucket queue's window
-// bound does not hold for.
-type heap4 []distItem
-
-func (h *heap4) push(x distItem) {
-	*h = append(*h, x)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !hh[i].before(hh[p]) {
-			break
-		}
-		hh[p], hh[i] = hh[i], hh[p]
-		i = p
-	}
+// indexHeap is a 4-ary min-heap of the nodes of one search — a tree's
+// nodes, the layered search's states — ordered by (key[v], v) over a key
+// row the caller owns and passes to every call. A node is queued at most
+// once: when the caller lowers key[v], queue(v) moves v up in place. at[v]
+// is v's position in nodes plus one, 0 for a node not queued, so the heap
+// never outgrows one slot a node and never holds a stale entry. The wider
+// fan-out does fewer, cheaper levels of sifting than a binary heap.
+type indexHeap struct {
+	nodes []int32
+	at    []int32
 }
 
-func (h *heap4) pop() distItem {
-	hh := *h
-	top := hh[0]
-	last := len(hh) - 1
-	hh[0] = hh[last]
-	*h = hh[:last]
-	hh = hh[:last]
-	i := 0
+// queue puts v, whose key has just fallen, in its place: appended if it is
+// not queued, then moved up.
+func (h *indexHeap) queue(key []float64, v int32) {
+	i := int(h.at[v]) - 1
+	if i < 0 {
+		i = len(h.nodes)
+		h.nodes = append(h.nodes, v)
+	}
+	q, at, kv := h.nodes, h.at, key[v]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !before(kv, v, key[q[p]], q[p]) {
+			break
+		}
+		q[i], at[q[p]] = q[p], int32(i+1)
+		i = p
+	}
+	q[i], at[v] = v, int32(i+1)
+}
+
+// next removes and returns the first node. The heap must not be empty.
+func (h *indexHeap) next(key []float64) int32 {
+	q, at := h.nodes, h.at
+	top, last := q[0], len(q)-1
+	at[top] = 0
+	v := q[last]
+	q = q[:last]
+	h.nodes = q
+	if last == 0 {
+		return top
+	}
+	i, kv := 0, key[v]
 	for {
 		c := 4*i + 1
 		if c >= last {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > last {
-			end = last
-		}
-		for j := c + 1; j < end; j++ {
-			if hh[j].before(hh[m]) {
-				m = j
+		m, km := c, key[q[c]]
+		for j := c + 1; j < min(c+4, last); j++ {
+			if kj := key[q[j]]; before(kj, q[j], km, q[m]) {
+				m, km = j, kj
 			}
 		}
-		if !hh[m].before(hh[i]) {
+		if !before(km, q[m], kv, v) {
 			break
 		}
-		hh[i], hh[m] = hh[m], hh[i]
+		q[i], at[q[m]] = q[m], int32(i+1)
 		i = m
 	}
+	q[i], at[v] = v, int32(i+1)
 	return top
+}
+
+// clear empties the heap, forgetting every queued node's position.
+func (h *indexHeap) clear() {
+	for _, v := range h.nodes {
+		h.at[v] = 0
+	}
+	h.nodes = h.nodes[:0]
 }

@@ -5,17 +5,18 @@ import (
 	"testing"
 )
 
-// FuzzBucketQueue drives the calendar bucket queue, the 4-ary heap and a
-// GrowTree's indexed frontier through the same Dijkstra-shaped workload —
-// monotone pops, pushes only on strict distance improvement, every queued
-// distance within maxPrice of the current minimum — and checks all three
-// against a naive linear-scan reference. Any divergence in pop order (the
-// strict (dist, node) contract) or in emptiness is a bug that would
-// silently fork search results between the structures. The queue's ring
-// is tuned as a compiled view's is, 64 to 1024 buckets, so the corpus
-// reaches rings with spare buckets (units+2 < 64), cursor jumps across
-// bitmap words, wraparound, and the long empty runs a narrow price band
-// leaves between distances. testdata/fuzz/FuzzBucketQueue holds a cursor
+// FuzzBucketQueue drives the calendar bucket queue, the indexed heap over a
+// key row of its own and a GrowTree's frontier (the same heap over the
+// tree's Dist) through the same Dijkstra-shaped workload — monotone pops,
+// pushes only on strict distance improvement, a queued node's key lowered
+// in place, every queued distance within maxPrice of the current minimum —
+// and checks all three against a naive linear-scan reference. Any
+// divergence in pop order (the strict (dist, node) contract) or in
+// emptiness is a bug that would silently fork search results between the
+// structures. The queue's ring is tuned as a compiled view's is, 64 to 1024
+// buckets, so the corpus reaches rings with spare buckets (units+2 < 64),
+// cursor jumps across bitmap words, wraparound, and the long empty runs a
+// narrow price band leaves between distances. testdata/fuzz/FuzzBucketQueue holds a cursor
 // jump that wraps round the smallest ring: it fails a queue whose jump
 // counts the bits of a whole word on a ring shorter than one.
 func FuzzBucketQueue(f *testing.F) {
@@ -45,13 +46,17 @@ func FuzzBucketQueue(f *testing.F) {
 
 		var bq bucketQueue
 		bq.reset(view, 0)
-		var h4 heap4
+		// The heap's key row is the caller's: written before every queue,
+		// which lowers a node already queued in place.
+		h := indexHeap{nodes: make([]int32, 0, nodes), at: make([]int32, nodes)}
+		key := make([]float64, nodes)
 		var ref []distItem // unordered; popped by linear before() scan
 
 		push := func(it distItem) {
 			bq.push(it)
-			h4.push(it)
-			tree.queue(int32(it.node))
+			key[it.node] = it.dist
+			h.queue(key, int32(it.node))
+			tree.frontier.queue(dist, int32(it.node))
 			ref = append(ref, it)
 		}
 		refPop := func() (distItem, bool) {
@@ -75,28 +80,25 @@ func FuzzBucketQueue(f *testing.F) {
 			ref = ref[:len(ref)-1]
 			return it, true
 		}
-		h4Pop := func() (distItem, bool) {
-			for len(h4) > 0 {
-				it := h4.pop()
-				if it.dist > dist[it.node] {
-					continue // stale
-				}
-				return it, true
-			}
-			return distItem{}, false
-		}
-		treePop := func() (distItem, bool) {
-			if len(tree.frontier) == 0 {
+		heapPop := func() (distItem, bool) {
+			if len(h.nodes) == 0 {
 				return distItem{}, false
 			}
-			v := tree.next()
-			return distItem{node: v, dist: dist[v]}, true
+			v := h.next(key)
+			return distItem{node: NodeID(v), dist: key[v]}, true
+		}
+		treePop := func() (distItem, bool) {
+			if len(tree.frontier.nodes) == 0 {
+				return distItem{}, false
+			}
+			v := tree.frontier.next(dist)
+			return distItem{node: NodeID(v), dist: dist[v]}, true
 		}
 		// popAll pops one entry from every structure; they must agree exactly.
 		popAll := func(when string) (distItem, bool) {
 			want, wantOK := refPop()
 			got, gotOK := bq.pop(dist)
-			hGot, hOK := h4Pop()
+			hGot, hOK := heapPop()
 			tGot, tOK := treePop()
 			if gotOK != wantOK || hOK != wantOK || tOK != wantOK {
 				t.Fatalf("%s emptiness diverged: bucket=%v heap=%v tree=%v ref=%v", when, gotOK, hOK, tOK, wantOK)
@@ -153,8 +155,10 @@ func FuzzBucketQueue(f *testing.F) {
 				t.Fatalf("drained bucket %d holds %d entries, occupied bit %d", i, len(b), bq.occ[i>>6]>>(i&63)&1)
 			}
 		}
-		if slices.ContainsFunc(tree.at, func(a int32) bool { return a != 0 }) {
-			t.Fatal("a drained frontier still places a node")
+		for _, at := range [][]int32{h.at, tree.frontier.at} {
+			if slices.ContainsFunc(at, func(a int32) bool { return a != 0 }) {
+				t.Fatal("a drained heap still places a node")
+			}
 		}
 	})
 }

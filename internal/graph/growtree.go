@@ -16,13 +16,9 @@ import "unsafe"
 type GrowTree struct {
 	ShortestTree
 	view *CostView
-	// frontier is the suspended search: a 4-ary heap of the tentative nodes,
-	// each once, in strict (Dist, node) order, lowered in place when a node's
-	// distance falls. at[v] is v's position in it plus one, 0 for a node not
-	// in it. A node is queued at most once, so the heap never outgrows its n
-	// slots.
-	frontier []int32
-	at       []int32
+	// frontier is the suspended search: the tentative nodes, keyed by Dist,
+	// each lowered in place when its distance falls.
+	frontier indexHeap
 	// bound is the distance of the last node settled: an entry at or below
 	// it is final, because later pops are no nearer and prices are never
 	// negative, so no later relaxation improves on it strictly. -1 before
@@ -42,13 +38,13 @@ func (t *GrowTree) carve(block []float64, n int) {
 	t.Dist = block[:n:n]
 	ids := unsafe.Slice((*int32)(unsafe.Pointer(&block[n])), 4*n)
 	t.parent, t.prev = ids[:n:n], ids[n:2*n:2*n]
-	t.frontier, t.at = ids[2*n:2*n:3*n], ids[3*n:4*n:4*n]
+	t.frontier.nodes, t.frontier.at = ids[2*n:2*n:3*n], ids[3*n:4*n:4*n]
 	t.rest(n)
 }
 
 // MemBytes reports the memory the tree pins: 24 bytes a node.
 func (t *GrowTree) MemBytes() int {
-	return t.ShortestTree.MemBytes() + 4*(cap(t.frontier)+cap(t.at))
+	return t.ShortestTree.MemBytes() + 4*(cap(t.frontier.nodes)+cap(t.frontier.at))
 }
 
 // rest brings the arrays back to their resting state for a graph of n
@@ -58,11 +54,8 @@ func (t *GrowTree) rest(n int) {
 		t.alloc(n)
 		return
 	}
-	for _, v := range t.frontier {
-		t.at[v] = 0
-	}
-	t.Dist, t.parent, t.prev, t.at = t.Dist[:n], t.parent[:n], t.prev[:n], t.at[:n]
-	t.frontier = t.frontier[:0]
+	t.frontier.clear()
+	t.Dist, t.parent, t.prev, t.frontier.at = t.Dist[:n], t.parent[:n], t.prev[:n], t.frontier.at[:n]
 	for i := range n {
 		t.Dist[i], t.parent[i], t.prev[i] = Inf, None, None
 	}
@@ -78,66 +71,7 @@ func (t *GrowTree) Reset(view *CostView, src NodeID) {
 		return
 	}
 	t.Dist[src] = 0
-	t.queue(int32(src))
-}
-
-// before is the kernel's pop order, distItem.before, over queued nodes.
-func (t *GrowTree) before(a, b int32) bool {
-	return t.Dist[a] < t.Dist[b] || t.Dist[a] == t.Dist[b] && a < b
-}
-
-// queue puts v, whose distance has just fallen, in its place in the
-// frontier: appended if it is not in it, then moved up.
-func (t *GrowTree) queue(v int32) {
-	i := int(t.at[v]) - 1
-	if i < 0 {
-		i = len(t.frontier)
-		t.frontier = append(t.frontier, v)
-	}
-	h := t.frontier
-	for i > 0 {
-		p := (i - 1) / 4
-		if !t.before(v, h[p]) {
-			break
-		}
-		h[i], t.at[h[p]] = h[p], int32(i+1)
-		i = p
-	}
-	h[i], t.at[v] = v, int32(i+1)
-}
-
-// next removes and returns the frontier's first node. The frontier must not
-// be empty.
-func (t *GrowTree) next() NodeID {
-	h := t.frontier
-	top, last := h[0], len(h)-1
-	t.at[top] = 0
-	v := h[last]
-	h = h[:last]
-	t.frontier = h
-	if last == 0 {
-		return NodeID(top)
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= last {
-			break
-		}
-		m := c
-		for j := c + 1; j < min(c+4, last); j++ {
-			if t.before(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !t.before(h[m], v) {
-			break
-		}
-		h[i], t.at[h[m]] = h[m], int32(i+1)
-		i = m
-	}
-	h[i], t.at[v] = v, int32(i+1)
-	return NodeID(top)
+	t.frontier.queue(t.Dist, int32(src))
 }
 
 // To grows the tree until v's distance and path are final — until every
@@ -157,17 +91,16 @@ func (t *GrowTree) To(s *Scratch, v NodeID) (*ShortestTree, int) {
 	view, dist, settled := t.view, t.Dist, 0
 	arcs, off, price := view.arcs, view.off, view.price
 	var bq *bucketQueue
-	if v == None && view.delta > 0 && len(t.frontier) > 0 {
+	if v == None && view.delta > 0 && len(t.frontier.nodes) > 0 {
 		// Every live entry lies in [bound, bound+maxPrice], the window a
 		// bucket search holds once it has popped a node at bound: start the
 		// cursor there and the queue cannot tell the two apart.
-		bq = &s.q.bq
+		bq = &s.bq
 		bq.reset(view, max(t.bound, 0))
-		for _, u := range t.frontier {
+		for _, u := range t.frontier.nodes {
 			bq.push(distItem{node: NodeID(u), dist: dist[u]})
-			t.at[u] = 0
 		}
-		t.frontier = t.frontier[:0]
+		t.frontier.clear()
 	}
 	for v == None || dist[v] > t.bound {
 		var u NodeID
@@ -178,10 +111,10 @@ func (t *GrowTree) To(s *Scratch, v NodeID) (*ShortestTree, int) {
 			}
 			u = item.node
 		} else {
-			if len(t.frontier) == 0 {
+			if len(t.frontier.nodes) == 0 {
 				break
 			}
-			u = t.next()
+			u = NodeID(t.frontier.next(dist))
 		}
 		d := dist[u]
 		settled++
@@ -196,12 +129,12 @@ func (t *GrowTree) To(s *Scratch, v NodeID) (*ShortestTree, int) {
 				if bq != nil {
 					bq.push(distItem{node: to, dist: nd})
 				} else {
-					t.queue(int32(to))
+					t.frontier.queue(dist, int32(to))
 				}
 			}
 		}
 	}
-	if len(t.frontier) == 0 {
+	if len(t.frontier.nodes) == 0 {
 		t.bound = Inf
 	}
 	return &t.ShortestTree, settled

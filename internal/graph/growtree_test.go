@@ -216,7 +216,7 @@ func TestGrowTreeResume(t *testing.T) {
 		for range stops {
 			tree.To(s, NodeID(rng.Intn(n)))
 		}
-		if len(tree.frontier) > 0 && tree.bound >= 0 && view.delta > 0 {
+		if len(tree.frontier.nodes) > 0 && tree.bound >= 0 && view.delta > 0 {
 			resumed++
 		}
 		got, _ := tree.To(s, None)

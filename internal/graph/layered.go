@@ -74,8 +74,10 @@ func (q *LayeredQuery) h(layer, node int) float64 {
 type LayeredSearch struct {
 	n       int
 	dist    []float64 // per state, +Inf at rest
+	key     []float64 // per queued state of a directed search, dist + h
 	pred    []int32   // state settled from, -1 at rest and for seeds
 	via     []int32   // CSR arc taken from pred, -1 for a step arc or a seed
+	queue   indexHeap // the queued states, keyed by key (dist when undirected)
 	touched []int32
 	exits   []int
 	settled int
@@ -103,14 +105,16 @@ func (v *CostView) Arc(i int) Arc { return v.arcs[i] }
 
 // resetLayered brings the scratch's layered arrays to their resting state
 // for a search over the given number of states, undoing only what the
-// previous search touched.
+// previous search touched — the states it queued and left queued when it
+// stopped included.
 func (s *Scratch) resetLayered(n, states int) *LayeredSearch {
 	s.lastN = states
 	r := &s.layered
 	if cap(r.dist) < states {
-		r.dist = make([]float64, states)
-		r.pred = make([]int32, states)
-		r.via = make([]int32, states)
+		rows, ids := make([]float64, 2*states), make([]int32, 4*states)
+		r.dist, r.key = rows[:states:states], rows[states:]
+		r.pred, r.via = ids[:states:states], ids[states:2*states:2*states]
+		r.queue = indexHeap{nodes: ids[2*states : 2*states : 3*states], at: ids[3*states:]}
 		for i := range r.dist {
 			r.dist[i] = Inf
 			r.pred[i] = -1
@@ -126,6 +130,7 @@ func (s *Scratch) resetLayered(n, states int) *LayeredSearch {
 			pred[x] = -1
 			via[x] = -1
 		}
+		r.queue.clear()
 		r.dist, r.pred, r.via = dist[:states], pred[:states], via[:states]
 	}
 	r.n = n
@@ -139,41 +144,43 @@ func (s *Scratch) resetLayered(n, states int) *LayeredSearch {
 // memory: zero steady-state allocations once s has grown to the state
 // count. States pop in strict (distance + potential, state) order, so the
 // result — including which of several equally cheap walks is kept — is a
-// function of the query alone. dist[] holds distances; only the heap sees
-// the potential. There is no closed set: a strictly smaller distance
-// re-queues its state, and a queued entry is stale when its key exceeds the
-// one its state's current distance gives (the same expression, so the same
-// rounding). A state whose potential is +Inf cannot reach the target and is
-// never queued.
+// function of the query alone. dist[] holds distances; only the heap's key
+// row sees the potential. A state is queued at most once and lowered in
+// place when its distance falls; there is no closed set, so a strictly
+// smaller distance re-queues a state already settled. A state whose
+// potential is +Inf cannot reach the target and is never queued.
 //
-// The queue is the 4-ary heap, not the bucket queue: the bucket queue's
-// no-aliasing bound ("every queued distance is within maxPrice of the
-// minimum") does not hold here, since a rent may exceed the largest link
-// price and seeds may lie further apart than that.
+// The queue is the trees' indexed heap, not the bucket queue: the bucket
+// queue's no-aliasing bound ("every queued distance is within maxPrice of
+// the minimum") does not hold here, since a rent may exceed the largest
+// link price and seeds may lie further apart than that.
 func (v *CostView) LayeredDijkstraWith(s *Scratch, q *LayeredQuery) *LayeredSearch {
 	n, k := v.numNodes, len(q.Rent)
 	r := s.resetLayered(n, (k+1)*n)
 	s.lastA = v.numArcs
-	arcs, off, price, dist := v.arcs, v.off, v.price, r.dist
-	h := &s.q.h4
-	*h = (*h)[:0]
+	arcs, off, price, dist, key := v.arcs, v.off, v.price, r.dist, r.dist
+	h := &r.queue
 	directed := q.PotLink != nil && q.Target >= 0
+	if directed {
+		key = r.key
+	}
 	// relax records the strictly better distance nd of state (layer, node),
 	// reached from x over CSR arc via (-1: the step arc; a seed has neither).
 	relax := func(layer, node int, nd float64, x, via int) {
 		to := layer*n + node
-		hx := 0.0
 		if directed {
-			if hx = q.h(layer, node); math.IsInf(hx, 1) {
+			hx := q.h(layer, node)
+			if math.IsInf(hx, 1) {
 				return
 			}
+			key[to] = nd + hx
 		}
 		if math.IsInf(dist[to], 1) {
 			r.touched = append(r.touched, int32(to))
 		}
 		dist[to] = nd
 		r.pred[to], r.via[to] = int32(x), int32(via)
-		h.push(distItem{node: NodeID(to), dist: nd + hx})
+		h.queue(key, int32(to))
 	}
 	for _, seed := range q.Seeds {
 		if seed.Node >= 0 && int(seed.Node) < n && seed.Dist < dist[seed.Node] {
@@ -181,19 +188,11 @@ func (v *CostView) LayeredDijkstraWith(s *Scratch, q *LayeredQuery) *LayeredSear
 		}
 	}
 	last := k * n
-	for len(*h) > 0 {
-		item := h.pop()
-		x := int(item.node)
+	for len(h.nodes) > 0 {
+		x := int(h.next(key))
 		layer := x / n
 		node := x - layer*n
 		d := dist[x]
-		key := d
-		if directed {
-			key += q.h(layer, node)
-		}
-		if item.dist > key {
-			continue // superseded by a later, cheaper push
-		}
 		r.settled++
 		if x >= last {
 			if q.Target == None {

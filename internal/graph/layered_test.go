@@ -223,6 +223,54 @@ func TestLayeredDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// TestLayeredScratchReuseAfterEarlyStop stops a layered search early on a
+// Scratch — once at its first exit, once at its target — with states still
+// queued, then runs a different query on the same Scratch: it must equal
+// that query on a fresh Scratch state by state (distance bits, pred, via),
+// in its exits and in what it settled. A reset that forgets a queued
+// state's heap position hands the next search a heap it does not hold.
+func TestLayeredScratchReuseAfterEarlyStop(t *testing.T) {
+	left := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		g, opts, q := randomLayeredCase(rand.New(rand.NewSource(seed)))
+		n := g.NumNodes()
+		v := g.CompileView(opts)
+		stops := []LayeredQuery{
+			{Rent: q.Rent, Admit: q.Admit, Seeds: q.Seeds, Target: None, MaxExits: 1},
+			{Rent: q.Rent, Admit: q.Admit, Seeds: q.Seeds, Target: NodeID(seed % int64(n))},
+		}
+		next := *q
+		next.Seeds = nil
+		for _, sd := range q.Seeds {
+			next.Seeds = append(next.Seeds, LayeredSeed{Node: (sd.Node + 1) % NodeID(n), Dist: sd.Dist / 2})
+		}
+		if next.Target != None && seed%2 == 0 {
+			directTowards(v, &next)
+		}
+		want := v.LayeredDijkstraWith(NewScratch(), &next)
+		for i := range stops {
+			s := NewScratch()
+			v.LayeredDijkstraWith(s, &stops[i])
+			left += len(s.layered.queue.nodes)
+			got := v.LayeredDijkstraWith(s, &next)
+			if got.Settled() != want.Settled() || !slices.Equal(got.Exits(), want.Exits()) {
+				t.Fatalf("seed %d, stop %d: reused scratch settled %d with exits %v, a fresh one %d with %v",
+					seed, i, got.Settled(), got.Exits(), want.Settled(), want.Exits())
+			}
+			for x := range want.dist {
+				if math.Float64bits(got.dist[x]) != math.Float64bits(want.dist[x]) ||
+					got.pred[x] != want.pred[x] || got.via[x] != want.via[x] {
+					t.Fatalf("seed %d, stop %d: state %d holds (%v, pred %d, via %d), a fresh scratch (%v, pred %d, via %d)",
+						seed, i, x, got.dist[x], got.pred[x], got.via[x], want.dist[x], want.pred[x], want.via[x])
+				}
+			}
+		}
+	}
+	if left == 0 {
+		t.Fatal("no early stop left a state queued; the corpus no longer covers the reset")
+	}
+}
+
 // directTowards gives the terminal query q the potential core gives it: the
 // complete tree rooted at the target on the same view, and the least rent
 // still ahead of every layer — minima over all nodes, vetoed hosts included,

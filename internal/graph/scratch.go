@@ -2,21 +2,14 @@ package graph
 
 import "sync"
 
-// searchQueues bundles the scratch's two kernel priority structures: the
-// bucket queue a complete tree is swept with when the view's tuning allows
-// it, and the heap of the layered search.
-type searchQueues struct {
-	bq bucketQueue
-	h4 heap4
-}
-
 // Scratch is reusable working memory for the search algorithms: the
-// Dijkstra tree arrays, the layered search's per-state arrays, the kernel
-// priority queues, a compiled cost view with its residual buffer, the BFS
-// queue, and an epoch-stamped visited set. A single Scratch serves any sequence of searches over any graphs
-// (arrays grow to the largest graph seen and are reset sparsely), but it
-// is not safe for concurrent use — give each goroutine its own, e.g. one
-// per worker-pool slot.
+// Dijkstra tree arrays, the layered search's per-state arrays and heap, the
+// bucket queue complete trees are swept with, a compiled cost view with its
+// residual buffer, the BFS queue, and an epoch-stamped visited set. A single
+// Scratch serves any sequence of searches over any graphs (arrays grow to
+// the largest graph seen and are reset sparsely), but it is not safe for
+// concurrent use — give each goroutine its own, e.g. one per worker-pool
+// slot.
 //
 // Results returned by the *With methods that alias scratch memory (the
 // *ShortestTree from DijkstraWith, the *LayeredSearch from
@@ -26,7 +19,7 @@ type Scratch struct {
 	// tree is the scratch-owned Dijkstra tree (see GrowTree).
 	tree    GrowTree
 	layered LayeredSearch
-	q       searchQueues
+	bq      bucketQueue
 
 	// view is the scratch-owned compiled cost view (rebuilt per query by
 	// DijkstraWith); resBuf is the per-edge residual buffer view

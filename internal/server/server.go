@@ -415,9 +415,8 @@ func foreign(e Embedder) *algorithm {
 }
 
 // builtinAlgorithms is the default registry. ranv draws from one seeded rng
-// behind a lock, so its embeds serialize — acceptable for a baseline. Slower
-// reference heuristics (internal/anneal) are not admission algorithms;
-// Config.Embedders registers one where it is wanted.
+// behind a lock, so its embeds serialize — acceptable for a baseline.
+// Config.Embedders registers any other embedder where it is wanted.
 func builtinAlgorithms(seed int64) map[string]*algorithm {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(seed))

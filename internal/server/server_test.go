@@ -169,8 +169,7 @@ func TestServerHTTPErrors(t *testing.T) {
 		{"both", server.FlowRequest{SFC: "1", Chain: []int{1}, Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
 		{"bad sfc", server.FlowRequest{SFC: "nope", Src: 0, Dst: 2, Rate: 1, Size: 1}, http.StatusBadRequest, ""},
 		{"bad alg", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "nope"}, http.StatusBadRequest, ""},
-		// The annealing reference heuristic is not an admission algorithm
-		// unless Config.Embedders registers it.
+		// A name the registry does not hold is refused, not defaulted.
 		{"sa unregistered", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, Alg: "sa"}, http.StatusBadRequest, `unknown algorithm "sa"`},
 		{"bad ttl", server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 1, Size: 1, TTLSeconds: -1}, http.StatusBadRequest, "ttl_seconds"},
 		// Would have overflowed time.Duration to a negative TTL: a flow

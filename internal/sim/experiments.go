@@ -176,7 +176,7 @@ func Gap(trials int) *Experiment {
 		Title:      "Optimality gap vs exact solver (25-node networks)",
 		XLabel:     "SFC size",
 		Xs:         []float64{1, 2, 3, 4, 5},
-		Algorithms: []Algorithm{EXACT, BBE, MBBE, SA, MINV, RANV},
+		Algorithms: []Algorithm{EXACT, BBE, MBBE, MINV, RANV},
 		Trials:     trials,
 		Configure: func(x float64) PointConfig {
 			cfg := baseConfig()

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"dagsfc/internal/anneal"
 	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
 	"dagsfc/internal/exact"
@@ -36,8 +35,6 @@ const (
 	// ILP solves the paper's §3.3 integer program by branch and bound
 	// (internal/ipmodel); tractable only on very small instances.
 	ILP Algorithm = "ILP"
-	// SA is simulated annealing over placements (internal/anneal).
-	SA Algorithm = "SA"
 )
 
 // PointConfig is the generator configuration of one x-axis point.
@@ -261,8 +258,6 @@ func runBuiltin(alg Algorithm, inst *instance, seed int64) (*core.Result, time.D
 		res, err = exact.Embed(&p, exact.Limits{})
 	case ILP:
 		res, err = ipmodel.Embed(&p, ipmodel.Options{PathsPerPair: 2})
-	case SA:
-		res, err = anneal.Embed(&p, rand.New(rand.NewSource(seed)), anneal.Options{})
 	default:
 		return nil, 0, fmt.Errorf("sim: unknown algorithm %q", alg)
 	}

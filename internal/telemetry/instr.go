@@ -6,12 +6,11 @@ import (
 )
 
 // Shared metric names. Every embedding algorithm under comparison —
-// BBE/MBBE (internal/core), MINV/RANV (internal/baseline) and SA
-// (internal/anneal) — records the same families, labeled by alg, so one
-// Prometheus scrape compares them directly. "Search nodes" is each
-// algorithm's unit of explored state: FST/BST tree nodes for BBE/MBBE,
-// candidate instances examined for the baselines, proposal evaluations
-// for the annealer.
+// BBE/MBBE (internal/core) and MINV/RANV (internal/baseline) — records
+// the same families, labeled by alg, so one Prometheus scrape compares
+// them directly. "Search nodes" is each algorithm's unit of explored
+// state: FST/BST tree nodes for BBE/MBBE, candidate instances examined for
+// the baselines.
 const (
 	MetricEmbedAttempts  = "dagsfc_embed_attempts_total"
 	MetricEmbedFailures  = "dagsfc_embed_failures_total"
@@ -211,7 +210,7 @@ func SetBreakerState(state int) {
 // EmbedSample is one completed embedding attempt, however it was
 // produced.
 type EmbedSample struct {
-	// Alg labels the algorithm ("bbe", "mbbe", "minv", "ranv", "sa", ...).
+	// Alg labels the algorithm ("bbe", "mbbe", "minv", "ranv", ...).
 	Alg string
 	// Elapsed is the attempt's wall-clock time.
 	Elapsed time.Duration

@@ -5,8 +5,8 @@
 // trace recorder that captures one embedding run as a tree of timed spans
 // (see trace.go). Every embedding algorithm under comparison records into
 // the shared Default registry under identical metric names (see instr.go),
-// so BBE, MBBE, the baselines and the annealer can be compared from live
-// counters instead of bespoke experiment code.
+// so BBE, MBBE and the baselines can be compared from live counters instead
+// of bespoke experiment code.
 package telemetry
 
 import (
