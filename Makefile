@@ -87,12 +87,14 @@ server-single-writer:
 	fi
 
 # A request is embedded and committed on the goroutine that asked for it,
-# and a restore attempt on the controller's (DESIGN §10): the embed worker
-# pool, the commit loop, the claim protocol between them and the restore
-# controller's admission grace must not grow back.
+# and TTL expiries and restore attempts on the timeline's, the one goroutine
+# server.New starts (DESIGN §10): the embed worker pool, the commit loop,
+# the claim protocol between them, the restore controller's admission grace,
+# and the expiry wheel and repair loop that ran beside each other must not
+# grow back.
 server-one-goroutine:
-	@if grep -nE 'func \(s \*Server\) (worker|commitLoop)\(|func \(j \*job\) (await|reply)\(|(admit|commit)[[:space:]]+chan[[:space:]]|RepairAdmitRetries' $$(ls internal/server/*.go | grep -v '_test\.go$$'); then \
-		echo "internal/server grew a worker pool or a commit loop back: a request is served on its own goroutine"; exit 1; \
+	@if grep -nE 'func \(s \*Server\) (worker|commitLoop)\(|func \(j \*job\) (await|reply)\(|(admit|commit)[[:space:]]+chan[[:space:]]|RepairAdmitRetries|expiryWheel|repairLoop|repairKick|popRepair|enqueueRepairs' $$(ls internal/server/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/server grew a worker pool, a commit loop or a second background goroutine back: a request is served on its own goroutine, deferred work on the timeline"; exit 1; \
 	fi
 
 # Both sides of the socket read a body once into a pooled buffer, decode and

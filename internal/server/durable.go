@@ -184,12 +184,12 @@ func (s *Server) recover(rec *wal.Recovery) (*recoveredState, error) {
 // controller.
 func (s *Server) finishRecovery(rec *recoveredState) {
 	for _, info := range rec.live {
-		s.wheel.Schedule(info.ID, *info.ExpiresAt)
+		s.timeline.Schedule(info.ID, *info.ExpiresAt)
 	}
 	for _, id := range rec.expired {
 		_, _ = s.release(id, flowstate.Expire)
 	}
-	s.enqueueRepairs(rec.restores)
+	s.timeline.Enqueue(rec.restores...)
 }
 
 // Crash simulates a SIGKILL for the durability tests: it stops the server

@@ -9,8 +9,9 @@
 // every ledger mutation. A commit that fails because a concurrent flow took
 // the capacity (a stale snapshot) re-embeds once on the same slot.
 // Committed flows live until released over DELETE or until their TTL
-// fires on the expiry wheel. Drain stops admission and waits for every
-// in-flight request — the SIGTERM path of cmd/dagsfc-serve.
+// fires on the server's timeline, the one goroutine that also runs fault
+// repairs. Drain stops admission and waits for every in-flight request —
+// the SIGTERM path of cmd/dagsfc-serve.
 package server
 
 import (
@@ -134,7 +135,9 @@ type Server struct {
 	// rows into its slot's snapshot.
 	mu    sync.Mutex
 	state *flowstate.State
-	wheel *expiryWheel
+	// timeline runs the deferred work: TTL expiries and the restore
+	// controller's queue (survive.go), one item at a time.
+	timeline *timeline
 	// revalHook, when set (tests only), runs once per candidate flow
 	// during ApplyFault's unlocked revalidation phase — the contention
 	// regression test parks it to prove a large fault scan no longer
@@ -168,17 +171,6 @@ type Server struct {
 	// a rejected or conflicted request has a complete enqueue→terminal
 	// timeline under its ID.
 	journal *journal.Journal
-
-	// The restore controller (survive.go): a single goroutine draining an
-	// unbounded queue of flows a fault left short of something — stranded
-	// without a primary, or live without the backup they were admitted
-	// with — one at a time.
-	repairMu   sync.Mutex
-	repairQ    []*repairTask
-	repairBusy int
-	repairKick chan struct{}
-	repairStop chan struct{}
-	repairWG   sync.WaitGroup
 
 	brk breaker
 
@@ -274,8 +266,7 @@ type jobResult struct {
 }
 
 // New validates the configuration, fills the embed slots and starts the
-// two goroutines a server runs beside its callers': the restore controller
-// and the expiry wheel.
+// one goroutine a server runs beside its callers': the timeline's.
 func New(cfg Config) (*Server, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("server: Config.Net is required")
@@ -314,16 +305,14 @@ func New(cfg Config) (*Server, error) {
 	telemetry.InitCostViewMetrics()
 	telemetry.InitProtectMetrics()
 	s := &Server{
-		cfg:        cfg,
-		net:        cfg.Net,
-		algs:       builtinAlgorithms(cfg.Seed),
-		rules:      sfc.StockRules(),
-		state:      flowstate.New(cfg.Net),
-		slots:      make(chan *workerScratch, cfg.Workers),
-		repairKick: make(chan struct{}, 1),
-		repairStop: make(chan struct{}),
-		journal:    journal.New(cfg.JournalSize, cfg.Logger),
-		brk:        breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
+		cfg:     cfg,
+		net:     cfg.Net,
+		algs:    builtinAlgorithms(cfg.Seed),
+		rules:   sfc.StockRules(),
+		state:   flowstate.New(cfg.Net),
+		slots:   make(chan *workerScratch, cfg.Workers),
+		journal: journal.New(cfg.JournalSize, cfg.Logger),
+		brk:     breaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 	}
 	// An armed breaker publishes its closed state before the hook that
 	// journals every later transition is set; the hook is safe because the
@@ -361,9 +350,10 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		s.slots <- &workerScratch{banEdges: map[graph.EdgeID]bool{}, banNodes: map[graph.NodeID]bool{}}
 	}
-	s.wheel = newExpiryWheel(func(id int64) { _, _ = s.release(id, flowstate.Expire) })
-	s.repairWG.Add(1)
-	go s.repairLoop()
+	// Seeded jitter: two same-seed chaos runs back off identically.
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7265706169727321)) // "repairs!"
+	s.timeline = newTimeline(func(id int64) { _, _ = s.release(id, flowstate.Expire) },
+		func(t *repairTask) time.Time { return s.restoreOne(t, rng) })
 	if recovered != nil {
 		s.finishRecovery(recovered)
 	}
@@ -962,7 +952,7 @@ func (s *Server) commit(j *job) (r jobResult, conflict bool) {
 	}
 	s.emit(t, ch, journal.Event{Time: now, Attempt: j.retries}, took)
 	if t.Kind == flowstate.Commit && ch.Info.ExpiresAt != nil {
-		s.wheel.Schedule(j.id, *ch.Info.ExpiresAt)
+		s.timeline.Schedule(j.id, *ch.Info.ExpiresAt)
 	}
 	return jobResult{info: ch.Info, ticket: ticket}, false
 }
@@ -1049,7 +1039,7 @@ func (s *Server) release(id int64, kind flowstate.Kind) (FlowInfo, bool) {
 	if kind == flowstate.Release {
 		s.walWait(ticket)
 	}
-	s.wheel.Cancel(id)
+	s.timeline.Cancel(id)
 	s.emit(t, ch, journal.Event{}, 0)
 	return ch.Info, true
 }
@@ -1120,11 +1110,10 @@ func (s *Server) Draining() bool {
 
 // Drain shuts the server down gracefully: stop admitting (new Submits get
 // ErrDraining), wait for every in-flight request and restore attempt to
-// answer, then stop the restore controller and the expiry wheel. Committed
-// flows stay committed — drain is about requests, not flows. If ctx
-// expires while in-flight work remains, Drain returns the context error
-// without stopping anything (the caller is typically about to exit the
-// process).
+// answer, then stop the timeline. Committed flows stay committed — drain is
+// about requests, not flows. If ctx expires while in-flight work remains,
+// Drain returns the context error without stopping anything (the caller is
+// typically about to exit the process).
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining = true
@@ -1151,14 +1140,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// stop stops the restore controller and the wheel, once, and hands the WAL
-// (if any) to seal. Nothing is in flight: the controller can only be idle
-// or backing off, and both end on repairStop.
+// stop stops the timeline, once, and hands the WAL (if any) to seal. No
+// request is in flight; a restore the timeline backs off is dropped.
 func (s *Server) stop(seal func(*wal.Log)) {
 	s.stopOnce.Do(func() {
-		close(s.repairStop)
-		s.repairWG.Wait()
-		s.wheel.Stop()
+		s.timeline.Stop()
 		if s.wal != nil {
 			seal(s.wal)
 		}

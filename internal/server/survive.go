@@ -1,9 +1,9 @@
 // Survivability: the server-side half of the fault injector. ApplyFault
 // quarantines capacity on the live ledger and scans committed flows for
 // casualties; flows whose embedding no longer validates are released and
-// handed to a single restore controller that re-embeds them through
-// serve, the path a request takes, with bounded exponential backoff and
-// deterministic jitter. The same controller re-arms
+// handed to a single restore controller on the server's timeline that
+// re-embeds them through serve, the path a request takes, with bounded
+// exponential backoff and deterministic jitter. The same controller re-arms
 // the backup of a protected flow that lost or spent it. Flows whose repairs
 // are exhausted become terminal "evicted" tombstones, still visible over
 // GET /v1/flows. The admission circuit breaker lives here too: a run of
@@ -38,6 +38,10 @@ type repairTask struct {
 	// strandedAt anchors the journal's "repair" stage: the time from
 	// stranding (or backup loss) to the terminal event.
 	strandedAt time.Time
+	// attempts counts the attempts made so far; need is what the flow
+	// lacked at the last of them.
+	attempts int
+	need     flowstate.Need
 }
 
 // ApplyFault quarantines the fault's capacity on the live ledger (POST
@@ -135,13 +139,13 @@ func (s *Server) ApplyFault(f network.Fault) (FaultState, error) {
 		}
 		task := &repairTask{id: o.t.Flow, fault: f, info: o.ch.Info, strandedAt: o.at}
 		if o.t.Kind == flowstate.Strand {
-			s.wheel.Cancel(o.t.Flow)
+			s.timeline.Cancel(o.t.Flow)
 			stranded = append(stranded, task)
 		} else {
 			rearm = append(rearm, task)
 		}
 	}
-	s.enqueueRepairs(append(rearm, stranded...))
+	s.timeline.Enqueue(append(rearm, stranded...)...)
 	s.walWait(ticket)
 	st.PendingRepairs = s.PendingRepairs()
 	telemetry.RecordServerRequest("faults.apply", "ok", time.Since(begin))
@@ -194,11 +198,7 @@ func (s *Server) faultStateLocked() FaultState {
 // the restore controller — zero means every fault consequence so far has
 // reached a terminal outcome (the wire driver's settling condition, read
 // off GET /v1/faults).
-func (s *Server) PendingRepairs() int {
-	s.repairMu.Lock()
-	defer s.repairMu.Unlock()
-	return len(s.repairQ) + s.repairBusy
-}
+func (s *Server) PendingRepairs() int { return s.timeline.Restores() }
 
 // RevalidateFlows re-judges every committed flow against the current
 // residual network (flowstate.Verdict: primary and backup, net of the
@@ -218,94 +218,35 @@ func (s *Server) RevalidateFlows() []int64 {
 	return bad
 }
 
-// enqueueRepairs hands flows to the restore controller. The queue is
-// unbounded on purpose: a large fault may strand many flows and dropping
-// any would leak their "repairing" state forever.
-func (s *Server) enqueueRepairs(tasks []*repairTask) {
-	if len(tasks) == 0 {
-		return
+// restoreOne makes one attempt to drive a flow back to what it was
+// admitted with, and returns when the next is due (zero if none). What the
+// flow lacks is read off its record before every attempt — no primary (a
+// fault stranded it): re-embed it under its original ID; a live primary but
+// no backup (failover spent it, or a fault killed it): embed a fresh
+// disjoint backup — and only two things differ by case: which search serve
+// runs, and what exhaustion means (an evicted tombstone vs. serving on,
+// unprotected). An attempt waits for an embed slot however busy the server
+// is, so every attempt counted against RepairRetries ran an embed: load
+// delays a repair but never evicts a flow that could have been repaired.
+func (s *Server) restoreOne(t *repairTask, rng *rand.Rand) (retryAt time.Time) {
+	s.mu.Lock()
+	need, _ := s.state.Lacks(t.id)
+	s.mu.Unlock()
+	if need == flowstate.NeedNothing || (t.attempts > 0 && need != t.need) {
+		// Released by its owner, restored already, or re-stranded by a
+		// newer fault whose own task will take it from here.
+		return time.Time{}
 	}
-	s.repairMu.Lock()
-	s.repairQ = append(s.repairQ, tasks...)
-	s.repairMu.Unlock()
-	select {
-	case s.repairKick <- struct{}{}:
-	default:
+	t.need = need
+	lastErr := s.restoreAttempt(t)
+	if errors.Is(lastErr, ErrDraining) || errors.Is(lastErr, ErrNotFound) {
+		return time.Time{} // stopping, or the flow stopped needing this mid-attempt
 	}
-}
-
-func (s *Server) popRepair() *repairTask {
-	s.repairMu.Lock()
-	defer s.repairMu.Unlock()
-	if len(s.repairQ) == 0 {
-		return nil
-	}
-	t := s.repairQ[0]
-	s.repairQ = s.repairQ[1:]
-	s.repairBusy++
-	return t
-}
-
-// repairLoop is the single restore controller: it drains the queue
-// strictly one flow at a time (deterministic ordering, and restores never
-// compete with each other for capacity), re-embedding each through serve,
-// the path a request takes. Backoff between attempts is exponential
-// with a deterministic seeded jitter, so two same-seed chaos runs sleep
-// identically.
-func (s *Server) repairLoop() {
-	defer s.repairWG.Done()
-	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x7265706169727321)) // "repairs!"
-	for {
-		select {
-		case <-s.repairStop:
-			return
-		case <-s.repairKick:
-		}
-		for t := s.popRepair(); t != nil; t = s.popRepair() {
-			s.restoreOne(t, rng)
-			s.repairMu.Lock()
-			s.repairBusy--
-			s.repairMu.Unlock()
-		}
-	}
-}
-
-// restoreOne drives one flow back to what it was admitted with. What it
-// lacks is read off its record before every attempt — no primary (a fault
-// stranded it): re-embed it under its original ID; a live primary but no
-// backup (failover spent it, or a fault killed it): embed a fresh disjoint
-// backup — and only two things differ by case: which search serve runs, and
-// what exhaustion means (an evicted tombstone vs. serving on, unprotected).
-// An attempt waits for an embed slot however busy the server is, so every
-// attempt counted against RepairRetries ran an embed: load delays a repair
-// but never evicts a flow that could have been repaired.
-func (s *Server) restoreOne(t *repairTask, rng *rand.Rand) {
-	var lastErr error
-	var need flowstate.Need
-	attempts := 0
-	for {
-		if attempts > 0 && !s.repairBackoff(attempts, rng) {
-			return // stopping; a restart re-derives the task from the WAL
-		}
-		s.mu.Lock()
-		now, _ := s.state.Lacks(t.id)
-		s.mu.Unlock()
-		if now == flowstate.NeedNothing || (attempts > 0 && now != need) {
-			// Released by its owner, restored already, or re-stranded by a
-			// newer fault whose own task will take it from here.
-			return
-		}
-		need = now
-		lastErr = s.restoreAttempt(t, need, attempts)
-		if errors.Is(lastErr, ErrDraining) || errors.Is(lastErr, ErrNotFound) {
-			return // stopping, or the flow stopped needing this mid-attempt
-		}
-		if attempts++; lastErr == nil || attempts >= s.cfg.RepairRetries {
-			break
-		}
+	if t.attempts++; lastErr != nil && t.attempts < s.cfg.RepairRetries {
+		return time.Now().Add(s.repairBackoff(t.attempts, rng))
 	}
 	took := time.Since(t.strandedAt)
-	ev := journal.Event{Flow: t.id, Attempt: attempts}
+	ev := journal.Event{Flow: t.id, Attempt: t.attempts}
 	if lastErr != nil {
 		ev.Err = lastErr.Error()
 	}
@@ -323,8 +264,8 @@ func (s *Server) restoreOne(t *repairTask, rng *rand.Rand) {
 		// A repaired protected flow comes back unprotected: the same task
 		// goes round again for its backup.
 		if t.info.Protection == ProtectionBackup {
-			t.strandedAt = time.Now()
-			s.enqueueRepairs([]*repairTask{t})
+			t.strandedAt, t.attempts = time.Now(), 0
+			s.timeline.Enqueue(t)
 		}
 	default:
 		evict := flowstate.Transition{Kind: flowstate.Evict, Flow: t.id, Fault: t.fault, LastError: ev.Err}
@@ -337,30 +278,22 @@ func (s *Server) restoreOne(t *repairTask, rng *rand.Rand) {
 		ch, ticket, err := s.transitLocked(evict)
 		s.mu.Unlock()
 		if err != nil {
-			return // released by its owner while we were retrying: no tombstone
+			break // released by its owner while we were retrying: no tombstone
 		}
 		s.walWait(ticket)
 		s.emit(evict, ch, ev, took)
 	}
+	return time.Time{}
 }
 
-// repairBackoff sleeps the capped exponential delay for the given retry
-// (1-based), with deterministic jitter in [0, delay/2]. It returns false
-// if the server began stopping mid-sleep.
-func (s *Server) repairBackoff(retry int, rng *rand.Rand) bool {
+// repairBackoff is the capped exponential delay before the given retry
+// (1-based), plus deterministic jitter in [0, delay/2].
+func (s *Server) repairBackoff(retry int, rng *rand.Rand) time.Duration {
 	delay := s.cfg.RepairBackoff << (retry - 1)
 	if delay > s.cfg.RepairBackoffCap || delay <= 0 {
 		delay = s.cfg.RepairBackoffCap
 	}
-	delay += time.Duration(rng.Int63n(int64(delay/2) + 1))
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-s.repairStop:
-		return false
-	}
+	return delay + time.Duration(rng.Int63n(int64(delay/2)+1))
 }
 
 // restoreAttempt runs one restore job through serve, the path a request
@@ -370,7 +303,7 @@ func (s *Server) repairBackoff(retry int, rng *rand.Rand) bool {
 // new one; the job also inherits that ID, so every journal event of the
 // attempt lands on the flow's timeline. The request carries no TTL: a
 // restored flow keeps the deadline it was admitted with.
-func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) error {
+func (s *Server) restoreAttempt(t *repairTask) error {
 	req := FlowRequest{
 		SFC: t.info.SFC, Src: t.info.Src, Dst: t.info.Dst,
 		Rate: t.info.Rate, Size: t.info.Size, Alg: t.info.Alg,
@@ -379,13 +312,13 @@ func (s *Server) restoreAttempt(t *repairTask, need flowstate.Need, try int) err
 	if err != nil {
 		return err
 	}
-	j := &job{ctx: deadline{Context: context.Background()}, id: t.id, prepared: pr, repair: t, need: need}
+	j := &job{ctx: deadline{Context: context.Background()}, id: t.id, prepared: pr, repair: t, need: t.need}
 	detail := t.fault.String()
-	if need == flowstate.NeedBackup {
+	if t.need == flowstate.NeedBackup {
 		detail = "re-protect"
 	}
 	s.journal.Append(journal.Event{
-		Type: journal.TypeRepairAttempt, Flow: t.id, Alg: j.alg, Attempt: try + 1, Detail: detail,
+		Type: journal.TypeRepairAttempt, Flow: t.id, Alg: j.alg, Attempt: t.attempts + 1, Detail: detail,
 	})
 	if err := s.enter(j); err != nil {
 		return err
