@@ -56,14 +56,22 @@ core-one-trace:
 		echo "internal/core or cmd/dagsfc-embed declares an observer seam again: the search writes its trace at its source, into Options.Trace"; exit 1; \
 	fi
 
-# A ledger is dense usage rows and a pointer to its family's quarantine
-# (DESIGN §11): the copy-on-write overlay (sparse delta maps), the view-epoch
-# pins and the periodic rebase must not grow back, and the three names kept
-# for benchmark/ alone (Overlay, OverlayLen, Flatten) must gain no caller
-# outside it — tests included.
+# A ledger is a value: dense usage rows and a pointer to its own immutable
+# quarantine table (DESIGN §11). The copy-on-write overlay (sparse delta
+# maps), the view-epoch pins, the periodic rebase and a quarantine shared
+# between copies (an atomic or a family pointer) must not grow back; a
+# commit is checked once, by flowstate.Apply (§20), not by a second Check;
+# and the three names kept for benchmark/ alone (Overlay, OverlayLen,
+# Flatten) must gain no caller outside it — tests included.
 ledger-dense:
 	@if grep -nE 'edgeDelta|instDelta|epochCell|pinMu|chainSig' $$(ls internal/network/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/network grew an overlay or an epoch pin back: a ledger is dense rows"; exit 1; \
+	fi
+	@if grep -nE '"sync/atomic"|\<fam\>|type quarantine\>' $$(ls internal/network/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/network shares fault state between ledgers again: a ledger copy is a value"; exit 1; \
+	fi
+	@if grep -nE 'func \(st \*State\) Check\(' $$(ls internal/flowstate/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/flowstate grew a second commit check: Apply is the one place a commit is checked"; exit 1; \
 	fi
 	@if grep -nE 'Rebase|rebaseLen' $$(ls internal/flowstate/*.go internal/server/*.go internal/online/*.go | grep -v '_test\.go$$'); then \
 		echo "the live ledger is rebased again: it is one dense ledger, copied, never folded"; exit 1; \

@@ -125,8 +125,8 @@ func TestDocsDrift(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go": 19679,
-	"DESIGN.md":   2225,
+	"non-test Go": 19597,
+	"DESIGN.md":   2221,
 	"README.md":   1249,
 }
 

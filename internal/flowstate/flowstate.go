@@ -265,7 +265,8 @@ type flow struct {
 // use; the server serializes access under its state mutex.
 type State struct {
 	// ledger is the live capacity state; workers embed on copies of it.
-	// probe is Check's scratch copy, rewritten on every protected commit.
+	// probe is the spare a protected commit reserves its pair on before it
+	// becomes the live ledger (reservePair); the two trade places.
 	ledger, probe   *network.Ledger
 	flows           map[int64]*flow
 	active, backups int
@@ -345,40 +346,13 @@ func (st *State) check(t Transition, rec *flow) error {
 	return nil
 }
 
-// Check reports whether Apply(t) would succeed, changing nothing: the
-// preconditions, and for a Commit or Backup whether the placements fit the
-// live ledger (a pair on the state's scratch copy: primary reserved,
-// backup checked over it). The commit loop asks first because it must
-// claim the request before the reservation exists, and cannot unclaim it
-// after.
-func (st *State) Check(t Transition) error {
-	rec := st.flows[t.Flow]
-	if err := st.check(t, rec); err != nil || (t.Kind != Commit && t.Kind != Backup) {
-		return err
-	}
-	if t.Kind == Backup {
-		return core.CheckCapacity(st.bound(rec.problem), t.BackupUsage)
-	}
-	p := st.bound(t.Problem)
-	err := core.CheckCapacity(p, t.Usage)
-	if err == nil && t.Backup != nil {
-		st.probe = st.ledger.SnapshotInto(st.probe)
-		p.Ledger = st.probe
-		if err = core.Reserve(p, t.Usage); err == nil {
-			if err = core.CheckCapacity(p, t.BackupUsage); err != nil {
-				err = fmt.Errorf("backup: %w", err)
-			}
-		}
-	}
-	return err
-}
-
-// Apply is the state's one mutator: it checks t's preconditions against
-// the state of the moment and, if they hold, moves the ledger and the
-// flow table together. On any error — ErrStale, a capacity conflict, a
-// malformed fault — nothing has changed. Recovery replays the log through
-// this same function; the only thing a replayed transition lacks is its
-// pre-priced usage.
+// Apply is the state's one mutator and its one check: it checks t's
+// preconditions and whether its placements fit the live ledger of the
+// moment and, if they do, moves the ledger and the flow table together. On
+// any error — ErrStale, a capacity conflict, a malformed fault — nothing
+// has changed, bit for bit. Recovery replays the log through this same
+// function; the only thing a replayed transition lacks is its pre-priced
+// usage.
 func (st *State) Apply(t Transition) (Change, error) {
 	rec := st.flows[t.Flow]
 	if err := st.check(t, rec); err != nil {
@@ -389,15 +363,14 @@ func (st *State) Apply(t Transition) (Change, error) {
 	case Admit:
 		st.nextID = max(st.nextID, t.Flow)
 	case Commit:
-		if err := st.reserve(t.Problem, t.Primary, t.Usage); err != nil {
-			return Change{}, err
-		}
-		if t.Backup != nil {
-			if err := st.reserve(t.Problem, t.Backup, t.BackupUsage); err != nil {
-				_ = core.Release(st.bound(t.Problem), t.Primary)
-				return Change{}, fmt.Errorf("backup: %w", err)
-			}
+		var err error
+		if t.Backup == nil {
+			err = st.reserve(t.Problem, t.Primary, t.Usage)
+		} else if err = st.reservePair(t); err == nil {
 			st.backups++
+		}
+		if err != nil {
+			return Change{}, err
 		}
 		info := t.Info
 		if rec == nil {
@@ -459,6 +432,26 @@ func (st *State) Apply(t Transition) (Change, error) {
 	}
 	ch.Active, ch.Backups, ch.Faults = st.active, st.backups, len(st.faults)
 	return ch, nil
+}
+
+// reservePair takes a protected Commit's two reservations, both or
+// neither, on the probe — a fresh copy of the live ledger — and makes it
+// the live ledger once both fit: a refused pair never reserves and releases
+// again, which at non-dyadic rates would leave float residue.
+func (st *State) reservePair(t Transition) error {
+	live := st.ledger
+	st.ledger = live.SnapshotInto(st.probe)
+	err := st.reserve(t.Problem, t.Primary, t.Usage)
+	if err == nil {
+		if err = st.reserve(t.Problem, t.Backup, t.BackupUsage); err != nil {
+			err = fmt.Errorf("backup: %w", err)
+		}
+	}
+	if err != nil {
+		st.ledger, live = live, st.ledger
+	}
+	st.probe = live
+	return err
 }
 
 // vacate returns everything the flow holds to the ledger — primary first,
@@ -551,8 +544,9 @@ func (st *State) Placements() []Placement {
 // is validated, then re-reserved before the backup is judged, so "both
 // fine" means the pair still fits together. snap is left untouched, and
 // nothing here reads the State: the server runs it with its mutex
-// released. The placement pointers ride along as the transition's stale
-// guard.
+// released, and since snap is a value no later fault or commit can change
+// the verdict under it. The placement pointers ride along as the
+// transition's stale guard.
 func Verdict(snap *network.Ledger, pl Placement, f network.Fault, scratch *network.Ledger) Transition {
 	t := Transition{Kind: Strand, Flow: pl.ID, Fault: f, Primary: pl.Primary, Backup: pl.Backup}
 	probe := *pl.Problem

@@ -276,11 +276,8 @@ func (s *sim) commit(repair *FlowInfo, protected bool) {
 		t.Backup, t.BackupUsage = bres.Solution, bres.Cost.Usage
 		t.Info.Protection, t.Info.BackupActive, t.Info.BackupCost = ProtectionBackup, true, CostOf(bres.Cost)
 	}
-	if err := s.a.Check(t); err != nil {
-		s.t.Fatalf("%s: fresh embed on the live ledger refused: %v", name, err)
-	}
 	if _, err := s.apply(name, t, true); err != nil {
-		s.t.Fatalf("%s: Check passed, Apply refused: %v", name, err)
+		s.t.Fatalf("%s: fresh embed on the live ledger refused: %v", name, err)
 	}
 	if s.rng.Intn(3) == 0 {
 		// The same placement again, as a conflict retry that lost the race
@@ -461,6 +458,72 @@ func TestApplyReplayEquivalence(t *testing.T) {
 			t.Errorf("no %q step in any history: the schedule does not test it (saw %v)", name, seen)
 		}
 	}
+}
+
+// TestApplyRefusedPairLeavesLedgerExact pins the all-or-nothing protected
+// commit at a rate with no exact binary form: a pair whose backup does not
+// fit beside its primary is refused, and the live ledger reads bit for bit
+// as it did before — no reservation made and released again, which at
+// rate 0.1 would leave the edge's usage off by an ulp.
+func TestApplyRefusedPairLeavesLedgerExact(t *testing.T) {
+	// 0 -e0- 1 -e1- 3, f(1) on node 1; e0 has room for the earlier flow
+	// (0.2) and one more 0.1, not two.
+	g := graph.New(4)
+	e0 := g.MustAddEdge(0, 1, 1, 0.35)
+	e1 := g.MustAddEdge(1, 3, 1, 10)
+	g.MustAddEdge(0, 2, 1, 10)
+	g.MustAddEdge(2, 3, 1, 10)
+	net := network.New(g, network.Catalog{N: 1})
+	if err := net.AddInstance(1, 1, 1, 10); err != nil {
+		t.Fatal(err)
+	}
+	place := func() *core.Solution {
+		return &core.Solution{
+			Layers:   []core.LayerEmbedding{{Nodes: []graph.NodeID{1}, MergerNode: 1, InterPaths: []graph.Path{{From: 0, Edges: []graph.EdgeID{e0}}}}},
+			TailPath: graph.Path{From: 1, Edges: []graph.EdgeID{e1}},
+		}
+	}
+	problem := func(rate float64) *core.Problem {
+		p, err := ProblemFor(net, FlowInfo{SFC: "1", Src: 0, Dst: 3, Rate: rate, Size: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	st := New(net)
+	if _, err := st.Apply(Transition{Kind: Commit, Flow: 1, Problem: problem(0.2), Primary: place()}); err != nil {
+		t.Fatal(err)
+	}
+	before, epoch := ledgerBits(st.ledger), st.ledger.ViewEpoch()
+	pair := Transition{Kind: Commit, Flow: 2, Problem: problem(0.1), Primary: place(), Backup: place()}
+	if _, err := st.Apply(pair); err == nil {
+		t.Fatal("a pair that does not fit together was committed")
+	}
+	if !slices.Equal(ledgerBits(st.ledger), before) || st.ledger.ViewEpoch() != epoch {
+		t.Fatalf("the refused pair moved the live ledger: e0 carries %v, want 0.2", st.ledger.EdgeUsed(e0))
+	}
+	if _, ok := st.Flow(2); ok || st.Active() != 1 || st.Backups() != 0 {
+		t.Fatal("the refused pair left a flow behind")
+	}
+	// Alone, the primary fits.
+	pair.Backup = nil
+	if _, err := st.Apply(pair); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ledgerBits is the ledger's usage and both residual rows, as bits.
+func ledgerBits(l *network.Ledger) []uint64 {
+	var out []uint64
+	for _, row := range [][]float64{l.EdgeResiduals(nil), l.InstanceResiduals(nil)} {
+		for _, x := range row {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	for _, e := range l.ExportState().Edges {
+		out = append(out, math.Float64bits(e.Used))
+	}
+	return out
 }
 
 // TestWALPayloadGolden pins the on-disk format: the payload bytes of all

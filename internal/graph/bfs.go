@@ -2,47 +2,6 @@ package graph
 
 import "slices"
 
-// BFSLevels runs a breadth-first search from src and returns the hop level
-// of every node (-1 for unreachable). Level 0 is src itself. This is the
-// primitive behind the paper's forward/backward search iterations I^F_l and
-// I^B_l: iteration q discovers exactly the nodes at level q-1.
-func (g *Graph) BFSLevels(src NodeID) []int {
-	return g.BFSLevelsWithin(src, nil)
-}
-
-// BFSLevelsWithin is BFSLevels restricted to the nodes for which allow
-// returns true (src is always allowed). A nil allow permits every node.
-// The backward search of BBE uses this with the forward search node set as
-// the allowed region (§4.3.1).
-func (g *Graph) BFSLevelsWithin(src NodeID, allow func(NodeID) bool) []int {
-	level := make([]int, g.n)
-	for i := range level {
-		level[i] = -1
-	}
-	if g.checkNode(src) != nil {
-		return level
-	}
-	arcs, off := g.CSR()
-	level[src] = 0
-	queue := make([]NodeID, 1, g.n)
-	queue[0] = src
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, arc := range arcs[off[v]:off[v+1]] {
-			w := arc.To
-			if level[w] >= 0 {
-				continue
-			}
-			if allow != nil && !allow(w) {
-				continue
-			}
-			level[w] = level[v] + 1
-			queue = append(queue, w)
-		}
-	}
-	return level
-}
-
 // MinHopPath returns a path from src to dst with the fewest links,
 // honoring opts (capacity filters, bans); among equal-hop paths the one
 // found first in adjacency order is returned. The delay-bounded embedding

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dagsfc/internal/graph"
 )
@@ -15,22 +14,10 @@ import (
 // approximate: apply and restore add and subtract the same amounts,
 // recomputed from the immutable network).
 //
-// Quarantine belongs to a ledger family — a ledger from NewLedger and every
-// copy taken of it — published as an immutable table behind an atomic
-// pointer that every member shares, which gives faults the semantics the
-// serving layer needs:
-//
-//   - a speculative embed running on a snapshot taken BEFORE the fault
-//     sees the post-fault residuals the moment the fault is applied;
-//     whether its placement still fits the live ledger is decided at
-//     commit time (flowstate.Check, under the server's state mutex);
-//   - readers never lock: ApplyFault/RestoreFault build a fresh table and
-//     swap the pointer, so a search iterating residuals mid-fault observes
-//     either the old view or the new one, never a half-applied fault.
-//
-// Mutations (ApplyFault/RestoreFault) must be serialized by the caller —
-// the server applies them under its state mutex, the offline harnesses are
-// single-threaded.
+// A ledger's quarantine is part of its value: an immutable table that
+// ApplyFault/RestoreFault replace on the ledger they are called on alone.
+// A copy taken before a fault keeps its pre-fault view; whether a placement
+// found on it still fits is decided at commit (flowstate.Apply).
 
 // FaultKind discriminates the substrate fault classes the injector can
 // replay.
@@ -123,10 +110,10 @@ func (f Fault) String() string {
 	return fmt.Sprintf("fault(kind=%d)", int(f.Kind))
 }
 
-// quarTable is the published quarantine view: how much bandwidth each edge
+// quarTable is a ledger's quarantine: how much bandwidth each edge
 // currently has out of service, plus the down-count per node and the
-// hard-failure down-count per edge. Tables are immutable after
-// publication; mutations copy-and-swap.
+// hard-failure down-count per edge. A table is never written once a
+// ledger points at it; a fault builds a fresh one.
 type quarTable struct {
 	edge map[graph.EdgeID]float64
 	// node counts active FaultNodeDown faults per node. Any positive count
@@ -135,15 +122,6 @@ type quarTable struct {
 	// down counts active FaultEdgeDown faults per edge. Any positive count
 	// pins the edge's residual to exactly zero (see Ledger.EdgeResidual).
 	down map[graph.EdgeID]int
-}
-
-// quarantine is a ledger family's fault state: the published table, and
-// the count of faults applied or restored that ViewEpoch adds — a count,
-// not a pointer compare, so apply-then-restore (which stores nil again)
-// still moves every member's epoch.
-type quarantine struct {
-	table  atomic.Pointer[quarTable]
-	faults atomic.Uint64
 }
 
 func (q *quarTable) empty() bool {
@@ -191,10 +169,9 @@ func (q *quarTable) addEdge(e graph.EdgeID, amt float64) error {
 	return nil
 }
 
-// ApplyFault quarantines the capacity f takes out of service, for every
-// member of l's family at once: whichever member it is called on, every
-// copy observes the fault immediately. Concurrent readers are safe;
-// concurrent mutators are not — serialize Apply/Restore.
+// ApplyFault quarantines the capacity f takes out of service on l alone:
+// copies taken of l before it keep their view, copies taken after carry
+// the fault. Like every mutation it must be serialized with l's readers.
 func (l *Ledger) ApplyFault(f Fault) error {
 	return l.adjustFault(f, +1)
 }
@@ -211,7 +188,7 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 	if err := f.Validate(l.net); err != nil {
 		return err
 	}
-	q := cloneQuar(l.fam.table.Load())
+	q := cloneQuar(l.quar)
 	switch f.Kind {
 	case FaultLinkDown:
 		if err := q.addEdge(f.Link, sign*l.net.G.Edge(f.Link).Capacity); err != nil {
@@ -243,7 +220,7 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 	if q.empty() {
 		q = nil
 	}
-	l.fam.table.Store(q)
-	l.fam.faults.Add(1)
+	l.quar = q
+	l.muts++
 	return nil
 }

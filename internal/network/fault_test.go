@@ -170,13 +170,12 @@ func TestFaultValidate(t *testing.T) {
 	}
 }
 
-// TestFaultVisibleThroughSnapshots checks a fault reaches every member of
-// a ledger family whichever member it is applied through — a snapshot
-// taken before it, and a snapshot of that snapshot, observe the post-fault
-// residuals immediately — while a ledger of another family (one rebuilt
-// from exported state) keeps its own view, and that the restore returns
-// every member to its pre-fault residuals exactly.
-func TestFaultVisibleThroughSnapshots(t *testing.T) {
+// TestFaultStaysOnItsLedger checks a fault is part of one ledger's value:
+// one applied to the live ledger leaves a snapshot taken before it, and
+// that snapshot's own snapshot, bit for bit as they were; one applied to a
+// copy never reaches its source; and each restore returns only its own
+// ledger to the pre-fault view, exactly.
+func TestFaultStaysOnItsLedger(t *testing.T) {
 	net := testNet(t)
 	live := NewLedger(net)
 	if err := live.ReserveEdge(2, 3); err != nil {
@@ -184,34 +183,41 @@ func TestFaultVisibleThroughSnapshots(t *testing.T) {
 	}
 	snap := live.Snapshot()
 	nested := snap.Snapshot()
-	other, err := NewLedgerFromState(net, live.ExportState())
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := rowBits(live)
 
 	f := Fault{Kind: FaultLinkDegrade, Link: 2, Fraction: 1}
-	if err := nested.ApplyFault(f); err != nil {
+	if err := live.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	for name, l := range map[string]*Ledger{"live": live, "snapshot": snap, "snapshot of a snapshot": nested} {
-		if got := l.EdgeResidual(2); !almost(got, 10-3-10) {
-			t.Fatalf("%s residual = %v, want -3 (shares the faulted family)", name, got)
+	if got := live.EdgeResidual(2); !almost(got, 10-3-10) {
+		t.Fatalf("live residual = %v, want -3", got)
+	}
+	for name, l := range map[string]*Ledger{"snapshot": snap, "snapshot of a snapshot": nested} {
+		if !slices.Equal(rowBits(l), before) {
+			t.Fatalf("a fault on the live ledger moved a %s taken before it", name)
 		}
 	}
-	if got := other.EdgeResidual(2); !almost(got, 7) {
-		t.Fatalf("other family's residual = %v, want 7", got)
+
+	g := Fault{Kind: FaultNodeDown, Node: 1}
+	if err := snap.ApplyFault(g); err != nil {
+		t.Fatal(err)
+	}
+	if !nodeDown(snap, 1) || nodeDown(live, 1) || nodeDown(nested, 1) {
+		t.Fatal("a fault on a copy reached its source or its own copy, or missed the copy")
+	}
+	if err := nested.RestoreFault(f); err == nil {
+		t.Fatal("restore of a fault this ledger never saw succeeded")
 	}
 
 	if err := live.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	for name, l := range map[string]*Ledger{"live": live, "snapshot": snap, "snapshot of a snapshot": nested, "other family": other} {
-		if !slices.Equal(rowBits(l), before) {
-			t.Fatalf("%s: residuals after the restore differ from before the fault", name)
-		}
+	if err := snap.RestoreFault(g); err != nil {
+		t.Fatal(err)
 	}
-	if err := other.RestoreFault(f); err == nil {
-		t.Fatal("restore of a fault the family never saw succeeded")
+	for name, l := range map[string]*Ledger{"live": live, "snapshot": snap, "snapshot of a snapshot": nested} {
+		if !slices.Equal(rowBits(l), before) {
+			t.Fatalf("%s: residuals after the restores differ from before the faults", name)
+		}
 	}
 }

@@ -61,10 +61,11 @@ func TestFaultEdgeDownPinAndRestore(t *testing.T) {
 	}
 }
 
-// TestFaultEdgeDownCommitAcross pins what a speculative embed's copy sees
-// of an edge-down applied after it was taken: the live ledger's fault pins
-// the copy's edge too, so a reservation across it fails there, and succeeds
-// again after the restore.
+// TestFaultEdgeDownCommitAcross pins what a speculative embed's copy and
+// the commit check see of an edge-down applied after the copy was taken:
+// the copy keeps its pre-fault view, so a reservation across the edge
+// succeeds there, and the live ledger, which carries the fault, refuses the
+// same reservation until the restore.
 func TestFaultEdgeDownCommitAcross(t *testing.T) {
 	net := testNet(t)
 	live := NewLedger(net)
@@ -73,20 +74,20 @@ func TestFaultEdgeDownCommitAcross(t *testing.T) {
 	if err := live.ApplyFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.ReserveEdge(0, 7); err == nil {
-		t.Fatal("reservation across edge-down succeeded on a pre-fault copy")
+	if err := snap.ReserveEdge(0, 7); err != nil {
+		t.Fatalf("a pre-fault copy saw the live ledger's fault: %v", err)
 	}
-	if got := snap.EdgeUsed(0); got != 0 {
-		t.Fatalf("refused reservation touched the copy: EdgeUsed = %v", got)
+	if err := live.ReserveEdge(0, 7); err == nil {
+		t.Fatal("reservation across edge-down succeeded on the faulted ledger")
+	}
+	if got := live.EdgeUsed(0); got != 0 {
+		t.Fatalf("the copy's or the refused reservation reached the live ledger: EdgeUsed = %v", got)
 	}
 	if err := live.RestoreFault(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.ReserveEdge(0, 7); err != nil {
+	if err := live.ReserveEdge(0, 7); err != nil {
 		t.Fatalf("reservation after restore: %v", err)
-	}
-	if got := live.EdgeUsed(0); got != 0 {
-		t.Fatalf("the copy's reservation reached the live ledger: EdgeUsed = %v", got)
 	}
 }
 

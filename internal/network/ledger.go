@@ -12,15 +12,13 @@ import (
 // algorithms reserve capacity as they commit sub-solutions, and online
 // multi-flow scenarios carry one ledger across many requests.
 //
-// A Ledger is two dense usage rows and a pointer to its family's fault
-// quarantine (fault.go). A family is a ledger from NewLedger plus every copy
-// Snapshot or SnapshotInto took of it, directly or not: each member has rows
-// of its own, so a reservation on one never moves another, and all share
-// the quarantine, so a fault applied through any member reaches every one
-// at once. The serving layer hands each embed worker such a copy; every
-// embed reads the rows whole anyway (EdgeResiduals, InstanceResiduals).
-// One ledger's mutations must be serialized by its owner; reading another
-// member needs no lock.
+// A Ledger is a value: two dense usage rows and its fault quarantine
+// (fault.go). A copy (Snapshot, SnapshotInto) has rows and a quarantine of
+// its own, so nothing done to one ledger — a reservation, a release, a
+// fault — reaches another. The serving layer hands each embed worker such
+// a copy; every embed reads the rows whole anyway (EdgeResiduals,
+// InstanceResiduals). One ledger's mutations must be serialized by its
+// owner; reading a copy needs no lock.
 //
 // The zero Ledger is not usable except as SnapshotInto's destination;
 // create one with NewLedger.
@@ -34,48 +32,43 @@ type Ledger struct {
 	// row reads as all zeros, so the fresh ledger a ledgerless embed runs on
 	// costs no instance row.
 	instUsed []float64
-	// muts counts the ledger's own visible mutations (see ViewEpoch).
+	// muts counts the ledger's visible mutations (see ViewEpoch).
 	muts uint64
-	// fam is the family's quarantine. NewLedger points it at the new
-	// ledger's own field, so a family costs no allocation of its own; a
-	// copy's own field stays unused.
-	fam *quarantine
-	own quarantine
+	// quar is the active faults' quarantine, nil while there are none. A
+	// table is immutable, so copies share it until a fault replaces it.
+	quar *quarTable
 }
 
-// NewLedger returns an empty ledger over net, the first of a new family.
+// NewLedger returns an empty ledger over net.
 func NewLedger(net *Network) *Ledger {
-	l := &Ledger{net: net, edgeUsed: make([]float64, net.G.NumEdges())}
-	l.fam = &l.own
-	return l
+	return &Ledger{net: net, edgeUsed: make([]float64, net.G.NumEdges())}
 }
 
 // Network returns the network the ledger accounts for.
 func (l *Ledger) Network() *Network { return l.net }
 
-// ViewEpoch identifies the ledger's residual view over time: it is the
-// ledger's own mutation count plus the number of faults its family has
-// applied or restored, so it moves on every reservation, release and fault
-// and on nothing else, and an unchanged epoch means unchanged residuals. A
-// copy starts at its source's epoch (SnapshotInto overwrites dst's along
-// with its rows). It moves on every commit, which is why nothing is keyed
-// on it (shared cost views compare their content instead); it remains as
-// the measure of how often the view changes.
-func (l *Ledger) ViewEpoch() uint64 { return l.muts + l.fam.faults.Load() }
+// ViewEpoch is the ledger's mutation count: it moves on every accepted
+// reservation, release, fault and restore and on nothing else, so an
+// unchanged epoch means unchanged residuals. A copy starts at its source's
+// count. Nothing is keyed on it (shared cost views compare their content
+// instead); it remains for benchmark/, as the measure of how often the
+// view changes.
+func (l *Ledger) ViewEpoch() uint64 { return l.muts }
 
-// Snapshot returns an independent what-if copy of the ledger: rows of its
-// own, the family's quarantine, the same epoch.
+// Snapshot returns an independent what-if copy of the ledger: the same
+// rows, quarantine and epoch, and nothing done to either ledger afterwards
+// reaches the other.
 func (l *Ledger) Snapshot() *Ledger { return l.SnapshotInto(nil) }
 
 // SnapshotInto is Snapshot into storage the caller already owns: dst, a
-// ledger nothing reads any more, is overwritten with l's rows, family and
-// epoch and returned; once its rows have reached the network's size it
+// ledger nothing reads any more, is overwritten with l's rows, quarantine
+// and epoch and returned; once its rows have reached the network's size it
 // allocates nothing. A nil dst gets fresh storage.
 func (l *Ledger) SnapshotInto(dst *Ledger) *Ledger {
 	if dst == nil {
 		dst = new(Ledger)
 	}
-	dst.net, dst.muts, dst.fam = l.net, l.muts, l.fam
+	dst.net, dst.muts, dst.quar = l.net, l.muts, l.quar
 	dst.edgeUsed = append(dst.edgeUsed[:0], l.edgeUsed...)
 	dst.instUsed = append(dst.instUsed[:0], l.instUsed...)
 	return dst
@@ -103,7 +96,7 @@ func (l *Ledger) OverlayLen() int { return 0 }
 // endpoint — pins the residual to exactly zero regardless of usage.
 func (l *Ledger) EdgeResidual(e graph.EdgeID) float64 {
 	r := l.net.G.Edge(e).Capacity - l.EdgeUsed(e)
-	if q := l.fam.table.Load(); q != nil {
+	if q := l.quar; q != nil {
 		r -= q.edge[e]
 		ed := l.net.G.Edge(e)
 		if q.edgePinned(e, ed.A, ed.B) {
@@ -124,7 +117,7 @@ func (l *Ledger) InstanceResidual(node graph.NodeID, vnf VNFID) float64 {
 	if !ok {
 		return 0
 	}
-	if q := l.fam.table.Load(); q != nil && q.node[node] > 0 {
+	if q := l.quar; q != nil && q.node[node] > 0 {
 		// Hosting node is hard-down: pin to exactly zero.
 		return 0
 	}
@@ -219,7 +212,7 @@ func (l *Ledger) EdgeResiduals(dst []float64) []float64 {
 	for e := range dst {
 		dst[e] = edges[e].Capacity - dst[e]
 	}
-	if q := l.fam.table.Load(); q != nil {
+	if q := l.quar; q != nil {
 		for e, amt := range q.edge {
 			if int(e) < ne {
 				dst[e] -= amt
@@ -263,7 +256,7 @@ func (l *Ledger) InstanceResiduals(dst []float64) []float64 {
 	for i, c := range capacity {
 		dst[i] = c - dst[i]
 	}
-	if q := l.fam.table.Load(); q != nil {
+	if q := l.quar; q != nil {
 		for v := range q.node {
 			if v >= 0 && int(v) < nodes {
 				for i := int(v); i < len(dst); i += nodes {

@@ -313,7 +313,7 @@ func TestInstanceResidualsBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInstanceResiduals(t, "snapshot of a snapshot after restore", s2)
-	// The state restore carries the copy's view into a family of its own,
+	// The state restore carries the copy's view into a ledger of its own,
 	// to the bit.
 	want := s2.InstanceResiduals(nil)
 	for i, have := range restored.InstanceResiduals(nil) {

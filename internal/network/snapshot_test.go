@@ -65,29 +65,31 @@ func usageBits(l *Ledger) []uint64 {
 
 // TestDenseLedgerProperty drives a live ledger through a long random run of
 // reservations, releases, faults and restores, beside a held snapshot that
-// makes reservations of its own, and after every step checks the dense
-// contract: (a) a fresh Snapshot and a SnapshotInto over a ledger the
-// previous step scribbled on answer every query, and the epoch, exactly as
-// the live ledger does; (b) reservations on a copy never move the live
-// ledger, nor the live ledger's a copy; (c) a fault applied after a copy
-// was taken shows in it — it stays bit-equal to a mirror of its own in a
-// separate family that is handed the same faults — and once no fault is
-// active it reads exactly as if there had never been one; (d) ViewEpoch
-// moves on every accepted mutation and every fault, and on nothing else;
-// (e) ExportState → NewLedgerFromState rebuilds the live ledger to the bit.
+// makes reservations and takes faults of its own, and after every step
+// checks the dense contract: (a) a fresh Snapshot and a SnapshotInto over
+// a ledger the previous step scribbled on answer every query, and the
+// epoch, exactly as the live ledger does; (b) nothing done to a copy moves
+// the live ledger, and nothing done to the live ledger moves a copy; (c)
+// the held copy carries exactly its own faults — those active when it was
+// taken and those applied to it since — so it stays bit-equal to a mirror
+// rebuilt from exported state and handed the same faults and
+// reservations, and once none is active it reads exactly as if there had
+// never been one; (d) ViewEpoch moves on every accepted mutation and
+// every fault, and on nothing else; (e) ExportState → NewLedgerFromState
+// rebuilds the live ledger to the bit.
 func TestDenseLedgerProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := testNet(t)
 		live := NewLedger(net)
-		var active []Fault
-		// withFaults is a fresh family holding st and the active faults.
-		withFaults := func(st LedgerState) *Ledger {
+		var active, heldActive []Fault
+		// withFaults is a ledger rebuilt from st, holding faults.
+		withFaults := func(st LedgerState, faults []Fault) *Ledger {
 			l, err := NewLedgerFromState(net, st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range active {
+			for _, f := range faults {
 				if err := l.ApplyFault(f); err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +97,7 @@ func TestDenseLedgerProperty(t *testing.T) {
 			return l
 		}
 		held := live.Snapshot()
-		mirror := withFaults(held.ExportState())
+		mirror := withFaults(held.ExportState(), nil)
 		recycled := new(Ledger)
 
 		for step := 0; step < 400; step++ {
@@ -104,8 +106,8 @@ func TestDenseLedgerProperty(t *testing.T) {
 			f := VNFID(rng.Intn(int(net.Catalog.Merger()) + 1))
 			amt := float64(rng.Intn(40)) / 4
 			liveEpoch, heldEpoch := live.ViewEpoch(), held.ViewEpoch()
-			liveUse, heldUse := usageBits(live), usageBits(held)
-			liveMoved, heldMoved, faulted := false, false, false
+			liveRows, heldRows := rowBits(live), rowBits(held)
+			liveMoved, heldMoved := false, false
 			// reserveOrRelease applies one of the four mutations to l and
 			// reports whether it should move l's epoch.
 			reserveOrRelease := func(l *Ledger, op int) bool {
@@ -122,76 +124,92 @@ func TestDenseLedgerProperty(t *testing.T) {
 					return f != Dummy
 				}
 			}
-			op := rng.Intn(8)
+			// fault applies a random fault to l, or restores one of *faults,
+			// and mirrors it onto m when m is not nil.
+			fault := func(l, m *Ledger, faults *[]Fault) {
+				if rng.Intn(2) == 0 {
+					flt := Fault{Kind: FaultLinkDown, Link: e}
+					switch rng.Intn(4) {
+					case 1:
+						flt = Fault{Kind: FaultNodeDown, Node: node}
+					case 2:
+						flt = Fault{Kind: FaultLinkDegrade, Link: e, Fraction: float64(1+rng.Intn(4)) / 4}
+					case 3:
+						flt = Fault{Kind: FaultEdgeDown, Link: e}
+					}
+					if err := l.ApplyFault(flt); err != nil {
+						t.Fatalf("seed=%d step=%d: ApplyFault(%v): %v", seed, step, flt, err)
+					}
+					if m != nil {
+						if err := m.ApplyFault(flt); err != nil {
+							t.Fatal(err)
+						}
+					}
+					*faults = append(*faults, flt)
+					return
+				}
+				if len(*faults) == 0 {
+					if l.RestoreFault(Fault{Kind: FaultEdgeDown, Link: e}) == nil {
+						t.Fatalf("seed=%d step=%d: unmatched restore succeeded", seed, step)
+					}
+					return
+				}
+				i := rng.Intn(len(*faults))
+				flt := (*faults)[i]
+				*faults = slices.Delete(*faults, i, i+1)
+				if err := l.RestoreFault(flt); err != nil {
+					t.Fatalf("seed=%d step=%d: RestoreFault(%v): %v", seed, step, flt, err)
+				}
+				if m != nil {
+					if err := m.RestoreFault(flt); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			op := rng.Intn(9)
 			switch op {
 			case 0, 1, 2, 3:
 				liveMoved = reserveOrRelease(live, op)
-			case 4:
-				flt := Fault{Kind: FaultLinkDown, Link: e}
-				switch rng.Intn(4) {
-				case 1:
-					flt = Fault{Kind: FaultNodeDown, Node: node}
-				case 2:
-					flt = Fault{Kind: FaultLinkDegrade, Link: e, Fraction: float64(1+rng.Intn(4)) / 4}
-				case 3:
-					flt = Fault{Kind: FaultEdgeDown, Link: e}
-				}
-				if err := live.ApplyFault(flt); err != nil {
-					t.Fatalf("seed=%d step=%d: ApplyFault(%v): %v", seed, step, flt, err)
-				}
-				if err := mirror.ApplyFault(flt); err != nil {
-					t.Fatal(err)
-				}
-				active, faulted = append(active, flt), true
-			case 5:
-				if len(active) == 0 {
-					if live.RestoreFault(Fault{Kind: FaultEdgeDown, Link: e}) == nil {
-						t.Fatalf("seed=%d step=%d: unmatched restore succeeded", seed, step)
-					}
-					break
-				}
-				i := rng.Intn(len(active))
-				flt := active[i]
-				active = slices.Delete(active, i, i+1)
-				if err := live.RestoreFault(flt); err != nil {
-					t.Fatalf("seed=%d step=%d: RestoreFault(%v): %v", seed, step, flt, err)
-				}
-				if err := mirror.RestoreFault(flt); err != nil {
-					t.Fatal(err)
-				}
-				faulted = true
+			case 4, 5:
+				n := len(active)
+				fault(live, nil, &active)
+				liveMoved = n != len(active)
 			case 6:
 				op := rng.Intn(4)
 				heldMoved = reserveOrRelease(held, op)
 				reserveOrRelease(mirror, op)
 			case 7:
+				n := len(heldActive)
+				fault(held, mirror, &heldActive)
+				heldMoved = n != len(heldActive)
+			case 8:
 				held = live.Snapshot()
-				mirror = withFaults(held.ExportState())
-				heldEpoch, heldUse = live.ViewEpoch(), liveUse
+				heldActive = slices.Clone(active)
+				mirror = withFaults(held.ExportState(), heldActive)
+				heldEpoch, heldRows = live.ViewEpoch(), liveRows
 			}
 
-			// (b) Each side's usage moves only by its own mutations.
-			if op < 6 && !slices.Equal(heldUse, usageBits(held)) {
+			// (b) Each side's view moves only by its own mutations.
+			if op != 6 && op != 7 && !slices.Equal(heldRows, rowBits(held)) {
 				t.Fatalf("seed=%d step=%d: the live ledger's step moved the held copy", seed, step)
 			}
-			if op == 6 && !slices.Equal(liveUse, usageBits(live)) {
-				t.Fatalf("seed=%d step=%d: the held copy's reservation moved the live ledger", seed, step)
+			if (op == 6 || op == 7) && !slices.Equal(liveRows, rowBits(live)) {
+				t.Fatalf("seed=%d step=%d: the held copy's step moved the live ledger", seed, step)
 			}
-			// (c) The held copy sees the family's faults, and nothing else of
-			// the live ledger.
+			// (c) The held copy carries its own faults, and nothing else.
 			viewsBitEqual(t, held, mirror, "held copy vs its mirror")
-			if len(active) == 0 {
-				viewsBitEqual(t, held, withFaults(held.ExportState()), "held copy with every fault restored")
+			if len(heldActive) == 0 {
+				viewsBitEqual(t, held, withFaults(held.ExportState(), nil), "held copy with every fault restored")
 			}
 			// (d)
-			if want := liveEpoch + count(liveMoved) + count(faulted); live.ViewEpoch() != want {
+			if want := liveEpoch + count(liveMoved); live.ViewEpoch() != want {
 				t.Fatalf("seed=%d step=%d: live epoch %d, want %d", seed, step, live.ViewEpoch(), want)
 			}
-			if want := heldEpoch + count(heldMoved) + count(faulted); held.ViewEpoch() != want {
+			if want := heldEpoch + count(heldMoved); held.ViewEpoch() != want {
 				t.Fatalf("seed=%d step=%d: held epoch %d, want %d", seed, step, held.ViewEpoch(), want)
 			}
 			// (a)
-			liveEpoch, liveUse = live.ViewEpoch(), usageBits(live)
+			liveEpoch, liveUse := live.ViewEpoch(), usageBits(live)
 			fresh := live.Snapshot()
 			recycled = live.SnapshotInto(recycled)
 			for name, c := range map[string]*Ledger{"Snapshot": fresh, "SnapshotInto": recycled} {
@@ -201,7 +219,7 @@ func TestDenseLedgerProperty(t *testing.T) {
 				}
 			}
 			// (e)
-			viewsBitEqual(t, withFaults(live.ExportState()), live, "ExportState round trip")
+			viewsBitEqual(t, withFaults(live.ExportState(), active), live, "ExportState round trip")
 			// Leave the recycled copy dirty, as a worker does (a protected
 			// admission reserves on it); none of it may reach the live ledger.
 			_ = recycled.ReserveEdge(e, amt)
@@ -216,14 +234,15 @@ func TestDenseLedgerProperty(t *testing.T) {
 }
 
 // TestSnapshotMatchesRebuiltProperty drives a Snapshot copy of a base ledger
-// and an independent clone of the same base (a family of its own, rebuilt
-// from ExportState) through a long random interleaving of reservations,
-// releases and faults, and checks their views never diverge — a copy is
-// observably a full ledger, whatever benchmark/ still calls it. After every
-// step it also takes the copy's snapshot twice, fresh (Snapshot) and into
-// one recycled ledger that the previous step left scribbled on
-// (SnapshotInto): the two must be the same view under the same epoch, and
-// stay so.
+// and an independent clone of the same base (rebuilt from ExportState)
+// through a long random interleaving of reservations, releases and faults,
+// and checks their views never diverge — a copy is observably a full
+// ledger, whatever benchmark/ still calls it. After every step it also
+// takes the copy's snapshot twice, fresh (Snapshot) and into one recycled
+// ledger that the previous step left scribbled on (SnapshotInto): the two
+// must be the same view under the same epoch, sharing the copy's
+// quarantine table rather than copying it, and stay so whatever the copy
+// does next.
 func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -242,19 +261,19 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Fault events are mirrored onto both families; quarantine must keep
+		// Fault events are mirrored onto both ledgers; quarantine must keep
 		// the views in lockstep exactly like reservations do.
 		var live []Fault
 		var recycled, fresh *Ledger // the copy's snapshots of the previous step
 		var pinned uint64           // the epoch both were taken under
+		var pinnedRows []uint64     // and the view
 		for step := 0; step < 400; step++ {
 			if step == 200 {
-				// The live copy moves onto a new copy of itself, in the same
-				// family, and the recycled snapshot follows it.
+				// The live copy moves onto a new copy of itself, and the
+				// recycled snapshot follows it.
 				base = cp.Snapshot()
 				cp = base.Snapshot()
 			}
-			faultStep := false
 			e := graph.EdgeID(rng.Intn(net.G.NumEdges()))
 			node := graph.NodeID(rng.Intn(net.G.NumNodes()))
 			f := VNFID(rng.Intn(int(net.Catalog.Merger()) + 1))
@@ -277,7 +296,6 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 				cp.ReleaseInstance(node, f, amt)
 				clone.ReleaseInstance(node, f, amt)
 			case 4:
-				faultStep = true
 				var flt Fault
 				switch rng.Intn(3) {
 				case 0:
@@ -298,7 +316,6 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 				if len(live) == 0 {
 					continue
 				}
-				faultStep = true
 				i := rng.Intn(len(live))
 				flt := live[i]
 				live = append(live[:i], live[i+1:]...)
@@ -313,14 +330,12 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 
 			if recycled != nil {
 				// The step mutated the source, not the snapshots: a reservation
-				// leaves both epochs where they were, a fault moves both (it
-				// changes every view of the family).
-				re, fe := recycled.ViewEpoch(), fresh.ViewEpoch()
-				if faultStep && (re == pinned || fe == pinned) {
-					t.Fatalf("seed=%d step=%d: fault left a snapshot pinned (recycled %d, fresh %d, was %d)", seed, step, re, fe, pinned)
-				}
-				if !faultStep && (re != pinned || fe != pinned) {
+				// and a fault alike leave both epochs where they were.
+				if re, fe := recycled.ViewEpoch(), fresh.ViewEpoch(); re != pinned || fe != pinned {
 					t.Fatalf("seed=%d step=%d: mutating the source moved a snapshot's pin (recycled %d, fresh %d, was %d)", seed, step, re, fe, pinned)
+				}
+				if !slices.Equal(rowBits(fresh), pinnedRows) {
+					t.Fatalf("seed=%d step=%d: a snapshot's view moved with its source", seed, step)
 				}
 				viewsBitEqual(t, recycled, fresh, "snapshots after the source moved on")
 				// Leave the recycled ledger dirty: its user reserves on it (a
@@ -329,10 +344,10 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 				_ = recycled.ReserveInstance(node, f, amt)
 				recycled.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), amt)
 			}
-			pinned = cp.ViewEpoch()
+			pinned, pinnedRows = cp.ViewEpoch(), rowBits(cp)
 			fresh, recycled = cp.Snapshot(), cp.SnapshotInto(recycled)
-			if recycled.fam != cp.fam || fresh.fam != cp.fam {
-				t.Fatalf("seed=%d step=%d: snapshot left the copy's family", seed, step)
+			if recycled.quar != cp.quar || fresh.quar != cp.quar {
+				t.Fatalf("seed=%d step=%d: a snapshot copied the quarantine table instead of sharing it", seed, step)
 			}
 			viewsBitEqual(t, recycled, fresh, "SnapshotInto vs Snapshot")
 			viewsBitEqual(t, recycled, cp, "SnapshotInto vs its source")
@@ -359,7 +374,7 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 				t.Fatalf("seed=%d: drain clone RestoreFault(%v): %v", seed, flt, err)
 			}
 		}
-		if cp.fam.table.Load() != nil || clone.fam.table.Load() != nil {
+		if cp.quar != nil || clone.quar != nil {
 			t.Fatalf("seed=%d: quarantine not drained after restoring every live fault", seed)
 		}
 		viewsBitEqual(t, cp, clone, "after fault drain")

@@ -916,22 +916,17 @@ func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 // commit turns j's candidate into a ledger reservation under s.mu. The
 // placement's structure was validated off the lock, in full, by whoever
 // produced j.cost; what is left to decide is whether it still fits the live
-// ledger (eqs. 2–3) and whether the flow is still waiting for it — the
-// state's Check. A candidate that no longer fits is a conflict (a stale
-// snapshot): commit journals it and reports it, and serve decides whether
-// to re-embed.
+// ledger (eqs. 2–3) and whether the flow is still waiting for it, and
+// flowstate.Apply decides both. A candidate that no longer fits — its
+// snapshot is stale, by commits or faults since — is a conflict: commit
+// journals it and reports it, and serve decides whether to re-embed.
 func (s *Server) commit(j *job) (r jobResult, conflict bool) {
 	t, detail := s.transition(j)
+	// The record is framed under the lock, so the log keeps the ledger's
+	// mutation order; it reaches stable storage (per the sync policy) when
+	// the caller waits on the ticket, before it answers.
 	s.mu.Lock()
-	err := s.state.Check(t)
-	var ch flowstate.Change
-	var ticket uint64
-	if err == nil {
-		// The record is framed here, under the lock, so the log keeps the
-		// ledger's mutation order; it reaches stable storage (per the sync
-		// policy) when the caller waits on the ticket, before it answers.
-		ch, ticket, err = s.transitLocked(t)
-	}
+	ch, ticket, err := s.transitLocked(t)
 	s.mu.Unlock()
 	if errors.Is(err, flowstate.ErrStale) {
 		// Released, or restored already, while the embed ran.

@@ -49,15 +49,15 @@ type repairTask struct {
 // revalidated; survivors stay in place, a protected flow whose primary
 // died fails over to its pre-reserved backup (no re-embed, no strand),
 // and everything else is released and queued for repair. Snapshots
-// already taken by in-flight embeds share the live ledger's quarantine, so
-// they observe the fault at once, and a commit's flowstate.Check refuses
-// any placement that no longer fits the post-fault residuals.
+// already taken by in-flight embeds keep their pre-fault view; their
+// commits are checked against the post-fault live ledger (flowstate.Apply),
+// which refuses any placement that no longer fits.
 //
 // The work runs in three phases so a large fault scan never stalls
 // admissions: quarantine + candidate collection under s.mu, revalidation of
-// every candidate on one scratch copy of one snapshot with the lock
-// released, then a short re-acquisition that turns each verdict into
-// a transition. An OK verdict cannot be invalidated by commits that
+// every candidate on one scratch copy of one snapshot (a fixed view) with
+// the lock released, then a short re-acquisition that turns each verdict
+// into a transition. An OK verdict cannot be invalidated by commits that
 // interleaved (a flow always re-fits its own reserved slot unless new
 // quarantine lands, and a concurrent fault re-scans everything itself); a
 // stale dead verdict is caught by the transition's identity guard or leads
