@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-one-goroutine server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
+.PHONY: all check build test test-race race core-single-goroutine core-dense-reads core-no-env core-one-trace graph-one-admission ledger-dense server-single-writer server-one-goroutine server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke race-survival repro vet fmt
 
 all: build vet test
 
@@ -20,7 +20,7 @@ all: build vet test
 # benchmark module still compiling against the tree, and a short fuzz of the
 # search-kernel priority queues, the request-body reader, the response
 # decoder and the sfc parser.
-check: build vet test race core-single-goroutine core-dense-reads core-no-env core-one-trace ledger-dense server-single-writer server-one-goroutine server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
+check: build vet test race core-single-goroutine core-dense-reads core-no-env core-one-trace graph-one-admission ledger-dense server-single-writer server-one-goroutine server-request-garbage journal-names docs-drift metrics-census package-census benchmark-vet fuzz-smoke
 
 # An embed is a single-goroutine computation over one arena (DESIGN §11):
 # nothing in internal/core outside its tests may start a goroutine.
@@ -54,6 +54,28 @@ core-no-env:
 core-one-trace:
 	@if grep -nE 'type[[:space:]]+(Observer[[:space:]]+interface|FuncObserver|MultiObserver|TraceRecorder|logObserver)\b' $$(ls internal/core/*.go cmd/dagsfc-embed/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/core or cmd/dagsfc-embed declares an observer seam again: the search writes its trace at its source, into Options.Trace"; exit 1; \
+	fi
+
+# An arc is admitted by the compiled cost view alone (DESIGN §16): the
+# scalar admission rule beside it, the per-edge residual read it needed,
+# the breadth-first searches on raw options and runSearch's second,
+# uncompiled admission branch must not grow back, nor the exported code
+# only tests called (sfc.DAG, stats.Accumulator.Merge).
+graph-one-admission:
+	@if grep -nE 'func \(o \*CostOptions\) admits|func \(g \*Graph\) MinHopPath' $$(ls internal/graph/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/graph states the admission rule beside the compiled view again: search a CostView"; exit 1; \
+	fi
+	@if sed -n '/^type ResidualSource interface/,/^}/p' $$(ls internal/graph/*.go | grep -v '_test\.go$$') | grep -n 'EdgeResidual(e EdgeID)'; then \
+		echo "graph.ResidualSource grew a per-edge read: a compile reads EdgeResiduals once"; exit 1; \
+	fi
+	@if grep -n 'cfg\.view != nil' internal/core/searchtree.go; then \
+		echo "runSearch admits arcs without its view again: the compiled view is the one admission rule"; exit 1; \
+	fi
+	@if grep -nE 'type DAG struct' $$(ls internal/sfc/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/sfc grew its test-only DAG back"; exit 1; \
+	fi
+	@if grep -nE 'func \(a \*Accumulator\) Merge' $$(ls internal/stats/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/stats grew its test-only Merge back"; exit 1; \
 	fi
 
 # A ledger is a value: dense usage rows and a pointer to its own immutable

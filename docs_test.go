@@ -125,7 +125,7 @@ func TestDocsDrift(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go": 19597,
+	"non-test Go": 19327,
 	"DESIGN.md":   2221,
 	"README.md":   1249,
 }

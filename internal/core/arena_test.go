@@ -380,10 +380,11 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 
 // TestReleaseDropsOversizedArena pins the pooling cap: an arena grown past
 // searchMemRetainBytes — in its slabs or in its run-scoped tree storage —
-// is replaced on release instead of being pooled, while a right-sized one
-// is kept and merely rewound.
+// is replaced on release instead of being pooled, and so is a graph.Scratch
+// whose layered rows alone pass it, while right-sized ones are kept and
+// merely rewound.
 func TestReleaseDropsOversizedArena(t *testing.T) {
-	small, huge, treeful := newPooledScratch(), newPooledScratch(), newPooledScratch()
+	small, huge, treeful, layered := newPooledScratch(), newPooledScratch(), newPooledScratch(), newPooledScratch()
 	small.mem.idx.alloc(10)
 	small.mem.private.Bind(lineGraph(10), nil, nil)
 	small.mem.private.Tree(0)
@@ -391,17 +392,37 @@ func TestReleaseDropsOversizedArena(t *testing.T) {
 	// A grown tree pins 24 B per node.
 	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/24+1), nil, nil)
 	treeful.mem.private.Tree(0)
-	kept := small.mem
+	// A layered search pins 32 B per state, (k+1)·n states: 9.6 MB for a
+	// nine-layer serial run on 30 000 nodes.
+	n, k := 30000, 9
+	rent := make([]float64, n)
+	for v := range rent {
+		rent[v] = graph.Inf
+	}
+	rents := make([][]float64, k)
+	for j := range rents {
+		rents[j] = rent
+	}
+	lineGraph(n).CompileView(nil).LayeredDijkstraWith(layered.Scratch, &graph.LayeredQuery{
+		Rent: rents, Seeds: []graph.LayeredSeed{{Node: 0}}, Target: graph.None, MaxExits: 1})
+	kept, keptScratch, grown := small.mem, small.Scratch, layered.Scratch
 	small.recycle()
 	huge.recycle()
 	treeful.recycle()
+	layered.recycle()
 	if small.mem != kept || kept.idx.off != 0 || kept.private.MemBytes() == 0 {
 		t.Fatal("right-sized arena was not kept and rewound")
+	}
+	if small.Scratch != keptScratch {
+		t.Fatal("right-sized scratch was not kept")
 	}
 	for name, ps := range map[string]*pooledScratch{"slabs": huge, "trees": treeful} {
 		if got := ps.mem.bytes(); got != 0 {
 			t.Fatalf("arena with oversized %s still pins %d bytes after release", name, got)
 		}
+	}
+	if layered.Scratch == grown {
+		t.Fatal("scratch with oversized layered rows was kept after release")
 	}
 }
 

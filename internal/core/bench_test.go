@@ -36,12 +36,14 @@ func BenchmarkForwardSearch(b *testing.B) {
 	p := benchProblem(b)
 	required := p.LayerSpecs()[0].Required(p.Net.Catalog)
 	mem := &searchMem{}
-	// The residual rows are read once per run, not per search.
-	res := readResiduals(network.NewLedger(p.Net), nil, nil)
+	// The residual rows and the view are read once per run, not per search.
+	ledger := network.NewLedger(p.Net)
+	res := readResiduals(ledger, nil, nil)
+	view := p.Net.G.CompileView(ledger.CostOptions(p.Rate))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := runSearch(p, p.Src, searchConfig{mem: mem, required: required, res: &res})
+		tree := runSearch(p, p.Src, searchConfig{mem: mem, required: required, res: &res, view: view})
 		if !tree.Covered() {
 			b.Fatal("uncovered")
 		}

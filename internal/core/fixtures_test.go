@@ -22,6 +22,16 @@ func embedReference(p *Problem, opts Options, set func(e *embedder)) (*Result, e
 	return e.run()
 }
 
+// testSearch is runSearch for tests that call it directly: it reads the
+// residual rows and compiles the capacity-only view off the problem's
+// ledger (or a fresh empty one, leaving p untouched), as newEmbedder does.
+func testSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
+	ledger := p.ledgerOrFresh()
+	res := readResiduals(ledger, nil, nil)
+	cfg.res, cfg.view = &res, p.Net.G.CompileView(ledger.CostOptions(p.Rate))
+	return runSearch(p, start, cfg)
+}
+
 // lineFixture builds the hand-checkable instance used by the cost and
 // validation tests:
 //

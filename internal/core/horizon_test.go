@@ -31,31 +31,31 @@ func sameTreePrefix(t *testing.T, a, b *SearchTree) {
 func TestSearchRingsPastCoverage(t *testing.T) {
 	p := searchFixture()
 	required := []network.VNFID{1, 2}
-	stop := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: required})
+	stop := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: required})
 	if !stop.Covered() || stop.Iterations() != 3 || stop.Size() != 4 {
 		t.Fatalf("stop at coverage: covered=%v, %d iterations, %d nodes; want 3 and 4", stop.Covered(), stop.Iterations(), stop.Size())
 	}
-	on := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1})
+	on := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1})
 	sameTreePrefix(t, stop, on)
 	if !on.Covered() || on.Iterations() != 4 || on.Size() != 6 || !on.Contains(3) || !on.Contains(5) {
 		t.Fatalf("one ring on: covered=%v, %d iterations, %d nodes; want 4 and all 6", on.Covered(), on.Iterations(), on.Size())
 	}
 	// More rings than the graph has: the search ends with the graph.
-	if all := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 5}); !all.Covered() || all.Iterations() != 4 {
+	if all := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 5}); !all.Covered() || all.Iterations() != 4 {
 		t.Fatalf("five rings on: covered=%v, %d iterations", all.Covered(), all.Iterations())
 	}
 	// The root covers: the extra ring is its neighbourhood.
-	if root := runSearch(p, 2, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}, ringsPast: 1}); !root.Covered() || root.Iterations() != 2 || root.Size() != 4 {
+	if root := testSearch(p, 2, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}, ringsPast: 1}); !root.Covered() || root.Iterations() != 2 || root.Size() != 4 {
 		t.Fatalf("root-covered search, one ring on: covered=%v, %d iterations, %d nodes; want 2 and 4", root.Covered(), root.Iterations(), root.Size())
 	}
 	// The budget runs out one node into the extra ring.
-	cut := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1, maxNodes: 5})
+	cut := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1, maxNodes: 5})
 	sameTreePrefix(t, stop, cut)
 	if !cut.Covered() || cut.Size() != 5 || cut.Iterations() != 4 {
 		t.Fatalf("budget exhausted mid-ring: covered=%v, %d nodes, %d iterations; want covered, 5, 4", cut.Covered(), cut.Size(), cut.Iterations())
 	}
 	// And at the ring's very start: no fourth level is left open.
-	if cut = runSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1, maxNodes: 4}); !cut.Covered() || cut.Size() != 4 || cut.Iterations() != 3 {
+	if cut = testSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1, maxNodes: 4}); !cut.Covered() || cut.Size() != 4 || cut.Iterations() != 3 {
 		t.Fatalf("budget exhausted at coverage: covered=%v, %d nodes, %d iterations; want covered, 4, 3", cut.Covered(), cut.Size(), cut.Iterations())
 	}
 }
@@ -99,8 +99,8 @@ func TestParallelLayerHorizonAndWork(t *testing.T) {
 		firstFST := intAttr(findChildren(layer1[0], "forward-search")[0], "tree_size")
 
 		required := p.LayerSpecs()[0].Required(net.Catalog)
-		stop := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax})
-		on := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax, ringsPast: 1})
+		stop := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax})
+		on := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax, ringsPast: 1})
 		sameTreePrefix(t, stop, on)
 		if on.Iterations() != stop.Iterations()+1 {
 			t.Fatalf("flow %d: coverage at iteration %d, horizon at %d", flow, stop.Iterations(), on.Iterations())

@@ -108,7 +108,7 @@ func TestTruncateWithDelayDiversity(t *testing.T) {
 
 func TestSearchTreeLevelBounds(t *testing.T) {
 	p := lineFixture()
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if tree.Level(0) != nil || tree.Level(tree.Iterations()+1) != nil {
 		t.Fatal("out-of-range levels should be nil")
 	}

@@ -83,7 +83,7 @@ func TestPaperFig3ForwardBackwardWalk(t *testing.T) {
 	net := p.Net
 	spec := p.LayerSpecs()[1]
 
-	fst := runSearch(p, vA, searchConfig{mem: &searchMem{}, required: spec.Required(net.Catalog)})
+	fst := testSearch(p, vA, searchConfig{mem: &searchMem{}, required: spec.Required(net.Catalog)})
 	if !fst.Covered() {
 		t.Fatal("forward search did not cover layer 2")
 	}
@@ -113,7 +113,7 @@ func TestPaperFig3ForwardBackwardWalk(t *testing.T) {
 
 	// Backward search from the merger candidate v_a, restricted to the
 	// forward set, must cover the regular VNFs of the layer.
-	bst := runSearch(p, vA, searchConfig{mem: &searchMem{}, required: spec.VNFs, within: fst})
+	bst := testSearch(p, vA, searchConfig{mem: &searchMem{}, required: spec.VNFs, within: fst})
 	if !bst.Covered() {
 		t.Fatal("backward search from v_a did not cover")
 	}

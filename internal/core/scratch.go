@@ -29,7 +29,8 @@ type pooledScratch struct {
 // arena whose slabs alone pass the cap was grown by a one-off huge search
 // and is dropped rather than pooled — the analogue of graph.PutScratch
 // dropping oversized scratches — so it cannot stay pinned behind later
-// small runs.
+// small runs. The run's graph.Scratch is held to the same cap on its own:
+// its layered rows (32 bytes a state, (k+1)·n states) only ever grow.
 const searchMemRetainBytes = 8 << 20
 
 var embedScratchPool = sync.Pool{New: func() any { return newPooledScratch() }}
@@ -49,15 +50,19 @@ func releaseScratch(ps *pooledScratch) {
 	embedScratchPool.Put(ps)
 }
 
-// recycle readies ps for the next run by zeroing its embedder, resetting
-// its arena and trimming the arena's store to searchMemRetainBytes (or
-// dropping the arena, past the cap without it). The caller must not touch
+// recycle readies ps for the next run by zeroing its embedder, replacing
+// its graph.Scratch if that alone passes searchMemRetainBytes, resetting
+// its arena and trimming the arena's store to the cap (or dropping the
+// arena, past the cap without it). The caller must not touch
 // the embedder, any scratch-aliasing search result, or any view, tree,
 // search tree, extension or sub-solution of the finished run afterwards —
 // the memory behind them is recycled here. Safe only after the Result has
 // been assembled.
 func (ps *pooledScratch) recycle() {
 	ps.e = embedder{}
+	if ps.Scratch.MemBytes() > searchMemRetainBytes {
+		ps.Scratch = graph.NewScratch()
+	}
 	budget := searchMemRetainBytes - ps.mem.runBytes()
 	if budget < 0 {
 		ps.mem = &searchMem{}

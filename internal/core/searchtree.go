@@ -201,17 +201,12 @@ type searchConfig struct {
 	// maxNodes stops the search once the discovered set has this many nodes
 	// (MBBE's Xmax), covered or not. 0 = unlimited.
 	maxNodes int
-	// res supplies the residual capacities, read once off the run's
-	// ledger. Nil reads them off the problem's ledger (or a fresh empty
-	// one) without mutating p — convenient for tests that call runSearch
-	// directly.
+	// res supplies the instance residuals, read once off the run's ledger.
+	// Required.
 	res *residuals
-	// view, when non-nil, is a capacity-only cost view compiled from the
-	// same ledger at rate demand: arc admission becomes one bitset read
-	// instead of a float comparison per arc. It must be compiled WITHOUT
-	// ban sets — runSearch admission is capacity-only — and gives
-	// bit-identical admission decisions to the residual row (view
-	// compilation compares the same residuals with the same rate).
+	// view admits the arcs: the capacity-only cost view compiled from the
+	// same ledger at rate demand, WITHOUT ban sets — runSearch admission is
+	// capacity-only. Required.
 	view *graph.CostView
 	// mem supplies every allocation the tree retains and the search's own
 	// working buffers (see searchMem): the embedder passes its run's
@@ -225,18 +220,14 @@ type searchConfig struct {
 }
 
 // runSearch performs the paper's iterative breadth-first search from start
-// and materializes the search tree. Edges are admitted only with residual
-// bandwidth ≥ rate; a category counts as available on a node only if its
-// instance there has residual capacity ≥ rate. The search stops
+// and materializes the search tree. An arc is admitted when cfg.view admits
+// it (residual bandwidth ≥ rate); a category counts as available on a node
+// only if its instance there has residual capacity ≥ rate. The search stops
 // cfg.ringsPast iterations after the one whose accumulated available sets
 // cover the required categories (the tree's covered flag), or when the graph
 // (or the maxNodes budget) is exhausted.
 func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
-	res := cfg.res
-	if res == nil {
-		r := readResiduals(p.ledgerOrFresh(), nil, nil)
-		res = &r
-	}
+	res, view := cfg.res, cfg.view
 	g := p.Net.G
 	arcs, off := g.CSR()
 
@@ -346,11 +337,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 						continue
 					}
 				}
-				if cfg.view != nil {
-					if !cfg.view.Admits(ai) {
-						continue
-					}
-				} else if res.edge[arc.Edge] < p.Rate {
+				if !view.Admits(ai) {
 					continue
 				}
 				if i := t.idx[at]; i != 0 {

@@ -29,7 +29,7 @@ func searchFixture() *Problem {
 
 func TestForwardSearchStopsAtCoverage(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	if !tree.Covered() {
 		t.Fatal("search did not cover")
 	}
@@ -46,7 +46,7 @@ func TestForwardSearchStopsAtCoverage(t *testing.T) {
 
 func TestSearchRootCoverage(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 2, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
+	tree := testSearch(p, 2, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if !tree.Covered() || tree.Size() != 1 {
 		t.Fatalf("root-covered search expanded: size=%d covered=%v", tree.Size(), tree.Covered())
 	}
@@ -57,11 +57,11 @@ func TestSearchGraphExhaustedUncovered(t *testing.T) {
 	mem := &searchMem{}
 	// Category 2 exists only at node 4; confine the search to a forward
 	// search cut off at {0,1,2} so it can never be found.
-	fst := runSearch(p, 0, searchConfig{mem: mem, required: []network.VNFID{2}, maxNodes: 3})
+	fst := testSearch(p, 0, searchConfig{mem: mem, required: []network.VNFID{2}, maxNodes: 3})
 	if fst.Size() != 3 || fst.Contains(4) {
 		t.Fatalf("the confining search holds %d nodes, node 4 among them: %v", fst.Size(), fst.Contains(4))
 	}
-	tree := runSearch(p, 0, searchConfig{
+	tree := testSearch(p, 0, searchConfig{
 		mem:      mem,
 		required: []network.VNFID{2},
 		within:   fst,
@@ -76,7 +76,7 @@ func TestSearchGraphExhaustedUncovered(t *testing.T) {
 
 func TestSearchXmaxBudget(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}, maxNodes: 2})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}, maxNodes: 2})
 	if tree.Covered() {
 		t.Fatal("covered despite tiny budget")
 	}
@@ -92,7 +92,7 @@ func TestSearchAvailableRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ledger = ledger
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if tree.Covered() {
 		t.Fatal("exhausted instance counted as available")
 	}
@@ -105,7 +105,7 @@ func TestSearchEdgeCapacityBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ledger = ledger
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	if tree.Covered() || tree.Size() != 1 {
 		t.Fatal("search crossed a saturated link")
 	}
@@ -113,7 +113,7 @@ func TestSearchEdgeCapacityBlocks(t *testing.T) {
 
 func TestSearchTreeBinaryShape(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	root := tree.Root
 	if root.Node != 0 || root.Iteration != 1 {
 		t.Fatalf("root = %+v", root)
@@ -142,7 +142,7 @@ func TestSearchTreeBinaryShape(t *testing.T) {
 
 func TestSearchTreePathToRoot(t *testing.T) {
 	p := searchFixture()
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	tn := tree.NodeOf(4)
 	if tn == nil {
 		t.Fatal("node 4 not discovered")
@@ -171,7 +171,7 @@ func TestSearchTreePathEnumeration(t *testing.T) {
 	net.MustAddInstance(3, 1, 1, 10)
 	p := &Problem{Net: net, Src: 0, Dst: 3, Rate: 1, Size: 1}
 
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1}})
 	tn := tree.NodeOf(3)
 	if tn == nil {
 		t.Fatal("node 3 not found")
@@ -201,7 +201,7 @@ func TestNodesWithOrdersByDiscovery(t *testing.T) {
 	p := searchFixture()
 	// Both f(1)@2 (2 hops) and a closer deployment f(1)@1 (1 hop).
 	p.Net.MustAddInstance(1, 1, 99, 10)
-	tree := runSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
+	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	hosts := tree.NodesWith(1)
 	if len(hosts) != 2 || hosts[0].Node != 1 || hosts[1].Node != 2 {
 		got := []graph.NodeID{}
@@ -216,8 +216,8 @@ func TestSearchDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 40, 5, 4)
 	req := p.LayerSpecs()[0].Required(p.Net.Catalog)
-	a := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
-	b := runSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
+	a := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
+	b := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
 	if a.Size() != b.Size() || a.Iterations() != b.Iterations() {
 		t.Fatal("identical searches diverged")
 	}

@@ -8,13 +8,15 @@ import (
 // bridgeFree is the reference for TwoEdgeConnected (Menger): src reaches dst,
 // and still does with any one admitted edge taken away.
 func bridgeFree(g *Graph, src, dst NodeID, admit func(EdgeID) bool) bool {
+	s := NewScratch()
 	reach := func(without EdgeID) bool {
-		_, ok := g.MinHopPath(src, dst, &CostOptions{Residual: residualFunc(func(e EdgeID) float64 {
+		view := g.CompileView(&CostOptions{Residual: residualFunc(func(e EdgeID) float64 {
 			if e == without || !admit(e) {
 				return 0
 			}
 			return 1
 		}), MinCapacity: 1})
+		_, ok := view.AppendMinHopPath(s, nil, src, dst)
 		return ok
 	}
 	if !reach(None) {
@@ -38,7 +40,7 @@ func TestTwoEdgeConnectedUndoesTheFirstPath(t *testing.T) {
 	}
 	all := func(EdgeID) bool { return true }
 	s := NewScratch()
-	if first, _ := g.MinHopPath(0, 5, nil); len(first.Edges) != 3 || first.Edges[1] != 1 {
+	if first, _ := g.CompileView(nil).AppendMinHopPath(s, nil, 0, 5); len(first) != 3 || first[1] != 1 {
 		t.Fatalf("the fixture's first path is %v, want it to run over edge 1", first)
 	}
 	if !g.TwoEdgeConnected(s, 0, 5, all) {

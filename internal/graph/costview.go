@@ -117,9 +117,7 @@ func (g *Graph) CompileView(opts *CostOptions) *CostView {
 // the bucket tuning inputs.
 func (g *Graph) CompileViewInto(v *CostView, opts *CostOptions, resBuf []float64) []float64 {
 	// Residual capacities, one slot per edge, only when a capacity floor is
-	// active. The residual source agrees bitwise with its per-edge answers,
-	// so the capa < MinCapacity comparison of compile is bitwise identical
-	// to the per-arc admits path.
+	// active.
 	var res []float64
 	if opts != nil && opts.MinCapacity > 0 {
 		ne := len(g.edges)

@@ -5,9 +5,30 @@ import (
 	"testing"
 )
 
+// admits states the admission rule arc by arc — not banned, and residual
+// capacity at least the floor — as the reference the compiled view is
+// tested against. Every residual source in this package's tests is a
+// residualFunc, which answers one edge.
+func (o *CostOptions) admits(g *Graph, arc Arc) bool {
+	if o == nil {
+		return true
+	}
+	if o.BannedEdges[arc.Edge] || o.BannedNodes[arc.To] {
+		return false
+	}
+	if o.MinCapacity <= 0 {
+		return true
+	}
+	capa := g.Edge(arc.Edge).Capacity
+	if o.Residual != nil {
+		capa = o.Residual.(residualFunc)(arc.Edge)
+	}
+	return !(capa < o.MinCapacity) // a NaN residual passes, as in compile
+}
+
 // TestCompileViewMatchesAdmits pins the compile-time contract: for every
 // CSR arc, the compiled admissibility bit and Inf-sentinel price must
-// agree with the scalar admits() path the BFS searches still use.
+// agree with the scalar statement of the rule, admits.
 func TestCompileViewMatchesAdmits(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {

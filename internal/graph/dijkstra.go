@@ -26,38 +26,12 @@ type CostOptions struct {
 	BannedNodes map[NodeID]bool
 }
 
-// ResidualSource is the live residual capacity of every edge, read one edge
-// at a time by the breadth-first searches and all at once when a view is
-// compiled. *network.Ledger is one.
+// ResidualSource is the live residual capacity of every edge, read all at
+// once when a view is compiled. *network.Ledger is one.
 type ResidualSource interface {
-	// EdgeResidual returns the residual capacity of edge e.
-	EdgeResidual(e EdgeID) float64
 	// EdgeResiduals fills dst, which the caller sizes to the edge count,
-	// with every edge's residual and returns it, bitwise equal to
-	// EdgeResidual edge by edge.
+	// with every edge's residual and returns it.
 	EdgeResiduals(dst []float64) []float64
-}
-
-// admits is the scalar admissibility check, still used by the breadth-
-// first searches; the Dijkstra kernels use a compiled CostView instead,
-// which gives bitwise-identical answers (CompileViewInto mirrors this logic).
-func (o *CostOptions) admits(g *Graph, arc Arc) bool {
-	if o == nil {
-		return true
-	}
-	if o.BannedEdges[arc.Edge] || o.BannedNodes[arc.To] {
-		return false
-	}
-	if o.MinCapacity > 0 {
-		capa := g.Edge(arc.Edge).Capacity
-		if o.Residual != nil {
-			capa = o.Residual.EdgeResidual(arc.Edge)
-		}
-		if capa < o.MinCapacity {
-			return false
-		}
-	}
-	return true
 }
 
 // ShortestTree is the result of a single-source Dijkstra run: for every

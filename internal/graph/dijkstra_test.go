@@ -73,8 +73,6 @@ func TestDijkstraCapacityFilter(t *testing.T) {
 // the stand-in for a ledger.
 type residualFunc func(EdgeID) float64
 
-func (f residualFunc) EdgeResidual(e EdgeID) float64 { return f(e) }
-
 func (f residualFunc) EdgeResiduals(dst []float64) []float64 {
 	for e := range dst {
 		dst[e] = f(EdgeID(e))

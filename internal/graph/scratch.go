@@ -155,6 +155,19 @@ func keepScratch(s *Scratch, nodeDemand, arcDemand int) bool {
 	return size <= limit(nodeDemand) && arcSize <= limit(arcDemand)
 }
 
+// MemBytes reports the memory the scratch's own arrays pin: its Dijkstra
+// tree (24 bytes a node), the layered search's rows (32 bytes a state,
+// plus its touched and exit lists), its view and residual buffer, the BFS
+// and connectivity arrays, and the bucket queue at its seeded size.
+func (s *Scratch) MemBytes() int {
+	r := &s.layered
+	b := s.tree.MemBytes() + s.view.MemBytes() + 8*cap(s.resBuf)
+	b += 8*(cap(r.dist)+cap(r.key)+cap(r.exits)) +
+		4*(cap(r.pred)+cap(r.via)+cap(r.queue.nodes)+cap(r.queue.at)+cap(r.touched))
+	b += 4 * (cap(s.queue) + cap(s.stamp) + cap(s.parentEdge) + cap(s.parentNode) + cap(s.pathOut))
+	return b + (24+16*bucketSeedCap)*cap(s.bq.buckets) + 8*cap(s.bq.occ)
+}
+
 // visitedReset prepares the visited set for a graph of n nodes and clears
 // it in O(1) by advancing the epoch.
 func (s *Scratch) visitedReset(n int) {

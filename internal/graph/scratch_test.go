@@ -47,9 +47,10 @@ func TestDijkstraWithMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestMinHopPathWithMatchesMinHopPath checks the scratch-backed BFS, and
-// the view's appending one, return the identical path to the allocating
-// wrapper across a shared Scratch, under a capacity floor and under bans.
+// TestMinHopPathWithMatchesMinHopPath checks the view's min-hop search
+// returns the identical path on one Scratch shared across every query as
+// on a fresh one, keeping the prefix it appends to, under a capacity floor
+// and under bans.
 func TestMinHopPathWithMatchesMinHopPath(t *testing.T) {
 	g := benchGraph(60, 4)
 	s := NewScratch()
@@ -60,18 +61,43 @@ func TestMinHopPathWithMatchesMinHopPath(t *testing.T) {
 		view := g.CompileView(opts)
 		for src := 0; src < 60; src += 3 {
 			for dst := 0; dst < 60; dst += 7 {
-				wp, wok := g.MinHopPath(NodeID(src), NodeID(dst), opts)
-				gp, gok := g.MinHopPathWith(s, NodeID(src), NodeID(dst), opts)
-				if wok != gok || !reflect.DeepEqual(wp, gp) {
-					t.Fatalf("src=%d dst=%d: %v/%v vs %v/%v", src, dst, wp, wok, gp, gok)
-				}
+				want, wok := view.AppendMinHopPath(NewScratch(), nil, NodeID(src), NodeID(dst))
 				prefix := []EdgeID{99}
-				vp, vok := view.AppendMinHopPath(s, prefix, NodeID(src), NodeID(dst))
-				if vok != wok || vp[0] != 99 || wok && !slices.Equal(vp[1:], wp.Edges) || !wok && len(vp) != 1 {
-					t.Fatalf("src=%d dst=%d: view appended %v/%v, want [99]+%v/%v", src, dst, vp, vok, wp.Edges, wok)
+				got, gok := view.AppendMinHopPath(s, prefix, NodeID(src), NodeID(dst))
+				if gok != wok || got[0] != 99 || !slices.Equal(got[1:], want) {
+					t.Fatalf("src=%d dst=%d: shared scratch appended %v/%v, want [99]+%v/%v", src, dst, got, gok, want, wok)
 				}
 			}
 		}
+	}
+}
+
+// TestScratchMemBytesCountsItsRows checks MemBytes sees what each search
+// grows: 24 bytes a node for a Dijkstra tree, 32 a state for a layered
+// search, and a smaller search afterwards sheds none of it.
+func TestScratchMemBytesCountsItsRows(t *testing.T) {
+	s := NewScratch()
+	if got := s.MemBytes(); got != 0 {
+		t.Fatalf("fresh scratch pins %d bytes", got)
+	}
+	g := lineGraph(1000)
+	view := g.CompileView(nil)
+	view.DijkstraWith(s, 0)
+	tree := s.MemBytes()
+	if tree < 24*1000 {
+		t.Fatalf("after a 1000-node Dijkstra: %d bytes, want at least %d", tree, 24*1000)
+	}
+	rent := make([]float64, 1000)
+	view.LayeredDijkstraWith(s, &LayeredQuery{Rent: [][]float64{rent, rent, rent}, Seeds: []LayeredSeed{{Node: 0}}, Target: None, MaxExits: 1})
+	if got := s.MemBytes(); got < tree+32*4*1000 {
+		t.Fatalf("after a 3-layer search: %d bytes, want at least %d", got, tree+32*4*1000)
+	}
+	layered := s.MemBytes()
+	small := lineGraph(10).CompileView(nil)
+	small.DijkstraWith(s, 0)
+	small.LayeredDijkstraWith(s, &LayeredQuery{Rent: [][]float64{rent[:10]}, Seeds: []LayeredSeed{{Node: 0}}, Target: None, MaxExits: 1})
+	if got := s.MemBytes(); got != layered {
+		t.Fatalf("smaller searches moved MemBytes %d → %d; the rows only grow", layered, got)
 	}
 }
 

@@ -41,15 +41,6 @@ func (c Catalog) IsRegular(id VNFID) bool { return id >= 1 && int(id) <= c.N }
 // the dummy and the merger.
 func (c Catalog) Valid(id VNFID) bool { return id >= 0 && int(id) <= c.N+1 }
 
-// Regulars returns f(1)..f(N) in order.
-func (c Catalog) Regulars() []VNFID {
-	out := make([]VNFID, c.N)
-	for i := range out {
-		out[i] = VNFID(i + 1)
-	}
-	return out
-}
-
 // Instance is a rentable VNF deployment f_v(i) on a node: a rental price
 // c_{v,f(i)} per unit of traffic rate and a processing capacity r_{v,f(i)}.
 type Instance struct {
@@ -268,22 +259,4 @@ func (n *Network) AvgLinkPrice() float64 {
 		sum += e.Price
 	}
 	return sum / float64(m)
-}
-
-// Clone deep-copies the network, sharing nothing with the original. The
-// underlying graph is cloned too.
-func (n *Network) Clone() *Network {
-	c := New(n.G.Clone(), n.Catalog)
-	copy(c.price, n.price)
-	copy(c.capacity, n.capacity)
-	copy(c.minRent, n.minRent)
-	c.maxRent = n.maxRent
-	c.count = n.count
-	for vnf, nodes := range n.byVNF {
-		c.byVNF[vnf] = append([]graph.NodeID(nil), nodes...)
-	}
-	for node, vnfs := range n.byNode {
-		c.byNode[node] = append([]VNFID(nil), vnfs...)
-	}
-	return c
 }

@@ -81,22 +81,3 @@ func (rt *RuleTable) CanParallelize(a, b network.VNFID) bool {
 	}
 	return !rt.ActionOf(a).conflictsWith(rt.ActionOf(b))
 }
-
-// ParallelizableFraction returns the fraction of unordered category pairs
-// in the given set that can parallelize — the statistic NFP reports (53.8%
-// of enterprise NF pairs).
-func (rt *RuleTable) ParallelizableFraction(cats []network.VNFID) float64 {
-	pairs, par := 0, 0
-	for i := 0; i < len(cats); i++ {
-		for j := i + 1; j < len(cats); j++ {
-			pairs++
-			if rt.CanParallelize(cats[i], cats[j]) {
-				par++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return float64(par) / float64(pairs)
-}

@@ -95,24 +95,18 @@ func TestZeroRuleTableNothingParallelizes(t *testing.T) {
 
 func TestParallelizableFractionStockIsRoughlyHalf(t *testing.T) {
 	rt := StockRules()
-	cats := make([]network.VNFID, NumStockVNFs)
-	for i := range cats {
-		cats[i] = network.VNFID(i + 1)
+	pairs, par := 0, 0
+	for a := network.VNFID(1); a <= NumStockVNFs; a++ {
+		for b := a + 1; b <= NumStockVNFs; b++ {
+			pairs++
+			if rt.CanParallelize(a, b) {
+				par++
+			}
+		}
 	}
-	frac := rt.ParallelizableFraction(cats)
 	// NFP reports 53.8% for enterprise NF pairs; our stock set should land
 	// in the same ballpark.
-	if frac < 0.3 || frac > 0.7 {
+	if frac := float64(par) / float64(pairs); frac < 0.3 || frac > 0.7 {
 		t.Fatalf("stock parallelizable fraction = %v, want ~0.5", frac)
-	}
-}
-
-func TestParallelizableFractionEmpty(t *testing.T) {
-	rt := StockRules()
-	if rt.ParallelizableFraction(nil) != 0 {
-		t.Fatal("empty set fraction should be 0")
-	}
-	if rt.ParallelizableFraction([]network.VNFID{IDS}) != 0 {
-		t.Fatal("singleton fraction should be 0")
 	}
 }

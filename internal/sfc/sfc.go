@@ -28,16 +28,6 @@ func (l Layer) Width() int { return len(l.VNFs) }
 // Parallel reports whether the layer needs a merger.
 func (l Layer) Parallel() bool { return len(l.VNFs) > 1 }
 
-// Contains reports whether the layer includes category v.
-func (l Layer) Contains(v network.VNFID) bool {
-	for _, f := range l.VNFs {
-		if f == v {
-			return true
-		}
-	}
-	return false
-}
-
 // DAGSFC is a standardized hybrid SFC: ω serial layers (§3.2, "Model of
 // DAG-SFC"). The zero value is the empty SFC (a flow passing straight from
 // source to destination).
@@ -64,18 +54,6 @@ func (s DAGSFC) Size() int {
 	n := 0
 	for _, l := range s.Layers {
 		n += len(l.VNFs)
-	}
-	return n
-}
-
-// NumMergers returns the number of parallel layers (each contributes one
-// merger position).
-func (s DAGSFC) NumMergers() int {
-	n := 0
-	for _, l := range s.Layers {
-		if l.Parallel() {
-			n++
-		}
 	}
 	return n
 }

@@ -95,95 +95,6 @@ func TestChainToDAGPreservesMultisetAndOrderProperty(t *testing.T) {
 	}
 }
 
-func TestLevelizeChain(t *testing.T) {
-	d := DAG{
-		Nodes: []network.VNFID{1, 2, 3},
-		Edges: [][2]int{{0, 1}, {1, 2}},
-	}
-	s, err := d.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Omega() != 3 || s.MaxWidth() != 1 {
-		t.Fatalf("chain levelize = %v", s)
-	}
-}
-
-func TestLevelizeDiamond(t *testing.T) {
-	// 0 -> {1,2} -> 3 with distinct categories.
-	d := DAG{
-		Nodes: []network.VNFID{1, 2, 3, 4},
-		Edges: [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
-	}
-	s, err := d.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Omega() != 3 {
-		t.Fatalf("diamond layers = %d, want 3: %v", s.Omega(), s)
-	}
-	if s.Layers[1].Width() != 2 {
-		t.Fatalf("middle layer = %v", s.Layers[1])
-	}
-}
-
-func TestLevelizeLongestPathDominates(t *testing.T) {
-	// 0->1->3 and 0->3 and 0->2: position 3 must land after 1.
-	d := DAG{
-		Nodes: []network.VNFID{1, 2, 3, 4},
-		Edges: [][2]int{{0, 1}, {1, 3}, {0, 3}, {0, 2}},
-	}
-	s, err := d.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Levels: 0 -> {1,2} -> {3}. Categories: [1], [2|3], [4].
-	if s.Omega() != 3 || !s.Layers[2].Contains(4) {
-		t.Fatalf("levelize = %v", s)
-	}
-}
-
-func TestLevelizeCycleDetected(t *testing.T) {
-	d := DAG{Nodes: []network.VNFID{1, 2}, Edges: [][2]int{{0, 1}, {1, 0}}}
-	if _, err := d.Levelize(); err == nil {
-		t.Fatal("cycle not detected")
-	}
-}
-
-func TestLevelizeRejectsBadEdges(t *testing.T) {
-	d := DAG{Nodes: []network.VNFID{1}, Edges: [][2]int{{0, 5}}}
-	if _, err := d.Levelize(); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
-	d = DAG{Nodes: []network.VNFID{1}, Edges: [][2]int{{0, 0}}}
-	if _, err := d.Levelize(); err == nil {
-		t.Fatal("self edge accepted")
-	}
-}
-
-func TestLevelizeSplitsDuplicateCategoriesInLevel(t *testing.T) {
-	// Two independent positions with the same category would collide in
-	// one layer; they must be split.
-	d := DAG{Nodes: []network.VNFID{5, 5}}
-	s, err := d.Levelize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Omega() != 2 || s.Size() != 2 {
-		t.Fatalf("duplicate split = %v", s)
-	}
-	if err := s.Validate(network.Catalog{N: 8}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLevelizeEmpty(t *testing.T) {
-	s, err := (DAG{}).Levelize()
-	if err != nil || s.Omega() != 0 {
-		t.Fatalf("empty dag: %v, %v", s, err)
-	}
-}
-
 // TestChainToDAGLayersAreIndependentWindows: the layers share one copy of
 // the chain, so each must be capped at its own end — appending to one may
 // not write into the next — and none may alias the caller's slice.

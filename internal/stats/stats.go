@@ -1,6 +1,7 @@
 // Package stats provides the small set of summary statistics the
-// simulation harness reports: streaming mean/variance (Welford), min/max,
-// and normal-approximation confidence intervals.
+// simulation harness, the offline driver and the repository benchmark
+// report: one stream's mean/variance (Welford), min/max, and
+// normal-approximation confidence intervals.
 package stats
 
 import "math"
@@ -29,32 +30,6 @@ func (a *Accumulator) Add(x float64) {
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
-}
-
-// Merge folds other's observations into a, as if every observation fed to
-// other had been fed to a instead. It uses Chan et al.'s parallel
-// variance combination, so merging per-shard accumulators from concurrent
-// trial runners is exact (up to floating-point rounding) — the pattern
-// sim's parallel sweeps and telemetry aggregation rely on.
-func (a *Accumulator) Merge(other Accumulator) {
-	if other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = other
-		return
-	}
-	n := a.n + other.n
-	delta := other.mean - a.mean
-	a.mean += delta * float64(other.n) / float64(n)
-	a.m2 += other.m2 + delta*delta*float64(a.n)*float64(other.n)/float64(n)
-	a.n = n
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
 }
 
 // N reports the number of observations.

@@ -104,59 +104,6 @@ func TestAccumulatorEmptyExtremes(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesNaiveProperty(t *testing.T) {
-	f := func(seed int64, nRaw, splitRaw uint8) bool {
-		n := int(nRaw%60) + 2
-		split := int(splitRaw) % (n + 1)
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, n)
-		var left, right, whole Accumulator
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*20 - 3
-			whole.Add(xs[i])
-			if i < split {
-				left.Add(xs[i])
-			} else {
-				right.Add(xs[i])
-			}
-		}
-		left.Merge(right)
-		return left.N() == whole.N() &&
-			math.Abs(left.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(left.Variance()-whole.Variance()) < 1e-9 &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeEmptySides(t *testing.T) {
-	var a, b Accumulator
-	b.Add(2)
-	b.Add(4)
-
-	// empty.Merge(filled) adopts the filled side wholesale.
-	a.Merge(b)
-	if a.N() != 2 || a.Mean() != 3 || a.Min() != 2 || a.Max() != 4 {
-		t.Fatalf("empty.Merge(filled): %+v", a.Summarize())
-	}
-
-	// filled.Merge(empty) is a no-op.
-	before := a.Summarize()
-	a.Merge(Accumulator{})
-	if a.Summarize() != before {
-		t.Fatalf("filled.Merge(empty) changed the accumulator: %+v -> %+v", before, a.Summarize())
-	}
-
-	// empty.Merge(empty) stays empty.
-	var c, d Accumulator
-	c.Merge(d)
-	if c.N() != 0 || c.Mean() != 0 {
-		t.Fatalf("empty.Merge(empty): %+v", c.Summarize())
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var small, large Accumulator
