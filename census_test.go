@@ -2,9 +2,7 @@ package dagsfc_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,27 +16,19 @@ import (
 // documents write it: `dagsfc_wal_*`, `dagsfc_costview_{builds,reuses}_total`.
 var docFamily = regexp.MustCompile(`dagsfc_[a-z0-9_]*`)
 
-// TestMetricsCensus is make check's metrics-census. Every family the
-// Metric* constants of internal/telemetry declare has a reader: a test, a
-// command under cmd/, a benchmark/ file, the Makefile or the CI workflow
-// names it, by its constant or by its name. And every dagsfc_* family
-// README.md and DESIGN.md name is one of them (or the prefix of one).
+// TestMetricsCensus: every family the Metric* constants of
+// internal/telemetry declare has a reader: a test, a command under cmd/, a
+// benchmark/ file, the Makefile or the CI workflow names it, by its constant
+// or by its name. And every dagsfc_* family README.md and DESIGN.md name is
+// one of them (or the prefix of one).
 func TestMetricsCensus(t *testing.T) {
 	families := map[string]string{} // constant -> family name
-	paths, err := filepath.Glob("internal/telemetry/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
+	files := treeFiles(t)
+	for _, f := range files {
+		if f.test || f.dir != "internal/telemetry" {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
 			spec, ok := n.(*ast.ValueSpec)
 			if !ok {
 				return true
@@ -61,32 +51,22 @@ func TestMetricsCensus(t *testing.T) {
 	// The readers: tests anywhere, cmd/ and benchmark/ sources, the Makefile
 	// and the CI workflows.
 	var readers []string
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	for _, f := range files {
+		if f.test || strings.HasPrefix(f.path, "cmd/") || strings.HasPrefix(f.path, "benchmark/") {
+			readers = append(readers, f.text)
+		}
+	}
+	others := []string{"Makefile", ".github/workflows/ci.yml"}
+	for _, pattern := range []string{"benchmark/*.sh", "benchmark/*.md", "cmd/*/*.md"} {
+		matches, _ := filepath.Glob(pattern)
+		others = append(others, matches...)
+	}
+	for _, p := range others {
+		text, err := os.ReadFile(p)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") && path != ".github" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		inTree := strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "benchmark/")
-		switch {
-		case strings.HasSuffix(path, "_test.go"),
-			inTree && (strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".sh") || strings.HasSuffix(path, ".md")),
-			path == "Makefile",
-			strings.HasPrefix(path, ".github/workflows/"):
-			text, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			readers = append(readers, string(text))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		readers = append(readers, string(text))
 	}
 	constants := make([]string, 0, len(families))
 	for constant := range families {
@@ -144,46 +124,28 @@ var censusKeep = map[string]string{
 	"internal/online": "the virtual-clock driver of the flow state machine, which the deterministic explorer is to build on",
 }
 
-// TestPackageCensus is make check's package-census: every package and
-// command earns its place. An internal/ package is imported from at least
-// two directories — by the non-test Go files of both modules, the root one
-// and benchmark/ — or censusKeep says why it stays; a package with one
-// importer folds into it. A command under cmd/ has a test in its directory,
-// or the Makefile or the CI workflow runs it.
+// TestPackageCensus: every package and command earns its place. An internal/
+// package is imported from at least two directories — by the non-test Go
+// files of both modules, the root one and benchmark/ — or censusKeep says
+// why it stays; a package with one importer folds into it. A command under
+// cmd/ has a test in its directory, or the Makefile or the CI workflow runs
+// it.
 func TestPackageCensus(t *testing.T) {
 	packages := map[string]bool{}             // internal package directories
 	importers := map[string]map[string]bool{} // package -> importing directories
 	commands := map[string]bool{}             // cmd/ directory -> has a test
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		isTest := strings.HasSuffix(path, "_test.go")
+	for _, f := range treeFiles(t) {
+		dir := f.dir
 		if strings.HasPrefix(dir, "cmd/") && strings.Count(dir, "/") == 1 {
-			commands[dir] = commands[dir] || isTest
+			commands[dir] = commands[dir] || f.test
 		}
-		if isTest {
-			return nil
+		if f.test {
+			continue
 		}
 		if strings.HasPrefix(dir, "internal/") {
 			packages[dir] = true
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, spec := range f.Imports {
+		for _, spec := range f.ast.Imports {
 			imported, _ := strconv.Unquote(spec.Path.Value)
 			pkg, ok := strings.CutPrefix(imported, "dagsfc/")
 			if !ok || !strings.HasPrefix(pkg, "internal/") || pkg == dir {
@@ -194,10 +156,6 @@ func TestPackageCensus(t *testing.T) {
 			}
 			importers[pkg][dir] = true
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(packages) == 0 || len(commands) == 0 {
 		t.Fatal("no internal/ package or cmd/ program found: run the test from the repository root")

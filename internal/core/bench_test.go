@@ -34,7 +34,7 @@ func benchProblem(b testing.TB) *Problem {
 
 func BenchmarkForwardSearch(b *testing.B) {
 	p := benchProblem(b)
-	required := p.LayerSpecs()[0].Required(p.Net.Catalog)
+	required := p.LayerSpecs()[0].appendRequired(nil, p.Net.Catalog)
 	mem := &searchMem{}
 	// The residual rows and the view are read once per run, not per search.
 	ledger := network.NewLedger(p.Net)

@@ -37,7 +37,7 @@ func TestSearchRingsPastCoverage(t *testing.T) {
 	}
 	on := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: required, ringsPast: 1})
 	sameTreePrefix(t, stop, on)
-	if !on.Covered() || on.Iterations() != 4 || on.Size() != 6 || !on.Contains(3) || !on.Contains(5) {
+	if !on.Covered() || on.Iterations() != 4 || on.Size() != 6 || on.NodeOf(3) == nil || on.NodeOf(5) == nil {
 		t.Fatalf("one ring on: covered=%v, %d iterations, %d nodes; want 4 and all 6", on.Covered(), on.Iterations(), on.Size())
 	}
 	// More rings than the graph has: the search ends with the graph.
@@ -98,7 +98,7 @@ func TestParallelLayerHorizonAndWork(t *testing.T) {
 		}
 		firstFST := intAttr(findChildren(layer1[0], "forward-search")[0], "tree_size")
 
-		required := p.LayerSpecs()[0].Required(net.Catalog)
+		required := p.LayerSpecs()[0].appendRequired(nil, net.Catalog)
 		stop := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax})
 		on := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax, ringsPast: 1})
 		sameTreePrefix(t, stop, on)

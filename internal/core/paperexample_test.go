@@ -83,7 +83,7 @@ func TestPaperFig3ForwardBackwardWalk(t *testing.T) {
 	net := p.Net
 	spec := p.LayerSpecs()[1]
 
-	fst := testSearch(p, vA, searchConfig{mem: &searchMem{}, required: spec.Required(net.Catalog)})
+	fst := testSearch(p, vA, searchConfig{mem: &searchMem{}, required: spec.appendRequired(nil, net.Catalog)})
 	if !fst.Covered() {
 		t.Fatal("forward search did not cover layer 2")
 	}
@@ -118,14 +118,14 @@ func TestPaperFig3ForwardBackwardWalk(t *testing.T) {
 		t.Fatal("backward search from v_a did not cover")
 	}
 	bst.Nodes(func(tn *TreeNode) {
-		if !fst.Contains(tn.Node) {
+		if fst.NodeOf(tn.Node) == nil {
 			t.Fatalf("BST node %d outside the forward set", tn.Node)
 		}
 	})
 	// The BST indexes its nodes by forward-set position: every forward node
 	// maps to its own BST node or to none.
 	fst.Nodes(func(tn *TreeNode) {
-		if b := bst.NodeOf(tn.Node); b != nil && b.Node != tn.Node || (b != nil) != bst.Contains(tn.Node) {
+		if b := bst.NodeOf(tn.Node); b != nil && b.Node != tn.Node {
 			t.Fatalf("BST looks node %d up as %v", tn.Node, b)
 		}
 	})

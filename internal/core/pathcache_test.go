@@ -211,7 +211,7 @@ func TestCompileOnDisplacement(t *testing.T) {
 		step.do()
 		fresh := g.CompileView(l.CostOptions(p.Rate))
 		moved := kept == nil
-		for i := 0; !moved && i < fresh.NumArcs(); i++ {
+		for i := 0; !moved && i < 2*g.NumEdges(); i++ {
 			moved = fresh.Admits(i) != kept.Admits(i)
 		}
 		builds := storeCounter(telemetry.MetricCostViewBuilds)

@@ -117,13 +117,8 @@ type LayerSpec struct {
 	Merger bool
 }
 
-// Required returns every category the layer's forward search must cover:
-// the regular VNFs plus, for parallel layers, the merger category.
-func (ls LayerSpec) Required(c network.Catalog) []network.VNFID {
-	return ls.appendRequired(make([]network.VNFID, 0, len(ls.VNFs)+1), c)
-}
-
-// appendRequired appends the layer's Required categories to dst.
+// appendRequired appends to dst every category the layer's forward search
+// must cover: the regular VNFs plus, for parallel layers, the merger category.
 func (ls LayerSpec) appendRequired(dst []network.VNFID, c network.Catalog) []network.VNFID {
 	dst = append(dst, ls.VNFs...)
 	if ls.Merger {

@@ -85,9 +85,6 @@ func (t *SearchTree) index(v graph.NodeID) int32 {
 	return 0
 }
 
-// Contains reports whether the tree discovered network node v.
-func (t *SearchTree) Contains(v graph.NodeID) bool { return t.index(v) != 0 }
-
 // NodeOf returns the tree node for network node v, or nil.
 func (t *SearchTree) NodeOf(v graph.NodeID) *TreeNode {
 	if i := t.index(v); i != 0 {

@@ -39,7 +39,7 @@ func TestForwardSearchStopsAtCoverage(t *testing.T) {
 		t.Fatalf("iterations = %d, want 3", tree.Iterations())
 	}
 	// Node 3 and 5 are three hops away; the search must stop before them.
-	if tree.Contains(3) || tree.Contains(5) {
+	if tree.NodeOf(3) != nil || tree.NodeOf(5) != nil {
 		t.Fatal("search expanded past coverage")
 	}
 }
@@ -58,8 +58,8 @@ func TestSearchGraphExhaustedUncovered(t *testing.T) {
 	// Category 2 exists only at node 4; confine the search to a forward
 	// search cut off at {0,1,2} so it can never be found.
 	fst := testSearch(p, 0, searchConfig{mem: mem, required: []network.VNFID{2}, maxNodes: 3})
-	if fst.Size() != 3 || fst.Contains(4) {
-		t.Fatalf("the confining search holds %d nodes, node 4 among them: %v", fst.Size(), fst.Contains(4))
+	if fst.Size() != 3 || fst.NodeOf(4) != nil {
+		t.Fatalf("the confining search holds %d nodes, node 4 among them: %v", fst.Size(), fst.NodeOf(4) != nil)
 	}
 	tree := testSearch(p, 0, searchConfig{
 		mem:      mem,
@@ -69,7 +69,7 @@ func TestSearchGraphExhaustedUncovered(t *testing.T) {
 	if tree.Covered() {
 		t.Fatal("covered without the category present")
 	}
-	if tree.Contains(4) {
+	if tree.NodeOf(4) != nil {
 		t.Fatal("search escaped the within restriction")
 	}
 }
@@ -215,7 +215,7 @@ func TestNodesWithOrdersByDiscovery(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 40, 5, 4)
-	req := p.LayerSpecs()[0].Required(p.Net.Catalog)
+	req := p.LayerSpecs()[0].appendRequired(nil, p.Net.Catalog)
 	a := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
 	b := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: req})
 	if a.Size() != b.Size() || a.Iterations() != b.Iterations() {

@@ -227,7 +227,7 @@ func TestLayerSpecs(t *testing.T) {
 	if specs[0].Merger || !specs[1].Merger {
 		t.Fatal("merger flags wrong")
 	}
-	req := specs[1].Required(p.Net.Catalog)
+	req := specs[1].appendRequired(nil, p.Net.Catalog)
 	if len(req) != 3 || req[2] != p.Net.Catalog.Merger() {
 		t.Fatalf("required = %v", req)
 	}

@@ -33,7 +33,7 @@ func TestMinHopPathPrefersFewerHops(t *testing.T) {
 func TestMinHopPathEdgeCases(t *testing.T) {
 	g := lineGraph(3)
 	p, ok := minHop(g, 1, 1, nil)
-	if !ok || !p.IsEmpty() {
+	if !ok || len(p.Edges) != 0 {
 		t.Fatalf("self path = %v ok=%v", p, ok)
 	}
 	if _, ok := minHop(g, 0, 9, nil); ok {

@@ -69,12 +69,6 @@ const (
 // NumNodes reports the node count of the graph the view was compiled from.
 func (v *CostView) NumNodes() int { return v.numNodes }
 
-// NumArcs reports the CSR arc count (2x the edge count).
-func (v *CostView) NumArcs() int { return v.numArcs }
-
-// Admitted reports how many arcs the compiled options admit.
-func (v *CostView) Admitted() int { return v.admitted }
-
 // Admits reports whether CSR arc i is admissible under the compiled
 // options. Arc indices follow the Graph.CSR layout.
 func (v *CostView) Admits(i int) bool {
@@ -94,9 +88,6 @@ func (v *CostView) NodeBanned(n NodeID) bool {
 func (v *CostView) MemBytes() int {
 	return 8 * (cap(v.price) + cap(v.admit) + cap(v.nodeBan))
 }
-
-// ArcPrice returns the compiled price of arc i (+Inf when inadmissible).
-func (v *CostView) ArcPrice(i int) float64 { return v.price[i] }
 
 // CompileView flattens opts against the graph's current CSR adjacency and
 // residual state into a freshly allocated, shareable CostView. Use

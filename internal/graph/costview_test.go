@@ -37,9 +37,9 @@ func TestCompileViewMatchesAdmits(t *testing.T) {
 		for _, opts := range diffOptsMatrix(rng, g) {
 			view := g.CompileView(opts)
 			arcs, _ := g.CSR()
-			if view.NumArcs() != len(arcs) || view.NumNodes() != n {
+			if view.numArcs != len(arcs) || view.NumNodes() != n {
 				t.Fatalf("view shape %dx%d, want %dx%d",
-					view.NumNodes(), view.NumArcs(), n, len(arcs))
+					view.NumNodes(), view.numArcs, n, len(arcs))
 			}
 			admitted := 0
 			for i, arc := range arcs {
@@ -49,15 +49,15 @@ func TestCompileViewMatchesAdmits(t *testing.T) {
 				}
 				if want {
 					admitted++
-					if p := view.ArcPrice(i); p != g.Edge(arc.Edge).Price {
+					if p := view.price[i]; p != g.Edge(arc.Edge).Price {
 						t.Fatalf("arc %d price %v, want %v", i, p, g.Edge(arc.Edge).Price)
 					}
-				} else if p := view.ArcPrice(i); p != Inf {
+				} else if p := view.price[i]; p != Inf {
 					t.Fatalf("inadmissible arc %d price %v, want +Inf", i, p)
 				}
 			}
-			if view.Admitted() != admitted {
-				t.Fatalf("Admitted() = %d, counted %d", view.Admitted(), admitted)
+			if view.admitted != admitted {
+				t.Fatalf("admitted = %d, counted %d", view.admitted, admitted)
 			}
 			for v := 0; v < n; v++ {
 				want := opts != nil && opts.BannedNodes[NodeID(v)]
@@ -98,8 +98,8 @@ func TestCompileViewBucketTuning(t *testing.T) {
 
 	// Everything inadmissible: also degenerate, and the search goes nowhere.
 	bv := g.CompileView(&CostOptions{MinCapacity: 1e9})
-	if bv.delta != 0 || bv.Admitted() != 0 {
-		t.Fatalf("fully-filtered view: delta=%v admitted=%d", bv.delta, bv.Admitted())
+	if bv.delta != 0 || bv.admitted != 0 {
+		t.Fatalf("fully-filtered view: delta=%v admitted=%d", bv.delta, bv.admitted)
 	}
 	if tr := bv.DijkstraWith(NewScratch(), 0); tr.Reachable(1) {
 		t.Fatal("fully-filtered search reached a neighbor")

@@ -130,7 +130,7 @@ func TestDijkstraBannedSource(t *testing.T) {
 func TestMinCostPathSameNode(t *testing.T) {
 	g := lineGraph(3)
 	p, ok := g.MinCostPath(1, 1, nil)
-	if !ok || !p.IsEmpty() || p.From != 1 {
+	if !ok || len(p.Edges) != 0 || p.From != 1 {
 		t.Fatalf("self path = %v ok=%v", p, ok)
 	}
 }

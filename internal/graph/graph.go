@@ -177,18 +177,6 @@ func (g *Graph) buildCSR() *csrAdj {
 	return &csrAdj{arcs: arcs, off: off}
 }
 
-// Degree reports the number of incident edge endpoints at v.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
-
-// AvgDegree reports the mean node degree (the paper's "network
-// connectivity" metric).
-func (g *Graph) AvgDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return 2 * float64(len(g.edges)) / float64(g.n)
-}
-
 // FindEdge returns the cheapest edge between a and b, or (Edge{}, false) if
 // none exists.
 func (g *Graph) FindEdge(a, b NodeID) (Edge, bool) {
@@ -232,13 +220,4 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return count == g.n
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, edges: append([]Edge(nil), g.edges...), adj: make([][]Arc, g.n), maxPrice: g.maxPrice}
-	for v := range g.adj {
-		c.adj[v] = append([]Arc(nil), g.adj[v]...)
-	}
-	return c
 }

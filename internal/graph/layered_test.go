@@ -89,7 +89,7 @@ func walkLength(t *testing.T, v *CostView, q *LayeredQuery, r *LayeredSearch, x 
 			if pl != layer || a.To != node || arc < int(v.off[pn]) || arc >= int(v.off[pn+1]) || !v.Admits(arc) {
 				t.Fatalf("link arc %d does not lead from state %d to %d", arc, pred, x)
 			}
-			weights = append(weights, v.ArcPrice(arc))
+			weights = append(weights, v.price[arc])
 		}
 		x = pred
 	}

@@ -25,9 +25,6 @@ func EmptyPath(v NodeID) Path { return Path{From: v} }
 // Len reports the number of links on the path (the paper's β).
 func (p Path) Len() int { return len(p.Edges) }
 
-// IsEmpty reports whether the path has no links.
-func (p Path) IsEmpty() bool { return len(p.Edges) == 0 }
-
 // To returns the final node of the path.
 func (p Path) To(g *Graph) NodeID {
 	v := p.From

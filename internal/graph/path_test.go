@@ -18,7 +18,7 @@ func lineGraph(n int) *Graph {
 func TestEmptyPath(t *testing.T) {
 	g := lineGraph(3)
 	p := EmptyPath(1)
-	if !p.IsEmpty() || p.Len() != 0 {
+	if len(p.Edges) != 0 || p.Len() != 0 {
 		t.Fatal("empty path reports non-empty")
 	}
 	if p.To(g) != 1 {

@@ -414,12 +414,6 @@ func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
 	return nil
 }
 
-// NumVariables reports the encoded program's size.
-func (enc *Encoding) NumVariables() int { return enc.prog.numVars }
-
-// NumConstraints reports the encoded program's row count.
-func (enc *Encoding) NumConstraints() int { return len(enc.prog.constraints) }
-
 // Decode converts a binary solution vector into a core.Solution.
 func (enc *Encoding) Decode(x []float64) (*core.Solution, error) {
 	if len(x) != enc.prog.numVars {

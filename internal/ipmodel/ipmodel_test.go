@@ -87,7 +87,7 @@ func TestIPObjectiveMatchesCostEngine(t *testing.T) {
 	if math.Abs(cb.Total()-res.Cost.Total()) > 1e-6 {
 		t.Fatalf("cost engine %v vs result %v", cb.Total(), res.Cost.Total())
 	}
-	if enc.NumVariables() == 0 || enc.NumConstraints() == 0 {
+	if enc.prog.numVars == 0 || len(enc.prog.constraints) == 0 {
 		t.Fatal("empty encoding")
 	}
 }
@@ -236,7 +236,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := enc.Decode(make([]float64, 3)); err == nil {
 		t.Fatal("short vector accepted")
 	}
-	if _, err := enc.Decode(make([]float64, enc.NumVariables())); err == nil {
+	if _, err := enc.Decode(make([]float64, enc.prog.numVars)); err == nil {
 		t.Fatal("all-zero vector accepted (positions unassigned)")
 	}
 }

@@ -44,7 +44,7 @@ func TestKShortestKLargerThanAvailable(t *testing.T) {
 func TestKShortestSameNode(t *testing.T) {
 	g := diamondGraph(10)
 	paths := kShortestPaths(g, 2, 2, 4, nil)
-	if len(paths) != 1 || !paths[0].IsEmpty() {
+	if len(paths) != 1 || len(paths[0].Edges) != 0 {
 		t.Fatalf("self paths = %v", paths)
 	}
 }

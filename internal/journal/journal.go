@@ -241,12 +241,3 @@ func (j *Journal) Resume(seq uint64) {
 		j.next, j.start, j.base = seq, seq, seq
 	}
 }
-
-// Dropped reports how many events the ring has evicted to make room —
-// the overflow accounting the metrics mirror as
-// dagsfc_journal_dropped_total.
-func (j *Journal) Dropped() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.start - j.base
-}

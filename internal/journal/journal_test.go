@@ -21,8 +21,8 @@ func TestAppendStampsAndRetains(t *testing.T) {
 			t.Fatalf("append %d: time not stamped", i)
 		}
 	}
-	if j.Len() != 5 || j.Cap() != 8 || j.Events() != 5 || j.Dropped() != 0 {
-		t.Fatalf("len=%d cap=%d events=%d dropped=%d", j.Len(), j.Cap(), j.Events(), j.Dropped())
+	if j.Len() != 5 || j.Cap() != 8 || j.Events() != 5 || j.start-j.base != 0 {
+		t.Fatalf("len=%d cap=%d events=%d dropped=%d", j.Len(), j.Cap(), j.Events(), j.start-j.base)
 	}
 }
 
@@ -43,8 +43,8 @@ func TestOverflowIsCounted(t *testing.T) {
 	if j.Events() != 10 {
 		t.Fatalf("Events = %d, want 10", j.Events())
 	}
-	if j.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", j.Dropped())
+	if j.start-j.base != 6 {
+		t.Fatalf("dropped = %d, want 6", j.start-j.base)
 	}
 	// The retained window is the newest 4 events.
 	events, next, missed := j.Since(0, 0)
@@ -77,14 +77,14 @@ func TestResumeStartsAtBase(t *testing.T) {
 		t.Fatalf("first seq after Resume = %d, want %d", ev.Seq, uint64(base))
 	}
 	j.Resume(7 << 32) // too late: something was appended
-	if _, next, missed := j.Since(0, 0); next != base+1 || missed != 0 || j.Dropped() != 0 {
-		t.Fatalf("Since(0) next %d missed %d, Dropped %d; want %d, 0, 0", next, missed, j.Dropped(), uint64(base+1))
+	if _, next, missed := j.Since(0, 0); next != base+1 || missed != 0 || j.start-j.base != 0 {
+		t.Fatalf("Since(0) next %d missed %d, dropped %d; want %d, 0, 0", next, missed, j.start-j.base, uint64(base+1))
 	}
 	for i := 0; i < 5; i++ {
 		j.Append(Event{Type: TypeEnqueue})
 	}
-	if _, _, missed := j.Since(0, 0); missed != 2 || j.Dropped() != 2 {
-		t.Fatalf("after overflow: missed %d, Dropped %d; want 2 and 2", missed, j.Dropped())
+	if _, _, missed := j.Since(0, 0); missed != 2 || j.start-j.base != 2 {
+		t.Fatalf("after overflow: missed %d, dropped %d; want 2 and 2", missed, j.start-j.base)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	if j.Events() != writers*perWriter {
 		t.Fatalf("Events = %d, want %d", j.Events(), writers*perWriter)
 	}
-	if j.Dropped() != writers*perWriter-64 {
-		t.Fatalf("Dropped = %d, want %d", j.Dropped(), writers*perWriter-64)
+	if j.start-j.base != writers*perWriter-64 {
+		t.Fatalf("dropped = %d, want %d", j.start-j.base, writers*perWriter-64)
 	}
 }
 

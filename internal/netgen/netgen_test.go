@@ -67,7 +67,7 @@ func TestGenerateHitsConnectivityTarget(t *testing.T) {
 	cfg.Connectivity = 6
 	rng := rand.New(rand.NewSource(2))
 	net := MustGenerate(cfg, rng)
-	if d := net.G.AvgDegree(); math.Abs(d-6) > 0.2 {
+	if d := 2 * float64(net.G.NumEdges()) / float64(cfg.Nodes); math.Abs(d-6) > 0.2 {
 		t.Fatalf("avg degree = %v, want ~6", d)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
-	"dagsfc/internal/stats"
 )
 
 // Request is one flow to embed.
@@ -55,24 +54,6 @@ type Report struct {
 	// commit against the shared ledger failed — a defensive branch in the
 	// offline harnesses, a real stale-snapshot conflict in the server.
 	CommitFailures int
-}
-
-// AcceptanceRatio is accepted / total (0 for an empty run).
-func (r Report) AcceptanceRatio() float64 {
-	n := len(r.Outcomes)
-	if n == 0 {
-		return 0
-	}
-	return float64(r.Accepted) / float64(n)
-}
-
-// LatencySummary aggregates the per-request latencies, in seconds.
-func (r Report) LatencySummary() stats.Summary {
-	var a stats.Accumulator
-	for _, o := range r.Outcomes {
-		a.Add(o.Latency.Seconds())
-	}
-	return a.Summarize()
 }
 
 // TimedRequest is a flow with an arrival time and a holding duration;

@@ -45,9 +45,6 @@ func TestRunDepletesCapacity(t *testing.T) {
 	if !report.Outcomes[0].Accepted || !report.Outcomes[1].Accepted || report.Outcomes[2].Accepted {
 		t.Fatalf("outcome order wrong: %+v", report.Outcomes)
 	}
-	if report.AcceptanceRatio() != 2.0/3.0 {
-		t.Fatalf("acceptance ratio = %v", report.AcceptanceRatio())
-	}
 	// Each accepted flow: VNF 10 + links (0-1, 1-2) = 12.
 	if report.TotalCost != 24 {
 		t.Fatalf("total cost = %v, want 24", report.TotalCost)
@@ -114,17 +111,13 @@ func TestRunRecordsLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(report.Outcomes) != len(reqs) {
+		t.Fatalf("%d outcomes for %d requests", len(report.Outcomes), len(reqs))
+	}
 	for i, o := range report.Outcomes {
 		if o.Latency <= 0 {
 			t.Fatalf("outcome %d has no latency: %+v", i, o)
 		}
-	}
-	sum := report.LatencySummary()
-	if sum.N != len(reqs) {
-		t.Fatalf("latency summary N = %d, want %d", sum.N, len(reqs))
-	}
-	if sum.Mean <= 0 || sum.Max < sum.Min {
-		t.Fatalf("latency summary = %+v", sum)
 	}
 }
 
@@ -166,7 +159,7 @@ func TestRunEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.AcceptanceRatio() != 0 || len(report.Outcomes) != 0 {
+	if report.Accepted != 0 || len(report.Outcomes) != 0 {
 		t.Fatalf("empty run report = %+v", report)
 	}
 }

@@ -36,7 +36,9 @@ func post(t *testing.T, hc *http.Client, url string, body []byte) (int, string, 
 // TestRequestBodyRules: a body is one JSON value of at most 1 MiB and
 // nothing after it, on both endpoints that read one.
 func TestRequestBodyRules(t *testing.T) {
-	_, cl := newTestServer(t, server.Config{Net: tinyNet()})
+	srv, _ := newTestServer(t, server.Config{Net: tinyNet()})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
 	hc := &http.Client{}
 	flow := `{"sfc":"1","src":0,"dst":2,"rate":1,"size":1}`
 	fault := `{"kind":"edge-down","link":0}`
@@ -59,7 +61,7 @@ func TestRequestBodyRules(t *testing.T) {
 		{"trailing whitespace", "/v1/flows", []byte(flow + "\n\t "), http.StatusCreated, ""},
 	}
 	for _, tc := range cases {
-		status, msg, _ := post(t, hc, cl.BaseURL()+tc.path, tc.body)
+		status, msg, _ := post(t, hc, hs.URL+tc.path, tc.body)
 		if status != tc.status || !strings.Contains(msg, tc.says) {
 			t.Errorf("%s: status %d %q, want %d mentioning %q", tc.name, status, msg, tc.status, tc.says)
 		}
@@ -75,12 +77,14 @@ func TestRequestBodyRules(t *testing.T) {
 func TestPooledBuffersCarryNothingOver(t *testing.T) {
 	net := tinyNet()
 	srv, cl := newTestServer(t, server.Config{Net: net, Workers: 1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
 	hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
 	defer hc.CloseIdleConnections()
 
 	long := `{"chain":[1],"max_width":2,"src":0,"dst":2,"rate":0.5,"size":3,` +
 		`"ttl_seconds":3600,"alg":"minv","protection":"none"` + strings.Repeat(" ", 4096) + `}`
-	status, msg, raw := post(t, hc, cl.BaseURL()+"/v1/flows", []byte(long))
+	status, msg, raw := post(t, hc, hs.URL+"/v1/flows", []byte(long))
 	if status != http.StatusCreated {
 		t.Fatalf("long request: %d %s", status, msg)
 	}
@@ -93,7 +97,7 @@ func TestPooledBuffersCarryNothingOver(t *testing.T) {
 	}
 
 	// Were the chain left over, this would be "set sfc or chain, not both".
-	status, msg, raw = post(t, hc, cl.BaseURL()+"/v1/flows", []byte(`{"sfc":"1","src":0,"dst":2,"rate":1,"size":1}`))
+	status, msg, raw = post(t, hc, hs.URL+"/v1/flows", []byte(`{"sfc":"1","src":0,"dst":2,"rate":1,"size":1}`))
 	if status != http.StatusCreated {
 		t.Fatalf("short request after a long one: %d %s", status, msg)
 	}
@@ -105,7 +109,7 @@ func TestPooledBuffersCarryNothingOver(t *testing.T) {
 		t.Fatalf("short request inherited fields of the long one: %+v", second)
 	}
 	// And the other way round: no chain now, then none of the SFC string.
-	status, msg, _ = post(t, hc, cl.BaseURL()+"/v1/flows", []byte(`{"src":0,"dst":2,"rate":1,"size":1}`))
+	status, msg, _ = post(t, hc, hs.URL+"/v1/flows", []byte(`{"src":0,"dst":2,"rate":1,"size":1}`))
 	if status != http.StatusBadRequest || !strings.Contains(msg, "one of sfc or chain is required") {
 		t.Fatalf("empty request after an sfc one: %d %s", status, msg)
 	}

@@ -45,9 +45,6 @@ func New(baseURL string, httpClient *http.Client) *Client {
 	return c
 }
 
-// BaseURL returns the server address the client was created with.
-func (c *Client) BaseURL() string { return c.base }
-
 // APIError is a non-2xx response, carrying the server's error envelope.
 type APIError struct {
 	StatusCode int

@@ -153,7 +153,9 @@ func TestServerEndToEndHTTP(t *testing.T) {
 }
 
 func TestServerHTTPErrors(t *testing.T) {
-	_, cl := newTestServer(t, server.Config{Net: tinyNet()})
+	srv, cl := newTestServer(t, server.Config{Net: tinyNet()})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
 	ctx := context.Background()
 
 	cases := []struct {
@@ -200,7 +202,7 @@ func TestServerHTTPErrors(t *testing.T) {
 	if _, err := cl.ReleaseFlow(ctx, 42); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("release unknown flow: %v", err)
 	}
-	resp, err := http.Get(cl.BaseURL() + "/v1/flows/xyz")
+	resp, err := http.Get(hs.URL + "/v1/flows/xyz")
 	if err != nil {
 		t.Fatal(err)
 	}

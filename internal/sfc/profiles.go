@@ -4,7 +4,7 @@ import "dagsfc/internal/network"
 
 // Stock network function categories used by the examples and the
 // motivation-level experiments. The IDs are catalog positions f(1)..f(8);
-// build networks for them with network.Catalog{N: NumStockVNFs}.
+// build networks for them with network.Catalog{N: int(TrafficShaper)}.
 const (
 	Firewall      network.VNFID = iota + 1 // filters, may drop
 	IDS                                    // intrusion detection: read-only
@@ -13,23 +13,8 @@ const (
 	Monitor                                // read-only counters
 	VPN                                    // rewrites payload (encryption)
 	WANOptimizer                           // rewrites payload (compression)
-	TrafficShaper                          // read-only scheduling
-
-	// NumStockVNFs is the number of stock categories above.
-	NumStockVNFs = 8
+	TrafficShaper                          // read-only scheduling, the last
 )
-
-// StockNames maps stock categories to display names.
-var StockNames = map[network.VNFID]string{
-	Firewall:      "firewall",
-	IDS:           "ids",
-	NAT:           "nat",
-	LoadBalancer:  "load-balancer",
-	Monitor:       "monitor",
-	VPN:           "vpn",
-	WANOptimizer:  "wan-optimizer",
-	TrafficShaper: "traffic-shaper",
-}
 
 // StockRules returns the action-profile table for the stock categories,
 // following the read/write classification NFP and ParaBox report for

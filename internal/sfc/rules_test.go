@@ -39,7 +39,7 @@ func TestCanParallelizeWriteConflicts(t *testing.T) {
 
 func TestDroppersNeverParallelize(t *testing.T) {
 	rt := StockRules()
-	for f := network.VNFID(1); f <= NumStockVNFs; f++ {
+	for f := network.VNFID(1); f <= TrafficShaper; f++ {
 		if f == Firewall {
 			continue
 		}
@@ -51,8 +51,8 @@ func TestDroppersNeverParallelize(t *testing.T) {
 
 func TestCanParallelizeSymmetric(t *testing.T) {
 	rt := StockRules()
-	for a := network.VNFID(1); a <= NumStockVNFs; a++ {
-		for b := network.VNFID(1); b <= NumStockVNFs; b++ {
+	for a := network.VNFID(1); a <= TrafficShaper; a++ {
+		for b := network.VNFID(1); b <= TrafficShaper; b++ {
 			if rt.CanParallelize(a, b) != rt.CanParallelize(b, a) {
 				t.Fatalf("asymmetric for (%d,%d)", a, b)
 			}
@@ -62,7 +62,7 @@ func TestCanParallelizeSymmetric(t *testing.T) {
 
 func TestSelfNeverParallelizes(t *testing.T) {
 	rt := StockRules()
-	for a := network.VNFID(1); a <= NumStockVNFs; a++ {
+	for a := network.VNFID(1); a <= TrafficShaper; a++ {
 		if rt.CanParallelize(a, a) {
 			t.Fatalf("f(%d) parallelizes with itself", a)
 		}
@@ -96,8 +96,8 @@ func TestZeroRuleTableNothingParallelizes(t *testing.T) {
 func TestParallelizableFractionStockIsRoughlyHalf(t *testing.T) {
 	rt := StockRules()
 	pairs, par := 0, 0
-	for a := network.VNFID(1); a <= NumStockVNFs; a++ {
-		for b := a + 1; b <= NumStockVNFs; b++ {
+	for a := network.VNFID(1); a <= TrafficShaper; a++ {
+		for b := a + 1; b <= TrafficShaper; b++ {
 			pairs++
 			if rt.CanParallelize(a, b) {
 				par++

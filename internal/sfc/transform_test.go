@@ -61,7 +61,7 @@ func TestChainToDAGPreservesMultisetAndOrderProperty(t *testing.T) {
 		size := int(n % 12)
 		chain := make([]network.VNFID, size)
 		for i := range chain {
-			chain[i] = network.VNFID(rng.Intn(NumStockVNFs) + 1)
+			chain[i] = network.VNFID(rng.Intn(int(TrafficShaper)) + 1)
 		}
 		s := ChainToDAG(chain, rt, 3)
 		// 1. Sequence must equal the chain exactly (greedy grouping never

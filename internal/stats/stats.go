@@ -11,7 +11,7 @@ import "math"
 type Accumulator struct {
 	n        int
 	mean, m2 float64
-	min, max float64
+	min, max float64 // 0 with no observations: check n before trusting them
 }
 
 // Add records one observation.
@@ -37,14 +37,6 @@ func (a *Accumulator) N() int { return a.n }
 
 // Mean reports the sample mean (0 with no observations).
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min reports the smallest observation. With no observations it reports
-// 0, not ±Inf — callers rendering tables want a quiet zero, so check N
-// before trusting the extremes of a possibly-empty accumulator.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max reports the largest observation (0 with no observations; see Min).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Variance reports the unbiased sample variance (0 with <2 observations).
 func (a *Accumulator) Variance() float64 {

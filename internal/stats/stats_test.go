@@ -23,8 +23,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	if math.Abs(a.Variance()-32.0/7.0) > 1e-12 {
 		t.Fatalf("Variance = %v, want %v", a.Variance(), 32.0/7.0)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", a.Min(), a.Max())
+	if a.min != 2 || a.max != 9 {
+		t.Fatalf("Min/Max = %v/%v", a.min, a.max)
 	}
 }
 
@@ -38,7 +38,7 @@ func TestAccumulatorEmpty(t *testing.T) {
 func TestAccumulatorSingle(t *testing.T) {
 	var a Accumulator
 	a.Add(3.5)
-	if a.Mean() != 3.5 || a.Variance() != 0 || a.Min() != 3.5 || a.Max() != 3.5 {
+	if a.Mean() != 3.5 || a.Variance() != 0 || a.min != 3.5 || a.max != 3.5 {
 		t.Fatal("single-observation stats wrong")
 	}
 }
@@ -93,14 +93,14 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 // print them without special-casing — but N must be consulted first.
 func TestAccumulatorEmptyExtremes(t *testing.T) {
 	var a Accumulator
-	if a.Min() != 0 || a.Max() != 0 {
-		t.Fatalf("empty Min/Max = %v/%v, want 0/0", a.Min(), a.Max())
+	if a.min != 0 || a.max != 0 {
+		t.Fatalf("empty Min/Max = %v/%v, want 0/0", a.min, a.max)
 	}
 	// The zero reports are not sticky: the first observation replaces them
 	// even when it is negative (i.e. smaller than the phantom 0).
 	a.Add(-5)
-	if a.Min() != -5 || a.Max() != -5 {
-		t.Fatalf("Min/Max after Add(-5) = %v/%v", a.Min(), a.Max())
+	if a.min != -5 || a.max != -5 {
+		t.Fatalf("Min/Max after Add(-5) = %v/%v", a.min, a.max)
 	}
 }
 

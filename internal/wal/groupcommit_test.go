@@ -151,7 +151,7 @@ func TestGroupCommitAcrossRotationAndSnapshot(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	last := l.LastSeq()
+	last := l.seq
 	l.Abandon()
 	l2, rec := mustOpen(t, dir, Options{})
 	defer l2.Close()

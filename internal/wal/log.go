@@ -511,14 +511,6 @@ func (l *Log) flushLoop(stop, done chan struct{}) {
 	}
 }
 
-// LastSeq returns the sequence number of the most recent append (the
-// snapshot watermark).
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // WriteSnapshot persists payload as a snapshot covering every record up
 // to and including the current last sequence, then prunes: old snapshots
 // beyond the retention count and every segment wholly covered by the

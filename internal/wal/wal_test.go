@@ -215,7 +215,7 @@ func TestRetentionKeepsFallbackSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.WriteSnapshot([]byte(fmt.Sprintf("state@%d", l.LastSeq()))); err != nil {
+		if err := l.WriteSnapshot([]byte(fmt.Sprintf("state@%d", l.seq))); err != nil {
 			t.Fatal(err)
 		}
 	}
