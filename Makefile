@@ -21,17 +21,15 @@ benchmark-vet:
 
 # fuzz-smoke runs the fuzzers briefly: the two search queues pop in one
 # strict (dist, node) order, a tree grown on demand agrees with the complete
-# tree, and the pooled request reader, response decoder and sfc parser read
+# tree, a parent's bounded screening keeps what screening every candidate
+# keeps, and the pooled request reader, response decoder and sfc parser read
 # what json.Unmarshal (or a fresh parse) reads, whatever they held before.
 # FUZZTIME=1x replays the seeds and the checked-in corpus and tries one new
 # input (go test refuses 0x); a plain go test replays them too.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = graph:FuzzBucketQueue graph:FuzzGrowTree core:FuzzScreenParent server:FuzzCreateBody server/client:FuzzDecodeResponse sfc:FuzzParse
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME) ./internal/graph/
-	$(GO) test -run '^$$' -fuzz FuzzGrowTree -fuzztime $(FUZZTIME) ./internal/graph/
-	$(GO) test -run '^$$' -fuzz FuzzCreateBody -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/server/client/
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sfc/
+	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "$${t#*:}" -fuzztime $(FUZZTIME) "./internal/$${t%%:*}/" || exit 1; done
 
 build:
 	$(GO) build ./...

@@ -110,7 +110,7 @@ func TestDocsDrift(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    19218,
+	"non-test Go":                    19229,
 	"DESIGN.md":                      2221,
 	"README.md":                      1249,
 	"Makefile":                       135,

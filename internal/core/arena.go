@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"unsafe"
 
@@ -169,15 +168,17 @@ type searchMem struct {
 	assignment             []*TreeNode    // pairExtensions' current allocation
 	interChoices           [][]graph.Path // instantiate's per-meta-path choices
 	innerChoices           [][]graph.Path
+	cats                   []network.VNFID     // run's categories, the instance rows it reads
 	specs                  []LayerSpec         // run's per-layer obligations
 	required               [][]network.VNFID   // and each layer's forward-search coverage goal
 	screens                []parentScreen      // run's per-parent screening slots
+	ranks                  []float64           // screenParent's lowest ranks
 	leaves                 []leafCand          // run's closed leaves
 	seeds                  []graph.LayeredSeed // layeredRun's entry points
 	rents                  [][]float64         // layeredRun's per-layer rent rows (the network's, not copies)
 	potRent                []float64           // and, for a terminal run, the least rent still ahead of each layer
 	walk                   []int32             // materialise's backwards arc list
-	keyed                  []keyedNode         // firstByKey's keys
+	keys                   []float64           // nodesByKey's keys
 }
 
 // slabs lists every slab of the arena: the one place reset and bytes learn
@@ -211,7 +212,6 @@ func (m *searchMem) reset() {
 	clear(m.screens[:cap(m.screens)])
 	clear(m.leaves[:cap(m.leaves)])
 	clear(m.rents[:cap(m.rents)])
-	clear(m.keyed[:cap(m.keyed)])
 	m.interMemo.reset()
 	m.innerMemo.reset()
 	m.private.Forget()
@@ -272,50 +272,6 @@ func (pm *pathMemo) reset() {
 // bytes reports the memory the memo's tables pin.
 func (pm *pathMemo) bytes() int {
 	return cap(pm.stamp)*4 + cap(pm.choices)*int(unsafe.Sizeof([]graph.Path(nil)))
-}
-
-// keyedNode is a search-tree node beside its ordering key.
-type keyedNode struct {
-	key float64
-	tn  *TreeNode
-}
-
-// firstByKey moves to the front of nodes, and returns, its first k in a
-// stable sort by key — all of them for k ≤ 0 — calling key once per node:
-// the order a stable sort comparing key(a) with key(b) gives, bit for bit.
-// Under a cap the k are found by insertion into k slots, so a long list
-// costs a pass rather than a sort of what the cap would drop.
-func (m *searchMem) firstByKey(nodes []*TreeNode, k int, key func(*TreeNode) float64) []*TreeNode {
-	if k <= 0 || k >= len(nodes) {
-		m.keyed = sized(m.keyed, len(nodes))
-		for i, tn := range nodes {
-			m.keyed[i] = keyedNode{key(tn), tn}
-		}
-		slices.SortStableFunc(m.keyed, func(a, b keyedNode) int { return cmp.Compare(a.key, b.key) })
-	} else {
-		m.keyed = m.keyed[:0]
-		for _, tn := range nodes {
-			kn := keyedNode{key(tn), tn}
-			// After every kept node whose key is not greater: equal keys stay
-			// in input order.
-			j := len(m.keyed)
-			for j > 0 && cmp.Compare(m.keyed[j-1].key, kn.key) > 0 {
-				j--
-			}
-			if j == k {
-				continue
-			}
-			if len(m.keyed) < k {
-				m.keyed = append(m.keyed, keyedNode{})
-			}
-			copy(m.keyed[j+1:], m.keyed[j:]) // drops the last of a full buffer
-			m.keyed[j] = kn
-		}
-	}
-	for i := range m.keyed {
-		nodes[i] = m.keyed[i].tn
-	}
-	return nodes[:len(m.keyed)]
 }
 
 // sized returns buf resliced to n elements, regrown if it lacks the

@@ -280,39 +280,61 @@ func TestFeasibleAfterMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestFirstByKeyIsTheSortPrefix: the capped helper returns the prefix of a
-// stable sort by key — all of it for k ≤ 0 — on random keys with ties,
-// infinities and NaNs, for caps below, at and past the list's length.
-func TestFirstByKeyIsTheSortPrefix(t *testing.T) {
+// TestNodesByKeyIsTheSortPrefix: each list nodesByKey fills is the prefix of
+// a stable sort by key of the nodes serving its category — all of it for a
+// limit ≤ 0, discovery order for a nil key — on random available sets and
+// random keys with ties, infinities and NaNs, for caps below, at and past the
+// tree's size.
+func TestNodesByKeyIsTheSortPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := &searchMem{}
+	vnfs := []network.VNFID{1, 2, 3}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(40)
-		key := make([]float64, n)
+		tree := &SearchTree{mem: &searchMem{}}
+		key := make([][]float64, len(vnfs))
 		for i := range key {
-			switch rng.Intn(10) {
-			case 0:
-				key[i] = math.Inf(1)
-			case 1:
-				key[i] = math.NaN()
-			default:
-				key[i] = float64(rng.Intn(6)) // ties aplenty
+			key[i] = make([]float64, n)
+			for v := range key[i] {
+				switch rng.Intn(10) {
+				case 0:
+					key[i][v] = math.Inf(1)
+				case 1:
+					key[i][v] = math.NaN()
+				default:
+					key[i][v] = float64(rng.Intn(6)) // ties aplenty
+				}
 			}
 		}
-		byKey := func(tn *TreeNode) float64 { return key[tn.Node] }
-		nodes := make([]*TreeNode, n)
-		for i := range nodes {
-			nodes[i] = &TreeNode{Node: graph.NodeID(i)}
+		for v := 0; v < n; v++ {
+			tn := &TreeNode{Node: graph.NodeID(v)}
+			for _, f := range vnfs {
+				if rng.Intn(2) == 0 {
+					tn.Available = append(tn.Available, f)
+				}
+			}
+			tree.nodes = append(tree.nodes, tn)
 		}
-		sorted := slices.Clone(nodes)
-		slices.SortStableFunc(sorted, func(a, b *TreeNode) int { return cmp.Compare(byKey(a), byKey(b)) })
+		byKey := func(i int, tn *TreeNode) float64 { return key[i][tn.Node] }
+		lists := make([][]*TreeNode, len(vnfs))
 		for _, k := range []int{-1, 0, 1, n - 1, n, n + 1} {
-			want := sorted
-			if k > 0 && k < n {
-				want = sorted[:k]
-			}
-			if got := m.firstByKey(slices.Clone(nodes), k, byKey); !slices.Equal(got, want) {
-				t.Fatalf("trial %d, k=%d of %d: got %v, want %v", trial, k, n, nodeIDs(got), nodeIDs(want))
+			for _, keyed := range []bool{true, false} {
+				if keyed {
+					tree.nodesByKey(lists, vnfs, k, byKey)
+				} else {
+					tree.nodesByKey(lists, vnfs, k, nil)
+				}
+				for i, f := range vnfs {
+					want := slices.DeleteFunc(slices.Clone(tree.nodes), func(tn *TreeNode) bool { return !slices.Contains(tn.Available, f) })
+					if keyed {
+						slices.SortStableFunc(want, func(a, b *TreeNode) int { return cmp.Compare(byKey(i, a), byKey(i, b)) })
+					}
+					if k > 0 && k < len(want) {
+						want = want[:k]
+					}
+					if !slices.Equal(lists[i], want) {
+						t.Fatalf("trial %d, k=%d of %d, keyed %v, list %d: got %v, want %v", trial, k, n, keyed, i, nodeIDs(lists[i]), nodeIDs(want))
+					}
+				}
 			}
 		}
 	}
@@ -341,6 +363,33 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const want = 8
+	for _, c := range fixedCostCases(t) {
+		if _, err := Embed(c.p, c.opts); err != nil { // grow the arena
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Embed(c.p, c.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("%s: a warm Embed allocated %v objects per run, want %d", c.name, allocs, want)
+		}
+	}
+}
+
+// fixedCostCase is one embed of fixedCostCases.
+type fixedCostCase struct {
+	name string
+	p    *Problem
+	opts Options
+}
+
+// fixedCostCases are the four shapes of a warm embed on a ledger: the Table
+// 2-scale hybrid, its chain, the hybrid with its first placement's links
+// banned, and the hybrid under a delay bound that binds.
+func fixedCostCases(t *testing.T) []fixedCostCase {
+	t.Helper()
 	hybrid := benchProblem(t)
 	hybrid.Ledger = network.NewLedger(hybrid.Net)
 	serial := *hybrid
@@ -354,26 +403,36 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 	primary.Solution.VisitEdges(func(e graph.EdgeID) { banned.BannedEdges[e] = true })
 	delayed := MBBEOptions()
 	delayed.MaxDelay = EvaluateDelay(hybrid, primary.Solution, DefaultDelayParams()) // feasible, and binding
-	for _, c := range []struct {
-		name string
-		p    *Problem
-		opts Options
-	}{
+	return []fixedCostCase{
 		{"hybrid", hybrid, MBBEOptions()},
 		{"serial", &serial, MBBEOptions()},
 		{"banned", hybrid, banned},
 		{"delay", hybrid, delayed},
-	} {
-		if _, err := Embed(c.p, c.opts); err != nil { // grow the arena
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := Embed(c.p, c.opts); err != nil {
-				t.Fatal(err)
+	}
+}
+
+// TestEmbedReadsOnlyItsCategoriesRows fills every instance row of an arena
+// with NaN before each embed: a run reads only the rows of its SFC's
+// categories and the merger's off the ledger, so it must never meet one, and
+// each Result must equal, bit for bit, that of a run on a clean arena.
+func TestEmbedReadsOnlyItsCategoriesRows(t *testing.T) {
+	for _, c := range fixedCostCases(t) {
+		clean, stale := newPooledScratch(), newPooledScratch()
+		stale.mem.instRes = make([]float64, len(c.p.Ledger.InstanceResiduals(nil)))
+		for round := 0; round < 2; round++ {
+			want, err := embedOn(context.Background(), c.p, c.opts, clean)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
-		})
-		if allocs != want {
-			t.Errorf("%s: a warm Embed allocated %v objects per run, want %d", c.name, allocs, want)
+			clean.recycle()
+			for i := range stale.mem.instRes {
+				stale.mem.instRes[i] = math.NaN()
+			}
+			got, err := embedOn(context.Background(), c.p, c.opts, stale)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, round %d: a run over NaN rows returned %+v, %v; on a clean arena %+v", c.name, round, got, err, want)
+			}
+			stale.recycle()
 		}
 	}
 }

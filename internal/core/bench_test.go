@@ -66,6 +66,38 @@ func BenchmarkLayerExtensions(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelLayer builds and screens the first parallel layer of the
+// Table 2-scale instance the way an MBBE run does: toDst set off the kept
+// destination tree, and a frontier X_d wide — X_d chains of different costs
+// ending on the source, so one start's candidates are built once and
+// screened X_d times. One op is the embedder's setup plus searchLayer.
+func BenchmarkParallelLayer(b *testing.B) {
+	p := benchProblem(b)
+	p.Ledger = network.NewLedger(p.Net)
+	opts := MBBEOptions()
+	layer := func() {
+		sc := acquireScratch()
+		defer releaseScratch(sc)
+		e := newEmbedder(context.Background(), p, opts, sc)
+		e.avgLink = p.Net.AvgLinkPrice()
+		e.toDst, _ = e.destinationTree(nil)
+		frontier := sc.mem.subPtrs.alloc(opts.Xd)
+		for i := range frontier {
+			frontier[i] = sc.mem.subs.one()
+			frontier[i].cum = float64(i)
+		}
+		if next, err := e.searchLayer(e.layerSpecs()[0], frontier, nil); err != nil || len(next) != opts.Xd*opts.Xd {
+			b.Fatalf("%d sub-solutions, %v", len(next), err)
+		}
+	}
+	layer() // the cold pass roots the trees
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		layer()
+	}
+}
+
 // BenchmarkEmbedMBBE is the cold embed of a paper-scale MBBE instance: no
 // ledger, so the run compiles its own view and roots its own Dijkstra trees.
 func BenchmarkEmbedMBBE(b *testing.B) {

@@ -135,7 +135,9 @@ type Stats struct {
 	SubSolutions int
 	// CapacityRejections counts parent×extension candidates discarded by
 	// a capacity feasibility check; DelayRejections those pruned by the
-	// delay bound.
+	// delay bound. Both count only the candidates screened: under an X_d
+	// cut without a delay bound a parent stops screening at the first
+	// candidate that cannot make its cut.
 	CapacityRejections int
 	DelayRejections    int
 	// LayeredRuns counts the maximal runs of single-VNF layers handed to
@@ -249,9 +251,13 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 	e.costOpts = *e.ledger.CostOptions(p.Rate)
 	// Read the ledger once into the run's dense rows, on the arena's storage:
 	// every screen of the search reads them, and both tree stores bind over
-	// the edge row.
+	// the edge row. Only the SFC's categories and the merger's are read.
 	m := sc.mem
-	e.res = readResiduals(e.ledger, m.instRes, m.resBuf)
+	m.cats = append(m.cats[:0], p.Net.Catalog.Merger())
+	for _, l := range p.SFC.Layers {
+		m.cats = append(m.cats, l.VNFs...)
+	}
+	e.res = readResiduals(e.ledger, m.instRes, m.resBuf, m.cats...)
 	m.instRes, m.resBuf = e.res.inst, e.res.edge
 	// The run's cost views: pathView backs every Dijkstra/hop search under
 	// the full options; searchView is the capacity-only variant the FST/BST
@@ -656,14 +662,25 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 	return next, nil
 }
 
-// screenParent filters one parent's candidate extensions against the
-// delay bound and residual capacities, producing its cost-sorted (and
-// Xd-truncated) children.
+// screenParent screens one parent's candidate extensions, in q order,
+// against the delay bound and residual capacities, producing its children in
+// bySubCost order, ties in candidate order, cut at Xd. Without a delay bound
+// it stops once it holds Xd children and the next candidate cannot beat the
+// Xd-th lowest rank among them: every term is non-negative, so a child's
+// rank, (P+localCost)+toDst·Size rounded twice for P the parent's cost, is at
+// least (P + q/(1+u))(1−u)² with u = 2⁻⁵³, above (P+q)·(1−2⁻⁵⁰) rounded, and
+// no later candidate has a smaller q.
 func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen) {
 	p, m := e.p, e.sc.mem
 	exts := e.layerExts[parent.endNode(p.Src)]
+	xd := e.opts.Xd
+	bounded := xd > 0 && e.opts.MaxDelay <= 0
+	low := m.ranks[:0] // the xd lowest ranks so far, ascending
 	children := m.subPtrs.reserve(len(exts))
 	for _, ext := range exts {
+		if bounded && len(low) == xd && (parent.cum+ext.q)*(1-0x1p-50) > low[xd-1] {
+			break
+		}
 		out.considered++
 		if e.opts.MaxDelay > 0 && parent.cumDelay+ext.delay > e.opts.MaxDelay {
 			out.delayRejected++
@@ -673,12 +690,21 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 			out.capRejected++
 			continue
 		}
-		children = append(children, e.extend(parent, ext, spec.Index))
+		child := e.extend(parent, ext, spec.Index)
+		children = append(children, child)
+		j := len(low)
+		for bounded && j > 0 && low[j-1] > child.rank {
+			j--
+		}
+		if bounded && j < xd {
+			low = slices.Insert(low[:min(len(low), xd-1)], j, child.rank)
+		}
 	}
+	m.ranks = low
 	children = m.subPtrs.commit(children)
-	slices.SortFunc(children, bySubCost)
-	if e.opts.Xd > 0 {
-		children = e.truncateWithDelayDiversity(children, e.opts.Xd)
+	slices.SortStableFunc(children, bySubCost)
+	if xd > 0 {
+		children = e.truncateWithDelayDiversity(children, xd)
 	}
 	out.children = children
 }
@@ -736,18 +762,20 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telem
 	if !spec.Merger {
 		exts = e.singleVNFExtensions(exts, spec, start, fst)
 	} else {
-		mergers, limit := fst.NodesWith(p.Net.Catalog.Merger()), e.opts.MaxMergerCandidates
+		// The first mergers discovered, or in a run with a sense of direction
+		// the cheapest-looking, before any backward search is built: rent, a
+		// hop-based estimate of the way there, the way on.
+		cat := [1]network.VNFID{p.Net.Catalog.Merger()}
+		var mergers [1][]*TreeNode
+		var key func(int, *TreeNode) float64
 		if e.toDst != nil {
-			// Cheapest-looking first, before any backward search is built:
-			// rent, a hop-based estimate of the way there, the way on.
-			rent := p.Net.Rents(p.Net.Catalog.Merger())
-			mergers = m.firstByKey(mergers, limit, func(tn *TreeNode) float64 {
+			rent := p.Net.Rents(cat[0])
+			key = func(_ int, tn *TreeNode) float64 {
 				return rent[tn.Node] + float64(tn.Iteration-1)*e.avgLink + e.toDst[tn.Node]
-			})
-		} else if limit > 0 && len(mergers) > limit {
-			mergers = mergers[:limit]
+			}
 		}
-		for _, merger := range mergers {
+		fst.nodesByKey(mergers[:], cat[:], e.opts.MaxMergerCandidates, key)
+		for _, merger := range mergers[0] {
 			if e.ctx.Err() != nil {
 				break
 			}
@@ -766,46 +794,38 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telem
 }
 
 // truncateWithDelayDiversity keeps the cheapest limit sub-solutions (the
-// input is cost-sorted), except that in delay-bounded mode the fastest
-// candidate always survives: otherwise a loose budget lets cheap-but-slow
-// candidates crowd out the fast ones at truncation, making feasibility
-// non-monotone in the budget (a tighter budget could succeed where a
-// looser one failed). The input is never mutated — its backing array may
-// be cached or shared — so a surviving out-of-prefix candidate is
-// inserted at its cost-ordered position on a copy.
+// input is cost-sorted); see keepFastest.
 func (e *embedder) truncateWithDelayDiversity(children []*subSolution, limit int) []*subSolution {
-	if len(children) <= limit {
-		return children
-	}
-	if e.opts.MaxDelay <= 0 {
-		return children[:limit]
-	}
-	fastest := children[0]
-	for _, ss := range children[1:] {
-		if ss.cumDelay < fastest.cumDelay {
-			fastest = ss
-		}
-	}
-	for _, ss := range children[:limit] {
-		if ss == fastest {
-			return children[:limit]
-		}
-	}
-	return insertSorted(children[:limit-1], fastest,
+	return keepFastest(children, limit, e.opts.MaxDelay > 0, func(ss *subSolution) float64 { return ss.cumDelay },
 		func(a, b *subSolution) bool { return bySubCost(a, b) < 0 })
 }
 
-// insertSorted returns a fresh slice holding the cost-sorted prefix plus
-// extra at its cost-ordered position (after equal-cost elements, keeping
-// the sort stable with respect to the original order).
-func insertSorted[T any](prefix []T, extra T, less func(a, b T) bool) []T {
-	out := make([]T, 0, len(prefix)+1)
-	out = append(out, prefix...)
-	pos := sort.Search(len(out), func(i int) bool { return less(extra, out[i]) })
-	out = append(out, extra)
-	copy(out[pos+1:], out[pos:])
-	out[pos] = extra
-	return out
+// keepFastest keeps the first limit of the sorted items, except that in
+// delay-bounded mode the fastest item always survives: otherwise a loose
+// budget lets cheap-but-slow candidates crowd out the fast ones at
+// truncation, making feasibility non-monotone in the budget (a tighter budget
+// could succeed where a looser one failed). The input is never mutated — its
+// backing array may be cached or shared — so a surviving out-of-prefix item
+// is inserted at its ordered position, after its equals, on a fresh copy.
+func keepFastest[T comparable](items []T, limit int, delayBounded bool, delay func(T) float64, less func(a, b T) bool) []T {
+	if len(items) <= limit {
+		return items
+	}
+	if !delayBounded {
+		return items[:limit]
+	}
+	fastest := items[0]
+	for _, it := range items[1:] {
+		if delay(it) < delay(fastest) {
+			fastest = it
+		}
+	}
+	if slices.Contains(items[:limit], fastest) {
+		return items[:limit]
+	}
+	out := append(make([]T, 0, limit), items[:limit-1]...)
+	pos := sort.Search(len(out), func(i int) bool { return less(fastest, out[i]) })
+	return slices.Insert(out, pos, fastest)
 }
 
 // annotateDelay fills ext.delay in delay-bounded mode.
@@ -816,40 +836,37 @@ func (e *embedder) annotateDelay(spec LayerSpec, ext *extension) {
 	ext.delay = e.opts.Delay.layerDelay(spec.VNFs, ext.interPaths, ext.innerPaths, spec.Merger)
 }
 
-// trimExtensions keeps the cheapest limit extensions by local cost; in
-// delay-bounded mode the lowest-delay extension always survives the cut (see
-// truncateWithDelayDiversity for the rationale — and like there, the
-// survivor is inserted on a copy at its cost-ordered position, never spliced
-// into the caller's backing array).
+// trimExtensions keeps the cheapest limit extensions by local cost, the
+// fastest surviving in delay-bounded mode (see keepFastest), and returns them
+// in q order, the part of a child's rank its parent does not change, which
+// screenParent reads them in: without toDst q is the local cost, so the
+// order is the cut's.
 func (e *embedder) trimExtensions(exts []*extension, limit int) []*extension {
-	slices.SortFunc(exts, func(a, b *extension) int { return cmp.Compare(a.localCost, b.localCost) })
-	if len(exts) <= limit {
-		return exts
+	if e.toDst == nil || len(exts) > limit {
+		slices.SortFunc(exts, func(a, b *extension) int { return cmp.Compare(a.localCost, b.localCost) })
+		exts = keepFastest(exts, limit, e.opts.MaxDelay > 0, func(ext *extension) float64 { return ext.delay },
+			func(a, b *extension) bool { return a.localCost < b.localCost })
 	}
-	if e.opts.MaxDelay <= 0 {
-		return exts[:limit]
-	}
-	fastest := exts[0]
-	for _, ext := range exts[1:] {
-		if ext.delay < fastest.delay {
-			fastest = ext
+	for _, ext := range exts {
+		ext.q = ext.localCost
+		if e.toDst != nil {
+			ext.q += e.toDst[ext.endNode] * e.p.Size
 		}
 	}
-	for _, ext := range exts[:limit] {
-		if ext == fastest {
-			return exts[:limit]
-		}
+	if e.toDst != nil {
+		slices.SortStableFunc(exts, func(a, b *extension) int { return cmp.Compare(a.q, b.q) })
 	}
-	return insertSorted(exts[:limit-1], fastest,
-		func(a, b *extension) bool { return a.localCost < b.localCost })
+	return exts
 }
 
 // singleVNFExtensions appends the candidates of a single-VNF layer: no
 // merger, no backward search; the layer's end node is the VNF's node.
 func (e *embedder) singleVNFExtensions(exts []*extension, spec LayerSpec, start graph.NodeID, fst *SearchTree) []*extension {
 	m := e.sc.mem
-	f := spec.VNFs[0]
-	for _, tn := range fst.NodesWith(f) {
+	for _, tn := range fst.nodes {
+		if !slices.Contains(tn.Available, spec.VNFs[0]) {
+			continue
+		}
 		for _, inter := range e.interPaths(fst, tn, start) {
 			nodes, paths := m.nodeIDs.alloc(1), m.paths.alloc(1)
 			nodes[0], paths[0] = tn.Node, inter
@@ -888,27 +905,22 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	}
 	m.innerMemo.begin(p.Net.G.NumNodes())
 
-	// Hosts per VNF, cheapest-looking first: rental price plus a hop-based
-	// link-price estimate toward the merger and, in a run with a sense of
-	// direction, from the start. Within A steps the odometer below reads no
-	// list past index A-1, so each list is cut to the A cheapest.
+	// Hosts per VNF, all k lists in one pass over the BST, cheapest-looking
+	// first: rental price plus a hop-based link-price estimate toward the
+	// merger and, in a run with a sense of direction, from the start. Within
+	// A steps the odometer below reads no list past index A-1, so each list
+	// is cut to the A cheapest.
 	k := len(spec.VNFs)
 	m.hosts = sized(m.hosts, k)
 	hosts := m.hosts
-	for i, f := range spec.VNFs {
-		hs := bst.NodesWith(f)
-		if len(hs) == 0 {
-			return exts
+	// The BST is covered, so no list is empty.
+	bst.nodesByKey(hosts, spec.VNFs, e.opts.MaxAssignmentsPerPair, func(i int, tn *TreeNode) float64 {
+		h := tn.Iteration - 1
+		if e.toDst != nil {
+			h += fst.NodeOf(tn.Node).Iteration - 1
 		}
-		rent := p.Net.Rents(f)
-		hosts[i] = m.firstByKey(hs, e.opts.MaxAssignmentsPerPair, func(tn *TreeNode) float64 {
-			h := tn.Iteration - 1
-			if e.toDst != nil {
-				h += fst.NodeOf(tn.Node).Iteration - 1
-			}
-			return rent[tn.Node] + float64(h)*e.avgLink
-		})
-	}
+		return p.Net.Rents(spec.VNFs[i])[tn.Node] + float64(h)*e.avgLink
+	})
 
 	// Walk the allocations as an odometer over the host lists, the last
 	// VNF's host turning fastest — the order a depth-first enumeration

@@ -117,18 +117,18 @@ func TestPaperFig3ForwardBackwardWalk(t *testing.T) {
 	if !bst.Covered() {
 		t.Fatal("backward search from v_a did not cover")
 	}
-	bst.Nodes(func(tn *TreeNode) {
+	for _, tn := range bst.nodes {
 		if fst.NodeOf(tn.Node) == nil {
 			t.Fatalf("BST node %d outside the forward set", tn.Node)
 		}
-	})
+	}
 	// The BST indexes its nodes by forward-set position: every forward node
 	// maps to its own BST node or to none.
-	fst.Nodes(func(tn *TreeNode) {
+	for _, tn := range fst.nodes {
 		if b := bst.NodeOf(tn.Node); b != nil && b.Node != tn.Node {
 			t.Fatalf("BST looks node %d up as %v", tn.Node, b)
 		}
-	})
+	}
 
 	// And the full embedding must work end to end, renting f(4) at v_e —
 	// the only deployment of that category.

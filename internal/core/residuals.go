@@ -12,17 +12,19 @@ import (
 // the ledger's scalar answer, so no comparison can disagree with Validate's.
 type residuals struct {
 	// inst is network.Ledger.InstanceResiduals: one row per category over
-	// the nodes, nodes the row stride.
+	// the nodes, nodes the row stride. Only the rows of the run's categories
+	// are read off the ledger; the others hold whatever the storage held.
 	inst  []float64
 	nodes int
 	// edge is network.Ledger.EdgeResiduals.
 	edge []float64
 }
 
-// readResiduals fills both rows from ledger into the given storage.
-func readResiduals(ledger *network.Ledger, inst, edge []float64) residuals {
+// readResiduals fills the edge row and the instance rows of cats (every
+// category's, none given) from ledger into the given storage.
+func readResiduals(ledger *network.Ledger, inst, edge []float64, cats ...network.VNFID) residuals {
 	return residuals{
-		inst:  ledger.InstanceResiduals(inst),
+		inst:  ledger.InstanceResiduals(inst, cats...),
 		nodes: ledger.Network().G.NumNodes(),
 		edge:  ledger.EdgeResiduals(edge),
 	}

@@ -3,9 +3,15 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
+
+	"dagsfc/internal/graph"
+	"dagsfc/internal/netgen"
+	"dagsfc/internal/network"
+	"dagsfc/internal/sfcgen"
 )
 
 // solutionFingerprint renders a Result into a short stable string: the
@@ -123,6 +129,106 @@ func TestRewriteGolden(t *testing.T) {
 					t.Errorf("cost %.12g is above %.12g, what the search found before", res.Cost.Total(), bound)
 				}
 			})
+		}
+	}
+}
+
+// screenFingerprint is solutionFingerprint for the parallel-layer pins: the
+// solution, the cost's bits and the search's size — searches, tree nodes,
+// extensions, sub-solutions and the layered kernel's runs — but not
+// CapacityRejections, which counts only the candidates a parent screened.
+func screenFingerprint(res *Result) string {
+	h := fnv.New64a()
+	st := res.Stats
+	fmt.Fprintf(h, "%v|%d/%d/%d/%d/%d|%d/%d", res.Solution, st.ForwardSearches, st.BackwardSearches,
+		st.TreeNodes, st.Extensions, st.SubSolutions, st.LayeredRuns, st.LayeredFallbacks)
+	return fmt.Sprintf("cost=%016x sol=%016x", math.Float64bits(res.Cost.Total()), h.Sum64())
+}
+
+// screenGolden pins MBBE on hybrid DAG-SFCs at Table 2 scale (500 nodes, 10
+// kinds): layer widths 2–4, sizes 4–8, so parallel layers meet single-VNF
+// remainders, at rate 250 of every capacity's 1000, so a chain's own reuse
+// already binds. The loaded entries embed on a ledger 60 such flows have
+// filled, where some parents keep fewer than X_d feasible children. Recorded
+// before the parallel-layer search stopped screening what its X_d cut
+// discards; a pin that moves is a behaviour change, not a re-pin.
+var screenGolden = map[string]string{
+	"w=2/n=4/seed=50":        "cost=40822ddf7b358a55 sol=a12a89d9d9951bab",
+	"w=2/n=5/seed=51":        "cost=40842ba21428be7f sol=627df41bca2fb88e",
+	"w=2/n=7/seed=52":        "cost=408bd85f94a040f8 sol=41c714b29708104a",
+	"w=3/n=5/seed=53":        "cost=4084d696308c230f sol=589fad01d0d22b06",
+	"w=3/n=6/seed=54":        "cost=4089a3ad21084632 sol=0392bdec08316e5f",
+	"w=3/n=8/seed=55":        "cost=409004477750736f sol=944e8f8887315567",
+	"w=4/n=5/seed=56":        "cost=408485f1a02bbd98 sol=d7b439c6615dbe07",
+	"w=4/n=8/seed=57":        "cost=40900dfa3e5185c7 sol=47c3788bc1d24e6b",
+	"w=2/n=8/seed=65/loaded": "cost=408fa15edc06633f sol=d7c56bf1c31057bf",
+	"w=3/n=8/seed=69/loaded": "cost=40906fddb3dd9755 sol=54f76a5d2ca8b03d",
+	"w=2/n=6/seed=70/loaded": "cost=4087ff1a473cbecd sol=e9c3834bd28ee3f8",
+	"w=4/n=6/seed=72/loaded": "cost=40882a9c97a9fb8a sol=21981aa10ec6a94b",
+}
+
+// screenCases are screenGolden's instances: width, size, the seed that
+// draws the flow and whether the ledger is loaded.
+var screenCases = []struct {
+	width, size int
+	seed        int64
+	loaded      bool
+}{
+	{2, 4, 50, false}, {2, 5, 51, false}, {2, 7, 52, false}, {3, 5, 53, false},
+	{3, 6, 54, false}, {3, 8, 55, false}, {4, 5, 56, false}, {4, 8, 57, false},
+	{2, 8, 65, true}, {3, 8, 69, true}, {2, 6, 70, true}, {4, 6, 72, true},
+}
+
+// screenFlow draws one flow of the given shape on net between two of its
+// first eight nodes.
+func screenFlow(rng *rand.Rand, net *network.Network, width, size int) *Problem {
+	s := sfcgen.MustGenerate(sfcgen.Config{Size: size, LayerWidth: width, VNFKinds: 10}, rng)
+	src, dst := graph.NodeID(rng.Intn(8)), graph.NodeID(rng.Intn(8))
+	return &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 250, Size: 1}
+}
+
+// loadedLedger commits the MBBE placements of 60 flows drawn by screenFlow,
+// skipping those refused.
+func loadedLedger(t *testing.T, net *network.Network, rng *rand.Rand) *network.Ledger {
+	t.Helper()
+	ledger := network.NewLedger(net)
+	for i := 0; i < 60; i++ {
+		p := screenFlow(rng, net, 2+i%3, 4+i%5)
+		p.Ledger = ledger
+		if res, err := EmbedMBBE(p); err == nil {
+			if _, err := Commit(p, res.Solution); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ledger
+}
+
+func TestScreenGolden(t *testing.T) {
+	update := os.Getenv("DAGSFC_UPDATE_GOLDEN") != ""
+	net := netgen.MustGenerate(netgen.Default(), rand.New(rand.NewSource(48)))
+	ledger := loadedLedger(t, net, rand.New(rand.NewSource(49)))
+	for _, c := range screenCases {
+		key := fmt.Sprintf("w=%d/n=%d/seed=%d", c.width, c.size, c.seed)
+		p := screenFlow(rand.New(rand.NewSource(c.seed)), net, c.width, c.size)
+		if c.loaded {
+			key += "/loaded"
+			p.Ledger = ledger
+		}
+		res, err := EmbedMBBE(p)
+		got := "err=" + fmt.Sprint(err)
+		if err == nil {
+			got = screenFingerprint(res)
+		}
+		if update {
+			fmt.Printf("\t%q: %q,\n", key, got)
+			continue
+		}
+		if want := screenGolden[key]; got != want {
+			t.Errorf("%s: got %s, want %s", key, got, want)
+		}
+		if c.loaded && (err != nil || res.Stats.CapacityRejections == 0) {
+			t.Errorf("%s: capacity does not bind on the loaded ledger (err %v)", key, err)
 		}
 	}
 }

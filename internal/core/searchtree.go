@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"dagsfc/internal/graph"
@@ -20,9 +21,11 @@ type TreeNode struct {
 
 	// Node is the network node this tree node stands for (element 4).
 	Node graph.NodeID
-	// Available is the subset of the layer's required categories that this
-	// node can actually serve: deployed here with enough residual
-	// processing capacity (element 5).
+	// Available is the subset of the search's required categories that
+	// this node can actually serve: deployed here with enough residual
+	// processing capacity (element 5), sorted. A search confined to another
+	// tree's nodes shares that tree's set, whose goal holds its own: a BST
+	// node's set is its FST node's, the merger included.
 	Available []network.VNFID
 
 	// Prev links this node to the tree nodes of the previous iteration it
@@ -68,8 +71,8 @@ type SearchTree struct {
 	levelOff []int32
 	// covered reports whether the search found every required category.
 	covered bool
-	// mem is the arena the tree was carved from; NodesWith carves its
-	// result there too.
+	// mem is the arena the tree was carved from; nodesByKey carves its
+	// lists there too.
 	mem *searchMem
 }
 
@@ -117,24 +120,46 @@ func (t *SearchTree) Level(i int) []*TreeNode {
 // (L_l ⊆ F^{F,l} resp. F^{B,l}).
 func (t *SearchTree) Covered() bool { return t.covered }
 
-// Nodes calls fn for every tree node in discovery order.
-func (t *SearchTree) Nodes(fn func(*TreeNode)) {
-	for _, tn := range t.nodes {
-		fn(tn)
+// nodesByKey fills lists[i] with the tree nodes serving vnfs[i] — their
+// available set holds it — in one pass over the discovery order: the first
+// limit of them (all for limit ≤ 0) in a stable sort by key(i, tn), called
+// once per node and list, or in discovery order for a nil key. Each list is
+// kept by insertion into its slots, so a long tree costs a pass rather than a
+// sort of what the cap drops. The lists are carved from the tree's arena.
+func (t *SearchTree) nodesByKey(lists [][]*TreeNode, vnfs []network.VNFID, limit int, key func(i int, tn *TreeNode) float64) {
+	m, stride := t.mem, len(t.nodes)
+	if limit > 0 && limit < stride {
+		stride = limit
 	}
-}
-
-// NodesWith returns the tree nodes whose available set includes category f,
-// in discovery order (nearest first). The result is carved from the tree's
-// arena.
-func (t *SearchTree) NodesWith(f network.VNFID) []*TreeNode {
-	out := t.mem.ptrs.reserve(len(t.nodes))
+	m.keys = sized(m.keys, len(vnfs)*stride)
+	slots := m.ptrs.alloc(len(vnfs) * stride)
+	for i := range lists {
+		lists[i] = slots[i*stride : i*stride : (i+1)*stride]
+	}
 	for _, tn := range t.nodes {
-		if slices.Contains(tn.Available, f) {
-			out = append(out, tn)
+		for i, f := range vnfs {
+			if !slices.Contains(tn.Available, f) {
+				continue
+			}
+			k, list, keys := 0.0, lists[i], m.keys[i*stride:]
+			if key != nil {
+				k = key(i, tn)
+			}
+			// After every kept node whose key is not greater: equal keys
+			// stay in discovery order. A full list drops its last.
+			j := len(list)
+			for j > 0 && cmp.Compare(keys[j-1], k) > 0 {
+				j--
+			}
+			if j < stride {
+				n := min(len(list)+1, stride)
+				list = list[:n]
+				copy(list[j+1:], list[j:n-1])
+				copy(keys[j+1:n], keys[j:n-1])
+				list[j], keys[j], lists[i] = tn, k, list
+			}
 		}
 	}
-	return t.mem.ptrs.commit(out)
 }
 
 // PathToRoot returns one real-path from tn's network node back to the
@@ -188,8 +213,9 @@ type searchConfig struct {
 	required []network.VNFID
 	// within restricts the search to the nodes of an unrestricted search's
 	// tree: a backward search stays inside its forward search's node set, and
-	// its windows are sized by it. start must be one of those nodes. Nil =
-	// unrestricted.
+	// its windows are sized by it. start must be one of those nodes, and
+	// required a subset of that search's: the nodes share its available
+	// sets. Nil = unrestricted.
 	within *SearchTree
 	// ringsPast is how many complete iterations the search runs on after the
 	// one that achieved coverage: 0 is Algorithm 1's stop rule, 1 gives the
@@ -240,11 +266,22 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	found := mem.idx.alloc(len(needed))
 	missing := len(needed)
 
+	// reach is how many nodes the search can discover: the substrate's, or
+	// the confining tree's, whose positions then index idx.
+	within := cfg.within
+	reach := g.NumNodes()
+	if within != nil {
+		reach = within.Size()
+	}
 	// available computes a node's serviceable categories into a hoisted
 	// buffer, then carves the exact-size result — no per-node
-	// over-capacity slice.
+	// over-capacity slice. A confined search reads the set the confining
+	// tree computed for the node at position at: its goal holds this one's.
 	buf := mem.vnfs.alloc(len(needed))[:0]
-	available := func(v graph.NodeID) []network.VNFID {
+	available := func(v graph.NodeID, at int32) []network.VNFID {
+		if within != nil {
+			return within.nodes[at].Available
+		}
 		buf = buf[:0]
 		for _, f := range needed {
 			if res.instance(v, f) >= p.Rate {
@@ -269,9 +306,9 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 		return append(list, l)
 	}
 	markFound := func(avail []network.VNFID) {
-		for _, f := range avail {
+		for j := 0; j < len(avail) && missing > 0; j++ {
 			for i, need := range needed {
-				if need == f && found[i] == 0 {
+				if need == avail[j] && found[i] == 0 {
 					found[i] = 1
 					missing--
 				}
@@ -279,13 +316,6 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 		}
 	}
 
-	// reach is how many nodes the search can discover: the substrate's, or
-	// the confining tree's, whose positions then index idx.
-	within := cfg.within
-	reach := g.NumNodes()
-	if within != nil {
-		reach = within.Size()
-	}
 	capHint := reach
 	if cfg.maxNodes > 0 && cfg.maxNodes < capHint {
 		capHint = cfg.maxNodes
@@ -303,15 +333,15 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	t.levelOff = mem.idx.alloc(capHint + 1)[:0]
 	root := mem.nodes.one()
 	root.Node = start
-	root.Available = available(start)
 	root.Iteration = 1
 	t.Root = root
 	t.nodes = append(t.nodes, root)
+	at := int32(start)
 	if within != nil {
-		t.idx[within.idx[start]-1] = 1
-	} else {
-		t.idx[start] = 1
+		at = within.idx[start] - 1
 	}
+	root.Available = available(start, at)
+	t.idx[at] = 1
 	t.levelOff = append(t.levelOff, 0)
 	markFound(root.Available)
 
@@ -361,7 +391,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 				child := mem.nodes.one()
 				child.Father = tn
 				child.Node = arc.To
-				child.Available = available(arc.To)
+				child.Available = available(arc.To, at)
 				child.Iteration = tn.Iteration + 1
 				if !cfg.bare {
 					child.Prev = mem.links.alloc(1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -197,17 +198,14 @@ func TestSearchTreePathEnumeration(t *testing.T) {
 	}
 }
 
-func TestNodesWithOrdersByDiscovery(t *testing.T) {
+func TestNodesByKeyOrdersByDiscovery(t *testing.T) {
 	p := searchFixture()
 	// Both f(1)@2 (2 hops) and a closer deployment f(1)@1 (1 hop).
 	p.Net.MustAddInstance(1, 1, 99, 10)
 	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
-	hosts := tree.NodesWith(1)
-	if len(hosts) != 2 || hosts[0].Node != 1 || hosts[1].Node != 2 {
-		got := []graph.NodeID{}
-		for _, h := range hosts {
-			got = append(got, h.Node)
-		}
+	var hosts [1][]*TreeNode
+	tree.nodesByKey(hosts[:], []network.VNFID{1}, 0, nil)
+	if got := nodeIDs(hosts[0]); !slices.Equal(got, []graph.NodeID{1, 2}) {
 		t.Fatalf("hosts order = %v, want [1 2]", got)
 	}
 }

@@ -24,6 +24,10 @@ type extension struct {
 	interPaths []graph.Path
 	innerPaths []graph.Path
 	localCost  float64
+	// q is localCost plus, in a run that knows the way (embedder.toDst), the
+	// price of the cheapest path from endNode on to the destination: what a
+	// child's rank adds to its parent's cost, rounding aside.
+	q float64
 	// delay is the layer's end-to-end delay contribution; computed only
 	// in delay-bounded mode (Options.MaxDelay > 0), else zero.
 	delay   float64

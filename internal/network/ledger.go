@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"dagsfc/internal/graph"
 )
@@ -241,26 +242,32 @@ func (l *Ledger) EdgeResiduals(dst []float64) []float64 {
 // residual capacity of every (category, node) pair in the network's row
 // layout — dst[f*nodes+v] bitwise equal to InstanceResidual(v, f), so zero
 // where nothing is deployed and +Inf along the dummy's row — growing dst
-// only if it lacks capacity, and returns it. One call replaces a hashed
-// lookup per query, which is what lets a search read availability as a
-// plain index. The float operations replay InstanceResidual's: usage
+// only if it lacks capacity, and returns it. Given categories, it fills only
+// their rows and leaves the others as dst held them. One call replaces a
+// hashed lookup per query, which is what lets a search read availability as
+// a plain index. The float operations replay InstanceResidual's: usage
 // subtracted from capacity, node-down pins last.
-func (l *Ledger) InstanceResiduals(dst []float64) []float64 {
+func (l *Ledger) InstanceResiduals(dst []float64, cats ...VNFID) []float64 {
 	capacity, nodes := l.net.capacity, l.net.nodes
 	if cap(dst) < len(capacity) {
 		dst = make([]float64, len(capacity))
 	} else {
 		dst = dst[:len(capacity)]
 	}
-	clear(dst[copy(dst, l.instUsed):])
-	for i, c := range capacity {
-		dst[i] = c - dst[i]
-	}
-	if q := l.quar; q != nil {
-		for v := range q.node {
-			if v >= 0 && int(v) < nodes {
-				for i := int(v); i < len(dst); i += nodes {
-					dst[i] = 0
+	for lo := 0; lo < len(dst); lo += nodes {
+		if len(cats) > 0 && !slices.Contains(cats, VNFID(lo/nodes)) {
+			continue
+		}
+		for i := lo; i < lo+nodes; i++ {
+			dst[i] = capacity[i]
+			if i < len(l.instUsed) {
+				dst[i] -= l.instUsed[i]
+			}
+		}
+		if q := l.quar; q != nil {
+			for v := range q.node {
+				if v >= 0 && int(v) < nodes {
+					dst[lo+int(v)] = 0
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,24 +237,31 @@ func TestEdgeResidualsBitExact(t *testing.T) {
 // checkInstanceResiduals requires InstanceResiduals to agree with the scalar
 // InstanceResidual bitwise on every (category, node) pair of the rows —
 // deployed or not, dummy and merger included — writing through a dirty,
-// oversized buffer that reuse must overwrite fully.
+// oversized buffer that reuse must overwrite fully. Asked for the rows of
+// f(1) and the merger only, it must fill those alike and leave every other
+// row as the buffer held it.
 func checkInstanceResiduals(t *testing.T, name string, l *Ledger) {
 	t.Helper()
 	net := l.Network()
 	nodes, rows := net.G.NumNodes(), net.Catalog.N+2
 	buf := make([]float64, rows*nodes+3)
-	for i := range buf {
-		buf[i] = 99
-	}
-	got := l.InstanceResiduals(buf)
-	if len(got) != rows*nodes {
-		t.Fatalf("%s: len = %d, want %d", name, len(got), rows*nodes)
-	}
-	for f := 0; f < rows; f++ {
-		for v := 0; v < nodes; v++ {
-			want := l.InstanceResidual(graph.NodeID(v), VNFID(f))
-			if have := got[f*nodes+v]; math.Float64bits(have) != math.Float64bits(want) {
-				t.Fatalf("%s: f(%d) on node %d residual = %v, want %v", name, f, v, have, want)
+	for _, cats := range [][]VNFID{nil, {net.Catalog.Merger(), 1}} {
+		for i := range buf {
+			buf[i] = 99
+		}
+		got := l.InstanceResiduals(buf, cats...)
+		if len(got) != rows*nodes {
+			t.Fatalf("%s: len = %d, want %d", name, len(got), rows*nodes)
+		}
+		for f := 0; f < rows; f++ {
+			for v := 0; v < nodes; v++ {
+				want := l.InstanceResidual(graph.NodeID(v), VNFID(f))
+				if cats != nil && !slices.Contains(cats, VNFID(f)) {
+					want = 99
+				}
+				if have := got[f*nodes+v]; math.Float64bits(have) != math.Float64bits(want) {
+					t.Fatalf("%s, rows %v: f(%d) on node %d residual = %v, want %v", name, cats, f, v, have, want)
+				}
 			}
 		}
 	}
