@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke chaos-smoke durable-smoke protect-smoke repro vet fmt
+.PHONY: all check build test test-race race benchmark-vet short bench bench-smoke bench-json bench-guard fuzz-smoke serve-smoke obs-smoke durable-smoke repro vet fmt
 
 all: build vet test
 
@@ -103,23 +103,6 @@ serve-smoke:
 # with JSON logs at debug level.
 obs-smoke:
 	$(GO) run ./cmd/dagsfc-load -selfserve -smoke -log-format json -log-level debug
-
-# chaos-smoke boots the control plane in-process, commits a flow
-# population over HTTP, replays a seeded self-restoring fault schedule
-# against it, and verifies the survivability invariants: all faults
-# restored, every repair settled (repaired or evicted), the ledger drains
-# back to the exact seed residuals, and zero embed workers panicked. The
-# server's journal is written for post-mortem (CI uploads it on failure).
-chaos-smoke:
-	$(GO) run ./cmd/dagsfc-load -selfserve -n 24 -size 3 -hold 0 -faults 6 -journal-dump /tmp/chaos-journal.json
-
-# protect-smoke is chaos-smoke with half the population asking for a
-# backup: every flow holding an active backup when a link fault lands must
-# still be active once the fault is applied (failed over, never stranded),
-# at least one failover must occur, and the drain to the seed residuals
-# must leave the backup gauge at zero.
-protect-smoke:
-	$(GO) run ./cmd/dagsfc-load -selfserve -n 24 -size 3 -hold 0 -faults 6 -protect-frac 0.5 -journal-dump /tmp/protect-journal.json
 
 # durable-smoke kills a WAL-backed server (its user-space buffer dropped)
 # before every op of a seeded workload in turn and restarts it on the same

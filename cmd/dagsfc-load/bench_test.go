@@ -107,7 +107,7 @@ func BenchmarkFailoverLatency(b *testing.B) {
 		for {
 			// The repair's latency runs from the strand to the repair's commit.
 			if repaired, ok := flowEvent(srv, info.ID, evCommit, "repair"); ok {
-				stranded, _ := flowEvent(srv, info.ID, evStrand, f.String())
+				stranded, _ := flowEvent(srv, info.ID, journal.Type(flowstate.Strand.String()), f.String())
 				repairSecs = append(repairSecs, repaired.Time.Sub(stranded.Time).Seconds())
 				break
 			}

@@ -1,8 +1,8 @@
 // Command dagsfc-load drives a dagsfc-serve control plane over HTTP: a
 // Poisson arrival process of random DAG-SFC flows (the paper's §5.1
 // request distribution), reported as the acceptance ratio and request
-// latency percentiles, optionally followed by a fault phase that checks
-// the survivability invariants end to end.
+// latency percentiles, then the server's own account of the run: its
+// per-stage latency table and its journal's rejection reasons.
 //
 // It targets a running server with -url, or with -selfserve starts its
 // own in-process server on an ephemeral port and drives it over real
@@ -10,28 +10,18 @@
 //
 //	dagsfc-load -url http://localhost:8080 -n 200 -mean-gap 50ms -hold 10s
 //	dagsfc-load -selfserve -smoke
-//	dagsfc-load -selfserve -n 24 -size 3 -hold 0 -faults 6 -protect-frac 0.5
 //
 // -smoke replaces the load run with a deterministic end-to-end check:
 // embed one flow, verify the residual network shrank, release it, verify
 // the residuals returned to the seed exactly, and scrape /metrics for a
 // nonzero request count. It exits nonzero on any violation.
 //
-// -faults N|FILE follows the arrivals with a fault phase: N seeded
-// incidents, or the schedule FILE holds in the faults text format,
-// replayed 10 ms a schedule unit. Every fault applied checks the
-// protection contract; the end of the run checks that every fault was
-// restored, every repair settled, the ledger drains to the seed residuals
-// once every flow is released, no worker panicked and, when -protect-frac
-// asked for backups, some flow failed over. Request i asks for a backup
-// iff i < protect-frac·n. -journal-dump FILE writes the server's retained
-// journal at the end of any run.
+// The survivability invariants under faults are checked in-process by
+// the server package's chaos test, not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,16 +32,13 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"dagsfc/internal/diag"
-	"dagsfc/internal/faults"
 	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/netgen"
-	"dagsfc/internal/network"
 	"dagsfc/internal/server"
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
@@ -70,7 +57,7 @@ func main() {
 		width       = flag.Int("width", 3, "maximum parallel VNF set size")
 		kinds       = flag.Int("kinds", 10, "VNF categories to draw from (match the server's network)")
 		rate        = flag.Float64("rate", 1, "flow delivery rate")
-		seed        = flag.Int64("seed", 1, "request-generator and fault-schedule seed")
+		seed        = flag.Int64("seed", 1, "request-generator seed (and, selfserve, the network's)")
 		concurrency = flag.Int("concurrency", 16, "max in-flight requests")
 		retries     = flag.Int("retries", 3, "max retries per flow on retryable rejections (429/409/503)")
 		retryWait   = flag.Duration("retry-backoff", 25*time.Millisecond, "base retry backoff (doubles per attempt, capped at 32x)")
@@ -80,9 +67,6 @@ func main() {
 		logFormat   = flag.String("log-format", "text", "selfserve structured log encoding: text or json")
 		walDir      = flag.String("wal-dir", "", "selfserve durable flow state directory (empty = durability off)")
 		walSync     = flag.String("wal-sync", "commit", "selfserve WAL fsync policy: commit, batch or off")
-		faultSpec   = flag.String("faults", "", "after the arrivals, replay N seeded fault incidents, or the schedule in FILE, and check the survivability invariants")
-		protectFrac = flag.Float64("protect-frac", 0, "fraction of the flows, first by index, that ask for a backup")
-		journalDump = flag.String("journal-dump", "", "at the end of the run, write the server's retained journal as JSON to this file")
 	)
 	diag.Main("dagsfc-load", func() error {
 		base := *url
@@ -108,14 +92,12 @@ func main() {
 			sfcCfg: sfcgen.Config{Size: *size, LayerWidth: *width, VNFKinds: *kinds},
 			rate:   *rate, seed: *seed, concurrency: *concurrency,
 			retries: *retries, retryWait: *retryWait,
-			faults: *faultSpec, protectFrac: *protectFrac, journalDump: *journalDump,
 		})
 	})
 }
 
 // startSelfServe boots an in-process control plane on an ephemeral local
-// port, so the load path still crosses a real HTTP round-trip. Repairs
-// back off from 5 ms (capped at 100 ms), so a fault phase settles fast. A
+// port, so the load path still crosses a real HTTP round-trip. A
 // non-empty walDir makes it durable under the given fsync policy.
 func startSelfServe(nodes, kinds int, seed int64, logLevel, logFormat, walDir, walSync string) (*server.Server, string, func(), error) {
 	gen := netgen.Default()
@@ -131,7 +113,6 @@ func startSelfServe(nodes, kinds int, seed int64, logLevel, logFormat, walDir, w
 	}
 	srv, err := server.New(server.Config{
 		Net: nw, Seed: seed, Logger: logger, WALDir: walDir, WALSync: walSync,
-		RepairBackoff: 5 * time.Millisecond, RepairBackoffCap: 100 * time.Millisecond,
 	})
 	if err != nil {
 		return nil, "", nil, err
@@ -157,9 +138,6 @@ type loadConfig struct {
 	concurrency int
 	retries     int
 	retryWait   time.Duration
-	faults      string  // -faults: "" for no fault phase
-	protectFrac float64 // requests below this fraction of n ask for a backup
-	journalDump string
 }
 
 type outcome struct {
@@ -195,18 +173,13 @@ func retryDelay(base time.Duration, i, attempt int, retryAfter time.Duration) ti
 }
 
 func runLoad(cl *client.Client, cfg loadConfig) error {
+	if cfg.n < 1 {
+		return fmt.Errorf("-n %d: the load needs at least one flow", cfg.n)
+	}
 	ctx := context.Background()
 	st, err := cl.Network(ctx)
 	if err != nil {
 		return fmt.Errorf("probe network: %w", err)
-	}
-	var sched faults.Schedule
-	if cfg.faults != "" {
-		if sched, err = loadSchedule(cfg.faults, cfg.seed, st.Nodes, len(st.Links)); err != nil {
-			return fmt.Errorf("-faults: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "faults: schedule of %d incidents over %d nodes / %d links:\n%s",
-			len(sched), st.Nodes, len(st.Links), sched.Format())
 	}
 
 	// Pre-generate the whole workload in one goroutine (rand.Rand is not
@@ -226,10 +199,6 @@ func runLoad(cl *client.Client, cfg loadConfig) error {
 		}
 		if cfg.hold > 0 {
 			reqs[i].TTLSeconds = rng.ExpFloat64() * cfg.hold.Seconds()
-		}
-		// An index rule, not a draw: -protect-frac leaves the stream alone.
-		if float64(i) < cfg.protectFrac*float64(cfg.n) {
-			reqs[i].Protection = server.ProtectionBackup
 		}
 		gaps[i] = time.Duration(rng.ExpFloat64() * float64(cfg.meanGap))
 	}
@@ -271,32 +240,18 @@ func runLoad(cl *client.Client, cfg loadConfig) error {
 	}
 	wg.Wait()
 	report(outcomes, time.Since(begin))
-	if cfg.faults != "" {
-		err = runFaults(ctx, cl, st, sched, cfg.protectFrac > 0)
-	}
 
 	// The server-side view of the same run: per-stage latency percentiles
 	// from the dagsfc_server_stage_seconds histograms, and the journal's
-	// account of why requests were rejected or retried — and, when the run
-	// failed, of what became of every flow a fault stranded.
+	// account of why requests were rejected or retried. An old server
+	// without them has nothing to add.
 	if snap, err := cl.MetricsSnapshot(ctx); err == nil {
 		printStageTable(os.Stdout, snap)
 	}
-	events, missed, jerr := fetchJournal(ctx, cl)
-	switch {
-	case jerr != nil && cfg.journalDump != "":
-		return errors.Join(err, fmt.Errorf("-journal-dump: %w", jerr))
-	case jerr != nil:
-		return err // an old server without /v1/events: nothing to summarize
+	if events, missed, err := fetchJournal(ctx, cl); err == nil {
+		printJournalSummary(os.Stdout, events, missed)
 	}
-	printJournalSummary(os.Stdout, events, missed)
-	if err != nil {
-		postMortem(os.Stderr, events, missed)
-	}
-	if cfg.journalDump != "" {
-		err = errors.Join(err, writeJournal(cfg.journalDump, events, missed))
-	}
-	return err
+	return nil
 }
 
 // stageBuckets returns one stage's cumulative dagsfc_server_stage_seconds
@@ -470,279 +425,9 @@ func printJournalSummary(w io.Writer, events []journal.Event, missed uint64) {
 // The state changes the journal readers look for, named as the journal
 // names them: by their transition's kind.
 var (
-	evCommit, evRelease          = journal.Type(flowstate.Commit.String()), journal.Type(flowstate.Release.String())
-	evStrand, evEvict            = journal.Type(flowstate.Strand.String()), journal.Type(flowstate.Evict.String())
-	evFaultApply, evFaultRestore = journal.Type(flowstate.FaultApply.String()), journal.Type(flowstate.FaultRestore.String())
+	evCommit, evRelease = journal.Type(flowstate.Commit.String()), journal.Type(flowstate.Release.String())
+	evEvict             = journal.Type(flowstate.Evict.String())
 )
-
-// postMortem prints the last journal events of every flow a fault
-// stranded or evicted, and the faults applied and restored over the same
-// stretch of the journal: the causal trace of a failed run.
-func postMortem(w io.Writer, events []journal.Event, missed uint64) {
-	const perFlow = 20
-	tails := make(map[int64][]journal.Event)
-	var ids []int64
-	for _, ev := range events {
-		if _, seen := tails[ev.Flow]; !seen && ev.Flow != 0 && (ev.Type == evStrand || ev.Type == evEvict) {
-			tails[ev.Flow] = nil
-			ids = append(ids, ev.Flow)
-		}
-	}
-	if len(ids) == 0 {
-		return
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, ev := range events {
-		if tail, ok := tails[ev.Flow]; ok {
-			tails[ev.Flow] = append(tail, ev)
-		}
-	}
-	fmt.Fprintf(w, "post-mortem: last %d journal events per stranded or evicted flow%s:\n", perFlow, missedNote(missed))
-	from, to := uint64(math.MaxUint64), uint64(0)
-	for _, id := range ids {
-		tail := tails[id]
-		tail = tail[max(0, len(tail)-perFlow):]
-		from, to = min(from, tail[0].Seq), max(to, tail[len(tail)-1].Seq)
-		for _, ev := range tail {
-			fmt.Fprintf(w, "  flow %d %s\n", ev.Flow, eventText(ev))
-		}
-	}
-	fmt.Fprintln(w, "post-mortem: faults applied and restored meanwhile:")
-	for _, ev := range events {
-		if (ev.Type == evFaultApply || ev.Type == evFaultRestore) && from <= ev.Seq && ev.Seq <= to {
-			fmt.Fprintf(w, "  %s\n", eventText(ev))
-		}
-	}
-}
-
-// eventText renders one journal event on one line, without its flow.
-func eventText(ev journal.Event) string {
-	line := fmt.Sprintf("seq %d %s", ev.Seq, ev.Type)
-	if ev.Attempt != 0 {
-		line += fmt.Sprintf(" attempt=%d", ev.Attempt)
-	}
-	if ev.Seconds != 0 {
-		line += fmt.Sprintf(" seconds=%.6f", ev.Seconds)
-	}
-	if ev.Detail != "" {
-		line += " detail=" + ev.Detail
-	}
-	if ev.Err != "" {
-		line += " error=" + ev.Err
-	}
-	return line
-}
-
-// writeJournal writes the journal in the shape GET /v1/events pages it:
-// the events, and how many earlier ones the ring overwrote first.
-func writeJournal(path string, events []journal.Event, missed uint64) error {
-	b, err := json.MarshalIndent(server.EventsPage{Events: events, Missed: missed}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("-journal-dump: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "dagsfc-load: wrote %d journal events to %s%s\n", len(events), path, missedNote(missed))
-	return nil
-}
-
-// faultUnit is the wall-clock length of one schedule time unit.
-const faultUnit = 10 * time.Millisecond
-
-// loadSchedule reads -faults. A count draws that many incidents — mean
-// gap 1 and mean hold 2 schedule units, 30 % of them node-down, 30 % of
-// the link incidents degradations — from an rng of their own, so -n does
-// not change which elements fail. Anything else names a file in the
-// faults text format.
-func loadSchedule(spec string, seed int64, nodes, edges int) (faults.Schedule, error) {
-	if count, err := strconv.Atoi(spec); err == nil {
-		return faults.Generate(faults.GenConfig{
-			Nodes: nodes, Edges: edges, Count: count,
-			MeanGap: 1, MeanHold: 2, NodeFrac: 0.3, DegradeFrac: 0.3,
-		}, rand.New(rand.NewSource(seed^0x63686173))) // "chas"
-	}
-	f, err := os.Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return faults.Parse(f)
-}
-
-// wireTarget replays a schedule over the typed client (a faults.Target)
-// and checks the protection contract at every fault it applies: a flow
-// active with an active backup when the fault lands is still active once
-// the fault is applied — failed over, or short of its backup — never
-// stranded. node-down is exempt: a link-disjoint pair may share a node.
-// The check is exact: ApplyFault applies every verdict before it answers,
-// and the driver is the only source of faults.
-type wireTarget struct {
-	ctx        context.Context
-	cl         *client.Client
-	checked    int // covered flows read back after their fault
-	violations int
-}
-
-func (t *wireTarget) ApplyFault(f network.Fault) error {
-	before, err := t.cl.Flows(t.ctx)
-	if err != nil {
-		return err
-	}
-	if _, err := t.cl.ApplyFault(t.ctx, server.FaultToWire(f)); err != nil {
-		return err
-	}
-	after, err := t.cl.Flows(t.ctx)
-	if err != nil {
-		return err
-	}
-	return t.check(f, before, after)
-}
-
-func (t *wireTarget) RestoreFault(f network.Fault) error {
-	_, err := t.cl.RestoreFault(t.ctx, server.FaultToWire(f))
-	return err
-}
-
-// check holds the flow tables read either side of fault f to the
-// protection contract. A covered flow gone from after was released or
-// expired meanwhile, which breaks no promise.
-func (t *wireTarget) check(f network.Fault, before, after []server.FlowInfo) error {
-	covered := make(map[int64]bool)
-	for _, fl := range before {
-		if fl.State == server.FlowStateActive && fl.BackupActive {
-			covered[fl.ID] = true
-		}
-	}
-	var err error
-	for _, fl := range after {
-		if !covered[fl.ID] {
-			continue
-		}
-		t.checked++
-		if fl.State != server.FlowStateActive && f.Kind != network.FaultNodeDown {
-			t.violations++
-			err = errors.Join(err, fmt.Errorf("protection contract: flow %d held an active backup when %s landed but is %s (cause %q)",
-				fl.ID, f, fl.State, fl.Cause))
-		}
-	}
-	return err
-}
-
-// settle polls GET /v1/faults until the restore controller has nothing
-// queued or in hand: every consequence of every fault so far is terminal.
-func settle(ctx context.Context, cl *client.Client) (server.FaultState, error) {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		fs, err := cl.Faults(ctx)
-		if err != nil || fs.PendingRepairs == 0 {
-			return fs, err
-		}
-		if time.Now().After(deadline) {
-			return fs, fmt.Errorf("faults: %d repairs still pending after 30s", fs.PendingRepairs)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// series reads one label-free counter or gauge off a /metrics snapshot; 0
-// when the family is absent.
-func series(snap telemetry.Snapshot, name string) float64 {
-	s, _ := snap.Series(name)
-	return s.Value
-}
-
-// runFaults is the fault phase. It replays sched through the wire target,
-// waits for the restore controller to settle, and checks the end state: no
-// fault active and every incident applied and restored, no flow
-// repairing, no protection contract broken and, when protected, some flow
-// failed over; then, every flow released, the seed residuals with no flow
-// or backup active, and no worker panic.
-func runFaults(ctx context.Context, cl *client.Client, seed server.NetworkState, sched faults.Schedule, protected bool) error {
-	before, err := cl.MetricsSnapshot(ctx)
-	if err != nil {
-		return fmt.Errorf("faults: metrics: %w", err)
-	}
-	target := &wireTarget{ctx: ctx, cl: cl}
-	err = faults.Replay(ctx, target, sched, faultUnit, func(ev faults.Event, err error) {
-		verb := "restore"
-		if ev.Apply {
-			verb = "apply"
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults: t=%.2f %s %s: %v\n", ev.At, verb, ev.Fault, err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "faults: t=%.2f %s %s\n", ev.At, verb, ev.Fault)
-	})
-	if err != nil {
-		return fmt.Errorf("faults: replay: %w", err)
-	}
-	fs, err := settle(ctx, cl)
-	if err != nil {
-		return err
-	}
-	if len(fs.Active) != 0 || fs.Applied != len(sched) || fs.Restored != len(sched) {
-		return fmt.Errorf("faults: %d still active, %d applied, %d restored; want 0 active and %d of each",
-			len(fs.Active), fs.Applied, fs.Restored, len(sched))
-	}
-	flows, err := cl.Flows(ctx)
-	if err != nil {
-		return err
-	}
-	var active, evicted int
-	for _, f := range flows {
-		switch f.State {
-		case server.FlowStateRepairing:
-			return fmt.Errorf("faults: flow %d is repairing with no repair pending", f.ID)
-		case server.FlowStateEvicted:
-			evicted++
-		default:
-			active++
-		}
-	}
-	after, err := cl.MetricsSnapshot(ctx)
-	if err != nil {
-		return fmt.Errorf("faults: metrics: %w", err)
-	}
-	failovers := series(after, telemetry.MetricProtectFailovers) - series(before, telemetry.MetricProtectFailovers)
-	reprotects := series(after, telemetry.MetricProtectReprotects) - series(before, telemetry.MetricProtectReprotects)
-	fmt.Fprintf(os.Stderr, "faults: settled — %d flows active, %d evicted; %v failovers, %v re-protects; %d covered-flow checks, %d contract violations\n",
-		active, evicted, failovers, reprotects, target.checked, target.violations)
-	switch {
-	case target.violations > 0:
-		return fmt.Errorf("faults: %d protected flows stranded by a link fault", target.violations)
-	case protected && failovers == 0:
-		return fmt.Errorf("faults: part of the population asked for a backup, but no fault failed a flow over")
-	}
-
-	// Drain: releasing everything must return the ledger to the seed.
-	for _, f := range flows {
-		var apiErr *client.APIError
-		if _, err := cl.ReleaseFlow(ctx, f.ID); err != nil && !(errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound) {
-			return fmt.Errorf("faults: release %d: %w", f.ID, err)
-		}
-	}
-	end, err := cl.Network(ctx)
-	if err != nil {
-		return err
-	}
-	if end.ActiveFlows != 0 || !seed.SameResiduals(end) {
-		return fmt.Errorf("faults: after releasing every flow, %d active and the ledger at seed = %v", end.ActiveFlows, seed.SameResiduals(end))
-	}
-	final, err := cl.MetricsSnapshot(ctx)
-	if err != nil {
-		return fmt.Errorf("faults: metrics: %w", err)
-	}
-	if b := series(final, telemetry.MetricProtectBackupsActive); b != 0 {
-		return fmt.Errorf("faults: %v backups active after releasing every flow", b)
-	}
-	if p := series(final, telemetry.MetricServerWorkerPanics); p > 0 {
-		return fmt.Errorf("faults: %v embed workers panicked", p)
-	}
-	fmt.Fprintln(os.Stderr, "faults: restored, settled, drained to the seed, zero panics — ok")
-	return nil
-}
 
 func report(outcomes []outcome, wall time.Duration) {
 	var accepted, retriedOK, totalRetries int

@@ -110,11 +110,11 @@ func TestDocsDrift(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    19229,
-	"DESIGN.md":                      2221,
-	"README.md":                      1249,
-	"Makefile":                       135,
-	".claude/skills/verify/SKILL.md": 300,
+	"non-test Go":                    18752,
+	"DESIGN.md":                      2219,
+	"README.md":                      1245,
+	"Makefile":                       116,
+	".claude/skills/verify/SKILL.md": 296,
 }
 
 // TestSizeRatchet fails when a count of sizeCeilings passes its ceiling.

@@ -1,33 +1,30 @@
-// Package faults provides the deterministic fault injector of the
-// survivability layer: seeded, scripted schedules of substrate faults
-// (link down, node down, capacity degradation) replayed against anything
-// that can apply a network.Fault — a raw ledger in the offline harnesses,
-// the serving control plane over its repair-aware entry points, or a
-// remote server over HTTP via dagsfc-load's client adapter.
+// Package faults holds the survivability layer's fault schedules: seeded
+// plans of substrate faults (link down, node down, capacity degradation,
+// edge down), each a fault held for a duration, expanded into one ordered
+// list of apply and restore events. The virtual-clock driver of
+// internal/online plays them against its ledger, and the server's chaos
+// test against a live control plane; Hits is the predicate that decides
+// which committed flows a fault strands.
 //
-// Schedules are plain data: a list of incidents, each a fault held for a
-// duration. The same schedule replayed against the same initial state
-// produces the same sequence of apply/restore calls in the same order —
-// the property the chaos invariant tests pin down.
+// Schedules are plain data. The same schedule played against the same
+// initial state produces the same sequence of apply/restore calls in the
+// same order — the property the chaos invariant tests pin down.
 package faults
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 )
 
 // Incident is one scheduled fault: it strikes at At and is repaired
-// Duration later. Times are in abstract schedule units — seconds for the
-// live injector (scaled by Replay), simulation time for online harnesses.
+// Duration later. Times are in abstract schedule units: simulation time
+// for the online driver, a wall-clock scale of the test's choosing for
+// the server's chaos test.
 type Incident struct {
 	At       float64
 	Duration float64
@@ -95,9 +92,7 @@ func (s Schedule) Events() []Event {
 }
 
 // GenConfig parameterizes Generate. Nodes/Edges describe the substrate
-// (counts are enough — the generator never needs the topology, so the
-// wire driver can build schedules from a remote server's /v1/network
-// view).
+// (counts are enough — the generator never needs the topology).
 type GenConfig struct {
 	Nodes, Edges int
 	// Count is the number of incidents to draw.
@@ -151,25 +146,10 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Schedule, error) {
 	return s, nil
 }
 
-// Format renders the schedule in the line-oriented text form Parse reads:
-//
-//	# comment
-//	<at> <duration> link-down <edge>
-//	<at> <duration> node-down <node>
-//	<at> <duration> link-degrade <edge> <fraction>
-//	<at> <duration> edge-down <edge>
-func (s Schedule) Format() string {
-	var b strings.Builder
-	for _, inc := range s {
-		fmt.Fprintf(&b, "%g %g %s\n", inc.At, inc.Duration, inc.Fault)
-	}
-	return b.String()
-}
-
 // ParseKind maps a fault kind's text form ("link-down", "node-down",
 // "link-degrade", "edge-down" — the strings network.FaultKind.String
-// produces) back to the kind. The schedule parser and the server's JSON
-// fault endpoints share it.
+// produces) back to the kind, for flowstate.FaultFromWire: the server's
+// JSON fault endpoints and the WAL's fault records name a kind this way.
 func ParseKind(s string) (network.FaultKind, error) {
 	switch s {
 	case "link-down":
@@ -182,64 +162,4 @@ func ParseKind(s string) (network.FaultKind, error) {
 		return network.FaultEdgeDown, nil
 	}
 	return 0, fmt.Errorf("faults: unknown fault kind %q", s)
-}
-
-// Parse reads the text form written by Format. Blank lines and #-comments
-// are skipped. The result is structurally validated (without a network —
-// pass the schedule through Validate(net) to range-check targets).
-func Parse(r io.Reader) (Schedule, error) {
-	var s Schedule
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("faults: line %d: want '<at> <dur> <kind> <target> [frac]', got %q", line, text)
-		}
-		at, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("faults: line %d: bad start time %q", line, fields[0])
-		}
-		dur, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("faults: line %d: bad duration %q", line, fields[1])
-		}
-		target, err := strconv.Atoi(fields[3])
-		if err != nil {
-			return nil, fmt.Errorf("faults: line %d: bad target %q", line, fields[3])
-		}
-		inc := Incident{At: at, Duration: dur}
-		kind, err := ParseKind(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("faults: line %d: unknown fault kind %q", line, fields[2])
-		}
-		switch kind {
-		case network.FaultLinkDown, network.FaultEdgeDown:
-			inc.Fault = network.Fault{Kind: kind, Link: graph.EdgeID(target)}
-		case network.FaultNodeDown:
-			inc.Fault = network.Fault{Kind: kind, Node: graph.NodeID(target)}
-		case network.FaultLinkDegrade:
-			if len(fields) < 5 {
-				return nil, fmt.Errorf("faults: line %d: link-degrade needs a fraction", line)
-			}
-			frac, err := strconv.ParseFloat(fields[4], 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: line %d: bad fraction %q", line, fields[4])
-			}
-			inc.Fault = network.Fault{Kind: kind, Link: graph.EdgeID(target), Fraction: frac}
-		}
-		s = append(s, inc)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(nil); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -1,12 +1,9 @@
 package faults
 
 import (
-	"context"
+	"math"
 	"math/rand"
-	"slices"
-	"strings"
 	"testing"
-	"time"
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/graph"
@@ -27,9 +24,9 @@ func testNet(t *testing.T) *network.Network {
 
 func TestEventsOrdering(t *testing.T) {
 	s := Schedule{
-		{At: 5, Duration: 5, Fault: Fault{Kind: network.FaultLinkDown, Link: 0}},
-		{At: 2, Duration: 3, Fault: Fault{Kind: network.FaultLinkDown, Link: 1}},
-		{At: 5, Duration: 1, Fault: Fault{Kind: network.FaultNodeDown, Node: 2}},
+		{At: 5, Duration: 5, Fault: network.Fault{Kind: network.FaultLinkDown, Link: 0}},
+		{At: 2, Duration: 3, Fault: network.Fault{Kind: network.FaultLinkDown, Link: 1}},
+		{At: 5, Duration: 1, Fault: network.Fault{Kind: network.FaultNodeDown, Node: 2}},
 	}
 	evs := s.Events()
 	if len(evs) != 6 {
@@ -85,115 +82,49 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	}
 }
 
-func TestFormatParseRoundTrip(t *testing.T) {
-	s, err := Generate(GenConfig{
-		Nodes: 5, Edges: 8, Count: 12,
-		MeanGap: 1, MeanHold: 1, NodeFrac: 0.25, DegradeFrac: 0.5,
-	}, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
+// TestValidateRejects: every structural problem Validate names, NaN
+// included — NaN fails every comparison, so each check is written to fail
+// it too — and a target outside the network it is given.
+func TestValidateRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	down := network.Fault{Kind: network.FaultLinkDown}
+	degrade := func(frac float64) network.Fault {
+		return network.Fault{Kind: network.FaultLinkDegrade, Fraction: frac}
 	}
-	text := s.Format()
-	got, err := Parse(strings.NewReader("# a comment\n\n" + text))
-	if err != nil {
-		t.Fatalf("Parse: %v\ninput:\n%s", err, text)
-	}
-	if len(got) != len(s) {
-		t.Fatalf("round-trip length %d, want %d", len(got), len(s))
-	}
-	for i := range s {
-		if got[i].Fault != s[i].Fault {
-			t.Fatalf("incident %d fault %+v, want %+v", i, got[i].Fault, s[i].Fault)
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"1 2 link-down",            // missing target
-		"x 2 link-down 0",          // bad time
-		"1 2 link-degrade 0",       // missing fraction
-		"1 2 meteor-strike 0",      // unknown kind
-		"1 -2 link-down 0",         // negative duration
-		"1 2 link-degrade 0 nope",  // bad fraction
-		"1 2 link-down notanumber", // bad target
-		// NaN fails every `<` test, so each of these was accepted.
-		"NaN NaN link-degrade 0 NaN",
-		"NaN 2 link-down 0",       // NaN start
-		"Inf 2 link-down 0",       // a start that never comes
-		"1 NaN link-down 0",       // NaN duration
-		"1 2 link-degrade 0 NaN",  // NaN fraction
-		"1 2 link-degrade 0 -Inf", // fraction out of range
+	for _, bad := range []Incident{
+		{At: nan, Duration: 2, Fault: down},
+		{At: inf, Duration: 2, Fault: down}, // a start that never comes
+		{At: -1, Duration: 2, Fault: down},
+		{At: 1, Duration: nan, Fault: down},
+		{At: 1, Duration: -2, Fault: down},
+		{At: 1, Duration: 2, Fault: degrade(nan)},
+		{At: 1, Duration: 2, Fault: degrade(-inf)},
+		{At: 1, Duration: 2, Fault: degrade(0)},
+		{At: 1, Duration: 2, Fault: degrade(1.5)},
 	} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Fatalf("Parse(%q) succeeded", bad)
+		if err := (Schedule{bad}).Validate(nil); err == nil {
+			t.Errorf("Validate accepted %+v", bad)
 		}
+	}
+	off := Schedule{{At: 1, Duration: 2, Fault: network.Fault{Kind: network.FaultLinkDown, Link: 3}}}
+	if err := off.Validate(nil); err != nil {
+		t.Fatalf("without a network, targets are not checked: %v", err)
+	}
+	if err := off.Validate(testNet(t)); err == nil {
+		t.Fatal("Validate accepted link 3 of a three-link network")
 	}
 }
 
-// TestReplayAgainstLedger replays a schedule immediately (unit 0) against
-// a raw ledger: every apply/restore must land in event order and the
-// ledger must drain back to a fault-free state.
-func TestReplayAgainstLedger(t *testing.T) {
-	net := testNet(t)
-	ledger := network.NewLedger(net)
-	s := Schedule{
-		{At: 0, Duration: 2, Fault: Fault{Kind: network.FaultLinkDown, Link: 1}},
-		{At: 1, Duration: 2, Fault: Fault{Kind: network.FaultNodeDown, Node: 2}},
-		{At: 1.5, Duration: 0.1, Fault: Fault{Kind: network.FaultLinkDegrade, Link: 0, Fraction: 0.5}},
-	}
-	var seen []Event
-	err := Replay(context.Background(), ledger, s, 0, func(ev Event, err error) {
-		if err != nil {
-			t.Fatalf("event %+v: %v", ev, err)
-		}
-		seen = append(seen, ev)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 6 {
-		t.Fatalf("observed %d events, want 6", len(seen))
-	}
-	fresh := network.NewLedger(net)
-	if !slices.Equal(ledger.EdgeResiduals(nil), fresh.EdgeResiduals(nil)) ||
-		!slices.Equal(ledger.InstanceResiduals(nil), fresh.InstanceResiduals(nil)) {
-		t.Fatal("quarantine left behind after full replay")
-	}
-	for e := 0; e < net.G.NumEdges(); e++ {
-		if got := ledger.EdgeResidual(graph.EdgeID(e)); got != 10 {
-			t.Fatalf("edge %d residual = %v, want exactly 10", e, got)
+// TestParseKindRoundTrip: every kind's text form reads back as the kind,
+// and a text no kind has is an error.
+func TestParseKindRoundTrip(t *testing.T) {
+	for _, kind := range []network.FaultKind{network.FaultLinkDown, network.FaultNodeDown, network.FaultLinkDegrade, network.FaultEdgeDown} {
+		if back, err := ParseKind(kind.String()); err != nil || back != kind {
+			t.Errorf("ParseKind(%q) = %v, %v", kind.String(), back, err)
 		}
 	}
-}
-
-func TestReplayCancellation(t *testing.T) {
-	net := testNet(t)
-	ledger := network.NewLedger(net)
-	s := Schedule{
-		{At: 0, Duration: 1000, Fault: Fault{Kind: network.FaultLinkDown, Link: 0}},
-		{At: 500, Duration: 1000, Fault: Fault{Kind: network.FaultLinkDown, Link: 1}},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	fired := 0
-	done := make(chan error, 1)
-	go func() {
-		// 1s units: the first event fires immediately, the second would be
-		// minutes away — cancellation must interrupt the wait promptly.
-		done <- Replay(ctx, ledger, s, time.Second, func(Event, error) { fired++ })
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("Replay returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Replay did not return after cancellation")
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d events before cancellation, want 1", fired)
+	if _, err := ParseKind("meteor-strike"); err == nil {
+		t.Error("ParseKind read an unknown kind")
 	}
 }
 
@@ -210,15 +141,15 @@ func TestHits(t *testing.T) {
 		TailPath: graph.Path{From: 2, Edges: []graph.EdgeID{2}},
 	}
 	cases := []struct {
-		f    Fault
+		f    network.Fault
 		want bool
 	}{
-		{Fault{Kind: network.FaultLinkDown, Link: 0}, true},
-		{Fault{Kind: network.FaultLinkDown, Link: 2}, true}, // tail path
-		{Fault{Kind: network.FaultLinkDegrade, Link: 1, Fraction: 0.5}, true},
-		{Fault{Kind: network.FaultNodeDown, Node: 2}, true}, // hosts f2
-		{Fault{Kind: network.FaultNodeDown, Node: 0}, true}, // transit: severs edge 0
-		{Fault{Kind: network.FaultNodeDown, Node: 3}, true}, // dst endpoint of tail edge
+		{network.Fault{Kind: network.FaultLinkDown, Link: 0}, true},
+		{network.Fault{Kind: network.FaultLinkDown, Link: 2}, true}, // tail path
+		{network.Fault{Kind: network.FaultLinkDegrade, Link: 1, Fraction: 0.5}, true},
+		{network.Fault{Kind: network.FaultNodeDown, Node: 2}, true}, // hosts f2
+		{network.Fault{Kind: network.FaultNodeDown, Node: 0}, true}, // transit: severs edge 0
+		{network.Fault{Kind: network.FaultNodeDown, Node: 3}, true}, // dst endpoint of tail edge
 	}
 	for _, c := range cases {
 		if got := Hits(net, sol, c.f); got != c.want {
@@ -233,10 +164,10 @@ func TestHits(t *testing.T) {
 		},
 		TailPath: graph.Path{From: 1},
 	}
-	if Hits(net, short, Fault{Kind: network.FaultLinkDown, Link: 2}) {
+	if Hits(net, short, network.Fault{Kind: network.FaultLinkDown, Link: 2}) {
 		t.Fatal("Hits matched a link the flow never uses")
 	}
-	if Hits(net, short, Fault{Kind: network.FaultNodeDown, Node: 3}) {
+	if Hits(net, short, network.Fault{Kind: network.FaultNodeDown, Node: 3}) {
 		t.Fatal("Hits matched a node the flow never touches")
 	}
 }

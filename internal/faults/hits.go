@@ -15,7 +15,7 @@ import (
 //   - Node faults hit flows hosting a VNF or merger on the node AND flows
 //     whose paths merely transit it: a transit node's failure severs its
 //     incident links, so those are matched through the path edges.
-func Hits(net *network.Network, sol *core.Solution, f Fault) bool {
+func Hits(net *network.Network, sol *core.Solution, f network.Fault) bool {
 	hit := false
 	switch f.Kind {
 	case network.FaultLinkDown, network.FaultLinkDegrade, network.FaultEdgeDown:

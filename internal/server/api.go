@@ -8,7 +8,6 @@ import (
 
 	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
-	"dagsfc/internal/network"
 )
 
 // This file defines the JSON wire types of the control-plane API and the
@@ -58,9 +57,6 @@ type (
 	FlowInfo     = flowstate.FlowInfo
 	FaultRequest = flowstate.FaultRequest
 )
-
-// FaultToWire renders a fault as the request body that applies it.
-func FaultToWire(f network.Fault) FaultRequest { return flowstate.FaultToWire(f) }
 
 // Flow lifecycle states and eviction causes (see flowstate).
 const (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -335,68 +336,87 @@ func TestServerWorkerPanicRecovered(t *testing.T) {
 	}
 }
 
-// chaosRun is one full deterministic chaos scenario: a seeded network and
-// workload, a seeded fault schedule applied event by event (waiting for
-// the repair controller to settle between events), then full teardown.
-// It returns everything two identical runs must agree on.
-type chaosOutcome struct {
-	accepted int
-	log      []repairOutcome
-	faults   server.FaultState
-	seed     []float64
-	end      []float64
+// chaosRow is one row of the chaos table: a population and a schedule
+// mode. A settled row waits for the restore controller to go idle after
+// every fault event, which pins the repair order, so two runs must agree
+// exactly; a raced row replays the schedule at 1 ms a unit with no
+// settling and checks only what holds under any interleaving.
+type chaosRow struct {
+	name      string
+	protected bool // the first half of the flows ask for a backup
+	settled   bool
 }
 
-func chaosRun(t *testing.T) chaosOutcome {
-	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	ncfg := netgen.Default()
-	ncfg.Nodes = 24
-	ncfg.VNFKinds = 5
-	ncfg.InstanceCapacity = 4
-	net := netgen.MustGenerate(ncfg, rng)
+// chaosOutcome is what two runs of a settled row must agree on.
+type chaosOutcome struct {
+	accepted  int
+	log       []repairOutcome
+	failovers float64
+	checked   int // covered flows read back after a fault landed
+	end       []float64
+}
 
-	srv, err := server.New(fastRepairs(server.Config{Net: net, Workers: 2}))
+// chaosRun plays one row: 24 flows of three VNFs submitted in sequence to
+// a seeded 50-node substrate, six seeded self-restoring incidents, then
+// every flow released. It fails t on any broken survivability invariant:
+// the protection contract at every fault applied, every fault restored,
+// every repair settled, surviving flows valid, a failover when protected,
+// the ledger drained to the seed with no backup held, no worker panic.
+func chaosRun(t *testing.T, row chaosRow) chaosOutcome {
+	t.Helper()
+	gen := netgen.Default()
+	gen.Nodes, gen.VNFKinds = 50, 10
+	net := netgen.MustGenerate(gen, rand.New(rand.NewSource(1)))
+	srv, err := server.New(server.Config{
+		Net: net, Seed: 1, RepairBackoff: 5 * time.Millisecond, RepairBackoffCap: 100 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	ctx := context.Background()
-	out := chaosOutcome{seed: residuals(srv.NetworkState())}
+	seed := srv.NetworkState()
+	failovers, panics := seriesValue(telemetry.MetricProtectFailovers), seriesValue(telemetry.MetricServerWorkerPanics)
 
 	// Sequential submissions keep the accept set deterministic.
-	scfg := sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: 5}
-	for i := 0; i < 20; i++ {
-		dag := sfcgen.MustGenerate(scfg, rng)
-		_, err := srv.Submit(ctx, server.FlowRequest{
-			SFC: sfc.Format(dag),
-			Src: rng.Intn(ncfg.Nodes), Dst: rng.Intn(ncfg.Nodes),
-			Rate: 1, Size: 1,
-		})
-		if err == nil {
+	var out chaosOutcome
+	rng := rand.New(rand.NewSource(1))
+	const flows = 24
+	for i := 0; i < flows; i++ {
+		req := server.FlowRequest{
+			SFC: sfc.Format(sfcgen.MustGenerate(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: gen.VNFKinds}, rng)),
+			Src: rng.Intn(gen.Nodes), Dst: rng.Intn(gen.Nodes), Rate: 1, Size: 1,
+		}
+		if row.protected && i < flows/2 {
+			req.Protection = server.ProtectionBackup
+		}
+		if _, err := srv.Submit(ctx, req); err == nil {
 			out.accepted++
 		}
 	}
 
 	sched, err := faults.Generate(faults.GenConfig{
-		Nodes: ncfg.Nodes, Edges: net.G.NumEdges(),
-		Count: 6, MeanGap: 1, MeanHold: 2, NodeFrac: 0.4, DegradeFrac: 0.3,
-	}, rng)
+		Nodes: gen.Nodes, Edges: net.G.NumEdges(),
+		Count: 6, MeanGap: 1, MeanHold: 2, NodeFrac: 0.3, DegradeFrac: 0.3,
+	}, rand.New(rand.NewSource(1^0x63686173)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	begin := time.Now()
 	for _, ev := range sched.Events() {
-		if ev.Apply {
-			_, err = srv.ApplyFault(ev.Fault)
-		} else {
-			_, err = srv.RestoreFault(ev.Fault)
+		if !row.settled {
+			time.Sleep(time.Until(begin.Add(time.Duration(ev.At * float64(time.Millisecond)))))
 		}
-		if err != nil {
-			t.Fatalf("event %+v: %v", ev, err)
+		if ev.Apply {
+			out.checked += applyWithContract(t, srv, ev.Fault)
+		} else if _, err := srv.RestoreFault(ev.Fault); err != nil {
+			t.Fatalf("restore %v: %v", ev.Fault, err)
+		}
+		if !row.settled {
+			continue
 		}
 		// Settle: every consequence of this event reaches a terminal state
-		// before the next one fires, which pins the repair order. The
-		// gauges then state the settled facts.
+		// before the next one fires. The gauges then state the settled facts.
 		waitFor(t, func() bool { return srv.PendingRepairs() == 0 })
 		if got, want := seriesValue(telemetry.MetricFaultsActive), len(srv.Faults().Active); got != float64(want) {
 			t.Fatalf("after %+v: faults active gauge = %v, want %d", ev, got, want)
@@ -406,56 +426,95 @@ func chaosRun(t *testing.T) chaosOutcome {
 		}
 	}
 
-	// The schedule restores every incident, so no fault is active and the
-	// chaos invariant holds: every surviving flow still validates.
+	waitFor(t, func() bool { return srv.PendingRepairs() == 0 })
+	if fs := srv.Faults(); len(fs.Active) != 0 || fs.Applied != len(sched) || fs.Restored != len(sched) {
+		t.Fatalf("fault accounting after the full schedule: %+v, want 0 active and %d applied and restored", fs, len(sched))
+	}
+	for _, f := range srv.Flows() {
+		if f.State == server.FlowStateRepairing {
+			t.Fatalf("flow %d is repairing with no repair pending", f.ID)
+		}
+	}
+	// No fault is active, so every surviving flow must still validate.
 	if bad := srv.RevalidateFlows(); len(bad) != 0 {
 		t.Fatalf("flows failing revalidation after chaos: %v", bad)
 	}
+	out.failovers = seriesValue(telemetry.MetricProtectFailovers) - failovers
+	if row.protected && out.failovers < 1 {
+		t.Fatal("half the population holds a backup, but no fault failed a flow over")
+	}
 	out.log = repairOutcomes(srv)
-	out.faults = srv.Faults()
 
 	for _, f := range srv.Flows() {
 		if _, err := srv.Release(f.ID); err != nil {
 			t.Fatalf("release %d: %v", f.ID, err)
 		}
 	}
-	out.end = residuals(srv.NetworkState())
+	end := srv.NetworkState()
+	if out.end = residuals(end); end.ActiveFlows != 0 || !equalResiduals(residuals(seed), out.end) {
+		t.Fatalf("after releasing every flow %d stay active; ledger at the seed residuals: %v", end.ActiveFlows, equalResiduals(residuals(seed), out.end))
+	}
+	if b := seriesValue(telemetry.MetricProtectBackupsActive); b != 0 {
+		t.Fatalf("%v backups active after releasing every flow", b)
+	}
+	if p := seriesValue(telemetry.MetricServerWorkerPanics) - panics; p != 0 {
+		t.Fatalf("%v embed workers panicked", p)
+	}
 	return out
 }
 
-// TestServerChaosInvariant is the PR's acceptance check: after a seeded
-// fault schedule fully plays out, surviving flows re-validate, the ledger
-// drains to the exact seed residuals, and a second identical run makes
-// the identical repair/eviction decisions in the identical order.
-func TestServerChaosInvariant(t *testing.T) {
-	a := chaosRun(t)
-
-	if a.accepted == 0 {
-		t.Fatal("chaos run admitted nothing")
+// applyWithContract applies f and holds the flow tables read either side
+// of it to the protection contract: a flow active with an active backup
+// when a fault lands is still active once the fault is applied — failed
+// over, or short of its backup — never stranded. node-down is exempt: a
+// link-disjoint pair may share a node. ApplyFault judges every flow before
+// it returns and the run is the only source of faults, so the check is
+// exact under any schedule. It returns how many covered flows it read.
+func applyWithContract(t *testing.T, srv *server.Server, f network.Fault) int {
+	t.Helper()
+	covered := make(map[int64]bool)
+	for _, fl := range srv.Flows() {
+		covered[fl.ID] = fl.State == server.FlowStateActive && fl.BackupActive
 	}
-	if len(a.log) == 0 {
-		t.Fatal("chaos run exercised no repairs — schedule too gentle to test anything")
+	if _, err := srv.ApplyFault(f); err != nil {
+		t.Fatalf("apply %v: %v", f, err)
 	}
-	if len(a.faults.Active) != 0 || a.faults.Applied != 6 || a.faults.Restored != 6 {
-		t.Fatalf("fault accounting after full schedule: %+v", a.faults)
-	}
-	if !equalResiduals(a.seed, a.end) {
-		t.Fatalf("ledger did not drain to seed residuals:\nseed %v\nend  %v", a.seed, a.end)
-	}
-
-	b := chaosRun(t)
-	if a.accepted != b.accepted {
-		t.Fatalf("accept counts diverged: %d vs %d", a.accepted, b.accepted)
-	}
-	if len(a.log) != len(b.log) {
-		t.Fatalf("repair logs diverged in length: %d vs %d\n%+v\n%+v", len(a.log), len(b.log), a.log, b.log)
-	}
-	for i := range a.log {
-		if a.log[i] != b.log[i] {
-			t.Fatalf("repair log entry %d diverged: %+v vs %+v", i, a.log[i], b.log[i])
+	checked := 0
+	for _, fl := range srv.Flows() {
+		if !covered[fl.ID] {
+			continue
+		}
+		checked++
+		if fl.State != server.FlowStateActive && f.Kind != network.FaultNodeDown {
+			t.Errorf("protection contract: flow %d held an active backup when %v landed but is %s (cause %q)", fl.ID, f, fl.State, fl.Cause)
 		}
 	}
-	if !equalResiduals(a.end, b.end) {
-		t.Fatal("final residuals diverged between identical runs")
+	return checked
+}
+
+// TestServerChaosInvariant plays the survivability invariants through the
+// chaos table: an unprotected and a half-protected population, each under
+// a settled and a raced schedule. A settled row runs twice and both runs
+// must make the identical decisions in the identical order.
+func TestServerChaosInvariant(t *testing.T) {
+	for _, row := range []chaosRow{
+		{"unprotected/settled", false, true},
+		{"unprotected/raced", false, false},
+		{"protected/settled", true, true},
+		{"protected/raced", true, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			a := chaosRun(t, row)
+			if a.accepted == 0 || len(a.log) == 0 {
+				t.Fatalf("%d flows admitted, %d repair outcomes: the run tests nothing", a.accepted, len(a.log))
+			}
+			t.Logf("%d accepted, %v failovers, %d covered-flow checks, %d repair outcomes", a.accepted, a.failovers, a.checked, len(a.log))
+			if !row.settled {
+				return
+			}
+			if b := chaosRun(t, row); !reflect.DeepEqual(a, b) {
+				t.Fatalf("two settled runs diverged:\n%+v\n%+v", a, b)
+			}
+		})
 	}
 }

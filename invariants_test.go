@@ -264,6 +264,7 @@ func (inv *invariant) scans(f *goFile) bool {
 // non-test reference, each with its reason. The census fails on an entry
 // that is referenced again or names nothing.
 var symbolKeep = map[string]string{
+	"faults.Generate":               "draws the seeded fault schedules the server's chaos test plays; TestGenerateDeterministicAndValid pins it",
 	"graph.Graph.Connected":         "the connectivity oracle the graph, netgen and sim tests check every generated substrate with",
 	"graph.Path.Simple":             "the loopless-path oracle the Dijkstra, Yen and search tests check paths with",
 	"online.Run":                    "an entry point of the virtual-clock driver censusKeep keeps internal/online for; TestOnlineGolden pins it",
@@ -271,6 +272,8 @@ var symbolKeep = map[string]string{
 	"online.RunFailures":            "an entry point of the virtual-clock driver censusKeep keeps internal/online for; TestOnlineGolden pins it",
 	"online.RandomTimedRequests":    "the arrival generator of the virtual-clock driver's entry points; TestOnlineGolden pins what it draws",
 	"server.Server.Journal":         "the in-process read of the flight recorder: tests read flow timelines through it without a socket",
+	"server.FlowStateEvicted":       "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the server tests read flow tables with it",
+	"server.FlowStateRepairing":     "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the chaos test asserts no flow is left in it",
 	"server.Server.RevalidateFlows": "the chaos invariant: after a quiescent restore pass no committed flow needs one, which the survivability tests assert",
 	"telemetry.Span.Attr":           "the read side of a span's attributes, which the trace tests of telemetry and core check",
 	"wal.Log.SetSyncFunc":           "the WAL's fsync fault-injection seam for the tests of wal and server",
