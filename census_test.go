@@ -119,9 +119,8 @@ func familyNamed(families map[string]string, span string) bool {
 // importing directories, each with its reason. TestPackageCensus fails on an
 // entry that no longer needs the exception.
 var censusKeep = map[string]string{
-	"internal/sim":    "the paper-reproduction library behind cmd/dagsfc-bench: Fig. 6 and E7–E13 run through it",
-	"internal/lp":     "the simplex under internal/ipmodel's branch and bound; the capacity-headroom LP is to be its second user",
-	"internal/online": "the virtual-clock driver of the flow state machine, which the deterministic explorer is to build on",
+	"internal/sim": "the paper-reproduction library behind cmd/dagsfc-bench: Fig. 6 and E7–E13 run through it",
+	"internal/lp":  "the simplex under internal/ipmodel's branch and bound; the capacity-headroom LP is to be its second user",
 }
 
 // TestPackageCensus: every package and command earns its place. An internal/

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dagsfc/internal/core"
-	"dagsfc/internal/online"
 )
 
 // demoNetwork builds a small hand-wired network through the public API.
@@ -88,8 +87,8 @@ func TestChainToDAGFacade(t *testing.T) {
 	}
 }
 
-// The delay model and the online driver are not in the facade; these tests
-// run them on a network, chain and embedder built through it.
+// The delay model is not in the facade; these tests run it on a network,
+// chain and embedder built through it.
 
 func TestDelayFacade(t *testing.T) {
 	net := demoNetwork()
@@ -122,35 +121,6 @@ func TestDelayBoundedFacade(t *testing.T) {
 	}
 	if d := core.EvaluateDelay(p, res.Solution, opts.Delay); d > opts.MaxDelay {
 		t.Fatalf("delay %v exceeds bound", d)
-	}
-}
-
-func TestChurnFacade(t *testing.T) {
-	net := demoNetwork()
-	s, _ := ParseSFC("1")
-	reqs := []online.TimedRequest{
-		{Request: online.Request{SFC: s, Src: 0, Dst: 4, Rate: 1, Size: 1}, Arrival: 0, Duration: 5},
-		{Request: online.Request{SFC: s, Src: 0, Dst: 4, Rate: 1, Size: 1}, Arrival: 10, Duration: 5},
-	}
-	report, err := online.RunChurn(net, reqs, EmbedMBBE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Accepted != 2 {
-		t.Fatalf("accepted = %d", report.Accepted)
-	}
-}
-
-func TestOnlineFacade(t *testing.T) {
-	net := demoNetwork()
-	s, _ := ParseSFC("1")
-	reqs := []online.Request{{SFC: s, Src: 0, Dst: 4, Rate: 1, Size: 1}}
-	report, err := online.Run(net, reqs, EmbedMBBE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Accepted != 1 {
-		t.Fatalf("accepted = %d", report.Accepted)
 	}
 }
 

@@ -32,8 +32,6 @@ var docHistory = map[string]string{
 	"commitReprotect":        "deleted in PR 22",
 	"reprotectOne":           "deleted in PR 22",
 	"online.repairHit":       "deleted in PR 24",
-	"FlowTable":              "deleted in PR 24",
-	"NewFlowTable":           "deleted in PR 24",
 	"rentTable":              "deleted in PR 25",
 	"BFSFrontiers500":        "deleted in PR 27",
 
@@ -110,11 +108,11 @@ func TestDocsDrift(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    18752,
-	"DESIGN.md":                      2219,
-	"README.md":                      1245,
+	"non-test Go":                    18322,
+	"DESIGN.md":                      2179,
+	"README.md":                      1240,
 	"Makefile":                       116,
-	".claude/skills/verify/SKILL.md": 296,
+	".claude/skills/verify/SKILL.md": 295,
 }
 
 // TestSizeRatchet fails when a count of sizeCeilings passes its ceiling.

@@ -1,13 +1,15 @@
 package dagsfc_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
 	"math/rand"
+	"strings"
 
 	"dagsfc"
-	"dagsfc/internal/online"
+	"dagsfc/internal/server"
 )
 
 // exampleNetwork builds the small priced network the examples share:
@@ -123,9 +125,10 @@ func ExampleCommit() {
 }
 
 // Online admission: a stream of 120 flow requests onto a tight 80-node
-// network (each instance serves 4 unit flows, each link 30). Every accepted
-// embedding commits its demands, so later flows see the depleted network;
-// MBBE admits 30 more flows than MINV for about what MINV spends on fewer.
+// network (each instance serves 4 unit flows, each link 30), submitted in
+// order to an in-process server. Every accepted embedding commits its
+// demands, so later flows see the depleted network; MBBE admits 30 more
+// flows than MINV for about what MINV spends on fewer.
 func Example_onlineAdmission() {
 	rng := rand.New(rand.NewSource(42))
 	cfg := dagsfc.DefaultNetConfig()
@@ -138,16 +141,37 @@ func Example_onlineAdmission() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reqs := online.RandomRequests(net, dagsfc.SFCConfig{Size: 4, LayerWidth: 3, VNFKinds: 6}, 120, 1, 1, rng)
-	for _, alg := range []struct {
-		name  string
-		embed func(*dagsfc.Problem) (*dagsfc.Result, error)
-	}{{"MBBE", dagsfc.EmbedMBBE}, {"MINV", dagsfc.EmbedMINV}} {
-		report, err := online.Run(net, reqs, alg.embed)
+	reqs := make([]server.FlowRequest, 120)
+	for i := range reqs {
+		s, err := dagsfc.GenerateSFC(dagsfc.SFCConfig{Size: 4, LayerWidth: 3, VNFKinds: 6}, rng)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s accepted %d/%d at total cost %.0f\n", alg.name, report.Accepted, len(reqs), report.TotalCost)
+		src, dst := rng.Intn(cfg.Nodes), rng.Intn(cfg.Nodes)
+		for dst == src {
+			dst = rng.Intn(cfg.Nodes)
+		}
+		reqs[i] = server.FlowRequest{SFC: dagsfc.FormatSFC(s), Src: src, Dst: dst, Rate: 1, Size: 1}
+	}
+	for _, alg := range []string{"MBBE", "MINV"} {
+		srv, err := server.New(server.Config{Net: net})
+		if err != nil {
+			log.Fatal(err)
+		}
+		accepted, total := 0, 0.0
+		for _, req := range reqs {
+			req.Alg = strings.ToLower(alg)
+			info, err := srv.Submit(context.Background(), req)
+			switch {
+			case err == nil:
+				accepted++
+				total += info.Cost.Total
+			case !errors.Is(err, dagsfc.ErrNoEmbedding):
+				log.Fatal(err)
+			}
+		}
+		srv.Close()
+		fmt.Printf("%s accepted %d/%d at total cost %.0f\n", alg, accepted, len(reqs), total)
 	}
 	// Output:
 	// MBBE accepted 104/120 at total cost 59605

@@ -1,10 +1,9 @@
 // Package faults holds the survivability layer's fault schedules: seeded
 // plans of substrate faults (link down, node down, capacity degradation,
 // edge down), each a fault held for a duration, expanded into one ordered
-// list of apply and restore events. The virtual-clock driver of
-// internal/online plays them against its ledger, and the server's chaos
-// test against a live control plane; Hits is the predicate that decides
-// which committed flows a fault strands.
+// list of apply and restore events. The server's chaos and golden tests
+// play them against a live control plane; Hits is the predicate that
+// decides which committed flows a fault strands.
 //
 // Schedules are plain data. The same schedule played against the same
 // initial state produces the same sequence of apply/restore calls in the
@@ -22,9 +21,8 @@ import (
 )
 
 // Incident is one scheduled fault: it strikes at At and is repaired
-// Duration later. Times are in abstract schedule units: simulation time
-// for the online driver, a wall-clock scale of the test's choosing for
-// the server's chaos test.
+// Duration later. Times are in abstract schedule units: a wall-clock scale
+// of the test's choosing, or only an order of events.
 type Incident struct {
 	At       float64
 	Duration float64
@@ -34,30 +32,6 @@ type Incident struct {
 // Schedule is an ordered set of incidents. The zero value is an empty
 // schedule.
 type Schedule []Incident
-
-// Validate reports the first structural problem: a negative or non-finite
-// start, a non-positive or NaN duration, a degrade fraction outside (0,1],
-// bad fault targets (checked against net when non-nil). The comparisons are
-// written so that NaN fails them.
-func (s Schedule) Validate(net *network.Network) error {
-	for i, inc := range s {
-		if !(inc.At >= 0) || math.IsInf(inc.At, 1) {
-			return fmt.Errorf("faults: incident %d starts at invalid time %v", i, inc.At)
-		}
-		if !(inc.Duration > 0) {
-			return fmt.Errorf("faults: incident %d has non-positive duration %v", i, inc.Duration)
-		}
-		if f := inc.Fault.Fraction; inc.Fault.Kind == network.FaultLinkDegrade && !(f > 0 && f <= 1) {
-			return fmt.Errorf("faults: incident %d: degrade fraction %v outside (0,1]", i, f)
-		}
-		if net != nil {
-			if err := inc.Fault.Validate(net); err != nil {
-				return fmt.Errorf("faults: incident %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
 
 // Event is one apply or restore transition of an incident's fault.
 type Event struct {
@@ -70,9 +44,8 @@ type Event struct {
 
 // Events expands the schedule into its ordered transition list: time
 // ascending; at equal times restores fire before applies (capacity comes
-// back before new faults claim it, as in the offline driver's event order
-// in internal/online); remaining ties break on incident index. The
-// schedule itself is not modified.
+// back before new faults claim it); remaining ties break on incident
+// index. The schedule itself is not modified.
 func (s Schedule) Events() []Event {
 	evs := make([]Event, 0, 2*len(s))
 	for i, inc := range s {
@@ -115,10 +88,11 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Schedule, error) {
 		return nil, fmt.Errorf("faults: substrate %d nodes / %d edges too small", cfg.Nodes, cfg.Edges)
 	case cfg.Count < 0:
 		return nil, fmt.Errorf("faults: negative incident count %d", cfg.Count)
-	case cfg.MeanGap <= 0 || cfg.MeanHold <= 0:
-		return nil, fmt.Errorf("faults: non-positive mean gap %v / hold %v", cfg.MeanGap, cfg.MeanHold)
-	case cfg.NodeFrac < 0 || cfg.NodeFrac > 1 || cfg.DegradeFrac < 0 || cfg.DegradeFrac > 1:
-		return nil, fmt.Errorf("faults: fractions outside [0,1]")
+	// Written so that NaN fails every check.
+	case !(cfg.MeanGap > 0) || !(cfg.MeanHold > 0) || math.IsInf(cfg.MeanGap, 1) || math.IsInf(cfg.MeanHold, 1):
+		return nil, fmt.Errorf("faults: mean gap %v / hold %v not positive and finite", cfg.MeanGap, cfg.MeanHold)
+	case !(cfg.NodeFrac >= 0 && cfg.NodeFrac <= 1) || !(cfg.DegradeFrac >= 0 && cfg.DegradeFrac <= 1):
+		return nil, fmt.Errorf("faults: fractions %v / %v outside [0,1]", cfg.NodeFrac, cfg.DegradeFrac)
 	}
 	s := make(Schedule, 0, cfg.Count)
 	clock := 0.0
@@ -126,7 +100,8 @@ func Generate(cfg GenConfig, rng *rand.Rand) (Schedule, error) {
 		clock += rng.ExpFloat64() * cfg.MeanGap
 		inc := Incident{
 			At: clock,
-			// A strictly positive floor keeps Validate happy on tiny draws.
+			// A strictly positive floor: Events fires restores first at
+			// equal times, so a zero hold would restore before it strikes.
 			Duration: rng.ExpFloat64()*cfg.MeanHold + 1e-6,
 		}
 		switch {

@@ -70,11 +70,14 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 			t.Fatalf("incident %d differs across same-seed generations: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	if err := a.Validate(nil); err != nil {
-		t.Fatalf("generated schedule invalid: %v", err)
-	}
 	kinds := map[network.FaultKind]int{}
-	for _, inc := range a {
+	at := 0.0
+	for i, inc := range a {
+		if f := inc.Fault.Fraction; !(inc.At >= at) || !(inc.Duration > 0) ||
+			inc.Fault.Kind == network.FaultLinkDegrade && !(f > 0 && f <= 1) {
+			t.Fatalf("incident %d malformed: %+v", i, inc)
+		}
+		at = inc.At
 		kinds[inc.Fault.Kind]++
 	}
 	if len(kinds) != 3 {
@@ -82,36 +85,31 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	}
 }
 
-// TestValidateRejects: every structural problem Validate names, NaN
-// included — NaN fails every comparison, so each check is written to fail
-// it too — and a target outside the network it is given.
-func TestValidateRejects(t *testing.T) {
+// TestGenerateRejects: Generate refuses a config whose schedule would not
+// be well-formed, NaN and infinite means included — NaN fails every
+// comparison, so each check is written to fail it too.
+func TestGenerateRejects(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	down := network.Fault{Kind: network.FaultLinkDown}
-	degrade := func(frac float64) network.Fault {
-		return network.Fault{Kind: network.FaultLinkDegrade, Fraction: frac}
-	}
-	for _, bad := range []Incident{
-		{At: nan, Duration: 2, Fault: down},
-		{At: inf, Duration: 2, Fault: down}, // a start that never comes
-		{At: -1, Duration: 2, Fault: down},
-		{At: 1, Duration: nan, Fault: down},
-		{At: 1, Duration: -2, Fault: down},
-		{At: 1, Duration: 2, Fault: degrade(nan)},
-		{At: 1, Duration: 2, Fault: degrade(-inf)},
-		{At: 1, Duration: 2, Fault: degrade(0)},
-		{At: 1, Duration: 2, Fault: degrade(1.5)},
+	ok := GenConfig{Nodes: 4, Edges: 3, Count: 5, MeanGap: 1, MeanHold: 2, NodeFrac: 0.3, DegradeFrac: 0.4}
+	for _, bad := range []func(*GenConfig){
+		func(c *GenConfig) { c.Edges = 0 },
+		func(c *GenConfig) { c.Count = -1 },
+		func(c *GenConfig) { c.MeanGap = 0 },
+		func(c *GenConfig) { c.MeanGap = nan },
+		func(c *GenConfig) { c.MeanGap = inf },
+		func(c *GenConfig) { c.MeanHold = nan },
+		func(c *GenConfig) { c.MeanHold = inf },
+		func(c *GenConfig) { c.NodeFrac = nan },
+		func(c *GenConfig) { c.DegradeFrac = 1.5 },
 	} {
-		if err := (Schedule{bad}).Validate(nil); err == nil {
-			t.Errorf("Validate accepted %+v", bad)
+		cfg := ok
+		bad(&cfg)
+		if s, err := Generate(cfg, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("Generate accepted %+v: %+v", cfg, s)
 		}
 	}
-	off := Schedule{{At: 1, Duration: 2, Fault: network.Fault{Kind: network.FaultLinkDown, Link: 3}}}
-	if err := off.Validate(nil); err != nil {
-		t.Fatalf("without a network, targets are not checked: %v", err)
-	}
-	if err := off.Validate(testNet(t)); err == nil {
-		t.Fatal("Validate accepted link 3 of a three-link network")
+	if _, err := Generate(ok, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatalf("Generate refused %+v: %v", ok, err)
 	}
 }
 

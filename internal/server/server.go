@@ -933,7 +933,7 @@ func (s *Server) commit(j *job) (r jobResult, conflict bool) {
 		return jobResult{err: fmt.Errorf("%w: %v", ErrNotFound, err)}, false
 	}
 	if err != nil {
-		telemetry.RecordOnlineCommitFailure()
+		telemetry.RecordCommitConflict()
 		s.journal.Append(journal.Event{
 			Type: journal.TypeCommitConflict, Flow: j.id, Attempt: j.retries,
 			Detail: detail, Err: err.Error(),

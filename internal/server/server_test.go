@@ -24,8 +24,7 @@ import (
 	"dagsfc/internal/telemetry"
 )
 
-// tinyNet: line 0-1-2 with a single f(1) instance of capacity 2 — the
-// same fixture the online harness tests use.
+// tinyNet: line 0-1-2 with a single f(1) instance of capacity 2.
 func tinyNet() *network.Network {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1, 100)

@@ -9,10 +9,9 @@ import (
 // timeline is the server's deferred work: one goroutine, one timer and one
 // mutex serving two queues, each item when it falls due. TTL departures
 // sit in a min-heap of deadlines and fire in deadline order, ties by
-// scheduling order — the wall-clock counterpart of the offline driver's
-// departure events (internal/online). Each entry knows its place in the
-// heap, so Cancel removes it and a second Schedule moves it: the heap holds
-// exactly the pending flows. Restores queue FIFO: restore makes one attempt
+// scheduling order. Each entry knows its place in the heap, so Cancel
+// removes it and a second Schedule moves it: the heap holds exactly the
+// pending flows. Restores queue FIFO: restore makes one attempt
 // at the head task and reports when the next is due (zero when the task is
 // finished), and the head keeps its place until then: one flow's retries
 // all run before the next flow's first, which keeps the repair order

@@ -19,19 +19,18 @@ const (
 	MetricLayeredRuns    = "dagsfc_embed_layered_runs_total"
 	MetricLayeredSettled = "dagsfc_embed_layered_settled_states"
 	MetricPathTreeNodes  = "dagsfc_embed_path_tree_nodes"
-	MetricOnlineRequests = "dagsfc_online_requests_total"
-	MetricOnlineLatency  = "dagsfc_online_request_latency_seconds"
 )
 
-// Serving-layer metric names: commits the ledger refused (recorded by the
-// offline harness too), the admission pipeline's requests, the depth of
-// its queue and the flows it holds.
+// Serving-layer metric names: commits the ledger refused, the admission
+// pipeline's requests, the depth of its queue and the flows it holds.
+// MetricCommitConflicts keeps the exposition name it was first published
+// under, which the repository benchmark reads by name.
 const (
-	MetricOnlineCommitFailures = "dagsfc_online_commit_failures_total"
-	MetricServerRequests       = "dagsfc_server_requests_total"
-	MetricServerLatency        = "dagsfc_server_request_latency_seconds"
-	MetricServerQueueDepth     = "dagsfc_server_queue_depth"
-	MetricServerActiveFlows    = "dagsfc_server_active_flows"
+	MetricCommitConflicts   = "dagsfc_online_commit_failures_total"
+	MetricServerRequests    = "dagsfc_server_requests_total"
+	MetricServerLatency     = "dagsfc_server_request_latency_seconds"
+	MetricServerQueueDepth  = "dagsfc_server_queue_depth"
+	MetricServerActiveFlows = "dagsfc_server_active_flows"
 )
 
 // counter, gauge and histogram declare a label-free family once: its name
@@ -288,28 +287,11 @@ func RecordLayeredRun(alg string, fallback bool, settled int) {
 	layeredSettled.get(alg).Observe(float64(settled))
 }
 
-var (
-	onlineRequests       = labelledCounter(MetricOnlineRequests, "Online flow requests by outcome.", "outcome")
-	onlineLatency        = histogram(MetricOnlineLatency, "Wall-clock seconds per online request (embed + commit).")
-	onlineCommitFailures = counter(MetricOnlineCommitFailures, "Online commits rejected by the ledger after a successful embed.")
-)
+var commitConflicts = counter(MetricCommitConflicts, "Server commits the ledger refused after a successful embed: stale-snapshot conflicts.")
 
-// RecordOnlineRequest records one request of the offline online harness
-// on the Default registry: an accepted/rejected counter and an end-to-end
-// latency histogram (embed plus commit).
-func RecordOnlineRequest(accepted bool, elapsed time.Duration) {
-	outcome := "rejected"
-	if accepted {
-		outcome = "accepted"
-	}
-	onlineRequests.get(outcome).Inc()
-	onlineLatency().Observe(elapsed.Seconds())
-}
-
-// RecordOnlineCommitFailure records one commit that failed against the
-// shared ledger after a successful speculative embed — a stale-snapshot
-// conflict in the server, a defensive rejection in the offline harness.
-func RecordOnlineCommitFailure() { onlineCommitFailures().Inc() }
+// RecordCommitConflict records one commit that failed against the shared
+// ledger after a successful speculative embed: a stale-snapshot conflict.
+func RecordCommitConflict() { commitConflicts().Inc() }
 
 // Flight-recorder metric names: per-stage pipeline latencies derived from
 // journal event pairs, and the journal's self-accounting (ring overflow is

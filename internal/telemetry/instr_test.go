@@ -30,23 +30,19 @@ func TestRecordersAllocateNothing(t *testing.T) {
 			RecordEmbed(EmbedSample{Alg: alg, Elapsed: time.Millisecond, Failed: true})
 			RecordEmbed(EmbedSample{Alg: alg, Elapsed: time.Millisecond, PathTreeNodes: 125})
 		},
-		"RecordLayeredRun": func() { RecordLayeredRun(alg, false, 40); RecordLayeredRun(alg, true, 7) },
-		"RecordOnlineRequest": func() {
-			RecordOnlineRequest(true, time.Millisecond)
-			RecordOnlineRequest(false, time.Millisecond)
-		},
-		"RecordOnlineCommitFailure": RecordOnlineCommitFailure,
-		"RecordServerStage":         func() { RecordServerStage(StageEmbed, time.Millisecond) },
-		"RecordJournalAppend":       func() { RecordJournalAppend(false); RecordJournalAppend(true) },
-		"RecordFailover":            RecordFailover,
-		"RecordReprotect":           RecordReprotect,
-		"RecordBackupAdmitFailure":  func() { RecordBackupAdmitFailure(false); RecordBackupAdmitFailure(true) },
-		"RecordWALAppend":           func() { RecordWALAppend(64) },
-		"RecordWALFsync":            RecordWALFsync,
-		"RecordWALSnapshot":         func() { RecordWALSnapshot(512, time.Millisecond) },
-		"RecordWALReplay":           func() { RecordWALReplay(3) },
-		"SetWALBroken":              func() { SetWALBroken(false) },
-		"RecordWALError":            RecordWALError,
+		"RecordLayeredRun":         func() { RecordLayeredRun(alg, false, 40); RecordLayeredRun(alg, true, 7) },
+		"RecordCommitConflict":     RecordCommitConflict,
+		"RecordServerStage":        func() { RecordServerStage(StageEmbed, time.Millisecond) },
+		"RecordJournalAppend":      func() { RecordJournalAppend(false); RecordJournalAppend(true) },
+		"RecordFailover":           RecordFailover,
+		"RecordReprotect":          RecordReprotect,
+		"RecordBackupAdmitFailure": func() { RecordBackupAdmitFailure(false); RecordBackupAdmitFailure(true) },
+		"RecordWALAppend":          func() { RecordWALAppend(64) },
+		"RecordWALFsync":           RecordWALFsync,
+		"RecordWALSnapshot":        func() { RecordWALSnapshot(512, time.Millisecond) },
+		"RecordWALReplay":          func() { RecordWALReplay(3) },
+		"SetWALBroken":             func() { SetWALBroken(false) },
+		"RecordWALError":           RecordWALError,
 		"RecordServerRequest": func() {
 			RecordServerRequest(route, "accepted", time.Millisecond)
 			RecordServerRequest(route, "conflict", time.Millisecond)

@@ -440,28 +440,6 @@ dagsfc_server_stage_seconds_count{stage="golden_stage"} 1
 		t.Fatalf("a new outcome must add a counter series and share the route's histogram:\n%s", got)
 	}
 
-	online := func() (accepted, rejected, observed float64) {
-		for _, fam := range Default().Snapshot().Families {
-			for _, s := range fam.Series {
-				switch {
-				case fam.Name == MetricOnlineLatency:
-					observed = float64(s.Count)
-				case fam.Name == MetricOnlineRequests && s.Labels[0].Value == "accepted":
-					accepted = s.Value
-				case fam.Name == MetricOnlineRequests && s.Labels[0].Value == "rejected":
-					rejected = s.Value
-				}
-			}
-		}
-		return
-	}
-	a0, r0, n0 := online()
-	RecordOnlineRequest(true, time.Millisecond)
-	RecordOnlineRequest(false, time.Millisecond)
-	RecordOnlineRequest(true, time.Millisecond)
-	if a, r, n := online(); a-a0 != 2 || r-r0 != 1 || n-n0 != 3 {
-		t.Fatalf("online recorder counted accepted %v, rejected %v, latency samples %v; want +2, +1, +3", a-a0, r-r0, n-n0)
-	}
 }
 
 // TestPathCacheRetentionExposition pins what a scrape sees of the tree

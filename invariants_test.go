@@ -193,7 +193,7 @@ var invariants = []invariant{{
 	name:     "ledger-dense-no-rebase",
 	contract: "the live ledger is one dense ledger, copied, never folded",
 	design:   "11. Memory & allocation discipline",
-	files:    []string{"internal/flowstate/*.go", "internal/server/*.go", "internal/online/*.go"},
+	files:    []string{"internal/flowstate/*.go", "internal/server/*.go"},
 	forbid:   `Rebase|rebaseLen`,
 	sample:   "\tRebase = Kind(129)",
 	msg:      "the live ledger is rebased again: it is one dense ledger, copied, never folded",
@@ -215,14 +215,6 @@ var invariants = []invariant{{
 	forbid:   `replayRecord|commitReprotect|reprotectOne|dropped[[:space:]]+map\[`,
 	sample:   "func (s *Server) replayRecord(r wal.Record) error {",
 	msg:      "internal/server mutates flow state beside flowstate.Apply",
-}, {
-	name:     "server-single-writer-online",
-	contract: "the offline driver changes its ledger through flowstate.Apply alone",
-	design:   "20. Flow state machine: one transition, applied once",
-	files:    []string{"internal/online/*.go"},
-	forbid:   `core\.Commit\(|core\.Release\(|network\.NewLedger\(|NewFlowTable`,
-	sample:   "\t\t\t\tif err := core.Release(f.Problem, f.Solution); err != nil {",
-	msg:      "internal/online mutates a ledger beside flowstate.Apply",
 }, {
 	name:     "server-one-goroutine",
 	contract: "a request is served on its own goroutine, deferred work on the timeline's, the one goroutine server.New starts",
@@ -267,10 +259,6 @@ var symbolKeep = map[string]string{
 	"faults.Generate":               "draws the seeded fault schedules the server's chaos test plays; TestGenerateDeterministicAndValid pins it",
 	"graph.Graph.Connected":         "the connectivity oracle the graph, netgen and sim tests check every generated substrate with",
 	"graph.Path.Simple":             "the loopless-path oracle the Dijkstra, Yen and search tests check paths with",
-	"online.Run":                    "an entry point of the virtual-clock driver censusKeep keeps internal/online for; TestOnlineGolden pins it",
-	"online.RunChurn":               "an entry point of the virtual-clock driver censusKeep keeps internal/online for; TestOnlineGolden pins it",
-	"online.RunFailures":            "an entry point of the virtual-clock driver censusKeep keeps internal/online for; TestOnlineGolden pins it",
-	"online.RandomTimedRequests":    "the arrival generator of the virtual-clock driver's entry points; TestOnlineGolden pins what it draws",
 	"server.Server.Journal":         "the in-process read of the flight recorder: tests read flow timelines through it without a socket",
 	"server.FlowStateEvicted":       "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the server tests read flow tables with it",
 	"server.FlowStateRepairing":     "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the chaos test asserts no flow is left in it",
