@@ -6,18 +6,13 @@
 //
 // It targets a running server with -url, or with -selfserve starts its
 // own in-process server on an ephemeral port and drives it over real
-// TCP — the one-command demo and the CI smoke tests:
+// TCP — the one-command demo:
 //
 //	dagsfc-load -url http://localhost:8080 -n 200 -mean-gap 50ms -hold 10s
-//	dagsfc-load -selfserve -smoke
+//	dagsfc-load -selfserve -n 50
 //
-// -smoke replaces the load run with a deterministic end-to-end check:
-// embed one flow, verify the residual network shrank, release it, verify
-// the residuals returned to the seed exactly, and scrape /metrics for a
-// nonzero request count. It exits nonzero on any violation.
-//
-// The survivability invariants under faults are checked in-process by
-// the server package's chaos test, not here.
+// The end-to-end commit/release and telemetry checks, and the
+// survivability invariants under faults, are the server package's tests.
 package main
 
 import (
@@ -61,7 +56,6 @@ func main() {
 		concurrency = flag.Int("concurrency", 16, "max in-flight requests")
 		retries     = flag.Int("retries", 3, "max retries per flow on retryable rejections (429/409/503)")
 		retryWait   = flag.Duration("retry-backoff", 25*time.Millisecond, "base retry backoff (doubles per attempt, capped at 32x)")
-		smoke       = flag.Bool("smoke", false, "run the deterministic smoke check instead of the load")
 		nodes       = flag.Int("nodes", 50, "generated network size (selfserve only)")
 		logLevel    = flag.String("log-level", "off", "selfserve structured log threshold: debug, info, warn, error, off")
 		logFormat   = flag.String("log-format", "text", "selfserve structured log encoding: text or json")
@@ -83,11 +77,7 @@ func main() {
 			base = "http://" + addr
 			fmt.Fprintf(os.Stderr, "dagsfc-load: self-serving on %s\n", base)
 		}
-		cl := client.New(base, nil)
-		if *smoke {
-			return runSmoke(cl, *kinds, *rate, *seed)
-		}
-		return runLoad(cl, loadConfig{
+		return runLoad(client.New(base, nil), loadConfig{
 			n: *n, meanGap: *meanGap, hold: *hold,
 			sfcCfg: sfcgen.Config{Size: *size, LayerWidth: *width, VNFKinds: *kinds},
 			rate:   *rate, seed: *seed, concurrency: *concurrency,
@@ -422,12 +412,9 @@ func printJournalSummary(w io.Writer, events []journal.Event, missed uint64) {
 	}
 }
 
-// The state changes the journal readers look for, named as the journal
-// names them: by their transition's kind.
-var (
-	evCommit, evRelease = journal.Type(flowstate.Commit.String()), journal.Type(flowstate.Release.String())
-	evEvict             = journal.Type(flowstate.Evict.String())
-)
+// evEvict is the state change the journal summary counts, named as the
+// journal names it: by its transition's kind.
+var evEvict = journal.Type(flowstate.Evict.String())
 
 func report(outcomes []outcome, wall time.Duration) {
 	var accepted, retriedOK, totalRetries int
@@ -473,112 +460,4 @@ func report(outcomes []outcome, wall time.Duration) {
 	}
 	fmt.Printf("latency: p50 %v  p90 %v  p99 %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
-}
-
-// runSmoke is the CI end-to-end check: one flow through the full
-// commit/release cycle with exact residual accounting, plus a telemetry
-// scrape. Rate 1 keeps every reservation integral, so "restored exactly"
-// is a float-equality check.
-func runSmoke(cl *client.Client, kinds int, rate float64, seed int64) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := cl.Healthz(ctx); err != nil {
-		return fmt.Errorf("smoke: healthz: %w", err)
-	}
-	seedState, err := cl.Network(ctx)
-	if err != nil {
-		return fmt.Errorf("smoke: network: %w", err)
-	}
-
-	// Random src/dst pairs are not all feasible; try a few.
-	rng := rand.New(rand.NewSource(seed))
-	var info server.FlowInfo
-	created := false
-	for attempt := 0; attempt < 20 && !created; attempt++ {
-		dag, err := sfcgen.Generate(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: kinds}, rng)
-		if err != nil {
-			return err
-		}
-		info, err = cl.CreateFlow(ctx, server.FlowRequest{
-			SFC: sfc.Format(dag),
-			Src: rng.Intn(seedState.Nodes), Dst: rng.Intn(seedState.Nodes),
-			Rate: rate, Size: 1,
-		})
-		if err == nil {
-			created = true
-		} else if _, ok := err.(*client.APIError); !ok {
-			return fmt.Errorf("smoke: create: %w", err)
-		}
-	}
-	if !created {
-		return fmt.Errorf("smoke: no flow embeddable in 20 attempts")
-	}
-	fmt.Fprintf(os.Stderr, "smoke: flow %d committed, cost %.3f\n", info.ID, info.Cost.Total)
-
-	mid, err := cl.Network(ctx)
-	if err != nil {
-		return err
-	}
-	if seedState.SameResiduals(mid) {
-		return fmt.Errorf("smoke: commit left the residual network unchanged")
-	}
-	if _, err := cl.ReleaseFlow(ctx, info.ID); err != nil {
-		return fmt.Errorf("smoke: release: %w", err)
-	}
-	end, err := cl.Network(ctx)
-	if err != nil {
-		return err
-	}
-	if !seedState.SameResiduals(end) || end.ActiveFlows != 0 {
-		return fmt.Errorf("smoke: release did not restore the seed residuals")
-	}
-	snap, err := cl.MetricsSnapshot(ctx)
-	if err != nil {
-		return fmt.Errorf("smoke: metrics: %w", err)
-	}
-	// The traffic above must show, and the path-tree cache families must
-	// always be exposed (the server pre-creates them at zero).
-	for _, name := range []string{
-		"dagsfc_server_requests_total",
-		"dagsfc_server_stage_seconds",
-		"dagsfc_journal_events_total",
-		"dagsfc_path_cache_hits_total",
-		"dagsfc_path_cache_misses_total",
-		"dagsfc_path_cache_evictions_total",
-	} {
-		if _, ok := snap.Series(name); !ok {
-			return fmt.Errorf("smoke: /metrics missing %s", name)
-		}
-	}
-	// The embed above must have consulted the cache at least once — every
-	// tree it computed was a recorded miss.
-	if misses, _ := snap.Series("dagsfc_path_cache_misses_total"); !(misses.Value > 0) {
-		return fmt.Errorf("smoke: dagsfc_path_cache_misses_total = %v after an embed, want > 0", misses.Value)
-	}
-
-	// The flight recorder must have witnessed the whole cycle: a non-empty
-	// global journal, and the committed flow's own timeline exactly
-	// enqueue → dequeue → embed_done → commit → release.
-	page, err := cl.Events(ctx, 0, 0)
-	if err != nil {
-		return fmt.Errorf("smoke: events: %w", err)
-	}
-	if len(page.Events) == 0 {
-		return fmt.Errorf("smoke: journal is empty after a commit/release cycle")
-	}
-	timeline, err := cl.FlowEvents(ctx, info.ID, 0)
-	if err != nil {
-		return fmt.Errorf("smoke: flow events: %w", err)
-	}
-	want := []journal.Type{journal.TypeEnqueue, journal.TypeDequeue, journal.TypeEmbedDone, evCommit, evRelease}
-	got := make([]journal.Type, len(timeline.Events))
-	for i, ev := range timeline.Events {
-		got[i] = ev.Type
-	}
-	if !slices.Equal(got, want) {
-		return fmt.Errorf("smoke: flow %d timeline %v, want %v", info.ID, got, want)
-	}
-	fmt.Fprintf(os.Stderr, "smoke: journal recorded %d events for flow %d\n", len(timeline.Events), info.ID)
-	fmt.Fprintln(os.Stderr, "smoke: commit/release cycle exact, telemetry live — ok")
-	return nil
 }

@@ -6,11 +6,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
 	"dagsfc/internal/server/client"
+	"dagsfc/internal/sfcgen"
 	"dagsfc/internal/telemetry"
 )
 
@@ -133,8 +135,9 @@ func TestPrintStageTableWarnsOnMalformed(t *testing.T) {
 	}
 }
 
-// TestCounterValue: the smoke check reads a label-free counter off the
-// snapshot, and tells one that is absent from one that reads zero.
+// TestCounterValue: a snapshot's Series finds a label-free counter and tells
+// an absent family from a present one, and stageBuckets, the stage table's
+// read, finds no stage the scrape lacks.
 func TestCounterValue(t *testing.T) {
 	snap := scrape(nil)
 	if got, ok := snap.Series("dagsfc_path_cache_hits_total"); !ok || got.Value != 12 {
@@ -177,6 +180,28 @@ func TestRunLoadRejectsNoFlows(t *testing.T) {
 		if err := runLoad(cl, loadConfig{n: n}); err == nil || !strings.Contains(err.Error(), "-n") {
 			t.Errorf("runLoad with n = %d: %v, want an error naming -n", n, err)
 		}
+	}
+}
+
+// TestRunLoadSelfServe is the one-command demo: a load of a few flows
+// against an in-process server on a real socket runs to its report, and the
+// server admitted some of them.
+func TestRunLoadSelfServe(t *testing.T) {
+	srv, addr, stop, err := startSelfServe(50, 10, 1, "off", "text", "", "commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer stop()
+	cfg := loadConfig{
+		n: 8, meanGap: time.Millisecond, rate: 1, seed: 1, concurrency: 4,
+		sfcCfg: sfcgen.Config{Size: 5, LayerWidth: 3, VNFKinds: 10},
+	}
+	if err := runLoad(client.New("http://"+addr, nil), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.ActiveFlows(); n == 0 {
+		t.Fatal("the server admitted none of the load's flows")
 	}
 }
 

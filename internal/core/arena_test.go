@@ -357,23 +357,54 @@ func nodeIDs(nodes []*TreeNode) []graph.NodeID {
 // of nodes, paths and edges that assemble copies them into; and the Usage's
 // instance and edge rows. It holds for a hybrid SFC, for a chain of
 // single-VNF layers (one layered run), for a banned run (a backup) and for a
-// delay-bounded run, whose fewest-hop paths are walked into the arena too.
+// delay-bounded run, whose fewest-hop paths are walked into the arena too;
+// another flow committed and released before each embed adds Commit's two
+// usage lists. A run without a ledger reads a fresh one and roots its trees
+// afresh: 10, for the hybrid and for a six-layer chain. One layer's
+// candidate generation costs 2, and BBE, which enumerates tree paths, reads
+// 442 under a ceiling of 450.
 func TestEmbedAllocatesItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const want = 8
-	for _, c := range fixedCostCases(t) {
-		if _, err := Embed(c.p, c.opts); err != nil { // grow the arena
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := Embed(c.p, c.opts); err != nil {
+	type loop struct {
+		name    string
+		want    float64 // at most, when ceiling
+		ceiling bool
+		op      func()
+	}
+	embed := func(p *Problem, opts Options) func() {
+		return func() {
+			if _, err := Embed(p, opts); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != want {
-			t.Errorf("%s: a warm Embed allocated %v objects per run, want %d", c.name, allocs, want)
+		}
+	}
+	var loops []loop
+	for _, c := range fixedCostCases(t) {
+		l := loop{name: c.name, want: 8, op: embed(c.p, c.opts)}
+		if c.churn != nil {
+			run := l.op
+			l.want, l.op = 10, func() { c.churn(); run() }
+		}
+		loops = append(loops, l)
+	}
+	cold := benchProblem(t)
+	loops = append(loops,
+		loop{name: "ledgerless", want: 10, op: embed(cold, MBBEOptions())},
+		loop{name: "ledgerless serial", want: 10, op: embed(serialBenchProblem(t), MBBEOptions())},
+		loop{name: "ledgerless bbe", want: 450, ceiling: true, op: embed(cold, BBEOptions())},
+		loop{name: "one layer's extensions", want: 2, op: func() {
+			if firstLayerExtensions(cold) == 0 {
+				t.Fatal("no extensions")
+			}
+		}},
+	)
+	for _, l := range loops {
+		l.op() // grow the arena
+		allocs := testing.AllocsPerRun(20, l.op)
+		if l.ceiling && allocs > l.want || !l.ceiling && allocs != l.want {
+			t.Errorf("%s: %v objects per run, want %v (a ceiling: %v)", l.name, allocs, l.want, l.ceiling)
 		}
 	}
 }
@@ -383,11 +414,15 @@ type fixedCostCase struct {
 	name string
 	p    *Problem
 	opts Options
+	// churn, when set, is run before each embed: another flow commits and
+	// releases on the ledger, as a server's does between admissions.
+	churn func()
 }
 
-// fixedCostCases are the four shapes of a warm embed on a ledger: the Table
+// fixedCostCases are the shapes of a warm embed on a ledger: the Table
 // 2-scale hybrid, its chain, the hybrid with its first placement's links
-// banned, and the hybrid under a delay bound that binds.
+// banned, the hybrid under a delay bound that binds, and the hybrid on a
+// ledger that moves between any two embeds.
 func fixedCostCases(t *testing.T) []fixedCostCase {
 	t.Helper()
 	hybrid := benchProblem(t)
@@ -404,10 +439,32 @@ func fixedCostCases(t *testing.T) []fixedCostCase {
 	delayed := MBBEOptions()
 	delayed.MaxDelay = EvaluateDelay(hybrid, primary.Solution, DefaultDelayParams()) // feasible, and binding
 	return []fixedCostCase{
-		{"hybrid", hybrid, MBBEOptions()},
-		{"serial", &serial, MBBEOptions()},
-		{"banned", hybrid, banned},
-		{"delay", hybrid, delayed},
+		{name: "hybrid", p: hybrid, opts: MBBEOptions()},
+		{name: "serial", p: &serial, opts: MBBEOptions()},
+		{name: "banned", p: hybrid, opts: banned},
+		{name: "delay", p: hybrid, opts: delayed},
+		{name: "churn", p: hybrid, opts: MBBEOptions(), churn: churnOn(t, hybrid)},
+	}
+}
+
+// churnOn returns a step that commits and releases, on p's ledger, the
+// placement of p's reverse flow: the ledger's epoch moves, and its residuals
+// come back.
+func churnOn(tb testing.TB, p *Problem) func() {
+	tb.Helper()
+	other := *p
+	other.Src, other.Dst = p.Dst, p.Src
+	placed, err := EmbedMBBE(&other)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if _, err := Commit(&other, placed.Solution); err != nil {
+			tb.Fatal(err)
+		}
+		if err := Release(&other, placed.Solution); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
@@ -420,6 +477,9 @@ func TestEmbedReadsOnlyItsCategoriesRows(t *testing.T) {
 		clean, stale := newPooledScratch(), newPooledScratch()
 		stale.mem.instRes = make([]float64, len(c.p.Ledger.InstanceResiduals(nil)))
 		for round := 0; round < 2; round++ {
+			if c.churn != nil {
+				c.churn()
+			}
 			want, err := embedOn(context.Background(), c.p, c.opts, clean)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)

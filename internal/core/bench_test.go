@@ -56,14 +56,20 @@ func BenchmarkLayerExtensions(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := acquireScratch()
-		e := newEmbedder(context.Background(), p, MBBEOptions(), sc)
-		e.avgLink = p.Net.AvgLinkPrice()
-		if exts := e.buildExtensions(e.layerSpecs()[0], p.Src, nil); len(exts) == 0 {
+		if firstLayerExtensions(p) == 0 {
 			b.Fatal("no extensions")
 		}
-		releaseScratch(sc)
 	}
+}
+
+// firstLayerExtensions builds, on a fresh embedder, the candidates of p's
+// first layer from its source, and counts them.
+func firstLayerExtensions(p *Problem) int {
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	e := newEmbedder(context.Background(), p, MBBEOptions(), sc)
+	e.avgLink = p.Net.AvgLinkPrice()
+	return len(e.buildExtensions(e.layerSpecs()[0], p.Src, nil))
 }
 
 // BenchmarkParallelLayer builds and screens the first parallel layer of the
@@ -146,12 +152,7 @@ func BenchmarkEmbedMBBECached(b *testing.B) {
 func BenchmarkEmbedMBBEChurn(b *testing.B) {
 	p := benchProblem(b)
 	p.Ledger = network.NewLedger(p.Net)
-	other := *p
-	other.Src, other.Dst = p.Dst, p.Src
-	placed, err := EmbedMBBE(&other)
-	if err != nil {
-		b.Fatal(err)
-	}
+	churn := churnOn(b, p)
 	opts := MBBEOptions()
 	if _, err := Embed(p, opts); err != nil { // the cold pass roots the trees
 		b.Fatal(err)
@@ -160,12 +161,7 @@ func BenchmarkEmbedMBBEChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Commit(&other, placed.Solution); err != nil {
-			b.Fatal(err)
-		}
-		if err := Release(&other, placed.Solution); err != nil {
-			b.Fatal(err)
-		}
+		churn()
 		if _, err := Embed(p, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -489,12 +489,12 @@ func TestReserveRollsBack(t *testing.T) {
 // TestCommitReleaseAllocCeiling is the allocation budget of the ledger
 // path: validating, committing and releasing a placement tallies its usage
 // in pooled scratch, so the only objects left are the two usage lists the
-// CostBreakdown Commit returns.
+// CostBreakdown Commit returns — exactly those.
 func TestCommitReleaseAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const ceiling = 6
+	const want = 2
 	p, sol := commitReleaseFixture(t)
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := Validate(p, sol); err != nil {
@@ -507,8 +507,7 @@ func TestCommitReleaseAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > ceiling {
-		t.Fatalf("Validate+Commit+Release allocated %.0f objects, ceiling %d", allocs, ceiling)
+	if allocs != want {
+		t.Fatalf("Validate+Commit+Release allocated %.0f objects, want %d", allocs, want)
 	}
-	t.Logf("Validate+Commit+Release: %.0f allocs (ceiling %d)", allocs, ceiling)
 }

@@ -342,14 +342,21 @@ func TestBackupRunDirectedEqualsPlain(t *testing.T) {
 	}
 }
 
-// BenchmarkEmbedMBBESerial is one embed-serial op: six single-VNF layers
-// on the Table 2 substrate, sequential. The whole SFC is one layered run.
-func BenchmarkEmbedMBBESerial(b *testing.B) {
+// serialBenchProblem draws embed-serial's instance: six single-VNF layers
+// on the Table 2 substrate, no ledger.
+func serialBenchProblem(tb testing.TB) *Problem {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	cfg := netgen.Default()
 	net := netgen.MustGenerate(cfg, rng)
 	dag := sfcgen.MustGenerate(sfcgen.Config{Size: 6, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng)
-	p := &Problem{Net: net, SFC: dag, Src: 0, Dst: 250, Rate: 1, Size: 1}
+	return &Problem{Net: net, SFC: dag, Src: 0, Dst: 250, Rate: 1, Size: 1}
+}
+
+// BenchmarkEmbedMBBESerial is one embed-serial op: six single-VNF layers
+// on the Table 2 substrate, sequential. The whole SFC is one layered run.
+func BenchmarkEmbedMBBESerial(b *testing.B) {
+	p := serialBenchProblem(b)
 	opts := MBBEOptions()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"dagsfc/internal/flowstate"
@@ -100,13 +99,6 @@ type NetworkState struct {
 	ActiveFlows int             `json:"active_flows"`
 	Links       []LinkState     `json:"links"`
 	Instances   []InstanceState `json:"instances"`
-}
-
-// SameResiduals reports whether two snapshots of one network show the same
-// residual on every link and instance, exactly — the drain-to-seed check.
-func (a NetworkState) SameResiduals(b NetworkState) bool {
-	return slices.EqualFunc(a.Links, b.Links, func(x, y LinkState) bool { return x.Residual == y.Residual }) &&
-		slices.EqualFunc(a.Instances, b.Instances, func(x, y InstanceState) bool { return x.Residual == y.Residual })
 }
 
 // EventsPage is the response of the journal endpoints: one page of

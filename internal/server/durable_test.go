@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
@@ -367,20 +366,6 @@ func TestDurableEmptyDirFreshStart(t *testing.T) {
 // answered 201 after it did not survive a restart.
 func TestDurableOverflowingCostRefused(t *testing.T) {
 	dir := t.TempDir()
-	// tinyNet's line, with what "1;2,3;4" needs besides: f2, f3 and the
-	// merger beside f1 on node 1, f4 on node 2.
-	hybridNet := func() *network.Network {
-		g := graph.New(3)
-		g.MustAddEdge(0, 1, 1, 100)
-		g.MustAddEdge(1, 2, 1, 100)
-		net := network.New(g, network.Catalog{N: 4})
-		net.MustAddInstance(1, 1, 10, 2)
-		net.MustAddInstance(1, 2, 10, 2)
-		net.MustAddInstance(1, 3, 10, 2)
-		net.MustAddInstance(1, net.Catalog.Merger(), 10, 2)
-		net.MustAddInstance(2, 4, 10, 2)
-		return net
-	}
 	tweak := func(c *server.Config) { c.WALSnapshotEvery, c.Net = 2, hybridNet() }
 	srv := durableServer(t, dir, tweak)
 	hs := httptest.NewServer(srv.Handler())

@@ -18,6 +18,9 @@ import (
 // hold the server at a known point, so they live inside the package (the typed
 // client cannot be imported here — it would close an import cycle).
 
+// RaceEnabled exports raceEnabled to the external tests' allocation counts.
+const RaceEnabled = raceEnabled
+
 func overflowNet() *network.Network {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1, 100)

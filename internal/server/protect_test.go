@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dagsfc/internal/flowstate"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
@@ -185,6 +186,22 @@ func TestFailoverPromotesBackupAndReprotects(t *testing.T) {
 			got.BackupCost.Total, got.Cost.Total)
 	}
 
+	// A failover runs no embed: none falls between the flow's commit and
+	// its failover, and each one after is a repair attempt's.
+	committed, attempt := false, false
+	for _, typ := range typesOf(srv.Journal().Flow(info.ID, 0)) {
+		switch typ {
+		case named(flowstate.Commit):
+			committed = true
+		case journal.TypeRepairAttempt:
+			attempt = true
+		case journal.TypeEmbedDone:
+			if committed && !attempt {
+				t.Fatalf("timeline %v: an embed after the commit that no repair attempt ran", typesOf(srv.Journal().Flow(info.ID, 0)))
+			}
+			attempt = false
+		}
+	}
 	evs := flowEvents(srv, info.ID)
 	if evs["failover(edge-down 0)"] != 1 || evs["backup"] != 1 {
 		t.Fatalf("journal events %v, want exactly one failover and one backup", evs)

@@ -34,6 +34,21 @@ func tinyNet() *network.Network {
 	return net
 }
 
+// hybridNet is tinyNet's line with what "1;2,3;4" needs besides: f2, f3
+// and the merger beside f1 on node 1, f4 on node 2.
+func hybridNet() *network.Network {
+	g := graph.New(3)
+	g.MustAddEdge(0, 1, 1, 100)
+	g.MustAddEdge(1, 2, 1, 100)
+	net := network.New(g, network.Catalog{N: 4})
+	net.MustAddInstance(1, 1, 10, 2)
+	net.MustAddInstance(1, 2, 10, 2)
+	net.MustAddInstance(1, 3, 10, 2)
+	net.MustAddInstance(1, net.Catalog.Merger(), 10, 2)
+	net.MustAddInstance(2, 4, 10, 2)
+	return net
+}
+
 func lineRequest(rate float64) server.FlowRequest {
 	return server.FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: rate, Size: 1}
 }

@@ -7,10 +7,14 @@ package server_test
 // journal must page cleanly over HTTP.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +26,7 @@ import (
 	"dagsfc/internal/server"
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
+	"dagsfc/internal/telemetry"
 )
 
 // named is the journal's name for a transition of kind k.
@@ -79,16 +84,63 @@ func assertMonotonicSeq(t *testing.T, events []journal.Event) {
 	}
 }
 
+// TestTimelineCommittedAndReleased drives one hybrid flow through its whole
+// life over HTTP with debug JSON logging on: the commit takes capacity and
+// the release returns the seed exactly; /metrics exposes the serving,
+// journal and tree-store families, and the embed rooted at least one tree;
+// the journal is non-empty, the flow's timeline is exactly enqueue →
+// dequeue → embed_done → commit → release, and every log line is JSON.
 func TestTimelineCommittedAndReleased(t *testing.T) {
-	_, cl := newTestServer(t, server.Config{Net: tinyNet()})
-	ctx := context.Background()
-
-	info, err := cl.CreateFlow(ctx, lineRequest(1))
+	logs := new(syncBuffer)
+	logger, err := journal.NewLogger(logs, "debug", "json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, cl := newTestServer(t, server.Config{Net: hybridNet(), Logger: logger})
+	ctx := context.Background()
+	if err := cl.Healthz(ctx); err != nil {
+		t.Fatal(err)
+	}
+	seed, err := cl.Network(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := seriesValue(telemetry.MetricPathCacheMisses)
+
+	// A hybrid: its parallel layer takes the searches the tree store serves.
+	info, err := cl.CreateFlow(ctx, server.FlowRequest{SFC: "1;2,3;4", Src: 0, Dst: 2, Rate: 1, Size: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid, err := cl.Network(ctx); err != nil || equalResiduals(residuals(mid), residuals(seed)) {
+		t.Fatalf("the commit left the residuals at the seed (%v)", err)
+	}
 	if _, err := cl.ReleaseFlow(ctx, info.ID); err != nil {
 		t.Fatal(err)
+	}
+	if end, err := cl.Network(ctx); err != nil || end.ActiveFlows != 0 || !equalResiduals(residuals(end), residuals(seed)) {
+		t.Fatalf("after the release: %d flows active, residuals %v, want none and the seed %v (%v)",
+			end.ActiveFlows, residuals(end), residuals(seed), err)
+	}
+
+	snap, err := cl.MetricsSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		telemetry.MetricServerRequests, telemetry.MetricServerStageSeconds, telemetry.MetricJournalEvents,
+		telemetry.MetricPathCacheHits, telemetry.MetricPathCacheMisses, telemetry.MetricPathCacheEvictions,
+	} {
+		if _, ok := snap.Series(name); !ok {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	// Counters are process-wide: only their growth is this flow's.
+	if got, _ := snap.Series(telemetry.MetricPathCacheMisses); !(got.Value > misses) {
+		t.Errorf("%s went %v -> %v across a hybrid embed, want it to grow", telemetry.MetricPathCacheMisses, misses, got.Value)
+	}
+	if all, err := cl.Events(ctx, 0, 0); err != nil || len(all.Events) == 0 {
+		t.Fatalf("/v1/events after a commit and a release: %d events (%v)", len(all.Events), err)
 	}
 
 	page, err := cl.FlowEvents(ctx, info.ID, 0)
@@ -125,6 +177,35 @@ func TestTimelineCommittedAndReleased(t *testing.T) {
 	if began := done.Time.Add(-time.Duration(done.Seconds * float64(time.Second))); began.Before(dequeued.Time.Add(-time.Microsecond)) {
 		t.Fatalf("embed began at %v, before its dequeue at %v", began, dequeued.Time)
 	}
+
+	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("log line is not JSON: %q", line)
+		}
+	}
+	if len(lines) < len(page.Events) {
+		t.Fatalf("%d log lines for %d journal events at debug level", len(lines), len(page.Events))
+	}
+}
+
+// syncBuffer is a bytes.Buffer the server's goroutines may write while the
+// test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestTimelineCommitConflict(t *testing.T) {

@@ -256,6 +256,9 @@ func (inv *invariant) scans(f *goFile) bool {
 // non-test reference, each with its reason. The census fails on an entry
 // that is referenced again or names nothing.
 var symbolKeep = map[string]string{
+	"client.Client.FlowEvents":      "GET /v1/flows/{id}/events for Go callers; the server's HTTP tests read every flow timeline through it",
+	"client.Client.Healthz":         "GET /healthz for Go callers; the server's HTTP tests probe liveness through it",
+	"core.SearchTree.Iterations":    "the search's iteration count, which the Fig. 3 worked example and the search-tree and horizon tests check",
 	"faults.Generate":               "draws the seeded fault schedules the server's chaos test plays; TestGenerateDeterministicAndValid pins it",
 	"graph.Graph.Connected":         "the connectivity oracle the graph, netgen and sim tests check every generated substrate with",
 	"graph.Path.Simple":             "the loopless-path oracle the Dijkstra, Yen and search tests check paths with",
