@@ -24,12 +24,12 @@ benchmark-vet:
 # fuzz-smoke runs the fuzzers briefly: the two search queues pop in one
 # strict (dist, node) order, a tree grown on demand agrees with the complete
 # tree, a parent's bounded screening keeps what screening every candidate
-# keeps, and the pooled request reader, response decoder and sfc parser read
-# what json.Unmarshal (or a fresh parse) reads, whatever they held before.
-# FUZZTIME=1x replays the seeds and the checked-in corpus and tries one new
-# input (go test refuses 0x); a plain go test replays them too.
+# keeps, the ledger's rows depend on what it holds, not on the order it was
+# filled and emptied in, and the pooled request reader, response decoder and
+# sfc parser read what json.Unmarshal (or a fresh parse) reads. FUZZTIME=1x
+# replays seeds and corpus and tries one input; a plain go test replays them.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = graph:FuzzBucketQueue graph:FuzzGrowTree core:FuzzScreenParent server:FuzzCreateBody server/client:FuzzDecodeResponse sfc:FuzzParse
+FUZZ_TARGETS = graph:FuzzBucketQueue graph:FuzzGrowTree core:FuzzScreenParent network:FuzzLedgerOrder server:FuzzCreateBody server/client:FuzzDecodeResponse sfc:FuzzParse
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "$${t#*:}" -fuzztime $(FUZZTIME) "./internal/$${t%%:*}/" || exit 1; done
 

@@ -46,7 +46,7 @@ func main() {
 		src      = flag.Int("src", 0, "source node")
 		dst      = flag.Int("dst", 0, "destination node")
 		alg      = flag.String("alg", "mbbe", "algorithm: mbbe, bbe, minv, ranv, exact, ilp")
-		rate     = flag.Float64("rate", 1, "flow delivery rate R")
+		rate     = flag.Float64("rate", 1, "flow delivery rate R, rounded to a multiple of 2^-20")
 		size     = flag.Float64("size", 1, "flow size z (cost scale)")
 		seed     = flag.Int64("seed", 1, "seed for the generated network and ranv")
 		dotFile  = flag.String("dot", "", "also write a Graphviz DOT rendering of the embedding")
@@ -88,7 +88,7 @@ func run(c config, stdout, stderr io.Writer) error {
 	p := &core.Problem{
 		Net: net, SFC: s,
 		Src: graph.NodeID(c.src), Dst: graph.NodeID(c.dst),
-		Rate: c.rate, Size: c.size,
+		Rate: graph.ToGrid(c.rate), Size: c.size,
 	}
 	alg := strings.ToLower(c.alg)
 	tracing := c.traceOut != "" || c.explain

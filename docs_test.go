@@ -103,9 +103,9 @@ func TestDocsDrift(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17696,
-	"DESIGN.md":                      2177,
-	"README.md":                      620,
+	"non-test Go":                    17652,
+	"DESIGN.md":                      2193,
+	"README.md":                      622,
 	"Makefile":                       67,
 	".claude/skills/verify/SKILL.md": 295,
 }

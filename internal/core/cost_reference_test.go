@@ -132,12 +132,17 @@ func refReserve(t *testing.T, ledger *network.Ledger, rate float64, cb refBreakd
 	}
 }
 
-func refRelease(ledger *network.Ledger, rate float64, cb refBreakdown) {
+func refRelease(t *testing.T, ledger *network.Ledger, rate float64, cb refBreakdown) {
+	t.Helper()
 	for key, alpha := range cb.InstanceUse {
-		ledger.ReleaseInstance(key.Node, key.VNF, float64(alpha)*rate)
+		if err := ledger.ReleaseInstance(key.Node, key.VNF, float64(alpha)*rate); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for e, alpha := range cb.EdgeUse {
-		ledger.ReleaseEdge(e, float64(alpha)*rate)
+		if err := ledger.ReleaseEdge(e, float64(alpha)*rate); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -228,7 +233,7 @@ func checkAgainstReference(t *testing.T, label string, p *Problem, s *Solution) 
 	if err := Release(&q, s); err != nil {
 		t.Fatalf("%s: Release: %v", label, err)
 	}
-	refRelease(twin, p.Rate, want)
+	refRelease(t, twin, p.Rate, want)
 	sameResiduals(t, label+": after Release", p.Net, live, twin)
 	sameResiduals(t, label+": back at seed", p.Net, live, seed)
 }
@@ -327,7 +332,7 @@ func randomWalkProblem(rng *rand.Rand) *Problem {
 		Net: net,
 		SFC: sfcgen.MustGenerate(sfcgen.Config{Size: 1 + rng.Intn(7), LayerWidth: 1 + rng.Intn(3), VNFKinds: cfg.VNFKinds}, rng),
 		Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
-		Rate: 0.1 + rng.Float64(), Size: 0.5 + 3*rng.Float64(),
+		Rate: graph.ToGrid(0.1 + rng.Float64()), Size: 0.5 + 3*rng.Float64(),
 	}
 }
 
@@ -425,12 +430,12 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Leave one instance, then one link, exactly half a unit short.
+		// Leave one instance, then one link, half a unit short (on the grid).
 		iu := cb.Usage.Instances[rng.Intn(len(cb.Usage.Instances))]
 		squeeze := map[string]func(l *network.Ledger){
 			"instance": func(l *network.Ledger) {
 				inst, _ := p.Net.Instance(iu.Node, iu.VNF)
-				if err := l.ReserveInstance(iu.Node, iu.VNF, inst.Capacity-float64(iu.Count)*p.Rate+0.5*p.Rate); err != nil {
+				if err := l.ReserveInstance(iu.Node, iu.VNF, inst.Capacity-float64(iu.Count)*p.Rate+graph.ToGrid(0.5*p.Rate)); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -438,7 +443,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 		if len(cb.Usage.Edges) > 0 {
 			eu := cb.Usage.Edges[rng.Intn(len(cb.Usage.Edges))]
 			squeeze["link"] = func(l *network.Ledger) {
-				if err := l.ReserveEdge(eu.Edge, p.Net.G.Edge(eu.Edge).Capacity-float64(eu.Count)*p.Rate+0.5*p.Rate); err != nil {
+				if err := l.ReserveEdge(eu.Edge, p.Net.G.Edge(eu.Edge).Capacity-float64(eu.Count)*p.Rate+graph.ToGrid(0.5*p.Rate)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -196,7 +196,9 @@ func TestCompileOnDisplacement(t *testing.T) {
 		{"reserved below the rate", func() { leave(0, 4, p.Rate/2) }},
 		{"released back", func() {
 			for e := graph.EdgeID(0); e < 4; e++ {
-				l.ReleaseEdge(e, 1.5*p.Rate)
+				if err := l.ReleaseEdge(e, 1.5*p.Rate); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}},
 		{"quarantined", fault(quarantine, false)},

@@ -28,7 +28,8 @@ type Problem struct {
 	Src    graph.NodeID
 	Dst    graph.NodeID
 	// Rate is the flow delivery rate R: every VNF use and link use
-	// consumes this much capacity (times its reuse count).
+	// consumes this much capacity (times its reuse count). It must be on
+	// the grid (graph.OnGrid); graph.ToGrid puts an outside rate there.
 	Rate float64
 	// Size is the flow size z: the cost scale factor of eq. (1).
 	Size float64
@@ -68,10 +69,10 @@ func (p *Problem) Validate() error {
 	if p.Dst < 0 || int(p.Dst) >= n {
 		return fmt.Errorf("core: destination node %d out of range [0,%d)", p.Dst, n)
 	}
-	// Written so that NaN fails: a NaN rate would pass every capacity
-	// comparison and leave NaN residuals behind in the ledger.
-	if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
-		return fmt.Errorf("core: flow rate %v must be positive and finite", p.Rate)
+	// A rate on the grid keeps every reservation exact (graph.Grain); NaN
+	// and the infinities are off it.
+	if !(p.Rate > 0) || !graph.OnGrid(p.Rate) {
+		return fmt.Errorf("core: flow rate %v must be a positive multiple of 2⁻²⁰ no larger than 2³²", p.Rate)
 	}
 	if !(p.Size > 0) || math.IsInf(p.Size, 1) {
 		return fmt.Errorf("core: flow size %v must be positive and finite", p.Size)

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"dagsfc/internal/graph"
-	"dagsfc/internal/network"
 )
 
 // edgeUse is one layer's bandwidth demand on a link, in reuse counts.
@@ -108,13 +107,13 @@ func feasibleAfter(rate float64, res *residuals, ss *subSolution, ext *extension
 			}
 		}
 		demand := float64(n+ss.chainInstanceUse(key)) * rate
-		if res.instance(key.Node, key.VNF) < demand-network.CapacityEps {
+		if res.instance(key.Node, key.VNF) < demand {
 			return false
 		}
 	}
 	for _, u := range ext.edgeUse {
 		demand := float64(u.count+ss.chainEdgeUse(u.edge)) * rate
-		if res.edge[u.edge] < demand-network.CapacityEps {
+		if res.edge[u.edge] < demand {
 			return false
 		}
 	}

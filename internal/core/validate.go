@@ -143,14 +143,14 @@ func CheckCapacity(p *Problem, u Usage) error {
 func checkCapacity(ledger *network.Ledger, rate float64, u Usage) error {
 	for _, iu := range u.Instances {
 		demand := float64(iu.Count) * rate
-		if ledger.InstanceResidual(iu.Node, iu.VNF) < demand-network.CapacityEps {
+		if ledger.InstanceResidual(iu.Node, iu.VNF) < demand {
 			return fmt.Errorf("core: instance f(%d) on node %d over capacity: need %v, residual %v",
 				iu.VNF, iu.Node, demand, ledger.InstanceResidual(iu.Node, iu.VNF))
 		}
 	}
 	for _, eu := range u.Edges {
 		demand := float64(eu.Count) * rate
-		if ledger.EdgeResidual(eu.Edge) < demand-network.CapacityEps {
+		if ledger.EdgeResidual(eu.Edge) < demand {
 			return fmt.Errorf("core: link %d over capacity: need %v, residual %v", eu.Edge, demand, ledger.EdgeResidual(eu.Edge))
 		}
 	}
@@ -186,16 +186,17 @@ func Reserve(p *Problem, u Usage) error {
 	}
 	ledger := p.ledger()
 	// CheckCapacity just proved feasibility against this ledger, so the
-	// reservations below cannot fail; guard anyway and roll back.
+	// reservations below cannot fail; guard anyway and roll back, a release
+	// of exactly what was just reserved, which cannot fail either.
 	for i, iu := range u.Instances {
 		if err := ledger.ReserveInstance(iu.Node, iu.VNF, float64(iu.Count)*p.Rate); err != nil {
-			release(ledger, p.Rate, Usage{Instances: u.Instances[:i]})
+			_ = release(ledger, p.Rate, Usage{Instances: u.Instances[:i]})
 			return err
 		}
 	}
 	for i, eu := range u.Edges {
 		if err := ledger.ReserveEdge(eu.Edge, float64(eu.Count)*p.Rate); err != nil {
-			release(ledger, p.Rate, Usage{Instances: u.Instances, Edges: u.Edges[:i]})
+			_ = release(ledger, p.Rate, Usage{Instances: u.Instances, Edges: u.Edges[:i]})
 			return err
 		}
 	}
@@ -205,8 +206,8 @@ func Reserve(p *Problem, u Usage) error {
 // Release returns a previously committed solution's capacity to the
 // problem's ledger — a flow departing in an online scenario. It is the
 // exact inverse of Commit: the same reuse counts are recomputed and
-// released. Releasing a solution that was never committed under-counts
-// the ledger; the caller owns that pairing.
+// released, all or none. Releasing more than the ledger holds — a solution
+// that was never committed — is refused and changes nothing.
 func Release(p *Problem, s *Solution) error {
 	sc := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(sc)
@@ -214,18 +215,34 @@ func Release(p *Problem, s *Solution) error {
 	if err != nil {
 		return err
 	}
-	// Releasing against a Problem with no ledger is a no-op (there is
-	// nothing committed to return); use the read-only view so p is not
-	// mutated.
-	release(p.ledgerOrFresh(), p.Rate, cb.Usage)
-	return nil
+	// Releasing against a Problem with no ledger finds nothing committed;
+	// use the read-only view so p is not mutated.
+	return release(p.ledgerOrFresh(), p.Rate, cb.Usage)
 }
 
-func release(ledger *network.Ledger, rate float64, u Usage) {
+// release returns u's reservations at rate to ledger, all or none: every
+// amount is checked against what its instance or link holds before any
+// moves, so a refused release leaves the ledger as it was.
+func release(ledger *network.Ledger, rate float64, u Usage) error {
 	for _, iu := range u.Instances {
-		ledger.ReleaseInstance(iu.Node, iu.VNF, float64(iu.Count)*rate)
+		if ledger.InstanceUsed(iu.Node, iu.VNF) < float64(iu.Count)*rate {
+			return fmt.Errorf("core: instance f(%d) on node %d holds less than the %v released", iu.VNF, iu.Node, float64(iu.Count)*rate)
+		}
 	}
 	for _, eu := range u.Edges {
-		ledger.ReleaseEdge(eu.Edge, float64(eu.Count)*rate)
+		if ledger.EdgeUsed(eu.Edge) < float64(eu.Count)*rate {
+			return fmt.Errorf("core: link %d carries less than the %v released", eu.Edge, float64(eu.Count)*rate)
+		}
 	}
+	for _, iu := range u.Instances {
+		if err := ledger.ReleaseInstance(iu.Node, iu.VNF, float64(iu.Count)*rate); err != nil {
+			return err
+		}
+	}
+	for _, eu := range u.Edges {
+		if err := ledger.ReleaseEdge(eu.Edge, float64(eu.Count)*rate); err != nil {
+			return err
+		}
+	}
+	return nil
 }

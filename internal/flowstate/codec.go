@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dagsfc/internal/core"
+	"dagsfc/internal/graph"
 	"dagsfc/internal/jsonbuf"
 	"dagsfc/internal/network"
 	"dagsfc/internal/wal"
@@ -90,7 +91,8 @@ func Decode(net *network.Network, r wal.Record) (Transition, error) {
 		var cp commitPayload
 		if err = json.Unmarshal(r.Data, &cp); err == nil {
 			t.Info, t.Primary, t.Backup = cp.Info, cp.Sol, cp.Backup
-			t.Problem, err = ProblemFor(net, cp.Info)
+			t.Info.Rate = graph.ToGrid(t.Info.Rate)
+			t.Problem, err = ProblemFor(net, t.Info)
 		}
 	case Backup:
 		var bp backupPayload
@@ -114,24 +116,24 @@ func Decode(net *network.Network, r wal.Record) (Transition, error) {
 }
 
 // Snapshot is the full state at one instant, in the WAL snapshot's on-disk
-// form. The ledger is raw accumulated usage, never re-derived values, so
-// importing it reproduces every residual bit-for-bit; active faults are
-// re-applied on import (quarantine amounts are pure functions of the
-// immutable network). JournalSeq is the server's to fill and read.
+// form: the flows with their placements and the active faults. It holds no
+// ledger: every amount is on the grid (graph.Grain), so reserving the
+// placements again on a fresh ledger reproduces every residual
+// bit-for-bit, whatever order they were first reserved and released in.
+// JournalSeq is the server's to fill and read.
 type Snapshot struct {
-	NextID         int64               `json:"next_id"`
-	Flows          []SnapshotFlow      `json:"flows,omitempty"`
-	Ledger         network.LedgerState `json:"ledger"`
-	Faults         []FaultRequest      `json:"faults,omitempty"`
-	FaultsApplied  int                 `json:"faults_applied,omitempty"`
-	FaultsRestored int                 `json:"faults_restored,omitempty"`
-	JournalSeq     uint64              `json:"journal_seq,omitempty"`
+	NextID         int64          `json:"next_id"`
+	Flows          []SnapshotFlow `json:"flows,omitempty"`
+	Faults         []FaultRequest `json:"faults,omitempty"`
+	FaultsApplied  int            `json:"faults_applied,omitempty"`
+	FaultsRestored int            `json:"faults_restored,omitempty"`
+	JournalSeq     uint64         `json:"journal_seq,omitempty"`
 }
 
 // SnapshotFlow is one flow in a snapshot. Sol is set for active flows and
-// Backup for those holding one (their reservations are in the ledger
-// state); Fault is set for repairing flows so recovery can re-enqueue the
-// repair; evicted tombstones carry none of them.
+// Backup for those holding one; Fault is set for repairing flows so
+// recovery can re-enqueue the repair; evicted tombstones carry none of
+// them.
 type SnapshotFlow struct {
 	Info   FlowInfo       `json:"info"`
 	Sol    *core.Solution `json:"sol,omitempty"`
@@ -143,7 +145,6 @@ type SnapshotFlow struct {
 func (st *State) Export() Snapshot {
 	snap := Snapshot{
 		NextID:         st.nextID,
-		Ledger:         st.ledger.ExportState(),
 		FaultsApplied:  st.faultsApplied,
 		FaultsRestored: st.faultsRestored,
 	}
@@ -162,43 +163,41 @@ func (st *State) Export() Snapshot {
 	return snap
 }
 
-// Import rebuilds the state a snapshot was exported from.
+// Import rebuilds the state a snapshot was exported from on a fresh ledger:
+// every active flow is committed again through Apply, primary and backup —
+// they fit, since live usage never exceeds capacity — and then the active
+// faults are applied, which may have landed on capacity flows were using.
+// Rates are rounded as ProblemFor rounds them, and an older snapshot's own
+// copy of the ledger is ignored.
 func Import(net *network.Network, snap Snapshot) (*State, error) {
-	root, err := network.NewLedgerFromState(net, snap.Ledger)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot ledger: %v", err)
-	}
 	st := New(net)
+	for _, sf := range snap.Flows {
+		sf.Info.Rate = graph.ToGrid(sf.Info.Rate)
+		if sf.Sol == nil {
+			rec := &flow{info: sf.Info}
+			if sf.Fault != nil {
+				rec.fault, _ = FaultFromWire(*sf.Fault)
+			}
+			st.flows[sf.Info.ID] = rec
+			continue
+		}
+		p, err := ProblemFor(net, sf.Info)
+		if err == nil {
+			_, err = st.Apply(Transition{Kind: Commit, Flow: sf.Info.ID, Info: sf.Info, Problem: p, Primary: sf.Sol, Backup: sf.Backup})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("snapshot flow %d: %v", sf.Info.ID, err)
+		}
+	}
 	for _, fw := range snap.Faults {
 		f, err := FaultFromWire(fw)
 		if err == nil {
-			err = root.ApplyFault(f)
+			_, err = st.Apply(Transition{Kind: FaultApply, Fault: f})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("snapshot fault %+v: %v", fw, err)
 		}
-		st.faults = append(st.faults, f)
 	}
-	st.ledger = root
 	st.nextID, st.faultsApplied, st.faultsRestored = snap.NextID, snap.FaultsApplied, snap.FaultsRestored
-	for _, sf := range snap.Flows {
-		rec := &flow{info: sf.Info}
-		if sf.Sol != nil {
-			// The reservations are already inside the raw ledger sums; only
-			// the placements need restoring.
-			if rec.problem, err = ProblemFor(net, sf.Info); err != nil {
-				return nil, fmt.Errorf("snapshot %v", err)
-			}
-			rec.primary, rec.backup = sf.Sol, sf.Backup
-			st.active++
-			if sf.Backup != nil {
-				st.backups++
-			}
-		}
-		if sf.Fault != nil {
-			rec.fault, _ = FaultFromWire(*sf.Fault)
-		}
-		st.flows[sf.Info.ID] = rec
-	}
 	return st, nil
 }

@@ -142,9 +142,10 @@ func FaultFromWire(w FaultRequest) (network.Fault, error) {
 	return f, nil
 }
 
-// ProblemFor rebuilds a flow's core.Problem from its wire description. The
-// problem carries no ledger: the state binds the ledger of the moment at
-// every use.
+// ProblemFor rebuilds a flow's core.Problem from its wire description, its
+// rate rounded to the grid (graph.ToGrid): a log written before rates were
+// rounded at admission recovers at the rounded rate. The problem carries no
+// ledger: the state binds the ledger of the moment at every use.
 func ProblemFor(net *network.Network, info FlowInfo) (*core.Problem, error) {
 	dag, err := sfc.Parse(info.SFC)
 	if err != nil {
@@ -153,7 +154,7 @@ func ProblemFor(net *network.Network, info FlowInfo) (*core.Problem, error) {
 	return &core.Problem{
 		Net: net, SFC: dag,
 		Src: graph.NodeID(info.Src), Dst: graph.NodeID(info.Dst),
-		Rate: info.Rate, Size: info.Size,
+		Rate: graph.ToGrid(info.Rate), Size: info.Size,
 	}, nil
 }
 
@@ -265,8 +266,9 @@ type flow struct {
 // use; the server serializes access under its state mutex.
 type State struct {
 	// ledger is the live capacity state; workers embed on copies of it.
-	// probe is the spare a protected commit reserves its pair on before it
-	// becomes the live ledger (reservePair); the two trade places.
+	// probe is the spare a protected commit's two reservations, or a
+	// leaving flow's releases, land on before it becomes the live ledger
+	// (onProbe); the two trade places.
 	ledger, probe   *network.Ledger
 	flows           map[int64]*flow
 	active, backups int
@@ -388,7 +390,9 @@ func (st *State) Apply(t Transition) (Change, error) {
 		st.nextID = max(st.nextID, t.Flow)
 	case Release, Expire:
 		ch.Info = rec.info
-		st.vacate(rec)
+		if err := st.vacate(rec); err != nil {
+			return Change{}, err
+		}
 		delete(st.flows, t.Flow)
 		rec = nil
 	case Evict:
@@ -409,7 +413,9 @@ func (st *State) Apply(t Transition) (Change, error) {
 		}
 		st.faultsRestored++
 	case Strand:
-		st.vacate(rec)
+		if err := st.vacate(rec); err != nil {
+			return Change{}, err
+		}
 		rec.info.State, rec.fault = StateRepairing, t.Fault
 	case Backup:
 		if err := st.reserve(rec.problem, t.Backup, t.BackupUsage); err != nil {
@@ -419,13 +425,17 @@ func (st *State) Apply(t Transition) (Change, error) {
 		rec.info.BackupActive, rec.info.BackupCost = true, t.Info.BackupCost
 		st.backups++
 	case Failover:
-		_ = core.Release(st.bound(rec.problem), rec.primary)
+		if err := core.Release(st.bound(rec.problem), rec.primary); err != nil {
+			return Change{}, err
+		}
 		rec.primary, rec.backup = rec.backup, nil
 		st.backups--
 		rec.info.Cost, rec.info.BackupCost, rec.info.BackupActive = rec.info.BackupCost, Cost{}, false
 		rec.info.Failovers++
 	case BackupLoss:
-		st.dropBackup(rec)
+		if err := st.dropBackup(rec); err != nil {
+			return Change{}, err
+		}
 	}
 	if rec != nil {
 		ch.Info = rec.info
@@ -435,18 +445,27 @@ func (st *State) Apply(t Transition) (Change, error) {
 }
 
 // reservePair takes a protected Commit's two reservations, both or
-// neither, on the probe — a fresh copy of the live ledger — and makes it
-// the live ledger once both fit: a refused pair never reserves and releases
-// again, which at non-dyadic rates would leave float residue.
+// neither (onProbe).
 func (st *State) reservePair(t Transition) error {
+	return st.onProbe(func() error {
+		if err := st.reserve(t.Problem, t.Primary, t.Usage); err != nil {
+			return err
+		}
+		if err := st.reserve(t.Problem, t.Backup, t.BackupUsage); err != nil {
+			return fmt.Errorf("backup: %w", err)
+		}
+		return nil
+	})
+}
+
+// onProbe runs op — a protected commit's two reservations, or a leaving
+// flow's releases — on the probe, a fresh copy of the live ledger, and makes
+// it the live ledger once op succeeds: a refused op leaves the live ledger
+// untouched, its ViewEpoch included, with nothing to take back.
+func (st *State) onProbe(op func() error) error {
 	live := st.ledger
 	st.ledger = live.SnapshotInto(st.probe)
-	err := st.reserve(t.Problem, t.Primary, t.Usage)
-	if err == nil {
-		if err = st.reserve(t.Problem, t.Backup, t.BackupUsage); err != nil {
-			err = fmt.Errorf("backup: %w", err)
-		}
-	}
+	err := op()
 	if err != nil {
 		st.ledger, live = live, st.ledger
 	}
@@ -454,27 +473,37 @@ func (st *State) reservePair(t Transition) error {
 	return err
 }
 
-// vacate returns everything the flow holds to the ledger — primary first,
-// then backup, the order every release has always used. Releasing cannot
-// fail: the placement priced at commit time and the network is immutable.
-func (st *State) vacate(rec *flow) {
+// vacate returns everything the flow holds to the ledger, primary and
+// backup together or neither (onProbe).
+func (st *State) vacate(rec *flow) error {
 	if rec.primary != nil {
-		_ = core.Release(st.bound(rec.problem), rec.primary)
+		err := st.onProbe(func() error {
+			if err := core.Release(st.bound(rec.problem), rec.primary); err != nil || rec.backup == nil {
+				return err
+			}
+			return st.dropBackup(rec)
+		})
+		if err != nil {
+			return err
+		}
 		rec.primary = nil
 		st.active--
 	}
-	st.dropBackup(rec)
 	rec.problem = nil
+	return nil
 }
 
-func (st *State) dropBackup(rec *flow) {
-	if rec.backup == nil {
-		return
+// dropBackup returns the flow's backup to the ledger and forgets it. A
+// release is refused, changing nothing, only if the ledger does not hold
+// what the flow's record says it does.
+func (st *State) dropBackup(rec *flow) error {
+	if err := core.Release(st.bound(rec.problem), rec.backup); err != nil {
+		return err
 	}
-	_ = core.Release(st.bound(rec.problem), rec.backup)
 	rec.backup = nil
 	rec.info.BackupActive, rec.info.BackupCost = false, Cost{}
 	st.backups--
+	return nil
 }
 
 // Flow returns one known flow's description.

@@ -228,9 +228,10 @@ func (s *sim) commit(repair *FlowInfo, protected bool) {
 	info := FlowInfo{
 		SFC: sfc.Format(sfcgen.MustGenerate(sfcgen.Config{Size: 1 + s.rng.Intn(3), LayerWidth: 2, VNFKinds: 4}, s.rng)),
 		Src: s.rng.Intn(s.net.G.NumNodes()), Dst: s.rng.Intn(s.net.G.NumNodes()),
-		// Dyadic rates: every sum the ledger forms is exact, so "seed minus
-		// live reservations" can be demanded to the bit.
-		Rate: 0.25 * float64(1+s.rng.Intn(6)), Size: 1, Alg: "mbbe",
+		// Rates rounded onto the grid, as the server rounds them: every sum
+		// the ledger forms is exact, so "seed minus live reservations" can
+		// be demanded to the bit, whatever order flows leave in.
+		Rate: graph.ToGrid(0.1 + s.rng.Float64()), Size: 1, Alg: "mbbe",
 		State: StateActive,
 	}
 	name := "commit"
@@ -461,15 +462,14 @@ func TestApplyReplayEquivalence(t *testing.T) {
 }
 
 // TestApplyRefusedPairLeavesLedgerExact pins the all-or-nothing protected
-// commit at a rate with no exact binary form: a pair whose backup does not
-// fit beside its primary is refused, and the live ledger reads bit for bit
-// as it did before — no reservation made and released again, which at
-// rate 0.1 would leave the edge's usage off by an ulp.
+// commit: a pair whose backup does not fit beside its primary is refused,
+// and the live ledger reads bit for bit as it did before, its epoch
+// included — no reservation made and released again.
 func TestApplyRefusedPairLeavesLedgerExact(t *testing.T) {
 	// 0 -e0- 1 -e1- 3, f(1) on node 1; e0 has room for the earlier flow
-	// (0.2) and one more 0.1, not two.
+	// (0.2) and one more 0.1, not two (every amount rounded to the grid).
 	g := graph.New(4)
-	e0 := g.MustAddEdge(0, 1, 1, 0.35)
+	e0 := g.MustAddEdge(0, 1, 1, graph.ToGrid(0.35))
 	e1 := g.MustAddEdge(1, 3, 1, 10)
 	g.MustAddEdge(0, 2, 1, 10)
 	g.MustAddEdge(2, 3, 1, 10)
@@ -500,7 +500,7 @@ func TestApplyRefusedPairLeavesLedgerExact(t *testing.T) {
 		t.Fatal("a pair that does not fit together was committed")
 	}
 	if !slices.Equal(ledgerBits(st.ledger), before) || st.ledger.ViewEpoch() != epoch {
-		t.Fatalf("the refused pair moved the live ledger: e0 carries %v, want 0.2", st.ledger.EdgeUsed(e0))
+		t.Fatalf("the refused pair moved the live ledger: e0 carries %v, want %v", st.ledger.EdgeUsed(e0), graph.ToGrid(0.2))
 	}
 	if _, ok := st.Flow(2); ok || st.Active() != 1 || st.Backups() != 0 {
 		t.Fatal("the refused pair left a flow behind")
@@ -520,8 +520,8 @@ func ledgerBits(l *network.Ledger) []uint64 {
 			out = append(out, math.Float64bits(x))
 		}
 	}
-	for _, e := range l.ExportState().Edges {
-		out = append(out, math.Float64bits(e.Used))
+	for e := range l.Network().G.NumEdges() {
+		out = append(out, math.Float64bits(l.EdgeUsed(graph.EdgeID(e))))
 	}
 	return out
 }

@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -22,6 +23,24 @@ type EdgeID int
 
 // None is the sentinel for "no node" / "no edge".
 const None = -1
+
+// Grain is the unit every capacity amount is a whole multiple of — link and
+// instance capacities, flow rates, reservations and quarantines — and
+// MaxAmount bounds any one of them. A capacity row then holds at most 2⁵²
+// grains, so the ledger's sums and differences are exact: its rows are a
+// function of what it holds, whatever order it was filled and emptied in.
+const (
+	Grain     = 0x1p-20
+	MaxAmount = 0x1p32
+)
+
+// ToGrid rounds x to the nearest multiple of Grain: where a rate enters the
+// program from outside.
+func ToGrid(x float64) float64 { return math.Round(x/Grain) * Grain }
+
+// OnGrid reports whether x is a capacity amount: a multiple of Grain in
+// [0, MaxAmount]. NaN and the infinities are not.
+func OnGrid(x float64) bool { return x >= 0 && x <= MaxAmount && ToGrid(x) == x }
 
 // Edge is a bidirectional network link with a price per unit of traffic
 // delivery rate (c_e in the paper) and a bandwidth capacity (r_e).
@@ -96,11 +115,11 @@ func (g *Graph) AddEdge(a, b NodeID, price, capacity float64) (EdgeID, error) {
 	if err := g.checkNode(b); err != nil {
 		return None, err
 	}
-	if price < 0 {
-		return None, fmt.Errorf("graph: negative price %v", price)
+	if !(price >= 0) || math.IsInf(price, 1) {
+		return None, fmt.Errorf("graph: price %v must be finite and non-negative", price)
 	}
-	if capacity < 0 {
-		return None, fmt.Errorf("graph: negative capacity %v", capacity)
+	if !OnGrid(capacity) {
+		return None, fmt.Errorf("graph: capacity %v is not a multiple of 2⁻²⁰ in [0, 2³²]", capacity)
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, A: a, B: b, Price: price, Capacity: capacity})

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,11 +53,22 @@ func TestAddEdgeRejectsOutOfRange(t *testing.T) {
 
 func TestAddEdgeRejectsNegativePriceOrCapacity(t *testing.T) {
 	g := New(2)
-	if _, err := g.AddEdge(0, 1, -1, 1); err == nil {
-		t.Fatal("negative price accepted")
-	}
-	if _, err := g.AddEdge(0, 1, 1, -1); err == nil {
-		t.Fatal("negative capacity accepted")
+	for _, c := range []struct {
+		what            string
+		price, capacity float64
+	}{
+		{"negative price", -1, 1},
+		{"negative capacity", 1, -1},
+		{"NaN price", math.NaN(), 1},
+		{"+Inf price", math.Inf(1), 1},
+		{"NaN capacity", 1, math.NaN()},
+		{"+Inf capacity", 1, math.Inf(1)},
+		{"off-grid capacity", 1, 0.1},
+		{"capacity above 2³²", 1, 0x1p33},
+	} {
+		if _, err := g.AddEdge(0, 1, c.price, c.capacity); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
 	}
 }
 

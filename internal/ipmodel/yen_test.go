@@ -65,7 +65,7 @@ func TestKShortestZeroK(t *testing.T) {
 }
 
 func TestKShortestHonorsCapacity(t *testing.T) {
-	g := diamondGraph(0.1) // route A too thin
+	g := diamondGraph(0.5) // route A too thin
 	paths := kShortestPaths(g, 0, 3, 3, &graph.CostOptions{MinCapacity: 1})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2 after capacity filter", len(paths))

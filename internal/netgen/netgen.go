@@ -89,8 +89,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netgen: link price fluctuation %v outside [0,1]", c.LinkPriceFluct)
 	case c.MergerPriceFactor < 0:
 		return fmt.Errorf("netgen: negative merger price factor %v", c.MergerPriceFactor)
-	case c.LinkCapacity <= 0 || c.InstanceCapacity <= 0:
-		return fmt.Errorf("netgen: capacities must be positive")
+	case !(c.LinkCapacity > 0 && graph.OnGrid(c.LinkCapacity) && c.InstanceCapacity > 0 && graph.OnGrid(c.InstanceCapacity)):
+		return fmt.Errorf("netgen: capacities must be positive multiples of 2⁻²⁰ no larger than 2³²")
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ func benchNet(b *testing.B) *Network {
 	rng := rand.New(rand.NewSource(7))
 	// Capacities are effectively unbounded so long-running commit
 	// benchmarks never trip admission failures.
-	const nodes, kinds, bigCap = 500, 6, 1e12
+	const nodes, kinds, bigCap = 500, 6, graph.MaxAmount
 	g := graph.New(nodes)
 	for v := 1; v < nodes; v++ {
 		g.MustAddEdge(graph.NodeID(rng.Intn(v)), graph.NodeID(v), 1+rng.Float64(), bigCap)

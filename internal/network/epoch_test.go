@@ -81,15 +81,11 @@ func TestViewEpochIdentifiesView(t *testing.T) {
 			case 6:
 				if rng.Intn(2) == 0 || len(active) == 0 {
 					f := Fault{Kind: FaultLinkDown, Link: graph.EdgeID(rng.Intn(net.G.NumEdges()))}
-					if err := live.ApplyFault(f); err != nil {
-						t.Fatal(err)
-					}
+					must(t, live.ApplyFault(f))
 					active = append(active, f)
 				} else {
 					i := rng.Intn(len(active))
-					if err := live.RestoreFault(active[i]); err != nil {
-						t.Fatal(err)
-					}
+					must(t, live.RestoreFault(active[i]))
 					active = append(active[:i], active[i+1:]...)
 				}
 			case 7:
@@ -124,9 +120,7 @@ func TestEpochRules(t *testing.T) {
 	// A mutation moves the live epoch but leaves earlier snapshots where
 	// they were: their view genuinely did not change.
 	before := s1.ViewEpoch()
-	if err := live.ReserveEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.ReserveEdge(0, 2))
 	if live.ViewEpoch() == before {
 		t.Fatal("mutation did not move the live ledger's epoch")
 	}
@@ -143,9 +137,7 @@ func TestEpochRules(t *testing.T) {
 	if live.ReserveEdge(0, -1) == nil {
 		t.Fatal("negative reservation accepted")
 	}
-	if err := live.ReserveInstance(0, Dummy, 3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.ReserveInstance(0, Dummy, 3))
 	live.ReleaseInstance(0, Dummy, 3)
 	if live.ViewEpoch() != mid {
 		t.Fatal("a rejected or dummy reservation moved the epoch")
@@ -156,9 +148,7 @@ func TestEpochRules(t *testing.T) {
 	// apply-then-restore does not bring the old epoch back (no ABA). A
 	// rejected fault moves nothing.
 	preFault := live.ViewEpoch()
-	if err := live.ApplyFault(Fault{Kind: FaultLinkDown, Link: 1}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.ApplyFault(Fault{Kind: FaultLinkDown, Link: 1}))
 	postFault := live.ViewEpoch()
 	if postFault == preFault {
 		t.Fatal("fault did not move the faulted ledger's epoch")
@@ -166,9 +156,7 @@ func TestEpochRules(t *testing.T) {
 	if s1.ViewEpoch() != before {
 		t.Fatal("a fault on the source moved a snapshot's epoch")
 	}
-	if err := live.RestoreFault(Fault{Kind: FaultLinkDown, Link: 1}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.RestoreFault(Fault{Kind: FaultLinkDown, Link: 1}))
 	if e := live.ViewEpoch(); e == postFault || e == preFault {
 		t.Fatal("restore brought back an earlier epoch (ABA)")
 	}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"maps"
 
 	"dagsfc/internal/graph"
 )
@@ -10,9 +11,9 @@ import (
 // capacity ledger. A fault takes substrate capacity out of service by
 // QUARANTINING it — the capacity is subtracted from every residual view
 // but never from the network definition — so restoring the fault returns
-// the ledger to exactly its pre-fault accounting (float-exact, not merely
-// approximate: apply and restore add and subtract the same amounts,
-// recomputed from the immutable network).
+// the ledger to exactly its pre-fault accounting: apply and restore add and
+// subtract the same grid amounts (graph.Grain), recomputed from the
+// immutable network.
 //
 // A ledger's quarantine is part of its value: an immutable table that
 // ApplyFault/RestoreFault replace on the ledger they are called on alone.
@@ -37,7 +38,7 @@ const (
 	// to exactly zero for the fault's duration, independent of committed
 	// usage. Unlike FaultLinkDown (which quarantines the capacity amount
 	// and can leave a negative residual under over-commitment), the pin is
-	// a count, so apply/restore is trivially float-exact.
+	// a count.
 	FaultEdgeDown
 )
 
@@ -66,7 +67,8 @@ type Fault struct {
 	// Node is the target of FaultNodeDown.
 	Node graph.NodeID
 	// Fraction is the share of the link's bandwidth a FaultLinkDegrade
-	// quarantines, in (0, 1].
+	// quarantines, in (0, 1]; the amount is rounded to the grid
+	// (graph.ToGrid), so apply and restore move identical amounts.
 	Fraction float64
 }
 
@@ -135,37 +137,24 @@ func (q *quarTable) edgePinned(e graph.EdgeID, a, b graph.NodeID) bool {
 }
 
 func cloneQuar(q *quarTable) *quarTable {
-	c := &quarTable{
-		edge: make(map[graph.EdgeID]float64),
-		node: make(map[graph.NodeID]int),
-		down: make(map[graph.EdgeID]int),
+	if q == nil {
+		return &quarTable{edge: map[graph.EdgeID]float64{}, node: map[graph.NodeID]int{}, down: map[graph.EdgeID]int{}}
 	}
-	if q != nil {
-		for k, v := range q.edge {
-			c.edge[k] = v
-		}
-		for k, v := range q.node {
-			c.node[k] = v
-		}
-		for k, v := range q.down {
-			c.down[k] = v
-		}
-	}
-	return c
+	return &quarTable{edge: maps.Clone(q.edge), node: maps.Clone(q.node), down: maps.Clone(q.down)}
 }
 
-// addEdge adjusts an edge's quarantined amount, failing if the adjustment
-// would drive it negative (a restore without a matching apply).
-func (q *quarTable) addEdge(e graph.EdgeID, amt float64) error {
-	v := q.edge[e] + amt
-	if v < -CapacityEps {
-		return fmt.Errorf("network: edge %d quarantine would go negative (%v): restore without matching apply", e, v)
+// adjust adds d to m[k] — a quarantined amount or a down-count — dropping
+// the entry at zero and failing, with m unchanged, if it would go negative
+// (a restore without a matching apply).
+func adjust[K comparable, V int | float64](m map[K]V, k K, d V) error {
+	switch v := m[k] + d; {
+	case v < 0:
+		return fmt.Errorf("network: quarantine of %v would go negative (%v): restore without matching apply", k, v)
+	case v == 0:
+		delete(m, k)
+	default:
+		m[k] = v
 	}
-	if v <= CapacityEps {
-		delete(q.edge, e)
-		return nil
-	}
-	q.edge[e] = v
 	return nil
 }
 
@@ -179,7 +168,7 @@ func (l *Ledger) ApplyFault(f Fault) error {
 // RestoreFault returns f's quarantined capacity to service. It must pair
 // with an earlier ApplyFault of the same fault value; an unmatched restore
 // fails without changing anything. After every applied fault is restored,
-// residuals are float-exactly what they were before the faults.
+// residuals are exactly what they were before the faults.
 func (l *Ledger) RestoreFault(f Fault) error {
 	return l.adjustFault(f, -1)
 }
@@ -189,33 +178,20 @@ func (l *Ledger) adjustFault(f Fault, sign float64) error {
 		return err
 	}
 	q := cloneQuar(l.quar)
+	var err error
 	switch f.Kind {
 	case FaultLinkDown:
-		if err := q.addEdge(f.Link, sign*l.net.G.Edge(f.Link).Capacity); err != nil {
-			return err
-		}
+		err = adjust(q.edge, f.Link, sign*l.net.G.Edge(f.Link).Capacity)
 	case FaultLinkDegrade:
-		if err := q.addEdge(f.Link, sign*f.Fraction*l.net.G.Edge(f.Link).Capacity); err != nil {
-			return err
-		}
+		err = adjust(q.edge, f.Link, sign*graph.ToGrid(f.Fraction*l.net.G.Edge(f.Link).Capacity))
 	case FaultNodeDown:
-		// A pure pin, like FaultEdgeDown below: no capacity amount moves,
-		// only a count, so restore is float-exact by construction.
-		if n := q.node[f.Node] + int(sign); n < 0 {
-			return fmt.Errorf("network: node %d down-count would go negative: restore without matching apply", f.Node)
-		} else if n == 0 {
-			delete(q.node, f.Node)
-		} else {
-			q.node[f.Node] = n
-		}
+		// A pure pin, like FaultEdgeDown below: only a count moves.
+		err = adjust(q.node, f.Node, int(sign))
 	case FaultEdgeDown:
-		if n := q.down[f.Link] + int(sign); n < 0 {
-			return fmt.Errorf("network: edge %d down-count would go negative: restore without matching apply", f.Link)
-		} else if n == 0 {
-			delete(q.down, f.Link)
-		} else {
-			q.down[f.Link] = n
-		}
+		err = adjust(q.down, f.Link, int(sign))
+	}
+	if err != nil {
+		return err
 	}
 	if q.empty() {
 		q = nil

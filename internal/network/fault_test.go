@@ -23,9 +23,7 @@ func nodeDown(l *Ledger, v graph.NodeID) bool { return l.InstanceResidual(v, Dum
 func TestFaultLinkDownRestoreExact(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
-	if err := l.ReserveEdge(1, 4); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(1, 4))
 	before := l.EdgeResidual(1)
 	if !almost(before, 6) {
 		t.Fatalf("pre-fault residual = %v, want 6", before)
@@ -33,9 +31,7 @@ func TestFaultLinkDownRestoreExact(t *testing.T) {
 	rows := rowBits(l)
 
 	f := Fault{Kind: FaultLinkDown, Link: 1}
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
 	// Full capacity quarantined while 4 units are committed: capacity −
 	// used − quarantined goes negative rather than clamping, so
 	// reservations fail and the deficit is visible, in the rows too.
@@ -49,9 +45,7 @@ func TestFaultLinkDownRestoreExact(t *testing.T) {
 		t.Fatal("reserve on downed link succeeded")
 	}
 
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(f))
 	if got := l.EdgeResidual(1); got != before {
 		t.Fatalf("post-restore residual = %v, want exactly %v", got, before)
 	}
@@ -68,9 +62,7 @@ func TestFaultNodeDown(t *testing.T) {
 	l := NewLedger(net)
 	rows := rowBits(l)
 	f := Fault{Kind: FaultNodeDown, Node: 2}
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
 	if !nodeDown(l, 2) || nodeDown(l, 1) {
 		t.Fatalf("node 2 down=%v, node 1 down=%v", nodeDown(l, 2), nodeDown(l, 1))
 	}
@@ -96,18 +88,12 @@ func TestFaultNodeDown(t *testing.T) {
 
 	// Down twice (e.g. overlapping schedule entries): one restore leaves the
 	// node down, the second brings everything back exactly.
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
+	must(t, l.RestoreFault(f))
 	if !nodeDown(l, 2) {
 		t.Fatal("node came back up with one of two faults still active")
 	}
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(f))
 	if nodeDown(l, 2) || !slices.Equal(rowBits(l), rows) {
 		t.Fatal("quarantine not fully drained after matched restores")
 	}
@@ -123,9 +109,7 @@ func TestFaultLinkDegrade(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
 	f := Fault{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.5}
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
 	if got := l.EdgeResidual(0); !almost(got, 5) {
 		t.Fatalf("degraded residual = %v, want 5", got)
 	}
@@ -136,9 +120,7 @@ func TestFaultLinkDegrade(t *testing.T) {
 	if err := l.ReserveEdge(0, 1); err == nil {
 		t.Fatal("reserve past degraded capacity succeeded")
 	}
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(f))
 	if got := l.EdgeResidual(0); got != 5 {
 		t.Fatalf("post-restore residual = %v, want exactly 5 (10 cap - 5 used)", got)
 	}
@@ -178,17 +160,13 @@ func TestFaultValidate(t *testing.T) {
 func TestFaultStaysOnItsLedger(t *testing.T) {
 	net := testNet(t)
 	live := NewLedger(net)
-	if err := live.ReserveEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.ReserveEdge(2, 3))
 	snap := live.Snapshot()
 	nested := snap.Snapshot()
 	before := rowBits(live)
 
 	f := Fault{Kind: FaultLinkDegrade, Link: 2, Fraction: 1}
-	if err := live.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.ApplyFault(f))
 	if got := live.EdgeResidual(2); !almost(got, 10-3-10) {
 		t.Fatalf("live residual = %v, want -3", got)
 	}
@@ -199,9 +177,7 @@ func TestFaultStaysOnItsLedger(t *testing.T) {
 	}
 
 	g := Fault{Kind: FaultNodeDown, Node: 1}
-	if err := snap.ApplyFault(g); err != nil {
-		t.Fatal(err)
-	}
+	must(t, snap.ApplyFault(g))
 	if !nodeDown(snap, 1) || nodeDown(live, 1) || nodeDown(nested, 1) {
 		t.Fatal("a fault on a copy reached its source or its own copy, or missed the copy")
 	}
@@ -209,12 +185,8 @@ func TestFaultStaysOnItsLedger(t *testing.T) {
 		t.Fatal("restore of a fault this ledger never saw succeeded")
 	}
 
-	if err := live.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.RestoreFault(g); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.RestoreFault(f))
+	must(t, snap.RestoreFault(g))
 	for name, l := range map[string]*Ledger{"live": live, "snapshot": snap, "snapshot of a snapshot": nested} {
 		if !slices.Equal(rowBits(l), before) {
 			t.Fatalf("%s: residuals after the restores differ from before the faults", name)

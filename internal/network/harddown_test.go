@@ -15,15 +15,11 @@ import (
 func TestFaultEdgeDownPinAndRestore(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
-	if err := l.ReserveEdge(1, 4); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(1, 4))
 	before, rows := l.EdgeResidual(1), rowBits(l)
 
 	f := Fault{Kind: FaultEdgeDown, Link: 1}
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
 	// Unlike link-down (which quarantines the capacity amount and reports
 	// -4 here), the hard failure pins to the literal zero, in the rows too,
 	// and touches no other edge.
@@ -38,18 +34,12 @@ func TestFaultEdgeDownPinAndRestore(t *testing.T) {
 	}
 
 	// Overlapping downs: one restore leaves the edge pinned.
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
+	must(t, l.RestoreFault(f))
 	if got := l.EdgeResidual(1); got != 0 {
 		t.Fatalf("edge came back up (residual %v) with one of two faults still active", got)
 	}
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(f))
 	if got := l.EdgeResidual(1); got != before {
 		t.Fatalf("post-restore residual = %v, want exactly %v", got, before)
 	}
@@ -71,9 +61,7 @@ func TestFaultEdgeDownCommitAcross(t *testing.T) {
 	live := NewLedger(net)
 	snap := live.Snapshot()
 	f := Fault{Kind: FaultEdgeDown, Link: 0}
-	if err := live.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.ApplyFault(f))
 	if err := snap.ReserveEdge(0, 7); err != nil {
 		t.Fatalf("a pre-fault copy saw the live ledger's fault: %v", err)
 	}
@@ -83,9 +71,7 @@ func TestFaultEdgeDownCommitAcross(t *testing.T) {
 	if got := live.EdgeUsed(0); got != 0 {
 		t.Fatalf("the copy's or the refused reservation reached the live ledger: EdgeUsed = %v", got)
 	}
-	if err := live.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, live.RestoreFault(f))
 	if err := live.ReserveEdge(0, 7); err != nil {
 		t.Fatalf("reservation after restore: %v", err)
 	}
@@ -98,18 +84,12 @@ func TestFaultEdgeDownCommitAcross(t *testing.T) {
 func TestFaultNodeDownPinsExactZero(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
-	if err := l.ReserveEdge(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ReserveInstance(2, 2, 3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(1, 4))
+	must(t, l.ReserveInstance(2, 2, 3))
 	edgeBefore, instBefore := l.EdgeResidual(1), l.InstanceResidual(2, 2)
 
 	f := Fault{Kind: FaultNodeDown, Node: 2}
-	if err := l.ApplyFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(f))
 	if got := l.EdgeResidual(1); got != 0 {
 		t.Fatalf("incident edge residual = %v, want exactly 0", got)
 	}
@@ -119,9 +99,7 @@ func TestFaultNodeDownPinsExactZero(t *testing.T) {
 	if got := l.InstanceResidual(2, 2); got != 0 {
 		t.Fatalf("hosted instance residual = %v, want exactly 0", got)
 	}
-	if err := l.RestoreFault(f); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(f))
 	if got := l.EdgeResidual(1); got != edgeBefore {
 		t.Fatalf("post-restore edge residual = %v, want exactly %v", got, edgeBefore)
 	}
@@ -137,20 +115,14 @@ func TestNodeDownLeavesDegradedLinkBitExact(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1, 1)
 	l := NewLedger(New(g, Catalog{N: 1}))
-	if err := l.ApplyFault(Fault{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.1}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(Fault{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.1}))
 	before := math.Float64bits(l.EdgeResidual(0))
 	down := Fault{Kind: FaultNodeDown, Node: 1}
-	if err := l.ApplyFault(down); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ApplyFault(down))
 	if got := l.EdgeResidual(0); got != 0 {
 		t.Fatalf("residual under the node-down = %v, want exactly 0", got)
 	}
-	if err := l.RestoreFault(down); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(down))
 	if got := l.EdgeResidual(0); math.Float64bits(got) != before {
 		t.Fatalf("degraded link reads %v after the node-down's restore, %v before it", got, math.Float64frombits(before))
 	}
@@ -166,23 +138,17 @@ func TestNodeDownLeavesDegradedLinkBitExact(t *testing.T) {
 func TestEdgeResidualsBitExactUnderPins(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
-	if err := l.ReserveEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ReserveEdge(1, 4); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(0, 3))
+	must(t, l.ReserveEdge(1, 4))
 	for _, f := range []Fault{
 		{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.3},
 		{Kind: FaultEdgeDown, Link: 1},
 		{Kind: FaultNodeDown, Node: 2},
 	} {
-		if err := l.ApplyFault(f); err != nil {
-			t.Fatal(err)
-		}
+		must(t, l.ApplyFault(f))
 	}
 	snap := l.Snapshot()
-	snap.ReleaseEdge(0, 1)
+	must(t, snap.ReleaseEdge(0, 1))
 	for _, led := range []*Ledger{l, snap} {
 		bulk := led.EdgeResiduals(nil)
 		for e := range bulk {
@@ -201,27 +167,19 @@ func TestEdgeResidualsBitExactUnderPins(t *testing.T) {
 func TestInstanceResidualsBitExactUnderPins(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
-	if err := l.ReserveInstance(2, 2, 1.7); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ReserveInstance(0, 1, 0.3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveInstance(2, 2, graph.ToGrid(1.7)))
+	must(t, l.ReserveInstance(0, 1, graph.ToGrid(0.3)))
 	for _, f := range []Fault{
 		{Kind: FaultNodeDown, Node: 2},
 		{Kind: FaultNodeDown, Node: 2}, // a second fault on the same node
 		{Kind: FaultNodeDown, Node: 3},
 		{Kind: FaultLinkDegrade, Link: 0, Fraction: 0.3},
 	} {
-		if err := l.ApplyFault(f); err != nil {
-			t.Fatal(err)
-		}
+		must(t, l.ApplyFault(f))
 	}
 	snap := l.Snapshot()
-	snap.ReleaseInstance(2, 2, 0.5)
-	if err := snap.ReserveInstance(0, 1, 0.1); err != nil {
-		t.Fatal(err)
-	}
+	must(t, snap.ReleaseInstance(2, 2, 0.5))
+	must(t, snap.ReserveInstance(0, 1, graph.ToGrid(0.1)))
 	checkInstanceResiduals(t, "live", l)
 	checkInstanceResiduals(t, "snapshot", snap)
 	checkInstanceResiduals(t, "snapshot of a snapshot", snap.Snapshot())
@@ -229,9 +187,7 @@ func TestInstanceResidualsBitExactUnderPins(t *testing.T) {
 		t.Fatalf("dummy on a down node reads %v in the rows, the scalar path's 0", got)
 	}
 	// One of node 2's faults restored: still pinned, and still bit-equal.
-	if err := l.RestoreFault(Fault{Kind: FaultNodeDown, Node: 2}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.RestoreFault(Fault{Kind: FaultNodeDown, Node: 2}))
 	checkInstanceResiduals(t, "snapshot, one fault restored", snap)
 }
 

@@ -134,40 +134,37 @@ func (l *Ledger) InstanceUsed(node graph.NodeID, vnf VNFID) float64 {
 	return 0
 }
 
-// ReserveEdge commits amount bandwidth on edge e, failing without side
-// effects if the residual is insufficient.
+// ReserveEdge commits amount bandwidth on edge e. It fails without side
+// effects unless amount fits the edge's residual (fits).
 func (l *Ledger) ReserveEdge(e graph.EdgeID, amount float64) error {
-	if !(amount >= 0) { // NaN too
-		return fmt.Errorf("network: invalid reservation %v on edge %d", amount, e)
-	}
-	if r := l.EdgeResidual(e); r < amount-CapacityEps {
-		return fmt.Errorf("network: edge %d over capacity: residual %v < demand %v", e, r, amount)
+	if r := l.EdgeResidual(e); !fits(amount, r) {
+		return fmt.Errorf("network: cannot reserve %v on edge %d: residual %v", amount, e, r)
 	}
 	l.edgeUsed[e] += amount
 	l.muts++
 	return nil
 }
 
-// ReleaseEdge returns amount bandwidth to edge e. Usage never drops below
-// zero.
-func (l *Ledger) ReleaseEdge(e graph.EdgeID, amount float64) {
-	l.edgeUsed[e] = max(l.edgeUsed[e]-amount, 0)
+// ReleaseEdge returns amount bandwidth to edge e. It fails without side
+// effects unless amount fits what the edge carries.
+func (l *Ledger) ReleaseEdge(e graph.EdgeID, amount float64) error {
+	if !fits(amount, l.edgeUsed[e]) {
+		return fmt.Errorf("network: cannot release %v on edge %d: usage %v", amount, e, l.edgeUsed[e])
+	}
+	l.edgeUsed[e] -= amount
 	l.muts++
+	return nil
 }
 
 // ReserveInstance commits amount processing capacity on the instance of
-// vnf at node, failing without side effects if insufficient. Reserving the
-// dummy VNF is a no-op.
+// vnf at node, failing as ReserveEdge does. Reserving the dummy VNF is a
+// no-op.
 func (l *Ledger) ReserveInstance(node graph.NodeID, vnf VNFID, amount float64) error {
 	if vnf == Dummy {
 		return nil
 	}
-	if !(amount >= 0) { // NaN too
-		return fmt.Errorf("network: invalid reservation %v on instance (%d,%d)", amount, node, vnf)
-	}
-	if r := l.InstanceResidual(node, vnf); r < amount-CapacityEps {
-		return fmt.Errorf("network: instance f(%d) on node %d over capacity: residual %v < demand %v",
-			vnf, node, r, amount)
+	if r := l.InstanceResidual(node, vnf); !fits(amount, r) {
+		return fmt.Errorf("network: cannot reserve %v on instance f(%d) on node %d: residual %v", amount, vnf, node, r)
 	}
 	// A slot without an instance stays zero, whatever is asked of it.
 	if i, ok := l.net.deployed(node, vnf); ok {
@@ -180,25 +177,30 @@ func (l *Ledger) ReserveInstance(node graph.NodeID, vnf VNFID, amount float64) e
 	return nil
 }
 
-// ReleaseInstance returns amount capacity to the instance of vnf at node.
-// Usage never drops below zero, matching ReleaseEdge.
-func (l *Ledger) ReleaseInstance(node graph.NodeID, vnf VNFID, amount float64) {
+// ReleaseInstance returns amount capacity to the instance of vnf at node,
+// failing as ReleaseEdge does. Releasing the dummy VNF is a no-op.
+func (l *Ledger) ReleaseInstance(node graph.NodeID, vnf VNFID, amount float64) error {
 	if vnf == Dummy {
-		return
+		return nil
+	}
+	if used := l.InstanceUsed(node, vnf); !fits(amount, used) {
+		return fmt.Errorf("network: cannot release %v on instance f(%d) on node %d: usage %v", amount, vnf, node, used)
 	}
 	if i, ok := l.net.deployed(node, vnf); ok && i < len(l.instUsed) {
-		l.instUsed[i] = max(l.instUsed[i]-amount, 0)
+		l.instUsed[i] -= amount
 	}
 	l.muts++
+	return nil
 }
+
+// fits reports whether amount is a capacity amount (graph.OnGrid) no larger
+// than room — exactly, since both sides are on the grid.
+func fits(amount, room float64) bool { return graph.OnGrid(amount) && amount <= room }
 
 // EdgeResiduals fills dst with the residual bandwidth of every edge —
 // dst[e] bitwise equal to EdgeResidual(e) — growing dst only if it lacks
 // capacity, and returns it. One call replaces NumEdges individual queries,
-// which is what makes cost-view compilation a dense O(edges) pass. The
-// float operations replay EdgeResidual's exact order: usage subtracted
-// from capacity, then the quarantine subtracted — so capacity-floor
-// comparisons against the result can never disagree with the scalar path.
+// which is what makes cost-view compilation a dense O(edges) pass.
 func (l *Ledger) EdgeResiduals(dst []float64) []float64 {
 	ne := l.net.G.NumEdges()
 	if cap(dst) < ne {
@@ -245,8 +247,7 @@ func (l *Ledger) EdgeResiduals(dst []float64) []float64 {
 // only if it lacks capacity, and returns it. Given categories, it fills only
 // their rows and leaves the others as dst held them. One call replaces a
 // hashed lookup per query, which is what lets a search read availability as
-// a plain index. The float operations replay InstanceResidual's: usage
-// subtracted from capacity, node-down pins last.
+// a plain index.
 func (l *Ledger) InstanceResiduals(dst []float64, cats ...VNFID) []float64 {
 	capacity, nodes := l.net.capacity, l.net.nodes
 	if cap(dst) < len(capacity) {
@@ -282,7 +283,3 @@ func (l *Ledger) InstanceResiduals(dst []float64, cats ...VNFID) []float64 {
 func (l *Ledger) CostOptions(demand float64) *graph.CostOptions {
 	return &graph.CostOptions{MinCapacity: demand, Residual: l}
 }
-
-// CapacityEps absorbs float accumulation error in capacity comparisons: a
-// demand fits a residual that falls short of it by no more than this.
-const CapacityEps = 1e-9

@@ -15,9 +15,7 @@ func TestLedgerEdgeReserveRelease(t *testing.T) {
 	if got := l.EdgeResidual(0); got != 10 {
 		t.Fatalf("fresh residual = %v, want 10", got)
 	}
-	if err := l.ReserveEdge(0, 6); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(0, 6))
 	if got := l.EdgeResidual(0); got != 4 {
 		t.Fatalf("residual after reserve = %v, want 4", got)
 	}
@@ -27,13 +25,23 @@ func TestLedgerEdgeReserveRelease(t *testing.T) {
 	if got := l.EdgeResidual(0); got != 4 {
 		t.Fatal("failed reservation had side effects")
 	}
-	l.ReleaseEdge(0, 6)
-	if got := l.EdgeResidual(0); got != 10 {
-		t.Fatalf("residual after release = %v, want 10", got)
+	must(t, l.ReleaseEdge(0, 5))
+	if got := l.EdgeResidual(0); got != 9 {
+		t.Fatalf("residual after release = %v, want 9", got)
 	}
-	l.ReleaseEdge(0, 99) // over-release clamps at zero usage
-	if got := l.EdgeResidual(0); got != 10 {
-		t.Fatal("over-release corrupted ledger")
+	// An over-release, a negative, a NaN or an off-grid release is refused
+	// and changes nothing, epoch included.
+	rows, epoch := l.EdgeResiduals(nil), l.ViewEpoch()
+	for _, amt := range []float64{1.5, -1, math.NaN(), 0.1} {
+		if err := l.ReleaseEdge(0, amt); err == nil {
+			t.Errorf("release of %v from usage 1 accepted", amt)
+		}
+		if err := l.ReleaseInstance(0, 1, amt); err == nil {
+			t.Errorf("release of %v from an idle instance accepted", amt)
+		}
+		if got := l.EdgeResiduals(nil); math.Float64bits(got[0]) != math.Float64bits(rows[0]) || l.ViewEpoch() != epoch {
+			t.Fatalf("refused release of %v moved the ledger: %v, epoch %d → %d", amt, got, epoch, l.ViewEpoch())
+		}
 	}
 }
 
@@ -43,13 +51,11 @@ func TestLedgerInstanceReserveRelease(t *testing.T) {
 	if got := l.InstanceResidual(0, 1); got != 5 {
 		t.Fatalf("residual = %v, want 5", got)
 	}
-	if err := l.ReserveInstance(0, 1, 5); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveInstance(0, 1, 5))
 	if err := l.ReserveInstance(0, 1, 0.1); err == nil {
 		t.Fatal("exhausted instance accepted more")
 	}
-	l.ReleaseInstance(0, 1, 5)
+	must(t, l.ReleaseInstance(0, 1, 5))
 	if got := l.InstanceResidual(0, 1); got != 5 {
 		t.Fatalf("residual after release = %v", got)
 	}
@@ -70,9 +76,7 @@ func TestLedgerDummyIsFree(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
 	for i := 0; i < 100; i++ {
-		if err := l.ReserveInstance(0, Dummy, 1000); err != nil {
-			t.Fatal(err)
-		}
+		must(t, l.ReserveInstance(0, Dummy, 1000))
 	}
 }
 
@@ -101,19 +105,13 @@ func TestLedgerNegativeReservationRejected(t *testing.T) {
 func TestLedgerSnapshotIndependent(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
-	if err := l.ReserveEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(0, 3))
 	c := l.Snapshot()
-	if err := c.ReserveEdge(0, 4); err != nil {
-		t.Fatal(err)
-	}
+	must(t, c.ReserveEdge(0, 4))
 	if l.EdgeResidual(0) != 7 || c.EdgeResidual(0) != 3 {
 		t.Fatalf("ledgers entangled: %v vs %v", l.EdgeResidual(0), c.EdgeResidual(0))
 	}
-	if err := c.ReserveInstance(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
+	must(t, c.ReserveInstance(0, 1, 2))
 	if l.InstanceResidual(0, 1) != 5 {
 		t.Fatal("instance usage leaked across clone")
 	}
@@ -123,9 +121,7 @@ func TestLedgerCostOptionsFilters(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
 	// Saturate edge 0 (0-1). A search demanding 1 unit must avoid it.
-	if err := l.ReserveEdge(0, 10); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveEdge(0, 10))
 	opts := l.CostOptions(1)
 	if _, ok := net.G.MinCostPath(0, 1, opts); ok {
 		t.Fatal("saturated edge used")
@@ -139,9 +135,7 @@ func TestLedgerCostOptionsFilters(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	net := testNet(t)
 	var b strings.Builder
-	if err := net.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
+	must(t, net.WriteJSON(&b))
 	got, err := ReadJSON(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -185,27 +179,16 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 func TestEdgeResidualsBitExact(t *testing.T) {
 	net := testNet(t)
 	root := NewLedger(net)
-	// Awkward float amounts so any reordering of the additions would show.
-	if err := root.ReserveEdge(0, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.ReserveEdge(1, 3.3); err != nil {
-		t.Fatal(err)
-	}
+	// Awkward grid amounts, so a reordered sum would show if it could.
+	g := graph.ToGrid
+	must(t, root.ReserveEdge(0, g(0.1)))
+	must(t, root.ReserveEdge(1, g(3.3)))
 	s1 := root.Snapshot()
-	if err := s1.ReserveEdge(0, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.ReserveEdge(2, 1.0/3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s1.ReserveEdge(0, g(0.2)))
+	must(t, s1.ReserveEdge(2, g(1.0/3)))
 	s2 := s1.Snapshot()
-	if err := s2.ReserveEdge(0, 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.ApplyFault(Fault{Kind: FaultLinkDegrade, Link: 1, Fraction: 0.3}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s2.ReserveEdge(0, g(0.7)))
+	must(t, root.ApplyFault(Fault{Kind: FaultLinkDegrade, Link: 1, Fraction: 0.3}))
 	check := func(name string, l *Ledger) {
 		t.Helper()
 		// Deliberately dirty, oversized buffer: reuse must overwrite fully.
@@ -270,63 +253,48 @@ func checkInstanceResiduals(t *testing.T, name string, l *Ledger) {
 // TestInstanceResidualsBitExact is TestEdgeResidualsBitExact for instances:
 // the dense rows a search reads must be the scalar answers to the last bit
 // — same usage, same quarantine subtraction — on a ledger, copies of it, a
-// snapshot taken into recycled storage and a ledger restored from exported
-// state.
+// snapshot taken into recycled storage and a fresh ledger holding the same
+// net reservations.
 func TestInstanceResidualsBitExact(t *testing.T) {
 	net := testNet(t)
 	root := NewLedger(net)
 	checkInstanceResiduals(t, "empty root", root)
-	// Awkward float amounts so any reordering of the additions would show.
-	if err := root.ReserveInstance(0, 1, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.ReserveInstance(2, 2, 3.3); err != nil {
-		t.Fatal(err)
-	}
+	// Awkward grid amounts, so a reordered sum would show if it could.
+	g, merger := graph.ToGrid, net.Catalog.Merger()
+	must(t, root.ReserveInstance(0, 1, g(0.1)))
+	must(t, root.ReserveInstance(2, 2, g(3.3)))
 	s1 := root.Snapshot()
-	if err := s1.ReserveInstance(0, 1, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.ReserveInstance(3, net.Catalog.Merger(), 1.0/3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, s1.ReserveInstance(0, 1, g(0.2)))
+	must(t, s1.ReserveInstance(3, merger, g(1.0/3)))
 	s2 := s1.Snapshot()
-	if err := s2.ReserveInstance(0, 1, 0.7); err != nil {
-		t.Fatal(err)
-	}
-	s2.ReleaseInstance(2, 2, 1.1)
+	must(t, s2.ReserveInstance(0, 1, g(0.7)))
+	must(t, s2.ReleaseInstance(2, 2, g(1.1)))
 	// A node fault elsewhere quarantines instance capacity without pinning
 	// the nodes under test; it is restored below (TestInstanceResiduals-
 	// BitExactUnderPins keeps pins live).
 	fault := Fault{Kind: FaultNodeDown, Node: 1}
-	if err := root.ApplyFault(fault); err != nil {
-		t.Fatal(err)
-	}
+	must(t, root.ApplyFault(fault))
 	stale := root.Snapshot()
-	if err := stale.ReserveInstance(2, 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewLedgerFromState(net, s2.ExportState())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, stale.ReserveInstance(2, 3, 4))
+	rebuilt := NewLedger(net)
+	must(t, rebuilt.ReserveInstance(0, 1, g(0.7)+g(0.2)+g(0.1)))
+	must(t, rebuilt.ReserveInstance(2, 2, g(3.3)-g(1.1)))
+	must(t, rebuilt.ReserveInstance(3, merger, g(1.0/3)))
 	for name, l := range map[string]*Ledger{
 		"root": root, "snapshot": s1, "snapshot of a snapshot": s2,
 		"fresh snapshot": s2.Snapshot(), "recycled snapshot": s2.SnapshotInto(stale),
-		"restored": restored,
+		"rebuilt": rebuilt,
 	} {
 		checkInstanceResiduals(t, name, l)
 	}
-	if err := root.RestoreFault(fault); err != nil {
-		t.Fatal(err)
-	}
+	must(t, root.RestoreFault(fault))
 	checkInstanceResiduals(t, "snapshot of a snapshot after restore", s2)
-	// The state restore carries the copy's view into a ledger of its own,
-	// to the bit.
+	// On the grid the copy's rows are a function of its net reservations,
+	// whatever order they were taken in.
 	want := s2.InstanceResiduals(nil)
-	for i, have := range restored.InstanceResiduals(nil) {
+	for i, have := range rebuilt.InstanceResiduals(nil) {
 		if math.Float64bits(have) != math.Float64bits(want[i]) {
-			t.Fatalf("restored: slot %d residual = %v, the snapshot's %v", i, have, want[i])
+			t.Fatalf("rebuilt: slot %d residual = %v, the snapshot's %v", i, have, want[i])
 		}
 	}
 }

@@ -124,7 +124,8 @@ func (n *Network) deployed(node graph.NodeID, vnf VNFID) (int, bool) {
 // AddInstance deploys category vnf on node with the given price and
 // capacity. At most one instance per (node, category) pair may exist; the
 // dummy VNF cannot be deployed (it is implicit everywhere). The price must
-// be finite: +Inf is how the rows say "not deployed".
+// be finite: +Inf is how the rows say "not deployed". The capacity must be
+// on the grid (graph.OnGrid).
 func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity float64) error {
 	if node < 0 || int(node) >= n.G.NumNodes() {
 		return fmt.Errorf("network: node %d out of range", node)
@@ -135,11 +136,11 @@ func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity floa
 	if !n.Catalog.Valid(vnf) {
 		return fmt.Errorf("network: VNF %d outside catalog (N=%d)", vnf, n.Catalog.N)
 	}
-	if price < 0 || capacity < 0 {
-		return fmt.Errorf("network: negative price/capacity for VNF %d on node %d", vnf, node)
+	if !(price >= 0) || math.IsInf(price, 1) {
+		return fmt.Errorf("network: price %v for VNF %d on node %d must be finite and non-negative", price, vnf, node)
 	}
-	if math.IsNaN(price) || math.IsInf(price, 1) {
-		return fmt.Errorf("network: non-finite price %v for VNF %d on node %d", price, vnf, node)
+	if !graph.OnGrid(capacity) {
+		return fmt.Errorf("network: capacity %v for VNF %d on node %d is not a multiple of 2⁻²⁰ in [0, 2³²]", capacity, vnf, node)
 	}
 	i, ok := n.slot(node, vnf)
 	if !ok {

@@ -8,6 +8,14 @@ import (
 	"dagsfc/internal/graph"
 )
 
+// must fails t unless a call the test expects to succeed did.
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func testNet(t *testing.T) *Network {
 	t.Helper()
 	g := graph.New(4)
@@ -38,20 +46,26 @@ func TestCatalog(t *testing.T) {
 
 func TestAddInstanceValidation(t *testing.T) {
 	net := testNet(t)
-	if err := net.AddInstance(0, 1, 5, 5); err == nil {
-		t.Fatal("duplicate instance accepted")
-	}
-	if err := net.AddInstance(0, Dummy, 5, 5); err == nil {
-		t.Fatal("dummy deployment accepted")
-	}
-	if err := net.AddInstance(0, 9, 5, 5); err == nil {
-		t.Fatal("out-of-catalog VNF accepted")
-	}
-	if err := net.AddInstance(99, 1, 5, 5); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-	if err := net.AddInstance(1, 1, -5, 5); err == nil {
-		t.Fatal("negative price accepted")
+	for _, c := range []struct {
+		what            string
+		node            graph.NodeID
+		vnf             VNFID
+		price, capacity float64
+	}{
+		{"duplicate instance", 0, 1, 5, 5},
+		{"dummy deployment", 0, Dummy, 5, 5},
+		{"out-of-catalog VNF", 0, 9, 5, 5},
+		{"out-of-range node", 99, 1, 5, 5},
+		{"negative price", 1, 1, -5, 5},
+		{"NaN price", 1, 1, math.NaN(), 5},
+		{"NaN capacity", 1, 1, 5, math.NaN()},
+		{"+Inf capacity", 1, 1, 5, math.Inf(1)},
+		{"off-grid capacity", 1, 1, 5, 0.1},
+		{"capacity above 2³²", 1, 1, 5, 0x1p33},
+	} {
+		if err := net.AddInstance(c.node, c.vnf, c.price, c.capacity); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
 	}
 }
 
@@ -143,9 +157,7 @@ func TestRentsMatchInstances(t *testing.T) {
 func TestDenseRowsAnswerLikeTheMap(t *testing.T) {
 	net := testNet(t) // 4 nodes, N = 3, merger f(4) on node 3 only
 	l := NewLedger(net)
-	if err := l.ReserveInstance(3, net.Catalog.Merger(), 2); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.ReserveInstance(3, net.Catalog.Merger(), 2))
 	snap := l.Snapshot()
 	rows := rowBits(l)
 	free := Instance{Price: 0, Capacity: graph.Inf}
@@ -191,7 +203,9 @@ func TestDenseRowsAnswerLikeTheMap(t *testing.T) {
 			if err := led.ReserveInstance(tc.node, tc.vnf, 1); err == nil && tc.vnf != Dummy {
 				t.Errorf("%s: reserved capacity nothing has", tc.name)
 			}
-			led.ReleaseInstance(tc.node, tc.vnf, 1)
+			if err := led.ReleaseInstance(tc.node, tc.vnf, 1); err == nil && tc.vnf != Dummy {
+				t.Errorf("%s: released capacity nothing holds", tc.name)
+			}
 			if got := led.InstanceUsed(tc.node, tc.vnf); got != 0 {
 				t.Errorf("%s: InstanceUsed = %v", tc.name, got)
 			}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -48,6 +49,32 @@ func bits(xs []float64) []uint64 {
 	return out
 }
 
+// slot names one row a reservation lands on: an edge, or (edge graph.None)
+// the instance of vnf on node.
+type slot struct {
+	edge graph.EdgeID
+	node graph.NodeID
+	vnf  VNFID
+}
+
+// rebuilt is a fresh ledger that reserves held's net amounts, in map order,
+// and then applies faults: how a snapshot's import rebuilds a ledger.
+func rebuilt(t *testing.T, net *Network, held map[slot]float64, faults []Fault) *Ledger {
+	t.Helper()
+	l := NewLedger(net)
+	for s, amt := range held {
+		if s.edge == graph.None {
+			must(t, l.ReserveInstance(s.node, s.vnf, amt))
+		} else {
+			must(t, l.ReserveEdge(s.edge, amt))
+		}
+	}
+	for _, f := range faults {
+		must(t, l.ApplyFault(f))
+	}
+	return l
+}
+
 // usageBits is the ledger's committed usage through the scalar queries —
 // what reservations move and faults do not.
 func usageBits(l *Ledger) []uint64 {
@@ -72,32 +99,22 @@ func usageBits(l *Ledger) []uint64 {
 // the live ledger, and nothing done to the live ledger moves a copy; (c)
 // the held copy carries exactly its own faults — those active when it was
 // taken and those applied to it since — so it stays bit-equal to a mirror
-// rebuilt from exported state and handed the same faults and
+// rebuilt from its net reservations and handed the same faults and
 // reservations, and once none is active it reads exactly as if there had
 // never been one; (d) ViewEpoch moves on every accepted mutation and
-// every fault, and on nothing else; (e) ExportState → NewLedgerFromState
-// rebuilds the live ledger to the bit.
+// every fault, and on nothing else; (e) a fresh ledger that reserves the
+// live ledger's net reservations and then applies its faults reads as the
+// live ledger does, to the bit.
 func TestDenseLedgerProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := testNet(t)
 		live := NewLedger(net)
 		var active, heldActive []Fault
-		// withFaults is a ledger rebuilt from st, holding faults.
-		withFaults := func(st LedgerState, faults []Fault) *Ledger {
-			l, err := NewLedgerFromState(net, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range faults {
-				if err := l.ApplyFault(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return l
-		}
+		// liveNet and heldNet are the two ledgers' net reservations.
+		liveNet, heldNet := map[slot]float64{}, map[slot]float64{}
 		held := live.Snapshot()
-		mirror := withFaults(held.ExportState(), nil)
+		mirror := rebuilt(t, net, heldNet, nil)
 		recycled := new(Ledger)
 
 		for step := 0; step < 400; step++ {
@@ -108,21 +125,28 @@ func TestDenseLedgerProperty(t *testing.T) {
 			liveEpoch, heldEpoch := live.ViewEpoch(), held.ViewEpoch()
 			liveRows, heldRows := rowBits(live), rowBits(held)
 			liveMoved, heldMoved := false, false
-			// reserveOrRelease applies one of the four mutations to l and
-			// reports whether it should move l's epoch.
-			reserveOrRelease := func(l *Ledger, op int) bool {
+			// reserveOrRelease applies one of the four mutations to l, books
+			// it in l's net reservations (nil: none kept) and reports
+			// whether it should move l's epoch.
+			reserveOrRelease := func(l *Ledger, held map[slot]float64, op int) bool {
+				at, sign, err := slot{e, 0, 0}, 1.0, error(nil)
 				switch op {
 				case 0:
-					return l.ReserveEdge(e, amt) == nil
+					err = l.ReserveEdge(e, amt)
 				case 1:
-					l.ReleaseEdge(e, amt)
-					return true
+					sign, err = -1, l.ReleaseEdge(e, amt)
 				case 2:
-					return l.ReserveInstance(node, f, amt) == nil && f != Dummy
+					at, err = slot{graph.None, node, f}, l.ReserveInstance(node, f, amt)
 				default:
-					l.ReleaseInstance(node, f, amt)
-					return f != Dummy
+					at, sign, err = slot{graph.None, node, f}, -1, l.ReleaseInstance(node, f, amt)
 				}
+				if err != nil || (op >= 2 && f == Dummy) {
+					return false
+				}
+				if held != nil {
+					held[at] += sign * amt
+				}
+				return true
 			}
 			// fault applies a random fault to l, or restores one of *faults,
 			// and mirrors it onto m when m is not nil.
@@ -141,9 +165,7 @@ func TestDenseLedgerProperty(t *testing.T) {
 						t.Fatalf("seed=%d step=%d: ApplyFault(%v): %v", seed, step, flt, err)
 					}
 					if m != nil {
-						if err := m.ApplyFault(flt); err != nil {
-							t.Fatal(err)
-						}
+						must(t, m.ApplyFault(flt))
 					}
 					*faults = append(*faults, flt)
 					return
@@ -161,31 +183,29 @@ func TestDenseLedgerProperty(t *testing.T) {
 					t.Fatalf("seed=%d step=%d: RestoreFault(%v): %v", seed, step, flt, err)
 				}
 				if m != nil {
-					if err := m.RestoreFault(flt); err != nil {
-						t.Fatal(err)
-					}
+					must(t, m.RestoreFault(flt))
 				}
 			}
 			op := rng.Intn(9)
 			switch op {
 			case 0, 1, 2, 3:
-				liveMoved = reserveOrRelease(live, op)
+				liveMoved = reserveOrRelease(live, liveNet, op)
 			case 4, 5:
 				n := len(active)
 				fault(live, nil, &active)
 				liveMoved = n != len(active)
 			case 6:
 				op := rng.Intn(4)
-				heldMoved = reserveOrRelease(held, op)
-				reserveOrRelease(mirror, op)
+				heldMoved = reserveOrRelease(held, heldNet, op)
+				reserveOrRelease(mirror, nil, op)
 			case 7:
 				n := len(heldActive)
 				fault(held, mirror, &heldActive)
 				heldMoved = n != len(heldActive)
 			case 8:
 				held = live.Snapshot()
-				heldActive = slices.Clone(active)
-				mirror = withFaults(held.ExportState(), heldActive)
+				heldActive, heldNet = slices.Clone(active), maps.Clone(liveNet)
+				mirror = rebuilt(t, net, heldNet, heldActive)
 				heldEpoch, heldRows = live.ViewEpoch(), liveRows
 			}
 
@@ -199,7 +219,7 @@ func TestDenseLedgerProperty(t *testing.T) {
 			// (c) The held copy carries its own faults, and nothing else.
 			viewsBitEqual(t, held, mirror, "held copy vs its mirror")
 			if len(heldActive) == 0 {
-				viewsBitEqual(t, held, withFaults(held.ExportState(), nil), "held copy with every fault restored")
+				viewsBitEqual(t, held, rebuilt(t, net, heldNet, nil), "held copy with every fault restored")
 			}
 			// (d)
 			if want := liveEpoch + count(liveMoved); live.ViewEpoch() != want {
@@ -219,13 +239,13 @@ func TestDenseLedgerProperty(t *testing.T) {
 				}
 			}
 			// (e)
-			viewsBitEqual(t, withFaults(live.ExportState(), active), live, "ExportState round trip")
+			viewsBitEqual(t, rebuilt(t, net, liveNet, active), live, "rebuilt from the live reservations")
 			// Leave the recycled copy dirty, as a worker does (a protected
 			// admission reserves on it); none of it may reach the live ledger.
 			_ = recycled.ReserveEdge(e, amt)
 			_ = recycled.ReserveInstance(node, f, amt)
-			recycled.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), amt)
-			recycled.ReleaseInstance(graph.NodeID(rng.Intn(net.G.NumNodes())), f, amt)
+			_ = recycled.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), amt)
+			_ = recycled.ReleaseInstance(graph.NodeID(rng.Intn(net.G.NumNodes())), f, amt)
 			if live.ViewEpoch() != liveEpoch || !slices.Equal(liveUse, usageBits(live)) {
 				t.Fatalf("seed=%d step=%d: snapshotting or scribbling on a copy moved the live ledger", seed, step)
 			}
@@ -234,7 +254,8 @@ func TestDenseLedgerProperty(t *testing.T) {
 }
 
 // TestSnapshotMatchesRebuiltProperty drives a Snapshot copy of a base ledger
-// and an independent clone of the same base (rebuilt from ExportState)
+// and an independent clone of the same base (a fresh ledger holding its
+// reservations)
 // through a long random interleaving of reservations, releases and faults,
 // and checks their views never diverge — a copy is observably a full
 // ledger, whatever benchmark/ still calls it. After every step it also
@@ -249,18 +270,11 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 		net := testNet(t)
 		base := NewLedger(net)
 		// Pre-commit some base usage so copies start from a non-trivial view.
-		if err := base.ReserveEdge(0, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := base.ReserveInstance(1, 2, 2); err != nil {
-			t.Fatal(err)
-		}
+		must(t, base.ReserveEdge(0, 3))
+		must(t, base.ReserveInstance(1, 2, 2))
 
 		cp := base.Snapshot()
-		clone, err := NewLedgerFromState(net, base.ExportState())
-		if err != nil {
-			t.Fatal(err)
-		}
+		clone := rebuilt(t, net, map[slot]float64{{0, 0, 0}: 3, {graph.None, 1, 2}: 2}, nil)
 		// Fault events are mirrored onto both ledgers; quarantine must keep
 		// the views in lockstep exactly like reservations do.
 		var live []Fault
@@ -278,23 +292,17 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 			node := graph.NodeID(rng.Intn(net.G.NumNodes()))
 			f := VNFID(rng.Intn(int(net.Catalog.Merger()) + 1))
 			amt := float64(rng.Intn(40)) / 4
-			switch rng.Intn(6) {
-			case 0:
-				oe, ce := cp.ReserveEdge(e, amt), clone.ReserveEdge(e, amt)
-				if (oe == nil) != (ce == nil) {
-					t.Fatalf("seed=%d step=%d: ReserveEdge(%d,%v) copy err=%v clone err=%v", seed, step, e, amt, oe, ce)
+			mutate := []func(*Ledger) error{
+				func(l *Ledger) error { return l.ReserveEdge(e, amt) },
+				func(l *Ledger) error { return l.ReleaseEdge(e, amt) },
+				func(l *Ledger) error { return l.ReserveInstance(node, f, amt) },
+				func(l *Ledger) error { return l.ReleaseInstance(node, f, amt) },
+			}
+			switch op := rng.Intn(6); op {
+			case 0, 1, 2, 3:
+				if oe, ce := mutate[op](cp), mutate[op](clone); (oe == nil) != (ce == nil) {
+					t.Fatalf("seed=%d step=%d: mutation %d (%d,%d,%d,%v) copy err=%v clone err=%v", seed, step, op, e, node, f, amt, oe, ce)
 				}
-			case 1:
-				cp.ReleaseEdge(e, amt)
-				clone.ReleaseEdge(e, amt)
-			case 2:
-				oe, ce := cp.ReserveInstance(node, f, amt), clone.ReserveInstance(node, f, amt)
-				if (oe == nil) != (ce == nil) {
-					t.Fatalf("seed=%d step=%d: ReserveInstance(%d,%d,%v) copy err=%v clone err=%v", seed, step, node, f, amt, oe, ce)
-				}
-			case 3:
-				cp.ReleaseInstance(node, f, amt)
-				clone.ReleaseInstance(node, f, amt)
 			case 4:
 				var flt Fault
 				switch rng.Intn(3) {
@@ -342,7 +350,7 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 				// protected admission does), and none of it may show below.
 				_ = recycled.ReserveEdge(e, amt)
 				_ = recycled.ReserveInstance(node, f, amt)
-				recycled.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), amt)
+				_ = recycled.ReleaseEdge(graph.EdgeID(rng.Intn(net.G.NumEdges())), amt)
 			}
 			pinned, pinnedRows = cp.ViewEpoch(), rowBits(cp)
 			fresh, recycled = cp.Snapshot(), cp.SnapshotInto(recycled)
@@ -358,9 +366,9 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 				t.Fatalf("seed=%d step=%d: taking snapshots moved the source's epoch", seed, step)
 			}
 		}
-		// Mutating the recycled copy moves its own epoch and nothing of the
-		// source's.
-		recycled.ReleaseEdge(0, 0.25)
+		// Mutating the recycled copy — even by nothing — moves its own epoch
+		// and nothing of the source's.
+		must(t, recycled.ReleaseEdge(0, 0))
 		if recycled.ViewEpoch() == pinned || cp.ViewEpoch() != pinned {
 			t.Fatalf("seed=%d: mutating the recycled snapshot: its epoch %d, source's %d, was %d", seed, recycled.ViewEpoch(), cp.ViewEpoch(), pinned)
 		}
@@ -382,7 +390,7 @@ func TestSnapshotMatchesRebuiltProperty(t *testing.T) {
 		// Snapshot must be an independent copy of the current view.
 		snap := cp.Snapshot()
 		viewsBitEqual(t, snap, clone, "snapshot")
-		snap.ReleaseEdge(0, 100)
+		must(t, snap.ReleaseEdge(0, snap.EdgeUsed(0)))
 		viewsBitEqual(t, cp, clone, "after mutating snapshot")
 	}
 }

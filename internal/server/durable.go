@@ -1,12 +1,9 @@
 // Durability: the server side of internal/wal. Every transition the flow
 // state machine applies is framed into one record under s.mu (transitLocked),
 // so the log's order IS the state's mutation order; recovery decodes the
-// tail and feeds it to the same flowstate.Apply, which therefore rebuilds
-// every residual bit-for-bit (the float-exact restore discipline from the
-// fault layer: identical operations in identical order on identical
-// starting values). Snapshots capture the raw accumulated ledger sums
-// (network.LedgerState), never re-derived values, so a fallback to an
-// older snapshot plus a longer replay lands on the same bits too.
+// tail and feeds it to the same flowstate.Apply. A snapshot holds flows and
+// faults, not the ledger: every amount is on the grid (graph.Grain), so
+// reserving the placements again rebuilds every residual bit-for-bit.
 package server
 
 import (

@@ -90,7 +90,7 @@ func TestBrokenWALDegradesHonestly(t *testing.T) {
 	}
 	ctx := context.Background()
 	seed := stateResiduals(srv.NetworkState())
-	req := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 0.3, Size: 1}
+	req := FlowRequest{SFC: "1", Src: 0, Dst: 2, Rate: 0.25, Size: 1}
 
 	healthy, err := srv.Submit(ctx, req)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestUnencodableRecordBreaksWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := &core.Problem{Net: srv.net, SFC: sfc.FromChain([]network.VNFID{1}), Src: 0, Dst: 2, Rate: 0.3, Size: 1}
+	p := &core.Problem{Net: srv.net, SFC: sfc.FromChain([]network.VNFID{1}), Src: 0, Dst: 2, Rate: 0.25, Size: 1}
 	res, err := core.EmbedMBBE(p)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestUnencodableRecordBreaksWAL(t *testing.T) {
 	srv.mu.Lock()
 	_, ticket, err := srv.transitLocked(flowstate.Transition{
 		Kind: flowstate.Commit, Flow: 1, Problem: p, Primary: res.Solution, Usage: res.Cost.Usage,
-		Info: FlowInfo{ID: 1, SFC: "1", Dst: 2, Rate: 0.3, Size: 1, Cost: Cost{Total: math.Inf(1)}, State: FlowStateActive},
+		Info: FlowInfo{ID: 1, SFC: "1", Dst: 2, Rate: 0.25, Size: 1, Cost: Cost{Total: math.Inf(1)}, State: FlowStateActive},
 	})
 	srv.mu.Unlock()
 	if err != nil || ticket != 0 {

@@ -2,23 +2,28 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/server"
 	"dagsfc/internal/server/client"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
+	"dagsfc/internal/wal"
 )
 
 // durableServer starts a server over dir with the per-commit sync policy
@@ -71,24 +76,32 @@ func sameFlows(t *testing.T, got, want []server.FlowInfo) {
 	}
 }
 
-// TestDurableDrainRestart is the graceful path: a drained server's final
-// snapshot alone rebuilds the flow table and the ledger residuals
-// exactly.
+// TestDurableDrainRestart is the graceful path under churn: 48 flows at
+// off-grid rates, half of them released in shuffled order, with a snapshot
+// every five records. The drained server's snapshots rebuild the flow table
+// and the ledger residuals bit for bit, and releasing the rest, again
+// shuffled, returns the seed's residuals bit for bit.
 func TestDurableDrainRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	every := func(c *server.Config) { c.WALSnapshotEvery = 5 }
 
-	srv := durableServer(t, dir, nil)
-	var infos []server.FlowInfo
-	for _, rate := range []float64{0.1, 0.3, 0.25} { // non-dyadic rates stress float exactness
-		info, err := srv.Submit(ctx, lineRequest(rate))
+	srv := durableServer(t, dir, every)
+	seed := residuals(srv.NetworkState())
+	var ids []int64
+	for range 48 {
+		info, err := srv.Submit(ctx, lineRequest(0.01+0.03*rng.Float64()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		infos = append(infos, info)
+		ids = append(ids, info.ID)
 	}
-	if _, err := srv.Release(infos[1].ID); err != nil {
-		t.Fatal(err)
+	rng.Shuffle(len(ids), func(i, k int) { ids[i], ids[k] = ids[k], ids[i] })
+	for _, id := range ids[:24] {
+		if _, err := srv.Release(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := srv.Flows()
 	wantRes := residuals(srv.NetworkState())
@@ -96,14 +109,14 @@ func TestDurableDrainRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := durableServer(t, dir, nil)
+	srv2 := durableServer(t, dir, every)
 	defer srv2.Close()
 	sameFlows(t, srv2.Flows(), want)
 	if got := residuals(srv2.NetworkState()); !equalResiduals(got, wantRes) {
 		t.Fatalf("residuals after restart: %v, want %v", got, wantRes)
 	}
-	if srv2.ActiveFlows() != 2 {
-		t.Fatalf("active flows after restart: %d, want 2", srv2.ActiveFlows())
+	if srv2.ActiveFlows() != 24 {
+		t.Fatalf("active flows after restart: %d, want 24", srv2.ActiveFlows())
 	}
 
 	// ID allocation resumes above the high-water mark: no recycled IDs.
@@ -111,8 +124,16 @@ func TestDurableDrainRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ID <= infos[2].ID {
-		t.Fatalf("post-restart ID %d not above pre-restart high water %d", info.ID, infos[2].ID)
+	if high := slices.Max(ids); info.ID <= high {
+		t.Fatalf("post-restart ID %d not above pre-restart high water %d", info.ID, high)
+	}
+	for _, id := range append(ids[24:], info.ID) {
+		if _, err := srv2.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := residuals(srv2.NetworkState()); !equalResiduals(got, seed) {
+		t.Fatalf("residuals after draining: %v, want the seed's %v", got, seed)
 	}
 }
 
@@ -414,20 +435,70 @@ func TestDurableOverflowingCostRefused(t *testing.T) {
 	sameFlows(t, srv2.Flows(), want)
 }
 
-// TestDurableRefusesUnrecoverableDir: a directory whose every snapshot is
-// corrupt and whose log is gone cannot be rebuilt; the server must refuse
-// to start rather than silently open empty.
+// TestDurableRefusesUnrecoverableDir recovers directories written by hand.
+// One whose every snapshot is corrupt and whose log is gone cannot be
+// rebuilt: the server must refuse to start rather than silently open empty.
+// Two that a server without the capacity grid wrote recover: a snapshot
+// carrying its own copy of the ledger, and a commit record at rate 0.1. The
+// flow comes back at the grid's rounding of 0.1, and the residuals are
+// those a fresh reservation of it leaves, bit for bit.
 func TestDurableRefusesUnrecoverableDir(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000010.snap"), []byte("not a snapshot"), 0o644); err != nil {
+	fresh := durableServer(t, t.TempDir(), nil)
+	info, err := fresh.Submit(context.Background(), lineRequest(0.1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := server.New(server.Config{Net: tinyNet(), WALDir: dir})
-	if err == nil {
-		t.Fatal("New succeeded on an unrecoverable WAL dir")
+	want := residuals(fresh.NetworkState())
+	fresh.Close()
+	info.Rate = 0.1 // as a server that kept the rate it was sent wrote it
+	flow, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "WAL dir") {
-		t.Fatalf("error does not name the WAL dir: %v", err)
+	const sol = `"sol":{"Layers":[{"Nodes":[1],"MergerNode":1,"InterPaths":[{"From":0,"Edges":[0]}],"InnerPaths":null}],"TailPath":{"From":1,"Edges":[1]}}`
+	for _, row := range []struct {
+		name, snap string // snap is written raw when refused, else through a WAL after commit
+		commit     string
+		refused    bool
+	}{
+		{name: "every snapshot corrupt, no log", snap: "not a snapshot", refused: true},
+		{name: "snapshot with its own ledger", snap: `{"next_id":1,"flows":[{"info":` + string(flow) + `,` + sol + `}],` +
+			`"ledger":{"edges":[{"edge":0,"used":0.1},{"edge":1,"used":0.1}],"instances":[{"node":1,"vnf":1,"used":0.1}]}}`},
+		{name: "commit record at rate 0.1", commit: `{"info":` + string(flow) + `,` + sol + `}`},
+	} {
+		dir := t.TempDir()
+		if row.refused {
+			if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000010.snap"), []byte(row.snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			l, _, err := wal.Open(dir, wal.Options{})
+			if err == nil && row.commit != "" {
+				_, err = l.Append(wal.Record{Type: wal.TypeCommit, Flow: 1, Data: []byte(row.commit)})
+			}
+			if err == nil && row.snap != "" {
+				err = l.WriteSnapshot([]byte(row.snap))
+			}
+			if err = errors.Join(err, l.Close()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := server.New(server.Config{Net: tinyNet(), WALDir: dir})
+		if row.refused {
+			if err == nil || !strings.Contains(err.Error(), "WAL dir") {
+				t.Fatalf("%s: New = %v, want a refusal naming the WAL dir", row.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		got := srv.Flows()
+		if len(got) != 1 || got[0].Rate != graph.ToGrid(0.1) || !equalResiduals(residuals(srv.NetworkState()), want) {
+			t.Fatalf("%s: recovered %+v with residuals %v, want one flow at rate %v leaving %v",
+				row.name, got, residuals(srv.NetworkState()), graph.ToGrid(0.1), want)
+		}
+		srv.Close()
 	}
 }
 

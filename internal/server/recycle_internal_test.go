@@ -20,18 +20,14 @@ import (
 	"dagsfc/internal/sfcgen"
 )
 
-// scribble makes l unusable as a view of anything: every link and every
-// instance infinitely oversubscribed. (Infinite usage rather than NaN: a
-// NaN residual fails every comparison in both directions, so it would pass
-// the capacity checks it is meant to trip.)
+// scribble makes l unusable as a view of anything: every node down, so
+// every link and every instance residual is pinned to exactly zero.
 func scribble(l *network.Ledger) {
-	net := l.Network()
-	for e := 0; e < net.G.NumEdges(); e++ {
-		l.ReleaseEdge(graph.EdgeID(e), math.Inf(-1))
+	for v := range l.Network().G.NumNodes() {
+		if err := l.ApplyFault(network.Fault{Kind: network.FaultNodeDown, Node: graph.NodeID(v)}); err != nil {
+			panic(err)
+		}
 	}
-	net.Instances(func(inst network.Instance) {
-		l.ReleaseInstance(inst.Node, inst.VNF, math.Inf(-1))
-	})
 }
 
 // TestWorkerLedgerRecycledNotRetained is the proof an embed slot may

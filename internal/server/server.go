@@ -495,10 +495,12 @@ func (s *Server) prepare(req FlowRequest) (prepared, error) {
 	default:
 		return prepared{}, fmt.Errorf("%w: unknown protection class %q", ErrBadRequest, req.Protection)
 	}
+	// The rate goes on the grid here, where it enters: the flow records
+	// and echoes the rounded rate, and every reservation it makes is exact.
 	pr.problem = &core.Problem{
 		Net: s.net, SFC: dag,
 		Src: graph.NodeID(req.Src), Dst: graph.NodeID(req.Dst),
-		Rate: req.Rate, Size: req.Size,
+		Rate: graph.ToGrid(req.Rate), Size: req.Size,
 	}
 	if err := pr.problem.Validate(); err != nil {
 		return prepared{}, fmt.Errorf("%w: %v", ErrBadRequest, err)

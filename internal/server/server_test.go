@@ -3,9 +3,11 @@ package server_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,15 +91,7 @@ func seriesValue(name string) float64 {
 }
 
 func equalResiduals(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestServerEndToEndHTTP(t *testing.T) {

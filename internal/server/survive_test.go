@@ -385,7 +385,7 @@ func chaosRun(t *testing.T, row chaosRow) chaosOutcome {
 	for i := 0; i < flows; i++ {
 		req := server.FlowRequest{
 			SFC: sfc.Format(sfcgen.MustGenerate(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: gen.VNFKinds}, rng)),
-			Src: rng.Intn(gen.Nodes), Dst: rng.Intn(gen.Nodes), Rate: 1, Size: 1,
+			Src: rng.Intn(gen.Nodes), Dst: rng.Intn(gen.Nodes), Rate: 0.1 + 0.9*rng.Float64(), Size: 1,
 		}
 		if row.protected && i < flows/2 {
 			req.Protection = server.ProtectionBackup

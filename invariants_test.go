@@ -208,6 +208,30 @@ var invariants = []invariant{{
 	sample:   "\tp.Ledger = network.NewLedger(p.Net).Overlay()",
 	msg:      "a Go file outside benchmark/ calls a deprecated ledger shim: build ledgers with NewLedger, copy them with Snapshot",
 }, {
+	name:     "ledger-exact-no-tolerance",
+	contract: "every capacity amount is on the 2⁻²⁰ grid, so capacity comparisons are exact: no tolerance",
+	design:   "11. Memory & allocation discipline",
+	files:    []string{"..."},
+	forbid:   `CapacityEps`,
+	sample:   "\tif r := l.EdgeResidual(e); r < amount-CapacityEps {",
+	msg:      "a capacity comparison grew a tolerance back: amounts are on the grid, compare them exactly",
+}, {
+	name:     "ledger-exact-no-clamp",
+	contract: "an over-release is refused with an error, never clamped at zero",
+	design:   "11. Memory & allocation discipline",
+	files:    []string{"internal/network/*.go"},
+	forbid:   `max\([^)\n]*-[[:space:]]*amount,[[:space:]]*0\)`,
+	sample:   "\tl.edgeUsed[e] = max(l.edgeUsed[e]-amount, 0)",
+	msg:      "internal/network clamps a release again: refuse an over-release instead",
+}, {
+	name:     "ledger-exact-no-state-copy",
+	contract: "a WAL snapshot holds flows and faults; the ledger is rebuilt from the placements, never persisted",
+	design:   "15. Durability",
+	files:    []string{"..."},
+	forbid:   `LedgerState|ExportState|NewLedgerFromState`,
+	sample:   "func (l *Ledger) ExportState() LedgerState {",
+	msg:      "a second persisted copy of the ledger is back: Import rebuilds the ledger from the snapshot's placements",
+}, {
 	name:     "server-single-writer",
 	contract: "the server changes flow state through flowstate.Apply alone: no replay mirror, no second controller, no side table",
 	design:   "20. Flow state machine: one transition, applied once",
