@@ -64,14 +64,7 @@ func BenchmarkGapVsExact(b *testing.B) { benchExperiment(b, sim.Gap(1)) }
 
 // BenchmarkDelayHybridVsSequential regenerates the Fig. 1 motivation
 // table (E9).
-func BenchmarkDelayHybridVsSequential(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunDelay([]int{3, 5, 7, 9}, 1, int64(i)+1, core.DefaultDelayParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkDelayHybridVsSequential(b *testing.B) { benchExperiment(b, sim.Delay(1)) }
 
 // paperInstance draws one Table 2 base instance (500 nodes, SFC size 5).
 func paperInstance(seed int64) *Problem {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"dagsfc/internal/core"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/sfcgen"
 )
@@ -12,12 +13,20 @@ const DefaultTrials = 100
 
 // baseConfig returns the paper's Table 2 configuration: network size 500,
 // connectivity 6, deploy ratio 50%, price ratio 20%, fluctuation 5%, SFC
-// size 5.
+// size 5; delays under the library's default model.
 func baseConfig() PointConfig {
 	return PointConfig{
-		Net: netgen.Default(),
-		SFC: sfcgen.Default(netgen.Default().VNFKinds),
+		Net:   netgen.Default(),
+		SFC:   sfcgen.Default(netgen.Default().VNFKinds),
+		delay: core.DefaultDelayParams(),
 	}
+}
+
+// sfcSize is the Table 2 configuration at SFC size x.
+func sfcSize(x float64) PointConfig {
+	cfg := baseConfig()
+	cfg.SFC.Size = int(x)
+	return cfg
 }
 
 // paperAlgorithms is the comparison set of the paper's figures.
@@ -34,6 +43,7 @@ func Experiments(trials int) map[string]*Experiment {
 		Fig6a(trials), Fig6b(trials), Fig6c(trials),
 		Fig6d(trials), Fig6e(trials), Fig6f(trials),
 		Runtime(trials), Gap(trials), IPGap(trials),
+		Delay(trials), Topologies(trials), Pareto(trials),
 	}
 	m := make(map[string]*Experiment, len(exps))
 	for _, e := range exps {
@@ -51,11 +61,7 @@ func Fig6a(trials int) *Experiment {
 		Xs:         []float64{1, 2, 3, 4, 5, 6, 7, 8, 9},
 		Algorithms: paperAlgorithms,
 		Trials:     trials,
-		Configure: func(x float64) PointConfig {
-			cfg := baseConfig()
-			cfg.SFC.Size = int(x)
-			return cfg
-		},
+		Configure:  sfcSize,
 		Skip: func(alg Algorithm, x float64) bool {
 			return alg == BBE && x > bbeSFCSizeCutoff
 		},
@@ -159,11 +165,7 @@ func Runtime(trials int) *Experiment {
 		Xs:         []float64{1, 2, 3, 4, 5, 6, 7},
 		Algorithms: []Algorithm{BBE, MBBE},
 		Trials:     trials,
-		Configure: func(x float64) PointConfig {
-			cfg := baseConfig()
-			cfg.SFC.Size = int(x)
-			return cfg
-		},
+		Configure:  sfcSize,
 	}
 }
 
@@ -212,9 +214,79 @@ func IPGap(trials int) *Experiment {
 	}
 }
 
+// Delay reproduces the paper's Fig. 1 motivation quantitatively: MBBE
+// embeds each instance's hybrid DAG-SFC and, as SEQ, the sequential form
+// of the same chain, and the tables compare end-to-end delay and cost.
+func Delay(trials int) *Experiment {
+	return &Experiment{
+		Name:       "delay",
+		Title:      "Motivation (Fig 1): hybrid vs sequential embedding, MBBE",
+		XLabel:     "SFC size",
+		Xs:         []float64{3, 5, 7, 9},
+		Algorithms: []Algorithm{MBBE, SEQ},
+		Trials:     trials,
+		Configure:  sfcSize,
+	}
+}
+
+// Topologies embeds the paper's base workload (size-5 SFCs) over each
+// ~500-node topology of the robustness catalog; x indexes the catalog,
+// whose names label the rows. BBE is left out: it costs what MBBE does,
+// far slower.
+func Topologies(trials int) *Experiment {
+	catalog := topologyCatalog()
+	xs := make([]float64, len(catalog))
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	return &Experiment{
+		Name:       "topo",
+		Title:      "Robustness: embedding cost by topology (~500 nodes, Table 2 workload)",
+		XLabel:     "topology",
+		Xs:         xs,
+		Algorithms: []Algorithm{MBBE, MINV, RANV},
+		Trials:     trials,
+		Configure: func(x float64) PointConfig {
+			cfg := baseConfig()
+			cfg.topology = &catalog[int(x)]
+			return cfg
+		},
+	}
+}
+
+// Pareto sweeps MBBE's end-to-end delay budget, exposing the
+// cost-of-latency trade-off the delay-bounded embedding mode
+// (core.Options.MaxDelay) navigates. It is one point whose arms are the
+// budget factors, so every factor sees the same instances: each is
+// embedded unbounded, then again within factor × that embedding's delay.
+//
+// Propagation is made significant (0.5 per hop vs 1.0 per VNF): under the
+// default model (0.05 per hop) the Table 2 instances embed within one hop
+// of optimal delay anyway. And VNF prices are dispersed by 50%: at the
+// Table 2 fluctuation (5%) every instance costs about the same, so the
+// cost-greedy embedding is already delay-minimal and a tighter budget is
+// simply infeasible; at 50% MBBE detours to cheap instances, and the
+// budget buys that detour back.
+func Pareto(trials int) *Experiment {
+	return &Experiment{
+		Name:       "pareto",
+		Title:      "Delay-bounded MBBE: cost of tightening the delay budget (factor × unbounded delay)",
+		XLabel:     "fluctuation",
+		Xs:         []float64{0.5},
+		Algorithms: []Algorithm{budget(0.6), budget(0.7), budget(0.8), budget(0.9), budget(1), MBBE},
+		Trials:     trials,
+		Configure: func(x float64) PointConfig {
+			cfg := baseConfig()
+			cfg.Net.VNFPriceFluct = x
+			cfg.delay = core.DelayParams{DefaultProcDelay: 1, MergerDelay: 0.1, HopDelay: 0.5}
+			return cfg
+		},
+	}
+}
+
 // Names lists the experiment identifiers in presentation order.
 func Names() []string {
-	return []string{"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "runtime", "gap", "ipgap"}
+	return []string{"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "runtime", "gap", "ipgap", "delay", "topo", "pareto"}
 }
 
 // Lookup returns the named experiment or an error listing valid names.

@@ -2,90 +2,107 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
+
+	"dagsfc/internal/stats"
 )
 
-// CostTable renders the aggregated average costs as one row per x value
-// and one column per algorithm — the tabular form of a paper figure.
-func CostTable(e *Experiment, points []Point) *Table {
-	t := &Table{Title: e.Title}
-	t.Header = []string{e.XLabel}
+// A Metric is what one of a sweep's tables shows in its cells.
+type Metric string
+
+// The metrics of a cell.
+const (
+	MeanCost  Metric = "cost"     // mean cost of the successful runs
+	MeanDelay Metric = "delay"    // mean end-to-end delay of the successful runs
+	MeanTime  Metric = "time"     // mean wall-clock per embedding attempt
+	Failures  Metric = "failures" // failed embedding attempts
+)
+
+// Metrics lists the metrics in the order a sweep's tables are printed.
+func Metrics() []Metric { return []Metric{MeanCost, MeanDelay, MeanTime, Failures} }
+
+// Table renders one metric of a sweep as the paper draws its figures: a
+// row per x value, a column per arm. A cell reads "-" where the arm has no
+// value: skipped at that x, or, for a mean, no run succeeded.
+func (e *Experiment) Table(points []Point, m Metric) *Table {
+	t := &Table{Title: e.Title + " — " + string(m), Header: []string{e.XLabel}}
 	for _, alg := range e.Algorithms {
 		t.Header = append(t.Header, string(alg))
 	}
 	for _, p := range points {
-		row := []string{num(p.X)}
+		row := []string{e.label(p.X)}
 		for _, alg := range e.Algorithms {
-			cell := p.Cells[alg]
-			if cell == nil || cell.Cost.N == 0 {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, num(cell.Cost.Mean))
+			row = append(row, p.Cells[alg].format(m))
 		}
 		t.AddRow(row...)
 	}
 	return t
 }
 
-// TimeTable renders mean wall-clock per embedding attempt.
-func TimeTable(e *Experiment, points []Point) *Table {
-	t := &Table{Title: e.Title + " — mean time per embedding"}
-	t.Header = []string{e.XLabel}
-	for _, alg := range e.Algorithms {
-		t.Header = append(t.Header, string(alg))
+// label names an x value: by its topology where the point has one.
+func (e *Experiment) label(x float64) string {
+	if t := e.Configure(x).topology; t != nil {
+		return t.name
 	}
-	for _, p := range points {
-		row := []string{num(p.X)}
-		for _, alg := range e.Algorithms {
-			cell := p.Cells[alg]
-			if cell == nil || (cell.Cost.N == 0 && cell.Failures == 0) {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, cell.AvgTime.Round(10*time.Microsecond).String())
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return num(x)
 }
 
-// FailureTable renders per-cell failure counts (the paper notes the
-// benchmarks "do not always result in a solution").
-func FailureTable(e *Experiment, points []Point) *Table {
-	t := &Table{Title: e.Title + " — failed embeddings"}
-	t.Header = []string{e.XLabel}
-	for _, alg := range e.Algorithms {
-		t.Header = append(t.Header, string(alg))
+// mean is the summary a mean metric averages.
+func (c *Cell) mean(m Metric) stats.Summary {
+	if m == MeanDelay {
+		return c.Delay
 	}
-	for _, p := range points {
-		row := []string{num(p.X)}
-		for _, alg := range e.Algorithms {
-			cell := p.Cells[alg]
-			if cell == nil || (cell.Cost.N == 0 && cell.Failures == 0) {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%d", cell.Failures))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return c.Cost
 }
 
-// Reduction reports the mean relative cost reduction of algorithm a vs b
-// across all points where both produced solutions (e.g. "MBBE is ~30%
-// cheaper than MINV" in Fig. 6(a)). Points where either is missing are
-// skipped; ok is false if no point qualified.
-func Reduction(points []Point, a, b Algorithm) (frac float64, ok bool) {
+// format renders the cell's value of m.
+func (c *Cell) format(m Metric) string {
+	switch s := c.mean(m); {
+	case c.Cost.N+c.Failures == 0: // skipped
+		return "-"
+	case m == Failures:
+		return strconv.Itoa(c.Failures)
+	case m == MeanTime:
+		return c.AvgTime.Round(10 * time.Microsecond).String()
+	case s.N == 0: // no run succeeded
+		return "-"
+	default:
+		return num(s.Mean)
+	}
+}
+
+// Reductions are a sweep's headline numbers (e.g. "MBBE is ~30% cheaper
+// than MINV" in Fig. 6(a)): for each pair of arms the sweep ran, how much
+// lower the first one's mean is, averaged over the x values.
+func Reductions(points []Point) []string {
+	var lines []string
+	for _, r := range []struct {
+		a, b Algorithm
+		m    Metric
+	}{
+		{MBBE, MINV, MeanCost}, {MBBE, RANV, MeanCost}, {MBBE, BBE, MeanCost}, {MBBE, EXACT, MeanCost},
+		{MBBE, SEQ, MeanDelay},
+	} {
+		if frac, ok := reduction(points, r.a, r.b, r.m); ok {
+			lines = append(lines, fmt.Sprintf("%s vs %s: %s lower %s on average", r.a, r.b, pct(frac), r.m))
+		}
+	}
+	return lines
+}
+
+// reduction reports the mean relative reduction of a's mean m vs b's
+// across all points where both produced solutions. Points where either is
+// missing are skipped; ok is false if no point qualified.
+func reduction(points []Point, a, b Algorithm, m Metric) (frac float64, ok bool) {
 	var sum float64
 	var n int
 	for _, p := range points {
 		ca, cb := p.Cells[a], p.Cells[b]
-		if ca == nil || cb == nil || ca.Cost.N == 0 || cb.Cost.N == 0 || cb.Cost.Mean == 0 {
+		if ca == nil || cb == nil || ca.mean(m).N == 0 || cb.mean(m).N == 0 || cb.mean(m).Mean == 0 {
 			continue
 		}
-		sum += 1 - ca.Cost.Mean/cb.Cost.Mean
+		sum += 1 - ca.mean(m).Mean/cb.mean(m).Mean
 		n++
 	}
 	if n == 0 {

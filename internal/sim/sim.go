@@ -1,13 +1,15 @@
 // Package sim is the evaluation harness (§5): it draws simulation
-// instances from the paper's generators, runs every algorithm on the same
-// instance, and aggregates cost, failure and runtime statistics across
-// trials — 100 per point in the paper — so each of the paper's figures can
-// be regenerated as a table.
+// instances from the paper's generators, runs every arm of a sweep on the
+// same instance, and aggregates cost, delay, failure and runtime statistics
+// across trials — 100 per point in the paper — so each of the paper's
+// figures can be regenerated as a table.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,11 +23,12 @@ import (
 	"dagsfc/internal/stats"
 )
 
-// Algorithm identifies an embedding algorithm under evaluation.
+// Algorithm names one arm of a sweep: an embedding algorithm, and the form
+// of the trial's instance it runs on.
 type Algorithm string
 
-// The algorithms the paper evaluates, plus the exact reference solver used
-// by the optimality-gap experiment.
+// The algorithms the paper evaluates, plus the exact reference solvers and
+// the arms of the delay experiments.
 const (
 	BBE   Algorithm = "BBE"
 	MBBE  Algorithm = "MBBE"
@@ -35,16 +38,54 @@ const (
 	// ILP solves the paper's §3.3 integer program by branch and bound
 	// (internal/ipmodel); tractable only on very small instances.
 	ILP Algorithm = "ILP"
+	// SEQ is MBBE on the fully sequential form of the instance's SFC
+	// (core.SequentialProblem): the traditional chain a hybrid embedding's
+	// delay is compared against.
+	SEQ Algorithm = "MBBE-seq"
 )
+
+// budgetPrefix names the arms budget makes.
+const budgetPrefix = "MBBE≤"
+
+// budget is MBBE under an end-to-end delay budget of factor × the delay of
+// the same instance's unbounded MBBE embedding, so a factor below 1 demands
+// a strictly faster embedding than cost-greedy MBBE picks.
+func budget(factor float64) Algorithm {
+	return Algorithm(budgetPrefix + strconv.FormatFloat(factor, 'g', -1, 64))
+}
+
+// factor returns the delay-budget factor of an arm made by budget.
+func (a Algorithm) factor() (float64, bool) {
+	s, ok := strings.CutPrefix(string(a), budgetPrefix)
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && f > 0
+}
+
+// known reports whether embed runs a.
+func (a Algorithm) known() bool {
+	switch a {
+	case BBE, MBBE, SEQ, RANV, MINV, EXACT, ILP:
+		return true
+	}
+	_, ok := a.factor()
+	return ok
+}
 
 // PointConfig is the generator configuration of one x-axis point.
 type PointConfig struct {
 	Net netgen.Config
 	SFC sfcgen.Config
+	// delay is the model the point's embeddings are measured under.
+	delay core.DelayParams
+	// topology draws the network; nil draws netgen's random graph.
+	topology *topoBuilder
 }
 
 // Experiment describes one of the paper's evaluation sweeps: an x-axis, a
-// generator configuration per x value, and the algorithms to compare.
+// generator configuration per x value, and the arms to compare.
 type Experiment struct {
 	// Name is the short identifier (e.g. "fig6a") used by the CLI.
 	Name string
@@ -54,11 +95,11 @@ type Experiment struct {
 	XLabel string
 	// Xs are the x-axis values.
 	Xs []float64
-	// Algorithms to run at every point.
+	// Algorithms are the arms run on every instance of every point.
 	Algorithms []Algorithm
 	// Trials per point (the paper uses 100).
 	Trials int
-	// Configure maps an x value to generator configurations.
+	// Configure maps an x value to its point configuration.
 	Configure func(x float64) PointConfig
 	// Skip reports whether an algorithm is skipped at x (the paper stops
 	// BBE at SFC size 5 because of its exponential running time).
@@ -66,26 +107,18 @@ type Experiment struct {
 	// Parallelism runs this many trials concurrently (each trial is an
 	// independent instance). 0 or 1 means sequential. Aggregation is
 	// deterministic regardless of parallelism: per-trial outcomes are
-	// collected and reduced in trial order, and wall-clock timings are
-	// averaged the same way. Note that timings measured under heavy
+	// collected and reduced in trial order. Timings measured under heavy
 	// parallelism include scheduler noise; use sequential runs for the
 	// runtime experiment.
 	Parallelism int
-	// Custom maps additional algorithm names to embedders, letting
-	// downstream users benchmark their own algorithms against the
-	// built-ins on identical instances. Checked before the built-in
-	// names; entries must be safe for concurrent use when Parallelism>1.
-	Custom map[Algorithm]EmbedFunc
 }
-
-// EmbedFunc is a custom embedding algorithm for Experiment.Custom. The
-// seed is deterministic per (experiment seed, point, trial) for
-// algorithms that need randomness.
-type EmbedFunc func(p *core.Problem, seed int64) (*core.Result, error)
 
 // Cell aggregates one (x, algorithm) cell of a result table.
 type Cell struct {
-	Cost     stats.Summary
+	Cost stats.Summary
+	// Delay is the end-to-end delay of the successful runs under the
+	// point's delay model.
+	Delay    stats.Summary
 	Failures int
 	// AvgTime is the mean wall-clock time per embedding attempt.
 	AvgTime time.Duration
@@ -98,10 +131,15 @@ type Point struct {
 }
 
 // Run executes the experiment: Trials instances per x value, every
-// algorithm on the same instance, costs averaged over successful runs
-// (matching the paper's methodology). The master seed makes the whole
-// sweep reproducible.
+// algorithm on the same instance, costs and delays averaged over successful
+// runs (matching the paper's methodology). The master seed makes the whole
+// sweep reproducible, whatever the Parallelism.
 func (e *Experiment) Run(seed int64) ([]Point, error) {
+	for _, alg := range e.Algorithms {
+		if !alg.known() {
+			return nil, fmt.Errorf("sim: %s: unknown algorithm %q", e.Name, alg)
+		}
+	}
 	points := make([]Point, 0, len(e.Xs))
 	for xi, x := range e.Xs {
 		cfg := e.Configure(x)
@@ -111,34 +149,29 @@ func (e *Experiment) Run(seed int64) ([]Point, error) {
 		if err := cfg.SFC.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %s x=%v: %w", e.Name, x, err)
 		}
-		point := Point{X: x, Cells: make(map[Algorithm]*Cell)}
-		acc := make(map[Algorithm]*stats.Accumulator)
-		times := make(map[Algorithm]*stats.Accumulator)
-		for _, alg := range e.Algorithms {
-			point.Cells[alg] = &Cell{}
-			acc[alg] = &stats.Accumulator{}
-			times[alg] = &stats.Accumulator{}
-		}
-		outcomes := e.runTrials(cfg, x, xi, seed)
-		for _, tr := range outcomes {
-			for _, alg := range e.Algorithms {
-				o, ok := tr[alg]
-				if !ok {
-					continue // skipped
-				}
-				times[alg].Add(float64(o.elapsed))
-				if o.err != nil {
-					point.Cells[alg].Failures++
+		trials := e.runTrials(cfg, x, xi, seed)
+		point := Point{X: x, Cells: make(map[Algorithm]*Cell, len(e.Algorithms))}
+		for ai, alg := range e.Algorithms {
+			cell := &Cell{}
+			var cost, delay, elapsed stats.Accumulator
+			for _, tr := range trials {
+				o := tr[ai]
+				if !o.ran {
 					continue
 				}
-				acc[alg].Add(o.cost)
+				elapsed.Add(float64(o.elapsed))
+				if o.err != nil {
+					cell.Failures++
+					continue
+				}
+				cost.Add(o.cost)
+				delay.Add(o.delay)
 			}
-		}
-		for _, alg := range e.Algorithms {
-			point.Cells[alg].Cost = acc[alg].Summarize()
-			if times[alg].N() > 0 {
-				point.Cells[alg].AvgTime = time.Duration(times[alg].Mean())
+			cell.Cost, cell.Delay = cost.Summarize(), delay.Summarize()
+			if elapsed.N() > 0 {
+				cell.AvgTime = time.Duration(elapsed.Mean())
 			}
+			point.Cells[alg] = cell
 		}
 		points = append(points, point)
 	}
@@ -147,40 +180,39 @@ func (e *Experiment) Run(seed int64) ([]Point, error) {
 
 // outcome is the result of one (trial, algorithm) run.
 type outcome struct {
-	cost    float64
-	elapsed time.Duration
-	err     error
+	ran         bool // false where Skip left the algorithm out
+	cost, delay float64
+	elapsed     time.Duration
+	err         error
 }
 
 // runTrials executes every trial of one point, optionally in parallel,
-// and returns per-trial outcome maps in trial order.
-func (e *Experiment) runTrials(cfg PointConfig, x float64, xi int, seed int64) []map[Algorithm]outcome {
-	results := make([]map[Algorithm]outcome, e.Trials)
+// and returns each trial's outcomes, in trial and then algorithm order.
+func (e *Experiment) runTrials(cfg PointConfig, x float64, xi int, seed int64) [][]outcome {
+	results := make([][]outcome, e.Trials)
 	oneTrial := func(trial int) {
-		inst := drawInstance(cfg, trialSeed(seed, xi, trial))
-		out := make(map[Algorithm]outcome, len(e.Algorithms))
-		for _, alg := range e.Algorithms {
+		ts := trialSeed(seed, xi, trial)
+		p := drawInstance(cfg, ts)
+		out := make([]outcome, len(e.Algorithms))
+		for ai, alg := range e.Algorithms {
 			if e.Skip != nil && e.Skip(alg, x) {
 				continue
 			}
-			res, elapsed, err := e.runOne(alg, inst, trialSeed(seed, xi, trial)^0x5f3759df)
-			o := outcome{elapsed: elapsed, err: err}
+			q, res, elapsed, err := embed(alg, p, cfg.delay, ts^0x5f3759df)
+			out[ai] = outcome{ran: true, elapsed: elapsed, err: err}
 			if err == nil {
-				o.cost = res.Cost.Total()
+				out[ai].cost = res.Cost.Total()
+				out[ai].delay = core.EvaluateDelay(q, res.Solution, cfg.delay)
 			}
-			out[alg] = o
 		}
 		results[trial] = out
 	}
-	workers := e.Parallelism
+	workers := min(e.Parallelism, e.Trials)
 	if workers <= 1 {
 		for trial := 0; trial < e.Trials; trial++ {
 			oneTrial(trial)
 		}
 		return results
-	}
-	if workers > e.Trials {
-		workers = e.Trials
 	}
 	var wg sync.WaitGroup
 	trials := make(chan int)
@@ -201,17 +233,14 @@ func (e *Experiment) runTrials(cfg PointConfig, x float64, xi int, seed int64) [
 	return results
 }
 
-// instance is one concrete trial: a network, an SFC and a flow.
-type instance struct {
-	cfg PointConfig
-	p   *core.Problem
-}
-
 // drawInstance generates one simulation instance deterministically from a
 // seed: network, SFC, and a distinct source-destination pair.
-func drawInstance(cfg PointConfig, seed int64) *instance {
+func drawInstance(cfg PointConfig, seed int64) *core.Problem {
 	rng := rand.New(rand.NewSource(seed))
-	net := netgen.MustGenerate(cfg.Net, rng)
+	net, err := cfg.topology.build(cfg.Net, rng)
+	if err != nil {
+		panic(err) // the catalog's builders fail only on configurations Run refuses
+	}
 	s := sfcgen.MustGenerate(cfg.SFC, rng)
 	n := net.G.NumNodes()
 	src := graph.NodeID(rng.Intn(n))
@@ -219,29 +248,15 @@ func drawInstance(cfg PointConfig, seed int64) *instance {
 	for dst == src && n > 1 {
 		dst = graph.NodeID(rng.Intn(n))
 	}
-	return &instance{
-		cfg: cfg,
-		p:   &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1},
-	}
+	return &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 }
 
-// runOne executes one algorithm on a fresh copy of the instance's problem
-// (its own ledger) and times it, dispatching to Custom entries first.
-func (e *Experiment) runOne(alg Algorithm, inst *instance, seed int64) (*core.Result, time.Duration, error) {
-	if custom, ok := e.Custom[alg]; ok {
-		p := *inst.p
-		p.Ledger = nil
-		start := time.Now()
-		res, err := custom(&p, seed)
-		return res, time.Since(start), err
-	}
-	return runBuiltin(alg, inst, seed)
-}
-
-// runBuiltin executes one of the built-in algorithms.
-func runBuiltin(alg Algorithm, inst *instance, seed int64) (*core.Result, time.Duration, error) {
-	p := *inst.p // shallow copy shares the immutable network
-	p.Ledger = nil
+// embed runs one algorithm on a copy of the instance's problem (the copy
+// shares the immutable network; its nil ledger gives every run a fresh
+// one) and times it. It returns the problem the solution answers: SEQ
+// embeds the sequential form of the instance.
+func embed(alg Algorithm, inst *core.Problem, d core.DelayParams, seed int64) (*core.Problem, *core.Result, time.Duration, error) {
+	p := *inst
 	start := time.Now()
 	var res *core.Result
 	var err error
@@ -249,7 +264,10 @@ func runBuiltin(alg Algorithm, inst *instance, seed int64) (*core.Result, time.D
 	case BBE:
 		res, err = core.Embed(&p, core.BBEOptions())
 	case MBBE:
-		res, err = core.Embed(&p, core.MBBEOptions())
+		res, err = core.EmbedMBBE(&p)
+	case SEQ:
+		p = *core.SequentialProblem(&p)
+		res, err = core.EmbedMBBE(&p)
 	case RANV:
 		res, err = baseline.EmbedRANV(&p, rand.New(rand.NewSource(seed)))
 	case MINV:
@@ -258,10 +276,16 @@ func runBuiltin(alg Algorithm, inst *instance, seed int64) (*core.Result, time.D
 		res, err = exact.Embed(&p, exact.Limits{})
 	case ILP:
 		res, err = ipmodel.Embed(&p, ipmodel.Options{PathsPerPair: 2})
-	default:
-		return nil, 0, fmt.Errorf("sim: unknown algorithm %q", alg)
+	default: // a budget arm: Run refuses any other name
+		factor, _ := alg.factor()
+		if res, err = core.EmbedMBBE(&p); err == nil {
+			opts := core.MBBEOptions()
+			opts.MaxDelay = factor * core.EvaluateDelay(&p, res.Solution, d)
+			opts.Delay = d
+			res, err = core.Embed(&p, opts)
+		}
 	}
-	return res, time.Since(start), err
+	return &p, res, time.Since(start), err
 }
 
 // trialSeed derives a deterministic per-trial seed.

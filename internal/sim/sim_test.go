@@ -1,10 +1,9 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"dagsfc/internal/core"
 )
 
 // tinyExperiment is a fast sweep used by the harness tests.
@@ -71,27 +70,33 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// TestRunParallelMatchesSequential: every sweep kind gives the same cells
+// on one worker and on four.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	seq := tinyExperiment(6)
-	par := tinyExperiment(6)
-	par.Parallelism = 4
-	a, err := seq.Run(42)
-	if err != nil {
-		t.Fatal(err)
+	small := func(e *Experiment, xs int) *Experiment {
+		e.Xs = e.Xs[:xs]
+		return e
 	}
-	b, err := par.Run(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for alg, cell := range a[i].Cells {
-			other := b[i].Cells[alg]
-			if cell.Cost.Mean != other.Cost.Mean || cell.Cost.N != other.Cost.N ||
-				cell.Failures != other.Failures {
-				t.Fatalf("parallel run diverged for %s at x=%v: %+v vs %+v",
-					alg, a[i].X, cell.Cost, other.Cost)
+	for _, e := range []*Experiment{tinyExperiment(6), small(Delay(3), 1), small(Topologies(2), 2), Pareto(3)} {
+		t.Run(e.Name, func(t *testing.T) {
+			a, err := e.Run(42)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			e.Parallelism = 4
+			b, err := e.Run(42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a {
+				for alg, cell := range a[i].Cells {
+					other := b[i].Cells[alg]
+					if cell.Cost != other.Cost || cell.Delay != other.Delay || cell.Failures != other.Failures {
+						t.Fatalf("parallel run diverged for %s at x=%v: %+v vs %+v", alg, a[i].X, cell, other)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -132,65 +137,15 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestRunCustomAlgorithm(t *testing.T) {
-	e := tinyExperiment(3)
-	calls := 0
-	e.Algorithms = []Algorithm{"MYALG", MINV}
-	e.Custom = map[Algorithm]EmbedFunc{
-		"MYALG": func(p *core.Problem, seed int64) (*core.Result, error) {
-			calls++
-			return core.EmbedMBBE(p)
-		},
-	}
-	points, err := e.Run(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2*3 { // 2 points x 3 trials
-		t.Fatalf("custom embedder called %d times, want 6", calls)
-	}
-	for _, p := range points {
-		cell := p.Cells["MYALG"]
-		if cell == nil || cell.Cost.N+cell.Failures != 3 {
-			t.Fatalf("custom cell wrong at x=%v: %+v", p.X, cell)
+// TestRunRejectsUnknownAlgorithm: Run refuses a sweep with an arm it
+// cannot run, as it refuses an invalid configuration, before any trial.
+func TestRunRejectsUnknownAlgorithm(t *testing.T) {
+	for _, alg := range []Algorithm{"NOPE", budgetPrefix + "0", budgetPrefix + "x"} {
+		e := tinyExperiment(1)
+		e.Algorithms = []Algorithm{MBBE, alg}
+		if _, err := e.Run(1); err == nil {
+			t.Errorf("%q accepted", alg)
 		}
-		// Our custom is MBBE: it must beat MINV here as usual.
-		if cell.Cost.N > 0 && p.Cells[MINV].Cost.N > 0 &&
-			cell.Cost.Mean > p.Cells[MINV].Cost.Mean {
-			t.Fatalf("custom MBBE lost to MINV at x=%v", p.X)
-		}
-	}
-}
-
-// TestRunCustomOverridesBuiltin: a Custom entry under a built-in name
-// takes precedence.
-func TestRunCustomOverridesBuiltin(t *testing.T) {
-	e := tinyExperiment(1)
-	e.Algorithms = []Algorithm{MINV}
-	overridden := false
-	e.Custom = map[Algorithm]EmbedFunc{
-		MINV: func(p *core.Problem, seed int64) (*core.Result, error) {
-			overridden = true
-			return core.EmbedMBBE(p)
-		},
-	}
-	if _, err := e.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	if !overridden {
-		t.Fatal("custom entry did not override the built-in")
-	}
-}
-
-func TestRunUnknownAlgorithmCountsAsFailure(t *testing.T) {
-	e := tinyExperiment(1)
-	e.Algorithms = []Algorithm{"NOPE"}
-	points, err := e.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if points[0].Cells["NOPE"].Failures != 1 {
-		t.Fatal("unknown algorithm should fail the trial")
 	}
 }
 
@@ -233,29 +188,117 @@ func TestFig6aSkipsBBEPastCutoff(t *testing.T) {
 	}
 }
 
+// fields renders a table and splits each of its lines into fields.
+func fields(t *testing.T, tab *Table) [][]string {
+	var b strings.Builder
+	if err := tab.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]string
+	for _, line := range strings.Split(b.String(), "\n") {
+		lines = append(lines, strings.Fields(line))
+	}
+	return lines
+}
+
 func TestTables(t *testing.T) {
 	e := tinyExperiment(3)
+	e.Algorithms = []Algorithm{MBBE, BBE}
+	e.Skip = func(alg Algorithm, x float64) bool { return alg == BBE && x > 1 }
 	points, err := e.Run(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := CostTable(e, points).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, alg := range e.Algorithms {
-		if !strings.Contains(out, string(alg)) {
-			t.Fatalf("cost table missing %s:\n%s", alg, out)
+	for _, m := range Metrics() {
+		lines := fields(t, e.Table(points, m))
+		if strings.Join(lines[0], " ") != "tiny sweep — "+string(m) || !slices.Equal(lines[1], []string{"SFC", "size", "MBBE", "BBE"}) ||
+			lines[4][0] != "3" || lines[4][2] != "-" {
+			t.Errorf("%s table: no title, header or skipped BBE cell: %q", m, lines)
 		}
 	}
-	b.Reset()
-	if err := TimeTable(e, points).Render(&b); err != nil {
+}
+
+// goldenFields is fields of one metric's table of a golden run.
+func goldenFields(t *testing.T, name string, m Metric) [][]string {
+	e, points := goldenPoints(t, name)
+	return fields(t, e.Table(points, m))
+}
+
+// TestDelayTableRenders: the delay sweep compares the hybrid and the
+// sequential embedding by delay, with its headline cut.
+func TestDelayTableRenders(t *testing.T) {
+	_, points := goldenPoints(t, "delay")
+	if lines := goldenFields(t, "delay", MeanDelay); !slices.Equal(lines[1], []string{"SFC", "size", "MBBE", "MBBE-seq"}) ||
+		!strings.HasPrefix(Reductions(points)[0], "MBBE vs MBBE-seq: ") {
+		t.Fatalf("delay table or reduction missing its arms: %q, %q", lines, Reductions(points))
+	}
+}
+
+// TestParetoTable: a budget no trial met prints "-" for its cost, not 0.
+func TestParetoTable(t *testing.T) {
+	if row := goldenFields(t, "pareto", MeanCost)[3]; row[1] != "-" || row[6] == "-" {
+		t.Fatalf("pareto cost row = %q", row)
+	}
+}
+
+// TestTopoTable: the topology sweep's rows are named by the catalog.
+func TestTopoTable(t *testing.T) {
+	lines := goldenFields(t, "topo", MeanCost)
+	for i, tb := range topologyCatalog() {
+		if lines[3+i][0] != tb.name {
+			t.Fatalf("row %d is %q, want %s", i, lines[3+i], tb.name)
+		}
+	}
+}
+
+// TestRunTopologiesSmall: the topology sweep has a row for every catalog
+// topology, and every cell accounts for each trial as a run or a failure.
+func TestRunTopologiesSmall(t *testing.T) {
+	e := Topologies(2)
+	points, err := e.Run(7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b.Reset()
-	if err := FailureTable(e, points).Render(&b); err != nil {
+	catalog := topologyCatalog()
+	if len(points) != len(catalog) {
+		t.Fatalf("points = %d, want %d", len(points), len(catalog))
+	}
+	names := map[string]bool{}
+	for _, p := range points {
+		name := catalog[int(p.X)].name
+		names[name] = true
+		for _, alg := range e.Algorithms {
+			cell := p.Cells[alg]
+			if cell == nil {
+				t.Fatalf("%s: missing cell for %s", name, alg)
+			}
+			if cell.Cost.N+cell.Failures != 2 {
+				t.Fatalf("%s/%s: %d+%d != 2 trials", name, alg, cell.Cost.N, cell.Failures)
+			}
+		}
+	}
+	for _, want := range []string{"random", "ring", "grid", "torus", "fat-tree", "scale-free", "waxman"} {
+		if !names[want] {
+			t.Fatalf("topology %q missing", want)
+		}
+	}
+}
+
+func TestRunTopologiesDeterministic(t *testing.T) {
+	a, err := Topologies(2).Run(11)
+	if err != nil {
 		t.Fatal(err)
+	}
+	b, err := Topologies(2).Run(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		for alg, cell := range a[i].Cells {
+			if other := b[i].Cells[alg]; cell.Cost.Mean != other.Cost.Mean || cell.Failures != other.Failures {
+				t.Fatalf("x=%v/%s not reproducible", a[i].X, alg)
+			}
+		}
 	}
 }
 
@@ -265,7 +308,7 @@ func TestReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, ok := Reduction(points, MBBE, RANV)
+	frac, ok := reduction(points, MBBE, RANV, MeanCost)
 	if !ok {
 		t.Fatal("no comparable points")
 	}
@@ -273,7 +316,7 @@ func TestReduction(t *testing.T) {
 	if frac <= 0 {
 		t.Fatalf("MBBE vs RANV reduction = %v, want > 0", frac)
 	}
-	if _, ok := Reduction(points, "NOPE", MINV); ok {
+	if _, ok := reduction(points, "NOPE", MINV, MeanCost); ok {
 		t.Fatal("reduction against missing algorithm should fail")
 	}
 }

@@ -14,7 +14,55 @@ import (
 	"math/rand"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/netgen"
+	"dagsfc/internal/network"
 )
+
+// topoBuilder is one entry of the topology catalog: a named ~500-node
+// graph, priced and deployed with the paper's Table 2 distribution.
+type topoBuilder struct {
+	name  string
+	graph func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) // nil: netgen's random graph
+}
+
+// build draws a network on the topology; a nil builder, like the catalog's
+// random entry, draws netgen's random graph.
+func (t *topoBuilder) build(cfg netgen.Config, rng *rand.Rand) (*network.Network, error) {
+	if t == nil || t.graph == nil {
+		return netgen.Generate(cfg, rng)
+	}
+	g, err := t.graph(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	return netgen.Populate(g, cfg, rng)
+}
+
+// topologyCatalog lists the robustness topologies, each sized to ~500
+// nodes so results are comparable with the paper's base configuration.
+func topologyCatalog() []topoBuilder {
+	return []topoBuilder{
+		{"random", nil},
+		{"ring", func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) {
+			return ring(cfg.Nodes, cfg.LinkPricer(rng), cfg.LinkCapacity)
+		}},
+		{"grid", func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) {
+			return grid(20, 25, cfg.LinkPricer(rng), cfg.LinkCapacity)
+		}},
+		{"torus", func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) {
+			return torus(20, 25, cfg.LinkPricer(rng), cfg.LinkCapacity)
+		}},
+		{"fat-tree", func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) {
+			return fatTree(20, cfg.LinkPricer(rng), cfg.LinkCapacity) // 5*20^2/4 = 500 nodes
+		}},
+		{"scale-free", func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) {
+			return barabasiAlbert(cfg.Nodes, 3, rng, cfg.LinkPricer(rng), cfg.LinkCapacity)
+		}},
+		{"waxman", func(cfg netgen.Config, rng *rand.Rand) (*graph.Graph, error) {
+			return waxman(cfg.Nodes, 0.12, 0.2, rng, cfg.LinkPricer(rng), cfg.LinkCapacity)
+		}},
+	}
+}
 
 // ring returns the n-cycle.
 func ring(n int, price func() float64, capacity float64) (*graph.Graph, error) {

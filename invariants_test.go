@@ -256,6 +256,15 @@ var invariants = []invariant{{
 	sample:   "\tif err := json.NewDecoder(r.Body).Decode(&req); err != nil {",
 	msg:      "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)",
 }, {
+	name:     "sim-one-trial-loop",
+	contract: "every sweep runs through Experiment.Run: one trial loop, one seed derivation, one aggregation",
+	design:   "7. Testing strategy",
+	files:    []string{"internal/sim/*.go"},
+	except:   []string{"internal/sim/sim.go"},
+	forbid:   `trialSeed\(`,
+	sample:   "\t\t\trng := rand.New(rand.NewSource(trialSeed(seed, si, trial)))",
+	msg:      "internal/sim grew a second trial loop: make the sweep an entry of Experiments()",
+}, {
 	name:     "symbol-census",
 	contract: "every exported name of internal/ has a non-test reader, or symbolKeep says why it stays",
 	design:   "6. Repository map",
@@ -286,6 +295,7 @@ var symbolKeep = map[string]string{
 	"faults.Generate":               "draws the seeded fault schedules the server's chaos test plays; TestGenerateDeterministicAndValid pins it",
 	"graph.Graph.Connected":         "the connectivity oracle the graph, netgen and sim tests check every generated substrate with",
 	"graph.Path.Simple":             "the loopless-path oracle the Dijkstra, Yen and search tests check paths with",
+	"netgen.MustGenerate":           "the one-line substrate draw of the tests of baseline, flowstate, ipmodel, netgen and server",
 	"server.Server.Journal":         "the in-process read of the flight recorder: tests read flow timelines through it without a socket",
 	"server.FlowStateEvicted":       "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the server tests read flow tables with it",
 	"server.FlowStateRepairing":     "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the chaos test asserts no flow is left in it",
