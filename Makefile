@@ -7,13 +7,13 @@ GO ?= go
 all: build vet test
 
 # check is the pre-commit gate and the whole of CI but the benchmark module:
-# build, vet, the full test suite (the structural contracts are rows of
-# TestInvariants, invariants_test.go; the allocation ceilings and the
-# end-to-end HTTP timeline are tests too), the race detector (the telemetry
-# registry is written from concurrent trial runners, so -race is
+# gofmt (fmt fails on, and lists, an unformatted file), build, vet, the full
+# suite (the structural contracts are rows of TestInvariants; allocation
+# ceilings and the HTTP timeline are tests too), the race detector (the
+# telemetry registry is written from concurrent trial runners, so -race is
 # load-bearing), the benchmark module still compiling against the tree, a
 # short fuzz of the queues and parsers, and every benchmark run once.
-check: build vet test race benchmark-vet fuzz-smoke bench-smoke
+check: fmt build vet test race benchmark-vet fuzz-smoke bench-smoke
 
 # benchmark/ is a module of its own, so `go build ./...` and `go vet ./...`
 # never compile it: deleting a name only the benchmark still calls passes
@@ -40,7 +40,7 @@ vet:
 	$(GO) vet ./...
 
 fmt:
-	gofmt -l .
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 test:
 	$(GO) test ./...

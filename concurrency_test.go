@@ -2,10 +2,12 @@ package dagsfc_test
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"dagsfc"
+	"dagsfc/internal/ipmodel"
 )
 
 // TestConcurrentEmbedsShareNetworkSafely runs many embeddings over one
@@ -55,58 +57,69 @@ func TestConcurrentEmbedsShareNetworkSafely(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmbedsSharedProblem runs concurrent embeddings over ONE
-// shared Problem value with no ledger set. Embed is documented to never
-// mutate the Problem — in particular it must not lazily install a ledger
-// on it, which would be a data race here (run with -race) and a surprise
-// side effect even sequentially.
+// TestConcurrentEmbedsSharedProblem shares ONE Problem value with no ledger
+// set between goroutines that each run every embedder on it: the five of the
+// facade and the ILP. No embedder mutates the Problem — in particular none
+// may install a ledger on it, which would be a data race here (run with
+// -race) and a surprise side effect even sequentially — so p.Ledger is
+// still nil afterwards, and every goroutine gets the same answers.
 func TestConcurrentEmbedsSharedProblem(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(2))
 	cfg := dagsfc.DefaultNetConfig()
-	cfg.Nodes = 80
-	cfg.VNFKinds = 6
+	cfg.Nodes = 8 // small enough for the ILP
+	cfg.Connectivity = 3
+	cfg.VNFKinds = 4
 	net, err := dagsfc.GenerateNetwork(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dagsfc.GenerateSFC(dagsfc.SFCConfig{Size: 5, LayerWidth: 3, VNFKinds: 6}, rng)
+	s, err := dagsfc.GenerateSFC(dagsfc.SFCConfig{Size: 2, LayerWidth: 2, VNFKinds: 4}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := &dagsfc.Problem{Net: net, SFC: s, Src: 0, Dst: 40, Rate: 1, Size: 1}
-
-	const workers = 8
-	costs := make([]float64, workers)
+	shared := &dagsfc.Problem{Net: net, SFC: s, Src: 1, Dst: 6, Rate: 1, Size: 1}
+	algs := []func(*dagsfc.Problem) (*dagsfc.Result, error){
+		dagsfc.EmbedMBBE, dagsfc.EmbedBBE, dagsfc.EmbedMINV,
+		func(p *dagsfc.Problem) (*dagsfc.Result, error) {
+			return dagsfc.EmbedRANV(p, rand.New(rand.NewSource(3)))
+		},
+		func(p *dagsfc.Problem) (*dagsfc.Result, error) { return dagsfc.EmbedExact(p, dagsfc.ExactLimits{}) },
+		func(p *dagsfc.Problem) (*dagsfc.Result, error) { return ipmodel.Embed(p, ipmodel.Options{}) },
+	}
+	const workers = 4
+	costs := make([][]float64, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			res, err := dagsfc.EmbedMBBE(shared)
-			if err != nil {
-				errs[w] = err
-				return
+			for _, embed := range algs {
+				res, err := embed(shared)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				costs[w] = append(costs[w], res.Cost.Total())
 			}
-			costs[w] = res.Cost.Total()
-		}(w)
+		}()
 	}
 	wg.Wait()
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		if errs[w] != nil {
 			t.Fatalf("worker %d: %v", w, errs[w])
 		}
-		if costs[w] != costs[0] {
-			t.Fatalf("worker %d cost %v != worker 0 cost %v", w, costs[w], costs[0])
+		if !slices.Equal(costs[w], costs[0]) {
+			t.Fatalf("worker %d costs %v, worker 0 %v", w, costs[w], costs[0])
 		}
 	}
 	if shared.Ledger != nil {
-		t.Error("Embed installed a ledger on the shared Problem")
+		t.Error("an embedder installed a ledger on the shared Problem")
 	}
 }
 
 // TestConcurrentMixedAlgorithms exercises every embedding algorithm
-// concurrently on the same shared network.
+// concurrently on the same shared network, each with its own Problem.
 func TestConcurrentMixedAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := dagsfc.DefaultNetConfig()

@@ -103,8 +103,8 @@ func TestDocsDrift(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17403,
-	"DESIGN.md":                      2192,
+	"non-test Go":                    17249,
+	"DESIGN.md":                      2191,
 	"README.md":                      622,
 	"Makefile":                       67,
 	".claude/skills/verify/SKILL.md": 295,

@@ -53,8 +53,7 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ledger := ensureLedger(p)
-	g := p.Net.G
+	ledger := p.LedgerOrFresh()
 
 	// Telemetry: the benchmarks have no search trees, so "search nodes"
 	// counts candidate instances examined. Shared metric names with
@@ -94,8 +93,21 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 		return inst.Node, nil
 	}
 
+	// Every meta-path is read off a min-cost tree rooted at its start, on a
+	// view of the real-time network compiled once: the ledger is read-only
+	// for the whole embed, so one residual row serves it, and the store
+	// keeps each tree for the next path from the same start.
+	var trees graph.TreeStore
+	trees.Bind(p.Net.G, ledger.CostOptions(p.Rate), ledger.EdgeResiduals(nil))
+	sc := graph.GetScratch()
+	defer graph.PutScratch(sc)
 	minPath := func(a, b graph.NodeID) (graph.Path, error) {
-		path, ok := g.MinCostPath(a, b, ledger.CostOptions(p.Rate))
+		if a == b {
+			return graph.EmptyPath(a), nil
+		}
+		t, _, _ := trees.Tree(a)
+		tree, _ := t.To(sc, b)
+		path, ok := tree.PathTo(b)
 		if !ok {
 			return graph.Path{}, fmt.Errorf("%w: no path %d->%d", core.ErrNoEmbedding, a, b)
 		}
@@ -148,23 +160,15 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 	}
 	sol.TailPath = tail
 
-	if err := core.Validate(p, sol); err != nil {
+	cb, err := core.Evaluate(p, sol)
+	if err == nil {
+		err = core.CheckCapacity(p, cb.Usage)
+	}
+	if err != nil {
 		// The draw was structurally fine but violates a capacity
 		// constraint in aggregate (e.g. one link reused beyond its
 		// bandwidth). The benchmark does not backtrack.
 		return nil, fmt.Errorf("%w: %v", core.ErrNoEmbedding, err)
 	}
-	cb, err := core.ComputeCost(p, sol)
-	if err != nil {
-		return nil, err
-	}
 	return &core.Result{Solution: sol, Cost: cb}, nil
-}
-
-// ensureLedger mirrors Problem.ledger for use outside the core package.
-func ensureLedger(p *core.Problem) *network.Ledger {
-	if p.Ledger == nil {
-		p.Ledger = network.NewLedger(p.Net)
-	}
-	return p.Ledger
 }

@@ -58,6 +58,12 @@ func TestMINVPicksCheapestInstance(t *testing.T) {
 	if res.Cost.Total() != 13 {
 		t.Fatalf("MINV cost = %v, want 13", res.Cost.Total())
 	}
+	// A meta-path from a node to itself is EmptyPath, nil edges and all
+	// (JSON null, not []).
+	p.Dst = 2
+	if res, err := EmbedMINV(p); err != nil || res.Solution.TailPath.From != 2 || res.Solution.TailPath.Edges != nil {
+		t.Fatalf("tail from the VNF's own node: %+v, %v; want EmptyPath(2)", res, err)
+	}
 }
 
 func TestMINVDeterministic(t *testing.T) {

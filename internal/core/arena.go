@@ -145,7 +145,7 @@ type searchMem struct {
 	// instead of re-rooting it (a run without a ledger forgets them first),
 	// and compiles the view only when its residual row displaces it. private
 	// holds a banned run's path view and the trees grown on it, forgotten by
-	// reset. recycle trims store to what searchMemRetainBytes leaves room for.
+	// reset. recycle trims store to what graph.MaxPooledBytes leaves room for.
 	store, private graph.TreeStore
 
 	// The run's residual rows (see residuals): resBuf over edges, which both

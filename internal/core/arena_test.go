@@ -498,7 +498,7 @@ func TestEmbedReadsOnlyItsCategoriesRows(t *testing.T) {
 }
 
 // TestReleaseDropsOversizedArena pins the pooling cap: an arena grown past
-// searchMemRetainBytes — in its slabs or in its run-scoped tree storage —
+// graph.MaxPooledBytes — in its slabs or in its run-scoped tree storage —
 // is replaced on release instead of being pooled, and so is a graph.Scratch
 // whose layered rows alone pass it, while right-sized ones are kept and
 // merely rewound.
@@ -507,9 +507,9 @@ func TestReleaseDropsOversizedArena(t *testing.T) {
 	small.mem.idx.alloc(10)
 	small.mem.private.Bind(lineGraph(10), nil, nil)
 	small.mem.private.Tree(0)
-	huge.mem.idx.alloc(searchMemRetainBytes/4 + 1) // int32 elements
+	huge.mem.idx.alloc(graph.MaxPooledBytes/4 + 1) // int32 elements
 	// A grown tree pins 24 B per node.
-	treeful.mem.private.Bind(lineGraph(searchMemRetainBytes/24+1), nil, nil)
+	treeful.mem.private.Bind(lineGraph(graph.MaxPooledBytes/24+1), nil, nil)
 	treeful.mem.private.Tree(0)
 	// A layered search pins 32 B per state, (k+1)·n states: 9.6 MB for a
 	// nine-layer serial run on 30 000 nodes.
@@ -587,7 +587,7 @@ const slabPeakBytes = (640 << 10) * 11 / 10
 // for every root beside its slabs. One arena embeds towards every node of
 // the 500-node substrate in turn — random sources, width-3 layers, nothing
 // committed, so the view stays bound. After every recycle it pins no more
-// than searchMemRetainBytes, and its slabs no more than slabPeakBytes: what
+// than graph.MaxPooledBytes, and its slabs no more than slabPeakBytes: what
 // a run carves follows its search, not the substrate. At the end it has
 // evicted no tree and holds one for each of the 500 roots.
 func TestArenaKeepsEveryRootAtPaperScale(t *testing.T) {
@@ -605,8 +605,8 @@ func TestArenaKeepsEveryRootAtPaperScale(t *testing.T) {
 		if sc.mem != arena {
 			t.Fatalf("embed %d: the arena was replaced whole", v)
 		}
-		if got := arena.bytes(); got > searchMemRetainBytes {
-			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", v, got, searchMemRetainBytes)
+		if got := arena.bytes(); got > graph.MaxPooledBytes {
+			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", v, got, graph.MaxPooledBytes)
 		}
 		slabs := 0
 		for _, s := range arena.slabs() {
@@ -630,7 +630,7 @@ func TestArenaKeepsEveryRootAtPaperScale(t *testing.T) {
 // embeds on a 1000-node substrate, too large for a tree of every root to
 // fit — random endpoints, every accepted flow committed and the oldest
 // released — until its tree store has filled what the slabs leave of
-// searchMemRetainBytes. After every recycle the arena pins no more than the
+// graph.MaxPooledBytes. After every recycle the arena pins no more than the
 // cap, and it is the same arena: the store sheds its least recently used
 // trees instead of the arena being replaced whole.
 func TestArenaStoreStaysInsideItsCap(t *testing.T) {
@@ -651,8 +651,8 @@ func TestArenaStoreStaysInsideItsCap(t *testing.T) {
 		if sc.mem != arena {
 			t.Fatalf("embed %d: the arena was replaced whole", i)
 		}
-		if got := arena.bytes(); got > searchMemRetainBytes {
-			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", i, got, searchMemRetainBytes)
+		if got := arena.bytes(); got > graph.MaxPooledBytes {
+			t.Fatalf("embed %d: the pooled arena pins %d bytes, past the %d cap", i, got, graph.MaxPooledBytes)
 		}
 		if run.err != nil {
 			continue
@@ -671,7 +671,7 @@ func TestArenaStoreStaysInsideItsCap(t *testing.T) {
 	if storeCounter(telemetry.MetricPathCacheEvictions) == evictions {
 		t.Fatal("vacuous: the store never evicted a tree")
 	}
-	if got := arena.store.MemBytes(); got < searchMemRetainBytes/2 {
+	if got := arena.store.MemBytes(); got < graph.MaxPooledBytes/2 {
 		t.Fatalf("vacuous: the store holds %d bytes, not near the cap", got)
 	}
 }

@@ -149,7 +149,7 @@ func refRelease(t *testing.T, ledger *network.Ledger, rate float64, cb refBreakd
 // refCapacityErrors lists every capacity violation the reference check
 // would report (it reported whichever its map iteration met first).
 func refCapacityErrors(p *Problem, cb refBreakdown) []string {
-	ledger := p.ledgerOrFresh()
+	ledger := p.LedgerOrFresh()
 	var out []string
 	for key, alpha := range cb.InstanceUse {
 		demand := float64(alpha) * p.Rate
@@ -287,8 +287,8 @@ func randomWalkSolution(rng *rand.Rand, p *Problem) *Solution {
 	g := p.Net.G
 	walk := func(from, to graph.NodeID) graph.Path {
 		via := graph.NodeID(rng.Intn(g.NumNodes()))
-		a, _ := g.MinCostPath(from, via, nil)
-		b, _ := g.MinCostPath(via, to, nil)
+		a, _ := dijkstra(g, from, nil).PathTo(via)
+		b, _ := dijkstra(g, via, nil).PathTo(to)
 		return a.Concat(g, b)
 	}
 	host := func(vnf network.VNFID) graph.NodeID {

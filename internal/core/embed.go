@@ -245,7 +245,7 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 		opts.Delay = DefaultDelayParams()
 	}
 	e := &sc.e
-	*e = embedder{p: p, opts: opts, ctx: ctx, ledger: p.ledgerOrFresh(), sc: sc}
+	*e = embedder{p: p, opts: opts, ctx: ctx, ledger: p.LedgerOrFresh(), sc: sc}
 	// The ledger is read-only for the whole run, so one CostOptions value
 	// serves every search.
 	e.costOpts = *e.ledger.CostOptions(p.Rate)

@@ -11,6 +11,12 @@ import (
 	"dagsfc/internal/sfcgen"
 )
 
+// dijkstra is the complete min-cost tree from src on g under opts, on a view
+// compiled for it alone; the tree owns its scratch, so it may be kept.
+func dijkstra(g *graph.Graph, src graph.NodeID, opts *graph.CostOptions) *graph.ShortestTree {
+	return g.CompileView(opts).DijkstraWith(graph.NewScratch(), src)
+}
+
 // embedReference is Embed with a reference path switched on: set flips
 // perLayer, undirected or perLeafClosure on the embedder before it runs. The
 // one way those switches are ever set.
@@ -26,7 +32,7 @@ func embedReference(p *Problem, opts Options, set func(e *embedder)) (*Result, e
 // residual rows and compiles the capacity-only view off the problem's
 // ledger (or a fresh empty one, leaving p untouched), as newEmbedder does.
 func testSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
-	ledger := p.ledgerOrFresh()
+	ledger := p.LedgerOrFresh()
 	res := readResiduals(ledger, nil, nil)
 	cfg.res, cfg.view = &res, p.Net.G.CompileView(ledger.CostOptions(p.Rate))
 	return runSearch(p, start, cfg)

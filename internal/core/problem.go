@@ -35,12 +35,12 @@ type Problem struct {
 	Size float64
 }
 
-// ledgerOrFresh returns the problem's ledger, or a fresh empty one when
-// none is set — without installing it on the Problem. Read-only callers
-// (Embed, Validate, Release, searches) use this so they never mutate the
-// caller's struct and concurrent calls sharing one Problem cannot race on
-// p.Ledger.
-func (p *Problem) ledgerOrFresh() *network.Ledger {
+// LedgerOrFresh returns the problem's ledger, or a fresh empty one when
+// none is set — without installing it on the Problem. Every embedder and
+// every read-only call (Validate, Release) reads its ledger through this, so
+// none mutates the caller's struct and concurrent calls sharing one Problem
+// cannot race on p.Ledger.
+func (p *Problem) LedgerOrFresh() *network.Ledger {
 	if p.Ledger == nil {
 		return network.NewLedger(p.Net)
 	}

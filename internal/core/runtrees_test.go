@@ -133,7 +133,7 @@ func TestTreeForSurvivesScratchReuse(t *testing.T) {
 	e := treeFixture(t, sc)
 	p := e.p
 	const a, b = graph.NodeID(3), graph.NodeID(11)
-	want := p.Net.G.Dijkstra(a, &e.costOpts)
+	want := dijkstra(p.Net.G, a, &e.costOpts)
 	held := e.treeFor(a, b)
 	if e.stats.PathTreeNodes == 0 || e.stats.PathTreeNodes >= p.Net.G.NumNodes() {
 		t.Fatalf("growing the tree of %d as far as %d settled %d of %d nodes", a, b, e.stats.PathTreeNodes, p.Net.G.NumNodes())

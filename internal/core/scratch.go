@@ -22,17 +22,15 @@ type pooledScratch struct {
 	e embedder
 }
 
-// searchMemRetainBytes caps the memory an arena may keep while pooled. A
-// paper-scale MBBE run grows its slabs to under 1 MB and BBE to a few; the
-// tree store fills what they leave, a tree for every root of a 500-node
-// substrate at 24 bytes a node (TestArenaKeepsEveryRootAtPaperScale). An
-// arena whose slabs alone pass the cap was grown by a one-off huge search
-// and is dropped rather than pooled — the analogue of graph.PutScratch
-// dropping oversized scratches — so it cannot stay pinned behind later
-// small runs. The run's graph.Scratch is held to the same cap on its own:
-// its layered rows (32 bytes a state, (k+1)·n states) only ever grow.
-const searchMemRetainBytes = 8 << 20
-
+// embedScratchPool holds the arenas between runs, each at most
+// graph.MaxPooledBytes. A paper-scale MBBE run grows its slabs to under 1 MB
+// and BBE to a few; the tree store fills what they leave, a tree for every
+// root of a 500-node substrate at 24 bytes a node
+// (TestArenaKeepsEveryRootAtPaperScale). An arena whose slabs alone pass the
+// cap was grown by a one-off huge search and is dropped rather than pooled,
+// as graph.PutScratch drops an oversized scratch, so it cannot stay pinned
+// behind later small runs. The run's graph.Scratch is held to the same cap on
+// its own: its layered rows (32 bytes a state, (k+1)·n states) only ever grow.
 var embedScratchPool = sync.Pool{New: func() any { return newPooledScratch() }}
 
 func newPooledScratch() *pooledScratch {
@@ -51,7 +49,7 @@ func releaseScratch(ps *pooledScratch) {
 }
 
 // recycle readies ps for the next run by zeroing its embedder, replacing
-// its graph.Scratch if that alone passes searchMemRetainBytes, resetting
+// its graph.Scratch if that alone passes graph.MaxPooledBytes, resetting
 // its arena and trimming the arena's store to the cap (or dropping the
 // arena, past the cap without it). The caller must not touch
 // the embedder, any scratch-aliasing search result, or any view, tree,
@@ -60,10 +58,10 @@ func releaseScratch(ps *pooledScratch) {
 // been assembled.
 func (ps *pooledScratch) recycle() {
 	ps.e = embedder{}
-	if ps.Scratch.MemBytes() > searchMemRetainBytes {
+	if ps.Scratch.MemBytes() > graph.MaxPooledBytes {
 		ps.Scratch = graph.NewScratch()
 	}
-	budget := searchMemRetainBytes - ps.mem.runBytes()
+	budget := graph.MaxPooledBytes - ps.mem.runBytes()
 	if budget < 0 {
 		ps.mem = &searchMem{}
 		return

@@ -137,7 +137,7 @@ func validateStructure(p *Problem, s *Solution) error {
 // from Evaluate, ComputeCost or an embedding Result for this problem's
 // network and SFC.
 func CheckCapacity(p *Problem, u Usage) error {
-	return checkCapacity(p.ledgerOrFresh(), p.Rate, u)
+	return checkCapacity(p.LedgerOrFresh(), p.Rate, u)
 }
 
 func checkCapacity(ledger *network.Ledger, rate float64, u Usage) error {
@@ -217,7 +217,7 @@ func Release(p *Problem, s *Solution) error {
 	}
 	// Releasing against a Problem with no ledger finds nothing committed;
 	// use the read-only view so p is not mutated.
-	return release(p.ledgerOrFresh(), p.Rate, cb.Usage)
+	return release(p.LedgerOrFresh(), p.Rate, cb.Usage)
 }
 
 // release returns u's reservations at rate to ledger, all or none: every

@@ -66,14 +66,21 @@ func Embed(p *core.Problem, lim Limits) (*core.Result, error) {
 	if p.SFC.MaxWidth() > maxWidth {
 		return nil, fmt.Errorf("%w: layer width %d > %d", ErrTooLarge, p.SFC.MaxWidth(), maxWidth)
 	}
-	s := &solver{p: p}
+	s := &solver{p: p, ledger: p.LedgerOrFresh(), sc: graph.GetScratch()}
+	defer graph.PutScratch(s.sc)
+	// The ledger is read-only for the whole solve: one residual row and one
+	// compiled view serve every path.
+	s.trees.Bind(p.Net.G, s.ledger.CostOptions(p.Rate), s.ledger.EdgeResiduals(nil))
 	return s.run()
 }
 
 type solver struct {
-	p *core.Problem
-	// dist[v] is the min-cost path tree from v, computed lazily.
-	trees map[graph.NodeID]*graph.ShortestTree
+	p      *core.Problem
+	ledger *network.Ledger
+	// trees holds the min-cost path tree rooted at each start a path has
+	// left from, grown as far as the paths read off it; sc is its scratch.
+	trees graph.TreeStore
+	sc    *graph.Scratch
 	// memo[state] is the cheapest completion cost from that state, with
 	// the chosen layer embedding for reconstruction.
 	memo map[state]*memoEntry
@@ -92,7 +99,6 @@ type memoEntry struct {
 
 func (s *solver) run() (*core.Result, error) {
 	p := s.p
-	s.trees = make(map[graph.NodeID]*graph.ShortestTree)
 	s.memo = make(map[state]*memoEntry)
 
 	best := s.solve(state{layer: 1, start: p.Src})
@@ -113,13 +119,13 @@ func (s *solver) run() (*core.Result, error) {
 	}
 	sol.TailPath = tail
 
-	if err := core.Validate(p, sol); err != nil {
+	cb, err := core.Evaluate(p, sol)
+	if err == nil {
+		err = core.CheckCapacity(p, cb.Usage)
+	}
+	if err != nil {
 		// Capacities bind; the DP's independence assumption fails.
 		return nil, fmt.Errorf("%w: optimal assignment violates capacity: %v", core.ErrNoEmbedding, err)
-	}
-	cb, err := core.ComputeCost(p, sol)
-	if err != nil {
-		return nil, err
 	}
 	return &core.Result{Solution: sol, Cost: cb}, nil
 }
@@ -193,10 +199,9 @@ func (s *solver) solve(st state) *memoEntry {
 // one use at the flow rate, sorted for determinism.
 func (s *solver) feasibleHosts(f network.VNFID) []graph.NodeID {
 	p := s.p
-	ledger := ensureLedger(p)
 	var out []graph.NodeID
 	for _, v := range p.Net.NodesWith(f) {
-		if ledger.InstanceResidual(v, f) >= p.Rate {
+		if s.ledger.InstanceResidual(v, f) >= p.Rate {
 			out = append(out, v)
 		}
 	}
@@ -262,22 +267,12 @@ func (s *solver) embedLayer(spec core.LayerSpec, start graph.NodeID,
 	return le, cost, true
 }
 
-// pathBetween returns a min-cost path using memoized Dijkstra trees.
+// pathBetween returns a min-cost path off the tree rooted at a.
 func (s *solver) pathBetween(a, b graph.NodeID) (graph.Path, bool) {
 	if a == b {
 		return graph.EmptyPath(a), true
 	}
-	tree, ok := s.trees[a]
-	if !ok {
-		tree = s.p.Net.G.Dijkstra(a, ensureLedger(s.p).CostOptions(s.p.Rate))
-		s.trees[a] = tree
-	}
+	t, _, _ := s.trees.Tree(a)
+	tree, _ := t.To(s.sc, b)
 	return tree.PathTo(b)
-}
-
-func ensureLedger(p *core.Problem) *network.Ledger {
-	if p.Ledger == nil {
-		p.Ledger = network.NewLedger(p.Net)
-	}
-	return p.Ledger
 }

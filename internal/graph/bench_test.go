@@ -23,10 +23,11 @@ func benchGraph(n int, avgDeg float64) *Graph {
 
 func BenchmarkDijkstra500(b *testing.B) {
 	g := benchGraph(500, 6)
+	view, s := g.CompileView(nil), NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(NodeID(i%500), nil)
+		view.DijkstraWith(s, NodeID(i%500))
 	}
 }
 
@@ -34,7 +35,7 @@ func BenchmarkDijkstra500(b *testing.B) {
 // destination tree an earlier run grew part of the way: each tree is grown
 // as far as one node, as a path search leaves it, then to the end on the
 // bucket queue. Compare with BenchmarkDijkstra500, which grows each tree in
-// one sweep (and copies it out).
+// one sweep.
 func BenchmarkGrowTreeResume500(b *testing.B) {
 	g := benchGraph(500, 6)
 	view := g.CompileView(nil)
@@ -49,25 +50,31 @@ func BenchmarkGrowTreeResume500(b *testing.B) {
 	}
 }
 
-func BenchmarkDijkstra1000Filtered(b *testing.B) {
-	g := benchGraph(1000, 6)
-	opts := &CostOptions{MinCapacity: 1}
+// benchCompiledDijkstra compiles opts into one kept view before each search,
+// as a caller that reuses no tree does.
+func benchCompiledDijkstra(b *testing.B, g *Graph, opts *CostOptions) {
+	var view CostView
+	var res []float64
+	s := NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(NodeID(i%1000), opts)
+		res = g.CompileViewInto(&view, opts, res)
+		view.DijkstraWith(s, NodeID(i%g.NumNodes()))
 	}
+}
+
+func BenchmarkDijkstra1000Filtered(b *testing.B) {
+	g := benchGraph(1000, 6)
+	opts := &CostOptions{MinCapacity: 1}
+	benchCompiledDijkstra(b, g, opts)
 }
 
 func BenchmarkDijkstra500Filtered(b *testing.B) {
 	g := benchGraph(500, 6)
 	residual := residualFunc(func(e EdgeID) float64 { return float64(50 + int(e)%51) })
 	opts := &CostOptions{MinCapacity: 60, Residual: residual}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Dijkstra(NodeID(i%500), opts)
-	}
+	benchCompiledDijkstra(b, g, opts)
 }
 
 func BenchmarkDijkstra500Banned(b *testing.B) {
@@ -81,11 +88,7 @@ func BenchmarkDijkstra500Banned(b *testing.B) {
 		banN[NodeID(v)] = true
 	}
 	opts := &CostOptions{BannedEdges: banE, BannedNodes: banN}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Dijkstra(NodeID(i%500), opts)
-	}
+	benchCompiledDijkstra(b, g, opts)
 }
 
 // BenchmarkCostViewCompile measures the per-(epoch, options) cost the
@@ -95,11 +98,11 @@ func BenchmarkCostViewCompile(b *testing.B) {
 	g := benchGraph(1000, 6)
 	residual := residualFunc(func(e EdgeID) float64 { return float64(50 + int(e)%51) })
 	opts := &CostOptions{MinCapacity: 60, Residual: residual}
-	s := GetScratch()
-	defer PutScratch(s)
+	var view CostView
+	var res []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.resBuf = g.CompileViewInto(&s.view, opts, s.resBuf)
+		res = g.CompileViewInto(&view, opts, res)
 	}
 }

@@ -23,7 +23,6 @@ func (view *CostView) AppendMinHopPath(s *Scratch, buf []EdgeID, src, dst NodeID
 	arcs, off := view.arcs, view.off
 	s.visitedReset(n)
 	s.growParents(n)
-	s.lastA = view.numArcs
 	s.visit(src)
 	queue := s.queue[:0]
 	queue = append(queue, src)

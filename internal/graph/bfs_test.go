@@ -24,7 +24,7 @@ func TestMinHopPathPrefersFewerHops(t *testing.T) {
 	if !ok || hop.Len() != 1 {
 		t.Fatalf("min-hop path = %v ok=%v, want 1 hop", hop, ok)
 	}
-	cost, ok := g.MinCostPath(0, 1, nil)
+	cost, ok := minCostPath(g, 0, 1, nil)
 	if !ok || cost.Len() != 2 {
 		t.Fatalf("min-cost path = %v, want 2 hops", cost)
 	}
@@ -73,7 +73,7 @@ func TestMinHopPathMatchesBFSLevelsProperty(t *testing.T) {
 			unit.MustAddEdge(e.A, e.B, 1, e.Capacity)
 		}
 		src := NodeID(rng.Intn(n))
-		levels := unit.Dijkstra(src, nil)
+		levels := dijkstra(unit, src, nil)
 		for v := 0; v < n; v++ {
 			p, ok := minHop(g, src, NodeID(v), nil)
 			if !ok {

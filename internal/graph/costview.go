@@ -91,8 +91,8 @@ func (v *CostView) MemBytes() int {
 
 // CompileView flattens opts against the graph's current CSR adjacency and
 // residual state into a freshly allocated, shareable CostView. Use
-// CompileViewInto (or DijkstraWith, which compiles internally) when the
-// view is consumed before its storage is compiled into again.
+// CompileViewInto when the view is consumed before its storage is compiled
+// into again.
 func (g *Graph) CompileView(opts *CostOptions) *CostView {
 	v := &CostView{}
 	g.CompileViewInto(v, opts, nil)

@@ -108,7 +108,7 @@ func TestCompileViewBucketTuning(t *testing.T) {
 
 func TestAppendPathToPreservesPrefix(t *testing.T) {
 	g := lineGraph(5)
-	tree := g.Dijkstra(0, nil)
+	tree := dijkstra(g, 0, nil)
 	buf := []EdgeID{99, 98}
 	out, ok := tree.AppendPathTo(buf, 3)
 	if !ok {
@@ -126,7 +126,7 @@ func TestAppendPathToPreservesPrefix(t *testing.T) {
 	// Unreachable target: buf returned unchanged.
 	g2 := New(3)
 	g2.MustAddEdge(0, 1, 1, 1)
-	t2 := g2.Dijkstra(0, nil)
+	t2 := dijkstra(g2, 0, nil)
 	out, ok = t2.AppendPathTo(buf[:2], 2)
 	if ok || len(out) != 2 {
 		t.Fatalf("unreachable append: %v ok=%v", out, ok)
@@ -135,7 +135,7 @@ func TestAppendPathToPreservesPrefix(t *testing.T) {
 
 func TestAppendPathToZeroAlloc(t *testing.T) {
 	g := lineGraph(64)
-	tree := g.Dijkstra(0, nil)
+	tree := dijkstra(g, 0, nil)
 	buf := make([]EdgeID, 0, 64)
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = buf[:0]

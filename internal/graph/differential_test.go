@@ -195,18 +195,21 @@ func TestDijkstraKernelDifferential(t *testing.T) {
 	}
 }
 
-// TestDijkstraKernelDifferentialScratch repeats the comparison through the
-// scratch-pooled entry points (DijkstraWith reuses buffers across queries),
+// TestDijkstraKernelDifferentialScratch repeats the comparison on one
+// pooled scratch and one view compiled into again for every options set,
 // catching any state leaking between searches.
 func TestDijkstraKernelDifferentialScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randomConnectedGraph(rng, 60, 120)
 	s := GetScratch()
 	defer PutScratch(s)
+	var view CostView
+	var res []float64
 	for oi, opts := range diffOptsMatrix(rng, g) {
+		res = g.CompileViewInto(&view, opts, res)
 		for trial := 0; trial < 6; trial++ {
 			src := NodeID(rng.Intn(60))
-			got := g.DijkstraWith(s, src, opts)
+			got := view.DijkstraWith(s, src)
 			oracle := bellmanFord(g, src, opts)
 			for v := 0; v < 60; v++ {
 				if got.Dist[v] != oracle[v] {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Inf is the distance assigned to unreachable nodes.
 var Inf = math.Inf(1)
@@ -45,17 +42,6 @@ type ShortestTree struct {
 	// the unreachable: int32 halves what a kept tree pins.
 	parent []int32
 	prev   []int32
-}
-
-// clone returns a retainable copy of a scratch-owned tree: three arrays
-// and nothing else (the frontier stays with the scratch).
-func (t *ShortestTree) clone() *ShortestTree {
-	return &ShortestTree{
-		Src:    t.Src,
-		Dist:   slices.Clone(t.Dist),
-		parent: slices.Clone(t.parent),
-		prev:   slices.Clone(t.prev),
-	}
 }
 
 // MemBytes reports the memory the tree's arrays pin: 8 bytes a distance, 4
@@ -101,45 +87,14 @@ func (t *ShortestTree) PathTo(v NodeID) (Path, bool) {
 	return Path{From: t.Src, Edges: edges}, true
 }
 
-// Dijkstra computes cheapest paths (by link price) from src to every node,
-// honoring opts. It compiles opts into a CostView internally; callers
-// running many sources under the same options and residual state should
-// compile once with CompileView and search with CostView.DijkstraWith. The returned
-// tree is freshly allocated and may be retained indefinitely; use
-// DijkstraWith for the allocation-free variant when the result is consumed
-// before the next query.
-func (g *Graph) Dijkstra(src NodeID, opts *CostOptions) *ShortestTree {
-	s := GetScratch()
-	t := g.DijkstraWith(s, src, opts).clone()
-	PutScratch(s)
-	return t
-}
-
 // DijkstraWith runs the search kernel from src under the compiled view,
 // entirely on scratch memory: zero steady-state allocations once s has
 // warmed up to the graph size. The returned tree is owned by s and
 // invalidated by the next search on the same Scratch.
 func (v *CostView) DijkstraWith(s *Scratch, src NodeID) *ShortestTree {
-	s.lastN, s.lastA = v.numNodes, v.numArcs
 	s.tree.Reset(v, src)
 	t, _ := s.tree.To(s, None)
 	return t
-}
-
-// MinCostPath returns one cheapest path from src to dst under opts, or
-// (Path{}, false) if dst is unreachable. When src == dst it returns the
-// empty path.
-func (g *Graph) MinCostPath(src, dst NodeID, opts *CostOptions) (Path, bool) {
-	if src == dst {
-		if g.checkNode(src) != nil {
-			return Path{}, false
-		}
-		return EmptyPath(src), true
-	}
-	s := GetScratch()
-	defer PutScratch(s)
-	p, ok := g.DijkstraWith(s, src, opts).PathTo(dst)
-	return p, ok
 }
 
 type distItem struct {

@@ -7,9 +7,20 @@ import (
 	"testing/quick"
 )
 
+// dijkstra is the complete min-cost tree from src under opts on a view
+// compiled for it alone; the tree owns its scratch, so it may be kept.
+func dijkstra(g *Graph, src NodeID, opts *CostOptions) *ShortestTree {
+	return g.CompileView(opts).DijkstraWith(NewScratch(), src)
+}
+
+// minCostPath is one cheapest path src→dst under opts, read off dijkstra.
+func minCostPath(g *Graph, src, dst NodeID, opts *CostOptions) (Path, bool) {
+	return dijkstra(g, src, opts).PathTo(dst)
+}
+
 func TestDijkstraLine(t *testing.T) {
 	g := lineGraph(5)
-	tree := g.Dijkstra(0, nil)
+	tree := dijkstra(g, 0, nil)
 	for v := 0; v < 5; v++ {
 		if tree.Dist[v] != float64(v) {
 			t.Fatalf("Dist[%d] = %v, want %d", v, tree.Dist[v], v)
@@ -27,7 +38,7 @@ func TestDijkstraPrefersCheaperLongerRoute(t *testing.T) {
 	g.MustAddEdge(0, 1, 10, 10)
 	g.MustAddEdge(0, 2, 2, 10)
 	g.MustAddEdge(2, 1, 2, 10)
-	p, ok := g.MinCostPath(0, 1, nil)
+	p, ok := minCostPath(g, 0, 1, nil)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -39,7 +50,7 @@ func TestDijkstraPrefersCheaperLongerRoute(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1, 1)
-	tree := g.Dijkstra(0, nil)
+	tree := dijkstra(g, 0, nil)
 	if tree.Reachable(2) {
 		t.Fatal("isolated node reported reachable")
 	}
@@ -56,7 +67,7 @@ func TestDijkstraCapacityFilter(t *testing.T) {
 	g := New(2)
 	g.MustAddEdge(0, 1, 1, 0.5) // thin
 	g.MustAddEdge(0, 1, 5, 2)   // fat
-	p, ok := g.MinCostPath(0, 1, &CostOptions{MinCapacity: 1})
+	p, ok := minCostPath(g, 0, 1, &CostOptions{MinCapacity: 1})
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -64,7 +75,7 @@ func TestDijkstraCapacityFilter(t *testing.T) {
 		t.Fatalf("capacity filter ignored: cost %v, want 5", p.Cost(g))
 	}
 	// Demand exceeding every capacity: no path.
-	if _, ok := g.MinCostPath(0, 1, &CostOptions{MinCapacity: 3}); ok {
+	if _, ok := minCostPath(g, 0, 1, &CostOptions{MinCapacity: 3}); ok {
 		t.Fatal("path found despite insufficient capacity everywhere")
 	}
 }
@@ -90,7 +101,7 @@ func TestDijkstraResidualOverridesStaticCapacity(t *testing.T) {
 		}
 		return 10
 	})
-	p, ok := g.MinCostPath(0, 1, &CostOptions{MinCapacity: 1, Residual: residual})
+	p, ok := minCostPath(g, 0, 1, &CostOptions{MinCapacity: 1, Residual: residual})
 	if !ok || p.Cost(g) != 5 {
 		t.Fatalf("residual filter not applied: %v ok=%v", p, ok)
 	}
@@ -103,25 +114,25 @@ func TestDijkstraBans(t *testing.T) {
 	g.MustAddEdge(0, 2, 1, 10)
 	g.MustAddEdge(2, 3, 1, 10)
 
-	p, ok := g.MinCostPath(0, 3, &CostOptions{BannedEdges: map[EdgeID]bool{e01: true}})
+	p, ok := minCostPath(g, 0, 3, &CostOptions{BannedEdges: map[EdgeID]bool{e01: true}})
 	if !ok {
 		t.Fatal("no path with banned edge")
 	}
 	if nodes := p.Nodes(g); nodes[1] != 2 {
 		t.Fatalf("banned edge still used: %v", nodes)
 	}
-	p, ok = g.MinCostPath(0, 3, &CostOptions{BannedNodes: map[NodeID]bool{1: true}})
+	p, ok = minCostPath(g, 0, 3, &CostOptions{BannedNodes: map[NodeID]bool{1: true}})
 	if !ok || p.Nodes(g)[1] != 2 {
 		t.Fatalf("banned node still used: %v ok=%v", p, ok)
 	}
-	if _, ok := g.MinCostPath(0, 3, &CostOptions{BannedNodes: map[NodeID]bool{1: true, 2: true}}); ok {
+	if _, ok := minCostPath(g, 0, 3, &CostOptions{BannedNodes: map[NodeID]bool{1: true, 2: true}}); ok {
 		t.Fatal("path found though every route banned")
 	}
 }
 
 func TestDijkstraBannedSource(t *testing.T) {
 	g := lineGraph(2)
-	tree := g.Dijkstra(0, &CostOptions{BannedNodes: map[NodeID]bool{0: true}})
+	tree := dijkstra(g, 0, &CostOptions{BannedNodes: map[NodeID]bool{0: true}})
 	if tree.Reachable(1) {
 		t.Fatal("search from banned source should reach nothing")
 	}
@@ -129,7 +140,7 @@ func TestDijkstraBannedSource(t *testing.T) {
 
 func TestMinCostPathSameNode(t *testing.T) {
 	g := lineGraph(3)
-	p, ok := g.MinCostPath(1, 1, nil)
+	p, ok := minCostPath(g, 1, 1, nil)
 	if !ok || len(p.Edges) != 0 || p.From != 1 {
 		t.Fatalf("self path = %v ok=%v", p, ok)
 	}
@@ -167,7 +178,7 @@ func TestDijkstraMatchesBruteForceProperty(t *testing.T) {
 		n := 2 + rng.Intn(7)
 		g := randomConnectedGraph(rng, n, rng.Intn(5))
 		src := NodeID(rng.Intn(n))
-		tree := g.Dijkstra(src, nil)
+		tree := dijkstra(g, src, nil)
 		for v := 0; v < n; v++ {
 			want := bruteForceDist(g, src, NodeID(v))
 			got := tree.Dist[v]
@@ -193,7 +204,7 @@ func TestDijkstraPathsAreSimpleProperty(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		g := randomConnectedGraph(rng, n, n)
 		src := NodeID(rng.Intn(n))
-		tree := g.Dijkstra(src, nil)
+		tree := dijkstra(g, src, nil)
 		for v := 0; v < n; v++ {
 			if p, ok := tree.PathTo(NodeID(v)); ok && !p.Simple(g) {
 				return false

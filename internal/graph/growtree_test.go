@@ -200,7 +200,7 @@ func TestGrowTreeResume(t *testing.T) {
 		if view.delta == 0 {
 			heaped++
 		}
-		want := view.DijkstraWith(NewScratch(), src).clone()
+		want := view.DijkstraWith(NewScratch(), src)
 		if heapWant := heapView(view).DijkstraWith(NewScratch(), src); !reflect.DeepEqual(heapWant, want) {
 			t.Fatalf("seed %d: the heap and the bucket queue disagree on a complete tree", seed)
 		}

@@ -108,7 +108,6 @@ func (v *CostView) Arc(i int) Arc { return v.arcs[i] }
 // previous search touched — the states it queued and left queued when it
 // stopped included.
 func (s *Scratch) resetLayered(n, states int) *LayeredSearch {
-	s.lastN = states
 	r := &s.layered
 	if cap(r.dist) < states {
 		rows, ids := make([]float64, 2*states), make([]int32, 4*states)
@@ -157,7 +156,6 @@ func (s *Scratch) resetLayered(n, states int) *LayeredSearch {
 func (v *CostView) LayeredDijkstraWith(s *Scratch, q *LayeredQuery) *LayeredSearch {
 	n, k := v.numNodes, len(q.Rent)
 	r := s.resetLayered(n, (k+1)*n)
-	s.lastA = v.numArcs
 	arcs, off, price, dist, key := v.arcs, v.off, v.price, r.dist, r.dist
 	h := &r.queue
 	directed := q.PotLink != nil && q.Target >= 0

@@ -7,29 +7,29 @@ import (
 	"testing"
 )
 
-// TestDijkstraWithMatchesDijkstra reuses one Scratch across many runs,
-// graphs and sizes and checks every tree matches the allocating Dijkstra
-// exactly — including the sparse reset when the scratch shrinks to a
+// TestDijkstraWithReusedScratch reuses one Scratch across many runs,
+// graphs and sizes and checks every tree matches the one a fresh scratch
+// grows exactly — including the sparse reset when the scratch shrinks to a
 // smaller graph.
-func TestDijkstraWithMatchesDijkstra(t *testing.T) {
+func TestDijkstraWithReusedScratch(t *testing.T) {
 	s := NewScratch()
 	sizes := []int{40, 80, 25, 60} // deliberately non-monotone
 	for trial, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(trial) + 7))
 		g := benchGraph(n, 4)
-		opts := &CostOptions{
-			MinCapacity: 50, // half the edges get capacity below this
-			BannedNodes: map[NodeID]bool{NodeID(n - 1): true},
-		}
 		for _, e := range g.Edges() {
 			if rng.Intn(2) == 0 {
 				g.edges[e.ID].Capacity = 10
 			}
 		}
 		g.csr.Store(nil) // capacities changed behind AddEdge's back
+		view := g.CompileView(&CostOptions{
+			MinCapacity: 50, // half the edges get capacity below this
+			BannedNodes: map[NodeID]bool{NodeID(n - 1): true},
+		})
 		for src := 0; src < n; src += 5 {
-			want := g.Dijkstra(NodeID(src), opts)
-			got := g.DijkstraWith(s, NodeID(src), opts)
+			want := view.DijkstraWith(NewScratch(), NodeID(src))
+			got := view.DijkstraWith(s, NodeID(src))
 			if !reflect.DeepEqual(want.Dist, got.Dist) {
 				t.Fatalf("n=%d src=%d: Dist mismatch", n, src)
 			}
@@ -103,70 +103,44 @@ func TestScratchMemBytesCountsItsRows(t *testing.T) {
 
 // TestDijkstraWithZeroAllocs is the steady-state allocation budget for the
 // hot path: once a Scratch has warmed up to the graph size, a full Dijkstra
-// query must not allocate at all.
+// query on a compiled view must not allocate at all.
 func TestDijkstraWithZeroAllocs(t *testing.T) {
-	g := benchGraph(300, 6)
-	s := NewScratch()
-	g.CSR()                   // build the adjacency view outside the measurement
-	g.DijkstraWith(s, 0, nil) // warm the scratch arrays
+	view, s := benchGraph(300, 6).CompileView(nil), NewScratch()
+	view.DijkstraWith(s, 0) // warm the scratch arrays
 	allocs := testing.AllocsPerRun(20, func() {
-		g.DijkstraWith(s, NodeID(17), nil)
+		view.DijkstraWith(s, NodeID(17))
 	})
 	if allocs != 0 {
 		t.Fatalf("DijkstraWith allocated %v objects per run, want 0", allocs)
 	}
 }
 
-// TestPutScratchDropsOversized pins the pool-sizing policy: a scratch
-// grown by a one-off huge search is dropped once recent demand settles
-// back to small graphs, while right-sized scratches keep pooling.
+// TestPutScratchDropsOversized pins the pool's one rule: a scratch that pins
+// more than MaxPooledBytes never comes back out of the pool, and one under
+// it does.
 func TestPutScratchDropsOversized(t *testing.T) {
-	sized := func(n int) *Scratch {
-		s := &Scratch{lastN: n}
-		s.tree.rest(n)
-		return s
+	small, huge := NewScratch(), NewScratch()
+	small.tree.rest(300)
+	huge.tree.rest(MaxPooledBytes/24 + 1)
+	if small.MemBytes() > MaxPooledBytes || huge.MemBytes() <= MaxPooledBytes {
+		t.Fatalf("scratches of %d and %d bytes do not straddle the %d cap", small.MemBytes(), huge.MemBytes(), MaxPooledBytes)
 	}
-	small := sized(300)
-	huge := sized(scratchMinRetain * scratchOversizeFactor * 2)
-
-	// While the huge size is recent demand, the huge scratch is retained —
-	// dropping actively-used capacity would just thrash the allocator.
-	if !keepScratch(huge, huge.lastN, 0) {
-		t.Fatal("scratch sized to current demand was dropped")
+	// The pool may drop anything (a GC, or at random under -race): retry
+	// until the small scratch comes back.
+	for i := 0; ; i++ {
+		PutScratch(small)
+		if GetScratch() == small {
+			break
+		}
+		if i == 100 {
+			t.Fatal("a scratch under the cap was never pooled")
+		}
 	}
-	// Once recent demand is small again, the huge scratch is released...
-	if keepScratch(huge, small.lastN, 0) {
-		t.Fatal("oversized scratch was pooled against small recent demand")
-	}
-	// ...while the small one still pools (within the absolute floor).
-	if !keepScratch(small, small.lastN, 0) {
-		t.Fatal("right-sized scratch was dropped")
-	}
-
-	// End to end through the demand windows: roll both windows with small
-	// puts, then check PutScratch's demand estimate has decayed so the
-	// huge scratch gets dropped rather than pooled.
-	for i := 0; i < 2*scratchWindowPuts; i++ {
-		noteScratchUse(300, 1200)
-	}
-	if demand, _ := noteScratchUse(300, 1200); demand != 300 {
-		t.Fatalf("demand estimate after small-only windows = %d, want 300", demand)
-	}
-	nodeDemand, arcDemand := noteScratchUse(300, 1200)
-	if keepScratch(huge, nodeDemand, arcDemand) {
-		t.Fatal("oversized scratch survived decayed demand windows")
-	}
-
-	// Arc-sized view arrays are judged against arc demand, not node demand:
-	// a scratch whose compiled view grew on a one-off dense graph is also
-	// released once arc demand settles.
-	arcHuge := sized(300)
-	arcHuge.view.price = make([]float64, scratchMinRetain*scratchOversizeFactor*2)
-	if keepScratch(arcHuge, 300, 1200) {
-		t.Fatal("arc-oversized scratch was pooled against small arc demand")
-	}
-	if !keepScratch(arcHuge, 300, len(arcHuge.view.price)) {
-		t.Fatal("arc-sized scratch matching current arc demand was dropped")
+	PutScratch(huge)
+	for range 100 {
+		if GetScratch() == huge {
+			t.Fatal("a scratch over the cap was pooled")
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func TestTreeCacheLookupInsert(t *testing.T) {
 		t.Fatal("tree not kept across a move that crossed no floor")
 	}
 	full, _ := again.To(sc, None)
-	sameTree(t, full, g.Dijkstra(3, residualOpts(res)))
+	sameTree(t, full, dijkstra(g, 3, residualOpts(res)))
 
 	// Below the floor the arc drops out: new content, new trees.
 	res[0] = 9.5
@@ -92,7 +92,7 @@ func TestTreeCacheLookupInsert(t *testing.T) {
 		t.Fatalf("the displaced tree's storage was not reused: %d trees", len(s.used))
 	}
 	full, _ = t3.To(sc, None)
-	sameTree(t, full, g.Dijkstra(3, residualOpts(res)))
+	sameTree(t, full, dijkstra(g, 3, residualOpts(res)))
 }
 
 // TestTreeCacheGraphIdentity: equal bitsets over different adjacency are
@@ -159,7 +159,7 @@ func TestTreeCacheSizeCap(t *testing.T) {
 		t.Fatal("the least recently used tree survived")
 	}
 	full, _ := tree.To(NewScratch(), None)
-	sameTree(t, full, g.Dijkstra(k+4, nil))
+	sameTree(t, full, dijkstra(g, k+4, nil))
 
 	// Once every tree is held by this search (k+4 re-rooted k+5's), a new
 	// source carves a batch.

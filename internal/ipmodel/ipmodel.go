@@ -111,7 +111,7 @@ func Encode(p *core.Problem, opts Options) (*Encoding, error) {
 		maxVars = DefaultMaxVariables
 	}
 	enc := &Encoding{p: p, zCol: make(map[zKey]int)}
-	ledger := ledgerOf(p)
+	ledger := p.LedgerOrFresh()
 
 	// Positions and candidates.
 	merger := p.Net.Catalog.Merger()
@@ -511,19 +511,12 @@ func embed(p *core.Problem, opts Options, maxNodes int) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := core.Validate(p, s); err != nil {
+	cb, err := core.Evaluate(p, s)
+	if err == nil {
+		err = core.CheckCapacity(p, cb.Usage)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ipmodel: decoded solution invalid: %w", err)
 	}
-	cb, err := core.ComputeCost(p, s)
-	if err != nil {
-		return nil, err
-	}
 	return &core.Result{Solution: s, Cost: cb}, nil
-}
-
-func ledgerOf(p *core.Problem) *network.Ledger {
-	if p.Ledger == nil {
-		p.Ledger = network.NewLedger(p.Net)
-	}
-	return p.Ledger
 }

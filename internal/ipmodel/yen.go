@@ -21,7 +21,16 @@ func kShortestPaths(g *graph.Graph, src, dst graph.NodeID, k int, opts *graph.Co
 	if src == dst {
 		return []graph.Path{graph.EmptyPath(src)}
 	}
-	first, ok := g.MinCostPath(src, dst, opts)
+	// The first path's options and every spur's compile into one kept view.
+	var view graph.CostView
+	var res []float64
+	sc := graph.GetScratch()
+	defer graph.PutScratch(sc)
+	minCostPath := func(from graph.NodeID, o *graph.CostOptions) (graph.Path, bool) {
+		res = g.CompileViewInto(&view, o, res)
+		return view.DijkstraWith(sc, from).PathTo(dst)
+	}
+	first, ok := minCostPath(src, opts)
 	if !ok {
 		return nil
 	}
@@ -69,7 +78,7 @@ func kShortestPaths(g *graph.Graph, src, dst graph.NodeID, k int, opts *graph.Co
 				spurOpts.MinCapacity = opts.MinCapacity
 				spurOpts.Residual = opts.Residual
 			}
-			spurPath, ok := g.MinCostPath(spur, dst, spurOpts)
+			spurPath, ok := minCostPath(spur, spurOpts)
 			if !ok {
 				continue
 			}

@@ -117,17 +117,22 @@ func TestLedgerSnapshotIndependent(t *testing.T) {
 	}
 }
 
+// reaches reports whether a min-cost search on g under opts finds b from a.
+func reaches(g *graph.Graph, a, b graph.NodeID, opts *graph.CostOptions) bool {
+	return g.CompileView(opts).DijkstraWith(graph.NewScratch(), a).Reachable(b)
+}
+
 func TestLedgerCostOptionsFilters(t *testing.T) {
 	net := testNet(t)
 	l := NewLedger(net)
 	// Saturate edge 0 (0-1). A search demanding 1 unit must avoid it.
 	must(t, l.ReserveEdge(0, 10))
 	opts := l.CostOptions(1)
-	if _, ok := net.G.MinCostPath(0, 1, opts); ok {
+	if reaches(net.G, 0, 1, opts) {
 		t.Fatal("saturated edge used")
 	}
 	// Without demand the edge is still admitted.
-	if _, ok := net.G.MinCostPath(0, 1, l.CostOptions(0)); !ok {
+	if !reaches(net.G, 0, 1, l.CostOptions(0)) {
 		t.Fatal("zero-demand search should admit saturated edge")
 	}
 }

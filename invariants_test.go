@@ -99,6 +99,15 @@ var invariants = []invariant{{
 	sample:   "\t\tgo func(slot int) {",
 	msg:      "internal/core starts a goroutine: an embed must stay on its caller's",
 }, {
+	name:     "core-problem-unmutated",
+	contract: "an embedder reads a ledgerless Problem through Problem.LedgerOrFresh; only Commit installs a ledger on it",
+	design:   "9. Concurrency contract",
+	files:    []string{"..."},
+	except:   []string{"internal/core/problem.go"},
+	forbid:   `\.Ledger = network\.NewLedger\(`,
+	sample:   "\t\tp.Ledger = network.NewLedger(p.Net)",
+	msg:      "a Go file installs a ledger on a Problem: read a private one through Problem.LedgerOrFresh",
+}, {
 	name:     "core-dense-reads",
 	contract: "the search reads its ledger and instance table once, into dense rows; only validate.go and cost.go, which price one finished solution, query them",
 	design:   "11. Memory & allocation discipline",
