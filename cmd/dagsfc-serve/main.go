@@ -81,7 +81,7 @@ func main() {
 		repairCap    = flag.Duration("repair-backoff-cap", time.Second, "repair backoff ceiling")
 		brkFails     = flag.Int("breaker-failures", 0, "consecutive pipeline failures that open the admission breaker (0 = disabled)")
 		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "breaker open time before the half-open probe")
-		journalSize  = flag.Int("journal", 4096, "flight-recorder ring capacity (events replayable over /v1/events)")
+		journalSize  = flag.Int("journal", 4096, "flight-recorder ring capacity in events, 64 B each: 256 KiB at 4096 (replayable over /v1/events)")
 		walDir       = flag.String("wal-dir", "", "durable flow state directory: write-ahead log + snapshots (empty = durability off)")
 		walSync      = flag.String("wal-sync", "commit", "WAL fsync policy: commit (fsync per acknowledgment), batch (group-commit every 5ms), off (OS writeback)")
 		walSnapEvery = flag.Int("wal-snapshot-every", 1024, "state snapshot every N WAL records (negative = only on drain)")

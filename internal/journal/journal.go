@@ -1,28 +1,26 @@
-// Package journal is the serving stack's flight recorder: a fixed-size
-// ring buffer of typed, monotonically-sequenced lifecycle events recorded
-// at every decision point of the control plane — admission, speculative
-// embed, commit, expiry, release, fault handling, repair and breaker
-// transitions. The ring answers two questions an aggregate counter
-// cannot: "what happened to flow N, in order?" and "what has the server
-// decided lately?". Appends are lock-light (one short mutex hold, no
-// allocation beyond the event copy); readers copy out under the same
-// lock, so a reader never observes a half-written event. Overwritten
-// events are counted, never silently lost: Dropped() and the
-// dagsfc_journal_dropped_total counter account for every event the ring
-// evicted, and Since reports how many events a lagging cursor missed.
-//
-// When a *slog.Logger is attached, every append also emits one structured
-// log record carrying the same fields (flow, attempt, type, seconds,
-// cost, error) — the log stream and the journal are fed by the same
-// hook, so they can never disagree about what the server did.
+// Package journal is the serving stack's flight recorder: a fixed-size ring
+// of typed, sequenced events from every decision point of the control plane
+// (admission, embed, commit, expiry, release, faults, repair, breaker). It
+// answers what a counter cannot: "what happened to flow N, in order?" and
+// "what has the server decided lately?". The ring holds each event in a
+// 64-byte record; an append is one short mutex hold and allocates nothing
+// when its strings are constants. Evicted events are counted, never silently
+// lost: dagsfc_journal_dropped_total counts them, and Since reports how many
+// a lagging cursor missed. An attached *slog.Logger gets one record per
+// append from the same hook, so the log and the journal never disagree.
 package journal
 
 import (
+	"encoding/binary"
 	"log/slog"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"dagsfc/internal/telemetry"
+	"dagsfc/internal/wal"
 )
 
 // Type names one event. A state change is named by its transition: the
@@ -82,88 +80,154 @@ type Event struct {
 	Err    string `json:"error,omitempty"`
 }
 
+// A name's code is its index in a journal's intern table. Each starts as
+// seed, clipped so its first intern copies it: "" (0), the pipeline types,
+// then each WAL type's name at walCode plus the type, so a code's log level
+// follows a renamed WAL type. Past the last code, both names spill to text.
+const (
+	codeEnqueue, codeDequeue                                     = 1, 2
+	codeCommitConflict, codeRejected, codeRepairAttempt, walCode = 4, 5, 6, 7
+	spilled                                                      = math.MaxUint8
+)
+
+var seed = func() []string {
+	s := []string{"", string(TypeEnqueue), string(TypeDequeue), string(TypeEmbedDone),
+		string(TypeCommitConflict), string(TypeRejected), string(TypeRepairAttempt), string(TypeBreaker)}
+	for t := wal.TypeAdmit; t <= wal.TypeBackupLoss; t++ {
+		s = append(s, t.String())
+	}
+	return slices.Clip(s)
+}()
+
+// record is one event in 64 bytes (TestRecordSize); its seq is its slot.
+// Detail and Err share text, split at split, behind any spilled names.
+type record struct {
+	at             int64 // Time − the journal's epoch, in nanoseconds
+	flow           int64
+	seconds, cost  float64
+	text           string
+	split          uint32
+	attempt, nodes int32
+	workers        uint16
+	typ, alg       uint8 // intern-table codes
+}
+
 // Journal is the ring. Safe for concurrent use.
 type Journal struct {
-	mu    sync.Mutex
-	buf   []Event // ring storage; seq s lives at buf[s%cap]
-	next  uint64  // seq the next append receives
-	start uint64  // oldest seq still retained
-	base  uint64  // seq of the first append (Resume)
-
+	mu     sync.Mutex
+	buf    []record  // ring storage; seq s lives at buf[s%cap]
+	names  []string  // intern table: code c names names[c]
+	epoch  time.Time // New's clock reading; a record's time counts from it
+	next   uint64    // seq the next append receives
+	start  uint64    // oldest seq still retained
+	base   uint64    // seq of the first append (Resume)
 	logger *slog.Logger
 }
 
 // New returns a journal retaining the last capacity events (minimum 1).
 // logger may be nil to disable structured log emission.
 func New(capacity int, logger *slog.Logger) *Journal {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Journal{buf: make([]Event, capacity), logger: logger}
+	return &Journal{buf: make([]record, max(capacity, 1)), names: seed, epoch: time.Now(), logger: logger}
 }
 
 // Append stamps the event (Seq always; Time only if unset) and records
 // it, evicting the oldest entry when the ring is full. It returns the
-// stamped event.
+// stamped event as the ring holds it: Time on the journal's clock, equal
+// under Time.Equal to the one given within 292 years of New; Attempt and
+// Nodes saturated as int32, Workers as uint16.
 func (j *Journal) Append(ev Event) Event {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
+	text, split := ev.Detail+ev.Err, len(ev.Detail)
 	j.mu.Lock()
-	ev.Seq = j.next
-	j.buf[ev.Seq%uint64(len(j.buf))] = ev
+	typ, alg := j.code(string(ev.Type)), j.code(ev.Alg)
+	if typ == spilled || alg == spilled {
+		b := spill(spill(nil, string(ev.Type)), ev.Alg)
+		typ, text, split = spilled, string(append(b, text...)), split+len(b)
+	}
+	r := &j.buf[j.next%uint64(len(j.buf))]
+	*r = record{at: int64(ev.Time.Sub(j.epoch)), flow: ev.Flow, seconds: ev.Seconds, cost: ev.Cost,
+		text: text, split: uint32(split), typ: typ, alg: alg,
+		attempt: int32(min(max(ev.Attempt, math.MinInt32), math.MaxInt32)),
+		nodes:   int32(min(max(ev.Nodes, math.MinInt32), math.MaxInt32)),
+		workers: uint16(min(max(ev.Workers, 0), math.MaxUint16))}
+	ev = j.event(r, j.next)
 	j.next++
-	dropped := false
-	if j.next-j.start > uint64(len(j.buf)) {
+	dropped := j.next-j.start > uint64(len(j.buf))
+	if dropped {
 		j.start++
-		dropped = true
 	}
 	j.mu.Unlock()
 	telemetry.RecordJournalAppend(dropped)
 	if j.logger != nil {
-		j.log(ev)
+		j.log(ev, typ)
 	}
 	return ev
+}
+
+// event rebuilds the event r holds at seq. Called under j.mu.
+func (j *Journal) event(r *record, seq uint64) Event {
+	ev := Event{Seq: seq, Time: j.epoch.Add(time.Duration(r.at)), Flow: r.flow, Attempt: int(r.attempt),
+		Seconds: r.seconds, Cost: r.cost, Nodes: int(r.nodes), Workers: int(r.workers),
+		Detail: r.text[:r.split], Err: r.text[r.split:]}
+	if r.typ == spilled { // the calls run left to right: type, then algorithm
+		ev.Type, ev.Alg = Type(unspill(&ev.Detail)), unspill(&ev.Detail)
+	} else {
+		ev.Type, ev.Alg = Type(j.names[r.typ]), j.names[r.alg]
+	}
+	return ev
+}
+
+// code returns name's code, interning it while the table has room, or
+// spilled. Called under j.mu.
+func (j *Journal) code(name string) uint8 {
+	c := slices.Index(j.names, name)
+	if c < 0 && len(j.names) == spilled {
+		return spilled
+	} else if c < 0 {
+		c, j.names = len(j.names), append(j.names, strings.Clone(name))
+	}
+	return uint8(c)
+}
+
+// spill appends name to b behind its length; unspill cuts it back off.
+func spill(b []byte, name string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(name))), name...)
+}
+
+func unspill(s *string) (name string) {
+	n, w := binary.Uvarint([]byte((*s)[:min(len(*s), binary.MaxVarintLen64)]))
+	name, *s = (*s)[w:w+int(n)], (*s)[w+int(n):]
+	return name
 }
 
 // log emits the event as one structured record on the attached logger.
 // Called outside the ring lock; the seq attribute keeps records and
 // journal entries correlated even if concurrent emissions interleave.
-func (j *Journal) log(ev Event) {
-	attrs := make([]any, 0, 16)
-	attrs = append(attrs, "seq", ev.Seq, "type", string(ev.Type))
-	if ev.Flow != 0 {
-		attrs = append(attrs, "flow_id", ev.Flow)
+func (j *Journal) log(ev Event, typ uint8) {
+	attrs := append(make([]any, 0, 18), "seq", ev.Seq, "type", string(ev.Type))
+	for _, a := range [...]struct {
+		key string
+		val any
+		set bool
+	}{{"flow_id", ev.Flow, ev.Flow != 0}, {"attempt", ev.Attempt, ev.Attempt != 0}, {"alg", ev.Alg, ev.Alg != ""},
+		{"seconds", ev.Seconds, ev.Seconds != 0}, {"cost", ev.Cost, ev.Cost != 0},
+		{"detail", ev.Detail, ev.Detail != ""}, {"error", ev.Err, ev.Err != ""}} {
+		if a.set {
+			attrs = append(attrs, a.key, a.val)
+		}
 	}
-	if ev.Attempt != 0 {
-		attrs = append(attrs, "attempt", ev.Attempt)
-	}
-	if ev.Alg != "" {
-		attrs = append(attrs, "alg", ev.Alg)
-	}
-	if ev.Seconds != 0 {
-		attrs = append(attrs, "seconds", ev.Seconds)
-	}
-	if ev.Cost != 0 {
-		attrs = append(attrs, "cost", ev.Cost)
-	}
-	if ev.Detail != "" {
-		attrs = append(attrs, "detail", ev.Detail)
-	}
-	if ev.Err != "" {
-		attrs = append(attrs, "error", ev.Err)
-	}
-	j.logger.Log(nil, level(ev.Type), "flow "+string(ev.Type), attrs...)
+	j.logger.Log(nil, level(typ), "flow "+string(ev.Type), attrs...)
 }
 
-// level maps an event type onto a log level: per-stage chatter is Debug,
-// lifecycle milestones are Info, and failures the operator should see —
-// among the transitions, a strand and an eviction — are Warn.
-func level(t Type) slog.Level {
-	switch t {
-	case TypeEnqueue, TypeDequeue, TypeRepairAttempt:
+// level maps a type code onto a log level: Debug for per-stage chatter, Warn
+// for failures the operator should see (a strand, an eviction), else Info.
+func level(typ uint8) slog.Level {
+	switch typ {
+	case codeEnqueue, codeDequeue, codeRepairAttempt:
 		return slog.LevelDebug
-	case TypeCommitConflict, TypeRejected, "strand", "evict":
+	case codeCommitConflict, codeRejected, walCode + uint8(wal.TypeStrand), walCode + uint8(wal.TypeEvict):
 		return slog.LevelWarn
 	}
 	return slog.LevelInfo
@@ -176,21 +240,17 @@ func level(t Type) slog.Level {
 func (j *Journal) Since(cursor uint64, limit int) (events []Event, next uint64, missed uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	from := cursor
-	if from < j.start {
-		missed = j.start - max(from, j.base)
-		from = j.start
+	if cursor < j.start {
+		missed = j.start - max(cursor, j.base)
 	}
-	if from > j.next {
-		from = j.next
-	}
+	from := min(max(cursor, j.start), j.next)
 	n := int(j.next - from)
-	if limit > 0 && n > limit {
-		n = limit
+	if limit > 0 {
+		n = min(n, limit)
 	}
-	events = make([]Event, n)
-	for i := 0; i < n; i++ {
-		events[i] = j.buf[(from+uint64(i))%uint64(len(j.buf))]
+	events = make([]Event, 0, n)
+	for s := from; s < from+uint64(n); s++ {
+		events = append(events, j.event(&j.buf[s%uint64(len(j.buf))], s))
 	}
 	return events, from + uint64(n), missed
 }
@@ -201,8 +261,8 @@ func (j *Journal) Flow(id int64, limit int) []Event {
 	j.mu.Lock()
 	var out []Event
 	for s := j.start; s < j.next; s++ {
-		if ev := j.buf[s%uint64(len(j.buf))]; ev.Flow == id {
-			out = append(out, ev)
+		if r := &j.buf[s%uint64(len(j.buf))]; r.flow == id {
+			out = append(out, j.event(r, s))
 		}
 	}
 	j.mu.Unlock()

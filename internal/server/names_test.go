@@ -1,14 +1,21 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"log/slog"
+	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
+	"dagsfc/internal/core"
 	"dagsfc/internal/flowstate"
 	"dagsfc/internal/journal"
 	"dagsfc/internal/network"
@@ -154,5 +161,65 @@ func TestJournalNamesEveryTransition(t *testing.T) {
 	}
 	if consts != 7 {
 		t.Errorf("journal declares %d event types, want the 7 pipeline events", consts)
+	}
+}
+
+// TestJournalLevels pins the log level of every name the server journals:
+// Warn is exactly a conflict, a rejection, a strand and an eviction; the
+// queue steps and restore attempts are Debug; everything else is Info.
+func TestJournalLevels(t *testing.T) {
+	want := map[journal.Type]string{
+		journal.TypeEnqueue: "DEBUG", journal.TypeDequeue: "DEBUG", journal.TypeRepairAttempt: "DEBUG",
+		journal.TypeEmbedDone: "INFO", journal.TypeBreaker: "INFO",
+		journal.TypeCommitConflict: "WARN", journal.TypeRejected: "WARN",
+		named(flowstate.Strand): "WARN", named(flowstate.Evict): "WARN",
+	}
+	for _, k := range []flowstate.Kind{flowstate.Commit, flowstate.Release, flowstate.Expire, flowstate.FaultApply,
+		flowstate.FaultRestore, flowstate.Backup, flowstate.Failover, flowstate.BackupLoss, flowstate.Revalidate} {
+		want[named(k)] = "INFO"
+	}
+	var buf bytes.Buffer
+	j := journal.New(len(want), slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	for typ, level := range want {
+		buf.Reset()
+		j.Append(journal.Event{Type: typ})
+		if !strings.Contains(buf.String(), "level="+level+` msg="flow `+string(typ)+`"`) {
+			t.Errorf("%s logs %q, want level %s", typ, buf.String(), level)
+		}
+	}
+}
+
+// TestUnknownAlgorithmInternsNothing: a request naming an algorithm the
+// server does not hold is refused before anything is journaled, so names
+// from outside cannot grow the journal's intern table; a registered one is
+// interned once.
+func TestUnknownAlgorithmInternsNothing(t *testing.T) {
+	srv, err := server.New(server.Config{Net: threePathNet(), Workers: 1,
+		Embedders: map[string]server.Embedder{"custom": core.EmbedMBBE}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// The table is unexported; its length is all this test reads.
+	interned := func() int { return reflect.ValueOf(srv.Journal()).Elem().FieldByName("names").Len() }
+	req := server.FlowRequest{SFC: "1", Src: 0, Dst: 4, Rate: 1, Size: 1, Alg: "custom"}
+	if _, err := srv.Submit(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	names, events := interned(), srv.Journal().Events()
+	for i := 0; i < 3; i++ {
+		req.Alg = fmt.Sprint("unknown-", i)
+		if _, err := srv.Submit(context.Background(), req); !errors.Is(err, server.ErrBadRequest) {
+			t.Fatalf("alg %q: got %v, want a bad request", req.Alg, err)
+		}
+	}
+	if interned() != names || srv.Journal().Events() != events {
+		t.Fatalf("unknown algorithms: intern table %d → %d names, journal %d → %d events",
+			names, interned(), events, srv.Journal().Events())
+	}
+	for _, ev := range srv.Journal().Flow(1, 0) {
+		if ev.Type == journal.TypeEnqueue && ev.Alg != "custom" {
+			t.Fatalf("enqueue reads back alg %q", ev.Alg)
+		}
 	}
 }
