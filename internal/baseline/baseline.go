@@ -33,12 +33,13 @@ func EmbedRANV(p *core.Problem, rng *rand.Rand) (*core.Result, error) {
 }
 
 // EmbedMINV embeds the problem's DAG-SFC with the naive greedy benchmark:
-// cheapest feasible instance per position (ties broken by lowest node ID).
+// cheapest feasible instance per position (ties broken by lowest node ID:
+// the candidates come ascending by node).
 func EmbedMINV(p *core.Problem) (*core.Result, error) {
 	return embedWithPicker(p, "minv", func(cands []network.Instance, _ network.VNFID) network.Instance {
 		best := cands[0]
 		for _, c := range cands[1:] {
-			if c.Price < best.Price || (c.Price == best.Price && c.Node < best.Node) {
+			if c.Price < best.Price {
 				best = c
 			}
 		}
@@ -78,10 +79,12 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 	}
 	choose := func(f network.VNFID) (graph.NodeID, error) {
 		var cands []network.Instance
-		for _, node := range p.Net.NodesWith(f) {
+		for v, rent := range p.Net.Rents(f) {
+			if rent == graph.Inf {
+				continue
+			}
 			instancesExamined++
-			inst, ok := p.Net.Instance(node, f)
-			if ok && feasible(inst) {
+			if inst, _ := p.Net.Instance(graph.NodeID(v), f); feasible(inst) {
 				cands = append(cands, inst)
 			}
 		}

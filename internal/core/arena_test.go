@@ -178,13 +178,13 @@ func TestBuildExtensionMatchesMapReference(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			nodes := make([]graph.NodeID, len(spec.VNFs))
 			for i, f := range spec.VNFs {
-				hosts := p.Net.NodesWith(f)
+				hosts := hostsOf(p.Net, f)
 				nodes[i] = hosts[rng.Intn(len(hosts))]
 			}
 			endNode := nodes[0]
 			var inner []graph.Path
 			if spec.Merger {
-				hosts := p.Net.NodesWith(p.Net.Catalog.Merger())
+				hosts := hostsOf(p.Net, p.Net.Catalog.Merger())
 				endNode = hosts[rng.Intn(len(hosts))]
 				inner = randomPaths(len(nodes))
 			}

@@ -292,7 +292,7 @@ func randomWalkSolution(rng *rand.Rand, p *Problem) *Solution {
 		return a.Concat(g, b)
 	}
 	host := func(vnf network.VNFID) graph.NodeID {
-		nodes := p.Net.NodesWith(vnf)
+		nodes := hostsOf(p.Net, vnf)
 		return nodes[rng.Intn(len(nodes))]
 	}
 	s := &Solution{}

@@ -17,6 +17,18 @@ func dijkstra(g *graph.Graph, src graph.NodeID, opts *graph.CostOptions) *graph.
 	return g.CompileView(opts).DijkstraWith(graph.NewScratch(), src)
 }
 
+// hostsOf lists the nodes hosting category f, ascending: the finite entries
+// of its rent row.
+func hostsOf(net *network.Network, f network.VNFID) []graph.NodeID {
+	var out []graph.NodeID
+	for v, rent := range net.Rents(f) {
+		if rent < graph.Inf {
+			out = append(out, graph.NodeID(v))
+		}
+	}
+	return out
+}
+
 // embedReference is Embed with a reference path switched on: set flips
 // perLayer, undirected or perLeafClosure on the embedder before it runs. The
 // one way those switches are ever set.

@@ -196,16 +196,14 @@ func (s *solver) solve(st state) *memoEntry {
 }
 
 // feasibleHosts lists nodes hosting f with residual capacity for at least
-// one use at the flow rate, sorted for determinism.
+// one use at the flow rate, ascending.
 func (s *solver) feasibleHosts(f network.VNFID) []graph.NodeID {
-	p := s.p
 	var out []graph.NodeID
-	for _, v := range p.Net.NodesWith(f) {
-		if s.ledger.InstanceResidual(v, f) >= p.Rate {
-			out = append(out, v)
+	for v, rent := range s.p.Net.Rents(f) {
+		if rent < graph.Inf && s.ledger.InstanceResidual(graph.NodeID(v), f) >= s.p.Rate {
+			out = append(out, graph.NodeID(v))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

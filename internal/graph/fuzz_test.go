@@ -203,3 +203,92 @@ func FuzzGrowTree(f *testing.F) {
 		checkGrowTree(t, "fuzz", &tree, NewScratch(), view, NodeID(int(srcRaw)%n), order)
 	})
 }
+
+// FuzzAdjacency builds a multigraph of up to 40 nodes from the input, three
+// bytes an operation (kind, a, b): mostly AddEdge — parallel links and self
+// loops included, isolated nodes left over — interleaved with FindEdge,
+// HasEdge and full checks. It holds the CSR, the graph's only adjacency,
+// to a naive per-node list kept beside it: Neighbors(v) is v's arcs in
+// ascending edge ID, an append to one node's window leaves the next node's
+// intact, and FindEdge (the cheapest link, the lowest ID among equals),
+// HasEdge and Connected agree with scans of the edge list.
+func FuzzAdjacency(f *testing.F) {
+	f.Add(uint8(3), []byte{2, 0, 1, 6, 0, 1, 10, 1, 0, 0, 0, 1, 1, 0, 0, 3, 2, 2, 1, 0, 0})
+	f.Add(uint8(39), []byte{2, 0, 38, 5, 7, 7, 9, 38, 0, 1, 3, 3, 0, 38, 0, 13, 20, 21, 1, 0, 0})
+	f.Add(uint8(0), []byte{1, 0, 0, 0, 0, 0})
+	f.Add(uint8(7), []byte{4, 0, 1, 8, 1, 2, 12, 2, 3, 16, 3, 0, 20, 0, 1, 0, 1, 0, 24, 4, 5, 1, 0, 0, 28, 5, 6, 1, 0, 0})
+
+	f.Fuzz(func(t *testing.T, nRaw uint8, ops []byte) {
+		n := 1 + int(nRaw)%40
+		g := New(n)
+		var edges []Edge
+		naive := make([][]Arc, n)
+		findEdge := func(a, b NodeID) (Edge, bool) {
+			best, ok := Edge{}, false
+			for _, e := range edges {
+				if (e.A == a && e.B == b || e.A == b && e.B == a) && (!ok || e.Price < best.Price) {
+					best, ok = e, true
+				}
+			}
+			return best, ok
+		}
+		connected := func() bool {
+			seen, stack := map[NodeID]bool{0: true}, []NodeID{0}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, arc := range naive[v] {
+					if !seen[arc.To] {
+						seen[arc.To] = true
+						stack = append(stack, arc.To)
+					}
+				}
+			}
+			return len(seen) == n
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			kind, a, b := ops[i], NodeID(int(ops[i+1])%n), NodeID(int(ops[i+2])%n)
+			switch kind % 4 {
+			case 0:
+				want, wantOK := findEdge(a, b)
+				if got, ok := g.FindEdge(a, b); got != want || ok != wantOK {
+					t.Fatalf("FindEdge(%d, %d) = %+v, %v; want %+v, %v", a, b, got, ok, want, wantOK)
+				}
+				if g.HasEdge(a, b) != wantOK {
+					t.Fatalf("HasEdge(%d, %d) = %v, want %v", a, b, !wantOK, wantOK)
+				}
+			case 1:
+				for v := 0; v < n; v++ {
+					if got := g.Neighbors(NodeID(v)); !slices.Equal(got, naive[v]) {
+						t.Fatalf("Neighbors(%d) = %v, want %v", v, got, naive[v])
+					}
+				}
+				for v := 0; v+1 < n; v++ {
+					next := slices.Clone(g.Neighbors(NodeID(v + 1)))
+					_ = append(g.Neighbors(NodeID(v)), Arc{Edge: None, To: None})
+					if got := g.Neighbors(NodeID(v + 1)); !slices.Equal(got, next) {
+						t.Fatalf("appending to Neighbors(%d) turned Neighbors(%d) into %v, was %v", v, v+1, got, next)
+					}
+				}
+				if got, want := g.Connected(), connected(); got != want {
+					t.Fatalf("Connected() = %v, want %v", got, want)
+				}
+			default:
+				price := float64(kind / 4 % 4) // few prices: ties among parallel links
+				id, err := g.AddEdge(a, b, price, 1)
+				if a == b {
+					if err != ErrSelfLoop {
+						t.Fatalf("AddEdge(%d, %d) = %v, want ErrSelfLoop", a, b, err)
+					}
+					continue
+				}
+				if err != nil || id != EdgeID(len(edges)) {
+					t.Fatalf("AddEdge(%d, %d) = %d, %v", a, b, id, err)
+				}
+				edges = append(edges, Edge{ID: id, A: a, B: b, Price: price, Capacity: 1})
+				naive[a] = append(naive[a], Arc{Edge: id, To: b})
+				naive[b] = append(naive[b], Arc{Edge: id, To: a})
+			}
+		}
+	})
+}

@@ -63,7 +63,7 @@ func (e Edge) Other(v NodeID) NodeID {
 	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %d (%d-%d)", v, e.ID, e.A, e.B))
 }
 
-// Arc is one directed half of an Edge as seen from a node's adjacency list.
+// Arc is one directed half of an Edge as seen from one of its endpoints.
 type Arc struct {
 	Edge EdgeID
 	To   NodeID
@@ -72,20 +72,18 @@ type Arc struct {
 // Graph is a bidirectional multigraph over nodes [0, N). The zero value is
 // an empty graph with no nodes; use New to create one with nodes.
 //
-// Graph must not be copied by value after first use (it caches a CSR view
-// behind an atomic pointer); use Clone for copies.
+// The edge list is the graph, and the CSR built from it its one adjacency,
+// cached behind an atomic pointer: do not copy a Graph after first use.
 type Graph struct {
 	n        int
 	edges    []Edge
-	adj      [][]Arc
 	csr      atomic.Pointer[csrAdj]
 	maxPrice float64 // the dearest link's price
 }
 
-// csrAdj is the compressed-sparse-row view of the adjacency structure: one
-// flat arc slice plus per-node offsets. Hot searches iterate
-// arcs[off[v]:off[v+1]] instead of chasing the per-node slice headers of
-// adj, which keeps neighbor scans on a single contiguous allocation.
+// csrAdj is the compressed-sparse-row adjacency: one flat arc slice plus
+// per-node offsets, node v's arcs at arcs[off[v]:off[v+1]] in ascending
+// edge ID — the order Dijkstra's tie-breaking, and every golden, rests on.
 type csrAdj struct {
 	arcs []Arc
 	off  []int32
@@ -96,7 +94,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Graph{n: n, adj: make([][]Arc, n)}
+	return &Graph{n: n}
 }
 
 // ErrSelfLoop is returned by AddEdge for an edge with identical endpoints.
@@ -124,9 +122,7 @@ func (g *Graph) AddEdge(a, b NodeID, price, capacity float64) (EdgeID, error) {
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, A: a, B: b, Price: price, Capacity: capacity})
 	g.maxPrice = max(g.maxPrice, price)
-	g.adj[a] = append(g.adj[a], Arc{Edge: id, To: b})
-	g.adj[b] = append(g.adj[b], Arc{Edge: id, To: a})
-	g.csr.Store(nil) // adjacency changed; any cached CSR view is stale
+	g.csr.Store(nil) // adjacency changed; any cached CSR is stale
 	return id, nil
 }
 
@@ -162,14 +158,18 @@ func (g *Graph) MaxPrice() float64 { return g.maxPrice }
 // Edges returns the underlying edge slice. The caller must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// Neighbors returns the adjacency list of v. The caller must not modify it.
-func (g *Graph) Neighbors(v NodeID) []Arc { return g.adj[v] }
+// Neighbors returns v's arcs in ascending edge ID: its CSR window, capped so
+// an append cannot reach the next node's arcs. The caller must not modify it.
+func (g *Graph) Neighbors(v NodeID) []Arc {
+	arcs, off := g.CSR()
+	return arcs[off[v]:off[v+1]:off[v+1]]
+}
 
-// CSR returns the compressed-sparse-row adjacency view: the arcs of node v
-// are arcs[off[v]:off[v+1]]. The view is built on first use and cached until
-// the next AddEdge; callers must not modify either slice. Concurrent readers
-// are safe as long as no edge is being added, matching the read-only
-// contract of every other accessor.
+// CSR returns the compressed-sparse-row adjacency: the arcs of node v are
+// arcs[off[v]:off[v+1]], in ascending edge ID. It is built on first use and
+// cached until the next AddEdge; callers must not modify either slice.
+// Concurrent readers are safe as long as no edge is being added, matching
+// the read-only contract of every other accessor.
 func (g *Graph) CSR() (arcs []Arc, off []int32) {
 	c := g.csr.Load()
 	if c == nil {
@@ -181,17 +181,23 @@ func (g *Graph) CSR() (arcs []Arc, off []int32) {
 	return c.arcs, c.off
 }
 
+// buildCSR lays the edges out in ID order: each window ascends by edge ID.
 func (g *Graph) buildCSR() *csrAdj {
 	off := make([]int32, g.n+1)
-	total := 0
-	for v, l := range g.adj {
-		off[v] = int32(total)
-		total += len(l)
+	for _, e := range g.edges {
+		off[e.A+1]++
+		off[e.B+1]++
 	}
-	off[g.n] = int32(total)
-	arcs := make([]Arc, total)
-	for v, l := range g.adj {
-		copy(arcs[off[v]:], l)
+	for v := 0; v < g.n; v++ {
+		off[v+1] += off[v]
+	}
+	arcs := make([]Arc, off[g.n])
+	next := append([]int32(nil), off[:g.n]...)
+	for _, e := range g.edges {
+		arcs[next[e.A]] = Arc{Edge: e.ID, To: e.B}
+		arcs[next[e.B]] = Arc{Edge: e.ID, To: e.A}
+		next[e.A]++
+		next[e.B]++
 	}
 	return &csrAdj{arcs: arcs, off: off}
 }
@@ -200,7 +206,7 @@ func (g *Graph) buildCSR() *csrAdj {
 // none exists.
 func (g *Graph) FindEdge(a, b NodeID) (Edge, bool) {
 	best, ok := Edge{}, false
-	for _, arc := range g.adj[a] {
+	for _, arc := range g.Neighbors(a) {
 		if arc.To == b {
 			e := g.edges[arc.Edge]
 			if !ok || e.Price < best.Price {
@@ -230,7 +236,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, arc := range g.adj[v] {
+		for _, arc := range g.Neighbors(v) {
 			if !seen[arc.To] {
 				seen[arc.To] = true
 				count++

@@ -125,23 +125,17 @@ func Encode(p *core.Problem, opts Options) (*Encoding, error) {
 	}
 	for _, pos := range enc.positions {
 		var cands []graph.NodeID
-		for _, v := range p.Net.NodesWith(pos.vnf) {
-			if ledger.InstanceResidual(v, pos.vnf) >= p.Rate {
-				cands = append(cands, v)
+		rents := p.Net.Rents(pos.vnf)
+		for v, rent := range rents {
+			if rent < graph.Inf && ledger.InstanceResidual(graph.NodeID(v), pos.vnf) >= p.Rate {
+				cands = append(cands, graph.NodeID(v))
 			}
 		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf("%w: no feasible instance of f(%d)", core.ErrNoEmbedding, pos.vnf)
 		}
-		pos := pos
-		sort.Slice(cands, func(i, j int) bool {
-			ia, _ := p.Net.Instance(cands[i], pos.vnf)
-			ib, _ := p.Net.Instance(cands[j], pos.vnf)
-			if ia.Price != ib.Price {
-				return ia.Price < ib.Price
-			}
-			return cands[i] < cands[j]
-		})
+		// Cheapest first, ties by node: the row lists hosts ascending.
+		sort.SliceStable(cands, func(i, j int) bool { return rents[cands[i]] < rents[cands[j]] })
 		if opts.MaxCandidatesPerPosition > 0 && len(cands) > opts.MaxCandidatesPerPosition {
 			cands = cands[:opts.MaxCandidatesPerPosition]
 		}

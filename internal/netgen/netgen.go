@@ -110,11 +110,16 @@ func Generate(cfg Config, rng *rand.Rand) (*network.Network, error) {
 	avgLinkPrice := cfg.PriceRatio * cfg.AvgVNFPrice
 	linkPrice := func() float64 { return fluctuate(avgLinkPrice, linkFluct, rng) }
 
+	// linked holds the pairs joined so far: a duplicate costs one lookup.
+	linked := map[[2]graph.NodeID]bool{}
+	pair := func(a, b graph.NodeID) [2]graph.NodeID { return [2]graph.NodeID{min(a, b), max(a, b)} }
+
 	// Step 1: random spanning tree guarantees connectedness.
 	perm := rng.Perm(cfg.Nodes)
 	for i := 1; i < cfg.Nodes; i++ {
 		a := graph.NodeID(perm[i])
 		b := graph.NodeID(perm[rng.Intn(i)])
+		linked[pair(a, b)] = true
 		g.MustAddEdge(a, b, linkPrice(), cfg.LinkCapacity)
 	}
 
@@ -128,9 +133,10 @@ func Generate(cfg Config, rng *rand.Rand) (*network.Network, error) {
 		attempts++
 		a := graph.NodeID(rng.Intn(cfg.Nodes))
 		b := graph.NodeID(rng.Intn(cfg.Nodes))
-		if a == b || g.HasEdge(a, b) {
+		if a == b || linked[pair(a, b)] {
 			continue
 		}
+		linked[pair(a, b)] = true
 		g.MustAddEdge(a, b, linkPrice(), cfg.LinkCapacity)
 	}
 

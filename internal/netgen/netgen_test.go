@@ -1,6 +1,8 @@
 package netgen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,6 +16,18 @@ func smallCfg() Config {
 	cfg.Nodes = 60
 	cfg.VNFKinds = 5
 	return cfg
+}
+
+// hosts counts the nodes hosting category f: the finite entries of its rent
+// row.
+func hosts(net *network.Network, f network.VNFID) int {
+	n := 0
+	for _, rent := range net.Rents(f) {
+		if rent < graph.Inf {
+			n++
+		}
+	}
+	return n
 }
 
 func TestDefaultMatchesTable2(t *testing.T) {
@@ -92,7 +106,7 @@ func TestGenerateDeployRatioStatistics(t *testing.T) {
 	cfg.DeployRatio = 0.5
 	net := MustGenerate(cfg, rand.New(rand.NewSource(4)))
 	for i := 1; i <= cfg.VNFKinds; i++ {
-		nodes := len(net.NodesWith(network.VNFID(i)))
+		nodes := hosts(net, network.VNFID(i))
 		frac := float64(nodes) / float64(cfg.Nodes)
 		if frac < 0.38 || frac > 0.62 {
 			t.Fatalf("category %d deployed on %.0f%% of nodes, want ~50%%", i, 100*frac)
@@ -106,11 +120,11 @@ func TestGenerateEveryCategoryDeployed(t *testing.T) {
 	cfg.DeployRatio = 0.01 // nearly never; the at-least-one guarantee must kick in
 	net := MustGenerate(cfg, rand.New(rand.NewSource(5)))
 	for i := 1; i <= cfg.VNFKinds; i++ {
-		if len(net.NodesWith(network.VNFID(i))) == 0 {
+		if hosts(net, network.VNFID(i)) == 0 {
 			t.Fatalf("category %d never deployed", i)
 		}
 	}
-	if len(net.NodesWith(net.Catalog.Merger())) == 0 {
+	if hosts(net, net.Catalog.Merger()) == 0 {
 		t.Fatal("merger never deployed")
 	}
 }
@@ -193,11 +207,11 @@ func TestPopulateOnCustomTopology(t *testing.T) {
 		t.Fatal("Populate replaced the topology")
 	}
 	for i := 1; i <= cfg.VNFKinds; i++ {
-		if len(net.NodesWith(network.VNFID(i))) == 0 {
+		if hosts(net, network.VNFID(i)) == 0 {
 			t.Fatalf("category %d not deployed", i)
 		}
 	}
-	if len(net.NodesWith(net.Catalog.Merger())) == 0 {
+	if hosts(net, net.Catalog.Merger()) == 0 {
 		t.Fatal("merger not deployed")
 	}
 }
@@ -248,5 +262,53 @@ func TestGenerateNoSelfLoopsOrDuplicateLinks(t *testing.T) {
 			t.Fatalf("duplicate link %v", key)
 		}
 		seen[key] = true
+	}
+}
+
+// fingerprint hashes a substrate with FNV-64a: every link (endpoints, then
+// the bits of its price and capacity) in ID order, then every instance as
+// Instances lists it.
+func fingerprint(net *network.Network) uint64 {
+	h := fnv.New64a()
+	word := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, x)) }
+	for _, e := range net.G.Edges() {
+		word(uint64(e.A))
+		word(uint64(e.B))
+		word(math.Float64bits(e.Price))
+		word(math.Float64bits(e.Capacity))
+	}
+	net.Instances(func(inst network.Instance) {
+		word(uint64(inst.Node))
+		word(uint64(inst.VNF))
+		word(math.Float64bits(inst.Price))
+		word(math.Float64bits(inst.Capacity))
+	})
+	return h.Sum64()
+}
+
+// TestSubstrateFingerprint pins the substrates Generate draws, bit for bit:
+// how the generator skips a pair it already linked must not change which
+// links, prices and instances the rng yields. The tiny dense config
+// collides on most draws and runs out of fresh pairs.
+func TestSubstrateFingerprint(t *testing.T) {
+	tiny := smallCfg()
+	tiny.Nodes, tiny.Connectivity = 8, 8 // 32 links wanted, 28 pairs exist
+	cases := []struct {
+		name string
+		cfg  Config
+		seed int64
+		want uint64
+	}{
+		{"table2-seed1", Default(), 1, 0x19c8f2f1aa195643},
+		{"table2-seed2", Default(), 2, 0x75ec0a5ad61ec030},
+		{"table2-seed3", Default(), 3, 0x3c1d1078d13caaba},
+		{"small", smallCfg(), 1, 0x790d4c090d1d694d},
+		{"tiny-dense", tiny, 1, 0xb1aa3f8cbd3751e4},
+	}
+	for _, c := range cases {
+		net := MustGenerate(c.cfg, rand.New(rand.NewSource(c.seed)))
+		if got := fingerprint(net); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }

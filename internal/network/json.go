@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"dagsfc/internal/graph"
 )
@@ -38,18 +37,12 @@ func (n *Network) WriteJSON(w io.Writer) error {
 	for _, e := range n.G.Edges() {
 		ff.Links = append(ff.Links, linkFormat{A: int(e.A), B: int(e.B), Price: e.Price, Capacity: e.Capacity})
 	}
-	n.Instances(func(inst Instance) {
-		ff.Instances = append(ff.Instances, instFormat{
-			Node: int(inst.Node), VNF: int(inst.VNF), Price: inst.Price, Capacity: inst.Capacity,
-		})
-	})
-	sort.Slice(ff.Instances, func(i, j int) bool {
-		a, b := ff.Instances[i], ff.Instances[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
+	for v := range n.nodes {
+		for _, f := range n.VNFsAt(graph.NodeID(v)) {
+			inst, _ := n.Instance(graph.NodeID(v), f)
+			ff.Instances = append(ff.Instances, instFormat{Node: v, VNF: int(f), Price: inst.Price, Capacity: inst.Capacity})
 		}
-		return a.VNF < b.VNF
-	})
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ff)

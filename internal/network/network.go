@@ -2,15 +2,15 @@
 // capacitated graph of geo-dispersed cloud nodes on which third-party
 // providers deploy VNF instances. It adds the VNF catalog (regular
 // categories f(1)..f(n), the dummy f(0) and the merger f(n+1)), per-node
-// instance tables with rental prices and processing capacities, the V_i
-// node indices, and a residual-capacity ledger that provides the
-// "real-time network graph" view used by Algorithm 1.
+// instance rows with rental prices and processing capacities — the one
+// record of which node hosts what — and a residual-capacity ledger that
+// provides the "real-time network graph" view used by Algorithm 1.
 package network
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dagsfc/internal/graph"
 )
@@ -55,7 +55,8 @@ type Instance struct {
 // The deployment is stored the way the search reads it: one row per
 // category f(0)..f(N+1) over the nodes, category-major in two flat arrays,
 // so a price or a capacity is one indexed read (and the ledger's residual
-// rows, InstanceResiduals, share the layout). The node count and the
+// rows, InstanceResiduals, share the layout). The rows are the only index:
+// V_i is category i's row, F_v is node v's column. The node count and the
 // catalog are fixed when New sizes the rows.
 type Network struct {
 	G       *graph.Graph
@@ -66,12 +67,10 @@ type Network struct {
 	// row is free and infinite.
 	price, capacity []float64
 	nodes           int
-	rents           [][]float64              // price, one window per category
-	minRent         []float64                // each window's minimum
-	maxRent         float64                  // the dearest instance's price
-	count           int                      // deployed instances
-	byVNF           map[VNFID][]graph.NodeID // V_i, in insertion order
-	byNode          map[graph.NodeID][]VNFID // F_v, in insertion order
+	rents           [][]float64 // price, one window per category
+	minRent         []float64   // each window's minimum
+	maxRent         float64     // the dearest instance's price
+	count           int         // deployed instances
 }
 
 // New returns a network over g with the given catalog and no instances.
@@ -85,8 +84,6 @@ func New(g *graph.Graph, catalog Catalog) *Network {
 		nodes:    nodes,
 		rents:    make([][]float64, rows),
 		minRent:  make([]float64, rows),
-		byVNF:    make(map[VNFID][]graph.NodeID),
-		byNode:   make(map[graph.NodeID][]VNFID),
 	}
 	for i := range n.price {
 		if i < nodes {
@@ -154,8 +151,6 @@ func (n *Network) AddInstance(node graph.NodeID, vnf VNFID, price, capacity floa
 	n.minRent[vnf] = min(n.minRent[vnf], price)
 	n.maxRent = max(n.maxRent, price)
 	n.count++
-	n.byVNF[vnf] = append(n.byVNF[vnf], node)
-	n.byNode[node] = append(n.byNode[node], vnf)
 	return nil
 }
 
@@ -182,16 +177,12 @@ func (n *Network) HasVNF(node graph.NodeID, vnf VNFID) bool {
 	return ok
 }
 
-// NodesWith returns V_i: every node hosting category vnf, in deployment
-// order. The caller must not modify the returned slice.
-func (n *Network) NodesWith(vnf VNFID) []graph.NodeID { return n.byVNF[vnf] }
-
 // Rents returns category vnf's rental prices as one dense row over the
 // nodes: c_{v,vnf} where node v hosts the category, +Inf elsewhere (zero
-// everywhere for the dummy). It is the network's own row, kept by
-// AddInstance — residual capacity is not part of it; ask the ledger. The
-// caller must not modify the returned slice. A category outside the catalog
-// has no row (nil).
+// everywhere for the dummy); its finite entries are V_i, ascending by node.
+// It is the network's own row, kept by AddInstance — residual capacity is
+// not part of it; ask the ledger. The caller must not modify the returned
+// slice. A category outside the catalog has no row (nil).
 func (n *Network) Rents(vnf VNFID) []float64 {
 	if vnf < 0 || int(vnf) >= len(n.rents) {
 		return nil
@@ -212,10 +203,16 @@ func (n *Network) MinRent(vnf VNFID) float64 {
 // none).
 func (n *Network) MaxRent() float64 { return n.maxRent }
 
-// VNFsAt returns F_v: the categories hosted on node, sorted ascending.
+// VNFsAt returns F_v: the categories deployed on node, ascending — the
+// merger among them, the implicit dummy never. A node outside the network
+// hosts none (nil).
 func (n *Network) VNFsAt(node graph.NodeID) []VNFID {
-	out := append([]VNFID(nil), n.byNode[node]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []VNFID
+	for f := VNFID(1); int(f) < len(n.rents); f++ {
+		if _, ok := n.deployed(node, f); ok {
+			out = append(slices.Grow(out, len(n.rents)-int(f)), f) // one allocation per node
+		}
+	}
 	return out
 }
 

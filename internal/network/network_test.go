@@ -93,21 +93,45 @@ func TestDummyInstanceEverywhere(t *testing.T) {
 	}
 }
 
+// TestNodesWithAndVNFsAt: the dense rows are the only index of the
+// deployment. V_i reads off category i's row ascending by node, whatever
+// order the instances were deployed in, without allocating; F_v lists the
+// merger, never the implicit dummy, and is nil for a node outside the
+// network.
 func TestNodesWithAndVNFsAt(t *testing.T) {
-	net := testNet(t)
-	v2 := net.NodesWith(2)
-	if len(v2) != 2 || v2[0] != 1 || v2[1] != 2 {
-		t.Fatalf("V_2 = %v", v2)
+	net := New(graph.New(5), Catalog{N: 3})
+	for _, v := range []graph.NodeID{4, 0, 3, 1} {
+		net.MustAddInstance(v, 2, 10+float64(v), 5)
 	}
-	if len(net.NodesWith(1)) != 1 {
-		t.Fatalf("V_1 = %v", net.NodesWith(1))
+	net.MustAddInstance(3, net.Catalog.Merger(), 1, 5)
+	net.MustAddInstance(3, 1, 1, 5)
+
+	hosts := make([]graph.NodeID, 0, 5)
+	read := func() {
+		hosts = hosts[:0]
+		for v, rent := range net.Rents(2) {
+			if rent < graph.Inf {
+				hosts = append(hosts, graph.NodeID(v))
+			}
+		}
 	}
-	fv := net.VNFsAt(2)
-	if len(fv) != 2 || fv[0] != 2 || fv[1] != 3 {
-		t.Fatalf("F_2 = %v", fv)
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("reading V_2 allocates %v times", allocs)
 	}
-	if len(net.VNFsAt(3)) != 1 {
-		t.Fatalf("F_3 = %v", net.VNFsAt(3))
+	if want := []graph.NodeID{0, 1, 3, 4}; !slices.Equal(hosts, want) {
+		t.Fatalf("V_2 = %v, want %v", hosts, want)
+	}
+
+	if fv, want := net.VNFsAt(3), []VNFID{1, 2, net.Catalog.Merger()}; !slices.Equal(fv, want) {
+		t.Fatalf("F_3 = %v, want %v", fv, want)
+	}
+	if fv := net.VNFsAt(0); !slices.Equal(fv, []VNFID{2}) {
+		t.Fatalf("F_0 = %v, want [2]", fv)
+	}
+	for _, v := range []graph.NodeID{2, -1, 5} {
+		if fv := net.VNFsAt(v); fv != nil {
+			t.Fatalf("F_%d = %v, want nil", v, fv)
+		}
 	}
 }
 

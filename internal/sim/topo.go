@@ -192,15 +192,18 @@ func waxman(n int, alpha, beta float64, rng *rand.Rand, price func() float64, ca
 		pts[i] = pt{rng.Float64(), rng.Float64()}
 	}
 	g := graph.New(n)
-	// Connectivity backbone.
+	// Connectivity backbone: the only links the pair scan below can meet.
+	backbone := map[[2]graph.NodeID]bool{}
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), price(), capacity)
+		a, b := graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)])
+		backbone[[2]graph.NodeID{min(a, b), max(a, b)}] = true
+		g.MustAddEdge(a, b, price(), capacity)
 	}
 	maxDist := math.Sqrt2
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			if g.HasEdge(graph.NodeID(a), graph.NodeID(b)) {
+			if backbone[[2]graph.NodeID{graph.NodeID(a), graph.NodeID(b)}] {
 				continue
 			}
 			d := math.Hypot(pts[a].x-pts[b].x, pts[a].y-pts[b].y)

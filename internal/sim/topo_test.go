@@ -1,10 +1,15 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/netgen"
+	"dagsfc/internal/network"
 )
 
 func unitPrice() float64 { return 1 }
@@ -172,6 +177,44 @@ func TestBarabasiAlbertDeterministic(t *testing.T) {
 		f := b.Edge(graph.EdgeID(i))
 		if e.A != f.A || e.B != f.B {
 			t.Fatal("BA edge streams diverge")
+		}
+	}
+}
+
+// TestTopologyFingerprint pins every catalog topology's substrate, bit for
+// bit, at the Table 2 distribution: FNV-64a over each link (endpoints, then
+// the bits of its price and capacity) in ID order, then every instance.
+func TestTopologyFingerprint(t *testing.T) {
+	want := map[string]uint64{
+		"random":     0x19c8f2f1aa195643,
+		"ring":       0xe5d14c9efa07ae28,
+		"grid":       0xc95686464e9195d3,
+		"torus":      0xa085af22e2cdc0be,
+		"fat-tree":   0x58bf65ff0bf82b2d,
+		"scale-free": 0xfebc93d855db9fef,
+		"waxman":     0xe7b6abcba463d475,
+	}
+	for _, tb := range topologyCatalog() {
+		net, err := tb.build(netgen.Default(), rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		word := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, x)) }
+		for _, e := range net.G.Edges() {
+			word(uint64(e.A))
+			word(uint64(e.B))
+			word(math.Float64bits(e.Price))
+			word(math.Float64bits(e.Capacity))
+		}
+		net.Instances(func(inst network.Instance) {
+			word(uint64(inst.Node))
+			word(uint64(inst.VNF))
+			word(math.Float64bits(inst.Price))
+			word(math.Float64bits(inst.Capacity))
+		})
+		if got := h.Sum64(); got != want[tb.name] {
+			t.Errorf("%s: fingerprint %#x, want %#x", tb.name, got, want[tb.name])
 		}
 	}
 }

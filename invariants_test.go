@@ -303,6 +303,7 @@ var symbolKeep = map[string]string{
 	"core.SearchTree.Iterations":    "the search's iteration count, which the Fig. 3 worked example and the search-tree and horizon tests check",
 	"faults.Generate":               "draws the seeded fault schedules the server's chaos test plays; TestGenerateDeterministicAndValid pins it",
 	"graph.Graph.Connected":         "the connectivity oracle the graph, netgen and sim tests check every generated substrate with",
+	"graph.Graph.HasEdge":           "the duplicate-link check of the graph, core and ipmodel tests' random topologies; FuzzAdjacency holds it to a scan",
 	"graph.Path.Simple":             "the loopless-path oracle the Dijkstra, Yen and search tests check paths with",
 	"netgen.MustGenerate":           "the one-line substrate draw of the tests of baseline, flowstate, ipmodel, netgen and server",
 	"server.Server.Journal":         "the in-process read of the flight recorder: tests read flow timelines through it without a socket",
