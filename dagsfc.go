@@ -69,10 +69,10 @@ type (
 	Problem = core.Problem
 	// Solution is a complete embedding: assignments plus real-paths.
 	Solution = core.Solution
-	// Result bundles a solution with its cost breakdown and search stats.
+	// Result bundles a solution with its cost and search stats.
 	Result = core.Result
-	// CostBreakdown is the evaluated objective with reuse counts.
-	CostBreakdown = core.CostBreakdown
+	// Cost is the evaluated objective of eq. (1): VNF rental plus link cost.
+	Cost = core.Cost
 	// ExactLimits guards the exact solver against oversized instances.
 	ExactLimits = exact.Limits
 	// NetConfig parameterizes the random network generator (§5.1).
@@ -116,9 +116,9 @@ func EmbedExact(p *Problem, lim ExactLimits) (*Result, error) { return exact.Emb
 // model; nil means feasible.
 func Validate(p *Problem, s *Solution) error { return core.Validate(p, s) }
 
-// Commit validates a solution and reserves its capacity demands on the
-// problem's ledger, for online multi-flow scenarios.
-func Commit(p *Problem, s *Solution) (CostBreakdown, error) { return core.Commit(p, s) }
+// Commit validates a solution, reserves its capacity demands on the
+// problem's ledger, for online multi-flow scenarios, and returns its cost.
+func Commit(p *Problem, s *Solution) (Cost, error) { return core.Commit(p, s) }
 
 // Release returns a committed solution's capacity to the problem's ledger
 // (a flow departing); the exact inverse of Commit.

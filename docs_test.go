@@ -103,7 +103,7 @@ func TestDocsDrift(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17309,
+	"non-test Go":                    17304,
 	"DESIGN.md":                      2191,
 	"README.md":                      622,
 	"Makefile":                       67,

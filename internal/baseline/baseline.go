@@ -173,5 +173,5 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 		// bandwidth). The benchmark does not backtrack.
 		return nil, fmt.Errorf("%w: %v", core.ErrNoEmbedding, err)
 	}
-	return &core.Result{Solution: sol, Cost: cb}, nil
+	return &core.Result{Solution: sol, Cost: cb.Cost}, nil
 }

@@ -51,16 +51,21 @@ func (u Usage) clone() Usage {
 	}
 }
 
-// CostBreakdown is the evaluated objective of eq. (1) together with the
-// reuse counts that produced it.
-type CostBreakdown struct {
+// Cost is the evaluated objective of eq. (1).
+type Cost struct {
 	VNFCost  float64
 	LinkCost float64
-	Usage    Usage
 }
 
 // Total is the objective value: VNF rental cost plus link cost.
-func (c CostBreakdown) Total() float64 { return c.VNFCost + c.LinkCost }
+func (c Cost) Total() float64 { return c.VNFCost + c.LinkCost }
+
+// CostBreakdown is the evaluated objective together with the reuse counts
+// that produced it.
+type CostBreakdown struct {
+	Cost
+	Usage Usage
+}
 
 // costScratch holds the buffers one pricing pass tallies into.
 type costScratch struct {

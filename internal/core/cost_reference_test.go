@@ -461,7 +461,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 				"Validate":      Validate(&q, s),
 				"CheckCapacity": CheckCapacity(&q, cb.Usage),
 				"Commit":        func() error { _, err := Commit(&q, s); return err }(),
-				"Reserve":       Reserve(&q, cb.Usage),
+				"reserve":       reserve(&q, cb.Usage),
 			} {
 				if err == nil || err.Error() != ref[0] {
 					t.Fatalf("seed %d %s: %s said %v, reference %q", seed, what, name, err, ref[0])
@@ -472,7 +472,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReserveRollsBack drives the bug-guard branch of Reserve: the usage
+// TestReserveRollsBack drives the bug-guard branch of reserve: the usage
 // passes CheckCapacity entry by entry, but two entries name the same link,
 // so the second reservation fails — and everything reserved before it,
 // instances included, must be returned.
@@ -485,21 +485,21 @@ func TestReserveRollsBack(t *testing.T) {
 		Instances: []InstanceCount{{InstanceUseKey{1, 1}, 1}},
 		Edges:     []EdgeCount{{Edge: 0, Count: int(capacity)}, {Edge: 0, Count: int(capacity)}},
 	}
-	if err := Reserve(p, u); err == nil {
-		t.Fatal("Reserve accepted a usage that books one link twice over capacity")
+	if err := reserve(p, u); err == nil {
+		t.Fatal("reserve accepted a usage that books one link twice over capacity")
 	}
-	sameResiduals(t, "after failed Reserve", p.Net, p.Ledger, before)
+	sameResiduals(t, "after failed reserve", p.Net, p.Ledger, before)
 }
 
 // TestCommitReleaseAllocCeiling is the allocation budget of the ledger
 // path: validating, committing and releasing a placement tallies its usage
-// in pooled scratch, so the only objects left are the two usage lists the
-// CostBreakdown Commit returns — exactly those.
+// in pooled scratch, and Commit returns only the objective, so nothing is
+// left on the heap.
 func TestCommitReleaseAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const want = 2
+	const want = 0
 	p, sol := commitReleaseFixture(t)
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := Validate(p, sol); err != nil {

@@ -162,11 +162,11 @@ type Stats struct {
 	ClosureTreeNodes int
 }
 
-// Result is a successful embedding: the solution, its priced breakdown and
-// the search statistics.
+// Result is a successful embedding: the solution, its objective and the
+// search statistics.
 type Result struct {
 	Solution *Solution
-	Cost     CostBreakdown
+	Cost     Cost
 	Stats    Stats
 }
 
@@ -605,14 +605,11 @@ func (e *embedder) layerSpecs() []LayerSpec {
 // a Solution never aliases the arenas the candidates live in.
 func (e *embedder) complete(leaf *subSolution, tail graph.Path) *Result {
 	sol := assemble(leaf, e.p.SFC.Omega(), tail)
-	cb, err := Evaluate(e.p, sol)
-	if err == nil {
-		err = checkCapacity(e.ledger, e.p.Rate, cb.Usage)
-	}
+	cost, err := validate(e.p, e.ledger, sol)
 	if err != nil {
 		return nil
 	}
-	return &Result{Solution: sol, Cost: cb, Stats: e.stats}
+	return &Result{Solution: sol, Cost: cost, Stats: e.stats}
 }
 
 // searchLayer embeds one layer the paper's way — forward/backward search

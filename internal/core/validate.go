@@ -19,13 +19,23 @@ import (
 //
 // It returns nil exactly when the solution is feasible.
 func Validate(p *Problem, s *Solution) error {
+	_, err := validate(p, nil, s)
+	return err
+}
+
+// validate is Validate against ledger (the problem's own when nil),
+// returning the objective: the reuse counts stay in pooled scratch.
+func validate(p *Problem, ledger *network.Ledger, s *Solution) (Cost, error) {
 	sc := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(sc)
 	cb, err := sc.evaluate(p, s)
 	if err != nil {
-		return err
+		return Cost{}, err
 	}
-	return CheckCapacity(p, cb.Usage)
+	if ledger == nil {
+		ledger = p.LedgerOrFresh()
+	}
+	return cb.Cost, checkCapacity(ledger, p.Rate, cb.Usage)
 }
 
 // Evaluate is the ledger-independent part of validation plus the pricing:
@@ -134,8 +144,7 @@ func validateStructure(p *Problem, s *Solution) error {
 // CheckCapacity checks the capacity constraints (eqs. 2–3) of a placement
 // with usage u against the problem's ledger: every instance and every link
 // must have residual for its reuse count times the flow rate. u must come
-// from Evaluate, ComputeCost or an embedding Result for this problem's
-// network and SFC.
+// from Evaluate or ComputeCost for this problem's network and SFC.
 func CheckCapacity(p *Problem, u Usage) error {
 	return checkCapacity(p.LedgerOrFresh(), p.Rate, u)
 }
@@ -158,29 +167,29 @@ func checkCapacity(ledger *network.Ledger, rate float64, u Usage) error {
 }
 
 // Commit reserves a validated solution's capacity demands on the problem's
-// ledger, so subsequent embeddings see the depleted real-time network. It
-// validates first and reserves atomically: on any failure nothing is
-// committed.
-func Commit(p *Problem, s *Solution) (CostBreakdown, error) {
+// ledger, so subsequent embeddings see the depleted real-time network, and
+// returns the solution's objective. It validates first and reserves
+// atomically: on any failure nothing is committed. The reuse counts it
+// reserves are tallied in pooled scratch and kept by nobody; Release
+// recomputes them.
+func Commit(p *Problem, s *Solution) (Cost, error) {
 	sc := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(sc)
 	cb, err := sc.evaluate(p, s)
+	if err == nil {
+		err = reserve(p, cb.Usage)
+	}
 	if err != nil {
-		return CostBreakdown{}, err
+		return Cost{}, err
 	}
-	if err := Reserve(p, cb.Usage); err != nil {
-		return CostBreakdown{}, err
-	}
-	cb.Usage = cb.Usage.clone()
-	return cb, nil
+	return cb.Cost, nil
 }
 
-// Reserve is the ledger half of Commit for a placement whose usage is
-// already known: it checks the capacity constraints against the problem's
-// ledger (installing an empty one if the problem has none) and reserves
-// rate × reuse count on every instance and link, atomically — on any
-// failure nothing stays reserved.
-func Reserve(p *Problem, u Usage) error {
+// reserve is the ledger half of Commit: it checks the capacity constraints
+// against the problem's ledger (installing an empty one if the problem has
+// none) and reserves rate × reuse count on every instance and link,
+// atomically — on any failure nothing stays reserved.
+func reserve(p *Problem, u Usage) error {
 	if err := CheckCapacity(p, u); err != nil {
 		return err
 	}

@@ -127,7 +127,7 @@ func (s *solver) run() (*core.Result, error) {
 		// Capacities bind; the DP's independence assumption fails.
 		return nil, fmt.Errorf("%w: optimal assignment violates capacity: %v", core.ErrNoEmbedding, err)
 	}
-	return &core.Result{Solution: sol, Cost: cb}, nil
+	return &core.Result{Solution: sol, Cost: cb.Cost}, nil
 }
 
 // solve returns the memoized cheapest completion from st.

@@ -80,8 +80,7 @@ func (e *Encoder) Encode(t Transition, ch Change) (rec wal.Record, ok bool, err 
 }
 
 // Decode rebuilds the transition a record was framed from, minus what the
-// log never held: the placements' usage (Apply evaluates it again) and the
-// stale-guards (only applied transitions were logged).
+// log never held: the stale-guards (only applied transitions were logged).
 func Decode(net *network.Network, r wal.Record) (Transition, error) {
 	t := Transition{Kind: Kind(r.Type), Flow: r.Flow}
 	var err error

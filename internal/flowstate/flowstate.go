@@ -37,8 +37,8 @@ type Cost struct {
 }
 
 // CostOf converts an evaluated objective into its wire form.
-func CostOf(cb core.CostBreakdown) Cost {
-	return Cost{Total: cb.Total(), VNF: cb.VNFCost, Link: cb.LinkCost}
+func CostOf(c core.Cost) Cost {
+	return Cost{Total: c.Total(), VNF: c.VNFCost, Link: c.LinkCost}
 }
 
 // Flow lifecycle states. A flow is "active" from commit until release; a
@@ -223,9 +223,6 @@ type Transition struct {
 	// flow's own have moved since, the transition is stale. A decoded
 	// record carries no such guard — the log holds only what applied.
 	Primary, Backup *core.Solution
-	// Usage and BackupUsage are the placements' resource usage as the
-	// embed worker priced them. A decoded record has none; Apply evaluates.
-	Usage, BackupUsage core.Usage
 	// Repair marks a Commit issued to restore a stranded flow: if the flow
 	// is no longer waiting for one (released mid-repair), it is stale.
 	Repair bool
@@ -287,24 +284,11 @@ func New(net *network.Network) *State {
 	return &State{ledger: network.NewLedger(net), flows: make(map[int64]*flow)}
 }
 
+// bound is p on the live ledger.
 func (st *State) bound(p *core.Problem) *core.Problem {
 	st.scratch = *p
 	st.scratch.Ledger = st.ledger
 	return &st.scratch
-}
-
-// reserve takes sol's reservations on the live ledger, all or none. u is
-// sol's resource usage as the embed worker priced it; a replayed record
-// carries none, and the placement is evaluated here instead.
-func (st *State) reserve(p *core.Problem, sol *core.Solution, u core.Usage) error {
-	if u.Instances == nil && u.Edges == nil {
-		cb, err := core.Evaluate(p, sol)
-		if err != nil {
-			return err
-		}
-		u = cb.Usage
-	}
-	return core.Reserve(st.bound(p), u)
 }
 
 // check is the precondition half of Apply: is the flow still in the state
@@ -353,8 +337,8 @@ func (st *State) check(t Transition, rec *flow) error {
 // moment and, if they do, moves the ledger and the flow table together. On
 // any error — ErrStale, a capacity conflict, a malformed fault — nothing
 // has changed, bit for bit. Recovery replays the log through this same
-// function; the only thing a replayed transition lacks is its pre-priced
-// usage.
+// function, and every reservation is core.Commit on the live ledger, so the
+// ledger holds what each placement prices to, live or replayed.
 func (st *State) Apply(t Transition) (Change, error) {
 	rec := st.flows[t.Flow]
 	if err := st.check(t, rec); err != nil {
@@ -367,7 +351,7 @@ func (st *State) Apply(t Transition) (Change, error) {
 	case Commit:
 		var err error
 		if t.Backup == nil {
-			err = st.reserve(t.Problem, t.Primary, t.Usage)
+			_, err = core.Commit(st.bound(t.Problem), t.Primary)
 		} else if err = st.reservePair(t); err == nil {
 			st.backups++
 		}
@@ -418,7 +402,7 @@ func (st *State) Apply(t Transition) (Change, error) {
 		}
 		rec.info.State, rec.fault = StateRepairing, t.Fault
 	case Backup:
-		if err := st.reserve(rec.problem, t.Backup, t.BackupUsage); err != nil {
+		if _, err := core.Commit(st.bound(rec.problem), t.Backup); err != nil {
 			return Change{}, err
 		}
 		rec.backup = t.Backup
@@ -448,10 +432,10 @@ func (st *State) Apply(t Transition) (Change, error) {
 // neither (onProbe).
 func (st *State) reservePair(t Transition) error {
 	return st.onProbe(func() error {
-		if err := st.reserve(t.Problem, t.Primary, t.Usage); err != nil {
+		if _, err := core.Commit(st.bound(t.Problem), t.Primary); err != nil {
 			return err
 		}
-		if err := st.reserve(t.Problem, t.Backup, t.BackupUsage); err != nil {
+		if _, err := core.Commit(st.bound(t.Problem), t.Backup); err != nil {
 			return fmt.Errorf("backup: %w", err)
 		}
 		return nil

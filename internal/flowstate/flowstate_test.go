@@ -262,19 +262,19 @@ func (s *sim) commit(repair *FlowInfo, protected bool) {
 	}
 	t := Transition{
 		Kind: Commit, Flow: info.ID, Repair: repair != nil, Info: info, Problem: p,
-		Primary: res.Solution, Usage: res.Cost.Usage,
+		Primary: res.Solution,
 	}
 	t.Info.Cost = CostOf(res.Cost)
 	if protected && repair == nil {
 		name = "protected commit"
-		if err := core.Reserve(&search, res.Cost.Usage); err != nil {
+		if _, err := core.Commit(&search, res.Solution); err != nil {
 			s.t.Fatal(err)
 		}
 		bres, err := s.embed(&search, res.Solution)
 		if err != nil {
 			return
 		}
-		t.Backup, t.BackupUsage = bres.Solution, bres.Cost.Usage
+		t.Backup = bres.Solution
 		t.Info.Protection, t.Info.BackupActive, t.Info.BackupCost = ProtectionBackup, true, CostOf(bres.Cost)
 	}
 	if _, err := s.apply(name, t, true); err != nil {
@@ -370,7 +370,7 @@ func (s *sim) step() {
 		if err != nil {
 			break
 		}
-		t := Transition{Kind: Backup, Flow: info.ID, Primary: pl.Primary, Backup: res.Solution, BackupUsage: res.Cost.Usage, Info: FlowInfo{BackupCost: CostOf(res.Cost)}}
+		t := Transition{Kind: Backup, Flow: info.ID, Primary: pl.Primary, Backup: res.Solution, Info: FlowInfo{BackupCost: CostOf(res.Cost)}}
 		moved := t
 		moved.Primary = &core.Solution{}
 		if _, err := s.apply("re-protect against a moved primary", moved, true); err == nil || errors.Is(err, ErrStale) {
@@ -461,25 +461,27 @@ func TestApplyReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestApplyRefusedPairLeavesLedgerExact pins the all-or-nothing protected
-// commit: a pair whose backup does not fit beside its primary is refused,
-// and the live ledger reads bit for bit as it did before, its epoch
-// included — no reservation made and released again.
+// TestApplyRefusedPairLeavesLedgerExact pins the all-or-nothing commit: a
+// pair whose backup does not fit beside its primary, a pair whose primary
+// no longer fits, and a placement whose inter-layer path misses its node,
+// alone or as a pair's primary, are each refused, and the live ledger reads
+// bit for bit as it did before, its epoch included — no reservation made
+// and released again — with no flow registered.
 func TestApplyRefusedPairLeavesLedgerExact(t *testing.T) {
 	// 0 -e0- 1 -e1- 3, f(1) on node 1; e0 has room for the earlier flow
 	// (0.2) and one more 0.1, not two (every amount rounded to the grid).
 	g := graph.New(4)
 	e0 := g.MustAddEdge(0, 1, 1, graph.ToGrid(0.35))
 	e1 := g.MustAddEdge(1, 3, 1, 10)
-	g.MustAddEdge(0, 2, 1, 10)
+	e2 := g.MustAddEdge(0, 2, 1, 10)
 	g.MustAddEdge(2, 3, 1, 10)
 	net := network.New(g, network.Catalog{N: 1})
 	if err := net.AddInstance(1, 1, 1, 10); err != nil {
 		t.Fatal(err)
 	}
-	place := func() *core.Solution {
+	place := func(inter graph.EdgeID) *core.Solution {
 		return &core.Solution{
-			Layers:   []core.LayerEmbedding{{Nodes: []graph.NodeID{1}, MergerNode: 1, InterPaths: []graph.Path{{From: 0, Edges: []graph.EdgeID{e0}}}}},
+			Layers:   []core.LayerEmbedding{{Nodes: []graph.NodeID{1}, MergerNode: 1, InterPaths: []graph.Path{{From: 0, Edges: []graph.EdgeID{inter}}}}},
 			TailPath: graph.Path{From: 1, Edges: []graph.EdgeID{e1}},
 		}
 	}
@@ -491,23 +493,33 @@ func TestApplyRefusedPairLeavesLedgerExact(t *testing.T) {
 		return p
 	}
 	st := New(net)
-	if _, err := st.Apply(Transition{Kind: Commit, Flow: 1, Problem: problem(0.2), Primary: place()}); err != nil {
+	if _, err := st.Apply(Transition{Kind: Commit, Flow: 1, Problem: problem(0.2), Primary: place(e0)}); err != nil {
 		t.Fatal(err)
 	}
-	before, epoch := ledgerBits(st.ledger), st.ledger.ViewEpoch()
-	pair := Transition{Kind: Commit, Flow: 2, Problem: problem(0.1), Primary: place(), Backup: place()}
-	if _, err := st.Apply(pair); err == nil {
-		t.Fatal("a pair that does not fit together was committed")
-	}
-	if !slices.Equal(ledgerBits(st.ledger), before) || st.ledger.ViewEpoch() != epoch {
-		t.Fatalf("the refused pair moved the live ledger: e0 carries %v, want %v", st.ledger.EdgeUsed(e0), graph.ToGrid(0.2))
-	}
-	if _, ok := st.Flow(2); ok || st.Active() != 1 || st.Backups() != 0 {
-		t.Fatal("the refused pair left a flow behind")
+	for _, c := range []struct {
+		name            string
+		rate            float64
+		primary, backup *core.Solution
+	}{
+		{"backup beside its primary", 0.1, place(e0), place(e0)},
+		{"primary", 0.2, place(e0), place(e0)},
+		{"malformed primary", 0.1, place(e2), place(e0)},
+		{"malformed alone", 0.1, place(e2), nil},
+	} {
+		before, epoch := ledgerBits(st.ledger), st.ledger.ViewEpoch()
+		refused := Transition{Kind: Commit, Flow: 2, Problem: problem(c.rate), Primary: c.primary, Backup: c.backup}
+		if _, err := st.Apply(refused); err == nil {
+			t.Fatalf("%s: committed", c.name)
+		}
+		if !slices.Equal(ledgerBits(st.ledger), before) || st.ledger.ViewEpoch() != epoch {
+			t.Fatalf("%s: the refusal moved the live ledger: e0 carries %v, want %v", c.name, st.ledger.EdgeUsed(e0), graph.ToGrid(0.2))
+		}
+		if _, ok := st.Flow(2); ok || st.Active() != 1 || st.Backups() != 0 {
+			t.Fatalf("%s: the refusal left a flow behind", c.name)
+		}
 	}
 	// Alone, the primary fits.
-	pair.Backup = nil
-	if _, err := st.Apply(pair); err != nil {
+	if _, err := st.Apply(Transition{Kind: Commit, Flow: 2, Problem: problem(0.1), Primary: place(e0)}); err != nil {
 		t.Fatal(err)
 	}
 }

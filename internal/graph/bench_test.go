@@ -8,13 +8,19 @@ import (
 func benchGraph(n int, avgDeg float64) *Graph {
 	rng := rand.New(rand.NewSource(1))
 	g := New(n)
+	// linked holds the pairs joined so far: HasEdge between AddEdges would
+	// rebuild the CSR every time.
+	linked := map[[2]NodeID]bool{}
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(NodeID(rng.Intn(v)), NodeID(v), 1+rng.Float64()*9, 100)
+		a := NodeID(rng.Intn(v))
+		linked[[2]NodeID{a, NodeID(v)}] = true
+		g.MustAddEdge(a, NodeID(v), 1+rng.Float64()*9, 100)
 	}
 	target := int(avgDeg * float64(n) / 2)
 	for g.NumEdges() < target {
 		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if a != b && !g.HasEdge(a, b) {
+		if pair := [2]NodeID{min(a, b), max(a, b)}; a != b && !linked[pair] {
+			linked[pair] = true
 			g.MustAddEdge(a, b, 1+rng.Float64()*9, 100)
 		}
 	}

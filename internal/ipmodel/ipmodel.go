@@ -512,5 +512,5 @@ func embed(p *core.Problem, opts Options, maxNodes int) (*core.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipmodel: decoded solution invalid: %w", err)
 	}
-	return &core.Result{Solution: s, Cost: cb}, nil
+	return &core.Result{Solution: s, Cost: cb.Cost}, nil
 }

@@ -165,9 +165,16 @@ func randomConnectedGraph(rng *rand.Rand, n, extra int) *graph.Graph {
 func BenchmarkKShortest500(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnectedGraph(rng, 500, 0)
+	// linked holds the pairs joined so far: HasEdge between AddEdges would
+	// rebuild the CSR every time.
+	linked := map[[2]graph.NodeID]bool{}
+	for _, e := range g.Edges() {
+		linked[[2]graph.NodeID{min(e.A, e.B), max(e.A, e.B)}] = true
+	}
 	for g.NumEdges() < 1500 {
 		a, c := graph.NodeID(rng.Intn(500)), graph.NodeID(rng.Intn(500))
-		if a != c && !g.HasEdge(a, c) {
+		if pair := [2]graph.NodeID{min(a, c), max(a, c)}; a != c && !linked[pair] {
+			linked[pair] = true
 			g.MustAddEdge(a, c, 1+rng.Float64()*9, 100)
 		}
 	}

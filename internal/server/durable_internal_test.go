@@ -163,7 +163,7 @@ func TestUnencodableRecordBreaksWAL(t *testing.T) {
 	}
 	srv.mu.Lock()
 	_, ticket, err := srv.transitLocked(flowstate.Transition{
-		Kind: flowstate.Commit, Flow: 1, Problem: p, Primary: res.Solution, Usage: res.Cost.Usage,
+		Kind: flowstate.Commit, Flow: 1, Problem: p, Primary: res.Solution,
 		Info: FlowInfo{ID: 1, SFC: "1", Dst: 2, Rate: 0.25, Size: 1, Cost: Cost{Total: math.Inf(1)}, State: FlowStateActive},
 	})
 	srv.mu.Unlock()

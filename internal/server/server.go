@@ -201,10 +201,9 @@ type job struct {
 	prepared
 	retries int
 	res     *core.Result
-	// cost is the price and the resource usage of res.Solution, settled off
-	// the lock; the commit only compares the usage with the live ledger and
-	// reserves it.
-	cost core.CostBreakdown
+	// cost is the objective of res.Solution, settled off the lock with its
+	// structure; the commit prices the placement again to reserve it.
+	cost core.Cost
 	// embedDone starts the commit wait the commit reports.
 	embedDone time.Time
 	// repair marks a job issued by the restore controller for a flow that
@@ -693,7 +692,7 @@ func (s *Server) serve(j *job) jobResult {
 			return r
 		}
 		j.retries++
-		j.res, j.cost, j.backup, j.against = nil, core.CostBreakdown{}, nil, nil
+		j.res, j.cost, j.backup, j.against = nil, core.Cost{}, nil, nil
 	}
 }
 
@@ -802,17 +801,20 @@ func (s *Server) speculate(j *job, w *workerScratch) error {
 	j.res, j.cost = res, res.Cost
 	if j.against == nil && j.algo.opts == nil {
 		// Not one of core's tree searches, which validate and price what
-		// they return: check the placement's structure and take its usage
-		// here, off the lock, so the commit can trust both.
-		if j.cost, err = core.Evaluate(p, res.Solution); err != nil {
+		// they return: check the placement's structure and take its price
+		// here, off the lock, so a malformed placement is not taken for a
+		// capacity conflict at the commit.
+		cb, err := core.Evaluate(p, res.Solution)
+		if err != nil {
 			return fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)
 		}
+		j.cost = cb.Cost
 	}
 	if j.repair == nil && j.protect {
 		// Protected admission: reserve the primary on the private
 		// snapshot, then search for a disjoint backup against what
 		// remains. Failure is terminal — no backup, no admission.
-		if err := core.Reserve(p, j.cost.Usage); err != nil {
+		if _, err := core.Commit(p, res.Solution); err != nil {
 			// The primary came out of this very snapshot; failing to
 			// reserve it there is a server bug, not a capacity race.
 			return fmt.Errorf("%w: backup pre-reserve: %v", ErrInternal, err)
@@ -887,15 +889,13 @@ func (s *Server) runEmbed(j *job, p *core.Problem) (res *core.Result, err error)
 func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 	if j.against != nil {
 		return flowstate.Transition{
-			Kind: flowstate.Backup, Flow: j.id, Primary: j.against,
-			Backup: j.res.Solution, BackupUsage: j.cost.Usage,
+			Kind: flowstate.Backup, Flow: j.id, Primary: j.against, Backup: j.res.Solution,
 			Info: FlowInfo{BackupCost: flowstate.CostOf(j.cost)},
 		}, "re-protect"
 	}
 	t = flowstate.Transition{
 		Kind: flowstate.Commit, Flow: j.id, Repair: j.repair != nil,
-		Problem: j.problem,
-		Primary: j.res.Solution, Usage: j.cost.Usage,
+		Problem: j.problem, Primary: j.res.Solution,
 		Info: FlowInfo{
 			ID: j.id, SFC: sfc.Format(j.problem.SFC),
 			Src: int(j.problem.Src), Dst: int(j.problem.Dst), Rate: j.problem.Rate, Size: j.problem.Size,
@@ -908,7 +908,7 @@ func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 		t.Info.ExpiresAt = &at
 	}
 	if j.backup != nil {
-		t.Backup, t.BackupUsage = j.backup.Solution, j.backup.Cost.Usage
+		t.Backup = j.backup.Solution
 		t.Info.Protection, t.Info.BackupActive = ProtectionBackup, true
 		t.Info.BackupCost = flowstate.CostOf(j.backup.Cost)
 	}
@@ -919,9 +919,10 @@ func (s *Server) transition(j *job) (t flowstate.Transition, detail string) {
 // placement's structure was validated off the lock, in full, by whoever
 // produced j.cost; what is left to decide is whether it still fits the live
 // ledger (eqs. 2–3) and whether the flow is still waiting for it, and
-// flowstate.Apply decides both. A candidate that no longer fits — its
-// snapshot is stale, by commits or faults since — is a conflict: commit
-// journals it and reports it, and serve decides whether to re-embed.
+// flowstate.Apply decides both, pricing the placement again to reserve it,
+// as replay does. A candidate that no longer fits — its snapshot is stale,
+// by commits or faults since — is a conflict: commit journals it and
+// reports it, and serve decides whether to re-embed.
 func (s *Server) commit(j *job) (r jobResult, conflict bool) {
 	t, detail := s.transition(j)
 	// The record is framed under the lock, so the log keeps the ledger's

@@ -265,6 +265,24 @@ var invariants = []invariant{{
 	sample:   "\tif err := json.NewDecoder(r.Body).Decode(&req); err != nil {",
 	msg:      "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)",
 }, {
+	name:     "usage-not-carried",
+	contract: "a placement's reuse counts are tallied where they are used, in core's pooled scratch: no transition or job carries them",
+	design:   "19. Commit path",
+	files:    []string{"internal/server/...", "internal/flowstate/*.go"},
+	forbid:   `\b(?:Backup)?Usage\b`,
+	sample:   "\t\tPrimary: j.res.Solution, Usage: j.cost.Usage,",
+	msg:      "internal/server or internal/flowstate carries a placement's usage again: hand flowstate.Apply the placement, and core.Commit prices it",
+}, {
+	name:     "usage-not-carried-clone",
+	contract: "only Evaluate and ComputeCost copy reuse counts to the heap, for the callers that read them",
+	design:   "19. Commit path",
+	files:    []string{"internal/core/*.go"},
+	// A func whose name does not start Ev or Comp, then body lines up to
+	// its closing brace at column 0, one of them calling clone.
+	forbid: `^func (?:[^CE\n]|C[^o\n]|Co[^m\n]|Com[^p\n]|E[^v\n])[^\n]*\n(?:[^}\n][^\n]*\n|\n)*?[^\n]*\.clone\(\)`,
+	sample: "func Commit(p *Problem, s *Solution) (CostBreakdown, error) {\n\tsc := costScratchPool.Get().(*costScratch)\n\n\tcb.Usage = cb.Usage.clone()",
+	msg:    "internal/core copies a usage to the heap outside Evaluate and ComputeCost: price into the pooled scratch and keep the counts there",
+}, {
 	name:     "sim-one-trial-loop",
 	contract: "every sweep runs through Experiment.Run: one trial loop, one seed derivation, one aggregation",
 	design:   "7. Testing strategy",
