@@ -163,15 +163,12 @@ func embedWithPicker(p *core.Problem, label string, pick func([]network.Instance
 	}
 	sol.TailPath = tail
 
-	cb, err := core.Evaluate(p, sol)
-	if err == nil {
-		err = core.CheckCapacity(p, cb.Usage)
-	}
+	cost, err := core.Price(p, sol)
 	if err != nil {
 		// The draw was structurally fine but violates a capacity
 		// constraint in aggregate (e.g. one link reused beyond its
 		// bandwidth). The benchmark does not backtrack.
 		return nil, fmt.Errorf("%w: %v", core.ErrNoEmbedding, err)
 	}
-	return &core.Result{Solution: sol, Cost: cb.Cost}, nil
+	return &core.Result{Solution: sol, Cost: cost}, nil
 }

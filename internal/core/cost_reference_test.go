@@ -415,7 +415,7 @@ func uniqueEdges(p graph.Path) []graph.EdgeID {
 
 // TestCapacityErrorMatchesReference pins the validator's verdict text: with
 // exactly one instance, then exactly one link, short of capacity, Validate,
-// CheckCapacity and Commit report the violation the map-based check did —
+// checkCapacity and Commit report the violation the map-based check did —
 // and Commit leaves the ledger untouched.
 func TestCapacityErrorMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
@@ -459,7 +459,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 			}
 			for name, err := range map[string]error{
 				"Validate":      Validate(&q, s),
-				"CheckCapacity": CheckCapacity(&q, cb.Usage),
+				"checkCapacity": checkCapacity(q.Ledger, q.Rate, cb.Usage),
 				"Commit":        func() error { _, err := Commit(&q, s); return err }(),
 				"reserve":       reserve(&q, cb.Usage),
 			} {
@@ -473,7 +473,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 }
 
 // TestReserveRollsBack drives the bug-guard branch of reserve: the usage
-// passes CheckCapacity entry by entry, but two entries name the same link,
+// passes checkCapacity entry by entry, but two entries name the same link,
 // so the second reservation fails — and everything reserved before it,
 // instances included, must be returned.
 func TestReserveRollsBack(t *testing.T) {
@@ -514,5 +514,30 @@ func TestCommitReleaseAllocCeiling(t *testing.T) {
 	})
 	if allocs != want {
 		t.Fatalf("Validate+Commit+Release allocated %.0f objects, want %d", allocs, want)
+	}
+}
+
+// TestLedgerlessCommitBuildsOneLedger: a Commit on a Problem without a
+// ledger checks against, reserves on and installs one fresh ledger, so it
+// allocates what NewLedger and a Commit on that new ledger do together —
+// the ledger, and the instance row its first reservation carves.
+func TestLedgerlessCommitBuildsOneLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, sol := commitReleaseFixture(t)
+	q := *p
+	commit := func() {
+		if _, err := Commit(&q, sol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ledgered := testing.AllocsPerRun(50, func() { q.Ledger = network.NewLedger(p.Net); commit() })
+	ledgerless := testing.AllocsPerRun(50, func() { q.Ledger = nil; commit() })
+	if ledgerless > ledgered {
+		t.Fatalf("a ledgerless Commit allocated %.0f objects, NewLedger and a Commit on it %.0f", ledgerless, ledgered)
+	}
+	if q.Ledger == nil {
+		t.Fatal("a ledgerless Commit installed no ledger")
 	}
 }

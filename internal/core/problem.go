@@ -37,22 +37,13 @@ type Problem struct {
 
 // LedgerOrFresh returns the problem's ledger, or a fresh empty one when
 // none is set — without installing it on the Problem. Every embedder and
-// every read-only call (Validate, Release) reads its ledger through this, so
-// none mutates the caller's struct and concurrent calls sharing one Problem
-// cannot race on p.Ledger.
+// every read-only call (Validate, Price, Release) reads its ledger through
+// this, so none mutates the caller's struct and concurrent calls sharing
+// one Problem cannot race on p.Ledger. Commit reserves on it too, and
+// installs a fresh one once the reservation stands.
 func (p *Problem) LedgerOrFresh() *network.Ledger {
 	if p.Ledger == nil {
 		return network.NewLedger(p.Net)
-	}
-	return p.Ledger
-}
-
-// ledger returns the problem's ledger, creating AND INSTALLING an empty
-// one on demand. Only Commit uses this: committing a solution must leave
-// its reservations behind on the Problem for subsequent calls to see.
-func (p *Problem) ledger() *network.Ledger {
-	if p.Ledger == nil {
-		p.Ledger = network.NewLedger(p.Net)
 	}
 	return p.Ledger
 }

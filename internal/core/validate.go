@@ -19,8 +19,16 @@ import (
 //
 // It returns nil exactly when the solution is feasible.
 func Validate(p *Problem, s *Solution) error {
-	_, err := validate(p, nil, s)
+	_, err := Price(p, s)
 	return err
+}
+
+// Price is Validate that also returns the objective of eq. (1): the one
+// call that checks and prices a finished placement, its reuse counts kept
+// in pooled scratch. An embedder that builds a placement without core's
+// search ends with it.
+func Price(p *Problem, s *Solution) (Cost, error) {
+	return validate(p, nil, s)
 }
 
 // validate is Validate against ledger (the problem's own when nil),
@@ -41,8 +49,8 @@ func validate(p *Problem, ledger *network.Ledger, s *Solution) (Cost, error) {
 // Evaluate is the ledger-independent part of validation plus the pricing:
 // it checks completeness (eqs. 4–6) and returns the objective with the
 // reuse counts. Everything it reads is immutable, so it can run on any
-// goroutine at any time; what remains to decide feasibility is
-// CheckCapacity on the returned Usage against the ledger of the moment.
+// goroutine at any time; what remains to decide feasibility is the
+// capacity check that Validate, Price and Commit make against a ledger.
 func Evaluate(p *Problem, s *Solution) (CostBreakdown, error) {
 	sc := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(sc)
@@ -141,14 +149,9 @@ func validateStructure(p *Problem, s *Solution) error {
 	return nil
 }
 
-// CheckCapacity checks the capacity constraints (eqs. 2–3) of a placement
-// with usage u against the problem's ledger: every instance and every link
-// must have residual for its reuse count times the flow rate. u must come
-// from Evaluate or ComputeCost for this problem's network and SFC.
-func CheckCapacity(p *Problem, u Usage) error {
-	return checkCapacity(p.LedgerOrFresh(), p.Rate, u)
-}
-
+// checkCapacity checks the capacity constraints (eqs. 2–3) of a placement
+// with usage u against ledger: every instance and every link must have
+// residual for its reuse count times the flow rate.
 func checkCapacity(ledger *network.Ledger, rate float64, u Usage) error {
 	for _, iu := range u.Instances {
 		demand := float64(iu.Count) * rate
@@ -186,15 +189,16 @@ func Commit(p *Problem, s *Solution) (Cost, error) {
 }
 
 // reserve is the ledger half of Commit: it checks the capacity constraints
-// against the problem's ledger (installing an empty one if the problem has
-// none) and reserves rate × reuse count on every instance and link,
-// atomically — on any failure nothing stays reserved.
+// against the problem's ledger and reserves rate × reuse count on every
+// instance and link, atomically — on any failure nothing stays reserved. A
+// problem without a ledger gets one empty ledger, checked against, reserved
+// on and installed only once the reservation stands.
 func reserve(p *Problem, u Usage) error {
-	if err := CheckCapacity(p, u); err != nil {
+	ledger := p.LedgerOrFresh()
+	if err := checkCapacity(ledger, p.Rate, u); err != nil {
 		return err
 	}
-	ledger := p.ledger()
-	// CheckCapacity just proved feasibility against this ledger, so the
+	// checkCapacity just proved feasibility against this ledger, so the
 	// reservations below cannot fail; guard anyway and roll back, a release
 	// of exactly what was just reserved, which cannot fail either.
 	for i, iu := range u.Instances {
@@ -208,6 +212,9 @@ func reserve(p *Problem, u Usage) error {
 			_ = release(ledger, p.Rate, Usage{Instances: u.Instances, Edges: u.Edges[:i]})
 			return err
 		}
+	}
+	if p.Ledger == nil {
+		p.Ledger = ledger
 	}
 	return nil
 }

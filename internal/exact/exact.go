@@ -119,15 +119,12 @@ func (s *solver) run() (*core.Result, error) {
 	}
 	sol.TailPath = tail
 
-	cb, err := core.Evaluate(p, sol)
-	if err == nil {
-		err = core.CheckCapacity(p, cb.Usage)
-	}
+	cost, err := core.Price(p, sol)
 	if err != nil {
 		// Capacities bind; the DP's independence assumption fails.
 		return nil, fmt.Errorf("%w: optimal assignment violates capacity: %v", core.ErrNoEmbedding, err)
 	}
-	return &core.Result{Solution: sol, Cost: cb.Cost}, nil
+	return &core.Result{Solution: sol, Cost: cost}, nil
 }
 
 // solve returns the memoized cheapest completion from st.

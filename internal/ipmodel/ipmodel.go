@@ -505,12 +505,9 @@ func embed(p *core.Problem, opts Options, maxNodes int) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cb, err := core.Evaluate(p, s)
-	if err == nil {
-		err = core.CheckCapacity(p, cb.Usage)
-	}
+	cost, err := core.Price(p, s)
 	if err != nil {
 		return nil, fmt.Errorf("ipmodel: decoded solution invalid: %w", err)
 	}
-	return &core.Result{Solution: s, Cost: cb.Cost}, nil
+	return &core.Result{Solution: s, Cost: cost}, nil
 }

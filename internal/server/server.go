@@ -231,7 +231,7 @@ type job struct {
 // DeadlineExceeded once past the time, which is all the builtin tree
 // searches ask of their context: they poll Err between steps. Done is the
 // parent's and does not close at the deadline — nothing may block on it, so
-// only core's tree searches are ever handed one: foreign wraps every other
+// only core's tree searches are ever handed one: plain wraps every other
 // embedder so that it never sees it. The waiting side of the deadline is
 // the timer waitSlot takes from timers.
 type deadline struct {
@@ -323,7 +323,7 @@ func New(cfg Config) (*Server, error) {
 		s.journal.Append(journal.Event{Type: journal.TypeBreaker, Detail: state})
 	}
 	for name, e := range cfg.Embedders {
-		s.algs[name] = foreign(e)
+		s.algs[name] = foreign(name, e)
 	}
 	// Durable state: open (or create) the WAL and rebuild the flow table,
 	// ledger and fault quarantine from it before any traffic can race the
@@ -377,12 +377,12 @@ const (
 )
 
 // algorithm is one entry of the server's registry. embed runs it on a
-// slot's problem under the job's deadline. opts is non-nil exactly for
-// core's tree searches (mbbe, bbe), and everything only they offer reads
-// it: they validate and price what they return, so speculate need not;
-// they take ban sets, so they alone may compute a backup and admit a
-// protected flow; and they poll the deadline, so a timed-out request stops
-// searching and answers instead of holding its slot.
+// slot's problem under the job's deadline and returns a placement whose
+// structure was checked and whose Cost is its price. opts is non-nil
+// exactly for core's tree searches (mbbe, bbe), and everything only they
+// offer reads it: they take ban sets, so they alone may compute a backup
+// and admit a protected flow; and they poll the deadline, so a timed-out
+// request stops searching and answers instead of holding its slot.
 type algorithm struct {
 	embed func(context.Context, *core.Problem) (*core.Result, error)
 	opts  *core.Options
@@ -397,10 +397,31 @@ func treeSearch(opts core.Options) *algorithm {
 	}}
 }
 
-// foreign registers an embedder that is not one of core's tree searches. It
+// plain registers an embedder that is not one of core's tree searches. It
 // never receives the job's deadline (see deadline).
-func foreign(e Embedder) *algorithm {
+func plain(e Embedder) *algorithm {
 	return &algorithm{embed: func(_ context.Context, p *core.Problem) (*core.Result, error) { return e(p) }}
+}
+
+// foreign registers Config.Embedders entry name. The builtin baselines end
+// with core.Price; an embedder from outside is checked for structure and
+// priced here, on the request's slot and off the lock, so a malformed
+// placement answers ErrInternal instead of being taken for a capacity
+// conflict at the commit.
+func foreign(name string, e Embedder) *algorithm {
+	return plain(func(p *core.Problem) (*core.Result, error) {
+		res, err := e(p)
+		if err != nil {
+			return res, err
+		}
+		cb, err := core.Evaluate(p, res.Solution)
+		if err != nil {
+			return nil, fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, name, err)
+		}
+		priced := *res
+		priced.Cost = cb.Cost
+		return &priced, nil
+	})
 }
 
 // builtinAlgorithms is the default registry. ranv draws from one seeded rng
@@ -412,8 +433,8 @@ func builtinAlgorithms(seed int64) map[string]*algorithm {
 	return map[string]*algorithm{
 		"mbbe": treeSearch(core.MBBEOptions()),
 		"bbe":  treeSearch(core.BBEOptions()),
-		"minv": foreign(baseline.EmbedMINV),
-		"ranv": foreign(func(p *core.Problem) (*core.Result, error) {
+		"minv": plain(baseline.EmbedMINV),
+		"ranv": plain(func(p *core.Problem) (*core.Result, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			return baseline.EmbedRANV(p, rng)
@@ -799,17 +820,6 @@ func (s *Server) speculate(j *job, w *workerScratch) error {
 		return err
 	}
 	j.res, j.cost = res, res.Cost
-	if j.against == nil && j.algo.opts == nil {
-		// Not one of core's tree searches, which validate and price what
-		// they return: check the placement's structure and take its price
-		// here, off the lock, so a malformed placement is not taken for a
-		// capacity conflict at the commit.
-		cb, err := core.Evaluate(p, res.Solution)
-		if err != nil {
-			return fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, j.alg, err)
-		}
-		j.cost = cb.Cost
-	}
 	if j.repair == nil && j.protect {
 		// Protected admission: reserve the primary on the private
 		// snapshot, then search for a disjoint backup against what

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dagsfc/internal/baseline"
 	"dagsfc/internal/core"
 	"dagsfc/internal/faults"
 	"dagsfc/internal/flowstate"
@@ -301,6 +302,60 @@ func TestServerBreakerShedsAndRecovers(t *testing.T) {
 	}
 	if _, err := srv.Release(info.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegisteredEmbedderIsChecked: a Config.Embedders entry's placement is
+// checked and priced on the slot. A malformed one is the embedder's bug —
+// ErrInternal, no flow, the ledger untouched to the bit — not a capacity
+// conflict at the commit; a well-formed one is charged its price, not the
+// cost the embedder claims.
+func TestRegisteredEmbedderIsChecked(t *testing.T) {
+	malformed := func(p *core.Problem) (*core.Result, error) {
+		res, err := baseline.EmbedMINV(p)
+		if err == nil {
+			res.Solution.Layers[0].Nodes[0] = 0 // node 0 hosts no f(1)
+		}
+		return res, err
+	}
+	unpriced := func(p *core.Problem) (*core.Result, error) {
+		res, err := baseline.EmbedMINV(p)
+		if err == nil {
+			res.Cost = core.Cost{}
+		}
+		return res, err
+	}
+	srv, _ := newTestServer(t, server.Config{
+		Net: tinyNet(), Workers: 1,
+		Embedders: map[string]server.Embedder{"malformed": malformed, "unpriced": unpriced},
+	})
+	ctx := context.Background()
+	before := residuals(srv.NetworkState())
+
+	req := lineRequest(1)
+	req.Alg = "malformed"
+	if _, err := srv.Submit(ctx, req); !errors.Is(err, server.ErrInternal) || !strings.Contains(err.Error(), `embedder "malformed" returned an invalid placement`) {
+		t.Fatalf("malformed placement: %v, want ErrInternal naming the embedder", err)
+	}
+	if flows := srv.Flows(); len(flows) != 0 {
+		t.Fatalf("a malformed placement registered %d flows", len(flows))
+	}
+	if after := residuals(srv.NetworkState()); !equalResiduals(before, after) {
+		t.Fatalf("a malformed placement moved the ledger: %v -> %v", before, after)
+	}
+
+	req.Alg = "unpriced"
+	info, err := srv.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Alg = "minv"
+	want, err := srv.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Cost.Total == 0 || info.Cost != want.Cost {
+		t.Fatalf("registered embedder charged %+v, builtin minv %+v", info.Cost, want.Cost)
 	}
 }
 

@@ -93,7 +93,7 @@ type invariant struct {
 var invariants = []invariant{{
 	name:     "core-single-goroutine",
 	contract: "an embed starts no goroutine: it runs on its caller's, over one arena",
-	design:   "9. Concurrency contract",
+	design:   "6. core",
 	files:    []string{"internal/core/*.go"},
 	forbid:   `^[[:space:]]*go[[:space:]]`,
 	sample:   "\t\tgo func(slot int) {",
@@ -101,7 +101,7 @@ var invariants = []invariant{{
 }, {
 	name:     "core-problem-unmutated",
 	contract: "an embedder reads a ledgerless Problem through Problem.LedgerOrFresh; only Commit installs a ledger on it",
-	design:   "9. Concurrency contract",
+	design:   "6. core",
 	files:    []string{"..."},
 	except:   []string{"internal/core/problem.go"},
 	forbid:   `\.Ledger = network\.NewLedger\(`,
@@ -110,7 +110,7 @@ var invariants = []invariant{{
 }, {
 	name:     "core-dense-reads",
 	contract: "the search reads its ledger and instance table once, into dense rows; only validate.go and cost.go, which price one finished solution, query them",
-	design:   "11. Memory & allocation discipline",
+	design:   "6. core",
 	files:    []string{"internal/core/*.go"},
 	except:   []string{"internal/core/validate.go", "internal/core/cost.go"},
 	forbid:   `Net\.Instance\(|\.InstanceResidual\(|\.EdgeResidual\(`,
@@ -119,7 +119,7 @@ var invariants = []invariant{{
 }, {
 	name:     "core-no-env",
 	contract: "what a search does is decided by its Options and its input, never by the process environment",
-	design:   "18. Layered kernel for width-1 runs",
+	design:   "6. core",
 	files:    []string{"internal/core/*.go", "internal/graph/*.go"},
 	forbid:   `os\.(Getenv|LookupEnv|Environ)\(`,
 	sample:   "\tupdate := os.Getenv(\"DAGSFC_UPDATE_GOLDEN\") != \"\"",
@@ -127,7 +127,7 @@ var invariants = []invariant{{
 }, {
 	name:     "core-one-trace",
 	contract: "an embed writes its span tree where each phase runs, into Options.Trace; no observer seam",
-	design:   "8. Observability",
+	design:   "6. core",
 	files:    []string{"internal/core/*.go", "cmd/dagsfc-embed/*.go"},
 	forbid:   `type[[:space:]]+(Observer[[:space:]]+interface|FuncObserver|MultiObserver|TraceRecorder|logObserver)\b`,
 	sample:   "type Observer interface {",
@@ -135,7 +135,7 @@ var invariants = []invariant{{
 }, {
 	name:     "graph-one-admission",
 	contract: "an arc is admitted by the compiled cost view alone",
-	design:   "16. Search kernel v2: compiled cost views + delta-stepping",
+	design:   "3. graph",
 	files:    []string{"internal/graph/*.go"},
 	forbid:   `func \(o \*CostOptions\) admits|func \(g \*Graph\) MinHopPath`,
 	sample:   "func (o *CostOptions) admits(g *Graph, arc Arc) bool {",
@@ -143,7 +143,7 @@ var invariants = []invariant{{
 }, {
 	name:     "graph-one-admission-residual-source",
 	contract: "a compile reads every edge's residual at once; ResidualSource has no per-edge read",
-	design:   "16. Search kernel v2: compiled cost views + delta-stepping",
+	design:   "3. graph",
 	files:    []string{"internal/graph/*.go"},
 	// From the interface's first line to the first line that starts with
 	// a brace: a run of newlines must be followed by anything but "}".
@@ -153,7 +153,7 @@ var invariants = []invariant{{
 }, {
 	name:     "graph-one-admission-run-search",
 	contract: "runSearch admits arcs through its view; it has no uncompiled branch",
-	design:   "16. Search kernel v2: compiled cost views + delta-stepping",
+	design:   "6. core",
 	files:    []string{"internal/core/searchtree.go"},
 	forbid:   `cfg\.view != nil`,
 	sample:   "\t\t\t\tif cfg.view != nil {",
@@ -161,7 +161,7 @@ var invariants = []invariant{{
 }, {
 	name:     "graph-one-admission-sfc-dag",
 	contract: "internal/sfc has no test-only DAG type",
-	design:   "16. Search kernel v2: compiled cost views + delta-stepping",
+	design:   "5. sfc",
 	files:    []string{"internal/sfc/*.go"},
 	forbid:   `type DAG struct`,
 	sample:   "type DAG struct {",
@@ -169,7 +169,7 @@ var invariants = []invariant{{
 }, {
 	name:     "graph-one-admission-stats-merge",
 	contract: "internal/stats has no test-only Merge",
-	design:   "16. Search kernel v2: compiled cost views + delta-stepping",
+	design:   "12. sim and the root package",
 	files:    []string{"internal/stats/*.go"},
 	forbid:   `func \(a \*Accumulator\) Merge`,
 	sample:   "func (a *Accumulator) Merge(other Accumulator) {",
@@ -177,7 +177,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-dense",
 	contract: "a ledger is dense usage rows: no copy-on-write overlay, no view-epoch pin",
-	design:   "11. Memory & allocation discipline",
+	design:   "4. network",
 	files:    []string{"internal/network/*.go"},
 	forbid:   `edgeDelta|instDelta|epochCell|pinMu|chainSig`,
 	sample:   "\tedgeDelta map[graph.EdgeID]float64",
@@ -185,7 +185,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-dense-value-copy",
 	contract: "a ledger copy is a value: no fault state shared between copies",
-	design:   "11. Memory & allocation discipline",
+	design:   "4. network",
 	files:    []string{"internal/network/*.go"},
 	forbid:   `"sync/atomic"|\bfam\b|type quarantine\b`,
 	sample:   "\t\"sync/atomic\"",
@@ -193,7 +193,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-dense-one-check",
 	contract: "a commit is checked once, by flowstate.Apply",
-	design:   "20. Flow state machine: one transition, applied once",
+	design:   "8. flowstate",
 	files:    []string{"internal/flowstate/*.go"},
 	forbid:   `func \(st \*State\) Check\(`,
 	sample:   "func (st *State) Check(t Transition) error {",
@@ -201,7 +201,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-dense-no-rebase",
 	contract: "the live ledger is one dense ledger, copied, never folded",
-	design:   "11. Memory & allocation discipline",
+	design:   "8. flowstate",
 	files:    []string{"internal/flowstate/*.go", "internal/server/*.go"},
 	forbid:   `Rebase|rebaseLen`,
 	sample:   "\tRebase = Kind(129)",
@@ -209,7 +209,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-dense-shims",
 	contract: "the ledger shims kept for benchmark/ gain no caller outside it, tests included",
-	design:   "11. Memory & allocation discipline",
+	design:   "4. network",
 	files:    []string{"..."},
 	except:   []string{"benchmark/...", "invariants_test.go"},
 	tests:    true,
@@ -219,7 +219,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-exact-no-tolerance",
 	contract: "every capacity amount is on the 2⁻²⁰ grid, so capacity comparisons are exact: no tolerance",
-	design:   "11. Memory & allocation discipline",
+	design:   "4. network",
 	files:    []string{"..."},
 	forbid:   `CapacityEps`,
 	sample:   "\tif r := l.EdgeResidual(e); r < amount-CapacityEps {",
@@ -227,7 +227,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-exact-no-clamp",
 	contract: "an over-release is refused with an error, never clamped at zero",
-	design:   "11. Memory & allocation discipline",
+	design:   "4. network",
 	files:    []string{"internal/network/*.go"},
 	forbid:   `max\([^)\n]*-[[:space:]]*amount,[[:space:]]*0\)`,
 	sample:   "\tl.edgeUsed[e] = max(l.edgeUsed[e]-amount, 0)",
@@ -235,7 +235,7 @@ var invariants = []invariant{{
 }, {
 	name:     "ledger-exact-no-state-copy",
 	contract: "a WAL snapshot holds flows and faults; the ledger is rebuilt from the placements, never persisted",
-	design:   "15. Durability",
+	design:   "8. flowstate",
 	files:    []string{"..."},
 	forbid:   `LedgerState|ExportState|NewLedgerFromState`,
 	sample:   "func (l *Ledger) ExportState() LedgerState {",
@@ -243,7 +243,7 @@ var invariants = []invariant{{
 }, {
 	name:     "server-single-writer",
 	contract: "the server changes flow state through flowstate.Apply alone: no replay mirror, no second controller, no side table",
-	design:   "20. Flow state machine: one transition, applied once",
+	design:   "10. server and client",
 	files:    []string{"internal/server/*.go"},
 	forbid:   `replayRecord|commitReprotect|reprotectOne|dropped[[:space:]]+map\[`,
 	sample:   "func (s *Server) replayRecord(r wal.Record) error {",
@@ -251,7 +251,7 @@ var invariants = []invariant{{
 }, {
 	name:     "server-one-goroutine",
 	contract: "a request is served on its own goroutine, deferred work on the timeline's, the one goroutine server.New starts",
-	design:   "10. Serving architecture",
+	design:   "10. server and client",
 	files:    []string{"internal/server/*.go"},
 	forbid:   `func \(s \*Server\) (worker|commitLoop)\(|func \(j \*job\) (await|reply)\(|(admit|commit)[[:space:]]+chan[[:space:]]|RepairAdmitRetries|expiryWheel|repairLoop|repairKick|popRepair|enqueueRepairs`,
 	sample:   "func (s *Server) commitLoop() {",
@@ -259,15 +259,15 @@ var invariants = []invariant{{
 }, {
 	name:     "server-request-garbage",
 	contract: "both sides of the socket decode and encode through the jsonbuf.Buffer kept beside a pooled body, and share one Content-Type value",
-	design:   "21. The fixed cost of a request",
+	design:   "10. server and client",
 	files:    []string{"internal/server/http.go", "internal/server/client/client.go"},
 	forbid:   `json\.NewDecoder\((r|resp)\.Body|json\.(NewEncoder|Marshal|Unmarshal)\(|Header(\(\))?\.Set\("Content-Type"`,
 	sample:   "\tif err := json.NewDecoder(r.Body).Decode(&req); err != nil {",
-	msg:      "internal/server allocates per-request garbage it was rid of (see DESIGN, The fixed cost of a request)",
+	msg:      "internal/server allocates per-request garbage it was rid of (see DESIGN, server and client)",
 }, {
 	name:     "usage-not-carried",
 	contract: "a placement's reuse counts are tallied where they are used, in core's pooled scratch: no transition or job carries them",
-	design:   "19. Commit path",
+	design:   "8. flowstate",
 	files:    []string{"internal/server/...", "internal/flowstate/*.go"},
 	forbid:   `\b(?:Backup)?Usage\b`,
 	sample:   "\t\tPrimary: j.res.Solution, Usage: j.cost.Usage,",
@@ -275,7 +275,7 @@ var invariants = []invariant{{
 }, {
 	name:     "usage-not-carried-clone",
 	contract: "only Evaluate and ComputeCost copy reuse counts to the heap, for the callers that read them",
-	design:   "19. Commit path",
+	design:   "6. core",
 	files:    []string{"internal/core/*.go"},
 	// A func whose name does not start Ev or Comp, then body lines up to
 	// its closing brace at column 0, one of them calling clone.
@@ -285,7 +285,7 @@ var invariants = []invariant{{
 }, {
 	name:     "sim-one-trial-loop",
 	contract: "every sweep runs through Experiment.Run: one trial loop, one seed derivation, one aggregation",
-	design:   "7. Testing strategy",
+	design:   "12. sim and the root package",
 	files:    []string{"internal/sim/*.go"},
 	except:   []string{"internal/sim/sim.go"},
 	forbid:   `trialSeed\(`,
@@ -294,7 +294,7 @@ var invariants = []invariant{{
 }, {
 	name:     "symbol-census",
 	contract: "every exported name of internal/ has a non-test reader, or symbolKeep says why it stays",
-	design:   "6. Repository map",
+	design:   "12. sim and the root package",
 	census:   true,
 }}
 
