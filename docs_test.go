@@ -203,7 +203,7 @@ func TestReadmeFlags(t *testing.T) {
 // one shrinks something else first, or raises the ceiling here and says why;
 // one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17303,
+	"non-test Go":                    17300,
 	"DESIGN.md":                      953,
 	"README.md":                      418,
 	"Makefile":                       67,

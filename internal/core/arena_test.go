@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"dagsfc/internal/graph"
@@ -75,20 +77,13 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
-		before, err := json.Marshal(res.Solution)
-		if err != nil {
-			t.Fatal(err)
-		}
+		before := mustMarshal(t, res.Solution)
 		scribbleGraphStorage(sc.mem, 60)
 		for i := 0; i < 60; i++ {
 			q := randomProblem(rand.New(rand.NewSource(int64(100+i))), 60, 6, 6)
 			_, _ = embed(q) // infeasible draws still churn the arena
 		}
-		after, err := json.Marshal(res.Solution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(before) != string(after) {
+		if after := mustMarshal(t, res.Solution); string(before) != string(after) {
 			t.Fatalf("%s: solution changed under later embeds\nbefore %s\nafter  %s", mode.name, before, after)
 		}
 		if err := Validate(p, res.Solution); err != nil {
@@ -99,6 +94,95 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 			t.Fatalf("%s: solution no longer commits: %v", mode.name, err)
 		}
 	}
+}
+
+// TestSolutionWindowsCapped pins the other half of assemble's contract: the
+// Solution's slices are windows of shared blocks (its paths one, its edge
+// and node ids another), so every window must be capped to its length. An
+// append to any of them — a layer's Nodes, an InterPaths or InnerPaths list,
+// a path's Edges, the tail's — must reallocate, leaving the encoding of the
+// solution byte for byte as it was. It holds for a hybrid SFC, a six-layer
+// chain, a banned run (a backup) and a hand-built chain of zero-length
+// paths, whose nil and empty Edges must survive as null and [].
+func TestSolutionWindowsCapped(t *testing.T) {
+	embedded := func(p *Problem, opts Options) *Solution {
+		res, err := Embed(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Solution
+	}
+	solutions := map[string]*Solution{}
+	for _, c := range fixedCostCases(t) {
+		if c.name == "hybrid" || c.name == "banned" {
+			solutions[c.name] = embedded(c.p, c.opts)
+		}
+	}
+	solutions["six-layer chain"] = embedded(serialBenchProblem(t), MBBEOptions())
+	if n := len(solutions["six-layer chain"].Layers); n != 6 {
+		t.Fatalf("the chain has %d layers, want 6", n)
+	}
+	// Layer 1 is parallel: one nil and one empty inter path, one empty
+	// inner path. Layer 2 sits where layer 1 ends, and so does the
+	// destination.
+	root := &subSolution{}
+	first := &subSolution{parent: root, layer: 1, ext: &extension{
+		endNode:    2,
+		nodes:      []graph.NodeID{0, 1},
+		interPaths: []graph.Path{{From: 0}, {From: 0, Edges: []graph.EdgeID{0}}},
+		innerPaths: []graph.Path{{From: 0, Edges: []graph.EdgeID{1}}, {From: 1, Edges: []graph.EdgeID{}}},
+	}}
+	second := &subSolution{parent: first, layer: 2, ext: &extension{
+		endNode:    2,
+		nodes:      []graph.NodeID{2},
+		interPaths: []graph.Path{{From: 2, Edges: []graph.EdgeID{}}},
+	}}
+	zero := assemble(second, 2, graph.Path{From: 2, Edges: []graph.EdgeID{}})
+	solutions["zero-length paths"] = zero
+	if zero.Layers[0].InterPaths[0].Edges != nil || zero.Layers[0].InnerPaths[1].Edges == nil ||
+		zero.Layers[1].InterPaths[0].Edges == nil || zero.TailPath.Edges == nil {
+		t.Fatalf("assemble lost a nil or an empty Edges: %+v", zero)
+	}
+	encoded := string(mustMarshal(t, zero))
+	for _, want := range []string{`"Edges":null`, `"Edges":[]`, `"InnerPaths":null`} {
+		if !strings.Contains(encoded, want) {
+			t.Fatalf("zero-length paths encode without %s: %s", want, encoded)
+		}
+	}
+
+	for name, s := range solutions {
+		want := string(mustMarshal(t, s))
+		appended := func(what string) {
+			if got := string(mustMarshal(t, s)); got != want {
+				t.Fatalf("%s: an append to %s reached a neighbouring window\nbefore %s\nafter  %s", name, what, want, got)
+			}
+		}
+		for l := range s.Layers {
+			le := &s.Layers[l]
+			_ = append(le.Nodes, -1)
+			appended(fmt.Sprintf("layer %d's Nodes", l+1))
+			for kind, paths := range map[string][]graph.Path{"InterPaths": le.InterPaths, "InnerPaths": le.InnerPaths} {
+				_ = append(paths, graph.Path{From: -1, Edges: []graph.EdgeID{-1}})
+				appended(fmt.Sprintf("layer %d's %s", l+1, kind))
+				for i := range paths {
+					_ = append(paths[i].Edges, -1)
+					appended(fmt.Sprintf("layer %d's %s[%d].Edges", l+1, kind, i))
+				}
+			}
+		}
+		_ = append(s.TailPath.Edges, -1)
+		appended("TailPath.Edges")
+	}
+}
+
+// mustMarshal is json.Marshal(v), failing t on an error.
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // buildExtensionRef is the map-based extension pricing the sort-merge
@@ -353,14 +437,14 @@ func nodeIDs(nodes []*TreeNode) []graph.NodeID {
 // it: once the arena has grown to the instance, a warm MBBE run on a problem
 // with a ledger allocates exactly what it returns — not its candidates, its
 // views, its Dijkstra trees, its search options, its embedder or the reuse
-// counts it was validated with. That is 6 objects: the Result; and the
-// Solution, its layer slice and the one block each of nodes, paths and edges
-// that assemble copies them into. It holds for a hybrid SFC, for a chain of
-// single-VNF layers (one layered run), for a banned run (a backup), for a
-// delay-bounded run, whose fewest-hop paths are walked into the arena too,
-// and with another flow committed and released before each embed. A run
-// without a ledger reads a fresh one and roots its trees afresh: 8, for the
-// hybrid and for a six-layer chain. One layer's
+// counts it was validated with. That is 5 objects: the Result, the
+// Solution, its layer slice, the path block, and the one id block that
+// assemble copies the edge ids and node ids into. It holds for a hybrid SFC,
+// for a chain of single-VNF layers (one layered run), for a banned run (a
+// backup), for a delay-bounded run, whose fewest-hop paths are walked into
+// the arena too, and with another flow committed and released before each
+// embed. A run without a ledger reads a fresh one and roots its trees
+// afresh: 7, for the hybrid and for a six-layer chain. One layer's
 // candidate generation costs 2, and BBE, which enumerates tree paths, reads
 // 440 under a ceiling of 448.
 func TestEmbedAllocatesItsResult(t *testing.T) {
@@ -382,7 +466,7 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 	}
 	var loops []loop
 	for _, c := range fixedCostCases(t) {
-		l := loop{name: c.name, want: 6, op: embed(c.p, c.opts)}
+		l := loop{name: c.name, want: 5, op: embed(c.p, c.opts)}
 		if c.churn != nil {
 			run := l.op
 			l.op = func() { c.churn(); run() }
@@ -391,8 +475,8 @@ func TestEmbedAllocatesItsResult(t *testing.T) {
 	}
 	cold := benchProblem(t)
 	loops = append(loops,
-		loop{name: "ledgerless", want: 8, op: embed(cold, MBBEOptions())},
-		loop{name: "ledgerless serial", want: 8, op: embed(serialBenchProblem(t), MBBEOptions())},
+		loop{name: "ledgerless", want: 7, op: embed(cold, MBBEOptions())},
+		loop{name: "ledgerless serial", want: 7, op: embed(serialBenchProblem(t), MBBEOptions())},
 		loop{name: "ledgerless bbe", want: 448, ceiling: true, op: embed(cold, BBEOptions())},
 		loop{name: "one layer's extensions", want: 2, op: func() {
 			if firstLayerExtensions(cold) == 0 {

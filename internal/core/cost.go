@@ -169,12 +169,7 @@ func (sc *costScratch) useEdges(p *Problem, cb *CostBreakdown, paths []graph.Pat
 // mergeInstances sorts the per-position rents by (node, VNF) and folds
 // repeats into one entry carrying their sum, in place.
 func mergeInstances(xs []InstanceCount) []InstanceCount {
-	slices.SortFunc(xs, func(a, b InstanceCount) int {
-		if c := cmp.Compare(a.Node, b.Node); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.VNF, b.VNF)
-	})
+	slices.SortFunc(xs, func(a, b InstanceCount) int { return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.VNF, b.VNF)) })
 	out := xs[:0]
 	for _, x := range xs {
 		if n := len(out); n > 0 && out[n-1].InstanceUseKey == x.InstanceUseKey {

@@ -78,10 +78,10 @@ func TestConcurrentCallersDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentCallersObserverDeterminism asserts every one of several
+// TestConcurrentCallersTraceDeterminism asserts every one of several
 // concurrent embeds writes into its own span the trace outline of a lone
 // call.
-func TestConcurrentCallersObserverDeterminism(t *testing.T) {
+func TestConcurrentCallersTraceDeterminism(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(3)), 60, 6, 4)
 
 	trace := func() (string, error) {

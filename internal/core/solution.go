@@ -58,14 +58,11 @@ func (s *Solution) endNodeBefore(layer int, src graph.NodeID) graph.NodeID {
 // (e.g. fault matching) dedupe themselves.
 func (s *Solution) VisitEdges(fn func(graph.EdgeID)) {
 	for _, le := range s.Layers {
-		for _, p := range le.InterPaths {
-			for _, e := range p.Edges {
-				fn(e)
-			}
-		}
-		for _, p := range le.InnerPaths {
-			for _, e := range p.Edges {
-				fn(e)
+		for _, paths := range [2][]graph.Path{le.InterPaths, le.InnerPaths} {
+			for _, p := range paths {
+				for _, e := range p.Edges {
+					fn(e)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"unsafe"
 
 	"dagsfc/internal/graph"
 )
@@ -196,8 +197,8 @@ func buildExtension(m *searchMem, p *Problem, spec LayerSpec, nodes []graph.Node
 // assemble converts a layer-ω sub-solution chain plus a tail path into a
 // Solution. The chain lives in the run's arena, which is recycled as soon as
 // the run returns, so every slice the Solution keeps is copied out here —
-// into one heap block per element kind, sized by a first walk of the chain:
-// nothing reachable from a Result may alias arena memory.
+// into a path block and one id block (edges, then nodes), sized by a first
+// walk of the chain: nothing reachable from a Result may alias arena memory.
 func assemble(ss *subSolution, omega int, tail graph.Path) *Solution {
 	nNodes, nPaths, nEdges := 0, 0, len(tail.Edges)
 	for cur := ss; cur != nil; cur = cur.parent {
@@ -212,10 +213,14 @@ func assemble(ss *subSolution, omega int, tail graph.Path) *Solution {
 			}
 		}
 	}
+	// The carve reads the id block's tail as node ids, so the two id types
+	// must be one size: retyping either to another stops this line compiling.
+	var _ [0]struct{} = [unsafe.Sizeof(graph.NodeID(0)) - unsafe.Sizeof(graph.EdgeID(0))]struct{}{}
+	ids := make([]graph.EdgeID, nEdges+nNodes)
 	c := solutionCopier{
-		nodes: make([]graph.NodeID, 0, nNodes),
+		nodes: unsafe.Slice((*graph.NodeID)(unsafe.Pointer(unsafe.SliceData(ids[nEdges:]))), nNodes)[:0],
 		paths: make([]graph.Path, 0, nPaths),
-		edges: make([]graph.EdgeID, 0, nEdges),
+		edges: ids[:0:nEdges],
 	}
 	s := &Solution{Layers: make([]LayerEmbedding, omega), TailPath: c.path(tail)}
 	for cur := ss; cur != nil; cur = cur.parent {
@@ -237,8 +242,8 @@ func assemble(ss *subSolution, omega int, tail graph.Path) *Solution {
 	return s
 }
 
-// solutionCopier hands out windows of assemble's three blocks. The blocks
-// are sized exactly, so the appends never reallocate, and every window is
+// solutionCopier hands out windows of assemble's blocks. The blocks are
+// sized exactly, so the appends never reallocate, and every window is
 // capped to its length, so an append by the Solution's holder cannot reach
 // a neighbouring window.
 type solutionCopier struct {

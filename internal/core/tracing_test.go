@@ -291,12 +291,12 @@ func TestTraceMatchesPaperExample(t *testing.T) {
 	}
 }
 
-// TestObserverCallbackSequence reads the rows of an MBBE run off its trace:
+// TestTraceRowSequence reads the rows of an MBBE run off its trace:
 // the destination tree, then one row per layer in order — the single-VNF
 // layer one layered-run holding its search and its filter, the parallel
 // layer a forward search, the candidates holding its backward searches, and
 // a filter — then the closure.
-func TestObserverCallbackSequence(t *testing.T) {
+func TestTraceRowSequence(t *testing.T) {
 	p := lineFixture()
 	res, tr, err := embedTraced(p, MBBEOptions())
 	if err != nil {
@@ -361,9 +361,9 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestNilObserverZeroAlloc checks every span helper does nothing on a nil
+// TestNilSpanZeroAlloc checks every span helper does nothing on a nil
 // span, so an untraced Embed pays nothing for tracing on the hot path.
-func TestNilObserverZeroAlloc(t *testing.T) {
+func TestNilSpanZeroAlloc(t *testing.T) {
 	spec := LayerSpec{Index: 1, VNFs: []network.VNFID{1, 2}, Merger: true}
 	var st Stats
 	allocs := testing.AllocsPerRun(200, func() {

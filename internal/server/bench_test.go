@@ -159,10 +159,10 @@ func benchLoop(b *testing.B, op func()) {
 
 // TestAdmitReleaseAllocations holds each admission loop to a ceiling on the
 // objects one request allocates, averaged over a cycle of 64 once a cycle
-// has warmed the server: in-process the pair reads 12, now and then 13; the
-// WAL adds a record's framing (13, now and then 14); a protected admission
-// its backup search (18, now and then 19); over HTTP, net/http's objects on
-// both sides of the socket move the read by an object or two (172–174).
+// has warmed the server: in-process the pair reads 11, now and then 12; the
+// WAL adds a record's framing (12, now and then 13); a protected admission
+// its backup search (16, now and then 17); over HTTP, net/http's objects on
+// both sides of the socket move the read by an object or two (171–172).
 func TestAdmitReleaseAllocations(t *testing.T) {
 	if server.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -172,10 +172,10 @@ func TestAdmitReleaseAllocations(t *testing.T) {
 		loop    func(testing.TB) func()
 		ceiling float64
 	}{
-		{"in-process", plainLoop, 13},
-		{"durable", durableLoop, 14},
-		{"protected", protectedLoop, 19},
-		{"http", httpLoop, 176},
+		{"in-process", plainLoop, 12},
+		{"durable", durableLoop, 13},
+		{"protected", protectedLoop, 17},
+		{"http", httpLoop, 175},
 	} {
 		op := c.loop(t)
 		for range 64 { // one whole cycle: every request has grown the arenas

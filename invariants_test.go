@@ -133,6 +133,15 @@ var invariants = []invariant{{
 	sample:   "type Observer interface {",
 	msg:      "internal/core or cmd/dagsfc-embed declares an observer seam again: the search writes its trace at its source, into Options.Trace",
 }, {
+	name:     "unsafe-arena-only",
+	contract: "unsafe is imported only by the arena files, which carve typed windows out of one block or size their storage",
+	design:   "6. core",
+	files:    []string{"..."},
+	except:   []string{"internal/core/arena.go", "internal/core/subsolution.go", "internal/graph/growtree.go", "internal/graph/treestore.go"},
+	forbid:   `^(?:import)?[[:space:]]*(?:[[:alnum:]_.]+[[:space:]]+)?"unsafe"$`,
+	sample:   "\t\"unsafe\"",
+	msg:      "a Go file outside the arena files imports unsafe: carve from a slab, or make the file one of the row's exceptions and say why in DESIGN",
+}, {
 	name:     "graph-one-admission",
 	contract: "an arc is admitted by the compiled cost view alone",
 	design:   "3. graph",
