@@ -178,15 +178,11 @@ func runLoad(cl *client.Client, cfg loadConfig) error {
 	reqs := make([]server.FlowRequest, cfg.n)
 	gaps := make([]time.Duration, cfg.n)
 	for i := range reqs {
-		dag, err := sfcgen.Generate(cfg.sfcCfg, rng)
+		dag, src, dst, err := sfcgen.Flow(cfg.sfcCfg, st.Nodes, rng)
 		if err != nil {
 			return err
 		}
-		reqs[i] = server.FlowRequest{
-			SFC: sfc.Format(dag),
-			Src: rng.Intn(st.Nodes), Dst: rng.Intn(st.Nodes),
-			Rate: cfg.rate, Size: 1,
-		}
+		reqs[i] = server.FlowRequest{SFC: sfc.Format(dag), Src: int(src), Dst: int(dst), Rate: cfg.rate, Size: 1}
 		if cfg.hold > 0 {
 			reqs[i].TTLSeconds = rng.ExpFloat64() * cfg.hold.Seconds()
 		}

@@ -198,12 +198,13 @@ func TestReadmeFlags(t *testing.T) {
 }
 
 // sizeCeilings are the line counts the tree may not grow past: non-test Go
-// outside benchmark/ (its own module), the two documents, and the guard text
-// beside them — the Makefile and the verify skill. A change that has to grow
-// one shrinks something else first, or raises the ceiling here and says why;
-// one that shrinks them lowers the ceiling with it.
+// and test Go outside benchmark/ (its own module), the two documents, and
+// the guard text beside them — the Makefile and the verify skill. A change
+// that has to grow one shrinks something else first, or raises the ceiling
+// here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17300,
+	"non-test Go":                    17340,
+	"test Go":                        25210,
 	"DESIGN.md":                      953,
 	"README.md":                      418,
 	"Makefile":                       67,
@@ -214,7 +215,7 @@ var sizeCeilings = map[string]int{
 func TestSizeRatchet(t *testing.T) {
 	counts := map[string]int{}
 	for name := range sizeCeilings {
-		if name == "non-test Go" {
+		if strings.HasSuffix(name, " Go") {
 			continue
 		}
 		text, err := os.ReadFile(name)
@@ -224,9 +225,14 @@ func TestSizeRatchet(t *testing.T) {
 		counts[name] = strings.Count(string(text), "\n")
 	}
 	for _, f := range treeFiles(t) {
-		if !f.test && !strings.HasPrefix(f.path, "benchmark/") {
-			counts["non-test Go"] += strings.Count(f.text, "\n")
+		if strings.HasPrefix(f.path, "benchmark/") {
+			continue
 		}
+		name := "non-test Go"
+		if f.test {
+			name = "test Go"
+		}
+		counts[name] += strings.Count(f.text, "\n")
 	}
 	for name, ceiling := range sizeCeilings {
 		if counts[name] > ceiling {

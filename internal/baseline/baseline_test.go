@@ -37,12 +37,8 @@ func randomProblem(rng *rand.Rand, nodes, kinds, sfcSize int) *core.Problem {
 	cfg.VNFKinds = kinds
 	cfg.Connectivity = 4
 	net := netgen.MustGenerate(cfg, rng)
-	s := sfcgen.MustGenerate(sfcgen.Config{Size: sfcSize, LayerWidth: 3, VNFKinds: kinds}, rng)
-	return &core.Problem{
-		Net: net, SFC: s,
-		Src: graph.NodeID(rng.Intn(nodes)), Dst: graph.NodeID(rng.Intn(nodes)),
-		Rate: 1, Size: 1,
-	}
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: sfcSize, LayerWidth: 3, VNFKinds: kinds}, nodes, rng)
+	return &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 }
 
 func TestMINVPicksCheapestInstance(t *testing.T) {

@@ -195,7 +195,7 @@ func checkAgainstReference(t *testing.T, label string, p *Problem, s *Solution) 
 		t.Fatalf("%s: reference: %v", label, err)
 	}
 	for name, eval := range map[string]func(*Problem, *Solution) (CostBreakdown, error){
-		"ComputeCost": ComputeCost, "Evaluate": Evaluate,
+		"ComputeCost": ComputeCost, "evaluate": new(costScratch).evaluate,
 	} {
 		cb, err := eval(p, s)
 		if err != nil {
@@ -264,12 +264,8 @@ func TestPricingMatchesReferenceOnEmbeddings(t *testing.T) {
 		cfg.VNFKinds = 8
 		cfg.Connectivity = 2 + 2*rng.Float64()
 		net := netgen.MustGenerate(cfg, rng)
-		p := &Problem{
-			Net: net,
-			SFC: sfcgen.MustGenerate(sfcgen.Config{Size: 1 + int(seed)%8, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng),
-			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
-			Rate: 1, Size: 1 + float64(rng.Intn(3)),
-		}
+		s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 1 + int(seed)%8, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, cfg.Nodes, rng)
+		p := &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1 + float64(rng.Intn(3))}
 		res, err := EmbedMBBE(p)
 		if err != nil {
 			t.Fatalf("chain %d: %v", seed, err)
@@ -328,12 +324,8 @@ func randomWalkProblem(rng *rand.Rand) *Problem {
 	cfg.LinkCapacity = 1e6
 	cfg.InstanceCapacity = 1e6
 	net := netgen.MustGenerate(cfg, rng)
-	return &Problem{
-		Net: net,
-		SFC: sfcgen.MustGenerate(sfcgen.Config{Size: 1 + rng.Intn(7), LayerWidth: 1 + rng.Intn(3), VNFKinds: cfg.VNFKinds}, rng),
-		Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
-		Rate: graph.ToGrid(0.1 + rng.Float64()), Size: 0.5 + 3*rng.Float64(),
-	}
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 1 + rng.Intn(7), LayerWidth: 1 + rng.Intn(3), VNFKinds: cfg.VNFKinds}, cfg.Nodes, rng)
+	return &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: graph.ToGrid(0.1 + rng.Float64()), Size: 0.5 + 3*rng.Float64()}
 }
 
 // TestPricingMatchesReferenceOnRandomWalks is the adversarial half of the
@@ -426,7 +418,7 @@ func TestCapacityErrorMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := Evaluate(p, s)
+		cb, err := ComputeCost(p, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -219,12 +219,8 @@ func TestHybridBeatsSequentialDelayProperty(t *testing.T) {
 		cfg.Nodes = 60
 		cfg.VNFKinds = 8
 		net := netgen.MustGenerate(cfg, rng)
-		s := sfcgen.MustGenerate(sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: 8}, rng)
-		p := &Problem{
-			Net: net, SFC: s,
-			Src: graph.NodeID(rng.Intn(60)), Dst: graph.NodeID(rng.Intn(60)),
-			Rate: 1, Size: 1,
-		}
+		s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: 8}, 60, rng)
+		p := &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 		hybrid, err := EmbedMBBE(p)
 		if err != nil {
 			continue

@@ -50,32 +50,9 @@ func testSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 	return runSearch(p, start, cfg)
 }
 
-// lineFixture builds the hand-checkable instance used by the cost and
-// validation tests:
-//
-//	0 --1-- 1 --2-- 2 --3-- 3        (edge prices)
-//
-// with f(1)@1 ($10), f(2)@2 ($20), f(3)@1 ($30), f(3)@3 ($12),
-// merger@2 ($5), and SFC [f1] -> [f2|f3 +m], src 0, dst 3.
+// lineFixture is netgen.Line with the SFC [f1] -> [f2|f3 +m] from 0 to 3.
 func lineFixture() *Problem {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1, 10) // e0
-	g.MustAddEdge(1, 2, 2, 10) // e1
-	g.MustAddEdge(2, 3, 3, 10) // e2
-	net := network.New(g, network.Catalog{N: 3})
-	net.MustAddInstance(1, 1, 10, 10)
-	net.MustAddInstance(2, 2, 20, 10)
-	net.MustAddInstance(1, 3, 30, 10)
-	net.MustAddInstance(3, 3, 12, 10)
-	net.MustAddInstance(2, network.VNFID(4), 5, 10) // merger
-	return &Problem{
-		Net: net,
-		SFC: sfc.DAGSFC{Layers: []sfc.Layer{
-			{VNFs: []network.VNFID{1}},
-			{VNFs: []network.VNFID{2, 3}},
-		}},
-		Src: 0, Dst: 3, Rate: 1, Size: 1,
-	}
+	return &Problem{Net: netgen.Line(), SFC: fromWidths([][]network.VNFID{{1}, {2, 3}}), Src: 0, Dst: 3, Rate: 1, Size: 1}
 }
 
 // lineSolution is the manual embedding of lineFixture used as the cost
@@ -122,8 +99,6 @@ func randomProblem(rng *rand.Rand, nodes, kinds, sfcSize int) *Problem {
 	cfg.VNFKinds = kinds
 	cfg.Connectivity = 4
 	net := netgen.MustGenerate(cfg, rng)
-	s := sfcgen.MustGenerate(sfcgen.Config{Size: sfcSize, LayerWidth: 3, VNFKinds: kinds}, rng)
-	src := graph.NodeID(rng.Intn(nodes))
-	dst := graph.NodeID(rng.Intn(nodes))
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: sfcSize, LayerWidth: 3, VNFKinds: kinds}, nodes, rng)
 	return &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 }

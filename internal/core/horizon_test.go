@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfcgen"
@@ -68,9 +67,8 @@ func tableTwoFlows(n int) []*Problem {
 	rng := rand.New(rand.NewSource(27))
 	flows := make([]*Problem, n)
 	for i := range flows {
-		flows[i] = &Problem{Net: net, Rate: 1, Size: 1,
-			SFC: sfcgen.MustGenerate(sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: cfg.VNFKinds}, rng),
-			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes))}
+		s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 6, LayerWidth: 3, VNFKinds: cfg.VNFKinds}, cfg.Nodes, rng)
+		flows[i] = &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 	}
 	return flows
 }

@@ -290,9 +290,8 @@ func TestBackupRunDirectedEqualsPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	backups, refused, directed, plain := 0, 0, 0, 0
 	for flow := 0; flow < 120; flow++ {
-		dag := sfcgen.MustGenerate(sfcgen.Config{Size: 2 + rng.Intn(5), LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng)
-		p := &Problem{Net: net, Ledger: ledger, SFC: dag, Rate: 1, Size: 1,
-			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes))}
+		dag, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 2 + rng.Intn(5), LayerWidth: 1, VNFKinds: cfg.VNFKinds}, cfg.Nodes, rng)
+		p := &Problem{Net: net, Ledger: ledger, SFC: dag, Src: src, Dst: dst, Rate: 1, Size: 1}
 		opts := MBBEOptions()
 		primary, err := Embed(p, opts)
 		if err != nil {

@@ -385,16 +385,8 @@ func churnNet(seed int64) *network.Network {
 // churnProblem draws one request against net at one of four rates, so
 // that successive requests compile genuinely different views.
 func churnProblem(rng *rand.Rand, net *network.Network, ledger *network.Ledger) *Problem {
-	n := net.G.NumNodes()
-	return &Problem{
-		Net:    net,
-		SFC:    sfcgen.MustGenerate(sfcgen.Config{Size: 2 + rng.Intn(3), LayerWidth: 3, VNFKinds: 5}, rng),
-		Src:    graph.NodeID(rng.Intn(n)),
-		Dst:    graph.NodeID(rng.Intn(n)),
-		Rate:   []float64{0.5, 1, 2, 3}[rng.Intn(4)],
-		Size:   1,
-		Ledger: ledger,
-	}
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 2 + rng.Intn(3), LayerWidth: 3, VNFKinds: 5}, net.G.NumNodes(), rng)
+	return &Problem{Net: net, Ledger: ledger, SFC: s, Src: src, Dst: dst, Rate: []float64{0.5, 1, 2, 3}[rng.Intn(4)], Size: 1}
 }
 
 // churnFaults applies or restores one random fault on ledger, keeping the

@@ -8,7 +8,6 @@ import (
 	"os"
 	"testing"
 
-	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfcgen"
@@ -182,8 +181,7 @@ var screenCases = []struct {
 // screenFlow draws one flow of the given shape on net between two of its
 // first eight nodes.
 func screenFlow(rng *rand.Rand, net *network.Network, width, size int) *Problem {
-	s := sfcgen.MustGenerate(sfcgen.Config{Size: size, LayerWidth: width, VNFKinds: 10}, rng)
-	src, dst := graph.NodeID(rng.Intn(8)), graph.NodeID(rng.Intn(8))
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: size, LayerWidth: width, VNFKinds: 10}, 8, rng)
 	return &Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 250, Size: 1}
 }
 

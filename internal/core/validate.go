@@ -46,17 +46,16 @@ func validate(p *Problem, ledger *network.Ledger, s *Solution) (Cost, error) {
 	return cb.Cost, checkCapacity(ledger, p.Rate, cb.Usage)
 }
 
-// Evaluate is the ledger-independent part of validation plus the pricing:
-// it checks completeness (eqs. 4–6) and returns the objective with the
-// reuse counts. Everything it reads is immutable, so it can run on any
-// goroutine at any time; what remains to decide feasibility is the
-// capacity check that Validate, Price and Commit make against a ledger.
-func Evaluate(p *Problem, s *Solution) (CostBreakdown, error) {
+// Evaluate is Price without the capacity check: it checks completeness
+// (eqs. 4–6) and returns the objective, the reuse counts kept in pooled
+// scratch. Everything it reads is immutable, so it can run on any goroutine
+// at any time; capacity is left to the commit, which refuses a placement
+// built on a stale snapshot as a conflict.
+func Evaluate(p *Problem, s *Solution) (Cost, error) {
 	sc := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(sc)
 	cb, err := sc.evaluate(p, s)
-	cb.Usage = cb.Usage.clone()
-	return cb, err
+	return cb.Cost, err
 }
 
 // evaluate is Evaluate into the scratch; the breakdown's Usage aliases sc.

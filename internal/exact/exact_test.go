@@ -14,26 +14,11 @@ import (
 	"dagsfc/internal/sfcgen"
 )
 
-// lineFixture mirrors core's: optimal total is 59 with f(3)@3.
+// lineFixture is netgen.Line with the SFC [f1] -> [f2|f3 +m] from 0 to 3:
+// the global optimum is 59, with f(3)@3.
 func lineFixture() *core.Problem {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1, 10)
-	g.MustAddEdge(1, 2, 2, 10)
-	g.MustAddEdge(2, 3, 3, 10)
-	net := network.New(g, network.Catalog{N: 3})
-	net.MustAddInstance(1, 1, 10, 10)
-	net.MustAddInstance(2, 2, 20, 10)
-	net.MustAddInstance(1, 3, 30, 10)
-	net.MustAddInstance(3, 3, 12, 10)
-	net.MustAddInstance(2, network.VNFID(4), 5, 10)
-	return &core.Problem{
-		Net: net,
-		SFC: sfc.DAGSFC{Layers: []sfc.Layer{
-			{VNFs: []network.VNFID{1}},
-			{VNFs: []network.VNFID{2, 3}},
-		}},
-		Src: 0, Dst: 3, Rate: 1, Size: 1,
-	}
+	s := sfc.DAGSFC{Layers: []sfc.Layer{{VNFs: []network.VNFID{1}}, {VNFs: []network.VNFID{2, 3}}}}
+	return &core.Problem{Net: netgen.Line(), SFC: s, Src: 0, Dst: 3, Rate: 1, Size: 1}
 }
 
 func randomProblem(rng *rand.Rand, nodes, kinds, sfcSize int) *core.Problem {
@@ -42,12 +27,8 @@ func randomProblem(rng *rand.Rand, nodes, kinds, sfcSize int) *core.Problem {
 	cfg.VNFKinds = kinds
 	cfg.Connectivity = 4
 	net := netgen.MustGenerate(cfg, rng)
-	s := sfcgen.MustGenerate(sfcgen.Config{Size: sfcSize, LayerWidth: 3, VNFKinds: kinds}, rng)
-	return &core.Problem{
-		Net: net, SFC: s,
-		Src: graph.NodeID(rng.Intn(nodes)), Dst: graph.NodeID(rng.Intn(nodes)),
-		Rate: 1, Size: 1,
-	}
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: sfcSize, LayerWidth: 3, VNFKinds: kinds}, nodes, rng)
+	return &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 }
 
 func TestExactFindsGlobalOptimumOnFixture(t *testing.T) {
@@ -176,12 +157,8 @@ func TestMBBEEqualsExactOnPureChains(t *testing.T) {
 		cfg.Connectivity = 2 + 2*rng.Float64()
 		net := netgen.MustGenerate(cfg, rng)
 		size := 1 + int(seed)%8
-		p := &core.Problem{
-			Net: net,
-			SFC: sfcgen.MustGenerate(sfcgen.Config{Size: size, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, rng),
-			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
-			Rate: 1, Size: 1 + float64(rng.Intn(3)),
-		}
+		s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: size, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, cfg.Nodes, rng)
+		p := &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1 + float64(rng.Intn(3))}
 		opt, err := Embed(p, Limits{})
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)

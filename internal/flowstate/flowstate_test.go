@@ -89,7 +89,7 @@ func (s *sim) verify(step string, settled bool) {
 			if sol == nil {
 				continue
 			}
-			cb, err := core.Evaluate(pl.Problem, sol)
+			cb, err := core.ComputeCost(pl.Problem, sol)
 			if err != nil {
 				s.t.Fatalf("after %s: flow %d: %v", step, pl.ID, err)
 			}
@@ -225,9 +225,9 @@ func (s *sim) pick(state string, want func(FlowInfo) bool) (FlowInfo, bool) {
 // commit builds (and applies) a Commit for a new flow, or with repair set a
 // re-commit for that repairing flow.
 func (s *sim) commit(repair *FlowInfo, protected bool) {
+	dag, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 1 + s.rng.Intn(3), LayerWidth: 2, VNFKinds: 4}, s.net.G.NumNodes(), s.rng)
 	info := FlowInfo{
-		SFC: sfc.Format(sfcgen.MustGenerate(sfcgen.Config{Size: 1 + s.rng.Intn(3), LayerWidth: 2, VNFKinds: 4}, s.rng)),
-		Src: s.rng.Intn(s.net.G.NumNodes()), Dst: s.rng.Intn(s.net.G.NumNodes()),
+		SFC: sfc.Format(dag), Src: int(src), Dst: int(dst),
 		// Rates rounded onto the grid, as the server rounds them: every sum
 		// the ledger forms is exact, so "seed minus live reservations" can
 		// be demanded to the bit, whatever order flows leave in.

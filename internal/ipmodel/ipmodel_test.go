@@ -8,33 +8,17 @@ import (
 
 	"dagsfc/internal/core"
 	"dagsfc/internal/exact"
-	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfc"
 	"dagsfc/internal/sfcgen"
 )
 
-// lineFixture mirrors the core/exact fixture; the global optimum is 59.
+// lineFixture is netgen.Line with the SFC [f1] -> [f2|f3 +m] from 0 to 3:
+// the global optimum is 59, with f(3)@3.
 func lineFixture() *core.Problem {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1, 10)
-	g.MustAddEdge(1, 2, 2, 10)
-	g.MustAddEdge(2, 3, 3, 10)
-	net := network.New(g, network.Catalog{N: 3})
-	net.MustAddInstance(1, 1, 10, 10)
-	net.MustAddInstance(2, 2, 20, 10)
-	net.MustAddInstance(1, 3, 30, 10)
-	net.MustAddInstance(3, 3, 12, 10)
-	net.MustAddInstance(2, network.VNFID(4), 5, 10)
-	return &core.Problem{
-		Net: net,
-		SFC: sfc.DAGSFC{Layers: []sfc.Layer{
-			{VNFs: []network.VNFID{1}},
-			{VNFs: []network.VNFID{2, 3}},
-		}},
-		Src: 0, Dst: 3, Rate: 1, Size: 1,
-	}
+	s := sfc.DAGSFC{Layers: []sfc.Layer{{VNFs: []network.VNFID{1}}, {VNFs: []network.VNFID{2, 3}}}}
+	return &core.Problem{Net: netgen.Line(), SFC: s, Src: 0, Dst: 3, Rate: 1, Size: 1}
 }
 
 func tinyRandom(rng *rand.Rand, nodes, kinds, sfcSize int) *core.Problem {
@@ -43,12 +27,8 @@ func tinyRandom(rng *rand.Rand, nodes, kinds, sfcSize int) *core.Problem {
 	cfg.VNFKinds = kinds
 	cfg.Connectivity = 3
 	net := netgen.MustGenerate(cfg, rng)
-	s := sfcgen.MustGenerate(sfcgen.Config{Size: sfcSize, LayerWidth: 2, VNFKinds: kinds}, rng)
-	return &core.Problem{
-		Net: net, SFC: s,
-		Src: graph.NodeID(rng.Intn(nodes)), Dst: graph.NodeID(rng.Intn(nodes)),
-		Rate: 1, Size: 1,
-	}
+	s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: sfcSize, LayerWidth: 2, VNFKinds: kinds}, nodes, rng)
+	return &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1}
 }
 
 func TestIPFindsGlobalOptimumOnFixture(t *testing.T) {

@@ -218,6 +218,28 @@ func MustGenerate(cfg Config, rng *rand.Rand) *network.Network {
 	return net
 }
 
+// Line is the hand-checkable substrate of the cost, validation and oracle
+// tests, every link and instance of capacity 10:
+//
+//	0 --1-- 1 --2-- 2 --3-- 3        (edge prices; edges e0, e1, e2)
+//
+// with f(1)@1 ($10), f(2)@2 ($20), f(3)@1 ($30), f(3)@3 ($12) and the
+// merger@2 ($5). Its optimum for [f1] -> [f2|f3 +m] from 0 to 3 is 59, with
+// f(3)@3; a search that stops at coverage finds 73, with f(3)@1.
+func Line() *network.Network {
+	g := graph.New(4)
+	g.MustAddEdge(0, 1, 1, 10)
+	g.MustAddEdge(1, 2, 2, 10)
+	g.MustAddEdge(2, 3, 3, 10)
+	net := network.New(g, network.Catalog{N: 3})
+	net.MustAddInstance(1, 1, 10, 10)
+	net.MustAddInstance(2, 2, 20, 10)
+	net.MustAddInstance(1, 3, 30, 10)
+	net.MustAddInstance(3, 3, 12, 10)
+	net.MustAddInstance(2, net.Catalog.Merger(), 5, 10)
+	return net
+}
+
 // fluctuate draws uniformly from [avg*(1-f), avg*(1+f)], matching the
 // paper's definition of the price fluctuation ratio (half the max-min gap
 // over the average).

@@ -191,8 +191,8 @@ func churnOps() []crashOp {
 	rng := rand.New(rand.NewSource(1))
 	var ops []crashOp
 	for i := 0; i < 24; i++ {
-		dag := sfcgen.MustGenerate(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: 10}, rng)
-		req := server.FlowRequest{SFC: sfc.Format(dag), Src: rng.Intn(50), Dst: rng.Intn(50), Rate: 1, Size: 1}
+		dag, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: 10}, 50, rng)
+		req := server.FlowRequest{SFC: sfc.Format(dag), Src: int(src), Dst: int(dst), Rate: 1, Size: 1}
 		if rng.Float64() < 0.5 {
 			req.Protection = server.ProtectionBackup
 		}

@@ -46,12 +46,11 @@ func goldenScenario(seed int64) (*network.Network, []goldenFlow, faults.Schedule
 	nodes := net.G.NumNodes()
 	flows := make([]goldenFlow, 150)
 	for i := range flows {
-		s := sfcgen.MustGenerate(sfcgen.Config{Size: 4, LayerWidth: 3, VNFKinds: 6}, rng)
-		src, dst := rng.Intn(nodes), rng.Intn(nodes)
+		s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 4, LayerWidth: 3, VNFKinds: 6}, nodes, rng)
 		for dst == src {
-			dst = rng.Intn(nodes)
+			dst = graph.NodeID(rng.Intn(nodes))
 		}
-		flows[i].req = server.FlowRequest{SFC: sfc.Format(s), Src: src, Dst: dst, Rate: 1, Size: 1}
+		flows[i].req = server.FlowRequest{SFC: sfc.Format(s), Src: int(src), Dst: int(dst), Rate: 1, Size: 1}
 	}
 	clock := 0.0
 	for i := range flows {

@@ -74,11 +74,8 @@ func TestWorkerLedgerRecycledNotRetained(t *testing.T) {
 		var standing []int64
 		out := make([]outcome, 0, admissions)
 		for i := 0; i < admissions; i++ {
-			req := FlowRequest{
-				SFC: sfc.Format(sfcgen.MustGenerate(scfg, rng)),
-				Src: rng.Intn(ncfg.Nodes), Dst: rng.Intn(ncfg.Nodes),
-				Rate: 1, Size: 1, Protection: ProtectionBackup,
-			}
+			dag, src, dst := sfcgen.MustFlow(scfg, ncfg.Nodes, rng)
+			req := FlowRequest{SFC: sfc.Format(dag), Src: int(src), Dst: int(dst), Rate: 1, Size: 1, Protection: ProtectionBackup}
 			info, err := srv.Submit(ctx, req)
 			if err != nil {
 				if !errors.Is(err, core.ErrNoEmbedding) {

@@ -414,12 +414,12 @@ func foreign(name string, e Embedder) *algorithm {
 		if err != nil {
 			return res, err
 		}
-		cb, err := core.Evaluate(p, res.Solution)
+		cost, err := core.Evaluate(p, res.Solution)
 		if err != nil {
 			return nil, fmt.Errorf("%w: embedder %q returned an invalid placement: %v", ErrInternal, name, err)
 		}
 		priced := *res
-		priced.Cost = cb.Cost
+		priced.Cost = cost
 		return &priced, nil
 	})
 }

@@ -267,12 +267,8 @@ func TestServerHammerDrainsToSeed(t *testing.T) {
 	for g := range reqs {
 		reqs[g] = make([]server.FlowRequest, perG)
 		for i := range reqs[g] {
-			dag := sfcgen.MustGenerate(scfg, rng)
-			reqs[g][i] = server.FlowRequest{
-				SFC: sfc.Format(dag),
-				Src: rng.Intn(ncfg.Nodes), Dst: rng.Intn(ncfg.Nodes),
-				Rate: 1, Size: 1,
-			}
+			dag, src, dst := sfcgen.MustFlow(scfg, ncfg.Nodes, rng)
+			reqs[g][i] = server.FlowRequest{SFC: sfc.Format(dag), Src: int(src), Dst: int(dst), Rate: 1, Size: 1}
 		}
 	}
 
@@ -588,10 +584,8 @@ func TestWorkersBoundEveryEmbed(t *testing.T) {
 	scfg := sfcgen.Config{Size: 3, LayerWidth: 2, VNFKinds: 5}
 	for c := range reqs {
 		for i := 0; i < perClient; i++ {
-			reqs[c] = append(reqs[c], server.FlowRequest{
-				SFC: sfc.Format(sfcgen.MustGenerate(scfg, rng)),
-				Src: rng.Intn(ncfg.Nodes), Dst: rng.Intn(ncfg.Nodes), Rate: 1, Size: 1, Alg: "count",
-			})
+			dag, src, dst := sfcgen.MustFlow(scfg, ncfg.Nodes, rng)
+			reqs[c] = append(reqs[c], server.FlowRequest{SFC: sfc.Format(dag), Src: int(src), Dst: int(dst), Rate: 1, Size: 1, Alg: "count"})
 		}
 	}
 	var wg sync.WaitGroup

@@ -438,10 +438,8 @@ func chaosRun(t *testing.T, row chaosRow) chaosOutcome {
 	rng := rand.New(rand.NewSource(1))
 	const flows = 24
 	for i := 0; i < flows; i++ {
-		req := server.FlowRequest{
-			SFC: sfc.Format(sfcgen.MustGenerate(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: gen.VNFKinds}, rng)),
-			Src: rng.Intn(gen.Nodes), Dst: rng.Intn(gen.Nodes), Rate: 0.1 + 0.9*rng.Float64(), Size: 1,
-		}
+		dag, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: 3, LayerWidth: 3, VNFKinds: gen.VNFKinds}, gen.Nodes, rng)
+		req := server.FlowRequest{SFC: sfc.Format(dag), Src: int(src), Dst: int(dst), Rate: 0.1 + 0.9*rng.Float64(), Size: 1}
 		if row.protected && i < flows/2 {
 			req.Protection = server.ProtectionBackup
 		}

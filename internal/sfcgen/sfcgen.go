@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dagsfc/internal/graph"
 	"dagsfc/internal/network"
 	"dagsfc/internal/sfc"
 )
@@ -74,4 +75,28 @@ func MustGenerate(cfg Config, rng *rand.Rand) sfc.DAGSFC {
 		panic(err)
 	}
 	return s
+}
+
+// Flow draws one request of §5.1: an SFC by Generate, then its source, then
+// its destination, each uniform in [0, nodes). Every seeded flow draws in
+// this order, so a corpus drawn through Flow repeats bit for bit
+// (TestFlowFingerprint pins it). Whatever else a caller draws, such as a
+// rate or a distinct destination, it draws before or after the call.
+func Flow(cfg Config, nodes int, rng *rand.Rand) (s sfc.DAGSFC, src, dst graph.NodeID, err error) {
+	if nodes < 1 {
+		return s, 0, 0, fmt.Errorf("sfcgen: %d nodes cannot supply endpoints", nodes)
+	}
+	if s, err = Generate(cfg, rng); err != nil {
+		return s, 0, 0, err
+	}
+	return s, graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes)), nil
+}
+
+// MustFlow is Flow that panics on configuration errors.
+func MustFlow(cfg Config, nodes int, rng *rand.Rand) (sfc.DAGSFC, graph.NodeID, graph.NodeID) {
+	s, src, dst, err := Flow(cfg, nodes, rng)
+	if err != nil {
+		panic(err)
+	}
+	return s, src, dst
 }

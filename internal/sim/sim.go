@@ -241,10 +241,8 @@ func drawInstance(cfg PointConfig, seed int64) *core.Problem {
 	if err != nil {
 		panic(err) // the catalog's builders fail only on configurations Run refuses
 	}
-	s := sfcgen.MustGenerate(cfg.SFC, rng)
 	n := net.G.NumNodes()
-	src := graph.NodeID(rng.Intn(n))
-	dst := graph.NodeID(rng.Intn(n))
+	s, src, dst := sfcgen.MustFlow(cfg.SFC, n, rng)
 	for dst == src && n > 1 {
 		dst = graph.NodeID(rng.Intn(n))
 	}

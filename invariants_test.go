@@ -283,14 +283,14 @@ var invariants = []invariant{{
 	msg:      "internal/server or internal/flowstate carries a placement's usage again: hand flowstate.Apply the placement, and core.Commit prices it",
 }, {
 	name:     "usage-not-carried-clone",
-	contract: "only Evaluate and ComputeCost copy reuse counts to the heap, for the callers that read them",
+	contract: "only ComputeCost copies reuse counts to the heap, for the callers that read them",
 	design:   "6. core",
 	files:    []string{"internal/core/*.go"},
-	// A func whose name does not start Ev or Comp, then body lines up to
-	// its closing brace at column 0, one of them calling clone.
-	forbid: `^func (?:[^CE\n]|C[^o\n]|Co[^m\n]|Com[^p\n]|E[^v\n])[^\n]*\n(?:[^}\n][^\n]*\n|\n)*?[^\n]*\.clone\(\)`,
-	sample: "func Commit(p *Problem, s *Solution) (CostBreakdown, error) {\n\tsc := costScratchPool.Get().(*costScratch)\n\n\tcb.Usage = cb.Usage.clone()",
-	msg:    "internal/core copies a usage to the heap outside Evaluate and ComputeCost: price into the pooled scratch and keep the counts there",
+	// A func whose name does not start Comp, then body lines up to its
+	// closing brace at column 0, one of them calling clone.
+	forbid: `^func (?:[^C\n]|C[^o\n]|Co[^m\n]|Com[^p\n])[^\n]*\n(?:[^}\n][^\n]*\n|\n)*?[^\n]*\.clone\(\)`,
+	sample: "func Evaluate(p *Problem, s *Solution) (CostBreakdown, error) {\n\tsc := costScratchPool.Get().(*costScratch)\n\n\tcb.Usage = cb.Usage.clone()",
+	msg:    "internal/core copies a usage to the heap outside ComputeCost: price into the pooled scratch and keep the counts there",
 }, {
 	name:     "sim-one-trial-loop",
 	contract: "every sweep runs through Experiment.Run: one trial loop, one seed derivation, one aggregation",
@@ -332,11 +332,13 @@ var symbolKeep = map[string]string{
 	"graph.Graph.Connected":         "the connectivity oracle the graph, netgen and sim tests check every generated substrate with",
 	"graph.Graph.HasEdge":           "the duplicate-link check of the graph, core and ipmodel tests' random topologies; FuzzAdjacency holds it to a scan",
 	"graph.Path.Simple":             "the loopless-path oracle the Dijkstra, Yen and search tests check paths with",
-	"netgen.MustGenerate":           "the one-line substrate draw of the tests of baseline, flowstate, ipmodel, netgen and server",
+	"netgen.Line":                   "the hand-checkable 4-node substrate whose optimum of 59 the cost, validation and oracle tests of core, exact and ipmodel pin",
+	"netgen.MustGenerate":           "the one-line substrate draw of the tests of baseline, core, exact, flowstate, ipmodel and server",
 	"server.Server.Journal":         "the in-process read of the flight recorder: tests read flow timelines through it without a socket",
 	"server.FlowStateEvicted":       "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the server tests read flow tables with it",
 	"server.FlowStateRepairing":     "a flow state of the API's FlowInfo.State vocabulary, beside FlowStateActive; the chaos test asserts no flow is left in it",
 	"server.Server.RevalidateFlows": "the chaos invariant: after a quiescent restore pass no committed flow needs one, which the survivability tests assert",
+	"sfcgen.MustGenerate":           "the one-line SFC draw of the tests that draw no endpoints (sfc's parse round trip, server's benchmark) or draw them before the SFC (core's layered tests)",
 	"telemetry.Span.Attr":           "the read side of a span's attributes, which the trace tests of telemetry and core check",
 	"wal.Log.SetSyncFunc":           "the WAL's fsync fault-injection seam for the tests of wal and server",
 }
