@@ -21,15 +21,15 @@ check: fmt build vet test race benchmark-vet fuzz-smoke bench-smoke
 benchmark-vet:
 	$(GO) -C benchmark vet ./...
 
-# fuzz-smoke runs the fuzzers briefly: the two search queues pop in one
-# strict (dist, node) order, a tree grown on demand agrees with the complete
-# tree, the CSR with naive per-node lists, a parent's bounded screening keeps
-# what screening every candidate keeps, the ledger's rows depend on what it
-# holds, not on the order of fills and empties, the journal reads back what a
+# fuzz-smoke runs the fuzzers briefly: both search queues pop in one strict
+# (dist, node) order, a tree grown on demand agrees with the complete tree,
+# the CSR with naive lists, a bounded screen keeps what screening all keeps,
+# a best-first build embeds as building every candidate does, the ledger's
+# rows ignore the order of fills and empties, the journal reads back what a
 # slice would, and the pooled readers and sfc parser read what json.Unmarshal
 # (or a fresh parse) reads. FUZZTIME=1x replays seeds and corpus, as go test does.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = graph:FuzzBucketQueue graph:FuzzGrowTree graph:FuzzAdjacency core:FuzzScreenParent network:FuzzLedgerOrder journal:FuzzJournal server:FuzzCreateBody server/client:FuzzDecodeResponse sfc:FuzzParse
+FUZZ_TARGETS = graph:FuzzBucketQueue graph:FuzzGrowTree graph:FuzzAdjacency core:FuzzScreenParent core:FuzzLazyCandidates network:FuzzLedgerOrder journal:FuzzJournal server:FuzzCreateBody server/client:FuzzDecodeResponse sfc:FuzzParse
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do $(GO) test -run '^$$' -fuzz "$${t#*:}" -fuzztime $(FUZZTIME) "./internal/$${t%%:*}/" || exit 1; done
 

@@ -203,8 +203,8 @@ func TestReadmeFlags(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17340,
-	"test Go":                        25210,
+	"non-test Go":                    17610,
+	"test Go":                        25324,
 	"DESIGN.md":                      953,
 	"README.md":                      418,
 	"Makefile":                       67,

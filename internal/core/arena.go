@@ -136,7 +136,7 @@ type searchMem struct {
 	edges    slab[graph.EdgeID]
 	instUses slab[InstanceUseKey]
 	edgeUses slab[edgeUse]
-	extLists slab[[]*extension]
+	stubs    slab[stub]
 
 	// Graph storage. graph owns these layouts, so they recycle whole instead
 	// of being carved. store holds the run's capacity-only search view and
@@ -154,19 +154,19 @@ type searchMem struct {
 	resBuf, instRes []float64
 
 	// interMemo and innerMemo hold the path choices of the meta-paths the
-	// build under way has already walked: start→host for one buildExtensions
-	// call, host→merger for one pairExtensions call.
+	// run has already walked: start→host, one owner per (layer, start) list,
+	// and host→merger, one per FST–BST pair.
 	interMemo, innerMemo pathMemo
 
 	// Scratch buffers reused within and across runs: their contents are
 	// dead once the call that filled them returns, so they are ordinary
 	// growable slices rather than slab windows.
-	interEdges, innerEdges []graph.EdgeID // buildExtension's sort+merge inputs
-	extBuf                 []*extension   // a build's candidates before the exact-size carve
-	hosts                  [][]*TreeNode  // pairExtensions' per-VNF host lists
-	hostIdx                []int          // pairExtensions' assignment odometer
-	assignment             []*TreeNode    // pairExtensions' current allocation
-	interChoices           [][]graph.Path // instantiate's per-meta-path choices
+	interEdges, innerEdges []graph.EdgeID  // buildExtension's sort+merge inputs
+	extBuf                 []*extension    // a build's candidates before the exact-size carve
+	lists                  []candidateList // a layer's candidate lists, one per start
+	pairs                  []fstPair       // a build's opened FST–BST pairs
+	hosts                  [][]*TreeNode   // and their per-VNF host lists
+	interChoices           [][]graph.Path  // instantiate's per-meta-path choices
 	innerChoices           [][]graph.Path
 	cats                   []network.VNFID     // run's categories, the instance rows it reads
 	specs                  []LayerSpec         // run's per-layer obligations
@@ -179,6 +179,7 @@ type searchMem struct {
 	potRent                []float64           // and, for a terminal run, the least rent still ahead of each layer
 	walk                   []int32             // materialise's backwards arc list
 	keys                   []float64           // nodesByKey's keys
+	terms                  []float64           // lowerBound's per-VNF terms
 }
 
 // slabs lists every slab of the arena: the one place reset and bytes learn
@@ -192,26 +193,33 @@ func (m *searchMem) slabs() [16]interface {
 		bytes() int
 	}{
 		&m.trees, &m.nodes, &m.vnfs, &m.links, &m.ptrs, &m.idx,
-		&m.exts, &m.subs, &m.extPtrs, &m.subPtrs, &m.nodeIDs, &m.paths, &m.edges, &m.instUses, &m.edgeUses, &m.extLists,
+		&m.exts, &m.subs, &m.extPtrs, &m.subPtrs, &m.nodeIDs, &m.paths, &m.edges, &m.instUses, &m.edgeUses, &m.stubs,
 	}
 }
 
+// reset readies the arena for the next run, clearing only what the run
+// used: each slab's carved prefix, each memo's touched entries, and the
+// scratch buffers that hold pointers — into the slabs, the problem's SFC,
+// the network's rent rows, heap-born paths — so that a pooled arena pins
+// nothing of the run. Those buffers are clear beyond what the run used,
+// since the last reset cleared them: the per-layer ones reach at most the
+// run's layer count or its widest layer, extBuf, lists, pairs, hosts and
+// screens are cleared where they are used, and leaves is never shortened
+// within a run.
 func (m *searchMem) reset() {
 	for _, s := range m.slabs() {
 		s.reset()
 	}
-	// The scratch buffers hold pointers into the slabs just cleared (and
-	// into heap-born paths); drop them so a pooled arena pins nothing.
-	clear(m.extBuf[:cap(m.extBuf)])
-	clear(m.hosts[:cap(m.hosts)])
-	clear(m.assignment[:cap(m.assignment)])
-	clear(m.interChoices[:cap(m.interChoices)])
-	clear(m.innerChoices[:cap(m.innerChoices)])
-	clear(m.specs[:cap(m.specs)])
-	clear(m.required[:cap(m.required)])
-	clear(m.screens[:cap(m.screens)])
-	clear(m.leaves[:cap(m.leaves)])
-	clear(m.rents[:cap(m.rents)])
+	layers, width := len(m.specs), 0
+	for _, spec := range m.specs {
+		width = max(width, len(spec.VNFs))
+	}
+	clear(m.specs)
+	clear(m.required)
+	clear(m.rents[:min(layers, cap(m.rents))])
+	clear(m.interChoices[:min(width, cap(m.interChoices))])
+	clear(m.innerChoices[:min(width, cap(m.innerChoices))])
+	clear(m.leaves)
 	m.interMemo.reset()
 	m.innerMemo.reset()
 	m.private.Forget()
@@ -230,48 +238,60 @@ func (m *searchMem) runBytes() int {
 	return n
 }
 
-// pathMemo is a dense per-node table of path choices that is emptied in
-// O(1): an entry counts only while its stamp is the current build's. The
-// choices it hands out are shared by every extension that asked, so they
-// are read-only from the moment they are put.
+// pathMemo is a dense per-node table of path choices, each entry stamped
+// with its owner: a (layer, start) list for start→host paths, an FST–BST
+// pair for host→merger ones. It serves one owner at a time, and an entry
+// counts only while its stamp is that owner's, so a lazy list's builds can
+// interleave owners, re-walking only a node another owner took over since.
+// The choices it hands out are shared by every extension that asked, so
+// they are read-only from the moment they are put.
 type pathMemo struct {
 	stamp   []uint32
 	choices [][]graph.Path
-	build   uint32
+	touched []int32 // the nodes put since the last reset
+	// build is the last stamp handed out, cur the owner served.
+	build, cur uint32
 }
 
-// begin empties the memo for a new build over a graph of n nodes.
-func (pm *pathMemo) begin(n int) {
+// begin hands a new owner its stamp, over a graph of n nodes, and serves it.
+func (pm *pathMemo) begin(n int) uint32 {
 	if len(pm.stamp) < n {
-		pm.stamp, pm.choices = make([]uint32, n), make([][]graph.Path, n)
-		pm.build = 0
+		pm.stamp, pm.choices, pm.touched = make([]uint32, n), make([][]graph.Path, n), make([]int32, 0, n)
 	}
 	pm.build++
+	pm.cur = pm.build
+	return pm.cur
 }
 
-// get returns what put stored for node v during the current build; an
-// empty answer ("no path") is an answer.
+// serve switches the memo to the owner begin handed stamp.
+func (pm *pathMemo) serve(stamp uint32) { pm.cur = stamp }
+
+// get returns what put stored for node v for the owner served; an empty
+// answer ("no path") is an answer.
 func (pm *pathMemo) get(v graph.NodeID) ([]graph.Path, bool) {
-	return pm.choices[v], pm.stamp[v] == pm.build
+	return pm.choices[v], pm.stamp[v] == pm.cur
 }
 
 func (pm *pathMemo) put(v graph.NodeID, choices []graph.Path) {
-	pm.choices[v], pm.stamp[v] = choices, pm.build
+	if pm.stamp[v] == 0 {
+		pm.touched = append(pm.touched, int32(v))
+	}
+	pm.choices[v], pm.stamp[v] = choices, pm.cur
 }
 
-// reset drops the paths a finished run left behind, if it used the memo at
-// all, so that a pooled arena pins none and stamps restart from zero.
+// reset drops the paths a finished run left behind, entry by entry, so that
+// a pooled arena pins none and stamps restart from zero.
 func (pm *pathMemo) reset() {
-	if pm.build != 0 {
-		clear(pm.stamp)
-		clear(pm.choices)
-		pm.build = 0
+	for _, v := range pm.touched {
+		pm.stamp[v], pm.choices[v] = 0, nil
 	}
+	pm.touched = pm.touched[:0]
+	pm.build, pm.cur = 0, 0
 }
 
 // bytes reports the memory the memo's tables pin.
 func (pm *pathMemo) bytes() int {
-	return cap(pm.stamp)*4 + cap(pm.choices)*int(unsafe.Sizeof([]graph.Path(nil)))
+	return (cap(pm.stamp)+cap(pm.touched))*4 + cap(pm.choices)*int(unsafe.Sizeof([]graph.Path(nil)))
 }
 
 // sized returns buf resliced to n elements, regrown if it lacks the

@@ -69,7 +69,7 @@ func firstLayerExtensions(p *Problem) int {
 	defer releaseScratch(sc)
 	e := newEmbedder(context.Background(), p, MBBEOptions(), sc)
 	e.avgLink = p.Net.AvgLinkPrice()
-	return len(e.buildExtensions(e.layerSpecs()[0], p.Src, nil))
+	return len(allCandidates(e, e.layerSpecs()[0], p.Src))
 }
 
 // BenchmarkParallelLayer builds and screens the first parallel layer of the

@@ -1,0 +1,189 @@
+package core
+
+import (
+	"math"
+
+	"dagsfc/internal/graph"
+)
+
+// candidateList is one (layer, start) candidate set as screenParent reads
+// it, through candidate. An eager list holds every candidate, built and in
+// q order. A lazy one — a parallel layer of an MBBE run with no delay bound
+// — holds one stub per assignment of its FST–BST pairs, priced by a lower
+// bound and built only when the screen reads that far.
+type candidateList struct {
+	// exts are the candidates handed out so far, in (q, eager index) order:
+	// an eager list's every candidate.
+	exts []*extension
+	// stubs are a lazy list's assignments in the order an eager build takes
+	// them — pair by pair, each pair's odometer in turn: the eager index —
+	// and hosts their VNF hosts, stub s's at [s·k, (s+1)·k) for k VNFs.
+	// order holds the stubs not yet handed out, ascending by (key, index).
+	stubs []stub
+	hosts []*TreeNode
+	order []int32
+	fst   *SearchTree
+	spec  LayerSpec
+	start graph.NodeID
+	// memo is the interMemo stamp the list's builds walk start→host paths
+	// under.
+	memo uint32
+}
+
+// fstPair is one opened FST–BST pair: its merger, its backward search, its
+// host lists, how many assignments its odometer visits (counted no further
+// than one past maxExtensionsPerStart) and the innerMemo stamp its builds
+// walk host→merger paths under.
+type fstPair struct {
+	merger *TreeNode
+	bst    *SearchTree
+	hosts  [][]*TreeNode
+	stubs  int
+	memo   uint32
+}
+
+// stub is one assignment of a lazy list: what it needs of its pair to be
+// built, and its key — while unbuilt a lower bound on the q it builds, once
+// built (ext set) that q.
+type stub struct {
+	key    float64
+	ext    *extension
+	merger *TreeNode
+	bst    *SearchTree
+	memo   uint32
+}
+
+// lazyBoundSlack is what a stub's bound gives up to rounding. q and q_lb are
+// sums of non-negative terms — prices, rents, Dijkstra distances, each a
+// left-to-right sum of at most n−1 prices — and each computed value lies
+// within a factor (1 ± u)^r of its exact one, u = 2⁻⁵³ and r the roundings
+// on the way: fewer than 2(n + m + k + 4) for n nodes, m links and k VNFs.
+// While n + m + k + 4 ≤ 2²⁸, r·u < 2⁻²⁴, so q_lb·(1 − 2⁻²⁰), rounded, stays
+// at or below q rounded whenever q_lb ≤ q exactly.
+const lazyBoundSlack = 0x1p-20
+
+// lazy reports whether a parallel layer's candidate lists are built
+// best-first: with min-cost paths and no delay bound an assignment builds
+// exactly one candidate, whose q has a lower bound (see lowerBound), and
+// under an X_d cut with a way to go the screen reads only the cheapest few.
+// The eager reference switch turns it off.
+func (e *embedder) lazy() bool {
+	return e.opts.MiniPath && e.opts.MaxDelay <= 0 && e.opts.Xd > 0 && e.toDst != nil && !e.eager
+}
+
+// priceStubs makes cl lazy over the n assignments of pairs: each becomes a
+// stub keyed by its lower bound, in order.
+func (e *embedder) priceStubs(cl *candidateList, pairs []fstPair, n int) {
+	m := e.sc.mem
+	k := len(cl.spec.VNFs)
+	cl.stubs, cl.hosts, cl.exts = m.stubs.alloc(n)[:0], m.ptrs.alloc(n*k), m.extPtrs.alloc(n)[:0]
+	cl.order = m.idx.alloc(n)[:0]
+	m.terms = sized(m.terms, 3*k)
+	for i := range pairs {
+		pr := &pairs[i]
+		var last []*TreeNode
+		e.eachAssignment(pr, func(assignment []*TreeNode) {
+			s := len(cl.stubs)
+			hosts := cl.hosts[s*k : (s+1)*k]
+			copy(hosts, assignment)
+			key := e.lowerBound(cl, pr.merger.Node, hosts, last, m.terms)
+			cl.stubs = append(cl.stubs, stub{key: key, merger: pr.merger, bst: pr.bst, memo: pr.memo})
+			cl.order = append(cl.order, int32(s))
+			cl.settle(s)
+			last = hosts
+		})
+	}
+}
+
+// lowerBound prices an assignment of cl's VNFs with merger m before it is
+// built:
+//
+//	q_lb = Size·(Σᵢ rent(vᵢ) + rent(m) + maxᵢ d(start, vᵢ) + Σᵢ d(vᵢ, m)) + toDst[m]·Size
+//
+// less the rounding slack. The distances are those of the trees the build
+// walks its paths off, so q_lb ≤ q: eq. 7 pays every rent; eq. 9 pays the
+// union of the inter-layer paths once per link, at least its dearest
+// member; eq. 10 pays every inner path. terms holds each VNF's rent,
+// d(start, v) and d(v, m) for last, the pair's assignment priced before
+// (nil: none), and is updated only where hosts differs from it: the
+// odometer turns the last VNF's host fastest.
+func (e *embedder) lowerBound(cl *candidateList, m graph.NodeID, hosts, last []*TreeNode, terms []float64) float64 {
+	p := e.p
+	rent, far, inner := p.Net.Rents(p.Net.Catalog.Merger())[m], 0.0, 0.0
+	for i, tn := range hosts {
+		t := terms[3*i : 3*i+3]
+		if v := tn.Node; last == nil || last[i] != tn {
+			t[0], t[1], t[2] = p.Net.Rents(cl.spec.VNFs[i])[v], e.treeFor(cl.start, v).Dist[v], e.treeFor(m, v).Dist[v]
+		}
+		rent, far, inner = rent+t[0], max(far, t[1]), inner+t[2]
+	}
+	return ((rent+far+inner)*p.Size + e.toDst[m]*p.Size) * (1 - lazyBoundSlack)
+}
+
+// candidate returns cl's i-th candidate in (q, eager index) order, nil past
+// the last: the order trimExtensions' stable sort gives an eager list, so
+// every parent is handed the same candidates either way. A lazy list takes
+// stubs off the front of its order until it has the i-th. A built one comes
+// next: every unbuilt stub would build a q at least its key, and a tie in q
+// goes to the lower index. An unbuilt one is built — through instantiate, as
+// an eager build would — and moves back to its q's place, or out if it
+// builds nothing.
+func (e *embedder) candidate(cl *candidateList, i int) *extension {
+	m := e.sc.mem
+	for len(cl.exts) <= i && len(cl.order) > 0 {
+		s := cl.order[0]
+		next := &cl.stubs[s]
+		if next.ext != nil {
+			cl.exts = append(cl.exts, next.ext)
+			cl.order = cl.order[1:]
+			continue
+		}
+		k := len(cl.spec.VNFs)
+		exts := e.buildAssignment(m.extBuf[:0], cl, next.bst, next.merger, next.memo, cl.hosts[int(s)*k:int(s+1)*k])
+		m.extBuf = exts[:0]
+		if len(exts) == 0 {
+			cl.order = cl.order[1:]
+			continue
+		}
+		next.ext, exts[0] = exts[0], nil
+		e.setQ(next.ext)
+		next.key = next.ext.q
+		cl.settle(0)
+	}
+	if i < len(cl.exts) {
+		return cl.exts[i]
+	}
+	return nil
+}
+
+// before reports whether stub a comes before stub b: by key, then index.
+func (cl *candidateList) before(a, b int32) bool {
+	ka, kb := cl.stubs[a].key, cl.stubs[b].key
+	return ka < kb || ka == kb && a < b
+}
+
+// settle moves order[j] to its place, the rest of order being in (key,
+// index) order: a new stub's, or a built one's now keyed by its q.
+func (cl *candidateList) settle(j int) {
+	s := cl.order[j]
+	for ; j > 0 && cl.before(s, cl.order[j-1]); j-- {
+		cl.order[j] = cl.order[j-1]
+	}
+	for ; j+1 < len(cl.order) && cl.before(cl.order[j+1], s); j++ {
+		cl.order[j] = cl.order[j+1]
+	}
+	cl.order[j] = s
+}
+
+// leastQ returns a lower bound on the q of cl's i-th candidate and every
+// later one, building nothing: its q once handed out, else the key of the
+// stub next in order (+Inf past the last).
+func (cl *candidateList) leastQ(i int) float64 {
+	switch {
+	case i < len(cl.exts):
+		return cl.exts[i].q
+	case len(cl.order) > 0:
+		return cl.stubs[cl.order[0]].key
+	}
+	return math.Inf(1)
+}

@@ -257,7 +257,7 @@ func TestSharedPathWindows(t *testing.T) {
 		}
 		return shared
 	}
-	first := e.buildExtensions(spec, p.Src, nil)
+	first := allCandidates(e, spec, p.Src)
 	if len(first) == 0 {
 		t.Fatal("no extensions")
 	}
@@ -275,7 +275,7 @@ func TestSharedPathWindows(t *testing.T) {
 	// More walks and reversals on the same trees: another start's build, whose
 	// mergers overlap the first's, and a closure of every end node.
 	other := first[0].endNode
-	check(e.buildExtensions(spec, other, nil), other)
+	check(allCandidates(e, spec, other), other)
 	for _, ext := range first {
 		if _, ok := e.tailPath(ext.endNode); !ok {
 			t.Fatalf("no tail from %d", ext.endNode)

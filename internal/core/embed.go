@@ -129,8 +129,9 @@ type Stats struct {
 	BackwardSearches int
 	// TreeNodes is the total number of FST/BST nodes materialized.
 	TreeNodes int
-	// Extensions is the number of candidate sub-solutions generated
-	// (before pruning); SubSolutions the number inserted into the tree.
+	// Extensions is the number of candidate sub-solutions built (before
+	// pruning; a lazy parallel layer builds only what its screen reaches,
+	// see candidate); SubSolutions the number inserted into the tree.
 	Extensions   int
 	SubSolutions int
 	// CapacityRejections counts parent×extension candidates discarded by
@@ -297,9 +298,10 @@ type embedder struct {
 	// The reference switches, set by tests alone (embedReference): perLayer
 	// keeps single-VNF runs away from the layered kernel, undirected withholds
 	// the potential from terminal layered runs, perLeafClosure closes every
-	// leaf with a tree of its own. Each is the slow path its replacement is
+	// leaf with a tree of its own, eager builds every stub of a parallel
+	// layer before screening. Each is the slow path its replacement is
 	// tested against.
-	perLayer, undirected, perLeafClosure bool
+	perLayer, undirected, perLeafClosure, eager bool
 	// ctx cancels the run between layers and between a layer's start-node
 	// builds; never nil (EmbedContext defaults it to Background).
 	ctx context.Context
@@ -318,11 +320,13 @@ type embedder struct {
 	// is carved from sc.mem.
 	sc    *pooledScratch
 	stats Stats
-	// layerExts holds the current layer's extensions by start node: every
-	// parent sub-solution ending on the same node shares the same set of
-	// feasible layer embeddings. A dense window of the arena, filled by
-	// buildLayerExtensions and read by screenParent.
-	layerExts [][]*extension
+	// lists holds the current layer's candidate lists, one per distinct
+	// start node in first-appearance order, and layerExts[v] the position
+	// plus one of start v's: every parent sub-solution ending on the same
+	// node shares the same set of feasible layer embeddings. Filled by
+	// buildLayerExtensions and read by screenParent, in the arena.
+	lists     []candidateList
+	layerExts []int32
 	// trees is the arena's store the run's Dijkstra trees come from, grown
 	// on pathView: store, kept from earlier runs or kept for later ones, or
 	// for a banned run private. Links are bidirectional with symmetric
@@ -622,8 +626,7 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 	e.buildLayerExtensions(spec, frontier, sp)
 	filter := startSpan(sp, "filter")
 	m.screens = sized(m.screens, len(frontier))
-	screens := m.screens
-	clear(screens)
+	screens := m.screens // clear: the last layer cleared what it used
 	for i, parent := range frontier {
 		e.screenParent(spec, parent, &screens[i])
 	}
@@ -638,6 +641,8 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 	for i := range screens {
 		next = append(next, screens[i].children...)
 	}
+	clear(screens)
+	clear(e.lists)
 	e.stats.CapacityRejections += capRejected
 	e.stats.DelayRejections += delayRejected
 	endFilter(filter, considered, capRejected, delayRejected)
@@ -666,16 +671,19 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 // Xd-th lowest rank among them: every term is non-negative, so a child's
 // rank, (P+localCost)+toDst·Size rounded twice for P the parent's cost, is at
 // least (P + q/(1+u))(1−u)² with u = 2⁻⁵³, above (P+q)·(1−2⁻⁵⁰) rounded, and
-// no later candidate has a smaller q.
+// no later candidate has a smaller q. The test runs first on a lower bound
+// of every q left (leastQ), so a lazy list builds no candidate it discards.
 func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen) {
 	p, m := e.p, e.sc.mem
-	exts := e.layerExts[parent.endNode(p.Src)]
+	cl := &e.lists[e.layerExts[parent.endNode(p.Src)]-1]
 	xd := e.opts.Xd
 	bounded := xd > 0 && e.opts.MaxDelay <= 0
 	low := m.ranks[:0] // the xd lowest ranks so far, ascending
-	children := m.subPtrs.reserve(len(exts))
-	for _, ext := range exts {
-		if bounded && len(low) == xd && (parent.cum+ext.q)*(1-0x1p-50) > low[xd-1] {
+	children := m.subPtrs.reserve(cap(cl.exts))
+	stop := func(q float64) bool { return bounded && len(low) == xd && (parent.cum+q)*(1-0x1p-50) > low[xd-1] }
+	for i := 0; !stop(cl.leastQ(i)); i++ {
+		ext := e.candidate(cl, i)
+		if ext == nil || stop(ext.q) {
 			break
 		}
 		out.considered++
@@ -706,38 +714,43 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 	out.children = children
 }
 
-// buildLayerExtensions fills layerExts for every distinct start node of the
-// frontier, in first-appearance order. It stops early once the context is
-// done, leaving the layer's extension sets incomplete; searchLayer
+// buildLayerExtensions fills lists and layerExts for every distinct start
+// node of the frontier, in first-appearance order. It stops early once the
+// context is done, leaving the rest of the layer's lists empty; searchLayer
 // re-checks the context before interpreting an empty frontier, so a
 // cancelled run reports ctx.Err(), never a bogus ErrNoEmbedding.
 func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) {
 	m := e.sc.mem
-	n := e.p.Net.G.NumNodes()
-	e.layerExts = m.extLists.alloc(n)
-	built := m.idx.alloc(n)
+	e.layerExts = m.idx.alloc(e.p.Net.G.NumNodes())
+	starts := m.nodeIDs.reserve(len(frontier))
 	for _, parent := range frontier {
-		start := parent.endNode(e.p.Src)
-		if built[start] != 0 {
-			continue
+		if start := parent.endNode(e.p.Src); e.layerExts[start] == 0 {
+			starts = append(starts, start)
+			e.layerExts[start] = int32(len(starts))
 		}
-		built[start] = 1
+	}
+	starts = m.nodeIDs.commit(starts)
+	m.lists = sized(m.lists, len(starts))
+	e.lists = m.lists
+	for i, start := range starts {
 		if e.ctx.Err() != nil {
 			return
 		}
-		e.layerExts[start] = e.buildExtensions(spec, start, sp)
+		e.buildExtensions(&e.lists[i], spec, start, sp)
 	}
 }
 
-// buildExtensions builds one (layer, start) candidate set: the forward
-// search, then for a single-VNF layer its hosts' candidates, for a parallel
-// layer those of every FST–BST pair over the kept mergers, and the trim to
-// the cheapest maxExtensionsPerStart. With min-cost-path instantiation the
-// forward search runs one ring past coverage: the paths no longer come from
-// the tree, so the tree is only the candidate set (bare of Table 1's
-// adjacency), and the nearest cover is rarely the cheapest. The searches and the build are traced under the
+// buildExtensions fills cl with one (layer, start) candidate set: the
+// forward search, then for a single-VNF layer its hosts' candidates, for a
+// parallel layer every FST–BST pair over the kept mergers opened and its
+// assignments built — or, in a lazy list, priced to be built best-first
+// (see candidate) — and the trim to the cheapest maxExtensionsPerStart.
+// With min-cost-path instantiation the forward search runs one ring past
+// coverage: the paths no longer come from the tree, so the tree is only the
+// candidate set (bare of Table 1's adjacency), and the nearest cover is
+// rarely the cheapest. The searches and the build are traced under the
 // layer's span sp.
-func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telemetry.Span) []*extension {
+func (e *embedder) buildExtensions(cl *candidateList, spec LayerSpec, start graph.NodeID, sp *telemetry.Span) {
 	p, m := e.p, e.sc.mem
 	fwd := startAt(sp, "forward-search", start)
 	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m,
@@ -746,14 +759,14 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telem
 		cfg.ringsPast = 1
 	}
 	fst := runSearch(p, start, cfg)
-	m.interMemo.begin(p.Net.G.NumNodes())
+	*cl = candidateList{spec: spec, start: start, fst: fst, memo: m.interMemo.begin(p.Net.G.NumNodes())}
 	e.stats.ForwardSearches++
 	e.stats.TreeNodes += fst.Size()
 	endSearch(fwd, fst.Size(), fst.Covered())
 	cand := startAt(sp, "candidates", start)
 	if !fst.Covered() {
 		endCandidates(cand, 0, 0)
-		return nil
+		return
 	}
 	exts := m.extBuf[:0]
 	if !spec.Merger {
@@ -772,22 +785,47 @@ func (e *embedder) buildExtensions(spec LayerSpec, start graph.NodeID, sp *telem
 			}
 		}
 		fst.nodesByKey(mergers[:], cat[:], e.opts.MaxMergerCandidates, key)
-		for _, merger := range mergers[0] {
+		k := len(spec.VNFs)
+		m.hosts = sized(m.hosts, len(mergers[0])*k)
+		pairs, stubs := m.pairs[:0], 0
+		for i, merger := range mergers[0] {
 			if e.ctx.Err() != nil {
 				break
 			}
-			exts = e.pairExtensions(exts, spec, start, fst, merger, cand)
+			if pr, ok := e.openPair(spec, fst, merger, m.hosts[i*k:(i+1)*k:(i+1)*k], cand); ok {
+				pairs = append(pairs, pr)
+				stubs += pr.stubs
+			}
+		}
+		lazy := e.lazy() && stubs <= maxExtensionsPerStart
+		if lazy {
+			e.priceStubs(cl, pairs, stubs)
+		} else {
+			for i := range pairs {
+				pr := &pairs[i]
+				e.eachAssignment(pr, func(assignment []*TreeNode) {
+					exts = e.buildAssignment(exts, cl, pr.bst, pr.merger, pr.memo, assignment)
+				})
+			}
+		}
+		// What the pairs hold lives on in the stubs and extensions.
+		clear(pairs)
+		clear(m.hosts)
+		m.pairs = pairs[:0]
+		if lazy {
+			endCandidates(cand, stubs, stubs)
+			return
 		}
 	}
 	generated := len(exts)
 	// An exact-size carve of the candidates; the growable buffer they were
-	// collected in goes back for the next build.
+	// collected in goes back, cleared, for the next build.
 	kept := m.extPtrs.alloc(generated)
 	copy(kept, exts)
+	clear(exts)
 	m.extBuf = exts[:0]
-	kept = e.trimExtensions(kept, maxExtensionsPerStart)
-	endCandidates(cand, generated, len(kept))
-	return kept
+	cl.exts = e.trimExtensions(kept, maxExtensionsPerStart)
+	endCandidates(cand, generated, len(cl.exts))
 }
 
 // truncateWithDelayDiversity keeps the cheapest limit sub-solutions (the
@@ -845,15 +883,21 @@ func (e *embedder) trimExtensions(exts []*extension, limit int) []*extension {
 			func(a, b *extension) bool { return a.localCost < b.localCost })
 	}
 	for _, ext := range exts {
-		ext.q = ext.localCost
-		if e.toDst != nil {
-			ext.q += e.toDst[ext.endNode] * e.p.Size
-		}
+		e.setQ(ext)
 	}
 	if e.toDst != nil {
 		slices.SortStableFunc(exts, func(a, b *extension) int { return cmp.Compare(a.q, b.q) })
 	}
 	return exts
+}
+
+// setQ sets ext.q: its local cost plus, in a run that knows the way, the
+// way on from its end node.
+func (e *embedder) setQ(ext *extension) {
+	ext.q = ext.localCost
+	if e.toDst != nil {
+		ext.q += e.toDst[ext.endNode] * e.p.Size
+	}
 }
 
 // singleVNFExtensions appends the candidates of a single-VNF layer: no
@@ -878,12 +922,15 @@ func (e *embedder) singleVNFExtensions(exts []*extension, spec LayerSpec, start 
 	return exts
 }
 
-// pairExtensions appends the candidate sub-solutions of one FST–BST pair
-// (§4.4.1): enumerate parallel-VNF allocations over the BST's nodes, then
-// instantiate inner-layer paths from the BST and inter-layer paths from
-// the FST. The backward search is traced under the build's candidates span.
-func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph.NodeID, fst *SearchTree, mergerTN *TreeNode,
-	cand *telemetry.Span) []*extension {
+// openPair opens one FST–BST pair (§4.4.1): the backward search from the
+// merger, traced under the build's candidates span, and, once it covers,
+// the hosts per VNF into hosts, all k lists in one pass over the BST,
+// cheapest-looking first: rental price plus a hop-based link-price estimate toward the merger
+// and, in a run with a sense of direction, from the start. Within A steps
+// the odometer reads no list past index A-1, so each list is cut to the A
+// cheapest.
+func (e *embedder) openPair(spec LayerSpec, fst *SearchTree, mergerTN *TreeNode, hosts [][]*TreeNode,
+	cand *telemetry.Span) (fstPair, bool) {
 	p, m := e.p, e.sc.mem
 	bwd := startAt(cand, "backward-search", mergerTN.Node)
 	bst := runSearch(p, mergerTN.Node, searchConfig{
@@ -898,18 +945,8 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 	e.stats.TreeNodes += bst.Size()
 	endSearch(bwd, bst.Size(), bst.Covered())
 	if !bst.Covered() {
-		return exts
+		return fstPair{}, false
 	}
-	m.innerMemo.begin(p.Net.G.NumNodes())
-
-	// Hosts per VNF, all k lists in one pass over the BST, cheapest-looking
-	// first: rental price plus a hop-based link-price estimate toward the
-	// merger and, in a run with a sense of direction, from the start. Within
-	// A steps the odometer below reads no list past index A-1, so each list
-	// is cut to the A cheapest.
-	k := len(spec.VNFs)
-	m.hosts = sized(m.hosts, k)
-	hosts := m.hosts
 	// The BST is covered, so no list is empty.
 	bst.nodesByKey(hosts, spec.VNFs, e.opts.MaxAssignmentsPerPair, func(i int, tn *TreeNode) float64 {
 		h := tn.Iteration - 1
@@ -918,22 +955,36 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 		}
 		return p.Net.Rents(spec.VNFs[i])[tn.Node] + float64(h)*e.avgLink
 	})
+	// What the odometer visits: the product of the list lengths, capped at
+	// A, counted no further than one past the per-start cut.
+	stubs, most := 1, maxExtensionsPerStart+1
+	if a := e.opts.MaxAssignmentsPerPair; a > 0 {
+		most = min(most, a)
+	}
+	for _, h := range hosts {
+		if stubs = min(stubs*len(h), most); stubs == most {
+			break
+		}
+	}
+	return fstPair{merger: mergerTN, bst: bst, hosts: hosts, stubs: stubs, memo: m.innerMemo.begin(p.Net.G.NumNodes())}, true
+}
 
-	// Walk the allocations as an odometer over the host lists, the last
-	// VNF's host turning fastest — the order a depth-first enumeration
-	// visits them in.
-	m.assignment = sized(m.assignment, k)
-	m.hostIdx = sized(m.hostIdx, k)
-	assignment, idx := m.assignment, m.hostIdx
-	clear(idx)
+// eachAssignment walks pr's allocations as an odometer over its host lists,
+// the last VNF's host turning fastest — the order a depth-first enumeration
+// visits them in — at most MaxAssignmentsPerPair of them, and hands each to
+// visit, which must not keep the slice.
+func (e *embedder) eachAssignment(pr *fstPair, visit func(assignment []*TreeNode)) {
+	m := e.sc.mem
+	k := len(pr.hosts)
+	assignment, idx := m.ptrs.alloc(k), m.idx.alloc(k)
 	for count := 0; e.opts.MaxAssignmentsPerPair <= 0 || count < e.opts.MaxAssignmentsPerPair; count++ {
 		for i := range assignment {
-			assignment[i] = hosts[i][idx[i]]
+			assignment[i] = pr.hosts[i][idx[i]]
 		}
-		exts = e.instantiate(exts, spec, start, fst, bst, mergerTN, assignment)
+		visit(assignment)
 		i := k - 1
 		for ; i >= 0; i-- {
-			if idx[i]++; idx[i] < len(hosts[i]) {
+			if idx[i]++; int(idx[i]) < len(pr.hosts[i]) {
 				break
 			}
 			idx[i] = 0
@@ -942,7 +993,17 @@ func (e *embedder) pairExtensions(exts []*extension, spec LayerSpec, start graph
 			break
 		}
 	}
-	return exts
+}
+
+// buildAssignment appends to exts what one assignment over the pair of
+// cl's forward search and bst, merging on merger, builds: its meta-paths
+// are walked under cl's memo stamp and the pair's, memo.
+func (e *embedder) buildAssignment(exts []*extension, cl *candidateList, bst *SearchTree, merger *TreeNode, memo uint32,
+	assignment []*TreeNode) []*extension {
+	m := e.sc.mem
+	m.interMemo.serve(cl.memo)
+	m.innerMemo.serve(memo)
+	return e.instantiate(exts, cl.spec, cl.start, cl.fst, bst, merger, assignment)
 }
 
 // instantiate appends to exts the extension(s) for one concrete VNF
@@ -1030,9 +1091,9 @@ func (e *embedder) withHopVariant(a, b graph.NodeID, path graph.Path) []graph.Pa
 }
 
 // interPaths returns the inter-layer real-path choices from start to the
-// FST node tn, in start→node direction. Every assignment of the build that
-// places a VNF on tn's node asks for the same meta-path, so it is walked
-// once and the choices shared, read-only, from then on.
+// FST node tn, in start→node direction. Every assignment of the (layer,
+// start) list that places a VNF on tn's node asks for the same meta-path, so
+// it is walked once and the choices shared, read-only, from then on.
 func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID) []graph.Path {
 	memo := &e.sc.mem.interMemo
 	if choices, ok := memo.get(tn.Node); ok {
@@ -1056,7 +1117,7 @@ func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID)
 
 // innerPaths returns the inner-layer real-path choices from the BST node
 // tn to the merger node, in node→merger direction, walked once per FST–BST
-// pair like interPaths' per build.
+// pair like interPaths' per list.
 func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.NodeID) []graph.Path {
 	memo := &e.sc.mem.innerMemo
 	if choices, ok := memo.get(tn.Node); ok {

@@ -30,14 +30,24 @@ func hostsOf(net *network.Network, f network.VNFID) []graph.NodeID {
 }
 
 // embedReference is Embed with a reference path switched on: set flips
-// perLayer, undirected or perLeafClosure on the embedder before it runs. The
-// one way those switches are ever set.
+// perLayer, undirected, perLeafClosure or eager on the embedder before it
+// runs. The one way those switches are ever set.
 func embedReference(p *Problem, opts Options, set func(e *embedder)) (*Result, error) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
 	e := newEmbedder(context.Background(), p, opts, sc)
 	set(e)
 	return e.run()
+}
+
+// allCandidates builds start's candidate list for spec and reads it to the
+// end.
+func allCandidates(e *embedder, spec LayerSpec, start graph.NodeID) []*extension {
+	var cl candidateList
+	e.buildExtensions(&cl, spec, start, nil)
+	for e.candidate(&cl, len(cl.exts)) != nil {
+	}
+	return cl.exts
 }
 
 // testSearch is runSearch for tests that call it directly: it reads the

@@ -78,8 +78,9 @@ func tableTwoFlows(n int) []*Problem {
 // size-6 SFCs of two width-3 layers). The forward search of a parallel
 // layer is the one runSearch builds with one ring past coverage — on every
 // instance the stop-at-coverage tree plus exactly the next ring — and the
-// candidates enumerated from it stay few: ranked before they are built, not
-// built to be ranked.
+// candidates built from it stay few: ranked before they are built, and built
+// best-first only as far as the screen reads (26.7 per embed, against 107.3
+// with every stub built).
 func TestParallelLayerHorizonAndWork(t *testing.T) {
 	const flows = 60
 	extensions, ringThree := 0, 0
@@ -113,8 +114,8 @@ func TestParallelLayerHorizonAndWork(t *testing.T) {
 	if ringThree == 0 {
 		t.Fatal("vacuous: no instance covered its first layer at iteration 2")
 	}
-	if mean := float64(extensions) / flows; mean > 130 {
-		t.Fatalf("%.1f candidate extensions per embed, want at most 130", mean)
+	if mean := float64(extensions) / flows; mean > 27 {
+		t.Fatalf("%.1f candidate extensions per embed, want at most 27", mean)
 	}
 	t.Logf("%.1f extensions per embed; %d of %d first layers covered at iteration 2 and searched to 3",
 		float64(extensions)/flows, ringThree, flows)

@@ -480,7 +480,9 @@ func TestPathCacheDifferential(t *testing.T) {
 // embed of the same snapshot on a cold arena. Commits and releases overlap
 // the embeds, as in the server; faults reach every snapshot of the family
 // at once, so the writer applies them between compare windows (faultMu), or
-// the two embeds being compared could see different networks.
+// the two embeds being compared could see different networks. The writer
+// takes a step count its rng draws, so its sequence recurs at its seed
+// however the goroutines interleave.
 func TestPathCacheCoherenceRace(t *testing.T) {
 	net := churnNet(42)
 	live := network.NewLedger(net)
@@ -488,7 +490,6 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 	hits0, misses0 := storeCounter(telemetry.MetricPathCacheHits), storeCounter(telemetry.MetricPathCacheMisses)
 
 	var mu, faultMu sync.RWMutex // mu guards live, as the server's state mutex does
-	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
@@ -500,12 +501,7 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 		}
 		var flows []flow
 		var faults []network.Fault
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for steps := 240 + rng.Intn(60); steps > 0; steps-- {
 			switch op := rng.Intn(8); {
 			case op < 4 && len(flows) < 24:
 				mu.Lock()
@@ -559,7 +555,6 @@ func TestPathCacheCoherenceRace(t *testing.T) {
 		}(q)
 	}
 	embedders.Wait()
-	close(stop)
 	writer.Wait()
 	hits, misses := storeCounter(telemetry.MetricPathCacheHits)-hits0, storeCounter(telemetry.MetricPathCacheMisses)-misses0
 	if hits == 0 || misses == 0 {

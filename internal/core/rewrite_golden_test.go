@@ -40,16 +40,18 @@ func solutionFingerprint(res *Result) string {
 // pooled-scratch hot-path rewrite (PR 4). The rewrite is a pure
 // performance change: every algorithm configuration must keep producing
 // bit-identical solutions, costs and search statistics on these fixed
-// instances, for every worker-pool size. Regenerate with
+// instances, for every worker-pool size (the three MBBE entries, whose
+// parallel layers now build fewer candidates, were re-pinned for Extensions
+// alone). Regenerate with
 // DAGSFC_UPDATE_GOLDEN=1 go test -run TestRewriteGolden ./internal/core
 // only when an intentional algorithmic change lands.
 var rewriteGolden = map[string]string{
 	"bbe/seed=1":              "cost=560.109240549 sol=59a708e255fdb041",
 	"bbe/seed=2":              "cost=478.517555796 sol=ccb9a65e8e32c86a",
 	"bbe/seed=3":              "cost=463.067155197 sol=9f72b1b803003d53",
-	"mbbe/seed=1":             "cost=513.289695969 sol=02c8c6316ad668b0",
-	"mbbe/seed=2":             "cost=478.517555796 sol=a7c15f7843f715b8",
-	"mbbe/seed=3":             "cost=461.643145726 sol=19bead013914fe8d",
+	"mbbe/seed=1":             "cost=513.289695969 sol=2259d4c3c5ddd060",
+	"mbbe/seed=2":             "cost=478.517555796 sol=c7ec634742fe142a",
+	"mbbe/seed=3":             "cost=461.643145726 sol=9f1510ad0613546a",
 	"mbbe+delay/seed=1":       "cost=513.289695969 sol=529d92d2142f0af9",
 	"mbbe+delay/seed=2":       "cost=478.517555796 sol=7cc471362782507f",
 	"mbbe+delay/seed=3":       "cost=461.643145726 sol=f5dd53b2deb2d855",
@@ -150,20 +152,22 @@ func screenFingerprint(res *Result) string {
 // already binds. The loaded entries embed on a ledger 60 such flows have
 // filled, where some parents keep fewer than X_d feasible children. Recorded
 // before the parallel-layer search stopped screening what its X_d cut
-// discards; a pin that moves is a behaviour change, not a re-pin.
+// discards; re-pinned for Extensions alone when it began building its
+// candidates best-first, every other fingerprinted field unchanged. A pin
+// that moves is a behaviour change, not a re-pin.
 var screenGolden = map[string]string{
-	"w=2/n=4/seed=50":        "cost=40822ddf7b358a55 sol=a12a89d9d9951bab",
-	"w=2/n=5/seed=51":        "cost=40842ba21428be7f sol=627df41bca2fb88e",
-	"w=2/n=7/seed=52":        "cost=408bd85f94a040f8 sol=41c714b29708104a",
-	"w=3/n=5/seed=53":        "cost=4084d696308c230f sol=589fad01d0d22b06",
-	"w=3/n=6/seed=54":        "cost=4089a3ad21084632 sol=0392bdec08316e5f",
-	"w=3/n=8/seed=55":        "cost=409004477750736f sol=944e8f8887315567",
-	"w=4/n=5/seed=56":        "cost=408485f1a02bbd98 sol=d7b439c6615dbe07",
-	"w=4/n=8/seed=57":        "cost=40900dfa3e5185c7 sol=47c3788bc1d24e6b",
-	"w=2/n=8/seed=65/loaded": "cost=408fa15edc06633f sol=d7c56bf1c31057bf",
-	"w=3/n=8/seed=69/loaded": "cost=40906fddb3dd9755 sol=54f76a5d2ca8b03d",
-	"w=2/n=6/seed=70/loaded": "cost=4087ff1a473cbecd sol=e9c3834bd28ee3f8",
-	"w=4/n=6/seed=72/loaded": "cost=40882a9c97a9fb8a sol=21981aa10ec6a94b",
+	"w=2/n=4/seed=50":        "cost=40822ddf7b358a55 sol=1e30fee301c9e1fa",
+	"w=2/n=5/seed=51":        "cost=40842ba21428be7f sol=a926c038edd7c5bb",
+	"w=2/n=7/seed=52":        "cost=408bd85f94a040f8 sol=a734900af2818895",
+	"w=3/n=5/seed=53":        "cost=4084d696308c230f sol=8879068fd8efd730",
+	"w=3/n=6/seed=54":        "cost=4089a3ad21084632 sol=b07545db5d236b6b",
+	"w=3/n=8/seed=55":        "cost=409004477750736f sol=078314b6247007fc",
+	"w=4/n=5/seed=56":        "cost=408485f1a02bbd98 sol=5fc8a4d21b6e185a",
+	"w=4/n=8/seed=57":        "cost=40900dfa3e5185c7 sol=90c8185e2dedbdb7",
+	"w=2/n=8/seed=65/loaded": "cost=408fa15edc06633f sol=e85fbaa357ff1631",
+	"w=3/n=8/seed=69/loaded": "cost=40906fddb3dd9755 sol=b1919e2326fe901a",
+	"w=2/n=6/seed=70/loaded": "cost=4087ff1a473cbecd sol=9970980eac5e664b",
+	"w=4/n=6/seed=72/loaded": "cost=40882a9c97a9fb8a sol=196bf7c7fcf3d894",
 }
 
 // screenCases are screenGolden's instances: width, size, the seed that
@@ -187,7 +191,7 @@ func screenFlow(rng *rand.Rand, net *network.Network, width, size int) *Problem 
 
 // loadedLedger commits the MBBE placements of 60 flows drawn by screenFlow,
 // skipping those refused.
-func loadedLedger(t *testing.T, net *network.Network, rng *rand.Rand) *network.Ledger {
+func loadedLedger(t testing.TB, net *network.Network, rng *rand.Rand) *network.Ledger {
 	t.Helper()
 	ledger := network.NewLedger(net)
 	for i := 0; i < 60; i++ {

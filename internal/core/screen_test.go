@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
 )
 
@@ -120,8 +124,9 @@ func FuzzScreenParent(f *testing.F) {
 			exts[i] = r.ext()
 		}
 		exts = e.trimExtensions(exts, maxExtensionsPerStart)
-		e.layerExts = make([][]*extension, screenFuzzNodes)
-		e.layerExts[parent.endNode(0)] = exts
+		e.lists = []candidateList{{exts: exts}}
+		e.layerExts = make([]int32, screenFuzzNodes)
+		e.layerExts[parent.endNode(0)] = 1
 
 		want, capRejected, delayRejected := screenReference(e, parent, exts)
 		var got parentScreen
@@ -144,5 +149,104 @@ func FuzzScreenParent(f *testing.F) {
 		} else if got.considered > len(exts) || got.capRejected > capRejected || got.delayRejected != 0 {
 			t.Fatalf("screened %d of %d candidates, %d rejected; the reference rejects %d", got.considered, len(exts), got.capRejected, capRejected)
 		}
+	})
+}
+
+// lazyMatchesEager embeds p under MBBE twice, as Embed does and with every
+// stub of a parallel layer built before screening (the eager reference), and
+// fails unless both refuse alike or return the same Solution at the same
+// cost bits with the same search statistics bar Extensions and the tree
+// growth searchStats leaves out (the two runs' arenas keep different trees),
+// the lazy run building no more candidates. It returns the candidates each
+// run built.
+func lazyMatchesEager(t testing.TB, name string, p *Problem) (lazyBuilds, eagerBuilds int) {
+	t.Helper()
+	lazy, lazyErr := Embed(p, MBBEOptions())
+	eager, eagerErr := embedReference(p, MBBEOptions(), func(e *embedder) { e.eager = true })
+	if lazyErr != nil || eagerErr != nil {
+		if fmt.Sprint(lazyErr) != fmt.Sprint(eagerErr) {
+			t.Fatalf("%s: lazy %v, eager %v", name, lazyErr, eagerErr)
+		}
+		return 0, 0
+	}
+	ls, es := searchStats(lazy.Stats), searchStats(eager.Stats)
+	ls.Extensions, es.Extensions = 0, 0
+	if !reflect.DeepEqual(lazy.Solution, eager.Solution) || ls != es || lazy.Stats.Extensions > eager.Stats.Extensions ||
+		math.Float64bits(lazy.Cost.VNFCost) != math.Float64bits(eager.Cost.VNFCost) ||
+		math.Float64bits(lazy.Cost.LinkCost) != math.Float64bits(eager.Cost.LinkCost) {
+		t.Fatalf("%s: lazy %v at %+v, %+v; eager %v at %+v, %+v", name, lazy.Solution, lazy.Cost, lazy.Stats,
+			eager.Solution, eager.Cost, eager.Stats)
+	}
+	return lazy.Stats.Extensions, eager.Stats.Extensions
+}
+
+// lazyNets are the best-first build's substrates, each with its loaded
+// ledger: screenGolden's, and the same draw with every price at its mean,
+// where candidates of equal q — ordered by eager index — abound.
+func lazyNets(tb testing.TB) (nets [2]*network.Network, ledgers [2]*network.Ledger) {
+	for i := range nets {
+		cfg := netgen.Default()
+		if i == 1 {
+			cfg.VNFPriceFluct, cfg.LinkPriceFluct = 0, 0
+		}
+		nets[i] = netgen.MustGenerate(cfg, rand.New(rand.NewSource(48)))
+		ledgers[i] = loadedLedger(tb, nets[i], rand.New(rand.NewSource(49)))
+	}
+	return nets, ledgers
+}
+
+// TestLazyCandidatesMatchEager is the oracle of the best-first build: over
+// screenGolden's instances, the Table 2 flows and 400 hybrids of widths 2–4
+// and sizes 3–8 — every other one on a loaded ledger, every other pair at
+// flat prices — building a parallel layer's candidates in bound order as the
+// screen reads them embeds exactly as building them all does.
+func TestLazyCandidatesMatchEager(t *testing.T) {
+	nets, ledgers := lazyNets(t)
+	lazy, eager := 0, 0
+	check := func(name string, p *Problem) {
+		l, e := lazyMatchesEager(t, name, p)
+		lazy, eager = lazy+l, eager+e
+	}
+	for _, c := range screenCases {
+		p := screenFlow(rand.New(rand.NewSource(c.seed)), nets[0], c.width, c.size)
+		if c.loaded {
+			p.Ledger = ledgers[0]
+		}
+		check(fmt.Sprintf("screen seed %d", c.seed), p)
+	}
+	for i, p := range tableTwoFlows(60) {
+		check(fmt.Sprintf("table 2 flow %d", i), p)
+	}
+	rng := rand.New(rand.NewSource(73))
+	for i := 0; i < 400; i++ {
+		flat := i / 2 % 2
+		p := screenFlow(rng, nets[flat], 2+i%3, 3+i%6)
+		if i%2 == 1 {
+			p.Ledger = ledgers[flat]
+		}
+		check(fmt.Sprintf("hybrid %d", i), p)
+	}
+	if lazy >= eager {
+		t.Fatalf("vacuous: the lazy runs built %d candidates, the eager %d", lazy, eager)
+	}
+	t.Logf("%d candidates built, %d eagerly", lazy, eager)
+}
+
+// FuzzLazyCandidates is TestLazyCandidatesMatchEager on a flow its input
+// draws: a seed, a width of 2–4, a size of 3–8, whether the ledger is
+// loaded and whether prices are flat.
+func FuzzLazyCandidates(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 3, 0, 0})
+	f.Add([]byte{7, 2, 0, 5, 1, 0})
+	f.Add([]byte{200, 31, 2, 2, 1, 1})
+	nets, ledgers := lazyNets(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := byteReader(data)
+		seed, width, size, loaded, flat := int64(r.next()|r.next()<<8), 2+r.next()%3, 3+r.next()%6, r.next()%2, r.next()%2
+		p := screenFlow(rand.New(rand.NewSource(seed)), nets[flat], width, size)
+		if loaded == 1 {
+			p.Ledger = ledgers[flat]
+		}
+		lazyMatchesEager(t, fmt.Sprintf("seed %d", seed), p)
 	})
 }

@@ -68,7 +68,7 @@ func endSearch(sp *telemetry.Span, treeSize int, covered bool) {
 }
 
 // endCandidates closes a candidates span: the extensions one start's build
-// generated and those its trim kept.
+// generated and those its trim kept, or a lazy list's stubs for both.
 func endCandidates(sp *telemetry.Span, generated, kept int) {
 	if sp == nil {
 		return
