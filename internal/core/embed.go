@@ -445,12 +445,15 @@ type leafCand struct {
 
 // bySubCost orders sub-solutions by rank; among equals (two chains ending on
 // one node differ in rank exactly as in cost, rounding aside) the cheaper
-// first, so the first sub-solution of an end node is its cheapest.
+// first, so the first sub-solution of an end node is its cheapest. Frontiers
+// sort by it stably over their screening order, so ties go by parent's
+// frontier position, then candidate position; leaves by byTotal, likewise.
 func bySubCost(a, b *subSolution) int {
-	if c := cmp.Compare(a.rank, b.rank); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.cum, b.cum)
+	return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.cum, b.cum))
+}
+
+func byTotal(a, b leafCand) int {
+	return cmp.Or(cmp.Compare(a.total, b.total), bySubCost(a.ss, b.ss))
 }
 
 // extend returns the sub-solution that appends ext, embedding the given
@@ -557,7 +560,7 @@ func (e *embedder) run() (*Result, error) {
 	m.leaves = cands
 	e.stats.ClosureLeaves = len(frontier)
 	e.stats.ClosureTreeNodes += e.stats.PathTreeNodes - grown
-	slices.SortFunc(cands, func(a, b leafCand) int { return cmp.Compare(a.total, b.total) })
+	slices.SortStableFunc(cands, byTotal)
 	var res *Result
 	for _, cand := range cands {
 		if res = e.complete(cand.ss, cand.tail); res != nil {
@@ -654,7 +657,7 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 	if len(next) == 0 {
 		return nil, fmt.Errorf("%w: layer %d has no feasible sub-solution", ErrNoEmbedding, spec.Index)
 	}
-	slices.SortFunc(next, bySubCost)
+	slices.SortStableFunc(next, bySubCost)
 	next = e.truncateWithDelayDiversity(next, maxSubSolutionsPerLayer)
 	e.stats.SubSolutions += len(next)
 	if sp != nil {

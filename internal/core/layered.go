@@ -126,7 +126,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 	case len(leaves) == 0:
 		return nil, nil, nil
 	}
-	slices.SortFunc(leaves, bySubCost)
+	slices.SortStableFunc(leaves, bySubCost)
 	e.stats.SubSolutions += len(run) * len(leaves)
 	e.traceRunLayers(run, leaves, sp)
 	if res != nil {
