@@ -203,12 +203,12 @@ func TestReadmeFlags(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17613,
-	"test Go":                        25324,
-	"DESIGN.md":                      953,
+	"non-test Go":                    17924,
+	"test Go":                        25368,
+	"DESIGN.md":                      972,
 	"README.md":                      418,
 	"Makefile":                       67,
-	".claude/skills/verify/SKILL.md": 293,
+	".claude/skills/verify/SKILL.md": 294,
 }
 
 // TestSizeRatchet fails when a count of sizeCeilings passes its ceiling.

@@ -172,6 +172,7 @@ type searchMem struct {
 	specs                  []LayerSpec         // run's per-layer obligations
 	required               [][]network.VNFID   // and each layer's forward-search coverage goal
 	screens                []parentScreen      // run's per-parent screening slots
+	queue                  []screenItem        // bestFirst's heap
 	ranks                  []float64           // screenParent's lowest ranks
 	leaves                 []leafCand          // run's closed leaves
 	seeds                  []graph.LayeredSeed // layeredRun's entry points
@@ -203,8 +204,8 @@ func (m *searchMem) slabs() [16]interface {
 // the network's rent rows, heap-born paths — so that a pooled arena pins
 // nothing of the run. Those buffers are clear beyond what the run used,
 // since the last reset cleared them: the per-layer ones reach at most the
-// run's layer count or its widest layer, extBuf, lists, pairs, hosts and
-// screens are cleared where they are used, and leaves is never shortened
+// run's layer count or its widest layer, extBuf, lists, pairs, hosts,
+// screens and queue are cleared where they are used, and leaves is never shortened
 // within a run.
 func (m *searchMem) reset() {
 	for _, s := range m.slabs() {

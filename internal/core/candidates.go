@@ -4,21 +4,23 @@ import (
 	"math"
 
 	"dagsfc/internal/graph"
+	"dagsfc/internal/telemetry"
 )
 
-// candidateList is one (layer, start) candidate set as screenParent reads
-// it, through candidate. An eager list holds every candidate, built and in
-// q order. A lazy one — a parallel layer of an MBBE run with no delay bound
-// — holds one stub per assignment of its FST–BST pairs, priced by a lower
-// bound and built only when the screen reads that far.
+// candidateList is one (layer, start) candidate set as the screens read it,
+// through candidate or step. An eager list holds every candidate, built and
+// in q order. A lazy one — a parallel layer of an MBBE run with no delay
+// bound — holds one stub per assignment of its FST–BST pairs, priced by a
+// lower bound and built only when a screen reads that far; in a best-first
+// last layer its pairs, too, wait unopened behind a bound (see pendPairs).
 type candidateList struct {
 	// exts are the candidates handed out so far, in (q, eager index) order:
 	// an eager list's every candidate.
 	exts []*extension
-	// stubs are a lazy list's assignments in the order an eager build takes
-	// them — pair by pair, each pair's odometer in turn: the eager index —
-	// and hosts their VNF hosts, stub s's at [s·k, (s+1)·k) for k VNFs.
-	// order holds the stubs not yet handed out, ascending by (key, index).
+	// stubs are a lazy list's assignments and pending pairs, hosts the
+	// assignments' VNF hosts, stub s's at [s·k, (s+1)·k) for k VNFs. order
+	// holds the stubs and pairs not yet handed out or opened, ascending by
+	// (key, pair first, ord).
 	stubs []stub
 	hosts []*TreeNode
 	order []int32
@@ -28,6 +30,10 @@ type candidateList struct {
 	// memo is the interMemo stamp the list's builds walk start→host paths
 	// under.
 	memo uint32
+	// unbuilt bounds the q of everything a best-first last layer's list will
+	// hold, while it is not yet built (fst nil): each candidate pays the
+	// layer's least rents and, from start on, at least toDst[start].
+	unbuilt float64
 }
 
 // fstPair is one opened FST–BST pair: its merger, its backward search, its
@@ -42,24 +48,28 @@ type fstPair struct {
 	memo   uint32
 }
 
-// stub is one assignment of a lazy list: what it needs of its pair to be
-// built, and its key — while unbuilt a lower bound on the q it builds, once
-// built (ext set) that q.
+// stub is one assignment of a lazy list, or a pair not yet opened (bst nil):
+// what it needs of its pair to be built, its key — while unbuilt a lower
+// bound on the q it builds, once built (ext set) that q, for a pair a lower
+// bound on the q of all its assignments — and its ord, the eager index, by
+// which equal keys go (a pair's is its first assignment's).
 type stub struct {
 	key    float64
 	ext    *extension
 	merger *TreeNode
 	bst    *SearchTree
 	memo   uint32
+	ord    int32
 }
 
-// lazyBoundSlack is what a stub's bound gives up to rounding. q and q_lb are
-// sums of non-negative terms — prices, rents, Dijkstra distances, each a
-// left-to-right sum of at most n−1 prices — and each computed value lies
-// within a factor (1 ± u)^r of its exact one, u = 2⁻⁵³ and r the roundings
-// on the way: fewer than 2(n + m + k + 4) for n nodes, m links and k VNFs.
-// While n + m + k + 4 ≤ 2²⁸, r·u < 2⁻²⁴, so q_lb·(1 − 2⁻²⁰), rounded, stays
-// at or below q rounded whenever q_lb ≤ q exactly.
+// lazyBoundSlack is what a lazy bound gives up to rounding: a stub's, a
+// pending pair's, an unbuilt list's, and bestFirst's bounds on a leaf's
+// total. q and q_lb are sums of non-negative terms — prices, rents, Dijkstra
+// distances, each a left-to-right sum of at most n−1 prices — and each
+// computed value lies within a factor (1 ± u)^r of its exact one, u = 2⁻⁵³
+// and r the roundings on the way: fewer than 2(n + m + k + 4) for n nodes, m
+// links and k VNFs. While n + m + k + 4 ≤ 2²⁸, r·u < 2⁻²⁴, so q_lb·(1 −
+// 2⁻²⁰), rounded, stays at or below q rounded whenever q_lb ≤ q exactly.
 const lazyBoundSlack = 0x1p-20
 
 // lazy reports whether a parallel layer's candidate lists are built
@@ -74,24 +84,62 @@ func (e *embedder) lazy() bool {
 // priceStubs makes cl lazy over the n assignments of pairs: each becomes a
 // stub keyed by its lower bound, in order.
 func (e *embedder) priceStubs(cl *candidateList, pairs []fstPair, n int) {
+	e.lazyList(cl, n)
+	for i := range pairs {
+		e.pricePair(cl, &pairs[i], int32(len(cl.stubs)))
+	}
+}
+
+// lazyList carves cl's storage for n stubs.
+func (e *embedder) lazyList(cl *candidateList, n int) {
 	m := e.sc.mem
 	k := len(cl.spec.VNFs)
 	cl.stubs, cl.hosts, cl.exts = m.stubs.alloc(n)[:0], m.ptrs.alloc(n*k), m.extPtrs.alloc(n)[:0]
 	cl.order = m.idx.alloc(n)[:0]
 	m.terms = sized(m.terms, 3*k)
-	for i := range pairs {
-		pr := &pairs[i]
-		var last []*TreeNode
-		e.eachAssignment(pr, func(assignment []*TreeNode) {
-			s := len(cl.stubs)
-			hosts := cl.hosts[s*k : (s+1)*k]
-			copy(hosts, assignment)
-			key := e.lowerBound(cl, pr.merger.Node, hosts, last, m.terms)
-			cl.stubs = append(cl.stubs, stub{key: key, merger: pr.merger, bst: pr.bst, memo: pr.memo})
-			cl.order = append(cl.order, int32(s))
-			cl.settle(s)
-			last = hosts
-		})
+}
+
+// pricePair adds pr's assignments to cl, each a stub keyed by its lower
+// bound, the first at eager index ord.
+func (e *embedder) pricePair(cl *candidateList, pr *fstPair, ord int32) {
+	m := e.sc.mem
+	k := len(cl.spec.VNFs)
+	var last []*TreeNode
+	e.eachAssignment(pr, func(assignment []*TreeNode) {
+		s := len(cl.stubs)
+		hosts := cl.hosts[s*k : (s+1)*k]
+		copy(hosts, assignment)
+		key := e.lowerBound(cl, pr.merger.Node, hosts, last, m.terms)
+		cl.stubs = append(cl.stubs, stub{key: key, merger: pr.merger, bst: pr.bst, memo: pr.memo, ord: ord})
+		cl.order = append(cl.order, int32(s))
+		cl.settle(len(cl.order) - 1)
+		last, ord = hosts, ord+1
+	})
+}
+
+// pendPairs makes cl a lazy list whose pairs, one per merger, wait unopened
+// behind the key
+//
+//	q_pair = Size·(rent(m) + Σᵢ MinRent(fᵢ) + d(start, m)) + toDst[m]·Size
+//
+// less the rounding slack: for any hosts vᵢ, eq. 9's union pays at least
+// d(start, v₁) and eq. 10 at least d(v₁, m), together at least d(start, m),
+// so q_pair ≤ q_lb (see lowerBound) of every assignment. Pair i's eager
+// index is i·A, A = MaxAssignmentsPerPair > 0, its assignments' follow it.
+func (e *embedder) pendPairs(cl *candidateList, mergers []*TreeNode) {
+	p, a := e.p, e.opts.MaxAssignmentsPerPair
+	e.lazyList(cl, len(mergers)*(a+1))
+	floor := 0.0
+	for _, f := range cl.spec.VNFs {
+		floor += p.Net.MinRent(f)
+	}
+	rent := p.Net.Rents(p.Net.Catalog.Merger())
+	for i, tn := range mergers {
+		v := tn.Node
+		key := ((rent[v]+floor+e.treeFor(cl.start, v).Dist[v])*p.Size + e.toDst[v]*p.Size) * (1 - lazyBoundSlack)
+		cl.stubs = append(cl.stubs, stub{key: key, merger: tn, ord: int32(i * a)})
+		cl.order = append(cl.order, int32(i))
+		cl.settle(i)
 	}
 }
 
@@ -122,33 +170,11 @@ func (e *embedder) lowerBound(cl *candidateList, m graph.NodeID, hosts, last []*
 
 // candidate returns cl's i-th candidate in (q, eager index) order, nil past
 // the last: the order trimExtensions' stable sort gives an eager list, so
-// every parent is handed the same candidates either way. A lazy list takes
-// stubs off the front of its order until it has the i-th. A built one comes
-// next: every unbuilt stub would build a q at least its key, and a tie in q
-// goes to the lower index. An unbuilt one is built — through instantiate, as
-// an eager build would — and moves back to its q's place, or out if it
-// builds nothing.
+// every parent is handed the same candidates either way. A lazy list steps
+// until it has the i-th.
 func (e *embedder) candidate(cl *candidateList, i int) *extension {
-	m := e.sc.mem
 	for len(cl.exts) <= i && len(cl.order) > 0 {
-		s := cl.order[0]
-		next := &cl.stubs[s]
-		if next.ext != nil {
-			cl.exts = append(cl.exts, next.ext)
-			cl.order = cl.order[1:]
-			continue
-		}
-		k := len(cl.spec.VNFs)
-		exts := e.buildAssignment(m.extBuf[:0], cl, next.bst, next.merger, next.memo, cl.hosts[int(s)*k:int(s+1)*k])
-		m.extBuf = exts[:0]
-		if len(exts) == 0 {
-			cl.order = cl.order[1:]
-			continue
-		}
-		next.ext, exts[0] = exts[0], nil
-		e.setQ(next.ext)
-		next.key = next.ext.q
-		cl.settle(0)
+		e.step(cl, nil)
 	}
 	if i < len(cl.exts) {
 		return cl.exts[i]
@@ -156,14 +182,57 @@ func (e *embedder) candidate(cl *candidateList, i int) *extension {
 	return nil
 }
 
-// before reports whether stub a comes before stub b: by key, then index.
-func (cl *candidateList) before(a, b int32) bool {
-	ka, kb := cl.stubs[a].key, cl.stubs[b].key
-	return ka < kb || ka == kb && a < b
+// step does one unit of a lazy list's work, on the front of its order. A
+// built stub is handed out: every unbuilt stub would build a q at least its
+// key, and a tie in q goes to the lower index. An unbuilt one is built —
+// through instantiate, as an eager build would — and moves back to its q's
+// place, or out if it builds nothing. A pair is opened, its backward search
+// traced under sp, and its assignments priced in.
+func (e *embedder) step(cl *candidateList, sp *telemetry.Span) {
+	m := e.sc.mem
+	s := cl.order[0]
+	next := &cl.stubs[s]
+	k := len(cl.spec.VNFs)
+	switch {
+	case next.ext != nil:
+		cl.exts = append(cl.exts, next.ext)
+		cl.order = cl.order[1:]
+	case next.bst == nil:
+		cl.order = cl.order[1:]
+		m.hosts = sized(m.hosts, k)
+		if pr, ok := e.openPair(cl.spec, cl.fst, next.merger, m.hosts, sp); ok {
+			e.pricePair(cl, &pr, next.ord)
+		}
+		clear(m.hosts)
+	default:
+		exts := e.buildAssignment(m.extBuf[:0], cl, next.bst, next.merger, next.memo, cl.hosts[int(s)*k:int(s+1)*k])
+		m.extBuf = exts[:0]
+		if len(exts) == 0 {
+			cl.order = cl.order[1:]
+			return
+		}
+		next.ext, exts[0] = exts[0], nil
+		e.setQ(next.ext)
+		next.key = next.ext.q
+		cl.settle(0)
+	}
 }
 
-// settle moves order[j] to its place, the rest of order being in (key,
-// index) order: a new stub's, or a built one's now keyed by its q.
+// before reports whether stub a comes before stub b: by key, a pair before a
+// stub, then by eager index.
+func (cl *candidateList) before(a, b int32) bool {
+	sa, sb := &cl.stubs[a], &cl.stubs[b]
+	if sa.key != sb.key {
+		return sa.key < sb.key
+	}
+	if pa, pb := sa.bst == nil, sb.bst == nil; pa != pb {
+		return pa
+	}
+	return sa.ord < sb.ord
+}
+
+// settle moves order[j] to its place, the rest of order being in before's
+// order: a new stub's, or a built one's now keyed by its q.
 func (cl *candidateList) settle(j int) {
 	s := cl.order[j]
 	for ; j > 0 && cl.before(s, cl.order[j-1]); j-- {
@@ -177,9 +246,11 @@ func (cl *candidateList) settle(j int) {
 
 // leastQ returns a lower bound on the q of cl's i-th candidate and every
 // later one, building nothing: its q once handed out, else the key of the
-// stub next in order (+Inf past the last).
+// stub or pair next in order (+Inf past the last).
 func (cl *candidateList) leastQ(i int) float64 {
 	switch {
+	case cl.fst == nil:
+		return cl.unbuilt
 	case i < len(cl.exts):
 		return cl.exts[i].q
 	case len(cl.order) > 0:

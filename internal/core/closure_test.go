@@ -81,10 +81,12 @@ func tieNetwork(rng *rand.Rand, nodes, kinds int) *network.Network {
 // that is itself a leaf end (an empty tail), a delay bound that sends tails
 // to the fewest-hop fallback, and capacity so tight that candidates fall to
 // the screens. Same refusal or same total cost to the bit, and a solution
-// the validator accepts. The Dijkstra work is compared over the corpus, not
-// per instance: a lone leaf whose own tree (it served its pair's inner
-// paths) already stands a few nodes short of the destination is closed
-// cheaper from its side, and small substrates have such instances.
+// the validator accepts. Every run closes all its leaves: BBE, or MBBE under
+// a delay bound (an MBBE run without one closes only what its best-first last
+// layer needs). The Dijkstra work is compared over the corpus, not per
+// instance: a lone leaf whose own tree (it served its pair's inner paths)
+// already stands a few nodes short of the destination is closed cheaper from
+// its side, and small substrates have such instances.
 func TestClosureFromDestinationMatchesPerLeaf(t *testing.T) {
 	type scenario struct {
 		what string
@@ -99,26 +101,29 @@ func TestClosureFromDestinationMatchesPerLeaf(t *testing.T) {
 	cfg := netgen.Default()
 	cfg.Nodes, cfg.VNFKinds, cfg.Connectivity = nodes, kinds, 4
 	cfg.LinkPriceFluct = 0.9 // cheapest paths wander: the fewest-hop path is often another
+	// MBBE under a bound that never binds still screens and closes every leaf.
+	loose := MBBEOptions()
+	loose.MaxDelay = 1e9
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		p := &Problem{Net: netgen.MustGenerate(cfg, rng), SFC: hybridSFC(rng, kinds), Rate: 1, Size: 1,
 			Src: graph.NodeID(rng.Intn(nodes)), Dst: graph.NodeID(rng.Intn(nodes))}
-		add("random", p, MBBEOptions())
+		add("random", p, BBEOptions())
 
 		ties := *p
 		ties.Net = tieNetwork(rng, nodes, kinds)
-		add("ties", &ties, MBBEOptions())
+		add("ties", &ties, BBEOptions())
 
-		banned := MBBEOptions()
+		banned := loose
 		banned.BannedNodes = map[graph.NodeID]bool{p.Dst: true}
 		add("dst banned", p, banned)
 
 		// The destination moved onto the winning leaf's end node: its tail is
 		// empty, and the tree rooted there is the tree of a leaf end.
-		if res, err := Embed(p, MBBEOptions()); err == nil {
+		if res, err := Embed(p, loose); err == nil {
 			q := *p
 			q.Dst = res.Solution.Layers[len(res.Solution.Layers)-1].EndNode()
-			add("dst a leaf end", &q, MBBEOptions())
+			add("dst a leaf end", &q, loose)
 		}
 
 		for bound := 8.0; bound <= 16; bound += 2 {
@@ -136,7 +141,7 @@ func TestClosureFromDestinationMatchesPerLeaf(t *testing.T) {
 	for flow := 0; flow < 40; flow++ {
 		p := &Problem{Net: net, Ledger: ledger, SFC: hybridSFC(rng, kinds), Rate: 12, Size: 1,
 			Src: graph.NodeID(rng.Intn(nodes)), Dst: graph.NodeID(rng.Intn(nodes))}
-		add("tight capacity", p, MBBEOptions())
+		add("tight capacity", p, loose)
 	}
 
 	solved, refused, hopTails, rejections, fromDst, perLeaf := 0, 0, 0, 0, 0, 0
@@ -185,11 +190,12 @@ func TestClosureFromDestinationMatchesPerLeaf(t *testing.T) {
 }
 
 // TestClosureTreeNodesPinned pins the Dijkstra work of the width-3
-// benchmark instance: what the run settles with the closure read off the
+// benchmark instance: what the run settles with its leaves closed off the
 // destination's tree — complete before the first layer, since the search
-// ranks by it, so all 500 nodes and nothing more at the closure — what the
-// per-leaf closure settles on top of that, and that the count repeats
-// exactly from run to run.
+// ranks by it, so all 500 nodes and nothing more at the closure — that the
+// count repeats exactly from run to run, and what the reference that screens
+// the last layer as any other settles to close all 16 of its leaves where the
+// best-first layer closes one.
 func TestClosureTreeNodesPinned(t *testing.T) {
 	p := benchProblem(t)
 	for i := 0; i < 2; i++ {
@@ -197,17 +203,18 @@ func TestClosureTreeNodesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := res.Stats; s.PathTreeNodes != 1093 || s.ClosureLeaves != 16 || s.ClosureTreeNodes != 500 {
-			t.Fatalf("run %d: %d tree nodes settled, %d of them closing %d leaves; want 1093, 500, 16",
+		if s := res.Stats; s.PathTreeNodes != 828 || s.ClosureLeaves != 1 || s.ClosureTreeNodes != 500 {
+			t.Fatalf("run %d: %d tree nodes settled, %d of them closing %d leaves; want 828, 500, 1",
 				i, s.PathTreeNodes, s.ClosureTreeNodes, s.ClosureLeaves)
 		}
 	}
-	ref, err := embedPerLeaf(p, MBBEOptions())
+	ref, err := embedReference(p, MBBEOptions(), func(e *embedder) { e.closeEvery = true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := ref.Stats; s.PathTreeNodes != 2642 || s.ClosureTreeNodes != 2049 {
-		t.Fatalf("per-leaf reference: %d tree nodes settled, %d closing; want 2642, 2049", s.PathTreeNodes, s.ClosureTreeNodes)
+	if s := ref.Stats; s.PathTreeNodes != 1093 || s.ClosureLeaves != 16 || s.ClosureTreeNodes != 500 {
+		t.Fatalf("reference: %d tree nodes settled, %d of them closing %d leaves; want 1093, 500, 16",
+			s.PathTreeNodes, s.ClosureTreeNodes, s.ClosureLeaves)
 	}
 }
 

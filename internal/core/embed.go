@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -131,7 +132,9 @@ type Stats struct {
 	TreeNodes int
 	// Extensions is the number of candidate sub-solutions built (before
 	// pruning; a lazy parallel layer builds only what its screen reaches,
-	// see candidate); SubSolutions the number inserted into the tree.
+	// see candidate, and a best-first last layer only what its answer needs,
+	// see bestFirst); SubSolutions the number inserted into the tree — of a
+	// best-first last layer, the children it kept before it found its answer.
 	Extensions   int
 	SubSolutions int
 	// CapacityRejections counts parent×extension candidates discarded by
@@ -155,7 +158,8 @@ type Stats struct {
 	PathTreeNodes int
 	// ClosureLeaves is the number of layer-ω sub-solutions the run closed to
 	// the destination (Algorithm 1 lines 9–11; zero when a terminal layered
-	// run answered instead), ClosureTreeNodes the share of PathTreeNodes the
+	// run answered instead; under a best-first last layer, those it kept
+	// before the answer), ClosureTreeNodes the share of PathTreeNodes the
 	// one tree rooted at the destination settled in this run: as far as the
 	// farthest leaf under BBE, all of it under MBBE, whose parallel-layer
 	// search ranks its candidates by that tree from the first layer on.
@@ -299,9 +303,13 @@ type embedder struct {
 	// keeps single-VNF runs away from the layered kernel, undirected withholds
 	// the potential from terminal layered runs, perLeafClosure closes every
 	// leaf with a tree of its own, eager builds every stub of a parallel
-	// layer before screening. Each is the slow path its replacement is
-	// tested against.
-	perLayer, undirected, perLeafClosure, eager bool
+	// layer before screening, closeEvery screens a parallel last layer as any
+	// other and closes all its leaves. Each is the slow path its replacement
+	// is tested against.
+	perLayer, undirected, perLeafClosure, eager, closeEvery bool
+	// pending is set while the run's last layer is built for bestFirst: its
+	// lists leave their pairs unopened.
+	pending bool
 	// ctx cancels the run between layers and between a layer's start-node
 	// builds; never nil (EmbedContext defaults it to Background).
 	ctx context.Context
@@ -521,6 +529,10 @@ func (e *embedder) run() (*Result, error) {
 			}
 			perLayerUntil = j
 		}
+		e.pending = i == len(specs)-1 && spec.Merger && e.lazy() && e.opts.MaxAssignmentsPerPair > 0 && !e.closeEvery
+		if e.pending {
+			return e.bestFirst(spec, frontier, sp)
+		}
 		next, err := e.searchLayer(spec, frontier, sp)
 		if err != nil {
 			endSpan(sp)
@@ -667,15 +679,19 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 	return next, nil
 }
 
+// rankFloor is a lower bound on the rank of every child that a parent of cost
+// cum has from a candidate of q or more: every term is non-negative, so a
+// child's rank, (cum+localCost)+toDst·Size rounded twice, is at least
+// (cum + q/(1+u))(1−u)² with u = 2⁻⁵³, above (cum+q)·(1−2⁻⁵⁰) rounded.
+func rankFloor(cum, q float64) float64 { return (cum + q) * (1 - 0x1p-50) }
+
 // screenParent screens one parent's candidate extensions, in q order,
 // against the delay bound and residual capacities, producing its children in
 // bySubCost order, ties in candidate order, cut at Xd. Without a delay bound
-// it stops once it holds Xd children and the next candidate cannot beat the
-// Xd-th lowest rank among them: every term is non-negative, so a child's
-// rank, (P+localCost)+toDst·Size rounded twice for P the parent's cost, is at
-// least (P + q/(1+u))(1−u)² with u = 2⁻⁵³, above (P+q)·(1−2⁻⁵⁰) rounded, and
-// no later candidate has a smaller q. The test runs first on a lower bound
-// of every q left (leastQ), so a lazy list builds no candidate it discards.
+// it stops once it holds Xd children and the next candidate's rankFloor is
+// above the Xd-th lowest rank among them. The test runs first on a lower
+// bound of every q left (leastQ), so a lazy list builds no candidate it
+// discards.
 func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen) {
 	p, m := e.p, e.sc.mem
 	cl := &e.lists[e.layerExts[parent.endNode(p.Src)]-1]
@@ -683,7 +699,7 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 	bounded := xd > 0 && e.opts.MaxDelay <= 0
 	low := m.ranks[:0] // the xd lowest ranks so far, ascending
 	children := m.subPtrs.reserve(cap(cl.exts))
-	stop := func(q float64) bool { return bounded && len(low) == xd && (parent.cum+q)*(1-0x1p-50) > low[xd-1] }
+	stop := func(q float64) bool { return bounded && len(low) == xd && rankFloor(parent.cum, q) > low[xd-1] }
 	for i := 0; !stop(cl.leastQ(i)); i++ {
 		ext := e.candidate(cl, i)
 		if ext == nil || stop(ext.q) {
@@ -717,29 +733,239 @@ func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parent
 	out.children = children
 }
 
-// buildLayerExtensions fills lists and layerExts for every distinct start
-// node of the frontier, in first-appearance order. It stops early once the
-// context is done, leaving the rest of the layer's lists empty; searchLayer
-// re-checks the context before interpreting an empty frontier, so a
-// cancelled run reports ctx.Err(), never a bogus ErrNoEmbedding.
-func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) {
-	m := e.sc.mem
-	e.layerExts = m.idx.alloc(e.p.Net.G.NumNodes())
-	starts := m.nodeIDs.reserve(len(frontier))
-	for _, parent := range frontier {
-		if start := parent.endNode(e.p.Src); e.layerExts[start] == 0 {
-			starts = append(starts, start)
-			e.layerExts[start] = int32(len(starts))
+// screenItem is an entry of bestFirst's queue: a parent's probe, whose next
+// read is its list's candidate cand and rank a lower bound on the rank of
+// every child it can still have (rankFloor of leastQ); a child, waiting for
+// its parent's and the layer's cuts; or a leaf, closed by tail. key is a
+// lower bound on the total of every leaf an entry can still become, a leaf's
+// its total: a leaf's tail and toDst sum the same prices in other orders, so
+// they differ by far less than lazyBoundSlack.
+type screenItem struct {
+	key, rank    float64
+	ss           *subSolution
+	tail         graph.Path
+	parent, cand int32
+	kind         uint8
+}
+
+const (
+	probeItem uint8 = iota
+	childItem
+	leafItem
+)
+
+// before orders the queue. Probes and children go by key, then rank — the
+// key is monotone in the rank — a probe before the children of its rank
+// (it may yield one that ties), then as bySubCost and the frontier order break
+// ties; a leaf goes after every probe or child of its key (they may yield a
+// leaf of that total that sorts first), and among leaves as byTotal and the
+// frontier order do.
+func (a *screenItem) before(b *screenItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if al, bl := a.kind == leafItem, b.kind == leafItem; al != bl {
+		return bl
+	}
+	switch {
+	case a.rank != b.rank:
+		return a.rank < b.rank
+	case a.kind != b.kind:
+		return a.kind < b.kind
+	case a.kind == probeItem:
+		return a.parent < b.parent
+	case a.ss.cum != b.ss.cum:
+		return a.ss.cum < b.ss.cum
+	case a.parent != b.parent:
+		return a.parent < b.parent
+	}
+	return a.cand < b.cand
+}
+
+// pushItem adds it to the heap q.
+func pushItem(q []screenItem, it screenItem) []screenItem {
+	q = append(q, it)
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q[i].before(&q[up]) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
+	}
+	return q
+}
+
+// popItem removes the heap q's first entry, zeroing the slot it vacates.
+func popItem(q []screenItem) (screenItem, []screenItem) {
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], screenItem{}
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	return top, q
+}
+
+// probeAt returns parent j's probe at its list's candidate i, keyed by what
+// the list holds now, and false if it holds nothing from i on.
+func (e *embedder) probeAt(parent *subSolution, j, i int32) (screenItem, bool) {
+	cl := &e.lists[e.layerExts[parent.endNode(e.p.Src)]-1]
+	if cl.fst != nil && int(i) >= len(cl.exts) && len(cl.order) == 0 {
+		return screenItem{}, false
+	}
+	rank := rankFloor(parent.cum, cl.leastQ(int(i)))
+	return screenItem{key: rank * (1 - lazyBoundSlack), rank: rank, parent: j, cand: i}, true
+}
+
+// probe pushes parent j's probe at its list's candidate i onto q, if any.
+func (e *embedder) probe(q []screenItem, parent *subSolution, j, i int32) []screenItem {
+	if it, ok := e.probeAt(parent, j, i); ok {
+		q = pushItem(q, it)
+	}
+	return q
+}
+
+// bestFirst searches the run's last layer, a parallel one, for the run's
+// answer: what screenParent, searchLayer's cut and the closure would return,
+// found by one queue across every parent. A list is built when a probe of
+// its first reaches the front, and then leaves its pairs unopened
+// (pendPairs). A probe popped hands its parent the next candidate or does
+// one unit of its list's work; a child popped is its parent's next by rank,
+// kept unless its parent has X_d or the layer maxSubSolutionsPerLayer, and
+// closed to the destination; a leaf popped is the cheapest that any kept
+// child can still give, and the first that validates is the answer. The
+// parents of one list share its work, which only raises their keys: a probe
+// keyed before another moved its list on goes back under its new key. Lists
+// are built, and pairs opened, under the layer's filter span.
+func (e *embedder) bestFirst(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) (*Result, error) {
+	p, m := e.p, e.sc.mem
+	floor := p.Net.MinRent(p.Net.Catalog.Merger())
+	for _, f := range spec.VNFs {
+		floor += p.Net.MinRent(f)
+	}
+	lists := e.indexStarts(spec, frontier)
+	for i := range lists {
+		lists[i].unbuilt = (floor*p.Size + e.toDst[lists[i].start]*p.Size) * (1 - lazyBoundSlack)
+	}
+	filter := startSpan(sp, "filter")
+	kept := m.idx.alloc(len(frontier))
+	q := m.queue[:0]
+	for j, parent := range frontier {
+		q = e.probe(q, parent, int32(j), 0)
+	}
+	var res *Result
+	var err error
+	children, considered, capRejected, cheapest := 0, 0, 0, math.Inf(1)
+	for len(q) > 0 && res == nil && err == nil {
+		var it screenItem
+		it, q = popItem(q)
+		parent := frontier[it.parent]
+		cl := &e.lists[e.layerExts[parent.endNode(p.Src)]-1]
+		switch {
+		case it.kind == leafItem:
+			res = e.complete(it.ss, it.tail)
+		case math.IsInf(it.key, 1) && children > 0:
+			clear(q) // every way on left is +Inf: no leaf to close
+			q = q[:0]
+		case int(kept[it.parent]) == e.opts.Xd || children == maxSubSolutionsPerLayer:
+		case it.kind == childItem:
+			kept[it.parent]++
+			children++
+			cheapest = min(cheapest, it.ss.cum)
+			if tail, ok := e.tailPath(it.ss.endNode(p.Src)); ok {
+				it.kind, it.key, it.tail = leafItem, it.ss.cum+tail.Cost(p.Net.G)*p.Size, tail
+				q = pushItem(q, it)
+			}
+		default:
+			switch fresh, ok := e.probeAt(parent, it.parent, it.cand); {
+			case !ok:
+			case it.before(&fresh):
+				q = pushItem(q, fresh)
+			case int(it.cand) < len(cl.exts):
+				considered++
+				if ext := cl.exts[it.cand]; feasibleAfter(p.Rate, &e.res, parent, ext) {
+					child := e.extend(parent, ext, spec.Index)
+					q = pushItem(q, screenItem{key: child.rank * (1 - lazyBoundSlack), rank: child.rank, ss: child,
+						parent: it.parent, cand: it.cand, kind: childItem})
+				} else {
+					capRejected++
+				}
+				q = e.probe(q, parent, it.parent, it.cand+1)
+			case e.ctx.Err() != nil:
+				err = e.ctx.Err()
+			default:
+				if cl.fst == nil {
+					e.buildExtensions(cl, spec, cl.start, filter)
+				} else {
+					e.step(cl, filter)
+				}
+				q = e.probe(q, parent, it.parent, it.cand)
+			}
 		}
 	}
-	starts = m.nodeIDs.commit(starts)
-	m.lists = sized(m.lists, len(starts))
+	clear(q) // popItem zeroed the rest
+	m.queue = q[:0]
+	clear(e.lists)
+	e.stats.CapacityRejections += capRejected
+	e.stats.SubSolutions += children
+	e.stats.ClosureLeaves = children
+	endFilter(filter, considered, capRejected, 0)
+	if err != nil || children == 0 {
+		endSpan(sp)
+		if err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: layer %d has no feasible sub-solution", ErrNoEmbedding, spec.Index)
+	}
+	endLayer(sp, children, cheapest)
+	endClosure(startSpan(e.opts.Trace, "closure"), e.stats.ClosureLeaves, e.stats.ClosureTreeNodes)
+	if res == nil {
+		return nil, fmt.Errorf("%w: no leaf reaches the destination feasibly", ErrNoEmbedding)
+	}
+	res.Stats = e.stats
+	return res, nil
+}
+
+// indexStarts fills layerExts for every distinct start node of the frontier
+// and sizes lists to them, in first-appearance order, each holding only its
+// start.
+func (e *embedder) indexStarts(spec LayerSpec, frontier []*subSolution) []candidateList {
+	m := e.sc.mem
+	e.layerExts = m.idx.alloc(e.p.Net.G.NumNodes())
+	m.lists = m.lists[:0]
+	for _, parent := range frontier {
+		if start := parent.endNode(e.p.Src); e.layerExts[start] == 0 {
+			m.lists = append(m.lists, candidateList{spec: spec, start: start})
+			e.layerExts[start] = int32(len(m.lists))
+		}
+	}
 	e.lists = m.lists
-	for i, start := range starts {
+	return e.lists
+}
+
+// buildLayerExtensions builds lists for every distinct start node of the
+// frontier (see indexStarts). It stops early once the context is done,
+// leaving the rest of the layer's lists empty; searchLayer re-checks the
+// context before interpreting an empty frontier, so a cancelled run reports
+// ctx.Err(), never a bogus ErrNoEmbedding.
+func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) {
+	for i := range e.indexStarts(spec, frontier) {
 		if e.ctx.Err() != nil {
 			return
 		}
-		e.buildExtensions(&e.lists[i], spec, start, sp)
+		e.buildExtensions(&e.lists[i], spec, e.lists[i].start, sp)
 	}
 }
 
@@ -788,6 +1014,14 @@ func (e *embedder) buildExtensions(cl *candidateList, spec LayerSpec, start grap
 			}
 		}
 		fst.nodesByKey(mergers[:], cat[:], e.opts.MaxMergerCandidates, key)
+		if e.pending && len(mergers[0])*e.opts.MaxAssignmentsPerPair <= maxExtensionsPerStart {
+			e.pendPairs(cl, mergers[0])
+			if cand != nil {
+				cand.SetAttr("pending_pairs", len(mergers[0]))
+			}
+			endSpan(cand)
+			return
+		}
 		k := len(spec.VNFs)
 		m.hosts = sized(m.hosts, len(mergers[0])*k)
 		pairs, stubs := m.pairs[:0], 0

@@ -152,22 +152,30 @@ func FuzzScreenParent(f *testing.F) {
 	})
 }
 
-// lazyMatchesEager embeds p under MBBE twice, as Embed does and with every
-// stub of a parallel layer built before screening (the eager reference), and
-// fails unless both refuse alike or return the same Solution at the same
-// cost bits with the same search statistics bar Extensions and the tree
-// growth searchStats leaves out (the two runs' arenas keep different trees),
-// the lazy run building no more candidates. It returns the candidates each
-// run built.
+// lazyMatchesEager embeds p under MBBE three ways: as Embed does; with a
+// parallel last layer screened as any other and every leaf closed (the
+// closeEvery reference); and that way with every stub of a parallel layer
+// built before screening (the eager reference). It fails unless the first
+// two refuse alike or return the same Solution at the same cost bits, and
+// the two references likewise with the same search statistics bar
+// Extensions and the tree growth searchStats leaves out (the runs' arenas
+// keep different trees), the lazy one building no more candidates. It
+// returns the candidates Embed and the eager reference built.
 func lazyMatchesEager(t testing.TB, name string, p *Problem) (lazyBuilds, eagerBuilds int) {
 	t.Helper()
-	lazy, lazyErr := Embed(p, MBBEOptions())
+	got, gotErr := Embed(p, MBBEOptions())
+	lazy, lazyErr := embedReference(p, MBBEOptions(), func(e *embedder) { e.closeEvery = true })
 	eager, eagerErr := embedReference(p, MBBEOptions(), func(e *embedder) { e.eager = true })
-	if lazyErr != nil || eagerErr != nil {
-		if fmt.Sprint(lazyErr) != fmt.Sprint(eagerErr) {
-			t.Fatalf("%s: lazy %v, eager %v", name, lazyErr, eagerErr)
-		}
+	if fmt.Sprint(gotErr) != fmt.Sprint(lazyErr) || fmt.Sprint(lazyErr) != fmt.Sprint(eagerErr) {
+		t.Fatalf("%s: best-first %v, lazy %v, eager %v", name, gotErr, lazyErr, eagerErr)
+	}
+	if lazyErr != nil {
 		return 0, 0
+	}
+	if !reflect.DeepEqual(got.Solution, lazy.Solution) ||
+		math.Float64bits(got.Cost.VNFCost) != math.Float64bits(lazy.Cost.VNFCost) ||
+		math.Float64bits(got.Cost.LinkCost) != math.Float64bits(lazy.Cost.LinkCost) {
+		t.Fatalf("%s: best-first %v at %+v; lazy %v at %+v", name, got.Solution, got.Cost, lazy.Solution, lazy.Cost)
 	}
 	ls, es := searchStats(lazy.Stats), searchStats(eager.Stats)
 	ls.Extensions, es.Extensions = 0, 0
@@ -177,7 +185,7 @@ func lazyMatchesEager(t testing.TB, name string, p *Problem) (lazyBuilds, eagerB
 		t.Fatalf("%s: lazy %v at %+v, %+v; eager %v at %+v, %+v", name, lazy.Solution, lazy.Cost, lazy.Stats,
 			eager.Solution, eager.Cost, eager.Stats)
 	}
-	return lazy.Stats.Extensions, eager.Stats.Extensions
+	return got.Stats.Extensions, eager.Stats.Extensions
 }
 
 // lazyNets are the best-first build's substrates, each with its loaded
@@ -239,6 +247,8 @@ func FuzzLazyCandidates(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 3, 0, 0})
 	f.Add([]byte{7, 2, 0, 5, 1, 0})
 	f.Add([]byte{200, 31, 2, 2, 1, 1})
+	f.Add([]byte{54, 0, 1, 3, 1, 1})
+	f.Add([]byte{65, 0, 0, 5, 1, 1})
 	nets, ledgers := lazyNets(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := byteReader(data)

@@ -293,9 +293,10 @@ func TestTraceMatchesPaperExample(t *testing.T) {
 
 // TestTraceRowSequence reads the rows of an MBBE run off its trace:
 // the destination tree, then one row per layer in order — the single-VNF
-// layer one layered-run holding its search and its filter, the parallel
-// layer a forward search, the candidates holding its backward searches, and
-// a filter — then the closure.
+// layer one layered-run holding its search and its filter, the parallel last
+// layer one filter holding the forward search, the candidates and the
+// backward searches its best-first screen asked for — then the closure,
+// counting the one leaf closed.
 func TestTraceRowSequence(t *testing.T) {
 	p := lineFixture()
 	res, tr, err := embedTraced(p, MBBEOptions())
@@ -317,7 +318,9 @@ func TestTraceRowSequence(t *testing.T) {
 		{root, []string{"destination-tree", "layer 1", "layer 2", "closure"}},
 		{root.Children()[1], []string{"layered-run"}},
 		{root.Children()[1].Children()[0], []string{"forward-search", "filter"}},
-		{root.Children()[2], []string{"forward-search", "candidates", "filter"}},
+		{root.Children()[2], []string{"filter"}},
+		{root.Children()[2].Children()[0], []string{"forward-search", "candidates", "backward-search"}},
+		{root.Children()[3], nil},
 	} {
 		if got := names(tc.span); !reflect.DeepEqual(got, tc.want) {
 			t.Fatalf("%s holds %q, want %q", tc.span.Name(), got, tc.want)
@@ -329,8 +332,8 @@ func TestTraceRowSequence(t *testing.T) {
 			t.Fatalf("%s: parents=%v kept=%v cheapest=%v", layer.Name(), layer.Attr("parents"), layer.Attr("kept"), layer.Attr("cheapest"))
 		}
 	}
-	if len(findSpans(root.Children()[2], "backward-search")) == 0 || root.Attr("total_cost") != res.Cost.Total() {
-		t.Fatalf("no backward search, or root total_cost %v != %v", root.Attr("total_cost"), res.Cost.Total())
+	if intAttr(root.Children()[3], "leaves") != 1 || root.Attr("total_cost") != res.Cost.Total() {
+		t.Fatalf("closure leaves=%v, or root total_cost %v != %v", root.Children()[3].Attr("leaves"), root.Attr("total_cost"), res.Cost.Total())
 	}
 }
 

@@ -62,21 +62,24 @@ func TestSafetyValvesNeverBindUnderMBBE(t *testing.T) {
 	t.Logf("widest build %d of %d, widest layer %d of %d", w.generated, maxExtensionsPerStart, w.kept, maxSubSolutionsPerLayer)
 }
 
-// TestLayerCapBoundsFrontier runs MBBE down six consecutive parallel layers:
-// with Xd children per parent the sub-solution tree would be Xd^6 = 4096
-// wide at the last one, and the layer cap is all that bounds it.
+// TestLayerCapBoundsFrontier runs MBBE down six consecutive parallel layers
+// and a last single-VNF one: with Xd children per parent the sub-solution
+// tree would be Xd^6 = 4096 wide at the sixth, and the layer cap is all that
+// bounds it. (A parallel last layer is searched best-first and keeps only
+// what its answer needs.)
 func TestLayerCapBoundsFrontier(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(5)), 60, 6, 4)
-	p.SFC = fromWidths([][]network.VNFID{{1, 2}, {3, 4}, {5, 6}, {1, 2}, {3, 4}, {5, 6}})
-	var w widthWatch
-	res, err := w.embed(p, MBBEOptions())
+	p.SFC = fromWidths([][]network.VNFID{{1, 2}, {3, 4}, {5, 6}, {1, 2}, {3, 4}, {5, 6}, {1}})
+	res, tr, err := embedTraced(p, MBBEOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(p, res.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if w.kept != maxSubSolutionsPerLayer {
-		t.Fatalf("widest layer kept %d sub-solutions, want the cap of %d to bind and to hold", w.kept, maxSubSolutionsPerLayer)
+	layer := findChildren(tr.Root(), "layer 6")[0]
+	if kept, parents := intAttr(layer, "kept"), intAttr(layer, "parents"); kept != maxSubSolutionsPerLayer || parents*MBBEOptions().Xd <= kept {
+		t.Fatalf("layer 6 kept %d sub-solutions of %d parents' children, want the cap of %d to bind and to hold",
+			kept, parents, maxSubSolutionsPerLayer)
 	}
 }
