@@ -203,8 +203,8 @@ func TestReadmeFlags(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17924,
-	"test Go":                        25368,
+	"non-test Go":                    17863,
+	"test Go":                        25386,
 	"DESIGN.md":                      972,
 	"README.md":                      418,
 	"Makefile":                       67,

@@ -164,8 +164,7 @@ type searchMem struct {
 	interEdges, innerEdges []graph.EdgeID  // buildExtension's sort+merge inputs
 	extBuf                 []*extension    // a build's candidates before the exact-size carve
 	lists                  []candidateList // a layer's candidate lists, one per start
-	pairs                  []fstPair       // a build's opened FST–BST pairs
-	hosts                  [][]*TreeNode   // and their per-VNF host lists
+	hosts                  [][]*TreeNode   // an opened FST–BST pair's per-VNF host lists
 	interChoices           [][]graph.Path  // instantiate's per-meta-path choices
 	innerChoices           [][]graph.Path
 	cats                   []network.VNFID     // run's categories, the instance rows it reads
@@ -204,8 +203,8 @@ func (m *searchMem) slabs() [16]interface {
 // the network's rent rows, heap-born paths — so that a pooled arena pins
 // nothing of the run. Those buffers are clear beyond what the run used,
 // since the last reset cleared them: the per-layer ones reach at most the
-// run's layer count or its widest layer, extBuf, lists, pairs, hosts,
-// screens and queue are cleared where they are used, and leaves is never shortened
+// run's layer count or its widest layer, extBuf, lists, hosts, screens and
+// queue are cleared where they are used, and leaves is never shortened
 // within a run.
 func (m *searchMem) reset() {
 	for _, s := range m.slabs() {

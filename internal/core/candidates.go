@@ -8,19 +8,19 @@ import (
 )
 
 // candidateList is one (layer, start) candidate set as the screens read it,
-// through candidate or step. An eager list holds every candidate, built and
-// in q order. A lazy one — a parallel layer of an MBBE run with no delay
-// bound — holds one stub per assignment of its FST–BST pairs, priced by a
-// lower bound and built only when a screen reads that far; in a best-first
-// last layer its pairs, too, wait unopened behind a bound (see pendPairs).
+// through candidate or step, which build it on the first read (fst nil until
+// then). An eager list holds every candidate, built and in q order. A lazy
+// one (see lazy) holds its FST–BST pairs unopened, each behind a lower bound
+// (see pendPairs); a pair opened becomes one stub per assignment, priced by a
+// lower bound and built only when a screen reads that far.
 type candidateList struct {
 	// exts are the candidates handed out so far, in (q, eager index) order:
 	// an eager list's every candidate.
 	exts []*extension
-	// stubs are a lazy list's assignments and pending pairs, hosts the
+	// stubs are a lazy list's pending pairs and assignments, hosts the
 	// assignments' VNF hosts, stub s's at [s·k, (s+1)·k) for k VNFs. order
-	// holds the stubs and pairs not yet handed out or opened, ascending by
-	// (key, pair first, ord).
+	// holds the pairs not yet opened and the stubs not yet handed out,
+	// ascending by (key, pair first, ord).
 	stubs []stub
 	hosts []*TreeNode
 	order []int32
@@ -31,20 +31,17 @@ type candidateList struct {
 	// under.
 	memo uint32
 	// unbuilt bounds the q of everything a best-first last layer's list will
-	// hold, while it is not yet built (fst nil): each candidate pays the
-	// layer's least rents and, from start on, at least toDst[start].
+	// hold, while it is not yet built: each candidate pays the layer's least
+	// rents and, from start on, at least toDst[start].
 	unbuilt float64
 }
 
 // fstPair is one opened FST–BST pair: its merger, its backward search, its
-// host lists, how many assignments its odometer visits (counted no further
-// than one past maxExtensionsPerStart) and the innerMemo stamp its builds
-// walk host→merger paths under.
+// host lists and the innerMemo stamp its builds walk host→merger paths under.
 type fstPair struct {
 	merger *TreeNode
 	bst    *SearchTree
 	hosts  [][]*TreeNode
-	stubs  int
 	memo   uint32
 }
 
@@ -74,29 +71,13 @@ const lazyBoundSlack = 0x1p-20
 
 // lazy reports whether a parallel layer's candidate lists are built
 // best-first: with min-cost paths and no delay bound an assignment builds
-// exactly one candidate, whose q has a lower bound (see lowerBound), and
-// under an X_d cut with a way to go the screen reads only the cheapest few.
-// The eager reference switch turns it off.
+// exactly one candidate, whose q has a lower bound (see lowerBound), under an
+// X_d cut with a way to go the screen reads only the cheapest few, and with A
+// = MaxAssignmentsPerPair > 0 a pair holds at most A of them. The eager
+// reference switch turns it off.
 func (e *embedder) lazy() bool {
-	return e.opts.MiniPath && e.opts.MaxDelay <= 0 && e.opts.Xd > 0 && e.toDst != nil && !e.eager
-}
-
-// priceStubs makes cl lazy over the n assignments of pairs: each becomes a
-// stub keyed by its lower bound, in order.
-func (e *embedder) priceStubs(cl *candidateList, pairs []fstPair, n int) {
-	e.lazyList(cl, n)
-	for i := range pairs {
-		e.pricePair(cl, &pairs[i], int32(len(cl.stubs)))
-	}
-}
-
-// lazyList carves cl's storage for n stubs.
-func (e *embedder) lazyList(cl *candidateList, n int) {
-	m := e.sc.mem
-	k := len(cl.spec.VNFs)
-	cl.stubs, cl.hosts, cl.exts = m.stubs.alloc(n)[:0], m.ptrs.alloc(n*k), m.extPtrs.alloc(n)[:0]
-	cl.order = m.idx.alloc(n)[:0]
-	m.terms = sized(m.terms, 3*k)
+	return e.opts.MiniPath && e.opts.MaxDelay <= 0 && e.opts.Xd > 0 && e.opts.MaxAssignmentsPerPair > 0 &&
+		e.toDst != nil && !e.eager
 }
 
 // pricePair adds pr's assignments to cl, each a stub keyed by its lower
@@ -125,10 +106,14 @@ func (e *embedder) pricePair(cl *candidateList, pr *fstPair, ord int32) {
 // less the rounding slack: for any hosts vᵢ, eq. 9's union pays at least
 // d(start, v₁) and eq. 10 at least d(v₁, m), together at least d(start, m),
 // so q_pair ≤ q_lb (see lowerBound) of every assignment. Pair i's eager
-// index is i·A, A = MaxAssignmentsPerPair > 0, its assignments' follow it.
+// index is i·A, its assignments' follow it, and cl's storage holds the pairs
+// and all their A·len(mergers) stubs.
 func (e *embedder) pendPairs(cl *candidateList, mergers []*TreeNode) {
-	p, a := e.p, e.opts.MaxAssignmentsPerPair
-	e.lazyList(cl, len(mergers)*(a+1))
+	p, m, a, k := e.p, e.sc.mem, e.opts.MaxAssignmentsPerPair, len(cl.spec.VNFs)
+	n := len(mergers) * (a + 1)
+	cl.stubs, cl.hosts, cl.exts = m.stubs.alloc(n)[:0], m.ptrs.alloc(n*k), m.extPtrs.alloc(n)[:0]
+	cl.order = m.idx.alloc(n)[:0]
+	m.terms = sized(m.terms, 3*k)
 	floor := 0.0
 	for _, f := range cl.spec.VNFs {
 		floor += p.Net.MinRent(f)
@@ -169,12 +154,13 @@ func (e *embedder) lowerBound(cl *candidateList, m graph.NodeID, hosts, last []*
 }
 
 // candidate returns cl's i-th candidate in (q, eager index) order, nil past
-// the last: the order trimExtensions' stable sort gives an eager list, so
-// every parent is handed the same candidates either way. A lazy list steps
-// until it has the i-th.
-func (e *embedder) candidate(cl *candidateList, i int) *extension {
-	for len(cl.exts) <= i && len(cl.order) > 0 {
-		e.step(cl, nil)
+// the last or once the run is cancelled: the order trimExtensions' stable
+// sort gives an eager list, so every parent is handed the same candidates
+// either way. It steps, tracing under sp, until cl has the i-th, checking the
+// context before each step.
+func (e *embedder) candidate(cl *candidateList, i int, sp *telemetry.Span) *extension {
+	for len(cl.exts) <= i && (cl.fst == nil || len(cl.order) > 0) && e.ctx.Err() == nil {
+		e.step(cl, sp)
 	}
 	if i < len(cl.exts) {
 		return cl.exts[i]
@@ -182,13 +168,18 @@ func (e *embedder) candidate(cl *candidateList, i int) *extension {
 	return nil
 }
 
-// step does one unit of a lazy list's work, on the front of its order. A
-// built stub is handed out: every unbuilt stub would build a q at least its
-// key, and a tie in q goes to the lower index. An unbuilt one is built —
-// through instantiate, as an eager build would — and moves back to its q's
-// place, or out if it builds nothing. A pair is opened, its backward search
-// traced under sp, and its assignments priced in.
+// step does one unit of cl's work, its searches traced under sp. An unbuilt
+// list is built (see buildExtensions). Otherwise the work is on the front of
+// a lazy list's order. A built stub is handed out: every unbuilt stub would
+// build a q at least its key, and a tie in q goes to the lower index. An
+// unbuilt one is built — through instantiate, as an eager build would — and
+// moves back to its q's place, or out if it builds nothing. A pair is opened
+// and its assignments priced in.
 func (e *embedder) step(cl *candidateList, sp *telemetry.Span) {
+	if cl.fst == nil {
+		e.buildExtensions(cl, sp)
+		return
+	}
 	m := e.sc.mem
 	s := cl.order[0]
 	next := &cl.stubs[s]

@@ -208,7 +208,7 @@ func TestClosureTreeNodesPinned(t *testing.T) {
 				i, s.PathTreeNodes, s.ClosureTreeNodes, s.ClosureLeaves)
 		}
 	}
-	ref, err := embedReference(p, MBBEOptions(), func(e *embedder) { e.closeEvery = true })
+	ref, err := embedReference(p, MBBEOptions(), func(e *embedder) { e.eager = true })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,16 +302,13 @@ type embedder struct {
 	// The reference switches, set by tests alone (embedReference): perLayer
 	// keeps single-VNF runs away from the layered kernel, undirected withholds
 	// the potential from terminal layered runs, perLeafClosure closes every
-	// leaf with a tree of its own, eager builds every stub of a parallel
-	// layer before screening, closeEvery screens a parallel last layer as any
-	// other and closes all its leaves. Each is the slow path its replacement
-	// is tested against.
-	perLayer, undirected, perLeafClosure, eager, closeEvery bool
-	// pending is set while the run's last layer is built for bestFirst: its
-	// lists leave their pairs unopened.
-	pending bool
-	// ctx cancels the run between layers and between a layer's start-node
-	// builds; never nil (EmbedContext defaults it to Background).
+	// leaf with a tree of its own, eager runs Algorithm 1 under the run's
+	// options — every candidate of a parallel layer built before it is
+	// screened, a parallel last layer screened as any other and all its leaves
+	// closed. Each is the slow path its replacement is tested against.
+	perLayer, undirected, perLeafClosure, eager bool
+	// ctx cancels the run between layers and before each unit of a list's
+	// work; never nil (EmbedContext defaults it to Background).
 	ctx context.Context
 	// ledger is the run's read-only capacity view. It is the problem's
 	// ledger when one is set, else a private empty one — never written
@@ -331,8 +328,8 @@ type embedder struct {
 	// lists holds the current layer's candidate lists, one per distinct
 	// start node in first-appearance order, and layerExts[v] the position
 	// plus one of start v's: every parent sub-solution ending on the same
-	// node shares the same set of feasible layer embeddings. Filled by
-	// buildLayerExtensions and read by screenParent, in the arena.
+	// node shares the same set of feasible layer embeddings. Indexed by
+	// indexStarts, built and read by the screens, in the arena.
 	lists     []candidateList
 	layerExts []int32
 	// trees is the arena's store the run's Dijkstra trees come from, grown
@@ -355,8 +352,8 @@ type embedder struct {
 	pathView   *graph.CostView
 	searchView *graph.CostView
 	// avgLink is the substrate's mean link price, the hop-distance scale of
-	// the merger and host orderings. Prices are static, so run sums it once
-	// (when the SFC has a parallel layer) instead of once per FST–BST pair.
+	// the merger and host orderings, read once by run (when the SFC has a
+	// parallel layer) off the price sum the graph keeps.
 	avgLink float64
 	// toDst[v] is the price of the cheapest path from v on to the destination
 	// (+Inf: none), read off the complete tree rooted there: what gives an
@@ -529,8 +526,7 @@ func (e *embedder) run() (*Result, error) {
 			}
 			perLayerUntil = j
 		}
-		e.pending = i == len(specs)-1 && spec.Merger && e.lazy() && e.opts.MaxAssignmentsPerPair > 0 && !e.closeEvery
-		if e.pending {
+		if i == len(specs)-1 && spec.Merger && e.lazy() {
 			return e.bestFirst(spec, frontier, sp)
 		}
 		next, err := e.searchLayer(spec, frontier, sp)
@@ -633,17 +629,17 @@ func (e *embedder) complete(leaf *subSolution, tail graph.Path) *Result {
 
 // searchLayer embeds one layer the paper's way — forward/backward search
 // trees, candidate generation, per-parent screening — and returns the
-// cost-sorted, pruned sub-solutions that become the next frontier.
+// cost-sorted, pruned sub-solutions that become the next frontier. Each
+// distinct start node's list is built when the first of its parents, in
+// frontier order, is screened, its searches traced under the filter span.
 func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) ([]*subSolution, error) {
 	m := e.sc.mem
-	// Build every distinct start node's extensions up front; the screening
-	// loop below then only reads them.
-	e.buildLayerExtensions(spec, frontier, sp)
+	e.indexStarts(spec, frontier)
 	filter := startSpan(sp, "filter")
 	m.screens = sized(m.screens, len(frontier))
 	screens := m.screens // clear: the last layer cleared what it used
 	for i, parent := range frontier {
-		e.screenParent(spec, parent, &screens[i])
+		e.screenParent(spec, parent, &screens[i], filter)
 	}
 	considered, capRejected, delayRejected, children := 0, 0, 0, 0
 	for i := range screens {
@@ -661,8 +657,8 @@ func (e *embedder) searchLayer(spec LayerSpec, frontier []*subSolution, sp *tele
 	e.stats.CapacityRejections += capRejected
 	e.stats.DelayRejections += delayRejected
 	endFilter(filter, considered, capRejected, delayRejected)
-	// A cancelled run skips start-node builds, so an empty frontier here
-	// may mean "cancelled", not "infeasible" — report the cancellation.
+	// A cancelled run skips list builds, so an empty frontier here may mean
+	// "cancelled", not "infeasible" — report the cancellation.
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -691,17 +687,18 @@ func rankFloor(cum, q float64) float64 { return (cum + q) * (1 - 0x1p-50) }
 // it stops once it holds Xd children and the next candidate's rankFloor is
 // above the Xd-th lowest rank among them. The test runs first on a lower
 // bound of every q left (leastQ), so a lazy list builds no candidate it
-// discards.
-func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen) {
+// discards. The list's work is traced under sp.
+func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen, sp *telemetry.Span) {
 	p, m := e.p, e.sc.mem
 	cl := &e.lists[e.layerExts[parent.endNode(p.Src)]-1]
+	e.candidate(cl, 0, sp) // the first read builds the list, which sizes the reservation below
 	xd := e.opts.Xd
 	bounded := xd > 0 && e.opts.MaxDelay <= 0
 	low := m.ranks[:0] // the xd lowest ranks so far, ascending
 	children := m.subPtrs.reserve(cap(cl.exts))
 	stop := func(q float64) bool { return bounded && len(low) == xd && rankFloor(parent.cum, q) > low[xd-1] }
 	for i := 0; !stop(cl.leastQ(i)); i++ {
-		ext := e.candidate(cl, i)
+		ext := e.candidate(cl, i, sp)
 		if ext == nil || stop(ext.q) {
 			break
 		}
@@ -839,10 +836,9 @@ func (e *embedder) probe(q []screenItem, parent *subSolution, j, i int32) []scre
 
 // bestFirst searches the run's last layer, a parallel one, for the run's
 // answer: what screenParent, searchLayer's cut and the closure would return,
-// found by one queue across every parent. A list is built when a probe of
-// its first reaches the front, and then leaves its pairs unopened
-// (pendPairs). A probe popped hands its parent the next candidate or does
-// one unit of its list's work; a child popped is its parent's next by rank,
+// found by one queue across every parent. A probe popped hands its parent
+// the next candidate or does one unit of its list's work (see step), the
+// first of which builds the list; a child popped is its parent's next by rank,
 // kept unless its parent has X_d or the layer maxSubSolutionsPerLayer, and
 // closed to the destination; a leaf popped is the cheapest that any kept
 // child can still give, and the first that validates is the answer. The
@@ -906,11 +902,7 @@ func (e *embedder) bestFirst(spec LayerSpec, frontier []*subSolution, sp *teleme
 			case e.ctx.Err() != nil:
 				err = e.ctx.Err()
 			default:
-				if cl.fst == nil {
-					e.buildExtensions(cl, spec, cl.start, filter)
-				} else {
-					e.step(cl, filter)
-				}
+				e.step(cl, filter)
 				q = e.probe(q, parent, it.parent, it.cand)
 			}
 		}
@@ -955,32 +947,17 @@ func (e *embedder) indexStarts(spec LayerSpec, frontier []*subSolution) []candid
 	return e.lists
 }
 
-// buildLayerExtensions builds lists for every distinct start node of the
-// frontier (see indexStarts). It stops early once the context is done,
-// leaving the rest of the layer's lists empty; searchLayer re-checks the
-// context before interpreting an empty frontier, so a cancelled run reports
-// ctx.Err(), never a bogus ErrNoEmbedding.
-func (e *embedder) buildLayerExtensions(spec LayerSpec, frontier []*subSolution, sp *telemetry.Span) {
-	for i := range e.indexStarts(spec, frontier) {
-		if e.ctx.Err() != nil {
-			return
-		}
-		e.buildExtensions(&e.lists[i], spec, e.lists[i].start, sp)
-	}
-}
-
-// buildExtensions fills cl with one (layer, start) candidate set: the
-// forward search, then for a single-VNF layer its hosts' candidates, for a
-// parallel layer every FST–BST pair over the kept mergers opened and its
-// assignments built — or, in a lazy list, priced to be built best-first
-// (see candidate) — and the trim to the cheapest maxExtensionsPerStart.
+// buildExtensions fills cl, indexed but unbuilt, with its (layer, start)
+// candidate set: the forward search, then for a single-VNF layer its hosts'
+// candidates, for a parallel layer its FST–BST pairs over the kept mergers —
+// left unopened in a lazy list (see pendPairs), else each opened and its
+// assignments built — and the trim to the cheapest maxExtensionsPerStart.
 // With min-cost-path instantiation the forward search runs one ring past
 // coverage: the paths no longer come from the tree, so the tree is only the
 // candidate set (bare of Table 1's adjacency), and the nearest cover is
-// rarely the cheapest. The searches and the build are traced under the
-// layer's span sp.
-func (e *embedder) buildExtensions(cl *candidateList, spec LayerSpec, start graph.NodeID, sp *telemetry.Span) {
-	p, m := e.p, e.sc.mem
+// rarely the cheapest. The searches and the build are traced under sp.
+func (e *embedder) buildExtensions(cl *candidateList, sp *telemetry.Span) {
+	p, m, spec, start := e.p, e.sc.mem, cl.spec, cl.start
 	fwd := startAt(sp, "forward-search", start)
 	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m,
 		bare: e.opts.MiniPath}
@@ -1014,7 +991,7 @@ func (e *embedder) buildExtensions(cl *candidateList, spec LayerSpec, start grap
 			}
 		}
 		fst.nodesByKey(mergers[:], cat[:], e.opts.MaxMergerCandidates, key)
-		if e.pending && len(mergers[0])*e.opts.MaxAssignmentsPerPair <= maxExtensionsPerStart {
+		if e.lazy() && len(mergers[0])*e.opts.MaxAssignmentsPerPair <= maxExtensionsPerStart {
 			e.pendPairs(cl, mergers[0])
 			if cand != nil {
 				cand.SetAttr("pending_pairs", len(mergers[0]))
@@ -1022,37 +999,18 @@ func (e *embedder) buildExtensions(cl *candidateList, spec LayerSpec, start grap
 			endSpan(cand)
 			return
 		}
-		k := len(spec.VNFs)
-		m.hosts = sized(m.hosts, len(mergers[0])*k)
-		pairs, stubs := m.pairs[:0], 0
-		for i, merger := range mergers[0] {
+		m.hosts = sized(m.hosts, len(spec.VNFs))
+		for _, merger := range mergers[0] {
 			if e.ctx.Err() != nil {
 				break
 			}
-			if pr, ok := e.openPair(spec, fst, merger, m.hosts[i*k:(i+1)*k:(i+1)*k], cand); ok {
-				pairs = append(pairs, pr)
-				stubs += pr.stubs
-			}
-		}
-		lazy := e.lazy() && stubs <= maxExtensionsPerStart
-		if lazy {
-			e.priceStubs(cl, pairs, stubs)
-		} else {
-			for i := range pairs {
-				pr := &pairs[i]
-				e.eachAssignment(pr, func(assignment []*TreeNode) {
+			if pr, ok := e.openPair(spec, fst, merger, m.hosts, cand); ok {
+				e.eachAssignment(&pr, func(assignment []*TreeNode) {
 					exts = e.buildAssignment(exts, cl, pr.bst, pr.merger, pr.memo, assignment)
 				})
 			}
 		}
-		// What the pairs hold lives on in the stubs and extensions.
-		clear(pairs)
 		clear(m.hosts)
-		m.pairs = pairs[:0]
-		if lazy {
-			endCandidates(cand, stubs, stubs)
-			return
-		}
 	}
 	generated := len(exts)
 	// An exact-size carve of the candidates; the growable buffer they were
@@ -1192,18 +1150,7 @@ func (e *embedder) openPair(spec LayerSpec, fst *SearchTree, mergerTN *TreeNode,
 		}
 		return p.Net.Rents(spec.VNFs[i])[tn.Node] + float64(h)*e.avgLink
 	})
-	// What the odometer visits: the product of the list lengths, capped at
-	// A, counted no further than one past the per-start cut.
-	stubs, most := 1, maxExtensionsPerStart+1
-	if a := e.opts.MaxAssignmentsPerPair; a > 0 {
-		most = min(most, a)
-	}
-	for _, h := range hosts {
-		if stubs = min(stubs*len(h), most); stubs == most {
-			break
-		}
-	}
-	return fstPair{merger: mergerTN, bst: bst, hosts: hosts, stubs: stubs, memo: m.innerMemo.begin(p.Net.G.NumNodes())}, true
+	return fstPair{merger: mergerTN, bst: bst, hosts: hosts, memo: m.innerMemo.begin(p.Net.G.NumNodes())}, true
 }
 
 // eachAssignment walks pr's allocations as an odometer over its host lists,

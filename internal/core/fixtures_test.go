@@ -29,9 +29,11 @@ func hostsOf(net *network.Network, f network.VNFID) []graph.NodeID {
 	return out
 }
 
-// embedReference is Embed with a reference path switched on: set flips
-// perLayer, undirected, perLeafClosure or eager on the embedder before it
-// runs. The one way those switches are ever set.
+// embedReference is Embed with a reference path switched on: set flips one
+// of the embedder's switches before it runs — perLayer (every layer through
+// the per-layer search), undirected (no potential for a terminal layered
+// run), perLeafClosure (a tree per leaf) or eager (Algorithm 1 under the
+// run's options). The one way those switches are ever set.
 func embedReference(p *Problem, opts Options, set func(e *embedder)) (*Result, error) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
@@ -43,9 +45,8 @@ func embedReference(p *Problem, opts Options, set func(e *embedder)) (*Result, e
 // allCandidates builds start's candidate list for spec and reads it to the
 // end.
 func allCandidates(e *embedder, spec LayerSpec, start graph.NodeID) []*extension {
-	var cl candidateList
-	e.buildExtensions(&cl, spec, start, nil)
-	for e.candidate(&cl, len(cl.exts)) != nil {
+	cl := candidateList{spec: spec, start: start}
+	for e.candidate(&cl, len(cl.exts), nil) != nil {
 	}
 	return cl.exts
 }

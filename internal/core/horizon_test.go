@@ -78,11 +78,11 @@ func tableTwoFlows(n int) []*Problem {
 // size-6 SFCs of two width-3 layers). The forward search of a parallel
 // layer is the one runSearch builds with one ring past coverage — on every
 // instance the stop-at-coverage tree plus exactly the next ring — and the
-// work done on it stays small: candidates ranked before they are built and
-// built best-first only as far as the screen reads, and in the last layer
-// pairs opened only while they can still beat the best leaf (7.2 builds and
-// 20.5 backward searches per embed, against 26.7 and 31.8 when that layer
-// opened every pair, and 107.3 builds with every stub built).
+// work done on it stays small: pairs opened and candidates built best-first
+// only as far as the screen reads, and in the last layer only while they
+// can still beat the best leaf (7.1 builds and 20.3 backward searches per
+// embed, against 26.7 and 31.8 when that layer opened every pair, and 107.3
+// builds with every stub built).
 func TestParallelLayerHorizonAndWork(t *testing.T) {
 	const flows = 60
 	extensions, backward, ringThree := 0, 0, 0
@@ -95,10 +95,10 @@ func TestParallelLayerHorizonAndWork(t *testing.T) {
 		extensions += res.Stats.Extensions
 		backward += res.Stats.BackwardSearches
 		layer1 := findChildren(tr.Root(), "layer 1")
-		if len(layer1) != 1 || len(findChildren(layer1[0], "forward-search")) == 0 {
+		if len(layer1) != 1 || len(findSpans(layer1[0], "forward-search")) == 0 {
 			t.Fatalf("flow %d: no forward search under layer 1", flow)
 		}
-		firstFST := intAttr(findChildren(layer1[0], "forward-search")[0], "tree_size")
+		firstFST := intAttr(findSpans(layer1[0], "forward-search")[0], "tree_size")
 
 		required := p.LayerSpecs()[0].appendRequired(nil, net.Catalog)
 		stop := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax})

@@ -209,7 +209,7 @@ func TestLayeredCoupledCapacityFallsBack(t *testing.T) {
 				t.Fatalf("%d layered-run spans, want one capacity fallback:\n%s", len(runs), outline(t, tr))
 			}
 			// The per-layer search takes layer 1 over in the same row.
-			if layer := findChildren(tr.Root(), "layer 1"); len(layer) != 1 || len(findChildren(layer[0], "candidates")) == 0 {
+			if layer := findChildren(tr.Root(), "layer 1"); len(layer) != 1 || len(findSpans(layer[0], "candidates")) == 0 {
 				t.Fatalf("layer 1 has no per-layer search after the fallback:\n%s", outline(t, tr))
 			}
 		})

@@ -124,13 +124,13 @@ func FuzzScreenParent(f *testing.F) {
 			exts[i] = r.ext()
 		}
 		exts = e.trimExtensions(exts, maxExtensionsPerStart)
-		e.lists = []candidateList{{exts: exts}}
+		e.lists = []candidateList{{exts: exts, fst: &SearchTree{}}} // built: step has nothing to build
 		e.layerExts = make([]int32, screenFuzzNodes)
 		e.layerExts[parent.endNode(0)] = 1
 
 		want, capRejected, delayRejected := screenReference(e, parent, exts)
 		var got parentScreen
-		e.screenParent(LayerSpec{Index: 2}, parent, &got)
+		e.screenParent(LayerSpec{Index: 2}, parent, &got, nil)
 		if len(got.children) != len(want) {
 			t.Fatalf("%d children, the reference keeps %d", len(got.children), len(want))
 		}
@@ -152,40 +152,40 @@ func FuzzScreenParent(f *testing.F) {
 	})
 }
 
-// lazyMatchesEager embeds p under MBBE three ways: as Embed does; with a
-// parallel last layer screened as any other and every leaf closed (the
-// closeEvery reference); and that way with every stub of a parallel layer
-// built before screening (the eager reference). It fails unless the first
-// two refuse alike or return the same Solution at the same cost bits, and
-// the two references likewise with the same search statistics bar
-// Extensions and the tree growth searchStats leaves out (the runs' arenas
-// keep different trees), the lazy one building no more candidates. It
-// returns the candidates Embed and the eager reference built.
-func lazyMatchesEager(t testing.TB, name string, p *Problem) (lazyBuilds, eagerBuilds int) {
+// lazyMatchesEager embeds p under MBBE twice: as Embed does, traced, and
+// through the eager reference — every candidate of a parallel layer built
+// before it is screened, the last layer screened as any other and all its
+// leaves closed. It fails unless the two refuse alike or return the same
+// Solution at the same cost bits, or the lazy run builds more candidates
+// than the eager one. It returns the candidates each built and
+// the pairs Embed left unopened on the layers before the last, read off the
+// trace: their candidates' pending_pairs less their backward searches.
+func lazyMatchesEager(t testing.TB, name string, p *Problem) (lazyBuilds, eagerBuilds, unopened int) {
 	t.Helper()
-	got, gotErr := Embed(p, MBBEOptions())
-	lazy, lazyErr := embedReference(p, MBBEOptions(), func(e *embedder) { e.closeEvery = true })
+	got, tr, gotErr := embedTraced(p, MBBEOptions())
 	eager, eagerErr := embedReference(p, MBBEOptions(), func(e *embedder) { e.eager = true })
-	if fmt.Sprint(gotErr) != fmt.Sprint(lazyErr) || fmt.Sprint(lazyErr) != fmt.Sprint(eagerErr) {
-		t.Fatalf("%s: best-first %v, lazy %v, eager %v", name, gotErr, lazyErr, eagerErr)
+	if fmt.Sprint(gotErr) != fmt.Sprint(eagerErr) {
+		t.Fatalf("%s: lazy %v, eager %v", name, gotErr, eagerErr)
 	}
-	if lazyErr != nil {
-		return 0, 0
+	last := fmt.Sprintf("layer %d", len(p.LayerSpecs()))
+	for _, layer := range tr.Root().Children() {
+		if layer.Name() != last {
+			for _, cand := range findSpans(layer, "candidates") {
+				unopened += intAttr(cand, "pending_pairs")
+			}
+			unopened -= len(findSpans(layer, "backward-search"))
+		}
 	}
-	if !reflect.DeepEqual(got.Solution, lazy.Solution) ||
-		math.Float64bits(got.Cost.VNFCost) != math.Float64bits(lazy.Cost.VNFCost) ||
-		math.Float64bits(got.Cost.LinkCost) != math.Float64bits(lazy.Cost.LinkCost) {
-		t.Fatalf("%s: best-first %v at %+v; lazy %v at %+v", name, got.Solution, got.Cost, lazy.Solution, lazy.Cost)
+	if gotErr != nil {
+		return 0, 0, unopened
 	}
-	ls, es := searchStats(lazy.Stats), searchStats(eager.Stats)
-	ls.Extensions, es.Extensions = 0, 0
-	if !reflect.DeepEqual(lazy.Solution, eager.Solution) || ls != es || lazy.Stats.Extensions > eager.Stats.Extensions ||
-		math.Float64bits(lazy.Cost.VNFCost) != math.Float64bits(eager.Cost.VNFCost) ||
-		math.Float64bits(lazy.Cost.LinkCost) != math.Float64bits(eager.Cost.LinkCost) {
-		t.Fatalf("%s: lazy %v at %+v, %+v; eager %v at %+v, %+v", name, lazy.Solution, lazy.Cost, lazy.Stats,
+	if !reflect.DeepEqual(got.Solution, eager.Solution) || got.Stats.Extensions > eager.Stats.Extensions ||
+		math.Float64bits(got.Cost.VNFCost) != math.Float64bits(eager.Cost.VNFCost) ||
+		math.Float64bits(got.Cost.LinkCost) != math.Float64bits(eager.Cost.LinkCost) {
+		t.Fatalf("%s: lazy %v at %+v, %+v; eager %v at %+v, %+v", name, got.Solution, got.Cost, got.Stats,
 			eager.Solution, eager.Cost, eager.Stats)
 	}
-	return got.Stats.Extensions, eager.Stats.Extensions
+	return got.Stats.Extensions, eager.Stats.Extensions, unopened
 }
 
 // lazyNets are the best-first build's substrates, each with its loaded
@@ -210,10 +210,10 @@ func lazyNets(tb testing.TB) (nets [2]*network.Network, ledgers [2]*network.Ledg
 // screen reads them embeds exactly as building them all does.
 func TestLazyCandidatesMatchEager(t *testing.T) {
 	nets, ledgers := lazyNets(t)
-	lazy, eager := 0, 0
+	lazy, eager, unopened := 0, 0, 0
 	check := func(name string, p *Problem) {
-		l, e := lazyMatchesEager(t, name, p)
-		lazy, eager = lazy+l, eager+e
+		l, e, u := lazyMatchesEager(t, name, p)
+		lazy, eager, unopened = lazy+l, eager+e, unopened+u
 	}
 	for _, c := range screenCases {
 		p := screenFlow(rand.New(rand.NewSource(c.seed)), nets[0], c.width, c.size)
@@ -237,7 +237,10 @@ func TestLazyCandidatesMatchEager(t *testing.T) {
 	if lazy >= eager {
 		t.Fatalf("vacuous: the lazy runs built %d candidates, the eager %d", lazy, eager)
 	}
-	t.Logf("%d candidates built, %d eagerly", lazy, eager)
+	if unopened == 0 {
+		t.Fatal("vacuous: every pair of a layer before the last was opened")
+	}
+	t.Logf("%d candidates built, %d eagerly; %d pairs left unopened before the last layer", lazy, eager, unopened)
 }
 
 // FuzzLazyCandidates is TestLazyCandidatesMatchEager on a flow its input

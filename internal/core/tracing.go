@@ -14,12 +14,12 @@ import (
 //	embed (alg, total_cost | error, search stats)
 //	├─ destination-tree (tree_nodes)            MBBE with a parallel layer
 //	├─ layer L (vnfs, merger, parents, kept, cheapest)
-//	│  ├─ forward-search (start, tree_size, covered)
-//	│  ├─ candidates (start, generated, kept)
-//	│  │  └─ backward-search (start, tree_size, covered) …
 //	│  ├─ filter (considered, capacity_rejected, delay_rejected)
-//	│  │  └─ forward-search, candidates (start, pending_pairs),
-//	│  │     backward-search …               a best-first last layer
+//	│  │  ├─ forward-search (start, tree_size, covered)
+//	│  │  ├─ candidates (start, generated, kept)
+//	│  │  │  └─ backward-search (start, tree_size, covered) …   an eager list
+//	│  │  ├─ candidates (start, pending_pairs)
+//	│  │  └─ backward-search …                  a lazy list's opened pairs
 //	│  └─ layered-run (layers, terminal, seeds, settled, exits, kept, fallback)
 //	│     ├─ destination-tree (tree_nodes)      a terminal run that grows it
 //	│     ├─ forward-search (start, tree_size, covered)
@@ -27,9 +27,9 @@ import (
 //	├─ …
 //	└─ closure (leaves, tree_nodes)
 //
-// A best-first last layer (see bestFirst) builds its lists and opens its
-// pairs as its screen reaches them, so their rows sit under its filter; the
-// closure that follows only counts the leaves that screen closed.
+// A list is built, and a lazy list's pairs opened, when a screen first reads
+// them, so their rows sit under the layer's filter. After a best-first last
+// layer (see bestFirst) the closure only counts the leaves its screen closed.
 // A run of single-VNF layers a–b that the layered kernel answers is one
 // layered-run under layer a, timed around the kernel search and the
 // materialisation of its walks; layers a+1…b are rows with no children. On

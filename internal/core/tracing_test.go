@@ -127,7 +127,7 @@ func checkTraceAccounts(t *testing.T, root *telemetry.Span) {
 	}
 	for _, layer := range root.Children() {
 		for _, run := range findChildren(layer, "layered-run") {
-			if run.Attr("fallback") == nil && len(findChildren(layer, "candidates")) != 0 {
+			if run.Attr("fallback") == nil && len(findSpans(layer, "candidates")) != 0 {
 				t.Fatalf("%s: the kernel answered it, yet it has a candidates span", layer.Name())
 			}
 		}
@@ -234,10 +234,10 @@ func TestTraceMatchesPaperExample(t *testing.T) {
 		}
 	}
 
-	// Layer 2's forward search: the Fig. 3 walk discovers {vA}, {vB,vH},
-	// {vC,vE,vL} over three iterations — 6 tree nodes, covering.
+	// Layer 2's forward search, under its filter: the Fig. 3 walk discovers
+	// {vA}, {vB,vH}, {vC,vE,vL} over three iterations — 6 tree nodes, covering.
 	l2 := layers["layer 2"]
-	fwd := findChildren(l2, "forward-search")
+	fwd := findSpans(l2, "forward-search")
 	if len(fwd) != 1 {
 		t.Fatalf("layer 2 has %d forward-search spans, want 1", len(fwd))
 	}
@@ -246,7 +246,7 @@ func TestTraceMatchesPaperExample(t *testing.T) {
 			fwd[0].Attr("start"), fwd[0].Attr("tree_size"), fwd[0].Attr("covered"), fig3vA)
 	}
 	// Every backward search nests in the build's candidates span.
-	cands := findChildren(l2, "candidates")
+	cands := findSpans(l2, "candidates")
 	if len(cands) != 1 || cands[0].Attr("generated") == nil || cands[0].Attr("kept") == nil {
 		t.Fatalf("layer 2 has %d candidates spans, want one with generated/kept", len(cands))
 	}

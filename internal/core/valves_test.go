@@ -14,11 +14,11 @@ import (
 type widthWatch struct{ generated, kept int }
 
 // embed runs p traced and widens w by what the trace's candidates and layer
-// spans report.
+// spans report, a list that leaves its pairs pending by the most they hold.
 func (w *widthWatch) embed(p *Problem, opts Options) (*Result, error) {
 	res, tr, err := embedTraced(p, opts)
 	for _, c := range findSpans(tr.Root(), "candidates") {
-		w.generated = max(w.generated, intAttr(c, "generated"))
+		w.generated = max(w.generated, intAttr(c, "generated"), intAttr(c, "pending_pairs")*opts.MaxAssignmentsPerPair)
 	}
 	for _, layer := range tr.Root().Children() {
 		if strings.HasPrefix(layer.Name(), "layer ") {

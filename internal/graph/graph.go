@@ -79,6 +79,7 @@ type Graph struct {
 	edges    []Edge
 	csr      atomic.Pointer[csrAdj]
 	maxPrice float64 // the dearest link's price
+	priceSum float64 // every link's price, summed in ID order
 }
 
 // csrAdj is the compressed-sparse-row adjacency: one flat arc slice plus
@@ -122,6 +123,7 @@ func (g *Graph) AddEdge(a, b NodeID, price, capacity float64) (EdgeID, error) {
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, A: a, B: b, Price: price, Capacity: capacity})
 	g.maxPrice = max(g.maxPrice, price)
+	g.priceSum += price
 	g.csr.Store(nil) // adjacency changed; any cached CSR is stale
 	return id, nil
 }
@@ -154,6 +156,10 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 
 // MaxPrice reports the dearest link's price (0 without links).
 func (g *Graph) MaxPrice() float64 { return g.maxPrice }
+
+// PriceSum reports the sum of every link's price, added in ID order as the
+// links were (0 without links).
+func (g *Graph) PriceSum() float64 { return g.priceSum }
 
 // Edges returns the underlying edge slice. The caller must not modify it.
 func (g *Graph) Edges() []Edge { return g.edges }

@@ -153,6 +153,23 @@ func TestGeneratePriceDistributions(t *testing.T) {
 	}
 }
 
+// TestAvgLinkPriceIsKept: the mean link price off the sum the graph keeps has
+// the bits of a loop over every link, on a generated substrate and after one
+// more link.
+func TestAvgLinkPriceIsKept(t *testing.T) {
+	net := MustGenerate(Default(), rand.New(rand.NewSource(26)))
+	for range 2 {
+		sum := 0.0
+		for _, e := range net.G.Edges() {
+			sum += e.Price
+		}
+		if got, want := net.AvgLinkPrice(), sum/float64(net.G.NumEdges()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d links: kept mean %v, the loop's %v", net.G.NumEdges(), got, want)
+		}
+		net.G.MustAddEdge(0, 1, 0.1, 1)
+	}
+}
+
 func TestGenerateZeroFluctuationIsExact(t *testing.T) {
 	cfg := smallCfg()
 	cfg.VNFPriceFluct = 0

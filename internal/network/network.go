@@ -246,15 +246,11 @@ func (n *Network) AvgVNFPrice() float64 {
 	return sum / float64(count)
 }
 
-// AvgLinkPrice reports the mean link price.
+// AvgLinkPrice reports the mean link price, off the sum the graph keeps.
 func (n *Network) AvgLinkPrice() float64 {
 	m := n.G.NumEdges()
 	if m == 0 {
 		return 0
 	}
-	var sum float64
-	for _, e := range n.G.Edges() {
-		sum += e.Price
-	}
-	return sum / float64(m)
+	return n.G.PriceSum() / float64(m)
 }

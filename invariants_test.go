@@ -134,11 +134,11 @@ var invariants = []invariant{{
 	msg:      "internal/core or cmd/dagsfc-embed declares an observer seam again: the search writes its trace at its source, into Options.Trace",
 }, {
 	name:     "core-reference-switches",
-	contract: "the slow reference paths an embed is tested against (perLayer, undirected, perLeafClosure, eager, closeEvery) are switched on by tests alone, through embedReference",
+	contract: "the slow reference paths an embed is tested against (perLayer, undirected, perLeafClosure, eager) are switched on by tests alone, through embedReference",
 	design:   "6. core",
 	files:    []string{"internal/core/*.go"},
-	forbid:   `\.(perLayer|undirected|perLeafClosure|eager|closeEvery)[[:space:]]*=[^=]`,
-	sample:   "\treturn embedReference(p, opts, func(e *embedder) { e.closeEvery = true })",
+	forbid:   `\.(perLayer|undirected|perLeafClosure|eager)[[:space:]]*=[^=]`,
+	sample:   "\treturn embedReference(p, opts, func(e *embedder) { e.eager = true })",
 	msg:      "internal/core's non-test code sets a reference switch: only tests may, through embedReference",
 }, {
 	name:     "unsafe-arena-only",
