@@ -9,7 +9,6 @@ package dagsfc
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"dagsfc/internal/core"
@@ -156,54 +155,6 @@ func BenchmarkEmbedILP8(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Ablations of MBBE's three strategies (§4.5), for the design choices
-// DESIGN.md calls out: the forward-search cap Xmax (strategy 1), the
-// mini-path instantiation (strategy 2) and the X_d-tree width (strategy 3).
-func benchOptions(b *testing.B, opts core.Options) {
-	b.Helper()
-	base := paperInstance(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := *base
-		p.Ledger = nil
-		if _, err := core.Embed(&p, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationXd(b *testing.B) {
-	for _, xd := range []int{1, 2, 4, 8, 16} {
-		opts := core.MBBEOptions()
-		opts.Xd = xd
-		b.Run(benchName("Xd", xd), func(b *testing.B) { benchOptions(b, opts) })
-	}
-}
-
-func BenchmarkAblationXmax(b *testing.B) {
-	for _, xmax := range []int{30, 60, 120, 240, 0} {
-		opts := core.MBBEOptions()
-		opts.Xmax = xmax
-		b.Run(benchName("Xmax", xmax), func(b *testing.B) { benchOptions(b, opts) })
-	}
-}
-
-func BenchmarkAblationMiniPath(b *testing.B) {
-	withTree := core.MBBEOptions()
-	withTree.MiniPath = false
-	withTree.MaxPathsPerMeta = 2
-	b.Run("MiniPathOn", func(b *testing.B) { benchOptions(b, core.MBBEOptions()) })
-	b.Run("MiniPathOff", func(b *testing.B) { benchOptions(b, withTree) })
-}
-
-func benchName(prefix string, v int) string {
-	if v == 0 {
-		return prefix + "Unlimited"
-	}
-	return prefix + strconv.Itoa(v)
 }
 
 // BenchmarkCore pieces: cost evaluation and validation on a solved

@@ -72,7 +72,7 @@ func TestDocsDrift(t *testing.T) {
 					ok = ok && has(all, part)
 				}
 				if !ok {
-					t.Errorf("%s:%d: `%s` names nothing in the tree: describe what the tree has, or list the name in docHistory with the PR that deleted it",
+					t.Errorf("%s:%d: `%s` names nothing in the tree: describe what the tree has (docHistory holds only standard-library names)",
 						doc, i+1, name)
 				}
 			}
@@ -203,8 +203,8 @@ func TestReadmeFlags(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17863,
-	"test Go":                        25386,
+	"non-test Go":                    17851,
+	"test Go":                        25342,
 	"DESIGN.md":                      972,
 	"README.md":                      418,
 	"Makefile":                       67,

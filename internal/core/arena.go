@@ -110,7 +110,7 @@ func (s *slab[T]) bytes() int {
 // search retains until the run ends comes from it: the search trees
 // (TreeNode blocks, Available/Prev/Next windows, node lists, by-node
 // indexes), the candidates (extension and subSolution structs, their node,
-// path, instance-use and edge-use windows, the MiniPath path edges, the
+// path, instance-use and edge-use windows, the min-cost path edges, the
 // per-start and per-parent candidate lists), and the run's cost views and
 // Dijkstra trees, which store keeps for later runs.
 //

@@ -87,12 +87,13 @@ func BenchmarkParallelLayer(b *testing.B) {
 		e := newEmbedder(context.Background(), p, opts, sc)
 		e.avgLink = p.Net.AvgLinkPrice()
 		e.toDst, _ = e.destinationTree(nil)
-		frontier := sc.mem.subPtrs.alloc(opts.Xd)
+		xd := e.bounds.xd
+		frontier := sc.mem.subPtrs.alloc(xd)
 		for i := range frontier {
 			frontier[i] = sc.mem.subs.one()
 			frontier[i].cum = float64(i)
 		}
-		if next, err := e.searchLayer(e.layerSpecs()[0], frontier, nil); err != nil || len(next) != opts.Xd*opts.Xd {
+		if next, err := e.searchLayer(e.layerSpecs()[0], frontier, nil); err != nil || len(next) != xd*xd {
 			b.Fatalf("%d sub-solutions, %v", len(next), err)
 		}
 	}

@@ -71,13 +71,11 @@ const lazyBoundSlack = 0x1p-20
 
 // lazy reports whether a parallel layer's candidate lists are built
 // best-first: with min-cost paths and no delay bound an assignment builds
-// exactly one candidate, whose q has a lower bound (see lowerBound), under an
-// X_d cut with a way to go the screen reads only the cheapest few, and with A
-// = MaxAssignmentsPerPair > 0 a pair holds at most A of them. The eager
-// reference switch turns it off.
+// exactly one candidate, whose q has a lower bound (see lowerBound), and
+// under MBBE's X_d cut with a way to go the screen reads only the cheapest
+// few. The eager reference switch turns it off.
 func (e *embedder) lazy() bool {
-	return e.opts.MiniPath && e.opts.MaxDelay <= 0 && e.opts.Xd > 0 && e.opts.MaxAssignmentsPerPair > 0 &&
-		e.toDst != nil && !e.eager
+	return e.bounds.miniPath && e.opts.MaxDelay <= 0 && e.toDst != nil && !e.eager
 }
 
 // pricePair adds pr's assignments to cl, each a stub keyed by its lower
@@ -109,7 +107,7 @@ func (e *embedder) pricePair(cl *candidateList, pr *fstPair, ord int32) {
 // index is i·A, its assignments' follow it, and cl's storage holds the pairs
 // and all their A·len(mergers) stubs.
 func (e *embedder) pendPairs(cl *candidateList, mergers []*TreeNode) {
-	p, m, a, k := e.p, e.sc.mem, e.opts.MaxAssignmentsPerPair, len(cl.spec.VNFs)
+	p, m, a, k := e.p, e.sc.mem, e.bounds.assignments, len(cl.spec.VNFs)
 	n := len(mergers) * (a + 1)
 	cl.stubs, cl.hosts, cl.exts = m.stubs.alloc(n)[:0], m.ptrs.alloc(n*k), m.extPtrs.alloc(n)[:0]
 	cl.order = m.idx.alloc(n)[:0]

@@ -185,9 +185,9 @@ func sameResiduals(t *testing.T, label string, net *network.Network, got, want *
 }
 
 // checkAgainstReference runs one (problem, solution) through every oracle:
-// pricing and reuse counts against refComputeCost, then Commit and
-// Commit+Release residuals against the reference reservations on a twin
-// ledger. p.Ledger must be nil or ample.
+// pricing and reuse counts against refComputeCost, Evaluate's pricing, then
+// Commit and Commit+Release residuals against the reference reservations on
+// a twin ledger. p.Ledger must be nil or ample.
 func checkAgainstReference(t *testing.T, label string, p *Problem, s *Solution) {
 	t.Helper()
 	want, err := refComputeCost(p, s)
@@ -215,6 +215,11 @@ func checkAgainstReference(t *testing.T, label string, p *Problem, s *Solution) 
 			len(cb.Usage.Edges) != len(want.EdgeUse) || len(cb.Usage.Instances) != len(want.InstanceUse) {
 			t.Fatalf("%s: %s usage not sorted and merged: %+v", label, name, cb.Usage)
 		}
+	}
+	if c, err := Evaluate(p, s); err != nil || math.Float64bits(c.VNFCost) != math.Float64bits(want.VNFCost) ||
+		math.Float64bits(c.LinkCost) != math.Float64bits(want.LinkCost) {
+		t.Fatalf("%s: Evaluate priced (%v, %v), %v; reference (%v, %v)", label, c.VNFCost, c.LinkCost, err,
+			want.VNFCost, want.LinkCost)
 	}
 
 	seed := network.NewLedger(p.Net)

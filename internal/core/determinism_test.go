@@ -158,16 +158,14 @@ func TestValidateDoesNotInstallLedger(t *testing.T) {
 // the attempts/failures metric families.
 func TestEmbedInvalidProblemCountsAsFailure(t *testing.T) {
 	r := telemetry.Default()
-	label := telemetry.L("alg", "invalid-metric-test")
+	label := telemetry.L("alg", "mbbe")
 	attempts := r.Counter(telemetry.MetricEmbedAttempts, "Embedding attempts by algorithm.", label)
 	failures := r.Counter(telemetry.MetricEmbedFailures, "Embedding attempts that found no feasible solution.", label)
 	attemptsBefore, failuresBefore := attempts.Value(), failures.Value()
 
 	p := lineFixture()
 	p.Rate = 0 // invalid
-	opts := MBBEOptions()
-	opts.Label = "invalid-metric-test"
-	if _, err := Embed(p, opts); err == nil {
+	if _, err := EmbedMBBE(p); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 	if got := attempts.Value() - attemptsBefore; got != 1 {

@@ -32,31 +32,48 @@ const (
 	maxSubSolutionsPerLayer = 1024
 )
 
-// Options tunes the BBE/MBBE search. The zero value is not useful; start
-// from BBEOptions or MBBEOptions.
+// algorithm is a run's search method: MBBE (the zero value) or BBE.
+type algorithm uint8
+
+const (
+	mbbe algorithm = iota
+	bbe
+)
+
+// searchBounds are an algorithm's fixed settings: §4.5's three MBBE
+// strategies — the forward-search cap xmax, min-cost-path instantiation
+// (miniPath; the lazy lists and the layered kernel it enables need xd > 0)
+// and the X_d-tree width xd, 0 meaning unlimited for both caps — the merger
+// nodes per list that spawn a backward search, the host assignments per
+// FST–BST pair, the real-paths per meta-path read off the trees without
+// miniPath, and the "alg" label of its telemetry. BBE's caps keep the paper's
+// exhaustive enumeration, which overflows memory on larger instances, runnable.
+type searchBounds struct {
+	label                                        string
+	xmax, xd, mergers, assignments, pathsPerMeta int
+	miniPath                                     bool
+}
+
+// MBBE's merger and assignment bounds: a lazy list holds all its pairs'
+// assignments uncut, so together they must fit one list's valve.
+const (
+	mbbeMergers     = 8
+	mbbeAssignments = 4
+	_               = uint(maxExtensionsPerStart - mbbeMergers*mbbeAssignments)
+)
+
+// algorithms holds each algorithm's bounds; a run copies its row into
+// embedder.bounds, which only tests change.
+var algorithms = [...]searchBounds{
+	mbbe: {label: "mbbe", xmax: 120, miniPath: true, xd: 4, mergers: mbbeMergers, assignments: mbbeAssignments},
+	bbe:  {label: "bbe", mergers: 16, assignments: 512, pathsPerMeta: 3},
+}
+
+// Options is what one embedding request varies: the algorithm (set by
+// BBEOptions or MBBEOptions; the zero value runs MBBE), a delay bound, a
+// trace and ban sets.
 type Options struct {
-	// Xmax caps the forward search node set size (MBBE strategy 1).
-	// 0 means unlimited, as in plain BBE.
-	Xmax int
-	// MiniPath instantiates every meta-path with a min-cost path on the
-	// real-time network (MBBE strategy 2) instead of enumerating
-	// real-paths from the search trees.
-	MiniPath bool
-	// Xd keeps only the cheapest Xd sub-solutions per parent in the
-	// sub-solution tree (MBBE strategy 3, the X_d-tree). 0 = unlimited.
-	Xd int
-	// MaxPathsPerMeta bounds how many alternative real-paths per meta-path
-	// the tree enumeration explores in BBE. Ignored when MiniPath is set.
-	MaxPathsPerMeta int
-	// MaxAssignmentsPerPair bounds how many VNF-to-node assignment
-	// combinations are enumerated per FST–BST pair. 0 = unlimited. The
-	// paper's BBE enumerates all of them and acknowledges memory overflow
-	// on larger instances; the default keeps BBE runnable while preserving
-	// its behaviour on the paper's instance sizes.
-	MaxAssignmentsPerPair int
-	// MaxMergerCandidates bounds how many FST merger nodes spawn a
-	// backward search per layer (nearest-first order). 0 = unlimited.
-	MaxMergerCandidates int
+	alg algorithm
 	// MaxDelay, when positive, turns the search delay-aware: candidate
 	// sub-solutions whose accumulated end-to-end delay (under Delay)
 	// already exceeds the bound are pruned, hop-minimal path variants
@@ -75,9 +92,6 @@ type Options struct {
 	// outcome and search statistics as attributes, its phases as child spans
 	// (see tracing.go). The caller opens it and ends it.
 	Trace *telemetry.Span
-	// Label names this configuration in telemetry metrics (the "alg"
-	// label). BBEOptions/MBBEOptions set it; empty means "custom".
-	Label string
 	// PathCache and ViewCache are ignored: every run with a ledger keeps
 	// its Dijkstra trees in its pooled arena for the next (see searchMem).
 	//
@@ -96,32 +110,16 @@ type Options struct {
 }
 
 // BBEOptions returns the configuration for the plain Breadth-first
-// Backtracking Embedding method (Algorithm 1). The bounds are generous:
+// Backtracking Embedding method (Algorithm 1). Its bounds are generous:
 // BBE explores many candidate sub-solutions per layer and enumerates
 // alternative real-paths from its search trees, which is why its running
 // time grows so much faster than MBBE's.
-func BBEOptions() Options {
-	return Options{
-		MaxPathsPerMeta:       3,
-		MaxAssignmentsPerPair: 512,
-		MaxMergerCandidates:   16,
-		Label:                 "bbe",
-	}
-}
+func BBEOptions() Options { return Options{alg: bbe} }
 
 // MBBEOptions returns the configuration for the Mini-path BBE method
-// (§4.5): bounded forward search (Xmax), min-cost-path instantiation, and
+// (§4.5): bounded forward search (X_max), min-cost-path instantiation, and
 // the X_d-tree pruning.
-func MBBEOptions() Options {
-	return Options{
-		Xmax:                  120,
-		MiniPath:              true,
-		Xd:                    4,
-		MaxAssignmentsPerPair: 4,
-		MaxMergerCandidates:   8,
-		Label:                 "mbbe",
-	}
-}
+func MBBEOptions() Options { return Options{alg: mbbe} }
 
 // Stats counts the work one embedding run performed.
 type Stats struct {
@@ -183,8 +181,8 @@ func EmbedBBE(p *Problem) (*Result, error) { return Embed(p, BBEOptions()) }
 func EmbedMBBE(p *Problem) (*Result, error) { return Embed(p, MBBEOptions()) }
 
 // Embed runs the BBE framework with explicit options. BBE and MBBE differ
-// only in options, exactly as §4.5 describes MBBE as BBE plus three
-// complementary strategies.
+// only in their fixed bounds (see algorithms), exactly as §4.5 describes MBBE
+// as BBE plus three complementary strategies.
 //
 // Embed never mutates p: the problem's ledger is read, not written, and a
 // nil Ledger is replaced by a private empty one for the duration of the
@@ -214,25 +212,23 @@ func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (
 		ctx = context.Background()
 	}
 	start := time.Now()
-	if opts.Label == "" {
-		opts.Label = "custom"
-	}
+	label := algorithms[opts.alg].label
 	if err := p.Validate(); err != nil {
 		// Invalid instances are still failed embedding attempts: record
 		// them so the attempts/failures metric families (and the online
 		// acceptance dashboards built on them) do not undercount.
 		telemetry.RecordEmbed(telemetry.EmbedSample{
-			Alg: opts.Label, Elapsed: time.Since(start), Failed: true,
+			Alg: label, Elapsed: time.Since(start), Failed: true,
 		})
-		traceOutcome(opts.Trace, opts.Label, nil, err, nil)
+		traceOutcome(opts.Trace, label, nil, err, nil)
 		return nil, err
 	}
 	e := newEmbedder(ctx, p, opts, sc)
 	res, err := e.run()
-	traceOutcome(opts.Trace, opts.Label, res, err, &e.stats)
+	traceOutcome(opts.Trace, label, res, err, &e.stats)
 	telemetry.RecordPathCacheHits(e.treeHits)
 	telemetry.RecordEmbed(telemetry.EmbedSample{
-		Alg:           opts.Label,
+		Alg:           label,
 		Elapsed:       time.Since(start),
 		Failed:        err != nil,
 		SearchNodes:   e.stats.TreeNodes,
@@ -250,7 +246,7 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 		opts.Delay = DefaultDelayParams()
 	}
 	e := &sc.e
-	*e = embedder{p: p, opts: opts, ctx: ctx, ledger: p.LedgerOrFresh(), sc: sc}
+	*e = embedder{p: p, opts: opts, bounds: algorithms[opts.alg], ctx: ctx, ledger: p.LedgerOrFresh(), sc: sc}
 	// The ledger is read-only for the whole run, so one CostOptions value
 	// serves every search.
 	e.costOpts = *e.ledger.CostOptions(p.Rate)
@@ -296,9 +292,10 @@ func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratc
 
 type embedder struct {
 	p *Problem
-	// opts is the run's configuration, Label resolved ("custom" when the
-	// caller set none) and the delay model defaulted.
-	opts Options
+	// opts is the run's configuration, the delay model defaulted; bounds its
+	// algorithm's.
+	opts   Options
+	bounds searchBounds
 	// The reference switches, set by tests alone (embedReference): perLayer
 	// keeps single-VNF runs away from the layered kernel, undirected withholds
 	// the potential from terminal layered runs, perLeafClosure closes every
@@ -493,11 +490,11 @@ func (e *embedder) run() (*Result, error) {
 	// serves everything else — parallel layers, BBE's real-path
 	// enumeration, delay-bounded mode — and a run whose every proposal
 	// failed a capacity check (perLayerUntil marks the end of such a run).
-	layered := e.opts.MiniPath && e.opts.MaxDelay == 0 && !e.perLayer
+	layered := e.bounds.miniPath && e.opts.MaxDelay == 0 && !e.perLayer
 	perLayerUntil := 0
 	if slices.ContainsFunc(specs, func(s LayerSpec) bool { return s.Merger }) {
 		e.avgLink = p.Net.AvgLinkPrice()
-		if e.opts.MiniPath {
+		if e.bounds.miniPath {
 			// The tree the closure walks its tails off, and a terminal
 			// layered run its potential: complete before the first layer, it
 			// also tells every candidate how far it still has to go.
@@ -683,16 +680,16 @@ func rankFloor(cum, q float64) float64 { return (cum + q) * (1 - 0x1p-50) }
 
 // screenParent screens one parent's candidate extensions, in q order,
 // against the delay bound and residual capacities, producing its children in
-// bySubCost order, ties in candidate order, cut at Xd. Without a delay bound
-// it stops once it holds Xd children and the next candidate's rankFloor is
-// above the Xd-th lowest rank among them. The test runs first on a lower
+// bySubCost order, ties in candidate order, cut at X_d. Without a delay bound
+// it stops once it holds X_d children and the next candidate's rankFloor is
+// above the X_d-th lowest rank among them. The test runs first on a lower
 // bound of every q left (leastQ), so a lazy list builds no candidate it
 // discards. The list's work is traced under sp.
 func (e *embedder) screenParent(spec LayerSpec, parent *subSolution, out *parentScreen, sp *telemetry.Span) {
 	p, m := e.p, e.sc.mem
 	cl := &e.lists[e.layerExts[parent.endNode(p.Src)]-1]
 	e.candidate(cl, 0, sp) // the first read builds the list, which sizes the reservation below
-	xd := e.opts.Xd
+	xd := e.bounds.xd
 	bounded := xd > 0 && e.opts.MaxDelay <= 0
 	low := m.ranks[:0] // the xd lowest ranks so far, ascending
 	children := m.subPtrs.reserve(cap(cl.exts))
@@ -875,7 +872,7 @@ func (e *embedder) bestFirst(spec LayerSpec, frontier []*subSolution, sp *teleme
 		case math.IsInf(it.key, 1) && children > 0:
 			clear(q) // every way on left is +Inf: no leaf to close
 			q = q[:0]
-		case int(kept[it.parent]) == e.opts.Xd || children == maxSubSolutionsPerLayer:
+		case int(kept[it.parent]) == e.bounds.xd || children == maxSubSolutionsPerLayer:
 		case it.kind == childItem:
 			kept[it.parent]++
 			children++
@@ -959,9 +956,9 @@ func (e *embedder) indexStarts(spec LayerSpec, frontier []*subSolution) []candid
 func (e *embedder) buildExtensions(cl *candidateList, sp *telemetry.Span) {
 	p, m, spec, start := e.p, e.sc.mem, cl.spec, cl.start
 	fwd := startAt(sp, "forward-search", start)
-	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.opts.Xmax, res: &e.res, view: e.searchView, mem: m,
-		bare: e.opts.MiniPath}
-	if e.opts.MiniPath {
+	cfg := searchConfig{required: m.required[spec.Index-1], maxNodes: e.bounds.xmax, res: &e.res, view: e.searchView, mem: m,
+		bare: e.bounds.miniPath}
+	if e.bounds.miniPath {
 		cfg.ringsPast = 1
 	}
 	fst := runSearch(p, start, cfg)
@@ -990,8 +987,8 @@ func (e *embedder) buildExtensions(cl *candidateList, sp *telemetry.Span) {
 				return rent[tn.Node] + float64(tn.Iteration-1)*e.avgLink + e.toDst[tn.Node]
 			}
 		}
-		fst.nodesByKey(mergers[:], cat[:], e.opts.MaxMergerCandidates, key)
-		if e.lazy() && len(mergers[0])*e.opts.MaxAssignmentsPerPair <= maxExtensionsPerStart {
+		fst.nodesByKey(mergers[:], cat[:], e.bounds.mergers, key)
+		if e.lazy() {
 			e.pendPairs(cl, mergers[0])
 			if cand != nil {
 				cand.SetAttr("pending_pairs", len(mergers[0]))
@@ -1134,7 +1131,7 @@ func (e *embedder) openPair(spec LayerSpec, fst *SearchTree, mergerTN *TreeNode,
 		res:      &e.res,
 		view:     e.searchView,
 		mem:      m,
-		bare:     e.opts.MiniPath,
+		bare:     e.bounds.miniPath,
 	})
 	e.stats.BackwardSearches++
 	e.stats.TreeNodes += bst.Size()
@@ -1143,7 +1140,7 @@ func (e *embedder) openPair(spec LayerSpec, fst *SearchTree, mergerTN *TreeNode,
 		return fstPair{}, false
 	}
 	// The BST is covered, so no list is empty.
-	bst.nodesByKey(hosts, spec.VNFs, e.opts.MaxAssignmentsPerPair, func(i int, tn *TreeNode) float64 {
+	bst.nodesByKey(hosts, spec.VNFs, e.bounds.assignments, func(i int, tn *TreeNode) float64 {
 		h := tn.Iteration - 1
 		if e.toDst != nil {
 			h += fst.NodeOf(tn.Node).Iteration - 1
@@ -1155,13 +1152,13 @@ func (e *embedder) openPair(spec LayerSpec, fst *SearchTree, mergerTN *TreeNode,
 
 // eachAssignment walks pr's allocations as an odometer over its host lists,
 // the last VNF's host turning fastest — the order a depth-first enumeration
-// visits them in — at most MaxAssignmentsPerPair of them, and hands each to
-// visit, which must not keep the slice.
+// visits them in — at most the algorithm's assignments of them, and hands
+// each to visit, which must not keep the slice.
 func (e *embedder) eachAssignment(pr *fstPair, visit func(assignment []*TreeNode)) {
 	m := e.sc.mem
 	k := len(pr.hosts)
 	assignment, idx := m.ptrs.alloc(k), m.idx.alloc(k)
-	for count := 0; e.opts.MaxAssignmentsPerPair <= 0 || count < e.opts.MaxAssignmentsPerPair; count++ {
+	for count := 0; count < e.bounds.assignments; count++ {
 		for i := range assignment {
 			assignment[i] = pr.hosts[i][idx[i]]
 		}
@@ -1192,7 +1189,7 @@ func (e *embedder) buildAssignment(exts []*extension, cl *candidateList, bst *Se
 
 // instantiate appends to exts the extension(s) for one concrete VNF
 // allocation: the base variant uses the first discovered real-path per
-// meta-path (or the min-cost path under MiniPath); in BBE mode, alternative
+// meta-path (or the min-cost path under miniPath); in BBE mode, alternative
 // real-paths are explored one meta-path at a time to bound the
 // cross-product the paper's step (ii)/(iii) would otherwise generate.
 func (e *embedder) instantiate(exts []*extension, spec LayerSpec, start graph.NodeID, fst, bst *SearchTree,
@@ -1245,7 +1242,7 @@ func (e *embedder) instantiate(exts []*extension, spec LayerSpec, start graph.No
 	build(-1, -1, 0)
 	// One-at-a-time alternative path variants: BBE's tree-path choices,
 	// or the hop-minimal variants added in delay-bounded mode.
-	if !e.opts.MiniPath || e.opts.MaxDelay > 0 {
+	if !e.bounds.miniPath || e.opts.MaxDelay > 0 {
 		for i := range assignment {
 			for v := 1; v < len(interChoices[i]); v++ {
 				build(i, -1, v)
@@ -1284,12 +1281,12 @@ func (e *embedder) interPaths(fst *SearchTree, tn *TreeNode, start graph.NodeID)
 		return choices
 	}
 	var out []graph.Path
-	if e.opts.MiniPath {
+	if e.bounds.miniPath {
 		if path, ok := e.minCostPath(start, tn.Node); ok {
 			out = e.withHopVariant(start, tn.Node, path)
 		}
 	} else {
-		raw := fst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
+		raw := fst.PathsToRoot(tn, e.bounds.pathsPerMeta)
 		out = make([]graph.Path, len(raw))
 		for i, p := range raw {
 			out[i] = p.Reverse(e.p.Net.G)
@@ -1308,14 +1305,14 @@ func (e *embedder) innerPaths(bst *SearchTree, tn *TreeNode, mergerNode graph.No
 		return choices
 	}
 	var out []graph.Path
-	if e.opts.MiniPath {
+	if e.bounds.miniPath {
 		// One tree rooted at the merger serves every inner path of the
 		// pair, walked in node→merger direction.
 		if path, ok := e.minCostPathFrom(mergerNode, tn.Node); ok {
 			out = e.withHopVariant(tn.Node, mergerNode, path)
 		}
 	} else {
-		out = bst.PathsToRoot(tn, e.opts.MaxPathsPerMeta)
+		out = bst.PathsToRoot(tn, e.bounds.pathsPerMeta)
 	}
 	memo.put(tn.Node, out)
 	return out

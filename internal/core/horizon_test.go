@@ -101,8 +101,8 @@ func TestParallelLayerHorizonAndWork(t *testing.T) {
 		firstFST := intAttr(findSpans(layer1[0], "forward-search")[0], "tree_size")
 
 		required := p.LayerSpecs()[0].appendRequired(nil, net.Catalog)
-		stop := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax})
-		on := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: opts.Xmax, ringsPast: 1})
+		stop := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: algorithms[opts.alg].xmax})
+		on := testSearch(p, p.Src, searchConfig{mem: &searchMem{}, required: required, maxNodes: algorithms[opts.alg].xmax, ringsPast: 1})
 		sameTreePrefix(t, stop, on)
 		if on.Iterations() != stop.Iterations()+1 {
 			t.Fatalf("flow %d: coverage at iteration %d, horizon at %d", flow, stop.Iterations(), on.Iterations())

@@ -81,13 +81,9 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 			}
 		}
 	} else {
-		// The width a single such layer gets from the per-layer search: Xd
+		// The width a single such layer gets from the per-layer search: X_d
 		// children per parent, under the layer-wide cap.
-		q.MaxExits = n
-		if e.opts.Xd > 0 {
-			q.MaxExits = e.opts.Xd * len(seeds)
-		}
-		q.MaxExits = min(q.MaxExits, maxSubSolutionsPerLayer)
+		q.MaxExits = min(e.bounds.xd*len(seeds), maxSubSolutionsPerLayer)
 	}
 	fwd := startAt(span, "forward-search", seeds[0].Node)
 	ls := e.pathView.LayeredDijkstraWith(sc.Scratch, &q)
@@ -118,7 +114,7 @@ func (e *embedder) layeredRun(run []LayerSpec, frontier []*subSolution, terminal
 		e.stats.LayeredFallbacks++
 	}
 	endLayeredRun(span, ls.Settled(), (len(run)+1)*n, len(exits), len(leaves), fallback)
-	telemetry.RecordLayeredRun(e.opts.Label, fallback, ls.Settled())
+	telemetry.RecordLayeredRun(e.bounds.label, fallback, ls.Settled())
 	switch {
 	case len(exits) == 0:
 		return nil, nil, fmt.Errorf("%w: layers %d–%d: no walk through hosts with spare capacity leaves the frontier",

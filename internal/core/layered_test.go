@@ -250,8 +250,9 @@ func TestLayeredHandsFrontierToParallelLayer(t *testing.T) {
 	if len(runs) != 1 || runs[0].Attr("layers") != "1-2" || runs[0].Attr("terminal") != false || runs[0].Attr("seeds") != 1 {
 		t.Fatalf("%d layered-run spans, want one non-terminal run over layers 1-2 from the source:\n%s", len(runs), outline(t, tr))
 	}
-	if runs[0].Attr("exits") != opts.Xd || runs[0].Attr("kept") != opts.Xd {
-		t.Fatalf("run kept %v of %v exits, want Xd=%d", runs[0].Attr("kept"), runs[0].Attr("exits"), opts.Xd)
+	xd := algorithms[opts.alg].xd
+	if runs[0].Attr("exits") != xd || runs[0].Attr("kept") != xd {
+		t.Fatalf("run kept %v of %v exits, want X_d=%d", runs[0].Attr("kept"), runs[0].Attr("exits"), xd)
 	}
 	var parents []int
 	for _, c := range tr.Root().Children() {
@@ -259,7 +260,7 @@ func TestLayeredHandsFrontierToParallelLayer(t *testing.T) {
 			parents = append(parents, intAttr(c, "parents"))
 		}
 	}
-	if want := []int{1, opts.Xd, opts.Xd}; !reflect.DeepEqual(parents, want) {
+	if want := []int{1, xd, xd}; !reflect.DeepEqual(parents, want) {
 		t.Fatalf("layer parents %v, want %v", parents, want)
 	}
 	if res.Stats.BackwardSearches == 0 {

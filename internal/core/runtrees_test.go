@@ -52,7 +52,7 @@ func TestPrivateTreesRecycled(t *testing.T) {
 			// store for later runs; a banned run's are private either way.
 			p.Ledger = network.NewLedger(p.Net)
 		}
-		what := fmt.Sprintf("embed %d (%s, %d banned, ledger %t)", i, opts.Label, len(opts.BannedEdges), p.Ledger != nil)
+		what := fmt.Sprintf("embed %d (%s, %d banned, ledger %t)", i, algorithms[opts.alg].label, len(opts.BannedEdges), p.Ledger != nil)
 
 		got, gotErr := embed(recycled, p, opts)
 		scribbleGraphStorage(recycled.mem, p.Net.G.NumNodes())

@@ -68,8 +68,8 @@ func screenReference(e *embedder, parent *subSolution, exts []*extension) (child
 		}
 	}
 	slices.SortStableFunc(children, bySubCost)
-	if e.opts.Xd > 0 {
-		children = e.truncateWithDelayDiversity(children, e.opts.Xd)
+	if e.bounds.xd > 0 {
+		children = e.truncateWithDelayDiversity(children, e.bounds.xd)
 	}
 	return children, capRejected, delayRejected
 }
@@ -96,9 +96,10 @@ func FuzzScreenParent(f *testing.F) {
 		sc := newPooledScratch()
 		e := &sc.e
 		*e = embedder{
-			p:    &Problem{Rate: 1, Size: []float64{1, 0.5, 3}[sizeIdx]},
-			opts: Options{Xd: xd, MaxDelay: []float64{0, 2.5, 4}[delayMode]},
-			sc:   sc,
+			p:      &Problem{Rate: 1, Size: []float64{1, 0.5, 3}[sizeIdx]},
+			opts:   Options{MaxDelay: []float64{0, 2.5, 4}[delayMode]},
+			bounds: searchBounds{xd: xd},
+			sc:     sc,
 		}
 		if r.next()%4 != 0 {
 			e.toDst = make([]float64, screenFuzzNodes)

@@ -122,15 +122,12 @@ func (t *SearchTree) Covered() bool { return t.covered }
 
 // nodesByKey fills lists[i] with the tree nodes serving vnfs[i] — their
 // available set holds it — in one pass over the discovery order: the first
-// limit of them (all for limit ≤ 0) in a stable sort by key(i, tn), called
+// limit (positive) of them in a stable sort by key(i, tn), called
 // once per node and list, or in discovery order for a nil key. Each list is
 // kept by insertion into its slots, so a long tree costs a pass rather than a
 // sort of what the cap drops. The lists are carved from the tree's arena.
 func (t *SearchTree) nodesByKey(lists [][]*TreeNode, vnfs []network.VNFID, limit int, key func(i int, tn *TreeNode) float64) {
-	m, stride := t.mem, len(t.nodes)
-	if limit > 0 && limit < stride {
-		stride = limit
-	}
+	m, stride := t.mem, min(limit, len(t.nodes))
 	m.keys = sized(m.keys, len(vnfs)*stride)
 	slots := m.ptrs.alloc(len(vnfs) * stride)
 	for i := range lists {
@@ -222,7 +219,7 @@ type searchConfig struct {
 	// candidate set a horizon one hop beyond the nearest cover.
 	ringsPast int
 	// maxNodes stops the search once the discovered set has this many nodes
-	// (MBBE's Xmax), covered or not. 0 = unlimited.
+	// (MBBE's X_max), covered or not. 0 = unlimited.
 	maxNodes int
 	// res supplies the instance residuals, read once off the run's ledger.
 	// Required.
@@ -379,7 +376,7 @@ func runSearch(p *Problem, start graph.NodeID, cfg searchConfig) *SearchTree {
 					continue
 				}
 				if cfg.maxNodes > 0 && len(t.nodes) >= cfg.maxNodes {
-					// Budget exhausted (MBBE's Xmax): keep what this
+					// Budget exhausted (MBBE's X_max): keep what this
 					// iteration discovered so far and report coverage as
 					// it stands.
 					if len(t.nodes) == levelStart {

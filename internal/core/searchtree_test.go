@@ -204,7 +204,7 @@ func TestNodesByKeyOrdersByDiscovery(t *testing.T) {
 	p.Net.MustAddInstance(1, 1, 99, 10)
 	tree := testSearch(p, 0, searchConfig{mem: &searchMem{}, required: []network.VNFID{1, 2}})
 	var hosts [1][]*TreeNode
-	tree.nodesByKey(hosts[:], []network.VNFID{1}, 0, nil)
+	tree.nodesByKey(hosts[:], []network.VNFID{1}, tree.Size(), nil)
 	if got := nodeIDs(hosts[0]); !slices.Equal(got, []graph.NodeID{1, 2}) {
 		t.Fatalf("hosts order = %v, want [1 2]", got)
 	}

@@ -18,7 +18,7 @@ type widthWatch struct{ generated, kept int }
 func (w *widthWatch) embed(p *Problem, opts Options) (*Result, error) {
 	res, tr, err := embedTraced(p, opts)
 	for _, c := range findSpans(tr.Root(), "candidates") {
-		w.generated = max(w.generated, intAttr(c, "generated"), intAttr(c, "pending_pairs")*opts.MaxAssignmentsPerPair)
+		w.generated = max(w.generated, intAttr(c, "generated"), intAttr(c, "pending_pairs")*algorithms[opts.alg].assignments)
 	}
 	for _, layer := range tr.Root().Children() {
 		if strings.HasPrefix(layer.Name(), "layer ") {
@@ -42,7 +42,7 @@ func TestSafetyValvesNeverBindUnderMBBE(t *testing.T) {
 		}
 	}
 	for _, cfg := range goldenConfigs() {
-		if !cfg.opts.MiniPath {
+		if !algorithms[cfg.opts.alg].miniPath {
 			continue
 		}
 		for seed := int64(1); seed <= 3; seed++ {
@@ -78,7 +78,7 @@ func TestLayerCapBoundsFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	layer := findChildren(tr.Root(), "layer 6")[0]
-	if kept, parents := intAttr(layer, "kept"), intAttr(layer, "parents"); kept != maxSubSolutionsPerLayer || parents*MBBEOptions().Xd <= kept {
+	if kept, parents := intAttr(layer, "kept"), intAttr(layer, "parents"); kept != maxSubSolutionsPerLayer || parents*algorithms[mbbe].xd <= kept {
 		t.Fatalf("layer 6 kept %d sub-solutions of %d parents' children, want the cap of %d to bind and to hold",
 			kept, parents, maxSubSolutionsPerLayer)
 	}
