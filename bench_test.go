@@ -123,7 +123,7 @@ func BenchmarkEmbedExact25(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := *base
 		p.Ledger = nil
-		if _, err := exact.Embed(&p, exact.Limits{}); err != nil {
+		if _, err := exact.Embed(&p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkEmbedILP8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := *base
 		p.Ledger = nil
-		if _, err := ipmodel.Embed(&p, ipmodel.Options{}); err != nil {
+		if _, err := ipmodel.Embed(&p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func main() {
 		sfcStr   = flag.String("sfc", "", "DAG-SFC, e.g. \"1;2,3,4;5\" (required)")
 		src      = flag.Int("src", 0, "source node")
 		dst      = flag.Int("dst", 0, "destination node")
-		alg      = flag.String("alg", "mbbe", "algorithm: mbbe, bbe, minv, ranv, exact, ilp")
+		alg      = flag.String("alg", "mbbe", fmt.Sprintf("algorithm: mbbe, bbe, minv, ranv, exact, ilp (exact needs -net with ≤ %d nodes and width ≤ %d)", exact.MaxNodes, exact.MaxWidth))
 		rate     = flag.Float64("rate", 1, "flow delivery rate R, rounded to a multiple of 2^-20")
 		size     = flag.Float64("size", 1, "flow size z (cost scale)")
 		seed     = flag.Int64("seed", 1, "seed for the generated network and ranv")
@@ -114,9 +114,9 @@ func run(c config, stdout, stderr io.Writer) error {
 	case "ranv":
 		res, err = baseline.EmbedRANV(p, rand.New(rand.NewSource(c.seed)))
 	case "exact":
-		res, err = exact.Embed(p, exact.Limits{})
+		res, err = exact.Embed(p)
 	case "ilp":
-		res, err = ipmodel.Embed(p, ipmodel.Options{})
+		res, err = ipmodel.Embed(p)
 	default:
 		return fmt.Errorf("unknown algorithm %q", alg)
 	}

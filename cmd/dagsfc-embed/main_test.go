@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"dagsfc/internal/core"
+	"dagsfc/internal/exact"
 	"dagsfc/internal/graph"
 	"dagsfc/internal/netgen"
 	"dagsfc/internal/network"
@@ -80,10 +83,20 @@ func TestRunEveryAlgorithm(t *testing.T) {
 }
 
 // TestRunGeneratesNetworkWithoutNet: without -net the command embeds on the
-// Table 2 network its -seed generates.
+// Table 2 network its -seed generates, whose 500 nodes -alg exact refuses
+// before it solves anything.
 func TestRunGeneratesNetworkWithoutNet(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sol.json")
-	if err := run(config{sfcStr: "1;2,3;4", src: 0, dst: 42, alg: "mbbe", rate: 1, size: 1, seed: 3, outFile: out}, io.Discard, io.Discard); err != nil {
+	c := config{sfcStr: "1;2,3;4", src: 0, dst: 42, alg: "exact", rate: 1, size: 1, seed: 3, outFile: out}
+	var stdout bytes.Buffer
+	if err := run(c, &stdout, io.Discard); !errors.Is(err, exact.ErrTooLarge) {
+		t.Fatalf("-alg exact on the 500-node network: err = %v, want exact.ErrTooLarge", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) || stdout.Len() > 0 {
+		t.Fatalf("refused -alg exact still wrote a solution (stat err %v, stdout %q)", err, stdout.String())
+	}
+	c.alg = "mbbe"
+	if err := run(c, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	net, err := netgen.Load("", netgen.Default(), 3)

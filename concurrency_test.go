@@ -83,8 +83,7 @@ func TestConcurrentEmbedsSharedProblem(t *testing.T) {
 		func(p *dagsfc.Problem) (*dagsfc.Result, error) {
 			return dagsfc.EmbedRANV(p, rand.New(rand.NewSource(3)))
 		},
-		func(p *dagsfc.Problem) (*dagsfc.Result, error) { return dagsfc.EmbedExact(p, dagsfc.ExactLimits{}) },
-		func(p *dagsfc.Problem) (*dagsfc.Result, error) { return ipmodel.Embed(p, ipmodel.Options{}) },
+		dagsfc.EmbedExact, ipmodel.Embed,
 	}
 	const workers = 4
 	costs := make([][]float64, workers)
@@ -144,7 +143,7 @@ func TestConcurrentMixedAlgorithms(t *testing.T) {
 			_, err := dagsfc.EmbedRANV(newProblem(), rand.New(rand.NewSource(3)))
 			return err
 		},
-		func() error { _, err := dagsfc.EmbedExact(newProblem(), dagsfc.ExactLimits{}); return err },
+		func() error { _, err := dagsfc.EmbedExact(newProblem()); return err },
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(algs))

@@ -73,8 +73,6 @@ type (
 	Result = core.Result
 	// Cost is the evaluated objective of eq. (1): VNF rental plus link cost.
 	Cost = core.Cost
-	// ExactLimits guards the exact solver against oversized instances.
-	ExactLimits = exact.Limits
 	// NetConfig parameterizes the random network generator (§5.1).
 	NetConfig = netgen.Config
 	// SFCConfig parameterizes the random SFC generator (§5.1).
@@ -109,8 +107,9 @@ func EmbedRANV(p *Problem, rng *rand.Rand) (*Result, error) { return baseline.Em
 func EmbedMINV(p *Problem) (*Result, error) { return baseline.EmbedMINV(p) }
 
 // EmbedExact solves small instances to optimality (see internal/exact for
-// the model caveats). The zero Limits applies safe defaults.
-func EmbedExact(p *Problem, lim ExactLimits) (*Result, error) { return exact.Embed(p, lim) }
+// the model caveats). It refuses a network of more than 60 nodes or a layer
+// of more than 3 VNFs.
+func EmbedExact(p *Problem) (*Result, error) { return exact.Embed(p) }
 
 // Validate checks a solution against every constraint of the optimization
 // model; nil means feasible.

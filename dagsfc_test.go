@@ -48,7 +48,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if _, err := EmbedRANV(p, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := EmbedExact(p, ExactLimits{})
+	opt, err := EmbedExact(p)
 	if err != nil {
 		t.Fatal(err)
 	}

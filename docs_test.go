@@ -203,8 +203,8 @@ func TestReadmeFlags(t *testing.T) {
 // that has to grow one shrinks something else first, or raises the ceiling
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
-	"non-test Go":                    17851,
-	"test Go":                        25342,
+	"non-test Go":                    17805,
+	"test Go":                        25336,
 	"DESIGN.md":                      972,
 	"README.md":                      418,
 	"Makefile":                       67,

@@ -62,12 +62,14 @@ func ExampleEmbedExact() {
 	net := exampleNetwork()
 	s, _ := dagsfc.ParseSFC("1;2,3")
 	p := &dagsfc.Problem{Net: net, SFC: s, Src: 0, Dst: 3, Rate: 1, Size: 1}
-	res, err := dagsfc.EmbedExact(p, dagsfc.ExactLimits{})
+	res, err := dagsfc.EmbedExact(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The exact solver confirms the remote cheap f(3)@3 that MBBE finds one
-	// ring past coverage; BBE, stopping at coverage, pays 73.
+	// The exact solver takes only the problem: 4 nodes and a width-2 layer
+	// are inside its guard of 60 nodes and width 3. It confirms the remote
+	// cheap f(3)@3 that MBBE finds one ring past coverage; BBE, stopping at
+	// coverage, pays 73.
 	fmt.Printf("optimal %.0f\n", res.Cost.Total())
 	// Output:
 	// optimal 59

@@ -2,7 +2,6 @@ package core
 
 import (
 	"dagsfc/internal/graph"
-	"dagsfc/internal/network"
 	"dagsfc/internal/sfc"
 )
 
@@ -11,11 +10,9 @@ import (
 // concurrently, so a layer's delay is the maximum over its branches rather
 // than their sum. The delay-bounded search (Options.MaxDelay) prices partial
 // embeddings with it and EvaluateDelay prices a finished one. All delays are
-// in arbitrary time units.
+// in arbitrary time units, and every VNF category processes alike.
 type DelayParams struct {
-	// ProcDelay overrides the processing delay of specific categories.
-	ProcDelay map[network.VNFID]float64
-	// DefaultProcDelay applies to categories absent from ProcDelay.
+	// DefaultProcDelay is the processing delay every VNF pays.
 	DefaultProcDelay float64
 	// MergerDelay is the cost of integrating the parallel branches'
 	// intermediate results.
@@ -30,21 +27,13 @@ func DefaultDelayParams() DelayParams {
 	return DelayParams{DefaultProcDelay: 1.0, MergerDelay: 0.1, HopDelay: 0.05}
 }
 
-// proc returns the processing delay of category f.
-func (d DelayParams) proc(f network.VNFID) float64 {
-	if t, ok := d.ProcDelay[f]; ok {
-		return t
-	}
-	return d.DefaultProcDelay
-}
-
 // layerDelay is one layer's contribution: the slowest branch (inter-layer
 // path + processing + inner-layer path) plus the merger overhead for a
 // parallel layer. inner is read only when parallel.
-func (d DelayParams) layerDelay(vnfs []network.VNFID, inter, inner []graph.Path, parallel bool) float64 {
+func (d DelayParams) layerDelay(inter, inner []graph.Path, parallel bool) float64 {
 	slowest := 0.0
-	for i, f := range vnfs {
-		t := float64(inter[i].Len())*d.HopDelay + d.proc(f)
+	for i := range inter {
+		t := float64(inter[i].Len())*d.HopDelay + d.DefaultProcDelay
 		if parallel {
 			t += float64(inner[i].Len()) * d.HopDelay
 		}
@@ -65,7 +54,7 @@ func EvaluateDelay(p *Problem, s *Solution, d DelayParams) float64 {
 	total := 0.0
 	for li, le := range s.Layers {
 		spec := p.SFC.Layers[li]
-		total += d.layerDelay(spec.VNFs, le.InterPaths, le.InnerPaths, spec.Parallel())
+		total += d.layerDelay(le.InterPaths, le.InnerPaths, spec.Parallel())
 	}
 	return total + float64(s.TailPath.Len())*d.HopDelay
 }

@@ -121,33 +121,25 @@ func TestDelayBoundedSolutionsRespectBoundProperty(t *testing.T) {
 // hops returns a path of n links; layerDelay reads only its length.
 func hops(n int) graph.Path { return graph.Path{Edges: make([]graph.EdgeID, n)} }
 
-func TestProcOverrides(t *testing.T) {
-	d := DelayParams{DefaultProcDelay: 1, ProcDelay: map[network.VNFID]float64{2: 7}}
-	if d.proc(1) != 1 || d.proc(2) != 7 {
-		t.Fatal("proc lookup wrong")
-	}
-}
-
 func TestLayerDelaySingle(t *testing.T) {
 	d := DelayParams{DefaultProcDelay: 1, HopDelay: 0.5, MergerDelay: 10}
-	got := d.layerDelay([]network.VNFID{1}, []graph.Path{hops(3)}, nil, false)
+	got := d.layerDelay([]graph.Path{hops(3)}, nil, false)
 	if math.Abs(got-2.5) > 1e-12 { // 3 hops * 0.5 + 1 proc, no merger
 		t.Fatalf("single layer delay = %v, want 2.5", got)
 	}
 }
 
 func TestLayerDelayParallelTakesMax(t *testing.T) {
-	d := DelayParams{DefaultProcDelay: 1, HopDelay: 1, MergerDelay: 0.25,
-		ProcDelay: map[network.VNFID]float64{2: 5}}
-	// Branch 1: 1+1+1=3; branch 2: 0+5+2=7. Max 7 + merger 0.25.
-	got := d.layerDelay([]network.VNFID{1, 2}, []graph.Path{hops(1), hops(0)}, []graph.Path{hops(1), hops(2)}, true)
+	d := DelayParams{DefaultProcDelay: 1, HopDelay: 1, MergerDelay: 0.25}
+	// Branch 1: 1+1+1=3; branch 2: 4+1+2=7. Max 7 + merger 0.25.
+	got := d.layerDelay([]graph.Path{hops(1), hops(4)}, []graph.Path{hops(1), hops(2)}, true)
 	if math.Abs(got-7.25) > 1e-12 {
 		t.Fatalf("parallel layer delay = %v, want 7.25", got)
 	}
 }
 
 func TestLayerDelayEmpty(t *testing.T) {
-	if got := DefaultDelayParams().layerDelay(nil, nil, nil, false); got != 0 {
+	if got := DefaultDelayParams().layerDelay(nil, nil, false); got != 0 {
 		t.Fatalf("empty layer delay = %v", got)
 	}
 }
@@ -171,16 +163,6 @@ func TestEvaluateDelayFixture(t *testing.T) {
 	want := 1.1 + 1.1 + 0.5 + 0.1
 	if got := EvaluateDelay(p, s, d); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("delay = %v, want %v", got, want)
-	}
-}
-
-// TestEvaluateDelayMaxOverBranches: a per-category override slows one
-// branch, and the parallel layer tracks that branch alone.
-func TestEvaluateDelayMaxOverBranches(t *testing.T) {
-	p, s := lineFixture(), lineSolution()
-	d := DelayParams{ProcDelay: map[network.VNFID]float64{3: 10}, DefaultProcDelay: 1}
-	if got, want := EvaluateDelay(p, s, d), 1.0+10.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("delay = %v, want %v (layer 1 f1 + layer 2 max(1, 10))", got, want)
 	}
 }
 

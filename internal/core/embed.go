@@ -241,8 +241,7 @@ func embedOn(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) (
 // holds the embedder itself: its ledger and cost views, and its tree table in
 // sc's arena.
 func newEmbedder(ctx context.Context, p *Problem, opts Options, sc *pooledScratch) *embedder {
-	if opts.MaxDelay > 0 && opts.Delay.DefaultProcDelay == 0 &&
-		opts.Delay.HopDelay == 0 && opts.Delay.MergerDelay == 0 && opts.Delay.ProcDelay == nil {
+	if opts.MaxDelay > 0 && opts.Delay == (DelayParams{}) {
 		opts.Delay = DefaultDelayParams()
 	}
 	e := &sc.e
@@ -1060,7 +1059,7 @@ func (e *embedder) annotateDelay(spec LayerSpec, ext *extension) {
 	if e.opts.MaxDelay <= 0 || ext == nil {
 		return
 	}
-	ext.delay = e.opts.Delay.layerDelay(spec.VNFs, ext.interPaths, ext.innerPaths, spec.Merger)
+	ext.delay = e.opts.Delay.layerDelay(ext.interPaths, ext.innerPaths, spec.Merger)
 }
 
 // trimExtensions keeps the cheapest limit extensions by local cost, the

@@ -27,44 +27,27 @@ import (
 	"dagsfc/internal/network"
 )
 
-// Limits guards against accidentally running the exponential search on a
-// large instance.
-type Limits struct {
-	// MaxNodes caps the network size; 0 means DefaultMaxNodes.
-	MaxNodes int
-	// MaxWidth caps the parallel VNF set size; 0 means DefaultMaxWidth.
-	MaxWidth int
-}
-
-// Default limits: up to 60 nodes and width-3 layers stay comfortably
-// sub-second.
+// The size guard: Embed refuses a network past MaxNodes nodes or a layer
+// wider than MaxWidth. Within it the exponential search stays sub-second.
 const (
-	DefaultMaxNodes = 60
-	DefaultMaxWidth = 3
+	MaxNodes = 60
+	MaxWidth = 3
 )
 
-// ErrTooLarge is returned when the instance exceeds the limits.
-var ErrTooLarge = errors.New("exact: instance exceeds configured limits")
+// ErrTooLarge is returned when the instance exceeds the size guard.
+var ErrTooLarge = errors.New("exact: instance exceeds the solver's size guard")
 
 // Embed solves the instance to optimality and returns the cheapest
 // embedding, or core.ErrNoEmbedding if none exists.
-func Embed(p *core.Problem, lim Limits) (*core.Result, error) {
+func Embed(p *core.Problem) (*core.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	maxNodes := lim.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = DefaultMaxNodes
+	if p.Net.G.NumNodes() > MaxNodes {
+		return nil, fmt.Errorf("%w: %d nodes > %d", ErrTooLarge, p.Net.G.NumNodes(), MaxNodes)
 	}
-	maxWidth := lim.MaxWidth
-	if maxWidth == 0 {
-		maxWidth = DefaultMaxWidth
-	}
-	if p.Net.G.NumNodes() > maxNodes {
-		return nil, fmt.Errorf("%w: %d nodes > %d", ErrTooLarge, p.Net.G.NumNodes(), maxNodes)
-	}
-	if p.SFC.MaxWidth() > maxWidth {
-		return nil, fmt.Errorf("%w: layer width %d > %d", ErrTooLarge, p.SFC.MaxWidth(), maxWidth)
+	if p.SFC.MaxWidth() > MaxWidth {
+		return nil, fmt.Errorf("%w: layer width %d > %d", ErrTooLarge, p.SFC.MaxWidth(), MaxWidth)
 	}
 	s := &solver{p: p, ledger: p.LedgerOrFresh(), sc: graph.GetScratch()}
 	defer graph.PutScratch(s.sc)

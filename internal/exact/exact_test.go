@@ -33,7 +33,7 @@ func randomProblem(rng *rand.Rand, nodes, kinds, sfcSize int) *core.Problem {
 
 func TestExactFindsGlobalOptimumOnFixture(t *testing.T) {
 	p := lineFixture()
-	res, err := Embed(p, Limits{})
+	res, err := Embed(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,16 @@ func TestExactLowerBoundsHeuristicsProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive cross-check skipped in -short mode")
 	}
-	for seed := int64(0); seed < 12; seed++ {
+	heuristics := []struct {
+		name  string
+		embed func(*core.Problem) (*core.Result, error)
+	}{{"MBBE", core.EmbedMBBE}, {"BBE", core.EmbedBBE}, {"MINV", baseline.EmbedMINV}}
+	const instances = 12
+	compared := 0
+	for seed := int64(0); seed < instances; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 20, 6, 1+rng.Intn(5))
-		opt, err := Embed(p, Limits{})
+		opt, err := Embed(p)
 		if err != nil {
 			if !errors.Is(err, core.ErrNoEmbedding) {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -65,28 +71,26 @@ func TestExactLowerBoundsHeuristicsProperty(t *testing.T) {
 			t.Fatalf("seed %d: exact solution invalid: %v", seed, err)
 		}
 		const eps = 1e-6
-		if res, err := core.EmbedMBBE(p); err == nil {
+		for _, h := range heuristics {
+			res, err := h.embed(p)
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, h.name, err)
+			}
 			if res.Cost.Total() < opt.Cost.Total()-eps {
-				t.Fatalf("seed %d: MBBE %v beat 'exact' %v", seed, res.Cost.Total(), opt.Cost.Total())
+				t.Fatalf("seed %d: %s %v beat 'exact' %v", seed, h.name, res.Cost.Total(), opt.Cost.Total())
 			}
 		}
-		if res, err := core.EmbedBBE(p); err == nil {
-			if res.Cost.Total() < opt.Cost.Total()-eps {
-				t.Fatalf("seed %d: BBE %v beat 'exact' %v", seed, res.Cost.Total(), opt.Cost.Total())
-			}
-		}
-		if res, err := baseline.EmbedMINV(p); err == nil {
-			if res.Cost.Total() < opt.Cost.Total()-eps {
-				t.Fatalf("seed %d: MINV %v beat 'exact' %v", seed, res.Cost.Total(), opt.Cost.Total())
-			}
-		}
+		compared++
+	}
+	if compared != instances {
+		t.Fatalf("compared %d of %d drawn instances: the oracle found no embedding for the rest", compared, instances)
 	}
 }
 
 func TestExactEmptySFC(t *testing.T) {
 	p := lineFixture()
 	p.SFC = sfc.DAGSFC{}
-	res, err := Embed(p, Limits{})
+	res, err := Embed(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +106,7 @@ func TestExactInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Ledger = ledger
-	if _, err := Embed(p, Limits{}); !errors.Is(err, core.ErrNoEmbedding) {
+	if _, err := Embed(p); !errors.Is(err, core.ErrNoEmbedding) {
 		t.Fatalf("err = %v, want ErrNoEmbedding", err)
 	}
 }
@@ -110,20 +114,15 @@ func TestExactInfeasible(t *testing.T) {
 func TestExactRefusesLargeInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := randomProblem(rng, 100, 4, 3)
-	if _, err := Embed(p, Limits{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Embed(p); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
-	}
-	// Raising the limit admits it.
-	if _, err := Embed(p, Limits{MaxNodes: 200}); errors.Is(err, ErrTooLarge) {
-		t.Fatal("explicit limit ignored")
 	}
 }
 
 func TestExactRefusesWideLayers(t *testing.T) {
-	p := lineFixture()
-	p.Net.MustAddInstance(2, 1, 1, 10)
-	p.SFC = sfc.DAGSFC{Layers: []sfc.Layer{{VNFs: []network.VNFID{1, 2, 3}}}}
-	if _, err := Embed(p, Limits{MaxWidth: 2}); !errors.Is(err, ErrTooLarge) {
+	p := randomProblem(rand.New(rand.NewSource(1)), 20, 6, 3)
+	p.SFC = sfc.DAGSFC{Layers: []sfc.Layer{{VNFs: []network.VNFID{1, 2, 3, 4}}}}
+	if _, err := Embed(p); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -131,8 +130,8 @@ func TestExactRefusesWideLayers(t *testing.T) {
 func TestExactDeterministic(t *testing.T) {
 	p1 := randomProblem(rand.New(rand.NewSource(3)), 20, 4, 4)
 	p2 := randomProblem(rand.New(rand.NewSource(3)), 20, 4, 4)
-	a, errA := Embed(p1, Limits{})
-	b, errB := Embed(p2, Limits{})
+	a, errA := Embed(p1)
+	b, errB := Embed(p2)
 	if (errA == nil) != (errB == nil) {
 		t.Fatal("determinism broken")
 	}
@@ -159,7 +158,7 @@ func TestMBBEEqualsExactOnPureChains(t *testing.T) {
 		size := 1 + int(seed)%8
 		s, src, dst := sfcgen.MustFlow(sfcgen.Config{Size: size, LayerWidth: 1, VNFKinds: cfg.VNFKinds}, cfg.Nodes, rng)
 		p := &core.Problem{Net: net, SFC: s, Src: src, Dst: dst, Rate: 1, Size: 1 + float64(rng.Intn(3))}
-		opt, err := Embed(p, Limits{})
+		opt, err := Embed(p)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
@@ -225,7 +224,7 @@ func TestMBBENearExactOnHybridDAGs(t *testing.T) {
 			Src: graph.NodeID(rng.Intn(cfg.Nodes)), Dst: graph.NodeID(rng.Intn(cfg.Nodes)),
 			Rate: 1, Size: 1 + float64(rng.Intn(3)),
 		}
-		opt, err := Embed(p, Limits{})
+		opt, err := Embed(p)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}

@@ -7,8 +7,8 @@
 //     parallel layer's merger) is assigned to node v — eq. (4) becomes
 //     Σ_v x_{π,v} = 1;
 //   - y_{m,a,b,ρ}: meta-path m is implemented by candidate real-path ρ
-//     between nodes a and b (candidates are the k cheapest loopless paths,
-//     Yen's algorithm) — eqs. (5)/(6) become endpoint-coupling equalities
+//     between nodes a and b (the k = 2 cheapest loopless paths, Yen's
+//     algorithm) — eqs. (5)/(6) become endpoint-coupling equalities
 //     Σ_{b,ρ} y_{m,a,·} = x_{tail(m),a} and Σ_{a,ρ} y_{m,·,b} = x_{head(m),b};
 //   - z_{l,e}: link e carries layer l's inter-layer multicast — the
 //     min{·,1} of eq. (9) linearizes to z_{l,e} ≥ y for every inter-layer
@@ -16,9 +16,9 @@
 //
 // Inner-layer paths pay per traversal (eq. 10) directly through their y
 // variables. Instance and link capacities (eqs. 2–3) are linear in x, y
-// and z. The encoding is exact up to the candidate path set: with k large
-// enough to contain an optimal real-path per meta-path, the IP optimum is
-// the true optimum; internal/exact's DP (one min-cost path per meta-path)
+// and z. The encoding is exact up to the candidate path set: where the k
+// paths contain an optimal real-path per meta-path, the IP optimum is the
+// true optimum; internal/exact's DP (one min-cost path per meta-path)
 // is always within the candidate set, so the IP is never worse.
 package ipmodel
 
@@ -33,23 +33,15 @@ import (
 	"dagsfc/internal/network"
 )
 
-// Options tunes the encoding.
-type Options struct {
-	// PathsPerPair is k: how many cheapest loopless candidate real-paths
-	// to enumerate per (meta-path, node pair). 0 means 2.
-	PathsPerPair int
-	// MaxCandidatesPerPosition truncates each position's candidate node
-	// set to the cheapest this-many instances. 0 means all (exact).
-	MaxCandidatesPerPosition int
-	// MaxVariables refuses encodings larger than this (the dense simplex
-	// underneath does not scale); 0 means DefaultMaxVariables.
-	MaxVariables int
-}
+// The encoding's two fixed sizes: pathsPerPair is k, the cheapest loopless
+// candidate real-paths per (meta-path, node pair), and maxVariables refuses
+// a larger program, since the dense simplex underneath does not scale.
+const (
+	pathsPerPair = 2
+	maxVariables = 4000
+)
 
-// DefaultMaxVariables caps the encoded program's size.
-const DefaultMaxVariables = 4000
-
-// ErrTooLarge is returned when the encoding would exceed MaxVariables.
+// ErrTooLarge is returned when the encoding would exceed its variable budget.
 var ErrTooLarge = errors.New("ipmodel: encoding exceeds the variable budget")
 
 // position is one slot of the stretched SFC that must be assigned a node.
@@ -98,17 +90,12 @@ type Encoding struct {
 }
 
 // Encode builds the integer program for the problem.
-func Encode(p *core.Problem, opts Options) (*Encoding, error) {
+func Encode(p *core.Problem) (*Encoding, error) { return encode(p, maxVariables) }
+
+// encode is Encode under a budget of maxVars variables.
+func encode(p *core.Problem, maxVars int) (*Encoding, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	k := opts.PathsPerPair
-	if k <= 0 {
-		k = 2
-	}
-	maxVars := opts.MaxVariables
-	if maxVars == 0 {
-		maxVars = DefaultMaxVariables
 	}
 	enc := &Encoding{p: p, zCol: make(map[zKey]int)}
 	ledger := p.LedgerOrFresh()
@@ -136,9 +123,6 @@ func Encode(p *core.Problem, opts Options) (*Encoding, error) {
 		}
 		// Cheapest first, ties by node: the row lists hosts ascending.
 		sort.SliceStable(cands, func(i, j int) bool { return rents[cands[i]] < rents[cands[j]] })
-		if opts.MaxCandidatesPerPosition > 0 && len(cands) > opts.MaxCandidatesPerPosition {
-			cands = cands[:opts.MaxCandidatesPerPosition]
-		}
 		enc.cands = append(enc.cands, cands)
 	}
 
@@ -181,7 +165,7 @@ func Encode(p *core.Problem, opts Options) (*Encoding, error) {
 	}
 	enc.metas = append(enc.metas, tail)
 
-	if err := enc.assemble(k, maxVars, ledger); err != nil {
+	if err := enc.assemble(maxVars, ledger); err != nil {
 		return nil, err
 	}
 	return enc, nil
@@ -196,7 +180,7 @@ func (enc *Encoding) candidatesOf(posIdx int, fixed graph.NodeID) []graph.NodeID
 }
 
 // assemble creates variables, objective and constraints.
-func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
+func (enc *Encoding) assemble(maxVars int, ledger *network.Ledger) error {
 	p := enc.p
 	g := p.Net.G
 	var obj []float64
@@ -232,7 +216,7 @@ func (enc *Encoding) assemble(k, maxVars int, ledger *network.Ledger) error {
 				ps = append(ps, q.Reverse(g))
 			}
 		} else {
-			ps = kShortestPaths(g, a, b, k, pathOpts)
+			ps = kShortestPaths(g, a, b, pathsPerPair, pathOpts)
 		}
 		pathCache[key] = ps
 		return ps
@@ -480,13 +464,13 @@ func (enc *Encoding) Decode(x []float64) (*core.Solution, error) {
 // Embed encodes, solves and decodes in one step. It answers the program's
 // optimum or an error: a search the node limit cut short is an error even
 // when it holds an incumbent, which may be far from optimal.
-func Embed(p *core.Problem, opts Options) (*core.Result, error) {
-	return embed(p, opts, defaultMaxNodes)
+func Embed(p *core.Problem) (*core.Result, error) {
+	return embed(p, defaultMaxNodes)
 }
 
 // embed is Embed under a node limit of maxNodes.
-func embed(p *core.Problem, opts Options, maxNodes int) (*core.Result, error) {
-	enc, err := Encode(p, opts)
+func embed(p *core.Problem, maxNodes int) (*core.Result, error) {
+	enc, err := Encode(p)
 	if err != nil {
 		return nil, err
 	}

@@ -271,9 +271,9 @@ func embed(alg Algorithm, inst *core.Problem, d core.DelayParams, seed int64) (*
 	case MINV:
 		res, err = baseline.EmbedMINV(&p)
 	case EXACT:
-		res, err = exact.Embed(&p, exact.Limits{})
+		res, err = exact.Embed(&p)
 	case ILP:
-		res, err = ipmodel.Embed(&p, ipmodel.Options{PathsPerPair: 2})
+		res, err = ipmodel.Embed(&p)
 	default: // a budget arm: Run refuses any other name
 		factor, _ := alg.factor()
 		if res, err = core.EmbedMBBE(&p); err == nil {

@@ -131,7 +131,7 @@ func TestGroupCommitDurabilityContract(t *testing.T) {
 func TestGroupCommitAcrossRotationAndSnapshot(t *testing.T) {
 	const writers, perWriter = 4, 60
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Sync: SyncPerCommit, SegmentBytes: 512})
+	l, _ := mustOpen(t, dir, Options{Sync: SyncPerCommit, segmentBytes: 512})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

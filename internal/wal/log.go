@@ -66,9 +66,9 @@ type Options struct {
 	Sync SyncPolicy
 	// FlushInterval is the SyncBatched group-commit period (default 5ms).
 	FlushInterval time.Duration
-	// SegmentBytes rotates the active segment once it grows past this
-	// size (default 4 MiB).
-	SegmentBytes int64
+	// segmentBytes rotates the active segment once it grows past this
+	// size (default 4 MiB); only tests set it, to rotate often.
+	segmentBytes int64
 }
 
 // keepSnapshots is how many snapshot generations retention preserves: the
@@ -157,8 +157,8 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = 5 * time.Millisecond
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = 4 << 20
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
@@ -342,11 +342,11 @@ func (l *Log) Enqueue(rec Record) (uint64, error) {
 	}
 	l.segBytes += int64(len(l.buf))
 	telemetry.RecordWALAppend(len(l.buf))
-	if l.segBytes >= l.opts.SegmentBytes {
+	if l.segBytes >= l.opts.segmentBytes {
 		// Rotation needs the file to itself. Another appender may rotate
 		// while this one waits out a leader's fsync, so look again after.
 		l.awaitSyncLocked()
-		if l.segBytes >= l.opts.SegmentBytes && !l.closed {
+		if l.segBytes >= l.opts.segmentBytes && !l.closed {
 			if err := l.rotateLocked(); err != nil {
 				return rec.Seq, l.fail(err)
 			}

@@ -147,7 +147,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestCorruptInteriorSegmentUnrecoverable(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation so we get multiple files.
-	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 64})
+	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, segmentBytes: 64})
 	for i := 0; i < 20; i++ {
 		if _, err := l.Append(Record{Type: TypeCommit, Flow: int64(i), Data: make([]byte, 40)}); err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCorruptInteriorSegmentUnrecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err := Open(dir, Options{Sync: SyncOff, SegmentBytes: 64})
+	_, _, err := Open(dir, Options{Sync: SyncOff, segmentBytes: 64})
 	if !errors.Is(err, ErrUnrecoverable) {
 		t.Fatalf("corrupt interior segment: got %v, want ErrUnrecoverable", err)
 	}
@@ -173,7 +173,7 @@ func TestCorruptInteriorSegmentUnrecoverable(t *testing.T) {
 
 func TestSnapshotBoundsReplayAndPrunes(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
+	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, segmentBytes: 128})
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append(Record{Type: TypeCommit, Flow: int64(i), Data: make([]byte, 64)}); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSnapshotBoundsReplayAndPrunes(t *testing.T) {
 	}
 	l.Close()
 
-	l2, rec := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
+	l2, rec := mustOpen(t, dir, Options{Sync: SyncOff, segmentBytes: 128})
 	defer l2.Close()
 	if string(rec.Snapshot) != "state@10" {
 		t.Fatalf("snapshot payload %q", rec.Snapshot)
@@ -208,7 +208,7 @@ func TestSnapshotBoundsReplayAndPrunes(t *testing.T) {
 
 func TestRetentionKeepsFallbackSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
+	l, _ := mustOpen(t, dir, Options{Sync: SyncOff, segmentBytes: 128})
 	for snap := 0; snap < 4; snap++ {
 		for i := 0; i < 6; i++ {
 			if _, err := l.Append(Record{Type: TypeCommit, Data: make([]byte, 64)}); err != nil {
@@ -235,7 +235,7 @@ func TestRetentionKeepsFallbackSnapshot(t *testing.T) {
 	if err := os.WriteFile(newest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec := mustOpen(t, dir, Options{Sync: SyncOff, SegmentBytes: 128})
+	l2, rec := mustOpen(t, dir, Options{Sync: SyncOff, segmentBytes: 128})
 	defer l2.Close()
 	if rec.SnapshotsSkipped != 1 {
 		t.Fatalf("SnapshotsSkipped = %d, want 1", rec.SnapshotsSkipped)

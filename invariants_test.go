@@ -300,6 +300,14 @@ var invariants = []invariant{{
 	sample: "func Evaluate(p *Problem, s *Solution) (CostBreakdown, error) {\n\tsc := costScratchPool.Get().(*costScratch)\n\n\tcb.Usage = cb.Usage.clone()",
 	msg:    "internal/core copies a usage to the heap outside ComputeCost: price into the pooled scratch and keep the counts there",
 }, {
+	name:     "oracle-takes-a-problem",
+	contract: "an oracle takes a Problem",
+	design:   "7. Baselines and oracles",
+	files:    []string{"internal/exact/*.go", "internal/ipmodel/*.go"},
+	forbid:   `^type (Limits|Options) struct`,
+	sample:   "type Options struct {",
+	msg:      "internal/exact or internal/ipmodel grew a settings struct back: an oracle takes a Problem, and its size guards are constants",
+}, {
 	name:     "sim-one-trial-loop",
 	contract: "every sweep runs through Experiment.Run: one trial loop, one seed derivation, one aggregation",
 	design:   "12. sim and the root package",
