@@ -204,7 +204,7 @@ func TestReadmeFlags(t *testing.T) {
 // here and says why; one that shrinks them lowers the ceiling with it.
 var sizeCeilings = map[string]int{
 	"non-test Go":                    17805,
-	"test Go":                        25336,
+	"test Go":                        25335,
 	"DESIGN.md":                      972,
 	"README.md":                      418,
 	"Makefile":                       67,

@@ -50,11 +50,7 @@ func TestComputeCostMulticastDedup(t *testing.T) {
 	net.MustAddInstance(3, 2, 0, 10)
 	net.MustAddInstance(0, network.VNFID(3), 0, 10) // merger at src
 
-	p := &Problem{
-		Net: net,
-		SFC: dagsfcOne2Par(),
-		Src: 0, Dst: 0, Rate: 1, Size: 1,
-	}
+	p := &Problem{Net: net, SFC: dagsfcOne2Par(), Src: 0, Dst: 0, Rate: 1, Size: 1}
 	s := &Solution{
 		Layers: []LayerEmbedding{{
 			Nodes:      []graph.NodeID{2, 3},
@@ -92,11 +88,7 @@ func TestComputeCostInstanceReuse(t *testing.T) {
 	net := network.New(g, network.Catalog{N: 2})
 	net.MustAddInstance(1, 1, 10, 10)
 	net.MustAddInstance(1, 2, 20, 10)
-	p := &Problem{
-		Net: net,
-		SFC: fromWidths([][]network.VNFID{{1}, {2}, {1}}),
-		Src: 0, Dst: 0, Rate: 1, Size: 1,
-	}
+	p := &Problem{Net: net, SFC: fromWidths([][]network.VNFID{{1}, {2}, {1}}), Src: 0, Dst: 0, Rate: 1, Size: 1}
 	s := &Solution{
 		Layers: []LayerEmbedding{
 			{Nodes: []graph.NodeID{1}, MergerNode: 1,

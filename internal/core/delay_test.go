@@ -32,11 +32,7 @@ func delayFixture() *Problem {
 	net := network.New(g, network.Catalog{N: 1})
 	net.MustAddInstance(1, 1, 50, 100)
 	net.MustAddInstance(2, 1, 10, 100)
-	return &Problem{
-		Net: net,
-		SFC: sfc.DAGSFC{Layers: []sfc.Layer{{VNFs: []network.VNFID{1}}}},
-		Src: 0, Dst: 3, Rate: 1, Size: 1,
-	}
+	return &Problem{Net: net, SFC: fromWidths([][]network.VNFID{{1}}), Src: 0, Dst: 3, Rate: 1, Size: 1}
 }
 
 func TestDelayBoundForcesNearHost(t *testing.T) {
@@ -163,6 +159,17 @@ func TestEvaluateDelayFixture(t *testing.T) {
 	want := 1.1 + 1.1 + 0.5 + 0.1
 	if got := EvaluateDelay(p, s, d); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("delay = %v, want %v", got, want)
+	}
+}
+
+// TestEvaluateDelayMaxOverBranches: a 3-hop inner path slows f(3)'s branch,
+// and the parallel layer tracks that branch alone.
+func TestEvaluateDelayMaxOverBranches(t *testing.T) {
+	p, s := lineFixture(), lineSolution()
+	s.Layers[1].InnerPaths[1] = hops(3)
+	// Layer 1: 1 hop + 1 = 2. Layer 2: max(1+1+0, 0+1+3) = 4. Tail: 1 hop.
+	if got := EvaluateDelay(p, s, DelayParams{DefaultProcDelay: 1, HopDelay: 1}); math.Abs(got-7) > 1e-9 {
+		t.Fatalf("delay = %v, want 7 (2 + max(2, 4) + 1)", got)
 	}
 }
 
